@@ -1,15 +1,14 @@
-"""Multi-core trial execution: pool vs legacy spawn vs sequential.
+"""Multi-core trial execution: pool vs sequential.
 
 Runs one small real-training study (RealTrainer over a synthetic image
 dataset) sequentially, then with trials farmed out to 1/2/4 child
-processes through both parallel backends: the persistent worker pool
-(shared-memory IPC, workers reused across trials and studies) and the
-legacy spawn-per-study executor (fresh processes + pickled dataset per
-study).  A reused pool is also timed cold vs warm, since amortising
-worker start-up across studies is the pool's core win.  Records real
-wall-clock and IPC bytes moved for each configuration and checks the
-hard invariant: every parallel run reproduces the sequential study
-report bit-for-bit (best accuracy, epoch counts, simulated wall time).
+processes of a persistent worker pool (shared-memory IPC, workers
+reused across trials and studies).  A reused pool is also timed cold vs
+warm, since amortising worker start-up across studies is the pool's
+core win.  Records real wall-clock and IPC bytes moved for each
+configuration and checks the hard invariant: every pool run reproduces
+the sequential study report bit-for-bit (best accuracy, epoch counts,
+simulated wall time).
 
 Speedup is hardware-dependent, so next to the timings
 ``BENCH_perf.json`` records ``cpu_count``, per-configuration
@@ -22,17 +21,16 @@ Standalone usage (CI smoke gate)::
 
     PYTHONPATH=src python benchmarks/bench_perf_parallel.py --smoke
 
-exits non-zero if any parallel backend diverges from the sequential
-report; the warm-pool-vs-sequential speedup is printed as an
-informational metric (shared CI runners are too noisy to gate on
-wall-clock).  Add ``--perf-gate`` on a dedicated multi-core box to
-also fail when the warm pool study is slower than sequential.
+exits non-zero if any pool run diverges from the sequential report; the
+warm-pool-vs-sequential speedup is printed as an informational metric
+(shared CI runners are too noisy to gate on wall-clock).  Add
+``--perf-gate`` on a dedicated multi-core box to also fail when the
+warm pool study is slower than sequential.
 """
 
 import argparse
 import itertools
 import os
-import pickle
 import sys
 import time
 
@@ -56,7 +54,6 @@ from repro.core.tune import (
     run_study,
     run_study_parallel,
 )
-from repro.core.tune.parallel import _TrainerSpec
 from repro.data import make_image_classification
 from repro.paramserver import ParameterServer
 from repro.zoo.builders import build_mlp
@@ -129,8 +126,7 @@ def run_matrix(process_counts=PROCESS_COUNTS, trials=TRIALS, max_epochs=3,
         "trials": trials,
         "workers": WORKERS,
         "sequential_s": sequential_s,
-        "parallel_s": {},  # pool backend (the default)
-        "legacy_parallel_s": {},
+        "parallel_s": {},  # a fresh pool per study
         "pool_reuse_s": {},
         "effective_parallelism": {
             str(p): min(p, cpu_count) for p in process_counts
@@ -141,30 +137,23 @@ def run_matrix(process_counts=PROCESS_COUNTS, trials=TRIALS, max_epochs=3,
     }
     table = {"sequential": (sequential_s, True)}
 
+    with TrialPool(processes=1):
+        pass  # pay this process's first fork and resource-tracker start untimed
+
     ipc_before = ipc_counter_snapshot()
-    for backend, key in (("pool", "parallel_s"), ("legacy", "legacy_parallel_s")):
-        for processes in process_counts:
-            master, workers = make_study(dataset, trials, max_epochs)
-            start = time.perf_counter()
-            report = run_study_parallel(
-                master, workers, processes=processes, backend=backend
-            )
-            seconds = time.perf_counter() - start
-            identical = fingerprint(report) == seq_print
-            payload[key][str(processes)] = seconds
-            payload["deterministic"] &= identical
-            table[f"{backend}_{processes}"] = (seconds, identical)
+    for processes in process_counts:
+        master, workers = make_study(dataset, trials, max_epochs)
+        start = time.perf_counter()
+        report = run_study_parallel(master, workers, processes=processes)
+        seconds = time.perf_counter() - start
+        identical = fingerprint(report) == seq_print
+        payload["parallel_s"][str(processes)] = seconds
+        payload["deterministic"] &= identical
+        table[f"pool_{processes}"] = (seconds, identical)
     ipc_after = ipc_counter_snapshot()
     payload["ipc_bytes"]["pool_shm"] = int(ipc_after["shm"] - ipc_before["shm"])
     payload["ipc_bytes"]["pool_pickled"] = int(
         ipc_after["pickled"] - ipc_before["pickled"]
-    )
-    # The legacy executor re-pickles the whole trainer spec (dataset
-    # included) into every child, every study.
-    master, workers = make_study(dataset, trials, max_epochs)
-    spec_bytes = len(pickle.dumps(_TrainerSpec.of(workers[0].backend)))
-    payload["ipc_bytes"]["legacy_spec_pickled_per_study"] = spec_bytes * max(
-        process_counts
     )
 
     # Pool reuse: the second study on a live pool skips fork + dataset
@@ -245,7 +234,7 @@ def main(argv=None) -> int:
     payload.pop("_table")
 
     if not payload["deterministic"]:
-        print("FAIL: a parallel backend diverged from the sequential report",
+        print("FAIL: a pool run diverged from the sequential report",
               file=sys.stderr)
         return 1
     if args.smoke:

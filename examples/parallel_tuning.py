@@ -1,8 +1,8 @@
 """Multi-core trial execution with ``run_study_parallel``.
 
 Runs the same small real-training study twice — once with the
-in-process ``run_study`` loop and once with trials farmed out to child
-processes via :class:`repro.core.tune.ParallelTrialExecutor` — and
+in-process ``run_study`` loop and once with trials farmed out to the
+child processes of a :class:`repro.core.tune.TrialPool` — and
 shows that the study reports are identical: same best accuracy, same
 epoch counts, same simulated wall time. Only real wall-clock changes
 (on a multi-core box the parallel run finishes roughly ``min(workers,

@@ -62,19 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--seed", type=int, default=0)
     tune.add_argument("--real", action="store_true",
                       help="train real NumPy networks instead of the surrogate")
-    tune.add_argument("--pool", action="store_true",
-                      help="with --real: run trials on a persistent worker pool "
-                           "with shared-memory IPC (default backend when "
-                           "--processes is given)")
     tune.add_argument("--pool-reuse", action="store_true",
-                      help="run the study twice on one persistent pool and "
-                           "report cold vs warm wall-clock (implies --pool)")
-    tune.add_argument("--legacy-spawn", action="store_true",
-                      help="use the old spawn-per-study executor instead of "
-                           "the persistent pool")
+                      help="with --real: run the study twice on one persistent "
+                           "pool and report cold vs warm wall-clock")
     tune.add_argument("--processes", type=int, default=0, metavar="N",
-                      help="with --real: run trials on N child processes "
-                           "(multi-core; 0 = in-process)")
+                      help="with --real: run trials on a persistent pool of N "
+                           "child processes with shared-memory IPC "
+                           "(0 = in-process)")
     tune.add_argument("--ps-shards", type=int, default=1, metavar="N",
                       help="shard the parameter server across N servers "
                            "(1 = the classic single server)")
@@ -232,17 +226,11 @@ def _cmd_tune(args) -> int:
     )
     from repro.paramserver import ParameterServer, ShardedParameterServer
 
-    if args.pool_reuse:
-        args.pool = True
-    if (args.processes or args.pool) and not args.real:
-        print("--processes/--pool require --real (the surrogate is already "
-              "instant)", file=sys.stderr)
+    if (args.processes or args.pool_reuse) and not args.real:
+        print("--processes/--pool-reuse require --real (the surrogate is "
+              "already instant)", file=sys.stderr)
         return 2
-    if args.legacy_spawn and args.pool:
-        print("--legacy-spawn conflicts with --pool/--pool-reuse",
-              file=sys.stderr)
-        return 2
-    if args.pool and not args.processes:
+    if args.pool_reuse and not args.processes:
         args.processes = max(1, os.cpu_count() or 1)
     if args.ps_shards < 1:
         print("--ps-shards must be >= 1", file=sys.stderr)
@@ -281,7 +269,6 @@ def _cmd_tune(args) -> int:
         workers = make_workers(master, backend, param_server, conf, args.workers)
         return master, workers
 
-    exec_backend = "legacy" if args.legacy_spawn else "pool"
     if args.pool_reuse:
         import itertools
         import time
@@ -311,8 +298,7 @@ def _cmd_tune(args) -> int:
         master, workers = build_study()
         if args.processes:
             report = run_study_parallel(master, workers,
-                                        processes=args.processes,
-                                        backend=exec_backend)
+                                        processes=args.processes)
         else:
             report = run_study(master, workers)
     best = report.best

@@ -71,15 +71,10 @@ from repro.core.tune.halving import (  # noqa: E402
 
 __all__ += ["SuccessiveHalvingAdvisor", "HalvingMaster", "halving_conf"]
 
-from repro.core.tune.parallel import (  # noqa: E402
-    ParallelTrialExecutor,
+from repro.core.tune.pool import (  # noqa: E402
+    PoolTrialExecutor,
+    TrialPool,
     run_study_parallel,
 )
-from repro.core.tune.pool import PoolTrialExecutor, TrialPool  # noqa: E402
 
-__all__ += [
-    "ParallelTrialExecutor",
-    "run_study_parallel",
-    "PoolTrialExecutor",
-    "TrialPool",
-]
+__all__ += ["run_study_parallel", "PoolTrialExecutor", "TrialPool"]

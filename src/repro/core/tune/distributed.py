@@ -23,6 +23,7 @@ from repro.cluster.message import Message, MessageType
 from repro.core.tune.backends import TrainerBackend
 from repro.core.tune.config import HyperConf
 from repro.core.tune.costudy import CoStudyMaster
+from repro.core.tune.runner import worker_process
 from repro.core.tune.study import StudyMaster, StudyReport
 from repro.core.tune.trial import Trial
 from repro.core.tune.worker import TuneWorker
@@ -112,29 +113,15 @@ def run_cluster_study(
                 "repro_tune_trials_reissued_total",
                 "In-flight trials re-issued to replacement workers.",
             ).inc()
-        sim.spawn(_worker_process(worker, master, study, manager, container))
 
-    def _worker_process(worker, master, study, manager, container):
-        while not worker.terminated:
+        def alive() -> bool:
+            # once the container is dead a replacement has been started
             live = manager.containers.get(container.container_id)
-            if live is None or not live.running:
-                return  # the container died; a replacement was started
-            outgoing, cost = worker.step()
-            for message in outgoing:
-                if message.type is MessageType.FINISH:
-                    study.in_flight.pop(worker.name, None)
-                master.mailbox.send(message)
-            if outgoing:
-                for dest, reply in master.step():
-                    if reply.type is MessageType.TRIAL:
-                        study.in_flight[dest] = reply.payload["trial"]
-                    target = study.workers.get(dest)
-                    if target is not None:
-                        target.mailbox.send(reply)
-            if cost > 0:
-                yield cost
-            elif not outgoing and not worker.mailbox:
-                return
+            return live is not None and live.running
+
+        sim.spawn(
+            worker_process(worker, master, study.workers, study.in_flight, alive)
+        )
 
     manager.on_recovery(start_worker)
     for container in job.workers:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["EarlyStopper"]
+__all__ = ["EarlyStopper", "TrialStopRule"]
 
 
 class EarlyStopper:
@@ -38,3 +38,33 @@ class EarlyStopper:
     def reset(self) -> None:
         self.best = float("-inf")
         self.stale_epochs = 0
+
+
+class TrialStopRule:
+    """When one trial's epoch loop ends: epoch cap reached or plateau.
+
+    The single statement of the rule.  A :class:`TuneWorker` and a
+    free-running pool child each feed one of these the same accuracy
+    stream, so the child stops at exactly the parent's epoch.
+    ``local_early_stop=False`` (CoStudy: the master decides) leaves
+    only the epoch cap.
+    """
+
+    def __init__(self, trial, conf, local_early_stop: bool):
+        self.epoch_cap = (
+            trial.max_epochs
+            if trial.max_epochs is not None
+            else conf.max_epochs_per_trial
+        )
+        self._stopper = (
+            EarlyStopper(conf.early_stop_patience, conf.early_stop_min_delta)
+            if local_early_stop
+            else None
+        )
+        self.epochs = 0
+
+    def update(self, accuracy: float) -> bool:
+        """Record one finished epoch; return True when the trial is over."""
+        self.epochs += 1
+        plateaued = self._stopper is not None and self._stopper.update(accuracy)
+        return self.epochs >= self.epoch_cap or plateaued

@@ -1,11 +1,12 @@
 """Persistent worker pool with shared-memory IPC for trial execution.
 
-:class:`~repro.core.tune.parallel.ParallelTrialExecutor` (the first
-cut at multi-core studies) spawns a fresh process pool per study and
-pickles the entire dataset into every child; ``BENCH_perf.json``
-showed that on small studies those fixed costs *exceed* the
-parallelism win.  Following Ray Tune's long-lived-executor design,
-this module keeps the processes and moves the bytes out of the pipe:
+:func:`~repro.core.tune.runner.run_study` interleaves every worker's
+epochs on one core: simulated time overlaps, real time does not.  A
+:class:`~repro.core.tune.backends.RealTrainer` study spends nearly all
+its real wall-clock inside ``train_epoch``, so — following Ray Tune's
+long-lived-executor design — this module farms that epoch work out to
+OS processes while leaving the master/worker message flow, and
+therefore the simulated-time :class:`StudyReport`, untouched:
 
 * :class:`TrialPool` owns N **long-lived** child processes that
   survive across trials *and across studies* — create one, run any
@@ -16,20 +17,29 @@ this module keeps the processes and moves the bytes out of the pipe:
 * Datasets and warm-start/parameter state tensors travel through
   ``multiprocessing.shared_memory`` as :class:`~repro.utils.shm.ShmTensor`
   handles — children map **zero-copy read-only views**; only scalars
-  and tiny arrays are ever pickled (``shm_min_bytes`` is the cut-off).
-* Children free-run whole trials and stream epoch records back in
-  **batches** (``epoch_batch`` records per message) instead of one
-  queue message per epoch.
+  and arrays under :data:`SHM_MIN_BYTES` are ever pickled.
+* Every worker has its **own duplex pipe**.  The parent hands each job
+  to one specific idle worker and sleeps on all pipes and process
+  sentinels at once, so it always knows which job a worker holds and a
+  dying worker can take nothing shared (no queue lock) with it.
+* Children free-run whole trials and stream **one record per epoch**,
+  so the sessions of a study's other workers start (and overlap) as
+  soon as the first epoch of the first trial is back.  A child applies
+  the same :class:`~repro.core.tune.early_stopping.TrialStopRule` as
+  the parent :class:`~repro.core.tune.worker.TuneWorker` and so stops
+  at exactly the parent's epoch; for masters that stop trials
+  centrally (CoStudy) each epoch record carries a state snapshot, so
+  mid-trial ``kPut`` checkpoints see the sequential run's parameters.
 * Fault tolerance matches the chaos layer's contract: an exception in
   a child (e.g. an injected ``tune.pool.trial`` fault) or a **dead
-  worker process** re-issues the in-flight trial to a fresh pool
+  worker process** re-issues the in-flight trial to another pool
   member; the deterministic re-run's replayed epochs are discarded, so
   the parent session continues exactly where the crash interrupted it.
   Dead workers are replaced to keep the pool at full strength.
 
 Determinism is inherited from the sessions being pure functions of
 ``(trial, init_state)``: for a fixed seed, a study run through
-:class:`PoolTrialExecutor` is bit-for-bit identical to
+:func:`run_study_parallel` is bit-for-bit identical to
 :func:`~repro.core.tune.runner.run_study` — same trial seeds, same
 early-stop epochs, same :class:`StudyReport`.
 
@@ -42,10 +52,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import queue as queue_mod
-import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from typing import Any
 
 import numpy as np
@@ -53,16 +62,22 @@ import numpy as np
 from repro import chaos, telemetry
 from repro.core.tune.backends import RealTrainer
 from repro.core.tune.config import HyperConf
-from repro.core.tune.early_stopping import EarlyStopper
+from repro.core.tune.early_stopping import TrialStopRule
+from repro.core.tune.runner import run_study
+from repro.core.tune.study import StudyMaster, StudyReport
 from repro.core.tune.trial import Trial
+from repro.core.tune.worker import TuneWorker
 from repro.data.datasets import ImageDataset
 from repro.exceptions import ConfigurationError
+from repro.sim import Simulator
 from repro.utils.shm import ShmArena, ShmTensor
 
-__all__ = ["TrialPool", "PoolTrialExecutor"]
+__all__ = ["TrialPool", "PoolTrialExecutor", "run_study_parallel"]
 
 #: task-latency histogram buckets (real seconds).
 TASK_SECONDS_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0, 60.0)
+#: state arrays at least this large travel as shared-memory handles.
+SHM_MIN_BYTES = 4096
 
 
 # ----------------------------------------------------------------------
@@ -103,9 +118,8 @@ class _PoolSpec:
     use_augmentation: bool
     arch_knobs: tuple[str, ...]
     seed: int
+    conf: HyperConf
     local_early_stop: bool
-    patience: int
-    min_delta: float
 
     @property
     def fingerprint(self) -> tuple:
@@ -122,7 +136,7 @@ class _PoolSpec:
 
 
 def _pack_state(
-    state: dict[str, np.ndarray], arena: ShmArena, shm_min_bytes: int
+    state: dict[str, np.ndarray], arena: ShmArena
 ) -> tuple[dict[str, Any], int, int]:
     """State dict -> payload of ShmTensor handles (big) / arrays (tiny).
 
@@ -132,7 +146,7 @@ def _pack_state(
     shm_bytes = 0
     small_bytes = 0
     for key, array in state.items():
-        if array.nbytes >= shm_min_bytes:
+        if array.nbytes >= SHM_MIN_BYTES:
             payload[key] = arena.publish(array)
             shm_bytes += array.nbytes
         else:
@@ -198,20 +212,13 @@ def _discard_state(payload: dict[str, Any] | None, arena: ShmArena) -> None:
 # ----------------------------------------------------------------------
 
 
-def _pool_worker(
-    worker_id: int,
-    prefix: str,
-    task_queue,
-    result_queue,
-    epoch_batch: int,
-    shm_min_bytes: int,
-) -> None:
-    """Long-lived child: rebuild trainers lazily, run trials forever.
+def _pool_worker(prefix: str, conn: Connection) -> None:
+    """Long-lived child: rebuild trainers lazily, run trials until told to stop.
 
-    Messages out (all tagged with ``worker_id`` and the job's
-    ``generation``): ``claim`` when a job is picked up, ``batch`` with
-    up to ``epoch_batch`` epoch records, ``done`` with the final state,
-    ``error`` with the exception repr.
+    Jobs arrive on ``conn``; records go back on it, each tagged with
+    the job's ``generation`` and trial id: ``epoch`` after every epoch
+    (with a state snapshot when the master stops trials centrally),
+    ``done`` with the final state, ``error`` with the exception repr.
     """
     arena = ShmArena(prefix=prefix)
     clock = telemetry.get_clock()
@@ -240,59 +247,39 @@ def _pool_worker(
 
     try:
         while True:
-            job = task_queue.get()
+            try:
+                job = conn.recv()
+            except EOFError:  # the parent is gone
+                return
             if job is None:
                 return
-            spec, trial, init_payload, epoch_cap, snapshot, generation = job
-            result_queue.put(("claim", worker_id, generation, trial.trial_id))
+            spec, trial, init_payload, generation = job
+            tag = (generation, trial.trial_id)
             started = clock.now()
             try:
-                trainer = trainer_for(spec)
-                init_state = _copy_state(init_payload, arena)
-                session = trainer.start(trial, init_state)
-                stopper = (
-                    EarlyStopper(patience=spec.patience, min_delta=spec.min_delta)
-                    if spec.local_early_stop
-                    else None
+                session = trainer_for(spec).start(
+                    trial, _copy_state(init_payload, arena)
                 )
-                batch: list[tuple[float, dict | None]] = []
-                shm_bytes = 0
-
-                def flush() -> None:
-                    nonlocal batch, shm_bytes
-                    if batch:
-                        result_queue.put(
-                            ("batch", worker_id, generation, trial.trial_id,
-                             batch, shm_bytes)
-                        )
-                        batch, shm_bytes = [], 0
-
-                for _ in range(epoch_cap):
+                stop_rule = TrialStopRule(trial, spec.conf, spec.local_early_stop)
+                finished = False
+                while not finished:
                     chaos.fire("tune.pool.trial")
                     accuracy = session.run_epoch()
-                    state_payload = None
-                    if snapshot:
-                        state_payload, nbytes, _ = _pack_state(
-                            session.state_dict(), arena, shm_min_bytes
+                    snapshot, shm_bytes = None, 0
+                    if not spec.local_early_stop:
+                        # the parent may be stopped (and asked to kPut)
+                        # after any epoch, so it needs every epoch's state
+                        snapshot, shm_bytes, _ = _pack_state(
+                            session.state_dict(), arena
                         )
-                        shm_bytes += nbytes
-                    batch.append((float(accuracy), state_payload))
-                    if len(batch) >= epoch_batch:
-                        flush()
-                    if stopper is not None and stopper.update(accuracy):
-                        break
-                flush()
-                final_payload, final_shm, _ = _pack_state(
-                    session.state_dict(), arena, shm_min_bytes
-                )
-                result_queue.put(
-                    ("done", worker_id, generation, trial.trial_id,
-                     final_payload, final_shm, clock.now() - started)
+                    conn.send(("epoch", *tag, float(accuracy), snapshot, shm_bytes))
+                    finished = stop_rule.update(accuracy)
+                final_payload, final_shm, _ = _pack_state(session.state_dict(), arena)
+                conn.send(
+                    ("done", *tag, final_payload, final_shm, clock.now() - started)
                 )
             except Exception as exc:  # surfaced (and maybe retried) in the parent
-                result_queue.put(
-                    ("error", worker_id, generation, trial.trial_id, repr(exc))
-                )
+                conn.send(("error", *tag, repr(exc)))
     finally:
         arena.close()  # detach dataset views; segments stay parent-owned
 
@@ -300,6 +287,16 @@ def _pool_worker(
 # ----------------------------------------------------------------------
 # parent-side bookkeeping
 # ----------------------------------------------------------------------
+
+
+@dataclass
+class _Worker:
+    """One pool process and the parent's end of its pipe."""
+
+    proc: Any
+    conn: Connection
+    #: ``(trial_id, generation)`` of the job it was handed; None when idle.
+    job: tuple[int, int] | None = None
 
 
 @dataclass
@@ -312,7 +309,6 @@ class _TrialState:
     consumed: int = 0  # records the session has popped this submission
     skip: int = 0  # replayed records to discard after a resubmission
     crashes: int = 0
-    claimed_by: int | None = None
     final_state: dict[str, np.ndarray] | None = None
     init_handles: list[ShmTensor] = field(default_factory=list)
 
@@ -328,35 +324,20 @@ class TrialPool:
 
     #: seconds without any worker record before the pool is declared dead.
     RESULT_TIMEOUT = 600.0
-    #: queue-poll interval; also the dead-worker detection latency.
-    POLL_SECONDS = 0.2
 
-    def __init__(
-        self,
-        processes: int | None = None,
-        mp_context: str | None = None,
-        epoch_batch: int = 8,
-        trial_retries: int = 2,
-        shm_min_bytes: int = 4096,
-    ):
+    def __init__(self, processes: int | None = None, trial_retries: int = 2):
         self.processes = int(processes) if processes else (os.cpu_count() or 1)
         if self.processes < 1:
             raise ConfigurationError(f"processes must be >= 1, got {processes}")
-        if mp_context is None:
-            mp_context = (
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-            )
-        self._ctx = multiprocessing.get_context(mp_context)
-        self.epoch_batch = max(1, int(epoch_batch))
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        )
         self.trial_retries = int(trial_retries)
-        self.shm_min_bytes = int(shm_min_bytes)
         self.arena = ShmArena()
-        self._procs: dict[int, multiprocessing.Process] = {}
-        self._task_queue = None
-        self._result_queue = None
+        self._workers: list[_Worker] = []
+        #: jobs no worker was idle for yet, oldest first.
+        self._pending: deque[tuple] = deque()
         self._trials: dict[int, _TrialState] = {}
-        self._queue_depth = 0
-        self._worker_ids = iter(range(1, 1 << 30))
         #: strong refs keep ``id(dataset)`` cache keys valid.
         self._dataset_cache: dict[int, tuple[ImageDataset, _ShmDataset]] = {}
         self.worker_restarts = 0
@@ -365,58 +346,51 @@ class TrialPool:
 
     @property
     def running(self) -> bool:
-        return bool(self._procs)
+        return bool(self._workers)
 
     def _spawn_worker(self) -> None:
-        worker_id = next(self._worker_ids)
+        parent_end, child_end = self._ctx.Pipe()
         proc = self._ctx.Process(
-            target=_pool_worker,
-            args=(worker_id, self.arena.prefix, self._task_queue,
-                  self._result_queue, self.epoch_batch, self.shm_min_bytes),
-            daemon=True,
+            target=_pool_worker, args=(self.arena.prefix, child_end), daemon=True
         )
         proc.start()
-        self._procs[worker_id] = proc
-
-    def start(self) -> "TrialPool":
-        if self._procs:
-            return self
-        self._task_queue = self._ctx.Queue()
-        self._result_queue = self._ctx.Queue()
-        for _ in range(self.processes):
-            self._spawn_worker()
+        child_end.close()  # only the worker holds it: its death reads as EOF
+        self._workers.append(_Worker(proc, parent_end))
         self._registry().gauge(
             "repro_tune_pool_workers", "Live processes in the persistent trial pool."
-        ).set(len(self._procs))
+        ).set(len(self._workers))
+
+    def start(self) -> "TrialPool":
+        if not self._workers:
+            for _ in range(self.processes):
+                self._spawn_worker()
         return self
 
     def shutdown(self) -> None:
         """Stop every worker and free all shared memory (idempotent)."""
-        if self._procs:
-            for _ in self._procs:
-                try:
-                    self._task_queue.put(None)
-                except (OSError, ValueError):
-                    break
-            for proc in self._procs.values():
-                proc.join(timeout=10.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-            self._procs.clear()
+        for worker in self._workers:
+            if worker.job is not None:
+                worker.proc.terminate()  # nobody will read its trial's records
+                continue
+            try:
+                worker.conn.send(None)
+            except OSError:  # already dead
+                pass
+        for worker in self._workers:
+            worker.proc.join(timeout=10.0)
+            if worker.proc.is_alive():
+                worker.proc.terminate()
+                worker.proc.join(timeout=5.0)
+            worker.conn.close()
+        if self._workers:
+            self._workers.clear()
             self._registry().gauge(
                 "repro_tune_pool_workers",
                 "Live processes in the persistent trial pool.",
             ).set(0)
-        for queue in (self._task_queue, self._result_queue):
-            if queue is not None:
-                queue.cancel_join_thread()
-                queue.close()
-        self._task_queue = None
-        self._result_queue = None
+        self._pending.clear()
         self._trials.clear()
         self._dataset_cache.clear()
-        self._queue_depth = 0
         self.arena.close()
         self.arena.sweep()  # collect segments published by dead workers
 
@@ -447,18 +421,6 @@ class TrialPool:
                           sum(h.nbytes for _, h in tensors))
         return shared
 
-    def executor(
-        self,
-        trainer: RealTrainer,
-        conf: HyperConf,
-        local_early_stop: bool = True,
-        snapshot_states: bool = False,
-    ) -> "PoolTrialExecutor":
-        return PoolTrialExecutor(
-            trainer, conf, pool=self,
-            local_early_stop=local_early_stop, snapshot_states=snapshot_states,
-        )
-
     # -- submission ----------------------------------------------------
 
     def submit(
@@ -466,8 +428,6 @@ class TrialPool:
         spec: _PoolSpec,
         trial: Trial,
         init_state: dict[str, np.ndarray] | None,
-        epoch_cap: int,
-        snapshot: bool,
     ) -> None:
         self.start()
         state = self._trials.get(trial.trial_id)
@@ -483,88 +443,100 @@ class TrialPool:
             state.records.clear()
             state.consumed = 0
             state.skip = 0
-            state.claimed_by = None
             self._release_init(state)
         init_payload = None
         if init_state:
             init_payload = {}
             for key, array in init_state.items():
-                if array.nbytes >= self.shm_min_bytes:
+                if array.nbytes >= SHM_MIN_BYTES:
                     handle = self.arena.share(array)
                     state.init_handles.append(handle)
                     init_payload[key] = handle
                     self._count_bytes("shm", "to_worker", array.nbytes)
                 else:
                     init_payload[key] = np.array(array)
-        job = (spec, trial, init_payload, int(epoch_cap), bool(snapshot),
-               state.generation)
-        state.job = job
-        self._dispatch(job, outcome="dispatched")
+        state.job = (spec, trial, init_payload, state.generation)
+        self._dispatch(state.job, outcome="dispatched")
 
     def _dispatch(self, job: tuple, outcome: str) -> None:
-        self._count_bytes("pickled", "to_worker", len(pickle.dumps(job)))
-        self._task_queue.put(job)
-        self._queue_depth += 1
-        registry = self._registry()
-        registry.counter(
+        self._pending.append(job)
+        self._registry().counter(
             "repro_tune_pool_tasks_total", "Jobs shipped to the pool, by outcome."
         ).inc(outcome=outcome)
-        registry.gauge(
-            "repro_tune_pool_queue_depth", "Jobs enqueued but not yet claimed."
-        ).set(self._queue_depth)
+        self._feed()
+
+    def _feed(self) -> None:
+        """Hand pending jobs, oldest first, to idle workers."""
+        while self._pending:
+            worker = next((w for w in self._workers if w.job is None), None)
+            if worker is None:
+                break
+            job = self._pending.popleft()
+            _spec, trial, _init_payload, generation = job
+            worker.job = (trial.trial_id, generation)
+            data = pickle.dumps(job)
+            self._count_bytes("pickled", "to_worker", len(data))
+            try:
+                worker.conn.send_bytes(data)
+            except OSError:  # died while idle; re-queues the job it now holds
+                self._replace(worker)
+        self._registry().gauge(
+            "repro_tune_pool_queue_depth", "Jobs waiting for an idle worker."
+        ).set(len(self._pending))
 
     # -- demultiplexing ------------------------------------------------
 
     def _pump(self) -> None:
-        """Route one worker record; restart dead workers while waiting."""
-        deadline = time.monotonic() + self.RESULT_TIMEOUT
-        while True:
-            try:
-                record = self._result_queue.get(timeout=self.POLL_SECONDS)
-                break
-            except queue_mod.Empty:
-                self._reap_dead_workers()
-                if time.monotonic() >= deadline:
-                    raise RuntimeError(
-                        f"no trial results for {self.RESULT_TIMEOUT:.0f}s "
-                        f"({len(self._procs)} workers live)"
-                    ) from None
-        kind = record[0]
+        """Route the next record of each worker that has one; replace the dead."""
+        handles: list = [w.conn for w in self._workers]
+        handles += [w.proc.sentinel for w in self._workers]
+        ready = wait(handles, timeout=self.RESULT_TIMEOUT)
+        if not ready:
+            raise RuntimeError(
+                f"no trial results for {self.RESULT_TIMEOUT:.0f}s "
+                f"({len(self._workers)} workers live)"
+            )
+        for worker in list(self._workers):
+            if worker.conn in ready:
+                try:
+                    data = worker.conn.recv_bytes()
+                except (EOFError, OSError):  # exited, and its records are all read
+                    self._replace(worker)
+                else:
+                    self._route(worker, data)
+            elif worker.proc.sentinel in ready:
+                self._replace(worker)
+
+    def _route(self, worker: _Worker, data: bytes) -> None:
+        self._count_bytes("pickled", "from_worker", len(data))
+        kind, *fields = pickle.loads(data)
         self._registry().counter(
             "repro_tune_pool_records_total", "Records received from workers, by kind."
         ).inc(kind=kind)
-        self._count_bytes("pickled", "from_worker", len(pickle.dumps(record)))
-        handler = getattr(self, f"_on_{kind}")
-        handler(*record[1:])
+        trial_over = kind != "epoch"  # done or error: the worker is idle again
+        if trial_over:
+            worker.job = None  # before the handler, which may raise
+        getattr(self, f"_on_{kind}")(*fields)
+        if trial_over:
+            self._feed()
 
-    def _on_claim(self, worker_id: int, generation: int, trial_id: int) -> None:
-        self._queue_depth = max(0, self._queue_depth - 1)
-        self._registry().gauge(
-            "repro_tune_pool_queue_depth", "Jobs enqueued but not yet claimed."
-        ).set(self._queue_depth)
-        state = self._trials.get(trial_id)
-        if state is not None and state.generation == generation:
-            state.claimed_by = worker_id
-
-    def _on_batch(
-        self, worker_id: int, generation: int, trial_id: int,
-        records: list, shm_bytes: int,
+    def _on_epoch(
+        self, generation: int, trial_id: int,
+        accuracy: float, payload: dict | None, shm_bytes: int,
     ) -> None:
         state = self._trials.get(trial_id)
         if state is None or state.generation != generation:
-            for _, payload in records:  # stale stream: free its segments
-                _discard_state(payload, self.arena)
+            _discard_state(payload, self.arena)  # stale stream: free its segments
             return
         self._count_bytes("shm", "from_worker", shm_bytes)
-        for accuracy, payload in records:
-            if state.skip > 0:  # replayed epoch of a resubmitted trial
-                state.skip -= 1
-                _discard_state(payload, self.arena)
-                continue
-            state.records.append((accuracy, _unpack_state(payload, self.arena)))
+        if state.skip > 0:  # replayed epoch of a resubmitted trial
+            state.skip -= 1
+            _discard_state(payload, self.arena)
+            return
+        state.records.append((accuracy, _unpack_state(payload, self.arena)))
 
     def _on_done(
-        self, worker_id: int, generation: int, trial_id: int,
+        self, generation: int, trial_id: int,
         payload: dict, shm_bytes: int, seconds: float,
     ) -> None:
         state = self._trials.get(trial_id)
@@ -574,7 +546,6 @@ class TrialPool:
         self._count_bytes("shm", "from_worker", shm_bytes)
         state.final_state = _unpack_state(payload, self.arena)
         state.job = None
-        state.claimed_by = None
         self._release_init(state)
         self._registry().histogram(
             "repro_tune_pool_task_seconds",
@@ -582,9 +553,7 @@ class TrialPool:
             buckets=TASK_SECONDS_BUCKETS,
         ).observe(seconds)
 
-    def _on_error(
-        self, worker_id: int, generation: int, trial_id: int, detail: str
-    ) -> None:
+    def _on_error(self, generation: int, trial_id: int, detail: str) -> None:
         state = self._trials.get(trial_id)
         if state is not None and state.generation != generation:
             return  # a restarted run already superseded this one
@@ -617,29 +586,25 @@ class TrialPool:
         state.generation += 1
         state.records.clear()  # unconsumed buffers will be replayed
         state.skip = state.consumed
-        state.claimed_by = None
         state.job = state.job[:-1] + (state.generation,)
         self._dispatch(state.job, outcome="resubmitted")
 
-    def _reap_dead_workers(self) -> None:
-        """Replace dead processes; re-issue the trials they had claimed."""
-        dead = [wid for wid, proc in self._procs.items() if not proc.is_alive()]
-        for worker_id in dead:
-            self._procs.pop(worker_id)
-            self.worker_restarts += 1
-            self._spawn_worker()
-            registry = self._registry()
-            registry.counter(
-                "repro_tune_pool_worker_restarts_total",
-                "Pool workers found dead and replaced.",
-            ).inc()
-            registry.gauge(
-                "repro_tune_pool_workers",
-                "Live processes in the persistent trial pool.",
-            ).set(len(self._procs))
-            for trial_id, state in list(self._trials.items()):
-                if state.claimed_by == worker_id and state.job is not None:
-                    self._resubmit(trial_id, f"worker {worker_id} died")
+    def _replace(self, worker: _Worker) -> None:
+        """Swap a dead worker for a fresh one; re-issue the trial it held."""
+        self._workers.remove(worker)
+        worker.conn.close()
+        worker.proc.join(timeout=5.0)
+        self.worker_restarts += 1
+        self._registry().counter(
+            "repro_tune_pool_worker_restarts_total",
+            "Pool workers found dead and replaced.",
+        ).inc()
+        self._spawn_worker()
+        if worker.job is not None:
+            trial_id, generation = worker.job
+            state = self._trials.get(trial_id)
+            if state is not None and state.generation == generation:
+                self._resubmit(trial_id, f"worker pid {worker.proc.pid} died")
 
     # -- executor-facing waits -----------------------------------------
 
@@ -657,14 +622,14 @@ class TrialPool:
         return state.final_state
 
     def drain(self) -> None:
-        """Consume every outstanding record (end-of-study barrier).
+        """Wait until every worker is idle (end-of-study barrier).
 
-        Workers free-run their trials to completion, so waiting for the
-        remaining ``done`` records (and then dropping the per-trial
+        Workers free-run their trials to completion, so reading on until
+        nothing is queued or running (and then dropping the per-trial
         buffers) leaves the pool spotless for the next study — which
         may legitimately reuse the same trial ids.
         """
-        while any(s.job is not None for s in self._trials.values()):
+        while self._pending or any(w.job is not None for w in self._workers):
             self._pump()
         self._trials.clear()
 
@@ -707,8 +672,8 @@ class _PoolSession:
     def state_dict(self) -> dict[str, np.ndarray]:
         if self._state is not None:
             return self._state
-        # Snapshots off: the worker applies the same local early-stop
-        # rule, so its final state is exactly the parent's stop point.
+        # Snapshots off: the worker applies the same stop rule, so its
+        # final state is exactly the parent's stop point.
         return self._pool.await_done(self._trial_id)
 
     @property
@@ -725,9 +690,12 @@ class PoolTrialExecutor:
 
     Binds one study's :class:`RealTrainer` configuration to a pool
     (owned or shared): the dataset is pushed to shared memory once, and
-    every ``start()`` becomes a tiny queue message.  When constructed
+    every ``start()`` becomes a tiny pipe message.  When constructed
     without an explicit pool it creates one sized ``processes`` and
     owns its lifecycle; pass ``pool=`` to reuse workers across studies.
+    ``epoch_cost`` (the simulated-time model) delegates to the wrapped
+    trainer, so reports land at the same simulated instants as a
+    sequential run.
     """
 
     def __init__(
@@ -737,7 +705,6 @@ class PoolTrialExecutor:
         pool: TrialPool | None = None,
         processes: int | None = None,
         local_early_stop: bool = True,
-        snapshot_states: bool = False,
     ):
         if not isinstance(trainer, RealTrainer):
             raise ConfigurationError(
@@ -748,7 +715,6 @@ class PoolTrialExecutor:
         self.pool = pool if pool is not None else TrialPool(processes=processes)
         self.owns_pool = pool is None
         self.local_early_stop = bool(local_early_stop)
-        self.snapshot_states = bool(snapshot_states)
         self._spec: _PoolSpec | None = None
 
     # -- lifecycle -----------------------------------------------------
@@ -782,25 +748,61 @@ class PoolTrialExecutor:
                 use_augmentation=self.trainer.use_augmentation,
                 arch_knobs=self.trainer.arch_knobs,
                 seed=self.trainer.seed,
+                conf=self.conf,
                 local_early_stop=self.local_early_stop,
-                patience=self.conf.early_stop_patience,
-                min_delta=self.conf.early_stop_min_delta,
             )
         return self._spec
 
     def start(
         self, trial: Trial, init_state: dict[str, np.ndarray] | None
     ) -> _PoolSession:
-        self.pool.start()
-        epoch_cap = (
-            trial.max_epochs
-            if trial.max_epochs is not None
-            else self.conf.max_epochs_per_trial
-        )
-        self.pool.submit(
-            self._build_spec(), trial, init_state, epoch_cap, self.snapshot_states
-        )
+        self.pool.submit(self._build_spec(), trial, init_state)
         return _PoolSession(self.pool, trial)
 
     def epoch_cost(self, trial: Trial) -> float:
         return self.trainer.epoch_cost(trial)
+
+
+def run_study_parallel(
+    master: StudyMaster,
+    workers: list[TuneWorker],
+    processes: int | None = None,
+    sim: Simulator | None = None,
+    max_events: int = 5_000_000,
+    pool: TrialPool | None = None,
+) -> StudyReport:
+    """:func:`run_study`, with real epoch work spread over processes.
+
+    The workers' :class:`RealTrainer` backend is swapped for a
+    :class:`PoolTrialExecutor` for the duration of the run (and
+    restored afterwards). Master/worker messages, simulated time and
+    the resulting :class:`StudyReport` are identical to
+    :func:`run_study` for a fixed seed; only real wall-clock shrinks.
+
+    Pass an already-started :class:`TrialPool` via ``pool=`` to reuse
+    its workers (and their cached trainers) across consecutive studies;
+    otherwise a pool of ``processes`` workers (default: one per study
+    worker, capped by the CPU count) lives for this one study.
+    """
+    if not workers:
+        raise ConfigurationError("run_study_parallel needs at least one worker")
+    if pool is not None and not isinstance(pool, TrialPool):
+        raise ConfigurationError(f"pool must be a TrialPool, got {type(pool).__name__}")
+    if processes is None:
+        processes = max(1, min(len(workers), os.cpu_count() or 1))
+    base_backends = [worker.backend for worker in workers]
+    executor = PoolTrialExecutor(
+        base_backends[0],
+        conf=workers[0].conf,
+        pool=pool,
+        processes=processes,
+        local_early_stop=master.workers_early_stop_locally,
+    )
+    for worker in workers:
+        worker.backend = executor
+    try:
+        with executor:
+            return run_study(master, workers, sim=sim, max_events=max_events)
+    finally:
+        for worker, backend in zip(workers, base_backends):
+            worker.backend = backend

@@ -8,15 +8,19 @@ time, which is exactly what the Figure 11 scalability study measures.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro import telemetry
+from repro.cluster.message import MessageType
 from repro.core.tune.backends import TrainerBackend
 from repro.core.tune.config import HyperConf
 from repro.core.tune.study import StudyMaster, StudyReport
+from repro.core.tune.trial import Trial
 from repro.core.tune.worker import TuneWorker
 from repro.paramserver import ParameterServer
 from repro.sim import Simulator
 
-__all__ = ["run_study", "make_workers"]
+__all__ = ["run_study", "make_workers", "worker_process"]
 
 
 def make_workers(
@@ -40,6 +44,49 @@ def make_workers(
     ]
 
 
+def worker_process(
+    worker: TuneWorker,
+    master: StudyMaster,
+    workers: dict[str, TuneWorker],
+    in_flight: dict[str, Trial],
+    alive: Callable[[], bool] = lambda: True,
+):
+    """One worker's simulated process: the only master/worker message pump.
+
+    Every driver spawns this generator on its simulator.  ``workers``
+    routes the master's replies by name (a cluster study adds
+    replacement workers to it while running; replies to unknown names
+    are dropped), ``in_flight`` is kept equal to the trial each worker
+    currently holds (what a replacement re-issues), and ``alive`` ends
+    the process when the worker's container has died.
+    """
+    while not worker.terminated and alive():
+        outgoing, cost = worker.step()
+        for message in outgoing:
+            if message.type is MessageType.FINISH:
+                in_flight.pop(worker.name, None)
+            master.mailbox.send(message)
+        if outgoing:
+            for dest, reply in master.step():
+                if reply.type is MessageType.TRIAL:
+                    in_flight[dest] = reply.payload["trial"]
+                target = workers.get(dest)
+                if target is not None:
+                    target.mailbox.send(reply)
+        if cost > 0:
+            yield cost
+        elif not outgoing and not worker.mailbox:
+            if worker.awaiting_trial:
+                # Parked by the master (e.g. at a successive-halving
+                # rung barrier): poll the mailbox periodically.
+                yield 1.0
+            else:
+                # A stalled worker (no work, no pending replies)
+                # would spin forever; this cannot happen with a
+                # well-behaved master, but guard against bugs.
+                return
+
+
 def run_study(
     master: StudyMaster,
     workers: list[TuneWorker],
@@ -54,33 +101,13 @@ def run_study(
     sim = sim if sim is not None else Simulator()
     master.set_clock(lambda: sim.now)
     by_name = {worker.name: worker for worker in workers}
-
-    def worker_process(worker: TuneWorker):
-        while not worker.terminated:
-            outgoing, cost = worker.step()
-            for message in outgoing:
-                master.mailbox.send(message)
-            if outgoing:
-                for dest, reply in master.step():
-                    by_name[dest].mailbox.send(reply)
-            if cost > 0:
-                yield cost
-            elif not outgoing and not worker.mailbox:
-                if worker.awaiting_trial:
-                    # Parked by the master (e.g. at a successive-halving
-                    # rung barrier): poll the mailbox periodically.
-                    yield 1.0
-                else:
-                    # A stalled worker (no work, no pending replies)
-                    # would spin forever; this cannot happen with a
-                    # well-behaved master, but guard against bugs.
-                    return
+    in_flight: dict[str, Trial] = {}
 
     with telemetry.get_tracer().span(
         "run_study", study=master.study_name, workers=len(workers)
     ) as span:
         for worker in workers:
-            sim.spawn(worker_process(worker))
+            sim.spawn(worker_process(worker, master, by_name, in_flight))
         sim.run(max_events=max_events)
         report = master.finalize(wall_time=sim.now)
         span.tag(trials=len(report.results), simulated_seconds=sim.now)

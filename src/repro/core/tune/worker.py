@@ -14,7 +14,7 @@ from repro import chaos, telemetry
 from repro.cluster.message import Mailbox, Message, MessageType
 from repro.core.tune.backends import TrainerBackend, TrialSession
 from repro.core.tune.config import HyperConf
-from repro.core.tune.early_stopping import EarlyStopper
+from repro.core.tune.early_stopping import TrialStopRule
 from repro.core.tune.trial import InitKind, Trial, TrialStatus
 from repro.exceptions import InjectedFault
 from repro.paramserver import ParameterServer
@@ -55,7 +55,7 @@ class TuneWorker:
         self._trial: Trial | None = None
         self._session: TrialSession | None = None
         self._last_session: TrialSession | None = None
-        self._stopper: EarlyStopper | None = None
+        self._stop_rule: TrialStopRule | None = None
         self._awaiting_trial = False
         self._init_state: dict[str, np.ndarray] | None = None
         self._trial_crashes = 0
@@ -110,18 +110,7 @@ class TuneWorker:
                 },
             )
         )
-        epoch_cap = (
-            self._trial.max_epochs
-            if self._trial.max_epochs is not None
-            else self.conf.max_epochs_per_trial
-        )
-        hit_epoch_cap = self._session.epochs >= epoch_cap
-        plateaued = (
-            self.local_early_stop
-            and self._stopper is not None
-            and self._stopper.update(accuracy)
-        )
-        if hit_epoch_cap or plateaued:
+        if self._stop_rule.update(accuracy):
             self._finish(TrialStatus.COMPLETED, outgoing)
         return outgoing, cost
 
@@ -161,10 +150,7 @@ class TuneWorker:
         self._init_state = init_state
         self._trial_crashes = 0
         self._session = self.backend.start(trial, init_state)
-        self._stopper = EarlyStopper(
-            patience=self.conf.early_stop_patience,
-            min_delta=self.conf.early_stop_min_delta,
-        )
+        self._stop_rule = TrialStopRule(trial, self.conf, self.local_early_stop)
         self.trials_run += 1
         telemetry.get_registry().counter(
             "repro_tune_trials_started_total",
@@ -191,9 +177,8 @@ class TuneWorker:
             self._finish(TrialStatus.FAILED, outgoing)
             return
         self._session = self.backend.start(self._trial, self._init_state)
-        self._stopper = EarlyStopper(
-            patience=self.conf.early_stop_patience,
-            min_delta=self.conf.early_stop_min_delta,
+        self._stop_rule = TrialStopRule(
+            self._trial, self.conf, self.local_early_stop
         )
 
     def _put_params(self, key: str, performance: float | None) -> None:
@@ -230,7 +215,7 @@ class TuneWorker:
         # Keep the session parameters around: the master may still reply
         # with kPut for this just-finished trial (Algorithm 1 line 15).
         self._trial = None
-        self._stopper = None
+        self._stop_rule = None
         self._last_session = self._session
         self._session = None
 

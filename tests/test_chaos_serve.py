@@ -3,12 +3,12 @@
 Covers the graceful-degradation paths: the ensemble drops (and
 re-admits) a flapping replica behind its circuit breaker, the batcher
 resubmits requests from failed dispatches, parameter-server pushes ride
-out injected drops under a retry policy, and the parallel trial
-executor resubmits trials whose child process crashed.
+out injected drops under a retry policy, and the trial pool
+resubmits trials whose child process crashed.
 """
 
-import queue
-from collections import deque
+import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -22,7 +22,8 @@ from repro.core.serve import (
     SineArrival,
 )
 from repro.core.system import InferenceJobInfo, ModelSpec, Rafiki
-from repro.core.tune import HyperConf, ParallelTrialExecutor, RealTrainer
+from repro.core.tune import Trial, TrialPool
+from repro.core.tune.pool import _Worker
 from repro.exceptions import (
     DroppedResponse,
     InjectedFault,
@@ -32,7 +33,6 @@ from repro.exceptions import (
 from repro.paramserver import ParameterServer
 from repro.utils.retry import CircuitBreaker, RetryPolicy
 from repro.zoo import get_profile
-from repro.zoo.builders import build_mlp
 
 pytestmark = pytest.mark.chaos
 
@@ -257,63 +257,73 @@ class TestParamServerRetries:
         assert plan.invocations("paramserver.pull") == 3
 
 
-class _Job:
-    """Sentinel job tuple stand-in for resubmission tests."""
-
-
 class TestParallelExecutorCrashHandling:
-    def make_executor(self, tiny_dataset, retries=2):
-        trainer = RealTrainer(tiny_dataset, build_mlp, batch_size=16,
-                              use_augmentation=False, seed=11)
-        executor = ParallelTrialExecutor(
-            trainer, conf=HyperConf(max_trials=2, max_epochs_per_trial=2),
-            processes=1, trial_retries=retries,
-        )
-        # no children: drive the demultiplexer with hand-fed queues
-        executor._task_queue = queue.Queue()
-        executor._result_queue = queue.Queue()
-        return executor
+    """The pool's record demultiplexer, hand-fed: no child processes."""
 
-    def test_crash_resubmits_and_discards_replayed_epochs(self, tiny_dataset):
-        executor = self.make_executor(tiny_dataset)
-        job = _Job()
-        executor._inflight[7] = job
-        # 3 epochs streamed, 1 still buffered => parent consumed 2
-        executor._epoch_records[7] = deque([(0.5, None)])
-        executor._streamed[7] = 3
-        executor._result_queue.put(("error", 7, "SimulatedCrash()"))
-        executor._pump()
-        assert executor._task_queue.get_nowait() is job
-        assert executor._skip[7] == 2
-        assert len(executor._epoch_records[7]) == 0
-        counter = telemetry.get_registry().counter(
-            "repro_tune_parallel_trial_errors_total"
-        )
-        assert counter.value(outcome="resubmitted") == 1
-        # the deterministic re-run replays the two consumed epochs
-        # (discarded) before fresh ones reach the buffer again
+    @pytest.fixture
+    def pool(self):
+        pool = TrialPool(processes=1, trial_retries=1)
+        parent_end, self.child_end = multiprocessing.Pipe()
+        self.worker = _Worker(proc=None, conn=parent_end)
+        pool._workers.append(self.worker)
+        yield pool
+        pool._workers.clear()
+        parent_end.close()
+        self.child_end.close()
+        pool.shutdown()
+
+    def feed(self, pool, *record):
+        pool._route(self.worker, pickle.dumps(record))
+
+    def dispatched_generation(self):
+        assert self.child_end.poll(1.0)
+        _spec, _trial, _init, generation = self.child_end.recv()
+        return generation
+
+    def error_counter(self):
+        return telemetry.get_registry().counter("repro_tune_pool_trial_errors_total")
+
+    def test_crash_resubmits_and_discards_replayed_epochs(self, pool):
+        pool.trial_retries = 2
+        pool.submit(None, Trial(params={}, trial_id=7), None)
+        assert self.dispatched_generation() == 0
         for accuracy in (0.1, 0.2, 0.3):
-            executor._result_queue.put(("epoch", 7, accuracy, None))
-            executor._pump()
-        assert list(executor._epoch_records[7]) == [(0.3, None)]
-        assert executor._streamed[7] == 1
+            self.feed(pool, "epoch", 0, 7, accuracy, None, 0)
+        delivered = [pool.await_epoch(7)[0] for _ in range(2)]  # one still buffered
 
-    def test_repeated_crashes_exhaust_retries(self, tiny_dataset):
-        executor = self.make_executor(tiny_dataset, retries=1)
-        executor._inflight[3] = _Job()
-        executor._result_queue.put(("error", 3, "boom"))
-        executor._pump()  # first crash: resubmitted
-        executor._result_queue.put(("error", 3, "boom"))
+        self.feed(pool, "error", 0, 7, "SimulatedCrash()")
+        assert self.dispatched_generation() == 1
+        assert self.error_counter().value(outcome="resubmitted") == 1
+        state = pool._trials[7]
+        assert state.skip == 2 and not state.records
+        # the deterministic re-run replays the two consumed epochs
+        # (discarded) before fresh ones reach the buffer again; what the
+        # crashed run still had in the pipe is dropped as stale
+        self.feed(pool, "epoch", 0, 7, 0.99, None, 0)
+        for accuracy in (0.1, 0.2, 0.3):
+            self.feed(pool, "epoch", 1, 7, accuracy, None, 0)
+        delivered.append(pool.await_epoch(7)[0])
+
+        # a second crash skips everything consumed since submission,
+        # not only what was consumed since the first crash
+        self.feed(pool, "error", 1, 7, "SimulatedCrash()")
+        assert self.dispatched_generation() == 2
+        assert state.skip == 3
+        for accuracy in (0.1, 0.2, 0.3, 0.4):
+            self.feed(pool, "epoch", 2, 7, accuracy, None, 0)
+        delivered.append(pool.await_epoch(7)[0])
+        assert delivered == [0.1, 0.2, 0.3, 0.4]
+
+    def test_repeated_crashes_exhaust_retries(self, pool):
+        pool.submit(None, Trial(params={}, trial_id=3), None)
+        self.feed(pool, "error", 0, 3, "boom")  # first crash: resubmitted
+        assert self.dispatched_generation() == 0
+        assert self.dispatched_generation() == 1
         with pytest.raises(RuntimeError, match="trial 3 failed"):
-            executor._pump()
-        counter = telemetry.get_registry().counter(
-            "repro_tune_parallel_trial_errors_total"
-        )
-        assert counter.value(outcome="resubmitted") == 1
-        assert counter.value(outcome="raised") == 1
+            self.feed(pool, "error", 1, 3, "boom")
+        assert self.error_counter().value(outcome="resubmitted") == 1
+        assert self.error_counter().value(outcome="raised") == 1
 
-    def test_crash_of_unknown_trial_raises_immediately(self, tiny_dataset):
-        executor = self.make_executor(tiny_dataset)
-        executor._result_queue.put(("error", 99, "boom"))
+    def test_crash_of_unknown_trial_raises_immediately(self, pool):
         with pytest.raises(RuntimeError, match="trial 99 failed"):
-            executor._pump()
+            self.feed(pool, "error", 0, 99, "boom")

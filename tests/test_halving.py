@@ -1,8 +1,13 @@
 """Tests for the successive-halving extension."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import repro.core.tune.trial as trial_module
+from repro.cluster import ClusterManager, Node
+from repro.cluster.node import Resources
 from repro.core.tune import (
     HalvingMaster,
     SuccessiveHalvingAdvisor,
@@ -12,13 +17,15 @@ from repro.core.tune import (
     run_study,
     section71_space,
 )
+from repro.core.tune.distributed import run_cluster_study
 from repro.core.tune.trial import InitKind
 from repro.exceptions import ConfigurationError
 from repro.paramserver import ParameterServer
 
 
 def run_halving(initial_trials=8, initial_epochs=2, eta=2, max_rungs=3,
-                num_workers=3, seed=0):
+                num_workers=3, seed=0, on_cluster=False):
+    trial_module._trial_ids = itertools.count(1)  # same ids whichever driver
     advisor = SuccessiveHalvingAdvisor(
         section71_space(), initial_trials=initial_trials,
         initial_epochs=initial_epochs, eta=eta, max_rungs=max_rungs,
@@ -27,8 +34,14 @@ def run_halving(initial_trials=8, initial_epochs=2, eta=2, max_rungs=3,
     conf = halving_conf(advisor)
     ps = ParameterServer()
     master = HalvingMaster("sh", conf, advisor, ps)
-    workers = make_workers(master, SurrogateTrainer(seed=seed), ps, conf, num_workers)
-    report = run_study(master, workers)
+    backend = SurrogateTrainer(seed=seed)
+    if on_cluster:
+        manager = ClusterManager()
+        manager.add_node(Node("n0", capacity=Resources(cpus=8, gpus=8, memory_gb=64)))
+        report = run_cluster_study(manager, master, backend, ps, conf, num_workers)
+    else:
+        workers = make_workers(master, backend, ps, conf, num_workers)
+        report = run_study(master, workers)
     return advisor, report, ps
 
 
@@ -87,3 +100,13 @@ class TestHalvingStudy:
         """Workers park at the rung barrier and resume afterwards."""
         _, report, _ = run_halving(initial_trials=4, max_rungs=3, num_workers=6)
         assert len(report.results) == 4 + 2 + 1
+
+    def test_cluster_driver_runs_the_same_study(self):
+        """Workers parked at a rung barrier keep polling under the
+        cluster driver too (it shares ``run_study``'s loop), so no rung
+        is silently truncated."""
+        _, sequential, _ = run_halving()
+        _, clustered, _ = run_halving(on_cluster=True)
+        assert len(clustered.results) == 14
+        assert clustered.total_epochs == 48
+        assert clustered.history == sequential.history

@@ -16,7 +16,7 @@ import repro.core.tune.trial as trial_module
 from repro.core.tune import (
     CoStudyMaster,
     HyperConf,
-    ParallelTrialExecutor,
+    PoolTrialExecutor,
     RandomSearchAdvisor,
     RealTrainer,
     StudyMaster,
@@ -69,16 +69,13 @@ def report_fingerprint(report):
 
 
 class TestRunStudyParallel:
-    @pytest.mark.parametrize("exec_backend", ["legacy", "pool"])
     @pytest.mark.parametrize("collaborative", [False, True])
-    def test_matches_sequential_report(self, tiny_dataset, collaborative, exec_backend):
+    def test_matches_sequential_report(self, tiny_dataset, collaborative):
         master_a, workers_a = make_study(tiny_dataset, collaborative)
         sequential = run_study(master_a, workers_a)
 
         master_b, workers_b = make_study(tiny_dataset, collaborative)
-        parallel = run_study_parallel(
-            master_b, workers_b, processes=2, backend=exec_backend
-        )
+        parallel = run_study_parallel(master_b, workers_b, processes=2)
 
         assert parallel.best_performance == sequential.best_performance
         assert parallel.total_epochs == sequential.total_epochs
@@ -91,17 +88,14 @@ class TestRunStudyParallel:
         run_study_parallel(master, workers, processes=1)
         assert [w.backend for w in workers] == original
 
-    @pytest.mark.parametrize("exec_backend", ["legacy", "pool"])
-    def test_best_state_matches_sequential(self, tiny_dataset, exec_backend):
+    def test_best_state_matches_sequential(self, tiny_dataset):
         """The kPut'd winner parameters agree with the sequential run."""
         master_a, workers_a = make_study(tiny_dataset, collaborative=False)
         run_study(master_a, workers_a)
         state_a = master_a.param_server.get(master_a.best_key)
 
         master_b, workers_b = make_study(tiny_dataset, collaborative=False)
-        run_study_parallel(
-            master_b, workers_b, processes=2, backend=exec_backend
-        )
+        run_study_parallel(master_b, workers_b, processes=2)
         state_b = master_b.param_server.get(master_b.best_key)
 
         assert sorted(state_a) == sorted(state_b)
@@ -114,12 +108,14 @@ class TestRunStudyParallel:
 
 
 class TestParallelTrialExecutor:
+    """The process-parallel trial executor — :class:`PoolTrialExecutor`."""
+
     def test_session_protocol(self, tiny_dataset):
         conf = HyperConf(max_trials=1, max_epochs_per_trial=2)
         trainer = RealTrainer(
             tiny_dataset, build_mlp, batch_size=16, use_augmentation=False, seed=5
         )
-        with ParallelTrialExecutor(trainer, conf, processes=1) as executor:
+        with PoolTrialExecutor(trainer, conf, processes=1) as executor:
             trial = Trial(params={"lr": 0.05})
             session = executor.start(trial, None)
             first = session.run_epoch()
@@ -139,10 +135,10 @@ class TestParallelTrialExecutor:
         trainer = RealTrainer(
             tiny_dataset, build_mlp, seconds_per_epoch=12.5, use_augmentation=False
         )
-        executor = ParallelTrialExecutor(trainer, conf, processes=1)
+        executor = PoolTrialExecutor(trainer, conf, processes=1)
         assert executor.epoch_cost(Trial(params={})) == 12.5
         executor.shutdown()  # never started: must be a no-op
 
     def test_rejects_non_real_trainer(self):
         with pytest.raises(ConfigurationError):
-            ParallelTrialExecutor(object(), HyperConf(max_trials=1))
+            PoolTrialExecutor(object(), HyperConf(max_trials=1))

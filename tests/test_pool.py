@@ -1,17 +1,18 @@
 """Persistent trial pool: lifecycle, crash recovery, shm hygiene.
 
 The determinism contract (pool report == sequential report, bit for
-bit) is covered in ``test_parallel_study.py`` for both parallel
-backends; this module exercises what is new in the pool subsystem —
-reuse across studies, worker-crash resubmission without duplicate
-epochs, dead-worker replacement, and shared-memory segment cleanup on
-every exit path.
+bit) is covered in ``test_parallel_study.py``; this module exercises
+the pool subsystem itself — reuse across studies, trials overlapping
+across workers, worker-crash resubmission without duplicate epochs,
+dead-worker replacement (idle and mid-trial), and shared-memory
+segment cleanup on every exit path.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +67,21 @@ def report_fingerprint(report):
          round(e.best_so_far, 10), e.time, e.init_kind)
         for e in report.history
     ]
+
+
+def wait_until_sleeping(pid: int, timeout: float = 10.0) -> None:
+    """Block until the process is asleep in a system call (Linux).
+
+    A pool worker that holds no job and is asleep can only be blocked
+    reading its job pipe: that is the provably idle state.
+    """
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with open(f"/proc/{pid}/stat") as handle:
+            if handle.read().rsplit(")", 1)[1].split()[0] == "S":
+                return
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} never went to sleep")
 
 
 def leaked_segments(prefix: str) -> list[str]:
@@ -160,10 +176,34 @@ class TestPoolLifecycle:
         pool.shutdown()
         assert not pool.running
 
-    def test_invalid_backend_rejected(self, tiny_dataset):
-        master, workers = make_study(tiny_dataset, max_trials=2)
-        with pytest.raises(ConfigurationError):
-            run_study_parallel(master, workers, processes=1, backend="threads")
+    def test_trials_overlap_across_workers(self, tiny_dataset, monkeypatch):
+        """Epoch records are flushed one by one, so the study's second
+        worker gets its trial onto the pool as soon as the first trial's
+        first epoch is back — not after that trial has finished.  Read
+        off the parent's own record counter: no timing involved."""
+        master, workers = make_study(tiny_dataset, max_trials=2, max_epochs=4)
+        records = telemetry.get_registry().counter(
+            "repro_tune_pool_records_total",
+            "Records received from workers, by kind.",
+        )
+        pool = TrialPool(processes=2)
+        submit = pool.submit
+        received_at_submit = []
+
+        def spying_submit(*args):
+            received_at_submit.append(
+                (records.value(kind="epoch"), records.value(kind="done"))
+            )
+            submit(*args)
+
+        monkeypatch.setattr(pool, "submit", spying_submit)
+        with pool:
+            report = run_study_parallel(master, workers, pool=pool)
+        assert all(entry.epochs > 1 for entry in report.history)
+        # trial 2 went out after one epoch record of trial 1, before its done
+        assert received_at_submit == [(0, 0), (1, 0)]
+        assert records.value(kind="epoch") == report.total_epochs
+        assert records.value(kind="done") == 2
 
     def test_executor_requires_real_trainer(self):
         with pytest.raises(ConfigurationError):
@@ -200,26 +240,69 @@ class TestCrashRecovery:
         assert errors.value(outcome="resubmitted") >= 1
         assert errors.value(outcome="raised") == 0
 
-    def test_dead_worker_replaced_and_trial_reissued(self, tiny_dataset):
-        """Hard-killing a pool process must not lose the study: the pool
-        reaps the corpse, spawns a replacement, and the queued/claimed
-        work lands on it."""
+    def test_dead_worker_replaced_and_trial_reissued(self, tiny_dataset, monkeypatch):
+        """Hard-killing an *idle* pool process must not lose the study:
+        the worker sleeps in ``recv`` on its own pipe, so its death takes
+        nothing shared with it; the pool replaces it and the study still
+        matches the sequential run, with exactly one restart."""
+        # a regression (replacement never served) fails in seconds
+        monkeypatch.setattr(TrialPool, "RESULT_TIMEOUT", 20.0)
         master, workers = make_study(tiny_dataset)
         sequential = report_fingerprint(run_study(master, workers))
 
         master, workers = make_study(tiny_dataset)
-        with TrialPool(processes=1) as pool:
-            victim = next(iter(pool._procs.values()))
+        pool = TrialPool(processes=1)
+        with pool:
+            victim = pool._workers[0].proc
+            wait_until_sleeping(victim.pid)
             victim.kill()
             victim.join(timeout=10.0)
+            assert not victim.is_alive()
             report = run_study_parallel(master, workers, pool=pool)
-            assert pool.worker_restarts >= 1
+            assert pool.worker_restarts == 1
+            survivors = [worker.proc for worker in pool._workers]
         assert report_fingerprint(report) == sequential
         restarts = telemetry.get_registry().counter(
             "repro_tune_pool_worker_restarts_total",
             "Pool workers found dead and replaced.",
         )
-        assert restarts.value() >= 1
+        assert restarts.value() == 1
+        assert not any(proc.is_alive() for proc in survivors)
+        assert leaked_segments(pool.arena.prefix) == []
+
+    def test_worker_killed_mid_trial_is_replaced_without_duplicate_epochs(
+        self, tiny_dataset, monkeypatch
+    ):
+        """A worker dying *while training* loses only its own pipe: the
+        parent knows which trial it held, re-issues exactly that one,
+        and discards the epochs the session had already consumed."""
+        monkeypatch.setattr(TrialPool, "RESULT_TIMEOUT", 20.0)
+        master, workers = make_study(tiny_dataset, max_epochs=5)
+        sequential = report_fingerprint(run_study(master, workers))
+
+        master, workers = make_study(tiny_dataset, max_epochs=5)
+        pool = TrialPool(processes=1)
+        await_epoch = pool.await_epoch
+        delivered = []
+
+        def kill_after_first_epoch(trial_id):
+            record = await_epoch(trial_id)
+            delivered.append(trial_id)
+            if len(delivered) == 1:  # trial 1 has at least two epochs to go
+                pool._workers[0].proc.kill()
+            return record
+
+        monkeypatch.setattr(pool, "await_epoch", kill_after_first_epoch)
+        with pool:
+            report = run_study_parallel(master, workers, pool=pool)
+            assert pool.worker_restarts == 1
+        assert report_fingerprint(report) == sequential
+        errors = telemetry.get_registry().counter(
+            "repro_tune_pool_trial_errors_total",
+            "Worker-side trial failures, by outcome.",
+        )
+        assert errors.value(outcome="resubmitted") == 1  # the held trial, only
+        assert leaked_segments(pool.arena.prefix) == []
 
     def test_second_crash_of_same_trial_keeps_cumulative_skip(self, tiny_dataset):
         """Two crashes of the *same* trial: the replay skip count must
@@ -238,7 +321,7 @@ class TestCrashRecovery:
             seed=0,
         )
         master, workers = make_study(tiny_dataset, max_epochs=5)
-        with chaos.active(plan), TrialPool(processes=1, epoch_batch=1) as pool:
+        with chaos.active(plan), TrialPool(processes=1) as pool:
             report = run_study_parallel(master, workers, pool=pool)
 
         assert report_fingerprint(report) == sequential
@@ -285,7 +368,7 @@ class TestCrashRecovery:
         pool = TrialPool(processes=1)
         prefix = pool.arena.prefix
         with chaos.active(plan), pool:
-            executor = pool.executor(backend(), conf)
+            executor = PoolTrialExecutor(backend(), conf, pool=pool)
             session = executor.start(Trial(params=params), init_state)
             observed = [session.run_epoch() for _ in range(3)]
             executor.finish_study()
