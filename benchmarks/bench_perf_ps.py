@@ -1,14 +1,16 @@
-"""Parameter-server data-plane throughput: sharded vs single server.
+"""Parameter-server serving-tier throughput: sharded vs single server.
 
 Runs one seeded workload against ``ShardedParameterServer`` at shard
-counts {1, 2, 4} (replicas = min(2, shards)):
+counts {1, 2, 4} (chunk replicas = min(2, shards), over as many
+datanodes as shards):
 
 1. **load** — put ``KEYS`` checkpoints (MLP-sized state dicts);
 2. **serve** — ``GETS`` reads with a Zipf-like hot-key skew, the access
    pattern of collaborative tuning (everyone pulls the current best);
-3. **failover** — kill shard ``ps-0`` mid-serve (multi-shard runs
-   only), finish the reads through the surviving replicas, and assert
-   zero lost keys and zero stale reads.
+3. **failover** — kill shard ``ps-0`` *and* datanode ``dn-0``
+   mid-serve (multi-shard runs only), finish the reads through the
+   surviving shards and chunk replicas, and assert zero lost keys and
+   a clean audit.
 
 Writes a human-readable table to ``benchmarks/results/perf_ps.txt`` and
 the machine-readable numbers to ``BENCH_ps.json`` at the repository
@@ -96,6 +98,7 @@ def run_one(shards: int, keys: int, gets: int, seed: int) -> dict:
 
     if shards > 1:
         server.kill_shard("ps-0")
+        server.block_store.kill_node("dn-0")
         failover_reads = zipfish_keys(rng, keys, gets // 2)
         start = time.perf_counter()
         for i in failover_reads:
@@ -103,7 +106,7 @@ def run_one(shards: int, keys: int, gets: int, seed: int) -> dict:
         failover_seconds = time.perf_counter() - start
         audit = server.audit()
         assert audit["keys_lost"] == 0, audit
-        assert not audit["divergent"], audit
+        assert not audit["divergent"] and not audit["under_replicated"], audit
         result["gets_per_s_after_kill"] = round(
             len(failover_reads) / failover_seconds, 1
         )

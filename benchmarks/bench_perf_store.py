@@ -7,11 +7,11 @@ Three phases against the chunked, content-addressable, replicated
    :class:`~repro.data.fs.FileNamespace` at R ∈ {1, 2, 3} (64KB chunks,
    1MB files), reads round-robining the whole working set;
 2. **dedup** — a 10-checkpoint study of one model pushed through a
-   ``ShardedParameterServer`` (3 shards, 2 replicas) whose history
-   blobs ride one shared block store: successive checkpoints are
-   near-duplicates, so content addressing must collapse them — the run
-   *gates* ``dedup_ratio > 2`` (an acceptance criterion, not just a
-   report);
+   ``ShardedParameterServer`` (3 shards) over a 3-node, 2-replica
+   block store: each checkpoint is written once, successive
+   checkpoints are near-duplicates, so content addressing must
+   collapse them — the run *gates* ``dedup_ratio > 2`` (an acceptance
+   criterion, not just a report);
 3. **zero-bytes-lost** — a datanode is killed between two chunk
    uploads of a write; the commit-time heal plus repair must leave
    every file bit-identical, zero lost chunks — and the whole recovery,
@@ -85,14 +85,14 @@ def bench_dedup(checkpoints: int, seed: int) -> dict:
     """The acceptance study: PS history dedup across N checkpoints.
 
     One model trains for N steps; each step perturbs a slice of the
-    weights and pushes the full state dict. With 2-way shard
-    replication every checkpoint is stored twice *logically* — content
-    addressing must store the unchanged chunks once.
+    weights and pushes the full state dict. Every checkpoint is one
+    logical copy (the store, not the parameter server, replicates it)
+    — content addressing must store the unchanged chunks once.
     """
     rng = np.random.default_rng(seed)
     sps = ShardedParameterServer(
         shards=3, replicas=2,
-        block_store=BlockStore(nodes=1, replicas=1, chunk_size=4096),
+        block_store=BlockStore(nodes=3, replicas=2, chunk_size=4096),
     )
     state = {
         "fc1/W": rng.standard_normal((64, 128)).astype(np.float32),
@@ -114,7 +114,7 @@ def bench_dedup(checkpoints: int, seed: int) -> dict:
     return {
         "checkpoints": checkpoints,
         "shards": 3,
-        "ps_replicas": 2,
+        "chunk_replicas": sps.replicas,
         "logical_bytes": audit["logical_bytes"],
         "unique_bytes": audit["unique_bytes"],
         "dedup_ratio": audit["dedup_ratio"],
@@ -193,8 +193,8 @@ def main(argv=None) -> int:
             f"{row['put_mb_per_s']:>10.1f} {row['get_mb_per_s']:>10.1f}"
         )
     lines.append(
-        f"dedup: {dedup['checkpoints']} checkpoints x{dedup['ps_replicas']} "
-        f"replicas -> {dedup['dedup_ratio']}x "
+        f"dedup: {dedup['checkpoints']} checkpoints, "
+        f"{dedup['chunk_replicas']} chunk replicas -> {dedup['dedup_ratio']}x "
         f"({dedup['logical_bytes']}B logical / {dedup['unique_bytes']}B unique)"
     )
     lines.append(

@@ -149,13 +149,12 @@ def run_chaos_scenario(seed: int = 0) -> dict[str, Any]:
         telemetry.set_registry(previous_registry)
 
 
-#: the shard-kill scenario's trace additionally replays the sharded
-#: data plane's repair bookkeeping.
+#: the shard-kill scenario's trace additionally replays the serving
+#: tier's failover bookkeeping and the block store's repair bookkeeping.
 SHARD_TRACE_METRIC_PREFIXES = TRACE_METRIC_PREFIXES + (
     "repro_paramserver_shard_deaths_total",
-    "repro_paramserver_rereplications_total",
     "repro_paramserver_failovers_total",
-    "repro_paramserver_keys_lost_total",
+    "repro_blockstore_",
 )
 
 
@@ -173,6 +172,27 @@ def _state_digest(state) -> str:
     return digest.hexdigest()
 
 
+def reads_through_each_shard(server, key: str) -> dict[str, Any]:
+    """``key`` as each live shard would serve it were it the only one up.
+
+    Masks the other shards' liveness flags — their caches stay warm,
+    the point being to catch a stale cached copy — reads through the
+    coordinator, and restores them.
+    """
+    live = server.live_shards()
+    answers = {}
+    for shard in live:
+        others = [s for s in live if s is not shard]
+        for other in others:
+            other.alive = False
+        try:
+            answers[shard.name] = server.get(key)
+        finally:
+            for other in others:
+                other.alive = True
+    return answers
+
+
 def run_shard_kill_scenario(
     seed: int = 0, shards: int = 3, replicas: int = 2
 ) -> dict[str, Any]:
@@ -180,22 +200,23 @@ def run_shard_kill_scenario(
 
     A distributed surrogate study runs against a
     :class:`~repro.paramserver.sharded.ShardedParameterServer` whose
-    shards are cluster containers, under dropped pushes and trial
-    crashes. Mid-study, the node hosting the first shard fails — taking
-    the shard (and any tune workers co-located with it) down. The
-    cluster manager restarts the shard's container elsewhere, the
-    coordinator re-syncs it from the surviving replicas, and the study
-    completes.
+    shards *and* whose block store's datanodes are cluster containers,
+    under dropped pushes and trial crashes. Mid-study, the node hosting
+    the first shard fails — taking the shard, the datanode beside it
+    (real bytes) and any co-located tune workers down. The cluster
+    manager restarts both containers elsewhere: the shard comes back
+    cold and serves its keys again, the block store re-replicates the
+    dead datanode's chunks, and the study completes.
 
     The returned trace contains, besides the fault log and repair
     counters, a digest of every checkpoint read back through the
-    coordinator *and* directly from every live replica — so the
-    asserted properties are:
+    coordinator *and* through every live shard — so the asserted
+    properties are:
 
     * ``keys_lost == 0`` and no under-replicated or divergent keys
       after recovery (no lost checkpoints);
-    * every replica's copy digests identically to the coordinator's
-      answer (no stale checkpoints);
+    * every shard's answer digests identically to the coordinator's
+      (no stale checkpoints);
     * the whole trace is bit-identical across same-seed runs.
     """
     from repro.cluster import ClusterManager, Node
@@ -237,9 +258,10 @@ def run_shard_kill_scenario(
                 max_attempts=4, jitter=0.0, retry_on=(InjectedFault,), seed=seed
             ),
         )
-        # Register before the study so the shard placement is known and
-        # the failure plan can target the node hosting the first shard.
+        # Register before the study so the placement is known and the
+        # failure plan can target the node hosting the first shard.
         param_server.register_with_cluster(manager)
+        param_server.block_store.register_with_cluster(manager)
         # Pre-seed the data plane with prior studies' checkpoints (the
         # warm-start pool of Section 4.2) so the killed shard holds
         # real data whose survival the trace can assert.
@@ -253,7 +275,11 @@ def run_shard_kill_scenario(
                 performance=float(pool_rng.random()),
             )
         victim_shard = param_server.shards[0]
-        victim_node = manager.containers[victim_shard.container_id].node_name
+        victim_node = victim_shard.node_name
+        victim_datanodes = [
+            n.name for n in param_server.block_store.nodes
+            if n.node_name == victim_node
+        ]
         conf = HyperConf(max_trials=16, max_epochs_per_trial=20)
         master = StudyMaster(
             "shard-kill",
@@ -273,28 +299,25 @@ def run_shard_kill_scenario(
         )
         param_server.repair()
         audit = param_server.audit()
-        # Read every checkpoint back through the coordinator and from
-        # each live holder directly; identical digests mean no replica
-        # can ever serve a stale copy.
+        # Read every checkpoint back through the coordinator and through
+        # each live shard; identical digests mean no shard can ever
+        # serve a stale copy.
         checkpoints: dict[str, str] = {}
         stale: list[str] = []
         for key in param_server.keys():
             digest = _state_digest(param_server.get(key))
             checkpoints[key] = digest
-            version = param_server.versions(key)
-            for holder_name in param_server._directory[key]:
-                holder = param_server._by_name[holder_name]
-                if not holder.alive:
-                    continue
-                if _state_digest(holder.server.get(key, version)) != digest:
-                    stale.append(f"{key}@{holder_name}")
+            for name, state in reads_through_each_shard(param_server, key).items():
+                if _state_digest(state) != digest:
+                    stale.append(f"{key}@{name}")
         best = report.best
         return {
             "seed": seed,
             "shards": shards,
             "replicas": replicas,
             "victim": {"shard": victim_shard.name, "node": victim_node,
-                       "deaths": victim_shard.deaths},
+                       "deaths": victim_shard.deaths,
+                       "datanodes": victim_datanodes},
             "results": {
                 "trials": len(report.results),
                 "total_epochs": report.total_epochs,

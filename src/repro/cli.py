@@ -70,10 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "child processes with shared-memory IPC "
                            "(0 = in-process)")
     tune.add_argument("--ps-shards", type=int, default=1, metavar="N",
-                      help="shard the parameter server across N servers "
+                      help="serve the parameter server through N failover "
+                           "cache shards over an N-datanode block store "
                            "(1 = the classic single server)")
     tune.add_argument("--ps-replicas", type=int, default=2, metavar="R",
-                      help="copies of each parameter key when sharded")
+                      help="chunk replication factor of that block store "
+                           "when sharded (each value is stored once, each "
+                           "of its chunks on R datanodes)")
     tune.add_argument("--telemetry", action="store_true",
                       help="print the telemetry snapshot after the study")
 

@@ -16,6 +16,7 @@ from typing import Callable
 from repro import telemetry
 from repro.cluster.checkpoint import CheckpointStore
 from repro.cluster.container import Container, ContainerRole, ContainerState
+from repro.cluster.membership import silent_members
 from repro.cluster.node import Node, Resources
 from repro.exceptions import (
     ClusterError,
@@ -147,12 +148,11 @@ class ClusterManager:
         the node's containers are recovered exactly as in
         :meth:`fail_node`. Returns the names of newly failed nodes.
         """
-        now = telemetry.get_clock().now()
-        stale = [
-            name
-            for name, node in sorted(self.nodes.items())
-            if node.alive and now - self.last_heartbeat.get(name, now) > timeout
-        ]
+        stale = silent_members(
+            self.last_heartbeat,
+            sorted(name for name, node in self.nodes.items() if node.alive),
+            timeout,
+        )
         for name in stale:
             self.fail_node(name)
         return stale

@@ -157,7 +157,7 @@ class Rafiki:
             self.param_server = ParameterServer(store=self.store, tenants=self.tenants)
         else:
             self.param_server = ShardedParameterServer(
-                shards=ps_shards, replicas=ps_replicas
+                shards=ps_shards, replicas=ps_replicas, tenants=self.tenants
             )
             self.param_server.register_with_cluster(self.cluster)
         self.registry: TaskRegistry = default_registry()

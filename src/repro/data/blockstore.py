@@ -4,20 +4,22 @@ The datanode half of the HDFS-shaped store (the namenode half —
 paths, manifests, versions — lives in :mod:`repro.data.fs`). Files are
 split into fixed-size chunks addressed by their sha256 digest, so
 
-* **dedup is structural**: two files (or two versions, or two
-  parameter-server replicas) that share bytes share chunks — the
-  near-duplicate checkpoints a tuning study writes collapse to the
-  few chunks that actually changed;
-* **replication is per chunk**: every chunk is placed on ``replicas``
-  distinct :class:`DataNode`\\ s chosen by rendezvous hashing
-  (preferring distinct cluster nodes when the store is
+* **dedup is structural**: two files (or two versions of one file)
+  that share bytes share chunks — the near-duplicate checkpoints a
+  tuning study writes collapse to the few chunks that actually
+  changed;
+* **replication is per chunk, and only here**: every chunk is placed
+  on ``replicas`` distinct :class:`DataNode`\\ s chosen by rendezvous
+  hashing (preferring distinct cluster nodes when the store is
   cluster-registered), so one machine failure cannot destroy any
-  chunk;
-* **failure handling mirrors the sharded parameter server**: reads
-  fail over through the chunk's holders behind per-node circuit
-  breakers, a dead node's chunks are re-replicated from the surviving
-  copies, and ``repair()``/``audit()`` heal and report replication
-  health;
+  chunk. Nothing above the store copies bytes a second time;
+* **failure handling**: reads fail over through the chunk's holders
+  behind per-node circuit breakers, a dead node's chunks are
+  re-replicated from the surviving copies, and ``repair()``/``audit()``
+  heal and report replication health (the membership mechanics —
+  preference order, failover loop, cluster hosting, heartbeat scan —
+  are :mod:`repro.cluster.membership`'s, shared with the
+  parameter-server shards);
 * **trash reconciliation follows HMDFS**: a datanode death does not
   destroy its disk. While it is down, deletions that would have
   reached it are queued in a per-node *trash* set; when the node
@@ -39,14 +41,17 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro import chaos, telemetry
-from repro.exceptions import (
-    ChunkLostError,
-    ConfigurationError,
-    InjectedFault,
-    RetryExhaustedError,
-    StorageError,
+from repro.cluster.container import ContainerRole
+from repro.cluster.manager import JobKind
+from repro.cluster.membership import (
+    HostedGroup,
+    Member,
+    failover,
+    member_breaker,
+    preference_order,
+    silent_members,
 )
-from repro.utils.retry import CircuitBreaker
+from repro.exceptions import ChunkLostError, ConfigurationError, StorageError
 
 __all__ = ["BlockStore", "DataNode", "chunk_digest", "split_chunks", "DEFAULT_CHUNK_SIZE"]
 
@@ -54,9 +59,6 @@ __all__ = ["BlockStore", "DataNode", "chunk_digest", "split_chunks", "DEFAULT_CH
 #: spans several chunks (so partial updates dedup), large enough that
 #: digest overhead stays negligible.
 DEFAULT_CHUNK_SIZE = 64 * 1024
-
-#: exception types that count as "this datanode failed, try another".
-_FAILOVER_ERRORS = (InjectedFault, RetryExhaustedError)
 
 
 def chunk_digest(data: bytes) -> str:
@@ -75,34 +77,18 @@ def split_chunks(data: bytes, chunk_size: int) -> list[bytes]:
     return [data[i : i + chunk_size] for i in range(0, len(data), chunk_size)]
 
 
-def _rendezvous_score(digest: str, node_name: str) -> int:
-    """Stable highest-random-weight score (independent of PYTHONHASHSEED)."""
-    return int.from_bytes(
-        hashlib.md5(f"{digest}|{node_name}".encode("utf-8")).digest()[:8], "big"
-    )
-
-
 @dataclass
-class DataNode:
+class DataNode(Member):
     """One storage daemon: a chunk disk plus liveness bookkeeping.
 
     ``chunks`` is the node's disk — it survives :meth:`BlockStore.kill_node`
     (process death leaves the disk behind) and is either reconciled on
     rejoin or discarded when the node's container restarts on a
-    different machine.
+    different machine (``node_name`` tracks that disk locality).
     """
 
-    name: str
-    breaker: CircuitBreaker
-    alive: bool = True
     #: digest -> chunk bytes (the disk).
     chunks: dict[str, bytes] = field(default_factory=dict)
-    #: cluster container currently hosting this datanode (None standalone).
-    container_id: str | None = None
-    #: cluster node that container runs on (tracks disk locality).
-    node_name: str | None = None
-    #: lifetime death count (kills + node failures).
-    deaths: int = 0
 
     @property
     def stored_bytes(self) -> int:
@@ -110,7 +96,7 @@ class DataNode:
         return sum(len(chunk) for chunk in self.chunks.values())
 
 
-class BlockStore:
+class BlockStore(HostedGroup):
     """Fixed-size chunks, sha256 addressing, R-way replica placement.
 
     The store is the *chunk* layer only: it knows digests, holders and
@@ -121,6 +107,9 @@ class BlockStore:
     release them, and a chunk's bytes are deleted everywhere when its
     last reference drops.
     """
+
+    _JOB_KIND = JobKind.DATASTORE
+    _ROLE = ContainerRole.DATA
 
     def __init__(
         self,
@@ -138,16 +127,11 @@ class BlockStore:
         self.replicas = min(replicas, nodes)
         self.chunk_size = chunk_size
         self._nodes: list[DataNode] = []
-        for i in range(nodes):
-            name = f"dn-{i}"
-            breaker = (
-                breaker_factory(name)
-                if breaker_factory is not None
-                else CircuitBreaker(
-                    name=f"blockstore/{name}", failure_threshold=3, recovery_time=30.0
-                )
+        self._members = self._nodes  # HostedGroup's name for them
+        for name in (f"dn-{i}" for i in range(nodes)):
+            self._nodes.append(
+                DataNode(name, member_breaker(breaker_factory, "blockstore", name))
             )
-            self._nodes.append(DataNode(name=name, breaker=breaker))
         self._by_name = {node.name: node for node in self._nodes}
         #: digest -> live holder names (the namenode's block map).
         self._directory: dict[str, list[str]] = {}
@@ -159,9 +143,6 @@ class BlockStore:
         self._trash: dict[str, set[str]] = {}
         #: digests whose every live copy is gone (until rejoin restores them).
         self._lost: set[str] = set()
-        #: cluster integration (None when standalone).
-        self.manager = None
-        self.cluster_job_id: str | None = None
         #: last heartbeat per datanode, on the injectable telemetry clock.
         self.last_heartbeat: dict[str, float] = {
             node.name: telemetry.get_clock().now() for node in self._nodes
@@ -191,19 +172,6 @@ class BlockStore:
         self._refresh_liveness()
         return [node for node in self._nodes if node.alive]
 
-    def _preference(self, digest: str) -> list[DataNode]:
-        """Every datanode, ordered by the chunk's rendezvous-hash weight."""
-        return sorted(
-            self._nodes,
-            key=lambda n: (-_rendezvous_score(digest, n.name), n.name),
-        )
-
-    def _host_of(self, node: DataNode) -> str | None:
-        if self.manager is None or node.container_id is None:
-            return None
-        container = self.manager.containers.get(node.container_id)
-        return container.node_name if container is not None else None
-
     def _targets(self, digest: str) -> list[DataNode]:
         """First ``replicas`` live datanodes in preference order.
 
@@ -211,11 +179,11 @@ class BlockStore:
         one machine failure cannot take every copy; falls back to
         co-located datanodes only when there aren't enough hosts.
         """
-        order = [n for n in self._preference(digest) if n.alive]
+        order = [n for n in preference_order(digest, self._nodes) if n.alive]
         targets: list[DataNode] = []
         seen_hosts: set[str] = set()
         for node in order:
-            host = self._host_of(node)
+            host = node.node_name
             if host is not None and host in seen_hosts:
                 continue
             targets.append(node)
@@ -246,47 +214,49 @@ class BlockStore:
         — called as ``on_chunk(index, digest)`` after each chunk lands —
         lets chaos scenarios kill a node *mid-write* deterministically.
         Bytes are stored unreferenced until a namespace commits a
-        manifest and calls :meth:`incref`.
+        manifest and calls :meth:`incref`; if the put fails part-way,
+        the chunks it had stored are released again.
         """
         self._refresh_liveness()
         digests: list[str] = []
-        for index, chunk in enumerate(split_chunks(data, self.chunk_size)):
-            digest = chunk_digest(chunk)
-            if digest in self._directory and digest not in self._lost:
-                self.dedup_hits += 1
-                telemetry.get_registry().counter(
-                    "repro_blockstore_dedup_hits_total",
-                    "Chunk puts answered by an already-stored identical chunk.",
-                ).inc()
-            else:
-                self._store_chunk(digest, chunk)
-            digests.append(digest)
-            if on_chunk is not None:
-                on_chunk(index, digest)
+        stored: list[str] = []
+        try:
+            for index, chunk in enumerate(split_chunks(data, self.chunk_size)):
+                digest = chunk_digest(chunk)
+                if digest in self._directory and digest not in self._lost:
+                    self.dedup_hits += 1
+                    telemetry.get_registry().counter(
+                        "repro_blockstore_dedup_hits_total",
+                        "Chunk puts answered by an already-stored identical chunk.",
+                    ).inc()
+                else:
+                    self._store_chunk(digest, chunk)
+                    stored.append(digest)
+                digests.append(digest)
+                if on_chunk is not None:
+                    on_chunk(index, digest)
+        except BaseException:
+            self.release(stored)
+            raise
         self._publish_gauges()
         return digests
 
     def _store_chunk(self, digest: str, data: bytes) -> None:
         """Place one chunk on ``replicas`` datanodes (at least one)."""
-        placed: list[str] = []
-        last_error: BaseException | None = None
-        for node in self._targets(digest):
-            if not node.breaker.allow():
-                self._count_failover(node, "put")
-                continue
-            try:
-                self._node_call(node, "put")
-            except _FAILOVER_ERRORS as exc:
-                node.breaker.record_failure()
-                self._count_failover(node, "put")
-                last_error = exc
-                continue
-            node.breaker.record_success()
+
+        def write(node: DataNode) -> None:
+            self._node_call(node, "put")
             node.chunks[digest] = data
-            placed.append(node.name)
+
+        targets = self._targets(digest)
+        placed = [
+            node.name
+            for node, _ in failover(
+                targets, write, lambda n: self._count_failover(n, "put"),
+                want=len(targets),
+            )
+        ]
         if not placed:
-            if last_error is not None:
-                raise last_error
             raise StorageError(f"no live datanode accepted chunk {digest[:12]}…")
         self._directory[digest] = placed
         self._sizes[digest] = len(data)
@@ -302,31 +272,23 @@ class BlockStore:
         holders = self._directory.get(digest)
         if holders is None:
             raise ChunkLostError(f"unknown chunk {digest[:12]}…")
-        ordered = [
-            node
-            for node in self._preference(digest)
-            if node.name in holders and node.alive
-        ]
-        last_error: BaseException | None = None
-        for node in ordered:
-            if not node.breaker.allow():
-                self._count_failover(node, "get")
-                continue
-            try:
-                self._node_call(node, "get")
-            except _FAILOVER_ERRORS as exc:
-                node.breaker.record_failure()
-                self._count_failover(node, "get")
-                last_error = exc
-                continue
-            node.breaker.record_success()
+
+        def read(node: DataNode) -> bytes:
+            self._node_call(node, "get")
             return node.chunks[digest]
-        if last_error is not None:
-            raise last_error
-        raise ChunkLostError(
-            f"chunk {digest[:12]}… has no live replica "
-            f"(holders: {', '.join(holders) or 'none'})"
+
+        live_holders = [n for n in map(self._by_name.get, holders) if n.alive]
+        served = failover(
+            preference_order(digest, live_holders),
+            read,
+            lambda n: self._count_failover(n, "get"),
         )
+        if not served:
+            raise ChunkLostError(
+                f"chunk {digest[:12]}… has no live replica "
+                f"(holders: {', '.join(holders) or 'none'})"
+            )
+        return served[0][1]
 
     def has_chunk(self, digest: str) -> bool:
         """Whether the chunk has at least one live copy."""
@@ -403,20 +365,35 @@ class BlockStore:
             if digest not in self._refcounts:
                 continue
             self._refcounts[digest] -= 1
-            if self._refcounts[digest] > 0:
-                continue
-            for node in self._nodes:
-                if digest not in node.chunks:
-                    continue
-                if node.alive:
-                    del node.chunks[digest]
-                else:
-                    self._trash.setdefault(node.name, set()).add(digest)
-            self._directory.pop(digest, None)
-            self._sizes.pop(digest, None)
-            self._refcounts.pop(digest, None)
-            self._lost.discard(digest)
+            if self._refcounts[digest] <= 0:
+                self._drop(digest)
         self._publish_gauges()
+
+    def release(self, digests: list[str]) -> None:
+        """Delete those of ``digests`` that no manifest references.
+
+        The clean-up of a write that failed before its commit: the
+        chunks it uploaded would otherwise sit at refcount zero for
+        ever, invisible to every ``delete``.
+        """
+        for digest in digests:
+            if self._refcounts.get(digest) == 0:
+                self._drop(digest)
+        self._publish_gauges()
+
+    def _drop(self, digest: str) -> None:
+        """Forget a chunk and delete (or trash) every copy of it."""
+        for node in self._nodes:
+            if digest not in node.chunks:
+                continue
+            if node.alive:
+                del node.chunks[digest]
+            else:
+                self._trash.setdefault(node.name, set()).add(digest)
+        self._directory.pop(digest, None)
+        self._sizes.pop(digest, None)
+        self._refcounts.pop(digest, None)
+        self._lost.discard(digest)
 
     # ------------------------------------------------------------------
     # liveness, death, rejoin
@@ -434,17 +411,12 @@ class BlockStore:
     def detect_failures(self, timeout: float) -> list[str]:
         """Kill every alive datanode silent for longer than ``timeout``.
 
-        The push-based failure detector mirroring
-        :meth:`~repro.cluster.manager.ClusterManager.detect_failures`:
-        silence on the injectable telemetry clock is treated as a node
-        death, triggering re-replication. Returns newly dead node names.
+        Silence is treated as a node death, triggering re-replication.
+        Returns newly dead node names.
         """
-        now = telemetry.get_clock().now()
-        stale = [
-            node.name
-            for node in self._nodes
-            if node.alive and now - self.last_heartbeat.get(node.name, now) > timeout
-        ]
+        stale = silent_members(
+            self.last_heartbeat, [n.name for n in self._nodes if n.alive], timeout
+        )
         for name in stale:
             self.kill_node(name)
         return stale
@@ -453,9 +425,9 @@ class BlockStore:
         """Kill a datanode (its disk survives for a later rejoin)."""
         node = self.node(name)
         if node.alive:
-            self._handle_node_down(node)
+            self._member_down(node)
 
-    def _handle_node_down(self, node: DataNode) -> None:
+    def _member_down(self, node: DataNode) -> None:
         """Mark a node dead and restore replication from surviving copies."""
         node.alive = False
         node.deaths += 1
@@ -512,16 +484,27 @@ class BlockStore:
         node = self.node(name)
         if node.alive:
             return 0
+        before = self.trash_reconciled
         node.alive = True
-        self.last_heartbeat[name] = telemetry.get_clock().now()
-        removed = self._reconcile(node)
-        self._publish_gauges()
-        return removed
+        self._member_up(node, same_host=True)
+        return self.trash_reconciled - before
 
-    def _reconcile(self, node: DataNode) -> int:
+    def _member_up(self, node: DataNode, same_host: bool) -> None:
+        self.last_heartbeat[node.name] = telemetry.get_clock().now()
+        if same_host:
+            # The machine came back: the disk survived — trash pass.
+            self._reconcile(node)
+        else:
+            # Restarted elsewhere: the old disk is orphaned — start
+            # empty and re-sync from the surviving replicas.
+            node.chunks.clear()
+            self._trash.pop(node.name, None)
+            self.repair()
+        self._publish_gauges()
+
+    def _reconcile(self, node: DataNode) -> None:
         """Apply the trash pass to a rejoining node's preserved disk."""
         trash = self._trash.pop(node.name, set())
-        removed = 0
         registry = telemetry.get_registry()
         for digest in sorted(node.chunks):
             holders = self._directory.get(digest)
@@ -532,7 +515,6 @@ class BlockStore:
             )
             if stale:
                 del node.chunks[digest]
-                removed += 1
                 self.trash_reconciled += 1
                 registry.counter(
                     "repro_blockstore_trash_reconciled_total",
@@ -547,7 +529,6 @@ class BlockStore:
                         "repro_blockstore_chunks_restored_total",
                         "Lost chunks resurrected from a rejoining disk.",
                     ).inc(node=node.name)
-        return removed
 
     def repair(self) -> int:
         """Re-replicate every under-replicated chunk; return copies made.
@@ -566,99 +547,6 @@ class BlockStore:
         return self.rereplications - before
 
     # ------------------------------------------------------------------
-    # cluster-manager integration
-    # ------------------------------------------------------------------
-
-    def register_with_cluster(self, manager, worker_request=None):
-        """Host the datanodes as DATA-role containers under ``manager``.
-
-        Placement is spread (anti-affinity) so chunk replicas land on
-        distinct machines. Node failures — injected directly or noticed
-        by ``detect_failures`` — kill the datanodes they host; the
-        manager's recovery hook hands each replacement container back:
-        a replacement on the *same* machine rejoins with its disk and
-        runs the trash pass, a replacement elsewhere starts with an
-        empty disk and is re-synced from the surviving replicas.
-        """
-        from repro.cluster.container import ContainerRole
-        from repro.cluster.manager import JobKind
-        from repro.cluster.node import Resources
-
-        if self.manager is not None:
-            raise ConfigurationError("datanodes are already cluster-registered")
-        job = manager.submit_job(
-            JobKind.DATASTORE,
-            name="blockstore",
-            num_workers=len(self._nodes),
-            master_request=Resources(cpus=1, gpus=0, memory_gb=4),
-            worker_request=worker_request or Resources(cpus=1, gpus=0, memory_gb=8),
-            worker_role=ContainerRole.DATA,
-            spread=True,
-            queue=False,
-        )
-        self.manager = manager
-        self.cluster_job_id = job.job_id
-        hosts = [c for c in job.containers if c.role is ContainerRole.DATA]
-        for node, container in zip(self._nodes, hosts):
-            node.container_id = container.container_id
-            node.node_name = container.node_name
-        manager.on_recovery(self._on_container_recovered)
-        return job
-
-    def _refresh_liveness(self) -> None:
-        """Notice cluster-container deaths the manager hasn't replaced yet."""
-        if self.manager is None:
-            return
-        for node in self._nodes:
-            if not node.alive or node.container_id is None:
-                continue
-            container = self.manager.containers.get(node.container_id)
-            if container is None or not container.running:
-                self._handle_node_down(node)
-
-    def _on_container_recovered(self, container) -> None:
-        from repro.cluster.container import ContainerRole
-
-        if container.role is not ContainerRole.DATA:
-            return
-        if container.job_id != self.cluster_job_id:
-            return
-        node = next(
-            (n for n in self._nodes if n.container_id == container.predecessor),
-            None,
-        )
-        if node is None:
-            return
-        if node.alive:
-            # The hook fires synchronously inside fail_node, possibly
-            # before any lazy liveness check noticed the death.
-            self._handle_node_down(node)
-        same_host = container.node_name == node.node_name
-        node.container_id = container.container_id
-        node.node_name = container.node_name
-        node.alive = True
-        self.last_heartbeat[node.name] = telemetry.get_clock().now()
-        if same_host:
-            # The machine came back: the disk survived — trash pass.
-            self._reconcile(node)
-        else:
-            # Restarted elsewhere: the old disk is orphaned — start
-            # empty and re-sync from the surviving replicas.
-            node.chunks.clear()
-            self._trash.pop(node.name, None)
-            self._rebalance_onto(node)
-        self._publish_gauges()
-
-    def _rebalance_onto(self, node: DataNode) -> None:
-        """Re-sync an empty (re)joined datanode with its assigned chunks."""
-        for digest in sorted(self._directory):
-            holders = self._directory[digest]
-            if node.name in holders or len(holders) >= self._needed():
-                continue
-            if node in self._targets(digest):
-                self._restore_replication(digest)
-
-    # ------------------------------------------------------------------
     # auditing
     # ------------------------------------------------------------------
 
@@ -668,8 +556,10 @@ class BlockStore:
         ``logical_bytes`` counts every manifest reference, ``unique_bytes``
         each stored chunk once, ``replicated_bytes`` every live copy —
         so ``dedup_ratio = logical / unique`` measures what content
-        addressing saved. The store-kill chaos scenario asserts ``lost``
-        and ``under_replicated`` are empty after repair.
+        addressing saved. ``unreferenced`` lists stored chunks no
+        manifest pins (an uncommitted write in flight — or a leak). The
+        store-kill chaos scenario asserts ``lost`` and
+        ``under_replicated`` are empty after repair.
         """
         self._refresh_liveness()
         needed = self._needed()
@@ -677,6 +567,9 @@ class BlockStore:
             digest
             for digest, holders in self._directory.items()
             if 0 < len(holders) < needed
+        )
+        unreferenced = sorted(
+            digest for digest in self._directory if not self._refcounts.get(digest)
         )
         unique = sum(self._sizes.values())
         logical = sum(
@@ -691,6 +584,7 @@ class BlockStore:
             "chunks": len(self._directory),
             "lost": sorted(self._lost),
             "under_replicated": under,
+            "unreferenced": unreferenced,
             "unique_bytes": unique,
             "logical_bytes": logical,
             "replicated_bytes": replicated,

@@ -66,12 +66,11 @@ class PendingWrite:
 class FileNamespace:
     """Versioned ``path -> manifest`` namespace over a :class:`BlockStore`.
 
-    Multiple namespaces may share one block store (the sharded
-    parameter server gives each shard its own namespace over a shared
-    chunk pool): names are isolated, identical bytes dedup across all
-    of them. Reference counts on chunks are maintained here — commit
-    increfs, delete decrefs — so the store can garbage-collect bytes
-    the moment no manifest anywhere references them.
+    Multiple namespaces may share one block store: names are isolated,
+    identical bytes dedup across all of them. Reference counts on
+    chunks are maintained here — commit increfs, delete decrefs — so
+    the store can garbage-collect bytes the moment no manifest anywhere
+    references them.
     """
 
     def __init__(self, store: BlockStore, name: str = "fs"):
@@ -122,8 +121,17 @@ class FileNamespace:
         return manifest
 
     def write(self, path: str, data: bytes, writer: str = "", on_chunk=None) -> Manifest:
-        """begin_write + commit in one call (the common, uncontended case)."""
-        return self.commit(self.begin_write(path, data, writer=writer, on_chunk=on_chunk))
+        """begin_write + commit in one call (the common, uncontended case).
+
+        A commit that fails releases the chunks the upload stored, so a
+        failed write leaves nothing behind.
+        """
+        pending = self.begin_write(path, data, writer=writer, on_chunk=on_chunk)
+        try:
+            return self.commit(pending)
+        except BaseException:
+            self.store.release(list(pending.digests))
+            raise
 
     # ------------------------------------------------------------------
     # reads

@@ -7,8 +7,8 @@ current-best checkpoint during collaborative hyper-parameter tuning —
 stay cached; everything else is persisted and re-read on demand.
 
 For scale-out, :class:`~repro.paramserver.sharded.ShardedParameterServer`
-consistent-hashes keys across several servers with R-way replication
-and failover reads, behind the same API.
+serves the same index through several failover cache shards, behind
+the same API; replication is the block store's job alone.
 """
 
 from repro.paramserver.cache import LRUCache

@@ -44,8 +44,7 @@ class ParameterEntry:
     nbytes: int = 0
     extra: dict = field(default_factory=dict)
     #: tenant whose ``ps_bytes`` quota this version is charged against,
-    #: or ``None`` when stored without quota enforcement (repair copies,
-    #: servers with no registry attached).
+    #: or ``None`` when stored by a server with no registry attached.
     tenant: str | None = None
 
     @property
@@ -60,12 +59,11 @@ def _state_size(state: dict[str, np.ndarray]) -> int:
 class ParameterServer:
     """Versioned parameter storage with an LRU hot cache.
 
-    ``name`` identifies this server when it runs as one shard of a
-    :class:`~repro.paramserver.sharded.ShardedParameterServer`: its
-    telemetry series gain a ``shard=<name>`` label and its cache is
-    registered as ``paramserver-<name>`` so per-shard hit ratios stay
-    distinguishable. A standalone server (``name=None``) publishes the
-    exact unlabelled series it always has.
+    The index (entries over one :class:`DataStore` namespace) is the
+    only durable state; the cache a value is served from is passed to
+    :meth:`_put_once` / :meth:`_get_once`, which lets
+    :class:`~repro.paramserver.sharded.ShardedParameterServer` serve
+    this same index through several failover caches.
     """
 
     def __init__(
@@ -73,21 +71,14 @@ class ParameterServer:
         store: DataStore | None = None,
         cache_bytes: int = 256 * 1024 * 1024,
         retry: RetryPolicy | None = None,
-        name: str | None = None,
         tenants: TenantRegistry | None = None,
     ):
-        self.name = name
         #: when set, every put charges the ambient tenant's ``ps_bytes``
         #: quota (:class:`~repro.exceptions.QuotaExceededError` before
         #: anything is stored) and deletes release it.
         self.tenants = tenants
-        self._store = store if store is not None else DataStore(
-            "ps-backing" if name is None else f"ps-backing-{name}"
-        )
-        self._cache = LRUCache(
-            cache_bytes, size_of=_state_size,
-            name="paramserver" if name is None else f"paramserver-{name}",
-        )
+        self._store = store if store is not None else DataStore("ps-backing")
+        self._cache = LRUCache(cache_bytes, size_of=_state_size, name="paramserver")
         self._entries: dict[str, list[ParameterEntry]] = {}
         self._stored_bytes = 0
         #: optional retry policy for push/pull; when set, injected
@@ -95,9 +86,6 @@ class ParameterServer:
         #: fault points (and any other RafikiError) are retried with
         #: deterministic backoff instead of propagating.
         self.retry = retry
-
-    def _labels(self) -> dict:
-        return {} if self.name is None else {"shard": self.name}
 
     @property
     def cache(self) -> LRUCache:
@@ -131,13 +119,16 @@ class ParameterServer:
         """
         if self.retry is not None:
             return self.retry.call(
-                self._put_once, key, state, model, dataset, performance, public,
-                name="paramserver.push", **extra,
+                self._put_once, self._cache, key, state, model, dataset,
+                performance, public, name="paramserver.push", **extra,
             )
-        return self._put_once(key, state, model, dataset, performance, public, **extra)
+        return self._put_once(
+            self._cache, key, state, model, dataset, performance, public, **extra
+        )
 
     def _put_once(
         self,
+        cache: LRUCache,
         key: str,
         state: dict[str, np.ndarray],
         model: str = "",
@@ -174,12 +165,11 @@ class ParameterServer:
             raise
         versions = self._entries.setdefault(key, [])
         versions.append(entry)
-        self._cache.put(entry.path, state_copy)
+        cache.put(entry.path, state_copy)
         self._stored_bytes += entry.nbytes
-        registry = telemetry.get_registry()
-        registry.counter(
+        telemetry.get_registry().counter(
             "repro_paramserver_push_total", "Parameter versions pushed (put)."
-        ).inc(**self._labels())
+        ).inc()
         self._publish_storage_gauges()
         return entry
 
@@ -187,10 +177,10 @@ class ParameterServer:
         registry = telemetry.get_registry()
         registry.gauge(
             "repro_paramserver_stored_bytes", "Total bytes across stored versions."
-        ).set(self._stored_bytes, **self._labels())
+        ).set(self._stored_bytes)
         registry.gauge(
             "repro_paramserver_keys", "Distinct parameter keys stored."
-        ).set(len(self._entries), **self._labels())
+        ).set(len(self._entries))
 
     def get(self, key: str, version: int | None = None) -> dict[str, np.ndarray]:
         """Fetch parameters (latest version unless specified).
@@ -200,21 +190,23 @@ class ParameterServer:
         """
         if self.retry is not None:
             return self.retry.call(
-                self._get_once, key, version, name="paramserver.pull"
+                self._get_once, self._cache, key, version, name="paramserver.pull"
             )
-        return self._get_once(key, version)
+        return self._get_once(self._cache, key, version)
 
-    def _get_once(self, key: str, version: int | None = None) -> dict[str, np.ndarray]:
+    def _get_once(
+        self, cache: LRUCache, key: str, version: int | None = None
+    ) -> dict[str, np.ndarray]:
         chaos.fire("paramserver.pull")
         telemetry.get_registry().counter(
             "repro_paramserver_pull_total", "Parameter fetches (get)."
-        ).inc(**self._labels())
+        ).inc()
         entry = self.get_entry(key, version)
-        cached = self._cache.get(entry.path)
+        cached = cache.get(entry.path)
         if cached is not None:
             return {name: value.copy() for name, value in cached.items()}
         state = pickle.loads(self._store.get_blob(entry.path))
-        self._cache.put(entry.path, state)
+        cache.put(entry.path, state)
         return {name: value.copy() for name, value in state.items()}
 
     def get_entry(self, key: str, version: int | None = None) -> ParameterEntry:
@@ -307,63 +299,9 @@ class ParameterServer:
                     best = entry
         return best
 
-    # ------------------------------------------------------------------
-    # replication support (used by the sharded data plane)
-    # ------------------------------------------------------------------
-
-    def history(self, key: str) -> list[ParameterEntry]:
-        """Every stored version's entry, oldest first (empty if absent)."""
-        return list(self._entries.get(key, []))
-
-    def adopt_history(self, source: "ParameterServer", key: str) -> int:
-        """Replace this server's history for ``key`` with ``source``'s.
-
-        Control-plane re-replication: blobs are copied byte-for-byte
-        from the source's backing store without passing through the
-        ``paramserver.push`` fault point or the push counters — repair
-        traffic is not client traffic. Returns the number of versions
-        copied.
-        """
-        if self is source:
-            return len(self._entries.get(key, []))
-        if key in self._entries:
-            self.delete(key)
-        copied: list[ParameterEntry] = []
-        for entry in source._entries.get(key, []):
-            clone = ParameterEntry(
-                key=key,
-                version=entry.version,
-                model=entry.model,
-                dataset=entry.dataset,
-                performance=entry.performance,
-                public=entry.public,
-                nbytes=entry.nbytes,
-                extra=dict(entry.extra),
-            )
-            self._store.put_blob(clone.path, source._store.get_blob(entry.path))
-            self._stored_bytes += clone.nbytes
-            copied.append(clone)
-        if copied:
-            self._entries[key] = copied
-        self._publish_storage_gauges()
-        return len(copied)
-
-    def wipe(self) -> None:
-        """Drop every key, blob and cache entry (simulates shard death)."""
-        for versions in self._entries.values():
-            for entry in versions:
-                if self.tenants is not None and entry.tenant is not None:
-                    self.tenants.release(entry.tenant, "ps_bytes", entry.nbytes)
-                if self._store.has_blob(entry.path):
-                    self._store.delete_blob(entry.path)
-        self._entries.clear()
-        self._cache.clear()
-        self._stored_bytes = 0
-        self._publish_storage_gauges()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ParameterServer(name={self.name!r}, keys={len(self._entries)}, "
+            f"ParameterServer(keys={len(self._entries)}, "
             f"cache_hit_rate={self._cache.hit_rate:.2f})"
         )
 

@@ -1,109 +1,90 @@
-"""Sharded, replicated parameter-server data plane.
+"""The parameter-server serving tier: cache shards over the block store.
 
-The single-process :class:`~repro.paramserver.server.ParameterServer`
-is the shared substrate for collaborative tuning *and* ensemble
-serving, which makes it the one component with no scale-out story. This
-module gives it one, following the sharded parameter-server
-architecture of the TensorFlow papers with the replication rules of
-HDFS (the paper's storage layer):
+Section 6.2 describes the parameter server as a hot cache in front of
+HDFS, and HDFS is the one place bytes are replicated. This module
+follows that split:
 
-* **consistent hashing** — every shard owns ``vnodes`` points on a hash
-  ring; a key's *preference order* is the sequence of distinct shards
-  met walking the ring clockwise from ``hash(key)``. Adding or losing a
-  shard only remaps the keys adjacent to its ring points;
-* **R-way replication** — a ``put`` lands on the first ``replicas``
-  live shards of the preference order, preferring shards on distinct
-  cluster nodes (HDFS rack-awareness) so one node failure cannot take
-  every copy. Every replica holds the key's *full* version history, so
-  any copy can serve any versioned read;
-* **failover reads** — a ``get`` walks the holders in preference order,
-  skipping dead shards and shards whose circuit breaker is open, and
-  returns the first healthy copy;
-* **re-replication** — when a shard dies (killed directly, or its
-  container's node fails under the cluster manager), surviving copies
-  of every key it held are re-copied to the next live shards on the
-  ring until each key is back at ``replicas`` copies. A replacement
-  shard container starts empty and is re-synced with the keys the ring
-  assigns it.
+* **one metadata plane** — :class:`ShardedParameterServer` *is* a
+  :class:`~repro.paramserver.server.ParameterServer`: one index of
+  entries over one :class:`~repro.data.store.DataStore` namespace (the
+  namenode role). Every version is pickled, chunked, placed and
+  replicated exactly once, by the
+  :class:`~repro.data.blockstore.BlockStore` underneath — the only
+  component that places, re-replicates, repairs and audits bytes;
+* **a serving tier of shards** — a :class:`Shard` holds no durable
+  state: an LRU cache, a circuit breaker, a liveness flag and (when
+  cluster-registered) a hosting container. A ``put`` or ``get`` walks
+  the key's rendezvous preference order to the first live shard whose
+  breaker admits it, writes or reads the value once through the index,
+  and uses that shard's cache. Killing a shard drops its cache and
+  moves its keys to the next shard in their order; nothing is copied.
 
-The coordinator presents the exact :class:`ParameterServer` API
-(``put`` / ``get`` / ``get_entry`` / ``put_if_better`` /
-``find_pretrained`` / ``fetch_shape_pool`` / ``delete`` ...), so every
+The coordinator keeps the exact :class:`ParameterServer` API, so every
 caller — CoStudy masters, tuning workers, the serving facade — works
-unchanged. ``ShardedParameterServer(shards=1, replicas=1)`` is
-behaviourally identical to a single ``ParameterServer``.
+unchanged, and ``ShardedParameterServer(shards=1, replicas=1)`` answers
+bit-for-bit what a single ``ParameterServer`` answers.
 
 Chaos integration: each shard operation passes through a
 ``paramserver.shard.<name>.<push|pull>`` fault point (so plans can kill
-or slow one shard) before the shard's own ``paramserver.push``/``pull``
+or slow one shard) before the index's own ``paramserver.push``/``pull``
 points fire; injected faults feed the shard's
 :class:`~repro.utils.retry.CircuitBreaker` and trigger failover.
 """
 
 from __future__ import annotations
 
-import hashlib
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from repro import chaos, telemetry
+from repro.cluster.container import ContainerRole
+from repro.cluster.manager import JobKind
+from repro.cluster.membership import (
+    HostedGroup,
+    Member,
+    failover,
+    member_breaker,
+    preference_order,
+)
 from repro.data.blockstore import BlockStore
 from repro.data.store import DataStore
 from repro.exceptions import (
     ConfigurationError,
-    InjectedFault,
-    ParameterNotFoundError,
     ParameterServerError,
-    RetryExhaustedError,
 )
 from repro.paramserver.cache import LRUCache
-from repro.paramserver.server import ParameterEntry, ParameterServer, shape_pool
+from repro.paramserver.server import ParameterEntry, ParameterServer, _state_size
+from repro.tenancy import TenantRegistry
 from repro.utils.retry import CircuitBreaker, RetryPolicy
 
 __all__ = ["ShardedParameterServer", "Shard"]
 
-#: exception types that count as "this shard failed, try a replica".
-_FAILOVER_ERRORS = (InjectedFault, RetryExhaustedError)
+
+@dataclass(kw_only=True)
+class Shard(Member):
+    """One serving shard: a hot cache plus liveness bookkeeping."""
+
+    cache: LRUCache
 
 
-def _ring_hash(text: str) -> int:
-    """Stable 64-bit ring position (independent of PYTHONHASHSEED)."""
-    return int.from_bytes(hashlib.md5(text.encode("utf-8")).digest()[:8], "big")
-
-
-@dataclass
-class Shard:
-    """One shard: a :class:`ParameterServer` plus liveness bookkeeping."""
-
-    name: str
-    server: ParameterServer
-    breaker: CircuitBreaker
-    alive: bool = True
-    #: cluster container currently hosting this shard (None standalone).
-    container_id: str | None = None
-    #: lifetime death count (kills + node failures).
-    deaths: int = field(default=0)
-
-
-class ShardedParameterServer:
-    """Consistent-hashed shards with R-way replication and failover.
+class ShardedParameterServer(ParameterServer, HostedGroup):
+    """One parameter index served through failover cache shards.
 
     ``cache_bytes`` is the *total* hot-cache budget, split evenly across
     shards — scaling out does not multiply memory. ``retry`` is applied
-    around each individual shard operation (shards themselves run
-    without a policy), exactly where the single server applies it.
-
-    Checkpoint history blobs are stored through one shared, chunked
-    :class:`~repro.data.blockstore.BlockStore` (pass ``block_store=``
-    to supply your own): each shard keeps its *own* blob namespace, but
-    identical chunks — R replicas of the same version, successive
-    near-duplicate checkpoints — are stored once, so ``adopt_history``
-    re-replication is physically near-free. A custom ``store_factory``
-    overrides this entirely.
+    around each individual shard operation, exactly where the single
+    server applies it. ``replicas`` is the chunk replication factor of
+    the ``BlockStore(nodes=shards, replicas=replicas)`` built underneath;
+    pass ``block_store=`` to serve over an existing store (whose own
+    factor then rules), or ``store_factory`` to supply the index's whole
+    :class:`DataStore`. ``tenants`` charges each stored version's
+    ``ps_bytes`` — once, whatever the replication factor.
     """
+
+    _JOB_KIND = JobKind.PARAMSERVER
+    _ROLE = ContainerRole.PARAMETER
 
     def __init__(
         self,
@@ -111,71 +92,41 @@ class ShardedParameterServer:
         replicas: int = 2,
         cache_bytes: int = 256 * 1024 * 1024,
         retry: RetryPolicy | None = None,
-        vnodes: int = 64,
         store_factory: Callable[[str], DataStore] | None = None,
         breaker_factory: Callable[[str], CircuitBreaker] | None = None,
         block_store: BlockStore | None = None,
+        tenants: TenantRegistry | None = None,
     ):
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         if replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
-        if vnodes < 1:
-            raise ConfigurationError(f"vnodes must be >= 1, got {vnodes}")
-        self.replicas = min(replicas, shards)
-        self.retry = retry
-        if store_factory is None:
-            # One chunk pool under every shard's blob namespace: shard
-            # replication and checkpoint versioning dedup down to the
-            # chunks that actually differ. Durability across *shard*
-            # deaths comes from the coordinator's R-way replication, so
-            # the pool itself runs single-node.
-            self.block_store = block_store or BlockStore(nodes=1, replicas=1)
-            store_factory = lambda name: DataStore(  # noqa: E731
-                f"ps-backing-{name}", block_store=self.block_store
-            )
+        if store_factory is not None:
+            store = store_factory("ps")
+            if block_store is not None and store.blocks is not block_store:
+                raise ConfigurationError(
+                    "store_factory built a store over a different block store"
+                )
         else:
-            self.block_store = block_store
+            store = DataStore(
+                "ps-backing",
+                block_store=block_store or BlockStore(nodes=shards, replicas=replicas),
+                tenants=tenants,
+            )
+        # Values are cached per shard; the index's own cache stays empty.
+        super().__init__(store=store, cache_bytes=0, retry=retry, tenants=tenants)
         per_shard_cache = max(1, cache_bytes // shards)
-        self._shards: list[Shard] = []
-        for i in range(shards):
-            name = f"ps-{i}"
-            store = store_factory(name)
-            breaker = (
-                breaker_factory(name)
-                if breaker_factory is not None
-                else CircuitBreaker(
-                    name=f"paramserver/{name}", failure_threshold=3, recovery_time=30.0
-                )
+        self._members: list[Shard] = [
+            Shard(
+                name=name,
+                breaker=member_breaker(breaker_factory, "paramserver", name),
+                cache=LRUCache(
+                    per_shard_cache, size_of=_state_size, name=f"paramserver-{name}"
+                ),
             )
-            self._shards.append(
-                Shard(
-                    name=name,
-                    server=ParameterServer(
-                        store=store, cache_bytes=per_shard_cache, name=name
-                    ),
-                    breaker=breaker,
-                )
-            )
-        self._by_name = {shard.name: shard for shard in self._shards}
-        #: the consistent-hash ring: sorted (position, shard index).
-        self._ring: list[tuple[int, int]] = sorted(
-            (_ring_hash(f"{shard.name}#{v}"), i)
-            for i, shard in enumerate(self._shards)
-            for v in range(vnodes)
-        )
-        #: key -> shard names currently holding a full copy, in the
-        #: key's preference order (the coordinator's directory, playing
-        #: the HDFS namenode role — small metadata that survives any
-        #: shard death).
-        self._directory: dict[str, list[str]] = {}
-        #: key -> number of versions the full history should contain.
-        self._expected_versions: dict[str, int] = {}
-        #: cluster integration (None when standalone).
-        self.manager = None
-        self.cluster_job_id: str | None = None
-        self.rereplications = 0
-        self.keys_lost = 0
+            for name in (f"ps-{i}" for i in range(shards))
+        ]
+        self._by_name = {shard.name: shard for shard in self._members}
         self._publish_live_gauge()
 
     # ------------------------------------------------------------------
@@ -183,13 +134,27 @@ class ShardedParameterServer:
     # ------------------------------------------------------------------
 
     @property
+    def block_store(self) -> BlockStore:
+        """The store that places and replicates every value's chunks."""
+        return self._store.blocks
+
+    @property
+    def replicas(self) -> int:
+        """The chunk replication factor (the store's, clamped to its nodes)."""
+        return self.block_store.replicas
+
+    @property
+    def rereplications(self) -> int:
+        return self.block_store.rereplications
+
+    @property
     def num_shards(self) -> int:
-        return len(self._shards)
+        return len(self._members)
 
     @property
     def shards(self) -> list[Shard]:
         """The shard records (read-only use: tests, benchmarks, repr)."""
-        return list(self._shards)
+        return list(self._members)
 
     @property
     def cache(self) -> LRUCache:
@@ -199,263 +164,75 @@ class ShardedParameterServer:
         drop-in for ``ParameterServer`` everywhere, including callers
         that inspect cache statistics.
         """
-        if len(self._shards) != 1:
+        if len(self._members) != 1:
             raise ConfigurationError(
                 "a multi-shard server has per-shard caches; iterate .shards"
             )
-        return self._shards[0].server.cache
+        return self._members[0].cache
 
     def cache_stats(self) -> dict[str, float]:
         """Aggregate hit/miss/eviction counts across every shard cache."""
-        hits = sum(s.server.cache.hits for s in self._shards)
-        misses = sum(s.server.cache.misses for s in self._shards)
+        hits = sum(s.cache.hits for s in self._members)
+        misses = sum(s.cache.misses for s in self._members)
         return {
             "hits": hits,
             "misses": misses,
-            "evictions": sum(s.server.cache.evictions for s in self._shards),
+            "evictions": sum(s.cache.evictions for s in self._members),
             "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
         }
 
     def live_shards(self) -> list[Shard]:
         self._refresh_liveness()
-        return [shard for shard in self._shards if shard.alive]
-
-    def _preference(self, key: str) -> list[Shard]:
-        """Every shard, ordered by the key's walk around the ring."""
-        start = bisect_right(self._ring, (_ring_hash(key), len(self._shards)))
-        seen: set[int] = set()
-        order: list[Shard] = []
-        n = len(self._ring)
-        for step in range(n):
-            _, idx = self._ring[(start + step) % n]
-            if idx not in seen:
-                seen.add(idx)
-                order.append(self._shards[idx])
-                if len(order) == len(self._shards):
-                    break
-        return order
-
-    def _node_of(self, shard: Shard) -> str | None:
-        if self.manager is None or shard.container_id is None:
-            return None
-        container = self.manager.containers.get(shard.container_id)
-        return container.node_name if container is not None else None
-
-    def _write_targets(self, key: str) -> list[Shard]:
-        """First ``replicas`` live shards in preference order.
-
-        Prefers shards on distinct cluster nodes (rack-awareness) so a
-        single node failure cannot destroy every copy; falls back to
-        co-located shards only when there aren't enough distinct nodes.
-        """
-        order = [s for s in self._preference(key) if s.alive]
-        targets: list[Shard] = []
-        seen_nodes: set[str] = set()
-        for shard in order:
-            node = self._node_of(shard)
-            if node is not None and node in seen_nodes:
-                continue
-            targets.append(shard)
-            if node is not None:
-                seen_nodes.add(node)
-            if len(targets) == self.replicas:
-                return targets
-        for shard in order:
-            if shard not in targets:
-                targets.append(shard)
-                if len(targets) == self.replicas:
-                    break
-        return targets
+        return [shard for shard in self._members if shard.alive]
 
     # ------------------------------------------------------------------
-    # liveness, death and repair
+    # liveness
     # ------------------------------------------------------------------
-
-    def _refresh_liveness(self) -> None:
-        """Notice cluster-container deaths the manager hasn't replaced yet."""
-        if self.manager is None:
-            return
-        for shard in self._shards:
-            if not shard.alive or shard.container_id is None:
-                continue
-            container = self.manager.containers.get(shard.container_id)
-            if container is None or not container.running:
-                self._handle_shard_down(shard)
 
     def kill_shard(self, name: str) -> None:
-        """Kill a shard directly (tests/benchmarks; data on it is lost)."""
+        """Kill a shard directly: its cache is gone, its keys fail over."""
         shard = self._shard_named(name)
         if shard.alive:
-            self._handle_shard_down(shard)
+            self._member_down(shard)
 
     def revive_shard(self, name: str) -> None:
-        """Bring a killed shard back empty and re-sync its ring range."""
+        """Bring a killed shard back, cold, to serve its keys again."""
         shard = self._shard_named(name)
-        if shard.alive:
-            return
-        shard.alive = True
-        self._publish_live_gauge()
-        self._rebalance_onto(shard)
+        if not shard.alive:
+            shard.alive = True
+            self._member_up(shard, same_host=True)
 
     def _shard_named(self, name: str) -> Shard:
         if name not in self._by_name:
             raise ConfigurationError(f"unknown shard {name!r}")
         return self._by_name[name]
 
-    def _handle_shard_down(self, shard: Shard) -> None:
-        """Mark a shard dead, drop its (lost) data, restore replication."""
+    def _member_down(self, shard: Shard) -> None:
         shard.alive = False
         shard.deaths += 1
-        shard.server.wipe()
+        shard.cache.clear()
         telemetry.get_registry().counter(
             "repro_paramserver_shard_deaths_total",
             "Parameter-server shard deaths observed.",
         ).inc(shard=shard.name)
         self._publish_live_gauge()
-        for key, holders in list(self._directory.items()):
-            if shard.name not in holders:
-                continue
-            holders.remove(shard.name)
-            self._restore_replication(key)
 
-    def _restore_replication(self, key: str) -> None:
-        """Re-copy ``key`` until it is back at ``replicas`` live copies."""
-        holders = self._directory.get(key, [])
-        live_holders = [
-            self._by_name[n] for n in holders if self._by_name[n].alive
-        ]
-        if not live_holders:
-            # Every copy died at once: the history is genuinely gone.
-            self._directory.pop(key, None)
-            self._expected_versions.pop(key, None)
-            self.keys_lost += 1
-            telemetry.get_registry().counter(
-                "repro_paramserver_keys_lost_total",
-                "Keys whose every replica died before re-replication.",
-            ).inc()
-            return
-        source = live_holders[0]
-        for target in self._write_targets(key):
-            if len(live_holders) >= self.replicas:
-                break
-            if target in live_holders:
-                continue
-            target.server.adopt_history(source.server, key)
-            live_holders.append(target)
-            self.rereplications += 1
-            telemetry.get_registry().counter(
-                "repro_paramserver_rereplications_total",
-                "Key histories re-copied to restore the replication factor.",
-            ).inc(shard=target.name)
-        self._directory[key] = [s.name for s in live_holders]
+    def _member_up(self, shard: Shard, same_host: bool) -> None:
+        # A shard holds nothing durable: wherever it restarts, it starts cold.
+        self._publish_live_gauge()
+
+    def _publish_live_gauge(self) -> None:
+        telemetry.get_registry().gauge(
+            "repro_paramserver_shards_live",
+            "Parameter-server shards currently alive.",
+        ).set(sum(1 for s in self._members if s.alive))
 
     def repair(self) -> int:
-        """Re-replicate every under-replicated key; return copies made.
-
-        Degraded writes (a replica skipped because its breaker was open
-        or its fault point fired) leave keys below the replication
-        factor until their next put. Operators — and the chaos
-        scenarios — call this once the fault clears to heal everything
-        immediately.
-        """
-        before = self.rereplications
-        self._refresh_liveness()
-        for key in list(self._directory):
-            self._restore_replication(key)
-        return self.rereplications - before
-
-    def _rebalance_onto(self, shard: Shard) -> None:
-        """Sync a (re)joined empty shard with the keys the ring assigns it."""
-        for key in list(self._directory):
-            targets = self._write_targets(key)
-            holders = self._directory[key]
-            if shard in targets and shard.name not in holders:
-                source = next(
-                    (self._by_name[n] for n in holders if self._by_name[n].alive),
-                    None,
-                )
-                if source is None:
-                    continue
-                shard.server.adopt_history(source.server, key)
-                holders.append(shard.name)
-                self.rereplications += 1
-                telemetry.get_registry().counter(
-                    "repro_paramserver_rereplications_total",
-                    "Key histories re-copied to restore the replication factor.",
-                ).inc(shard=shard.name)
-            # Trim handoff copies the ring no longer assigns, once the
-            # key is back above its replication factor.
-            if len(holders) > self.replicas:
-                target_names = {s.name for s in targets}
-                for extra in [n for n in holders if n not in target_names]:
-                    if len(holders) <= self.replicas:
-                        break
-                    holder = self._by_name[extra]
-                    if holder.alive and holder.server.has(key):
-                        holder.server.delete(key)
-                    holders.remove(extra)
+        """Restore the chunk replication factor; return copies made."""
+        return self._store.repair()
 
     # ------------------------------------------------------------------
-    # cluster-manager integration
-    # ------------------------------------------------------------------
-
-    def register_with_cluster(self, manager, worker_request=None):
-        """Host the shards as PARAMETER-role containers under ``manager``.
-
-        Placement is spread (anti-affinity) so replicas land on distinct
-        nodes. Node failures — injected directly or noticed by
-        ``detect_failures`` — kill the shards they host; the manager's
-        recovery hook hands each replacement container back to this
-        coordinator, which re-syncs it from the surviving replicas.
-        """
-        from repro.cluster.container import ContainerRole
-        from repro.cluster.manager import JobKind
-        from repro.cluster.node import Resources
-
-        if self.manager is not None:
-            raise ConfigurationError("shards are already cluster-registered")
-        job = manager.submit_job(
-            JobKind.PARAMSERVER,
-            name="paramserver",
-            num_workers=len(self._shards),
-            master_request=Resources(cpus=1, gpus=0, memory_gb=4),
-            worker_request=worker_request or Resources(cpus=1, gpus=0, memory_gb=8),
-            worker_role=ContainerRole.PARAMETER,
-            spread=True,
-            queue=False,
-        )
-        self.manager = manager
-        self.cluster_job_id = job.job_id
-        hosts = [c for c in job.containers if c.role is ContainerRole.PARAMETER]
-        for shard, container in zip(self._shards, hosts):
-            shard.container_id = container.container_id
-        manager.on_recovery(self._on_container_recovered)
-        return job
-
-    def _on_container_recovered(self, container) -> None:
-        from repro.cluster.container import ContainerRole
-
-        if container.role is not ContainerRole.PARAMETER:
-            return
-        if container.job_id != self.cluster_job_id:
-            return
-        shard = next(
-            (s for s in self._shards if s.container_id == container.predecessor),
-            None,
-        )
-        if shard is None:
-            return
-        if shard.alive:
-            # The hook fires synchronously inside fail_node, possibly
-            # before any lazy liveness check noticed the death.
-            self._handle_shard_down(shard)
-        shard.container_id = container.container_id
-        shard.alive = True
-        self._publish_live_gauge()
-        self._rebalance_onto(shard)
-
-    # ------------------------------------------------------------------
-    # the ParameterServer API
+    # the ParameterServer API, routed through the shards
     # ------------------------------------------------------------------
 
     def put(
@@ -468,275 +245,121 @@ class ShardedParameterServer:
         public: bool = True,
         **extra,
     ) -> ParameterEntry:
-        """Store a new version on every replica; return the entry.
-
-        Replicas that missed earlier versions (a failed-over write, a
-        breaker-open skip) first adopt the full history from a healthy
-        holder, so version numbers stay globally consistent.
-        """
-        self._refresh_liveness()
-        targets = self._write_targets(key)
-        if not targets:
-            raise ParameterServerError("no live parameter-server shards")
-        expected = self._expected_versions.get(key, 0)
-        holders = self._directory.get(key, [])
-        source = next(
-            (
-                self._by_name[n]
-                for n in holders
-                if self._by_name[n].alive
-                and self._by_name[n].server.versions(key) == expected
+        """Store a new version through the key's first healthy shard."""
+        return self._serve(
+            key, "push",
+            lambda shard: self._put_once(
+                shard.cache, key, state, model, dataset, performance, public, **extra
             ),
-            None,
         )
-        entry: ParameterEntry | None = None
-        written: list[Shard] = []
-        last_error: BaseException | None = None
-        for shard in targets:
-            if not shard.breaker.allow():
-                self._count_failover(shard, "push")
-                continue
-            if source is not None and shard.server.versions(key) != expected:
-                shard.server.adopt_history(source.server, key)
-            try:
-                result = self._shard_call(
-                    shard,
-                    "push",
-                    lambda s=shard: s.server.put(
-                        key, state, model=model, dataset=dataset,
-                        performance=performance, public=public, **extra,
-                    ),
-                )
-            except _FAILOVER_ERRORS as exc:
-                shard.breaker.record_failure()
-                self._count_failover(shard, "push")
-                last_error = exc
-                continue
-            shard.breaker.record_success()
-            written.append(shard)
-            if entry is None:
-                entry = result
-                if source is None:
-                    # First copy of a brand-new (or fully lost) key:
-                    # later replicas adopt from here.
-                    source = shard
-                    expected = result.version - 1
-        if entry is None:
-            assert last_error is not None
-            raise last_error
-        merged = [s.name for s in written]
-        merged += [
-            n for n in holders
-            if n not in merged and self._by_name[n].alive
-            and self._by_name[n].server.versions(key) == entry.version
-        ]
-        self._directory[key] = merged
-        self._expected_versions[key] = entry.version
-        return entry
 
     def get(self, key: str, version: int | None = None) -> dict[str, np.ndarray]:
-        """Fetch parameters, failing over through replicas as needed."""
-        return self._read(key, "pull", lambda shard: shard.server.get(key, version))
-
-    def get_entry(self, key: str, version: int | None = None) -> ParameterEntry:
-        """Metadata of a stored version (latest unless specified)."""
-        return self._read(
-            key, "pull", lambda shard: shard.server.get_entry(key, version),
-            fire_point=False,
+        """Fetch parameters, failing over through the shards as needed."""
+        return self._serve(
+            key, "pull", lambda shard: self._get_once(shard.cache, key, version)
         )
 
-    def _read(self, key: str, op: str, fn: Callable[[Shard], Any],
-              fire_point: bool = True) -> Any:
+    def _serve(self, key: str, op: str, fn: Callable[[Shard], Any]) -> Any:
+        """Run ``fn`` on the first live, breaker-admitted shard for ``key``.
+
+        One coordinator->shard operation is: the shard's fault point,
+        then ``fn``, under the retry policy, counted per shard.
+        """
         self._refresh_liveness()
-        holders = self._directory.get(key)
-        if not holders:
-            raise ParameterNotFoundError(key)
-        ordered = [
-            shard
-            for shard in self._preference(key)
-            if shard.name in holders and shard.alive
-        ]
-        last_error: BaseException | None = None
-        for shard in ordered:
-            if not shard.breaker.allow():
-                self._count_failover(shard, op)
-                continue
-            try:
-                if fire_point:
-                    result = self._shard_call(shard, op, lambda s=shard: fn(s))
-                else:
-                    result = fn(shard)
-            except _FAILOVER_ERRORS as exc:
-                shard.breaker.record_failure()
-                self._count_failover(shard, op)
-                last_error = exc
-                continue
-            shard.breaker.record_success()
-            return result
-        if last_error is not None:
-            raise last_error
-        raise ParameterServerError(
-            f"no live replica can serve {key!r} "
-            f"(holders: {', '.join(holders)})"
-        )
-
-    def _shard_call(self, shard: Shard, op: str, fn: Callable[[], Any]) -> Any:
-        """One coordinator->shard operation: fault point, retry, telemetry."""
-        name = f"paramserver.{'push' if op == 'push' else 'pull'}"
-
-        def attempt():
-            chaos.fire(f"paramserver.shard.{shard.name}.{op}")
-            return fn()
-
-        try:
-            if self.retry is not None:
-                result = self.retry.call(attempt, name=name)
-            else:
-                result = attempt()
-        except Exception:
-            telemetry.get_registry().counter(
-                "repro_paramserver_shard_requests_total",
-                "Coordinator->shard operations, by shard, op and outcome.",
-            ).inc(shard=shard.name, op=op, outcome="error")
-            raise
-        telemetry.get_registry().counter(
+        registry = telemetry.get_registry()
+        requests = registry.counter(
             "repro_paramserver_shard_requests_total",
             "Coordinator->shard operations, by shard, op and outcome.",
-        ).inc(shard=shard.name, op=op, outcome="ok")
-        return result
-
-    def _count_failover(self, shard: Shard, op: str) -> None:
-        telemetry.get_registry().counter(
+        )
+        failovers = registry.counter(
             "repro_paramserver_failovers_total",
-            "Shard operations redirected to a replica, by failed shard.",
-        ).inc(shard=shard.name, op=op)
+            "Shard operations redirected to another shard, by failed shard.",
+        )
 
-    def _publish_live_gauge(self) -> None:
-        telemetry.get_registry().gauge(
-            "repro_paramserver_shards_live",
-            "Parameter-server shards currently alive.",
-        ).set(sum(1 for s in self._shards if s.alive))
+        def attempt(shard: Shard) -> Any:
+            def once():
+                chaos.fire(f"paramserver.shard.{shard.name}.{op}")
+                return fn(shard)
 
-    # -- bookkeeping mirrors ------------------------------------------
+            try:
+                if self.retry is not None:
+                    result = self.retry.call(once, name=f"paramserver.{op}")
+                else:
+                    result = once()
+            except Exception:
+                requests.inc(shard=shard.name, op=op, outcome="error")
+                raise
+            requests.inc(shard=shard.name, op=op, outcome="ok")
+            return result
 
-    def has(self, key: str) -> bool:
-        """Whether any version of ``key`` is stored."""
-        return key in self._directory
-
-    def keys(self) -> list[str]:
-        """All stored keys, sorted."""
-        return sorted(self._directory)
-
-    def versions(self, key: str) -> int:
-        """How many versions of ``key`` exist (0 when absent)."""
-        if key not in self._directory:
-            return 0
-        return self._expected_versions.get(key, 0)
+        served = failover(
+            (s for s in preference_order(key, self._members) if s.alive),
+            attempt,
+            lambda shard: failovers.inc(shard=shard.name, op=op),
+        )
+        if not served:
+            raise ParameterServerError(
+                f"no live parameter-server shard can serve {key!r}"
+            )
+        return served[0][1]
 
     def delete(self, key: str) -> None:
-        """Drop every version of ``key`` from every live replica."""
-        holders = self._directory.pop(key, None)
-        if holders is None:
-            raise ParameterNotFoundError(key)
-        self._expected_versions.pop(key, None)
-        for name in holders:
-            shard = self._by_name[name]
-            if shard.alive and shard.server.has(key):
-                shard.server.delete(key)
+        """Drop every version of ``key`` from the index and every cache.
 
-    # -- collaborative-tuning support ---------------------------------
-
-    def put_if_better(
-        self,
-        key: str,
-        state: dict[str, np.ndarray],
-        performance: float,
-        **meta,
-    ) -> bool:
-        """Store ``state`` only if it beats the stored performance.
-
-        Same overwrite rule (and NaN guard) as the single server's
-        :meth:`ParameterServer.put_if_better`, decided once at the
-        coordinator so every replica agrees.
+        A re-created key restarts at version 1 and reuses its paths, so
+        any shard that ever served the old bytes must forget them.
         """
-        if self.has(key):
-            current = self.get_entry(key).performance
-            if np.isnan(performance) and not np.isnan(current):
-                return False
-            if not np.isnan(current) and performance <= current:
-                return False
-        self.put(key, state, performance=performance, **meta)
-        return True
-
-    def fetch_shape_pool(self, key: str, version: int | None = None) -> dict[tuple[int, ...], list[np.ndarray]]:
-        """Group a checkpoint's arrays by shape for shape-matched init."""
-        return shape_pool(self.get(key, version))
-
-    def find_pretrained(self, model: str, exclude_dataset: str = "") -> ParameterEntry | None:
-        """Best *public* checkpoint of ``model`` from another dataset.
-
-        Scans keys in first-put order (matching the single server's
-        insertion-order scan), reading each key's history from the
-        healthiest replica.
-        """
-        self._refresh_liveness()
-        best: ParameterEntry | None = None
-        for key in self._directory:
-            try:
-                entries = self._read(
-                    key, "pull", lambda shard: shard.server.history(key),
-                    fire_point=False,
-                )
-            except (ParameterServerError, ParameterNotFoundError):
-                continue
-            for entry in entries:
-                if not entry.public or entry.model != model:
-                    continue
-                if exclude_dataset and entry.dataset == exclude_dataset:
-                    continue
-                if best is None or (
-                    not np.isnan(entry.performance)
-                    and (np.isnan(best.performance) or entry.performance > best.performance)
-                ):
-                    best = entry
-        return best
+        for entry in self._entries.get(key, ()):
+            for shard in self._members:
+                shard.cache.invalidate(entry.path)
+        super().delete(key)
 
     # ------------------------------------------------------------------
     # auditing
     # ------------------------------------------------------------------
 
     def audit(self) -> dict[str, Any]:
-        """Replication health: lost, under-replicated and divergent keys.
+        """Health of every key, read off the store that holds its bytes.
 
-        A key is *divergent* when a live holder's version count differs
-        from the expected history length — a stale replica that could
-        serve an old checkpoint. The shard-kill chaos scenario asserts
-        all three lists are empty after recovery.
+        A key is *lost* (``keys_lost`` counts them) or *under-replicated*
+        when a chunk one of its versions' manifests references is;
+        *divergent* when the index and the namespace disagree — an entry
+        whose blob path the namespace does not hold, or a ``params/``
+        path no entry accounts for. ``repair()`` and the re-replication
+        count are the store's.
         """
         self._refresh_liveness()
+        fs = self._store.fs
+        blocks = self.block_store.audit()
+        lost_chunks = set(blocks["lost"])
+        under_chunks = set(blocks["under_replicated"])
+        keys_lost = 0
         under: list[str] = []
         divergent: list[str] = []
-        for key, holders in self._directory.items():
-            live = [self._by_name[n] for n in holders if self._by_name[n].alive]
-            if len(live) < min(self.replicas, len(self.live_shards())):
+        paths: set[str] = set()
+        for key, versions in self._entries.items():
+            paths.update(entry.path for entry in versions)
+            held = [entry.path for entry in versions if fs.exists(entry.path)]
+            if len(held) != len(versions):
+                divergent.append(key)
+            digests = {d for path in held for d in fs.stat(path).digests}
+            if digests & lost_chunks:
+                keys_lost += 1
+            elif digests & under_chunks:
                 under.append(key)
-            expected = self._expected_versions.get(key, 0)
-            for shard in live:
-                if shard.server.versions(key) != expected:
-                    divergent.append(key)
-                    break
+        divergent += [p for p in fs.list_paths("params/") if p not in paths]
         return {
-            "keys": len(self._directory),
-            "keys_lost": self.keys_lost,
+            "keys": len(self._entries),
+            "keys_lost": keys_lost,
             "under_replicated": sorted(under),
             "divergent": sorted(divergent),
-            "rereplications": self.rereplications,
-            "live_shards": [s.name for s in self._shards if s.alive],
+            "rereplications": blocks["rereplications"],
+            "live_shards": [s.name for s in self._members if s.alive],
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        live = sum(1 for s in self._shards if s.alive)
+        live = sum(1 for s in self._members if s.alive)
         return (
-            f"ShardedParameterServer(shards={len(self._shards)}, live={live}, "
-            f"replicas={self.replicas}, keys={len(self._directory)})"
+            f"ShardedParameterServer(shards={len(self._members)}, live={live}, "
+            f"replicas={self.replicas}, keys={len(self._entries)})"
         )

@@ -322,6 +322,60 @@ class TestReplication:
         audit = store.audit()
         assert audit["lost"] == []
 
+    def test_failed_write_leaves_no_unreferenced_chunks(self):
+        """Regression: a put that failed on its third chunk leaked the
+        first two at refcount zero, and ``audit()`` called that clean."""
+        from repro import chaos
+        from repro.chaos import FaultKind, FaultPlan, FaultRule
+        from repro.exceptions import InjectedFault
+
+        store = BlockStore(nodes=2, replicas=2, chunk_size=1024)
+        fs = FileNamespace(store)
+        data = _random_bytes(random.Random(9), 4096)
+        plan = FaultPlan(
+            [FaultRule("data.store.put", FaultKind.EXCEPTION, after=4)], seed=0
+        )
+        previous = chaos.set_plan(plan)
+        try:
+            with pytest.raises(InjectedFault):
+                fs.write("p", data)
+        finally:
+            chaos.set_plan(previous)
+        audit = store.audit()
+        assert (audit["chunks"], audit["unique_bytes"], audit["logical_bytes"]) == (0, 0, 0)
+        assert audit["unreferenced"] == []
+        assert all(not node.chunks for node in store.nodes)
+        assert not fs.exists("p")
+        # an upload nobody committed is visible, and a failed commit cleans it
+        pending = fs.begin_write("q", data)
+        assert store.audit()["unreferenced"] == sorted(set(pending.digests))
+        store.release(list(pending.digests))
+        assert store.audit()["chunks"] == 0
+        fs.write("p", data)
+        assert fs.read("p") == data and store.audit()["unreferenced"] == []
+
+    def test_failed_write_keeps_chunks_other_files_reference(self):
+        from repro import chaos
+        from repro.chaos import FaultKind, FaultPlan, FaultRule
+        from repro.exceptions import InjectedFault
+
+        store = BlockStore(nodes=2, replicas=2, chunk_size=1024)
+        fs = FileNamespace(store)
+        rng = random.Random(10)
+        shared = _random_bytes(rng, 2048)
+        fs.write("kept", shared)
+        plan = FaultPlan([FaultRule("data.store.put", FaultKind.EXCEPTION)], seed=0)
+        previous = chaos.set_plan(plan)
+        try:
+            with pytest.raises(InjectedFault):
+                # two dedup hits, then a new chunk that cannot be stored
+                fs.write("p", shared + _random_bytes(rng, 1024))
+        finally:
+            chaos.set_plan(previous)
+        assert fs.read("kept") == shared
+        audit = store.audit()
+        assert audit["chunks"] == 2 and audit["unreferenced"] == []
+
     def test_repair_restores_factor(self):
         store, fs, blobs = self._populated()
         store.kill_node("dn-0")
@@ -498,7 +552,7 @@ class TestShardedPSOnBlockStore:
 
         sps = ShardedParameterServer(
             shards=3, replicas=2,
-            block_store=BlockStore(nodes=1, replicas=1, chunk_size=4096),
+            block_store=BlockStore(nodes=3, replicas=2, chunk_size=4096),
         )
         rng = np.random.default_rng(0)
         state = {"w": rng.standard_normal((64, 64)).astype(np.float32)}
@@ -515,8 +569,17 @@ class TestShardedPSOnBlockStore:
         from repro.paramserver import ShardedParameterServer
 
         sps = ShardedParameterServer(shards=2, replicas=2)
-        assert sps.block_store is not None
+        assert (len(sps.block_store.nodes), sps.block_store.replicas) == (2, 2)
         rng = np.random.default_rng(1)
         sps.put("k", {"w": rng.standard_normal((32, 32))})
-        # Both shard replicas wrote the same pickle: stored once.
-        assert sps.block_store.dedup_hits > 0
+        # One store under every shard: the value is written once (no
+        # second copy for dedup to absorb) and the store replicates it.
+        assert sps.block_store.dedup_hits == 0
+        audit = sps.block_store.audit()
+        assert audit["replicated_bytes"] == 2 * audit["unique_bytes"] > 0
+        for shard in sps.shards:
+            sps.kill_shard(shard.name)
+            sps.revive_shard(shard.name)
+            np.testing.assert_array_equal(
+                sps.get("k")["w"], np.random.default_rng(1).standard_normal((32, 32))
+            )

@@ -1,13 +1,26 @@
 """Property-based tests (hypothesis) over core data structures."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro import chaos
+from repro.chaos import FaultKind, FaultPlan, FaultRule
+from repro.chaos.scenarios import reads_through_each_shard
 from repro.core.serve import RequestQueue, SineArrival
 from repro.core.tune import HyperSpace
-from repro.paramserver import LRUCache
+from repro.data import BlockStore
+from repro.exceptions import (
+    ChunkLostError,
+    InjectedFault,
+    ParameterServerError,
+    StorageError,
+)
+from repro.paramserver import LRUCache, ShardedParameterServer
 from repro.sim import Simulator
+from repro.utils.retry import CircuitBreaker
 from repro.zoo import majority_vote
 
 
@@ -171,3 +184,181 @@ class TestSineArrivalProperties:
     def test_counts_are_non_negative(self, target, seed):
         arrival = SineArrival(target, 100.0, rng=np.random.default_rng(seed))
         assert all(arrival.count(t * 0.1, 0.1) >= 0 for t in range(100))
+
+
+# ----------------------------------------------------------------------
+# the parameter-server serving tier over the block store
+# ----------------------------------------------------------------------
+
+PS_KEYS = ("a", "b", "c")
+PS_SHARDS = ("ps-0", "ps-1", "ps-2")
+PS_DATANODES = ("dn-0", "dn-1", "dn-2")
+
+
+def _ps_state(value: int) -> dict:
+    # 256 bytes of payload over 64-byte chunks: several chunks per value,
+    # and equal values share every chunk (refcounts above one).
+    return {"w": np.full(32, float(value))}
+
+
+class ServingTierMachine(RuleBasedStateMachine):
+    """``ShardedParameterServer`` over a 3-node store vs a plain dict.
+
+    ``safe`` tracks whether replication alone guarantees every byte:
+    it drops when ``replicas`` datanodes are down at once (chunks may
+    lose every live copy, and writes land under-replicated) and returns
+    once every datanode is back and ``repair()`` has run; a put whose
+    datanode writes were failing counts the same. While safe,
+    every read through every live shard equals the model; while not,
+    a read may fail with ``ChunkLostError`` but never returns other
+    bytes.
+    """
+
+    def __init__(self):
+        super().__init__()
+        # Breakers that never open: this machine is about data, and an
+        # open breaker would be a second, wall-clock-timed kind of death.
+        def breaker(name):
+            return CircuitBreaker(name=name, failure_threshold=10**9)
+
+        self.blocks = BlockStore(
+            nodes=3, replicas=2, chunk_size=64, breaker_factory=breaker
+        )
+        # ~2 values per shard cache: evictions and cold reads happen.
+        self.server = ShardedParameterServer(
+            shards=3, replicas=2, cache_bytes=3 * 600, block_store=self.blocks,
+            breaker_factory=breaker,
+        )
+        self.model: dict[str, list[int]] = {}
+        self.dead_shards: set[str] = set()
+        self.dead_nodes: set[str] = set()
+        self.safe = True
+
+    # -- client operations ----------------------------------------------
+
+    @rule(key=st.sampled_from(PS_KEYS), value=st.integers(0, 3))
+    def put(self, key, value):
+        if len(self.dead_shards) == len(PS_SHARDS):
+            with pytest.raises(ParameterServerError):
+                self.server.put(key, _ps_state(value))
+        elif len(self.dead_nodes) == len(PS_DATANODES):
+            with pytest.raises(StorageError):
+                self.server.put(key, _ps_state(value))
+        else:
+            entry = self.server.put(key, _ps_state(value), performance=float(value))
+            self.model.setdefault(key, []).append(value)
+            assert entry.version == len(self.model[key])
+
+    @precondition(
+        lambda self: len(self.dead_shards) < len(PS_SHARDS)
+        and len(self.dead_nodes) < len(PS_DATANODES)
+    )
+    @rule(key=st.sampled_from(PS_KEYS), value=st.integers(0, 3),
+          after=st.integers(0, 12))
+    def put_while_datanode_writes_fail(self, key, value, after):
+        """Every datanode write past the first ``after`` raises."""
+        plan = FaultPlan(
+            [FaultRule("data.store.put", FaultKind.EXCEPTION, after=after)], seed=0
+        )
+        previous = chaos.set_plan(plan)
+        try:
+            self.server.put(key, _ps_state(value), performance=float(value))
+        except InjectedFault:
+            pass  # nothing may be left behind: the invariants check
+        else:
+            self.model.setdefault(key, []).append(value)
+        finally:
+            chaos.set_plan(previous)
+        if plan.faults_injected():
+            self.safe = False  # a chunk may sit on fewer nodes than the factor
+
+    @precondition(lambda self: self.model and len(self.dead_shards) < len(PS_SHARDS))
+    @rule(data=st.data())
+    def get_version(self, data):
+        key = data.draw(st.sampled_from(sorted(self.model)))
+        version = data.draw(st.integers(1, len(self.model[key])))
+        try:
+            got = self.server.get(key, version)
+        except ChunkLostError:
+            assert not self.safe
+            return
+        np.testing.assert_array_equal(got["w"], self.model[key][version - 1])
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def delete(self, data):
+        key = data.draw(st.sampled_from(sorted(self.model)))
+        self.server.delete(key)
+        del self.model[key]
+
+    # -- failures ---------------------------------------------------------
+
+    @rule(name=st.sampled_from(PS_SHARDS))
+    def kill_shard(self, name):
+        self.server.kill_shard(name)
+        self.dead_shards.add(name)
+
+    @rule(name=st.sampled_from(PS_SHARDS))
+    def revive_shard(self, name):
+        self.server.revive_shard(name)
+        self.dead_shards.discard(name)
+
+    @rule(name=st.sampled_from(PS_DATANODES))
+    def kill_node(self, name):
+        self.blocks.kill_node(name)
+        self.dead_nodes.add(name)
+        if len(self.dead_nodes) >= self.blocks.replicas:
+            self.safe = False
+
+    @rule(name=st.sampled_from(PS_DATANODES))
+    def rejoin_node(self, name):
+        self.blocks.rejoin_node(name)
+        self.dead_nodes.discard(name)
+
+    @rule()
+    def repair(self):
+        self.server.repair()
+        if not self.dead_nodes:
+            self.safe = True
+        if self.safe:
+            ps_audit, store_audit = self.server.audit(), self.blocks.audit()
+            assert ps_audit["keys_lost"] == 0
+            assert ps_audit["under_replicated"] == []
+            assert store_audit["lost"] == []
+            assert store_audit["under_replicated"] == []
+
+    # -- invariants -------------------------------------------------------
+
+    @invariant()
+    def index_matches_model(self):
+        assert self.server.keys() == sorted(self.model)
+        for key, values in self.model.items():
+            assert self.server.versions(key) == len(values)
+            assert self.server.get_entry(key).performance == float(values[-1])
+        assert self.server.audit()["divergent"] == []
+        # nothing is in flight between steps: every stored chunk is pinned
+        assert self.blocks.audit()["unreferenced"] == []
+
+    @invariant()
+    def reads_match_model(self):
+        live = [s.name for s in self.server.live_shards()]
+        assert sorted(live) == sorted(set(PS_SHARDS) - self.dead_shards)
+        for key, values in self.model.items():
+            if not live:
+                with pytest.raises(ParameterServerError):
+                    self.server.get(key)
+                continue
+            try:
+                answers = reads_through_each_shard(self.server, key)
+            except ChunkLostError:
+                assert not self.safe
+                continue
+            assert sorted(answers) == sorted(live)
+            for name, got in answers.items():
+                np.testing.assert_array_equal(got["w"], values[-1], err_msg=name)
+
+
+ServingTierMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestServingTierStateMachine = ServingTierMachine.TestCase
