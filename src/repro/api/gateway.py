@@ -7,12 +7,16 @@ would receive them. There is no socket — ``handle`` is called directly
 — but every request passes through JSON encode/decode so the data path
 is honest.
 
-``handle_async`` is the high-concurrency twin: query routes with an
-attached :class:`~repro.core.serve.frontend.AsyncServeFrontend` go
-through admission control and SLO-aware batching (concurrent callers
-share hardware batches); admission refusals surface as HTTP 429 with a
-``retry_after`` hint. Every other route delegates to the synchronous
-path unchanged.
+``handle`` and ``handle_async`` share one request pipeline
+(``Gateway._request``): route match, body decode (400), tenant resolve
+(403), error mapping, response serialisation and the per-route
+telemetry happen there once. The two differ only in how the matched
+handler runs. ``handle`` calls it behind the ``gateway.dispatch`` fault
+point. ``handle_async`` does the same except for a query whose job has
+an attached :class:`~repro.core.serve.frontend.AsyncServeFrontend`:
+that one awaits ``frontend.submit`` — admission control and SLO-aware
+batching, so concurrent callers share hardware batches — and an
+admission refusal surfaces as HTTP 429 with a ``retry_after`` hint.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
-from dataclasses import dataclass
-from typing import Any, Callable
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -85,6 +90,23 @@ class Response:
         return 200 <= self.status < 300
 
 
+@dataclass
+class _Call:
+    """One request on its way through :meth:`Gateway._request`."""
+
+    tenant: str
+    payload: Any
+    #: the matched route; ``handler`` is ``None`` when the request is
+    #: already answered (bad body, refused tenant, no such route).
+    route: str = "(unmatched)"
+    handler: Callable | None = None
+    params: dict[str, str] = field(default_factory=dict)
+    #: what the handler returned, set by the caller of ``_request``.
+    result: Any = None
+    injected_latency: float = 0.0
+    response: Response | None = None
+
+
 class Gateway:
     """Dispatches ``(method, path, body)`` requests to the facade."""
 
@@ -115,7 +137,6 @@ class Gateway:
         self._sql_database: Any = None
         #: job_id -> AsyncServeFrontend for the async query path.
         self._frontends: dict[str, Any] = {}
-        self._query_pattern = re.compile(r"^/query/(?P<job_id>[\w\-./]+)$")
 
     def handle(
         self,
@@ -134,58 +155,81 @@ class Gateway:
         ``"tenant"`` body field, then to the default tenant; unknown or
         suspended tenants get 403 before any handler runs.
         """
+        with self._request(method, path, body, tenant) as call:
+            if call.handler is not None:
+                self._dispatch(call)
+        return call.response
+
+    @contextmanager
+    def _request(
+        self, method: str, path: str, body: Any, tenant: str | None
+    ) -> Iterator[_Call]:
+        """The request pipeline both entry points run a handler inside.
+
+        Before the block: match the route, decode the body, resolve the
+        tenant. The block runs ``call.handler`` (if the request is not
+        answered yet) and leaves its return value in ``call.result``.
+        After it: map a raised exception to its status, serialise the
+        result, count the request and time it; ``call.response`` is the
+        answer.
+        """
         clock = telemetry.get_clock()
         start = clock.now()
-        route_name = "(unmatched)"
-        response = None
-        injected_latency = 0.0
         self.requests_handled += 1
+        method = method.upper()
+        response = None
         try:
             payload = json.loads(json.dumps(body)) if body is not None else {}
         except (TypeError, ValueError) as exc:
             payload = None
             response = Response(400, {"error": f"body is not JSON-serialisable: {exc}"})
-        tenant_name = self._resolve_tenant_name(tenant, payload)
-        if response is None:
-            try:
-                self.system.tenants.resolve(tenant_name)
-            except TenantAccessError as exc:
-                response = self._error_response(exc)
-        if response is None:
-            for route_method, pattern, handler, name in self._routes:
-                if route_method != method.upper():
-                    continue
+        call = _Call(self._resolve_tenant_name(tenant, payload), payload)
+        matched = None
+        for route_method, pattern, handler, name in self._routes:
+            if route_method == method:
                 match = pattern.match(path)
                 if match:
-                    route_name = name
-                    try:
-                        # The gateway.dispatch fault point models a
-                        # backend that crashes (503) or whose response
-                        # is lost (504); either way the gateway answers
-                        # instead of crashing the server loop.
-                        injected_latency = chaos.fire("gateway.dispatch")
-                        with tenant_context(tenant_name):
-                            result = handler(payload, **match.groupdict())
-                        response = self._serialise(result)
-                    except Exception as exc:
-                        response = self._error_response(exc)
-                        if response is None:
-                            raise
+                    matched = handler
+                    call.route, call.params = name, match.groupdict()
                     break
         if response is None:
+            try:
+                self.system.tenants.resolve(call.tenant)
+            except TenantAccessError as exc:
+                response = self._error_response(exc)
+        if response is None and matched is None:
             response = Response(404, {"error": f"no route for {method} {path}"})
+        if response is None:
+            call.handler = matched
+        try:
+            yield call
+            if response is None:
+                response = self._serialise(call.result)
+        except Exception as exc:
+            response = self._error_response(exc)
+            if response is None:
+                raise
         registry = telemetry.get_registry()
         registry.counter(
             "repro_gateway_requests_total",
             "Gateway requests, by route, status and tenant.",
-        ).inc(method=method.upper(), route=route_name, status=str(response.status),
-              tenant=tenant_name)
+        ).inc(method=method, route=call.route, status=str(response.status),
+              tenant=call.tenant)
         registry.histogram(
             "repro_gateway_request_seconds",
             "Gateway handler latency per route.",
             buckets=REQUEST_SECONDS_BUCKETS,
-        ).observe(clock.now() - start + injected_latency, route=route_name)
-        return response
+        ).observe(clock.now() - start + call.injected_latency, route=call.route)
+        call.response = response
+
+    def _dispatch(self, call: _Call) -> None:
+        """Run the matched handler in place, as ``handle`` always does."""
+        # The gateway.dispatch fault point models a backend that
+        # crashes (503) or whose response is lost (504); either way the
+        # gateway answers instead of crashing the server loop.
+        call.injected_latency = chaos.fire("gateway.dispatch")
+        with tenant_context(call.tenant):
+            call.result = call.handler(call.payload, **call.params)
 
     @staticmethod
     def _resolve_tenant_name(tenant: str | None, payload: Any) -> str:
@@ -200,9 +244,8 @@ class Gateway:
     def _error_response(exc: Exception) -> Response | None:
         """Map one handler exception to an HTTP-like response.
 
-        Shared by the sync and async paths so both speak the same
-        status vocabulary. Returns ``None`` for exceptions the gateway
-        does not own (genuine bugs), which the caller re-raises.
+        Returns ``None`` for exceptions the gateway does not own
+        (genuine bugs), which the pipeline re-raises.
         """
         if isinstance(exc, DroppedResponse):
             return Response(504, {"error": f"response dropped: {exc}"})
@@ -270,65 +313,24 @@ class Gateway:
         client_id: str = "default",
         tenant: str | None = None,
     ) -> Response:
-        """Async twin of :meth:`handle`.
+        """:meth:`handle`, awaiting the front end where one is attached.
 
-        Query routes for jobs with an attached front end await
-        admission + batching (and carry ``client_id`` and the resolved
-        tenant into the per-client and per-tenant rate limiters); every
-        other request delegates to the synchronous path unchanged.
+        A query for a job with an attached front end awaits admission +
+        batching (and carries ``client_id`` and the resolved tenant into
+        the per-client and per-tenant rate limiters); every other
+        request runs its handler exactly as :meth:`handle` does.
         """
-        if method.upper() == "POST":
-            match = self._query_pattern.match(path)
-            if match:
-                frontend = self._frontends.get(match.group("job_id"))
-                if frontend is not None:
-                    return await self._query_via_frontend(
-                        frontend, body, client_id, tenant
-                    )
-        return self.handle(method, path, body, tenant=tenant)
-
-    async def _query_via_frontend(
-        self,
-        frontend: Any,
-        body: dict[str, Any] | None,
-        client_id: str,
-        tenant: str | None = None,
-    ) -> Response:
-        clock = telemetry.get_clock()
-        start = clock.now()
-        self.requests_handled += 1
-        try:
-            payload = json.loads(json.dumps(body)) if body is not None else {}
-        except (TypeError, ValueError) as exc:
-            payload = None
-            response = Response(400, {"error": f"body is not JSON-serialisable: {exc}"})
-        tenant_name = self._resolve_tenant_name(tenant, payload)
-        if payload is not None:
-            try:
-                self.system.tenants.resolve(tenant_name)
-                if "img" not in payload:
-                    raise GatewayError("POST /query requires 'img'")
-                image = _parse_image(payload["img"])
-                result = await frontend.submit(
-                    image, client_id=client_id, tenant=tenant_name
+        with self._request(method, path, body, tenant) as call:
+            frontend = None
+            if call.handler == self._post_query:
+                frontend = self._frontends.get(call.params["job_id"])
+            if frontend is not None:
+                call.result = await frontend.submit(
+                    _query_image(call.payload), client_id=client_id, tenant=call.tenant
                 )
-                response = self._serialise(result)
-            except Exception as exc:
-                response = self._error_response(exc)
-                if response is None:
-                    raise
-        registry = telemetry.get_registry()
-        registry.counter(
-            "repro_gateway_requests_total",
-            "Gateway requests, by route, status and tenant.",
-        ).inc(method="POST", route="/query/{job_id}", status=str(response.status),
-              tenant=tenant_name)
-        registry.histogram(
-            "repro_gateway_request_seconds",
-            "Gateway handler latency per route.",
-            buckets=REQUEST_SECONDS_BUCKETS,
-        ).observe(clock.now() - start, route="/query/{job_id}")
-        return response
+            elif call.handler is not None:
+                self._dispatch(call)
+        return call.response
 
     @staticmethod
     def _serialise(result: Any) -> Response:
@@ -474,9 +476,7 @@ class Gateway:
         return {"job_id": job_id, "status": "stopped"}
 
     def _post_query(self, body: dict, job_id: str) -> dict:
-        if "img" not in body:
-            raise GatewayError("POST /query requires 'img'")
-        return self.system.query(job_id, _parse_image(body["img"]))
+        return self.system.query(job_id, _query_image(body))
 
     def attach_sql_database(self, database: Any) -> None:
         """Serve ``POST /sql`` from this :class:`~repro.sqlext.Database`.
@@ -512,6 +512,13 @@ class Gateway:
         return dashboard_data(self.system)
 
 
+def _query_image(body: Any) -> np.ndarray:
+    """The image a ``POST /query`` body carries, or 400."""
+    if "img" not in body:
+        raise GatewayError("POST /query requires 'img'")
+    return _parse_image(body["img"])
+
+
 def _parse_image(raw: Any) -> np.ndarray:
     """Decode a request's image payload into a float array, or 400.
 
@@ -535,23 +542,16 @@ def make_query_executor(system: Rafiki, job_id: str) -> Callable[[list, int], li
     into per-request ``{"label", "votes", "models"}`` dicts — the same
     shape a synchronous ``POST /query`` returns.
 
-    Shapes are validated *per payload*: one client's wrong-shaped image
-    gets its own :class:`GatewayError` (a 400 on its own future) while
-    the rest of the batch runs — a whole-batch ``np.stack`` failure
-    would shed every co-batched client's request as ``executor_error``,
-    a cross-tenant isolation hole.
+    Shapes are validated *per payload* against the shape the job was
+    deployed for: one client's wrong-shaped image gets its own
+    :class:`GatewayError` (a 400 on its own future) while the rest of
+    the batch runs — a whole-batch ``np.stack`` failure would shed every
+    co-batched client's request as ``executor_error``, a cross-tenant
+    isolation hole.
     """
 
-    def expected_shape() -> tuple[int, ...] | None:
-        try:
-            info = system.get_inference_job(job_id)
-            dataset = next(s.dataset for s in info.specs if s.dataset)
-            return tuple(system.store.get_handle(dataset).image_shape)
-        except Exception:
-            return None
-
     def executor(payloads: list, batch_size: int) -> list[Any]:
-        expected = expected_shape()
+        expected = system.get_inference_job(job_id).image_shape
         results: list[Any] = [None] * len(payloads)
         arrays: list[np.ndarray] = []
         kept: list[int] = []
@@ -561,19 +561,15 @@ def make_query_executor(system: Rafiki, job_id: str) -> Callable[[list, int], li
             except GatewayError as exc:
                 results[index] = exc
                 continue
-            shape = expected if expected is not None else (
-                arrays[0].shape if arrays else array.shape
-            )
-            if array.shape != shape:
+            if array.shape != expected:
                 results[index] = GatewayError(
-                    f"image shape {array.shape} does not match expected {shape}"
+                    f"image shape {array.shape} does not match expected {expected}"
                 )
                 continue
             arrays.append(array)
             kept.append(index)
         if arrays:
-            batch = np.stack(arrays)
-            result = system.query(job_id, batch)
+            result = system.query(job_id, np.stack(arrays))
             for position, index in enumerate(kept):
                 results[index] = {
                     "label": result["label"][position],

@@ -68,7 +68,7 @@ def dashboard_data(system: Rafiki) -> dict:
             "status": info.status,
             "models": [spec.model_name for spec in info.specs],
             "queries_served": info.queries_served,
-            "cache_hit_rate": info.cache.hit_rate if info.cache is not None else None,
+            "cache_hit_rate": info.cache.hit_rate,
         }
         for info in system.inference_jobs.values()
     ]
@@ -112,10 +112,9 @@ def render_dashboard(system: Rafiki) -> str:
     if data["inference_jobs"]:
         lines.append(f"{'job':<10} {'status':<10} {'queries':>8} {'cache':>6}  models")
         for row in data["inference_jobs"]:
-            cache = f"{row['cache_hit_rate']:.0%}" if row["cache_hit_rate"] is not None else "off"
             lines.append(
                 f"{row['job_id']:<10} {row['status']:<10} {row['queries_served']:>8} "
-                f"{cache:>6}  {', '.join(row['models'])}"
+                f"{row['cache_hit_rate']:>6.0%}  {', '.join(row['models'])}"
             )
     else:
         lines.append("(none)")

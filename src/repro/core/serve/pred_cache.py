@@ -1,10 +1,14 @@
 """Prediction caching for the inference service (Clipper-inspired).
 
 Section 2.3 cites Clipper's latency optimisations, caching among them.
-This extension memoises query results by input digest in front of a
-deployed ensemble: repeated requests (the common case for UDF-driven
-analytics, where the same image path appears in many rows) skip the
-forward passes entirely.
+This extension memoises results by input digest. Every prediction the
+system makes goes through one: :meth:`Rafiki.query
+<repro.core.system.Rafiki.query>` looks each row of a request up in its
+job's cache and runs the ensemble only on the distinct rows that are
+absent, so repeated inputs (the common case for UDF-driven analytics,
+where the same image path appears in many rows) skip the forward
+passes whichever front door they came through; the SQL engine's UDF
+dispatcher keeps one per function, keyed by the scalar argument.
 """
 
 from __future__ import annotations
@@ -33,104 +37,70 @@ def _digest(array: np.ndarray) -> str:
 
 
 class PredictionCache:
-    """An LRU result cache keyed by input digest.
+    """An LRU result cache keyed by input digest."""
 
-    ``predict`` may be ``None`` for batch-only use: callers that always
-    supply ``predict_batch`` to :meth:`query_batch` (the SQL engine's
-    UDF dispatcher) never need a per-item model function.
-    """
-
-    def __init__(self, predict: Callable[[np.ndarray], Any] | None,
-                 capacity: int = 1024):
+    def __init__(self, capacity: int = 1024):
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        self._predict = predict
         self.capacity = int(capacity)
         self._entries: OrderedDict[Any, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def query(self, data: np.ndarray) -> Any:
-        """Predict for one input, serving repeats from the cache."""
-        if self._predict is None:
-            raise ConfigurationError(
-                "this cache has no per-item predict function; use query_batch"
-            )
-        data = np.asarray(data)
-        key = _digest(data)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return self._entries[key]
-        self.misses += 1
-        result = self._predict(data)
-        self._entries[key] = result
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return result
-
     def query_batch(
         self,
-        batch: list[Any],
-        predict_batch: Callable[[list[Any]], list[Any]] | None = None,
+        batch: Any,
+        predict_batch: Callable[[list[Any]], tuple[list[Any], bool]],
         key: Callable[[Any], Any] | None = None,
     ) -> list[Any]:
         """Serve many inputs with at most one underlying model call.
 
         Distinct inputs absent from the cache are collected in
-        first-seen order and handed to ``predict_batch`` as one list
-        (falling back to per-item ``predict`` calls when omitted);
+        first-seen order and handed to ``predict_batch`` as one list;
         everything already cached — including duplicates *within* the
-        batch — is served without touching the model. ``key`` overrides
-        the array digest for non-array inputs (e.g. SQL scalars).
-        Returns results aligned with ``batch``.
+        batch — is served without touching the model. ``predict_batch``
+        returns ``(results, remember)``: one result per input it was
+        given, and whether they may be served again — ``False`` hands
+        them to this batch only (an ensemble answering with a replica
+        down must not have that answer outlive the outage). ``key``
+        overrides the array digest for non-array inputs (e.g. SQL
+        scalars). Returns results aligned with ``batch``.
         """
-        keyed = [
-            (key(item) if key is not None else _digest(np.asarray(item)), item)
+        keys = [
+            key(item) if key is not None else _digest(np.asarray(item))
             for item in batch
         ]
         # Snapshot hits before inserting: a fill larger than capacity
         # may evict entries this very batch still needs.
-        cached: dict[Any, Any] = {}
+        found: dict[Any, Any] = {}
         miss_keys: list[Any] = []
         miss_items: list[Any] = []
-        missing = set()
-        for k, item in keyed:
-            if k in cached or k in missing:
+        for k, item in zip(keys, batch):
+            if k in found:
                 continue
             if k in self._entries:
                 self._entries.move_to_end(k)
-                cached[k] = self._entries[k]
+                found[k] = self._entries[k]
             else:
-                missing.add(k)
+                found[k] = None
                 miss_keys.append(k)
                 miss_items.append(item)
-        fresh: dict[Any, Any] = {}
         if miss_items:
-            if predict_batch is not None:
-                outputs = list(predict_batch(list(miss_items)))
-            elif self._predict is not None:
-                outputs = [self._predict(np.asarray(item)) for item in miss_items]
-            else:
-                raise ConfigurationError(
-                    "query_batch needs predict_batch when the cache has "
-                    "no per-item predict function"
-                )
+            outputs, remember = predict_batch(miss_items)
             if len(outputs) != len(miss_items):
                 raise ConfigurationError(
                     f"predict_batch returned {len(outputs)} results "
                     f"for {len(miss_items)} inputs"
                 )
-            for k, value in zip(miss_keys, outputs):
-                fresh[k] = value
-                self._entries[k] = value
-                if len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
+            found.update(zip(miss_keys, outputs))
+            if remember:
+                for k, value in zip(miss_keys, outputs):
+                    self._entries[k] = value
+                    if len(self._entries) > self.capacity:
+                        self._entries.popitem(last=False)
         self.misses += len(miss_items)
-        self.hits += len(batch) - len(miss_items)
-        return [
-            fresh[k] if k in fresh else cached[k] for k, _ in keyed
-        ]
+        self.hits += len(keys) - len(miss_items)
+        return [found[k] for k in keys]
 
     def invalidate_all(self) -> None:
         """Drop everything (call after re-deploying a model)."""

@@ -26,6 +26,7 @@ import numpy as np
 from repro import chaos, telemetry
 from repro.cluster import CheckpointStore, ClusterManager, Node
 from repro.cluster.manager import JobKind
+from repro.core.serve.pred_cache import PredictionCache
 from repro.core.tune import (
     BayesianAdvisor,
     CoStudyMaster,
@@ -49,7 +50,7 @@ from repro.exceptions import (
 )
 from repro.paramserver import ParameterServer, ShardedParameterServer
 from repro.tenancy import DEFAULT_TENANT, TenantRegistry, tenant_context
-from repro.tensor import Network
+from repro.tensor import Network, default_dtype
 from repro.utils.retry import CircuitBreaker
 from repro.utils.rng import RngStream
 from repro.zoo import TaskRegistry, default_registry, majority_vote
@@ -109,8 +110,11 @@ class InferenceJobInfo:
     tenant: str = DEFAULT_TENANT
     queries_served: int = 0
     cluster_job_id: str | None = None
-    #: optional Clipper-style result cache for single-image queries.
-    cache: Any = None
+    #: shape of one input image, recorded at deploy.
+    image_shape: tuple[int, ...] = ()
+    #: Clipper-style result cache every query goes through: one
+    #: ``(label, votes)`` row per distinct image.
+    cache: PredictionCache = field(default_factory=PredictionCache)
     #: one circuit breaker per deployed replica; a replica whose
     #: breaker is open is dropped from the ensemble vote and re-admitted
     #: when the breaker half-opens after its recovery window.
@@ -331,8 +335,6 @@ class Rafiki:
         self,
         models: Sequence[ModelSpec],
         dataset: str | None = None,
-        enable_cache: bool = True,
-        cache_capacity: int = 1024,
         tenant: str = DEFAULT_TENANT,
         priority: int = 0,
     ) -> str:
@@ -340,8 +342,7 @@ class Rafiki:
 
         The parameters are fetched from the parameter server — this is
         the instant train-to-deploy hand-off the unified architecture
-        provides. ``enable_cache`` memoises repeated single-image
-        queries (the UDF workload of Section 8 repeats image paths).
+        provides.
         """
         specs = list(models)
         if not specs:
@@ -355,6 +356,7 @@ class Rafiki:
         info.cluster_job_id = cluster_job.job_id
         dataset_name = dataset or specs[0].dataset
         data = self.store.get_dataset(dataset_name)
+        info.image_shape = tuple(data.image_shape)
         for spec in specs:
             entry = self.registry.get(spec.task, spec.model_name)
             rng = self.rng_stream.get(f"deploy:{job_id}:{spec.model_name}")
@@ -374,13 +376,6 @@ class Rafiki:
                     recovery_time=30.0,
                 )
             )
-        if enable_cache:
-            from repro.core.serve.pred_cache import PredictionCache
-
-            info.cache = PredictionCache(
-                lambda image, i=info: self._predict(i, image[None, ...]),
-                capacity=cache_capacity,
-            )
         info.status = "running"
         self.inference_jobs[job_id] = info
         return job_id
@@ -392,29 +387,55 @@ class Rafiki:
         return self.inference_jobs[job_id]
 
     def query(self, job_id: str, data: np.ndarray) -> dict[str, Any]:
-        """Serve one request (or a batch) through the deployed ensemble.
+        """Serve one image or a batch through the deployed ensemble.
 
-        Majority voting with best-model tie-break aggregates the
-        deployed networks' predictions (Section 5.2).
+        There is one path whoever calls: the input becomes a batch (a
+        single image is a batch of one), every row is looked up in the
+        job's prediction cache, the distinct rows that miss share one
+        ensemble forward pass, and the answers come back in request
+        order. Majority voting with best-model tie-break aggregates
+        the deployed networks' predictions (Section 5.2).
         """
         info = self.get_inference_job(job_id)
         if info.status != "running":
             raise ConfigurationError(f"inference job {job_id!r} is not running")
-        batch = np.asarray(data, dtype=np.float64)
-        single = batch.ndim == 3
-        if single and info.cache is not None:
-            labels, votes = info.cache.query(batch)
-        else:
-            if single:
-                batch = batch[None, ...]
-            labels, votes = self._predict(info, batch)
-        info.queries_served += 1 if single else batch.shape[0]
-        result: dict[str, Any] = {
-            "label": int(labels[0]) if single else [int(v) for v in labels],
-            "votes": votes[:, 0].tolist() if single else votes.T.tolist(),
-            "models": [spec.model_name for spec in info.specs],
+        # One conversion on the way in, to the dtype the replicas compute
+        # in: each would otherwise cast the batch again, and the cache
+        # key is over the bytes they see.
+        batch = np.asarray(data, dtype=default_dtype())
+        single = batch.ndim == len(info.image_shape)
+        if single:
+            batch = batch[None, ...]
+        voted = list(range(len(info.specs)))
+
+        def forward(images: list[np.ndarray]):
+            nonlocal voted
+            labels, votes, voted = self._predict(info, np.stack(images))
+            # Only what every deployed replica voted on is remembered:
+            # a degraded answer must not outlive the outage.
+            return (
+                list(zip(labels.tolist(), votes.T.tolist())),
+                len(voted) == len(info.specs),
+            )
+
+        rows = info.cache.query_batch(batch, forward)
+        labels = [label for label, _ in rows]
+        votes = [row_votes for _, row_votes in rows]
+        if len(voted) < len(info.specs):
+            # Cached rows carry every replica's vote. The replicas that
+            # voted on the misses answer the whole batch, so votes[i]
+            # belongs to models[i] on every row.
+            votes = [
+                [row[i] for i in voted] if len(row) > len(voted) else row
+                for row in votes
+            ]
+            labels = _vote(info, np.array(votes).T, voted).tolist()
+        info.queries_served += len(rows)
+        return {
+            "label": labels[0] if single else labels,
+            "votes": votes[0] if single else votes,
+            "models": [info.specs[i].model_name for i in voted],
         }
-        return result
 
     def _predict(self, info: InferenceJobInfo, batch: np.ndarray):
         """Ensemble prediction with graceful replica degradation.
@@ -424,7 +445,8 @@ class Rafiki:
         replica that keeps failing is dropped from the vote (its
         breaker opens) and probed again after the recovery window,
         re-admitting it once healthy. The request only fails when *no*
-        replica is available.
+        replica is available. Returns the labels, the vote matrix and
+        the indices of the replicas whose votes its rows are.
         """
         if len(info.breakers) != len(info.networks):
             # Directly constructed job infos (tests) get breakers lazily.
@@ -433,9 +455,11 @@ class Rafiki:
                 for spec in info.specs
             ]
         rows: list[np.ndarray] = []
-        accuracies: list[float] = []
+        voted: list[int] = []
         registry = telemetry.get_registry()
-        for spec, network, breaker in zip(info.specs, info.networks, info.breakers):
+        for index, (spec, network, breaker) in enumerate(
+            zip(info.specs, info.networks, info.breakers)
+        ):
             if not breaker.allow():
                 continue
             try:
@@ -449,7 +473,7 @@ class Rafiki:
                 ).inc(model=spec.model_name)
                 continue
             breaker.record_success()
-            accuracies.append(spec.performance)
+            voted.append(index)
         registry.gauge(
             "repro_serve_replicas_live",
             "Replicas currently admitted to the ensemble, by job.",
@@ -459,7 +483,7 @@ class Rafiki:
                 f"inference job {info.job_id!r} has no live model replicas"
             )
         votes = np.vstack(rows)
-        return majority_vote(votes, np.array(accuracies)), votes
+        return _vote(info, votes, voted), votes, voted
 
     def profile_inference_job(self, job_id: str, batch_sizes=(1, 8, 16, 32)):
         """Measure the deployed networks' latency cards (Figure 3 style).
@@ -509,8 +533,7 @@ class Rafiki:
                 {"model_name": spec.model_name, "version": entry.version,
                  "performance": spec.performance}
             )
-        if info.cache is not None:
-            info.cache.invalidate_all()
+        info.cache.invalidate_all()
         telemetry.get_registry().counter(
             "repro_serve_redeploys_total", "Inference-job parameter reloads."
         ).inc(job=job_id)
@@ -522,6 +545,13 @@ class Rafiki:
         info.status = "stopped"
         if info.cluster_job_id is not None:
             self.cluster.stop_job(info.cluster_job_id)
+
+
+def _vote(info: InferenceJobInfo, votes: np.ndarray, voted: list[int]) -> np.ndarray:
+    """Section 5.2's vote over ``votes``, whose rows replicas ``voted`` cast."""
+    return majority_vote(
+        votes, np.array([info.specs[i].performance for i in voted])
+    )
 
 
 def _node_capacity(gpus: int):

@@ -128,17 +128,15 @@ class UdfBatchDispatcher:
         if self.cache_capacity > 0:
             cache = self._caches.get(key)
             if cache is None:
-                cache = self._caches[key] = PredictionCache(
-                    predict=None, capacity=self.cache_capacity
-                )
+                cache = self._caches[key] = PredictionCache(self.cache_capacity)
         else:
             # Caching disabled: a throwaway cache still collapses
             # duplicates within this one batch, but remembers nothing.
-            cache = PredictionCache(predict=None, capacity=max(1, len(args)))
+            cache = PredictionCache(len(args))
         hits_before, misses_before = cache.hits, cache.misses
         values = cache.query_batch(
             args,
-            predict_batch=lambda misses: self._dispatch_all(name, misses),
+            predict_batch=lambda misses: (self._dispatch_all(name, misses), True),
             key=_scalar_key,
         )
         if self.cache_capacity > 0:

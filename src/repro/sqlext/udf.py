@@ -106,28 +106,22 @@ def make_inference_udf(
     """Build a UDF that classifies ``image_store[path]`` via the gateway.
 
     The returned callable mirrors the case study's ``food_name``: it
-    posts the image to ``/query/<job>`` and maps the predicted class id
-    to ``label_names`` when given. When the model is re-trained and the
-    job re-deployed, only ``inference_job_id`` changes — the SQL query
-    at the database user's side is untouched.
+    posts the image to ``/query/<job>`` (a
+    :func:`make_batched_inference_udf` batch of one) and maps the
+    predicted class id to ``label_names`` when given, remembering the
+    answer per path unless ``memoize`` is off. When the model is
+    re-trained and the job re-deployed, only ``inference_job_id``
+    changes — the SQL query at the database user's side is untouched.
     """
+    batch_udf = make_batched_inference_udf(
+        gateway, inference_job_id, image_store, label_names
+    )
     cache: dict[str, Any] = {}
 
     def _udf(image_path: str) -> Any:
         if memoize and image_path in cache:
             return cache[image_path]
-        if image_path not in image_store:
-            raise SQLExecutionError(f"no image at path {image_path!r}")
-        image = np.asarray(image_store[image_path])
-        response = gateway.handle(
-            "POST", f"/query/{inference_job_id}", {"img": image.tolist()}
-        )
-        if not response.ok:
-            raise SQLExecutionError(
-                f"inference call failed: {response.body.get('error')}"
-            )
-        label = response.body["label"]
-        result = label_names[label] if label_names is not None else label
+        result = batch_udf([image_path])[0]
         if memoize:
             cache[image_path] = result
         return result

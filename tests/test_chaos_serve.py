@@ -85,9 +85,10 @@ class TestReplicaDegradation:
             # two failing calls trip the flaky replica's breaker; the
             # steady replica keeps answering alone
             for _ in range(2):
-                labels, votes = system._predict(info, batch)
+                labels, votes, voted = system._predict(info, batch)
                 assert labels.tolist() == [1, 1, 1, 1]
                 assert votes.shape == (1, 4)
+                assert voted == [1]
             assert info.live_replicas() == [1]
             # while open, the flaky replica is not even attempted
             system._predict(info, batch)
@@ -95,8 +96,9 @@ class TestReplicaDegradation:
             # after the recovery window the probe succeeds (the fault
             # budget is spent) and the replica rejoins the vote
             manual_clock.advance(10.0)
-            labels, votes = system._predict(info, batch)
+            labels, votes, voted = system._predict(info, batch)
             assert votes.shape == (2, 4)
+            assert voted == [0, 1]
             assert info.live_replicas() == [0, 1]
             # the higher-accuracy replica dominates the weighted vote
             assert labels.tolist() == [0, 0, 0, 0]

@@ -1,14 +1,23 @@
 """Tests for the extension features: UCB model selection (Ease.ml-style)
-and the Clipper-style prediction cache."""
+and the Clipper-style prediction cache every query route goes through."""
+
+import asyncio
+import json
 
 import numpy as np
 import pytest
 
+from repro import chaos, telemetry
+from repro.api import sdk
+from repro.api.gateway import Gateway, make_query_executor
+from repro.chaos import FaultKind, FaultPlan, FaultRule
 from repro.core.serve import PredictionCache
+from repro.core.serve.frontend import AsyncServeFrontend, FrontendConfig
 from repro.core.system import Rafiki
 from repro.core.tune import HyperConf
 from repro.data import make_image_classification
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, RequestShedError
+from repro.sqlext import make_batched_inference_udf
 from repro.zoo import UCBModelSelector
 
 
@@ -55,88 +64,132 @@ class TestUCBModelSelector:
             UCBModelSelector(["a", "a"])
 
 
+def summing(calls=None, remember=True):
+    """A miss callback: one float per input; logs the size of each call."""
+
+    def predict_batch(items):
+        if calls is not None:
+            calls.append(len(items))
+        return [float(np.sum(item)) for item in items], remember
+
+    return predict_batch
+
+
 class TestPredictionCache:
     def test_repeated_input_hits_cache(self, rng):
         calls = []
-
-        def predict(x):
-            calls.append(1)
-            return float(x.sum())
-
-        cache = PredictionCache(predict, capacity=8)
+        cache = PredictionCache(capacity=8)
         image = rng.normal(size=(3, 4, 4))
-        first = cache.query(image)
-        second = cache.query(image)
-        assert first == second
-        assert len(calls) == 1
+        first = cache.query_batch([image], summing(calls))
+        second = cache.query_batch([image], summing(calls))
+        assert first == second == [float(image.sum())]
+        assert calls == [1]
         assert cache.hits == 1
         assert cache.hit_rate == 0.5
 
     def test_distinct_inputs_miss(self, rng):
-        cache = PredictionCache(lambda x: float(x.sum()), capacity=8)
-        cache.query(rng.normal(size=(2, 2)))
-        cache.query(rng.normal(size=(2, 2)))
+        cache = PredictionCache(capacity=8)
+        cache.query_batch([rng.normal(size=(2, 2))], summing())
+        cache.query_batch([rng.normal(size=(2, 2))], summing())
         assert cache.misses == 2
         assert cache.hits == 0
 
     def test_lru_eviction(self, rng):
-        cache = PredictionCache(lambda x: float(x.sum()), capacity=2)
+        cache = PredictionCache(capacity=2)
         a, b, c = (rng.normal(size=(2,)) for _ in range(3))
-        cache.query(a)
-        cache.query(b)
-        cache.query(c)  # evicts a
+        cache.query_batch([a], summing())
+        cache.query_batch([b], summing())
+        cache.query_batch([c], summing())  # evicts a
         assert len(cache) == 2
-        cache.query(a)
+        cache.query_batch([a], summing())
         assert cache.misses == 4
 
     def test_shape_is_part_of_the_key(self):
-        cache = PredictionCache(lambda x: x.shape, capacity=8)
-        flat = np.zeros(4)
-        square = np.zeros((2, 2))
-        assert cache.query(flat) == (4,)
-        assert cache.query(square) == (2, 2)
+        cache = PredictionCache(capacity=8)
+        shapes = cache.query_batch(
+            [np.zeros(4), np.zeros((2, 2))],
+            lambda items: ([item.shape for item in items], True),
+        )
+        assert shapes == [(4,), (2, 2)]
         assert cache.misses == 2
 
     def test_invalidate_all(self, rng):
-        cache = PredictionCache(lambda x: 1, capacity=8)
+        cache = PredictionCache(capacity=8)
         image = rng.normal(size=(2,))
-        cache.query(image)
+        cache.query_batch([image], summing())
         cache.invalidate_all()
-        cache.query(image)
+        cache.query_batch([image], summing())
         assert cache.misses == 2
 
     def test_bad_capacity(self):
         with pytest.raises(ConfigurationError):
-            PredictionCache(lambda x: 1, capacity=0)
+            PredictionCache(capacity=0)
 
     def test_dtype_is_part_of_the_key(self):
         """Regression: int32 and float32 zeros share raw bytes and shape.
 
-        Before dtype joined the digest, the second query was served the
+        Before dtype joined the digest, the second input was served the
         first's cached prediction — a silently wrong result.
         """
-        cache = PredictionCache(lambda x: str(x.dtype), capacity=8)
-        assert cache.query(np.zeros(4, dtype=np.int32)) == "int32"
-        assert cache.query(np.zeros(4, dtype=np.float32)) == "float32"
+        cache = PredictionCache(capacity=8)
+        dtypes = cache.query_batch(
+            [np.zeros(4, dtype=np.int32), np.zeros(4, dtype=np.float32)],
+            lambda items: ([str(item.dtype) for item in items], True),
+        )
+        assert dtypes == ["int32", "float32"]
         assert cache.misses == 2
         assert cache.hits == 0
 
+    def test_in_batch_duplicates_cost_one_forward_row(self, rng):
+        calls = []
+        cache = PredictionCache(capacity=8)
+        a, b = rng.normal(size=(2, 3))
+        results = cache.query_batch(np.stack([a, b, a, a, b]), summing(calls))
+        assert results == [float(x.sum()) for x in (a, b, a, a, b)]
+        assert calls == [2]
+        assert (cache.misses, cache.hits) == (2, 3)
+
+    def test_fill_larger_than_capacity_returns_every_result(self, rng):
+        cache = PredictionCache(capacity=2)
+        batch = rng.normal(size=(5, 3))
+        cache.query_batch(batch[:1], summing())  # a hit the fill will evict
+        results = cache.query_batch(batch, summing())
+        assert results == [float(row.sum()) for row in batch]
+        assert len(cache) == 2
+
+    def test_results_not_to_be_remembered_serve_their_batch_only(self, rng):
+        calls = []
+        cache = PredictionCache(capacity=8)
+        a, b = rng.normal(size=(2, 3))
+        cache.query_batch([a], summing(calls))
+        once = cache.query_batch([a, b, b], summing(calls, remember=False))
+        assert once == [float(a.sum()), float(b.sum()), float(b.sum())]
+        assert len(cache) == 1
+        cache.query_batch([a, b], summing(calls))
+        assert calls == [1, 1, 1]  # b was forwarded again, a never was
+
+
+@pytest.fixture
+def deployed():
+    """A two-model job on a fresh system: (system, infer_id, info, dataset)."""
+    system = Rafiki(seed=8)
+    dataset = make_image_classification(
+        name="d", num_classes=2, image_shape=(3, 8, 8),
+        train_per_class=10, val_per_class=4, test_per_class=4,
+        difficulty=0.3, seed=8,
+    )
+    system.import_images(dataset)
+    job_id = system.create_train_job(
+        "t", "ImageClassification", "d",
+        hyper=HyperConf(max_trials=2, max_epochs_per_trial=3),
+    )
+    infer_id = system.create_inference_job(system.get_models(job_id))
+    return system, infer_id, system.get_inference_job(infer_id), dataset
+
 
 class TestFacadeQueryCache:
-    def test_repeated_queries_served_from_cache(self):
-        system = Rafiki(seed=8)
-        dataset = make_image_classification(
-            name="d", num_classes=2, image_shape=(3, 8, 8),
-            train_per_class=10, val_per_class=4, test_per_class=4,
-            difficulty=0.3, seed=8,
-        )
-        system.import_images(dataset)
-        job_id = system.create_train_job(
-            "t", "ImageClassification", "d",
-            hyper=HyperConf(max_trials=2, max_epochs_per_trial=3),
-        )
-        infer_id = system.create_inference_job(system.get_models(job_id))
-        info = system.get_inference_job(infer_id)
+    def test_repeated_queries_served_from_cache(self, deployed):
+        system, infer_id, info, dataset = deployed
         image = dataset.test_x[0]
         first = system.query(infer_id, image)
         second = system.query(infer_id, image)
@@ -144,49 +197,212 @@ class TestFacadeQueryCache:
         assert info.cache.hits == 1
         assert info.queries_served == 2
 
-    def test_redeploy_invalidates_cache(self):
-        system = Rafiki(seed=8)
-        dataset = make_image_classification(
-            name="d", num_classes=2, image_shape=(3, 8, 8),
-            train_per_class=10, val_per_class=4, test_per_class=4,
-            difficulty=0.3, seed=8,
-        )
-        system.import_images(dataset)
-        job_id = system.create_train_job(
-            "t", "ImageClassification", "d",
-            hyper=HyperConf(max_trials=2, max_epochs_per_trial=3),
-        )
-        models = system.get_models(job_id)
-        infer_id = system.create_inference_job(models)
-        info = system.get_inference_job(infer_id)
+    def test_redeploy_invalidates_cache(self, deployed):
+        system, infer_id, info, dataset = deployed
         system.query(infer_id, dataset.test_x[0])
         assert len(info.cache) == 1
         # continued training leaves a better checkpoint under the key
-        key = models[0].param_key
+        spec = info.specs[0]
         system.param_server.put(
-            key, system.param_server.get(key), performance=0.99,
-            model=models[0].model_name, dataset="d",
+            spec.param_key, system.param_server.get(spec.param_key),
+            performance=0.99, model=spec.model_name, dataset="d",
         )
         out = system.redeploy_inference_job(infer_id)
         assert out["models"][0]["performance"] == 0.99
         assert len(info.cache) == 0  # stale predictions dropped
         assert info.specs[0].performance == 0.99
 
-    def test_cache_can_be_disabled(self):
-        system = Rafiki(seed=8)
-        dataset = make_image_classification(
-            name="d", num_classes=2, image_shape=(3, 8, 8),
-            train_per_class=10, val_per_class=4, test_per_class=4,
-            difficulty=0.3, seed=8,
+    def test_every_route_is_the_one_cached_path(self, deployed, monkeypatch):
+        """Single, batch, SDK, async front end and SQL UDF: one answer.
+
+        Each route answers a cold cache with forward passes and a warm
+        one with none, counts one hit per image, and never sees an
+        answer from before a redeploy.
+        """
+        system, infer_id, info, dataset = deployed
+        images = dataset.test_x[:4]
+        assert len({image.tobytes() for image in images}) == len(images)
+        forwards = []
+        for network in info.networks:
+            inner = network.predict_labels
+            monkeypatch.setattr(
+                network, "predict_labels",
+                lambda batch, inner=inner: forwards.append(len(batch)) or inner(batch),
+            )
+        gateway = sdk.connect(system)
+        frontend = AsyncServeFrontend(
+            FrontendConfig(latency=lambda b: 0.001, tau=0.5, batch_sizes=(1, 2, 4)),
+            make_query_executor(system, infer_id),
         )
-        system.import_images(dataset)
-        job_id = system.create_train_job(
-            "t", "ImageClassification", "d",
-            hyper=HyperConf(max_trials=2, max_epochs_per_trial=3),
+        gateway.attach_frontend(infer_id, frontend)
+        food_label = make_batched_inference_udf(
+            gateway, infer_id, {str(i): image for i, image in enumerate(images)}
         )
-        infer_id = system.create_inference_job(
-            system.get_models(job_id), enable_cache=False
-        )
-        assert system.get_inference_job(infer_id).cache is None
-        result = system.query(infer_id, dataset.test_x[0])
-        assert "label" in result
+
+        def single():
+            return [system.query(infer_id, image) for image in images]
+
+        def batch():
+            result = system.query(infer_id, images)
+            return [
+                {"label": label, "votes": votes}
+                for label, votes in zip(result["label"], result["votes"])
+            ]
+
+        def through_sdk():
+            return [sdk.query(infer_id, {"img": image}) for image in images]
+
+        def through_frontend():
+            async def scenario():
+                async with frontend:
+                    return await asyncio.gather(*(
+                        gateway.handle_async(
+                            "POST", f"/query/{infer_id}", {"img": image.tolist()},
+                            client_id=f"c{i}",
+                        )
+                        for i, image in enumerate(images)
+                    ))
+            return [response.body for response in asyncio.run(scenario())]
+
+        def through_sql_udf():
+            return [{"label": label} for label in food_label([str(i) for i in range(4)])]
+
+        expected = None
+        for route in (single, batch, through_sdk, through_frontend, through_sql_udf):
+            system.redeploy_inference_job(infer_id)
+            for warm in (False, True):
+                forwards.clear()
+                hits = info.cache.hits
+                answers = route()
+                if expected is None:
+                    expected = answers
+                for answer, reference in zip(answers, expected, strict=True):
+                    assert answer["label"] == reference["label"], route.__name__
+                    assert answer.get("votes", reference["votes"]) == reference["votes"]
+                assert info.cache.hits - hits == (len(images) if warm else 0), route.__name__
+                assert bool(forwards) != warm, route.__name__
+                if not warm:
+                    # one row per image per replica, however it was batched
+                    assert sum(forwards) == len(images) * len(info.networks)
+
+
+class _NoQueue:
+    """A front end that only runs the query: what ``handle_async`` awaits."""
+
+    def __init__(self, system, infer_id):
+        self.system, self.infer_id = system, infer_id
+
+    async def submit(self, image, client_id="default", tenant="default"):
+        return self.system.query(self.infer_id, image)
+
+
+class TestOneGatewayPipeline:
+    """``handle`` and ``handle_async`` answer and count a query alike."""
+
+    def _shed(*args, **kwargs):
+        raise RequestShedError("rate_limit", 0.25)
+
+    CASES = {
+        "200": (lambda image: {"img": image}, None, None),
+        "400-missing-img": (lambda image: {}, None, None),
+        "400-ragged-img": (lambda image: {"img": [[1.0, 2.0], [3.0]]}, None, None),
+        "400-bad-body": (lambda image: {"img": {1, 2}}, None, None),
+        "403": (lambda image: {"img": image}, "suspended", None),
+        "429": (lambda image: {"img": image}, None, _shed),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sync_and_async_answer_and_count_alike(self, deployed, monkeypatch, case):
+        system, infer_id, info, dataset = deployed
+        make_body, tenant, query = self.CASES[case]
+        system.tenants.register("suspended")
+        system.tenants.suspend("suspended")
+        if query is not None:
+            monkeypatch.setattr(system, "query", query)
+        gateway = Gateway(system)
+        body = make_body(dataset.test_x[0].tolist())
+        path = f"/query/{infer_id}"
+
+        def observed(send):
+            previous = telemetry.set_registry(telemetry.MetricsRegistry())
+            try:
+                response = send()
+                registry = telemetry.get_registry()
+                return (
+                    response.status,
+                    json.dumps(response.body, sort_keys=True),
+                    registry.counter("repro_gateway_requests_total").snapshot(),
+                    sorted(registry.histogram("repro_gateway_request_seconds")
+                           .snapshot()["series"]),
+                )
+            finally:
+                telemetry.set_registry(previous)
+
+        sync = observed(lambda: gateway.handle("POST", path, body, tenant=tenant))
+        gateway.attach_frontend(infer_id, _NoQueue(system, infer_id))
+        via_frontend = observed(lambda: asyncio.run(
+            gateway.handle_async("POST", path, body, tenant=tenant)
+        ))
+        assert sync == via_frontend
+        assert sync[0] == int(case[:3])
+        assert list(sync[2].values()) == [1.0]
+        assert "route=/query/{job_id}" in next(iter(sync[2]))
+
+    def test_refused_tenant_reaches_no_handler_and_no_front_end(self, deployed):
+        system, infer_id, info, dataset = deployed
+        system.tenants.register("suspended")
+        system.tenants.suspend("suspended")
+        gateway = Gateway(system)
+        gateway.attach_frontend(infer_id, None)  # any use of it would raise
+        body = {"img": dataset.test_x[0].tolist()}
+        for response in (
+            gateway.handle("POST", f"/query/{infer_id}", body, tenant="suspended"),
+            asyncio.run(gateway.handle_async(
+                "POST", f"/query/{infer_id}", body, tenant="suspended"
+            )),
+        ):
+            assert response.status == 403
+        assert info.queries_served == 0
+
+
+class TestDegradedEnsemble:
+    def _fault(self, info):
+        return FaultPlan([
+            FaultRule(f"serve.model.{info.specs[0].model_name}",
+                      FaultKind.EXCEPTION, max_faults=1)
+        ])
+
+    def test_degraded_answer_does_not_outlive_the_outage(self, deployed):
+        """Regression: a one-vote answer used to be memoised.
+
+        With one replica faulting during ``query(x)`` the cache kept
+        ``votes == [v]`` next to ``models`` naming both replicas, and
+        served that after the replica was healthy again.
+        """
+        system, infer_id, info, dataset = deployed
+        image = dataset.test_x[0]
+        names = [spec.model_name for spec in info.specs]
+        with chaos.active(self._fault(info)):
+            degraded = system.query(infer_id, image)
+        assert degraded["models"] == names[1:]
+        assert len(degraded["votes"]) == 1
+        assert len(info.cache) == 0
+        healthy = system.query(infer_id, image)
+        assert healthy["models"] == names
+        assert len(healthy["votes"]) == 2
+        assert system.query(infer_id, image) == healthy
+        assert info.cache.hits == 1
+
+    def test_cached_rows_beside_degraded_ones_keep_votes_aligned(self, deployed):
+        system, infer_id, info, dataset = deployed
+        cached, fresh = dataset.test_x[:2]
+        full = system.query(infer_id, cached)
+        with chaos.active(self._fault(info)):
+            result = system.query(infer_id, np.stack([cached, fresh]))
+        assert result["models"] == full["models"][1:]
+        assert result["votes"][0] == full["votes"][1:]
+        assert [len(votes) for votes in result["votes"]] == [1, 1]
+        # a lone voter's vote is the label
+        assert result["label"] == [votes[0] for votes in result["votes"]]
+        # the full answer is still what the cache holds
+        assert system.query(infer_id, cached) == full

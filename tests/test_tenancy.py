@@ -545,6 +545,32 @@ class TestBatchShapeIsolation:
         assert results[0]["label"] is not None
         assert results[2]["label"] is not None
 
+    def test_wrong_shaped_first_payload_fails_alone_without_spec_datasets(
+        self, dataset
+    ):
+        # Regression: with the dataset named in the POST /inference body
+        # but not in each model dict, the executor could not find the
+        # job's image shape and took it from the first payload instead —
+        # a wrong-shaped first image then failed every request behind it.
+        system, _ = self._deployed(dataset)
+        train_id = next(iter(system.train_jobs))
+        models = [
+            {"model_name": spec.model_name, "param_key": spec.param_key,
+             "task": spec.task}
+            for spec in system.get_models(train_id)
+        ]
+        response = Gateway(system).handle(
+            "POST", "/inference", {"models": models, "dataset": "food"}
+        )
+        assert response.status == 200
+        executor = make_query_executor(system, response.body["job_id"])
+        good = dataset.test_x[0].tolist()
+        bad = np.zeros((2, 2)).tolist()
+        results = executor([bad, good, good], batch_size=3)
+        assert isinstance(results[0], GatewayError)
+        assert results[1]["label"] is not None
+        assert results[2] == results[1]
+
 
 class TestFrontendTenantLimits:
     def make(self, **kwargs):
