@@ -10,10 +10,12 @@ wins, where, by roughly what factor).
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
 
+import repro.core.tune.trial as trial_module
 from repro.core.serve import (
     DEFAULT_BATCH_SIZES,
     EnsembleScorer,
@@ -70,6 +72,16 @@ def get_scorer(names=MULTI_MODELS) -> EnsembleScorer:
 # ----------------------------------------------------------------------
 
 
+def rewind_trial_ids() -> None:
+    """Start the next study from trial id 1.
+
+    Surrogate sessions seed from the trial id, and ids come from a
+    process-global counter: without the rewind a table depends on which
+    studies ran earlier in the same process.
+    """
+    trial_module._trial_ids = itertools.count(1)
+
+
 def run_tuning_study(
     advisor: str,
     collaborative: bool,
@@ -79,6 +91,7 @@ def run_tuning_study(
     conf_kwargs: dict | None = None,
 ):
     """One Section 7.1 study on the surrogate trainer."""
+    rewind_trial_ids()
     space = section71_space()
     conf = HyperConf(
         max_trials=max_trials, max_epochs_per_trial=50, delta=0.005,

@@ -9,7 +9,7 @@ given the same total number of training epochs.
 
 import numpy as np
 import pytest
-from _harness import emit
+from _harness import emit, rewind_trial_ids
 
 from repro.core.tune import (
     HalvingMaster,
@@ -27,6 +27,7 @@ from repro.paramserver import ParameterServer
 
 
 def run_halving(seed: int):
+    rewind_trial_ids()
     advisor = SuccessiveHalvingAdvisor(
         section71_space(), initial_trials=32, initial_epochs=3, eta=2, max_rungs=4,
         rng=np.random.default_rng(seed),
@@ -39,6 +40,7 @@ def run_halving(seed: int):
 
 
 def run_random(epoch_budget: int, seed: int):
+    rewind_trial_ids()
     conf = HyperConf(max_trials=10_000, max_epochs_per_trial=50,
                      max_total_epochs=epoch_budget)
     ps = ParameterServer()
