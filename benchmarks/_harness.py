@@ -28,7 +28,7 @@ from repro.core.serve import (
 )
 from repro.core.tune import (
     BayesianAdvisor,
-    CoStudyMaster,
+    CoStudy,
     HyperConf,
     RandomSearchAdvisor,
     StudyMaster,
@@ -101,11 +101,8 @@ def run_tuning_study(
     advisor_obj = {"random": RandomSearchAdvisor, "bayesian": BayesianAdvisor}[advisor](
         space, rng=np.random.default_rng(seed)
     )
-    if collaborative:
-        master = CoStudyMaster("bench", conf, advisor_obj, param_server,
-                               rng=np.random.default_rng(seed + 7))
-    else:
-        master = StudyMaster("bench", conf, advisor_obj, param_server)
+    scheduler = CoStudy(rng=np.random.default_rng(seed + 7)) if collaborative else None
+    master = StudyMaster("bench", conf, advisor_obj, param_server, scheduler=scheduler)
     backend = SurrogateTrainer(seed=seed)
     workers = make_workers(master, backend, param_server, conf, num_workers)
     return run_study(master, workers)

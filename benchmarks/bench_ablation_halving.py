@@ -12,13 +12,11 @@ import pytest
 from _harness import emit, rewind_trial_ids
 
 from repro.core.tune import (
-    HalvingMaster,
     HyperConf,
     RandomSearchAdvisor,
     StudyMaster,
-    SuccessiveHalvingAdvisor,
+    SuccessiveHalving,
     SurrogateTrainer,
-    halving_conf,
     make_workers,
     run_study,
     section71_space,
@@ -28,13 +26,16 @@ from repro.paramserver import ParameterServer
 
 def run_halving(seed: int):
     rewind_trial_ids()
-    advisor = SuccessiveHalvingAdvisor(
-        section71_space(), initial_trials=32, initial_epochs=3, eta=2, max_rungs=4,
-        rng=np.random.default_rng(seed),
+    scheduler = SuccessiveHalving(
+        initial_trials=32, initial_epochs=3, eta=2, max_rungs=4
     )
-    conf = halving_conf(advisor)
+    conf = scheduler.conf()
     ps = ParameterServer()
-    master = HalvingMaster("sh-bench", conf, advisor, ps)
+    master = StudyMaster(
+        "sh-bench", conf,
+        RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(seed)), ps,
+        scheduler=scheduler,
+    )
     workers = make_workers(master, SurrogateTrainer(seed=seed), ps, conf, 3)
     return run_study(master, workers)
 

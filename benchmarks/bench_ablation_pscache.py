@@ -12,9 +12,10 @@ import pytest
 from _harness import emit
 
 from repro.core.tune import (
-    CoStudyMaster,
+    CoStudy,
     HyperConf,
     RandomSearchAdvisor,
+    StudyMaster,
     SurrogateTrainer,
     make_workers,
     run_study,
@@ -27,8 +28,8 @@ def run_costudy_with_cache(cache_bytes: int, seed: int = 4):
     conf = HyperConf(max_trials=120, max_epochs_per_trial=50, delta=0.005)
     ps = ParameterServer(cache_bytes=cache_bytes)
     advisor = RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(seed))
-    master = CoStudyMaster("ps-bench", conf, advisor, ps,
-                           rng=np.random.default_rng(seed + 7))
+    master = StudyMaster("ps-bench", conf, advisor, ps,
+                         scheduler=CoStudy(rng=np.random.default_rng(seed + 7)))
     workers = make_workers(master, SurrogateTrainer(seed=seed), ps, conf, 3)
     run_study(master, workers)
     return ps

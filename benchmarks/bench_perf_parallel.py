@@ -1,9 +1,10 @@
 """Multi-core trial execution: pool vs sequential.
 
 Runs one small real-training study (RealTrainer over a synthetic image
-dataset) sequentially, then with trials farmed out to 1/2/4 child
+dataset) sequentially, then with trials farmed out to 2/4 child
 processes of a persistent worker pool (shared-memory IPC, workers
-reused across trials and studies).  A reused pool is also timed cold vs
+reused across trials and studies); ``processes=1`` is timed too and
+runs in-process, so it should read as the sequential figure.  A reused pool is also timed cold vs
 warm, since amortising worker start-up across studies is the pool's
 core win.  Records real wall-clock and IPC bytes moved for each
 configuration and checks the hard invariant: every pool run reproduces

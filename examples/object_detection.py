@@ -12,10 +12,11 @@ Run:  python examples/object_detection.py
 import numpy as np
 
 from repro.core.tune import (
-    CoStudyMaster,
+    CoStudy,
     HyperConf,
     HyperSpace,
     RandomSearchAdvisor,
+    StudyMaster,
     Trial,
     make_workers,
     run_study,
@@ -81,9 +82,9 @@ space.add_categorical_knob("hidden", "int", [32, 64, 128])
 conf = HyperConf(max_trials=8, max_epochs_per_trial=12, early_stop_patience=4,
                  delta=0.01)
 param_server = ParameterServer()
-master = CoStudyMaster(
+master = StudyMaster(
     "detect", conf, RandomSearchAdvisor(space, rng=np.random.default_rng(0)),
-    param_server, rng=np.random.default_rng(1),
+    param_server, scheduler=CoStudy(rng=np.random.default_rng(1)),
 )
 workers = make_workers(master, DetectionBackend(), param_server, conf, num_workers=2)
 report = run_study(master, workers)

@@ -12,10 +12,11 @@ Run:  python examples/sentiment_analysis.py
 import numpy as np
 
 from repro.core.tune import (
-    CoStudyMaster,
+    CoStudy,
     HyperConf,
     HyperSpace,
     RandomSearchAdvisor,
+    StudyMaster,
     Trial,
     make_workers,
     run_study,
@@ -82,9 +83,9 @@ space.add_categorical_knob("hidden", "int", [16, 32, 64])
 
 conf = HyperConf(max_trials=10, max_epochs_per_trial=8, early_stop_patience=3)
 param_server = ParameterServer()
-master = CoStudyMaster(
+master = StudyMaster(
     "sentiment", conf, RandomSearchAdvisor(space, rng=np.random.default_rng(0)),
-    param_server, rng=np.random.default_rng(1),
+    param_server, scheduler=CoStudy(rng=np.random.default_rng(1)),
 )
 workers = make_workers(master, SentimentBackend(), param_server, conf, num_workers=2)
 report = run_study(master, workers)

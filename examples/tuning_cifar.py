@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.tune import (
     BayesianAdvisor,
-    CoStudyMaster,
+    CoStudy,
     HyperConf,
     RandomSearchAdvisor,
     StudyMaster,
@@ -36,9 +36,10 @@ def run_one(advisor_name: str, collaborative: bool):
     param_server = ParameterServer()
     advisor_cls = {"random": RandomSearchAdvisor, "bayesian": BayesianAdvisor}[advisor_name]
     advisor = advisor_cls(space, rng=np.random.default_rng(SEED))
-    master_cls = CoStudyMaster if collaborative else StudyMaster
-    kwargs = {"rng": np.random.default_rng(SEED + 7)} if collaborative else {}
-    master = master_cls("cifar-study", conf, advisor, param_server, **kwargs)
+    # one master; the scheduler is the policy (none: Algorithm 1)
+    scheduler = CoStudy(rng=np.random.default_rng(SEED + 7)) if collaborative else None
+    master = StudyMaster("cifar-study", conf, advisor, param_server,
+                         scheduler=scheduler)
     backend = SurrogateTrainer(seed=SEED)
     workers = make_workers(master, backend, param_server, conf, WORKERS)
     return run_study(master, workers)

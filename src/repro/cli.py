@@ -216,7 +216,7 @@ def _cmd_ensemble(args) -> int:
 def _cmd_tune(args) -> int:
     from repro.core.tune import (
         BayesianAdvisor,
-        CoStudyMaster,
+        CoStudy,
         HyperConf,
         RandomSearchAdvisor,
         RealTrainer,
@@ -264,11 +264,10 @@ def _cmd_tune(args) -> int:
         else:
             param_server = ParameterServer()
         advisor = advisor_cls(section71_space(), rng=np.random.default_rng(args.seed))
+        scheduler = None
         if args.collaborative:
-            master = CoStudyMaster("cli", conf, advisor, param_server,
-                                   rng=np.random.default_rng(args.seed + 7))
-        else:
-            master = StudyMaster("cli", conf, advisor, param_server)
+            scheduler = CoStudy(rng=np.random.default_rng(args.seed + 7))
+        master = StudyMaster("cli", conf, advisor, param_server, scheduler=scheduler)
         workers = make_workers(master, backend, param_server, conf, args.workers)
         return master, workers
 
@@ -404,9 +403,10 @@ def _cmd_telemetry(args) -> int:
     )
     from repro.core.system import Rafiki
     from repro.core.tune import (
-        CoStudyMaster,
+        CoStudy,
         HyperConf,
         RandomSearchAdvisor,
+        StudyMaster,
         SurrogateTrainer,
         make_workers,
         run_study,
@@ -419,8 +419,8 @@ def _cmd_telemetry(args) -> int:
     conf = HyperConf(max_trials=8, max_epochs_per_trial=30, delta=0.005)
     param_server = ParameterServer()
     advisor = RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(args.seed))
-    master = CoStudyMaster("telemetry", conf, advisor, param_server,
-                           rng=np.random.default_rng(args.seed + 7))
+    master = StudyMaster("telemetry", conf, advisor, param_server,
+                         scheduler=CoStudy(rng=np.random.default_rng(args.seed + 7)))
     workers = make_workers(master, SurrogateTrainer(seed=args.seed), param_server,
                            conf, num_workers=2)
     run_study(master, workers)

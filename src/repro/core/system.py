@@ -29,7 +29,7 @@ from repro.cluster.manager import JobKind
 from repro.core.serve.pred_cache import PredictionCache
 from repro.core.tune import (
     BayesianAdvisor,
-    CoStudyMaster,
+    CoStudy,
     GridSearchAdvisor,
     HyperConf,
     HyperSpace,
@@ -285,20 +285,18 @@ class Rafiki:
                 batch_size=train_batch_size,
                 seed=self.rng_stream.root_seed,
             )
-        master_cls = CoStudyMaster if collaborative else StudyMaster
-        kwargs = {}
+        scheduler = None
         if collaborative:
-            kwargs["rng"] = self.rng_stream.get(f"alpha:{study_name}")
-        master = master_cls(
+            scheduler = CoStudy(rng=self.rng_stream.get(f"alpha:{study_name}"))
+        master = StudyMaster(
             study_name, hyper, advisor_obj, self.param_server,
-            best_key=f"{study_name}/best", **kwargs,
+            best_key=f"{study_name}/best", scheduler=scheduler,
         )
         workers = make_workers(master, backend, self.param_server, hyper, num_workers,
                                name_prefix=f"{study_name}/worker")
         report = run_study(master, workers)
         # Persist the small master state (Section 6.3 failure recovery).
-        if isinstance(master, CoStudyMaster):
-            self.checkpoints.save(study_name, master.checkpoint_state())
+        self.checkpoints.save(study_name, master.checkpoint_state())
         return report
 
     def get_train_job(self, job_id: str) -> TrainJobInfo:

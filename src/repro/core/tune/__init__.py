@@ -1,10 +1,12 @@
 """The training service: distributed hyper-parameter tuning.
 
 Public pieces: the :class:`HyperSpace` programming model (Figure 4),
-:class:`HyperConf` (the SDK's tuning options), the trial advisors,
-the :class:`StudyMaster` (Algorithm 1) and :class:`CoStudyMaster`
-(Algorithm 2), workers, the two trainer backends, and :func:`run_study`
-which executes a study over simulated time.
+:class:`HyperConf` (the SDK's tuning options), the trial advisors, the
+one :class:`StudyMaster` and the :class:`TrialScheduler` plug-ins that
+give it a policy (none: Algorithm 1; :class:`CoStudy`: Algorithm 2;
+:class:`SuccessiveHalving`; an ordered list of them composes), workers,
+the two trainer backends, and :func:`run_study` which executes a study
+over simulated time.
 """
 
 from repro.core.tune.advisors import (
@@ -15,12 +17,24 @@ from repro.core.tune.advisors import (
 )
 from repro.core.tune.backends import RealTrainer, TrainerBackend, TrialSession
 from repro.core.tune.config import HyperConf
-from repro.core.tune.costudy import CoStudyMaster
 from repro.core.tune.early_stopping import EarlyStopper
 from repro.core.tune.hyperspace import CategoricalKnob, HyperSpace, RangeKnob
+from repro.core.tune.persistence import (
+    load_report,
+    report_from_dict,
+    report_to_dict,
+    save_report,
+)
+from repro.core.tune.pool import PoolTrialExecutor, TrialPool, run_study_parallel
 from repro.core.tune.runner import make_workers, run_study
+from repro.core.tune.schedulers import CoStudy, SuccessiveHalving, TrialScheduler
 from repro.core.tune.spaces import demo_space, section71_space
-from repro.core.tune.study import StudyHistoryEntry, StudyMaster, StudyReport
+from repro.core.tune.study import (
+    CoStudyMaster,
+    StudyHistoryEntry,
+    StudyMaster,
+    StudyReport,
+)
 from repro.core.tune.surrogate import SurrogateTrainer
 from repro.core.tune.trial import InitKind, Trial, TrialResult, TrialStatus
 from repro.core.tune.worker import TuneWorker
@@ -36,6 +50,9 @@ __all__ = [
     "BayesianAdvisor",
     "StudyMaster",
     "CoStudyMaster",
+    "TrialScheduler",
+    "CoStudy",
+    "SuccessiveHalving",
     "StudyReport",
     "StudyHistoryEntry",
     "TuneWorker",
@@ -52,29 +69,11 @@ __all__ = [
     "make_workers",
     "section71_space",
     "demo_space",
+    "report_to_dict",
+    "report_from_dict",
+    "save_report",
+    "load_report",
+    "run_study_parallel",
+    "PoolTrialExecutor",
+    "TrialPool",
 ]
-
-from repro.core.tune.persistence import (  # noqa: E402
-    load_report,
-    report_from_dict,
-    report_to_dict,
-    save_report,
-)
-
-__all__ += ["report_to_dict", "report_from_dict", "save_report", "load_report"]
-
-from repro.core.tune.halving import (  # noqa: E402
-    HalvingMaster,
-    SuccessiveHalvingAdvisor,
-    halving_conf,
-)
-
-__all__ += ["SuccessiveHalvingAdvisor", "HalvingMaster", "halving_conf"]
-
-from repro.core.tune.pool import (  # noqa: E402
-    PoolTrialExecutor,
-    TrialPool,
-    run_study_parallel,
-)
-
-__all__ += ["run_study_parallel", "PoolTrialExecutor", "TrialPool"]

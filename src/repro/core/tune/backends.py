@@ -33,7 +33,11 @@ __all__ = ["TrialSession", "TrainerBackend", "RealTrainer"]
 
 
 class TrialSession(Protocol):
-    """One in-progress trial on a worker."""
+    """One in-progress trial on a worker.
+
+    A session computed elsewhere may define ``cancel()``: the worker calls
+    it on abandoning the trial (``kStop``); ``state_dict`` keeps working.
+    """
 
     def run_epoch(self) -> float:
         """Train one epoch; return the validation accuracy after it."""

@@ -8,7 +8,7 @@ trial in flight re-runs *that same trial* from its checkpoint (trial
 sessions are deterministic in the trial, so the re-run reproduces the
 lost epochs exactly and the advisor sees the same trial sequence as a
 healthy run); otherwise it requests a fresh trial. Master state is
-checkpointed after every finished trial.
+checkpointed when the study ends.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.cluster.manager import JobKind, JobState
 from repro.cluster.message import Message, MessageType
 from repro.core.tune.backends import TrainerBackend
 from repro.core.tune.config import HyperConf
-from repro.core.tune.costudy import CoStudyMaster
 from repro.core.tune.runner import worker_process
 from repro.core.tune.study import StudyMaster, StudyReport
 from repro.core.tune.trial import Trial
@@ -90,7 +89,6 @@ def run_cluster_study(
             backend=backend,
             param_server=param_server,
             conf=conf,
-            local_early_stop=master.workers_early_stop_locally,
             retry=trial_retry,
         )
         study.workers[worker.name] = worker
@@ -135,6 +133,5 @@ def run_cluster_study(
     sim.run(max_events=max_events)
     if manager.jobs[job.job_id].state in (JobState.RUNNING, JobState.DEGRADED):
         manager.complete_job(job.job_id)
-    if isinstance(master, CoStudyMaster):
-        manager.checkpoints.save(master.study_name, master.checkpoint_state())
+    manager.checkpoints.save(master.study_name, master.checkpoint_state())
     return master.finalize(wall_time=sim.now)

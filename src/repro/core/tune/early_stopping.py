@@ -45,12 +45,12 @@ class TrialStopRule:
 
     The single statement of the rule.  A :class:`TuneWorker` and a
     free-running pool child each feed one of these the same accuracy
-    stream, so the child stops at exactly the parent's epoch.
-    ``local_early_stop=False`` (CoStudy: the master decides) leaves
-    only the epoch cap.
+    stream, so the child stops at exactly the parent's epoch.  A trial
+    whose ``local_early_stop`` the scheduler cleared (CoStudy: the
+    master decides) has only the epoch cap.
     """
 
-    def __init__(self, trial, conf, local_early_stop: bool):
+    def __init__(self, trial, conf):
         self.epoch_cap = (
             trial.max_epochs
             if trial.max_epochs is not None
@@ -58,7 +58,7 @@ class TrialStopRule:
         )
         self._stopper = (
             EarlyStopper(conf.early_stop_patience, conf.early_stop_min_delta)
-            if local_early_stop
+            if trial.local_early_stop
             else None
         )
         self.epochs = 0

@@ -119,7 +119,6 @@ class _PoolSpec:
     arch_knobs: tuple[str, ...]
     seed: int
     conf: HyperConf
-    local_early_stop: bool
 
     @property
     def fingerprint(self) -> tuple:
@@ -212,14 +211,19 @@ def _discard_state(payload: dict[str, Any] | None, arena: ShmArena) -> None:
 # ----------------------------------------------------------------------
 
 
-def _pool_worker(prefix: str, conn: Connection) -> None:
+def _pool_worker(prefix: str, conn: Connection, inherited: list[Connection]) -> None:
     """Long-lived child: rebuild trainers lazily, run trials until told to stop.
 
     Jobs arrive on ``conn``; records go back on it, each tagged with
     the job's ``generation`` and trial id: ``epoch`` after every epoch
     (with a state snapshot when the master stops trials centrally),
-    ``done`` with the final state, ``error`` with the exception repr.
+    ``done`` with the final state, ``cancelled`` when the parent sent
+    the tag back (nobody reads that run any more), ``error`` with the
+    exception repr.  ``inherited`` are the parent's pipe ends copied at
+    fork: while a copy is open, a killed parent reads as EOF to nobody.
     """
+    for end in inherited:
+        end.close()
     arena = ShmArena(prefix=prefix)
     clock = telemetry.get_clock()
     trainers: dict[tuple, tuple[RealTrainer, _ShmDataset]] = {}
@@ -253,6 +257,8 @@ def _pool_worker(prefix: str, conn: Connection) -> None:
                 return
             if job is None:
                 return
+            if len(job) == 2:  # a cancel that crossed its trial's last record
+                continue
             spec, trial, init_payload, generation = job
             tag = (generation, trial.trial_id)
             started = clock.now()
@@ -260,13 +266,13 @@ def _pool_worker(prefix: str, conn: Connection) -> None:
                 session = trainer_for(spec).start(
                     trial, _copy_state(init_payload, arena)
                 )
-                stop_rule = TrialStopRule(trial, spec.conf, spec.local_early_stop)
-                finished = False
-                while not finished:
+                stop_rule = TrialStopRule(trial, spec.conf)
+                finished = cancelled = False
+                while not (finished or cancelled):
                     chaos.fire("tune.pool.trial")
                     accuracy = session.run_epoch()
                     snapshot, shm_bytes = None, 0
-                    if not spec.local_early_stop:
+                    if not trial.local_early_stop:
                         # the parent may be stopped (and asked to kPut)
                         # after any epoch, so it needs every epoch's state
                         snapshot, shm_bytes, _ = _pack_state(
@@ -274,6 +280,13 @@ def _pool_worker(prefix: str, conn: Connection) -> None:
                         )
                     conn.send(("epoch", *tag, float(accuracy), snapshot, shm_bytes))
                     finished = stop_rule.update(accuracy)
+                    # mid-trial the pipe carries only cancels (jobs go
+                    # to idle workers); one for an earlier trial is stale
+                    while not cancelled and conn.poll():
+                        cancelled = conn.recv() == tag
+                if cancelled:
+                    conn.send(("cancelled", *tag))
+                    continue
                 final_payload, final_shm, _ = _pack_state(session.state_dict(), arena)
                 conn.send(
                     ("done", *tag, final_payload, final_shm, clock.now() - started)
@@ -350,8 +363,11 @@ class TrialPool:
 
     def _spawn_worker(self) -> None:
         parent_end, child_end = self._ctx.Pipe()
+        inherited = [parent_end, *(worker.conn for worker in self._workers)]
         proc = self._ctx.Process(
-            target=_pool_worker, args=(self.arena.prefix, child_end), daemon=True
+            target=_pool_worker,
+            args=(self.arena.prefix, child_end, inherited),
+            daemon=True,
         )
         proc.start()
         child_end.close()  # only the worker holds it: its death reads as EOF
@@ -430,20 +446,13 @@ class TrialPool:
         init_state: dict[str, np.ndarray] | None,
     ) -> None:
         self.start()
+        # The parent may restart an in-flight trial (e.g. a parent-side
+        # injected fault): the old run is abandoned like a stopped one.
+        self.cancel(trial.trial_id)
         state = self._trials.get(trial.trial_id)
-        if state is None or state.job is None:
-            # fresh trial (or a finished id being rerun — new generation)
-            generation = state.generation + 1 if state is not None else 0
-            state = _TrialState(generation=generation)
-            self._trials[trial.trial_id] = state
-        else:
-            # the parent restarted an in-flight trial (e.g. a parent-side
-            # injected fault): discard the old run's stream entirely.
-            state.generation += 1
-            state.records.clear()
-            state.consumed = 0
-            state.skip = 0
-            self._release_init(state)
+        # a new generation whenever the id was seen before (also: a rerun)
+        generation = state.generation + 1 if state is not None else 0
+        state = self._trials[trial.trial_id] = _TrialState(generation=generation)
         init_payload = None
         if init_state:
             init_payload = {}
@@ -483,6 +492,28 @@ class TrialPool:
         self._registry().gauge(
             "repro_tune_pool_queue_depth", "Jobs waiting for an idle worker."
         ).set(len(self._pending))
+
+    def cancel(self, trial_id: int) -> None:
+        """Abandon an in-flight trial (``kStop``): its worker stops after
+        the current epoch, and what it still sends is of a stale generation
+        and is freed — :meth:`drain` need not wait for the epoch cap."""
+        state = self._trials.get(trial_id)
+        if state is None or state.job is None:
+            return  # never submitted, or already ran to its end
+        held = (trial_id, state.generation)
+        state.generation += 1
+        state.job = None
+        state.records.clear()
+        self._release_init(state)
+        self._pending = deque(
+            job for job in self._pending if (job[1].trial_id, job[3]) != held
+        )
+        for worker in self._workers:
+            if worker.job == held:
+                try:
+                    worker.conn.send((held[1], trial_id))
+                except OSError:  # dead: _pump replaces it, re-issues nothing
+                    pass
 
     # -- demultiplexing ------------------------------------------------
 
@@ -552,6 +583,9 @@ class TrialPool:
             "Real seconds a worker spent on one trial.",
             buckets=TASK_SECONDS_BUCKETS,
         ).observe(seconds)
+
+    def _on_cancelled(self, generation: int, trial_id: int) -> None:
+        pass  # the worker is idle again; :meth:`cancel` did the forgetting
 
     def _on_error(self, generation: int, trial_id: int, detail: str) -> None:
         state = self._trials.get(trial_id)
@@ -676,6 +710,10 @@ class _PoolSession:
         # final state is exactly the parent's stop point.
         return self._pool.await_done(self._trial_id)
 
+    def cancel(self) -> None:
+        """The worker abandoned this trial; the last snapshot stays readable."""
+        self._pool.cancel(self._trial_id)
+
     @property
     def epochs(self) -> int:
         return self._epochs
@@ -704,7 +742,6 @@ class PoolTrialExecutor:
         conf: HyperConf,
         pool: TrialPool | None = None,
         processes: int | None = None,
-        local_early_stop: bool = True,
     ):
         if not isinstance(trainer, RealTrainer):
             raise ConfigurationError(
@@ -714,7 +751,6 @@ class PoolTrialExecutor:
         self.conf = conf
         self.pool = pool if pool is not None else TrialPool(processes=processes)
         self.owns_pool = pool is None
-        self.local_early_stop = bool(local_early_stop)
         self._spec: _PoolSpec | None = None
 
     # -- lifecycle -----------------------------------------------------
@@ -749,7 +785,6 @@ class PoolTrialExecutor:
                 arch_knobs=self.trainer.arch_knobs,
                 seed=self.trainer.seed,
                 conf=self.conf,
-                local_early_stop=self.local_early_stop,
             )
         return self._spec
 
@@ -782,7 +817,8 @@ def run_study_parallel(
     Pass an already-started :class:`TrialPool` via ``pool=`` to reuse
     its workers (and their cached trainers) across consecutive studies;
     otherwise a pool of ``processes`` workers (default: one per study
-    worker, capped by the CPU count) lives for this one study.
+    worker, capped by the CPU count) lives for this one study; a pool
+    of one would be fork + IPC for no parallelism and runs in-process.
     """
     if not workers:
         raise ConfigurationError("run_study_parallel needs at least one worker")
@@ -790,13 +826,11 @@ def run_study_parallel(
         raise ConfigurationError(f"pool must be a TrialPool, got {type(pool).__name__}")
     if processes is None:
         processes = max(1, min(len(workers), os.cpu_count() or 1))
+    if pool is None and processes == 1:
+        return run_study(master, workers, sim=sim, max_events=max_events)
     base_backends = [worker.backend for worker in workers]
     executor = PoolTrialExecutor(
-        base_backends[0],
-        conf=workers[0].conf,
-        pool=pool,
-        processes=processes,
-        local_early_stop=master.workers_early_stop_locally,
+        base_backends[0], conf=workers[0].conf, pool=pool, processes=processes
     )
     for worker in workers:
         worker.backend = executor

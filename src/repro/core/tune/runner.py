@@ -31,14 +31,14 @@ def make_workers(
     num_workers: int,
     name_prefix: str = "worker",
 ) -> list[TuneWorker]:
-    """Create ``num_workers`` workers wired for this master's algorithm."""
+    """Create ``num_workers`` workers for ``master``'s study (workers are
+    policy-free: each trial carries its own stop rule)."""
     return [
         TuneWorker(
             name=f"{name_prefix}-{i}",
             backend=backend,
             param_server=param_server,
             conf=conf,
-            local_early_stop=master.workers_early_stop_locally,
         )
         for i in range(num_workers)
     ]

@@ -1,25 +1,38 @@
-"""``Study`` — the distributed tuning master of Algorithm 1.
+"""The study master: the one event loop of Algorithms 1 and 2.
 
-The master sits in an event loop over its mailbox: ``kRequest`` is
-answered with the next trial from the :class:`TrialAdvisor` (or a
-shutdown when the advisor is exhausted / the stop criterion holds),
-``kReport`` collects per-epoch performance, and on ``kFinish`` the
-worker whose trial set a new best is instructed to ``kPut`` its
-parameters into the parameter server so the inference service can pick
-them up instantly.
+The master sits in an event loop over its mailbox and owns the
+bookkeeping: result and epoch counts, the advisor's ``collect``, the
+report, the recovery checkpoint. Policy is its schedulers'
+(:mod:`repro.core.tune.schedulers`): ``kRequest`` is answered with
+their next trial (a fresh configuration from the :class:`TrialAdvisor`
+unless one says otherwise; a shutdown when either is exhausted or the
+stop criterion holds), every ``kReport`` and ``kFinish`` is shown to
+them, and the ``kPut``/``kStop`` replies are what they decided. No
+scheduler is Algorithm 1; :class:`CoStudy` is Algorithm 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.cluster.message import Mailbox, Message, MessageType
 from repro.core.tune.advisors.base import TrialAdvisor
 from repro.core.tune.config import HyperConf
+from repro.core.tune.schedulers import (
+    EXHAUSTED,
+    FRESH,
+    STOP,
+    WAIT,
+    CoStudy,
+    TrialScheduler,
+)
 from repro.core.tune.trial import InitKind, Trial, TrialResult
 from repro.paramserver import ParameterServer
 
-__all__ = ["StudyMaster", "StudyHistoryEntry", "StudyReport"]
+__all__ = ["StudyMaster", "CoStudyMaster", "StudyHistoryEntry", "StudyReport"]
 
 
 @dataclass
@@ -62,11 +75,12 @@ class StudyReport:
 
 
 class StudyMaster:
-    """Algorithm 1. Workers early-stop locally; the best trial's
-    parameters are pushed to the parameter server on finish."""
+    """The master of Algorithms 1 and 2; ``scheduler`` is the policy.
 
-    #: Study workers run their own early stopping.
-    workers_early_stop_locally = True
+    ``scheduler`` is one :class:`TrialScheduler` or an ordered list that
+    composes: every member sees every event, the first non-default
+    answer wins, ``kPut`` keys are unioned. None is Algorithm 1.
+    """
 
     def __init__(
         self,
@@ -76,6 +90,7 @@ class StudyMaster:
         param_server: ParameterServer,
         best_key: str | None = None,
         clock=None,
+        scheduler: TrialScheduler | Sequence[TrialScheduler] | None = None,
     ):
         self.study_name = study_name
         self.conf = conf
@@ -88,6 +103,13 @@ class StudyMaster:
         self.num_finished = 0
         self.total_epochs = 0
         self.report = StudyReport(study_name=study_name)
+        if isinstance(scheduler, TrialScheduler):
+            scheduler = [scheduler]
+        self.schedulers = list(scheduler or [TrialScheduler()])
+        for member in self.schedulers:
+            member.bind(self)
+        #: workers told to wait (a rung barrier), re-asked on every finish.
+        self._parked: list[str] = []
 
     # ------------------------------------------------------------------
     # the event loop body
@@ -113,23 +135,40 @@ class StudyMaster:
 
     def _on_request(self, message: Message) -> list[tuple[str, Message]]:
         worker = message.sender
-        if self.done or not self.conf.should_continue(self.num_finished, self.total_epochs):
+        trial = EXHAUSTED
+        if not self.done and self.conf.should_continue(
+            self.num_finished, self.total_epochs
+        ):
+            for scheduler in self.schedulers:
+                trial = scheduler.next_trial(worker)
+                if trial is not FRESH:
+                    break
+        if trial is WAIT:
+            if worker not in self._parked:
+                self._parked.append(worker)
+            return []
+        if trial is FRESH:
+            params = self.advisor.next(worker)
+            trial = Trial(params=params) if params is not None else EXHAUSTED
+        if trial is EXHAUSTED:
             self.done = True
             return [(worker, Message(MessageType.SHUTDOWN, self.study_name))]
-        params = self.advisor.next(worker)
-        if params is None:
-            self.done = True
-            return [(worker, Message(MessageType.SHUTDOWN, self.study_name))]
-        trial = self._make_trial(params)
+        for scheduler in self.schedulers:
+            scheduler.on_trial_add(trial)
         return [(worker, Message(MessageType.TRIAL, self.study_name, {"trial": trial}))]
 
-    def _make_trial(self, params: dict) -> Trial:
-        """Study always starts trials from random initialisation."""
-        return Trial(params=params, init_kind=InitKind.RANDOM)
-
     def _on_report(self, message: Message) -> list[tuple[str, Message]]:
-        """Per-epoch reports: Study needs no central action."""
-        return []
+        worker, trial = message.sender, message.payload["trial"]
+        performance = float(message.payload["p"])
+        stop, keys = False, []
+        for scheduler in self.schedulers:
+            decision, more = scheduler.on_trial_result(worker, trial, performance)
+            stop = stop or decision is STOP
+            keys += more
+        replies = self._puts(worker, keys, performance)
+        if stop:
+            replies.append((worker, Message(MessageType.STOP, self.study_name)))
+        return replies
 
     def _on_finish(self, message: Message) -> list[tuple[str, Message]]:
         result = TrialResult(
@@ -142,21 +181,21 @@ class StudyMaster:
         self.num_finished += 1
         self.total_epochs += result.epochs
         self._record(result)
-        replies: list[tuple[str, Message]] = []
-        if self.advisor.is_best(message.sender):
-            replies.append(
-                (
-                    message.sender,
-                    Message(
-                        MessageType.PUT,
-                        self.study_name,
-                        {"key": self.best_key, "performance": result.performance},
-                    ),
-                )
-            )
+        keys = [k for s in self.schedulers for k in s.on_trial_complete(result)]
         if not self.conf.should_continue(self.num_finished, self.total_epochs):
             self.done = True
-        return replies
+        # the finish may have freed what parked workers were waiting for
+        parked, self._parked = self._parked, []
+        for worker in parked:
+            self.mailbox.send(Message(MessageType.REQUEST, worker))
+        return self._puts(message.sender, keys, result.performance)
+
+    def _puts(self, worker: str, keys: list[str], performance: float):
+        return [
+            (worker, Message(MessageType.PUT, self.study_name,
+                             {"key": key, "performance": performance}))
+            for key in dict.fromkeys(keys)  # the union, in first-named order
+        ]
 
     def _record(self, result: TrialResult) -> None:
         self.report.results.append(result)
@@ -181,3 +220,35 @@ class StudyMaster:
         """Stamp the wall time and return the report (Algorithm 1 line 20)."""
         self.report.wall_time = wall_time
         return self.report
+
+    # ------------------------------------------------------------------
+    # failure recovery (Section 6.3): master state is small
+    # ------------------------------------------------------------------
+
+    def checkpoint_state(self) -> dict:
+        """The small master state Rafiki checkpoints for recovery."""
+        state = {"num_finished": self.num_finished, "total_epochs": self.total_epochs}
+        for scheduler in self.schedulers:
+            state.update(scheduler.checkpoint_state())
+        return state
+
+    def restore_state(self, state: dict) -> None:
+        """Resume the counts (and the schedulers) from a checkpoint."""
+        self.num_finished = int(state["num_finished"])
+        self.total_epochs = int(state["total_epochs"])
+        for scheduler in self.schedulers:
+            scheduler.restore_state(state)
+
+
+def CoStudyMaster(
+    study_name: str,
+    conf: HyperConf,
+    advisor: TrialAdvisor,
+    param_server: ParameterServer,
+    best_key: str | None = None,
+    clock=None,
+    rng: np.random.Generator | None = None,
+) -> StudyMaster:
+    """Algorithm 2: a :class:`StudyMaster` scheduled by :class:`CoStudy`."""
+    scheduler = CoStudy(rng=rng)
+    return StudyMaster(study_name, conf, advisor, param_server, best_key, clock, scheduler)

@@ -44,6 +44,10 @@ class Trial:
     #: per-trial epoch budget override (successive halving assigns
     #: rung-specific budgets); None defers to the study configuration.
     max_epochs: int | None = None
+    #: the worker ends this trial by the study's patience rule
+    #: (Algorithm 1); cleared by a scheduler that stops or checkpoints
+    #: trials from their reports (Algorithm 2) or budgets them exactly.
+    local_early_stop: bool = True
 
     def describe(self) -> str:
         knobs = ", ".join(f"{k}={v!r}" for k, v in sorted(self.params.items()))

@@ -36,7 +36,6 @@ class TuneWorker:
         backend: TrainerBackend,
         param_server: ParameterServer,
         conf: HyperConf,
-        local_early_stop: bool = True,
         retry: RetryPolicy | None = None,
     ):
         self.name = name
@@ -46,9 +45,6 @@ class TuneWorker:
         #: how often a crashed trial (an injected ``tune.trial`` fault)
         #: is restarted from its checkpoint before being reported FAILED.
         self.retry = retry if retry is not None else RetryPolicy(max_attempts=3)
-        #: Study workers early-stop locally; CoStudy moves the decision
-        #: to the master (Algorithm 2 line 11), which sets this False.
-        self.local_early_stop = bool(local_early_stop)
         self.mailbox = Mailbox(name)
         self.terminated = False
         self.trials_run = 0
@@ -150,7 +146,7 @@ class TuneWorker:
         self._init_state = init_state
         self._trial_crashes = 0
         self._session = self.backend.start(trial, init_state)
-        self._stop_rule = TrialStopRule(trial, self.conf, self.local_early_stop)
+        self._stop_rule = TrialStopRule(trial, self.conf)
         self.trials_run += 1
         telemetry.get_registry().counter(
             "repro_tune_trials_started_total",
@@ -177,9 +173,7 @@ class TuneWorker:
             self._finish(TrialStatus.FAILED, outgoing)
             return
         self._session = self.backend.start(self._trial, self._init_state)
-        self._stop_rule = TrialStopRule(
-            self._trial, self.conf, self.local_early_stop
-        )
+        self._stop_rule = TrialStopRule(self._trial, self.conf)
 
     def _put_params(self, key: str, performance: float | None) -> None:
         # kPut may refer to the running session or (after kFinish, see
@@ -212,6 +206,8 @@ class TuneWorker:
                 },
             )
         )
+        if status is not TrialStatus.COMPLETED and hasattr(self._session, "cancel"):
+            self._session.cancel()  # a remote executor may still be computing
         # Keep the session parameters around: the master may still reply
         # with kPut for this just-finished trial (Algorithm 1 line 15).
         self._trial = None

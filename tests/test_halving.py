@@ -1,4 +1,4 @@
-"""Tests for the successive-halving extension."""
+"""Tests for the successive-halving scheduler."""
 
 import itertools
 
@@ -9,10 +9,10 @@ import repro.core.tune.trial as trial_module
 from repro.cluster import ClusterManager, Node
 from repro.cluster.node import Resources
 from repro.core.tune import (
-    HalvingMaster,
-    SuccessiveHalvingAdvisor,
+    RandomSearchAdvisor,
+    StudyMaster,
+    SuccessiveHalving,
     SurrogateTrainer,
-    halving_conf,
     make_workers,
     run_study,
     section71_space,
@@ -26,14 +26,15 @@ from repro.paramserver import ParameterServer
 def run_halving(initial_trials=8, initial_epochs=2, eta=2, max_rungs=3,
                 num_workers=3, seed=0, on_cluster=False):
     trial_module._trial_ids = itertools.count(1)  # same ids whichever driver
-    advisor = SuccessiveHalvingAdvisor(
-        section71_space(), initial_trials=initial_trials,
-        initial_epochs=initial_epochs, eta=eta, max_rungs=max_rungs,
-        rng=np.random.default_rng(seed), checkpoint_prefix="sh",
+    scheduler = SuccessiveHalving(
+        initial_trials=initial_trials, initial_epochs=initial_epochs, eta=eta,
+        max_rungs=max_rungs, checkpoint_prefix="sh",
     )
-    conf = halving_conf(advisor)
+    conf = scheduler.conf()
     ps = ParameterServer()
-    master = HalvingMaster("sh", conf, advisor, ps)
+    # rung-0 configurations come from whatever advisor the master holds
+    advisor = RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(seed))
+    master = StudyMaster("sh", conf, advisor, ps, scheduler=scheduler)
     backend = SurrogateTrainer(seed=seed)
     if on_cluster:
         manager = ClusterManager()
@@ -42,32 +43,31 @@ def run_halving(initial_trials=8, initial_epochs=2, eta=2, max_rungs=3,
     else:
         workers = make_workers(master, backend, ps, conf, num_workers)
         report = run_study(master, workers)
-    return advisor, report, ps
+    return scheduler, report, ps
 
 
-class TestAdvisor:
+class TestAdvisor:  # the schedule's arithmetic (named for the advisor it once was)
     def test_rung_budgets_grow_by_eta(self):
-        advisor = SuccessiveHalvingAdvisor(section71_space(), initial_trials=4,
-                                           initial_epochs=3, eta=2)
-        assert advisor._rung_budget(0) == 3
-        assert advisor._rung_budget(1) == 6
-        assert advisor._rung_budget(2) == 12
+        scheduler = SuccessiveHalving(initial_trials=4, initial_epochs=3, eta=2)
+        assert scheduler.rung_budget(0) == 3
+        assert scheduler.rung_budget(1) == 6
+        assert scheduler.rung_budget(2) == 12
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            SuccessiveHalvingAdvisor(section71_space(), initial_trials=1, eta=2)
+            SuccessiveHalving(initial_trials=1, eta=2)
         with pytest.raises(ConfigurationError):
-            SuccessiveHalvingAdvisor(section71_space(), eta=1)
+            SuccessiveHalving(eta=1)
 
 
 class TestHalvingStudy:
     def test_trial_counts_match_the_schedule(self):
-        advisor, report, _ = run_halving(initial_trials=8, eta=2, max_rungs=3)
+        _, report, _ = run_halving(initial_trials=8, eta=2, max_rungs=3)
         # 8 + 4 + 2 = 14 trials in total
         assert len(report.results) == 14
 
     def test_budgets_are_exact_per_rung(self):
-        advisor, report, _ = run_halving(initial_trials=8, initial_epochs=2,
+        _, report, _ = run_halving(initial_trials=8, initial_epochs=2,
                                          eta=2, max_rungs=3)
         epochs = sorted(r.epochs for r in report.results)
         assert epochs.count(2) == 8
@@ -75,7 +75,7 @@ class TestHalvingStudy:
         assert epochs.count(8) == 2
 
     def test_survivors_warm_start_from_their_own_checkpoints(self):
-        advisor, report, ps = run_halving()
+        _, report, ps = run_halving()
         continuations = [
             r for r in report.results if r.trial.init_kind is InitKind.WARM_START
         ]
@@ -86,7 +86,7 @@ class TestHalvingStudy:
 
     def test_later_rungs_score_higher(self):
         """Halving spends its budget on the best configurations."""
-        advisor, report, _ = run_halving(initial_trials=16, max_rungs=3, seed=2)
+        _, report, _ = run_halving(initial_trials=16, max_rungs=3, seed=2)
         rung0 = [r.performance for r in report.results if r.epochs == 2]
         final = [r.performance for r in report.results if r.epochs == 8]
         assert np.mean(final) > np.mean(rung0)

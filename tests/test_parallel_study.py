@@ -85,7 +85,7 @@ class TestRunStudyParallel:
     def test_backends_restored_after_run(self, tiny_dataset):
         master, workers = make_study(tiny_dataset, collaborative=False)
         original = [w.backend for w in workers]
-        run_study_parallel(master, workers, processes=1)
+        run_study_parallel(master, workers, processes=2)
         assert [w.backend for w in workers] == original
 
     def test_best_state_matches_sequential(self, tiny_dataset):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -21,11 +23,13 @@ import repro.core.tune.trial as trial_module
 from repro import chaos, telemetry
 from repro.chaos import FaultKind, FaultPlan, FaultRule
 from repro.core.tune import (
+    CoStudy,
     HyperConf,
     PoolTrialExecutor,
     RandomSearchAdvisor,
     RealTrainer,
     StudyMaster,
+    Trial,
     TrialPool,
     make_workers,
     run_study,
@@ -82,6 +86,15 @@ def wait_until_sleeping(pid: int, timeout: float = 10.0) -> None:
                 return
         time.sleep(0.01)
     raise AssertionError(f"process {pid} never went to sleep")
+
+
+def running(pid: int) -> bool:
+    """Whether the process still executes (a zombie does not) (Linux)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def leaked_segments(prefix: str) -> list[str]:
@@ -208,6 +221,124 @@ class TestPoolLifecycle:
     def test_executor_requires_real_trainer(self):
         with pytest.raises(ConfigurationError):
             PoolTrialExecutor(object(), HyperConf())
+
+    def test_one_process_runs_in_this_one(self, tiny_dataset, monkeypatch):
+        """A pool of one is fork + IPC for zero parallelism."""
+        master, workers = make_study(tiny_dataset)
+        expected = report_fingerprint(run_study(master, workers))
+
+        def no_pool(self):
+            raise AssertionError("processes=1 must not start a pool")
+
+        monkeypatch.setattr(TrialPool, "start", no_pool)
+        master, workers = make_study(tiny_dataset)
+        report = run_study_parallel(master, workers, processes=1)
+        assert report_fingerprint(report) == expected
+
+    def test_workers_exit_when_the_parent_is_killed(self):
+        """Each worker holds only its own pipe, so a SIGKILLed parent
+        reads as EOF on every job pipe — no worker sleeps on forever
+        because a sibling inherited the parent's end."""
+        script = (
+            "import time\n"
+            "from repro.core.tune import TrialPool\n"
+            "pool = TrialPool(processes=2).start()\n"
+            "print(*(w.proc.pid for w in pool._workers), flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            start_new_session=True,
+        )
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2
+            for pid in pids:
+                wait_until_sleeping(pid)  # idle: blocked reading its job pipe
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+        deadline = time.monotonic() + 10.0
+        while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in pids if running(pid)] == []
+
+
+# ----------------------------------------------------------------------
+# kStop reaches the pool
+# ----------------------------------------------------------------------
+
+
+class TestCancel:
+    def test_cancelled_child_stops_and_the_pool_stays_usable(self, tiny_dataset):
+        """The child looks for a cancel after every epoch it sends, so an
+        abandoned trial costs at most the epoch in progress — not the
+        epoch cap :meth:`TrialPool.drain` used to wait for."""
+        cap = 1_000_000
+        conf = HyperConf(max_trials=1, max_epochs_per_trial=cap)
+        backend = RealTrainer(
+            tiny_dataset, build_mlp, batch_size=16, use_augmentation=False, seed=11
+        )
+        records = telemetry.get_registry().counter(
+            "repro_tune_pool_records_total",
+            "Records received from workers, by kind.",
+        )
+        params = {"lr": 0.05, "momentum": 0.5}
+        with TrialPool(processes=1) as pool:
+            executor = PoolTrialExecutor(backend, conf, pool=pool)
+            session = executor.start(
+                Trial(params=params, local_early_stop=False), None
+            )
+            session.run_epoch()
+            snapshot = session.state_dict()
+            session.cancel()
+            pool.drain()  # returns: the child did not run to the cap
+            assert records.value(kind="cancelled") == 1
+            assert records.value(kind="epoch") < cap
+            assert session.state_dict() is snapshot  # kPut after kStop still works
+            session.cancel()  # a second cancel (or one after the end) is a no-op
+            # the worker is idle again and takes the next trial
+            again = executor.start(Trial(params=params, max_epochs=2), None)
+            assert [again.run_epoch() for _ in range(2)]
+            assert again.state_dict() is not None
+            executor.finish_study()
+        assert leaked_segments(pool.arena.prefix) == []
+
+    def test_costudy_kstop_cancels_children_and_report_is_bit_identical(
+        self, tiny_dataset
+    ):
+        """A CoStudy whose master-side patience fires long before the
+        epoch cap: every kStop becomes a cancel, the children stop, and
+        the report still equals the sequential run's."""
+        cap, trials = 400, 4
+
+        def study():
+            trial_module._trial_ids = itertools.count(1)
+            conf = HyperConf(max_trials=trials, max_epochs_per_trial=cap,
+                             early_stop_patience=1, delta=0.005)
+            ps = ParameterServer()
+            advisor = RandomSearchAdvisor(tiny_space(), rng=np.random.default_rng(3))
+            master = StudyMaster("stop", conf, advisor, ps,
+                                 scheduler=CoStudy(rng=np.random.default_rng(10)))
+            backend = RealTrainer(tiny_dataset, build_mlp, batch_size=16,
+                                  use_augmentation=False, seed=11)
+            return master, make_workers(master, backend, ps, conf, num_workers=2)
+
+        sequential = run_study(*study())
+        stopped = sum(r.trial.status.value == "stopped" for r in sequential.results)
+        assert stopped >= trials and sequential.total_epochs < trials * cap // 10
+        records = telemetry.get_registry().counter(
+            "repro_tune_pool_records_total",
+            "Records received from workers, by kind.",
+        )
+        parallel = run_study_parallel(*study(), processes=2)
+        assert report_fingerprint(parallel) == report_fingerprint(sequential)
+        assert records.value(kind="cancelled") == stopped
+        assert records.value(kind="done") == 0
+        # children ran ahead of the simulated-time parent, but nowhere
+        # near the cap they used to free-run to
+        assert records.value(kind="epoch") < len(parallel.results) * cap // 2
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +513,7 @@ class TestCrashRecovery:
         master, workers = make_study(tiny_dataset, max_trials=1)
         with chaos.active(plan):
             with pytest.raises(RuntimeError, match="failed in worker"):
-                run_study_parallel(master, workers, processes=1)
+                run_study_parallel(master, workers, processes=2)
 
 
 # ----------------------------------------------------------------------

@@ -21,11 +21,10 @@ from repro.exceptions import ConfigurationError
 from repro.paramserver import ParameterServer
 
 
-def minimal_worker(local_early_stop=True):
+def minimal_worker():
     conf = HyperConf(max_trials=2, max_epochs_per_trial=5)
     ps = ParameterServer()
-    return TuneWorker("w", SurrogateTrainer(), ps, conf,
-                      local_early_stop=local_early_stop), ps
+    return TuneWorker("w", SurrogateTrainer(), ps, conf), ps
 
 
 class TestWorkerEdges:

@@ -1,9 +1,12 @@
-"""Tests for the Study / CoStudy masters and the worker protocol."""
+"""Whole-study tests for Study / CoStudy and the worker protocol.
+
+Message-level replies per scheduler are pinned by the protocol table in
+``tests/test_schedulers.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.cluster.message import Message, MessageType
 from repro.core.tune import (
     CoStudyMaster,
     HyperConf,
@@ -79,11 +82,6 @@ class TestStudy:
         assert report.total_epochs >= 60
         assert len(report.results) < 500
 
-    def test_unknown_message_ignored(self):
-        master, _, _ = build_study()
-        master.mailbox.send(Message(MessageType.PUT, "w"))
-        assert master.step() == []
-
 
 class TestCoStudy:
     def test_warm_starts_dominate_after_alpha_decay(self):
@@ -91,16 +89,7 @@ class TestCoStudy:
             "costudy", max_trials=40, alpha0=0.5, alpha_decay=0.7, alpha_min=0.05
         )
         run_study(master, workers)
-        assert master.warm_inits > master.random_inits
-
-    def test_first_trials_random_before_checkpoint_exists(self):
-        master, workers, _ = build_study(
-            "costudy", max_trials=5, alpha0=0.0, alpha_min=0.0
-        )
-        # alpha0=0 forces warm starts, but without a checkpoint the
-        # master must still fall back to random initialisation.
-        report = run_study(master, workers)
-        assert report.results[0].trial.init_kind is InitKind.RANDOM
+        assert master.schedulers[0].warm_inits > master.schedulers[0].random_inits
 
     def test_checkpoint_ratchets_upward(self):
         master, workers, ps = build_study("costudy", max_trials=30, delta=0.005)
@@ -139,7 +128,9 @@ class TestCoStudy:
         fresh_master, _, _ = build_study("costudy", max_trials=10)
         fresh_master.restore_state(state)
         assert fresh_master.num_finished == master.num_finished
-        assert fresh_master.best_p == master.best_p
+        (restored,), (costudy,) = fresh_master.schedulers, master.schedulers
+        assert restored.best_p == costudy.best_p
+        assert restored.warm_inits == costudy.warm_inits
 
     def test_master_side_early_stopping_sends_stop(self):
         """CoStudy masters stop plateaued workers (Algorithm 2 line 11)."""
