@@ -10,12 +10,10 @@ wins, where, by roughly what factor).
 
 from __future__ import annotations
 
-import itertools
 import os
 
 import numpy as np
 
-import repro.core.tune.trial as trial_module
 from repro.core.serve import (
     DEFAULT_BATCH_SIZES,
     EnsembleScorer,
@@ -37,6 +35,7 @@ from repro.core.tune import (
     run_study,
     section71_space,
 )
+from repro.core.tune.trial import rewind_trial_ids
 from repro.paramserver import ParameterServer
 from repro.zoo import get_profile
 
@@ -70,16 +69,6 @@ def get_scorer(names=MULTI_MODELS) -> EnsembleScorer:
 # ----------------------------------------------------------------------
 # tuning studies (Figures 8, 9, 11)
 # ----------------------------------------------------------------------
-
-
-def rewind_trial_ids() -> None:
-    """Start the next study from trial id 1.
-
-    Surrogate sessions seed from the trial id, and ids come from a
-    process-global counter: without the rewind a table depends on which
-    studies ran earlier in the same process.
-    """
-    trial_module._trial_ids = itertools.count(1)
 
 
 def run_tuning_study(

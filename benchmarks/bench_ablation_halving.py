@@ -9,7 +9,7 @@ given the same total number of training epochs.
 
 import numpy as np
 import pytest
-from _harness import emit, rewind_trial_ids
+from _harness import emit
 
 from repro.core.tune import (
     HyperConf,
@@ -21,6 +21,7 @@ from repro.core.tune import (
     run_study,
     section71_space,
 )
+from repro.core.tune.trial import rewind_trial_ids
 from repro.paramserver import ParameterServer
 
 

@@ -58,12 +58,11 @@ dataset = make_image_classification(
 
 # Sequential and parallel runs must hand out identical trial ids for a
 # bit-for-bit comparison; rewind the global counter between them.
-import repro.core.tune.trial as trial_module
-import itertools
+from repro.core.tune.trial import rewind_trial_ids
 
 results = {}
 for mode in ("sequential", "parallel"):
-    trial_module._trial_ids = itertools.count(1)
+    rewind_trial_ids()
     master, workers = make_study(dataset)
     start = time.perf_counter()
     if mode == "parallel":

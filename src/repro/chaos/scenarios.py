@@ -95,9 +95,9 @@ def _reset_id_counters() -> None:
     from repro.cluster import manager as manager_mod
     from repro.cluster import message as message_mod
     from repro.core import system as system_mod
-    from repro.core.tune import trial as trial_mod
+    from repro.core.tune.trial import rewind_trial_ids
 
-    trial_mod._trial_ids = itertools.count(1)
+    rewind_trial_ids()
     container_mod._container_ids = itertools.count(1)
     manager_mod._job_ids = itertools.count(1)
     message_mod._message_ids = itertools.count(1)

@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "pool and report cold vs warm wall-clock")
     tune.add_argument("--processes", type=int, default=0, metavar="N",
                       help="with --real: run trials on a persistent pool of N "
-                           "child processes with shared-memory IPC "
+                           "child processes, one pipe to each "
                            "(0 = in-process)")
     tune.add_argument("--ps-shards", type=int, default=1, metavar="N",
                       help="serve the parameter server through N failover "
@@ -272,18 +272,17 @@ def _cmd_tune(args) -> int:
         return master, workers
 
     if args.pool_reuse:
-        import itertools
         import time
 
-        import repro.core.tune.trial as trial_module
         from repro.core.tune import TrialPool
+        from repro.core.tune.trial import rewind_trial_ids
 
         walls = []
         fingerprints = []
         with TrialPool(processes=args.processes) as pool:
             for label in ("cold", "warm"):
                 # rewind trial ids so both studies are comparable
-                trial_module._trial_ids = itertools.count(1)
+                rewind_trial_ids()
                 master, workers = build_study()
                 started = time.perf_counter()
                 report = run_study_parallel(master, workers, pool=pool)

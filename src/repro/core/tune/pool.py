@@ -1,4 +1,4 @@
-"""Persistent worker pool with shared-memory IPC for trial execution.
+"""Persistent worker pool for trial execution, one pipe per worker.
 
 :func:`~repro.core.tune.runner.run_study` interleaves every worker's
 epochs on one core: simulated time overlaps, real time does not.  A
@@ -14,14 +14,17 @@ therefore the simulated-time :class:`StudyReport`, untouched:
   rebuilt :class:`RealTrainer` per study spec (and, being long-lived,
   keep the process-level im2col/col2im index memos warm between
   trials).
-* Datasets and warm-start/parameter state tensors travel through
-  ``multiprocessing.shared_memory`` as :class:`~repro.utils.shm.ShmTensor`
-  handles — children map **zero-copy read-only views**; only scalars
-  and arrays under :data:`SHM_MIN_BYTES` are ever pickled.
-* Every worker has its **own duplex pipe**.  The parent hands each job
-  to one specific idle worker and sleeps on all pipes and process
-  sentinels at once, so it always knows which job a worker holds and a
-  dying worker can take nothing shared (no queue lock) with it.
+* Every worker has its **own duplex pipe**, and that pipe is the
+  pool's only transport: jobs, cancels, warm-start states, per-epoch
+  snapshots and final states all cross it as pickled records.  The
+  parent hands each job to one specific idle worker and sleeps on all
+  pipes and process sentinels at once, so it always knows which job a
+  worker holds and a dying worker can take nothing shared (no queue
+  lock, no OS resource) with it.
+* A study's **dataset rides the first job** of its spec that a worker
+  is handed: the parent records what each worker's bounded trainer
+  cache holds (:func:`_cache_put` is the one eviction rule both sides
+  run), and a replacement worker starts knowing nothing.
 * Children free-run whole trials and stream **one record per epoch**,
   so the sessions of a study's other workers start (and overlap) as
   soon as the first epoch of the first trial is back.  A child applies
@@ -44,7 +47,7 @@ Determinism is inherited from the sessions being pure functions of
 early-stop epochs, same :class:`StudyReport`.
 
 Telemetry (parent-side): pool size, queue depth, task latency,
-worker restarts, and IPC bytes split into pickled-vs-shared-memory.
+worker restarts, and IPC bytes by direction.
 """
 
 from __future__ import annotations
@@ -70,14 +73,11 @@ from repro.core.tune.worker import TuneWorker
 from repro.data.datasets import ImageDataset
 from repro.exceptions import ConfigurationError
 from repro.sim import Simulator
-from repro.utils.shm import ShmArena, ShmTensor
 
 __all__ = ["TrialPool", "PoolTrialExecutor", "run_study_parallel"]
 
 #: task-latency histogram buckets (real seconds).
 TASK_SECONDS_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0, 60.0)
-#: state arrays at least this large travel as shared-memory handles.
-SHM_MIN_BYTES = 4096
 
 
 # ----------------------------------------------------------------------
@@ -86,32 +86,15 @@ SHM_MIN_BYTES = 4096
 
 
 @dataclass(frozen=True)
-class _ShmDataset:
-    """An :class:`ImageDataset` as shared-memory handles."""
-
-    name: str
-    num_classes: int
-    tensors: tuple[tuple[str, ShmTensor], ...]  # field -> handle
-
-    def materialise(self, arena: ShmArena) -> ImageDataset:
-        views = {key: arena.view(handle) for key, handle in self.tensors}
-        return ImageDataset(name=self.name, num_classes=self.num_classes, **views)
-
-    def handles(self) -> list[ShmTensor]:
-        return [handle for _, handle in self.tensors]
-
-
-@dataclass(frozen=True)
 class _PoolSpec:
-    """Everything a worker needs to rebuild a study's trainer.
+    """Everything but the dataset that a worker needs to build a study's trainer.
 
-    Carried on every job (it is a few hundred bytes — the dataset is
-    handles, not data); workers cache the built trainer keyed by
-    :attr:`fingerprint`, so repeat jobs and follow-up studies over the
-    same dataset skip the rebuild entirely.
+    Carried on every job (it is a few hundred bytes); workers cache the
+    built trainer keyed by :attr:`fingerprint`, so repeat jobs and
+    follow-up studies over the same dataset skip the rebuild entirely.
     """
 
-    dataset: _ShmDataset
+    dataset_key: int  # the pool's name for the dataset; the data rides the job
     builder: Any
     batch_size: int
     seconds_per_epoch: float
@@ -123,7 +106,7 @@ class _PoolSpec:
     @property
     def fingerprint(self) -> tuple:
         return (
-            tuple(handle.name for _, handle in self.dataset.tensors),
+            self.dataset_key,
             getattr(self.builder, "__module__", ""),
             getattr(self.builder, "__qualname__", repr(self.builder)),
             self.batch_size,
@@ -134,76 +117,16 @@ class _PoolSpec:
         )
 
 
-def _pack_state(
-    state: dict[str, np.ndarray], arena: ShmArena
-) -> tuple[dict[str, Any], int, int]:
-    """State dict -> payload of ShmTensor handles (big) / arrays (tiny).
+def _cache_put(cache: dict, fingerprint: tuple, value: Any) -> None:
+    """Insert into a worker's trainer cache: at most four, first in first out.
 
-    Returns ``(payload, shm_bytes, pickled_bytes_estimate)``.
+    The worker runs this on its trainers and the parent on its record
+    of what that worker holds, so both always agree on whether a job
+    still has to carry its dataset.
     """
-    payload: dict[str, Any] = {}
-    shm_bytes = 0
-    small_bytes = 0
-    for key, array in state.items():
-        if array.nbytes >= SHM_MIN_BYTES:
-            payload[key] = arena.publish(array)
-            shm_bytes += array.nbytes
-        else:
-            payload[key] = np.array(array)  # detach from live buffers
-            small_bytes += array.nbytes
-    return payload, shm_bytes, small_bytes
-
-
-def _unpack_state(payload: dict[str, Any] | None, arena: ShmArena) -> dict[str, np.ndarray] | None:
-    """Adopt a *worker-published* state dict, copying out of (and
-    unlinking) its segments.
-
-    The single ``memcpy`` here is what lets parameter views be handed
-    to the parameter server with no segment-lifetime strings attached;
-    the bytes still never transited a pickle pipe.  Only for payloads
-    whose segments this side is meant to own afterwards — for
-    parent-owned init state a worker must use :func:`_copy_state`.
-    """
-    if payload is None:
-        return None
-    state: dict[str, np.ndarray] = {}
-    for key, value in payload.items():
-        if isinstance(value, ShmTensor):
-            state[key] = np.array(arena.adopt(value))
-            arena.release(value)
-        else:
-            state[key] = value
-    return state
-
-
-def _copy_state(payload: dict[str, Any] | None, arena: ShmArena) -> dict[str, np.ndarray] | None:
-    """Materialise a packed state dict *without* taking ownership.
-
-    Used by workers for init-state payloads: the segments stay linked
-    and parent-owned, so a crashed trial can be re-dispatched with the
-    very same handles and the replacement worker attaches them again.
-    The parent unlinks via ``_release_init`` once the trial completes.
-    """
-    if payload is None:
-        return None
-    state: dict[str, np.ndarray] = {}
-    for key, value in payload.items():
-        if isinstance(value, ShmTensor):
-            state[key] = np.array(arena.view(value))
-            arena.release(value)  # drops the mapping; no unlink (not owned)
-        else:
-            state[key] = value
-    return state
-
-
-def _discard_state(payload: dict[str, Any] | None, arena: ShmArena) -> None:
-    """Free the shm segments of a payload nobody will consume."""
-    if payload is None:
-        return
-    for value in payload.values():
-        if isinstance(value, ShmTensor):
-            arena.adopt(value)
-            arena.release(value)
+    if len(cache) >= 4:  # keep the worker's footprint bounded
+        del cache[next(iter(cache))]
+    cache[fingerprint] = value
 
 
 # ----------------------------------------------------------------------
@@ -211,90 +134,70 @@ def _discard_state(payload: dict[str, Any] | None, arena: ShmArena) -> None:
 # ----------------------------------------------------------------------
 
 
-def _pool_worker(prefix: str, conn: Connection, inherited: list[Connection]) -> None:
+def _pool_worker(conn: Connection, inherited: list[Connection]) -> None:
     """Long-lived child: rebuild trainers lazily, run trials until told to stop.
 
-    Jobs arrive on ``conn``; records go back on it, each tagged with
-    the job's ``generation`` and trial id: ``epoch`` after every epoch
-    (with a state snapshot when the master stops trials centrally),
-    ``done`` with the final state, ``cancelled`` when the parent sent
-    the tag back (nobody reads that run any more), ``error`` with the
-    exception repr.  ``inherited`` are the parent's pipe ends copied at
-    fork: while a copy is open, a killed parent reads as EOF to nobody.
+    Jobs arrive on ``conn``, with the dataset when the parent knows
+    this worker holds no trainer for the spec; records go back on it,
+    each tagged with the job's ``generation`` and trial id: ``epoch``
+    after every epoch (with a state snapshot when the master stops
+    trials centrally), ``done`` with the final state, ``cancelled`` when
+    the parent sent the tag back (nobody reads that run any more),
+    ``error`` with the exception repr.  ``inherited`` are the parent's
+    pipe ends copied at fork: while a copy is open, a killed parent
+    reads as EOF to nobody.
     """
     for end in inherited:
         end.close()
-    arena = ShmArena(prefix=prefix)
     clock = telemetry.get_clock()
-    trainers: dict[tuple, tuple[RealTrainer, _ShmDataset]] = {}
+    trainers: dict[tuple, RealTrainer] = {}
 
-    def trainer_for(spec: _PoolSpec) -> RealTrainer:
-        cached = trainers.get(spec.fingerprint)
-        if cached is not None:
-            return cached[0]
-        if len(trainers) >= 4:  # keep the worker's footprint bounded
-            _, old_dataset = trainers.pop(next(iter(trainers)))
-            for handle in old_dataset.handles():
-                arena.release(handle)
-        dataset = spec.dataset.materialise(arena)
-        trainer = RealTrainer(
-            dataset=dataset,
-            builder=spec.builder,
-            batch_size=spec.batch_size,
-            seconds_per_epoch=spec.seconds_per_epoch,
-            use_augmentation=spec.use_augmentation,
-            arch_knobs=spec.arch_knobs,
-            seed=spec.seed,
-        )
-        trainers[spec.fingerprint] = (trainer, spec.dataset)
-        return trainer
-
-    try:
-        while True:
-            try:
-                job = conn.recv()
-            except EOFError:  # the parent is gone
-                return
-            if job is None:
-                return
-            if len(job) == 2:  # a cancel that crossed its trial's last record
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        if job is None:
+            return
+        if len(job) == 2:  # a cancel that crossed its trial's last record
+            continue
+        spec, trial, init_state, generation, dataset = job
+        tag = (generation, trial.trial_id)
+        started = clock.now()
+        try:
+            fingerprint = spec.fingerprint
+            if dataset is not None:  # a spec this worker does not hold
+                trainer = RealTrainer(
+                    dataset=dataset,
+                    builder=spec.builder,
+                    batch_size=spec.batch_size,
+                    seconds_per_epoch=spec.seconds_per_epoch,
+                    use_augmentation=spec.use_augmentation,
+                    arch_knobs=spec.arch_knobs,
+                    seed=spec.seed,
+                )
+                _cache_put(trainers, fingerprint, trainer)
+            session = trainers[fingerprint].start(trial, init_state)
+            stop_rule = TrialStopRule(trial, spec.conf)
+            finished = cancelled = False
+            while not (finished or cancelled):
+                chaos.fire("tune.pool.trial")
+                accuracy = session.run_epoch()
+                # the parent may be stopped (and asked to kPut) after
+                # any epoch, so it then needs every epoch's state
+                snapshot = None if trial.local_early_stop else session.state_dict()
+                conn.send(("epoch", *tag, float(accuracy), snapshot))
+                finished = stop_rule.update(accuracy)
+                # mid-trial the pipe carries only cancels (jobs go
+                # to idle workers); one for an earlier trial is stale
+                while not cancelled and conn.poll():
+                    cancelled = conn.recv() == tag
+            if cancelled:
+                conn.send(("cancelled", *tag))
                 continue
-            spec, trial, init_payload, generation = job
-            tag = (generation, trial.trial_id)
-            started = clock.now()
-            try:
-                session = trainer_for(spec).start(
-                    trial, _copy_state(init_payload, arena)
-                )
-                stop_rule = TrialStopRule(trial, spec.conf)
-                finished = cancelled = False
-                while not (finished or cancelled):
-                    chaos.fire("tune.pool.trial")
-                    accuracy = session.run_epoch()
-                    snapshot, shm_bytes = None, 0
-                    if not trial.local_early_stop:
-                        # the parent may be stopped (and asked to kPut)
-                        # after any epoch, so it needs every epoch's state
-                        snapshot, shm_bytes, _ = _pack_state(
-                            session.state_dict(), arena
-                        )
-                    conn.send(("epoch", *tag, float(accuracy), snapshot, shm_bytes))
-                    finished = stop_rule.update(accuracy)
-                    # mid-trial the pipe carries only cancels (jobs go
-                    # to idle workers); one for an earlier trial is stale
-                    while not cancelled and conn.poll():
-                        cancelled = conn.recv() == tag
-                if cancelled:
-                    conn.send(("cancelled", *tag))
-                    continue
-                final_payload, final_shm, _ = _pack_state(session.state_dict(), arena)
-                conn.send(
-                    ("done", *tag, final_payload, final_shm, clock.now() - started)
-                )
-            except Exception as exc:  # surfaced (and maybe retried) in the parent
-                conn.send(("error", *tag, repr(exc)))
-    finally:
-        arena.close()  # detach dataset views; segments stay parent-owned
+            conn.send(("done", *tag, session.state_dict(), clock.now() - started))
+        except Exception as exc:  # surfaced (and maybe retried) in the parent
+            conn.send(("error", *tag, repr(exc)))
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +213,8 @@ class _Worker:
     conn: Connection
     #: ``(trial_id, generation)`` of the job it was handed; None when idle.
     job: tuple[int, int] | None = None
+    #: fingerprints in its trainer cache, kept in step by :func:`_cache_put`.
+    holds: dict[tuple, None] = field(default_factory=dict)
 
 
 @dataclass
@@ -323,7 +228,6 @@ class _TrialState:
     skip: int = 0  # replayed records to discard after a resubmission
     crashes: int = 0
     final_state: dict[str, np.ndarray] | None = None
-    init_handles: list[ShmTensor] = field(default_factory=list)
 
 
 class TrialPool:
@@ -346,13 +250,12 @@ class TrialPool:
             "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         )
         self.trial_retries = int(trial_retries)
-        self.arena = ShmArena()
         self._workers: list[_Worker] = []
         #: jobs no worker was idle for yet, oldest first.
         self._pending: deque[tuple] = deque()
         self._trials: dict[int, _TrialState] = {}
-        #: strong refs keep ``id(dataset)`` cache keys valid.
-        self._dataset_cache: dict[int, tuple[ImageDataset, _ShmDataset]] = {}
+        #: by ``id(dataset)``; the strong refs keep those keys unique.
+        self._datasets: dict[int, ImageDataset] = {}
         self.worker_restarts = 0
 
     # -- lifecycle -----------------------------------------------------
@@ -366,7 +269,7 @@ class TrialPool:
         inherited = [parent_end, *(worker.conn for worker in self._workers)]
         proc = self._ctx.Process(
             target=_pool_worker,
-            args=(self.arena.prefix, child_end, inherited),
+            args=(child_end, inherited),
             daemon=True,
         )
         proc.start()
@@ -383,7 +286,7 @@ class TrialPool:
         return self
 
     def shutdown(self) -> None:
-        """Stop every worker and free all shared memory (idempotent)."""
+        """Stop every worker (idempotent)."""
         for worker in self._workers:
             if worker.job is not None:
                 worker.proc.terminate()  # nobody will read its trial's records
@@ -406,9 +309,7 @@ class TrialPool:
             ).set(0)
         self._pending.clear()
         self._trials.clear()
-        self._dataset_cache.clear()
-        self.arena.close()
-        self.arena.sweep()  # collect segments published by dead workers
+        self._datasets.clear()
 
     def __enter__(self) -> "TrialPool":
         return self.start()
@@ -416,28 +317,13 @@ class TrialPool:
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
 
-    # -- dataset + spec plumbing ---------------------------------------
-
-    def share_dataset(self, dataset: ImageDataset) -> _ShmDataset:
-        """Copy a dataset into shared memory once; reuse across studies."""
-        cached = self._dataset_cache.get(id(dataset))
-        if cached is not None:
-            return cached[1]
-        tensors = tuple(
-            (key, self.arena.share(np.ascontiguousarray(array)))
-            for key, array in (
-                ("train_x", dataset.train_x), ("train_y", dataset.train_y),
-                ("val_x", dataset.val_x), ("val_y", dataset.val_y),
-                ("test_x", dataset.test_x), ("test_y", dataset.test_y),
-            )
-        )
-        shared = _ShmDataset(dataset.name, dataset.num_classes, tensors)
-        self._dataset_cache[id(dataset)] = (dataset, shared)
-        self._count_bytes("shm", "to_worker",
-                          sum(h.nbytes for _, h in tensors))
-        return shared
-
     # -- submission ----------------------------------------------------
+
+    def _dataset_key(self, dataset: ImageDataset) -> int:
+        """Name a dataset for :class:`_PoolSpec`, and keep it: it goes out
+        with the first job of each of its specs that a worker is handed."""
+        self._datasets[id(dataset)] = dataset
+        return id(dataset)
 
     def submit(
         self,
@@ -453,18 +339,7 @@ class TrialPool:
         # a new generation whenever the id was seen before (also: a rerun)
         generation = state.generation + 1 if state is not None else 0
         state = self._trials[trial.trial_id] = _TrialState(generation=generation)
-        init_payload = None
-        if init_state:
-            init_payload = {}
-            for key, array in init_state.items():
-                if array.nbytes >= SHM_MIN_BYTES:
-                    handle = self.arena.share(array)
-                    state.init_handles.append(handle)
-                    init_payload[key] = handle
-                    self._count_bytes("shm", "to_worker", array.nbytes)
-                else:
-                    init_payload[key] = np.array(array)
-        state.job = (spec, trial, init_payload, state.generation)
+        state.job = (spec, trial, init_state or None, state.generation)
         self._dispatch(state.job, outcome="dispatched")
 
     def _dispatch(self, job: tuple, outcome: str) -> None:
@@ -481,10 +356,14 @@ class TrialPool:
             if worker is None:
                 break
             job = self._pending.popleft()
-            _spec, trial, _init_payload, generation = job
+            spec, trial, _init_state, generation = job
             worker.job = (trial.trial_id, generation)
-            data = pickle.dumps(job)
-            self._count_bytes("pickled", "to_worker", len(data))
+            dataset, fingerprint = None, spec.fingerprint
+            if fingerprint not in worker.holds:
+                _cache_put(worker.holds, fingerprint, None)
+                dataset = self._datasets[spec.dataset_key]
+            data = pickle.dumps((*job, dataset))
+            self._count_bytes("to_worker", len(data))
             try:
                 worker.conn.send_bytes(data)
             except OSError:  # died while idle; re-queues the job it now holds
@@ -496,7 +375,7 @@ class TrialPool:
     def cancel(self, trial_id: int) -> None:
         """Abandon an in-flight trial (``kStop``): its worker stops after
         the current epoch, and what it still sends is of a stale generation
-        and is freed — :meth:`drain` need not wait for the epoch cap."""
+        and is dropped — :meth:`drain` need not wait for the epoch cap."""
         state = self._trials.get(trial_id)
         if state is None or state.job is None:
             return  # never submitted, or already ran to its end
@@ -504,7 +383,6 @@ class TrialPool:
         state.generation += 1
         state.job = None
         state.records.clear()
-        self._release_init(state)
         self._pending = deque(
             job for job in self._pending if (job[1].trial_id, job[3]) != held
         )
@@ -539,7 +417,7 @@ class TrialPool:
                 self._replace(worker)
 
     def _route(self, worker: _Worker, data: bytes) -> None:
-        self._count_bytes("pickled", "from_worker", len(data))
+        self._count_bytes("from_worker", len(data))
         kind, *fields = pickle.loads(data)
         self._registry().counter(
             "repro_tune_pool_records_total", "Records received from workers, by kind."
@@ -553,31 +431,25 @@ class TrialPool:
 
     def _on_epoch(
         self, generation: int, trial_id: int,
-        accuracy: float, payload: dict | None, shm_bytes: int,
+        accuracy: float, snapshot: dict[str, np.ndarray] | None,
     ) -> None:
         state = self._trials.get(trial_id)
         if state is None or state.generation != generation:
-            _discard_state(payload, self.arena)  # stale stream: free its segments
-            return
-        self._count_bytes("shm", "from_worker", shm_bytes)
+            return  # stale stream
         if state.skip > 0:  # replayed epoch of a resubmitted trial
             state.skip -= 1
-            _discard_state(payload, self.arena)
             return
-        state.records.append((accuracy, _unpack_state(payload, self.arena)))
+        state.records.append((accuracy, snapshot))
 
     def _on_done(
         self, generation: int, trial_id: int,
-        payload: dict, shm_bytes: int, seconds: float,
+        final_state: dict[str, np.ndarray], seconds: float,
     ) -> None:
         state = self._trials.get(trial_id)
         if state is None or state.generation != generation:
-            _discard_state(payload, self.arena)
             return
-        self._count_bytes("shm", "from_worker", shm_bytes)
-        state.final_state = _unpack_state(payload, self.arena)
+        state.final_state = final_state
         state.job = None
-        self._release_init(state)
         self._registry().histogram(
             "repro_tune_pool_task_seconds",
             "Real seconds a worker spent on one trial.",
@@ -669,20 +541,16 @@ class TrialPool:
 
     # -- helpers -------------------------------------------------------
 
-    def _release_init(self, state: _TrialState) -> None:
-        for handle in state.init_handles:
-            self.arena.release(handle)
-        state.init_handles.clear()
-
     @staticmethod
     def _registry():
         return telemetry.get_registry()
 
-    def _count_bytes(self, transport: str, direction: str, nbytes: int) -> None:
+    def _count_bytes(self, direction: str, nbytes: int) -> None:
         self._registry().counter(
             "repro_tune_pool_ipc_bytes_total",
-            "IPC payload bytes moved, by transport (pickled/shm) and direction.",
-        ).inc(nbytes, transport=transport, direction=direction)
+            "Pickled bytes moved over the worker pipes (the one transport), "
+            "by direction.",
+        ).inc(nbytes, direction=direction)
 
 
 class _PoolSession:
@@ -727,10 +595,11 @@ class PoolTrialExecutor:
     """A :class:`TrainerBackend` running trials on a :class:`TrialPool`.
 
     Binds one study's :class:`RealTrainer` configuration to a pool
-    (owned or shared): the dataset is pushed to shared memory once, and
-    every ``start()`` becomes a tiny pipe message.  When constructed
-    without an explicit pool it creates one sized ``processes`` and
-    owns its lifecycle; pass ``pool=`` to reuse workers across studies.
+    (owned or shared): every ``start()`` becomes one pipe message, which
+    carries the dataset only to a worker that does not hold it.  When
+    constructed without an explicit pool it creates one sized
+    ``processes`` and owns its lifecycle; pass ``pool=`` to reuse
+    workers across studies.
     ``epoch_cost`` (the simulated-time model) delegates to the wrapped
     trainer, so reports land at the same simulated instants as a
     sequential run.
@@ -777,7 +646,7 @@ class PoolTrialExecutor:
     def _build_spec(self) -> _PoolSpec:
         if self._spec is None:
             self._spec = _PoolSpec(
-                dataset=self.pool.share_dataset(self.trainer.dataset),
+                dataset_key=self.pool._dataset_key(self.trainer.dataset),
                 builder=self.trainer.builder,
                 batch_size=self.trainer.batch_size,
                 seconds_per_epoch=self.trainer.seconds_per_epoch,

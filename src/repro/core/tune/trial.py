@@ -12,9 +12,21 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["Trial", "TrialResult", "TrialStatus", "InitKind"]
+__all__ = ["Trial", "TrialResult", "TrialStatus", "InitKind", "rewind_trial_ids"]
 
 _trial_ids = itertools.count(1)
+
+
+def rewind_trial_ids() -> None:
+    """Start the next study from trial id 1.
+
+    Sessions seed from the trial id, and ids come from a process-global
+    counter: without the rewind a study's numbers depend on which
+    studies ran earlier in the same process, and two runs cannot be
+    compared bit for bit.
+    """
+    global _trial_ids
+    _trial_ids = itertools.count(1)
 
 
 class InitKind(enum.Enum):

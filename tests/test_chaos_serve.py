@@ -22,7 +22,7 @@ from repro.core.serve import (
     SineArrival,
 )
 from repro.core.system import InferenceJobInfo, ModelSpec, Rafiki
-from repro.core.tune import Trial, TrialPool
+from repro.core.tune import HyperConf, PoolTrialExecutor, RealTrainer, Trial, TrialPool
 from repro.core.tune.pool import _Worker
 from repro.exceptions import (
     DroppedResponse,
@@ -33,6 +33,7 @@ from repro.exceptions import (
 from repro.paramserver import ParameterServer
 from repro.utils.retry import CircuitBreaker, RetryPolicy
 from repro.zoo import get_profile
+from repro.zoo.builders import build_mlp
 
 pytestmark = pytest.mark.chaos
 
@@ -263,8 +264,11 @@ class TestParallelExecutorCrashHandling:
     """The pool's record demultiplexer, hand-fed: no child processes."""
 
     @pytest.fixture
-    def pool(self):
+    def pool(self, tiny_dataset):
         pool = TrialPool(processes=1, trial_retries=1)
+        self.spec = PoolTrialExecutor(
+            RealTrainer(tiny_dataset, build_mlp), HyperConf(), pool=pool
+        )._build_spec()
         parent_end, self.child_end = multiprocessing.Pipe()
         self.worker = _Worker(proc=None, conn=parent_end)
         pool._workers.append(self.worker)
@@ -279,7 +283,7 @@ class TestParallelExecutorCrashHandling:
 
     def dispatched_generation(self):
         assert self.child_end.poll(1.0)
-        _spec, _trial, _init, generation = self.child_end.recv()
+        _spec, _trial, _init, generation, _dataset = self.child_end.recv()
         return generation
 
     def error_counter(self):
@@ -287,10 +291,10 @@ class TestParallelExecutorCrashHandling:
 
     def test_crash_resubmits_and_discards_replayed_epochs(self, pool):
         pool.trial_retries = 2
-        pool.submit(None, Trial(params={}, trial_id=7), None)
+        pool.submit(self.spec, Trial(params={}, trial_id=7), None)
         assert self.dispatched_generation() == 0
         for accuracy in (0.1, 0.2, 0.3):
-            self.feed(pool, "epoch", 0, 7, accuracy, None, 0)
+            self.feed(pool, "epoch", 0, 7, accuracy, None)
         delivered = [pool.await_epoch(7)[0] for _ in range(2)]  # one still buffered
 
         self.feed(pool, "error", 0, 7, "SimulatedCrash()")
@@ -301,9 +305,9 @@ class TestParallelExecutorCrashHandling:
         # the deterministic re-run replays the two consumed epochs
         # (discarded) before fresh ones reach the buffer again; what the
         # crashed run still had in the pipe is dropped as stale
-        self.feed(pool, "epoch", 0, 7, 0.99, None, 0)
+        self.feed(pool, "epoch", 0, 7, 0.99, None)
         for accuracy in (0.1, 0.2, 0.3):
-            self.feed(pool, "epoch", 1, 7, accuracy, None, 0)
+            self.feed(pool, "epoch", 1, 7, accuracy, None)
         delivered.append(pool.await_epoch(7)[0])
 
         # a second crash skips everything consumed since submission,
@@ -312,12 +316,12 @@ class TestParallelExecutorCrashHandling:
         assert self.dispatched_generation() == 2
         assert state.skip == 3
         for accuracy in (0.1, 0.2, 0.3, 0.4):
-            self.feed(pool, "epoch", 2, 7, accuracy, None, 0)
+            self.feed(pool, "epoch", 2, 7, accuracy, None)
         delivered.append(pool.await_epoch(7)[0])
         assert delivered == [0.1, 0.2, 0.3, 0.4]
 
     def test_repeated_crashes_exhaust_retries(self, pool):
-        pool.submit(None, Trial(params={}, trial_id=3), None)
+        pool.submit(self.spec, Trial(params={}, trial_id=3), None)
         self.feed(pool, "error", 0, 3, "boom")  # first crash: resubmitted
         assert self.dispatched_generation() == 0
         assert self.dispatched_generation() == 1

@@ -1,16 +1,15 @@
-"""Persistent trial pool: lifecycle, crash recovery, shm hygiene.
+"""Persistent trial pool: lifecycle, crash recovery, dataset shipping.
 
 The determinism contract (pool report == sequential report, bit for
 bit) is covered in ``test_parallel_study.py``; this module exercises
 the pool subsystem itself — reuse across studies, trials overlapping
 across workers, worker-crash resubmission without duplicate epochs,
-dead-worker replacement (idle and mid-trial), and shared-memory
-segment cleanup on every exit path.
+dead-worker replacement (idle and mid-trial), and the one pipe per
+worker carrying each dataset to exactly the workers that lack it.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import subprocess
 import sys
@@ -19,7 +18,6 @@ import time
 import numpy as np
 import pytest
 
-import repro.core.tune.trial as trial_module
 from repro import chaos, telemetry
 from repro.chaos import FaultKind, FaultPlan, FaultRule
 from repro.core.tune import (
@@ -36,9 +34,10 @@ from repro.core.tune import (
     run_study_parallel,
 )
 from repro.core.tune.hyperspace import HyperSpace
+from repro.core.tune.trial import rewind_trial_ids
+from repro.data import make_image_classification
 from repro.exceptions import ConfigurationError
 from repro.paramserver import ParameterServer
-from repro.utils.shm import SHM_DIR, ShmArena
 from repro.zoo.builders import build_mlp
 
 
@@ -50,7 +49,7 @@ def tiny_space() -> HyperSpace:
 
 
 def make_study(tiny_dataset, seed: int = 3, max_trials: int = 4, max_epochs: int = 2):
-    trial_module._trial_ids = itertools.count(1)
+    rewind_trial_ids()
     conf = HyperConf(
         max_trials=max_trials, max_epochs_per_trial=max_epochs,
         early_stop_patience=2, delta=0.005,
@@ -97,65 +96,14 @@ def running(pid: int) -> bool:
         return False
 
 
-def leaked_segments(prefix: str) -> list[str]:
-    if not os.path.isdir(SHM_DIR):
-        return []
-    return [e for e in os.listdir(SHM_DIR) if e.startswith(prefix)]
+def bytes_to_workers() -> float:
+    return telemetry.get_registry().counter(
+        "repro_tune_pool_ipc_bytes_total"
+    ).value(direction="to_worker")
 
 
-# ----------------------------------------------------------------------
-# ShmArena
-# ----------------------------------------------------------------------
-
-
-class TestShmArena:
-    def test_share_view_roundtrip(self, rng):
-        array = rng.standard_normal((32, 7)).astype(np.float32)
-        with ShmArena() as arena:
-            tensor = arena.share(array)
-            view = arena.view(tensor)
-            np.testing.assert_array_equal(view, array)
-            assert not view.flags.writeable  # zero-copy views are read-only
-            assert tensor.nbytes == array.nbytes
-            assert tensor.exists()
-
-    def test_release_unlinks_owned_segment(self, rng):
-        arena = ShmArena()
-        tensor = arena.share(rng.standard_normal(128))
-        assert tensor.exists()
-        arena.release(tensor)
-        assert not tensor.exists()
-        assert arena.live_segments == 0
-        arena.close()
-
-    def test_publish_adopt_transfers_ownership(self, rng):
-        array = rng.standard_normal((8, 8))
-        producer = ShmArena()
-        consumer = ShmArena(prefix=producer.prefix)
-        tensor = producer.publish(array)
-        assert tensor.exists()  # alive with no local mapping on either side
-        adopted = consumer.adopt(tensor)
-        np.testing.assert_array_equal(adopted, array)
-        consumer.release(tensor)
-        assert not tensor.exists()  # the adopter unlinks
-        producer.close()
-        consumer.close()
-
-    def test_sweep_collects_orphans(self, rng):
-        arena = ShmArena()
-        orphan = arena.publish(rng.standard_normal(64))  # nobody adopts
-        assert orphan.exists()
-        assert arena.sweep() == 1
-        assert not orphan.exists()
-        assert leaked_segments(arena.prefix) == []
-        arena.close()
-
-    def test_close_unlinks_everything(self, rng):
-        arena = ShmArena()
-        tensors = [arena.share(rng.standard_normal(16)) for _ in range(3)]
-        arena.close()
-        assert all(not t.exists() for t in tensors)
-        assert leaked_segments(arena.prefix) == []
+def dataset_nbytes(dataset) -> int:
+    return sum(x.nbytes + y.nbytes for x, y in dataset.splits().values())
 
 
 # ----------------------------------------------------------------------
@@ -259,10 +207,139 @@ class TestPoolLifecycle:
         finally:
             parent.kill()
             parent.wait(timeout=10)
+            parent.stdout.close()
         deadline = time.monotonic() + 10.0
         while any(running(pid) for pid in pids) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert [pid for pid in pids if running(pid)] == []
+
+
+# ----------------------------------------------------------------------
+# datasets ride the worker's own pipe
+# ----------------------------------------------------------------------
+
+
+class TestDatasetShipping:
+    def test_pool_study_starts_no_tracker_and_touches_no_shm(self):
+        """The pipe is the only transport: dataset, warm-start state and
+        final states through a pool bring up no ``multiprocessing``
+        resource tracker and make no ``/dev/shm`` entry (a fresh
+        interpreter, so nothing else can have)."""
+        script = (
+            "import os\n"
+            "from multiprocessing import resource_tracker\n"
+            "from repro.core.tune import (HyperConf, PoolTrialExecutor,\n"
+            "    RealTrainer, Trial, TrialPool)\n"
+            "from repro.data import make_image_classification\n"
+            "from repro.zoo.builders import build_mlp\n"
+            "def shm():\n"
+            "    return sorted(os.listdir('/dev/shm')) if os.path.isdir('/dev/shm') else []\n"
+            "before = shm()\n"
+            "dataset = make_image_classification(name='t', num_classes=3,\n"
+            "    image_shape=(3, 8, 8), train_per_class=16, val_per_class=6,\n"
+            "    test_per_class=6, difficulty=0.3, seed=7)\n"
+            "backend = RealTrainer(dataset, build_mlp, batch_size=16,\n"
+            "    use_augmentation=False, seed=11)\n"
+            "conf = HyperConf(max_trials=2, max_epochs_per_trial=2)\n"
+            "state = None\n"
+            "with TrialPool(processes=2) as pool:\n"
+            "    executor = PoolTrialExecutor(backend, conf, pool=pool)\n"
+            "    for _ in range(2):  # the second trial warm-starts from the first\n"
+            "        session = executor.start(Trial(params={'lr': 0.05}), state)\n"
+            "        accuracies = [session.run_epoch() for _ in range(2)]\n"
+            "        state = session.state_dict()\n"
+            "    executor.finish_study()\n"
+            "    during = shm()\n"
+            "assert len(accuracies) == 2 and state, (accuracies, state)\n"
+            "assert resource_tracker._resource_tracker._pid is None, 'tracker'\n"
+            "assert during == before == shm(), (before, during, shm())\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_idle_worker_killed_between_studies_is_sent_the_dataset_again(
+        self, tiny_dataset, monkeypatch
+    ):
+        """What the parent recorded of a worker's trainer cache dies
+        with the worker: the replacement starts knowing nothing and is
+        handed the dataset with its first job."""
+        monkeypatch.setattr(TrialPool, "RESULT_TIMEOUT", 20.0)
+        master, workers = make_study(tiny_dataset)
+        sequential = report_fingerprint(run_study(master, workers))
+
+        with TrialPool(processes=1) as pool:
+            master, workers = make_study(tiny_dataset)
+            first = run_study_parallel(master, workers, pool=pool)
+            sent_first = bytes_to_workers()
+            victim = pool._workers[0].proc
+            wait_until_sleeping(victim.pid)
+            victim.kill()
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+            master, workers = make_study(tiny_dataset)
+            second = run_study_parallel(master, workers, pool=pool)
+            assert pool.worker_restarts == 1
+        assert report_fingerprint(first) == sequential
+        assert report_fingerprint(second) == sequential
+        # each study put the dataset on the pipe once: a live worker
+        # would not have been sent it a second time
+        assert dataset_nbytes(tiny_dataset) < sent_first < 2 * dataset_nbytes(tiny_dataset)
+        assert bytes_to_workers() - sent_first > dataset_nbytes(tiny_dataset)
+
+    def test_second_study_over_a_different_dataset_trains_on_the_new_data(
+        self, tiny_dataset
+    ):
+        other = make_image_classification(
+            name="other", num_classes=3, image_shape=(3, 8, 8),
+            train_per_class=16, val_per_class=6, test_per_class=6,
+            difficulty=0.3, seed=8,
+        )
+        expected = [
+            report_fingerprint(run_study(*make_study(dataset)))
+            for dataset in (tiny_dataset, other)
+        ]
+        assert expected[0] != expected[1]
+        with TrialPool(processes=2) as pool:
+            observed = [
+                report_fingerprint(
+                    run_study_parallel(*make_study(dataset), pool=pool)
+                )
+                for dataset in (tiny_dataset, other)
+            ]
+        assert observed == expected
+
+    def test_spec_evicted_from_the_trainer_cache_still_reproduces(self, tiny_dataset):
+        """Five specs through one worker overflow its trainer cache of
+        four; the parent knows the first was dropped and sends its
+        dataset again rather than naming a trainer the worker no longer
+        has."""
+        conf = HyperConf(max_trials=1, max_epochs_per_trial=2)
+        params = {"lr": 0.05, "momentum": 0.5}
+
+        def backend(seed):  # the seed is part of the spec's fingerprint
+            return RealTrainer(tiny_dataset, build_mlp, batch_size=16,
+                               use_augmentation=False, seed=seed)
+
+        def epochs(trainer, trial_id):
+            session = trainer.start(Trial(params=params, trial_id=trial_id), None)
+            return [session.run_epoch() for _ in range(2)]
+
+        seeds = [0, 1, 2, 3, 4, 0]
+        expected = [epochs(backend(seed), n) for n, seed in enumerate(seeds)]
+        observed, sent = [], []
+        with TrialPool(processes=1) as pool:
+            for n, seed in enumerate(seeds):
+                before = bytes_to_workers()
+                executor = PoolTrialExecutor(backend(seed), conf, pool=pool)
+                observed.append(epochs(executor, n))
+                executor.finish_study()
+                sent.append(bytes_to_workers() - before)
+        assert observed == expected
+        assert min(sent) > dataset_nbytes(tiny_dataset)  # each job carried it
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +380,6 @@ class TestCancel:
             assert [again.run_epoch() for _ in range(2)]
             assert again.state_dict() is not None
             executor.finish_study()
-        assert leaked_segments(pool.arena.prefix) == []
 
     def test_costudy_kstop_cancels_children_and_report_is_bit_identical(
         self, tiny_dataset
@@ -314,7 +390,7 @@ class TestCancel:
         cap, trials = 400, 4
 
         def study():
-            trial_module._trial_ids = itertools.count(1)
+            rewind_trial_ids()
             conf = HyperConf(max_trials=trials, max_epochs_per_trial=cap,
                              early_stop_patience=1, delta=0.005)
             ps = ParameterServer()
@@ -399,7 +475,6 @@ class TestCrashRecovery:
         )
         assert restarts.value() == 1
         assert not any(proc.is_alive() for proc in survivors)
-        assert leaked_segments(pool.arena.prefix) == []
 
     def test_worker_killed_mid_trial_is_replaced_without_duplicate_epochs(
         self, tiny_dataset, monkeypatch
@@ -433,7 +508,6 @@ class TestCrashRecovery:
             "Worker-side trial failures, by outcome.",
         )
         assert errors.value(outcome="resubmitted") == 1  # the held trial, only
-        assert leaked_segments(pool.arena.prefix) == []
 
     def test_second_crash_of_same_trial_keeps_cumulative_skip(self, tiny_dataset):
         """Two crashes of the *same* trial: the replay skip count must
@@ -464,12 +538,9 @@ class TestCrashRecovery:
         assert errors.value(outcome="raised") == 0
 
     def test_crash_on_warm_started_trial_recovers(self, tiny_dataset):
-        """A crashed warm-started trial is re-dispatched with the same
-        init-state handles; materialising them in the first worker must
-        not unlink the parent-owned segments, or the replacement run
-        dies on attach and the whole study aborts."""
-        from repro.core.tune.trial import Trial
-
+        """A crashed warm-started trial is re-dispatched with the init
+        state the parent kept on the job, pickled again, so the re-run
+        starts from the same parameters as the run that crashed."""
         conf = HyperConf(max_trials=1, max_epochs_per_trial=3, delta=0.005)
 
         def backend():
@@ -479,14 +550,12 @@ class TestCrashRecovery:
             )
 
         params = {"lr": 0.05, "momentum": 0.5}
-        trial_module._trial_ids = itertools.count(1)
+        rewind_trial_ids()
         probe = backend().start(Trial(params=params), None)
         probe.run_epoch()
         init_state = probe.state_dict()
-        # big enough to travel as shm handles, the case under test
-        assert any(a.nbytes >= 4096 for a in init_state.values())
 
-        trial_module._trial_ids = itertools.count(1)
+        rewind_trial_ids()
         reference = backend().start(Trial(params=params), init_state)
         expected = [reference.run_epoch() for _ in range(3)]
 
@@ -495,16 +564,14 @@ class TestCrashRecovery:
                        after=1, max_faults=1)],
             seed=0,
         )
-        trial_module._trial_ids = itertools.count(1)
+        rewind_trial_ids()
         pool = TrialPool(processes=1)
-        prefix = pool.arena.prefix
         with chaos.active(plan), pool:
             executor = PoolTrialExecutor(backend(), conf, pool=pool)
             session = executor.start(Trial(params=params), init_state)
             observed = [session.run_epoch() for _ in range(3)]
             executor.finish_study()
         assert observed == expected
-        assert leaked_segments(prefix) == []
 
     def test_exhausted_retries_surface_the_failure(self, tiny_dataset):
         plan = FaultPlan(
@@ -514,46 +581,3 @@ class TestCrashRecovery:
         with chaos.active(plan):
             with pytest.raises(RuntimeError, match="failed in worker"):
                 run_study_parallel(master, workers, processes=2)
-
-
-# ----------------------------------------------------------------------
-# shared-memory hygiene
-# ----------------------------------------------------------------------
-
-
-class TestShmHygiene:
-    def test_clean_shutdown_leaves_no_segments(self, tiny_dataset):
-        pool = TrialPool(processes=2)
-        prefix = pool.arena.prefix
-        master, workers = make_study(tiny_dataset)
-        with pool:
-            run_study_parallel(master, workers, pool=pool)
-            assert leaked_segments(prefix)  # dataset lives in shm mid-study
-        assert leaked_segments(prefix) == []
-
-    def test_crashy_study_leaves_no_segments(self, tiny_dataset):
-        plan = FaultPlan(
-            [FaultRule("tune.pool.trial", FaultKind.EXCEPTION,
-                       after=1, max_faults=1)],
-            seed=0,
-        )
-        pool = TrialPool(processes=2)
-        prefix = pool.arena.prefix
-        master, workers = make_study(tiny_dataset)
-        with pool, chaos.active(plan):
-            run_study_parallel(master, workers, pool=pool)
-        assert leaked_segments(prefix) == []
-
-    def test_shutdown_sweeps_dead_worker_segments(self, tiny_dataset):
-        """A segment published by a worker that died before the parent
-        adopted it is collected by the shutdown sweep."""
-        from multiprocessing import shared_memory
-
-        pool = TrialPool(processes=1)
-        pool.start()
-        stray_name = f"{pool.arena.prefix}-dead-0"
-        stray = shared_memory.SharedMemory(create=True, name=stray_name, size=64)
-        stray.close()
-        assert leaked_segments(pool.arena.prefix)
-        pool.shutdown()
-        assert leaked_segments(pool.arena.prefix) == []
