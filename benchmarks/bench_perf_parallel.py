@@ -5,44 +5,30 @@ dataset; 512 img/class, 8 trials x 6 epochs, so epochs and not start-up
 are what is timed) sequentially, then with trials farmed out to 2/4
 child processes of a persistent worker pool (one pipe per worker,
 workers reused across trials and studies); ``processes=1`` is timed too
-and runs in-process, so it should read as the sequential figure.  The
-process's very first pool study is timed as the ``cold`` row, before
-anything else has run or forked; a reused pool is also timed cold vs
-warm, since amortising worker start-up across studies is the pool's
-core win.  Records real wall-clock and the bytes the pipes carried in
-each direction, and checks the hard invariant: every pool run
-reproduces the sequential study report bit-for-bit (best accuracy,
-epoch counts, simulated wall time).
+and runs in-process, so it should read as the sequential figure. The
+first pool study of a run is timed as the ``cold`` row, before the
+sequential one; a reused pool is also timed cold vs warm, since
+amortising worker start-up across studies is the pool's core win.
 
-Speedup is hardware-dependent, so next to the timings
-``BENCH_perf.json`` records ``cpu_count``, per-configuration
+``simulated`` is the hard invariant: every pool run reproduces the
+sequential study report bit-for-bit (best accuracy, epoch counts,
+simulated wall time) — gated. ``wall`` is the seconds per configuration
+and the bytes the pipes carried; speedup is hardware-dependent, so
 ``effective_parallelism`` (processes actually backed by a core) and an
-``oversubscribed`` flag — on a single-core box the parallel runs only
-add IPC overhead and must not be misread as regressions.  The
-determinism assertions are the portable part.
+``oversubscribed`` flag ride along — on a single-core box the parallel
+runs only add IPC overhead and must not be misread as regressions.
 
-Standalone usage (CI smoke gate)::
+Run through the shared runner (see ``_perf.py``)::
 
-    PYTHONPATH=src python benchmarks/bench_perf_parallel.py --smoke
-
-exits non-zero if any pool run diverges from the sequential report; the
-warm-pool-vs-sequential speedup is printed as an informational metric
-(shared CI runners are too noisy to gate on wall-clock).  Add
-``--perf-gate`` on a dedicated multi-core box to also fail when the
-warm pool study is slower than sequential.
+    python benchmarks/bench_perf_parallel.py [--smoke] [--seed N]
 """
 
-import argparse
+import hashlib
 import os
-import platform
 import sys
 import time
 
-if __name__ == "__main__":  # standalone: make repro + _harness importable
-    _HERE = os.path.dirname(os.path.abspath(__file__))
-    sys.path.insert(0, os.path.join(os.path.dirname(_HERE), "src"))
-    sys.path.insert(0, _HERE)
-
+import _perf
 import numpy as np
 
 from repro import telemetry
@@ -62,44 +48,34 @@ from repro.data import make_image_classification
 from repro.paramserver import ParameterServer
 from repro.zoo.builders import build_mlp
 
-TRIALS = 8
-MAX_EPOCHS = 6
-TRAIN_PER_CLASS = 512
 WORKERS = 4
-SEED = 9
-PROCESS_COUNTS = (1, 2, 4)
+#: study seed of ``--seed 0``.
+BASE_SEED = 9
 
 
-def make_dataset(train_per_class: int = TRAIN_PER_CLASS):
-    return make_image_classification(
-        name="bench", num_classes=3, image_shape=(3, 8, 8),
-        train_per_class=train_per_class, val_per_class=8, test_per_class=8,
-        difficulty=0.3, seed=SEED,
-    )
-
-
-def make_study(dataset, trials: int = TRIALS, max_epochs: int = MAX_EPOCHS):
+def make_study(dataset, trials: int, max_epochs: int, seed: int):
     rewind_trial_ids()  # identical ids per run
     space = HyperSpace()
     space.add_range_knob("lr", "float", 0.01, 0.3, log_scale=True)
     space.add_range_knob("momentum", "float", 0.0, 0.9)
     conf = HyperConf(max_trials=trials, max_epochs_per_trial=max_epochs, delta=0.005)
     param_server = ParameterServer()
-    advisor = RandomSearchAdvisor(space, rng=np.random.default_rng(SEED))
+    advisor = RandomSearchAdvisor(space, rng=np.random.default_rng(seed))
     master = StudyMaster("bench-parallel", conf, advisor, param_server)
     backend = RealTrainer(dataset, build_mlp, batch_size=16,
-                          use_augmentation=False, seed=SEED)
+                          use_augmentation=False, seed=seed)
     workers = make_workers(master, backend, param_server, conf, WORKERS)
     return master, workers
 
 
-def fingerprint(report) -> tuple:
-    return (
-        report.best_performance,
-        report.total_epochs,
-        report.wall_time,
-        tuple((e.index, e.performance, e.epochs) for e in report.history),
-    )
+def fingerprint(report) -> dict:
+    history = tuple((e.index, e.performance, e.epochs) for e in report.history)
+    return {
+        "best_performance": report.best_performance,
+        "total_epochs": report.total_epochs,
+        "simulated_wall_time": report.wall_time,
+        "history_sha256": hashlib.sha256(repr(history).encode()).hexdigest(),
+    }
 
 
 def ipc_counter_snapshot() -> dict:
@@ -110,174 +86,104 @@ def ipc_counter_snapshot() -> dict:
     }
 
 
-def run_matrix(process_counts=PROCESS_COUNTS, trials=TRIALS,
-               max_epochs=MAX_EPOCHS, train_per_class=TRAIN_PER_CLASS) -> dict:
-    """Time every configuration; returns the BENCH_perf.json payload."""
-    dataset = make_dataset(train_per_class)
+def run(smoke: bool, seed: int) -> dict:
+    """Time every configuration against the sequential study."""
     cpu_count = os.cpu_count() or 1
+    if smoke:
+        process_counts = (min(2, cpu_count),) if cpu_count < 4 else (2, 4)
+        trials, max_epochs, train_per_class = 6, 4, 64
+    else:
+        process_counts = (1, 2, 4)
+        trials, max_epochs, train_per_class = 8, 6, 512
+    seed = BASE_SEED + seed
+    dataset = make_image_classification(
+        name="bench", num_classes=3, image_shape=(3, 8, 8),
+        train_per_class=train_per_class, val_per_class=8, test_per_class=8,
+        difficulty=0.3, seed=seed,
+    )
+    seconds: dict[str, float] = {}
+    reports = {}
 
-    # Nothing is paid for ahead of this one: the process has not forked,
-    # built a trainer or run an epoch yet.
-    master, workers = make_study(dataset, trials, max_epochs)
-    start = time.perf_counter()
-    cold = run_study_parallel(master, workers, processes=2)
-    cold_s = time.perf_counter() - start
-
-    master, workers = make_study(dataset, trials, max_epochs)
-    start = time.perf_counter()
-    sequential = run_study(master, workers)
-    sequential_s = time.perf_counter() - start
-    seq_print = fingerprint(sequential)
-
-    payload = {
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": f"{sys.platform}-{platform.machine()}",
-        },
-        "cpu_count": cpu_count,
-        "trials": trials,
-        "max_epochs": max_epochs,
-        "train_per_class": train_per_class,
-        "workers": WORKERS,
-        "sequential_s": sequential_s,
-        "cold_s": cold_s,  # this process's first pool (2 processes)
-        "parallel_s": {},  # a fresh pool per study
-        "pool_reuse_s": {},
-        "effective_parallelism": {
-            str(p): min(p, cpu_count) for p in process_counts
-        },
-        "oversubscribed": any(p > cpu_count for p in process_counts),
-        "deterministic": fingerprint(cold) == seq_print,
-    }
-    table = {
-        "pool_2_cold": (cold_s, payload["deterministic"]),
-        "sequential": (sequential_s, True),
-    }
+    def timed(label: str, **how) -> None:
+        master, workers = make_study(dataset, trials, max_epochs, seed)
+        start = time.perf_counter()
+        reports[label] = (
+            run_study_parallel(master, workers, **how) if how
+            else run_study(master, workers)
+        )
+        seconds[label] = time.perf_counter() - start
 
     ipc_before = ipc_counter_snapshot()
+    timed("pool_2_cold", processes=2)
+    timed("sequential")
     for processes in process_counts:
-        master, workers = make_study(dataset, trials, max_epochs)
-        start = time.perf_counter()
-        report = run_study_parallel(master, workers, processes=processes)
-        seconds = time.perf_counter() - start
-        identical = fingerprint(report) == seq_print
-        payload["parallel_s"][str(processes)] = seconds
-        payload["deterministic"] &= identical
-        table[f"pool_{processes}"] = (seconds, identical)
-    ipc_after = ipc_counter_snapshot()
-    payload["ipc_bytes"] = {
-        direction: int(ipc_after[direction] - ipc_before[direction])
-        for direction in ipc_after
-    }
-
+        timed(f"pool_{processes}", processes=processes)  # a fresh pool per study
     # Pool reuse: the second study on a live pool skips fork + dataset
     # shipping + trainer rebuild — the steady-state cost of a study.
-    reuse_processes = min(max(process_counts), max(2, cpu_count))
-    with TrialPool(processes=reuse_processes) as pool:
+    with TrialPool(processes=min(max(process_counts), max(2, cpu_count))) as pool:
         for label in ("cold", "warm"):
-            master, workers = make_study(dataset, trials, max_epochs)
-            start = time.perf_counter()
-            report = run_study_parallel(master, workers, pool=pool)
-            seconds = time.perf_counter() - start
-            identical = fingerprint(report) == seq_print
-            payload["pool_reuse_s"][label] = seconds
-            payload["deterministic"] &= identical
-            table[f"pool_reuse_{label}"] = (seconds, identical)
+            timed(f"pool_reuse_{label}", pool=pool)
+    ipc_after = ipc_counter_snapshot()
 
-    payload["_table"] = table
-    return payload
+    sequential = fingerprint(reports["sequential"])
+    return {
+        "simulated": {
+            "trials": trials,
+            "max_epochs": max_epochs,
+            "train_per_class": train_per_class,
+            "workers": WORKERS,
+            "seed": seed,
+            "sequential": sequential,
+            "identical_to_sequential": {
+                label: fingerprint(report) == sequential
+                for label, report in reports.items()
+            },
+        },
+        "wall": {
+            "seconds": seconds,
+            "effective_parallelism": {
+                str(p): min(p, cpu_count) for p in process_counts
+            },
+            "oversubscribed": any(p > cpu_count for p in process_counts),
+            "ipc_bytes": {
+                direction: int(ipc_after[direction] - ipc_before[direction])
+                for direction in ipc_after
+            },
+        },
+    }
 
 
-def format_table(payload: dict) -> str:
-    sequential_s = payload["sequential_s"]
+def table(payload: dict) -> str:
+    sim, wall = payload["simulated"], payload["wall"]
+    sequential_s = wall["seconds"]["sequential"]
     lines = [f"{'configuration':<20} {'wall(s)':>8} {'speedup':>8} {'identical':>10}"]
-    for label, (seconds, identical) in payload["_table"].items():
+    for label, seconds in wall["seconds"].items():
+        identical = sim["identical_to_sequential"][label]
         lines.append(
             f"{label:<20} {seconds:>8.3f} {sequential_s / seconds:>7.2f}x "
             f"{'yes' if identical else 'NO':>10}"
         )
     lines.append(
-        f"(cpu cores: {payload['cpu_count']}, oversubscribed: "
-        f"{payload['oversubscribed']}, pipe bytes to workers: "
-        f"{payload['ipc_bytes']['to_worker']}, from workers: "
-        f"{payload['ipc_bytes']['from_worker']})"
+        f"(cpu cores: {payload['machine']['cpu_count']}, oversubscribed: "
+        f"{wall['oversubscribed']}, pipe bytes to workers: "
+        f"{wall['ipc_bytes']['to_worker']}, from workers: "
+        f"{wall['ipc_bytes']['from_worker']}; speedups are informational)"
     )
     return "\n".join(lines)
 
 
-def test_perf_parallel(benchmark):
-    from _harness import emit
-    from bench_perf_engine import update_bench_json
-
-    payload = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
-    emit("perf_parallel", format_table(payload))
-    table = payload.pop("_table")
-    update_bench_json("parallel", payload)
-
-    # The portable acceptance bar: parallel == sequential, always.
-    # (Wall-clock wins need >=2 cores; the --smoke entry point below
-    # asserts them on the multi-core CI runner.)
-    assert payload["deterministic"]
-    assert all(identical for _, identical in table.values())
-    assert min(payload["ipc_bytes"].values()) > 0  # both ways, one pipe
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="fast determinism gate; skips the BENCH_perf.json rewrite "
-             "and reports the warm-pool-vs-sequential speedup as an "
-             "informational metric",
-    )
-    parser.add_argument(
-        "--perf-gate", action="store_true",
-        help="with --smoke: also fail if warm pool-mode wall-clock "
-             "exceeds sequential (needs >=2 cores; meant for dedicated "
-             "machines, not noisy shared CI runners)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        cpu_count = os.cpu_count() or 1
-        processes = (min(2, cpu_count),) if cpu_count < 4 else (2, 4)
-        payload = run_matrix(process_counts=processes, trials=6, max_epochs=4,
-                             train_per_class=64)
-    else:
-        payload = run_matrix()
-    print(format_table(payload))
-    payload.pop("_table")
-
-    if not payload["deterministic"]:
-        print("FAIL: a pool run diverged from the sequential report",
-              file=sys.stderr)
-        return 1
-    if args.smoke:
-        warm = payload["pool_reuse_s"]["warm"]
-        speedup = payload["sequential_s"] / warm
-        if payload["cpu_count"] >= 2 and warm > payload["sequential_s"]:
-            message = (
-                f"warm pool study ({warm:.3f}s) slower than sequential "
-                f"({payload['sequential_s']:.3f}s) on "
-                f"{payload['cpu_count']} cores"
-            )
-            if args.perf_gate:
-                print(f"FAIL: {message}", file=sys.stderr)
-                return 1
-            print(f"WARN: {message} (informational; not gated)")
-        else:
-            print(f"warm pool speedup vs sequential: {speedup:.2f}x "
-                  f"on {payload['cpu_count']} cores (informational)")
-        print("smoke OK")
-        return 0
-
-    from bench_perf_engine import update_bench_json
-
-    update_bench_json("parallel", payload)
-    print("BENCH_perf.json updated")
-    return 0
+def check(payload: dict) -> list[str]:
+    """The portable acceptance bar: parallel == sequential, always."""
+    failures = [
+        f"{label} diverged from the sequential report"
+        for label, identical
+        in payload["simulated"]["identical_to_sequential"].items()
+        if not identical
+    ]
+    if min(payload["wall"]["ipc_bytes"].values()) <= 0:
+        failures.append("the pool's pipes carried no bytes in one direction")
+    return failures
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(_perf.main(sys.modules[__name__]))

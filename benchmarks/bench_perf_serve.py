@@ -3,8 +3,7 @@
 Drives the admission-controlled front end (`repro.core.serve.frontend`)
 with the open/closed-loop load harness (`repro.core.serve.loadgen`) on
 the discrete-event simulator, using inception_v3's profiled ``c(b)``
-latency model — so the numbers are hardware-independent and two
-same-seed runs are **bit-identical** (the portable determinism gate).
+latency model — so the curves are hardware-independent (``simulated``).
 
 The headline matrix is an open-loop sweep at increasing concurrency:
 sine-arrival target rates at multiples of the replica pool's peak
@@ -14,32 +13,20 @@ end should serve everything inside the SLO; past capacity it must
 p99 of what it does serve stays bounded. A closed-loop run (think-time
 clients) rides along as the self-limiting contrast.
 
-Results go three places: a human table under ``benchmarks/results/``,
-the machine-readable ``BENCH_serve.json`` at the repository root (the
-committed serving baseline — schema in benchmarks/README.md), and the
-pytest entry's assertions.
+The one real measurement is in ``wall``: every offered request is one
+pass through the real admission code, so offers per wall-clock second
+(``admission_decisions_per_wall_s``) says how fast the front end is,
+beside the *modelled* ``capacity_qps``.
 
-Standalone usage (CI smoke gate)::
+Run through the shared runner (see ``_perf.py``)::
 
-    PYTHONPATH=src python benchmarks/bench_perf_serve.py --smoke
-
-exits non-zero if any same-seed re-run diverges, if fewer than three
-concurrency levels were measured, or if overload fails to shed.
-``--smoke`` still rewrites ``BENCH_serve.json`` (the artifact CI
-uploads); the full run just sweeps longer horizons and more levels.
+    python benchmarks/bench_perf_serve.py [--smoke] [--seed N]
 """
 
-import argparse
-import os
 import sys
 import time
 
-if __name__ == "__main__":  # standalone: make repro + _harness importable
-    _HERE = os.path.dirname(os.path.abspath(__file__))
-    sys.path.insert(0, os.path.join(os.path.dirname(_HERE), "src"))
-    sys.path.insert(0, _HERE)
-
-import json
+import _perf
 
 from repro.core.serve import (
     FrontendConfig,
@@ -51,13 +38,12 @@ from repro.core.serve import (
 )
 from repro.zoo import get_profile
 
-BENCH_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_serve.json")
-
 MODEL = "inception_v3"
 TAU = 0.56
 REPLICAS = 2
 MAX_QUEUE = 1024
-SEED = 11
+#: load seed of ``--seed 0``, the committed baseline's fingerprints.
+BASE_SEED = 11
 
 #: open-loop sine targets, as multiples of pool capacity. The paper's
 #: sine (Equations 8/9) peaks at 1.1x its target and *averages* ~0.58x
@@ -69,93 +55,74 @@ SMOKE_MULTIPLES = (0.8, 1.8, 3.0)
 
 
 def run_level(mode: str, duration: float, seed: int, *, target_rate: float = 0.0,
-              clients: int = 0, think_time: float = 0.05) -> tuple[dict, str]:
-    """One load run; returns (summary, trace fingerprint)."""
+              clients: int = 8) -> dict:
+    """One load run: the trace's summary plus its fingerprint."""
     latency = get_profile(MODEL).inference_time
-    config = FrontendConfig(latency=latency, tau=TAU, max_queue=MAX_QUEUE)
-    frontend = ServeFrontend(config)
+    frontend = ServeFrontend(
+        FrontendConfig(latency=latency, tau=TAU, max_queue=MAX_QUEUE)
+    )
     pool = ReplicaPool(latency, replicas=REPLICAS)
     load = LoadGenConfig(
-        mode=mode, target_rate=target_rate, period=duration,
-        clients=clients or 8, think_time=think_time, duration=duration,
-        seed=seed,
+        mode=mode, target_rate=target_rate, period=duration, clients=clients,
+        think_time=0.05, duration=duration, seed=seed,
     )
     trace = run_load(frontend, pool, load)
-    return trace.summary(), trace.fingerprint()
+    return {"fingerprint": trace.fingerprint(), **trace.summary()}
 
 
-def run_matrix(multiples=FULL_MULTIPLES, duration: float = 30.0,
-               closed_clients: int = 256) -> dict:
-    """Sweep the concurrency levels; returns the BENCH_serve.json payload."""
-    latency = get_profile(MODEL).inference_time
-    capacity = capacity_qps(latency, 64, REPLICAS)
+def run(smoke: bool, seed: int) -> dict:
+    """Sweep the concurrency levels, then the closed loop."""
+    multiples, duration, closed_clients = (
+        (SMOKE_MULTIPLES, 8.0, 128) if smoke else (FULL_MULTIPLES, 30.0, 256)
+    )
+    capacity = capacity_qps(get_profile(MODEL).inference_time, 64, REPLICAS)
     started = time.perf_counter()
-    payload = {
-        "model": MODEL,
-        "tau_s": TAU,
-        "replicas": REPLICAS,
-        "max_queue": MAX_QUEUE,
-        "capacity_qps": capacity,
-        "duration_s": duration,
-        "seed": SEED,
-        "levels": [],
-        "deterministic": True,
-    }
+    levels = []
     for multiple in multiples:
-        rate = multiple * capacity
-        summary, fingerprint = run_level("open", duration, SEED, target_rate=rate)
-        _, again = run_level("open", duration, SEED, target_rate=rate)
-        level = {
-            "mode": "open",
+        level = run_level("open", duration, BASE_SEED + seed,
+                          target_rate=multiple * capacity)
+        levels.append({
             "capacity_multiple": multiple,
-            "target_qps": rate,
-            "offered_capacity_ratio": summary["offered_qps"] / capacity,
+            "target_qps": multiple * capacity,
+            "offered_capacity_ratio": level["offered_qps"] / capacity,
             # Equations 8/9: the sine's peak is 1.1x its nominal target.
             "peak_capacity_ratio": 1.1 * multiple,
-            "fingerprint": fingerprint,
-            "rerun_identical": fingerprint == again,
-            **{k: summary[k] for k in (
-                "offered", "served", "shed", "shed_by_reason", "offered_qps",
-                "sustained_qps", "p50_s", "p95_s", "p99_s", "slo_miss_rate",
-                "shed_rate",
-            )},
-        }
-        payload["levels"].append(level)
-        payload["deterministic"] &= level["rerun_identical"]
-    summary, fingerprint = run_level(
-        "closed", duration, SEED, clients=closed_clients, think_time=0.05
-    )
-    _, again = run_level(
-        "closed", duration, SEED, clients=closed_clients, think_time=0.05
-    )
-    payload["closed_loop"] = {
-        "mode": "closed",
-        "clients": closed_clients,
-        "think_time_s": 0.05,
-        "fingerprint": fingerprint,
-        "rerun_identical": fingerprint == again,
-        **{k: summary[k] for k in (
-            "offered", "served", "shed", "shed_by_reason", "offered_qps",
-            "sustained_qps", "p50_s", "p95_s", "p99_s", "slo_miss_rate",
-            "shed_rate",
-        )},
+            **level,
+        })
+    closed = run_level("closed", duration, BASE_SEED + seed, clients=closed_clients)
+    wall_s = time.perf_counter() - started
+    offers = sum(level["offered"] for level in levels) + closed["offered"]
+    return {
+        "simulated": {
+            "model": MODEL,
+            "tau_s": TAU,
+            "replicas": REPLICAS,
+            "max_queue": MAX_QUEUE,
+            "capacity_qps": capacity,
+            "duration_s": duration,
+            "seed": BASE_SEED + seed,
+            "levels": levels,
+            "closed_loop": {"clients": closed_clients, "think_time_s": 0.05,
+                            **closed},
+        },
+        "wall": {
+            "bench_wall_s": wall_s,
+            "admission_decisions": offers,
+            "admission_decisions_per_wall_s": offers / wall_s,
+        },
     }
-    payload["deterministic"] &= payload["closed_loop"]["rerun_identical"]
-    payload["bench_wall_s"] = time.perf_counter() - started
-    return payload
 
 
-def format_table(payload: dict) -> str:
+def table(payload: dict) -> str:
+    sim, wall = payload["simulated"], payload["wall"]
     lines = [
-        f"{MODEL} x{payload['replicas']} replicas, tau={payload['tau_s']}s, "
-        f"capacity {payload['capacity_qps']:.0f} qps, "
-        f"{payload['duration_s']:.0f}s per level",
+        f"{MODEL} x{sim['replicas']} replicas, tau={sim['tau_s']}s, "
+        f"capacity {sim['capacity_qps']:.0f} qps (modelled), "
+        f"{sim['duration_s']:.0f}s per level",
         f"{'level':<14} {'target':>7} {'offered':>8} {'served':>8} "
-        f"{'p50(ms)':>8} {'p95(ms)':>8} {'p99(ms)':>8} {'shed%':>6} "
-        f"{'miss%':>6} {'same':>5}",
+        f"{'p50(ms)':>8} {'p95(ms)':>8} {'p99(ms)':>8} {'shed%':>6} {'miss%':>6}",
     ]
-    rows = payload["levels"] + [payload["closed_loop"]]
-    for level in rows:
+    for level in sim["levels"] + [sim["closed_loop"]]:
         if level["mode"] == "open":
             label = f"open {level['capacity_multiple']:.1f}x"
             target = f"{level['target_qps']:.0f}"
@@ -167,32 +134,28 @@ def format_table(payload: dict) -> str:
             f"{level['sustained_qps']:>8.1f} {1000 * level['p50_s']:>8.1f} "
             f"{1000 * level['p95_s']:>8.1f} {1000 * level['p99_s']:>8.1f} "
             f"{100 * level['shed_rate']:>6.1f} "
-            f"{100 * level['slo_miss_rate']:>6.2f} "
-            f"{'yes' if level['rerun_identical'] else 'NO':>5}"
+            f"{100 * level['slo_miss_rate']:>6.2f}"
         )
+    lines.append(
+        f"wall: {wall['admission_decisions']} admission decisions in "
+        f"{wall['bench_wall_s']:.2f}s = "
+        f"{wall['admission_decisions_per_wall_s']:.0f} per wall second"
+    )
     return "\n".join(lines)
 
 
-def write_bench_json(payload: dict) -> None:
-    """Write the committed serving baseline at the repository root."""
-    with open(BENCH_JSON, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def check_payload(payload: dict) -> list[str]:
+def check(payload: dict) -> list[str]:
     """The portable acceptance bars; returns failure messages."""
+    levels = payload["simulated"]["levels"]
     failures = []
-    if not payload["deterministic"]:
-        failures.append("a same-seed re-run diverged (fingerprint mismatch)")
-    if len(payload["levels"]) < 3:
-        failures.append(f"only {len(payload['levels'])} concurrency levels")
+    if len(levels) < 3:
+        failures.append(f"only {len(levels)} concurrency levels")
     # A sine level's stress is set by its *peak* (1.1x the nominal
     # multiple), not its cycle average: a 1.2x level spends 20% of the
     # cycle above capacity and legitimately sheds there while averaging
     # well under capacity.
-    over = [l for l in payload["levels"] if l["peak_capacity_ratio"] > 1.3]
-    under = [l for l in payload["levels"] if l["peak_capacity_ratio"] < 0.95]
+    over = [l for l in levels if l["peak_capacity_ratio"] > 1.3]
+    under = [l for l in levels if l["peak_capacity_ratio"] < 0.95]
     if not over:
         failures.append("no level peaked above 1.3x capacity — "
                         "the sweep never exercised overload")
@@ -217,46 +180,5 @@ def check_payload(payload: dict) -> list[str]:
     return failures
 
 
-def test_perf_serve(benchmark):
-    from _harness import emit
-
-    payload = benchmark.pedantic(
-        lambda: run_matrix(multiples=SMOKE_MULTIPLES, duration=8.0,
-                           closed_clients=128),
-        rounds=1, iterations=1,
-    )
-    emit("perf_serve", format_table(payload))
-    write_bench_json(payload)
-    failures = check_payload(payload)
-    assert not failures, "; ".join(failures)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="fast determinism gate: 3 open-loop levels at short horizons "
-             "(still rewrites BENCH_serve.json)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        payload = run_matrix(multiples=SMOKE_MULTIPLES, duration=8.0,
-                             closed_clients=128)
-    else:
-        payload = run_matrix()
-    print(format_table(payload))
-    write_bench_json(payload)
-    print(f"BENCH_serve.json updated ({len(payload['levels'])} open-loop "
-          f"levels + closed loop, wall {payload['bench_wall_s']:.2f}s)")
-    failures = check_payload(payload)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if failures:
-        return 1
-    print("smoke OK" if args.smoke else "OK")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(_perf.main(sys.modules[__name__]))

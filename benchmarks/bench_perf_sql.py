@@ -1,4 +1,4 @@
-"""SQL analytics throughput: row-at-a-time vs batched vs cached UDFs.
+"""SQL analytics: row-at-a-time vs batched vs cached UDFs.
 
 The workload is the paper's case-study shape — a full-table scan whose
 select list calls an ML UDF (here a small NumPy MLP forward pass) and
@@ -8,50 +8,38 @@ aggregates the predictions::
 
 Three executions of the same query:
 
-1. **row-at-a-time** — the ``NaiveExecutor`` oracle: one scalar model
-   call per row (the pre-plan engine's only mode);
+1. **naive** — the ``NaiveExecutor`` oracle: one scalar model call per
+   row (the pre-plan engine's only mode);
 2. **batched** — the planned executor with the cross-query cache off:
-   the EvalUdf operator collects every argument and dispatches
-   hardware batches through the serving batcher, so the MLP runs a few
-   vectorised forward passes instead of one per row;
+   the EvalUdf operator collects every argument and dispatches hardware
+   batches, so the MLP runs a few vectorised forward passes instead of
+   one per row;
 3. **cached** — the planned executor with the prediction cache on,
    timing a *repeated* scan: the second run serves every argument from
-   the cache (cache hits > 0 is an acceptance gate).
+   the cache.
 
-``--smoke`` runs the CI gates only: planned ≡ naive bit-for-bit on a
-fixed query corpus, batched dispatch count < row count, and cache hits
-on the repeated scan. A full run also *gates* batched and cached
-beating row-at-a-time rows/s, then writes ``BENCH_sql.json`` at the
-repository root.
+``simulated`` holds what the seed fixes — planned ≡ naive bit-for-bit
+on a fixed query corpus, model-call / dispatch / cache-hit counts per
+mode — and ``wall`` the rows/s of each mode (informational). Gates: no
+corpus mismatch, batched dispatches < rows, a repeated scan all cache
+hits and no model calls.
 
-Usage::
+Run through the shared runner (see ``_perf.py``)::
 
     python benchmarks/bench_perf_sql.py [--smoke] [--seed N]
 """
 
-from __future__ import annotations
-
-import argparse
-import json
-import os
 import sys
 import time
 
-_HERE = os.path.dirname(os.path.abspath(__file__))
-_ROOT = os.path.dirname(_HERE)
-sys.path.insert(0, _HERE)
-sys.path.insert(0, os.path.join(_ROOT, "src"))
+import _perf
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from _harness import emit  # noqa: E402
-from repro.sqlext import Column, Database  # noqa: E402
-
-BENCH_JSON = os.path.join(_ROOT, "BENCH_sql.json")
+from repro.sqlext import Column, Database
 
 QUERY = "SELECT classify(x) AS label, count(*) AS n FROM logs GROUP BY label"
 
-#: fixed differential corpus for the planned ≡ naive smoke gate.
+#: fixed differential corpus for the planned ≡ naive gate.
 CORPUS = (
     "SELECT x, y FROM logs WHERE x > 100 ORDER BY x LIMIT 20",
     "SELECT classify(x) AS label, count(*) AS n FROM logs GROUP BY label",
@@ -105,129 +93,114 @@ def make_database(rows: int, seed: int, udf_cache: bool,
     return db
 
 
-def gate_differential(rows: int, seed: int) -> int:
-    """Planned ≡ naive bit-for-bit over the fixed corpus; returns checks."""
+def corpus_mismatches(rows: int, seed: int) -> list[str]:
+    """Corpus queries whose planned result is not bit-identical to naive."""
     db = make_database(rows, seed, udf_cache=True, batched_udf=True)
-    checks = 0
+    mismatches = []
     for sql in CORPUS:
         naive = db.execute(sql, executor="naive")
         planned = db.execute(sql, executor="planned")
-        assert planned.columns == naive.columns, sql
-        assert repr(planned.rows) == repr(naive.rows), (
-            f"planned != naive for: {sql}"
-        )
-        checks += 1
-    return checks
+        if (planned.columns, repr(planned.rows)) != (naive.columns, repr(naive.rows)):
+            mismatches.append(sql)
+    return mismatches
 
 
-def bench_modes(rows: int, seed: int) -> dict:
-    """Time the three execution modes over the same workload."""
-    results = {}
-
-    db = make_database(rows, seed, udf_cache=False, batched_udf=False)
+def timed_query(db: Database, executor: str):
     start = time.perf_counter()
-    naive = db.execute(QUERY, executor="naive")
-    naive_seconds = time.perf_counter() - start
-    results["naive"] = {
-        "rows_per_s": round(rows / naive_seconds, 1),
-        "udf_calls": naive.udf_calls,
-        "dispatches": 0,
-    }
+    result = db.execute(QUERY, executor=executor)
+    return result, time.perf_counter() - start
 
-    db = make_database(rows, seed, udf_cache=False, batched_udf=True)
-    start = time.perf_counter()
-    batched = db.execute(QUERY, executor="planned")
-    batched_seconds = time.perf_counter() - start
-    assert repr(batched.rows) == repr(naive.rows), "batched != naive"
-    assert batched.udf_batches < rows, (
-        f"batched dispatch count {batched.udf_batches} not < row count {rows}"
+
+def run(smoke: bool, seed: int) -> dict:
+    rows = 400 if smoke else 2000
+    # First, so the timed scans below run on warm code paths.
+    mismatches = corpus_mismatches(min(rows, 400), seed)
+    naive, naive_s = timed_query(
+        make_database(rows, seed, udf_cache=False, batched_udf=False), "naive"
     )
-    results["batched"] = {
-        "rows_per_s": round(rows / batched_seconds, 1),
-        "udf_calls": batched.udf_calls,
-        "dispatches": batched.udf_batches,
-    }
-
+    batched, batched_s = timed_query(
+        make_database(rows, seed, udf_cache=False, batched_udf=True), "planned"
+    )
     db = make_database(rows, seed, udf_cache=True, batched_udf=True)
     db.execute(QUERY, executor="planned")  # cold scan warms the cache
-    start = time.perf_counter()
-    cached = db.execute(QUERY, executor="planned")
-    cached_seconds = time.perf_counter() - start
-    assert repr(cached.rows) == repr(naive.rows), "cached != naive"
-    assert cached.cache_hits > 0, "repeated scan produced no cache hits"
-    assert cached.udf_calls == 0, (
-        f"repeated scan still made {cached.udf_calls} model calls"
-    )
-    results["cached"] = {
-        "rows_per_s": round(rows / cached_seconds, 1),
-        "udf_calls": cached.udf_calls,
-        "cache_hits": cached.cache_hits,
-        "dispatches": cached.udf_batches,
+    cached, cached_s = timed_query(db, "planned")
+    rows_per_s = {
+        "naive": round(rows / naive_s, 1),
+        "batched": round(rows / batched_s, 1),
+        "cached": round(rows / cached_s, 1),
     }
-    return results
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI mode: run the planned≡naive, batching and "
-                             "cache-hit gates on a small workload; the "
-                             "committed baseline is not rewritten")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    rows = 400 if args.smoke else 2000
-
-    checks = gate_differential(min(rows, 400), args.seed)
-    modes = bench_modes(rows, args.seed)
-
-    batched_speedup = round(
-        modes["batched"]["rows_per_s"] / modes["naive"]["rows_per_s"], 2
-    )
-    cached_speedup = round(
-        modes["cached"]["rows_per_s"] / modes["naive"]["rows_per_s"], 2
-    )
-    lines = [
-        f"differential corpus: {checks} queries, planned == naive",
-        f"{'mode':>10} {'rows/s':>12} {'udf calls':>10} {'dispatches':>11}",
-        f"{'naive':>10} {modes['naive']['rows_per_s']:>12.1f} "
-        f"{modes['naive']['udf_calls']:>10} {'-':>11}",
-        f"{'batched':>10} {modes['batched']['rows_per_s']:>12.1f} "
-        f"{modes['batched']['udf_calls']:>10} "
-        f"{modes['batched']['dispatches']:>11}",
-        f"{'cached':>10} {modes['cached']['rows_per_s']:>12.1f} "
-        f"{modes['cached']['udf_calls']:>10} "
-        f"{modes['cached']['dispatches']:>11}",
-        f"speedup vs naive: batched {batched_speedup}x, "
-        f"cached {cached_speedup}x "
-        f"(cache hits: {modes['cached']['cache_hits']})",
-    ]
-    emit("perf_sql", "\n".join(lines))
-
-    if not args.smoke:
-        # The acceptance criterion: batched+cached must beat
-        # row-at-a-time on the full workload.
-        assert batched_speedup > 1.0, (
-            f"batched {batched_speedup}x did not beat row-at-a-time"
-        )
-        assert cached_speedup > 1.0, (
-            f"cached {cached_speedup}x did not beat row-at-a-time"
-        )
-        payload = {
-            "workload": {"rows": rows, "seed": args.seed, "query": QUERY},
-            "differential_corpus_queries": checks,
-            "modes": modes,
-            "speedup_vs_naive": {
-                "batched": batched_speedup,
-                "cached": cached_speedup,
+    return {
+        "simulated": {
+            "workload": {"rows": rows, "seed": seed, "query": QUERY},
+            "differential_corpus_queries": len(CORPUS),
+            "corpus_mismatches": mismatches,
+            "modes": {
+                "naive": {"udf_calls": naive.udf_calls, "dispatches": 0},
+                "batched": {
+                    "udf_calls": batched.udf_calls,
+                    "dispatches": batched.udf_batches,
+                    "equals_naive": repr(batched.rows) == repr(naive.rows),
+                },
+                "cached": {
+                    "udf_calls": cached.udf_calls,
+                    "dispatches": cached.udf_batches,
+                    "cache_hits": cached.cache_hits,
+                    "equals_naive": repr(cached.rows) == repr(naive.rows),
+                },
             },
-        }
-        with open(BENCH_JSON, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {BENCH_JSON}")
-    return 0
+        },
+        "wall": {
+            "rows_per_s": rows_per_s,
+            "speedup_vs_naive": {
+                mode: round(rows_per_s[mode] / rows_per_s["naive"], 2)
+                for mode in ("batched", "cached")
+            },
+        },
+    }
+
+
+def table(payload: dict) -> str:
+    sim, wall = payload["simulated"], payload["wall"]
+    modes, speedup = sim["modes"], wall["speedup_vs_naive"]
+    lines = [
+        f"differential corpus: {sim['differential_corpus_queries']} queries, "
+        f"{len(sim['corpus_mismatches'])} planned != naive",
+        f"{'mode':>10} {'rows/s (wall)':>14} {'udf calls':>10} {'dispatches':>11}",
+    ]
+    for mode in ("naive", "batched", "cached"):
+        lines.append(
+            f"{mode:>10} {wall['rows_per_s'][mode]:>14.1f} "
+            f"{modes[mode]['udf_calls']:>10} "
+            f"{modes[mode]['dispatches'] if mode != 'naive' else '-':>11}"
+        )
+    lines.append(
+        f"speedup vs naive: batched {speedup['batched']}x, "
+        f"cached {speedup['cached']}x "
+        f"(cache hits: {modes['cached']['cache_hits']})"
+    )
+    return "\n".join(lines)
+
+
+def check(payload: dict) -> list[str]:
+    sim = payload["simulated"]
+    rows, modes = sim["workload"]["rows"], sim["modes"]
+    failures = [f"planned != naive for: {sql}" for sql in sim["corpus_mismatches"]]
+    for mode in ("batched", "cached"):
+        if not modes[mode]["equals_naive"]:
+            failures.append(f"{mode} != naive on the benchmark query")
+    if modes["batched"]["dispatches"] >= rows:
+        failures.append(
+            f"batched dispatch count {modes['batched']['dispatches']} "
+            f"not < row count {rows}"
+        )
+    if modes["cached"]["cache_hits"] <= 0:
+        failures.append("repeated scan produced no cache hits")
+    if modes["cached"]["udf_calls"] != 0:
+        failures.append(
+            f"repeated scan still made {modes['cached']['udf_calls']} model calls"
+        )
+    return failures
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(_perf.main(sys.modules[__name__]))

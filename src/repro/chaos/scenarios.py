@@ -25,7 +25,8 @@ chaos`` CLI command assert.
 
 from __future__ import annotations
 
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "run_shard_kill_scenario",
     "run_store_kill_scenario",
     "run_tenant_isolation_scenario",
+    "same_seed_rerun",
 ]
 
 #: counter prefixes that make up the trace's counter section — the
@@ -105,26 +107,50 @@ def _reset_id_counters() -> None:
     system_mod._infer_job_ids = itertools.count(1)
 
 
-def run_chaos_scenario(seed: int = 0) -> dict[str, Any]:
-    """Run the full chaos scenario; return results plus the recovery trace.
+@contextmanager
+def _sandbox(
+    plan: FaultPlan,
+) -> Iterator[tuple[telemetry.MetricsRegistry, telemetry.ManualClock]]:
+    """Isolate one scenario run: yields its ``(registry, clock)``.
 
-    Installs a fresh metrics registry, a manual telemetry clock and the
-    default fault plan for the duration (previous globals restored on
-    exit), and rewinds the process-global id counters, so back-to-back
-    invocations with the same seed are fully isolated and produce
-    bit-identical traces.
+    Rewinds the process-global id counters and installs a fresh metrics
+    registry, a manual telemetry clock and ``plan`` for the duration
+    (previous globals restored on exit), so back-to-back runs with the
+    same seed are fully isolated and produce bit-identical traces.
     """
-    from repro.zoo import default_registry
-
     _reset_id_counters()
-    flaky_model = default_registry().select_diverse("ImageClassification", k=2)[0].name
-    plan = build_default_plan(seed, flaky_model)
     registry = telemetry.MetricsRegistry()
     clock = telemetry.ManualClock()
     previous_registry = telemetry.set_registry(registry)
     previous_clock = telemetry.set_clock(clock)
     previous_plan = chaos.set_plan(plan)
     try:
+        yield registry, clock
+    finally:
+        chaos.set_plan(previous_plan)
+        telemetry.set_clock(previous_clock)
+        telemetry.set_registry(previous_registry)
+
+
+def same_seed_rerun(
+    run: Callable[[], dict[str, Any]], section: str = "trace"
+) -> tuple[dict[str, Any], bool]:
+    """Run a seeded callable twice; is ``section`` of both results identical?
+
+    Returns the first result and the verdict — the determinism gate of
+    the ``--verify`` CLI verbs and of the perf-bench runner.
+    """
+    first, again = run(), run()
+    return first, first[section] == again[section]
+
+
+def run_chaos_scenario(seed: int = 0) -> dict[str, Any]:
+    """Run the full chaos scenario; return results plus the recovery trace."""
+    from repro.zoo import default_registry
+
+    flaky_model = default_registry().select_diverse("ImageClassification", k=2)[0].name
+    plan = build_default_plan(seed, flaky_model)
+    with _sandbox(plan) as (registry, clock):
         results = {
             "tune": _tune_phase(seed),
             "serve": _serve_phase(seed),
@@ -143,10 +169,6 @@ def run_chaos_scenario(seed: int = 0) -> dict[str, Any]:
             "faults_injected": plan.faults_injected(),
             "trace": trace,
         }
-    finally:
-        chaos.set_plan(previous_plan)
-        telemetry.set_clock(previous_clock)
-        telemetry.set_registry(previous_registry)
 
 
 #: the shard-kill scenario's trace additionally replays the serving
@@ -231,7 +253,6 @@ def run_shard_kill_scenario(
     from repro.core.tune.distributed import run_cluster_study
     from repro.paramserver import ShardedParameterServer
 
-    _reset_id_counters()
     plan = FaultPlan(
         [
             FaultRule("paramserver.push", FaultKind.DROP, probability=0.05),
@@ -240,12 +261,7 @@ def run_shard_kill_scenario(
         ],
         seed=seed,
     )
-    registry = telemetry.MetricsRegistry()
-    clock = telemetry.ManualClock()
-    previous_registry = telemetry.set_registry(registry)
-    previous_clock = telemetry.set_clock(clock)
-    previous_plan = chaos.set_plan(plan)
-    try:
+    with _sandbox(plan) as (registry, _clock):
         manager = ClusterManager()
         for i in range(max(3, shards)):
             manager.add_node(
@@ -335,10 +351,6 @@ def run_shard_kill_scenario(
                 "checkpoints": checkpoints,
             },
         }
-    finally:
-        chaos.set_plan(previous_plan)
-        telemetry.set_clock(previous_clock)
-        telemetry.set_registry(previous_registry)
 
 
 #: the store-kill scenario's trace additionally replays the block
@@ -386,7 +398,6 @@ def run_store_kill_scenario(
     from repro.data.blockstore import BlockStore
     from repro.data.fs import FileNamespace
 
-    _reset_id_counters()
     plan = FaultPlan(
         [
             # Some chunk uploads are dropped (bounded, so no chunk can
@@ -401,12 +412,7 @@ def run_store_kill_scenario(
         ],
         seed=seed,
     )
-    registry = telemetry.MetricsRegistry()
-    clock = telemetry.ManualClock()
-    previous_registry = telemetry.set_registry(registry)
-    previous_clock = telemetry.set_clock(clock)
-    previous_plan = chaos.set_plan(plan)
-    try:
+    with _sandbox(plan) as (registry, _clock):
         # Capacity math (deliberate): 4 machines x 2 cpus. The job's
         # master (1 cpu) lands on n0; each datanode worker (2 cpus)
         # fills one of n1..n3 completely. A failed worker's replacement
@@ -520,10 +526,6 @@ def run_store_kill_scenario(
                 "files": files,
             },
         }
-    finally:
-        chaos.set_plan(previous_plan)
-        telemetry.set_clock(previous_clock)
-        telemetry.set_registry(previous_registry)
 
 
 #: the tenant-isolation scenario's trace additionally replays the
@@ -567,7 +569,6 @@ def run_tenant_isolation_scenario(seed: int = 0) -> dict[str, Any]:
     from repro.core.serve.loadgen import LoadGenConfig, ReplicaPool, run_multi_load
     from repro.tenancy import TenantQuota, TenantRegistry
 
-    _reset_id_counters()
     plan = FaultPlan(
         [
             # Admission faults aimed at tenant A only: the tenant-scoped
@@ -582,12 +583,7 @@ def run_tenant_isolation_scenario(seed: int = 0) -> dict[str, Any]:
         ],
         seed=seed,
     )
-    registry = telemetry.MetricsRegistry()
-    clock = telemetry.ManualClock()
-    previous_registry = telemetry.set_registry(registry)
-    previous_clock = telemetry.set_clock(clock)
-    previous_plan = chaos.set_plan(plan)
-    try:
+    with _sandbox(plan) as (registry, _clock):
         # -- cluster phase: quotas, flood, crash-loop, fair drain ------
         tenants = TenantRegistry()
         tenants.register("tenant-a", quota=TenantQuota(trials=8))
@@ -696,10 +692,6 @@ def run_tenant_isolation_scenario(seed: int = 0) -> dict[str, Any]:
                 "serve_fingerprint": trace.fingerprint(),
             },
         }
-    finally:
-        chaos.set_plan(previous_plan)
-        telemetry.set_clock(previous_clock)
-        telemetry.set_registry(previous_registry)
 
 
 def _bytes_digest(data: bytes) -> str:

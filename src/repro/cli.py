@@ -460,19 +460,32 @@ def _cmd_telemetry(args) -> int:
     return 0
 
 
+def _run_scenario(args, run, noun: str = "recovery trace") -> dict | None:
+    """Run a seeded scenario; ``--verify`` runs it twice and compares traces.
+
+    Returns the (first) result, or ``None`` after printing the failure
+    when the two same-seed traces differ.
+    """
+    from repro.chaos.scenarios import same_seed_rerun
+
+    if not args.verify:
+        return run()
+    out, identical = same_seed_rerun(run)
+    if not identical:
+        print(f"FAIL: {noun}s differ across same-seed runs", file=sys.stderr)
+        return None
+    return out
+
+
 def _cmd_chaos(args) -> int:
     """Run the seeded chaos scenario and summarise the recovery trace."""
     import json
 
     from repro.chaos.scenarios import run_chaos_scenario
 
-    out = run_chaos_scenario(seed=args.seed)
-    if args.verify:
-        again = run_chaos_scenario(seed=args.seed)
-        if again["trace"] != out["trace"]:
-            print("FAIL: recovery traces differ across same-seed runs",
-                  file=sys.stderr)
-            return 1
+    out = _run_scenario(args, lambda: run_chaos_scenario(seed=args.seed))
+    if out is None:
+        return 1
     if args.json:
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
@@ -502,13 +515,12 @@ def _cmd_tenants(args) -> int:
 
     from repro.chaos.scenarios import run_tenant_isolation_scenario
 
-    out = run_tenant_isolation_scenario(seed=args.seed)
-    if args.verify:
-        again = run_tenant_isolation_scenario(seed=args.seed)
-        if again["trace"] != out["trace"]:
-            print("FAIL: tenant-isolation traces differ across same-seed runs",
-                  file=sys.stderr)
-            return 1
+    out = _run_scenario(
+        args, lambda: run_tenant_isolation_scenario(seed=args.seed),
+        noun="tenant-isolation trace",
+    )
+    if out is None:
+        return 1
     if args.json:
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
@@ -541,17 +553,11 @@ def _cmd_store(args) -> int:
     if args.scenario:
         from repro.chaos.scenarios import run_store_kill_scenario
 
-        out = run_store_kill_scenario(
+        out = _run_scenario(args, lambda: run_store_kill_scenario(
             seed=args.seed, datanodes=args.nodes, replicas=args.replicas
-        )
-        if args.verify:
-            again = run_store_kill_scenario(
-                seed=args.seed, datanodes=args.nodes, replicas=args.replicas
-            )
-            if again["trace"] != out["trace"]:
-                print("FAIL: recovery traces differ across same-seed runs",
-                      file=sys.stderr)
-                return 1
+        ))
+        if out is None:
+            return 1
         if args.json:
             print(json.dumps(out, indent=2, sort_keys=True))
             return 0

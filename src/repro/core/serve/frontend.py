@@ -169,9 +169,6 @@ class FrontendConfig:
             max_attempts=4, base_delay=0.005, max_delay=0.1, jitter=0.0
         )
     )
-    #: AIMD back-off constant handed to the greedy batcher
-    #: (None = the batcher's 0.1 * tau default).
-    batcher_backoff: float | None = None
 
     def __post_init__(self):
         if self.max_queue < 1:
@@ -319,7 +316,6 @@ class ServeFrontend:
             config.batch_sizes,
             latency=config.latency,
             tau=config.tau,
-            backoff=config.batcher_backoff,
         )
         #: live backend capacity hook: ``capacity(now) -> (live_replicas,
         #: head_delay_seconds)``; the admission estimate divides queue

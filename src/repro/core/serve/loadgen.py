@@ -5,8 +5,9 @@ discrete-event :class:`~repro.sim.Simulator`, so an hour of heavy load
 runs in milliseconds and — because the core, the arrival process, and
 the replica pool are all seeded and clock-driven — two runs with the
 same seed produce **bit-identical traces**. That determinism is the
-load harness's acceptance bar (``BENCH_serve.json``'s ``deterministic``
-flag) and what makes chaos runs (replica death mid-load) assertable.
+load harness's acceptance bar (the same-seed gate over
+``BENCH_serve.json``'s fingerprints) and what makes chaos runs (replica
+death mid-load) assertable.
 
 Two load shapes, per the serving literature:
 
@@ -419,35 +420,15 @@ def run_load(
 ) -> LoadTrace:
     """Run one load shape against a front end; returns the full trace.
 
-    ``events`` is a deterministic chaos schedule: ``(time, thunk)``
-    pairs executed at exact simulated instants (e.g.
-    ``(30.0, lambda: pool.kill(1))`` for replica death mid-load).
-    After ``load.duration`` the arrival side stops and in-flight work
-    drains for ``10 * tau``; anything still queued then is shed as
-    ``shutdown`` so every offered request has exactly one terminal
-    trace record.
+    :func:`run_multi_load` of a single load, plus an optional
+    ``autoscaler`` consulted every ``autoscale_interval`` simulated
+    seconds to grow or shrink ``pool`` within ``scale_bounds``.
     """
-    sim = sim if sim is not None else Simulator()
-    trace = LoadTrace(tau=frontend.config.tau, duration=load.duration, mode=load.mode)
-    driver = _Driver(frontend, pool, sim, trace)
-    _spawn_load(driver, sim, load)
-    if autoscaler is not None:
-        sim.spawn(
-            driver.autoscale(
-                autoscaler, scale_bounds, autoscale_interval, load.duration
-            )
-        )
-    for when, thunk in events:
-        sim.schedule(when, thunk)
-    sim.run(until=load.duration + 10.0 * frontend.config.tau)
-    # Deterministic number of drain pumps: serve the stragglers the
-    # leftover rule has already released, then shed whatever remains.
-    driver.pump()
-    sim.run(until=sim.now + 10.0 * frontend.config.tau)
-    leftovers = frontend.pending.pop(len(frontend.pending))
-    if leftovers:
-        frontend.shed_requests(leftovers, sim.now, "shutdown")
-    return trace
+    autoscale = (
+        None if autoscaler is None
+        else (autoscaler, scale_bounds, autoscale_interval)
+    )
+    return _run_loads(frontend, pool, [load], sim, events, autoscale)
 
 
 def run_multi_load(
@@ -465,18 +446,36 @@ def run_multi_load(
     use ``trace.summary(tenant=...)`` for per-tenant aggregates. Load
     coroutines are staggered by a sub-span epsilon in list order so
     same-instant submissions stay deterministically ordered.
+
+    ``events`` is a deterministic chaos schedule: ``(time, thunk)``
+    pairs executed at exact simulated instants (e.g.
+    ``(30.0, lambda: pool.kill(1))`` for replica death mid-load).
+    After the longest ``load.duration`` the arrival side stops and
+    in-flight work drains for ``10 * tau``; anything still queued then
+    is shed as ``shutdown`` so every offered request has exactly one
+    terminal trace record.
     """
+    return _run_loads(frontend, pool, loads, sim, events)
+
+
+def _run_loads(frontend, pool, loads, sim, events, autoscale=None) -> LoadTrace:
+    """The one run → pump → drain → shed-leftovers sequence of both entries."""
     if not loads:
         raise ConfigurationError("run_multi_load needs at least one load")
     sim = sim if sim is not None else Simulator()
     duration = max(load.duration for load in loads)
-    trace = LoadTrace(tau=frontend.config.tau, duration=duration, mode="multi")
+    mode = loads[0].mode if len(loads) == 1 else "multi"
+    trace = LoadTrace(tau=frontend.config.tau, duration=duration, mode=mode)
     driver = _Driver(frontend, pool, sim, trace)
     for index, load in enumerate(loads):
         _spawn_load(driver, sim, load, stagger=index * 1e-7)
+    if autoscale is not None:
+        sim.spawn(driver.autoscale(*autoscale, duration))
     for when, thunk in events:
         sim.schedule(when, thunk)
     sim.run(until=duration + 10.0 * frontend.config.tau)
+    # Deterministic number of drain pumps: serve the stragglers the
+    # leftover rule has already released, then shed whatever remains.
     driver.pump()
     sim.run(until=sim.now + 10.0 * frontend.config.tau)
     leftovers = frontend.pending.pop(len(frontend.pending))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,7 +79,7 @@ class ParameterServer:
         #: anything is stored) and deletes release it.
         self.tenants = tenants
         self._store = store if store is not None else DataStore("ps-backing")
-        self._cache = LRUCache(cache_bytes, size_of=_state_size, name="paramserver")
+        self._cache_bytes = cache_bytes
         self._entries: dict[str, list[ParameterEntry]] = {}
         self._stored_bytes = 0
         #: optional retry policy for push/pull; when set, injected
@@ -87,9 +88,14 @@ class ParameterServer:
         #: deterministic backoff instead of propagating.
         self.retry = retry
 
-    @property
+    @cached_property
     def cache(self) -> LRUCache:
-        return self._cache
+        """The hot cache, built on first use."""
+        return LRUCache(self._cache_bytes, size_of=_state_size, name="paramserver")
+
+    def _caches(self) -> list[LRUCache]:
+        """Every cache that may hold a value of this index."""
+        return [self.cache]
 
     @property
     def store(self) -> DataStore:
@@ -119,11 +125,11 @@ class ParameterServer:
         """
         if self.retry is not None:
             return self.retry.call(
-                self._put_once, self._cache, key, state, model, dataset,
+                self._put_once, self.cache, key, state, model, dataset,
                 performance, public, name="paramserver.push", **extra,
             )
         return self._put_once(
-            self._cache, key, state, model, dataset, performance, public, **extra
+            self.cache, key, state, model, dataset, performance, public, **extra
         )
 
     def _put_once(
@@ -190,9 +196,9 @@ class ParameterServer:
         """
         if self.retry is not None:
             return self.retry.call(
-                self._get_once, self._cache, key, version, name="paramserver.pull"
+                self._get_once, self.cache, key, version, name="paramserver.pull"
             )
-        return self._get_once(self._cache, key, version)
+        return self._get_once(self.cache, key, version)
 
     def _get_once(
         self, cache: LRUCache, key: str, version: int | None = None
@@ -233,12 +239,18 @@ class ParameterServer:
         return len(self._entries.get(key, []))
 
     def delete(self, key: str) -> None:
-        """Drop every version of ``key`` from cache and backing store."""
+        """Drop every version of ``key`` from every cache and the backing store.
+
+        A re-created key restarts at version 1 and reuses its paths, so
+        any cache that ever served the old bytes must forget them.
+        """
         versions = self._entries.pop(key, None)
         if versions is None:
             raise ParameterNotFoundError(key)
+        caches = self._caches()
         for entry in versions:
-            self._cache.invalidate(entry.path)
+            for cache in caches:
+                cache.invalidate(entry.path)
             self._stored_bytes -= entry.nbytes
             if self.tenants is not None and entry.tenant is not None:
                 self.tenants.release(entry.tenant, "ps_bytes", entry.nbytes)
@@ -302,7 +314,7 @@ class ParameterServer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ParameterServer(keys={len(self._entries)}, "
-            f"cache_hit_rate={self._cache.hit_rate:.2f})"
+            f"cache_hit_rate={self.cache.hit_rate:.2f})"
         )
 
 

@@ -113,8 +113,9 @@ class ShardedParameterServer(ParameterServer, HostedGroup):
                 block_store=block_store or BlockStore(nodes=shards, replicas=replicas),
                 tenants=tenants,
             )
-        # Values are cached per shard; the index's own cache stays empty.
-        super().__init__(store=store, cache_bytes=0, retry=retry, tenants=tenants)
+        super().__init__(
+            store=store, cache_bytes=cache_bytes, retry=retry, tenants=tenants
+        )
         per_shard_cache = max(1, cache_bytes // shards)
         self._members: list[Shard] = [
             Shard(
@@ -169,6 +170,9 @@ class ShardedParameterServer(ParameterServer, HostedGroup):
                 "a multi-shard server has per-shard caches; iterate .shards"
             )
         return self._members[0].cache
+
+    def _caches(self) -> list[LRUCache]:
+        return [shard.cache for shard in self._members]
 
     def cache_stats(self) -> dict[str, float]:
         """Aggregate hit/miss/eviction counts across every shard cache."""
@@ -302,17 +306,6 @@ class ShardedParameterServer(ParameterServer, HostedGroup):
                 f"no live parameter-server shard can serve {key!r}"
             )
         return served[0][1]
-
-    def delete(self, key: str) -> None:
-        """Drop every version of ``key`` from the index and every cache.
-
-        A re-created key restarts at version 1 and reuses its paths, so
-        any shard that ever served the old bytes must forget them.
-        """
-        for entry in self._entries.get(key, ()):
-            for shard in self._members:
-                shard.cache.invalidate(entry.path)
-        super().delete(key)
 
     # ------------------------------------------------------------------
     # auditing

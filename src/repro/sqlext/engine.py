@@ -406,30 +406,19 @@ class Database:
 
     ``execute`` compiles each SELECT to an optimized logical plan and
     runs it on the vectorized executor, whose UDF operator dispatches
-    whole batches of surviving rows through the serving batcher and
-    prediction cache (``udf_batching``/``udf_cache`` toggle that path;
-    with batching off UDFs run row-at-a-time like the naive oracle).
+    whole batches of surviving rows in hardware batch sizes through
+    the prediction cache (``udf_cache=False`` keeps within-batch dedup
+    but remembers nothing across queries).
     """
 
-    def __init__(
-        self,
-        udf_batching: bool = True,
-        udf_cache: bool = True,
-        cache_capacity: int = 1024,
-        batch_sizes=None,
-        tau: float = 0.56,
-    ):
+    def __init__(self, udf_cache: bool = True, cache_capacity: int = 1024):
         from repro.sqlext.exec import NaiveExecutor, PlannedExecutor, UdfBatchDispatcher
 
         self.tables: dict[str, Table] = {}
         self.udfs = UdfRegistry()
         self.last_udf_calls = 0
         self.dispatcher = UdfBatchDispatcher(
-            self.udfs,
-            batching=udf_batching,
-            cache_capacity=cache_capacity if udf_cache else 0,
-            batch_sizes=batch_sizes,
-            tau=tau,
+            self.udfs, cache_capacity=cache_capacity if udf_cache else 0
         )
         self._planned = PlannedExecutor(self, self.dispatcher)
         self._naive = NaiveExecutor(self)

@@ -11,10 +11,9 @@ Two executors share the AST and produce bit-identical results:
   arguments for *all* surviving rows to a
   :class:`UdfBatchDispatcher`, which dedupes them, serves repeats from
   a :class:`~repro.core.serve.pred_cache.PredictionCache`, and chunks
-  the distinct misses into hardware batches chosen by the serving
-  layer's :class:`~repro.core.serve.batching.GreedyBatcher` — so an
-  analytical scan rides the same SLO-aware inference path as online
-  serving. Each chunk dispatch passes the ``sql.udf.dispatch`` chaos
+  the distinct misses into the serving layer's hardware batch sizes
+  — so an analytical scan rides the same batched inference path as
+  online serving. Each chunk dispatch passes the ``sql.udf.dispatch`` chaos
   point under a seeded :class:`~repro.utils.retry.RetryPolicy`;
   exhausted retries shed the query with
   :class:`~repro.exceptions.RequestShedError` (the gateway maps that
@@ -23,12 +22,11 @@ Two executors share the AST and produce bit-identical results:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro import chaos, telemetry
-from repro.core.serve.batching import DEFAULT_BATCH_SIZES, GreedyBatcher
+from repro.core.serve.batching import DEFAULT_BATCH_SIZES
 from repro.core.serve.pred_cache import PredictionCache
-from repro.core.serve.request import RequestQueue
 from repro.exceptions import (
     InjectedFault,
     RequestShedError,
@@ -79,32 +77,25 @@ class UdfBatchDispatcher:
     operator collected and returns aligned results, having made as few
     underlying model calls as possible: duplicate arguments collapse,
     cached results are reused across queries, and the distinct misses
-    are carved into hardware batches by replaying the serving layer's
-    greedy SLO policy over a simulated arrival queue (everything
-    arrives at once; leftovers below ``min(B)`` flush via the padded
-    leftover rule at the SLO deadline).
+    are carved into the serving layer's hardware batch sizes, largest
+    first (everything is available at once, so that is what Algorithm 3
+    picks; a leftover below ``min(B)`` goes out as one padded batch).
     """
 
     FAULT_POINT = "sql.udf.dispatch"
+    #: candidate hardware batch sizes.
+    BATCH_SIZES = DEFAULT_BATCH_SIZES
+    #: back-off hint on a shed query: the serving SLO (paper §7.2).
+    RETRY_AFTER = 0.56
 
     def __init__(
         self,
         registry,
-        batching: bool = True,
         cache_capacity: int = 1024,
-        batch_sizes: Sequence[int] | None = None,
-        tau: float = 0.56,
         retry: RetryPolicy | None = None,
     ):
         self.registry = registry
-        self.batching = batching
         self.cache_capacity = int(cache_capacity)
-        sizes = tuple(batch_sizes) if batch_sizes else DEFAULT_BATCH_SIZES
-        # A nominal affine latency model: per-batch overhead plus
-        # per-row cost, the shape Section 7.2.1 fits for real models.
-        self.batcher = GreedyBatcher(
-            sizes, latency=lambda b: 0.01 + 0.001 * b, tau=tau
-        )
         self.retry = retry or RetryPolicy(
             max_attempts=3, retry_on=(InjectedFault,), seed=0
         )
@@ -122,8 +113,6 @@ class UdfBatchDispatcher:
         """Evaluate ``name`` over ``args``; results align with ``args``."""
         if not args:
             return []
-        if not self.batching:
-            return [self.registry.call(name, value) for value in args]
         key = name.lower()
         if self.cache_capacity > 0:
             cache = self._caches.get(key)
@@ -171,26 +160,17 @@ class UdfBatchDispatcher:
         return results
 
     def _chunks(self, args: list[Any]) -> list[list[Any]]:
-        """Carve ``args`` into hardware batches via the greedy policy.
-
-        All requests enter a simulated queue at t=0; the batcher drains
-        it with Algorithm 3, jumping the clock to its own next deadline
-        whenever it prefers to wait (which flushes the sub-``min(B)``
-        leftovers through the padded-batch grace rule).
-        """
-        queue = RequestQueue()
-        queue.push(0.0, len(args))
-        now = 0.0
-        start = 0
+        """Carve ``args`` into hardware batches, largest size first."""
         chunks: list[list[Any]] = []
-        while queue:
-            decision = self.batcher.decide(queue, now)
-            if decision.dispatch:
-                taken = len(queue.pop_oldest(decision.take))
-                chunks.append(args[start:start + taken])
-                start += taken
-            else:
-                now = self.batcher.next_deadline(queue, now)
+        start = 0
+        while start < len(args):
+            remaining = len(args) - start
+            take = max(
+                (size for size in self.BATCH_SIZES if size <= remaining),
+                default=remaining,
+            )
+            chunks.append(args[start:start + take])
+            start += take
         return chunks
 
     def _dispatch_chunk(self, name: str, chunk: list[Any]) -> list[Any]:
@@ -232,7 +212,7 @@ class UdfBatchDispatcher:
             self.trace.append({"event": "shed", "udf": udf, "rows": len(chunk)})
             raise RequestShedError(
                 reason="dispatch_failed",
-                retry_after=self.batcher.tau,
+                retry_after=self.RETRY_AFTER,
                 detail=f"udf {udf!r} batch of {len(chunk)}: {exc.last_error}",
             ) from exc
         self.batches_dispatched += 1

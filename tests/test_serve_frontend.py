@@ -23,6 +23,7 @@ from repro.core.serve import (
     TokenBucket,
     capacity_qps,
     run_load,
+    run_multi_load,
 )
 from repro.exceptions import ConfigurationError, RequestShedError
 
@@ -256,6 +257,19 @@ class TestLoadDeterminism:
         second = self.run("closed", 3, **kwargs)
         assert first.records
         assert first.fingerprint() == second.fingerprint()
+
+    def test_single_load_is_multi_load_of_one(self):
+        def run(entry, loads):
+            frontend = ServeFrontend(config(tau=0.2, batch_sizes=(4, 8, 16)))
+            return entry(frontend, ReplicaPool(lat, replicas=2), loads)
+
+        load = LoadGenConfig(mode="open", duration=4.0, seed=7,
+                             target_rate=300.0, period=4.0)
+        single = run(run_load, load)
+        multi = run(run_multi_load, [load])
+        assert single.records
+        assert single.fingerprint() == multi.fingerprint()
+        assert single.summary() == multi.summary()
 
     def test_closed_loop_self_limits(self):
         trace = self.run("closed", 3, clients=12, think_time=0.01)

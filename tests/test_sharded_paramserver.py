@@ -435,6 +435,18 @@ class TestTelemetry:
         # one index underneath: each version is pushed (and counted) once
         assert total == 8 == registry.counter("repro_paramserver_push_total", "x").value()
 
+    def test_no_unsharded_cache_series(self):
+        # the index builds no cache of its own: only per-shard series exist
+        sps = ShardedParameterServer(shards=2, replicas=1)
+        sps.put("k", state(1.0))
+        sps.get("k")
+        sps.put("k", state(2.0))
+        sps.delete("k")
+        exported = telemetry.to_json(telemetry.get_registry())
+        assert '"cache=paramserver-ps-' in exported
+        assert '"cache=paramserver"' not in exported
+        assert "_cache" not in vars(sps) and "cache" not in vars(sps)
+
     def test_live_shards_gauge_tracks_kills(self):
         sps = ShardedParameterServer(shards=3, replicas=2)
         gauge = telemetry.get_registry().gauge("repro_paramserver_shards_live", "x")

@@ -171,3 +171,30 @@ class TestTokenizerEdgeCases:
         database.create_table("t", [Column("a", "int")])
         with pytest.raises(SQLParseError, match=r"LIMIT"):
             database.execute("SELECT a FROM t LIMIT -1")
+
+
+class TestUdfBatchCarving:
+    @pytest.mark.parametrize("sizes", [None, (4, 10)])
+    @pytest.mark.parametrize("n", [1, 15, 16, 63, 64, 65, 200])
+    def test_chunks_take_the_largest_fitting_size(self, db, n, sizes):
+        dispatcher = db.dispatcher
+        if sizes is not None:
+            dispatcher.BATCH_SIZES = sizes
+        sizes = dispatcher.BATCH_SIZES
+        args = list(range(n))
+        chunks = dispatcher._chunks(args)
+        assert [x for chunk in chunks for x in chunk] == args
+        remaining = n
+        for chunk in chunks:
+            fitting = [size for size in sizes if size <= remaining]
+            assert len(chunk) == (max(fitting) if fitting else remaining)
+            remaining -= len(chunk)
+
+    def test_default_sizes_pin(self, db):
+        lengths = [len(c) for c in db.dispatcher._chunks(list(range(200)))]
+        assert lengths == [64, 64, 64, 8]
+
+    def test_removed_knobs_are_type_errors(self):
+        for knob in ({"udf_batching": True}, {"batch_sizes": (1, 2)}, {"tau": 0.5}):
+            with pytest.raises(TypeError):
+                Database(**knob)
