@@ -35,7 +35,6 @@ from repro.core.tune import (
     run_study,
     section71_space,
 )
-from repro.core.tune.trial import rewind_trial_ids
 from repro.paramserver import ParameterServer
 from repro.zoo import get_profile
 
@@ -80,7 +79,6 @@ def run_tuning_study(
     conf_kwargs: dict | None = None,
 ):
     """One Section 7.1 study on the surrogate trainer."""
-    rewind_trial_ids()
     space = section71_space()
     conf = HyperConf(
         max_trials=max_trials, max_epochs_per_trial=50, delta=0.005,

@@ -21,12 +21,10 @@ from repro.core.tune import (
     run_study,
     section71_space,
 )
-from repro.core.tune.trial import rewind_trial_ids
 from repro.paramserver import ParameterServer
 
 
 def run_halving(seed: int):
-    rewind_trial_ids()
     scheduler = SuccessiveHalving(
         initial_trials=32, initial_epochs=3, eta=2, max_rungs=4
     )
@@ -42,7 +40,6 @@ def run_halving(seed: int):
 
 
 def run_random(epoch_budget: int, seed: int):
-    rewind_trial_ids()
     conf = HyperConf(max_trials=10_000, max_epochs_per_trial=50,
                      max_total_epochs=epoch_budget)
     ps = ParameterServer()

@@ -43,7 +43,6 @@ from repro.core.tune import (
     run_study,
     run_study_parallel,
 )
-from repro.core.tune.trial import rewind_trial_ids
 from repro.data import make_image_classification
 from repro.paramserver import ParameterServer
 from repro.zoo.builders import build_mlp
@@ -54,7 +53,6 @@ BASE_SEED = 9
 
 
 def make_study(dataset, trials: int, max_epochs: int, seed: int):
-    rewind_trial_ids()  # identical ids per run
     space = HyperSpace()
     space.add_range_knob("lr", "float", 0.01, 0.3, log_scale=True)
     space.add_range_knob("momentum", "float", 0.0, 0.9)

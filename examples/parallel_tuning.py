@@ -56,13 +56,8 @@ dataset = make_image_classification(
     difficulty=0.3, seed=SEED,
 )
 
-# Sequential and parallel runs must hand out identical trial ids for a
-# bit-for-bit comparison; rewind the global counter between them.
-from repro.core.tune.trial import rewind_trial_ids
-
 results = {}
 for mode in ("sequential", "parallel"):
-    rewind_trial_ids()
     master, workers = make_study(dataset)
     start = time.perf_counter()
     if mode == "parallel":

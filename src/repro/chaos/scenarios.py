@@ -81,44 +81,18 @@ def build_default_plan(seed: int, flaky_model: str) -> FaultPlan:
     return FaultPlan(rules, seed=seed)
 
 
-def _reset_id_counters() -> None:
-    """Rewind the process-global id counters the scenario's objects draw from.
-
-    Trial sessions seed their RNG from ``trial.trial_id``, and job and
-    container names carry their sequence numbers into metric labels —
-    so a second scenario run in the same process would diverge unless
-    the counters restart from 1. The counters stay rewound afterwards
-    (ids remain unique within any single study/manager, which is all
-    the library relies on).
-    """
-    import itertools
-
-    from repro.cluster import container as container_mod
-    from repro.cluster import manager as manager_mod
-    from repro.cluster import message as message_mod
-    from repro.core import system as system_mod
-    from repro.core.tune.trial import rewind_trial_ids
-
-    rewind_trial_ids()
-    container_mod._container_ids = itertools.count(1)
-    manager_mod._job_ids = itertools.count(1)
-    message_mod._message_ids = itertools.count(1)
-    system_mod._train_job_ids = itertools.count(1)
-    system_mod._infer_job_ids = itertools.count(1)
-
-
 @contextmanager
 def _sandbox(
     plan: FaultPlan,
 ) -> Iterator[tuple[telemetry.MetricsRegistry, telemetry.ManualClock]]:
     """Isolate one scenario run: yields its ``(registry, clock)``.
 
-    Rewinds the process-global id counters and installs a fresh metrics
-    registry, a manual telemetry clock and ``plan`` for the duration
-    (previous globals restored on exit), so back-to-back runs with the
-    same seed are fully isolated and produce bit-identical traces.
+    Installs a fresh metrics registry, a manual telemetry clock and
+    ``plan`` for the duration (previous globals restored on exit).
+    Every id in a trace is issued by an object the scenario builds, so
+    back-to-back runs with the same seed produce bit-identical traces
+    whatever ran in the process before.
     """
-    _reset_id_counters()
     registry = telemetry.MetricsRegistry()
     clock = telemetry.ManualClock()
     previous_registry = telemetry.set_registry(registry)

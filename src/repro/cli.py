@@ -275,14 +275,11 @@ def _cmd_tune(args) -> int:
         import time
 
         from repro.core.tune import TrialPool
-        from repro.core.tune.trial import rewind_trial_ids
 
         walls = []
         fingerprints = []
         with TrialPool(processes=args.processes) as pool:
             for label in ("cold", "warm"):
-                # rewind trial ids so both studies are comparable
-                rewind_trial_ids()
                 master, workers = build_study()
                 started = time.perf_counter()
                 report = run_study_parallel(master, workers, pool=pool)

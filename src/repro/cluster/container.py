@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 from repro.cluster.node import Resources
 
 __all__ = ["Container", "ContainerState", "ContainerRole"]
-
-_container_ids = itertools.count(1)
 
 
 class ContainerState(enum.Enum):
@@ -31,13 +28,17 @@ class ContainerRole(enum.Enum):
 
 @dataclass
 class Container:
-    """One container: an image (code bundle) plus a resource request."""
+    """One container: an image (code bundle) plus a resource request.
 
+    The :class:`~repro.cluster.manager.ClusterManager` that creates it
+    names it (``ctr-N``, unique within that manager).
+    """
+
+    container_id: str
     image: str
     role: ContainerRole
     job_id: str
     request: Resources = field(default_factory=lambda: Resources(cpus=1, gpus=1, memory_gb=8))
-    container_id: str = field(default_factory=lambda: f"ctr-{next(_container_ids)}")
     node_name: str | None = None
     state: ContainerState = ContainerState.PENDING
     restarts: int = 0

@@ -32,8 +32,6 @@ __all__ = ["ClusterManager", "JobRecord", "JobKind", "JobState"]
 #: governed quota resource per job kind (system jobs are uncounted).
 _QUOTA_RESOURCE = {"train": "trials", "inference": "replicas"}
 
-_job_ids = itertools.count(1)
-
 
 class JobKind(enum.Enum):
     TRAIN = "train"
@@ -102,6 +100,9 @@ class ClusterManager:
         #: quota + fair-share authority; ``None`` disables enforcement.
         self.tenants = tenants
         self.recoveries = 0
+        #: ``job-N`` / ``ctr-N`` sequence numbers, unique within this manager.
+        self._job_ids = itertools.count(1)
+        self._container_ids = itertools.count(1)
         self._recovery_hooks: list[Callable[[Container], None]] = []
         #: failed containers waiting for capacity, oldest first.
         self._pending_restarts: list[Container] = []
@@ -120,6 +121,7 @@ class ClusterManager:
         self.nodes[node.name] = node
         self.last_heartbeat[node.name] = telemetry.get_clock().now()
         self._publish_node_gauges()
+        self._drain_pending_restarts()
         self._schedule_pending()
 
     def heartbeat(self, node_name: str) -> bool:
@@ -214,18 +216,19 @@ class ClusterManager:
             raise ClusterError(f"num_workers must be >= 0, got {num_workers}")
         if self.tenants is not None:
             self.tenants.resolve(tenant)
-        job_id = f"job-{next(_job_ids)}"
+        job_id = f"job-{next(self._job_ids)}"
         master_request = master_request or Resources(cpus=1, gpus=0, memory_gb=4)
         worker_request = worker_request or Resources(cpus=1, gpus=1, memory_gb=8)
         containers = [
-            Container(image=f"rafiki/{kind.value}-master", role=ContainerRole.MASTER,
-                      job_id=job_id, request=master_request)
+            self._new_container(image=f"rafiki/{kind.value}-master",
+                                role=ContainerRole.MASTER,
+                                job_id=job_id, request=master_request)
+        ] + [
+            self._new_container(image=f"rafiki/{kind.value}-worker",
+                                role=worker_role,
+                                job_id=job_id, request=worker_request)
+            for _ in range(num_workers)
         ]
-        for _ in range(num_workers):
-            containers.append(
-                Container(image=f"rafiki/{kind.value}-worker", role=worker_role,
-                          job_id=job_id, request=worker_request)
-            )
         job = JobRecord(
             job_id=job_id, kind=kind, name=name, containers=containers,
             spec=dict(spec or {}), tenant=tenant, priority=int(priority),
@@ -252,6 +255,9 @@ class ClusterManager:
                 raise
             self._enqueue_pending(job, reason="capacity")
         return job
+
+    def _new_container(self, **fields) -> Container:
+        return Container(container_id=f"ctr-{next(self._container_ids)}", **fields)
 
     def _quota_check(self, job: JobRecord) -> None:
         """Raise if placing ``job`` would take its tenant over quota."""
@@ -439,14 +445,12 @@ class ClusterManager:
             self._pending_restarts = [
                 c for c in self._pending_restarts if c.job_id != job_id
             ]
-            telemetry.get_registry().gauge(
-                "repro_cluster_pending_restarts",
-                "Failed containers waiting for cluster capacity.",
-            ).set(len(self._pending_restarts))
+            self._publish_pending_restarts_gauge()
         job.state = state
         resource = _QUOTA_RESOURCE.get(job.kind.value)
         if was_charged and self.tenants is not None and resource is not None:
             self.tenants.release(job.tenant, resource, len(job.workers))
+        self._drain_pending_restarts()
         self._schedule_pending()
 
     def complete_job(self, job_id: str) -> None:
@@ -474,7 +478,8 @@ class ClusterManager:
         checkpoint store) are restarted as *new* containers on surviving
         nodes. Returns the replacement containers. Containers that do
         not fit anywhere stay queued, their job runs DEGRADED, and the
-        restart is retried when capacity returns (:meth:`recover_node`).
+        restart is retried whenever capacity returns (a node recovers
+        or joins, a job stops).
         """
         if node_name not in self.nodes:
             raise ClusterError(f"unknown node {node_name!r}")
@@ -496,7 +501,7 @@ class ClusterManager:
         job = self.jobs.get(failed.job_id)
         if job is None or job.state not in (JobState.RUNNING, JobState.DEGRADED):
             return None
-        replacement = Container(
+        replacement = self._new_container(
             image=failed.image,
             role=failed.role,
             job_id=failed.job_id,
@@ -524,43 +529,42 @@ class ClusterManager:
         # job, and queue the restart for when a node comes back.
         job.state = JobState.DEGRADED
         self._pending_restarts.append(failed)
+        self._publish_pending_restarts_gauge()
+        return None
+
+    def _publish_pending_restarts_gauge(self) -> None:
         telemetry.get_registry().gauge(
             "repro_cluster_pending_restarts",
             "Failed containers waiting for cluster capacity.",
         ).set(len(self._pending_restarts))
-        return None
+
+    def _drain_pending_restarts(self) -> list[Container]:
+        """Retry the queued restarts now that capacity may have come back.
+
+        Jobs whose queued containers all restart move back from DEGRADED
+        to RUNNING. Returns the containers started.
+        """
+        if not self._pending_restarts:
+            return []
+        pending, self._pending_restarts = self._pending_restarts, []
+        started = [c for c in map(self._restart, pending) if c is not None]
+        still_queued = {c.job_id for c in self._pending_restarts}
+        for job_id in {c.job_id for c in started} - still_queued:
+            self.jobs[job_id].state = JobState.RUNNING
+        self._publish_pending_restarts_gauge()
+        return started
 
     def recover_node(self, node_name: str) -> list[Container]:
         """Bring a node back and drain queued restarts onto it.
 
-        Jobs whose queued containers all restart successfully move back
-        from DEGRADED to RUNNING. Returns the containers started from
-        the pending-restart queue.
+        Returns the containers started from the pending-restart queue.
         """
         if node_name not in self.nodes:
             raise ClusterError(f"unknown node {node_name!r}")
         self.nodes[node_name].recover()
         self.last_heartbeat[node_name] = telemetry.get_clock().now()
         self._publish_node_gauges()
-        pending, self._pending_restarts = self._pending_restarts, []
-        started: list[Container] = []
-        for failed in pending:
-            replacement = self._restart(failed)
-            if replacement is not None:
-                started.append(replacement)
-        restarted_ids = {c.predecessor for c in started}
-        for failed in pending:
-            if failed.container_id not in restarted_ids:
-                continue
-            job = self.jobs.get(failed.job_id)
-            if job is None or job.state is not JobState.DEGRADED:
-                continue
-            if not any(q.job_id == job.job_id for q in self._pending_restarts):
-                job.state = JobState.RUNNING
-        telemetry.get_registry().gauge(
-            "repro_cluster_pending_restarts",
-            "Failed containers waiting for cluster capacity.",
-        ).set(len(self._pending_restarts))
+        started = self._drain_pending_restarts()
         self._schedule_pending()
         return started
 

@@ -10,7 +10,6 @@ server) or ``kStop`` (early-stop the current trial).
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
@@ -30,9 +29,6 @@ class MessageType(enum.Enum):
     SHUTDOWN = "kShutdown"
 
 
-_message_ids = itertools.count(1)
-
-
 @dataclass
 class Message:
     """A single protocol message."""
@@ -40,7 +36,6 @@ class Message:
     type: MessageType
     sender: str
     payload: dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Message({self.type.value}, from={self.sender!r}, payload={self.payload})"

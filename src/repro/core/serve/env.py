@@ -128,10 +128,7 @@ class ServingEnv:
                 accepted = self.queue.push(self.sim.now, count)
                 self.metrics.record_arrivals(self.sim.now, accepted)
                 if count > accepted:
-                    telemetry.get_registry().counter(
-                        "repro_serve_requests_dropped_total",
-                        "Arrivals rejected by a full queue.",
-                    ).inc(count - accepted)
+                    self._count_dropped(count - accepted, reason="queue_full")
                 self.metrics.dropped = self.queue.total_dropped
                 self._update_queue_gauge()
                 self._maybe_decide()
@@ -160,6 +157,13 @@ class ServingEnv:
                 return
             else:  # pragma: no cover - defensive
                 raise ConfigurationError(f"bad controller decision: {decision!r}")
+
+    def _count_dropped(self, count: int, reason: str) -> None:
+        telemetry.get_registry().counter(
+            "repro_serve_requests_dropped_total",
+            "Requests dropped, by reason: rejected by a full queue or shed "
+            "after repeated dispatch failures.",
+        ).inc(count, reason=reason)
 
     def _update_queue_gauge(self) -> None:
         telemetry.get_registry().gauge(
@@ -199,8 +203,7 @@ class ServingEnv:
             injected_latency = chaos.fire("serve.dispatch")
         except InjectedFault:
             self._dispatch_failures += 1
-            registry = telemetry.get_registry()
-            registry.counter(
+            telemetry.get_registry().counter(
                 "repro_serve_dispatch_retries_total",
                 "Dispatched batches that failed and were resubmitted.",
             ).inc()
@@ -209,10 +212,7 @@ class ServingEnv:
                 # queue behind one poisoned dispatch.
                 self.queue.total_dropped += take
                 self.metrics.dropped = self.queue.total_dropped
-                registry.counter(
-                    "repro_serve_requests_dropped_total",
-                    "Arrivals rejected by a full queue.",
-                ).inc(take, reason="dispatch_failed")
+                self._count_dropped(take, reason="dispatch_failed")
                 self._dispatch_failures = 0
                 self._schedule_wake(self.now + self.dispatch_retry.base_delay)
                 return False

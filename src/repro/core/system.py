@@ -63,9 +63,6 @@ _ADVISORS = {
     "bayesian": BayesianAdvisor,
 }
 
-_train_job_ids = itertools.count(1)
-_infer_job_ids = itertools.count(1)
-
 
 @dataclass
 class ModelSpec:
@@ -167,6 +164,9 @@ class Rafiki:
         self.registry: TaskRegistry = default_registry()
         self.train_jobs: dict[str, TrainJobInfo] = {}
         self.inference_jobs: dict[str, InferenceJobInfo] = {}
+        #: ``train-N`` / ``infer-N`` sequence numbers of this system.
+        self._train_job_ids = itertools.count(1)
+        self._infer_job_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
     # data
@@ -224,7 +224,7 @@ class Rafiki:
         space = space if space is not None else section71_space()
         entries = self.registry.select_diverse(task, k=num_models)
 
-        job_id = f"train-{next(_train_job_ids)}"
+        job_id = f"train-{next(self._train_job_ids)}"
         info = TrainJobInfo(
             job_id=job_id, name=name, task=task, dataset=dataset, tenant=tenant
         )
@@ -345,7 +345,7 @@ class Rafiki:
         specs = list(models)
         if not specs:
             raise ConfigurationError("at least one model spec is required")
-        job_id = f"infer-{next(_infer_job_ids)}"
+        job_id = f"infer-{next(self._infer_job_ids)}"
         info = InferenceJobInfo(job_id=job_id, specs=specs, tenant=tenant)
         cluster_job = self.cluster.submit_job(
             JobKind.INFERENCE, name=job_id, num_workers=len(specs),

@@ -234,7 +234,8 @@ class TrialPool:
     """A pool of long-lived trial-training processes.
 
     Use as a context manager (or call :meth:`shutdown`).  One pool can
-    serve many studies — sequentially or interleaved — via
+    serve many studies, one after another (records are demultiplexed by
+    trial id, which is unique within a study only), via
     :class:`PoolTrialExecutor` instances bound to it; keeping the pool
     open across studies is what ``--pool-reuse`` exposes on the CLI.
     """

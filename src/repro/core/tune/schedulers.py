@@ -11,9 +11,10 @@ narrow interface of Tune's trial scheduler:
   :class:`Trial`, or ``FRESH`` (draw a configuration from the master's
   advisor), ``WAIT`` (park the worker until a trial finishes) or
   ``EXHAUSTED`` (shut the study down);
-* ``on_trial_add(trial)`` sees every trial before it is handed out and
-  may set its ``init_kind``/``init_key`` (the initial-state hook),
-  ``max_epochs`` and ``local_early_stop``;
+* ``on_trial_add(trial)`` sees every trial, already numbered by the
+  master, before it is handed out and may set its
+  ``init_kind``/``init_key`` (the initial-state hook), ``max_epochs``
+  and ``local_early_stop``;
 * ``on_trial_result(worker, trial, performance)`` sees every
   ``kReport`` and returns ``CONTINUE`` or ``STOP`` plus the
   parameter-server keys the worker must ``kPut`` now;
@@ -187,7 +188,9 @@ class SuccessiveHalving(TrialScheduler):
     trial is ``kPut`` under its own key. Workers asking while a rung is
     still running wait at the barrier; after ``max_rungs`` rungs the
     study is exhausted. Budgets ride on :attr:`Trial.max_epochs` and
-    are exact: workers do not early-stop rung trials.
+    are exact: workers do not early-stop rung trials. Checkpoint keys
+    are ``<checkpoint_prefix>/trial/<id>``; the prefix defaults to the
+    study's name, so studies sharing a parameter server stay apart.
     """
 
     def __init__(
@@ -196,7 +199,7 @@ class SuccessiveHalving(TrialScheduler):
         initial_epochs: int = 2,
         eta: int = 2,
         max_rungs: int = 4,
-        checkpoint_prefix: str = "sh",
+        checkpoint_prefix: str | None = None,
     ):
         if initial_trials < eta:
             raise ConfigurationError(
@@ -215,6 +218,11 @@ class SuccessiveHalving(TrialScheduler):
         self._queue: list[Trial | Answer] = [FRESH] * self.initial_trials
         self._outstanding = 0
         self._rung_results: list[TrialResult] = []
+
+    def bind(self, study) -> None:
+        super().bind(study)
+        if self.checkpoint_prefix is None:
+            self.checkpoint_prefix = study.study_name
 
     def rung_budget(self, rung: int) -> int:
         return self.initial_epochs * self.eta**rung

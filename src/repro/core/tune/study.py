@@ -102,6 +102,8 @@ class StudyMaster:
         self.done = False
         self.num_finished = 0
         self.total_epochs = 0
+        #: trials handed out so far; the next one gets this plus one.
+        self._trials_issued = 0
         self.report = StudyReport(study_name=study_name)
         if isinstance(scheduler, TrialScheduler):
             scheduler = [scheduler]
@@ -153,6 +155,8 @@ class StudyMaster:
         if trial is EXHAUSTED:
             self.done = True
             return [(worker, Message(MessageType.SHUTDOWN, self.study_name))]
+        self._trials_issued += 1
+        trial.trial_id = self._trials_issued
         for scheduler in self.schedulers:
             scheduler.on_trial_add(trial)
         return [(worker, Message(MessageType.TRIAL, self.study_name, {"trial": trial}))]
@@ -227,15 +231,24 @@ class StudyMaster:
 
     def checkpoint_state(self) -> dict:
         """The small master state Rafiki checkpoints for recovery."""
-        state = {"num_finished": self.num_finished, "total_epochs": self.total_epochs}
+        state = {
+            "num_finished": self.num_finished,
+            "total_epochs": self.total_epochs,
+            "trials_issued": self._trials_issued,
+        }
         for scheduler in self.schedulers:
             state.update(scheduler.checkpoint_state())
         return state
 
     def restore_state(self, state: dict) -> None:
-        """Resume the counts (and the schedulers) from a checkpoint."""
+        """Resume the counts (and the schedulers) from a checkpoint.
+
+        Trial numbering resumes too: a restored master never hands out
+        an id the checkpointed one already did.
+        """
         self.num_finished = int(state["num_finished"])
         self.total_epochs = int(state["total_epochs"])
+        self._trials_issued = int(state["trials_issued"])
         for scheduler in self.schedulers:
             scheduler.restore_state(state)
 

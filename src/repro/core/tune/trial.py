@@ -8,25 +8,10 @@ dataset is a *study*.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["Trial", "TrialResult", "TrialStatus", "InitKind", "rewind_trial_ids"]
-
-_trial_ids = itertools.count(1)
-
-
-def rewind_trial_ids() -> None:
-    """Start the next study from trial id 1.
-
-    Sessions seed from the trial id, and ids come from a process-global
-    counter: without the rewind a study's numbers depend on which
-    studies ran earlier in the same process, and two runs cannot be
-    compared bit for bit.
-    """
-    global _trial_ids
-    _trial_ids = itertools.count(1)
+__all__ = ["Trial", "TrialResult", "TrialStatus", "InitKind"]
 
 
 class InitKind(enum.Enum):
@@ -49,7 +34,10 @@ class Trial:
     """One hyper-parameter assignment handed to a worker."""
 
     params: dict[str, Any]
-    trial_id: int = field(default_factory=lambda: next(_trial_ids))
+    #: unique within its study: the :class:`StudyMaster` numbers the
+    #: trials it hands out from 1 (0 = not handed out yet), and
+    #: sessions seed from the id.
+    trial_id: int = 0
     init_kind: InitKind = InitKind.RANDOM
     init_key: str | None = None  # parameter-server key for warm starts
     status: TrialStatus = TrialStatus.PENDING

@@ -12,7 +12,6 @@ import pytest
 
 from repro import chaos, telemetry
 from repro.chaos import FaultKind, FaultPlan, FaultRule
-from repro.chaos.scenarios import _reset_id_counters
 from repro.cluster import ClusterManager, FailureInjector, Node
 from repro.cluster.manager import JobKind, JobState
 from repro.cluster.node import Resources
@@ -47,12 +46,7 @@ def counter_total(name):
 
 def run_study(plan=None, failure_plan=None, seed=0, max_trials=12,
               trial_attempts=3):
-    """One cluster study under an optional fault plan / failure plan.
-
-    Rewinds the process-global id counters first so trial seeds (derived
-    from trial ids) match across runs within one test process.
-    """
-    _reset_id_counters()
+    """One cluster study under an optional fault plan / failure plan."""
     telemetry.set_registry(telemetry.MetricsRegistry())
     chaos.set_plan(plan)
     try:

@@ -15,6 +15,9 @@ from repro.chaos.scenarios import (
     TRACE_METRIC_PREFIXES,
     build_default_plan,
     run_chaos_scenario,
+    run_shard_kill_scenario,
+    run_store_kill_scenario,
+    run_tenant_isolation_scenario,
 )
 from repro.cli import main
 
@@ -84,6 +87,25 @@ class TestScenarioDeterminism:
         assert first["trace"]["faults"] == second["trace"]["faults"]
         assert first["trace"]["counters"] == second["trace"]["counters"]
         assert first["results"] == second["results"]
+
+    def test_traces_do_not_depend_on_what_ran_before(self):
+        """Each scenario alone, then each again after the other
+        scenarios and an unrelated study have run in this process."""
+        from repro.core.tune import (
+            HyperConf, RandomSearchAdvisor, StudyMaster, SurrogateTrainer,
+            make_workers, run_study, section71_space,
+        )
+        from repro.paramserver import ParameterServer
+
+        scenarios = [run_chaos_scenario, run_shard_kill_scenario,
+                     run_store_kill_scenario, run_tenant_isolation_scenario]
+        before = [run(seed=0)["trace"] for run in scenarios]
+        conf, ps = HyperConf(max_trials=5), ParameterServer()
+        master = StudyMaster("unrelated", conf,
+                             RandomSearchAdvisor(section71_space()), ps)
+        run_study(master, make_workers(master, SurrogateTrainer(), ps, conf, 2))
+        after = [run(seed=0)["trace"] for run in reversed(scenarios)]
+        assert after[::-1] == before
 
     def test_different_seed_traces_differ(self):
         assert scenario(0)["trace"] != scenario(7)["trace"]

@@ -177,7 +177,11 @@ class TestDispatchResubmission:
         dropped = telemetry.get_registry().counter(
             "repro_serve_requests_dropped_total"
         )
-        assert dropped.value(reason="dispatch_failed") == metrics.dropped
+        assert dropped.snapshot() == {"reason=dispatch_failed": metrics.dropped}
+        assert (
+            f'repro_serve_requests_dropped_total{{reason="dispatch_failed"}} '
+            f"{metrics.dropped}"
+        ) in telemetry.render_prometheus(telemetry.get_registry()).splitlines()
 
     def test_injected_latency_stretches_completions(self):
         bump = 1.0

@@ -130,6 +130,32 @@ class TestFailureRecovery:
         assert job.state is JobState.RUNNING
         assert all(c.running for c in job.containers)
 
+    @pytest.mark.parametrize("capacity_returns", ["node_joins", "other_job_completes"])
+    def test_queued_restarts_drain_whenever_capacity_returns(self, capacity_returns):
+        manager = cluster(num_nodes=2, gpus=2)
+        job = manager.submit_job(JobKind.TRAIN, "a", num_workers=2)  # fills one node
+        other = manager.submit_job(JobKind.TRAIN, "b", num_workers=2)  # and the other
+        manager.fail_node(job.containers[0].node_name)
+        assert job.state is JobState.DEGRADED  # both workers wait for GPUs
+        if capacity_returns == "node_joins":
+            manager.add_node(Node("n2", capacity=Resources(cpus=8, gpus=2, memory_gb=64)))
+        else:
+            manager.complete_job(other.job_id)
+        assert job.state is JobState.RUNNING
+        assert len(job.containers) == 3 and all(c.running for c in job.containers)
+
+    def test_managers_number_independently_and_restarts_chain(self):
+        first, second = cluster(num_nodes=2), cluster(num_nodes=2)
+        jobs = [m.submit_job(JobKind.TRAIN, "t", num_workers=1) for m in (first, second)]
+        assert [job.job_id for job in jobs] == ["job-1", "job-1"]
+        assert [[c.container_id for c in job.containers] for job in jobs] == [
+            ["ctr-1", "ctr-2"], ["ctr-1", "ctr-2"]]
+        replacements = first.fail_node(jobs[0].containers[0].node_name)
+        assert [(c.container_id, c.predecessor) for c in replacements] == [
+            ("ctr-3", "ctr-1"), ("ctr-4", "ctr-2")]
+        assert set(first.containers) == {"ctr-1", "ctr-2", "ctr-3", "ctr-4"}
+        assert second.submit_job(JobKind.TRAIN, "u").job_id == "job-2"
+
     def test_recovery_hook_invoked(self):
         manager = cluster(num_nodes=2)
         restarted = []

@@ -1,11 +1,8 @@
 """Tests for the successive-halving scheduler."""
 
-import itertools
-
 import numpy as np
 import pytest
 
-import repro.core.tune.trial as trial_module
 from repro.cluster import ClusterManager, Node
 from repro.cluster.node import Resources
 from repro.core.tune import (
@@ -24,17 +21,16 @@ from repro.paramserver import ParameterServer
 
 
 def run_halving(initial_trials=8, initial_epochs=2, eta=2, max_rungs=3,
-                num_workers=3, seed=0, on_cluster=False):
-    trial_module._trial_ids = itertools.count(1)  # same ids whichever driver
+                num_workers=3, seed=0, on_cluster=False, name="sh", ps=None):
     scheduler = SuccessiveHalving(
         initial_trials=initial_trials, initial_epochs=initial_epochs, eta=eta,
-        max_rungs=max_rungs, checkpoint_prefix="sh",
+        max_rungs=max_rungs,
     )
     conf = scheduler.conf()
-    ps = ParameterServer()
+    ps = ps if ps is not None else ParameterServer()
     # rung-0 configurations come from whatever advisor the master holds
     advisor = RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(seed))
-    master = StudyMaster("sh", conf, advisor, ps, scheduler=scheduler)
+    master = StudyMaster(name, conf, advisor, ps, scheduler=scheduler)
     backend = SurrogateTrainer(seed=seed)
     if on_cluster:
         manager = ClusterManager()
@@ -83,6 +79,20 @@ class TestHalvingStudy:
         for result in continuations:
             assert result.trial.init_key.startswith("sh/trial/")
             assert ps.has(result.trial.init_key)
+
+    def test_studies_sharing_a_parameter_server_keep_checkpoints_apart(self):
+        """Both studies number their trials from 1; the key prefix
+        defaults to the study's name."""
+        ps = ParameterServer()
+        reports = {
+            name: run_halving(name=name, ps=ps, seed=seed)[1]
+            for name, seed in (("left", 0), ("right", 1))
+        }
+        for name, report in reports.items():
+            assert sorted(r.trial.trial_id for r in report.results) == list(range(1, 15))
+            for result in report.results:
+                entry = ps.get_entry(f"{name}/trial/{result.trial.trial_id}")
+                assert entry.performance == result.performance
 
     def test_later_rungs_score_higher(self):
         """Halving spends its budget on the best configurations."""

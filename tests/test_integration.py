@@ -183,3 +183,37 @@ class TestUnifiedArchitectureProperties:
         system.create_inference_job(specs)
         # deployment read parameters straight from the (hot) cache
         assert system.param_server.cache.hits > cache_hits_before
+
+    def test_two_systems_in_one_process_are_the_same_run(self):
+        """Ids are each system's own, so a same-seed system built later
+        in the process repeats the first one exactly."""
+        dataset = make_image_classification(
+            name="d", num_classes=2, image_shape=(3, 8, 8),
+            train_per_class=10, val_per_class=4, test_per_class=4,
+            difficulty=0.3, seed=4,
+        )
+
+        def run():
+            system = Rafiki(seed=0)
+            system.import_images(dataset)
+            train_id = system.create_train_job(
+                "t", "ImageClassification", "d",
+                hyper=HyperConf(max_trials=2, max_epochs_per_trial=2),
+            )
+            infer_id = system.create_inference_job(system.get_models(train_id))
+            info = system.get_train_job(train_id)
+            reports = {
+                name: [(r.trial.trial_id, r.performance, r.epochs)
+                       for r in report.results]
+                for name, report in info.reports.items()
+            }
+            ids = (train_id, infer_id, info.cluster_job_id, sorted(system.cluster.containers))
+            return ids, reports, system.query(infer_id, dataset.test_x)
+
+        first, second = run(), run()
+        assert first == second
+        (train_id, infer_id, cluster_job_id, containers), reports, _ = first
+        assert (train_id, infer_id, cluster_job_id) == ("train-1", "infer-1", "job-1")
+        assert containers[0] == "ctr-1"
+        # every study of the job numbers its own trials from 1
+        assert all(min(t[0] for t in trials) == 1 for trials in reports.values())

@@ -6,12 +6,8 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
-
-import repro.core.tune.trial as trial_module
 
 from repro.core.tune import (
     CoStudyMaster,
@@ -39,9 +35,6 @@ def tiny_space() -> HyperSpace:
 
 
 def make_study(tiny_dataset, collaborative: bool, seed: int = 3):
-    # trial_id feeds each session's derived rng; rewind the global
-    # counter so both runs under comparison hand out identical ids.
-    trial_module._trial_ids = itertools.count(1)
     conf = HyperConf(
         max_trials=4, max_epochs_per_trial=2, early_stop_patience=2, delta=0.005
     )
@@ -116,7 +109,7 @@ class TestParallelTrialExecutor:
             tiny_dataset, build_mlp, batch_size=16, use_augmentation=False, seed=5
         )
         with PoolTrialExecutor(trainer, conf, processes=1) as executor:
-            trial = Trial(params={"lr": 0.05})
+            trial = Trial(params={"lr": 0.05}, trial_id=1)
             session = executor.start(trial, None)
             first = session.run_epoch()
             second = session.run_epoch()
@@ -136,7 +129,7 @@ class TestParallelTrialExecutor:
             tiny_dataset, build_mlp, seconds_per_epoch=12.5, use_augmentation=False
         )
         executor = PoolTrialExecutor(trainer, conf, processes=1)
-        assert executor.epoch_cost(Trial(params={})) == 12.5
+        assert executor.epoch_cost(Trial(params={}, trial_id=1)) == 12.5
         executor.shutdown()  # never started: must be a no-op
 
     def test_rejects_non_real_trainer(self):

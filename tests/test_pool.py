@@ -34,7 +34,6 @@ from repro.core.tune import (
     run_study_parallel,
 )
 from repro.core.tune.hyperspace import HyperSpace
-from repro.core.tune.trial import rewind_trial_ids
 from repro.data import make_image_classification
 from repro.exceptions import ConfigurationError
 from repro.paramserver import ParameterServer
@@ -49,7 +48,6 @@ def tiny_space() -> HyperSpace:
 
 
 def make_study(tiny_dataset, seed: int = 3, max_trials: int = 4, max_epochs: int = 2):
-    rewind_trial_ids()
     conf = HyperConf(
         max_trials=max_trials, max_epochs_per_trial=max_epochs,
         early_stop_patience=2, delta=0.005,
@@ -128,6 +126,9 @@ class TestPoolLifecycle:
         assert report_fingerprint(first) == sequential
         assert report_fingerprint(second) == sequential
         assert report_fingerprint(fresh) == sequential
+        # every study numbers its own trials, reused pool or not
+        for report in (first, second, fresh):
+            assert sorted(r.trial.trial_id for r in report.results) == [1, 2, 3, 4]
 
     def test_shutdown_is_idempotent(self, tiny_dataset):
         pool = TrialPool(processes=1)
@@ -244,8 +245,9 @@ class TestDatasetShipping:
             "state = None\n"
             "with TrialPool(processes=2) as pool:\n"
             "    executor = PoolTrialExecutor(backend, conf, pool=pool)\n"
-            "    for _ in range(2):  # the second trial warm-starts from the first\n"
-            "        session = executor.start(Trial(params={'lr': 0.05}), state)\n"
+            "    for trial_id in (1, 2):  # the second warm-starts from the first\n"
+            "        session = executor.start(\n"
+            "            Trial(params={'lr': 0.05}, trial_id=trial_id), state)\n"
             "        accuracies = [session.run_epoch() for _ in range(2)]\n"
             "        state = session.state_dict()\n"
             "    executor.finish_study()\n"
@@ -365,7 +367,7 @@ class TestCancel:
         with TrialPool(processes=1) as pool:
             executor = PoolTrialExecutor(backend, conf, pool=pool)
             session = executor.start(
-                Trial(params=params, local_early_stop=False), None
+                Trial(params=params, trial_id=1, local_early_stop=False), None
             )
             session.run_epoch()
             snapshot = session.state_dict()
@@ -376,7 +378,7 @@ class TestCancel:
             assert session.state_dict() is snapshot  # kPut after kStop still works
             session.cancel()  # a second cancel (or one after the end) is a no-op
             # the worker is idle again and takes the next trial
-            again = executor.start(Trial(params=params, max_epochs=2), None)
+            again = executor.start(Trial(params=params, trial_id=2, max_epochs=2), None)
             assert [again.run_epoch() for _ in range(2)]
             assert again.state_dict() is not None
             executor.finish_study()
@@ -390,7 +392,6 @@ class TestCancel:
         cap, trials = 400, 4
 
         def study():
-            rewind_trial_ids()
             conf = HyperConf(max_trials=trials, max_epochs_per_trial=cap,
                              early_stop_patience=1, delta=0.005)
             ps = ParameterServer()
@@ -550,13 +551,11 @@ class TestCrashRecovery:
             )
 
         params = {"lr": 0.05, "momentum": 0.5}
-        rewind_trial_ids()
-        probe = backend().start(Trial(params=params), None)
+        probe = backend().start(Trial(params=params, trial_id=1), None)
         probe.run_epoch()
         init_state = probe.state_dict()
 
-        rewind_trial_ids()
-        reference = backend().start(Trial(params=params), init_state)
+        reference = backend().start(Trial(params=params, trial_id=1), init_state)
         expected = [reference.run_epoch() for _ in range(3)]
 
         plan = FaultPlan(
@@ -564,11 +563,10 @@ class TestCrashRecovery:
                        after=1, max_faults=1)],
             seed=0,
         )
-        rewind_trial_ids()
         pool = TrialPool(processes=1)
         with chaos.active(plan), pool:
             executor = PoolTrialExecutor(backend(), conf, pool=pool)
-            session = executor.start(Trial(params=params), init_state)
+            session = executor.start(Trial(params=params, trial_id=1), init_state)
             observed = [session.run_epoch() for _ in range(3)]
             executor.finish_study()
         assert observed == expected

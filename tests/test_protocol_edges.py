@@ -48,7 +48,7 @@ class TestWorkerEdges:
         worker, _ = minimal_worker()
         worker.mailbox.send(
             Message(MessageType.TRIAL, "master",
-                    {"trial": Trial(params={"lr": 0.05})})
+                    {"trial": Trial(params={"lr": 0.05}, trial_id=1)})
         )
         worker.step()  # starts session + trains one epoch
         assert worker.busy
@@ -61,8 +61,8 @@ class TestWorkerEdges:
         from repro.core.tune.trial import InitKind, Trial
 
         worker, _ = minimal_worker()
-        trial = Trial(params={"lr": 0.05}, init_kind=InitKind.WARM_START,
-                      init_key="ghost/best")
+        trial = Trial(params={"lr": 0.05}, trial_id=1,
+                      init_kind=InitKind.WARM_START, init_key="ghost/best")
         worker.mailbox.send(Message(MessageType.TRIAL, "master", {"trial": trial}))
         outgoing, cost = worker.step()  # must not raise
         assert cost > 0

@@ -1,12 +1,10 @@
 """The one study master under each scheduler, and schedulers composed."""
 
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
 
-import repro.core.tune.trial as trial_module
 from repro.cluster import ClusterManager, Node
 from repro.cluster.message import Message, MessageType
 from repro.cluster.node import Resources
@@ -91,15 +89,15 @@ EXPECTED = {
         [("w1", T, (RANDOM, None, 2, False))],
         [],
         [], [], [], [],
-        [("w0", PUT, "sh/trial/1"), ("w0", PUT, "s/best")],
+        [("w0", PUT, "s/trial/1"), ("w0", PUT, "s/best")],
         [],  # rung barrier: parked
         [],
         # per-trial checkpoint, then the barrier opens for parked w0:
         # trial 1 continues from its own key with budget 4
-        [("w1", PUT, "sh/trial/2"), ("w0", T, (WARM, "sh/trial/1", 4, False))],
+        [("w1", PUT, "s/trial/2"), ("w0", T, (WARM, "s/trial/1", 4, False))],
         [],  # parked again: rung 1 is one trial wide
         # rung 1 complete, no rung 2: parked w1 is released
-        [("w0", PUT, "sh/trial/3"), ("w0", PUT, "s/best"), ("w1", SHUTDOWN, None)],
+        [("w0", PUT, "s/trial/3"), ("w0", PUT, "s/best"), ("w1", SHUTDOWN, None)],
         [("w0", SHUTDOWN, None)],
     ],
 }
@@ -145,7 +143,6 @@ def play(master: StudyMaster, ps: ParameterServer) -> list[list[tuple]]:
 
 @pytest.mark.parametrize("kind", sorted(EXPECTED))
 def test_protocol_replies_per_scheduler(kind):
-    trial_module._trial_ids = itertools.count(1)
     ps = ParameterServer()
     master = make_master(kind, ps)
     assert play(master, ps) == EXPECTED[kind]
@@ -155,7 +152,6 @@ def test_protocol_replies_per_scheduler(kind):
 
 def test_costudy_master_is_a_study_master_with_the_costudy_scheduler():
     """The constructor the frozen e2e benchmark imports builds no new class."""
-    trial_module._trial_ids = itertools.count(1)
     ps = ParameterServer()
     reference = make_master("costudy", ps)
     master = CoStudyMaster("s", reference.conf, reference.advisor, ps,
@@ -168,9 +164,11 @@ def test_costudy_master_is_a_study_master_with_the_costudy_scheduler():
 def test_checkpoint_state_merges_the_schedulers_share():
     ps = ParameterServer()
     plain, co = make_master("default", ps), make_master("costudy", ps)
-    assert plain.checkpoint_state() == {"num_finished": 0, "total_epochs": 0}
+    assert plain.checkpoint_state() == {
+        "num_finished": 0, "total_epochs": 0, "trials_issued": 0}
     assert set(co.checkpoint_state()) == {
-        "num_finished", "total_epochs", "best_p", "random_inits", "warm_inits"}
+        "num_finished", "total_epochs", "trials_issued",
+        "best_p", "random_inits", "warm_inits"}
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +177,6 @@ def test_checkpoint_state_merges_the_schedulers_share():
 
 
 def composed(backend, driver, seed=0, patience=10_000):
-    trial_module._trial_ids = itertools.count(1)
     halving = SuccessiveHalving(initial_trials=8, initial_epochs=2, eta=2,
                                 max_rungs=3, checkpoint_prefix="sh")
     conf = dataclasses.replace(
@@ -234,6 +231,12 @@ class TestComposedCoStudyHalving:
         assert report.total_epochs == 48
         assert [r.trial.trial_id for r in by_budget[8]] == [13, 14]
 
+    def test_rerun_in_the_same_process_is_the_same_run(self):
+        first, _, _ = composed(SurrogateTrainer(seed=0), "sequential")
+        again, _, _ = composed(SurrogateTrainer(seed=0), "sequential")
+        assert fingerprint(again) == fingerprint(first)
+        assert sorted(r.trial.trial_id for r in again.results) == list(range(1, 15))
+
     def test_cluster_driver_gives_the_same_report(self):
         sequential, _, _ = composed(SurrogateTrainer(seed=0), "sequential")
         clustered, _, _ = composed(SurrogateTrainer(seed=0), "cluster")
@@ -263,7 +266,6 @@ def test_halving_takes_rung_zero_from_any_advisor():
     """Bayesian x halving: the advisor is whatever the master holds."""
     from repro.core.tune import BayesianAdvisor
 
-    trial_module._trial_ids = itertools.count(1)
     halving = SuccessiveHalving(initial_trials=6, initial_epochs=2, eta=2, max_rungs=2)
     conf, ps = halving.conf(), ParameterServer()
     advisor = BayesianAdvisor(section71_space(), rng=np.random.default_rng(0))

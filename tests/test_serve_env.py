@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.serve import (
     DEFAULT_BATCH_SIZES,
     EnsembleScorer,
@@ -71,6 +72,15 @@ class TestConservation:
         assert metrics.total_served + metrics.dropped + len(env.queue) == (
             metrics.total_arrived + metrics.dropped
         )
+        # one counter family, every drop labelled with its reason
+        dropped = telemetry.get_registry().counter(
+            "repro_serve_requests_dropped_total"
+        )
+        assert dropped.snapshot() == {"reason=queue_full": metrics.dropped}
+        assert (
+            f'repro_serve_requests_dropped_total{{reason="queue_full"}} '
+            f"{metrics.dropped}"
+        ) in telemetry.render_prometheus(telemetry.get_registry()).splitlines()
 
 
 class TestSingleModelServing:

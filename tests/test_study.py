@@ -7,6 +7,7 @@ Message-level replies per scheduler are pinned by the protocol table in
 import numpy as np
 import pytest
 
+from repro.cluster.message import Message, MessageType
 from repro.core.tune import (
     CoStudyMaster,
     HyperConf,
@@ -76,6 +77,20 @@ class TestStudy:
         report = run_study(master, workers)
         assert all(r.trial.init_kind is InitKind.RANDOM for r in report.results)
 
+    @pytest.mark.parametrize("kind", ["study", "costudy"])
+    def test_same_seed_study_rerun_in_one_process_is_identical(self, kind):
+        """Trial ids (which seed the sessions) are the master's own."""
+        runs = []
+        for _ in range(2):
+            master, workers, _ = build_study(kind, max_trials=8)
+            runs.append(run_study(master, workers))
+        first, second = runs
+        ids = sorted(r.trial.trial_id for r in first.results)
+        assert ids == list(range(1, len(ids) + 1))
+        assert [(r.trial.trial_id, r.performance) for r in first.results] == [
+            (r.trial.trial_id, r.performance) for r in second.results]
+        assert first.history == second.history
+
     def test_max_total_epochs_stops_early(self):
         master, workers, _ = build_study(max_trials=500, max_total_epochs=60)
         report = run_study(master, workers)
@@ -132,6 +147,17 @@ class TestCoStudy:
         assert restored.best_p == costudy.best_p
         assert restored.warm_inits == costudy.warm_inits
 
+    def test_restored_master_continues_trial_numbering(self):
+        master, _, _ = build_study(max_trials=10)
+        for worker in ("w0", "w1"):
+            master.mailbox.send(Message(MessageType.REQUEST, worker))
+        assert [r.payload["trial"].trial_id for _, r in master.step()] == [1, 2]
+        restored, _, _ = build_study(max_trials=10)
+        restored.restore_state(master.checkpoint_state())
+        restored.mailbox.send(Message(MessageType.REQUEST, "w2"))
+        ((_, reply),) = restored.step()
+        assert reply.payload["trial"].trial_id == 3  # never 1 or 2 again
+
     def test_master_side_early_stopping_sends_stop(self):
         """CoStudy masters stop plateaued workers (Algorithm 2 line 11)."""
         master, workers, _ = build_study(
@@ -152,7 +178,7 @@ class TestRealTrainerKnobs:
                               use_augmentation=False)
         session = backend.start(
             Trial(params={"lr": 0.1, "lr_decay": 0.99, "momentum": 0.9,
-                          "weight_decay": 1e-4}),
+                          "weight_decay": 1e-4}, trial_id=1),
             None,
         )
         assert isinstance(session.optimizer.schedule, ExponentialDecaySchedule)
@@ -165,5 +191,5 @@ class TestRealTrainerKnobs:
 
         backend = RealTrainer(tiny_dataset, build_vgg_mini, batch_size=16,
                               use_augmentation=False)
-        session = backend.start(Trial(params={"lr": 0.05}), None)
+        session = backend.start(Trial(params={"lr": 0.05}, trial_id=1), None)
         assert isinstance(session.optimizer.schedule, ConstantSchedule)

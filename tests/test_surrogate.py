@@ -13,7 +13,7 @@ BAD = {"lr": 1e-4, "momentum": 0.0, "weight_decay": 1e-2, "dropout": 0.7,
 
 
 def run_session(trainer, params, epochs=60, init_state=None):
-    session = trainer.start(Trial(params=params), init_state)
+    session = trainer.start(Trial(params=params, trial_id=1), init_state)
     for _ in range(epochs):
         session.run_epoch()
     return session
@@ -50,7 +50,7 @@ class TestCurves:
 
     def test_curve_rises_over_epochs(self):
         trainer = SurrogateTrainer(noise=0.0, seed=0)
-        session = trainer.start(Trial(params=GOOD), None)
+        session = trainer.start(Trial(params=GOOD, trial_id=1), None)
         early = session.run_epoch()
         for _ in range(30):
             late = session.run_epoch()
@@ -68,8 +68,8 @@ class TestWarmStart:
 
     def test_warm_start_from_good_checkpoint_speeds_up(self):
         trainer = SurrogateTrainer(noise=0.0, seed=2)
-        cold = trainer.start(Trial(params=GOOD), None)
-        warm = trainer.start(Trial(params=GOOD), self._checkpoint(0.85))
+        cold = trainer.start(Trial(params=GOOD, trial_id=1), None)
+        warm = trainer.start(Trial(params=GOOD, trial_id=1), self._checkpoint(0.85))
         cold_acc = [cold.run_epoch() for _ in range(5)][-1]
         warm_acc = [warm.run_epoch() for _ in range(5)][-1]
         assert warm_acc > cold_acc
@@ -103,4 +103,4 @@ class TestWarmStart:
 
     def test_epoch_cost_constant(self):
         trainer = SurrogateTrainer(seconds_per_epoch=12.0)
-        assert trainer.epoch_cost(Trial(params=GOOD)) == 12.0
+        assert trainer.epoch_cost(Trial(params=GOOD, trial_id=1)) == 12.0
