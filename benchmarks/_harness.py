@@ -17,12 +17,16 @@ import numpy as np
 from repro.core.serve import (
     DEFAULT_BATCH_SIZES,
     EnsembleScorer,
+    FrontendConfig,
     GreedyAsyncController,
     GreedySingleController,
     GreedySyncController,
+    LoadGenConfig,
+    ReplicaPool,
     RLController,
-    ServingEnv,
-    SineArrival,
+    ServeFrontend,
+    ServingMetrics,
+    run_load,
 )
 from repro.core.tune import (
     BayesianAdvisor,
@@ -168,12 +172,34 @@ def multi_model_rates() -> tuple[float, float]:
     )
 
 
-def make_rl_controller(profiles, seed: int = 0) -> RLController:
+def make_rl_controller(profiles, seed: int = 0, **reward) -> RLController:
     controller = RLController(profiles, DEFAULT_BATCH_SIZES, TAU, seed=seed,
-                              lr=3e-3, gamma=0.0)
+                              lr=3e-3, gamma=0.0, **reward)
     controller.learner.entropy_min = 0.005
     controller.learner.entropy_decay = 0.9997
     return controller
+
+
+def run_policy(policy, profiles, target_rate: float, horizon: float, seed: int,
+               accuracy) -> ServingMetrics:
+    """Serve sine arrivals around ``target_rate`` for ``horizon`` seconds.
+
+    The Section 7.2 environment on the one serving loop: the front end
+    with ``policy`` over one simulated model per profile, arrivals in
+    0.1 s steps, a 5000-deep queue and no deadline shedding (a delayed
+    response beats a time-out); per-batch records only.
+    """
+    latencies = [p.inference_time for p in profiles]
+    config = FrontendConfig(
+        latency=latencies[0], tau=TAU, batch_sizes=DEFAULT_BATCH_SIZES,
+        max_queue=5000, deadline_slack=float("inf"),
+    )
+    load = LoadGenConfig(mode="open", target_rate=target_rate, period=PERIOD,
+                         duration=horizon, span=0.1, seed=seed, clients=1)
+    return run_load(
+        ServeFrontend(config, policy=policy), ReplicaPool(latencies), load,
+        trace=ServingMetrics(tau=TAU, accuracy=accuracy),
+    )
 
 
 def run_serving(
@@ -187,8 +213,12 @@ def run_serving(
 ):
     """One serving run; returns (metrics, measurement window start)."""
     profiles = [get_profile(n) for n in models]
-    arrival = SineArrival(target_rate, PERIOD, rng=np.random.default_rng(seed))
-    scorer = get_scorer(models) if len(profiles) > 1 else None
+    if len(profiles) > 1:
+        scorer = get_scorer(models)
+        accuracy = scorer.accuracy
+    else:
+        scorer = None
+        accuracy = lambda subset: profiles[0].top1_accuracy  # noqa: E731
     if controller_kind == "greedy-single":
         controller = GreedySingleController(profiles[0], DEFAULT_BATCH_SIZES, TAU)
     elif controller_kind == "greedy-sync":
@@ -196,22 +226,19 @@ def run_serving(
     elif controller_kind == "greedy-async":
         controller = GreedyAsyncController(profiles, DEFAULT_BATCH_SIZES, TAU)
     elif controller_kind == "rl":
-        controller = make_rl_controller(profiles, seed=seed)
+        # Single-model serving has no ensemble-accuracy signal: Equation
+        # 7's batch scaling (throughput incentive) is the right learner
+        # reward. Multi-model serving uses per-request scaling so the
+        # ensemble accuracy differences stay visible across arrival
+        # phases.
+        if len(profiles) == 1:
+            reward = dict(reward_shaping="batch", beta=beta)
+        else:
+            reward = dict(reward_shaping="per_request", beta=shaping_beta)
+        controller = make_rl_controller(profiles, seed=seed, scorer=scorer, **reward)
     else:
         raise ValueError(controller_kind)
-    # Single-model serving has no ensemble-accuracy signal: Equation 7's
-    # batch scaling (throughput incentive) is the right learner reward.
-    # Multi-model serving uses per-request scaling so the ensemble
-    # accuracy differences stay visible across arrival phases.
-    if len(profiles) == 1:
-        reward_shaping, learner_beta = "batch", beta
-    else:
-        reward_shaping, learner_beta = "per_request", shaping_beta
-    env = ServingEnv(
-        profiles, controller, arrival, TAU, DEFAULT_BATCH_SIZES, scorer=scorer,
-        beta=beta, reward_shaping=reward_shaping, shaping_beta=learner_beta,
-    )
-    metrics = env.run(horizon)
+    metrics = run_policy(controller, profiles, target_rate, horizon, seed, accuracy)
     # Measure over the last 4 *whole* arrival cycles so that different
     # horizons sample identical sine phases.
     window = horizon - 4 * PERIOD if horizon > 5 * PERIOD else horizon * 0.8

@@ -9,9 +9,9 @@ but are safer. The sweep shows overdue fractions across delta values.
 
 import numpy as np
 import pytest
-from _harness import DEFAULT_BATCH_SIZES, SINGLE_MODEL, TAU, PERIOD, emit
+from _harness import DEFAULT_BATCH_SIZES, SINGLE_MODEL, TAU, emit, run_policy
 
-from repro.core.serve import GreedySingleController, ServingEnv, SineArrival
+from repro.core.serve import GreedySingleController
 from repro.zoo import get_profile
 
 DELTAS = (0.0, 0.05, 0.1, 0.3)
@@ -21,13 +21,11 @@ HORIZON = 3000.0
 def run_with_backoff(delta_fraction: float):
     profile = get_profile(SINGLE_MODEL)
     rate = 0.85 * profile.throughput(max(DEFAULT_BATCH_SIZES))
-    arrival = SineArrival(rate, PERIOD, rng=np.random.default_rng(3))
     controller = GreedySingleController(
         profile, DEFAULT_BATCH_SIZES, TAU, backoff=delta_fraction * TAU
     )
-    env = ServingEnv([profile], controller, arrival, TAU, DEFAULT_BATCH_SIZES)
-    metrics = env.run(HORIZON)
-    return metrics
+    return run_policy(controller, [profile], rate, HORIZON, seed=3,
+                      accuracy=lambda subset: profile.top1_accuracy)
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,8 @@
 """Section 7.2: the inference service's accuracy/latency trade-off.
 
 Deploys the paper's three-model set (inception_v3, inception_v4,
-inception_resnet_v2) behind the serving environment with sine-wave
-request arrivals, and compares:
+inception_resnet_v2) behind the serving front end with sine-wave
+request arrivals, and compares three dispatch policies:
 
 * the sync-ensemble baseline (all models on every batch, fixed accuracy),
 * the async baseline (one model per batch, no ensemble),
@@ -16,11 +16,15 @@ import numpy as np
 from repro.core.serve import (
     DEFAULT_BATCH_SIZES,
     EnsembleScorer,
+    FrontendConfig,
     GreedyAsyncController,
     GreedySyncController,
+    LoadGenConfig,
+    ReplicaPool,
     RLController,
-    ServingEnv,
-    SineArrival,
+    ServeFrontend,
+    ServingMetrics,
+    run_load,
 )
 from repro.zoo import get_profile
 
@@ -37,19 +41,27 @@ print(f"  full 3-model ensemble: {scorer.full_ensemble:.4f}\n")
 
 
 def run(controller_name: str, horizon: float):
-    arrival = SineArrival(MIN_RATE, PERIOD, rng=np.random.default_rng(0))
     if controller_name == "sync":
         controller = GreedySyncController(PROFILES, DEFAULT_BATCH_SIZES, TAU)
     elif controller_name == "async":
         controller = GreedyAsyncController(PROFILES, DEFAULT_BATCH_SIZES, TAU)
     else:
         controller = RLController(PROFILES, DEFAULT_BATCH_SIZES, TAU, seed=0,
-                                  lr=3e-3, gamma=0.0)
+                                  lr=3e-3, gamma=0.0, scorer=scorer,
+                                  reward_shaping="per_request", beta=4.0)
         controller.learner.entropy_min = 0.005
         controller.learner.entropy_decay = 0.9997
-    env = ServingEnv(PROFILES, controller, arrival, TAU, DEFAULT_BATCH_SIZES,
-                     scorer=scorer, reward_shaping="per_request", shaping_beta=4.0)
-    metrics = env.run(horizon)
+    latencies = [p.inference_time for p in PROFILES]
+    # Serve everything, however late: a deep queue, no deadline shedding.
+    config = FrontendConfig(latency=latencies[0], tau=TAU, max_queue=5000,
+                            deadline_slack=float("inf"))
+    metrics = run_load(
+        ServeFrontend(config, policy=controller),
+        ReplicaPool(latencies),
+        LoadGenConfig(target_rate=MIN_RATE, period=PERIOD, duration=horizon,
+                      span=0.1, seed=0),
+        trace=ServingMetrics(tau=TAU, accuracy=scorer.accuracy),
+    )
     window = horizon * 0.8  # measure after the RL policy has settled
     return metrics, window
 

@@ -533,14 +533,16 @@ def _parse_image(raw: Any) -> np.ndarray:
         raise GatewayError(f"'img' is not a numeric image: {exc}") from exc
 
 
-def make_query_executor(system: Rafiki, job_id: str) -> Callable[[list, int], list]:
+def make_query_executor(system: Rafiki, job_id: str) -> Callable[..., list]:
     """Build the batch executor an async front end runs queries with.
 
-    The front end hands over ``(payloads, batch_size)``; the executor
-    stacks the images into one array, runs a single ensemble query (so
-    the whole batch pays one vote), and splits the batched result back
-    into per-request ``{"label", "votes", "models"}`` dicts — the same
-    shape a synchronous ``POST /query`` returns.
+    The front end hands over ``(payloads, batch_size)`` — plus the
+    model subset, when its dispatch policy chose one; the executor
+    stacks the images into one array, runs a single ensemble query over
+    those models (so the whole batch pays one vote), and splits the
+    batched result back into per-request ``{"label", "votes",
+    "models"}`` dicts — the same shape a synchronous ``POST /query``
+    returns.
 
     Shapes are validated *per payload* against the shape the job was
     deployed for: one client's wrong-shaped image gets its own
@@ -550,7 +552,7 @@ def make_query_executor(system: Rafiki, job_id: str) -> Callable[[list, int], li
     isolation hole.
     """
 
-    def executor(payloads: list, batch_size: int) -> list[Any]:
+    def executor(payloads: list, batch_size: int, models=None) -> list[Any]:
         expected = system.get_inference_job(job_id).image_shape
         results: list[Any] = [None] * len(payloads)
         arrays: list[np.ndarray] = []
@@ -569,7 +571,7 @@ def make_query_executor(system: Rafiki, job_id: str) -> Callable[[list, int], li
             arrays.append(array)
             kept.append(index)
         if arrays:
-            result = system.query(job_id, np.stack(arrays))
+            result = system.query(job_id, np.stack(arrays), models)
             for position, index in enumerate(kept):
                 results[index] = {
                     "label": result["label"][position],

@@ -26,7 +26,6 @@ Fault-point names currently wired in:
 ``paramserver.push``        :meth:`ParameterServer.put` entry
 ``paramserver.pull``        :meth:`ParameterServer.get` entry
 ``gateway.dispatch``        route-handler invocation in :meth:`Gateway.handle`
-``serve.dispatch``          batch dispatch in :class:`ServingEnv`
 ``frontend.accept``         request admission in :meth:`ServeFrontend.offer`
 ``frontend.dispatch``       batch hand-off in :meth:`ServeFrontend.poll`
 ``serve.model.<name>``      per-replica model execution in :meth:`Rafiki.query`

@@ -3,7 +3,7 @@
 A :class:`FaultPlan` owns a set of :class:`FaultRule`\\ s, each matching
 one or more *fault points* — stable dotted names baked into the library
 at the places where real deployments fail (``paramserver.push``,
-``gateway.dispatch``, ``serve.dispatch``, ``serve.model.<name>``,
+``gateway.dispatch``, ``frontend.dispatch``, ``serve.model.<name>``,
 ``tune.trial``). Instrumented code calls :func:`repro.chaos.fire` at
 those points; with no plan installed that is a single ``None`` check,
 with a plan installed the matching rules decide — from seeded,

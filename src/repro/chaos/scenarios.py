@@ -7,8 +7,8 @@ subsystem under one deterministic :class:`~repro.chaos.faults.FaultPlan`:
    two mid-study node failures, per-epoch trial crashes
    (``tune.trial``) restarted from checkpoints, and parameter-server
    pushes dropped with probability 0.1 behind a retry policy;
-2. **serve** — the batcher re-queues batches whose dispatch fails
-   (``serve.dispatch`` exceptions) and absorbs injected latency, with
+2. **serve** — the front end re-queues batches whose dispatch fails
+   (``frontend.dispatch`` exceptions) and absorbs injected latency, with
    SLO accounting intact;
 3. **the facade + gateway** — real models are trained and deployed,
    one replica is made to fail repeatedly (``serve.model.<name>``)
@@ -53,7 +53,7 @@ TRACE_METRIC_PREFIXES = (
     "repro_tune_trial_crashes_total",
     "repro_tune_trials_reissued_total",
     "repro_serve_replica_errors_total",
-    "repro_serve_dispatch_retries_total",
+    "repro_serve_frontend_dispatch_retries_total",
     "repro_cluster_recoveries_total",
     "repro_cluster_node_failures_total",
 )
@@ -69,9 +69,9 @@ def build_default_plan(seed: int, flaky_model: str) -> FaultPlan:
         # retry policy re-sends until it lands.
         FaultRule("paramserver.push", FaultKind.DROP, probability=0.1),
         # serve: dispatches gain latency sometimes and fail outright a
-        # few times; the batcher re-queues the in-flight requests.
-        FaultRule("serve.dispatch", FaultKind.LATENCY, probability=0.2, latency=0.02),
-        FaultRule("serve.dispatch", FaultKind.EXCEPTION, probability=0.05, max_faults=6),
+        # few times; the front end re-queues the in-flight requests.
+        FaultRule("frontend.dispatch", FaultKind.LATENCY, probability=0.2, latency=0.02),
+        FaultRule("frontend.dispatch", FaultKind.EXCEPTION, probability=0.05, max_faults=6),
         # one replica fails three times in a row, opening its breaker.
         FaultRule(f"serve.model.{flaky_model}", FaultKind.EXCEPTION, max_faults=3),
         # gateway: one backend crash (503) and one lost response (504).
@@ -749,35 +749,37 @@ def _tune_phase(seed: int) -> dict[str, Any]:
 def _serve_phase(seed: int) -> dict[str, Any]:
     """Serving run with failed/slowed dispatches and batch resubmission."""
     from repro.core.serve import (
-        DEFAULT_BATCH_SIZES,
+        FrontendConfig,
         GreedySingleController,
-        ServingEnv,
-        SineArrival,
+        LoadGenConfig,
+        ReplicaPool,
+        ServeFrontend,
+        run_load,
     )
     from repro.zoo import get_profile
 
     profile = get_profile("inception_v3")
-    tau = 0.56
-    env = ServingEnv(
-        [profile],
-        GreedySingleController(profile, DEFAULT_BATCH_SIZES, tau),
-        SineArrival(80.0, period=60.0, rng=np.random.default_rng(seed)),
-        tau,
-        DEFAULT_BATCH_SIZES,
+    config = FrontendConfig(
+        latency=profile.inference_time,
         dispatch_retry=RetryPolicy(
             max_attempts=4, base_delay=0.005, max_delay=0.1, jitter=0.0, seed=seed
         ),
     )
-    metrics = env.run(horizon=30.0)
-    served = metrics.total_served
-    overdue = sum(record.overdue for record in metrics.dispatches)
+    policy = GreedySingleController(profile, config.batch_sizes, config.tau)
+    summary = run_load(
+        ServeFrontend(config, policy=policy),
+        ReplicaPool(profile.inference_time),
+        LoadGenConfig(target_rate=80.0, duration=30.0, span=0.1, seed=seed),
+    ).summary()
+    retried = telemetry.get_registry().counter(
+        "repro_serve_frontend_dispatch_retries_total"
+    )
     return {
-        "arrived": metrics.total_arrived,
-        "served": served,
-        "overdue": overdue,
-        "dropped": metrics.dropped,
-        "requeued": env.queue.total_requeued,
-        "slo_fraction": (served - overdue) / served if served else 1.0,
+        "arrived": summary["offered"],
+        "served": summary["served"],
+        "dropped": summary["shed"],
+        "requeued": int(retried.value()),
+        "slo_fraction": 1.0 - summary["slo_miss_rate"],
     }
 
 

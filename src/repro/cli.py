@@ -14,10 +14,8 @@ Commands:
 * ``chaos`` — run the seeded fault-injection scenario across tune,
   serve, the parameter server and the gateway, and report the recovery
   trace (``--verify`` re-runs it and asserts the trace is identical);
-* ``serve`` — drive the serving path under load: with ``--frontend``,
-  the admission-controlled front end + open/closed-loop load harness
-  (docs/SERVING.md); without it, the classic greedy serving
-  environment;
+* ``serve`` — drive the admission-controlled serving front end under
+  open/closed-loop generated load (docs/SERVING.md);
 * ``store`` — exercise the chunked, content-addressable, replicated
   block store: write near-duplicate checkpoint versions and report the
   dedup/replication audit (``--kill`` adds a datanode kill + repair +
@@ -131,9 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd = sub.add_parser(
         "serve", help="drive the serving path under generated load"
     )
-    serve_cmd.add_argument("--frontend", action="store_true",
-                           help="use the admission-controlled front end and the "
-                                "open/closed-loop load harness (docs/SERVING.md)")
     serve_cmd.add_argument("--mode", choices=("open", "closed"), default="open",
                            help="load shape: sine arrivals vs think-time clients")
     serve_cmd.add_argument("--rate", type=float, default=None, metavar="QPS",
@@ -392,10 +387,12 @@ def _cmd_telemetry(args) -> int:
     from repro import telemetry
     from repro.api.gateway import Gateway
     from repro.core.serve import (
-        DEFAULT_BATCH_SIZES,
+        FrontendConfig,
         GreedySingleController,
-        ServingEnv,
-        SineArrival,
+        LoadGenConfig,
+        ReplicaPool,
+        ServeFrontend,
+        run_load,
     )
     from repro.core.system import Rafiki
     from repro.core.tune import (
@@ -423,15 +420,13 @@ def _cmd_telemetry(args) -> int:
 
     # serve: a short greedy single-model run at a modest arrival rate.
     profile = get_profile("inception_v3")
-    tau = 0.56
-    env = ServingEnv(
-        [profile],
-        GreedySingleController(profile, DEFAULT_BATCH_SIZES, tau),
-        SineArrival(150.0, period=60.0, rng=np.random.default_rng(args.seed)),
-        tau,
-        DEFAULT_BATCH_SIZES,
+    config = FrontendConfig(latency=profile.inference_time)
+    policy = GreedySingleController(profile, config.batch_sizes, config.tau)
+    run_load(
+        ServeFrontend(config, policy=policy),
+        ReplicaPool(profile.inference_time),
+        LoadGenConfig(target_rate=150.0, duration=30.0, seed=args.seed),
     )
-    env.run(horizon=30.0)
 
     # cluster + gateway: place jobs, heartbeat, fail/recover a node,
     # then issue routed requests against the facade.
@@ -494,8 +489,8 @@ def _cmd_chaos(args) -> int:
     print(f"tune:   {tune['trials']} trials, best {tune['best_performance']:.4f} "
           f"(trial {tune['best_trial_id']}), {tune['recoveries']} container "
           f"recoveries, {tune['wall_time'] / 3600:.1f} simulated hours")
-    print(f"serve:  {serve['served']} served, {serve['requeued']} re-queued after "
-          f"failed dispatch, {serve['dropped']} dropped, "
+    print(f"serve:  {serve['served']} served, {serve['requeued']} batches re-queued "
+          f"after failed dispatch, {serve['dropped']} dropped, "
           f"SLO fraction {serve['slo_fraction']:.3f}")
     print(f"facade: statuses {facade['statuses']}; replicas live "
           f"{facade['live_during_outage']} during outage, "
@@ -632,40 +627,6 @@ def _cmd_serve(args) -> int:
 
     profile = get_profile(args.model)
     latency = profile.inference_time
-    if not args.frontend:
-        from repro.core.serve import (
-            DEFAULT_BATCH_SIZES,
-            GreedySingleController,
-            ServingEnv,
-            SineArrival,
-        )
-
-        rate = args.rate if args.rate is not None else 150.0
-        env = ServingEnv(
-            [profile],
-            GreedySingleController(profile, DEFAULT_BATCH_SIZES, args.tau),
-            SineArrival(rate, period=60.0, rng=np.random.default_rng(args.seed)),
-            args.tau,
-            DEFAULT_BATCH_SIZES,
-        )
-        metrics = env.run(horizon=args.duration)
-        summary = {
-            "arrived": metrics.total_arrived,
-            "served": metrics.total_served,
-            "overdue": metrics.total_overdue,
-            "overdue_fraction": metrics.overdue_fraction(),
-            "p50_s": metrics.latency_quantile(0.50),
-            "p95_s": metrics.latency_quantile(0.95),
-            "p99_s": metrics.latency_quantile(0.99),
-        }
-        if args.json:
-            print(json.dumps(summary, indent=2, sort_keys=True))
-        else:
-            print(f"greedy serving for {args.duration:.0f}s at ~{rate:.0f} qps:")
-            for key, value in sorted(summary.items()):
-                print(f"  {key:<22} {value}")
-        return 0
-
     from repro.core.serve import (
         FrontendConfig,
         LoadGenConfig,

@@ -1,10 +1,11 @@
 """The actor-critic learner (Section 5.2).
 
 A softmax policy network pi_theta(a|s) and a value network V(s), both
-MLPs on the :mod:`repro.tensor` engine. Rewards arrive immediately
-after each action (a dispatched batch's latency is deterministic given
-the latency model), transitions are buffered, and every ``horizon``
-decisions the learner performs one advantage-actor-critic update:
+MLPs on the :mod:`repro.tensor` engine. An action's reward arrives
+when its batch completes — possibly after later actions were taken —
+and is routed back by token; rewarded transitions are buffered, and
+every ``horizon`` of them the learner performs one
+advantage-actor-critic update:
 
 * returns: n-step discounted rewards bootstrapped with V at the last
   observed state;
@@ -91,8 +92,8 @@ class ActorCritic:
     def act_keyed(self, state: np.ndarray, mask: np.ndarray | None = None) -> tuple[int, int]:
         """Sample an action; returns ``(action, token)``.
 
-        Several actions may be in flight at once (the serving controller
-        keeps one pending dispatch per model subset); the token routes
+        Several actions may be in flight at once (batches on different
+        models complete out of order); the token routes
         each action's reward back to its transition.
         """
         state = np.asarray(state, dtype=np.float64)

@@ -18,38 +18,34 @@ the SLO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro import telemetry
-from repro.core.serve.request import RequestQueue
+from repro.core.serve.policy import Dispatch, DispatchPolicy, DispatchView, Wait
 from repro.exceptions import ConfigurationError
 
-__all__ = ["GreedyBatcher", "BatchDecision", "DEFAULT_BATCH_SIZES"]
+__all__ = ["GreedyBatcher", "DEFAULT_BATCH_SIZES"]
 
 #: the candidate list of Section 7.2.1.
 DEFAULT_BATCH_SIZES = (16, 32, 48, 64)
 
 #: tolerance for the dispatch-threshold comparisons. ``next_deadline``
 #: computes the trigger instant as ``arrival + tau - c(b) - delta`` while
-#: ``_decide`` recomputes the pressure as ``c(b) + (now - arrival) + delta``;
+#: ``decide`` recomputes the pressure as ``c(b) + (now - arrival) + delta``;
 #: the two float expressions can disagree by an ulp, which would make an
 #: event-driven caller that sleeps exactly until the trigger spin forever
 #: at an instant where ``decide`` still says wait.
 _EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class BatchDecision:
-    """What the batcher chose to do right now."""
+class GreedyBatcher(DispatchPolicy):
+    """Algorithm 3, parameterised by the latency model ``c(b)``.
 
-    dispatch: bool
-    batch_size: int = 0  # the b whose c(b) applies (hardware batch)
-    take: int = 0  # how many queued requests are actually served
-
-
-class GreedyBatcher:
-    """Algorithm 3, parameterised by the latency model ``c(b)``."""
+    ``models`` names the models every batch runs on; a batch is only
+    dispatched once all of them are idle. The default names none: the
+    batch goes to whichever replica is least loaded, busy or not —
+    the front end's behaviour when it is given no policy.
+    """
 
     def __init__(
         self,
@@ -57,6 +53,7 @@ class GreedyBatcher:
         latency: Callable[[int], float] = None,
         tau: float = 0.56,
         backoff: float | None = None,
+        models: Sequence[int] = (),
     ):
         if latency is None:
             raise ConfigurationError("a latency model c(b) is required")
@@ -68,6 +65,7 @@ class GreedyBatcher:
         self.tau = float(tau)
         #: the AIMD back-off constant delta (default 0.1 tau).
         self.backoff = float(backoff) if backoff is not None else 0.1 * self.tau
+        self.models = tuple(models)
 
     @property
     def max_batch(self) -> int:
@@ -91,35 +89,35 @@ class GreedyBatcher:
                 break
         return best
 
-    def decide(self, queue: RequestQueue, now: float) -> BatchDecision:
+    def decide(self, view: DispatchView) -> Dispatch | Wait:
         """One pass of Algorithm 3's loop body (decision counted)."""
-        decision = self._decide(queue, now)
+        if not all(view.model_idle(m) for m in self.models):
+            return Wait()
+        queue, now = view.queue, view.now
+        batch = self._ready_batch(queue, now)
         telemetry.get_registry().counter(
             "repro_serve_batcher_decisions_total",
             "Greedy batcher decisions, by action taken.",
-        ).inc(action="dispatch" if decision.dispatch else "wait")
-        return decision
+        ).inc(action="dispatch" if batch else "wait")
+        if batch:
+            return Dispatch(self.models, batch, min(batch, len(queue)))
+        return Wait(self.next_deadline(queue, now))
 
-    def _decide(self, queue: RequestQueue, now: float) -> BatchDecision:
+    def _ready_batch(self, queue, now: float) -> int:
+        """The hardware batch size to dispatch right now, or 0 to wait."""
         if not queue:
-            return BatchDecision(dispatch=False)
+            return 0
         if len(queue) >= self.max_batch:
-            return BatchDecision(dispatch=True, batch_size=self.max_batch, take=self.max_batch)
+            return self.max_batch
         batch = self.fit_batch(len(queue))
         if batch is None:
             # Leftovers: no candidate batch fits; serve them (padded to
             # min(B)) only once they have already overrun the SLO.
-            if queue.oldest_wait(now) >= self.tau - _EPS:
-                return BatchDecision(
-                    dispatch=True, batch_size=self.min_batch, take=len(queue)
-                )
-            return BatchDecision(dispatch=False)
+            return self.min_batch if queue.oldest_wait(now) >= self.tau - _EPS else 0
         deadline_pressure = self.latency(batch) + queue.oldest_wait(now) + self.backoff
-        if deadline_pressure >= self.tau - _EPS:
-            return BatchDecision(dispatch=True, batch_size=batch, take=min(batch, len(queue)))
-        return BatchDecision(dispatch=False)
+        return batch if deadline_pressure >= self.tau - _EPS else 0
 
-    def next_deadline(self, queue: RequestQueue, now: float) -> float | None:
+    def next_deadline(self, queue, now: float) -> float | None:
         """When the pending queue will trigger a deadline dispatch.
 
         Lets an event-driven server sleep exactly until Algorithm 3's

@@ -1,10 +1,12 @@
-"""Serving controllers: the greedy baselines and the RL scheduler.
+"""Dispatch policies: the greedy baselines, AIMD and the RL scheduler.
 
-A controller is consulted by the :class:`~repro.core.serve.env.ServingEnv`
-whenever the queue is non-empty and at least one model is idle, and
-answers with either a :class:`Dispatch` (which models run which batch
-now) or a :class:`Wait` (optionally: until a specific time, used by the
-greedy batcher's SLO deadline).
+Each is a :class:`~repro.core.serve.policy.DispatchPolicy` the
+:class:`~repro.core.serve.frontend.ServeFrontend` consults while
+requests are queued; it answers :class:`Dispatch` (which models run
+which batch now) or :class:`Wait` (optionally: until a specific time,
+used by the greedy batcher's SLO deadline). All of them only use
+models that are idle, so a busy fleet answers a bare ``Wait()`` and is
+asked again when a batch completes.
 
 * :class:`GreedySingleController` — Algorithm 3 with one model
   (Section 7.2.1's greedy baseline);
@@ -12,134 +14,79 @@ greedy batcher's SLO deadline).
   synchronously (the first multi-model baseline, Figure 14);
 * :class:`GreedyAsyncController` — one model per batch, no ensemble
   (the second baseline, Figure 15);
+* :class:`AIMDController` — Clipper's adaptive batch size;
 * :class:`RLController` — the actor-critic scheduler jointly choosing
-  batch size and model subset (Section 5.2).
+  batch size and model subset against Equation 7 (Section 5.2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro import telemetry
 from repro.core.serve.actions import ActionSpace
 from repro.core.serve.actor_critic import ActorCritic
-from repro.exceptions import ConfigurationError
-from repro.core.serve.batching import GreedyBatcher
+from repro.core.serve.batching import _EPS, GreedyBatcher
+from repro.core.serve.ensemble import EnsembleScorer
+from repro.core.serve.policy import BatchOutcome, Dispatch, DispatchPolicy, DispatchView, Wait
+from repro.core.serve.reward import batch_reward
 from repro.core.serve.state import StateBuilder
+from repro.exceptions import ConfigurationError
 from repro.zoo.profiles import ModelProfile
 
 __all__ = [
-    "Dispatch",
-    "Wait",
-    "Controller",
     "GreedySingleController",
     "GreedySyncController",
     "GreedyAsyncController",
+    "AIMDController",
     "RLController",
 ]
 
 
-@dataclass(frozen=True)
-class Dispatch:
-    """Run the ``take`` oldest requests on ``subset`` at ``batch_size``."""
-
-    subset: tuple[int, ...]
-    batch_size: int
-    take: int
-
-
-@dataclass(frozen=True)
-class Wait:
-    """Do nothing now; optionally wake at ``until``."""
-
-    until: float | None = None
-
-
-class Controller:
-    """Base interface."""
-
-    def decide(self, env) -> Dispatch | Wait:
-        raise NotImplementedError
-
-    def notify_reward(self, reward: float) -> None:
-        """Called once per dispatch with the realised Equation-7 reward."""
-
-
-class GreedySingleController(Controller):
+class GreedySingleController(GreedyBatcher):
     """Algorithm 3 over a single deployed model."""
 
     def __init__(self, profile: ModelProfile, batch_sizes: Sequence[int], tau: float,
                  backoff: float | None = None):
-        self.batcher = GreedyBatcher(
-            batch_sizes=batch_sizes, latency=profile.inference_time, tau=tau, backoff=backoff
-        )
-
-    def decide(self, env) -> Dispatch | Wait:
-        if not env.model_idle(0):
-            return Wait()
-        decision = self.batcher.decide(env.queue, env.now)
-        if decision.dispatch:
-            return Dispatch(subset=(0,), batch_size=decision.batch_size, take=decision.take)
-        return Wait(until=self.batcher.next_deadline(env.queue, env.now))
+        super().__init__(batch_sizes, profile.inference_time, tau, backoff, models=(0,))
 
 
-class GreedySyncController(Controller):
+class GreedySyncController(GreedyBatcher):
     """All models ensemble every batch; batch sized by the slowest model."""
 
     def __init__(self, profiles: Sequence[ModelProfile], batch_sizes: Sequence[int], tau: float,
                  backoff: float | None = None):
-        self.num_models = len(profiles)
-
         def slowest(batch: int) -> float:
             return max(p.inference_time(batch) for p in profiles)
 
-        self.batcher = GreedyBatcher(
-            batch_sizes=batch_sizes, latency=slowest, tau=tau, backoff=backoff
-        )
-
-    def decide(self, env) -> Dispatch | Wait:
-        if not all(env.model_idle(m) for m in range(self.num_models)):
-            return Wait()
-        decision = self.batcher.decide(env.queue, env.now)
-        if decision.dispatch:
-            return Dispatch(
-                subset=tuple(range(self.num_models)),
-                batch_size=decision.batch_size,
-                take=decision.take,
-            )
-        return Wait(until=self.batcher.next_deadline(env.queue, env.now))
+        super().__init__(batch_sizes, slowest, tau, backoff, models=range(len(profiles)))
 
 
-class GreedyAsyncController(Controller):
+class GreedyAsyncController(DispatchPolicy):
     """One model per batch (no ensemble), models drained round-robin."""
 
     def __init__(self, profiles: Sequence[ModelProfile], batch_sizes: Sequence[int], tau: float,
                  backoff: float | None = None):
-        self.profiles = list(profiles)
         self.batchers = [
-            GreedyBatcher(batch_sizes=batch_sizes, latency=p.inference_time, tau=tau,
-                          backoff=backoff)
-            for p in self.profiles
+            GreedyBatcher(batch_sizes, p.inference_time, tau, backoff, models=(m,))
+            for m, p in enumerate(profiles)
         ]
         self._next = 0
 
-    def decide(self, env) -> Dispatch | Wait:
-        idle = [m for m in range(len(self.profiles)) if env.model_idle(m)]
+    def decide(self, view: DispatchView) -> Dispatch | Wait:
+        count = len(self.batchers)
+        idle = [m for m in range(count) if view.model_idle(m)]
         if not idle:
             return Wait()
         # Round-robin over idle models so the fleet shares the load.
-        idle.sort(key=lambda m: (m - self._next) % len(self.profiles))
-        model = idle[0]
-        batcher = self.batchers[model]
-        decision = batcher.decide(env.queue, env.now)
-        if decision.dispatch:
-            self._next = (model + 1) % len(self.profiles)
-            return Dispatch(subset=(model,), batch_size=decision.batch_size, take=decision.take)
-        return Wait(until=batcher.next_deadline(env.queue, env.now))
+        model = min(idle, key=lambda m: (m - self._next) % count)
+        decision = self.batchers[model].decide(view)
+        if isinstance(decision, Dispatch):
+            self._next = (model + 1) % count
+        return decision
 
 
-class AIMDController(Controller):
+class AIMDController(DispatchPolicy):
     """Clipper-style additive-increase / multiplicative-decrease batching.
 
     Section 2.3 credits Clipper with tuning the batch size via AIMD:
@@ -165,41 +112,34 @@ class AIMDController(Controller):
         self.decrease = float(decrease)
         self.backoff = float(backoff) if backoff is not None else 0.1 * self.tau
         self.batch_size = max(1, max_batch // 4)
-        self._last_dispatch: tuple[int, float] | None = None  # (take, started)
 
-    def decide(self, env) -> Dispatch | Wait:
-        if not env.model_idle(0) or not env.queue:
+    def decide(self, view: DispatchView) -> Dispatch | Wait:
+        queue, now = view.queue, view.now
+        if not view.model_idle(0) or not queue:
             return Wait()
         latency = self.profile.inference_time(self.batch_size)
-        queue_full = len(env.queue) >= self.batch_size
-        deadline = latency + env.queue.oldest_wait(env.now) + self.backoff >= self.tau
+        queue_full = len(queue) >= self.batch_size
+        # _EPS: this must already hold at the ``wake`` instant computed below.
+        deadline = latency + queue.oldest_wait(now) + self.backoff >= self.tau - _EPS
         if not (queue_full or deadline):
-            wake = env.queue.oldest_arrival() + self.tau - latency - self.backoff
-            return Wait(until=max(wake, env.now))
-        take = min(self.batch_size, len(env.queue))
-        self._last_dispatch = (take, env.now + env.queue.oldest_wait(env.now))
+            wake = queue.oldest_arrival() + self.tau - latency - self.backoff
+            return Wait(until=max(wake, now))
         telemetry.get_registry().gauge(
             "repro_serve_aimd_batch_size", "Current AIMD-adapted batch size."
         ).set(self.batch_size)
-        return Dispatch(subset=(0,), batch_size=self.batch_size, take=take)
+        return Dispatch((0,), self.batch_size, min(self.batch_size, len(queue)))
 
-    def notify_reward(self, reward: float) -> None:
-        """Adapt the batch size from the realised Equation-7 reward.
-
-        A batch with zero overdue requests earns exactly
-        ``accuracy * take / max(B)`` under the default batch-scaled
-        shaping; anything lower means some request overran the SLO —
-        Clipper's miss signal.
-        """
-        take = self._last_dispatch[0] if self._last_dispatch else 0
-        expected = self.profile.top1_accuracy * take / self.max_batch
-        if reward >= expected - 1e-9:
-            self.batch_size = min(self.batch_size + self.increase, self.max_batch)
-        else:
+    def on_complete(self, outcome: BatchOutcome) -> None:
+        """Grow the batch after a clean batch, cut it after an SLO miss."""
+        if not outcome.take:
+            return  # the batch never ran: no signal either way
+        if outcome.overdue:
             self.batch_size = max(int(self.batch_size * self.decrease), 1)
+        else:
+            self.batch_size = min(self.batch_size + self.increase, self.max_batch)
 
 
-class RLController(Controller):
+class RLController(DispatchPolicy):
     """Actor-critic over the joint (subset, batch size) action space.
 
     Decisions are immediate: whenever requests are queued and at least
@@ -207,8 +147,16 @@ class RLController(Controller):
     len(q))`` oldest requests are dispatched right away. A selected
     model that is still busy queues the batch behind its in-flight work
     — the state's remaining-busy-time features let the policy reason
-    about (and learn to avoid) that. The realised Equation-7 reward
-    arrives synchronously after each dispatch.
+    about (and learn to avoid) that.
+
+    The learner's reward is Equation 7, computed here from each
+    batch's :class:`BatchOutcome` when it is reported: ``a(M[v]) * (take
+    - beta * overdue)``, with ``a`` from ``scorer`` (one model needs
+    none: its profile's accuracy). ``reward_shaping`` picks the
+    normaliser: ``"batch"`` divides by max(B); ``"per_request"``
+    divides by the served count instead, which keeps the
+    ensemble-accuracy signal at constant scale across arrival phases
+    (raise ``beta`` to restore the throughput incentive that weakens).
     """
 
     def __init__(
@@ -223,14 +171,25 @@ class RLController(Controller):
         entropy_coef: float = 0.02,
         horizon: int = 64,
         seed: int = 0,
+        scorer: EnsembleScorer | None = None,
+        beta: float = 1.0,
+        reward_shaping: str = "batch",
     ):
-        include_model_status = len(profiles) > 1
+        if scorer is None and len(profiles) > 1:
+            raise ConfigurationError("multi-model serving needs an EnsembleScorer")
+        if reward_shaping not in ("batch", "per_request"):
+            raise ConfigurationError(
+                f"reward_shaping must be 'batch' or 'per_request', got {reward_shaping!r}"
+            )
         self.profiles = list(profiles)
         self.tau = float(tau)
+        self.scorer = scorer
+        self.beta = float(beta)
+        self.reward_shaping = reward_shaping
         self.state_builder = StateBuilder(
             profiles, batch_sizes, tau,
             queue_window=queue_window,
-            include_model_status=include_model_status,
+            include_model_status=len(profiles) > 1,
         )
         self.action_space = ActionSpace(len(profiles), batch_sizes)
         self.learner = ActorCritic(
@@ -243,25 +202,37 @@ class RLController(Controller):
             horizon=horizon,
             seed=seed,
         )
-        self._last_token: int | None = None
 
-    def decide(self, env) -> Dispatch | Wait:
-        idle = [env.model_idle(m) for m in range(self.action_space.num_models)]
-        if not any(idle) or not env.queue:
+    def decide(self, view: DispatchView) -> Dispatch | Wait:
+        count = len(self.profiles)
+        if not view.queue:
             return Wait()
-        state = self.state_builder.build(env.queue, env.now, env.busy_until)
+        if not any(view.model_idle(m) for m in range(count)):
+            # A model of a subset batch frees before its batch completes.
+            return Wait(until=min(view.busy_until))
+        busy_until = view.busy_until if len(view.busy_until) else [0.0] * count
+        state = self.state_builder.build(view.queue, view.now, busy_until)
         action_index, token = self.learner.act_keyed(state, mask=None)
         action = self.action_space.decode(action_index)
-        self._last_token = token
-        take = min(action.batch_size, len(env.queue))
         telemetry.get_registry().counter(
             "repro_serve_rl_actions_total",
             "Actor-critic dispatch actions, by ensemble size.",
         ).inc(models=str(len(action.subset)))
-        return Dispatch(subset=action.subset, batch_size=action.batch_size, take=take)
+        take = min(action.batch_size, len(view.queue))
+        return Dispatch(action.subset, action.batch_size, take, token)
 
-    def notify_reward(self, reward: float) -> None:
-        if self._last_token is None:
-            raise ConfigurationError("reward with no dispatched action")
-        self.learner.complete(self._last_token, reward)
-        self._last_token = None
+    def on_complete(self, outcome: BatchOutcome) -> None:
+        """Pay the action its Equation-7 reward (0 if the batch never ran)."""
+        accuracy = (
+            self.scorer.accuracy(outcome.models)
+            if self.scorer is not None
+            else self.profiles[0].top1_accuracy
+        )
+        if self.reward_shaping == "per_request":
+            normalizer = max(outcome.take, 1)
+        else:
+            normalizer = self.action_space.batch_sizes[-1]
+        self.learner.complete(
+            outcome.token,
+            batch_reward(accuracy, outcome.take, outcome.overdue, self.beta, normalizer),
+        )

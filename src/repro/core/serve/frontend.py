@@ -6,15 +6,19 @@ deployed ensemble. This module turns the synchronous gateway→ensemble
 call chain into an event-loop front end with explicit queueing and
 flow control, in three layers:
 
-* :class:`ServeFrontend` — the *sans-io core*: a pure, clock-driven
-  state machine that admits or sheds each request (bounded accept
-  queue, deadline-aware load shedding, per-client token-bucket rate
-  limits), feeds the admitted backlog to the SLO-aware
-  :class:`~repro.core.serve.batching.GreedyBatcher`, and accounts every
-  outcome in the telemetry registry. Because every method takes ``now``
-  explicitly, the same core runs bit-identically under a real clock, a
-  :class:`~repro.telemetry.ManualClock`, or the discrete-event
-  :class:`~repro.sim.Simulator` (see :mod:`repro.core.serve.loadgen`).
+* :class:`ServeFrontend` — the *sans-io core* and the one serving
+  loop: a pure, clock-driven state machine that admits or sheds each
+  request (bounded accept queue, deadline-aware load shedding,
+  per-client token-bucket rate limits), asks its
+  :class:`~repro.core.serve.policy.DispatchPolicy` which of the
+  admitted backlog to dispatch on which models (the SLO-aware
+  :class:`~repro.core.serve.batching.GreedyBatcher` unless told
+  otherwise; the Section 5 controllers plug in here), retries or sheds
+  failed dispatches, and accounts every outcome once. Because every
+  method takes ``now`` explicitly, the same core runs bit-identically
+  under a real clock, a :class:`~repro.telemetry.ManualClock`, or the
+  discrete-event :class:`~repro.sim.Simulator` (see
+  :mod:`repro.core.serve.loadgen`).
 * :class:`AsyncServeFrontend` — the :mod:`asyncio` shell: concurrent
   clients ``await submit(...)``; one cooperative dispatcher task drains
   the core, executes batches against a pluggable executor (the deployed
@@ -36,13 +40,17 @@ from __future__ import annotations
 import asyncio
 import inspect
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from repro import chaos, telemetry
 from repro.core.serve.batching import DEFAULT_BATCH_SIZES, GreedyBatcher
-from repro.core.serve.metrics import LATENCY_BUCKETS
+from repro.core.serve.metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS
+from repro.core.serve.policy import BatchOutcome, Dispatch, DispatchPolicy, DispatchView
 from repro.exceptions import (
     ConfigurationError,
     InjectedFault,
@@ -125,8 +133,9 @@ class TokenBucket:
 class FrontendConfig:
     """Knobs of the serving front end (see docs/SERVING.md).
 
-    ``latency`` is the per-batch service model ``c(b)`` (the same one
-    the :class:`~repro.core.serve.batching.GreedyBatcher` plans with);
+    ``latency`` is the per-batch service model ``c(b)`` (the one the
+    admission estimate and the default
+    :class:`~repro.core.serve.batching.GreedyBatcher` plan with);
     everything else bounds how much work the front end will accept.
     """
 
@@ -134,7 +143,8 @@ class FrontendConfig:
     latency: Callable[[int], float]
     #: the SLO deadline tau, in seconds (Section 7.2's 0.56 default).
     tau: float = 0.56
-    #: candidate hardware batch sizes handed to the greedy batcher.
+    #: candidate hardware batch sizes (the default policy's, and the
+    #: largest is the drain unit of the admission estimate).
     batch_sizes: Sequence[int] = DEFAULT_BATCH_SIZES
     #: bounded accept queue: requests beyond this are shed (queue_full).
     max_queue: int = 1024
@@ -194,7 +204,7 @@ class FrontendConfig:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class FrontendRequest:
     """One admitted request moving through the front end."""
 
@@ -224,11 +234,12 @@ class FrontendRequest:
 class PendingQueue:
     """FIFO queue of admitted :class:`FrontendRequest` objects.
 
-    Duck-types the :class:`~repro.core.serve.request.RequestQueue`
-    surface the :class:`~repro.core.serve.batching.GreedyBatcher`
-    consults (``__len__``, ``oldest_arrival``, ``oldest_wait``), while
-    carrying whole request objects so responses can be routed back to
-    their clients.
+    Requests are processed strictly first-in-first-out (Section 5: a
+    delayed response beats a 'time out' error). This is the queue a
+    :class:`~repro.core.serve.policy.DispatchPolicy` reads (``__len__``,
+    ``oldest_arrival``, ``oldest_wait``, ``waiting_times``); it carries
+    whole request objects so responses can be routed back to their
+    clients.
     """
 
     def __init__(self):
@@ -272,6 +283,16 @@ class PendingQueue:
         """``w(q0)``: how long the head request has been waiting."""
         return now - self._requests[0].arrival
 
+    def waiting_times(self, now: float, length: int) -> np.ndarray:
+        """Waiting times of the ``length`` oldest requests, zero-padded.
+
+        This is the queue-status feature vector of Section 5.2.
+        """
+        out = np.zeros(length, dtype=np.float64)
+        for i, request in enumerate(islice(self._requests, length)):
+            out[i] = now - request.arrival
+        return out
+
 
 @dataclass
 class DispatchPlan:
@@ -285,6 +306,14 @@ class DispatchPlan:
     requests: list[FrontendRequest]
     batch_size: int
     extra_latency: float = 0.0
+    #: the models the policy chose (empty: the whole ensemble).
+    models: tuple[int, ...] = ()
+    #: when the batch left the queue.
+    dispatched: float = 0.0
+    #: when the pool ``poll`` was given will have finished it.
+    completion: float | None = None
+    #: the policy's own tag for this decision.
+    token: Any = None
 
     @property
     def take(self) -> int:
@@ -293,50 +322,70 @@ class DispatchPlan:
 
 
 class ServeFrontend:
-    """Sans-io core: admission control + SLO-aware batch planning.
+    """Sans-io core: admission control + policy-driven batch dispatch.
 
     Every method takes ``now`` explicitly; the core never reads a
     clock, sleeps, or touches an event loop. Shells drive it:
 
     * ``offer(client, payload, now)`` — admit or raise
       :class:`~repro.exceptions.RequestShedError`;
-    * ``poll(now)`` — collect the batches the greedy batcher wants
-      dispatched right now;
+    * ``poll(now)`` — collect the batches the dispatch policy wants
+      dispatched right now (call it after every offer or burst of
+      offers, and whenever a batch completes);
     * ``next_wake(now)`` — when to poll again if nothing else happens;
-    * ``complete(plan, now)`` — account a finished batch.
+    * ``complete(plan, now)`` / ``fail(plan, now, reason)`` — account a
+      finished / abandoned batch and tell the policy.
     """
 
     def __init__(
         self,
         config: FrontendConfig,
         capacity: Callable[[float], tuple[int, float]] | None = None,
+        policy: DispatchPolicy | None = None,
     ):
         self.config = config
-        self.batcher = GreedyBatcher(
-            config.batch_sizes,
-            latency=config.latency,
-            tau=config.tau,
+        #: who decides what leaves the queue (default: Algorithm 3 on
+        #: ``config.latency``, any replica, no idle check).
+        self.policy = policy if policy is not None else GreedyBatcher(
+            config.batch_sizes, latency=config.latency, tau=config.tau
         )
         #: live backend capacity hook: ``capacity(now) -> (live_replicas,
         #: head_delay_seconds)``; the admission estimate divides queue
         #: drain across live replicas and adds the head-of-line delay.
         self.capacity = capacity if capacity is not None else (lambda now: (1, 0.0))
         self.pending = PendingQueue()
+        self._max_batch = max(config.batch_sizes)
+        self._rate_limited = (
+            config.rate_limit is not None
+            or config.tenant_rate_limit is not None
+            or bool(config.tenant_rate_limits)
+        )
         self._buckets: dict[str, TokenBucket] = {}
+        self._bucket_sweep_at = 1024
         self._tenant_buckets: dict[str, TokenBucket] = {}
         self._seq = 0
         self._dispatch_failures = 0
         self._retry_at: float | None = None
+        self._wait_until: float | None = None
         self._latency_sample = Reservoir(capacity=4096)
         #: terminal-outcome counts, by reason ("served" included).
         self.outcomes: dict[str, int] = {}
         #: the same counts broken down per tenant.
         self.tenant_outcomes: dict[str, dict[str, int]] = {}
         self.admitted = 0
+        #: admissions already in the telemetry registry, per tenant: the
+        #: rest are counted once per ``poll`` (so once per arrival
+        #: burst), not once per request.
+        self._counted: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
+
+    def _drain_time(self, now: float) -> float:
+        """Seconds one full batch takes, spread over the live replicas."""
+        live, _ = self.capacity(now)
+        return self.config.latency(self._max_batch) / max(1, int(live))
 
     def estimated_delay(self, now: float) -> float:
         """Predicted queueing delay a request admitted at ``now`` faces.
@@ -348,9 +397,9 @@ class ServeFrontend:
         """
         live, head_delay = self.capacity(now)
         live = max(1, int(live))
-        batches = math.ceil((len(self.pending) + 1) / self.batcher.max_batch)
-        return max(0.0, head_delay) + batches * self.batcher.latency(
-            self.batcher.max_batch
+        batches = math.ceil((len(self.pending) + 1) / self._max_batch)
+        return max(0.0, head_delay) + batches * self.config.latency(
+            self._max_batch
         ) / live
 
     def _tenant_rate(self, tenant: str) -> float | None:
@@ -358,6 +407,49 @@ class ServeFrontend:
         if tenant in overrides:
             return overrides[tenant]
         return self.config.tenant_rate_limit
+
+    def _client_bucket(self, client_id: str, now: float) -> TokenBucket:
+        bucket = self._buckets.get(client_id)
+        if bucket is None:
+            if len(self._buckets) >= self._bucket_sweep_at:
+                # Client ids are outside input. A bucket refilled to its
+                # burst is indistinguishable from a fresh one: drop those,
+                # and sweep again when the map has doubled.
+                self._buckets = {
+                    client: kept for client, kept in self._buckets.items()
+                    if kept.available(now) < kept.burst
+                }
+                self._bucket_sweep_at = max(1024, 2 * len(self._buckets))
+            bucket = self._buckets[client_id] = TokenBucket(
+                self.config.rate_limit, self.config.burst
+            )
+        return bucket
+
+    def _peek_buckets(self, client_id: str, now: float, tenant: str) -> list[TokenBucket]:
+        """The tenant's and the client's bucket, each with a token to spare."""
+        buckets = []
+        tenant_rate = self._tenant_rate(tenant)
+        if tenant_rate is not None:
+            bucket = self._tenant_buckets.get(tenant)
+            if bucket is None:
+                bucket = self._tenant_buckets[tenant] = TokenBucket(
+                    tenant_rate, self.config.tenant_burst
+                )
+            wait = bucket.peek(now)
+            if wait > 0.0:
+                raise self._shed(
+                    "tenant_rate_limit", wait, now, client_id=client_id, tenant=tenant
+                )
+            buckets.append(bucket)
+        if self.config.rate_limit is not None:
+            bucket = self._client_bucket(client_id, now)
+            wait = bucket.peek(now)
+            if wait > 0.0:
+                raise self._shed(
+                    "rate_limit", wait, now, client_id=client_id, tenant=tenant
+                )
+            buckets.append(bucket)
+        return buckets
 
     def offer(
         self,
@@ -376,83 +468,51 @@ class ServeFrontend:
         bounded accept queue, and the deadline-aware shed test. Raises
         :class:`~repro.exceptions.RequestShedError` on any refusal.
         """
+        config = self.config
         arrival = now
-        try:
-            arrival += chaos.fire("frontend.accept")
-            arrival += chaos.fire(f"frontend.accept.tenant.{tenant}")
-        except InjectedFault as exc:
-            raise self._shed(
-                "fault", self.batcher.backoff, now, detail=str(exc), tenant=tenant
-            ) from exc
+        if chaos.get_plan() is not None:
+            try:
+                arrival += chaos.fire("frontend.accept")
+                arrival += chaos.fire(f"frontend.accept.tenant.{tenant}")
+            except InjectedFault as exc:
+                raise self._shed(
+                    "fault", 0.1 * config.tau, now, detail=str(exc), tenant=tenant
+                ) from exc
         # Peek both buckets first and only debit them once every other
         # admission check has passed: a request shed later in the
         # pipeline must not consume a token, or one throttled client
         # (or a full queue) would drain its tenant's bucket and shed
         # well-behaved co-tenant clients as tenant_rate_limit.
-        tenant_rate = self._tenant_rate(tenant)
-        tenant_bucket = None
-        if tenant_rate is not None:
-            tenant_bucket = self._tenant_buckets.get(tenant)
-            if tenant_bucket is None:
-                tenant_bucket = self._tenant_buckets[tenant] = TokenBucket(
-                    tenant_rate, self.config.tenant_burst
-                )
-            wait = tenant_bucket.peek(now)
-            if wait > 0.0:
+        buckets = self._peek_buckets(client_id, now, tenant) if self._rate_limited else ()
+        pending = self.pending
+        if config.tenant_max_queue_share is not None:
+            cap = max(1, int(config.max_queue * config.tenant_max_queue_share))
+            if pending.count(tenant) >= cap:
                 raise self._shed(
-                    "tenant_rate_limit", wait, now, client_id=client_id, tenant=tenant
+                    "tenant_queue_full", self._drain_time(now), now,
+                    client_id=client_id, tenant=tenant,
                 )
-        client_bucket = None
-        if self.config.rate_limit is not None:
-            client_bucket = self._buckets.get(client_id)
-            if client_bucket is None:
-                client_bucket = self._buckets[client_id] = TokenBucket(
-                    self.config.rate_limit, self.config.burst
-                )
-            wait = client_bucket.peek(now)
-            if wait > 0.0:
-                raise self._shed(
-                    "rate_limit", wait, now, client_id=client_id, tenant=tenant
-                )
-        live, _ = self.capacity(now)
-        drain = self.batcher.latency(self.batcher.max_batch) / max(1, int(live))
-        if self.config.tenant_max_queue_share is not None:
-            cap = max(1, int(self.config.max_queue * self.config.tenant_max_queue_share))
-            if self.pending.count(tenant) >= cap:
-                raise self._shed(
-                    "tenant_queue_full", drain, now, client_id=client_id, tenant=tenant
-                )
-        if len(self.pending) >= self.config.max_queue:
+        if len(pending) >= config.max_queue:
             raise self._shed(
-                "queue_full", drain, now, client_id=client_id, tenant=tenant
+                "queue_full", self._drain_time(now), now,
+                client_id=client_id, tenant=tenant,
             )
-        budget = self.config.tau * self.config.deadline_slack
-        delay = self.estimated_delay(now)
-        if delay > budget:
-            raise self._shed(
-                "deadline", delay - budget, now, client_id=client_id, tenant=tenant
-            )
-        if tenant_bucket is not None:
-            tenant_bucket.try_take(now)
-        if client_bucket is not None:
-            client_bucket.try_take(now)
+        budget = config.tau * config.deadline_slack
+        if budget != math.inf:
+            delay = self.estimated_delay(now)
+            if delay > budget:
+                raise self._shed(
+                    "deadline", delay - budget, now, client_id=client_id, tenant=tenant
+                )
+        for bucket in buckets:
+            bucket.try_take(now)
         self._seq += 1
         request = FrontendRequest(
-            seq=self._seq,
-            client_id=client_id,
-            payload=payload,
-            arrival=arrival,
-            deadline=arrival + self.config.tau,
-            tenant=tenant,
+            self._seq, client_id, payload, arrival, arrival + config.tau, tenant
         )
-        self.pending.append(request)
+        pending.append(request)
         self.admitted += 1
         self._tenant_account(tenant, "admitted")
-        telemetry.get_registry().counter(
-            "repro_serve_frontend_requests_total",
-            "Front-end admission outcomes, by client verdict and tenant.",
-        ).inc(outcome="admitted", tenant=tenant)
-        self._update_queue_gauge()
         return request
 
     def _tenant_account(self, tenant: str, outcome: str, count: int = 1) -> None:
@@ -486,83 +546,139 @@ class ServeFrontend:
     # dispatch planning
     # ------------------------------------------------------------------
 
-    def poll(self, now: float) -> list[DispatchPlan]:
-        """Batches the greedy batcher wants dispatched at ``now``.
+    def poll(self, now: float, pool=None) -> list[DispatchPlan]:
+        """Batches the dispatch policy wants dispatched at ``now``.
 
-        Each planned batch passes the ``frontend.dispatch`` fault
-        point: injected latency rides along in the plan, an injected
+        The policy is asked until it answers ``Wait``. Each batch it
+        dispatches passes the ``frontend.dispatch`` fault point:
+        injected latency rides along in the plan, an injected
         exception re-queues the batch and arms a bounded backoff retry
         — after ``dispatch_retry.max_attempts`` consecutive failures
         the batch is shed so one poisoned dispatch cannot wedge the
         queue.
+
+        With a ``pool`` (a :class:`~repro.core.serve.loadgen.ReplicaPool`)
+        the policy sees its ``busy_until`` and every planned batch is
+        assigned to it at once — so the next decision of this same poll
+        finds those models busy — and carries its ``completion`` time;
+        with no live replica the batch is shed instead. The simulated
+        models being deterministic, the batch's outcome is known then,
+        and the policy is told then: a policy that had to wait out a
+        backlog to learn that it is adding to it learns too late (the
+        shell still accounts the batch when it completes).
         """
         plans: list[DispatchPlan] = []
         if self._retry_at is not None and now + 1e-12 < self._retry_at:
             return plans
-        self._retry_at = None
-        registry = telemetry.get_registry()
+        self._retry_at = self._wait_until = None
+        retry = self.config.dispatch_retry
+        view = DispatchView(self.pending, now, pool.busy_until if pool is not None else ())
         while self.pending:
-            decision = self.batcher.decide(self.pending, now)
-            if not decision.dispatch or decision.take <= 0:
+            decision = self.policy.decide(view)
+            if not isinstance(decision, Dispatch):
+                self._wait_until = decision.until
                 break
-            requests = self.pending.pop(decision.take)
+            if decision.take <= 0:
+                raise ConfigurationError(f"bad dispatch decision: {decision!r}")
+            plan = DispatchPlan(
+                self.pending.pop(decision.take), decision.batch_size,
+                models=decision.models, dispatched=now, token=decision.token,
+            )
             try:
-                extra = chaos.fire("frontend.dispatch")
+                plan.extra_latency = chaos.fire("frontend.dispatch")
             except InjectedFault:
                 self._dispatch_failures += 1
-                registry.counter(
+                telemetry.get_registry().counter(
                     "repro_serve_frontend_dispatch_retries_total",
                     "Planned batches that failed dispatch and were retried.",
                 ).inc()
-                if self._dispatch_failures >= self.config.dispatch_retry.max_attempts:
-                    self.shed_requests(requests, now, "dispatch_failed")
+                if self._dispatch_failures >= retry.max_attempts:
+                    self.fail(plan, now, "dispatch_failed")
                     self._dispatch_failures = 0
-                    self._retry_at = now + self.config.dispatch_retry.base_delay
+                    self._retry_at = now + retry.base_delay
                 else:
-                    self.pending.push_front(requests)
-                    self._retry_at = now + self.config.dispatch_retry.delay(
-                        self._dispatch_failures - 1
-                    )
+                    self.pending.push_front(plan.requests)
+                    self.policy.on_complete(self._outcome(plan, None))
+                    self._retry_at = now + retry.delay(self._dispatch_failures - 1)
                 break
             self._dispatch_failures = 0
-            plans.append(DispatchPlan(requests, decision.batch_size, extra))
-        self._update_queue_gauge()
+            if pool is not None:
+                if not plan.models and pool.live() == 0:
+                    self.fail(plan, now, "dispatch_failed")
+                    continue
+                plan.completion = pool.assign(
+                    now, plan.batch_size, plan.extra_latency, plan.models
+                )
+                self.policy.on_complete(self._outcome(plan, plan.completion))
+            plans.append(plan)
+        self._count_telemetry(plans)
         return plans
+
+    def _count_telemetry(self, plans: list[DispatchPlan]) -> None:
+        registry = telemetry.get_registry()
+        for tenant, outcomes in self.tenant_outcomes.items():
+            fresh = outcomes.get("admitted", 0) - self._counted.get(tenant, 0)
+            if fresh:
+                registry.counter(
+                    "repro_serve_frontend_requests_total",
+                    "Front-end admission outcomes, by client verdict and tenant.",
+                ).inc(fresh, outcome="admitted", tenant=tenant)
+                self._counted[tenant] = outcomes["admitted"]
+        if plans:
+            sizes = registry.histogram(
+                "repro_serve_batch_size",
+                "Hardware batch size chosen per dispatch.",
+                buckets=BATCH_SIZE_BUCKETS,
+            )
+            for plan in plans:
+                sizes.observe(plan.batch_size)
+        registry.gauge(
+            "repro_serve_frontend_queue_depth",
+            "Requests admitted and waiting in the front-end queue.",
+        ).set(len(self.pending))
 
     def next_wake(self, now: float) -> float | None:
         """Earliest future instant at which ``poll`` could act.
 
-        The minimum of the batcher's deadline-dispatch trigger and any
-        armed dispatch-retry backoff; None when the queue is empty and
-        no retry is pending.
+        The minimum of the ``Wait(until)`` the policy ended the last
+        poll with and any armed dispatch-retry backoff; None when
+        neither is set. Anything offered since the last poll makes the
+        answer stale — poll after offering.
         """
-        candidates = []
-        if self.pending:
-            deadline = self.batcher.next_deadline(self.pending, now)
-            if deadline is not None:
-                candidates.append(deadline)
-        if self._retry_at is not None:
-            candidates.append(self._retry_at)
-        return min(candidates) if candidates else None
+        candidates = [t for t in (self._wait_until, self._retry_at) if t is not None]
+        return max(min(candidates), now) if candidates else None
 
     # ------------------------------------------------------------------
     # terminal accounting
     # ------------------------------------------------------------------
 
-    def complete(self, plan: DispatchPlan, now: float) -> None:
-        """Account a finished batch: latencies, SLO misses, gauges."""
-        registry = telemetry.get_registry()
-        latencies = []
-        overdue = 0
-        for request in plan.requests:
+    def _outcome(self, plan: DispatchPlan, completed: float | None) -> BatchOutcome:
+        """The facts of ``plan`` finishing at ``completed`` (None: it never ran)."""
+        latencies = (
+            [completed - r.arrival for r in plan.requests] if completed is not None else ()
+        )
+        tau = self.config.tau
+        return BatchOutcome(
+            plan.models, plan.batch_size, plan.dispatched, latencies,
+            sum(latency > tau for latency in latencies), plan.token,
+        )
+
+    def complete(self, plan: DispatchPlan, now: float) -> BatchOutcome:
+        """Account a finished batch (latencies, SLO misses, gauges).
+
+        Returns the batch's facts, and tells the policy unless ``poll``
+        already could (see there).
+        """
+        requests = plan.requests
+        outcome = self._outcome(plan, now)
+        latencies, overdue = outcome.latencies, outcome.overdue
+        for request in requests:
             request.completed_at = now
-            latency = now - request.arrival
-            latencies.append(latency)
-            self._tenant_account(request.tenant, "served")
-            if latency > self.config.tau:
-                overdue += 1
-        self.outcomes["served"] = self.outcomes.get("served", 0) + len(plan.requests)
+        for tenant, count in Counter(r.tenant for r in requests).items():
+            self._tenant_account(tenant, "served", count)
+        self.outcomes["served"] = self.outcomes.get("served", 0) + len(requests)
         self._latency_sample.add_many(latencies)
+        registry = telemetry.get_registry()
         registry.histogram(
             "repro_serve_frontend_latency_seconds",
             "Per-request latency from arrival to batch completion.",
@@ -576,7 +692,15 @@ class ServeFrontend:
         registry.gauge(
             "repro_serve_frontend_latency_p95_seconds",
             "Rolling p95 of front-end request latency.",
-        ).set(self._latency_sample.quantile(0.95) if len(self._latency_sample) else 0.0)
+        ).set(self.latency_quantile(0.95))
+        if plan.completion is None:
+            self.policy.on_complete(outcome)
+        return outcome
+
+    def fail(self, plan: DispatchPlan, now: float, reason: str) -> None:
+        """Account a planned batch that never ran: shed it, tell the policy."""
+        self.shed_requests(plan.requests, now, reason)
+        self.policy.on_complete(self._outcome(plan, None))
 
     def shed_requests(
         self, requests: Sequence[FrontendRequest], now: float, reason: str
@@ -595,12 +719,6 @@ class ServeFrontend:
             )
             if request.on_shed is not None:
                 request.on_shed(request, error)
-
-    def _update_queue_gauge(self) -> None:
-        telemetry.get_registry().gauge(
-            "repro_serve_frontend_queue_depth",
-            "Requests admitted and waiting in the front-end queue.",
-        ).set(len(self.pending))
 
     # ------------------------------------------------------------------
     # introspection
@@ -692,7 +810,9 @@ class AsyncServeFrontend:
     Concurrent clients ``await submit(payload, client_id)``; a single
     cooperative dispatcher task drains the core — executing each
     planned batch against ``executor(payloads, batch_size)`` (sync or
-    async) and resolving the per-request futures. Admission refusals
+    async; a batch whose policy chose a model subset is executed as
+    ``executor(payloads, batch_size, models)``) and resolving the
+    per-request futures. Admission refusals
     surface to the caller immediately as
     :class:`~repro.exceptions.RequestShedError` — callers never queue
     beyond what the core admits, which is the backpressure contract.
@@ -704,10 +824,11 @@ class AsyncServeFrontend:
     def __init__(
         self,
         config: FrontendConfig,
-        executor: Callable[[list[Any], int], Any],
+        executor: Callable[..., Any],
         capacity: Callable[[float], tuple[int, float]] | None = None,
+        policy: DispatchPolicy | None = None,
     ):
-        self.core = ServeFrontend(config, capacity=capacity)
+        self.core = ServeFrontend(config, capacity=capacity, policy=policy)
         self.executor = executor
         self._loop: asyncio.AbstractEventLoop | None = None
         self._wake: asyncio.Event | None = None
@@ -762,12 +883,14 @@ class AsyncServeFrontend:
 
     async def _dispatch_loop(self) -> None:
         while self._running:
-            now = self._now()
-            for plan in self.core.poll(now):
+            # Cleared before polling: a submit that lands while a batch
+            # executes leaves the event set, so the loop polls again
+            # instead of sleeping on a wake-up computed before it.
+            self._wake.clear()
+            for plan in self.core.poll(self._now()):
                 await self._execute(plan)
             wake_at = self.core.next_wake(self._now())
             timeout = None if wake_at is None else max(wake_at - self._now(), 0.0)
-            self._wake.clear()
             try:
                 await asyncio.wait_for(self._wake.wait(), timeout)
             except asyncio.TimeoutError:
@@ -778,7 +901,10 @@ class AsyncServeFrontend:
             await asyncio.sleep(plan.extra_latency)
         payloads = [request.payload for request in plan.requests]
         try:
-            results = self.executor(payloads, plan.batch_size)
+            # The subset rides along only when the policy chose one, so
+            # plain (payloads, batch_size) executors keep working.
+            chosen = (plan.models,) if plan.models else ()
+            results = self.executor(payloads, plan.batch_size, *chosen)
             if inspect.isawaitable(results):
                 results = await results
         except Exception as exc:  # executor bug or backend outage
@@ -786,10 +912,12 @@ class AsyncServeFrontend:
                 "repro_serve_frontend_executor_errors_total",
                 "Batches whose executor raised; their requests fail.",
             ).inc()
+            # Callers get the executor's own exception (it is not a
+            # backpressure signal); the ledger still closes.
             for request in plan.requests:
-                request.shed_reason = "executor_error"
                 if request.future is not None and not request.future.done():
                     request.future.set_exception(exc)
+            self.core.fail(plan, self._now(), "executor_error")
             return
         self.core.complete(plan, self._now())
         for request, result in zip(plan.requests, results):

@@ -1,7 +1,9 @@
 """Open/closed-loop load generation for the serving front end.
 
 Drives a :class:`~repro.core.serve.frontend.ServeFrontend` core on the
-discrete-event :class:`~repro.sim.Simulator`, so an hour of heavy load
+discrete-event :class:`~repro.sim.Simulator` — the only driver of the
+serving loop outside the asyncio shell, and the environment the
+Figure 10/13-16 experiments run in — so an hour of heavy load
 runs in milliseconds and — because the core, the arrival process, and
 the replica pool are all seeded and clock-driven — two runs with the
 same seed produce **bit-identical traces**. That determinism is the
@@ -15,15 +17,18 @@ Two load shapes, per the serving literature:
   :class:`~repro.core.serve.arrival.SineArrival` process regardless of
   completions; this is the "millions of independent users" model and
   the one that exposes overload (the generator does not slow down when
-  the system does, so admission control must shed).
+  the system does, so admission control must shed). The requests of
+  one arrival step are offered together, then the front end is polled
+  once.
 * **closed loop** — ``clients`` simulated users each wait for their
   response, think, then submit again; throughput self-limits at
   ``clients / (latency + think_time)``, which probes capacity without
   overload.
 
-Replicas are modelled by :class:`ReplicaPool`: each batch occupies the
-least-loaded live replica for ``c(b)`` seconds (the same affine latency
-model the batcher plans with). A :class:`~repro.core.serve.frontend.
+Models are simulated by :class:`ReplicaPool`: a batch occupies the
+least-loaded live replica — or, when the dispatch policy named a model
+subset, each named model — for ``c(b)`` seconds (the same affine
+latency model the batcher plans with). A :class:`~repro.core.serve.frontend.
 ScalingAdvisor` can be wired in to grow/shrink the pool from the live
 telemetry gauges mid-run.
 """
@@ -44,6 +49,7 @@ from repro.core.serve.frontend import (
     ScalingAdvisor,
     ServeFrontend,
 )
+from repro.core.serve.policy import BatchOutcome
 from repro.exceptions import ConfigurationError, RequestShedError
 from repro.sim import Signal, Simulator
 from repro.tenancy import DEFAULT_TENANT
@@ -123,9 +129,19 @@ class LoadTrace:
     mode: str
     records: list[TraceRecord] = field(default_factory=list)
 
-    def record(self, record: TraceRecord) -> None:
-        """Append one terminal event."""
-        self.records.append(record)
+    def record_arrivals(self, time: float, count: int) -> None:
+        """Nothing to do: every admitted request gets its own record."""
+
+    def record_shed(self, time, client, tenant, reason, seq=0) -> None:
+        """One request refused (``seq`` 0) or abandoned after admission."""
+        self.records.append(TraceRecord(seq, client, time, reason, float("nan"), tenant))
+
+    def record_batch(self, time: float, plan: DispatchPlan, outcome: BatchOutcome) -> None:
+        """One served record per request of a completed batch."""
+        self.records.extend(
+            TraceRecord(r.seq, r.client_id, time, "served", latency, r.tenant)
+            for r, latency in zip(plan.requests, outcome.latencies)
+        )
 
     def fingerprint(self) -> str:
         """SHA-256 over the full trace — the bit-identity check."""
@@ -181,22 +197,31 @@ class LoadTrace:
 
 
 class ReplicaPool:
-    """A fleet of identical serving replicas with ``c(b)`` service time.
+    """The simulated models: one ``busy_until`` and one ``c(b)`` each.
 
-    Batches occupy the least-loaded *live* replica; killed replicas
-    stop taking work (their in-flight batch still completes — the
-    failure mode where the process dies mid-batch is modelled by a
-    ``frontend.dispatch`` chaos rule instead). Doubles as the front
-    end's capacity hook: ``capacity(now)`` reports live replicas and
-    the head-of-line delay admission control divides work across.
+    ``latency`` is either one latency model shared by ``replicas``
+    identical replicas of the deployed ensemble, or a sequence of them,
+    one per deployed model. A batch with no models named occupies the
+    least-loaded *live* replica; a batch on a named subset queues on
+    each named model behind its in-flight work and completes with the
+    slowest. Killed replicas stop taking unnamed work (their in-flight
+    batch still completes — the failure mode where the process dies
+    mid-batch is modelled by a ``frontend.dispatch`` chaos rule
+    instead). Doubles as the front end's capacity hook:
+    ``capacity(now)`` reports live replicas and the head-of-line delay
+    admission control divides work across.
     """
 
-    def __init__(self, latency: Callable[[int], float], replicas: int = 1):
+    def __init__(
+        self,
+        latency: Callable[[int], float] | Sequence[Callable[[int], float]],
+        replicas: int = 1,
+    ):
         if replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
-        self.latency = latency
-        self.busy_until = [0.0] * replicas
-        self.alive = [True] * replicas
+        self.latencies = [latency] * replicas if callable(latency) else list(latency)
+        self.busy_until = [0.0] * len(self.latencies)
+        self.alive = [True] * len(self.latencies)
 
     @property
     def size(self) -> int:
@@ -216,19 +241,29 @@ class ReplicaPool:
             return 0, 0.0
         return len(delays), min(delays)
 
-    def assign(self, now: float, batch_size: int, extra_latency: float = 0.0) -> float:
-        """Queue a batch on the least-loaded live replica.
+    def assign(
+        self,
+        now: float,
+        batch_size: int,
+        extra_latency: float = 0.0,
+        models: Sequence[int] = (),
+    ) -> float:
+        """Queue a batch on ``models`` (default: the least-loaded live replica).
 
-        Returns the completion time; raises if no replica is live
-        (callers check :meth:`live` and shed instead).
+        Returns the completion time; raises if no model is named and no
+        replica is live (callers check :meth:`live` and shed instead).
         """
-        candidates = [i for i, a in enumerate(self.alive) if a]
-        if not candidates:
-            raise ConfigurationError("no live replica to assign the batch to")
-        index = min(candidates, key=lambda i: (max(self.busy_until[i], now), i))
-        start = max(self.busy_until[index], now)
-        self.busy_until[index] = start + self.latency(batch_size) + extra_latency
-        return self.busy_until[index]
+        if not models:
+            candidates = [i for i, a in enumerate(self.alive) if a]
+            if not candidates:
+                raise ConfigurationError("no live replica to assign the batch to")
+            models = (min(candidates, key=lambda i: (max(self.busy_until[i], now), i)),)
+        completion = now
+        for index in models:
+            start = max(self.busy_until[index], now)
+            self.busy_until[index] = start + self.latencies[index](batch_size) + extra_latency
+            completion = max(completion, self.busy_until[index])
+        return completion
 
     def kill(self, index: int) -> None:
         """Take a replica out of rotation (chaos: replica death)."""
@@ -244,9 +279,11 @@ class ReplicaPool:
         if n < 1:
             raise ConfigurationError(f"cannot scale below 1 replica, got {n}")
         while len(self.busy_until) < n:
+            self.latencies.append(self.latencies[0])
             self.busy_until.append(now)
             self.alive.append(True)
         while len(self.busy_until) > n:
+            self.latencies.pop()
             self.busy_until.pop()
             self.alive.pop()
 
@@ -279,13 +316,7 @@ def _spawn_load(
 class _Driver:
     """Glues frontend core, replica pool and simulator together."""
 
-    def __init__(
-        self,
-        frontend: ServeFrontend,
-        pool: ReplicaPool,
-        sim: Simulator,
-        trace: LoadTrace,
-    ):
+    def __init__(self, frontend: ServeFrontend, pool: ReplicaPool, sim: Simulator, trace):
         self.frontend = frontend
         self.pool = pool
         self.sim = sim
@@ -296,26 +327,30 @@ class _Driver:
     # -- admission ------------------------------------------------------
 
     def offer(
-        self, client: str, tenant: str = DEFAULT_TENANT
-    ) -> tuple[FrontendRequest | None, RequestShedError | None]:
+        self, clients: Sequence[str], tenant: str = DEFAULT_TENANT
+    ) -> tuple[list[FrontendRequest], RequestShedError | None]:
+        """Offer one same-instant burst, then poll the front end once."""
         now = self.sim.now
-        try:
-            request = self.frontend.offer(client, None, now, tenant=tenant)
-        except RequestShedError as exc:
-            self.trace.record(
-                TraceRecord(0, client, now, exc.reason, float("nan"), tenant)
-            )
-            return None, exc
-        request.on_shed = self._on_shed
-        self.pump()
-        return request, None
+        offer, on_shed = self.frontend.offer, self._on_shed
+        admitted, error = [], None
+        for client in clients:
+            try:
+                request = offer(client, None, now, tenant)
+            except RequestShedError as exc:
+                error = exc
+                self.trace.record_shed(now, client, tenant, exc.reason)
+                continue
+            request.on_shed = on_shed
+            admitted.append(request)
+        if admitted:
+            self.trace.record_arrivals(now, len(admitted))
+            self.pump()
+        return admitted, error
 
     def _on_shed(self, request: FrontendRequest, error: RequestShedError) -> None:
-        self.trace.record(
-            TraceRecord(
-                request.seq, request.client_id, self.sim.now,
-                request.shed_reason or "shed", float("nan"), request.tenant,
-            )
+        self.trace.record_shed(
+            self.sim.now, request.client_id, request.tenant,
+            request.shed_reason or "shed", request.seq,
         )
         if isinstance(request.future, Signal):
             request.future.fire(error)
@@ -324,12 +359,8 @@ class _Driver:
 
     def pump(self) -> None:
         now = self.sim.now
-        for plan in self.frontend.poll(now):
-            if self.pool.live() == 0:
-                self.frontend.shed_requests(plan.requests, now, "dispatch_failed")
-                continue
-            completion = self.pool.assign(now, plan.batch_size, plan.extra_latency)
-            self.sim.schedule(completion - now, self._complete, plan)
+        for plan in self.frontend.poll(now, self.pool):
+            self.sim.schedule(plan.completion - now, self._complete, plan)
         self._arm_wake()
 
     def _arm_wake(self) -> None:
@@ -348,14 +379,8 @@ class _Driver:
 
     def _complete(self, plan: DispatchPlan) -> None:
         now = self.sim.now
-        self.frontend.complete(plan, now)
+        self.trace.record_batch(now, plan, self.frontend.complete(plan, now))
         for request in plan.requests:
-            self.trace.record(
-                TraceRecord(
-                    request.seq, request.client_id, now, "served",
-                    now - request.arrival, request.tenant,
-                )
-            )
             if isinstance(request.future, Signal):
                 request.future.fire(None)
         self.pump()
@@ -373,21 +398,26 @@ class _Driver:
 
     def open_loop(self, arrival: SineArrival, load: LoadGenConfig):
         prefix = self._client_prefix(load)
+        names = [f"{prefix}-{index}" for index in range(load.clients)]
         sent = 0
         while self.sim.now < load.duration:
-            for _ in range(arrival.count(self.sim.now, load.span)):
-                self.offer(f"{prefix}-{sent % load.clients}", load.tenant)
-                sent += 1
+            count = arrival.count(self.sim.now, load.span)
+            if count:
+                self.offer(
+                    [names[i % load.clients] for i in range(sent, sent + count)],
+                    load.tenant,
+                )
+                sent += count
             yield load.span
 
     def closed_client(self, name: str, load: LoadGenConfig):
         while self.sim.now < load.duration:
-            request, error = self.offer(name, load.tenant)
-            if request is None:
+            admitted, error = self.offer([name], load.tenant)
+            if not admitted:
                 yield max(error.retry_after, load.think_time)
                 continue
             signal = Signal(name)
-            request.future = signal
+            admitted[0].future = signal
             yield signal
             yield load.think_time
 
@@ -417,18 +447,25 @@ def run_load(
     scale_bounds: tuple[int, int] = (1, 8),
     autoscale_interval: float = 1.0,
     events: Sequence[tuple[float, Callable[[], None]]] = (),
-) -> LoadTrace:
+    trace=None,
+):
     """Run one load shape against a front end; returns the full trace.
 
     :func:`run_multi_load` of a single load, plus an optional
     ``autoscaler`` consulted every ``autoscale_interval`` simulated
     seconds to grow or shrink ``pool`` within ``scale_bounds``.
+
+    ``trace`` (here and in :func:`run_multi_load`) is what records the
+    run and is returned: by default a per-request :class:`LoadTrace`;
+    pass a :class:`~repro.core.serve.metrics.ServingMetrics` for
+    per-batch records only (anything with their three ``record_*``
+    methods).
     """
     autoscale = (
         None if autoscaler is None
         else (autoscaler, scale_bounds, autoscale_interval)
     )
-    return _run_loads(frontend, pool, [load], sim, events, autoscale)
+    return _run_loads(frontend, pool, [load], sim, events, autoscale, trace)
 
 
 def run_multi_load(
@@ -437,7 +474,8 @@ def run_multi_load(
     loads: Sequence[LoadGenConfig],
     sim: Simulator | None = None,
     events: Sequence[tuple[float, Callable[[], None]]] = (),
-) -> LoadTrace:
+    trace=None,
+):
     """Run several loads (typically one per tenant) against one front end.
 
     All loads share the simulator, the front end and the replica pool,
@@ -451,21 +489,23 @@ def run_multi_load(
     pairs executed at exact simulated instants (e.g.
     ``(30.0, lambda: pool.kill(1))`` for replica death mid-load).
     After the longest ``load.duration`` the arrival side stops and
-    in-flight work drains for ``10 * tau``; anything still queued then
-    is shed as ``shutdown`` so every offered request has exactly one
-    terminal trace record.
+    the queue drains for ``10 * tau``; anything still queued then is
+    shed as ``shutdown`` and the batches already on the models run to
+    completion, so every offered request has exactly one terminal
+    trace record.
     """
-    return _run_loads(frontend, pool, loads, sim, events)
+    return _run_loads(frontend, pool, loads, sim, events, trace=trace)
 
 
-def _run_loads(frontend, pool, loads, sim, events, autoscale=None) -> LoadTrace:
+def _run_loads(frontend, pool, loads, sim, events, autoscale=None, trace=None):
     """The one run → pump → drain → shed-leftovers sequence of both entries."""
     if not loads:
         raise ConfigurationError("run_multi_load needs at least one load")
     sim = sim if sim is not None else Simulator()
     duration = max(load.duration for load in loads)
-    mode = loads[0].mode if len(loads) == 1 else "multi"
-    trace = LoadTrace(tau=frontend.config.tau, duration=duration, mode=mode)
+    if trace is None:
+        mode = loads[0].mode if len(loads) == 1 else "multi"
+        trace = LoadTrace(tau=frontend.config.tau, duration=duration, mode=mode)
     driver = _Driver(frontend, pool, sim, trace)
     for index, load in enumerate(loads):
         _spawn_load(driver, sim, load, stagger=index * 1e-7)
@@ -481,6 +521,9 @@ def _run_loads(frontend, pool, loads, sim, events, autoscale=None) -> LoadTrace:
     leftovers = frontend.pending.pop(len(frontend.pending))
     if leftovers:
         frontend.shed_requests(leftovers, sim.now, "shutdown")
+    # Whatever a policy queued on busy models further ahead than the
+    # drain window still completes: no batch is left without an outcome.
+    sim.run()
     return trace
 
 

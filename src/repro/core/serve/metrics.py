@@ -1,19 +1,22 @@
 """Serving metrics: the time series behind Figures 10 and 13-16.
 
-Besides the in-run time series (arrival/dispatch records that the
-figure benchmarks aggregate), every recording writes through to the
-process-wide telemetry registry, so dashboards and the ``repro
-telemetry`` snapshot see live serving counters without holding a
-reference to any particular :class:`ServingMetrics` instance.
+:class:`ServingMetrics` is the per-batch recorder a load run can be
+given in place of the per-request
+:class:`~repro.core.serve.loadgen.LoadTrace` (``run_load(...,
+trace=ServingMetrics(...))``): one :class:`DispatchRecord` per batch
+and one ``(time, count)`` pair per arrival burst, so a run of ten
+million requests stays small. The figure benchmarks aggregate these.
+Live counters are the front end's business
+(``repro_serve_frontend_*``), not this module's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from repro import telemetry
 from repro.utils.reservoir import Reservoir
 
 __all__ = ["DispatchRecord", "TimelineRow", "ServingMetrics",
@@ -36,7 +39,6 @@ class DispatchRecord:
     batch_size: int
     subset: tuple[int, ...]
     accuracy: float
-    reward: float
     exceeding_time_sum: float
 
 
@@ -56,6 +58,10 @@ class TimelineRow:
 class ServingMetrics:
     """Accumulates arrivals and dispatches during a serving run."""
 
+    #: the SLO the exceeding time (Equation 5) is measured against.
+    tau: float = 0.56
+    #: ``a(M[v])`` of a model subset, e.g. ``EnsembleScorer.accuracy``.
+    accuracy: Callable[[tuple[int, ...]], float] = lambda models: 0.0
     arrivals: list[tuple[float, int]] = field(default_factory=list)
     dispatches: list[DispatchRecord] = field(default_factory=list)
     dropped: int = 0
@@ -63,42 +69,33 @@ class ServingMetrics:
     latencies: Reservoir = field(default_factory=lambda: Reservoir(capacity=8192))
 
     def record_arrivals(self, time: float, count: int) -> None:
-        """Record ``count`` requests arriving at ``time``."""
+        """Record ``count`` requests admitted at ``time``."""
         if count:
             self.arrivals.append((time, count))
-            telemetry.get_registry().counter(
-                "repro_serve_requests_arrived_total", "Requests accepted into the queue."
-            ).inc(count)
+
+    def record_shed(self, time, client, tenant, reason, seq=0) -> None:
+        """Count one request refused or abandoned."""
+        self.dropped += 1
+
+    def record_batch(self, time: float, plan, outcome) -> None:
+        """Record one completed batch from its :class:`BatchOutcome`."""
+        latencies = np.asarray(outcome.latencies)
+        self.latencies.add_many(latencies)
+        self.record_dispatch(
+            DispatchRecord(
+                time=outcome.dispatched,
+                served=outcome.take,
+                overdue=outcome.overdue,
+                batch_size=outcome.batch_size,
+                subset=outcome.models,
+                accuracy=self.accuracy(outcome.models),
+                exceeding_time_sum=float(np.sum(np.maximum(latencies - self.tau, 0.0))),
+            )
+        )
 
     def record_dispatch(self, record: DispatchRecord) -> None:
-        """Record one dispatched batch (and mirror it into the registry)."""
+        """Record one dispatched batch."""
         self.dispatches.append(record)
-        registry = telemetry.get_registry()
-        registry.counter(
-            "repro_serve_requests_served_total", "Requests served by dispatched batches."
-        ).inc(record.served)
-        if record.overdue:
-            registry.counter(
-                "repro_serve_requests_overdue_total",
-                "Served requests that overran the SLO tau.",
-            ).inc(record.overdue)
-        registry.counter(
-            "repro_serve_dispatches_total", "Batches dispatched to models."
-        ).inc()
-        registry.histogram(
-            "repro_serve_batch_size",
-            "Hardware batch size chosen per dispatch.",
-            buckets=BATCH_SIZE_BUCKETS,
-        ).observe(record.batch_size)
-
-    def record_latencies(self, values: np.ndarray) -> None:
-        """Record the per-request latencies of one completed batch."""
-        self.latencies.add_many(values)
-        telemetry.get_registry().histogram(
-            "repro_serve_dispatch_latency_seconds",
-            "Per-request latency from arrival to batch completion.",
-            buckets=LATENCY_BUCKETS,
-        ).observe_many(values)
 
     def latency_quantile(self, q: float) -> float:
         """Estimated latency quantile (e.g. 0.99 for the p99) in seconds."""
@@ -140,9 +137,6 @@ class ServingMetrics:
         if not total:
             return 0.0
         return sum(d.exceeding_time_sum for d in rows) / total
-
-    def total_reward(self, since: float = 0.0) -> float:
-        return sum(d.reward for d in self.dispatches if d.time >= since)
 
     # ------------------------------------------------------------------
     # time series

@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.serve.request import RequestQueue
 from repro.zoo.profiles import ModelProfile
 
 __all__ = ["StateBuilder"]
@@ -58,7 +57,7 @@ class StateBuilder:
             base += self._latency_table.size + len(self.profiles)
         return base
 
-    def build(self, queue: RequestQueue, now: float, busy_until: Sequence[float]) -> np.ndarray:
+    def build(self, queue, now: float, busy_until: Sequence[float]) -> np.ndarray:
         """Encode the current serving state as a flat vector."""
         waits = np.clip(queue.waiting_times(now, self.queue_window) / self.tau,
                         0.0, self.wait_clip)

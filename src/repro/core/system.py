@@ -384,7 +384,9 @@ class Rafiki:
             raise JobNotFoundError(job_id)
         return self.inference_jobs[job_id]
 
-    def query(self, job_id: str, data: np.ndarray) -> dict[str, Any]:
+    def query(
+        self, job_id: str, data: np.ndarray, models: Sequence[int] | None = None
+    ) -> dict[str, Any]:
         """Serve one image or a batch through the deployed ensemble.
 
         There is one path whoever calls: the input becomes a batch (a
@@ -393,6 +395,12 @@ class Rafiki:
         ensemble forward pass, and the answers come back in request
         order. Majority voting with best-model tie-break aggregates
         the deployed networks' predictions (Section 5.2).
+
+        ``models`` restricts the vote to a subset of the deployed
+        models (indices into the job's specs — what a serving policy
+        chose for this batch). A subset answer is a partial vote: it is
+        not remembered, and rows already cached from a full vote are
+        projected onto the subset.
         """
         info = self.get_inference_job(job_id)
         if info.status != "running":
@@ -404,11 +412,11 @@ class Rafiki:
         single = batch.ndim == len(info.image_shape)
         if single:
             batch = batch[None, ...]
-        voted = list(range(len(info.specs)))
+        voted = sorted(models) if models is not None else list(range(len(info.specs)))
 
         def forward(images: list[np.ndarray]):
             nonlocal voted
-            labels, votes, voted = self._predict(info, np.stack(images))
+            labels, votes, voted = self._predict(info, np.stack(images), models)
             # Only what every deployed replica voted on is remembered:
             # a degraded answer must not outlive the outage.
             return (
@@ -435,16 +443,17 @@ class Rafiki:
             "models": [info.specs[i].model_name for i in voted],
         }
 
-    def _predict(self, info: InferenceJobInfo, batch: np.ndarray):
+    def _predict(self, info: InferenceJobInfo, batch: np.ndarray, models=None):
         """Ensemble prediction with graceful replica degradation.
 
         Each replica's execution passes through its
         ``serve.model.<name>`` fault point behind a circuit breaker: a
         replica that keeps failing is dropped from the vote (its
         breaker opens) and probed again after the recovery window,
-        re-admitting it once healthy. The request only fails when *no*
-        replica is available. Returns the labels, the vote matrix and
-        the indices of the replicas whose votes its rows are.
+        re-admitting it once healthy. Replicas outside ``models`` (when
+        given) are not asked. The request only fails when *no* replica
+        is available. Returns the labels, the vote matrix and the
+        indices of the replicas whose votes its rows are.
         """
         if len(info.breakers) != len(info.networks):
             # Directly constructed job infos (tests) get breakers lazily.
@@ -458,7 +467,7 @@ class Rafiki:
         for index, (spec, network, breaker) in enumerate(
             zip(info.specs, info.networks, info.breakers)
         ):
-            if not breaker.allow():
+            if (models is not None and index not in models) or not breaker.allow():
                 continue
             try:
                 chaos.fire(f"serve.model.{spec.model_name}")

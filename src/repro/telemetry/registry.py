@@ -8,7 +8,7 @@ value. Instrumented code asks the registry for a metric by name
 records into it:
 
     registry.counter("repro_gateway_requests_total").inc(route="/train")
-    registry.gauge("repro_serve_queue_depth").set(17)
+    registry.gauge("repro_serve_frontend_queue_depth").set(17)
     registry.histogram("repro_serve_batch_size").observe(32)
 
 Recording is a no-op while the registry is disabled, so instrumented

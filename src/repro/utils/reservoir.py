@@ -25,6 +25,9 @@ class Reservoir:
         self._values = np.empty(self.capacity, dtype=np.float64)
         self._count = 0  # stream length seen so far
         self._rng = np.random.default_rng(seed)
+        #: quantiles of the current sample, dropped when it changes: deep
+        #: into a stream most batches leave the sample as it was.
+        self._quantiles: dict[float, float] = {}
 
     def __len__(self) -> int:
         return min(self._count, self.capacity)
@@ -38,10 +41,12 @@ class Reservoir:
         self._count += 1
         if self._count <= self.capacity:
             self._values[self._count - 1] = value
+            self._quantiles.clear()
             return
         slot = int(self._rng.integers(0, self._count))
         if slot < self.capacity:
             self._values[slot] = value
+            self._quantiles.clear()
 
     def add_many(self, values: np.ndarray) -> None:
         """Offer a batch; equivalent to ``add`` per element, vectorised."""
@@ -54,6 +59,7 @@ class Reservoir:
             head = values[:room]
             self._values[self._count : self._count + head.size] = head
             self._count += head.size
+            self._quantiles.clear()
             values = values[room:]
             if values.size == 0:
                 return
@@ -64,6 +70,7 @@ class Reservoir:
         for value in values[accepted]:
             slot = int(self._rng.integers(0, self.capacity))
             self._values[slot] = value
+            self._quantiles.clear()
         self._count += values.size
 
     def values(self) -> np.ndarray:
@@ -76,4 +83,17 @@ class Reservoir:
             raise ConfigurationError(f"q must be in [0, 1], got {q}")
         if len(self) == 0:
             raise ConfigurationError("reservoir is empty")
-        return float(np.quantile(self.values(), q))
+        if q not in self._quantiles:
+            # np.quantile's default (linear) estimate, bit for bit, without
+            # its ~60 us of per-call overhead: the serving front end asks
+            # after every batch.
+            sample = self._values[: len(self)]
+            position = q * (sample.size - 1)
+            low = int(position)
+            high = min(low + 1, sample.size - 1)
+            ordered = np.partition(sample, (low, high))
+            a, b, t = ordered[low], ordered[high], position - low
+            self._quantiles[q] = float(
+                b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+            )
+        return self._quantiles[q]

@@ -119,7 +119,7 @@ class TestDefaultPlan:
     def test_plan_covers_required_points_and_kinds(self):
         plan = build_default_plan(seed=0, flaky_model="resnet-mini")
         points = {rule.point for rule in plan.rules}
-        assert {"tune.trial", "paramserver.push", "serve.dispatch",
+        assert {"tune.trial", "paramserver.push", "frontend.dispatch",
                 "serve.model.resnet-mini", "gateway.dispatch"} <= points
         kinds = {rule.kind.value for rule in plan.rules}
         assert kinds == {"exception", "drop", "latency"}

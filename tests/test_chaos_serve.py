@@ -1,25 +1,36 @@
 """Chaos tests for the serving layer and parameter server.
 
 Covers the graceful-degradation paths: the ensemble drops (and
-re-admits) a flapping replica behind its circuit breaker, the batcher
-resubmits requests from failed dispatches, parameter-server pushes ride
+re-admits) a flapping replica behind its circuit breaker, the front end
+resubmits requests from failed dispatches under every dispatch policy, parameter-server pushes ride
 out injected drops under a retry policy, and the trial pool
 resubmits trials whose child process crashed.
 """
 
 import multiprocessing
 import pickle
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from serve_helpers import TAU, serve
 
 from repro import chaos, telemetry
 from repro.chaos import FaultKind, FaultPlan, FaultRule
 from repro.core.serve import (
     DEFAULT_BATCH_SIZES,
+    AIMDController,
+    EnsembleScorer,
+    FrontendConfig,
+    GreedyAsyncController,
     GreedySingleController,
-    ServingEnv,
-    SineArrival,
+    GreedySyncController,
+    LoadGenConfig,
+    LoadTrace,
+    ReplicaPool,
+    RLController,
+    ServeFrontend,
+    run_multi_load,
 )
 from repro.core.system import InferenceJobInfo, ModelSpec, Rafiki
 from repro.core.tune import HyperConf, PoolTrialExecutor, RealTrainer, Trial, TrialPool
@@ -36,8 +47,6 @@ from repro.zoo import get_profile
 from repro.zoo.builders import build_mlp
 
 pytestmark = pytest.mark.chaos
-
-TAU = 0.56
 
 
 def counter_total(name):
@@ -136,12 +145,13 @@ class TestReplicaDegradation:
         assert gauge.value(job="infer-x") == 1
 
 
-def serve_env(seed=0, dispatch_retry=None, target=80.0):
+def serve_run(seed=0, dispatch_retry=None, target=80.0, horizon=30.0):
+    """A greedy single-model run on the one loop; ``(trace, frontend)``."""
     profile = get_profile("inception_v3")
-    arrival = SineArrival(target, period=60.0, rng=np.random.default_rng(seed))
-    controller = GreedySingleController(profile, DEFAULT_BATCH_SIZES, TAU)
-    return ServingEnv([profile], controller, arrival, TAU, DEFAULT_BATCH_SIZES,
-                      dispatch_retry=dispatch_retry)
+    config = dict(dispatch_retry=dispatch_retry) if dispatch_retry is not None else {}
+    policy = GreedySingleController(profile, DEFAULT_BATCH_SIZES, TAU)
+    return serve(policy, [profile], target, horizon, seed=seed, period=60.0,
+                 trace=LoadTrace(TAU, horizon, "open"), **config)
 
 
 class TestDispatchResubmission:
@@ -149,68 +159,161 @@ class TestDispatchResubmission:
 
     def test_failed_dispatches_requeue_and_conserve_requests(self):
         plan = FaultPlan(
-            [FaultRule("serve.dispatch", FaultKind.EXCEPTION, probability=0.1,
+            [FaultRule("frontend.dispatch", FaultKind.EXCEPTION, probability=0.1,
                        max_faults=10)],
             seed=0,
         )
-        env = serve_env(
-            dispatch_retry=RetryPolicy(max_attempts=4, **self.RETRY)
-        )
         with chaos.active(plan):
-            metrics = env.run(horizon=30.0)
-        assert env.queue.total_requeued > 0
-        assert metrics.dropped == 0
-        # every re-queued request is eventually served
-        assert metrics.total_served == metrics.total_arrived
-        assert counter_total("repro_serve_dispatch_retries_total") == \
+            trace, frontend = serve_run(
+                dispatch_retry=RetryPolicy(max_attempts=4, **self.RETRY)
+            )
+        assert plan.faults_injected() > 0
+        assert counter_total("repro_serve_frontend_dispatch_retries_total") == \
             plan.faults_injected()
+        # every re-queued request is eventually served, exactly once
+        summary = trace.summary()
+        assert summary["shed"] == 0
+        assert summary["served"] == summary["offered"] == frontend.admitted
+        assert sorted(r.seq for r in trace.records) == list(range(1, frontend.admitted + 1))
 
     def test_poisoned_dispatch_is_shed_not_stalled(self):
-        plan = FaultPlan([FaultRule("serve.dispatch", FaultKind.EXCEPTION)])
-        env = serve_env(dispatch_retry=RetryPolicy(max_attempts=2, **self.RETRY))
+        plan = FaultPlan([FaultRule("frontend.dispatch", FaultKind.EXCEPTION)])
         with chaos.active(plan):
-            metrics = env.run(horizon=5.0)
+            trace, frontend = serve_run(
+                dispatch_retry=RetryPolicy(max_attempts=2, **self.RETRY), horizon=5.0
+            )
         # with every dispatch failing, batches are shed after
         # max_attempts so the run terminates instead of looping forever
-        assert metrics.total_served == 0
-        assert metrics.dropped > 0
-        dropped = telemetry.get_registry().counter(
-            "repro_serve_requests_dropped_total"
-        )
-        assert dropped.snapshot() == {"reason=dispatch_failed": metrics.dropped}
+        summary = trace.summary()
+        assert summary["served"] == 0
+        dropped = summary["shed_by_reason"]["dispatch_failed"]
+        assert dropped > 0
+        assert dropped + summary["shed_by_reason"].get("shutdown", 0) == frontend.admitted
+        shed = telemetry.get_registry().counter("repro_serve_frontend_shed_total")
+        assert shed.value(reason="dispatch_failed", tenant="default") == dropped
         assert (
-            f'repro_serve_requests_dropped_total{{reason="dispatch_failed"}} '
-            f"{metrics.dropped}"
+            'repro_serve_frontend_shed_total{reason="dispatch_failed",tenant="default"} '
+            f"{dropped}"
         ) in telemetry.render_prometheus(telemetry.get_registry()).splitlines()
 
     def test_injected_latency_stretches_completions(self):
         bump = 1.0
         plan = FaultPlan(
-            [FaultRule("serve.dispatch", FaultKind.LATENCY, latency=bump,
+            [FaultRule("frontend.dispatch", FaultKind.LATENCY, latency=bump,
                        max_faults=5)]
         )
-        env = serve_env()
         with chaos.active(plan):
-            metrics = env.run(horizon=20.0)
-        assert metrics.total_served == metrics.total_arrived
-        assert metrics.latency_quantile(1.0) >= bump
+            trace, _ = serve_run(horizon=20.0)
+        summary = trace.summary()
+        assert summary["served"] == summary["offered"]
+        assert max(r.latency for r in trace.records) >= bump
 
     def test_same_seed_serve_runs_match(self):
-        def trace():
+        def run():
             plan = FaultPlan(
-                [FaultRule("serve.dispatch", FaultKind.EXCEPTION,
+                [FaultRule("frontend.dispatch", FaultKind.EXCEPTION,
                            probability=0.15, max_faults=20)],
                 seed=2,
             )
-            env = serve_env(
-                seed=2, dispatch_retry=RetryPolicy(max_attempts=4, **self.RETRY)
-            )
             with chaos.active(plan):
-                metrics = env.run(horizon=20.0)
-            return (metrics.total_served, env.queue.total_requeued,
-                    metrics.dropped, plan.trace())
+                trace, frontend = serve_run(
+                    seed=2, dispatch_retry=RetryPolicy(max_attempts=4, **self.RETRY),
+                    horizon=20.0,
+                )
+            return trace.fingerprint(), frontend.outcomes, plan.trace()
 
-        assert trace() == trace()
+        assert run() == run()
+
+
+NAMES = ("inception_v3", "inception_v4", "inception_resnet_v2")
+
+#: name -> (policy factory, how many of NAMES it serves on)
+POLICIES = {
+    "default": (lambda p, s: None, 1),
+    "greedy-single": (lambda p, s: GreedySingleController(p[0], DEFAULT_BATCH_SIZES, TAU), 1),
+    "greedy-sync": (lambda p, s: GreedySyncController(p, DEFAULT_BATCH_SIZES, TAU), 3),
+    "greedy-async": (lambda p, s: GreedyAsyncController(p, DEFAULT_BATCH_SIZES, TAU), 3),
+    "aimd": (lambda p, s: AIMDController(p[0], TAU), 1),
+    "rl": (lambda p, s: RLController(p, DEFAULT_BATCH_SIZES, TAU, seed=3, scorer=s), 3),
+}
+FAULTS = {
+    "clean": [],
+    "exceptions": [FaultRule("frontend.dispatch", FaultKind.EXCEPTION,
+                             probability=0.2, max_faults=25)],
+    "latency": [FaultRule("frontend.dispatch", FaultKind.LATENCY,
+                          probability=0.3, latency=0.05)],
+}
+
+
+@dataclass
+class _PlanLog(LoadTrace):
+    """A load trace that also keeps which requests rode in which batch."""
+
+    plans: list = field(default_factory=list)
+
+    def record_batch(self, time, plan, outcome):
+        super().record_batch(time, plan, outcome)
+        self.plans.append((plan.dispatched, [r.seq for r in plan.requests], outcome))
+
+
+class TestOneLoopConservation:
+    """Every policy, clean and under dispatch faults, on the one loop."""
+
+    def run(self, policy_name, fault_name):
+        make, count = POLICIES[policy_name]
+        profiles = [get_profile(n) for n in NAMES[:count]]
+        scorer = EnsembleScorer(NAMES) if count == 3 else None
+        latencies = [p.inference_time for p in profiles]
+        frontend = ServeFrontend(
+            FrontendConfig(latency=latencies[0], tau=TAU, max_queue=256),
+            policy=make(profiles, scorer),
+        )
+        loads = [
+            LoadGenConfig(target_rate=rate, period=20.0, duration=20.0, span=0.1,
+                          seed=seed, clients=3, tenant=tenant)
+            for tenant, rate, seed in (("acme", 90.0, 5), ("globex", 40.0, 6))
+        ]
+        trace = _PlanLog(TAU, 20.0, "multi")
+        plan = FaultPlan(FAULTS[fault_name], seed=11)
+        with chaos.active(plan):
+            run_multi_load(frontend, ReplicaPool(latencies), loads, trace=trace)
+        return trace, frontend, plan
+
+    @pytest.mark.parametrize("fault_name", FAULTS)
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_requests_are_conserved_in_fifo_order(self, policy_name, fault_name):
+        trace, frontend, plan = self.run(policy_name, fault_name)
+        assert (plan.faults_injected() > 0) == (fault_name != "clean")
+        # every offered request has exactly one terminal outcome, per tenant
+        for tenant in ("acme", "globex"):
+            summary = trace.summary(tenant)
+            assert summary["served"] > 0
+            assert summary["offered"] == summary["served"] + summary["shed"]
+            ledger = frontend.tenant_outcomes[tenant]
+            refused = sum(n for reason, n in ledger.items()
+                          if reason in ("deadline", "queue_full", "fault"))
+            assert summary["offered"] == ledger["admitted"] + refused
+            assert ledger["admitted"] == ledger["served"] + sum(
+                ledger.get(reason, 0) for reason in ("dispatch_failed", "shutdown"))
+        admitted = [r.seq for r in trace.records if r.seq]
+        assert sorted(admitted) == list(range(1, frontend.admitted + 1))
+        # no request rides in two batches; batches leave the queue in FIFO order
+        plans = sorted(trace.plans, key=lambda entry: entry[1][0])
+        flat = [seq for _, seqs, _ in plans for seq in seqs]
+        assert flat == sorted(set(flat))
+        times = [dispatched for dispatched, _, _ in plans]
+        assert times == sorted(times)
+        # the policy was told the facts of what it dispatched
+        for _, seqs, outcome in plans:
+            assert outcome.take == len(seqs)
+            assert outcome.overdue == sum(l > TAU for l in outcome.latencies)
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_same_seed_same_trace_under_faults(self, policy_name):
+        first, _, plan_a = self.run(policy_name, "exceptions")
+        second, _, plan_b = self.run(policy_name, "exceptions")
+        assert first.fingerprint() == second.fingerprint()
+        assert plan_a.trace() == plan_b.trace()
 
 
 class TestParamServerRetries:

@@ -55,14 +55,14 @@ class TestDocstrings:
         assert undocumented == []
 
     def test_public_methods_of_key_classes_documented(self):
-        from repro.core.serve import ActorCritic, ServeFrontend, ServingEnv
+        from repro.core.serve import ActorCritic, ReplicaPool, ServeFrontend
         from repro.core.system import Rafiki
         from repro.core.tune import HyperSpace, StudyMaster, TuneWorker
         from repro.paramserver import ParameterServer
 
         undocumented = []
         for cls in (Rafiki, HyperSpace, StudyMaster, TuneWorker,
-                    ParameterServer, ServingEnv, ActorCritic, ServeFrontend):
+                    ParameterServer, ReplicaPool, ActorCritic, ServeFrontend):
             for name, member in inspect.getmembers(cls, inspect.isfunction):
                 if name.startswith("_"):
                     continue

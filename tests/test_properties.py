@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from serve_helpers import queue_of
 
 from repro import chaos
 from repro.chaos import FaultKind, FaultPlan, FaultRule
 from repro.chaos.scenarios import reads_through_each_shard
-from repro.core.serve import RequestQueue, SineArrival
+from repro.core.serve import FrontendConfig, ServeFrontend, SineArrival
 from repro.core.tune import HyperSpace
 from repro.data import BlockStore
 from repro.exceptions import (
     ChunkLostError,
     InjectedFault,
     ParameterServerError,
+    RequestShedError,
     StorageError,
 )
 from repro.paramserver import LRUCache, ShardedParameterServer
@@ -60,26 +62,31 @@ class TestLRUCacheProperties:
 class TestRequestQueueProperties:
     @given(st.lists(st.floats(0, 1e6), max_size=50), st.integers(1, 20))
     def test_fifo_returns_in_arrival_order(self, times, pop):
-        queue = RequestQueue()
         ordered = sorted(times)
-        for t in ordered:
-            queue.push(t)
-        popped = queue.pop_oldest(pop)
-        assert list(popped) == ordered[: len(popped)]
+        queue = queue_of(ordered)
+        popped = queue.pop(pop)
+        assert [r.arrival for r in popped] == ordered[: len(popped)]
+        # a failed dispatch puts its batch back where it was
+        queue.push_front(popped)
+        assert [r.arrival for r in queue.pop(len(ordered))] == ordered
 
     @given(st.lists(st.integers(1, 30), max_size=20), st.integers(1, 100))
     def test_capacity_accounting(self, batches, capacity):
-        queue = RequestQueue(capacity=capacity)
+        frontend = ServeFrontend(FrontendConfig(
+            latency=lambda b: 0.01, max_queue=capacity, deadline_slack=1e9))
         for count in batches:
-            queue.push(0.0, count=count)
-        assert len(queue) <= capacity
-        assert queue.total_enqueued + queue.total_dropped == sum(batches)
+            for _ in range(count):
+                try:
+                    frontend.offer("c", None, 0.0)
+                except RequestShedError:
+                    pass
+        assert len(frontend.pending) <= capacity
+        assert frontend.admitted == len(frontend.pending)
+        assert frontend.admitted + frontend.outcomes.get("queue_full", 0) == sum(batches)
 
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=30), st.integers(1, 40))
     def test_waiting_times_are_non_negative_and_sorted(self, times, window):
-        queue = RequestQueue()
-        for t in sorted(times):
-            queue.push(t)
+        queue = queue_of(sorted(times))
         now = max(times)
         waits = queue.waiting_times(now, window)
         observed = waits[: min(len(times), window)]

@@ -71,24 +71,43 @@ class TestReservoirBasics:
             assert sample <= set(stream)
 
 
+    def test_quantile_follows_every_change_of_the_sample(self):
+        reservoir = Reservoir(capacity=4, seed=3)
+        reservoir.add_many([1.0, 2.0, 3.0])
+        assert reservoir.quantile(1.0) == 3.0
+        for step in range(200):  # answers are remembered only while the sample stands
+            if step % 2:
+                reservoir.add(10.0 + step)
+            else:
+                reservoir.add_many([20.0 + step, 0.5])
+            assert reservoir.quantile(1.0) == reservoir.values().max()
+            assert reservoir.quantile(0.5) == float(np.quantile(reservoir.values(), 0.5))
+
+
+    def test_quantile_is_numpys_linear_estimate(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            reservoir = Reservoir(capacity=int(rng.integers(1, 64)))
+            reservoir.add_many(rng.normal(size=int(rng.integers(1, 200))))
+            for q in (0.0, 0.5, 0.95, 1.0, float(rng.random())):
+                assert reservoir.quantile(q) == float(np.quantile(reservoir.values(), q))
+
+
 class TestServingLatencyQuantiles:
     def test_env_records_latency_distribution(self):
-        from repro.core.serve import (
-            DEFAULT_BATCH_SIZES,
-            GreedySingleController,
-            ServingEnv,
-            SineArrival,
-        )
+        from serve_helpers import serve
+
+        from repro.core.serve import DEFAULT_BATCH_SIZES, GreedySingleController
         from repro.zoo import get_profile
 
         profile = get_profile("inception_v3")
-        arrival = SineArrival(150.0, period=100.0, rng=np.random.default_rng(0))
         controller = GreedySingleController(profile, DEFAULT_BATCH_SIZES, tau=0.56)
-        env = ServingEnv([profile], controller, arrival, 0.56, DEFAULT_BATCH_SIZES)
-        metrics = env.run(horizon=60.0)
+        metrics, frontend = serve(controller, [profile], 150.0, 60.0, period=100.0)
         assert metrics.latencies.stream_length == metrics.total_served
         p50 = metrics.latency_quantile(0.5)
         p99 = metrics.latency_quantile(0.99)
         assert 0.0 < p50 <= p99
         # under capacity, nearly everything lands within the SLO
         assert p99 < 2 * 0.56
+        # the front end's own (smaller) rolling sample saw the same stream
+        assert frontend.latency_quantile(0.5) == pytest.approx(p50, abs=0.1)

@@ -1,8 +1,9 @@
 """Tests for Algorithm 3 (greedy batching)."""
 
 import pytest
+from serve_helpers import queue_of, view_of
 
-from repro.core.serve import GreedyBatcher, RequestQueue
+from repro.core.serve import Dispatch, GreedyBatcher, Wait
 from repro.exceptions import ConfigurationError
 from repro.zoo import get_profile
 
@@ -13,13 +14,6 @@ def make_batcher(tau=0.56, backoff=None):
         batch_sizes=(16, 32, 48, 64), latency=profile.inference_time,
         tau=tau, backoff=backoff,
     )
-
-
-def queue_with(arrivals):
-    queue = RequestQueue()
-    for t in arrivals:
-        queue.push(t)
-    return queue
 
 
 class TestConstruction:
@@ -38,25 +32,21 @@ class TestConstruction:
 
 class TestDecide:
     def test_empty_queue_waits(self):
-        decision = make_batcher().decide(RequestQueue(), now=0.0)
-        assert not decision.dispatch
+        assert make_batcher().decide(view_of([], now=0.0)) == Wait(None)
 
     def test_full_batch_dispatches_immediately(self):
-        queue = queue_with([0.0] * 70)
-        decision = make_batcher().decide(queue, now=0.0)
-        assert decision.dispatch
-        assert decision.batch_size == 64
-        assert decision.take == 64
+        decision = make_batcher().decide(view_of([0.0] * 70, now=0.0))
+        # no model named: any replica, busy or not
+        assert decision == Dispatch(models=(), batch_size=64, take=64)
 
     def test_partial_batch_waits_until_deadline(self):
-        queue = queue_with([0.0] * 32)
         batcher = make_batcher(tau=0.56)
-        early = batcher.decide(queue, now=0.01)
-        assert not early.dispatch
+        early = batcher.decide(view_of([0.0] * 32, now=0.01))
         # c(32) ~ 0.125; trigger when 0.125 + w + 0.056 >= 0.56 -> w ~ 0.38
-        late = batcher.decide(queue, now=0.40)
-        assert late.dispatch
-        assert late.batch_size == 32
+        assert isinstance(early, Wait)
+        assert early.until == pytest.approx(0.38, abs=0.01)
+        late = batcher.decide(view_of([0.0] * 32, now=0.40))
+        assert (late.batch_size, late.take) == (32, 32)
 
     def test_fit_batch_picks_largest_that_fits(self):
         batcher = make_batcher()
@@ -68,39 +58,41 @@ class TestDecide:
     def test_leftover_requests_wait_until_overdue(self):
         """Queues shorter than min(B) have no valid batch (Algorithm 3
         line 7); they are served - already late - after tau."""
-        queue = queue_with([0.0] * 10)
         batcher = make_batcher(tau=0.56)
-        assert not batcher.decide(queue, now=0.5).dispatch
-        decision = batcher.decide(queue, now=0.57)
-        assert decision.dispatch
+        assert batcher.decide(view_of([0.0] * 10, now=0.5)) == Wait(until=0.56)
+        decision = batcher.decide(view_of([0.0] * 10, now=0.57))
         assert decision.batch_size == 16  # padded batch
         assert decision.take == 10
 
     def test_backoff_dispatches_earlier(self):
-        queue = queue_with([0.0] * 32)
-        eager = make_batcher(backoff=0.3)
-        lazy = make_batcher(backoff=0.0)
-        now = 0.2
-        assert eager.decide(queue, now).dispatch
-        assert not lazy.decide(queue, now).dispatch
+        view = view_of([0.0] * 32, now=0.2)
+        assert isinstance(make_batcher(backoff=0.3).decide(view), Dispatch)
+        assert isinstance(make_batcher(backoff=0.0).decide(view), Wait)
+
+    def test_named_models_must_all_be_idle(self):
+        batcher = GreedyBatcher(latency=lambda b: 0.1, models=(0, 1))
+        busy = view_of([0.0] * 70, now=1.0, busy_until=[0.0, 3.0])
+        assert batcher.decide(busy) == Wait(None)
+        idle = view_of([0.0] * 70, now=3.0, busy_until=[0.0, 3.0])
+        assert batcher.decide(idle).models == (0, 1)
 
 
 class TestNextDeadline:
     def test_empty_queue_none(self):
-        assert make_batcher().next_deadline(RequestQueue(), 0.0) is None
+        assert make_batcher().next_deadline(queue_of([]), 0.0) is None
 
     def test_deadline_matches_decide_boundary(self):
-        queue = queue_with([0.0] * 32)
+        arrivals = [0.0] * 32
         batcher = make_batcher()
-        wake = batcher.next_deadline(queue, now=0.0)
-        assert not batcher.decide(queue, now=wake - 1e-6).dispatch
-        assert batcher.decide(queue, now=wake + 1e-9).dispatch
+        wake = batcher.next_deadline(queue_of(arrivals), now=0.0)
+        assert batcher.decide(view_of(arrivals, now=wake - 1e-6)) == Wait(wake)
+        assert isinstance(batcher.decide(view_of(arrivals, now=wake + 1e-9)), Dispatch)
 
     def test_leftover_deadline_is_tau(self):
-        queue = queue_with([2.0] * 5)
+        queue = queue_of([2.0] * 5)
         batcher = make_batcher(tau=0.56)
         assert batcher.next_deadline(queue, now=2.0) == pytest.approx(2.56)
 
     def test_deadline_never_in_past(self):
-        queue = queue_with([0.0] * 32)
+        queue = queue_of([0.0] * 32)
         assert make_batcher().next_deadline(queue, now=100.0) == 100.0

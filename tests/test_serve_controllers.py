@@ -1,38 +1,30 @@
-"""Tests for controller decision logic, including RL's gated dispatch."""
+"""Tests for dispatch-policy decision logic, including RL's gated dispatch."""
 
 import numpy as np
 import pytest
+from serve_helpers import TAU, serve, view_of
 
 from repro.cluster import CheckpointStore
 from repro.core.serve import (
     DEFAULT_BATCH_SIZES,
+    AIMDController,
+    BatchOutcome,
     Dispatch,
     EnsembleScorer,
     GreedySyncController,
     RLController,
-    RequestQueue,
-    ServingEnv,
-    SineArrival,
     Wait,
 )
+from repro.exceptions import ConfigurationError
 from repro.zoo import get_profile
 
-TAU = 0.56
 PROFILE = get_profile("inception_v3")
 
 
-class _FakeEnv:
-    """A minimal env view for driving controllers directly."""
-
-    def __init__(self, arrivals, now, busy_until=None, num_models=1):
-        self.queue = RequestQueue()
-        for t in arrivals:
-            self.queue.push(t)
-        self.now = now
-        self.busy_until = busy_until if busy_until is not None else [0.0] * num_models
-
-    def model_idle(self, index):
-        return self.busy_until[index] <= self.now + 1e-12
+def outcome_of(decision, latencies=(), overdue=0):
+    """The facts the loop would report for ``decision``."""
+    return BatchOutcome(decision.models, decision.batch_size, 0.0,
+                        list(latencies), overdue, decision.token)
 
 
 class TestRLImmediateDispatch:
@@ -41,8 +33,7 @@ class TestRLImmediateDispatch:
 
     def test_dispatches_immediately_with_queue_and_idle_model(self):
         controller = self._controller()
-        env = _FakeEnv(arrivals=[0.0] * 4, now=0.01)
-        decision = controller.decide(env)
+        decision = controller.decide(view_of([0.0] * 4, now=0.01, busy_until=[0.0]))
         assert isinstance(decision, Dispatch)
         assert decision.take == min(decision.batch_size, 4)
         assert decision.batch_size in DEFAULT_BATCH_SIZES
@@ -50,56 +41,63 @@ class TestRLImmediateDispatch:
     def test_take_never_exceeds_queue(self):
         controller = self._controller()
         for length in (1, 5, 40, 200):
-            env = _FakeEnv(arrivals=[0.0] * length, now=0.01)
-            decision = controller.decide(env)
-            controller.notify_reward(0.0)
+            decision = controller.decide(view_of([0.0] * length, now=0.01))
+            controller.on_complete(outcome_of(decision))
             assert isinstance(decision, Dispatch)
             assert decision.take <= length
 
     def test_busy_model_waits_without_sampling(self):
         controller = self._controller()
-        env = _FakeEnv(arrivals=[0.0] * 100, now=0.0, busy_until=[5.0])
-        decision = controller.decide(env)
-        assert isinstance(decision, Wait)
-        assert controller._last_token is None
+        decision = controller.decide(view_of([0.0] * 100, now=0.0, busy_until=[5.0]))
+        # asked again the moment the model frees
+        assert decision == Wait(until=5.0)
+        assert controller.learner.decisions == 0
 
     def test_empty_queue_waits(self):
-        controller = self._controller()
-        env = _FakeEnv(arrivals=[], now=0.0)
-        assert isinstance(controller.decide(env), Wait)
+        assert self._controller().decide(view_of([], now=0.0)) == Wait(None)
 
     def test_reward_routing_is_per_dispatch(self):
-        from repro.exceptions import ConfigurationError
-
         controller = self._controller()
-        env = _FakeEnv(arrivals=[0.0] * 8, now=0.01)
-        decision = controller.decide(env)
-        assert isinstance(decision, Dispatch)
-        controller.notify_reward(0.5)
+        first = controller.decide(view_of([0.0] * 8, now=0.01))
+        second = controller.decide(view_of([0.0] * 8, now=0.02))
+        # outcomes may arrive in any order; each pays its own action once
+        controller.on_complete(outcome_of(second, [0.1] * second.take))
+        controller.on_complete(outcome_of(first, [0.9] * first.take, overdue=first.take))
         with pytest.raises(ConfigurationError):
-            controller.notify_reward(0.5)  # no dispatched action open
+            controller.on_complete(outcome_of(first))  # already paid
 
     def test_reward_pairs_with_dispatched_action(self):
         """Every dispatch is followed by exactly one reward."""
-        profiles = [PROFILE]
-        arrival = SineArrival(150.0, period=100.0, rng=np.random.default_rng(0))
-        controller = RLController(profiles, DEFAULT_BATCH_SIZES, TAU, seed=0)
-        env = ServingEnv(profiles, controller, arrival, TAU, DEFAULT_BATCH_SIZES)
-        metrics = env.run(horizon=50.0)
+        controller = self._controller()
+        metrics, _ = serve(controller, [PROFILE], 150.0, 50.0, period=100.0)
         # the learner saw one (state, action, reward) per dispatch
-        total_transitions = (
-            controller.learner.decisions
-        )
-        assert total_transitions >= len(metrics.dispatches)
+        assert controller.learner.decisions == len(metrics.dispatches)
+        assert not controller.learner._open
+
+    def test_reward_is_equation_7(self):
+        scorer = EnsembleScorer(("inception_v3", "inception_v4"))
+        profiles = [get_profile(n) for n in scorer.model_names]
+
+        def paid(shaping, beta):
+            controller = RLController(profiles, DEFAULT_BATCH_SIZES, TAU, seed=0,
+                                      scorer=scorer, beta=beta, reward_shaping=shaping)
+            decision = controller.decide(view_of([0.0] * 10, now=0.01))
+            controller.on_complete(outcome_of(decision, [0.1] * 8 + [0.9] * 2, overdue=2))
+            (transition,) = controller.learner._buffer
+            return transition.reward, scorer.accuracy(decision.models)
+
+        reward, accuracy = paid("batch", 1.0)
+        assert reward == pytest.approx(accuracy * (10 - 2) / 64)
+        reward, accuracy = paid("per_request", 4.0)
+        assert reward == pytest.approx(accuracy * (10 - 4.0 * 2) / 10)
 
 
 class TestSyncControllerEdge:
     def test_waits_when_any_model_busy(self):
         profiles = [get_profile(n) for n in ("inception_v3", "inception_v4")]
         controller = GreedySyncController(profiles, DEFAULT_BATCH_SIZES, TAU)
-        env = _FakeEnv(arrivals=[0.0] * 100, now=0.0, busy_until=[0.0, 3.0],
-                       num_models=2)
-        assert isinstance(controller.decide(env), Wait)
+        view = view_of([0.0] * 100, now=0.0, busy_until=[0.0, 3.0])
+        assert isinstance(controller.decide(view), Wait)
 
 
 class TestServingMasterRecovery:
@@ -109,17 +107,16 @@ class TestServingMasterRecovery:
         profiles = [get_profile(n) for n in
                     ("inception_v3", "inception_v4", "inception_resnet_v2")]
         scorer = EnsembleScorer(tuple(p.name for p in profiles))
-        arrival = SineArrival(120.0, period=100.0, rng=np.random.default_rng(1))
-        controller = RLController(profiles, DEFAULT_BATCH_SIZES, TAU, seed=1)
-        env = ServingEnv(profiles, controller, arrival, TAU, DEFAULT_BATCH_SIZES,
-                         scorer=scorer)
-        env.run(horizon=60.0)
+        controller = RLController(profiles, DEFAULT_BATCH_SIZES, TAU, seed=1,
+                                  scorer=scorer)
+        serve(controller, profiles, 120.0, 60.0, seed=1, period=100.0)
 
         store = CheckpointStore()
         store.save("serve-master", controller.learner.state_dict())
 
         # "restart": a fresh controller restored from the checkpoint
-        replacement = RLController(profiles, DEFAULT_BATCH_SIZES, TAU, seed=99)
+        replacement = RLController(profiles, DEFAULT_BATCH_SIZES, TAU, seed=99,
+                                   scorer=scorer)
         replacement.learner.load_state_dict(store.restore("serve-master"))
         state = np.zeros(controller.state_builder.dim)
         np.testing.assert_allclose(
@@ -132,13 +129,9 @@ class TestAIMDController:
     """Clipper-style adaptive batching (Section 2.3's related work)."""
 
     def _run(self, target_rate, horizon=120.0, seed=0):
-        from repro.core.serve import AIMDController, ServingEnv, SineArrival
-
-        arrival = SineArrival(target_rate, period=100.0,
-                              rng=np.random.default_rng(seed))
         controller = AIMDController(PROFILE, TAU, max_batch=64)
-        env = ServingEnv([PROFILE], controller, arrival, TAU, DEFAULT_BATCH_SIZES)
-        metrics = env.run(horizon)
+        metrics, _ = serve(controller, [PROFILE], target_rate, horizon, seed=seed,
+                           period=100.0)
         return controller, metrics
 
     def test_batch_grows_under_light_load(self):
@@ -152,19 +145,35 @@ class TestAIMDController:
         assert 1 <= controller.batch_size <= 64
 
     def test_misses_shrink_the_batch(self):
-        from repro.core.serve import AIMDController
-
         controller = AIMDController(PROFILE, TAU, max_batch=64)
         controller.batch_size = 32
-        controller._last_dispatch = (32, 0.0)
-        # a no-miss reward grows the batch additively
-        full_reward = PROFILE.top1_accuracy * 32 / 64
-        controller.notify_reward(full_reward)
+        batch = Dispatch((0,), 32, 32)
+        # a batch with no overdue request grows the batch additively
+        controller.on_complete(outcome_of(batch, [0.3] * 32))
         assert controller.batch_size == 34
-        # a lossy reward halves it
-        controller._last_dispatch = (34, 0.0)
-        controller.notify_reward(full_reward * 0.5)
+        # one overdue request halves it — however the reward is shaped
+        controller.on_complete(outcome_of(batch, [0.3] * 31 + [0.6], overdue=1))
         assert controller.batch_size == 17
+        # a batch that never ran says nothing about the SLO
+        controller.on_complete(outcome_of(batch))
+        assert controller.batch_size == 17
+
+    def test_a_miss_in_a_run_halves_the_batch(self):
+        seen = []
+
+        class Watched(AIMDController):
+            def on_complete(self, outcome):
+                before = self.batch_size
+                super().on_complete(outcome)
+                seen.append((before, outcome.overdue, self.batch_size))
+
+        serve(Watched(PROFILE, TAU, max_batch=64), [PROFILE], 330.0, 60.0,
+              period=100.0)
+        misses = [(before, after) for before, overdue, after in seen if overdue]
+        assert misses and len(misses) < len(seen)
+        assert all(after == max(before // 2, 1) for before, after in misses)
+        assert all(after == min(before + 2, 64)
+                   for before, overdue, after in seen if not overdue)
 
     def test_serves_entire_workload(self):
         _, metrics = self._run(target_rate=150.0)

@@ -1,19 +1,23 @@
-"""Tests for the serving environment, controllers and metrics."""
+"""The Section 7.2 serving experiments on the one loop, and their metrics.
+
+Every run here is ``ServeFrontend`` + ``ReplicaPool`` + a dispatch
+policy under ``run_load`` (``serve_helpers.serve``): there is no other
+serving environment.
+"""
 
 import numpy as np
 import pytest
+from serve_helpers import TAU, serve
 
-from repro import telemetry
 from repro.core.serve import (
     DEFAULT_BATCH_SIZES,
+    AIMDController,
     EnsembleScorer,
     GreedyAsyncController,
     GreedySingleController,
     GreedySyncController,
     RLController,
-    ServingEnv,
     ServingMetrics,
-    SineArrival,
     batch_reward,
     count_overdue,
     mean_exceeding_time,
@@ -22,8 +26,8 @@ from repro.core.serve.metrics import DispatchRecord
 from repro.exceptions import ConfigurationError
 from repro.zoo import get_profile
 
-TAU = 0.56
 NAMES = ("inception_v3", "inception_v4", "inception_resnet_v2")
+PROFILES = [get_profile(n) for n in NAMES]
 
 
 @pytest.fixture(scope="module")
@@ -31,15 +35,15 @@ def scorer():
     return EnsembleScorer(NAMES)
 
 
-def single_env(controller_kind="greedy", target=200.0, seed=0, **env_kwargs):
-    profile = get_profile("inception_v3")
-    arrival = SineArrival(target, period=200.0, rng=np.random.default_rng(seed))
+def single_run(controller_kind="greedy", target=200.0, horizon=60.0, seed=0, **config):
+    """One single-model run; returns ``(metrics, frontend, policy)``."""
+    profile = PROFILES[0]
     if controller_kind == "greedy":
-        controller = GreedySingleController(profile, DEFAULT_BATCH_SIZES, TAU)
+        policy = GreedySingleController(profile, DEFAULT_BATCH_SIZES, TAU)
     else:
-        controller = RLController([profile], DEFAULT_BATCH_SIZES, TAU, seed=seed)
-    return ServingEnv([profile], controller, arrival, TAU, DEFAULT_BATCH_SIZES,
-                      **env_kwargs)
+        policy = RLController([profile], DEFAULT_BATCH_SIZES, TAU, seed=seed)
+    metrics, frontend = serve(policy, [profile], target, horizon, seed=seed, **config)
+    return metrics, frontend, policy
 
 
 class TestRewardHelpers:
@@ -58,113 +62,148 @@ class TestRewardHelpers:
 
 class TestConservation:
     def test_all_arrivals_eventually_served(self):
-        env = single_env("greedy", target=200.0)
-        metrics = env.run(horizon=60.0)
+        metrics, frontend, _ = single_run("greedy", target=200.0)
         assert metrics.total_arrived > 0
-        assert metrics.total_served == metrics.total_arrived - len(env.queue)
-        # after the drain slack, nearly everything is served
-        assert len(env.queue) < 16
+        # the run drains: nothing is left queued or in flight
+        assert len(frontend.pending) == 0
+        assert metrics.total_served + metrics.dropped == metrics.total_arrived
+        # only the last leftovers (fewer than min(B)) can be shed at shutdown
+        assert metrics.dropped == frontend.outcomes.get("shutdown", 0) < 16
 
     def test_dropped_requests_counted(self):
-        env = single_env("greedy", target=500.0, queue_capacity=100)
-        metrics = env.run(horizon=30.0)
-        assert metrics.dropped > 0
-        assert metrics.total_served + metrics.dropped + len(env.queue) == (
-            metrics.total_arrived + metrics.dropped
-        )
-        # one counter family, every drop labelled with its reason
-        dropped = telemetry.get_registry().counter(
-            "repro_serve_requests_dropped_total"
-        )
-        assert dropped.snapshot() == {"reason=queue_full": metrics.dropped}
+        metrics, frontend, _ = single_run("greedy", target=500.0, horizon=30.0,
+                                          max_queue=100)
+        refused = frontend.outcomes["queue_full"]
+        assert refused > 0
+        # refused at the door or served: nothing else happens to a request
+        assert metrics.dropped == frontend.shed == refused
+        assert metrics.total_served == metrics.total_arrived == frontend.admitted
+        # one counter family, every shed labelled with its reason
+        from repro import telemetry
+
+        shed = telemetry.get_registry().counter("repro_serve_frontend_shed_total")
+        assert shed.snapshot() == {"reason=queue_full,tenant=default": refused}
         assert (
-            f'repro_serve_requests_dropped_total{{reason="queue_full"}} '
-            f"{metrics.dropped}"
+            'repro_serve_frontend_shed_total{reason="queue_full",tenant="default"} '
+            f"{refused}"
         ) in telemetry.render_prometheus(telemetry.get_registry()).splitlines()
 
 
 class TestSingleModelServing:
     def test_greedy_under_capacity_meets_slo(self):
         # inception_v3 serves ~270 req/s at b=64; 150 req/s is easy
-        env = single_env("greedy", target=150.0)
-        metrics = env.run(horizon=100.0)
+        metrics, _, _ = single_run("greedy", target=150.0, horizon=100.0)
         assert metrics.overdue_fraction() < 0.1
 
     def test_over_capacity_creates_overdue(self):
-        env = single_env("greedy", target=400.0)
-        metrics = env.run(horizon=100.0)
+        metrics, _, _ = single_run("greedy", target=400.0, horizon=100.0)
         assert metrics.overdue_fraction() > 0.2
 
     def test_latency_accounting(self):
-        env = single_env("greedy", target=100.0)
-        metrics = env.run(horizon=50.0)
+        metrics, _, _ = single_run("greedy", target=100.0, horizon=50.0)
         for record in metrics.dispatches:
             assert record.served > 0
             assert 0 <= record.overdue <= record.served
             assert record.batch_size in DEFAULT_BATCH_SIZES
 
     def test_rl_controller_runs_and_learns(self):
-        env = single_env("rl", target=150.0)
-        metrics = env.run(horizon=150.0)
-        controller = env.controller
+        metrics, _, controller = single_run("rl", target=150.0, horizon=150.0)
         assert controller.learner.updates > 0
         assert metrics.total_served > 0
 
 
 class TestMultiModelServing:
-    def _multi_env(self, kind, target, scorer, seed=0, **kwargs):
-        profiles = [get_profile(n) for n in NAMES]
-        arrival = SineArrival(target, period=200.0, rng=np.random.default_rng(seed))
+    def _multi_run(self, kind, target, scorer, horizon, seed=0):
         if kind == "sync":
-            controller = GreedySyncController(profiles, DEFAULT_BATCH_SIZES, TAU)
+            policy = GreedySyncController(PROFILES, DEFAULT_BATCH_SIZES, TAU)
         elif kind == "async":
-            controller = GreedyAsyncController(profiles, DEFAULT_BATCH_SIZES, TAU)
+            policy = GreedyAsyncController(PROFILES, DEFAULT_BATCH_SIZES, TAU)
         else:
-            controller = RLController(profiles, DEFAULT_BATCH_SIZES, TAU, seed=seed)
-        return ServingEnv(profiles, controller, arrival, TAU, DEFAULT_BATCH_SIZES,
-                          scorer=scorer, **kwargs)
+            policy = RLController(PROFILES, DEFAULT_BATCH_SIZES, TAU, seed=seed,
+                                  scorer=scorer)
+        metrics, _ = serve(policy, PROFILES, target, horizon, seed=seed,
+                           accuracy=scorer.accuracy)
+        return metrics
 
     def test_sync_controller_always_full_ensemble(self, scorer):
-        env = self._multi_env("sync", 100.0, scorer)
-        metrics = env.run(horizon=60.0)
+        metrics = self._multi_run("sync", 100.0, scorer, horizon=60.0)
         assert all(len(d.subset) == 3 for d in metrics.dispatches)
         assert metrics.mean_accuracy() == pytest.approx(scorer.full_ensemble, abs=1e-6)
 
     def test_async_controller_single_models(self, scorer):
-        env = self._multi_env("async", 300.0, scorer)
-        metrics = env.run(horizon=60.0)
+        metrics = self._multi_run("async", 300.0, scorer, horizon=60.0)
         assert all(len(d.subset) == 1 for d in metrics.dispatches)
         models_used = {d.subset[0] for d in metrics.dispatches}
         assert len(models_used) == 3  # round-robin touches every model
 
     def test_multi_model_requires_scorer(self):
-        profiles = [get_profile(n) for n in NAMES]
-        arrival = SineArrival(100.0, period=200.0)
-        controller = GreedySyncController(profiles, DEFAULT_BATCH_SIZES, TAU)
+        # Equation 7 needs a(M[v]); the learner is who computes it
         with pytest.raises(ConfigurationError, match="EnsembleScorer"):
-            ServingEnv(profiles, controller, arrival, TAU, DEFAULT_BATCH_SIZES)
+            RLController(PROFILES, DEFAULT_BATCH_SIZES, TAU)
 
     def test_rl_dispatches_have_valid_subsets(self, scorer):
-        env = self._multi_env("rl", 120.0, scorer)
-        metrics = env.run(horizon=80.0)
+        metrics = self._multi_run("rl", 120.0, scorer, horizon=80.0)
+        assert {len(r.subset) for r in metrics.dispatches} > {1}  # real subsets
         for record in metrics.dispatches:
             assert 1 <= len(record.subset) <= 3
             assert record.accuracy == pytest.approx(scorer.accuracy(record.subset))
 
     def test_reward_shaping_validated(self, scorer):
-        profiles = [get_profile(n) for n in NAMES]
-        arrival = SineArrival(100.0, period=200.0)
-        controller = GreedySyncController(profiles, DEFAULT_BATCH_SIZES, TAU)
         with pytest.raises(ConfigurationError, match="reward_shaping"):
-            ServingEnv(profiles, controller, arrival, TAU, DEFAULT_BATCH_SIZES,
-                       scorer=scorer, reward_shaping="nonsense")
+            RLController(PROFILES, DEFAULT_BATCH_SIZES, TAU, scorer=scorer,
+                         reward_shaping="nonsense")
+
+
+class TestPinnedShortRuns:
+    """Short-horizon pins of the policies the figure tables are built from.
+
+    The long tables (benchmarks/results/fig1*.txt) are regenerated on
+    demand; these keep the loop they run on from drifting unnoticed.
+    """
+
+    def _mean_models(self, metrics):
+        return sum(d.served * len(d.subset) for d in metrics.dispatches) / metrics.total_served
+
+    def pin(self, policy, profiles, target, scorer=None):
+        accuracy = scorer.accuracy if scorer is not None else (lambda models: 0.0)
+        metrics, _ = serve(policy, profiles, target, 200.0, seed=0, period=280.0,
+                           accuracy=accuracy)
+        return (metrics.total_served, metrics.total_overdue,
+                round(self._mean_models(metrics), 4))
+
+    def test_greedy_single(self):
+        policy = GreedySingleController(PROFILES[0], DEFAULT_BATCH_SIZES, TAU)
+        assert self.pin(policy, PROFILES[:1], 250.0) == PINS["greedy-single"]
+
+    def test_greedy_sync(self, scorer):
+        policy = GreedySyncController(PROFILES, DEFAULT_BATCH_SIZES, TAU)
+        assert self.pin(policy, PROFILES, 128.0, scorer) == PINS["greedy-sync"]
+
+    def test_greedy_async(self, scorer):
+        policy = GreedyAsyncController(PROFILES, DEFAULT_BATCH_SIZES, TAU)
+        assert self.pin(policy, PROFILES, 500.0, scorer) == PINS["greedy-async"]
+
+    def test_aimd(self):
+        policy = AIMDController(PROFILES[0], TAU, max_batch=64)
+        # just under the load where one miss starts an AIMD collapse
+        assert self.pin(policy, PROFILES[:1], 240.0) == PINS["aimd"]
+
+
+#: (served, overdue, mean models per served request) after 200 simulated s;
+#: the same numbers the deleted second serving loop produced for these runs.
+PINS = {
+    "greedy-single": (35869, 960, 1.0),
+    "greedy-sync": (18365, 3896, 3.0),
+    "greedy-async": (71738, 7362, 1.0),
+    "aimd": (34434, 2, 1.0),
+}
 
 
 class TestMetrics:
     def _record(self, time, served=10, overdue=2, subset=(0,), accuracy=0.8):
         return DispatchRecord(time=time, served=served, overdue=overdue,
                               batch_size=16, subset=subset, accuracy=accuracy,
-                              reward=0.0, exceeding_time_sum=0.5)
+                              exceeding_time_sum=0.5)
 
     def test_aggregates(self):
         metrics = ServingMetrics()

@@ -108,6 +108,30 @@ class TestAdmission:
         manual_clock.advance(err.value.retry_after)
         assert frontend.offer("a", None, manual_clock.now()).seq == 4
 
+    def test_client_buckets_of_one_shot_clients_do_not_pile_up(self):
+        frontend = ServeFrontend(config(rate_limit=1.0, burst=2.0, max_queue=10**6,
+                                        deadline_slack=1e9))
+        # one client keeps hammering and stays throttled throughout...
+        frontend.offer("hog", None, 0.0)
+        frontend.offer("hog", None, 0.0)
+        largest = 0
+        for i in range(10**5):
+            now = i * 0.01
+            # ...while 10^5 client ids each show up exactly once
+            frontend.offer(f"one-shot-{i}", None, now)
+            largest = max(largest, len(frontend._buckets))
+            if i % 50 == 0:  # twice a second: its bucket never refills
+                with pytest.raises(RequestShedError) as err:
+                    while True:  # spend whatever the hog earned meanwhile
+                        frontend.offer("hog", None, now)
+                assert err.value.reason == "rate_limit"
+        # a one-shot bucket is dropped once it has refilled (2 s here);
+        # the map holds those that have not, never all 10^5
+        assert largest < 2500
+        assert "hog" in frontend._buckets
+        with pytest.raises(RequestShedError):
+            frontend.offer("hog", None, now)
+
     def test_admission_telemetry(self):
         frontend = ServeFrontend(config(max_queue=1))
         frontend.offer("a", None, 0.0)
@@ -117,6 +141,12 @@ class TestAdmission:
         requests = registry.counter(
             "repro_serve_frontend_requests_total", ""
         )
+        # admissions are counted once per poll (per arrival burst), sheds at once
+        assert requests.value(outcome="admitted", tenant="default") == 0
+        assert requests.value(outcome="shed", tenant="default") == 1
+        assert frontend.poll(0.0) == []
+        assert requests.value(outcome="admitted", tenant="default") == 1
+        frontend.poll(0.0)  # and only once
         assert requests.value(outcome="admitted", tenant="default") == 1
         assert requests.value(outcome="shed", tenant="default") == 1
         shed = registry.counter("repro_serve_frontend_shed_total", "")
@@ -375,12 +405,18 @@ class TestAsyncShell:
                 # the backend's own failure propagates to the caller
                 # (it is not a backpressure signal)
                 with pytest.raises(RuntimeError, match="backend exploded"):
-                    await frontend.submit(1)
+                    await frontend.submit(1, tenant="acme")
+                return frontend.core
 
-        asyncio.run(scenario())
+        core = asyncio.run(scenario())
         assert telemetry.get_registry().counter(
             "repro_serve_frontend_executor_errors_total", ""
         ).value() == 1
+        # the ledger closes: the admitted request has a terminal outcome
+        assert core.admitted == 1
+        assert core.outcomes == {"executor_error": 1}
+        assert core.admitted == core.served + core.shed
+        assert core.tenant_outcomes == {"acme": {"admitted": 1, "executor_error": 1}}
 
 
 class TestGatewayBackpressure:
@@ -477,6 +513,133 @@ class TestGatewayBackpressure:
         gateway = Gateway(Rafiki(seed=5))
         response = asyncio.run(gateway.handle_async("GET", "/datasets"))
         assert response.ok
+
+
+class TestPolicyChoosesTheEnsemble:
+    """The RL scheduler of Figures 14-16 serving real queries."""
+
+    NAMES = ("inception_v3", "inception_v4", "inception_resnet_v2")
+
+    def deploy(self):
+        from repro.core.system import Rafiki
+        from repro.core.tune import HyperConf
+        from repro.data import make_image_classification
+
+        system = Rafiki(seed=5)
+        dataset = make_image_classification(
+            name="food", num_classes=3, image_shape=(3, 8, 8),
+            train_per_class=12, val_per_class=6, test_per_class=8,
+            difficulty=0.3, seed=11,
+        )
+        system.import_images(dataset)
+        job_id = system.create_train_job(
+            "t", "ImageClassification", "food", num_models=3,
+            hyper=HyperConf(max_trials=2, max_epochs_per_trial=3),
+        )
+        infer_id = system.create_inference_job(system.get_models(job_id))
+        return system, infer_id, dataset.test_x
+
+    def test_rl_policy_serves_real_queries_on_its_subsets(self):
+        from repro.api import make_query_executor
+        from repro.api.gateway import Gateway
+        from repro.core.serve import EnsembleScorer, RLController
+        from repro.zoo import get_profile
+
+        system, infer_id, images = self.deploy()
+        info = system.get_inference_job(infer_id)
+        deployed = [spec.model_name for spec in info.specs]
+        assert len(deployed) == 3
+        # the policy's model of the fleet: one latency card and the
+        # subset-accuracy table, model i standing for deployed model i
+        cards = [get_profile(name) for name in self.NAMES]
+        policy = RLController(cards, (1, 2, 4), 0.56, seed=3,
+                              scorer=EnsembleScorer(self.NAMES))
+        cfg = FrontendConfig(latency=cards[0].inference_time, tau=0.56,
+                             batch_sizes=(1, 2, 4), max_queue=64)
+        frontend = AsyncServeFrontend(
+            cfg, make_query_executor(system, infer_id), policy=policy
+        )
+        gateway = Gateway(system)
+        gateway.attach_frontend(infer_id, frontend)
+
+        async def scenario():
+            async with frontend:
+                return await asyncio.gather(*(
+                    gateway.handle_async(
+                        "POST", f"/query/{infer_id}", {"img": image.tolist()}
+                    )
+                    for image in images
+                ))
+
+        replies = asyncio.run(scenario())
+        assert all(reply.status == 200 for reply in replies)
+        assert frontend.core.served == len(images) and frontend.core.shed == 0
+        # each batch was paid its Equation-7 reward
+        assert policy.learner.decisions > 0 and not policy.learner._open
+
+        subsets = {tuple(reply.body["models"]) for reply in replies}
+        assert any(len(subset) < 3 for subset in subsets)  # it does choose
+        partial = None
+        for index, (image, reply) in enumerate(zip(images, replies)):
+            chosen = [deployed.index(name) for name in reply.body["models"]]
+            assert chosen == sorted(chosen)
+            # the reply is the chosen models' vote, nothing else
+            direct = system.query(infer_id, image, models=chosen)
+            assert direct["models"] == reply.body["models"]
+            assert direct["label"] == reply.body["label"]
+            assert direct["votes"] == reply.body["votes"]
+            if len(chosen) < 3 and partial is None:
+                partial = index, chosen
+
+        # a subset answer is not remembered: the full-ensemble query for
+        # the same image is computed, by all three models...
+        index, chosen = partial
+        hits, misses = info.cache.hits, info.cache.misses
+        full = system.query(infer_id, images[index])
+        assert (info.cache.hits, info.cache.misses) == (hits, misses + 1)
+        assert full["models"] == deployed and len(full["votes"]) == 3
+        # ...and once it is cached, a subset query is its projection
+        again = system.query(infer_id, images[index], models=chosen)
+        assert info.cache.hits == hits + 1
+        assert again["votes"] == [full["votes"][i] for i in chosen]
+        assert again["label"] == replies[index].body["label"]
+
+    def test_subset_reaches_the_executor_only_when_chosen(self):
+        from repro.core.serve import Dispatch, DispatchPolicy, Wait
+
+        class Alternate(DispatchPolicy):
+            """Singles: first on the whole ensemble, then on models (0, 2)."""
+
+            def __init__(self):
+                self.outcomes = []
+
+            def decide(self, view):
+                if not view.queue:
+                    return Wait()
+                models = (0, 2) if self.outcomes else ()
+                return Dispatch(models, 1, 1, token=len(self.outcomes))
+
+            def on_complete(self, outcome):
+                self.outcomes.append(outcome)
+
+        calls = []
+
+        def executor(*args):
+            calls.append(args)
+            return list(args[0])
+
+        policy = Alternate()
+
+        async def scenario():
+            cfg = FrontendConfig(latency=lambda b: 0.001, tau=0.05, batch_sizes=(1,))
+            async with AsyncServeFrontend(cfg, executor, policy=policy) as frontend:
+                return [await frontend.submit(i) for i in range(2)]
+
+        assert asyncio.run(scenario()) == [0, 1]
+        assert calls == [([0], 1), ([1], 1, (0, 2))]
+        assert [(o.models, o.take, o.token) for o in policy.outcomes] == [
+            ((), 1, 0), ((0, 2), 1, 1),
+        ]
 
 
 class TestScalingAdvisor:

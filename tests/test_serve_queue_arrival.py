@@ -7,55 +7,68 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.serve import RequestQueue, SineArrival, solve_sine_coefficients
-from repro.exceptions import QueueOverflowError
+from serve_helpers import queue_of
+
+from repro.core.serve import (
+    FrontendConfig,
+    ServeFrontend,
+    SineArrival,
+    solve_sine_coefficients,
+)
+from repro.exceptions import RequestShedError
 
 
 class TestRequestQueue:
+    """The one FIFO queue: what the front end fills and policies read."""
+
     def test_fifo_pop(self):
-        queue = RequestQueue()
-        queue.push(1.0)
-        queue.push(2.0)
-        queue.push(3.0)
-        np.testing.assert_allclose(queue.pop_oldest(2), [1.0, 2.0])
+        queue = queue_of([1.0, 2.0, 3.0])
+        assert [r.arrival for r in queue.pop(2)] == [1.0, 2.0]
         assert len(queue) == 1
 
     def test_pop_more_than_available(self):
-        queue = RequestQueue()
-        queue.push(1.0, count=3)
-        assert queue.pop_oldest(10).shape == (3,)
+        assert len(queue_of([1.0] * 3).pop(10)) == 3
 
     def test_capacity_drops(self):
-        queue = RequestQueue(capacity=5)
-        accepted = queue.push(0.0, count=8)
-        assert accepted == 5
-        assert queue.total_dropped == 3
-        assert len(queue) == 5
+        frontend = ServeFrontend(
+            FrontendConfig(latency=lambda b: 0.01, max_queue=5, deadline_slack=100.0)
+        )
+        refused = 0
+        for _ in range(8):
+            try:
+                frontend.offer("c", None, 0.0)
+            except RequestShedError as exc:
+                assert exc.reason == "queue_full"
+                refused += 1
+        assert refused == 3
+        assert frontend.outcomes == {"queue_full": 3}
+        assert len(frontend.pending) == 5
 
     def test_oldest_wait(self):
-        queue = RequestQueue()
-        queue.push(10.0)
-        assert queue.oldest_wait(now=12.5) == pytest.approx(2.5)
+        assert queue_of([10.0]).oldest_wait(now=12.5) == pytest.approx(2.5)
 
     def test_empty_oldest_raises(self):
-        with pytest.raises(QueueOverflowError):
-            RequestQueue().oldest_arrival()
+        with pytest.raises(IndexError):
+            queue_of([]).oldest_arrival()
 
     def test_waiting_times_pad_and_truncate(self):
-        queue = RequestQueue()
-        for t in (1.0, 2.0, 3.0):
-            queue.push(t)
+        queue = queue_of([1.0, 2.0, 3.0])
         padded = queue.waiting_times(now=4.0, length=5)
         np.testing.assert_allclose(padded, [3.0, 2.0, 1.0, 0.0, 0.0])
         truncated = queue.waiting_times(now=4.0, length=2)
         np.testing.assert_allclose(truncated, [3.0, 2.0])
 
     def test_counters(self):
-        queue = RequestQueue()
-        queue.push(0.0, count=4)
-        queue.pop_oldest(3)
-        assert queue.total_enqueued == 4
-        assert queue.total_dequeued == 3
+        queue = queue_of([0.0] * 4)
+        for request in queue_of([0.0] * 2).pop(2):
+            request.tenant = "other"
+            queue.append(request)
+        popped = queue.pop(3)
+        assert (queue.count("default"), queue.count("other")) == (1, 2)
+        # a failed batch goes back to the head, in order, counted again
+        queue.push_front(popped)
+        assert (queue.count("default"), queue.count("other")) == (4, 2)
+        assert [r.seq for r in queue.pop(6)] == [1, 2, 3, 4, 1, 2]
 
 
 class TestSineCoefficients:

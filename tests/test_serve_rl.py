@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.serve import ActionSpace, ActorCritic, RequestQueue, StateBuilder
+from serve_helpers import queue_of
+
+from repro.core.serve import ActionSpace, ActorCritic, StateBuilder
 from repro.exceptions import ConfigurationError
 from repro.zoo import get_profile
 
@@ -54,10 +56,7 @@ class TestStateBuilder:
 
     def test_state_vector_shape_and_content(self):
         builder = StateBuilder(PROFILES, BATCHES, tau=0.56, queue_window=4)
-        queue = RequestQueue()
-        queue.push(0.0)
-        queue.push(0.2)
-        state = builder.build(queue, now=0.56, busy_until=[1.12, 0.0])
+        state = builder.build(queue_of([0.0, 0.2]), now=0.56, busy_until=[1.12, 0.0])
         assert state.shape == (builder.dim,)
         assert state[0] == pytest.approx(1.0)  # waited exactly tau
         # model 0 busy for another tau
@@ -66,9 +65,7 @@ class TestStateBuilder:
 
     def test_waits_clipped(self):
         builder = StateBuilder(PROFILES, BATCHES, tau=0.1, queue_window=2, wait_clip=3.0)
-        queue = RequestQueue()
-        queue.push(0.0)
-        state = builder.build(queue, now=100.0, busy_until=[0.0, 0.0])
+        state = builder.build(queue_of([0.0]), now=100.0, busy_until=[0.0, 0.0])
         assert state[0] == 3.0
 
 
