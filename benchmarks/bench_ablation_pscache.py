@@ -48,16 +48,17 @@ def test_ablation_parameter_server_cache(benchmark, servers):
     lines = [f"{'variant':<20} {'hit rate':>9} {'hits':>7} {'misses':>7} "
              f"{'store reads (B)':>16}"]
     for label, ps in results.items():
+        cache = ps.cache_stats()
         lines.append(
-            f"{label:<20} {ps.cache.hit_rate:>9.2f} {ps.cache.hits:>7} "
-            f"{ps.cache.misses:>7} {ps.store.bytes_read:>16}"
+            f"{label:<20} {cache['hit_rate']:>9.2f} {cache['hits']:>7} "
+            f"{cache['misses']:>7} {ps.store.bytes_read:>16}"
         )
     emit("ablation_pscache", "\n".join(lines))
 
     hot = results["hot cache (256 MB)"]
     cold = results["no cache (0 B)"]
     # the warm-start key is hot: the cache absorbs almost every read
-    assert hot.cache.hit_rate > 0.9
-    assert cold.cache.hit_rate == 0.0
+    assert hot.cache_stats()["hit_rate"] > 0.9
+    assert cold.cache_stats()["hit_rate"] == 0.0
     # without the cache every fetch goes to the backing store
     assert cold.store.bytes_read > hot.store.bytes_read

@@ -5,7 +5,7 @@ put/get throughput is what the ``ckpt_store`` workload of
 ``BENCHMARK.json`` measures, calibrated):
 
 1. **dedup** — a 10-checkpoint study of one model pushed through a
-   ``ShardedParameterServer`` (3 shards) over a 3-node, 2-replica
+   ``ParameterServer`` (3 shards) over a 3-node, 2-replica
    :class:`~repro.data.blockstore.BlockStore`: each checkpoint is
    written once, successive checkpoints are near-duplicates, so content
    addressing must collapse them — gated at ``dedup_ratio > 2``;
@@ -30,9 +30,10 @@ import sys
 import _perf
 import numpy as np
 
+from repro.data import DataStore
 from repro.data.blockstore import BlockStore
 from repro.data.fs import FileNamespace
-from repro.paramserver import ShardedParameterServer
+from repro.paramserver import ParameterServer
 
 SHARD_COUNTS = (1, 2, 4)
 #: fixed: the dedup acceptance criterion's study size.
@@ -58,9 +59,9 @@ def bench_dedup(seed: int) -> dict:
     the unchanged chunks once.
     """
     rng = np.random.default_rng(seed)
-    sps = ShardedParameterServer(
-        shards=3, replicas=2,
-        block_store=BlockStore(nodes=3, replicas=2, chunk_size=4096),
+    sps = ParameterServer(
+        store=DataStore("ps-backing", nodes=3, replicas=2, chunk_size=4096),
+        shards=3,
     )
     state = make_state(rng)
     for step in range(CHECKPOINTS):
@@ -120,8 +121,9 @@ def bench_serving_tier(shards: int, keys: int, gets: int, seed: int) -> dict:
     # The cache budget is deliberately about half the working set
     # (~38KB/key) so the hit rate reflects the LRU under hot-key skew
     # rather than saturating at 1.0.
-    server = ShardedParameterServer(
-        shards=shards, replicas=min(2, shards), cache_bytes=keys * 20 * 1024
+    server = ParameterServer(
+        store=DataStore("ps-backing", nodes=shards, replicas=min(2, shards)),
+        shards=shards, cache_bytes=keys * 20 * 1024,
     )
     for i in range(keys):
         server.put(f"ckpt/{i}", make_state(rng), performance=float(i))

@@ -88,7 +88,7 @@ def dashboard_data(system: Rafiki) -> dict:
         "nodes": node_rows,
         "parameter_server": {
             "keys": len(system.param_server.keys()),
-            "cache_hit_rate": system.param_server.cache.hit_rate,
+            "cache_hit_rate": system.param_server.cache_stats()["hit_rate"],
         },
         "telemetry": telemetry_summary(),
     }

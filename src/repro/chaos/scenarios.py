@@ -194,8 +194,8 @@ def run_shard_kill_scenario(
 ) -> dict[str, Any]:
     """Kill a parameter shard's node mid-study; prove nothing is lost.
 
-    A distributed surrogate study runs against a
-    :class:`~repro.paramserver.sharded.ShardedParameterServer` whose
+    A distributed surrogate study runs against a multi-shard
+    :class:`~repro.paramserver.ParameterServer` whose
     shards *and* whose block store's datanodes are cluster containers,
     under dropped pushes and trial crashes. Mid-study, the node hosting
     the first shard fails — taking the shard, the datanode beside it
@@ -225,7 +225,8 @@ def run_shard_kill_scenario(
         section71_space,
     )
     from repro.core.tune.distributed import run_cluster_study
-    from repro.paramserver import ShardedParameterServer
+    from repro.data import DataStore
+    from repro.paramserver import ParameterServer
 
     plan = FaultPlan(
         [
@@ -241,9 +242,9 @@ def run_shard_kill_scenario(
             manager.add_node(
                 Node(f"n{i}", capacity=Resources(cpus=8, gpus=3, memory_gb=64))
             )
-        param_server = ShardedParameterServer(
+        param_server = ParameterServer(
+            store=DataStore("ps-backing", nodes=shards, replicas=replicas),
             shards=shards,
-            replicas=replicas,
             retry=RetryPolicy(
                 max_attempts=4, jitter=0.0, retry_on=(InjectedFault,), seed=seed
             ),

@@ -69,12 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "(0 = in-process)")
     tune.add_argument("--ps-shards", type=int, default=1, metavar="N",
                       help="serve the parameter server through N failover "
-                           "cache shards over an N-datanode block store "
-                           "(1 = the classic single server)")
+                           "cache shards over a max(3, N)-datanode block "
+                           "store")
     tune.add_argument("--ps-replicas", type=int, default=2, metavar="R",
                       help="chunk replication factor of that block store "
-                           "when sharded (each value is stored once, each "
-                           "of its chunks on R datanodes)")
+                           "(each value is stored once, each of its chunks "
+                           "on R datanodes)")
     tune.add_argument("--telemetry", action="store_true",
                       help="print the telemetry snapshot after the study")
 
@@ -222,7 +222,8 @@ def _cmd_tune(args) -> int:
         run_study_parallel,
         section71_space,
     )
-    from repro.paramserver import ParameterServer, ShardedParameterServer
+    from repro.data import DataStore
+    from repro.paramserver import ParameterServer
 
     if (args.processes or args.pool_reuse) and not args.real:
         print("--processes/--pool-reuse require --real (the surrogate is "
@@ -252,12 +253,11 @@ def _cmd_tune(args) -> int:
         backend = SurrogateTrainer(seed=args.seed)
 
     def build_study():
-        if args.ps_shards > 1:
-            param_server = ShardedParameterServer(
-                shards=args.ps_shards, replicas=args.ps_replicas
-            )
-        else:
-            param_server = ParameterServer()
+        param_server = ParameterServer(
+            store=DataStore("ps-backing", nodes=max(3, args.ps_shards),
+                            replicas=args.ps_replicas),
+            shards=args.ps_shards,
+        )
         advisor = advisor_cls(section71_space(), rng=np.random.default_rng(args.seed))
         scheduler = None
         if args.collaborative:

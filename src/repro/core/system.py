@@ -48,7 +48,7 @@ from repro.exceptions import (
     JobNotFoundError,
     ServingError,
 )
-from repro.paramserver import ParameterServer, ShardedParameterServer
+from repro.paramserver import ParameterServer
 from repro.tenancy import DEFAULT_TENANT, TenantRegistry, tenant_context
 from repro.tensor import Network, default_dtype
 from repro.utils.retry import CircuitBreaker
@@ -142,7 +142,11 @@ class Rafiki:
         #: auto-register unlimited) so single-customer deployments keep
         #: working; pass a strict registry to refuse unknown tenants.
         self.tenants = tenants if tenants is not None else TenantRegistry()
-        self.store = DataStore("rafiki-hdfs", tenants=self.tenants)
+        #: the one replicated store under datasets *and* parameters.
+        self.store = DataStore(
+            "rafiki-hdfs", nodes=max(3, ps_shards), replicas=ps_replicas,
+            tenants=self.tenants,
+        )
         self.checkpoints = CheckpointStore()
         self.cluster = ClusterManager(
             checkpoint_store=self.checkpoints, tenants=self.tenants
@@ -152,15 +156,15 @@ class Rafiki:
                 Node(name=f"node-{chr(ord('a') + i)}",
                      capacity=_node_capacity(gpus_per_node))
             )
-        if ps_shards <= 1:
-            # The single-server data plane: exactly the behaviour (and
-            # telemetry series) the system has always had.
-            self.param_server = ParameterServer(store=self.store, tenants=self.tenants)
-        else:
-            self.param_server = ShardedParameterServer(
-                shards=ps_shards, replicas=ps_replicas, tenants=self.tenants
-            )
+        self.param_server = ParameterServer(
+            store=self.store, shards=ps_shards, tenants=self.tenants
+        )
+        if ps_shards > 1:
+            # Scaled out, the shards and the datanodes under them run as
+            # cluster containers: a node failure takes a cache and real
+            # bytes with it. The default system registers nothing.
             self.param_server.register_with_cluster(self.cluster)
+            self.store.blocks.register_with_cluster(self.cluster)
         self.registry: TaskRegistry = default_registry()
         self.train_jobs: dict[str, TrainJobInfo] = {}
         self.inference_jobs: dict[str, InferenceJobInfo] = {}
@@ -352,28 +356,33 @@ class Rafiki:
             tenant=tenant, priority=priority, queue=False,
         )
         info.cluster_job_id = cluster_job.job_id
-        dataset_name = dataset or specs[0].dataset
-        data = self.store.get_dataset(dataset_name)
-        info.image_shape = tuple(data.image_shape)
-        for spec in specs:
-            entry = self.registry.get(spec.task, spec.model_name)
-            rng = self.rng_stream.get(f"deploy:{job_id}:{spec.model_name}")
-            network = entry.builder(data.image_shape, data.num_classes, rng)
-            state = self.param_server.get(spec.param_key)
-            loaded = network.warm_start(state)
-            if not loaded:
-                raise ConfigurationError(
-                    f"no shape-matched parameters for {spec.model_name!r} "
-                    f"under {spec.param_key!r}"
+        try:
+            data = self.store.get_dataset(dataset or specs[0].dataset)
+            info.image_shape = tuple(data.image_shape)
+            for spec in specs:
+                entry = self.registry.get(spec.task, spec.model_name)
+                rng = self.rng_stream.get(f"deploy:{job_id}:{spec.model_name}")
+                network = entry.builder(data.image_shape, data.num_classes, rng)
+                state = self.param_server.get(spec.param_key)
+                loaded = network.warm_start(state)
+                if not loaded:
+                    raise ConfigurationError(
+                        f"no shape-matched parameters for {spec.model_name!r} "
+                        f"under {spec.param_key!r}"
+                    )
+                info.networks.append(network)
+                info.breakers.append(
+                    CircuitBreaker(
+                        name=f"{job_id}/{spec.model_name}",
+                        failure_threshold=3,
+                        recovery_time=30.0,
+                    )
                 )
-            info.networks.append(network)
-            info.breakers.append(
-                CircuitBreaker(
-                    name=f"{job_id}/{spec.model_name}",
-                    failure_threshold=3,
-                    recovery_time=30.0,
-                )
-            )
+        except Exception:
+            # Nothing was deployed: give the containers and the tenant's
+            # ``replicas`` quota back, as create_train_job does.
+            self.cluster.stop_job(cluster_job.job_id)
+            raise
         info.status = "running"
         self.inference_jobs[job_id] = info
         return job_id

@@ -68,13 +68,6 @@ def run_cluster_study(
     """
     sim = sim if sim is not None else Simulator()
     master.set_clock(lambda: sim.now)
-    if (
-        hasattr(param_server, "register_with_cluster")
-        and getattr(param_server, "manager", None) is None
-    ):
-        # A sharded data plane joins the same cluster as the study, so
-        # the failure plan's node kills take parameter shards down too.
-        param_server.register_with_cluster(manager)
     study = ClusterStudy(master=master)
     job = manager.submit_job(JobKind.TRAIN, name=master.study_name,
                              num_workers=num_workers, queue=False)

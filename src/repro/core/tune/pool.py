@@ -621,7 +621,6 @@ class PoolTrialExecutor:
         self.conf = conf
         self.pool = pool if pool is not None else TrialPool(processes=processes)
         self.owns_pool = pool is None
-        self._spec: _PoolSpec | None = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -645,18 +644,18 @@ class PoolTrialExecutor:
     # -- TrainerBackend protocol ---------------------------------------
 
     def _build_spec(self) -> _PoolSpec:
-        if self._spec is None:
-            self._spec = _PoolSpec(
-                dataset_key=self.pool._dataset_key(self.trainer.dataset),
-                builder=self.trainer.builder,
-                batch_size=self.trainer.batch_size,
-                seconds_per_epoch=self.trainer.seconds_per_epoch,
-                use_augmentation=self.trainer.use_augmentation,
-                arch_knobs=self.trainer.arch_knobs,
-                seed=self.trainer.seed,
-                conf=self.conf,
-            )
-        return self._spec
+        # Built (and the dataset registered) per hand-over, never cached:
+        # a pool forgets its datasets when it shuts down.
+        return _PoolSpec(
+            dataset_key=self.pool._dataset_key(self.trainer.dataset),
+            builder=self.trainer.builder,
+            batch_size=self.trainer.batch_size,
+            seconds_per_epoch=self.trainer.seconds_per_epoch,
+            use_augmentation=self.trainer.use_augmentation,
+            arch_knobs=self.trainer.arch_knobs,
+            seed=self.trainer.seed,
+            conf=self.conf,
+        )
 
     def start(
         self, trial: Trial, init_state: dict[str, np.ndarray] | None

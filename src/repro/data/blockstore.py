@@ -306,14 +306,14 @@ class BlockStore(HostedGroup):
         chunks re-stored.
         """
         self._refresh_liveness()
-        chunks = split_chunks(data, self.chunk_size)
-        if len(chunks) != len(digests):
+        size = self.chunk_size
+        if -(-len(data) // size) != len(digests):
             raise StorageError("digest list does not match the data being ensured")
         healed = 0
-        for digest, chunk in zip(digests, chunks):
+        for index, digest in enumerate(digests):
             if not self.has_chunk(digest):
                 refs = self._refcounts.get(digest, 0)
-                self._store_chunk(digest, chunk)
+                self._store_chunk(digest, data[index * size : (index + 1) * size])
                 self._refcounts[digest] = refs
                 healed += 1
         if healed:

@@ -6,14 +6,20 @@ standing in for HDFS). Frequently accessed parameters — e.g. the
 current-best checkpoint during collaborative hyper-parameter tuning —
 stay cached; everything else is persisted and re-read on demand.
 
-For scale-out, :class:`~repro.paramserver.sharded.ShardedParameterServer`
-serves the same index through several failover cache shards, behind
-the same API; replication is the block store's job alone.
+There is one class, :class:`ParameterServer`: one index over one store,
+served through ``shards >= 1`` failover cache shards; replication is the
+block store's job alone. ``ShardedParameterServer(...)`` is a
+constructor of that class taking the pre-merge keywords.
 """
 
 from repro.paramserver.cache import LRUCache
-from repro.paramserver.server import ParameterEntry, ParameterServer, shape_pool
-from repro.paramserver.sharded import Shard, ShardedParameterServer
+from repro.paramserver.server import (
+    ParameterEntry,
+    ParameterServer,
+    Shard,
+    ShardedParameterServer,
+    shape_pool,
+)
 
 __all__ = [
     "ParameterServer",

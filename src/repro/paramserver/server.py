@@ -12,24 +12,62 @@ Semantics follow Section 6.2:
   paper cites from TFX);
 * :meth:`fetch_shape_pool` exposes the "shape matched W" lookup used by
   the collaborative tuning scheme for architecture knobs.
+
+There is one server class, in two layers:
+
+* **one metadata plane** — one index of entries over one
+  :class:`~repro.data.store.DataStore` namespace (the namenode role).
+  Every version is pickled, chunked, placed and replicated exactly once,
+  by the :class:`~repro.data.blockstore.BlockStore` underneath — the only
+  component that places, re-replicates, repairs and audits bytes;
+* **a serving tier of N >= 1 shards** — a :class:`Shard` holds nothing
+  durable: an LRU cache, a circuit breaker, a liveness flag and (when
+  cluster-registered) a hosting container. A ``put`` or ``get`` walks the
+  key's rendezvous preference order to the first live shard whose breaker
+  admits it, passes that shard's ``paramserver.shard.<name>.<push|pull>``
+  fault point and then the index's own ``paramserver.push``/``pull``,
+  writes or reads the value once through the index, and uses that shard's
+  cache. An injected fault feeds the breaker and fails over; killing a
+  shard drops its cache and moves its keys to the next shard in their
+  order — nothing is copied.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import Any, Callable
 
 import numpy as np
 
 from repro import chaos, telemetry
+from repro.cluster.container import ContainerRole
+from repro.cluster.manager import JobKind
+from repro.cluster.membership import (
+    HostedGroup,
+    Member,
+    failover,
+    member_breaker,
+    preference_order,
+)
+from repro.data.blockstore import BlockStore
 from repro.data.store import DataStore
-from repro.exceptions import ParameterNotFoundError
+from repro.exceptions import (
+    ConfigurationError,
+    ParameterNotFoundError,
+    ParameterServerError,
+)
 from repro.paramserver.cache import LRUCache
 from repro.tenancy import TenantRegistry, current_tenant
-from repro.utils.retry import RetryPolicy
+from repro.utils.retry import CircuitBreaker, RetryPolicy
 
-__all__ = ["ParameterServer", "ParameterEntry", "shape_pool"]
+__all__ = [
+    "ParameterServer",
+    "ParameterEntry",
+    "Shard",
+    "ShardedParameterServer",
+    "shape_pool",
+]
 
 
 @dataclass
@@ -57,49 +95,149 @@ def _state_size(state: dict[str, np.ndarray]) -> int:
     return int(sum(value.nbytes for value in state.values()))
 
 
-class ParameterServer:
-    """Versioned parameter storage with an LRU hot cache.
+@dataclass(kw_only=True)
+class Shard(Member):
+    """One serving shard: a hot cache plus liveness bookkeeping."""
 
-    The index (entries over one :class:`DataStore` namespace) is the
-    only durable state; the cache a value is served from is passed to
-    :meth:`_put_once` / :meth:`_get_once`, which lets
-    :class:`~repro.paramserver.sharded.ShardedParameterServer` serve
-    this same index through several failover caches.
+    cache: LRUCache
+
+
+class ParameterServer(HostedGroup):
+    """Versioned parameter storage served through failover cache shards.
+
+    ``cache_bytes`` is the *total* hot-cache budget, split evenly across
+    the ``shards``, so scaling out does not multiply memory. ``retry`` is
+    applied around each shard operation (use ``retry_on=(InjectedFault,)``
+    so lookup errors still propagate at once). ``tenants`` charges each
+    stored version's ``ps_bytes`` — once, whatever the store's
+    replication factor — and deletes release it.
+
+    Every shard sits behind ``breaker_factory(name)``, by default three
+    consecutive failures open it for 30 s. On a one-shard server that
+    means: an injected fault or
+    :class:`~repro.exceptions.RetryExhaustedError` propagates, and after
+    the third in a row ``put``/``get`` answer
+    :class:`~repro.exceptions.ParameterServerError` until the recovery
+    window has passed.
     """
+
+    _JOB_KIND = JobKind.PARAMSERVER
+    _ROLE = ContainerRole.PARAMETER
 
     def __init__(
         self,
         store: DataStore | None = None,
+        shards: int = 1,
         cache_bytes: int = 256 * 1024 * 1024,
         retry: RetryPolicy | None = None,
         tenants: TenantRegistry | None = None,
+        breaker_factory: Callable[[str], CircuitBreaker] | None = None,
     ):
-        #: when set, every put charges the ambient tenant's ``ps_bytes``
-        #: quota (:class:`~repro.exceptions.QuotaExceededError` before
-        #: anything is stored) and deletes release it.
+        if shards < 1:
+            raise ConfigurationError(f"shards must be >= 1, got {shards}")
         self.tenants = tenants
-        self._store = store if store is not None else DataStore("ps-backing")
-        self._cache_bytes = cache_bytes
+        self.store = store if store is not None else DataStore("ps-backing")
         self._entries: dict[str, list[ParameterEntry]] = {}
         self._stored_bytes = 0
-        #: optional retry policy for push/pull; when set, injected
-        #: faults at the ``paramserver.push``/``paramserver.pull``
-        #: fault points (and any other RafikiError) are retried with
-        #: deterministic backoff instead of propagating.
         self.retry = retry
+        per_shard_cache = max(1, cache_bytes // shards)
+        self._members: list[Shard] = [
+            Shard(
+                name=name,
+                breaker=member_breaker(breaker_factory, "paramserver", name),
+                cache=LRUCache(
+                    per_shard_cache, size_of=_state_size, name=f"paramserver-{name}"
+                ),
+            )
+            for name in (f"ps-{i}" for i in range(shards))
+        ]
+        self._by_name = {shard.name: shard for shard in self._members}
+        self._publish_live_gauge()
 
-    @cached_property
-    def cache(self) -> LRUCache:
-        """The hot cache, built on first use."""
-        return LRUCache(self._cache_bytes, size_of=_state_size, name="paramserver")
-
-    def _caches(self) -> list[LRUCache]:
-        """Every cache that may hold a value of this index."""
-        return [self.cache]
+    # ------------------------------------------------------------------
+    # topology
+    # ------------------------------------------------------------------
 
     @property
-    def store(self) -> DataStore:
-        return self._store
+    def block_store(self) -> BlockStore:
+        """The store that places and replicates every value's chunks."""
+        return self.store.blocks
+
+    @property
+    def replicas(self) -> int:
+        """The chunk replication factor (the store's, clamped to its nodes)."""
+        return self.block_store.replicas
+
+    @property
+    def rereplications(self) -> int:
+        return self.block_store.rereplications
+
+    @property
+    def shards(self) -> list[Shard]:
+        """The shard records (read-only use: tests, benchmarks, repr)."""
+        return list(self._members)
+
+    def cache_stats(self) -> dict[str, float]:
+        """Aggregate hit/miss/eviction counts across every shard cache."""
+        hits = sum(s.cache.hits for s in self._members)
+        misses = sum(s.cache.misses for s in self._members)
+        return {
+            "hits": hits,
+            "misses": misses,
+            "evictions": sum(s.cache.evictions for s in self._members),
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        }
+
+    def live_shards(self) -> list[Shard]:
+        """The shards that can serve right now."""
+        self._refresh_liveness()
+        return [shard for shard in self._members if shard.alive]
+
+    # ------------------------------------------------------------------
+    # liveness
+    # ------------------------------------------------------------------
+
+    def kill_shard(self, name: str) -> None:
+        """Kill a shard directly: its cache is gone, its keys fail over."""
+        shard = self._shard_named(name)
+        if shard.alive:
+            self._member_down(shard)
+
+    def revive_shard(self, name: str) -> None:
+        """Bring a killed shard back, cold, to serve its keys again."""
+        shard = self._shard_named(name)
+        if not shard.alive:
+            shard.alive = True
+            self._member_up(shard, same_host=True)
+
+    def _shard_named(self, name: str) -> Shard:
+        if name not in self._by_name:
+            raise ConfigurationError(f"unknown shard {name!r}")
+        return self._by_name[name]
+
+    def _member_down(self, shard: Shard) -> None:
+        shard.alive = False
+        shard.deaths += 1
+        shard.cache.clear()
+        telemetry.get_registry().counter(
+            "repro_paramserver_shard_deaths_total",
+            "Parameter-server shard deaths observed.",
+        ).inc(shard=shard.name)
+        self._publish_live_gauge()
+
+    def _member_up(self, shard: Shard, same_host: bool) -> None:
+        # A shard holds nothing durable: wherever it restarts, it starts cold.
+        self._publish_live_gauge()
+
+    def _publish_live_gauge(self) -> None:
+        telemetry.get_registry().gauge(
+            "repro_paramserver_shards_live",
+            "Parameter-server shards currently alive.",
+        ).set(sum(1 for s in self._members if s.alive))
+
+    def repair(self) -> int:
+        """Restore the chunk replication factor; return copies made."""
+        return self.store.repair()
 
     # ------------------------------------------------------------------
     # put / get
@@ -115,21 +253,12 @@ class ParameterServer:
         public: bool = True,
         **extra,
     ) -> ParameterEntry:
-        """Store a new version of ``key`` and return its entry.
-
-        Passes through the ``paramserver.push`` fault point; with a
-        :class:`~repro.utils.retry.RetryPolicy` configured (use
-        ``retry_on=(InjectedFault,)`` so lookup errors still propagate
-        immediately), injected failures and drops are retried with
-        deterministic backoff.
-        """
-        if self.retry is not None:
-            return self.retry.call(
-                self._put_once, self.cache, key, state, model, dataset,
-                performance, public, name="paramserver.push", **extra,
-            )
-        return self._put_once(
-            self.cache, key, state, model, dataset, performance, public, **extra
+        """Store a new version of ``key`` through its first healthy shard."""
+        return self._serve(
+            key, "push",
+            lambda shard: self._put_once(
+                shard.cache, key, state, model, dataset, performance, public, **extra
+            ),
         )
 
     def _put_once(
@@ -159,7 +288,7 @@ class ParameterServer:
             self.tenants.charge(entry.tenant, "ps_bytes", entry.nbytes)
         state_copy = {name: value.copy() for name, value in state.items()}
         try:
-            self._store.put_blob(
+            self.store.put_blob(
                 entry.path, pickle.dumps(state_copy, pickle.HIGHEST_PROTOCOL)
             )
         except BaseException:
@@ -189,16 +318,55 @@ class ParameterServer:
         ).set(len(self._entries))
 
     def get(self, key: str, version: int | None = None) -> dict[str, np.ndarray]:
-        """Fetch parameters (latest version unless specified).
+        """Fetch parameters (latest version unless specified), failing
+        over through the key's shards as needed."""
+        return self._serve(
+            key, "pull", lambda shard: self._get_once(shard.cache, key, version)
+        )
 
-        Passes through the ``paramserver.pull`` fault point (retried
-        under the configured policy, like :meth:`put`).
+    def _serve(self, key: str, op: str, fn: Callable[[Shard], Any]) -> Any:
+        """Run ``fn`` on the first live, breaker-admitted shard for ``key``.
+
+        One server->shard operation is: the shard's fault point, then
+        ``fn``, under the retry policy, counted per shard.
         """
-        if self.retry is not None:
-            return self.retry.call(
-                self._get_once, self.cache, key, version, name="paramserver.pull"
+        self._refresh_liveness()
+        registry = telemetry.get_registry()
+        requests = registry.counter(
+            "repro_paramserver_shard_requests_total",
+            "Coordinator->shard operations, by shard, op and outcome.",
+        )
+        failovers = registry.counter(
+            "repro_paramserver_failovers_total",
+            "Shard operations redirected to another shard, by failed shard.",
+        )
+
+        def attempt(shard: Shard) -> Any:
+            def once():
+                chaos.fire(f"paramserver.shard.{shard.name}.{op}")
+                return fn(shard)
+
+            try:
+                if self.retry is not None:
+                    result = self.retry.call(once, name=f"paramserver.{op}")
+                else:
+                    result = once()
+            except Exception:
+                requests.inc(shard=shard.name, op=op, outcome="error")
+                raise
+            requests.inc(shard=shard.name, op=op, outcome="ok")
+            return result
+
+        served = failover(
+            (s for s in preference_order(key, self._members) if s.alive),
+            attempt,
+            lambda shard: failovers.inc(shard=shard.name, op=op),
+        )
+        if not served:
+            raise ParameterServerError(
+                f"no live parameter-server shard can serve {key!r}"
             )
-        return self._get_once(self.cache, key, version)
+        return served[0][1]
 
     def _get_once(
         self, cache: LRUCache, key: str, version: int | None = None
@@ -211,7 +379,7 @@ class ParameterServer:
         cached = cache.get(entry.path)
         if cached is not None:
             return {name: value.copy() for name, value in cached.items()}
-        state = pickle.loads(self._store.get_blob(entry.path))
+        state = pickle.loads(self.store.get_blob(entry.path))
         cache.put(entry.path, state)
         return {name: value.copy() for name, value in state.items()}
 
@@ -247,15 +415,14 @@ class ParameterServer:
         versions = self._entries.pop(key, None)
         if versions is None:
             raise ParameterNotFoundError(key)
-        caches = self._caches()
         for entry in versions:
-            for cache in caches:
-                cache.invalidate(entry.path)
+            for shard in self._members:
+                shard.cache.invalidate(entry.path)
             self._stored_bytes -= entry.nbytes
             if self.tenants is not None and entry.tenant is not None:
                 self.tenants.release(entry.tenant, "ps_bytes", entry.nbytes)
-            if self._store.has_blob(entry.path):
-                self._store.delete_blob(entry.path)
+            if self.store.has_blob(entry.path):
+                self.store.delete_blob(entry.path)
         self._publish_storage_gauges()
 
     # ------------------------------------------------------------------
@@ -311,11 +478,89 @@ class ParameterServer:
                     best = entry
         return best
 
+    # ------------------------------------------------------------------
+    # auditing
+    # ------------------------------------------------------------------
+
+    def audit(self) -> dict[str, Any]:
+        """Health of every key, read off the store that holds its bytes.
+
+        A key is *lost* (``keys_lost`` counts them) or *under-replicated*
+        when a chunk one of its versions' manifests references is;
+        *divergent* when the index and the namespace disagree — an entry
+        whose blob path the namespace does not hold, or a ``params/``
+        path no entry accounts for. ``repair()`` and the re-replication
+        count are the store's.
+        """
+        self._refresh_liveness()
+        fs = self.store.fs
+        blocks = self.block_store.audit()
+        lost_chunks = set(blocks["lost"])
+        under_chunks = set(blocks["under_replicated"])
+        keys_lost = 0
+        under: list[str] = []
+        divergent: list[str] = []
+        paths: set[str] = set()
+        for key, versions in self._entries.items():
+            paths.update(entry.path for entry in versions)
+            held = [entry.path for entry in versions if fs.exists(entry.path)]
+            if len(held) != len(versions):
+                divergent.append(key)
+            digests = {d for path in held for d in fs.stat(path).digests}
+            if digests & lost_chunks:
+                keys_lost += 1
+            elif digests & under_chunks:
+                under.append(key)
+        divergent += [p for p in fs.list_paths("params/") if p not in paths]
+        return {
+            "keys": len(self._entries),
+            "keys_lost": keys_lost,
+            "under_replicated": sorted(under),
+            "divergent": sorted(divergent),
+            "rereplications": blocks["rereplications"],
+            "live_shards": [s.name for s in self._members if s.alive],
+        }
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        live = sum(1 for s in self._members if s.alive)
         return (
-            f"ParameterServer(keys={len(self._entries)}, "
-            f"cache_hit_rate={self.cache.hit_rate:.2f})"
+            f"ParameterServer(shards={len(self._members)}, live={live}, "
+            f"replicas={self.replicas}, keys={len(self._entries)})"
         )
+
+
+def ShardedParameterServer(
+    shards: int = 4,
+    replicas: int = 2,
+    cache_bytes: int = 256 * 1024 * 1024,
+    retry: RetryPolicy | None = None,
+    store_factory: Callable[[str], DataStore] | None = None,
+    breaker_factory: Callable[[str], CircuitBreaker] | None = None,
+    block_store: BlockStore | None = None,
+    tenants: TenantRegistry | None = None,
+) -> ParameterServer:
+    """A :class:`ParameterServer` built from the pre-merge keywords.
+
+    The index's store is ``store_factory("ps")`` when given, else a
+    :class:`DataStore` over ``block_store`` or a fresh
+    ``BlockStore(nodes=shards, replicas=replicas)``.
+    """
+    if store_factory is not None:
+        store = store_factory("ps")
+        if block_store is not None and store.blocks is not block_store:
+            raise ConfigurationError(
+                "store_factory built a store over a different block store"
+            )
+    else:
+        store = DataStore(
+            "ps-backing",
+            block_store=block_store or BlockStore(nodes=shards, replicas=replicas),
+            tenants=tenants,
+        )
+    return ParameterServer(
+        store=store, shards=shards, cache_bytes=cache_bytes, retry=retry,
+        tenants=tenants, breaker_factory=breaker_factory,
+    )
 
 
 def shape_pool(state: dict[str, np.ndarray]) -> dict[tuple[int, ...], list[np.ndarray]]:

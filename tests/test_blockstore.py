@@ -389,6 +389,28 @@ class TestReplication:
         with pytest.raises(StorageError):
             store.ensure(digests, b"y" * 3 * CHUNK)
 
+    def test_ensure_of_an_intact_write_heals_nothing(self, monkeypatch):
+        """commit() calls ensure on every write: with every chunk present
+        it must not chunk (copy) the blob again, only count it."""
+        from repro.data import blockstore
+
+        store = BlockStore(nodes=2, replicas=1, chunk_size=CHUNK)
+        data = _random_bytes(random.Random(3), 5 * CHUNK + 7)
+        digests = store.put(data)
+        monkeypatch.setattr(
+            blockstore, "split_chunks",
+            lambda *args: pytest.fail("ensure chunked the whole blob again"),
+        )
+        assert store.ensure(digests, data) == 0
+        for wrong in (digests[:-1], digests + digests[:1]):
+            with pytest.raises(StorageError):
+                store.ensure(wrong, data)
+        # only what lost every live copy is sliced out and re-stored
+        on_dn0 = sum("dn-0" in store._directory[d] for d in digests)
+        store.kill_node("dn-0")
+        assert store.ensure(digests, data) == on_dn0 > 0
+        assert b"".join(store.get_chunk(d) for d in digests) == data
+
     def test_get_unknown_chunk_raises(self):
         store = BlockStore(nodes=1, replicas=1)
         with pytest.raises(ChunkLostError):

@@ -178,11 +178,11 @@ class TestUnifiedArchitectureProperties:
             "t", "ImageClassification", "d",
             hyper=HyperConf(max_trials=2, max_epochs_per_trial=3),
         )
-        cache_hits_before = system.param_server.cache.hits
+        cache_hits_before = system.param_server.cache_stats()["hits"]
         specs = system.get_models(job_id)
         system.create_inference_job(specs)
         # deployment read parameters straight from the (hot) cache
-        assert system.param_server.cache.hits > cache_hits_before
+        assert system.param_server.cache_stats()["hits"] > cache_hits_before
 
     def test_two_systems_in_one_process_are_the_same_run(self):
         """Ids are each system's own, so a same-seed system built later

@@ -1,16 +1,23 @@
 """Tests for the parameter server and LRU cache.
 
 ``TestParameterServer`` runs every behavioural test twice — once
-against the single :class:`ParameterServer` and once against a
-``ShardedParameterServer(shards=1, replicas=1)`` — asserting the
-sharded coordinator is a drop-in replacement.
+against a default :class:`ParameterServer` and once against what the
+``ShardedParameterServer(shards=1, replicas=1)`` constructor builds —
+asserting both spellings give the same server.
 """
 
 import numpy as np
 import pytest
 
-from repro import telemetry
-from repro.exceptions import ParameterNotFoundError
+from repro import chaos, telemetry
+from repro.chaos import FaultKind, FaultPlan, FaultRule
+from repro.exceptions import (
+    InjectedFault,
+    ParameterNotFoundError,
+    ParameterServerError,
+    RetryExhaustedError,
+)
+from repro.utils.retry import RetryPolicy
 from repro.paramserver import LRUCache, ParameterServer, ShardedParameterServer
 
 
@@ -149,10 +156,10 @@ class TestParameterServer:
 
     def test_cache_hits_on_hot_key(self, ps):
         ps.put("hot", state(1.0))
-        before = ps.cache.hits
+        before = ps.cache_stats()["hits"]
         for _ in range(5):
             ps.get("hot")
-        assert ps.cache.hits == before + 5
+        assert ps.cache_stats()["hits"] == before + 5
 
     def test_put_if_better(self, ps):
         assert ps.put_if_better("k", state(1.0), performance=0.5)
@@ -196,3 +203,65 @@ class TestParameterServer:
 
     def test_find_pretrained_none(self, ps):
         assert ps.find_pretrained("x") is None
+
+
+class TestOneShardServer:
+    """What a default server shares with every multi-shard one."""
+
+    def test_audit_is_clean_after_a_costudy_and_after_delete(self):
+        from repro.core.tune import (
+            CoStudy, HyperConf, RandomSearchAdvisor, StudyMaster, SurrogateTrainer,
+            make_workers, run_study, section71_space,
+        )
+
+        server = ParameterServer()
+        conf = HyperConf(max_trials=12, max_epochs_per_trial=20, delta=0.005)
+        master = StudyMaster(
+            "audit", conf,
+            RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(2)),
+            server, scheduler=CoStudy(rng=np.random.default_rng(9)),
+        )
+        run_study(master, make_workers(master, SurrogateTrainer(seed=2), server, conf, 3))
+        assert server.keys()
+        clean = {"keys_lost": 0, "under_replicated": [], "divergent": [],
+                 "rereplications": 0, "live_shards": ["ps-0"]}
+        assert server.audit() == {"keys": len(server.keys()), **clean}
+        assert server.repair() == 0
+        for key in server.keys():
+            server.delete(key)
+        assert server.audit() == {"keys": 0, **clean}
+        assert server.store.blocks.audit()["chunks"] == 0
+
+    @pytest.mark.parametrize("kind", ["plain", "sharded"])
+    def test_faults_propagate_then_the_breaker_answers(self, kind, manual_clock):
+        """The one-shard error contract, same under both spellings: the
+        injected fault (or the exhausted retry) reaches the caller; after
+        three in a row the shard's breaker is open and the server answers
+        ``ParameterServerError`` until the 30 s recovery window is over."""
+        ps = make_ps(kind)
+        ps.put("k", state(1.0))
+        plan = FaultPlan(
+            [FaultRule("paramserver.pull", FaultKind.EXCEPTION, max_faults=3)], seed=0
+        )
+        with chaos.active(plan):
+            for _ in range(3):
+                with pytest.raises(InjectedFault):
+                    ps.get("k")
+            with pytest.raises(ParameterServerError, match="no live"):
+                ps.get("k")
+            with pytest.raises(ParameterServerError):
+                ps.put("k", state(2.0))
+            assert plan.invocations("paramserver.pull") == 3  # not even attempted
+            manual_clock.advance(30.0)
+            np.testing.assert_allclose(ps.get("k")["layer/W"], 1.0)
+        assert ps.versions("k") == 1
+
+    @pytest.mark.parametrize("kind", ["plain", "sharded"])
+    def test_exhausted_retry_propagates(self, kind):
+        ps = make_ps(kind, retry=RetryPolicy(
+            max_attempts=2, jitter=0.0, retry_on=(InjectedFault,), seed=0))
+        plan = FaultPlan([FaultRule("paramserver.shard.ps-0.push", FaultKind.DROP)], seed=0)
+        with chaos.active(plan):
+            with pytest.raises(RetryExhaustedError):
+                ps.put("k", state(1.0))
+        assert not ps.has("k") and ps.audit()["divergent"] == []

@@ -130,6 +130,29 @@ class TestPoolLifecycle:
         for report in (first, second, fresh):
             assert sorted(r.trial.trial_id for r in report.results) == [1, 2, 3, 4]
 
+    def test_owned_pool_executor_runs_a_second_study(self, tiny_dataset):
+        """An executor that owns its pool shuts it down after each study;
+        the pool forgets its datasets then, so the executor must hand the
+        dataset over again (it used to die in ``_feed`` with a KeyError)."""
+
+        def study_through(executor):
+            master, workers = make_study(tiny_dataset, max_trials=2)
+            for worker in workers:
+                worker.backend = executor
+            with executor:
+                return report_fingerprint(run_study(master, workers))
+
+        def executor():
+            trainer = RealTrainer(tiny_dataset, build_mlp, batch_size=16,
+                                  use_augmentation=False, seed=11)
+            return PoolTrialExecutor(trainer, HyperConf(), processes=1)
+
+        reused = executor()
+        assert reused.owns_pool
+        rounds = [study_through(reused), study_through(reused)]
+        assert not reused.pool.running
+        assert rounds == [study_through(executor()), study_through(executor())]
+
     def test_shutdown_is_idempotent(self, tiny_dataset):
         pool = TrialPool(processes=1)
         master, workers = make_study(tiny_dataset, max_trials=2)

@@ -12,7 +12,7 @@ from repro.chaos import FaultKind, FaultPlan, FaultRule
 from repro.chaos.scenarios import reads_through_each_shard
 from repro.core.serve import FrontendConfig, ServeFrontend, SineArrival
 from repro.core.tune import HyperSpace
-from repro.data import BlockStore
+from repro.data import BlockStore, DataStore
 from repro.exceptions import (
     ChunkLostError,
     InjectedFault,
@@ -20,7 +20,7 @@ from repro.exceptions import (
     RequestShedError,
     StorageError,
 )
-from repro.paramserver import LRUCache, ShardedParameterServer
+from repro.paramserver import LRUCache, ParameterServer
 from repro.sim import Simulator
 from repro.utils.retry import CircuitBreaker
 from repro.zoo import majority_vote
@@ -198,7 +198,6 @@ class TestSineArrivalProperties:
 # ----------------------------------------------------------------------
 
 PS_KEYS = ("a", "b", "c")
-PS_SHARDS = ("ps-0", "ps-1", "ps-2")
 PS_DATANODES = ("dn-0", "dn-1", "dn-2")
 
 
@@ -209,7 +208,7 @@ def _ps_state(value: int) -> dict:
 
 
 class ServingTierMachine(RuleBasedStateMachine):
-    """``ShardedParameterServer`` over a 3-node store vs a plain dict.
+    """A ``SHARDS``-shard ``ParameterServer`` over a 3-node store vs a plain dict.
 
     ``safe`` tracks whether replication alone guarantees every byte:
     it drops when ``replicas`` datanodes are down at once (chunks may
@@ -221,8 +220,11 @@ class ServingTierMachine(RuleBasedStateMachine):
     bytes.
     """
 
+    SHARDS = 3
+
     def __init__(self):
         super().__init__()
+        self.shards = [f"ps-{i}" for i in range(self.SHARDS)]
         # Breakers that never open: this machine is about data, and an
         # open breaker would be a second, wall-clock-timed kind of death.
         def breaker(name):
@@ -232,8 +234,9 @@ class ServingTierMachine(RuleBasedStateMachine):
             nodes=3, replicas=2, chunk_size=64, breaker_factory=breaker
         )
         # ~2 values per shard cache: evictions and cold reads happen.
-        self.server = ShardedParameterServer(
-            shards=3, replicas=2, cache_bytes=3 * 600, block_store=self.blocks,
+        self.server = ParameterServer(
+            store=DataStore("ps-backing", block_store=self.blocks),
+            shards=self.SHARDS, cache_bytes=self.SHARDS * 600,
             breaker_factory=breaker,
         )
         self.model: dict[str, list[int]] = {}
@@ -245,7 +248,7 @@ class ServingTierMachine(RuleBasedStateMachine):
 
     @rule(key=st.sampled_from(PS_KEYS), value=st.integers(0, 3))
     def put(self, key, value):
-        if len(self.dead_shards) == len(PS_SHARDS):
+        if len(self.dead_shards) == self.SHARDS:
             with pytest.raises(ParameterServerError):
                 self.server.put(key, _ps_state(value))
         elif len(self.dead_nodes) == len(PS_DATANODES):
@@ -257,7 +260,7 @@ class ServingTierMachine(RuleBasedStateMachine):
             assert entry.version == len(self.model[key])
 
     @precondition(
-        lambda self: len(self.dead_shards) < len(PS_SHARDS)
+        lambda self: len(self.dead_shards) < self.SHARDS
         and len(self.dead_nodes) < len(PS_DATANODES)
     )
     @rule(key=st.sampled_from(PS_KEYS), value=st.integers(0, 3),
@@ -279,7 +282,7 @@ class ServingTierMachine(RuleBasedStateMachine):
         if plan.faults_injected():
             self.safe = False  # a chunk may sit on fewer nodes than the factor
 
-    @precondition(lambda self: self.model and len(self.dead_shards) < len(PS_SHARDS))
+    @precondition(lambda self: self.model and len(self.dead_shards) < self.SHARDS)
     @rule(data=st.data())
     def get_version(self, data):
         key = data.draw(st.sampled_from(sorted(self.model)))
@@ -300,13 +303,15 @@ class ServingTierMachine(RuleBasedStateMachine):
 
     # -- failures ---------------------------------------------------------
 
-    @rule(name=st.sampled_from(PS_SHARDS))
-    def kill_shard(self, name):
+    @rule(index=st.integers(0, 2))
+    def kill_shard(self, index):
+        name = self.shards[index % self.SHARDS]
         self.server.kill_shard(name)
         self.dead_shards.add(name)
 
-    @rule(name=st.sampled_from(PS_SHARDS))
-    def revive_shard(self, name):
+    @rule(index=st.integers(0, 2))
+    def revive_shard(self, index):
+        name = self.shards[index % self.SHARDS]
         self.server.revive_shard(name)
         self.dead_shards.discard(name)
 
@@ -349,7 +354,7 @@ class ServingTierMachine(RuleBasedStateMachine):
     @invariant()
     def reads_match_model(self):
         live = [s.name for s in self.server.live_shards()]
-        assert sorted(live) == sorted(set(PS_SHARDS) - self.dead_shards)
+        assert sorted(live) == sorted(set(self.shards) - self.dead_shards)
         for key, values in self.model.items():
             if not live:
                 with pytest.raises(ParameterServerError):
@@ -369,3 +374,13 @@ ServingTierMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None
 )
 TestServingTierStateMachine = ServingTierMachine.TestCase
+
+
+class OneShardServingTierMachine(ServingTierMachine):
+    """The default server's shape, hunted by the same rules."""
+
+    SHARDS = 1
+
+
+OneShardServingTierMachine.TestCase.settings = ServingTierMachine.TestCase.settings
+TestOneShardServingTierStateMachine = OneShardServingTierMachine.TestCase

@@ -377,6 +377,35 @@ class TestClusterIntegration:
         for i in range(12):
             np.testing.assert_allclose(sps.get(f"k{i}")["layer/W"], float(i))
 
+    def test_facade_node_failure_takes_real_bytes_and_loses_nothing(self):
+        """``Rafiki(ps_shards>1)`` hosts its datanodes as well as its shards."""
+        from repro.core.system import Rafiki
+
+        system = Rafiki(ps_shards=3)
+        ps, blocks = system.param_server, system.store.blocks
+        assert ps.block_store is blocks
+        for i in range(12):
+            ps.put(f"k{i}", state(float(i)))
+        datanode = next(n for n in blocks.nodes if n.chunks)
+        assert datanode.container_id in system.cluster.containers
+        system.cluster.fail_node(datanode.node_name)
+        assert datanode.deaths == 1
+        assert ps.audit()["keys_lost"] == 0
+        ps.repair()
+        audit = ps.audit()
+        assert audit["keys_lost"] == 0 and not audit["under_replicated"]
+        assert not audit["divergent"] and audit["rereplications"] > 0
+        for i in range(12):
+            np.testing.assert_allclose(ps.get(f"k{i}")["layer/W"], float(i))
+
+    def test_default_facade_registers_nothing(self):
+        from repro.core.system import Rafiki
+
+        system = Rafiki()
+        assert system.param_server.manager is None
+        assert system.store.blocks.manager is None
+        assert system.cluster.jobs == {} and system.cluster.containers == {}
+
     def test_dead_container_noticed_before_replacement(self):
         """No room for a replacement: the lazy liveness check fails over."""
         manager = ClusterManager()
@@ -458,7 +487,7 @@ class TestTelemetry:
 
 
 class TestQuota:
-    """The sharded plane enforces the same quotas as the single server."""
+    """Both planes are enforced through the one class, whatever the shard count."""
 
     @pytest.mark.parametrize("plane", ["single", "sharded"])
     def test_over_quota_put_raises_and_delete_releases(self, plane):
@@ -469,7 +498,8 @@ class TestQuota:
         tenants.register("acme", quota=TenantQuota(ps_bytes=2 * nbytes))
         system = Rafiki(ps_shards=1 if plane == "single" else 2, tenants=tenants)
         ps = system.param_server
-        assert isinstance(ps, ShardedParameterServer) == (plane == "sharded")
+        assert isinstance(ps, ParameterServer)
+        assert len(ps.shards) == (2 if plane == "sharded" else 1)
         with tenant_context("acme"):
             ps.put("k", state(1.0))
             ps.put("k", state(2.0))

@@ -16,7 +16,10 @@ from repro.core.tune import HyperConf
 from repro.data import make_image_classification
 from repro.data.store import DataStore
 from repro.exceptions import (
+    ConfigurationError,
+    DatasetNotFoundError,
     GatewayError,
+    ParameterNotFoundError,
     PlacementError,
     QuotaExceededError,
     StorageError,
@@ -366,6 +369,54 @@ class TestByteQuotas:
         assert tenants.usage("acme", "store_bytes") == 950.0
         store.delete_blob("a/blob")
         assert tenants.usage("acme", "store_bytes") == 0.0
+
+
+class TestFailedDeployReleasesQuota:
+    """A deploy that raises leaves no RUNNING job and no ``replicas`` charge."""
+
+    def _system(self, dataset):
+        tenants = TenantRegistry()
+        tenants.register("acme", quota=TenantQuota(replicas=2))
+        system = Rafiki(seed=5, tenants=tenants)
+        system.import_images(dataset)
+        entry = system.registry.select_diverse("ImageClassification", k=1)[0]
+        network = entry.builder(
+            dataset.image_shape, dataset.num_classes, np.random.default_rng(0)
+        )
+        system.param_server.put("good", network.state_dict())
+        system.param_server.put("misshapen", {"w": np.zeros(1)})
+        return system, entry.name
+
+    @pytest.mark.parametrize(
+        "param_key, data_name, error",
+        [
+            ("missing", "food", ParameterNotFoundError),
+            ("good", "no-such-dataset", DatasetNotFoundError),
+            ("misshapen", "food", ConfigurationError),
+        ],
+    )
+    def test_failed_deploy_rolls_back(self, dataset, param_key, data_name, error):
+        from repro.core.system import ModelSpec
+
+        system, model = self._system(dataset)
+
+        def spec(key):
+            return ModelSpec(model, key, 0.5, "ImageClassification", data_name)
+
+        # Three failures against a quota of two: a leak would answer the
+        # third (and every later deploy) with QuotaExceededError.
+        for _ in range(3):
+            with pytest.raises(error):
+                system.create_inference_job([spec(param_key)], tenant="acme")
+        assert system.inference_jobs == {}
+        assert system.tenants.usage("acme", "replicas") == 0.0
+        assert not any(
+            job.state is JobState.RUNNING for job in system.cluster.jobs.values()
+        )
+        good = ModelSpec(model, "good", 0.5, "ImageClassification", "food")
+        infer_id = system.create_inference_job([good, good], tenant="acme")
+        assert system.get_inference_job(infer_id).status == "running"
+        assert system.tenants.usage("acme", "replicas") == 2.0
 
 
 class TestGatewayTenancy:

@@ -1,0 +1,95 @@
+"""Print the size tallies CHANGES.md quotes: lines, names, options, globals.
+
+Per package under ``src/repro`` (its own modules; sub-packages have
+their own row): source lines, ``len(__all__)``, and the constructor
+parameters of every class (or capitalised constructor function) the
+package exports; then every module-level mutable global in
+``src/`` — a name some function rebinds through ``global``, or one bound
+to a ``ContextVar`` / ``itertools.count`` at module level.
+
+    python tools/tally.py [--classes]
+
+Printed for the record (CI runs it after the tests), never gated.
+``--classes`` lists every exported class with its parameter count
+instead of only the per-package totals.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent / "src"
+MUTABLE_FACTORIES = {"ContextVar", "count"}
+
+
+def lines(package: Path) -> int:
+    return sum(
+        len(f.read_text(encoding="utf-8").splitlines()) for f in package.glob("*.py")
+    )
+
+
+def constructors(module) -> dict[str, int]:
+    """Parameter count of each exported class / capitalised constructor."""
+    out = {}
+    for name in getattr(module, "__all__", ()):
+        obj = getattr(module, name)
+        if inspect.isclass(obj) or (inspect.isfunction(obj) and name[0].isupper()):
+            try:
+                out[name] = len(inspect.signature(obj).parameters)
+            except ValueError:  # an exception class with no __init__ of its own
+                out[name] = 0
+    return out
+
+
+def mutable_globals(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {
+        name
+        for node in ast.walk(tree) if isinstance(node, ast.Global)
+        for name in node.names
+    }
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(value, ast.Call):
+            func = value.func
+            if getattr(func, "attr", getattr(func, "id", "")) in MUTABLE_FACTORIES:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return sorted(names)
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT))
+    packages = sorted(init.parent for init in ROOT.rglob("__init__.py"))
+    print(f"{'package':<26} {'lines':>6} {'__all__':>8} {'classes':>8} {'ctor params':>12}")
+    total, detail = 0, []
+    for path in packages:
+        dotted = ".".join(path.relative_to(ROOT).parts)
+        module = importlib.import_module(dotted)
+        ctors = constructors(module)
+        n = lines(path)
+        total += n
+        print(f"{dotted:<26} {n:>6} {len(getattr(module, '__all__', ())):>8} "
+              f"{len(ctors):>8} {sum(ctors.values()):>12}")
+        detail += [(dotted, name, count) for name, count in sorted(ctors.items())]
+    print(f"{'src/ total':<26} {total:>6}")
+    if "--classes" in sys.argv[1:]:
+        print()
+        for dotted, name, count in detail:
+            print(f"  {dotted}.{name}: {count}")
+    found = [
+        f"{path.relative_to(ROOT)}:{name}"
+        for path in sorted(ROOT.rglob("*.py")) for name in mutable_globals(path)
+    ]
+    print(f"\nmodule-level mutable globals: {len(found)}")
+    for entry in found:
+        print(f"  {entry}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
