@@ -45,6 +45,7 @@ from repro.exceptions import (
     QuotaExceededError,
     RafikiError,
     RequestShedError,
+    ServingError,
     TenantAccessError,
 )
 from repro.tenancy import DEFAULT_TENANT, current_tenant, tenant_context
@@ -260,6 +261,10 @@ class Gateway:
                 "reason": getattr(exc, "reason", "queue_full"),
                 "retry_after": float(getattr(exc, "retry_after", 0.1)),
             })
+        if isinstance(exc, ServingError):
+            # No live model replica: a server-side outage that ends when
+            # a breaker's recovery window does - 503, never the client's 400.
+            return Response(503, {"error": str(exc), "retry_after": 1.0})
         if isinstance(exc, QuotaExceededError):
             # Over quota is a *temporary* condition — the tenant can
             # free capacity (stop a job, delete parameters) and retry —
@@ -325,8 +330,13 @@ class Gateway:
             if call.handler == self._post_query:
                 frontend = self._frontends.get(call.params["job_id"])
             if frontend is not None:
+                # Checked before submit: a malformed image must not take
+                # a queue slot or a rate-limit token.
+                image = self._query_image(
+                    call.payload, call.params["job_id"], batch=False
+                )
                 call.result = await frontend.submit(
-                    _query_image(call.payload), client_id=client_id, tenant=call.tenant
+                    image, client_id=client_id, tenant=call.tenant
                 )
             elif call.handler is not None:
                 self._dispatch(call)
@@ -476,7 +486,14 @@ class Gateway:
         return {"job_id": job_id, "status": "stopped"}
 
     def _post_query(self, body: dict, job_id: str) -> dict:
-        return self.system.query(job_id, _query_image(body))
+        return self.system.query(job_id, self._query_image(body, job_id))
+
+    def _query_image(self, body: Any, job_id: str, batch: bool = True) -> np.ndarray:
+        """The image a ``POST /query`` body carries, checked, or 400."""
+        if "img" not in body:
+            raise GatewayError("POST /query requires 'img'")
+        expected = self.system.get_inference_job(job_id).image_shape
+        return _parse_image(body["img"], expected, batch)
 
     def attach_sql_database(self, database: Any) -> None:
         """Serve ``POST /sql`` from this :class:`~repro.sqlext.Database`.
@@ -512,25 +529,24 @@ class Gateway:
         return dashboard_data(self.system)
 
 
-def _query_image(body: Any) -> np.ndarray:
-    """The image a ``POST /query`` body carries, or 400."""
-    if "img" not in body:
-        raise GatewayError("POST /query requires 'img'")
-    return _parse_image(body["img"])
+def _parse_image(raw: Any, expected: tuple[int, ...], batch: bool = False) -> np.ndarray:
+    """Decode an image of the job's ``expected`` shape (or, with ``batch``,
+    a stack of them) into a float array, or 400.
 
-
-def _parse_image(raw: Any) -> np.ndarray:
-    """Decode a request's image payload into a float array, or 400.
-
-    A ragged nested list raises ``ValueError`` out of ``np.asarray``;
-    without this guard that crashes the server loop (sync path) or
-    poisons a whole batch (async path) instead of answering 400 for the
-    one malformed request.
+    A ragged nested list raises ``ValueError`` out of ``np.asarray``, a
+    wrong-shaped array out of the first convolution; without this guard
+    that crashes the server loop (sync path) or poisons a whole batch
+    (async path) instead of answering 400 for the one malformed request.
     """
     try:
-        return np.asarray(raw, dtype=np.float64)
+        array = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise GatewayError(f"'img' is not a numeric image: {exc}") from exc
+    if array.shape != expected and not (batch and array.shape[1:] == expected):
+        raise GatewayError(
+            f"image shape {array.shape} does not match expected {expected}"
+        )
+    return array
 
 
 def make_query_executor(system: Rafiki, job_id: str) -> Callable[..., list]:
@@ -559,16 +575,10 @@ def make_query_executor(system: Rafiki, job_id: str) -> Callable[..., list]:
         kept: list[int] = []
         for index, payload in enumerate(payloads):
             try:
-                array = _parse_image(payload)
+                arrays.append(_parse_image(payload, expected))
             except GatewayError as exc:
                 results[index] = exc
                 continue
-            if array.shape != expected:
-                results[index] = GatewayError(
-                    f"image shape {array.shape} does not match expected {expected}"
-                )
-                continue
-            arrays.append(array)
             kept.append(index)
         if arrays:
             result = system.query(job_id, np.stack(arrays), models)

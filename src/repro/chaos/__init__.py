@@ -16,9 +16,9 @@ machinery that *proves* it:
   :class:`~repro.utils.retry.CircuitBreaker`, the policies the
   instrumented subsystems recover with.
 
-End-to-end seeded scenarios live in :mod:`repro.chaos.scenarios`
-(imported explicitly by the CLI and tests — not here, to keep this
-package import-light).
+End-to-end seeded scenarios (run/check/table specs behind one runner)
+live in :mod:`repro.chaos.scenarios` — imported explicitly by the CLI
+and tests, not here, to keep this package import-light.
 
 Fault-point names currently wired in:
 

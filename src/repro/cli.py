@@ -11,21 +11,12 @@ Commands:
 * ``sql`` — the Section 8 case study in miniature;
 * ``telemetry`` — exercise every subsystem briefly and print the
   unified metrics snapshot (JSON or Prometheus text exposition);
-* ``chaos`` — run the seeded fault-injection scenario across tune,
-  serve, the parameter server and the gateway, and report the recovery
-  trace (``--verify`` re-runs it and asserts the trace is identical);
+* ``chaos`` — run one of the seeded fault-injection scenarios
+  (``--scenario default|shard-kill|store-kill|tenants``), print its
+  summary and exit non-zero unless its checks pass (``--verify`` also
+  re-runs it and requires an identical trace);
 * ``serve`` — drive the admission-controlled serving front end under
-  open/closed-loop generated load (docs/SERVING.md);
-* ``store`` — exercise the chunked, content-addressable, replicated
-  block store: write near-duplicate checkpoint versions and report the
-  dedup/replication audit (``--kill`` adds a datanode kill + repair +
-  rejoin reconciliation; ``--scenario`` runs the seeded mid-write/
-  mid-read store-kill chaos scenario, ``--verify`` asserting the trace
-  is bit-identical across two same-seed runs);
-* ``tenants`` — run the seeded tenant-isolation scenario: a noisy
-  tenant floods and crash-loops while a quiet tenant's jobs keep
-  placing and its served p99 stays within 2x the SLO (``--verify``
-  asserts the trace is bit-identical across two same-seed runs).
+  open/closed-loop generated load (docs/SERVING.md).
 """
 
 from __future__ import annotations
@@ -35,6 +26,8 @@ import os
 import sys
 
 import numpy as np
+
+from repro.chaos.scenarios import SCENARIOS, run_scenario
 
 __all__ = ["main", "build_parser"]
 
@@ -107,24 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos_cmd = sub.add_parser(
         "chaos",
-        help="run the seeded chaos scenario and print the recovery trace",
+        help="run a seeded chaos scenario, print its summary and check it",
     )
+    chaos_cmd.add_argument("--scenario", choices=tuple(SCENARIOS), default="default")
     chaos_cmd.add_argument("--seed", type=int, default=0)
     chaos_cmd.add_argument("--json", action="store_true",
                            help="print the full result (trace included) as JSON")
     chaos_cmd.add_argument("--verify", action="store_true",
                            help="run the scenario twice and require identical traces")
-
-    tenants_cmd = sub.add_parser(
-        "tenants",
-        help="run the seeded tenant-isolation scenario and print the verdict",
-    )
-    tenants_cmd.add_argument("--seed", type=int, default=0)
-    tenants_cmd.add_argument("--json", action="store_true",
-                             help="print the full result (trace included) as JSON")
-    tenants_cmd.add_argument("--verify", action="store_true",
-                             help="run the scenario twice and require identical "
-                                  "traces")
 
     serve_cmd = sub.add_parser(
         "serve", help="drive the serving path under generated load"
@@ -155,32 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--json", action="store_true",
                            help="print the summary as JSON")
 
-    store_cmd = sub.add_parser(
-        "store",
-        help="exercise the chunked, replicated block store and audit it",
-    )
-    store_cmd.add_argument("--nodes", type=int, default=3,
-                           help="datanodes in the store")
-    store_cmd.add_argument("--replicas", type=int, default=2,
-                           help="copies of each chunk")
-    store_cmd.add_argument("--chunk-size", type=int, default=4096,
-                           help="chunk size in bytes")
-    store_cmd.add_argument("--versions", type=int, default=10,
-                           help="near-duplicate checkpoint versions to write")
-    store_cmd.add_argument("--size", type=int, default=64 * 1024,
-                           help="checkpoint size in bytes")
-    store_cmd.add_argument("--kill", action="store_true",
-                           help="kill a datanode after writing, then repair "
-                                "and reconcile its rejoin")
-    store_cmd.add_argument("--scenario", action="store_true",
-                           help="run the seeded store-kill chaos scenario "
-                                "(mid-write + mid-read datanode kills) instead")
-    store_cmd.add_argument("--verify", action="store_true",
-                           help="with --scenario: run twice and require "
-                                "identical recovery traces")
-    store_cmd.add_argument("--seed", type=int, default=0)
-    store_cmd.add_argument("--json", action="store_true",
-                           help="print the full result as JSON")
     return parser
 
 
@@ -452,171 +409,8 @@ def _cmd_telemetry(args) -> int:
     return 0
 
 
-def _run_scenario(args, run, noun: str = "recovery trace") -> dict | None:
-    """Run a seeded scenario; ``--verify`` runs it twice and compares traces.
-
-    Returns the (first) result, or ``None`` after printing the failure
-    when the two same-seed traces differ.
-    """
-    from repro.chaos.scenarios import same_seed_rerun
-
-    if not args.verify:
-        return run()
-    out, identical = same_seed_rerun(run)
-    if not identical:
-        print(f"FAIL: {noun}s differ across same-seed runs", file=sys.stderr)
-        return None
-    return out
-
-
 def _cmd_chaos(args) -> int:
-    """Run the seeded chaos scenario and summarise the recovery trace."""
-    import json
-
-    from repro.chaos.scenarios import run_chaos_scenario
-
-    out = _run_scenario(args, lambda: run_chaos_scenario(seed=args.seed))
-    if out is None:
-        return 1
-    if args.json:
-        print(json.dumps(out, indent=2, sort_keys=True))
-        return 0
-    tune, serve, facade = (out["results"][k] for k in ("tune", "serve", "facade"))
-    print(f"chaos scenario (seed {out['seed']}): "
-          f"{out['faults_injected']} faults injected")
-    print(f"  kinds:  {', '.join(out['kinds_hit'])}")
-    print(f"  points: {', '.join(out['points_hit'])}")
-    print(f"tune:   {tune['trials']} trials, best {tune['best_performance']:.4f} "
-          f"(trial {tune['best_trial_id']}), {tune['recoveries']} container "
-          f"recoveries, {tune['wall_time'] / 3600:.1f} simulated hours")
-    print(f"serve:  {serve['served']} served, {serve['requeued']} batches re-queued "
-          f"after failed dispatch, {serve['dropped']} dropped, "
-          f"SLO fraction {serve['slo_fraction']:.3f}")
-    print(f"facade: statuses {facade['statuses']}; replicas live "
-          f"{facade['live_during_outage']} during outage, "
-          f"{facade['live_after_recovery']} after recovery "
-          f"(breaker {facade['breaker_state']})")
-    if args.verify:
-        print("verify: recovery trace identical across two same-seed runs")
-    return 0
-
-
-def _cmd_tenants(args) -> int:
-    """Run the tenant-isolation scenario and print the isolation verdict."""
-    import json
-
-    from repro.chaos.scenarios import run_tenant_isolation_scenario
-
-    out = _run_scenario(
-        args, lambda: run_tenant_isolation_scenario(seed=args.seed),
-        noun="tenant-isolation trace",
-    )
-    if out is None:
-        return 1
-    if args.json:
-        print(json.dumps(out, indent=2, sort_keys=True))
-        return 0
-    cluster = out["results"]["cluster"]
-    isolation = out["results"]["isolation"]
-    serve_a = out["results"]["serve"]["tenant-a"]
-    serve_b = out["results"]["serve"]["tenant-b"]
-    ok = isolation["zero_b_sheds"] and isolation["b_p99_within_2tau"]
-    print(f"tenant isolation (seed {out['seed']}): "
-          f"{out['faults_injected']} admission faults aimed at tenant-a")
-    print(f"cluster: flood {cluster['flood_states']}; "
-          f"{cluster['crash_cycles']} crash cycles on {cluster['crash_host']}; "
-          f"B survived: {cluster['b1_survived_crash_loop']}; "
-          f"fair drain winner: {cluster['fair_share_winner']}")
-    print(f"serve:   A offered {serve_a['offered']} "
-          f"(shed rate {serve_a['shed_rate']:.2f}); "
-          f"B offered {serve_b['offered']}, shed {serve_b['shed']}, "
-          f"p99 {serve_b['p99_s'] * 1000:.0f}ms vs 2*tau "
-          f"{2 * isolation['tau'] * 1000:.0f}ms")
-    print(f"verdict: {'ISOLATED' if ok else 'VIOLATED'}")
-    if args.verify:
-        print("verify: trace identical across two same-seed runs")
-    return 0 if ok else 1
-
-
-def _cmd_store(args) -> int:
-    """Exercise the chunked block store: dedup, kill/repair, audit."""
-    import json
-
-    if args.scenario:
-        from repro.chaos.scenarios import run_store_kill_scenario
-
-        out = _run_scenario(args, lambda: run_store_kill_scenario(
-            seed=args.seed, datanodes=args.nodes, replicas=args.replicas
-        ))
-        if out is None:
-            return 1
-        if args.json:
-            print(json.dumps(out, indent=2, sort_keys=True))
-            return 0
-        audit, results = out["audit"], out["results"]
-        print(f"store-kill scenario (seed {out['seed']}): "
-              f"{out['faults_injected']} faults injected")
-        print(f"  mid-write kill: datanode {out['victims']['mid_write']['datanode']} "
-              f"on {out['victims']['mid_write']['node']} "
-              f"(version intact: {results['mid_write_intact']})")
-        print(f"  mid-read kill:  datanode {out['victims']['mid_read']['datanode']} "
-              f"on {out['victims']['mid_read']['node']} "
-              f"(read intact: {results['mid_read_intact']})")
-        print(f"  repair: {results['repaired_after_write']} copies after the "
-              f"write kill, {results['repaired_final']} after recovery; "
-              f"{audit['trash_reconciled']} stale chunks reconciled on rejoin")
-        print(f"  audit: {audit['chunks']} chunks, lost {audit['lost']}, "
-              f"under-replicated {audit['under_replicated']}, "
-              f"corrupt files {out['corrupt']}")
-        if args.verify:
-            print("verify: recovery trace identical across two same-seed runs")
-        return 1 if (out["corrupt"] or audit["lost"]) else 0
-
-    from repro.data import BlockStore, FileNamespace
-
-    store = BlockStore(nodes=args.nodes, replicas=args.replicas,
-                       chunk_size=args.chunk_size)
-    fs = FileNamespace(store, name="cli")
-    rng = np.random.default_rng(args.seed)
-    ckpt = bytearray(rng.integers(0, 256, args.size, dtype=np.uint8).tobytes())
-    for version in range(args.versions):
-        offset = (version * 997) % max(1, len(ckpt) - 64)
-        ckpt[offset : offset + 64] = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
-        fs.write("model/ckpt", bytes(ckpt), writer="cli")
-    read_back_ok = fs.read("model/ckpt") == bytes(ckpt)
-    killed = repaired = reconciled = None
-    if args.kill and args.nodes > 1:
-        victim = store.nodes[0].name
-        store.kill_node(victim)
-        repaired = store.repair()
-        read_back_ok = read_back_ok and fs.read("model/ckpt") == bytes(ckpt)
-        reconciled = store.rejoin_node(victim)
-        killed = victim
-    audit = store.audit()
-    if args.json:
-        print(json.dumps({
-            "audit": audit,
-            "versions": len(fs.versions("model/ckpt")),
-            "read_back_ok": read_back_ok,
-            "killed": killed,
-            "repaired": repaired,
-            "reconciled": reconciled,
-        }, indent=2, sort_keys=True))
-        return 0 if read_back_ok else 1
-    print(f"block store: {args.nodes} datanodes, R={store.replicas}, "
-          f"{store.chunk_size}B chunks")
-    print(f"wrote {args.versions} near-duplicate versions of model/ckpt "
-          f"({args.size}B each): {audit['chunks']} unique chunks")
-    print(f"dedup: {audit['logical_bytes']}B logical -> "
-          f"{audit['unique_bytes']}B unique ({audit['dedup_ratio']}x, "
-          f"{audit['dedup_hits']} chunk hits)")
-    if killed is not None:
-        print(f"killed {killed}: {repaired} chunks re-replicated, "
-              f"{reconciled} stale chunks reconciled on rejoin")
-    print(f"audit: lost {audit['lost']}, under-replicated "
-          f"{audit['under_replicated']}, live {audit['live_nodes']}, "
-          f"read-back {'ok' if read_back_ok else 'CORRUPT'}")
-    return 0 if read_back_ok else 1
+    return run_scenario(args.scenario, args.seed, args.verify, args.json)
 
 
 def _cmd_serve(args) -> int:
@@ -690,8 +484,6 @@ _COMMANDS = {
     "telemetry": _cmd_telemetry,
     "chaos": _cmd_chaos,
     "serve": _cmd_serve,
-    "store": _cmd_store,
-    "tenants": _cmd_tenants,
 }
 
 

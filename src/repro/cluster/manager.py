@@ -467,9 +467,10 @@ class ClusterManager:
     # failure recovery
     # ------------------------------------------------------------------
 
-    def on_recovery(self, hook: Callable[[Container], None]) -> None:
-        """Register a callback invoked with every restarted container."""
+    def on_recovery(self, hook: Callable[[Container], None]) -> Callable[[], None]:
+        """Call ``hook`` with every restarted container; returns its unregister call."""
         self._recovery_hooks.append(hook)
+        return lambda: self._recovery_hooks.remove(hook)
 
     def fail_node(self, node_name: str) -> list[Container]:
         """Fail a node and recover its containers elsewhere.

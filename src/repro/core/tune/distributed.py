@@ -74,7 +74,8 @@ def run_cluster_study(
     study.job_id = job.job_id
 
     def start_worker(container: Container) -> None:
-        if container.role is not ContainerRole.WORKER:
+        # The hook hears every job's recoveries on this manager.
+        if container.job_id != job.job_id or container.role is not ContainerRole.WORKER:
             return
         study.workers_started += 1
         worker = TuneWorker(
@@ -114,16 +115,19 @@ def run_cluster_study(
             worker_process(worker, master, study.workers, study.in_flight, alive)
         )
 
-    manager.on_recovery(start_worker)
-    for container in job.workers:
-        start_worker(container)
+    unregister = manager.on_recovery(start_worker)
+    try:
+        for container in job.workers:
+            start_worker(container)
 
-    if failure_plan:
-        injector = FailureInjector(manager)
-        for delay, node_name, recover_after in failure_plan:
-            injector.schedule_failure(sim, delay, node_name, recover_after)
+        if failure_plan:
+            injector = FailureInjector(manager)
+            for delay, node_name, recover_after in failure_plan:
+                injector.schedule_failure(sim, delay, node_name, recover_after)
 
-    sim.run(max_events=max_events)
+        sim.run(max_events=max_events)
+    finally:
+        unregister()
     if manager.jobs[job.job_id].state in (JobState.RUNNING, JobState.DEGRADED):
         manager.complete_job(job.job_id)
     manager.checkpoints.save(master.study_name, master.checkpoint_state())

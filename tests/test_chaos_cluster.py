@@ -165,6 +165,36 @@ class TestNodeFailureRecovery:
         assert len(report.results) >= 12
         assert report.best_performance > 0
 
+    def test_a_finished_study_no_longer_answers_recoveries(self, monkeypatch):
+        """Regression: ``run_cluster_study`` left its recovery hook on the
+        manager, so the next study's replacement containers each started
+        a worker of the finished study as well."""
+        from repro.core.tune import distributed
+
+        built = []
+        real = distributed.TuneWorker
+        monkeypatch.setattr(
+            distributed, "TuneWorker",
+            lambda **kwargs: built.append(kwargs["name"]) or real(**kwargs),
+        )
+        manager = make_cluster()
+        hooks_before = len(manager._recovery_hooks)
+        for name in ("first", "second"):
+            ps = ParameterServer()
+            conf = HyperConf(max_trials=8, max_epochs_per_trial=20)
+            master = StudyMaster(
+                name, conf,
+                RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(0)),
+                ps,
+            )
+            run_cluster_study(
+                manager, master, SurrogateTrainer(seed=0), ps, conf,
+                num_workers=2, failure_plan=[(150.0, "n0", 400.0)],
+            )
+            assert len(manager._recovery_hooks) == hooks_before
+        # per study: two workers, both on n0, both replaced once
+        assert len(built) == len(set(built)) == 8
+
 
 class TestDegradedJobs:
     def make_tight_cluster(self):

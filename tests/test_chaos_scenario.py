@@ -4,14 +4,20 @@ One scenario run injects exceptions, drops and latency across tuning,
 the parameter server, serving and the gateway; the systems must recover
 (right answers, no lost work) AND the recovery trace — the fault log
 plus every retry/circuit/recovery counter — must be bit-identical
-across two runs with the same seed.
+across two runs with the same seed. The verdict (``check``), the
+determinism pair and the CLI gate run once here for every scenario in
+the registry; what a particular scenario must have exercised stays
+beside the subsystem it kills (test_blockstore, test_sharded_paramserver,
+test_tenancy).
 """
 
+import copy
 import json
 
 import pytest
 
 from repro.chaos.scenarios import (
+    SCENARIOS,
     TRACE_METRIC_PREFIXES,
     build_default_plan,
     run_chaos_scenario,
@@ -23,15 +29,55 @@ from repro.cli import main
 
 pytestmark = pytest.mark.chaos
 
-# the scenario is ~2s of work; compute each seed's outcome once
-_SEED0_RUNS = {}
+every_scenario = pytest.mark.parametrize("name", sorted(SCENARIOS))
+
+# the default scenario is ~2s of work; compute each outcome once
+_RUNS = {}
 
 
-def scenario(seed=0, run=0):
-    key = (seed, run)
-    if key not in _SEED0_RUNS:
-        _SEED0_RUNS[key] = run_chaos_scenario(seed=seed)
-    return _SEED0_RUNS[key]
+def scenario(seed=0, run=0, name="default"):
+    key = (name, seed, run)
+    if key not in _RUNS:
+        _RUNS[key] = SCENARIOS[name].run(seed)
+    return _RUNS[key]
+
+
+def _lose_a_key(out):
+    out["audit"]["keys_lost"] = 1
+
+
+def _corrupt_a_file(out):
+    out["corrupt"] = ["model/ckpt@3"]
+
+
+def _shed_tenant_b(out):
+    out["results"]["isolation"]["b_shed"] = 1
+
+
+def _drop_a_request(out):
+    out["results"]["serve"]["served"] -= 1
+
+
+#: scenario -> (a way to break a healthy seed-0 ``out``, how check names it)
+TAMPERED = {
+    "default": (_drop_a_request, "serve requests dropped: 1"),
+    "shard-kill": (_lose_a_key, "keys lost: 1"),
+    "store-kill": (_corrupt_a_file, "corrupt files: ['model/ckpt@3']"),
+    "tenants": (_shed_tenant_b, "tenant-b requests shed: 1"),
+}
+
+
+class TestScenarioVerdicts:
+    @every_scenario
+    def test_check_passes_at_seed_0(self, name):
+        assert SCENARIOS[name].check(scenario(name=name)) == []
+
+    @every_scenario
+    def test_check_names_what_a_tampered_run_lost(self, name):
+        tamper, failure = TAMPERED[name]
+        out = copy.deepcopy(scenario(name=name))
+        tamper(out)
+        assert SCENARIOS[name].check(out) == [failure]
 
 
 class TestScenarioCoverage:
@@ -82,11 +128,9 @@ class TestScenarioCoverage:
 
 
 class TestScenarioDeterminism:
-    def test_same_seed_traces_are_identical(self):
-        first, second = scenario(0, run=0), scenario(0, run=1)
-        assert first["trace"]["faults"] == second["trace"]["faults"]
-        assert first["trace"]["counters"] == second["trace"]["counters"]
-        assert first["results"] == second["results"]
+    @every_scenario
+    def test_same_seed_traces_are_identical(self, name):
+        assert scenario(0, run=0, name=name) == scenario(0, run=1, name=name)
 
     def test_traces_do_not_depend_on_what_ran_before(self):
         """Each scenario alone, then each again after the other
@@ -97,8 +141,10 @@ class TestScenarioDeterminism:
         )
         from repro.paramserver import ParameterServer
 
+        # the importable names are the registry's run functions
         scenarios = [run_chaos_scenario, run_shard_kill_scenario,
                      run_store_kill_scenario, run_tenant_isolation_scenario]
+        assert scenarios == [SCENARIOS[name].run for name in SCENARIOS]
         before = [run(seed=0)["trace"] for run in scenarios]
         conf, ps = HyperConf(max_trials=5), ParameterServer()
         master = StudyMaster("unrelated", conf,
@@ -107,8 +153,9 @@ class TestScenarioDeterminism:
         after = [run(seed=0)["trace"] for run in reversed(scenarios)]
         assert after[::-1] == before
 
-    def test_different_seed_traces_differ(self):
-        assert scenario(0)["trace"] != scenario(7)["trace"]
+    @every_scenario
+    def test_different_seed_traces_differ(self, name):
+        assert scenario(0, name=name)["trace"] != scenario(7, name=name)["trace"]
 
     def test_trace_is_json_serialisable(self):
         out = scenario()
@@ -142,3 +189,29 @@ class TestCliSmoke:
         assert out["seed"] == 0
         assert out["faults_injected"] >= 3
         assert set(out["results"]) == {"tune", "serve", "facade"}
+
+    @every_scenario
+    def test_scenario_verifies(self, name, capsys):
+        assert main(["chaos", "--scenario", name, "--seed", "0", "--verify"]) == 0
+        captured = capsys.readouterr()
+        assert "identical across two same-seed runs" in captured.out
+        assert captured.err == ""
+
+    @every_scenario
+    def test_scenario_json_round_trips(self, name, capsys):
+        assert main(["chaos", "--scenario", name, "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads(json.dumps(scenario(name=name)))
+
+    def test_failed_check_is_named_and_exits_non_zero(self, monkeypatch, capsys):
+        monkeypatch.setattr(SCENARIOS["store-kill"], "check",
+                            lambda out: ["dn-0 ate a chunk"])
+        assert main(["chaos", "--scenario", "store-kill"]) == 1
+        assert "FAIL [store-kill]: dn-0 ate a chunk" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["tenants", "store"])
+    def test_folded_verbs_are_gone(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -364,6 +364,39 @@ class TestOneGatewayPipeline:
             assert response.status == 403
         assert info.queries_served == 0
 
+    @pytest.mark.parametrize("shape", [(3, 5, 5), (8, 8), (1, 1, 3, 8, 8)])
+    def test_wrong_shaped_image_is_400_and_takes_no_slot(self, deployed, shape):
+        """Regression: the sync route raised ``ValueError`` out of the first
+        convolution, and the async one queued the image before refusing it."""
+        system, infer_id, info, dataset = deployed
+        assert info.image_shape == (3, 8, 8)
+        gateway = Gateway(system)
+        frontend = AsyncServeFrontend(
+            FrontendConfig(latency=lambda b: 0.001, tau=0.5, batch_sizes=(1, 2)),
+            make_query_executor(system, infer_id),
+        )
+        path, body = f"/query/{infer_id}", {"img": np.zeros(shape).tolist()}
+        sync = gateway.handle("POST", path, body)
+        gateway.attach_frontend(infer_id, frontend)
+
+        async def scenario():
+            async with frontend:
+                return await gateway.handle_async("POST", path, body)
+
+        for response in (sync, asyncio.run(scenario())):
+            assert response.status == 400
+            assert f"{shape} does not match expected (3, 8, 8)" in response.body["error"]
+        assert frontend.core.admitted == 0
+        assert info.queries_served == 0
+
+    def test_a_batch_of_images_is_still_one_sync_query(self, deployed):
+        system, infer_id, info, dataset = deployed
+        response = Gateway(system).handle(
+            "POST", f"/query/{infer_id}", {"img": dataset.test_x[:3].tolist()}
+        )
+        assert response.status == 200
+        assert len(response.body["label"]) == 3
+
 
 class TestDegradedEnsemble:
     def _fault(self, info):
@@ -406,3 +439,19 @@ class TestDegradedEnsemble:
         assert result["label"] == [votes[0] for votes in result["votes"]]
         # the full answer is still what the cache holds
         assert system.query(infer_id, cached) == full
+
+    def test_no_live_replica_is_a_503_not_the_clients_400(self, deployed):
+        """Regression: ``ServingError`` fell through to the generic 400."""
+        system, infer_id, info, dataset = deployed
+        gateway = Gateway(system)
+        path = f"/query/{infer_id}"
+        healthy, outage = ({"img": image.tolist()} for image in dataset.test_x[:2])
+        assert gateway.handle("POST", path, healthy).status == 200
+        for breaker in info.breakers:
+            for _ in range(breaker.failure_threshold):
+                breaker.record_failure()
+        assert info.live_replicas() == []
+        response = gateway.handle("POST", path, outage)
+        assert response.status == 503
+        assert "no live model replicas" in response.body["error"]
+        assert response.body["retry_after"] > 0.0

@@ -1,7 +1,5 @@
 """Tests for the parameter-server serving tier over the block store."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -521,33 +519,13 @@ class TestQuota:
 @pytest.mark.chaos
 class TestShardKillScenario:
     def test_shard_kill_mid_study_loses_nothing(self):
-        from repro.chaos.scenarios import run_shard_kill_scenario
+        from repro.chaos.scenarios import shard_kill
 
-        result = run_shard_kill_scenario(seed=0)
+        result = shard_kill.run(seed=0)
+        # the verdict is the spec's; here: the kill really happened
+        assert shard_kill.check(result) == []
         assert result["victim"]["deaths"] >= 1
         # the failed node took real bytes with it, not just a cache
         assert result["victim"]["datanodes"]
-        audit = result["audit"]
-        assert audit["keys_lost"] == 0
-        assert not audit["under_replicated"] and not audit["divergent"]
-        assert audit["rereplications"] > 0
-        assert result["stale"] == []
+        assert result["audit"]["rereplications"] > 0
         assert result["results"]["trials"] >= 16
-
-    def test_same_seed_traces_bit_identical(self):
-        from repro.chaos.scenarios import run_shard_kill_scenario
-
-        first = run_shard_kill_scenario(seed=0)
-        second = run_shard_kill_scenario(seed=0)
-        assert json.dumps(first["trace"], sort_keys=True) == json.dumps(
-            second["trace"], sort_keys=True
-        )
-
-    def test_different_seed_traces_differ(self):
-        from repro.chaos.scenarios import run_shard_kill_scenario
-
-        first = run_shard_kill_scenario(seed=0)
-        other = run_shard_kill_scenario(seed=3)
-        assert json.dumps(first["trace"], sort_keys=True) != json.dumps(
-            other["trace"], sort_keys=True
-        )

@@ -752,23 +752,10 @@ class TestSDKTenancy:
 @pytest.mark.chaos
 class TestTenantIsolationScenario:
     def test_isolation_gate_holds(self):
-        from repro.chaos.scenarios import run_tenant_isolation_scenario
+        from repro.chaos.scenarios import tenants
 
-        out = run_tenant_isolation_scenario(seed=3)
-        cluster = out["results"]["cluster"]
-        isolation = out["results"]["isolation"]
-        assert cluster["b1_survived_crash_loop"]
-        assert cluster["fair_share_winner"] == "tenant-b"
-        assert isolation["zero_b_sheds"]
-        assert isolation["b_p99_within_2tau"]
+        out = tenants.run(seed=3)
+        # the verdict is the spec's; here: tenant A really was attacked
+        assert tenants.check(out) == []
         assert out["faults_injected"] > 0
         assert out["points_hit"] == ["frontend.accept.tenant.tenant-a"]
-
-    def test_trace_bit_identical_per_seed(self):
-        from repro.chaos.scenarios import run_tenant_isolation_scenario
-
-        first = run_tenant_isolation_scenario(seed=0)
-        second = run_tenant_isolation_scenario(seed=0)
-        assert first["trace"] == second["trace"]
-        different = run_tenant_isolation_scenario(seed=9)
-        assert different["trace"] != first["trace"]

@@ -5,7 +5,8 @@ their own row): source lines, ``len(__all__)``, and the constructor
 parameters of every class (or capitalised constructor function) the
 package exports; then every module-level mutable global in
 ``src/`` — a name some function rebinds through ``global``, or one bound
-to a ``ContextVar`` / ``itertools.count`` at module level.
+to a ``ContextVar`` / ``itertools.count`` at module level; then the CLI's
+verbs and their flags, read off ``repro.cli.build_parser()``.
 
     python tools/tally.py [--classes]
 
@@ -16,6 +17,7 @@ instead of only the per-package totals.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -62,6 +64,20 @@ def mutable_globals(path: Path) -> list[str]:
     return sorted(names)
 
 
+def cli_verbs() -> dict[str, int]:
+    """Flag count of each ``repro`` verb (``-h`` not counted)."""
+    from repro.cli import build_parser
+
+    verbs = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        verb: sum(1 for a in parser._actions if a.option_strings and a.dest != "help")
+        for verb, parser in verbs.choices.items()
+    }
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT))
     packages = sorted(init.parent for init in ROOT.rglob("__init__.py"))
@@ -88,6 +104,9 @@ def main() -> int:
     print(f"\nmodule-level mutable globals: {len(found)}")
     for entry in found:
         print(f"  {entry}")
+    verbs = cli_verbs()
+    print(f"\nCLI: {len(verbs)} verbs, {sum(verbs.values())} flags")
+    print("  " + ", ".join(f"{verb} {flags}" for verb, flags in verbs.items()))
     return 0
 
 
