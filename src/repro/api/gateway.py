@@ -479,7 +479,12 @@ class Gateway:
         }
 
     def _redeploy_inference(self, body: dict, job_id: str) -> dict:
-        return self.system.redeploy_inference_job(job_id)
+        reloaded = self.system.redeploy_inference_job(job_id)
+        # A memoised UDF answer must not outlive the parameters that
+        # produced it, any more than the job's own prediction cache.
+        if self._sql_database is not None:
+            self._sql_database.invalidate_udf_cache()
+        return reloaded
 
     def _stop_inference(self, body: dict, job_id: str) -> dict:
         self.system.stop_inference_job(job_id)

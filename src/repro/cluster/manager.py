@@ -110,6 +110,21 @@ class ClusterManager:
         self._pending_jobs: list[JobRecord] = []
         #: last heartbeat per node, on the injectable telemetry clock.
         self.last_heartbeat: dict[str, float] = {}
+        registry = telemetry.get_registry()
+        registry.gauge(
+            "repro_cluster_nodes_alive", "Nodes currently alive."
+        ).set_function(lambda: len(self.alive_nodes()))
+        registry.gauge(
+            "repro_cluster_nodes_total", "Nodes registered with the manager."
+        ).set_function(lambda: len(self.nodes))
+        registry.gauge(
+            "repro_cluster_pending_jobs",
+            "Submitted jobs waiting for quota or capacity.",
+        ).set_function(lambda: len(self._pending_jobs))
+        registry.gauge(
+            "repro_cluster_pending_restarts",
+            "Failed containers waiting for cluster capacity.",
+        ).set_function(lambda: len(self._pending_restarts))
 
     # ------------------------------------------------------------------
     # cluster topology
@@ -120,7 +135,6 @@ class ClusterManager:
             raise ClusterError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
         self.last_heartbeat[node.name] = telemetry.get_clock().now()
-        self._publish_node_gauges()
         self._drain_pending_restarts()
         self._schedule_pending()
 
@@ -138,7 +152,6 @@ class ClusterManager:
         telemetry.get_registry().counter(
             "repro_cluster_heartbeats_total", "Node liveness heartbeats received."
         ).inc(node=node_name)
-        self._publish_node_gauges()
         return node.alive
 
     def detect_failures(self, timeout: float) -> list[str]:
@@ -158,15 +171,6 @@ class ClusterManager:
         for name in stale:
             self.fail_node(name)
         return stale
-
-    def _publish_node_gauges(self) -> None:
-        registry = telemetry.get_registry()
-        registry.gauge(
-            "repro_cluster_nodes_alive", "Nodes currently alive."
-        ).set(len(self.alive_nodes()))
-        registry.gauge(
-            "repro_cluster_nodes_total", "Nodes registered with the manager."
-        ).set(len(self.nodes))
 
     def alive_nodes(self) -> list[Node]:
         return [node for node in self.nodes.values() if node.alive]
@@ -344,13 +348,6 @@ class ClusterManager:
             "repro_cluster_jobs_queued_total",
             "Jobs queued instead of placed, by tenant and reason.",
         ).inc(tenant=job.tenant, reason=reason)
-        self._publish_pending_job_gauge()
-
-    def _publish_pending_job_gauge(self) -> None:
-        telemetry.get_registry().gauge(
-            "repro_cluster_pending_jobs",
-            "Submitted jobs waiting for quota or capacity.",
-        ).set(len(self._pending_jobs))
 
     def _tenant_allocation(self) -> dict[str, Resources]:
         """Resources currently held by each tenant's active jobs."""
@@ -419,7 +416,6 @@ class ClusterManager:
                 self._pending_jobs.remove(job)
                 progressed = True
                 break
-        self._publish_pending_job_gauge()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -435,17 +431,13 @@ class ClusterManager:
         was_charged = job.state in (JobState.RUNNING, JobState.DEGRADED)
         if job in self._pending_jobs:
             self._pending_jobs.remove(job)
-            self._publish_pending_job_gauge()
         for container in job.containers:
             self._release(container, ContainerState.STOPPED)
         # Drop queued restarts for this job: a stopped job must not
-        # resurrect containers when a node later recovers, and the
-        # pending-restarts gauge must not report ghosts.
-        if any(c.job_id == job_id for c in self._pending_restarts):
-            self._pending_restarts = [
-                c for c in self._pending_restarts if c.job_id != job_id
-            ]
-            self._publish_pending_restarts_gauge()
+        # resurrect containers when a node later recovers.
+        self._pending_restarts = [
+            c for c in self._pending_restarts if c.job_id != job_id
+        ]
         job.state = state
         resource = _QUOTA_RESOURCE.get(job.kind.value)
         if was_charged and self.tenants is not None and resource is not None:
@@ -488,7 +480,6 @@ class ClusterManager:
         telemetry.get_registry().counter(
             "repro_cluster_node_failures_total", "Node failures observed."
         ).inc()
-        self._publish_node_gauges()
         replacements: list[Container] = []
         for container_id in sorted(lost_ids):
             container = self.containers[container_id]
@@ -530,14 +521,7 @@ class ClusterManager:
         # job, and queue the restart for when a node comes back.
         job.state = JobState.DEGRADED
         self._pending_restarts.append(failed)
-        self._publish_pending_restarts_gauge()
         return None
-
-    def _publish_pending_restarts_gauge(self) -> None:
-        telemetry.get_registry().gauge(
-            "repro_cluster_pending_restarts",
-            "Failed containers waiting for cluster capacity.",
-        ).set(len(self._pending_restarts))
 
     def _drain_pending_restarts(self) -> list[Container]:
         """Retry the queued restarts now that capacity may have come back.
@@ -552,7 +536,6 @@ class ClusterManager:
         still_queued = {c.job_id for c in self._pending_restarts}
         for job_id in {c.job_id for c in started} - still_queued:
             self.jobs[job_id].state = JobState.RUNNING
-        self._publish_pending_restarts_gauge()
         return started
 
     def recover_node(self, node_name: str) -> list[Container]:
@@ -564,7 +547,6 @@ class ClusterManager:
             raise ClusterError(f"unknown node {node_name!r}")
         self.nodes[node_name].recover()
         self.last_heartbeat[node_name] = telemetry.get_clock().now()
-        self._publish_node_gauges()
         started = self._drain_pending_restarts()
         self._schedule_pending()
         return started

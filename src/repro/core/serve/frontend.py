@@ -25,9 +25,9 @@ flow control, in three layers:
   ensemble), and resolves the per-request futures. Shed requests fail
   fast with :class:`~repro.exceptions.RequestShedError` instead of
   queueing without bound — that is the backpressure contract.
-* :class:`ScalingAdvisor` — autoscaling hints derived from the *live*
-  telemetry gauges the core maintains (queue depth, rolling p95
-  latency), with watermarks and a cooldown so the hint does not flap.
+* :class:`ScalingAdvisor` — autoscaling hints derived from the core's
+  *live* queue depth and rolling p95 latency, with watermarks and a
+  cooldown so the hint does not flap.
 
 Fault points: ``frontend.accept`` fires on every admission attempt and
 ``frontend.dispatch`` on every batch hand-off, so chaos plans can
@@ -377,6 +377,15 @@ class ServeFrontend:
         #: rest are counted once per ``poll`` (so once per arrival
         #: burst), not once per request.
         self._counted: dict[str, int] = {}
+        registry = telemetry.get_registry()
+        registry.gauge(
+            "repro_serve_frontend_queue_depth",
+            "Requests admitted and waiting in the front-end queue.",
+        ).set_function(lambda: len(self.pending))
+        registry.gauge(
+            "repro_serve_frontend_latency_p95_seconds",
+            "Rolling p95 of front-end request latency.",
+        ).set_function(lambda: self.latency_quantile(0.95))
 
     # ------------------------------------------------------------------
     # admission
@@ -632,10 +641,6 @@ class ServeFrontend:
             )
             for plan in plans:
                 sizes.observe(plan.batch_size)
-        registry.gauge(
-            "repro_serve_frontend_queue_depth",
-            "Requests admitted and waiting in the front-end queue.",
-        ).set(len(self.pending))
 
     def next_wake(self, now: float) -> float | None:
         """Earliest future instant at which ``poll`` could act.
@@ -689,10 +694,6 @@ class ServeFrontend:
                 "repro_serve_frontend_overdue_total",
                 "Served requests that overran the SLO tau.",
             ).inc(overdue)
-        registry.gauge(
-            "repro_serve_frontend_latency_p95_seconds",
-            "Rolling p95 of front-end request latency.",
-        ).set(self.latency_quantile(0.95))
         if plan.completion is None:
             self.policy.on_complete(outcome)
         return outcome
@@ -740,12 +741,12 @@ class ServeFrontend:
 
 
 class ScalingAdvisor:
-    """Autoscaling hints off the live front-end telemetry gauges.
+    """Autoscaling hints off the front end it advises.
 
-    Reads ``repro_serve_frontend_queue_depth`` and
-    ``repro_serve_frontend_latency_p95_seconds`` from the process-wide
-    registry (the core maintains both) and emits a hint: +1 scale out,
-    -1 scale in, 0 hold. Watermarks plus a cooldown give hysteresis so
+    Reads the queue depth and the rolling p95 latency of the
+    :class:`ServeFrontend` it is handed (the same two numbers the front
+    end's gauges show) and emits a hint: +1 scale out, -1 scale in,
+    0 hold. Watermarks plus a cooldown give hysteresis so
     a sine-wave load does not thrash the replica count; every emitted
     hint lands in the ``repro_serve_frontend_scale_hint`` gauge.
     """
@@ -773,17 +774,10 @@ class ScalingAdvisor:
         self.cooldown = float(cooldown)
         self._last_change: float | None = None
 
-    def evaluate(self, now: float) -> int:
-        """The current hint: +1 (scale out), -1 (scale in), or 0."""
-        registry = telemetry.get_registry()
-        depth = registry.gauge(
-            "repro_serve_frontend_queue_depth",
-            "Requests admitted and waiting in the front-end queue.",
-        ).value()
-        p95 = registry.gauge(
-            "repro_serve_frontend_latency_p95_seconds",
-            "Rolling p95 of front-end request latency.",
-        ).value()
+    def evaluate(self, frontend: ServeFrontend, now: float) -> int:
+        """The current hint for ``frontend``: +1 (scale out), -1 (scale in), or 0."""
+        depth = len(frontend.pending)
+        p95 = frontend.latency_quantile(0.95)
         if depth > self.high_depth or p95 > self.high_p95:
             hint = 1
         elif depth < self.low_depth and p95 < self.low_p95:
@@ -797,7 +791,7 @@ class ScalingAdvisor:
                 hint = 0
             else:
                 self._last_change = now
-        registry.gauge(
+        telemetry.get_registry().gauge(
             "repro_serve_frontend_scale_hint",
             "Latest autoscaling hint (+1 out, -1 in, 0 hold).",
         ).set(hint)

@@ -29,8 +29,8 @@ Models are simulated by :class:`ReplicaPool`: a batch occupies the
 least-loaded live replica — or, when the dispatch policy named a model
 subset, each named model — for ``c(b)`` seconds (the same affine
 latency model the batcher plans with). A :class:`~repro.core.serve.frontend.
-ScalingAdvisor` can be wired in to grow/shrink the pool from the live
-telemetry gauges mid-run.
+ScalingAdvisor` can be wired in to grow/shrink the pool from the front
+end's queue depth and p95 latency mid-run.
 """
 
 from __future__ import annotations
@@ -430,7 +430,7 @@ class _Driver:
     ):
         low, high = bounds
         while self.sim.now < duration:
-            hint = advisor.evaluate(self.sim.now)
+            hint = advisor.evaluate(self.frontend, self.sim.now)
             if hint > 0 and self.pool.size < high:
                 self.pool.scale_to(self.pool.size + 1, self.sim.now)
             elif hint < 0 and self.pool.size > low:

@@ -385,6 +385,10 @@ class Rafiki:
             raise
         info.status = "running"
         self.inference_jobs[job_id] = info
+        telemetry.get_registry().gauge(
+            "repro_serve_replicas_live",
+            "Replicas currently admitted to the ensemble, by job.",
+        ).set_function(lambda: len(info.live_replicas()), job=job_id)
         return job_id
 
     def get_inference_job(self, job_id: str) -> InferenceJobInfo:
@@ -472,7 +476,6 @@ class Rafiki:
             ]
         rows: list[np.ndarray] = []
         voted: list[int] = []
-        registry = telemetry.get_registry()
         for index, (spec, network, breaker) in enumerate(
             zip(info.specs, info.networks, info.breakers)
         ):
@@ -483,17 +486,13 @@ class Rafiki:
                 rows.append(network.predict_labels(batch))
             except InjectedFault:
                 breaker.record_failure()
-                registry.counter(
+                telemetry.get_registry().counter(
                     "repro_serve_replica_errors_total",
                     "Replica execution failures absorbed by the ensemble.",
                 ).inc(model=spec.model_name)
                 continue
             breaker.record_success()
             voted.append(index)
-        registry.gauge(
-            "repro_serve_replicas_live",
-            "Replicas currently admitted to the ensemble, by job.",
-        ).set(len(info.live_replicas()), job=info.job_id)
         if not rows:
             raise ServingError(
                 f"inference job {info.job_id!r} has no live model replicas"

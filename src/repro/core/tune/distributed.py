@@ -22,7 +22,7 @@ from repro.cluster.manager import JobKind, JobState
 from repro.cluster.message import Message, MessageType
 from repro.core.tune.backends import TrainerBackend
 from repro.core.tune.config import HyperConf
-from repro.core.tune.runner import worker_process
+from repro.core.tune.runner import _close_study, worker_process
 from repro.core.tune.study import StudyMaster, StudyReport
 from repro.core.tune.trial import Trial
 from repro.core.tune.worker import TuneWorker
@@ -115,20 +115,23 @@ def run_cluster_study(
             worker_process(worker, master, study.workers, study.in_flight, alive)
         )
 
-    unregister = manager.on_recovery(start_worker)
-    try:
-        for container in job.workers:
-            start_worker(container)
+    with telemetry.get_tracer().span(
+        "run_study", study=master.study_name, workers=num_workers
+    ) as span:
+        unregister = manager.on_recovery(start_worker)
+        try:
+            for container in job.workers:
+                start_worker(container)
 
-        if failure_plan:
-            injector = FailureInjector(manager)
-            for delay, node_name, recover_after in failure_plan:
-                injector.schedule_failure(sim, delay, node_name, recover_after)
+            if failure_plan:
+                injector = FailureInjector(manager)
+                for delay, node_name, recover_after in failure_plan:
+                    injector.schedule_failure(sim, delay, node_name, recover_after)
 
-        sim.run(max_events=max_events)
-    finally:
-        unregister()
-    if manager.jobs[job.job_id].state in (JobState.RUNNING, JobState.DEGRADED):
-        manager.complete_job(job.job_id)
-    manager.checkpoints.save(master.study_name, master.checkpoint_state())
-    return master.finalize(wall_time=sim.now)
+            sim.run(max_events=max_events)
+        finally:
+            unregister()
+        if manager.jobs[job.job_id].state in (JobState.RUNNING, JobState.DEGRADED):
+            manager.complete_job(job.job_id)
+        manager.checkpoints.save(master.study_name, master.checkpoint_state())
+        return _close_study(master, sim, span)

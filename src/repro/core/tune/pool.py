@@ -258,6 +258,13 @@ class TrialPool:
         #: by ``id(dataset)``; the strong refs keep those keys unique.
         self._datasets: dict[int, ImageDataset] = {}
         self.worker_restarts = 0
+        registry = self._registry()
+        registry.gauge(
+            "repro_tune_pool_workers", "Live processes in the persistent trial pool."
+        ).set_function(lambda: len(self._workers))
+        registry.gauge(
+            "repro_tune_pool_queue_depth", "Jobs waiting for an idle worker."
+        ).set_function(lambda: len(self._pending))
 
     # -- lifecycle -----------------------------------------------------
 
@@ -276,9 +283,6 @@ class TrialPool:
         proc.start()
         child_end.close()  # only the worker holds it: its death reads as EOF
         self._workers.append(_Worker(proc, parent_end))
-        self._registry().gauge(
-            "repro_tune_pool_workers", "Live processes in the persistent trial pool."
-        ).set(len(self._workers))
 
     def start(self) -> "TrialPool":
         if not self._workers:
@@ -302,12 +306,7 @@ class TrialPool:
                 worker.proc.terminate()
                 worker.proc.join(timeout=5.0)
             worker.conn.close()
-        if self._workers:
-            self._workers.clear()
-            self._registry().gauge(
-                "repro_tune_pool_workers",
-                "Live processes in the persistent trial pool.",
-            ).set(0)
+        self._workers.clear()
         self._pending.clear()
         self._trials.clear()
         self._datasets.clear()
@@ -369,9 +368,6 @@ class TrialPool:
                 worker.conn.send_bytes(data)
             except OSError:  # died while idle; re-queues the job it now holds
                 self._replace(worker)
-        self._registry().gauge(
-            "repro_tune_pool_queue_depth", "Jobs waiting for an idle worker."
-        ).set(len(self._pending))
 
     def cancel(self, trial_id: int) -> None:
         """Abandon an in-flight trial (``kStop``): its worker stops after

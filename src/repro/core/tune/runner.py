@@ -87,6 +87,21 @@ def worker_process(
                 return
 
 
+def _close_study(master: StudyMaster, sim: Simulator, span) -> StudyReport:
+    """How every driver ends a study: finalize, tag its ``run_study`` span, count it."""
+    report = master.finalize(wall_time=sim.now)
+    span.tag(trials=len(report.results), simulated_seconds=sim.now)
+    registry = telemetry.get_registry()
+    registry.counter(
+        "repro_tune_studies_completed_total", "Studies driven to completion."
+    ).inc()
+    registry.gauge(
+        "repro_tune_study_wall_seconds",
+        "Simulated wall time of the most recent study.",
+    ).set(report.wall_time)
+    return report
+
+
 def run_study(
     master: StudyMaster,
     workers: list[TuneWorker],
@@ -109,14 +124,4 @@ def run_study(
         for worker in workers:
             sim.spawn(worker_process(worker, master, by_name, in_flight))
         sim.run(max_events=max_events)
-        report = master.finalize(wall_time=sim.now)
-        span.tag(trials=len(report.results), simulated_seconds=sim.now)
-    registry = telemetry.get_registry()
-    registry.counter(
-        "repro_tune_studies_completed_total", "Studies driven to completion."
-    ).inc()
-    registry.gauge(
-        "repro_tune_study_wall_seconds",
-        "Simulated wall time of the most recent study.",
-    ).set(report.wall_time)
-    return report
+        return _close_study(master, sim, span)

@@ -150,7 +150,24 @@ class BlockStore(HostedGroup):
         self.rereplications = 0
         self.dedup_hits = 0
         self.trash_reconciled = 0
-        self._publish_gauges()
+        registry = telemetry.get_registry()
+        registry.gauge(
+            "repro_blockstore_nodes_live", "Datanodes currently alive."
+        ).set_function(lambda: sum(1 for n in self._nodes if n.alive))
+        registry.gauge(
+            "repro_blockstore_chunks", "Distinct chunks currently stored."
+        ).set_function(lambda: len(self._directory))
+        stored = registry.gauge(
+            "repro_blockstore_bytes", "Stored bytes, by accounting kind."
+        )
+        stored.set_function(lambda: sum(self._sizes.values()), kind="unique")
+        stored.set_function(
+            lambda: sum(
+                self._sizes[digest] * self._refcounts.get(digest, 0)
+                for digest in self._directory
+            ),
+            kind="logical",
+        )
 
     # ------------------------------------------------------------------
     # topology
@@ -220,15 +237,12 @@ class BlockStore(HostedGroup):
         self._refresh_liveness()
         digests: list[str] = []
         stored: list[str] = []
+        hits = 0
         try:
             for index, chunk in enumerate(split_chunks(data, self.chunk_size)):
                 digest = chunk_digest(chunk)
                 if digest in self._directory and digest not in self._lost:
-                    self.dedup_hits += 1
-                    telemetry.get_registry().counter(
-                        "repro_blockstore_dedup_hits_total",
-                        "Chunk puts answered by an already-stored identical chunk.",
-                    ).inc()
+                    hits += 1
                 else:
                     self._store_chunk(digest, chunk)
                     stored.append(digest)
@@ -238,7 +252,13 @@ class BlockStore(HostedGroup):
         except BaseException:
             self.release(stored)
             raise
-        self._publish_gauges()
+        finally:
+            if hits:
+                self.dedup_hits += hits
+                telemetry.get_registry().counter(
+                    "repro_blockstore_dedup_hits_total",
+                    "Chunk puts answered by an already-stored identical chunk.",
+                ).inc(hits)
         return digests
 
     def _store_chunk(self, digest: str, data: bytes) -> None:
@@ -316,8 +336,6 @@ class BlockStore(HostedGroup):
                 self._store_chunk(digest, data[index * size : (index + 1) * size])
                 self._refcounts[digest] = refs
                 healed += 1
-        if healed:
-            self._publish_gauges()
         return healed
 
     def _node_call(self, node: DataNode, op: str) -> None:
@@ -352,7 +370,6 @@ class BlockStore(HostedGroup):
             if digest not in self._directory:
                 raise ChunkLostError(f"cannot reference unknown chunk {digest[:12]}…")
             self._refcounts[digest] = self._refcounts.get(digest, 0) + 1
-        self._publish_gauges()
 
     def decref(self, digests: list[str]) -> None:
         """Release manifest references; delete chunks that reach zero.
@@ -367,7 +384,6 @@ class BlockStore(HostedGroup):
             self._refcounts[digest] -= 1
             if self._refcounts[digest] <= 0:
                 self._drop(digest)
-        self._publish_gauges()
 
     def release(self, digests: list[str]) -> None:
         """Delete those of ``digests`` that no manifest references.
@@ -379,7 +395,6 @@ class BlockStore(HostedGroup):
         for digest in digests:
             if self._refcounts.get(digest) == 0:
                 self._drop(digest)
-        self._publish_gauges()
 
     def _drop(self, digest: str) -> None:
         """Forget a chunk and delete (or trash) every copy of it."""
@@ -448,7 +463,6 @@ class BlockStore(HostedGroup):
                     "repro_blockstore_chunks_lost_total",
                     "Chunks whose every live copy died before re-replication.",
                 ).inc()
-        self._publish_gauges()
 
     def _restore_replication(self, digest: str) -> int:
         """Re-copy ``digest`` until it is back at ``replicas`` live copies."""
@@ -500,7 +514,6 @@ class BlockStore(HostedGroup):
             node.chunks.clear()
             self._trash.pop(node.name, None)
             self.repair()
-        self._publish_gauges()
 
     def _reconcile(self, node: DataNode) -> None:
         """Apply the trash pass to a rejoining node's preserved disk."""
@@ -543,7 +556,6 @@ class BlockStore(HostedGroup):
         for digest in sorted(self._directory):
             if len(self._directory[digest]) < self._needed():
                 self._restore_replication(digest)
-        self._publish_gauges()
         return self.rereplications - before
 
     # ------------------------------------------------------------------
@@ -599,26 +611,6 @@ class BlockStore(HostedGroup):
             },
             "live_nodes": [n.name for n in self._nodes if n.alive],
         }
-
-    def _publish_gauges(self) -> None:
-        registry = telemetry.get_registry()
-        registry.gauge(
-            "repro_blockstore_nodes_live", "Datanodes currently alive."
-        ).set(sum(1 for n in self._nodes if n.alive))
-        registry.gauge(
-            "repro_blockstore_chunks", "Distinct chunks currently stored."
-        ).set(len(self._directory))
-        unique = sum(self._sizes.values())
-        logical = sum(
-            self._sizes[digest] * self._refcounts.get(digest, 0)
-            for digest in self._directory
-        )
-        registry.gauge(
-            "repro_blockstore_bytes", "Stored bytes, by accounting kind."
-        ).set(unique, kind="unique")
-        registry.gauge(
-            "repro_blockstore_bytes", "Stored bytes, by accounting kind."
-        ).set(logical, kind="logical")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         live = sum(1 for n in self._nodes if n.alive)

@@ -18,9 +18,9 @@ class LRUCache:
     least-recently-used-first when the budget is exceeded. A single
     value larger than the whole budget is simply not cached.
 
-    When ``name`` is given, the cache publishes its hit/miss/eviction
-    counts, byte usage and hit ratio to the telemetry registry under a
-    ``cache=<name>`` label.
+    When ``name`` is given, the cache counts its hits, misses and
+    evictions in the telemetry registry and registers readers for its
+    byte usage and hit ratio, all under a ``cache=<name>`` label.
     """
 
     def __init__(self, capacity_bytes: int, size_of: Callable[[Any], int],
@@ -35,18 +35,14 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def _publish(self) -> None:
-        """Mirror the cache's current statistics into the registry."""
-        if self.name is None:
-            return
-        registry = telemetry.get_registry()
-        registry.gauge(
-            "repro_cache_used_bytes", "Bytes held by a named cache."
-        ).set(self._used, cache=self.name)
-        registry.gauge(
-            "repro_cache_hit_ratio", "Lifetime hit ratio of a named cache."
-        ).set(self.hit_rate, cache=self.name)
+        if name is not None:
+            registry = telemetry.get_registry()
+            registry.gauge(
+                "repro_cache_used_bytes", "Bytes held by a named cache."
+            ).set_function(lambda: self._used, cache=name)
+            registry.gauge(
+                "repro_cache_hit_ratio", "Lifetime hit ratio of a named cache."
+            ).set_function(lambda: self.hit_rate, cache=name)
 
     @property
     def used_bytes(self) -> int:
@@ -67,7 +63,6 @@ class LRUCache:
                 telemetry.get_registry().counter(
                     "repro_cache_misses_total", "Named-cache lookup misses."
                 ).inc(cache=self.name)
-                self._publish()
             return None
         self._entries.move_to_end(key)
         self.hits += 1
@@ -75,7 +70,6 @@ class LRUCache:
             telemetry.get_registry().counter(
                 "repro_cache_hits_total", "Named-cache lookup hits."
             ).inc(cache=self.name)
-            self._publish()
         return entry[0]
 
     def put(self, key: str, value: Any) -> None:
@@ -84,9 +78,6 @@ class LRUCache:
         if key in self._entries:
             self._used -= self._entries.pop(key)[1]
         if size > self.capacity_bytes:
-            # The overwrite above may have freed bytes; the gauges must
-            # reflect that even though the new value is not cached.
-            self._publish()
             return
         self._entries[key] = (value, size)
         self._used += size
@@ -96,23 +87,19 @@ class LRUCache:
             self._used -= evicted_size
             self.evictions += 1
             evicted += 1
-        if self.name is not None:
-            if evicted:
-                telemetry.get_registry().counter(
-                    "repro_cache_evictions_total", "Named-cache LRU evictions."
-                ).inc(evicted, cache=self.name)
-            self._publish()
+        if evicted and self.name is not None:
+            telemetry.get_registry().counter(
+                "repro_cache_evictions_total", "Named-cache LRU evictions."
+            ).inc(evicted, cache=self.name)
 
     def invalidate(self, key: str) -> None:
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._used -= entry[1]
-            self._publish()
 
     def clear(self) -> None:
         self._entries.clear()
         self._used = 0
-        self._publish()
 
     @property
     def hit_rate(self) -> float:

@@ -152,7 +152,17 @@ class ParameterServer(HostedGroup):
             for name in (f"ps-{i}" for i in range(shards))
         ]
         self._by_name = {shard.name: shard for shard in self._members}
-        self._publish_live_gauge()
+        registry = telemetry.get_registry()
+        registry.gauge(
+            "repro_paramserver_shards_live",
+            "Parameter-server shards currently alive.",
+        ).set_function(lambda: sum(1 for s in self._members if s.alive))
+        registry.gauge(
+            "repro_paramserver_stored_bytes", "Total bytes across stored versions."
+        ).set_function(lambda: self._stored_bytes)
+        registry.gauge(
+            "repro_paramserver_keys", "Distinct parameter keys stored."
+        ).set_function(lambda: len(self._entries))
 
     # ------------------------------------------------------------------
     # topology
@@ -223,17 +233,9 @@ class ParameterServer(HostedGroup):
             "repro_paramserver_shard_deaths_total",
             "Parameter-server shard deaths observed.",
         ).inc(shard=shard.name)
-        self._publish_live_gauge()
 
     def _member_up(self, shard: Shard, same_host: bool) -> None:
-        # A shard holds nothing durable: wherever it restarts, it starts cold.
-        self._publish_live_gauge()
-
-    def _publish_live_gauge(self) -> None:
-        telemetry.get_registry().gauge(
-            "repro_paramserver_shards_live",
-            "Parameter-server shards currently alive.",
-        ).set(sum(1 for s in self._members if s.alive))
+        """A shard holds nothing durable: wherever it restarts, it starts cold."""
 
     def repair(self) -> int:
         """Restore the chunk replication factor; return copies made."""
@@ -305,17 +307,7 @@ class ParameterServer(HostedGroup):
         telemetry.get_registry().counter(
             "repro_paramserver_push_total", "Parameter versions pushed (put)."
         ).inc()
-        self._publish_storage_gauges()
         return entry
-
-    def _publish_storage_gauges(self) -> None:
-        registry = telemetry.get_registry()
-        registry.gauge(
-            "repro_paramserver_stored_bytes", "Total bytes across stored versions."
-        ).set(self._stored_bytes)
-        registry.gauge(
-            "repro_paramserver_keys", "Distinct parameter keys stored."
-        ).set(len(self._entries))
 
     def get(self, key: str, version: int | None = None) -> dict[str, np.ndarray]:
         """Fetch parameters (latest version unless specified), failing
@@ -423,7 +415,6 @@ class ParameterServer(HostedGroup):
                 self.tenants.release(entry.tenant, "ps_bytes", entry.nbytes)
             if self.store.has_blob(entry.path):
                 self.store.delete_blob(entry.path)
-        self._publish_storage_gauges()
 
     # ------------------------------------------------------------------
     # collaborative-tuning support

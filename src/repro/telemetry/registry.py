@@ -8,11 +8,20 @@ value. Instrumented code asks the registry for a metric by name
 records into it:
 
     registry.counter("repro_gateway_requests_total").inc(route="/train")
-    registry.gauge("repro_serve_frontend_queue_depth").set(17)
+    registry.gauge("repro_serve_frontend_scale_hint").set(1)
     registry.histogram("repro_serve_batch_size").observe(32)
 
-Recording is a no-op while the registry is disabled, so instrumented
-hot paths cost one attribute check when telemetry is off. Snapshots
+Counters, histograms and *event* gauges are pushed like that. A gauge
+showing state its owner already holds (queue depth, stored bytes) is
+not: the owner registers a reader once, where it is built —
+``gauge.set_function(lambda: len(self.pending))`` — and the series is
+evaluated whenever someone looks. It lives until its owner re-registers
+or the registry is reset, and the registry keeps the reader — hence the
+owner — reachable for that long.
+
+Recording is a no-op (and no reader is evaluated) while the registry is
+disabled, so instrumented hot paths cost one attribute check when
+telemetry is off. Snapshots
 (:meth:`MetricsRegistry.snapshot`) are plain JSON-serialisable dicts;
 the text exposition lives in :mod:`repro.telemetry.export`.
 """
@@ -20,7 +29,7 @@ the text exposition lives in :mod:`repro.telemetry.export`.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -105,25 +114,48 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """A value that can go up and down (queue depth, bytes in use)."""
+    """A value that can go up and down (queue depth, bytes in use): per
+    label set either pushed (:meth:`set`, event gauges) or read from its
+    owner when someone looks (:meth:`set_function`, state gauges)."""
 
     kind = "gauge"
 
     def __init__(self, name: str, help: str, registry: "MetricsRegistry"):
         super().__init__(name, help, registry)
         self._values: dict[_LabelKey, float] = {}
+        self._readers: dict[_LabelKey, Callable[[], float]] = {}
 
     def set(self, value: float, **labels) -> None:
         """Set the labelled gauge to ``value``."""
         if not self.enabled:
             return
-        self._values[_label_key(labels)] = float(value)
+        key = _label_key(labels)
+        self._readers.pop(key, None)
+        self._values[key] = float(value)
+
+    def set_function(self, read: Callable[[], float], **labels) -> None:
+        """Make the labelled series evaluate ``read()`` whenever it is looked at.
+
+        The owner of the state registers once, where it is built; no
+        mutation has to remember to publish. Registering again for the
+        same label set replaces the reader, as :meth:`set` overwrites a
+        value. The reader (and what it closes over) is held strongly
+        until replaced or the registry is reset. While the registry is
+        disabled nothing is evaluated and the series does not appear.
+        """
+        key = _label_key(labels)
+        self._values.pop(key, None)
+        self._readers[key] = read
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Add ``amount`` to the labelled gauge."""
         if not self.enabled:
             return
         key = _label_key(labels)
+        if key in self._readers:
+            raise TelemetryError(
+                f"gauge {self.name!r}{{{_label_string(key)}}} is function-backed"
+            )
         self._values[key] = self._values.get(key, 0.0) + float(amount)
 
     def dec(self, amount: float = 1.0, **labels) -> None:
@@ -132,15 +164,24 @@ class Gauge(Metric):
 
     def value(self, **labels) -> float:
         """Current gauge value for the label set (0 if never set)."""
-        return self._values.get(_label_key(labels), 0.0)
+        key = _label_key(labels)
+        if key in self._readers and self.enabled:
+            return float(self._readers[key]())
+        return self._values.get(key, 0.0)
 
     def label_keys(self) -> list[_LabelKey]:
-        """The label sets recorded so far (sorted)."""
-        return sorted(self._values)
+        """The label sets that have a value right now (sorted)."""
+        if not self.enabled:
+            return sorted(self._values)
+        return sorted([*self._values, *self._readers])
 
     def snapshot(self) -> dict:
-        """``{label-string: value}`` for every recorded label set."""
-        return {_label_string(k): self._values[k] for k in sorted(self._values)}
+        """``{label-string: value}`` for every label set of the family."""
+        readers = self._readers
+        return {
+            _label_string(k): float(readers[k]()) if k in readers else self._values[k]
+            for k in self.label_keys()
+        }
 
 
 class _HistogramChild:

@@ -79,30 +79,34 @@ class UsageLedger:
         """Current holding of ``resource`` charged to ``tenant``."""
         return self._usage.get(tenant, {}).get(resource, 0.0)
 
+    def _holdings(self, tenant: str, resource: str) -> dict[str, float]:
+        """The tenant's holdings; a pair's first sighting registers its gauge."""
+        per_tenant = self._usage.setdefault(tenant, {})
+        if resource not in per_tenant:
+            per_tenant[resource] = 0.0
+            telemetry.get_registry().gauge(
+                "repro_tenant_usage",
+                "Governed resource currently held, by tenant and resource.",
+            ).set_function(
+                lambda: per_tenant[resource], tenant=tenant, resource=resource
+            )
+        return per_tenant
+
     def charge(self, tenant: str, resource: str, amount: float) -> float:
         """Add ``amount`` to the tenant's holding and return the new total."""
-        per_tenant = self._usage.setdefault(tenant, {})
-        per_tenant[resource] = per_tenant.get(resource, 0.0) + float(amount)
-        self._publish(tenant, resource, per_tenant[resource])
+        per_tenant = self._holdings(tenant, resource)
+        per_tenant[resource] += float(amount)
         return per_tenant[resource]
 
     def release(self, tenant: str, resource: str, amount: float) -> float:
         """Subtract ``amount`` (floored at zero) and return the new total."""
-        per_tenant = self._usage.setdefault(tenant, {})
-        per_tenant[resource] = max(0.0, per_tenant.get(resource, 0.0) - float(amount))
-        self._publish(tenant, resource, per_tenant[resource])
+        per_tenant = self._holdings(tenant, resource)
+        per_tenant[resource] = max(0.0, per_tenant[resource] - float(amount))
         return per_tenant[resource]
 
     def snapshot(self) -> dict[str, dict[str, float]]:
         """Copy of the full ledger, for dashboards and scenario traces."""
         return {t: dict(r) for t, r in sorted(self._usage.items())}
-
-    @staticmethod
-    def _publish(tenant: str, resource: str, value: float) -> None:
-        telemetry.get_registry().gauge(
-            "repro_tenant_usage",
-            "Governed resource currently held, by tenant and resource.",
-        ).set(value, tenant=tenant, resource=resource)
 
 
 class TenantRegistry:

@@ -18,6 +18,23 @@ from repro.core.serve.frontend import PendingQueue
 TAU = 0.56
 
 
+def deploy_untrained(system, dataset, replicas=1) -> str:
+    """Deploy ``replicas`` copies of one freshly initialised zoo model on
+    ``system`` (no training: parameters pushed by hand); the job id."""
+    import numpy as np
+
+    from repro.core.system import ModelSpec
+
+    system.import_images(dataset)
+    entry = system.registry.select_diverse("ImageClassification", k=1)[0]
+    network = entry.builder(
+        dataset.image_shape, dataset.num_classes, np.random.default_rng(0)
+    )
+    system.param_server.put("untrained", network.state_dict())
+    spec = ModelSpec(entry.name, "untrained", 0.5, "ImageClassification", dataset.name)
+    return system.create_inference_job([spec] * replicas)
+
+
 def queue_of(arrivals) -> PendingQueue:
     """A queue holding one request per arrival time, in the given order."""
     queue = PendingQueue()

@@ -14,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.data import BlockStore, DataStore, FileNamespace, chunk_digest, split_chunks
 from repro.exceptions import (
     ChunkLostError,
@@ -27,6 +28,21 @@ CHUNK = 256
 
 def _random_bytes(rng: random.Random, length: int) -> bytes:
     return rng.randbytes(length)
+
+
+def _audit(store: BlockStore) -> dict:
+    """``store.audit()``, once the store's gauges have been checked against it.
+
+    The gauges are readers over the store's own state, so this holds
+    after any step; a gauge kept current by hand is what it would catch.
+    """
+    audit = store.audit()
+    gauge = telemetry.get_registry().gauge
+    assert gauge("repro_blockstore_nodes_live").value() == len(audit["live_nodes"])
+    assert gauge("repro_blockstore_chunks").value() == audit["chunks"]
+    assert gauge("repro_blockstore_bytes").value(kind="unique") == audit["unique_bytes"]
+    assert gauge("repro_blockstore_bytes").value(kind="logical") == audit["logical_bytes"]
+    return audit
 
 
 def _lengths(rng: random.Random) -> list[int]:
@@ -253,7 +269,7 @@ class TestReplication:
         store.kill_node("dn-1")
         for path, data in blobs.items():
             assert fs.read(path) == data
-        audit = store.audit()
+        audit = _audit(store)
         assert audit["lost"] == []
         assert audit["under_replicated"] == []
         assert store.rereplications > 0
@@ -262,13 +278,13 @@ class TestReplication:
         store, fs, blobs = self._populated(replicas=1)
         victim = store._directory[next(iter(store._directory))][0]
         store.kill_node(victim)
-        assert store.audit()["lost"] != []
+        assert _audit(store)["lost"] != []
         with pytest.raises(ChunkLostError):
             for path in blobs:
                 fs.read(path)
         # The disk survived: rejoin resurrects every lost chunk.
         store.rejoin_node(victim)
-        assert store.audit()["lost"] == []
+        assert _audit(store)["lost"] == []
         for path, data in blobs.items():
             assert fs.read(path) == data
 
@@ -279,13 +295,13 @@ class TestReplication:
         store.kill_node(victim)
         for path in list(blobs):
             fs.delete(path)
-        assert store.audit()["chunks"] == 0
+        assert _audit(store)["chunks"] == 0
         # The dead node still physically holds its copies.
         assert store.node(victim).chunks == before
         removed = store.rejoin_node(victim)
         assert removed == len(before)
         assert store.node(victim).chunks == {}
-        assert store.audit()["trash_pending"] == {}
+        assert _audit(store)["trash_pending"] == {}
 
     def test_rejoin_trims_over_replicated_chunks(self):
         store, fs, blobs = self._populated()
@@ -297,7 +313,7 @@ class TestReplication:
         assert held > 0
         removed = store.rejoin_node("dn-2")
         assert removed == held
-        audit = store.audit()
+        audit = _audit(store)
         assert audit["lost"] == []
         assert audit["under_replicated"] == []
         for path, data in blobs.items():
@@ -318,7 +334,7 @@ class TestReplication:
         manifest = fs.write("p", data, on_chunk=kill_two)
         assert fs.read("p") == data
         assert manifest.length == len(data)
-        audit = store.audit()
+        audit = _audit(store)
         assert audit["lost"] == []
 
     def test_failed_write_leaves_no_unreferenced_chunks(self):
@@ -340,18 +356,18 @@ class TestReplication:
                 fs.write("p", data)
         finally:
             chaos.set_plan(previous)
-        audit = store.audit()
+        audit = _audit(store)
         assert (audit["chunks"], audit["unique_bytes"], audit["logical_bytes"]) == (0, 0, 0)
         assert audit["unreferenced"] == []
         assert all(not node.chunks for node in store.nodes)
         assert not fs.exists("p")
         # an upload nobody committed is visible, and a failed commit cleans it
         pending = fs.begin_write("q", data)
-        assert store.audit()["unreferenced"] == sorted(set(pending.digests))
+        assert _audit(store)["unreferenced"] == sorted(set(pending.digests))
         store.release(list(pending.digests))
-        assert store.audit()["chunks"] == 0
+        assert _audit(store)["chunks"] == 0
         fs.write("p", data)
-        assert fs.read("p") == data and store.audit()["unreferenced"] == []
+        assert fs.read("p") == data and _audit(store)["unreferenced"] == []
 
     def test_failed_write_keeps_chunks_other_files_reference(self):
         from repro import chaos
@@ -372,7 +388,7 @@ class TestReplication:
         finally:
             chaos.set_plan(previous)
         assert fs.read("kept") == shared
-        audit = store.audit()
+        audit = _audit(store)
         assert audit["chunks"] == 2 and audit["unreferenced"] == []
 
     def test_repair_restores_factor(self):
@@ -380,7 +396,7 @@ class TestReplication:
         store.kill_node("dn-0")
         store.rejoin_node("dn-0")
         assert store.repair() == 0
-        assert store.audit()["under_replicated"] == []
+        assert _audit(store)["under_replicated"] == []
 
     def test_ensure_rejects_mismatched_digests(self):
         store = BlockStore(nodes=1, replicas=1, chunk_size=CHUNK)

@@ -196,6 +196,30 @@ class TestNodeFailureRecovery:
         assert len(built) == len(set(built)) == 8
 
 
+    def test_a_cluster_study_is_counted_like_any_other(self):
+        """Regression: the span, the counter and the wall-time gauge of a
+        finished study were ``run_study``'s alone."""
+        manager = make_cluster()
+        ps = ParameterServer()
+        conf = HyperConf(max_trials=8, max_epochs_per_trial=20)
+        master = StudyMaster(
+            "counted", conf,
+            RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(0)),
+            ps,
+        )
+        report = run_cluster_study(
+            manager, master, SurrogateTrainer(seed=0), ps, conf,
+            num_workers=2, failure_plan=[(150.0, "n0", 400.0)],
+        )
+        assert manager.recoveries > 0
+        registry = telemetry.get_registry()
+        assert registry.counter("repro_tune_studies_completed_total").value() == 1
+        assert registry.gauge("repro_tune_study_wall_seconds").value() == report.wall_time
+        (span,) = [s for s in telemetry.get_tracer().export() if s["name"] == "run_study"]
+        assert span["tags"]["study"] == "counted" and span["tags"]["workers"] == 2
+        assert span["tags"]["trials"] == len(report.results)
+
+
 class TestDegradedJobs:
     def make_tight_cluster(self):
         """Two nodes where a failed worker cannot be re-placed."""

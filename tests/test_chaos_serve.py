@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from serve_helpers import TAU, serve
+from serve_helpers import TAU, deploy_untrained, serve
 
 from repro import chaos, telemetry
 from repro.chaos import FaultKind, FaultPlan, FaultRule
@@ -132,17 +132,21 @@ class TestReplicaDegradation:
         assert plan.invocations("serve.model.flaky") == 1
         assert plan.invocations("serve.model.steady") == 1
 
-    def test_live_replica_gauge_tracks_degradation(self):
-        system = Rafiki(nodes=1, gpus_per_node=1)
-        info = make_ensemble_job(threshold=1)
-        batch = np.zeros((2, 3, 8, 8))
-        plan = FaultPlan(
-            [FaultRule("serve.model.flaky", FaultKind.EXCEPTION, max_faults=1)]
-        )
-        with chaos.active(plan):
-            system._predict(info, batch)
+    def test_live_replica_gauge_tracks_degradation(self, tiny_dataset):
+        # The gauge is a reader registered at deploy, so deploy for real.
+        system = Rafiki(seed=5)
+        infer_id = deploy_untrained(system, tiny_dataset, replicas=2)
+        info = system.get_inference_job(infer_id)
         gauge = telemetry.get_registry().gauge("repro_serve_replicas_live")
-        assert gauge.value(job="infer-x") == 1
+        assert gauge.value(job=infer_id) == 2
+        info.breakers[0].failure_threshold = 1
+        plan = FaultPlan([
+            FaultRule(f"serve.model.{info.specs[0].model_name}", FaultKind.EXCEPTION,
+                      max_faults=1)
+        ])
+        with chaos.active(plan):
+            system.query(infer_id, tiny_dataset.test_x[:2])
+        assert gauge.value(job=infer_id) == 1
 
 
 def serve_run(seed=0, dispatch_retry=None, target=80.0, horizon=30.0):

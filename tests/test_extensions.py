@@ -212,6 +212,48 @@ class TestFacadeQueryCache:
         assert len(info.cache) == 0  # stale predictions dropped
         assert info.specs[0].performance == 0.99
 
+    def test_gateway_redeploy_also_drops_the_sql_udf_cache(self, deployed):
+        """POST /sql through the redeploying gateway must not answer from
+        labels the old parameters produced (the second cache on the path)."""
+        from repro.sqlext import Column, Database
+
+        system, infer_id, info, dataset = deployed
+        gateway = Gateway(system)
+        images = {f"photos/{i}.npy": image for i, image in enumerate(dataset.test_x)}
+        db = Database(udf_cache=True)
+        db.create_table(
+            "log", [Column("id", "integer"), Column("path", "text", not_null=True)],
+            primary_key=("id",),
+        )
+        for row in range(24):
+            db.insert("log", id=row, path=f"photos/{row % len(images)}.npy")
+        batch_udf = make_batched_inference_udf(gateway, infer_id, images)
+        db.udfs.register("label", lambda path: batch_udf([path])[0], batch_fn=batch_udf)
+        gateway.attach_sql_database(db)
+
+        def sql_labels():
+            body = gateway.handle(
+                "POST", "/sql", {"sql": "SELECT id, label(path) FROM log ORDER BY id"}
+            ).body
+            return [label for _id, label in body["rows"]]
+
+        def direct_labels():
+            labels = system.query(infer_id, dataset.test_x)["label"]
+            return [labels[row % len(images)] for row in range(24)]
+
+        before = sql_labels()
+        assert before == direct_labels()
+        # continued training leaves other parameters under the same keys:
+        # here, every replica's vote is turned over
+        for spec in info.specs:
+            state = system.param_server.get(spec.param_key)
+            for name in state:
+                if name.endswith(("/fc/W", "/fc/b")):
+                    state[name] = -state[name]
+            system.param_server.put(spec.param_key, state, performance=spec.performance)
+        assert gateway.handle("POST", f"/inference/{infer_id}/redeploy").status == 200
+        assert sql_labels() == direct_labels() != before
+
     def test_every_route_is_the_one_cached_path(self, deployed, monkeypatch):
         """Single, batch, SDK, async front end and SQL UDF: one answer.
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 from serve_helpers import queue_of
 
-from repro import chaos
+from repro import chaos, telemetry
 from repro.chaos import FaultKind, FaultPlan, FaultRule
 from repro.chaos.scenarios import reads_through_each_shard
 from repro.core.serve import FrontendConfig, ServeFrontend, SineArrival
@@ -368,6 +368,32 @@ class ServingTierMachine(RuleBasedStateMachine):
             assert sorted(answers) == sorted(live)
             for name, got in answers.items():
                 np.testing.assert_array_equal(got["w"], values[-1], err_msg=name)
+
+
+    @invariant()
+    def gauges_match_state(self):
+        """Every state gauge equals a recomputation from its owner (true by
+        construction of a reader; a forgotten push is what this would catch)."""
+        gauge = telemetry.get_registry().gauge
+        store = self.blocks.audit()
+        assert gauge("repro_blockstore_nodes_live").value() == len(store["live_nodes"])
+        assert gauge("repro_blockstore_chunks").value() == store["chunks"]
+        assert gauge("repro_blockstore_bytes").value(kind="unique") == store["unique_bytes"]
+        assert gauge("repro_blockstore_bytes").value(kind="logical") == store["logical_bytes"]
+        assert gauge("repro_paramserver_shards_live").value() == (
+            self.SHARDS - len(self.dead_shards)
+        )
+        assert gauge("repro_paramserver_keys").value() == len(self.model)
+        # every value is one 32-float64 array
+        assert gauge("repro_paramserver_stored_bytes").value() == 256 * sum(
+            map(len, self.model.values())
+        )
+        for shard in self.server.shards:
+            labels = {"cache": f"paramserver-{shard.name}"}
+            assert gauge("repro_cache_used_bytes").value(**labels) == shard.cache.used_bytes
+            assert gauge("repro_cache_hit_ratio").value(**labels) == shard.cache.hit_rate
+            if not shard.alive:
+                assert shard.cache.used_bytes == 0
 
 
 ServingTierMachine.TestCase.settings = settings(

@@ -25,6 +25,7 @@ from repro.core.serve import (
     run_load,
     run_multi_load,
 )
+from repro.core.serve.frontend import DispatchPlan
 from repro.exceptions import ConfigurationError, RequestShedError
 
 
@@ -643,35 +644,51 @@ class TestPolicyChoosesTheEnsemble:
 
 
 class TestScalingAdvisor:
-    def gauges(self):
-        registry = telemetry.get_registry()
-        return (
-            registry.gauge("repro_serve_frontend_queue_depth", ""),
-            registry.gauge("repro_serve_frontend_latency_p95_seconds", ""),
-        )
+    def frontend(self, depth, latency=None):
+        """A front end with ``depth`` requests queued and, with
+        ``latency``, one request already served that slowly."""
+        frontend = ServeFrontend(config(max_queue=1024, tau=10.0))
+        for index in range(depth + (latency is not None)):
+            frontend.offer(f"client-{index}", None, 0.0)
+        if latency is not None:
+            frontend.complete(DispatchPlan(frontend.pending.pop(1), 1), latency)
+        return frontend
 
     def test_watermarks_and_cooldown(self):
-        depth, p95 = self.gauges()
+        frontend = self.frontend(depth=300)
         advisor = ScalingAdvisor(cooldown=5.0)
-        depth.set(300.0)
-        assert advisor.evaluate(0.0) == 1
-        assert advisor.evaluate(2.0) == 0  # cooldown suppresses
-        assert advisor.evaluate(6.0) == 1
-        depth.set(0.0)
-        p95.set(0.0)
-        assert advisor.evaluate(7.0) == 0  # still cooling down
-        assert advisor.evaluate(12.0) == -1
+        assert advisor.evaluate(frontend, 0.0) == 1
+        assert advisor.evaluate(frontend, 2.0) == 0  # cooldown suppresses
+        assert advisor.evaluate(frontend, 6.0) == 1
+        frontend.pending.pop(300)
+        assert advisor.evaluate(frontend, 7.0) == 0  # still cooling down
+        assert advisor.evaluate(frontend, 12.0) == -1
         hint = telemetry.get_registry().gauge(
             "repro_serve_frontend_scale_hint", ""
         )
         assert hint.value() == -1
 
     def test_hold_band_between_watermarks(self):
-        depth, p95 = self.gauges()
-        advisor = ScalingAdvisor()
-        depth.set(100.0)  # between low (16) and high (256)
-        p95.set(0.3)  # between low (0.2) and high (0.5)
-        assert advisor.evaluate(0.0) == 0
+        # depth between low (16) and high (256), p95 between 0.2 and 0.5
+        frontend = self.frontend(depth=100, latency=0.3)
+        assert frontend.latency_quantile(0.95) == pytest.approx(0.3)
+        assert ScalingAdvisor().evaluate(frontend, 0.0) == 0
+
+    def test_two_frontends_get_independent_hints(self):
+        busy, idle = self.frontend(depth=300), self.frontend(depth=0)
+        assert ScalingAdvisor().evaluate(busy, 0.0) == 1
+        assert ScalingAdvisor().evaluate(idle, 0.0) == -1
+        # (the unlabelled gauges show whichever was built last; hints do not)
+        assert ScalingAdvisor().evaluate(busy, 0.0) == 1
+
+    def test_hints_do_not_depend_on_telemetry_being_on(self):
+        frontend = self.frontend(depth=300, latency=0.3)
+        telemetry.get_registry().disable()
+        advisor = ScalingAdvisor(cooldown=5.0)
+        assert advisor.evaluate(frontend, 0.0) == 1
+        frontend.pending.pop(300)
+        assert advisor.evaluate(frontend, 6.0) == 0  # p95 0.3 holds it
+        assert ScalingAdvisor().evaluate(self.frontend(depth=0), 0.0) == -1
 
     def test_watermark_validation(self):
         with pytest.raises(ConfigurationError):

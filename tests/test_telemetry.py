@@ -96,6 +96,138 @@ class TestRegistry:
         assert registry.metrics() == []
 
 
+class TestGaugeSetFunction:
+    def test_reads_live_state_when_looked_at(self):
+        queue = []
+        gauge = telemetry.get_registry().gauge("depth")
+        gauge.set_function(lambda: len(queue), tenant="a")
+        assert gauge.value(tenant="a") == 0
+        queue.extend("xyz")
+        assert gauge.value(tenant="a") == 3
+        assert gauge.label_keys() == [(("tenant", "a"),)]
+        assert gauge.snapshot() == {"tenant=a": 3.0}
+        assert isinstance(gauge.snapshot()["tenant=a"], float)
+
+    def test_registering_again_replaces_the_reader(self):
+        gauge = telemetry.get_registry().gauge("depth")
+        gauge.set_function(lambda: 1, owner="x")
+        gauge.set_function(lambda: 2, owner="x")
+        gauge.set_function(lambda: 5, owner="y")
+        assert gauge.snapshot() == {"owner=x": 2.0, "owner=y": 5.0}
+
+    def test_set_and_set_function_overwrite_each_other(self):
+        gauge = telemetry.get_registry().gauge("depth")
+        gauge.set(7)
+        gauge.set_function(lambda: 8)
+        assert gauge.snapshot() == {"": 8.0}
+        with pytest.raises(TelemetryError):
+            gauge.inc()
+        gauge.set(9)
+        assert gauge.snapshot() == {"": 9.0}
+
+    def test_reset_forgets_readers(self):
+        registry = telemetry.get_registry()
+        registry.gauge("depth").set_function(lambda: 4)
+        registry.reset()
+        assert registry.metrics() == []
+        assert registry.gauge("depth").label_keys() == []
+
+    def test_disabled_registry_evaluates_nothing(self):
+        calls = []
+        registry = telemetry.get_registry()
+        gauge = registry.gauge("depth")
+        gauge.set_function(lambda: calls.append(1) or 6)
+        registry.disable()
+        assert gauge.value() == 0
+        assert gauge.label_keys() == []
+        assert snapshot(registry)["gauges"]["depth"]["values"] == {}
+        assert "depth 6" not in render_prometheus(registry)
+        assert calls == []
+        registry.enable()
+        assert gauge.value() == 6
+
+    def test_exposition_is_byte_equal_to_the_same_value_set(self):
+        pushed, read = MetricsRegistry(), MetricsRegistry()
+        for value, labels in ((3, {}), (2.5, {"kind": "unique"}), (1e18, {"kind": "big"})):
+            pushed.gauge("repro_demo_depth", "Demo.").set(value, **labels)
+            read.gauge("repro_demo_depth", "Demo.").set_function(
+                lambda value=value: value, **labels
+            )
+        assert to_json(read) == to_json(pushed)
+        assert render_prometheus(read) == render_prometheus(pushed)
+
+
+class _GaugeSpy(MetricsRegistry):
+    """A registry that remembers every gauge family it was asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.gauges_asked: list[str] = []
+
+    def gauge(self, name, help=""):
+        self.gauges_asked.append(name)
+        return super().gauge(name, help)
+
+
+class TestHotPathsTouchNoGauge:
+    """State gauges are registered where the owner is built; the paths
+    that mutate the state never look a gauge up."""
+
+    @pytest.fixture
+    def spy(self):
+        """Installed by the test once its owners are built."""
+        spy = _GaugeSpy()
+        yield spy
+        assert spy.gauges_asked == []
+
+    def test_blockstore_put(self, spy):
+        from repro.data import BlockStore
+
+        store = BlockStore(nodes=2, replicas=2, chunk_size=64)
+        set_registry(spy)
+        store.incref(store.put(b"x" * 640))  # nine of ten chunks are dedup hits
+        assert spy.counter("repro_blockstore_dedup_hits_total").value() == 9
+
+    def test_cache_get_and_ledger_charge(self, spy):
+        from repro.paramserver import LRUCache
+        from repro.tenancy import TenantRegistry
+
+        cache = LRUCache(1024, size_of=len, name="spied")
+        cache.put("k", b"value")
+        ledger = TenantRegistry().ledger
+        ledger.charge("acme", "trials", 1)  # first sighting registers the reader
+        set_registry(spy)
+        assert cache.get("k") == b"value" and cache.get("absent") is None
+        assert ledger.charge("acme", "trials", 2) == 3.0
+        assert ledger.release("acme", "trials", 1) == 2.0
+        assert spy.counter("repro_cache_hits_total").value(cache="spied") == 1
+
+    def test_frontend_poll_and_complete(self, spy):
+        from repro.core.serve import FrontendConfig, ServeFrontend
+
+        frontend = ServeFrontend(
+            FrontendConfig(latency=lambda b: 0.01, tau=0.5, batch_sizes=(2,))
+        )
+        set_registry(spy)
+        for client in ("a", "b"):
+            frontend.offer(client, None, 0.0)
+        (plan,) = frontend.poll(0.0)
+        frontend.complete(plan, 0.02)
+        assert frontend.served == 2
+        assert spy.histogram("repro_serve_batch_size").child_state()[2] == 1
+
+    def test_rafiki_query(self, spy, tiny_dataset):
+        from serve_helpers import deploy_untrained
+
+        from repro.core.system import Rafiki
+
+        system = Rafiki(seed=5)
+        infer_id = deploy_untrained(system, tiny_dataset)
+        set_registry(spy)
+        system.query(infer_id, tiny_dataset.test_x[:4])
+        system.query(infer_id, tiny_dataset.test_x[:4])  # answered by the cache
+
+
 class TestHistogramBuckets:
     BOUNDS = (0.1, 1.0, 10.0)
 

@@ -6,7 +6,10 @@ parameters of every class (or capitalised constructor function) the
 package exports; then every module-level mutable global in
 ``src/`` — a name some function rebinds through ``global``, or one bound
 to a ``ContextVar`` / ``itertools.count`` at module level; then the CLI's
-verbs and their flags, read off ``repro.cli.build_parser()``.
+verbs and their flags, read off ``repro.cli.build_parser()``; then the
+telemetry record sites in ``src/`` by kind, read off the AST — counter
+``inc``, histogram ``observe``/``observe_many``, gauge ``set`` against
+``set_function`` — and the ``_publish*`` methods and their call sites.
 
     python tools/tally.py [--classes]
 
@@ -22,6 +25,7 @@ import ast
 import importlib
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent / "src"
@@ -62,6 +66,46 @@ def mutable_globals(path: Path) -> list[str]:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names.update(t.id for t in targets if isinstance(t, ast.Name))
     return sorted(names)
+
+
+METRIC_KINDS = {"counter", "gauge", "histogram"}
+RECORD_METHODS = {"inc", "dec", "set", "set_function", "observe", "observe_many"}
+
+
+def _metric_kind(node) -> str | None:
+    """``counter``/``gauge``/``histogram`` when ``node`` is ``x.<kind>(...)``."""
+    func = getattr(node, "func", None)
+    if isinstance(node, ast.Call) and isinstance(func, ast.Attribute):
+        return func.attr if func.attr in METRIC_KINDS else None
+    return None
+
+
+def telemetry_sites(path: Path) -> Counter:
+    """Record sites (``gauge.set_function``, ...) and ``_publish*`` defs/calls."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out: Counter = Counter()
+    # names a metric family was bound to: ``sizes = registry.histogram(...)``
+    bound = {
+        target.id: _metric_kind(node.value)
+        for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and _metric_kind(node.value)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_publish"):
+            out["_publish* definitions"] += 1
+        func = getattr(node, "func", None)
+        if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)):
+            continue
+        if func.attr.startswith("_publish"):
+            out["_publish* call sites"] += 1
+        receiver = func.value
+        kind = _metric_kind(receiver) or (
+            bound.get(receiver.id) if isinstance(receiver, ast.Name) else None
+        )
+        if kind and func.attr in RECORD_METHODS:
+            out[f"{kind}.{func.attr}"] += 1
+    return out
 
 
 def cli_verbs() -> dict[str, int]:
@@ -107,6 +151,11 @@ def main() -> int:
     verbs = cli_verbs()
     print(f"\nCLI: {len(verbs)} verbs, {sum(verbs.values())} flags")
     print("  " + ", ".join(f"{verb} {flags}" for verb, flags in verbs.items()))
+    sites = Counter({"_publish* definitions": 0, "_publish* call sites": 0})
+    for path in sorted(ROOT.rglob("*.py")):
+        sites.update(telemetry_sites(path))
+    print("\ntelemetry record sites in src/:")
+    print("  " + ", ".join(f"{site} {count}" for site, count in sorted(sites.items())))
     return 0
 
 
