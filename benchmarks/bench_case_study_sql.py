@@ -53,7 +53,7 @@ def deployment():
                   image_path=path)
     db.udfs.register(
         "food_name",
-        make_inference_udf(gateway, infer_id, images, LABELS, memoize=False),
+        make_inference_udf(gateway, infer_id, images, LABELS),
     )
     return db
 

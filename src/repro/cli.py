@@ -362,12 +362,13 @@ def _cmd_telemetry(args) -> int:
         run_study,
         section71_space,
     )
-    from repro.paramserver import ParameterServer
     from repro.zoo import get_profile
 
-    # tune + paramserver: a small collaborative study on the surrogate.
+    # tune + paramserver: a small collaborative study on the surrogate,
+    # kept in the facade's own parameter server.
+    system = Rafiki(nodes=3, gpus_per_node=3, seed=args.seed)
+    param_server = system.param_server
     conf = HyperConf(max_trials=8, max_epochs_per_trial=30, delta=0.005)
-    param_server = ParameterServer()
     advisor = RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(args.seed))
     master = StudyMaster("telemetry", conf, advisor, param_server,
                          scheduler=CoStudy(rng=np.random.default_rng(args.seed + 7)))
@@ -387,7 +388,6 @@ def _cmd_telemetry(args) -> int:
 
     # cluster + gateway: place jobs, heartbeat, fail/recover a node,
     # then issue routed requests against the facade.
-    system = Rafiki(nodes=3, gpus_per_node=3, seed=args.seed)
     for node_name in list(system.cluster.nodes):
         system.cluster.heartbeat(node_name)
     from repro.cluster.manager import JobKind

@@ -9,6 +9,7 @@ emptiest nodes (worst-fit, which balances load across the cluster).
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -28,9 +29,6 @@ from repro.exceptions import (
 from repro.tenancy import DEFAULT_TENANT, TenantRegistry
 
 __all__ = ["ClusterManager", "JobRecord", "JobKind", "JobState"]
-
-#: governed quota resource per job kind (system jobs are uncounted).
-_QUOTA_RESOURCE = {"train": "trials", "inference": "replicas"}
 
 
 class JobKind(enum.Enum):
@@ -54,6 +52,12 @@ class JobState(enum.Enum):
     DEGRADED = "degraded"
 
 
+#: governed quota resource per job kind (system jobs are uncounted).
+_QUOTA_RESOURCE = {JobKind.TRAIN: "trials", JobKind.INFERENCE: "replicas"}
+#: states in which a job's containers are placed (and count against quota).
+_PLACED = (JobState.RUNNING, JobState.DEGRADED)
+
+
 @dataclass
 class JobRecord:
     """Book-keeping for one submitted job."""
@@ -64,7 +68,7 @@ class JobRecord:
     containers: list[Container] = field(default_factory=list)
     state: JobState = JobState.PENDING
     spec: dict = field(default_factory=dict)
-    #: owning tenant; quota charges and fair-share accounting key off this.
+    #: owning tenant; quota holdings and fair-share accounting key off this.
     tenant: str = DEFAULT_TENANT
     #: higher runs earlier among jobs of the same tenant in the pending queue.
     priority: int = 0
@@ -99,6 +103,9 @@ class ClusterManager:
         self.checkpoints = checkpoint_store if checkpoint_store is not None else CheckpointStore()
         #: quota + fair-share authority; ``None`` disables enforcement.
         self.tenants = tenants
+        if tenants is not None:
+            for kind, resource in _QUOTA_RESOURCE.items():
+                tenants.ledger.govern(resource, functools.partial(self._held, kind))
         self.recoveries = 0
         #: ``job-N`` / ``ctr-N`` sequence numbers, unique within this manager.
         self._job_ids = itertools.count(1)
@@ -265,13 +272,20 @@ class ClusterManager:
 
     def _quota_check(self, job: JobRecord) -> None:
         """Raise if placing ``job`` would take its tenant over quota."""
-        resource = _QUOTA_RESOURCE.get(job.kind.value)
+        resource = _QUOTA_RESOURCE.get(job.kind)
         if self.tenants is None or resource is None:
             return
         self.tenants.check(job.tenant, resource, len(job.workers))
 
+    def _held(self, kind: JobKind, tenant: str) -> int:
+        """Workers of ``tenant``'s placed jobs of ``kind`` (its quota holding)."""
+        return sum(
+            len(job.workers) for job in self.jobs.values()
+            if job.kind is kind and job.state in _PLACED and job.tenant == tenant
+        )
+
     def _activate(self, job: JobRecord) -> None:
-        """Place all of a job's containers and charge the tenant quota.
+        """Place all of a job's containers; from then on they hold quota.
 
         Raises :class:`PlacementError` (placing nothing) if the full
         job does not fit on the alive nodes.
@@ -282,9 +296,6 @@ class ClusterManager:
             container.node_name = node.name
             container.state = ContainerState.RUNNING
             self.containers[container.container_id] = container
-        resource = _QUOTA_RESOURCE.get(job.kind.value)
-        if self.tenants is not None and resource is not None:
-            self.tenants.charge(job.tenant, resource, len(job.workers))
         job.state = JobState.RUNNING
         job.pending_reason = None
 
@@ -353,7 +364,7 @@ class ClusterManager:
         """Resources currently held by each tenant's active jobs."""
         allocation: dict[str, Resources] = {}
         for job in self.jobs.values():
-            if job.state not in (JobState.RUNNING, JobState.DEGRADED):
+            if job.state not in _PLACED:
                 continue
             for container in job.containers:
                 if container.node_name is None or container.state is not ContainerState.RUNNING:
@@ -428,7 +439,6 @@ class ClusterManager:
 
     def stop_job(self, job_id: str, state: JobState = JobState.STOPPED) -> None:
         job = self.get_job(job_id)
-        was_charged = job.state in (JobState.RUNNING, JobState.DEGRADED)
         if job in self._pending_jobs:
             self._pending_jobs.remove(job)
         for container in job.containers:
@@ -439,9 +449,6 @@ class ClusterManager:
             c for c in self._pending_restarts if c.job_id != job_id
         ]
         job.state = state
-        resource = _QUOTA_RESOURCE.get(job.kind.value)
-        if was_charged and self.tenants is not None and resource is not None:
-            self.tenants.release(job.tenant, resource, len(job.workers))
         self._drain_pending_restarts()
         self._schedule_pending()
 
@@ -491,7 +498,7 @@ class ClusterManager:
 
     def _restart(self, failed: Container) -> Container | None:
         job = self.jobs.get(failed.job_id)
-        if job is None or job.state not in (JobState.RUNNING, JobState.DEGRADED):
+        if job is None or job.state not in _PLACED:
             return None
         replacement = self._new_container(
             image=failed.image,

@@ -368,11 +368,9 @@ class ServeFrontend:
         self._retry_at: float | None = None
         self._wait_until: float | None = None
         self._latency_sample = Reservoir(capacity=4096)
-        #: terminal-outcome counts, by reason ("served" included).
-        self.outcomes: dict[str, int] = {}
-        #: the same counts broken down per tenant.
+        #: per tenant: admissions and terminal outcomes by reason
+        #: ("served" included) — the one table every total is read off.
         self.tenant_outcomes: dict[str, dict[str, int]] = {}
-        self.admitted = 0
         #: admissions already in the telemetry registry, per tenant: the
         #: rest are counted once per ``poll`` (so once per arrival
         #: burst), not once per request.
@@ -520,7 +518,6 @@ class ServeFrontend:
             self._seq, client_id, payload, arrival, arrival + config.tau, tenant
         )
         pending.append(request)
-        self.admitted += 1
         self._tenant_account(tenant, "admitted")
         return request
 
@@ -538,7 +535,6 @@ class ServeFrontend:
         tenant: str = DEFAULT_TENANT,
     ) -> RequestShedError:
         """Account one shed and build the error the caller raises."""
-        self.outcomes[reason] = self.outcomes.get(reason, 0) + 1
         self._tenant_account(tenant, reason)
         registry = telemetry.get_registry()
         registry.counter(
@@ -681,7 +677,6 @@ class ServeFrontend:
             request.completed_at = now
         for tenant, count in Counter(r.tenant for r in requests).items():
             self._tenant_account(tenant, "served", count)
-        self.outcomes["served"] = self.outcomes.get("served", 0) + len(requests)
         self._latency_sample.add_many(latencies)
         registry = telemetry.get_registry()
         registry.histogram(
@@ -724,6 +719,18 @@ class ServeFrontend:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+
+    @property
+    def outcomes(self) -> dict[str, int]:
+        """Terminal-outcome counts over every tenant, by reason ("served" included)."""
+        totals = sum(map(Counter, self.tenant_outcomes.values()), Counter())
+        del totals["admitted"]
+        return totals
+
+    @property
+    def admitted(self) -> int:
+        """Requests admitted so far."""
+        return sum(counts.get("admitted", 0) for counts in self.tenant_outcomes.values())
 
     @property
     def served(self) -> int:

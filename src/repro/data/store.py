@@ -68,11 +68,15 @@ class DataStore:
         tenants: TenantRegistry | None = None,
     ):
         self.name = name
-        #: when set, blob writes charge the ambient tenant's
-        #: ``store_bytes`` quota over the *current* version's logical
-        #: size; overwrites and deletes release the displaced charge.
+        #: when set, every blob's *current* version counts its logical
+        #: size against its writer's ``store_bytes`` quota.
         self.tenants = tenants
+        #: writer and size of each blob's current version, by path.
         self._blob_charges: dict[str, tuple[str, int]] = {}
+        if tenants is not None:
+            tenants.ledger.govern("store_bytes", lambda tenant: sum(
+                size for writer, size in self._blob_charges.values() if writer == tenant
+            ))
         self._datasets: dict[str, ImageDataset] = {}
         self._handles: dict[str, DatasetHandle] = {}
         self.blocks = block_store or BlockStore(
@@ -223,26 +227,18 @@ class DataStore:
         """Store ``blob`` under ``path`` (a new version if it exists).
 
         With a tenant registry attached, the ambient tenant's
-        ``store_bytes`` quota is checked *before* any chunk is stored
-        (a denied write stores nothing) but charged only once the
-        write lands (a failed write charges nothing); the charge for
-        the displaced current version, if any, is then released.
+        ``store_bytes`` quota is checked *before* any chunk is stored (a
+        denied write stores nothing; the version it would displace is
+        headroom), and the blob is recorded against the tenant once the
+        write lands (a failed write holds nothing).
         """
-        tenant = displaced = None
+        tenant = current_tenant()
         if self.tenants is not None:
-            tenant = current_tenant()
             displaced = self._blob_charges.get(path)
             headroom = displaced[1] if displaced and displaced[0] == tenant else 0
             self.tenants.check(tenant, "store_bytes", len(blob) - headroom)
-        # Write first, mutate the ledger only on success: a failed
-        # write must leave no phantom charge and must not release the
-        # displaced version's charge while that version still exists.
         self.fs.write(path, bytes(blob), writer=self.name)
-        if self.tenants is not None:
-            if displaced is not None:
-                self.tenants.release(displaced[0], "store_bytes", displaced[1])
-            self.tenants.ledger.charge(tenant, "store_bytes", len(blob))
-            self._blob_charges[path] = (tenant, len(blob))
+        self._blob_charges[path] = (tenant, len(blob))
         self.bytes_written += len(blob)
 
     def get_blob(self, path: str, version: int | None = None) -> bytes:
@@ -264,9 +260,7 @@ class DataStore:
             self.fs.delete(path)
         except NotFoundError as exc:
             raise DatasetNotFoundError(path) from exc
-        charged = self._blob_charges.pop(path, None)
-        if self.tenants is not None and charged is not None:
-            self.tenants.release(charged[0], "store_bytes", charged[1])
+        self._blob_charges.pop(path, None)
 
     def list_blobs(self, prefix: str = "") -> list[str]:
         return sorted(self.fs.list_paths(prefix))

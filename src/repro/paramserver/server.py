@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -82,8 +82,8 @@ class ParameterEntry:
     public: bool = True
     nbytes: int = 0
     extra: dict = field(default_factory=dict)
-    #: tenant whose ``ps_bytes`` quota this version is charged against,
-    #: or ``None`` when stored by a server with no registry attached.
+    #: tenant whose ``ps_bytes`` quota this version counts against, or
+    #: ``None`` when stored by a server with no registry attached.
     tenant: str | None = None
 
     @property
@@ -108,9 +108,10 @@ class ParameterServer(HostedGroup):
     ``cache_bytes`` is the *total* hot-cache budget, split evenly across
     the ``shards``, so scaling out does not multiply memory. ``retry`` is
     applied around each shard operation (use ``retry_on=(InjectedFault,)``
-    so lookup errors still propagate at once). ``tenants`` charges each
-    stored version's ``ps_bytes`` — once, whatever the store's
-    replication factor — and deletes release it.
+    so lookup errors still propagate at once). With ``tenants``, every
+    stored version counts its ``nbytes`` against its writer's ``ps_bytes``
+    quota — once, whatever the store's replication factor — until its
+    key is deleted.
 
     Every shard sits behind ``breaker_factory(name)``, by default three
     consecutive failures open it for 30 s. On a one-shard server that
@@ -138,7 +139,6 @@ class ParameterServer(HostedGroup):
         self.tenants = tenants
         self.store = store if store is not None else DataStore("ps-backing")
         self._entries: dict[str, list[ParameterEntry]] = {}
-        self._stored_bytes = 0
         self.retry = retry
         per_shard_cache = max(1, cache_bytes // shards)
         self._members: list[Shard] = [
@@ -159,10 +159,14 @@ class ParameterServer(HostedGroup):
         ).set_function(lambda: sum(1 for s in self._members if s.alive))
         registry.gauge(
             "repro_paramserver_stored_bytes", "Total bytes across stored versions."
-        ).set_function(lambda: self._stored_bytes)
+        ).set_function(lambda: sum(entry.nbytes for entry in self._all_entries()))
         registry.gauge(
             "repro_paramserver_keys", "Distinct parameter keys stored."
         ).set_function(lambda: len(self._entries))
+        if tenants is not None:
+            tenants.ledger.govern("ps_bytes", lambda tenant: sum(
+                entry.nbytes for entry in self._all_entries() if entry.tenant == tenant
+            ))
 
     # ------------------------------------------------------------------
     # topology
@@ -287,23 +291,15 @@ class ParameterServer(HostedGroup):
         )
         if self.tenants is not None:
             entry.tenant = current_tenant()
-            self.tenants.charge(entry.tenant, "ps_bytes", entry.nbytes)
+            self.tenants.check(entry.tenant, "ps_bytes", entry.nbytes)
         state_copy = {name: value.copy() for name, value in state.items()}
-        try:
-            self.store.put_blob(
-                entry.path, pickle.dumps(state_copy, pickle.HIGHEST_PROTOCOL)
-            )
-        except BaseException:
-            # The blob never landed (store quota denial, injected
-            # fault): roll back the ps_bytes charge and record no
-            # version, or get() of a phantom entry would fail later.
-            if self.tenants is not None:
-                self.tenants.release(entry.tenant, "ps_bytes", entry.nbytes)
-            raise
-        versions = self._entries.setdefault(key, [])
-        versions.append(entry)
+        self.store.put_blob(
+            entry.path, pickle.dumps(state_copy, pickle.HIGHEST_PROTOCOL)
+        )
+        # Recorded only once the blob landed: that record is the version,
+        # its quota holding and what get() will read.
+        self._entries.setdefault(key, []).append(entry)
         cache.put(entry.path, state_copy)
-        self._stored_bytes += entry.nbytes
         telemetry.get_registry().counter(
             "repro_paramserver_push_total", "Parameter versions pushed (put)."
         ).inc()
@@ -386,6 +382,10 @@ class ParameterServer(HostedGroup):
             raise ParameterNotFoundError(f"{key}@v{version}")
         return versions[version - 1]
 
+    def _all_entries(self) -> Iterator[ParameterEntry]:
+        for versions in self._entries.values():
+            yield from versions
+
     def has(self, key: str) -> bool:
         """Whether any version of ``key`` is stored."""
         return key in self._entries
@@ -410,9 +410,6 @@ class ParameterServer(HostedGroup):
         for entry in versions:
             for shard in self._members:
                 shard.cache.invalidate(entry.path)
-            self._stored_bytes -= entry.nbytes
-            if self.tenants is not None and entry.tenant is not None:
-                self.tenants.release(entry.tenant, "ps_bytes", entry.nbytes)
             if self.store.has_blob(entry.path):
                 self.store.delete_blob(entry.path)
 
@@ -456,17 +453,16 @@ class ParameterServer(HostedGroup):
         the same model on different data are shared when public.
         """
         best: ParameterEntry | None = None
-        for versions in self._entries.values():
-            for entry in versions:
-                if not entry.public or entry.model != model:
-                    continue
-                if exclude_dataset and entry.dataset == exclude_dataset:
-                    continue
-                if best is None or (
-                    not np.isnan(entry.performance)
-                    and (np.isnan(best.performance) or entry.performance > best.performance)
-                ):
-                    best = entry
+        for entry in self._all_entries():
+            if not entry.public or entry.model != model:
+                continue
+            if exclude_dataset and entry.dataset == exclude_dataset:
+                continue
+            if best is None or (
+                not np.isnan(entry.performance)
+                and (np.isnan(best.performance) or entry.performance > best.performance)
+            ):
+                best = entry
         return best
 
     # ------------------------------------------------------------------

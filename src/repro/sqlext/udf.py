@@ -2,9 +2,9 @@
 
 The case study's ``food_name(image_path)`` UDF sends the image behind a
 path to a deployed Rafiki inference job over the gateway's web API and
-returns the predicted label's name. Results are memoised per argument
-— repeated paths cost one inference call — and every call is counted
-so the predicate-pushdown saving is measurable.
+returns the predicted label's name. Every call is counted so the
+predicate-pushdown saving is measurable; a repeated path is answered by
+the deployed job's prediction cache, which a redeploy drops.
 
 The planned executor never calls UDFs one row at a time: its EvalUdf
 operator hands the whole argument batch to :meth:`UdfRegistry.call_batch`,
@@ -101,32 +101,22 @@ def make_inference_udf(
     inference_job_id: str,
     image_store: Mapping[str, np.ndarray],
     label_names: tuple[str, ...] | None = None,
-    memoize: bool = True,
 ) -> Callable[[str], Any]:
     """Build a UDF that classifies ``image_store[path]`` via the gateway.
 
     The returned callable mirrors the case study's ``food_name``: it
     posts the image to ``/query/<job>`` (a
     :func:`make_batched_inference_udf` batch of one) and maps the
-    predicted class id to ``label_names`` when given, remembering the
-    answer per path unless ``memoize`` is off. When the model is
-    re-trained and the job re-deployed, only ``inference_job_id``
-    changes — the SQL query at the database user's side is untouched.
+    predicted class id to ``label_names`` when given. It remembers
+    nothing: repeats hit the job's prediction cache, so an answer never
+    outlives a redeploy. When the model is re-trained and the job
+    re-deployed under a new id, only ``inference_job_id`` changes — the
+    SQL query at the database user's side is untouched.
     """
     batch_udf = make_batched_inference_udf(
         gateway, inference_job_id, image_store, label_names
     )
-    cache: dict[str, Any] = {}
-
-    def _udf(image_path: str) -> Any:
-        if memoize and image_path in cache:
-            return cache[image_path]
-        result = batch_udf([image_path])[0]
-        if memoize:
-            cache[image_path] = result
-        return result
-
-    return _udf
+    return lambda image_path: batch_udf([image_path])[0]
 
 
 def make_batched_inference_udf(

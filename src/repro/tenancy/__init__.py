@@ -4,12 +4,12 @@ Rafiki is an analytics *service*: many customers share one cluster
 (PAPER.md §1, §3). This package gives every request an owner. The
 :class:`TenantRegistry` holds per-tenant quotas over four governed
 resources (concurrent trials, serving replicas, parameter-server bytes,
-data-store bytes) backed by a :class:`UsageLedger`; the ambient
-:func:`current_tenant` context lets deep subsystems label telemetry and
-charge quotas without threading a ``tenant`` argument everywhere. The
-cluster manager consumes tenant weights for max-min fair-share
-placement, and the serving front end layers per-tenant token buckets
-over its per-client ones.
+data-store bytes), read by a :class:`UsageLedger` off the owners'
+records; the ambient :func:`current_tenant` context lets deep
+subsystems label telemetry and check quotas without threading a
+``tenant`` argument everywhere. The cluster manager consumes tenant
+weights for max-min fair-share placement, and the serving front end
+layers per-tenant token buckets over its per-client ones.
 """
 
 from repro.exceptions import QuotaExceededError, TenantAccessError

@@ -3,7 +3,7 @@
 The gateway resolves the tenant once per request and enters
 :func:`tenant_context`; deep subsystems (the tuner's epoch loop, the
 parameter server's byte accounting) read :func:`current_tenant` to
-label metrics and charge quotas without every call signature having to
+label metrics and check quotas without every call signature having to
 thread a ``tenant`` argument through the stack.
 """
 

@@ -13,9 +13,11 @@ at once. Four resources are governed:
 ``store_bytes``
     logical bytes of blobs held in the data store.
 
-Quotas are *concurrent-holding* limits, not rate limits: usage is
-charged when a resource is acquired and released when it is freed, so
-a denied request can succeed later without any configuration change.
+Quotas are *concurrent-holding* limits, not rate limits, so a denied
+request can succeed later without any configuration change. Holdings
+are read off the owners' own records (:meth:`UsageLedger.govern`): an
+owner checks before it acts and records the object once the act
+succeeded, so a failed operation holds nothing and rolls nothing back.
 Denials raise :class:`~repro.exceptions.QuotaExceededError` (HTTP 429
 at the gateway); unknown or suspended tenants raise
 :class:`~repro.exceptions.TenantAccessError` (HTTP 403).
@@ -24,6 +26,7 @@ at the gateway); unknown or suspended tenants raise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro import telemetry
 from repro.exceptions import QuotaExceededError, TenantAccessError
@@ -70,43 +73,49 @@ class Tenant:
 
 
 class UsageLedger:
-    """Tracks how much of each governed resource every tenant holds."""
+    """Reads each tenant's holdings off the owners' readers; keeps no numbers.
+
+    A (tenant, resource) pair shows in :meth:`snapshot` and
+    ``repro_tenant_usage`` from its first passed check."""
 
     def __init__(self) -> None:
-        self._usage: dict[str, dict[str, float]] = {}
+        self._readers: dict[str, list[Callable[[str], float]]] = {r: [] for r in RESOURCES}
+        #: resources each tenant has passed a check for, first-seen order.
+        self._seen: dict[str, list[str]] = {}
+
+    def govern(self, resource: str, holdings: Callable[[str], float]) -> None:
+        """Count ``holdings(tenant)`` toward every tenant's ``resource`` (owners
+        call this once where they are built; it keeps them reachable)."""
+        self._readers[resource].append(holdings)
 
     def usage(self, tenant: str, resource: str) -> float:
-        """Current holding of ``resource`` charged to ``tenant``."""
-        return self._usage.get(tenant, {}).get(resource, 0.0)
+        """Current holding of ``resource`` by ``tenant``, read off its owners."""
+        return float(sum(read(tenant) for read in self._readers.get(resource, ())))
 
-    def _holdings(self, tenant: str, resource: str) -> dict[str, float]:
-        """The tenant's holdings; a pair's first sighting registers its gauge."""
-        per_tenant = self._usage.setdefault(tenant, {})
-        if resource not in per_tenant:
-            per_tenant[resource] = 0.0
+    def _see(self, tenant: str, resource: str) -> None:
+        """A pair's first passed check registers its usage series."""
+        resources = self._seen.setdefault(tenant, [])
+        if resource not in resources:
+            resources.append(resource)
             telemetry.get_registry().gauge(
                 "repro_tenant_usage",
                 "Governed resource currently held, by tenant and resource.",
             ).set_function(
-                lambda: per_tenant[resource], tenant=tenant, resource=resource
+                lambda: self.usage(tenant, resource), tenant=tenant, resource=resource
             )
-        return per_tenant
-
-    def charge(self, tenant: str, resource: str, amount: float) -> float:
-        """Add ``amount`` to the tenant's holding and return the new total."""
-        per_tenant = self._holdings(tenant, resource)
-        per_tenant[resource] += float(amount)
-        return per_tenant[resource]
-
-    def release(self, tenant: str, resource: str, amount: float) -> float:
-        """Subtract ``amount`` (floored at zero) and return the new total."""
-        per_tenant = self._holdings(tenant, resource)
-        per_tenant[resource] = max(0.0, per_tenant[resource] - float(amount))
-        return per_tenant[resource]
 
     def snapshot(self) -> dict[str, dict[str, float]]:
-        """Copy of the full ledger, for dashboards and scenario traces."""
-        return {t: dict(r) for t, r in sorted(self._usage.items())}
+        """Every seen pair's holding, for dashboards and scenario traces."""
+        return {
+            tenant: {resource: self.usage(tenant, resource) for resource in resources}
+            for tenant, resources in sorted(self._seen.items())
+        }
+
+    def charge(self, *args, **kwargs):
+        """Gone; kept because the frozen end-to-end harness wraps the name."""
+        raise TypeError("usage is read off its owners: register a reader with govern()")
+
+    release = charge
 
 
 class TenantRegistry:
@@ -136,10 +145,12 @@ class TenantRegistry:
         quota: TenantQuota | None = None,
         weight: float = 1.0,
     ) -> Tenant:
-        """Register (or re-register, updating quota/weight) a tenant."""
+        """Register (or re-register, updating quota/weight; a suspension stays) a tenant."""
         if not name or not isinstance(name, str):
             raise TenantAccessError(str(name), "tenant name must be a non-empty string")
+        previous = self._tenants.get(name)
         tenant = Tenant(name=name, quota=quota or TenantQuota(), weight=float(weight))
+        tenant.active = previous is None or previous.active
         self._tenants[name] = tenant
         return tenant
 
@@ -184,30 +195,21 @@ class TenantRegistry:
     # ------------------------------------------------------------------
 
     def check(self, name: str, resource: str, amount: float) -> None:
-        """Raise :class:`QuotaExceededError` if the charge would not fit."""
+        """Raise :class:`QuotaExceededError` if ``amount`` more would not fit."""
         tenant = self.resolve(name)
         limit = tenant.quota.limit(resource)
-        if limit is None:
-            return
-        used = self.ledger.usage(name, resource)
-        if used + float(amount) > limit:
-            telemetry.get_registry().counter(
-                "repro_tenant_quota_denials_total",
-                "Requests denied by quota, by tenant and resource.",
-            ).inc(tenant=name, resource=resource)
-            raise QuotaExceededError(name, resource, limit, used, float(amount))
-
-    def charge(self, name: str, resource: str, amount: float) -> None:
-        """Atomically check the quota and charge the ledger."""
-        self.check(name, resource, amount)
-        self.ledger.charge(name, resource, amount)
-
-    def release(self, name: str, resource: str, amount: float) -> None:
-        """Return previously charged usage to the tenant's budget."""
-        self.ledger.release(name, resource, amount)
+        if limit is not None:
+            used = self.ledger.usage(name, resource)
+            if used + float(amount) > limit:
+                telemetry.get_registry().counter(
+                    "repro_tenant_quota_denials_total",
+                    "Requests denied by quota, by tenant and resource.",
+                ).inc(tenant=name, resource=resource)
+                raise QuotaExceededError(name, resource, limit, used, float(amount))
+        self.ledger._see(name, resource)
 
     def usage(self, name: str, resource: str) -> float:
-        """Current ledger holding for one tenant/resource pair."""
+        """Current holding for one tenant/resource pair."""
         return self.ledger.usage(name, resource)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -68,6 +68,15 @@ class TestCommands:
                        "repro_cluster_", "repro_gateway_"):
             assert prefix in names, f"snapshot missing {prefix} metrics"
 
+    def test_telemetry_snapshot_shows_the_study_keys(self, capsys):
+        # Regression: the study ran on a server of its own, and the
+        # facade's server, built later, took over the keys gauge (0).
+        import json
+
+        assert main(["telemetry", "--format", "json"]) == 0
+        keys = json.loads(capsys.readouterr().out)["gauges"]["repro_paramserver_keys"]
+        assert keys["values"][""] >= 1
+
     def test_telemetry_prometheus_format(self, capsys):
         assert main(["telemetry", "--format", "prom"]) == 0
         out = capsys.readouterr().out

@@ -254,6 +254,43 @@ class TestFacadeQueryCache:
         assert gateway.handle("POST", f"/inference/{infer_id}/redeploy").status == 200
         assert sql_labels() == direct_labels() != before
 
+    def test_scalar_udf_answers_move_with_a_redeploy(self, deployed):
+        """Regression: ``make_inference_udf`` memoised per path in its
+        closure, which no redeploy reached — the row-at-a-time executor
+        kept answering with the old parameters' labels."""
+        from repro.sqlext import Column, Database, make_inference_udf
+
+        system, infer_id, info, dataset = deployed
+        gateway = Gateway(system)
+        images = {f"photos/{i}.npy": image for i, image in enumerate(dataset.test_x)}
+        db = Database()
+        db.create_table(
+            "log", [Column("id", "integer"), Column("path", "text", not_null=True)],
+            primary_key=("id",),
+        )
+        for row in range(8):
+            db.insert("log", id=row, path=f"photos/{row}.npy")
+        db.udfs.register("label", make_inference_udf(gateway, infer_id, images))
+
+        def naive_labels():
+            rows = db.execute("SELECT id, label(path) FROM log ORDER BY id",
+                              executor="naive").rows
+            return [label for _id, label in rows]
+
+        def direct_labels():
+            return list(system.query(infer_id, dataset.test_x[:8])["label"])
+
+        before = naive_labels()
+        assert before == direct_labels()
+        for spec in info.specs:  # every replica's vote is turned over
+            state = system.param_server.get(spec.param_key)
+            for name in state:
+                if name.endswith(("/fc/W", "/fc/b")):
+                    state[name] = -state[name]
+            system.param_server.put(spec.param_key, state, performance=spec.performance)
+        assert gateway.handle("POST", f"/inference/{infer_id}/redeploy").status == 200
+        assert naive_labels() == direct_labels() != before
+
     def test_every_route_is_the_one_cached_path(self, deployed, monkeypatch):
         """Single, batch, SDK, async front end and SQL UDF: one answer.
 

@@ -10,6 +10,9 @@ from serve_helpers import queue_of
 from repro import chaos, telemetry
 from repro.chaos import FaultKind, FaultPlan, FaultRule
 from repro.chaos.scenarios import reads_through_each_shard
+from repro.cluster import ClusterManager, Node
+from repro.cluster.manager import JobKind, JobState
+from repro.cluster.node import Resources
 from repro.core.serve import FrontendConfig, ServeFrontend, SineArrival
 from repro.core.tune import HyperSpace
 from repro.data import BlockStore, DataStore
@@ -17,11 +20,14 @@ from repro.exceptions import (
     ChunkLostError,
     InjectedFault,
     ParameterServerError,
+    QuotaExceededError,
     RequestShedError,
     StorageError,
 )
 from repro.paramserver import LRUCache, ParameterServer
 from repro.sim import Simulator
+from repro.tenancy import TenantQuota, TenantRegistry, tenant_context
+from repro.tenancy.registry import RESOURCES
 from repro.utils.retry import CircuitBreaker
 from repro.zoo import majority_vote
 
@@ -410,3 +416,164 @@ class OneShardServingTierMachine(ServingTierMachine):
 
 OneShardServingTierMachine.TestCase.settings = ServingTierMachine.TestCase.settings
 TestOneShardServingTierStateMachine = OneShardServingTierMachine.TestCase
+
+
+# ----------------------------------------------------------------------
+# quota holdings, read off the objects that hold them
+# ----------------------------------------------------------------------
+
+QUOTA_TENANTS = ("acme", "globex")
+QUOTA_NODES = ("n0", "n1")
+QUOTA_KIND_RESOURCE = {JobKind.TRAIN: "trials", JobKind.INFERENCE: "replicas"}
+FAIL_AFTER = st.none() | st.integers(0, 6)
+
+
+class QuotaMachine(RuleBasedStateMachine):
+    """A cluster manager, a data store and a parameter server on one registry.
+
+    The registry holds no usage numbers. After every step — submits,
+    stops, node failures and recoveries, parameter puts and deletes, blob
+    writes, overwrites and deletes, some of them failing half-way through
+    their datanode writes — each tenant's holding of each resource equals
+    a recomputation from the owners' records (the blob writers are this
+    machine's own model), and never exceeds its quota.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.tenants = TenantRegistry()
+        self.tenants.register("acme", quota=TenantQuota(
+            trials=3, replicas=2, ps_bytes=600, store_bytes=1500))
+        self.tenants.register("globex", quota=TenantQuota(trials=4, store_bytes=3000))
+        self.manager = ClusterManager(tenants=self.tenants)
+        for name in QUOTA_NODES:
+            self.manager.add_node(
+                Node(name, capacity=Resources(cpus=4, gpus=2, memory_gb=32))
+            )
+
+        def breaker(name):
+            return CircuitBreaker(name=name, failure_threshold=10**9)
+
+        self.store = DataStore(
+            "hdfs", tenants=self.tenants, block_store=BlockStore(
+                nodes=3, replicas=2, chunk_size=64, breaker_factory=breaker),
+        )
+        self.server = ParameterServer(
+            store=self.store, tenants=self.tenants, breaker_factory=breaker
+        )
+        #: blob path -> tenant whose write of its current version landed.
+        self.writers: dict[str, str] = {}
+
+    def _write(self, tenant, fail_after, write) -> bool:
+        """Run ``write`` as ``tenant``; datanode writes past ``fail_after`` fail."""
+        plan = None if fail_after is None else FaultPlan(
+            [FaultRule("data.store.put", FaultKind.EXCEPTION, after=fail_after)], seed=0
+        )
+        previous = chaos.set_plan(plan)
+        try:
+            with tenant_context(tenant):
+                write()
+        except (QuotaExceededError, InjectedFault):
+            return False
+        finally:
+            chaos.set_plan(previous)
+        return True
+
+    # -- the cluster -----------------------------------------------------
+
+    @rule(tenant=st.sampled_from(QUOTA_TENANTS),
+          kind=st.sampled_from(sorted(QUOTA_KIND_RESOURCE, key=lambda k: k.value)),
+          workers=st.integers(0, 3))
+    def submit(self, tenant, kind, workers):
+        self.manager.submit_job(kind, "job", num_workers=workers, tenant=tenant)
+
+    @precondition(lambda self: self.manager.jobs)
+    @rule(data=st.data())
+    def stop(self, data):
+        self.manager.stop_job(data.draw(st.sampled_from(sorted(self.manager.jobs))))
+
+    @rule(name=st.sampled_from(QUOTA_NODES))
+    def fail_node(self, name):
+        self.manager.fail_node(name)
+
+    @rule(name=st.sampled_from(QUOTA_NODES))
+    def recover_node(self, name):
+        self.manager.recover_node(name)
+
+    # -- the parameter server and the store ------------------------------
+
+    @rule(tenant=st.sampled_from(QUOTA_TENANTS), key=st.sampled_from("ab"),
+          value=st.integers(0, 3), fail_after=FAIL_AFTER)
+    def ps_put(self, tenant, key, value, fail_after):
+        if self._write(tenant, fail_after,
+                       lambda: self.server.put(key, _ps_state(value))):
+            self.writers[self.server.get_entry(key).path] = tenant
+
+    @precondition(lambda self: self.server.keys())
+    @rule(data=st.data())
+    def ps_delete(self, data):
+        key = data.draw(st.sampled_from(self.server.keys()))
+        for version in range(1, self.server.versions(key) + 1):
+            del self.writers[self.server.get_entry(key, version).path]
+        self.server.delete(key)
+
+    @rule(tenant=st.sampled_from(QUOTA_TENANTS),
+          path=st.sampled_from(("blobs/x", "blobs/y")),
+          size=st.integers(1, 900), fail_after=FAIL_AFTER)
+    def blob_put(self, tenant, path, size, fail_after):
+        if self._write(tenant, fail_after,
+                       lambda: self.store.put_blob(path, bytes([size % 251]) * size)):
+            self.writers[path] = tenant
+
+    @precondition(lambda self: any(p.startswith("blobs/") for p in self.writers))
+    @rule(data=st.data())
+    def blob_delete(self, data):
+        path = data.draw(st.sampled_from(
+            sorted(p for p in self.writers if p.startswith("blobs/"))
+        ))
+        self.store.delete_blob(path)
+        del self.writers[path]
+
+    # -- the invariant ---------------------------------------------------
+
+    def _recomputed(self, tenant: str, resource: str) -> float:
+        if resource in ("trials", "replicas"):
+            return sum(
+                len(job.workers) for job in self.manager.jobs.values()
+                if job.tenant == tenant
+                and QUOTA_KIND_RESOURCE[job.kind] == resource
+                and job.state in (JobState.RUNNING, JobState.DEGRADED)
+            )
+        if resource == "ps_bytes":
+            entries = (
+                self.server.get_entry(key, version)
+                for key in self.server.keys()
+                for version in range(1, self.server.versions(key) + 1)
+            )
+            return sum(e.nbytes for e in entries if self.writers[e.path] == tenant)
+        return sum(
+            len(self.store.get_blob(path))
+            for path, writer in self.writers.items() if writer == tenant
+        )
+
+    @invariant()
+    def holdings_are_read_off_the_owners(self):
+        assert sorted(self.writers) == self.store.list_blobs()
+        for tenant in QUOTA_TENANTS:
+            quota = self.tenants.resolve(tenant).quota
+            for resource in RESOURCES:
+                held = self.tenants.usage(tenant, resource)
+                assert held == self._recomputed(tenant, resource), (tenant, resource)
+                limit = quota.limit(resource)
+                assert limit is None or held <= limit, (tenant, resource)
+        gauge = telemetry.get_registry().gauge("repro_tenant_usage")
+        for tenant, holdings in self.tenants.ledger.snapshot().items():
+            for resource, held in holdings.items():
+                assert held == self.tenants.usage(tenant, resource)
+                assert gauge.value(tenant=tenant, resource=resource) == held
+
+
+QuotaMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+TestQuotaStateMachine = QuotaMachine.TestCase

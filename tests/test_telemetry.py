@@ -189,17 +189,25 @@ class TestHotPathsTouchNoGauge:
         assert spy.counter("repro_blockstore_dedup_hits_total").value() == 9
 
     def test_cache_get_and_ledger_charge(self, spy):
+        from repro.cluster import ClusterManager, Node
+        from repro.cluster.manager import JobKind
+        from repro.cluster.node import Resources
         from repro.paramserver import LRUCache
-        from repro.tenancy import TenantRegistry
+        from repro.tenancy import TenantQuota, TenantRegistry
 
         cache = LRUCache(1024, size_of=len, name="spied")
         cache.put("k", b"value")
-        ledger = TenantRegistry().ledger
-        ledger.charge("acme", "trials", 1)  # first sighting registers the reader
+        tenants = TenantRegistry()
+        tenants.register("acme", quota=TenantQuota(trials=4))
+        manager = ClusterManager(tenants=tenants)
+        manager.add_node(Node("n0", capacity=Resources(cpus=8, gpus=4, memory_gb=64)))
+        # the submit's passed check is the pair's first sighting: it
+        # registers the usage reader
+        manager.submit_job(JobKind.TRAIN, "t", num_workers=1, tenant="acme")
         set_registry(spy)
         assert cache.get("k") == b"value" and cache.get("absent") is None
-        assert ledger.charge("acme", "trials", 2) == 3.0
-        assert ledger.release("acme", "trials", 1) == 2.0
+        tenants.check("acme", "trials", 3)
+        assert tenants.usage("acme", "trials") == 1.0
         assert spy.counter("repro_cache_hits_total").value(cache="spied") == 1
 
     def test_frontend_poll_and_complete(self, spy):

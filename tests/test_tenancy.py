@@ -1,6 +1,9 @@
 """Multi-tenant control plane: quotas, fair share, isolation, regressions."""
 
 import asyncio
+import importlib
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,7 +77,9 @@ class TestTenantRegistry:
     def test_quota_denial_counts_and_raises(self):
         registry = TenantRegistry()
         registry.register("acme", quota=TenantQuota(trials=2))
-        registry.charge("acme", "trials", 2)
+        holder = ClusterManager(tenants=registry)
+        holder.add_node(Node("n0", capacity=Resources(cpus=8, gpus=4, memory_gb=64)))
+        holder.submit_job(JobKind.TRAIN, "a", num_workers=2, tenant="acme")
         with pytest.raises(QuotaExceededError) as excinfo:
             registry.check("acme", "trials", 1)
         assert excinfo.value.tenant == "acme"
@@ -86,7 +91,12 @@ class TestTenantRegistry:
 
     def test_release_floors_at_zero_and_unlimited_passes(self):
         registry = TenantRegistry()
-        registry.release("acme", "ps_bytes", 100)
+        server = ParameterServer(tenants=registry)
+        with tenant_context("acme"):
+            server.put("ckpt", {"w": np.zeros(16)})
+        server.delete("ckpt")
+        with pytest.raises(ParameterNotFoundError):
+            server.delete("ckpt")  # a second delete frees nothing more
         assert registry.usage("acme", "ps_bytes") == 0.0
         registry.check("acme", "ps_bytes", 10**12)  # unlimited: no raise
 
@@ -96,10 +106,44 @@ class TestTenantRegistry:
 
     def test_ledger_snapshot_and_usage_gauge(self):
         registry = TenantRegistry()
-        registry.charge("acme", "store_bytes", 64)
+        store = DataStore("hdfs", tenants=registry)
+        with tenant_context("acme"):
+            store.put_blob("a/blob", b"x" * 64)
         assert registry.ledger.snapshot() == {"acme": {"store_bytes": 64.0}}
         gauge = telemetry.get_registry().gauge("repro_tenant_usage", "usage")
         assert gauge.value(tenant="acme", resource="store_bytes") == 64.0
+
+    def test_reregistering_keeps_a_suspension(self):
+        # Regression: register() built a fresh, active Tenant, so changing
+        # a suspended tenant's quota or weight silently reinstated it.
+        registry = TenantRegistry()
+        registry.register("acme")
+        registry.suspend("acme")
+        registry.register("acme", quota=TenantQuota(trials=4), weight=2.0)
+        with pytest.raises(TenantAccessError):
+            registry.resolve("acme")
+        assert registry.weight_of("acme") == 2.0
+        registry.reinstate("acme")
+        assert registry.resolve("acme").quota.trials == 4
+
+    def test_ledger_write_stubs_raise_and_the_e2e_harness_still_wraps_them(
+        self, monkeypatch
+    ):
+        """The frozen end-to-end harness wraps ``ledger.charge``/``release``
+        by name; both are stubs that point at ``govern``."""
+        e2e = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+        monkeypatch.syspath_prepend(str(e2e))
+        # calib pins BLAS threads through the environment on import
+        monkeypatch.setattr(os, "environ", dict(os.environ))
+        harness = importlib.import_module("harness")
+        spans = importlib.import_module("spans")
+        registry = TenantRegistry()
+        harness.trace_tenants(spans.Tracer(), registry)
+        for name in ("charge", "release"):
+            stub = getattr(registry.ledger, name)
+            assert hasattr(stub, "__wrapped__")  # installed
+            with pytest.raises(TypeError, match="govern"):
+                stub("acme", "trials", 1)
 
     def test_tenant_context_is_scoped(self):
         assert current_tenant() == DEFAULT_TENANT
@@ -420,6 +464,14 @@ class TestFailedDeployReleasesQuota:
 
 
 class TestGatewayTenancy:
+    def test_reregistered_suspended_tenant_still_gets_403(self):
+        system = Rafiki(seed=5)
+        system.tenants.register("acme")
+        system.tenants.suspend("acme")
+        system.tenants.register("acme", quota=TenantQuota(trials=8))
+        response = Gateway(system).handle("GET", "/datasets", tenant="acme")
+        assert response.status == 403
+
     def test_suspended_tenant_gets_403(self):
         system = Rafiki(seed=5)
         system.tenants.register("acme")

@@ -9,7 +9,9 @@ to a ``ContextVar`` / ``itertools.count`` at module level; then the CLI's
 verbs and their flags, read off ``repro.cli.build_parser()``; then the
 telemetry record sites in ``src/`` by kind, read off the AST — counter
 ``inc``, histogram ``observe``/``observe_many``, gauge ``set`` against
-``set_function`` — and the ``_publish*`` methods and their call sites.
+``set_function`` — and the ``_publish*`` methods and their call sites;
+then the quota write sites outside ``repro.tenancy``: calls of
+``charge``/``release`` on a ``tenants`` or ``ledger`` receiver.
 
     python tools/tally.py [--classes]
 
@@ -108,6 +110,22 @@ def telemetry_sites(path: Path) -> Counter:
     return out
 
 
+QUOTA_RECEIVERS = {"tenants", "ledger"}
+QUOTA_WRITES = {"charge", "release"}
+
+
+def quota_writes(path: Path) -> int:
+    """``<...>.tenants.charge(...)``-shaped calls: an owner pushing usage."""
+    count = 0
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and isinstance(func, ast.Attribute):
+            receiver = func.value
+            name = getattr(receiver, "attr", getattr(receiver, "id", None))
+            count += func.attr in QUOTA_WRITES and name in QUOTA_RECEIVERS
+    return count
+
+
 def cli_verbs() -> dict[str, int]:
     """Flag count of each ``repro`` verb (``-h`` not counted)."""
     from repro.cli import build_parser
@@ -156,6 +174,8 @@ def main() -> int:
         sites.update(telemetry_sites(path))
     print("\ntelemetry record sites in src/:")
     print("  " + ", ".join(f"{site} {count}" for site, count in sorted(sites.items())))
+    owners = [path for path in sorted(ROOT.rglob("*.py")) if "tenancy" not in path.parts]
+    print(f"\nquota write sites in src/ owners: {sum(map(quota_writes, owners))}")
     return 0
 
 
