@@ -1,14 +1,16 @@
 """A REST-style gateway over the Rafiki facade.
 
 Routes mirror what the paper's web API exposes (job submission, job
-monitoring, prediction queries). Bodies are JSON-serialisable dicts;
-image payloads travel as nested lists, exactly as a real HTTP gateway
-would receive them. There is no socket — ``handle`` is called directly
-— but every request passes through JSON encode/decode so the data path
-is honest.
+monitoring, prediction queries). Bodies are JSON objects; image
+payloads travel as nested lists, exactly as a real HTTP gateway would
+receive them. There is no socket — ``handle`` is called directly — so
+the body is not encoded: it is checked to be what ``json.dumps`` would
+accept (400 otherwise) and handed to the handler as it is. Handlers
+neither mutate nor keep it. Answers are still JSON-encoded and decoded,
+so a caller never holds the system's own state.
 
 ``handle`` and ``handle_async`` share one request pipeline
-(``Gateway._request``): route match, body decode (400), tenant resolve
+(``Gateway._request``): route match, body check (400), tenant resolve
 (403), error mapping, response serialisation and the per-route
 telemetry happen there once. The two differ only in how the matched
 handler runs. ``handle`` calls it behind the ``gateway.dispatch`` fault
@@ -49,6 +51,7 @@ from repro.exceptions import (
     TenantAccessError,
 )
 from repro.tenancy import DEFAULT_TENANT, current_tenant, tenant_context
+from repro.tensor import default_dtype
 
 __all__ = ["Gateway", "Response", "make_query_executor"]
 
@@ -146,7 +149,8 @@ class Gateway:
         body: dict[str, Any] | None = None,
         tenant: str | None = None,
     ) -> Response:
-        """Route one request. The body is round-tripped through JSON.
+        """Route one request. The body must be a JSON object (else 400);
+        the handler's answer is JSON-encoded.
 
         Every request — matched or not — is counted per route template,
         status and tenant, and its handler latency (read from the
@@ -167,7 +171,7 @@ class Gateway:
     ) -> Iterator[_Call]:
         """The request pipeline both entry points run a handler inside.
 
-        Before the block: match the route, decode the body, resolve the
+        Before the block: match the route, check the body, resolve the
         tenant. The block runs ``call.handler`` (if the request is not
         answered yet) and leaves its return value in ``call.result``.
         After it: map a raised exception to its status, serialise the
@@ -180,10 +184,10 @@ class Gateway:
         method = method.upper()
         response = None
         try:
-            payload = json.loads(json.dumps(body)) if body is not None else {}
-        except (TypeError, ValueError) as exc:
+            payload = _json_object(body)
+        except GatewayError as exc:
             payload = None
-            response = Response(400, {"error": f"body is not JSON-serialisable: {exc}"})
+            response = Response(400, {"error": str(exc)})
         call = _Call(self._resolve_tenant_name(tenant, payload), payload)
         matched = None
         for route_method, pattern, handler, name in self._routes:
@@ -383,14 +387,14 @@ class Gateway:
             task=body["task"],
             dataset=body["dataset"],
             hyper=hyper,
-            input_shape=tuple(body["input_shape"]) if "input_shape" in body else None,
-            output_shape=tuple(body["output_shape"]) if "output_shape" in body else None,
-            num_models=int(body.get("num_models", 2)),
-            num_workers=int(body.get("num_workers", 2)),
+            input_shape=_field(body, "input_shape", tuple),
+            output_shape=_field(body, "output_shape", tuple),
+            num_models=_field(body, "num_models", int, 2),
+            num_workers=_field(body, "num_workers", int, 2),
             advisor=body.get("advisor", "bayesian"),
             collaborative=bool(body.get("collaborative", True)),
             tenant=current_tenant(),
-            priority=int(body.get("priority", 0)),
+            priority=_field(body, "priority", int, 0),
         )
         return {"job_id": job_id}
 
@@ -449,23 +453,26 @@ class Gateway:
         }
 
     def _post_inference(self, body: dict) -> dict:
-        if "models" not in body or not body["models"]:
-            raise GatewayError("POST /inference requires a non-empty 'models' list")
+        models = body.get("models")
+        if not models or not isinstance(models, (list, tuple)) or not all(
+            isinstance(m, dict) for m in models
+        ):
+            raise GatewayError("POST /inference requires a non-empty 'models' list of objects")
         specs = [
             ModelSpec(
                 model_name=m["model_name"],
                 param_key=m["param_key"],
-                performance=float(m.get("performance", 0.0)),
+                performance=_field(m, "performance", float, 0.0),
                 task=m.get("task", ""),
                 dataset=m.get("dataset", ""),
             )
-            for m in body["models"]
+            for m in models
         ]
         job_id = self.system.create_inference_job(
             specs,
             dataset=body.get("dataset"),
             tenant=current_tenant(),
-            priority=int(body.get("priority", 0)),
+            priority=_field(body, "priority", int, 0),
         )
         return {"job_id": job_id}
 
@@ -515,6 +522,8 @@ class Gateway:
         if "sql" not in body:
             raise GatewayError("POST /sql requires 'sql'")
         sql = body["sql"]
+        if not isinstance(sql, str):
+            raise GatewayError(f"'sql' must be a string, got {type(sql).__name__}")
         executor = body.get("executor")
         if body.get("explain"):
             return {"plan": self._sql_database.explain(sql)}
@@ -534,9 +543,94 @@ class Gateway:
         return dashboard_data(self.system)
 
 
+def _json_object(body: Any) -> dict:
+    """The body a handler gets: ``body`` itself (``{}`` for none), or 400.
+
+    Nothing is encoded or copied. The body is refused where
+    ``json.dumps(body)`` would raise, and when it is not an object.
+    """
+    if body is None:
+        return {}
+    try:
+        _check_json(body)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise GatewayError(f"body is not JSON-serialisable: {exc}") from exc
+    if not isinstance(body, dict):
+        raise GatewayError(f"body must be a JSON object, got {type(body).__name__}")
+    return body
+
+
+#: leaf types whose runs :func:`_check_json` takes without a call per leaf.
+_PLAIN_LEAVES = frozenset({float, int, str})
+#: an int no wider than this has fewer than 640 digits, the least
+#: ``sys.set_int_max_str_digits`` allows, so it always prints.
+_SHORT_INT_BITS = 2000
+
+
+def _check_json(value: Any) -> None:
+    """Raise where ``json.dumps(value)`` with default arguments raises.
+
+    Dicts, lists and tuples are containers; str, int, float, bool and
+    None are leaves (subclasses included, so ``np.float64`` passes and
+    ``np.float32`` does not); dict keys are str, int, float, bool or
+    None; NaN and infinities pass. ``TypeError`` for anything else,
+    ``ValueError`` for an int too long to print. Nesting past the
+    interpreter's recursion limit raises ``RecursionError``, as in
+    ``json.dumps``; a container inside itself always does, where
+    ``json.dumps`` raises ``ValueError``.
+    """
+    if isinstance(value, (list, tuple)):
+        items = value
+    elif isinstance(value, dict):
+        for key in value:
+            if isinstance(key, int):
+                _check_int(key)
+            elif not (isinstance(key, (str, float)) or key is None):
+                raise TypeError(
+                    f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                )
+        items = value.values()
+    elif isinstance(value, int):
+        _check_int(value)
+        return
+    elif isinstance(value, (str, float)) or value is None:
+        return
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    kinds = set(map(type, items))
+    if kinds <= _PLAIN_LEAVES:  # a run of leaves: nothing to walk into
+        if int in kinds:
+            for item in items:
+                if type(item) is int:
+                    _check_int(item)
+        return
+    for item in items:
+        _check_json(item)
+
+
+def _check_int(value: int) -> None:
+    """Raise where printing ``value`` would: past ``sys.get_int_max_str_digits()``."""
+    if value.bit_length() > _SHORT_INT_BITS:
+        int.__repr__(value)
+
+
+def _field(body: dict, name: str, convert: Callable[[Any], Any], default: Any = None) -> Any:
+    """``convert(body[name])``, or ``default`` when the field is absent.
+
+    A value the conversion refuses is the client's error, a 400 naming
+    the field, not a ``TypeError`` or ``ValueError`` out of the handler.
+    """
+    if name not in body:
+        return default
+    try:
+        return convert(body[name])
+    except (TypeError, ValueError) as exc:
+        raise GatewayError(f"field {name!r} is invalid: {exc}") from exc
+
+
 def _parse_image(raw: Any, expected: tuple[int, ...], batch: bool = False) -> np.ndarray:
     """Decode an image of the job's ``expected`` shape (or, with ``batch``,
-    a stack of them) into a float array, or 400.
+    a stack of them) into an array of the engine's dtype, or 400.
 
     A ragged nested list raises ``ValueError`` out of ``np.asarray``, a
     wrong-shaped array out of the first convolution; without this guard
@@ -544,7 +638,7 @@ def _parse_image(raw: Any, expected: tuple[int, ...], batch: bool = False) -> np
     (async path) instead of answering 400 for the one malformed request.
     """
     try:
-        array = np.asarray(raw, dtype=np.float64)
+        array = np.asarray(raw, dtype=default_dtype())
     except (TypeError, ValueError) as exc:
         raise GatewayError(f"'img' is not a numeric image: {exc}") from exc
     if array.shape != expected and not (batch and array.shape[1:] == expected):

@@ -2,7 +2,10 @@
 and the Clipper-style prediction cache every query route goes through."""
 
 import asyncio
+import copy
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from repro.core.tune import HyperConf
 from repro.data import make_image_classification
 from repro.exceptions import ConfigurationError, RequestShedError
 from repro.sqlext import make_batched_inference_udf
+from repro.tensor import default_dtype
 from repro.zoo import UCBModelSelector
 
 
@@ -475,6 +479,126 @@ class TestOneGatewayPipeline:
         )
         assert response.status == 200
         assert len(response.body["label"]) == 3
+
+
+class _JsonSpy:
+    """Stands in for the gateway module's ``json``; records its inputs."""
+
+    def __init__(self):
+        self.encoded, self.decoded = [], []
+
+    def dumps(self, value, **kwargs):
+        self.encoded.append(value)
+        return json.dumps(value, **kwargs)
+
+    def loads(self, text, **kwargs):
+        self.decoded.append(text)
+        return json.loads(text, **kwargs)
+
+
+class _Dict(dict):
+    """A dict a weak reference can watch."""
+
+
+class _List(list):
+    """A list a weak reference can watch."""
+
+
+def _watched(value, refs: list):
+    """``value`` rebuilt from weakly referenceable containers, each
+    container's weak reference appended to ``refs``."""
+    if isinstance(value, dict):
+        value = _Dict({key: _watched(item, refs) for key, item in value.items()})
+    elif isinstance(value, list):
+        value = _List(_watched(item, refs) for item in value)
+    else:
+        return value
+    refs.append(weakref.ref(value))
+    return value
+
+
+class TestTheBodyIsNotCopied:
+    """The gateway checks a request body instead of round-tripping it
+    through JSON, so handlers see the caller's object."""
+
+    def test_a_query_body_is_never_encoded(self, deployed, monkeypatch):
+        system, infer_id, info, dataset = deployed
+        spy = _JsonSpy()
+        monkeypatch.setattr("repro.api.gateway.json", spy)
+        gateway = Gateway(system)
+        frontend = AsyncServeFrontend(
+            FrontendConfig(latency=lambda b: 0.001, tau=0.5, batch_sizes=(1,)),
+            make_query_executor(system, infer_id),
+        )
+        path, body = f"/query/{infer_id}", {"img": dataset.test_x[0].tolist()}
+        sync = gateway.handle("POST", path, body)
+        gateway.attach_frontend(infer_id, frontend)
+
+        async def scenario():
+            async with frontend:
+                return await gateway.handle_async("POST", path, body)
+
+        assert [sync.status, asyncio.run(scenario()).status] == [200, 200]
+        assert frontend.core.admitted == 1
+        assert len(spy.encoded) == 2  # the two answers, nothing else
+        assert not any(value is body or value is body["img"] for value in spy.encoded)
+        assert json.dumps(body) not in spy.decoded
+
+    def test_post_routes_neither_mutate_nor_keep_the_body(self, deployed, tmp_path):
+        from repro.sqlext import Column, Database
+
+        system, infer_id, info, dataset = deployed
+        for label in ("a", "b"):
+            (tmp_path / label).mkdir()
+            for i in range(2):
+                np.save(tmp_path / label / f"{i}.npy", np.zeros((3, 4, 4)))
+        db = Database()
+        db.create_table("t", [Column("id", "integer")])
+        db.insert("t", id=1)
+        gateway = Gateway(system)
+        gateway.attach_sql_database(db)
+        models = [
+            {"model_name": s.model_name, "param_key": s.param_key,
+             "performance": s.performance, "task": s.task, "dataset": s.dataset}
+            for s in info.specs
+        ]
+        requests = {  # route template -> (path, body)
+            "/datasets": ("/datasets", {"directory": str(tmp_path), "name": "folder"}),
+            "/train": ("/train", {
+                "name": "t2", "task": "ImageClassification", "dataset": "d",
+                "input_shape": [3, 8, 8], "num_models": 1, "num_workers": 1,
+                "hyper": {"max_trials": 1, "max_epochs_per_trial": 1},
+            }),
+            "/inference": ("/inference", {"models": models, "priority": 1}),
+            "/inference/{job_id}/redeploy": (
+                f"/inference/{infer_id}/redeploy", {"reason": "refresh"}
+            ),
+            "/query/{job_id}": (
+                f"/query/{infer_id}", {"img": dataset.test_x[:2].tolist()}
+            ),
+            "/sql": ("/sql", {"sql": "SELECT id FROM t"}),
+        }
+        assert set(requests) == {
+            template for method, _, _, template in gateway._routes if method == "POST"
+        }
+        for template, (path, plain) in requests.items():
+            refs = []
+            body = _watched(plain, refs)
+            before = copy.deepcopy(body)
+            response = gateway.handle("POST", path, body)
+            assert response.status == 200, (template, response.body)
+            assert body == before, template
+            del body
+            gc.collect()
+            assert all(ref() is None for ref in refs), template
+
+    def test_a_query_image_decodes_to_the_engine_dtype(self, deployed):
+        system, infer_id, info, dataset = deployed
+        pixels = dataset.test_x[0].tolist()
+        image = Gateway(system)._query_image({"img": pixels}, infer_id)
+        assert image.dtype == default_dtype()
+        # the bits a float64 decode and a cast gave, so cache keys hold
+        assert image.tobytes() == np.asarray(pixels).astype(default_dtype()).tobytes()
 
 
 class TestDegradedEnsemble:

@@ -200,6 +200,83 @@ class TestSineArrivalProperties:
 
 
 # ----------------------------------------------------------------------
+# the gateway's body check against json.dumps
+# ----------------------------------------------------------------------
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    # wide ints: json.dumps refuses the one past sys.get_int_max_str_digits()
+    st.sampled_from([700, 5000]).map(lambda digits: 10**digits),
+    st.floats().map(np.float64),  # a float subclass: encodes
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(st.floats(), max_size=3).map(np.array),
+    st.frozensets(st.integers(), max_size=2).map(set),
+    st.binary(max_size=3),
+)
+_JSON_KEYS = st.one_of(
+    st.text(max_size=3), st.integers(), st.floats(), st.booleans(), st.none(),
+    st.floats().map(np.float64),
+    st.integers(-5, 5).map(np.int64), st.binary(max_size=2), st.tuples(st.integers()),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def _mutable_containers(value, seen=None) -> list:
+    """Every list and dict reachable from ``value`` (each once)."""
+    seen = set() if seen is None else seen
+    found = []
+    if isinstance(value, (list, tuple, dict)) and id(value) not in seen:
+        seen.add(id(value))
+        if not isinstance(value, tuple):
+            found.append(value)
+        for item in value.values() if isinstance(value, dict) else value:
+            found += _mutable_containers(item, seen)
+    return found
+
+
+def _raises(call) -> bool:
+    try:
+        call()
+    except (TypeError, ValueError, RecursionError):
+        return True
+    return False
+
+
+class TestGatewayBodyCheckProperties:
+    @settings(max_examples=300)
+    @given(_JSON_VALUES, st.data())
+    def test_check_raises_iff_json_dumps_raises(self, value, data):
+        """The walk that replaced the JSON round trip refuses exactly
+        what ``json.dumps`` refuses, shared references and cycles too."""
+        import json
+
+        from repro.api.gateway import _check_json
+
+        containers = _mutable_containers(value)
+        if containers and data.draw(st.booleans(), label="link"):
+            # a shared reference: a cycle when the target reaches the holder
+            holder = data.draw(st.sampled_from(containers), label="holder")
+            target = data.draw(st.sampled_from(containers), label="target")
+            if isinstance(holder, list):
+                holder.append(target)
+            else:
+                holder["link"] = target
+        assert _raises(lambda: _check_json(value)) == _raises(
+            lambda: json.dumps(value)
+        )
+
+
+# ----------------------------------------------------------------------
 # the parameter-server serving tier over the block store
 # ----------------------------------------------------------------------
 

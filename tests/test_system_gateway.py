@@ -212,6 +212,53 @@ class TestGateway:
         assert response.body["name"] in listing.body["datasets"]
 
 
+class TestMalformedBodies:
+    """Regression: these bodies raised ``TypeError``, ``ValueError`` or
+    ``RecursionError`` out of ``handle`` instead of answering 400."""
+
+    TRAIN = {"name": "t", "task": "ImageClassification", "dataset": "food"}
+    MODEL = {"model_name": "m", "param_key": "k"}
+    #: case -> (path, body, what the error names)
+    CASES = {
+        "inference-list-body": ("/inference", ["models"], "JSON object"),
+        "inference-models-of-ints": ("/inference", {"models": [1]}, "'models'"),
+        "inference-models-string": ("/inference", {"models": "abc"}, "'models'"),
+        "datasets-list-body": ("/datasets", ["directory"], "JSON object"),
+        "query-list-body": ("/query/{job}", ["img"], "JSON object"),
+        "train-num-models": ("/train", {**TRAIN, "num_models": "abc"}, "'num_models'"),
+        "train-input-shape": ("/train", {**TRAIN, "input_shape": 5}, "'input_shape'"),
+        "inference-priority": (
+            "/inference", {"models": [MODEL], "priority": "hi"}, "'priority'"
+        ),
+        "inference-performance": (
+            "/inference", {"models": [{**MODEL, "performance": "x"}]}, "'performance'"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_answered_400_and_the_next_request_is_served(self, system, dataset, case):
+        from serve_helpers import deploy_untrained
+
+        job = deploy_untrained(system, dataset)
+        gateway = Gateway(system)
+        path, body, named = self.CASES[case]
+        response = gateway.handle("POST", path.format(job=job), body)
+        assert response.status == 400
+        assert named in response.body["error"]
+        query = {"img": dataset.test_x[0].tolist()}
+        assert gateway.handle("POST", f"/query/{job}", query).status == 200
+
+    def test_body_nested_past_the_recursion_limit_is_400(self, system):
+        deep = []
+        for _ in range(100_000):
+            deep = [deep]
+        gateway = Gateway(system)
+        response = gateway.handle("POST", "/sql", {"sql": deep})
+        assert response.status == 400
+        assert response.body["error"].startswith("body is not JSON-serialisable")
+        assert gateway.handle("GET", "/datasets").status == 200
+
+
 class TestSDK:
     def test_figure2_flow(self, system, dataset):
         connect(system)

@@ -11,7 +11,8 @@ telemetry record sites in ``src/`` by kind, read off the AST — counter
 ``inc``, histogram ``observe``/``observe_many``, gauge ``set`` against
 ``set_function`` — and the ``_publish*`` methods and their call sites;
 then the quota write sites outside ``repro.tenancy``: calls of
-``charge``/``release`` on a ``tenants`` or ``ledger`` receiver.
+``charge``/``release`` on a ``tenants`` or ``ledger`` receiver; then the
+JSON round-trip sites in ``src/``: ``json.loads(json.dumps(...))`` calls.
 
     python tools/tally.py [--classes]
 
@@ -126,6 +127,24 @@ def quota_writes(path: Path) -> int:
     return count
 
 
+def _is_json_call(node, name: str) -> bool:
+    """``node`` is ``json.<name>(...)``."""
+    func = getattr(node, "func", None)
+    return (
+        isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+        and func.attr == name and getattr(func.value, "id", None) == "json"
+    )
+
+
+def json_round_trips(path: Path) -> int:
+    """``json.loads(json.dumps(...))`` calls: a value copied through JSON text."""
+    return sum(
+        _is_json_call(node, "loads") and bool(node.args)
+        and _is_json_call(node.args[0], "dumps")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    )
+
+
 def cli_verbs() -> dict[str, int]:
     """Flag count of each ``repro`` verb (``-h`` not counted)."""
     from repro.cli import build_parser
@@ -176,6 +195,8 @@ def main() -> int:
     print("  " + ", ".join(f"{site} {count}" for site, count in sorted(sites.items())))
     owners = [path for path in sorted(ROOT.rglob("*.py")) if "tenancy" not in path.parts]
     print(f"\nquota write sites in src/ owners: {sum(map(quota_writes, owners))}")
+    trips = sum(map(json_round_trips, sorted(ROOT.rglob("*.py"))))
+    print(f"\nJSON round-trip sites in src/: {trips}")
     return 0
 
 
