@@ -5,16 +5,25 @@ Times the convolution hot paths twice over identical workloads:
 * **legacy** — the pre-optimisation engine, embedded verbatim below:
   per-call index building, fancy-indexing gather, ``np.add.at``
   scatter, float64 compute;
-* **fast** — the shipped engine: LRU-cached indices,
-  ``sliding_window_view`` gather, per-kernel-offset slab accumulation
-  (with the flat ``np.bincount`` scatter also measured), float32
-  compute.
+* **fast** — the shipped engine: channel-major (C, H, W, N)
+  activations, strided-view gather, per-kernel-offset slab
+  accumulation (with the flat ``np.bincount`` scatter also measured),
+  float32 compute.
+
+``predict16`` is the serving path: ``predict_labels`` on 16 images of
+3x16x16 through snoek8 and resnet-mini, the two models the e2e serve
+workloads deploy. Its legacy column is the NCHW engine the
+channel-major layout replaced (``np.pad`` + ``sliding_window_view``
+im2col, im2col + ``argmax`` max pooling, ``np.where`` ReLU), embedded
+below as well; both columns must return the same labels.
 
 Every number here is ``wall`` (machine-stamped by the runner, never
-gated); the ``simulated`` section only names the workload. Reference
-points: conv forward+backward about 3x the pre-optimisation engine,
-``col2im`` and the auto dispatcher (which routes this large workload to
-the slab path) above 2x, ``col2im_bincount`` about level with legacy.
+gated); the ``simulated`` section names the workload and records that
+the two predict paths agree. Reference points: conv forward+backward
+about 5x the pre-optimisation engine, ``im2col`` about 3x, ``col2im``
+and the auto dispatcher (which routes this large workload to the slab
+path) above 10x, ``col2im_bincount`` about level with legacy,
+``predict16`` about 3x the NCHW engine.
 
 Run through the shared runner (see ``_perf.py``)::
 
@@ -26,8 +35,9 @@ import time
 
 import _perf
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.tensor import Conv2D, using_dtype
+from repro.tensor import Conv2D, MaxPool2D, ReLU, default_dtype, using_dtype
 from repro.tensor import layers as layers_module
 from repro.tensor.im2col import (
     col2im,
@@ -36,9 +46,12 @@ from repro.tensor.im2col import (
     conv_output_size,
     im2col,
 )
+from repro.zoo.builders import BUILDERS
 
 #: CIFAR-ish conv workload: batch 32, 8->16 channels, 16x16 images.
 BATCH, CHANNELS, SIZE, FILTERS, KERNEL = 32, 8, 16, 16, 3
+#: The serving workload: one 16-image batch through the deployed pair.
+PREDICT_MODELS, PREDICT_BATCH, PREDICT_IMAGE = ("snoek8", "resnet-mini"), 16, (3, 16, 16)
 
 
 # ----------------------------------------------------------------------
@@ -84,6 +97,49 @@ def legacy_col2im(cols, x_shape, kernel_h, kernel_w, stride, pad):
     return padded[:, :, pad:-pad, pad:-pad]
 
 
+# The NCHW forward kernels of the engine before activations stayed
+# channel-major: ``predict16``'s legacy column.
+
+
+def nchw_im2col(x, kernel_h, kernel_w, stride, pad):
+    n, c, h, w = x.shape
+    if pad > 0:
+        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
+    else:
+        padded = x
+    windows = sliding_window_view(padded, (kernel_h, kernel_w), axis=(2, 3))
+    if stride > 1:
+        windows = windows[:, :, ::stride, ::stride]
+    return windows.transpose(1, 4, 5, 2, 3, 0).reshape(c * kernel_h * kernel_w, -1)
+
+
+def nchw_maxpool(x, pool, stride):
+    n, c, h, w = x.shape
+    cols = nchw_im2col(x.reshape(n * c, 1, h, w), pool, pool, stride, 0)
+    out = cols[np.argmax(cols, axis=0), np.arange(cols.shape[1])]
+    out_h = conv_output_size(h, pool, stride, 0)
+    out_w = conv_output_size(w, pool, stride, 0)
+    return out.reshape(out_h * out_w, n * c).T.reshape(n, c, out_h, out_w)
+
+
+def nchw_predict_labels(net, x):
+    """``net.predict_labels(x)`` through the NCHW kernels."""
+    shipped = layers_module.im2col
+    layers_module.im2col = nchw_im2col
+    try:
+        out = np.asarray(x, dtype=default_dtype())
+        for layer in net.layers:
+            if isinstance(layer, MaxPool2D):
+                out = nchw_maxpool(out, layer.pool_size, layer.stride)
+            elif isinstance(layer, ReLU):
+                out = np.where(out > 0, out, 0.0)
+            else:
+                out = layer.forward(out)
+        return np.argmax(out, axis=1)
+    finally:
+        layers_module.im2col = shipped
+
+
 # ----------------------------------------------------------------------
 # timing helpers
 # ----------------------------------------------------------------------
@@ -125,9 +181,26 @@ def legacy_conv_step_seconds(seed: int, repeats: int) -> float:
         layers_module.im2col, layers_module.col2im_auto = shipped
 
 
+def predict16(seed: int, repeats: int) -> tuple[dict, bool]:
+    """Timings of one serve batch through the deployed pair, and whether
+    both engines label it the same."""
+    rng = np.random.default_rng(seed)
+    nets = [BUILDERS[name](PREDICT_IMAGE, 10, rng) for name in PREDICT_MODELS]
+    x = rng.standard_normal((PREDICT_BATCH,) + PREDICT_IMAGE).astype(np.float32)
+    same = all(
+        np.array_equal(net.predict_labels(x), nchw_predict_labels(net, x)) for net in nets
+    )
+    timings = {
+        "legacy_s": time_per_call(lambda: [nchw_predict_labels(net, x) for net in nets], repeats),
+        "fast_s": time_per_call(lambda: [net.predict_labels(x) for net in nets], repeats),
+    }
+    return timings, same
+
+
 def run(smoke: bool, seed: int) -> dict:
     repeats = 5 if smoke else 30
     rng = np.random.default_rng(seed)
+    predict_timings, predict_same = predict16(seed, repeats)
     x32 = rng.standard_normal((BATCH, CHANNELS, SIZE, SIZE)).astype(np.float32)
     cols32 = im2col(x32, KERNEL, KERNEL, 1, 1)
 
@@ -158,6 +231,8 @@ def run(smoke: bool, seed: int) -> dict:
             "legacy_s": legacy_conv_step_seconds(seed, repeats),
             "fast_s": conv_step_seconds(np.float32, seed, repeats),
         },
+        # serving: NCHW engine vs channel-major engine, both float32
+        "predict16": predict_timings,
     }
     for entry in timings.values():
         entry["speedup"] = entry["legacy_s"] / entry["fast_s"]
@@ -167,6 +242,10 @@ def run(smoke: bool, seed: int) -> dict:
             "workload": {
                 "batch": BATCH, "channels": CHANNELS, "image": SIZE,
                 "filters": FILTERS, "kernel": KERNEL, "seed": seed,
+            },
+            "predict16": {
+                "models": list(PREDICT_MODELS), "batch": PREDICT_BATCH,
+                "image": list(PREDICT_IMAGE), "same_labels": predict_same,
             },
         },
         "wall": {"repeats": repeats, "timings": timings},
@@ -184,10 +263,12 @@ def table(payload: dict) -> str:
 
 
 def check(payload: dict) -> list[str]:
-    """Nothing to gate: every number here is wall-clock.
+    """The two predict paths must agree; the timings are not gated.
 
     The engine's regression ceilings live in ``tests/test_perf_smoke.py``.
     """
+    if not payload["simulated"]["predict16"]["same_labels"]:
+        return ["predict16: the channel-major and NCHW engines label the batch differently"]
     return []
 
 

@@ -3,30 +3,41 @@
 Convolutions are implemented as a single matrix multiply over patches
 extracted by :func:`im2col`. Gradients flow back through
 :func:`col2im`, which scatter-adds patch gradients into the padded
-image. Layout is NCHW throughout.
+image. Shapes are NCHW at every interface.
 
-Hot-path notes (these two functions dominate Conv2D/pooling time):
+Memory is channel-major. ``Conv2D``'s GEMM writes its output as
+(F, H, W, N) and hands on the (N, C, H, W) view of it; the kernels here
+read and write that (C, H, W, N) memory, so the image index is always
+the contiguous axis:
 
-* gather/scatter index sets depend only on the geometry signature
-  ``(c, h, w, kh, kw, stride, pad)``, so they are memoised with an LRU
-  cache instead of being rebuilt on every forward/backward call;
-* :func:`im2col` extracts patches through
-  ``np.lib.stride_tricks.sliding_window_view`` (a zero-copy view; the
-  only copy is the final reshape into column layout), avoiding fancy
-  indexing entirely;
+* :func:`im2col` reads ``x.transpose(1, 2, 3, 0)``, a plain view of an
+  activation. Padding writes it into a zeroed (C, H+2p, W+2p, N) buffer.
+  Patches are one strided view of that buffer (no index arrays, no
+  fancy indexing), and the only copy is the reshape into columns, which
+  moves runs of N contiguous values;
 * :func:`col2im` accumulates one dense strided add per kernel offset
-  (``kh*kw`` slab additions with no scatter at all), 3-5x faster than
-  the old ``np.add.at`` path and allocation-free beyond the output.
-  A flat :func:`np.bincount` scatter-add over precomputed linear
-  indices (:func:`col2im_bincount`) is kept as the reference scatter
-  implementation — it also beats ``np.add.at`` on small workloads but
-  pays a float64 weight cast that the slab path avoids;
+  (``kh*kw`` slab additions, no scatter at all) into a zeroed
+  (C, H+2p, W+2p, N) buffer, and returns its (N, C, H, W) view. Each
+  output element sees the same float additions in the same (ki, kj)
+  order as in any other layout, so the sums do not depend on it;
+* a flat :func:`np.bincount` scatter-add over precomputed linear
+  indices (:func:`col2im_bincount`, index sets memoised per geometry
+  ``(c, h, w, kh, kw, stride, pad)`` with an LRU cache) is the other
+  scatter. It accumulates in float64 and rounds once, so its float32
+  sums differ from the slab path's in the last bit;
 * neither col2im variant wins everywhere: the slab path amortises its
   ``kh*kw`` Python-level loop over large dense adds, while bincount's
   single C-level scatter wins when each slab add is tiny.
-  :func:`col2im_auto` — the variant layers actually call — picks by
-  the measured crossover on the per-offset add size
-  ``n*c*out_h*out_w`` (:data:`COL2IM_BINCOUNT_MAX_SLAB`).
+  :func:`col2im_auto` — the variant layers actually call — picks by the
+  per-offset add size ``n*c*out_h*out_w``
+  (:data:`COL2IM_BINCOUNT_MAX_SLAB`).
+
+Operand layout decides rounding. BLAS picks its kernel from the order
+of its operands, and NumPy's reductions sum in memory order, so the
+same values in a different layout can give a different last bit. The
+layers therefore fix the layout wherever a GEMM or a reduction reads an
+activation or a gradient (``Flatten`` hands ``Dense`` C order, and
+``BatchNorm.backward`` reduces over C order).
 
 Cached index arrays are shared across calls — treat them as read-only.
 """
@@ -36,7 +47,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "conv_output_size",
@@ -52,8 +63,11 @@ __all__ = [
 #: slab path's cost is dominated by Python-loop and temporary overhead
 #: when each add touches only a few KiB; bincount does one C-level pass
 #: regardless of kernel size.  Crossover measured on CPython 3.11 /
-#: NumPy (see benchmarks/bench_perf_engine.py): bincount still wins at
-#: 2048 elements per offset and loses from ~3072 up.
+#: NumPy 2.4 on a 2-core x86-64 box, 3x3 kernels: bincount wins up to
+#: about 1536 elements per offset; at 2048 the two are level within
+#: about 20% either way, depending on the geometry; from 4096 up the
+#: slab path wins by 1.5-9x.  The threshold stays at 2048: the variants
+#: round differently (see above), so moving it changes float32 results.
 COL2IM_BINCOUNT_MAX_SLAB = 2048
 
 
@@ -106,16 +120,24 @@ def im2col(x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, pad: int) -
     major, image index minor).
     """
     n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel_h, stride, pad)
+    out_w = conv_output_size(w, kernel_w, stride, pad)
+    # A plain view for the engine's activations, which already live in
+    # (C, H, W, N) memory.
+    chwn = padded = x.transpose(1, 2, 3, 0)
     if pad > 0:
-        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
-    else:
-        padded = x
-    windows = sliding_window_view(padded, (kernel_h, kernel_w), axis=(2, 3))
-    if stride > 1:
-        windows = windows[:, :, ::stride, ::stride]
-    # (N, C, out_h, out_w, kh, kw) -> (C, kh, kw, out_h, out_w, N); the
-    # reshape materialises the columns in (c*kh*kw, out_pos*N) layout.
-    return windows.transpose(1, 4, 5, 2, 3, 0).reshape(c * kernel_h * kernel_w, -1)
+        padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+        padded[:, pad : pad + h, pad : pad + w] = chwn
+    s_c, s_h, s_w, s_n = padded.strides
+    # (C, kh, kw, out_h, out_w, N) as a view; the reshape materialises
+    # the columns in (c*kh*kw, out_pos*N) layout.
+    windows = as_strided(
+        padded,
+        (c, kernel_h, kernel_w, out_h, out_w, n),
+        (s_c, s_h, s_w, stride * s_h, stride * s_w, s_n),
+        writeable=False,
+    )
+    return windows.reshape(c * kernel_h * kernel_w, -1)
 
 
 def col2im(
@@ -131,21 +153,19 @@ def col2im(
     Within one kernel offset ``(ki, kj)`` the receptive fields never
     collide, so the scatter decomposes into ``kh*kw`` dense strided
     additions — no atomics, no index arrays, native dtype throughout.
+    The sums build up in a (C, H+2p, W+2p, N) buffer; the result is its
+    (N, C, H, W) view.
     """
     n, c, h, w = x_shape
     out_h = conv_output_size(h, kernel_h, stride, pad)
     out_w = conv_output_size(w, kernel_w, stride, pad)
-    patches = cols.reshape(c, kernel_h, kernel_w, out_h, out_w, n).transpose(
-        5, 0, 1, 2, 3, 4
-    )
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    patches = cols.reshape(c, kernel_h, kernel_w, out_h, out_w, n)
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
     for ki in range(kernel_h):
         rows = slice(ki, ki + stride * out_h, stride)
         for kj in range(kernel_w):
-            padded[:, :, rows, kj : kj + stride * out_w : stride] += patches[:, :, ki, kj]
-    if pad == 0:
-        return padded
-    return padded[:, :, pad:-pad, pad:-pad]
+            padded[:, rows, kj : kj + stride * out_w : stride] += patches[:, ki, kj]
+    return padded[:, pad : pad + h, pad : pad + w].transpose(3, 0, 1, 2)
 
 
 def col2im_auto(
@@ -161,8 +181,10 @@ def col2im_auto(
     Uses the bincount scatter when each kernel offset's dense add would
     be at most :data:`COL2IM_BINCOUNT_MAX_SLAB` elements (small images
     or tiny batches, where the slab loop's per-iteration overhead
-    dominates), and the slab path otherwise.  Both variants are exact
-    inverses of :func:`im2col`, so the choice never changes results.
+    dominates), and the slab path otherwise.  Both variants are the
+    adjoint of :func:`im2col`; in float32 they may differ in the last
+    bit where three or more patches overlap, so the threshold is part of
+    the engine's numerics, not only its speed.
     """
     n, c, h, w = x_shape
     out_h = conv_output_size(h, kernel_h, stride, pad)

@@ -17,6 +17,7 @@ shapes.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -120,14 +121,14 @@ class Dense(Layer):
         return (self.units,)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x = x
+        self._x = x if training else None
         out = x @ self.params["W"]
         if self.use_bias:
             out = out + self.params["b"]
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._x is not None, "backward called before forward"
+        assert self._x is not None, "backward requires a training-mode forward"
         self.grads["W"] += self._x.T @ grad_out
         if self.use_bias:
             self.grads["b"] += grad_out.sum(axis=0)
@@ -185,15 +186,18 @@ class Conv2D(Layer):
         n, c, h, w = x.shape
         k = self.kernel_size
         self._x_shape = x.shape
-        self._cols = im2col(x, k, k, self.stride, self.pad)
+        cols = im2col(x, k, k, self.stride, self.pad)
+        self._cols = cols if training else None
         w_mat = self.params["W"].reshape(self.filters, -1)
-        out = w_mat @ self._cols + self.params["b"].reshape(-1, 1)
+        out = w_mat @ cols + self.params["b"].reshape(-1, 1)
         out_h = conv_output_size(h, k, self.stride, self.pad)
         out_w = conv_output_size(w, k, self.stride, self.pad)
+        # (F, H, W, N) memory handed on as its NCHW view: the next
+        # layer reads it channel-major without a copy.
         return out.reshape(self.filters, out_h, out_w, n).transpose(3, 0, 1, 2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._cols is not None and self._x_shape is not None
+        assert self._cols is not None, "backward requires a training-mode forward"
         n, f, out_h, out_w = grad_out.shape
         grad_mat = grad_out.transpose(1, 2, 3, 0).reshape(f, -1)
         self.grads["b"] += grad_mat.sum(axis=1)
@@ -205,15 +209,18 @@ class Conv2D(Layer):
 
 
 class MaxPool2D(Layer):
-    """Max pooling over non-overlapping (or strided) windows."""
+    """Max pooling over non-overlapping (or strided) windows.
+
+    Works on the channel-major (C, H, W, N) view of its input, one
+    strided slice per kernel offset, with no im2col.
+    """
 
     def __init__(self, pool_size: int = 2, stride: int | None = None, name: str | None = None):
         super().__init__(name)
         self.pool_size = int(pool_size)
         self.stride = int(stride) if stride is not None else self.pool_size
-        self._cols: np.ndarray | None = None
-        self._argmax: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
+        self._x: np.ndarray | None = None
+        self._out: np.ndarray | None = None
 
     def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
         c, h, w = input_shape
@@ -224,29 +231,43 @@ class MaxPool2D(Layer):
         self.built = True
         return (c, out_h, out_w)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
+    def _windows(self, chwn: np.ndarray):
+        """The (C, out_h, out_w, N) slice under each kernel offset, (ki, kj) order."""
+        c, h, w, n = chwn.shape
         p, s = self.pool_size, self.stride
-        self._x_shape = x.shape
-        # Treat channels independently so each column holds one window.
-        reshaped = x.reshape(n * c, 1, h, w)
-        cols = im2col(reshaped, p, p, s, 0)  # (p*p, n*c*out_h*out_w)
-        self._cols = cols
-        self._argmax = np.argmax(cols, axis=0)
-        out = cols[self._argmax, np.arange(cols.shape[1])]
         out_h = conv_output_size(h, p, s, 0)
         out_w = conv_output_size(w, p, s, 0)
-        return out.reshape(out_h * out_w, n * c).T.reshape(n, c, out_h, out_w)
+        for ki in range(p):
+            for kj in range(p):
+                yield ki, kj, chwn[:, ki : ki + s * out_h : s, kj : kj + s * out_w : s]
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        chwn = x.transpose(1, 2, 3, 0)
+        out = None
+        for _, _, window in self._windows(chwn):
+            # np.maximum returns its second operand on a tie, so the
+            # earliest offset's value is the one kept.
+            out = window.copy() if out is None else np.maximum(window, out, out=out)
+        self._x, self._out = (chwn, out) if training else (None, None)
+        return out.transpose(3, 0, 1, 2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._cols is not None and self._argmax is not None and self._x_shape is not None
-        n, c, h, w = self._x_shape
-        p, s = self.pool_size, self.stride
-        grad_flat = grad_out.reshape(n * c, -1).T.reshape(-1)
-        grad_cols = np.zeros_like(self._cols)
-        grad_cols[self._argmax, np.arange(grad_cols.shape[1])] = grad_flat
-        grad_padded = col2im_auto(grad_cols, (n * c, 1, h, w), p, p, s, 0)
-        return grad_padded.reshape(n, c, h, w)
+        assert self._x is not None, "backward requires a training-mode forward"
+        chwn, out = self._x, self._out
+        c, h, w, n = chwn.shape
+        p = self.pool_size
+        grad = grad_out.transpose(1, 2, 3, 0)
+        # Each window's gradient goes to its first maximal position in
+        # (ki, kj) order; a window holding NaN sends it to its first NaN.
+        # col2im_auto then sums overlapping windows as it sums patches.
+        grad_cols = np.zeros((c, p, p) + out.shape[1:], dtype=grad_out.dtype)
+        unclaimed = np.ones(out.shape, dtype=bool)
+        for ki, kj, window in self._windows(chwn):
+            hit = (window == out) | np.isnan(window)
+            hit &= unclaimed
+            unclaimed &= ~hit
+            np.copyto(grad_cols[:, ki, kj], grad, where=hit)
+        return col2im_auto(grad_cols.reshape(c * p * p, -1), (n, c, h, w), p, p, self.stride, 0)
 
 
 class AvgPool2D(Layer):
@@ -301,7 +322,10 @@ class Flatten(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._x_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        # C order for Dense: BLAS picks its kernel, and so its rounding,
+        # from the operand layout, and a channel-major input would
+        # otherwise flatten to an F-ordered view.
+        return np.ascontiguousarray(x.reshape(x.shape[0], math.prod(x.shape[1:])))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         assert self._x_shape is not None
@@ -316,11 +340,11 @@ class ReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._mask = x > 0 if training else None
+        return np.fmax(x, 0)  # NaN and -0.0 become +0.0
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._mask is not None
+        assert self._mask is not None, "backward requires a training-mode forward"
         return grad_out * self._mask
 
 
@@ -332,11 +356,12 @@ class Sigmoid(Layer):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._out = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-        return self._out
+        out = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+        self._out = out if training else None
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._out is not None
+        assert self._out is not None, "backward requires a training-mode forward"
         return grad_out * self._out * (1.0 - self._out)
 
 
@@ -348,11 +373,12 @@ class Tanh(Layer):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        self._out = out if training else None
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._out is not None
+        assert self._out is not None, "backward requires a training-mode forward"
         return grad_out * (1.0 - self._out**2)
 
 
@@ -457,6 +483,10 @@ class BatchNorm(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         assert self._cache is not None, "backward requires a training-mode forward"
         x_hat, inv_std = self._cache
+        # The sums below run in memory order; reducing over C order keeps
+        # their rounding independent of the layout the next layer's
+        # backward handed back.
+        grad_out = np.ascontiguousarray(grad_out)
         axes, bshape = self._axes(), self._bshape()
         self.grads["gamma"] += (grad_out * x_hat).sum(axis=axes)
         self.grads["beta"] += grad_out.sum(axis=axes)

@@ -1,9 +1,11 @@
 """Golden tests for the fast im2col/col2im paths.
 
-The production implementations (``sliding_window_view`` gather, flat
-``np.bincount`` scatter-add) are checked element-for-element against a
-deliberately naive triple-loop reference, across asymmetric kernels,
-strides > 1, zero padding and odd image shapes.
+The production implementations (strided-view gather and slab adds over
+channel-major memory, flat ``np.bincount`` scatter-add) are checked
+element-for-element against a deliberately naive triple-loop reference,
+across asymmetric kernels, strides > 1, zero padding and odd image
+shapes, on NCHW inputs and on the channel-major views the engine's
+activations are.
 """
 
 from __future__ import annotations
@@ -176,3 +178,58 @@ class TestAutoDispatch:
         cols = rng.standard_normal((c * kh * kw, out_h * out_w * n)).astype(np.float32)
         col2im_auto(cols, (n, c, h, w), kh, kw, stride, pad)
         assert calls == (["bincount"] if expect_bincount else ["slab"])
+
+
+def channel_major(x):
+    """The values of ``x`` in (C, H, W, N) memory, viewed as (N, C, H, W):
+    the layout the engine's activations live in."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+@pytest.mark.parametrize("n,c,h,w,kh,kw,stride,pad", CONFIGS)
+class TestChannelMajorInput:
+    """Every golden case again, on the channel-major view of the same values."""
+
+    def test_im2col_matches(self, rng, n, c, h, w, kh, kw, stride, pad):
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        np.testing.assert_array_equal(
+            im2col(channel_major(x), kh, kw, stride, pad), naive_im2col(x, kh, kw, stride, pad)
+        )
+
+    @pytest.mark.parametrize("scatter", [col2im, col2im_bincount, col2im_auto])
+    def test_col2im_matches(self, rng, scatter, n, c, h, w, kh, kw, stride, pad):
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        cols = im2col(channel_major(x), kh, kw, stride, pad)
+        np.testing.assert_allclose(
+            scatter(cols, (n, c, h, w), kh, kw, stride, pad),
+            naive_col2im(cols, (n, c, h, w), kh, kw, stride, pad),
+            rtol=1e-6,
+            atol=1e-6,
+        )
+
+    def test_col2im_writes_channel_major(self, rng, n, c, h, w, kh, kw, stride, pad):
+        out_h = conv_output_size(h, kh, stride, pad)
+        out_w = conv_output_size(w, kw, stride, pad)
+        cols = rng.standard_normal((c * kh * kw, out_h * out_w * n)).astype(np.float32)
+        out = col2im(cols, (n, c, h, w), kh, kw, stride, pad)
+        assert out.strides[0] == out.itemsize  # images are the fastest axis
+
+    def test_roundtrip_multiplicity(self, rng, n, c, h, w, kh, kw, stride, pad):
+        x = channel_major(rng.standard_normal((n, c, h, w)))
+        ones = channel_major(np.ones((n, c, h, w)))
+        multiplicity = col2im(
+            im2col(ones, kh, kw, stride, pad), ones.shape, kh, kw, stride, pad
+        )
+        roundtrip = col2im(im2col(x, kh, kw, stride, pad), x.shape, kh, kw, stride, pad)
+        np.testing.assert_allclose(roundtrip, multiplicity * x, rtol=1e-10)
+
+
+class TestChannelMajorOverlapFree:
+    @pytest.mark.parametrize(
+        "n,c,h,w,kh,kw",
+        [(2, 2, 6, 6, 2, 2), (1, 3, 9, 6, 3, 3), (2, 1, 8, 4, 4, 4)],
+    )
+    def test_roundtrip_is_identity(self, rng, n, c, h, w, kh, kw):
+        x = channel_major(rng.standard_normal((n, c, h, w)))
+        cols = im2col(x, kh, kw, kh, 0)
+        np.testing.assert_array_equal(col2im(cols, x.shape, kh, kw, kh, 0), x)

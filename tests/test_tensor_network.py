@@ -177,3 +177,56 @@ class TestBuffers:
         loaded = plain.warm_start(state)
         assert loaded == []
         np.testing.assert_allclose(plain.params["d/b"], before)
+
+
+def _net(name, rng):
+    from repro.tensor import Sigmoid, Tanh
+    from repro.zoo.builders import BUILDERS
+
+    if name == "tanh-sigmoid":  # the activations no zoo builder uses
+        return Network(
+            [Flatten(name="f"), Dense(8, name="d1"), Tanh(name="t"),
+             Dense(5, name="d2"), Sigmoid(name="s")]
+        ).build((3, 8, 8), rng)
+    return BUILDERS[name]((3, 8, 8), 5, rng)
+
+
+NETS = ["snoek8", "vgg-mini", "resnet-mini", "squeeze-mini", "mlp", "tanh-sigmoid"]
+
+
+class TestZeroRowBatch:
+    """An empty batch is a valid batch: no rows in, no rows out."""
+
+    @pytest.mark.parametrize("name", NETS)
+    def test_forward_and_labels(self, rng, name):
+        net = _net(name, rng)
+        x = np.empty((0, 3, 8, 8))
+        assert net.forward(x).shape == (0, 5)
+        labels = net.predict_labels(x)
+        assert labels.shape == (0,)
+        assert np.issubdtype(labels.dtype, np.integer)
+
+
+class TestEvalKeepsNoBackwardState:
+    """A serving forward (``training=False``) keeps no activation, so a
+    deployed replica holds only its parameters between batches, and
+    ``backward`` after it fails instead of using a stale cache."""
+
+    @pytest.mark.parametrize("name", NETS)
+    def test_predict_drops_training_caches(self, rng, name):
+        from repro.tensor import SoftmaxCrossEntropy
+
+        net = _net(name, rng)
+        x = rng.normal(size=(4, 3, 8, 8))
+        loss = SoftmaxCrossEntropy()
+        loss.forward(net.forward(x, training=True), np.arange(4) % 5)
+        net.backward(loss.backward())
+        net.predict_labels(x)
+        for layer in net.layers:
+            owned = {id(a) for group in (layer.params, layer.grads, layer.buffers)
+                     for a in group.values()}
+            for attr, value in vars(layer).items():
+                if isinstance(value, np.ndarray):
+                    assert id(value) in owned, f"{layer.name}.{attr} kept an array"
+        with pytest.raises(AssertionError, match="training-mode forward"):
+            net.backward(np.ones((4, 5), dtype=np.float32))
