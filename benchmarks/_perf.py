@@ -30,6 +30,7 @@ import json
 import os
 import platform
 import sys
+import time
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(_HERE)
@@ -48,6 +49,18 @@ def machine_stamp() -> dict:
         "platform": f"{sys.platform}-{platform.machine()}",
         "cpu_count": os.cpu_count() or 1,
     }
+
+
+def time_per_call(fn, repeats: int) -> float:
+    """Best-of-3 mean seconds per call over ``repeats`` calls."""
+    fn()  # warm caches / allocator
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        for _ in range(repeats):
+            fn()
+        best = min(best, (time.perf_counter() - start) / repeats)
+    return best
 
 
 def run_spec(spec, smoke: bool, seed: int) -> list[str]:

@@ -31,10 +31,10 @@ Run through the shared runner (see ``_perf.py``)::
 """
 
 import sys
-import time
 
 import _perf
 import numpy as np
+from _perf import time_per_call
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.tensor import Conv2D, MaxPool2D, ReLU, default_dtype, using_dtype
@@ -138,23 +138,6 @@ def nchw_predict_labels(net, x):
         return np.argmax(out, axis=1)
     finally:
         layers_module.im2col = shipped
-
-
-# ----------------------------------------------------------------------
-# timing helpers
-# ----------------------------------------------------------------------
-
-
-def time_per_call(fn, repeats: int) -> float:
-    """Best-of-3 mean seconds per call over ``repeats`` calls."""
-    fn()  # warm caches / allocator
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        best = min(best, (time.perf_counter() - start) / repeats)
-    return best
 
 
 def conv_step_seconds(dtype, seed: int, repeats: int) -> float:

@@ -18,11 +18,20 @@ and the bytes the pipes carried; speedup is hardware-dependent, so
 ``oversubscribed`` flag ride along — on a single-core box the parallel
 runs only add IPC overhead and must not be misread as regressions.
 
+``propose`` is the per-trial cost of the Bayesian advisor (what the
+surrogate studies of ``tune_costudy`` spend most of their time in): one
+``BayesianAdvisor.propose`` over n = 40 and 150 observations of section
+7.1's five knobs, 500 candidates. Its legacy column is the advisor with
+the broadcast (m, n, d) GP kernel and the ``scipy.stats`` EI it had
+before, embedded below; both columns must propose the same candidates
+(gated; the timings are not).
+
 Run through the shared runner (see ``_perf.py``)::
 
     python benchmarks/bench_perf_parallel.py [--smoke] [--seed N]
 """
 
+import contextlib
 import hashlib
 import os
 import sys
@@ -30,19 +39,27 @@ import time
 
 import _perf
 import numpy as np
+from _perf import time_per_call
+from scipy.stats import norm
 
 from repro import telemetry
 from repro.core.tune import (
+    BayesianAdvisor,
     HyperConf,
     HyperSpace,
     RandomSearchAdvisor,
     RealTrainer,
     StudyMaster,
+    Trial,
     TrialPool,
+    TrialResult,
     make_workers,
     run_study,
     run_study_parallel,
+    section71_space,
 )
+from repro.core.tune.advisors import bayesian as bayesian_module
+from repro.core.tune.advisors import gp as gp_module
 from repro.data import make_image_classification
 from repro.paramserver import ParameterServer
 from repro.zoo.builders import build_mlp
@@ -50,6 +67,73 @@ from repro.zoo.builders import build_mlp
 WORKERS = 4
 #: study seed of ``--seed 0``.
 BASE_SEED = 9
+#: observations the timed ``propose`` fits its GP on, and the candidate
+#: pool it scores (the advisor's default).
+PROPOSE_OBSERVATIONS, PROPOSE_CANDIDATES = (40, 150), 500
+#: proposals both advisors make before their candidates are compared.
+PROPOSE_COMPARED = 5
+
+
+# The GP kernel and EI before the kernel went one coordinate at a time:
+# ``propose``'s legacy column.
+
+
+def legacy_rbf(a, b, length_scale, signal_var):
+    sq_dist = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return signal_var * np.exp(-0.5 * sq_dist / length_scale**2)
+
+
+def legacy_expected_improvement(mean, std, best, xi=0.01):
+    improvement = mean - best - xi
+    z = improvement / std
+    return improvement * norm.cdf(z) + std * norm.pdf(z)
+
+
+@contextlib.contextmanager
+def legacy_advisor():
+    """Run ``BayesianAdvisor`` on the legacy kernel and EI."""
+    shipped = gp_module._rbf, bayesian_module.expected_improvement
+    gp_module._rbf = legacy_rbf
+    bayesian_module.expected_improvement = legacy_expected_improvement
+    try:
+        yield
+    finally:
+        gp_module._rbf, bayesian_module.expected_improvement = shipped
+
+
+def observed_advisor(observations: int, seed: int) -> BayesianAdvisor:
+    """An advisor that has collected ``observations`` seeded results.
+
+    Without the constant liar nothing pending joins the fit, so every
+    timed ``propose`` fits the same ``observations`` points.
+    """
+    space = section71_space()
+    advisor = BayesianAdvisor(space, rng=np.random.default_rng(seed),
+                              candidates=PROPOSE_CANDIDATES, constant_liar=False)
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(observations):
+        params = space.sample(rng)
+        performance = -float(np.sum((space.encode(params) - 0.6) ** 2))
+        advisor.collect(TrialResult(trial=Trial(params=params), performance=performance,
+                                    epochs=1, worker="w"))
+    return advisor
+
+
+def propose(seed: int, repeats: int) -> tuple[dict, bool]:
+    """Seconds per ``propose`` at each size, and whether the legacy and
+    shipped advisors propose the same candidates."""
+    timings, same = {}, True
+    for observations in PROPOSE_OBSERVATIONS:
+        fast, legacy = (observed_advisor(observations, seed) for _ in range(2))
+        with legacy_advisor():
+            legacy_picks = [legacy.propose("w") for _ in range(PROPOSE_COMPARED)]
+            legacy_s = time_per_call(lambda: legacy.propose("w"), repeats)
+        same &= legacy_picks == [fast.propose("w") for _ in range(PROPOSE_COMPARED)]
+        fast_s = time_per_call(lambda: fast.propose("w"), repeats)
+        timings[f"n{observations}"] = {
+            "legacy_s": legacy_s, "fast_s": fast_s, "speedup": legacy_s / fast_s,
+        }
+    return timings, same
 
 
 def make_study(dataset, trials: int, max_epochs: int, seed: int):
@@ -111,6 +195,7 @@ def run(smoke: bool, seed: int) -> dict:
         )
         seconds[label] = time.perf_counter() - start
 
+    propose_timings, propose_same = propose(seed, repeats=3 if smoke else 30)
     ipc_before = ipc_counter_snapshot()
     timed("pool_2_cold", processes=2)
     timed("sequential")
@@ -136,8 +221,15 @@ def run(smoke: bool, seed: int) -> dict:
                 label: fingerprint(report) == sequential
                 for label, report in reports.items()
             },
+            "propose": {
+                "observations": list(PROPOSE_OBSERVATIONS),
+                "dimensions": section71_space().dimensions,
+                "candidates": PROPOSE_CANDIDATES,
+                "same_candidates": propose_same,
+            },
         },
         "wall": {
+            "propose": propose_timings,
             "seconds": seconds,
             "effective_parallelism": {
                 str(p): min(p, cpu_count) for p in process_counts
@@ -167,11 +259,20 @@ def table(payload: dict) -> str:
         f"{wall['ipc_bytes']['to_worker']}, from workers: "
         f"{wall['ipc_bytes']['from_worker']}; speedups are informational)"
     )
+    shape = sim["propose"]
+    title = f"propose d={shape['dimensions']} m={shape['candidates']}"
+    lines.append(f"\n{title:<24} {'legacy(ms)':>11} {'fast(ms)':>9} {'speedup':>8}")
+    for label, entry in wall["propose"].items():
+        lines.append(
+            f"{label:<24} {1e3 * entry['legacy_s']:>11.3f} "
+            f"{1e3 * entry['fast_s']:>9.3f} {entry['speedup']:>7.1f}x"
+        )
     return "\n".join(lines)
 
 
 def check(payload: dict) -> list[str]:
-    """The portable acceptance bar: parallel == sequential, always."""
+    """The portable acceptance bar: parallel == sequential, always, and
+    the advisor's kernel changes no proposal."""
     failures = [
         f"{label} diverged from the sequential report"
         for label, identical
@@ -180,6 +281,8 @@ def check(payload: dict) -> list[str]:
     ]
     if min(payload["wall"]["ipc_bytes"].values()) <= 0:
         failures.append("the pool's pipes carried no bytes in one direction")
+    if not payload["simulated"]["propose"]["same_candidates"]:
+        failures.append("propose: the legacy and shipped advisors proposed different candidates")
     return failures
 
 

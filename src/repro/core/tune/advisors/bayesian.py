@@ -51,16 +51,20 @@ class BayesianAdvisor(TrialAdvisor):
         self._proposed = 0
         self._observed_x: list[np.ndarray] = []
         self._observed_y: list[float] = []
-        #: proposals awaiting results, keyed by their encoded point.
-        self._pending: dict[tuple, np.ndarray] = {}
+        #: proposals awaiting results, keyed by their encoded point: the
+        #: candidate the liar lies at, and the encoding of the trial it
+        #: decodes to, which is what the result will report.
+        self._pending: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def collect(self, result: TrialResult) -> None:
         super().collect(result)
         point = self.space.encode(result.trial.params)
-        # Retire the matching pending proposal (decode/encode round-trips
-        # can shift a point slightly, so match by distance).
-        for key, pending in list(self._pending.items()):
-            if np.max(np.abs(pending - point)) < 1e-6:
+        # Retire the matching pending proposal. Int and categorical knobs
+        # snap to their grid and post-hooks rewrite values, so a result
+        # encodes to its decoded candidate, not to the candidate itself
+        # (match by distance: float round-trips can shift a point slightly).
+        for key, (_, reported) in list(self._pending.items()):
+            if np.max(np.abs(reported - point)) < 1e-6:
                 del self._pending[key]
                 break
         self._observed_x.append(point)
@@ -70,22 +74,27 @@ class BayesianAdvisor(TrialAdvisor):
         if self.max_proposals is not None and self._proposed >= self.max_proposals:
             return None
         self._proposed += 1
-        if len(self._observed_y) < self.warmup:
+        # A backend may report NaN or inf: such a result stays in the
+        # history but tells the GP nothing, so the fit sees finite ones.
+        finite = [i for i, y in enumerate(self._observed_y) if np.isfinite(y)]
+        if len(self._observed_y) < self.warmup or not finite:
             return self.space.sample(self._rng)
-        xs = list(self._observed_x)
-        ys = list(self._observed_y)
+        xs = [self._observed_x[i] for i in finite]
+        ys = [self._observed_y[i] for i in finite]
+        best = max(ys)
         if self.constant_liar and self._pending:
             # Lie pessimistically about in-flight proposals (the worst
             # observation so far) so the EI surface dips around them.
             lie = min(ys)
-            for point in self._pending.values():
+            for point, _ in self._pending.values():
                 xs.append(point)
                 ys.append(lie)
         gp = GaussianProcess(length_scale=self.length_scale, noise_var=self.noise_var)
         gp.fit(np.vstack(xs), np.array(ys))
         pool = self._rng.random((self.candidates, self.space.dimensions))
         mean, std = gp.predict(pool)
-        ei = expected_improvement(mean, std, best=max(self._observed_y))
+        ei = expected_improvement(mean, std, best=best)
         chosen = pool[int(np.argmax(ei))]
-        self._pending[tuple(np.round(chosen, 12))] = chosen
-        return self.space.decode(chosen)
+        params = self.space.decode(chosen)
+        self._pending[tuple(np.round(chosen, 12))] = (chosen, self.space.encode(params))
+        return params

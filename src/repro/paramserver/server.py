@@ -95,6 +95,25 @@ def _state_size(state: dict[str, np.ndarray]) -> int:
     return int(sum(value.nbytes for value in state.values()))
 
 
+class _Parts(list):
+    """A pickler's output file: a list of the pieces it writes."""
+
+    write = list.append
+
+
+def _pickled(state: dict[str, np.ndarray]) -> bytes:
+    """``pickle.dumps(state, HIGHEST_PROTOCOL)``, byte for byte.
+
+    ``dumps`` grows one buffer by realloc, which faults in fresh pages
+    for every megabyte checkpoint; pickling into a file hands each large
+    array over as a view of its own memory, so the one ``join`` is the
+    only copy.
+    """
+    parts = _Parts()
+    pickle.Pickler(parts, pickle.HIGHEST_PROTOCOL).dump(state)
+    return b"".join(parts)
+
+
 @dataclass(kw_only=True)
 class Shard(Member):
     """One serving shard: a hot cache plus liveness bookkeeping."""
@@ -293,9 +312,7 @@ class ParameterServer(HostedGroup):
             entry.tenant = current_tenant()
             self.tenants.check(entry.tenant, "ps_bytes", entry.nbytes)
         state_copy = {name: value.copy() for name, value in state.items()}
-        self.store.put_blob(
-            entry.path, pickle.dumps(state_copy, pickle.HIGHEST_PROTOCOL)
-        )
+        self.store.put_blob(entry.path, _pickled(state_copy))
         # Recorded only once the blob landed: that record is the version,
         # its quota holding and what get() will read.
         self._entries.setdefault(key, []).append(entry)

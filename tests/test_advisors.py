@@ -1,7 +1,10 @@
 """Tests for the trial advisors: random, grid, GP/Bayesian."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from repro.core.tune import (
     BayesianAdvisor,
@@ -10,9 +13,24 @@ from repro.core.tune import (
     RandomSearchAdvisor,
     Trial,
     TrialResult,
+    demo_space,
+    section71_space,
 )
-from repro.core.tune.advisors.gp import GaussianProcess, expected_improvement
+from repro.core.tune.advisors.gp import GaussianProcess, _rbf, expected_improvement
 from repro.exceptions import ConfigurationError
+
+
+def broadcast_rbf(a, b, length_scale, signal_var):
+    """The (m, n, d) broadcast kernel the per-coordinate one replaced."""
+    sq_dist = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return signal_var * np.exp(-0.5 * sq_dist / length_scale**2)
+
+
+def scipy_stats_ei(mean, std, best, xi=0.01):
+    """Expected improvement through ``scipy.stats.norm``."""
+    improvement = mean - best - xi
+    z = improvement / std
+    return improvement * norm.cdf(z) + std * norm.pdf(z)
 
 
 def space_1d() -> HyperSpace:
@@ -109,6 +127,66 @@ class TestGaussianProcess:
         assert ei[1] > ei[0]
 
 
+class TestByteIdentity:
+    """The per-coordinate kernel and the ``ndtr`` EI round exactly like
+    the broadcast kernel and ``scipy.stats`` did."""
+
+    @pytest.mark.parametrize("same", [True, False], ids=["a_is_b", "a_b"])
+    @pytest.mark.parametrize("d", list(range(1, 21)) + [64, 129, 300])
+    def test_kernel_matches_broadcast(self, d, same):
+        rng = np.random.default_rng(d)
+        for n in (1, 3, 40, 151):
+            b = rng.random((n, d))
+            a = b if same else rng.random((37, d))
+            for length_scale, signal_var in ((0.2, 1.0), (1.7, 0.3)):
+                got = _rbf(a, b, length_scale, signal_var)
+                want = broadcast_rbf(a, b, length_scale, signal_var)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (d, n, length_scale)
+
+    def test_kernel_matches_broadcast_off_the_unit_cube(self):
+        rng = np.random.default_rng(7)
+        for d in (5, 8, 17, 130):
+            a = rng.standard_normal((23, d)) * 40.0
+            b = rng.standard_normal((29, d)) * 1e-3
+            assert _rbf(a, b, 0.2, 1.0).tobytes() == broadcast_rbf(a, b, 0.2, 1.0).tobytes()
+
+    def test_expected_improvement_matches_scipy_stats(self):
+        """Equal bytes, except that a NaN's sign bit is not compared:
+        ``scipy.stats`` writes its own NaN where a NaN argument reaches
+        the pdf, while arithmetic passes one operand's NaN on, and which
+        operand depends on the SIMD lane."""
+        rng = np.random.default_rng(3)
+        special = [np.inf, -np.inf, np.nan, 0.0, -0.0]
+        mean = np.concatenate([special, rng.standard_normal(400) * 3.0, [1e300, -1e300]])
+        std = np.concatenate([[np.inf], np.logspace(-300, 300, 61), rng.random(30) + 1e-6])
+        mean, std = (grid.ravel() for grid in np.meshgrid(mean, std))
+        with np.errstate(all="ignore"):
+            for best in (0.0, -0.0, 0.37, -2.5, np.inf, -np.inf, np.nan):
+                got = expected_improvement(mean, std, best)
+                want = scipy_stats_ei(mean, std, best)
+                assert got.dtype == want.dtype
+                got[np.isnan(got)] = np.nan
+                want[np.isnan(want)] = np.nan
+                assert got.tobytes() == want.tobytes(), best
+
+    def test_seeded_proposal_stream_is_pinned(self):
+        """120 proposals of a two-in-flight study on section 7.1's space:
+        the hash was taken with the broadcast kernel and scipy.stats EI."""
+        space = section71_space()
+        advisor = BayesianAdvisor(space, rng=np.random.default_rng(11))
+        in_flight = [advisor.next("w0")]
+        proposals = list(in_flight)
+        while len(proposals) < 120:
+            params = advisor.next(f"w{len(proposals) % 2}")
+            proposals.append(params)
+            in_flight.append(params)
+            done = in_flight.pop(0)
+            advisor.collect(result(done, -float(np.sum((space.encode(done) - 0.6) ** 2))))
+        digest = hashlib.sha256(repr(proposals).encode()).hexdigest()
+        assert digest == "1cc32c1142fef6566d71c122079e4c4cd3513374140844bb1d2feaa63fd1b83a"
+
+
 class TestBayesianAdvisor:
     def _run(self, advisor, objective, iterations=30):
         for _ in range(iterations):
@@ -195,3 +273,56 @@ class TestConstantLiar:
         assert len(advisor._pending) == 1
         advisor.collect(result(proposal, 0.3))
         assert len(advisor._pending) == 0
+
+    def test_pending_retired_on_snapping_knobs(self):
+        """Int and categorical knobs (and a post-hook) round a candidate
+        when it is decoded; its result must still retire it."""
+        space = demo_space()
+        advisor = BayesianAdvisor(space, rng=np.random.default_rng(0), warmup=4)
+        rng = np.random.default_rng(1)
+        for _ in range(60):
+            params = advisor.next("w")
+            advisor.collect(result(params, float(rng.random())))
+            assert advisor._pending == {}
+        # two in flight, collected out of order
+        first, second = advisor.next("w1"), advisor.next("w2")
+        assert len(advisor._pending) == 2
+        advisor.collect(result(second, 0.2))
+        advisor.collect(result(first, 0.4))
+        assert advisor._pending == {}
+
+
+class TestNonFinitePerformance:
+    def test_nan_after_warmup_still_gets_a_proposal(self):
+        advisor = BayesianAdvisor(section71_space(), rng=np.random.default_rng(0), warmup=4)
+        for index in range(4):
+            params = advisor.next("w")
+            advisor.collect(result(params, 0.1 * index))
+        params = advisor.next("w")
+        advisor.collect(result(params, float("nan")))
+        for performance in (float("inf"), 0.5, float("-inf")):
+            params = advisor.next("w")
+            assert params is not None
+            advisor.collect(result(params, performance))
+        assert advisor.next("w") is not None
+        assert advisor.num_results == 8
+
+    def test_no_finite_observation_samples(self):
+        advisor = BayesianAdvisor(space_1d(), rng=np.random.default_rng(0), warmup=2)
+        for _ in range(3):
+            params = advisor.next("w")
+            advisor.collect(result(params, float("nan")))
+        assert 0.0 <= advisor.next("w")["x"] < 1.0
+
+    def test_finite_results_beside_nan_drive_the_fit(self):
+        """A NaN result leaves the GP exactly as if it had not come in."""
+        def run(with_nan: bool):
+            advisor = BayesianAdvisor(space_1d(), rng=np.random.default_rng(4), warmup=2,
+                                      constant_liar=False)
+            advisor.collect(result({"x": 0.2}, 0.1))
+            if with_nan:
+                advisor.collect(result({"x": 0.5}, float("nan")))
+            advisor.collect(result({"x": 0.8}, 0.5))
+            return [advisor.next("w")["x"] for _ in range(3)]
+
+        assert run(True) == run(False)

@@ -6,6 +6,8 @@ against a default :class:`ParameterServer` and once against what the
 asserting both spellings give the same server.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,25 @@ class TestParameterServer:
 
 class TestOneShardServer:
     """What a default server shares with every multi-shard one."""
+
+    def test_stored_blob_is_pickle_dumps(self):
+        """Checkpoints are pickled into pieces and joined; the stored bytes
+        are what ``pickle.dumps`` gives, so chunk digests and dedup are too."""
+        rng = np.random.default_rng(0)
+        states = [
+            {},
+            state(1.0),
+            {"W": rng.standard_normal(1 << 17), "b": np.zeros(3, dtype=np.float32)},
+            {"F": np.asfortranarray(rng.standard_normal((300, 200))),
+             "strided": rng.standard_normal((400, 400))[::2],
+             "ints": np.arange(70000, dtype=np.int64)},
+        ]
+        server = ParameterServer()
+        for index, value in enumerate(states):
+            entry = server.put(f"k{index}", value)
+            stored = {name: array.copy() for name, array in value.items()}
+            assert server.store.get_blob(entry.path) == pickle.dumps(
+                stored, pickle.HIGHEST_PROTOCOL)
 
     def test_audit_is_clean_after_a_costudy_and_after_delete(self):
         from repro.core.tune import (
