@@ -20,12 +20,19 @@ put/get throughput is what the ``ckpt_store`` workload of
    ``ps-0`` *and* datanode ``dn-0`` mid-serve and must finish the reads
    with zero keys lost and a clean audit.
 
+``wall`` has one row, ``put_near_duplicate``: microseconds per
+``BlockStore.put`` of a 1 MiB blob with a 1 KiB edit at 64 KiB chunks,
+against the digest list of the blob it edits (``basis``) and without
+one; best of 5 puts, 3 rounds a side, alternating. Both sides must
+return the same digests (gated; the timings are not).
+
 Run through the shared runner (see ``_perf.py``)::
 
     python benchmarks/bench_perf_store.py [--smoke] [--seed N]
 """
 
 import sys
+import time
 
 import _perf
 import numpy as np
@@ -38,6 +45,8 @@ from repro.paramserver import ParameterServer
 SHARD_COUNTS = (1, 2, 4)
 #: fixed: the dedup acceptance criterion's study size.
 CHECKPOINTS = 10
+#: ``put_near_duplicate``: blob bytes, chunk size, edited bytes.
+BLOB, CHUNK, EDIT = 1 << 20, 64 * 1024, 1024
 
 
 def make_state(rng) -> dict:
@@ -145,6 +154,29 @@ def bench_serving_tier(shards: int, keys: int, gets: int, seed: int) -> dict:
     return row
 
 
+def put_near_duplicate(seed: int) -> dict:
+    """Microseconds per put of an edited blob, with and without its basis."""
+    rng = np.random.default_rng(seed)
+    store = BlockStore(nodes=3, replicas=2, chunk_size=CHUNK)
+    blob = bytearray(rng.integers(0, 256, BLOB, dtype=np.uint8).tobytes())
+    # each side's timings, by the basis its puts name
+    sides = {"basis_us": store.put(bytes(blob)), "no_basis_us": ()}
+    offset = BLOB // 3
+    blob[offset:offset + EDIT] = rng.integers(0, 256, EDIT, dtype=np.uint8).tobytes()
+    blob = bytes(blob)
+    digests = [store.put(blob, basis=basis) for basis in sides.values()]
+    rounds: dict[str, list[float]] = {name: [] for name in sides}
+    for _ in range(3):
+        for name, basis in sides.items():
+            best = float("inf")
+            for _ in range(5):
+                start = time.perf_counter()
+                store.put(blob, basis=basis)
+                best = min(best, time.perf_counter() - start)
+            rounds[name].append(1e6 * best)
+    return {**rounds, "same_digests": digests[0] == digests[1]}
+
+
 def run(smoke: bool, seed: int) -> dict:
     files, file_bytes = (3, 256 * 1024) if smoke else (4, 1024 * 1024)
     keys, gets = (40, 400) if smoke else (200, 4000)
@@ -158,7 +190,7 @@ def run(smoke: bool, seed: int) -> dict:
                 for shards in SHARD_COUNTS
             },
         },
-        "wall": {},
+        "wall": {"put_near_duplicate": put_near_duplicate(seed)},
     }
 
 
@@ -184,6 +216,14 @@ def table(payload: dict) -> str:
             f"{audit['keys_lost'] if audit else '-':>19} "
             f"{audit['rereplications'] if audit else '-':>8}"
         )
+    put = payload["wall"]["put_near_duplicate"]
+    lines.append(
+        f"put of a 1 MiB blob, 1 KiB edit, 64 KiB chunks (us, 3 rounds): "
+        f"basis {min(put['basis_us']):.0f}-{max(put['basis_us']):.0f}, "
+        f"no basis {min(put['no_basis_us']):.0f}-{max(put['no_basis_us']):.0f} "
+        f"({min(put['no_basis_us']) / min(put['basis_us']):.2f}x); "
+        f"same digests: {put['same_digests']}"
+    )
     return "\n".join(lines)
 
 
@@ -215,6 +255,8 @@ def check(payload: dict) -> list[str]:
             failures.append(
                 f"{row['shards']}-shard tier after shard + datanode kill: {audit}"
             )
+    if not payload["wall"]["put_near_duplicate"]["same_digests"]:
+        failures.append("put_near_duplicate: a basis changed the digests")
     return failures
 
 

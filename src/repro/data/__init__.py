@@ -8,7 +8,7 @@ pipeline Section 7.1 describes (per-channel standardisation, 4-pixel
 padding, random 32x32 crop, random horizontal flip).
 """
 
-from repro.data.blockstore import BlockStore, DataNode, chunk_digest, split_chunks
+from repro.data.blockstore import BlockStore, DataNode, chunk_digest
 from repro.data.datasets import ImageDataset, make_image_classification, make_sentiment_dataset
 from repro.data.fs import FileNamespace, Manifest, PendingWrite
 from repro.data.loader import BatchLoader
@@ -30,7 +30,6 @@ __all__ = [
     "Manifest",
     "PendingWrite",
     "chunk_digest",
-    "split_chunks",
     "DataStore",
     "DatasetHandle",
     "ImageDataset",

@@ -33,6 +33,17 @@ Chaos integration: every datanode operation passes through
 slow a single datanode; injected faults feed the node's
 :class:`~repro.utils.retry.CircuitBreaker` and trigger failover or
 re-placement exactly as real disk errors would.
+
+**Hashing only what changed.** A put may name a *basis*: the digest
+list of the version it replaces. Chunk *i* whose bytes equal the stored
+bytes of ``basis[i]`` (a live copy, same length, compared with
+``bytes.startswith`` — a memcmp) takes ``basis[i]`` as its digest;
+every other chunk is hashed. Stored bytes always hash to their address,
+so the digest is the same either way and so is everything after it. The
+comparison is the store reading its own bookkeeping, like the directory
+lookup beside it, not a datanode transfer: it fires no fault point,
+feeds no breaker and moves no counter, and a basis that is missing,
+dead, lost or of another length just falls back to hashing.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ from repro.cluster.membership import (
 )
 from repro.exceptions import ChunkLostError, ConfigurationError, StorageError
 
-__all__ = ["BlockStore", "DataNode", "chunk_digest", "split_chunks", "DEFAULT_CHUNK_SIZE"]
+__all__ = ["BlockStore", "DataNode", "chunk_digest", "DEFAULT_CHUNK_SIZE"]
 
 #: default chunk size in bytes. Small enough that a ~70KB checkpoint
 #: spans several chunks (so partial updates dedup), large enough that
@@ -64,17 +75,6 @@ DEFAULT_CHUNK_SIZE = 64 * 1024
 def chunk_digest(data: bytes) -> str:
     """Content address of one chunk: its sha256 hex digest."""
     return hashlib.sha256(data).hexdigest()
-
-
-def split_chunks(data: bytes, chunk_size: int) -> list[bytes]:
-    """Split ``data`` into fixed-size chunks (the last one may be short).
-
-    Empty input yields an empty list — a zero-length file is a manifest
-    with no chunks, not a chunk of no bytes.
-    """
-    if chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    return [data[i : i + chunk_size] for i in range(0, len(data), chunk_size)]
 
 
 @dataclass
@@ -223,28 +223,40 @@ class BlockStore(HostedGroup):
     # chunk I/O
     # ------------------------------------------------------------------
 
-    def put(self, data: bytes, on_chunk=None) -> list[str]:
+    def put(self, data: bytes, on_chunk=None, basis=()) -> list[str]:
         """Chunk ``data`` and store every chunk; return its digest list.
 
         Identical chunks (within this call or against anything already
-        stored) are stored once and counted as dedup hits. ``on_chunk``
-        — called as ``on_chunk(index, digest)`` after each chunk lands —
-        lets chaos scenarios kill a node *mid-write* deterministically.
+        stored) are stored once and counted as dedup hits. ``basis`` is
+        the digest list of the version ``data`` replaces: chunk *i* that
+        equals a live copy of ``basis[i]`` byte for byte (same length)
+        takes that digest without being hashed, any other chunk is
+        hashed, so the result is the same with or without a basis. The
+        comparison reads the store's own copy and fires no fault point
+        (see the module docstring). ``on_chunk`` — called as
+        ``on_chunk(index, digest)`` after each chunk lands — lets chaos
+        scenarios kill a node *mid-write* deterministically.
         Bytes are stored unreferenced until a namespace commits a
         manifest and calls :meth:`incref`; if the put fails part-way,
         the chunks it had stored are released again.
         """
         self._refresh_liveness()
+        size, length = self.chunk_size, len(data)
+        view = memoryview(data)
         digests: list[str] = []
         stored: list[str] = []
         hits = 0
         try:
-            for index, chunk in enumerate(split_chunks(data, self.chunk_size)):
-                digest = chunk_digest(chunk)
+            for index, start in enumerate(range(0, length, size)):
+                end = min(start + size, length)
+                if index < len(basis) and self._holds(basis[index], data, start, end):
+                    digest = basis[index]
+                else:
+                    digest = chunk_digest(view[start:end])
                 if digest in self._directory and digest not in self._lost:
                     hits += 1
                 else:
-                    self._store_chunk(digest, chunk)
+                    self._store_chunk(digest, data[start:end])
                     stored.append(digest)
                 digests.append(digest)
                 if on_chunk is not None:
@@ -260,6 +272,14 @@ class BlockStore(HostedGroup):
                     "Chunk puts answered by an already-stored identical chunk.",
                 ).inc(hits)
         return digests
+
+    def _holds(self, digest: str, data: bytes, start: int, end: int) -> bool:
+        """Whether a live copy of ``digest`` is exactly ``data[start:end]``."""
+        holders = self._directory.get(digest)
+        if not holders:  # unknown, or lost: no live copy to compare with
+            return False
+        stored = self._by_name[holders[0]].chunks[digest]
+        return len(stored) == end - start and data.startswith(stored, start)
 
     def _store_chunk(self, digest: str, data: bytes) -> None:
         """Place one chunk on ``replicas`` datanodes (at least one)."""

@@ -83,12 +83,28 @@ class FileNamespace:
     # writes
     # ------------------------------------------------------------------
 
-    def begin_write(self, path: str, data: bytes, writer: str = "", on_chunk=None):
-        """Phase one: upload chunks; the path is untouched until commit."""
+    def begin_write(
+        self, path: str, data: bytes, writer: str = "", on_chunk=None, basis=None
+    ):
+        """Phase one: upload chunks; the path is untouched until commit.
+
+        ``basis`` names the path whose latest manifest the upload is
+        compared against, chunk by chunk, so that only chunks that
+        differ from it are hashed (:meth:`BlockStore.put`). It defaults
+        to ``path``: an overwrite compares against the version it
+        replaces. A basis path with no versions compares against
+        nothing; either way the digests are the same. The comparison
+        reads the store's own copy of each basis chunk, not a datanode,
+        so it fires no fault point and a chaos plan sees the same
+        operations with or without a basis.
+        """
         if not path:
             raise StorageError("path must be non-empty")
         data = bytes(data)
-        digests = self.store.put(data, on_chunk=on_chunk)
+        history = self._manifests.get(path if basis is None else basis)
+        digests = self.store.put(
+            data, on_chunk=on_chunk, basis=history[-1].digests if history else ()
+        )
         return PendingWrite(path=path, data=data, digests=tuple(digests), writer=writer)
 
     def commit(self, pending: PendingWrite) -> Manifest:
@@ -120,13 +136,17 @@ class FileNamespace:
         ).inc(namespace=self.name)
         return manifest
 
-    def write(self, path: str, data: bytes, writer: str = "", on_chunk=None) -> Manifest:
+    def write(
+        self, path: str, data: bytes, writer: str = "", on_chunk=None, basis=None
+    ) -> Manifest:
         """begin_write + commit in one call (the common, uncontended case).
 
         A commit that fails releases the chunks the upload stored, so a
         failed write leaves nothing behind.
         """
-        pending = self.begin_write(path, data, writer=writer, on_chunk=on_chunk)
+        pending = self.begin_write(
+            path, data, writer=writer, on_chunk=on_chunk, basis=basis
+        )
         try:
             return self.commit(pending)
         except BaseException:

@@ -223,8 +223,12 @@ class DataStore:
     # raw blobs
     # ------------------------------------------------------------------
 
-    def put_blob(self, path: str, blob: bytes) -> None:
+    def put_blob(self, path: str, blob: bytes, basis: str | None = None) -> None:
         """Store ``blob`` under ``path`` (a new version if it exists).
+
+        ``basis`` names the path whose latest version the blob is compared
+        with chunk by chunk (default: ``path``), so unchanged chunks are
+        not hashed; see :meth:`FileNamespace.begin_write`.
 
         With a tenant registry attached, the ambient tenant's
         ``store_bytes`` quota is checked *before* any chunk is stored (a
@@ -237,7 +241,7 @@ class DataStore:
             displaced = self._blob_charges.get(path)
             headroom = displaced[1] if displaced and displaced[0] == tenant else 0
             self.tenants.check(tenant, "store_bytes", len(blob) - headroom)
-        self.fs.write(path, bytes(blob), writer=self.name)
+        self.fs.write(path, bytes(blob), writer=self.name, basis=basis)
         self._blob_charges[path] = (tenant, len(blob))
         self.bytes_written += len(blob)
 

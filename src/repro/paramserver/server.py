@@ -312,7 +312,12 @@ class ParameterServer(HostedGroup):
             entry.tenant = current_tenant()
             self.tenants.check(entry.tenant, "ps_bytes", entry.nbytes)
         state_copy = {name: value.copy() for name, value in state.items()}
-        self.store.put_blob(entry.path, _pickled(state_copy))
+        # Versions live at separate paths: compare against the latest one,
+        # so only the chunks this version changed are hashed.
+        history = self._entries.get(key)
+        self.store.put_blob(
+            entry.path, _pickled(state_copy), basis=history[-1].path if history else None
+        )
         # Recorded only once the blob landed: that record is the version,
         # its quota holding and what get() will read.
         self._entries.setdefault(key, []).append(entry)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.data import BlockStore, DataStore, FileNamespace, chunk_digest, split_chunks
+from repro.data import BlockStore, DataStore, FileNamespace, chunk_digest
 from repro.exceptions import (
     ChunkLostError,
     ConfigurationError,
@@ -54,15 +54,15 @@ def _lengths(rng: random.Random) -> list[int]:
 
 class TestChunking:
     def test_split_sizes(self):
-        chunks = split_chunks(b"x" * 1000, 256)
-        assert [len(c) for c in chunks] == [256, 256, 256, 232]
+        store = BlockStore(nodes=1, replicas=1, chunk_size=256)
+        digests = store.put(b"x" * 1000)
+        assert [store._sizes[d] for d in digests] == [256, 256, 256, 232]
+        assert digests[-1] == chunk_digest(b"x" * 232)
 
     def test_split_empty_is_no_chunks(self):
-        assert split_chunks(b"", 256) == []
-
-    def test_split_rejects_bad_chunk_size(self):
-        with pytest.raises(ConfigurationError):
-            split_chunks(b"x", 0)
+        store = BlockStore(nodes=1, replicas=1, chunk_size=256)
+        assert store.put(b"") == []
+        assert store.put(b"", basis=store.put(b"x" * 300)) == []
 
     def test_digest_is_content_address(self):
         assert chunk_digest(b"abc") == chunk_digest(b"abc")
@@ -84,6 +84,162 @@ class TestChunking:
 
     def test_replicas_clamped_to_nodes(self):
         assert BlockStore(nodes=2, replicas=5).replicas == 2
+
+
+def _assert_addresses(store: BlockStore) -> None:
+    """Every stored copy, on every disk, hashes to its own address."""
+    for node in store.nodes:
+        for digest, chunk in node.chunks.items():
+            assert chunk_digest(chunk) == digest, (node.name, digest[:12])
+
+
+def _history(rng: random.Random) -> list[bytes]:
+    """Successive versions of one blob: each resizes the last (to every
+    length class, longer and shorter) and edits up to three bytes."""
+    versions, data = [], b""
+    lengths = _lengths(rng) + [3 * CHUNK, 3 * CHUNK, 0, 2 * CHUNK + 1, 2 * CHUNK + 1]
+    rng.shuffle(lengths)
+    for length in lengths:
+        data = bytearray(data[:length] + rng.randbytes(max(0, length - len(data))))
+        for _ in range(rng.randrange(3) if length else 0):
+            data[rng.randrange(length)] ^= 0xFF
+        data = bytes(data)
+        versions.append(data)
+    return versions
+
+
+class TestPutAgainstABasis:
+    """``put(data, basis=digests)`` hashes only the chunks that differ from
+    the version it replaces, and gives exactly what ``put(data)`` gives."""
+
+    def _replay(self, versions, with_basis):
+        registry = telemetry.MetricsRegistry()
+        previous = telemetry.set_registry(registry)
+        try:
+            store = BlockStore(nodes=3, replicas=2, chunk_size=CHUNK)
+            puts, basis = [], ()
+            for data in versions:
+                digests = store.put(data, basis=basis if with_basis else ())
+                store.incref(digests)
+                puts.append(digests)
+                basis = digests
+            return puts, store, registry.snapshot()
+        finally:
+            telemetry.set_registry(previous)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_basis_changes_nothing_but_the_hashing(self, seed):
+        versions = _history(random.Random(400 + seed))
+        puts, store, snapshot = self._replay(versions, with_basis=True)
+        want_puts, want, want_snapshot = self._replay(versions, with_basis=False)
+        assert puts == want_puts
+        assert store._directory == want._directory
+        assert store._refcounts == want._refcounts
+        assert store._sizes == want._sizes
+        assert store.dedup_hits == want.dedup_hits > 0
+        assert snapshot == want_snapshot
+        for data, digests in zip(versions, puts):
+            assert b"".join(store.get_chunk(d) for d in digests) == data
+        _assert_addresses(store)
+
+    def test_an_edit_hashes_only_the_chunks_it_touches(self, monkeypatch):
+        from repro.data import blockstore
+
+        size = 64 * 1024
+        store = BlockStore(nodes=3, replicas=2, chunk_size=size)
+        fs = FileNamespace(store)
+        rng = random.Random(29)
+        blob = bytearray(rng.randbytes(1 << 20))
+        fs.write("ckpt", bytes(blob))
+        hashed = []
+        digest_of = blockstore.chunk_digest
+
+        def spy(chunk):
+            hashed.append(bytes(chunk))
+            return digest_of(chunk)
+
+        monkeypatch.setattr(blockstore, "chunk_digest", spy)
+        # inside one chunk, across a boundary, at the very end
+        for offset in (3 * size + 100, 5 * size - 512, len(blob) - 1024):
+            blob[offset:offset + 1024] = rng.randbytes(1024)
+            fs.write("ckpt", bytes(blob))
+            touched = sorted({offset // size, (offset + 1023) // size})
+            assert hashed == [bytes(blob[i * size:(i + 1) * size]) for i in touched]
+            hashed.clear()
+        assert fs.stat("ckpt").digests == tuple(
+            digest_of(bytes(blob[i:i + size])) for i in range(0, len(blob), size)
+        )
+        assert fs.read("ckpt") == blob
+        _assert_addresses(store)
+
+    def test_an_unusable_basis_falls_back_to_hashing(self):
+        rng = random.Random(31)
+        data = _random_bytes(rng, 3 * CHUNK + 10)
+
+        def check(store, basis, blob=data):
+            digests = store.put(blob, basis=basis)
+            assert digests == [chunk_digest(blob[i:i + CHUNK])
+                               for i in range(0, len(blob), CHUNK)]
+            assert b"".join(store.get_chunk(d) for d in digests) == blob
+            _assert_addresses(store)
+
+        # deleted: no manifest references the basis any more
+        fs = FileNamespace(BlockStore(nodes=3, replicas=2, chunk_size=CHUNK))
+        basis = list(fs.write("old", data).digests)
+        fs.delete("old")
+        check(fs.store, basis)
+        # every holder killed: the chunk is lost, its bytes on a dead disk
+        store = BlockStore(nodes=3, replicas=1, chunk_size=CHUNK)
+        basis = store.put(data[:CHUNK])
+        holder = store.node(store._directory[basis[0]][0])
+        store.kill_node(holder.name)
+        assert basis[0] in store._lost and basis[0] in holder.chunks
+        check(store, basis)
+        # longer than data: the last basis chunk is full, data's is short;
+        # shorter: data's chunk starts with the basis's short last chunk
+        store = BlockStore(nodes=3, replicas=2, chunk_size=CHUNK)
+        longer = data + _random_bytes(rng, CHUNK - 10)
+        check(store, store.put(longer))
+        check(store, store.put(data), blob=longer)
+
+    def test_the_comparison_fires_no_fault_point(self):
+        from repro import chaos
+        from repro.chaos import FaultKind, FaultPlan, FaultRule
+
+        store = BlockStore(nodes=3, replicas=2, chunk_size=CHUNK)
+        data = bytearray(_random_bytes(random.Random(37), 8 * CHUNK))
+        basis = store.put(bytes(data))
+        data[5 * CHUNK] ^= 0xFF
+        plan = FaultPlan([FaultRule("data.store.get", FaultKind.EXCEPTION)], seed=0)
+        with chaos.active(plan):
+            digests = store.put(bytes(data), basis=basis)
+        assert digests == basis[:5] + [chunk_digest(data[5 * CHUNK:6 * CHUNK])] + basis[6:]
+        assert plan.invocations("data.store.get") == 0
+        assert not [e for e in plan.trace() if "get" in e["point"]]
+        requests = telemetry.get_registry().counter("repro_blockstore_requests_total")
+        assert not [key for key in requests.label_keys() if ("op", "get") in key]
+        _assert_addresses(store)
+
+    def test_a_kill_of_the_basis_holder_mid_write_still_commits(self):
+        store = BlockStore(nodes=2, replicas=1, chunk_size=CHUNK)
+        fs = FileNamespace(store)
+        old = _random_bytes(random.Random(41), 8 * CHUNK)
+        basis = fs.write("p", old).digests
+        assert any("dn-0" in store._directory[d] for d in basis[3:])
+        new = bytearray(old)
+        new[CHUNK] ^= 0xFF
+
+        def kill(index, digest):
+            if index == 2:
+                store.kill_node("dn-0")
+
+        manifest = fs.write("p", bytes(new), on_chunk=kill)
+        assert fs.read("p") == new
+        assert manifest.digests == tuple(
+            chunk_digest(new[i:i + CHUNK]) for i in range(0, len(new), CHUNK)
+        )
+        assert not set(manifest.digests) & set(store.audit()["lost"])
+        _assert_addresses(store)
 
 
 class TestRoundTripProperties:
@@ -214,7 +370,7 @@ class TestNamespace:
         # mixture of w1's and w2's chunks.
         assert fs.read("p") == b"XXXXYYYYZZZZ"
         assert committed.digests == tuple(
-            chunk_digest(c) for c in split_chunks(b"XXXXYYYYZZZZ", 4)
+            chunk_digest(c) for c in (b"XXXX", b"YYYY", b"ZZZZ")
         )
         # And the loser's version is still fully readable history.
         assert fs.read("p", version=1) == b"AAAABBBBCCCC"
@@ -406,24 +562,28 @@ class TestReplication:
 
     def test_ensure_of_an_intact_write_heals_nothing(self, monkeypatch):
         """commit() calls ensure on every write: with every chunk present
-        it must not chunk (copy) the blob again, only count it."""
-        from repro.data import blockstore
-
+        it must not slice (copy) or store any chunk again, only count it."""
         store = BlockStore(nodes=2, replicas=1, chunk_size=CHUNK)
         data = _random_bytes(random.Random(3), 5 * CHUNK + 7)
         digests = store.put(data)
-        monkeypatch.setattr(
-            blockstore, "split_chunks",
-            lambda *args: pytest.fail("ensure chunked the whole blob again"),
-        )
+        restored = []
+        store_chunk = store._store_chunk
+
+        def spy(digest, chunk):
+            restored.append(chunk)
+            store_chunk(digest, chunk)
+
+        monkeypatch.setattr(store, "_store_chunk", spy)
         assert store.ensure(digests, data) == 0
+        assert restored == []
         for wrong in (digests[:-1], digests + digests[:1]):
             with pytest.raises(StorageError):
                 store.ensure(wrong, data)
         # only what lost every live copy is sliced out and re-stored
-        on_dn0 = sum("dn-0" in store._directory[d] for d in digests)
+        on_dn0 = [i for i, d in enumerate(digests) if "dn-0" in store._directory[d]]
         store.kill_node("dn-0")
-        assert store.ensure(digests, data) == on_dn0 > 0
+        assert store.ensure(digests, data) == len(on_dn0) > 0
+        assert restored == [data[i * CHUNK:(i + 1) * CHUNK] for i in on_dn0]
         assert b"".join(store.get_chunk(d) for d in digests) == data
 
     def test_get_unknown_chunk_raises(self):

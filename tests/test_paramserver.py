@@ -286,3 +286,76 @@ class TestOneShardServer:
             with pytest.raises(RetryExhaustedError):
                 ps.put("k", state(1.0))
         assert not ps.has("k") and ps.audit()["divergent"] == []
+
+
+class TestPutComparesWithTheLatestVersion:
+    """Each version is put against the key's latest one (``params/k/v{n-1}``),
+    so the block store hashes only the chunks a training step changed."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        """A server whose block-store puts record their basis and hashes."""
+        from repro.data import blockstore
+
+        server = ParameterServer(shards=2, cache_bytes=1)  # every get reads the store
+        blocks = server.block_store
+        put, digest_of = blocks.put, blockstore.chunk_digest
+        bases, hashed = [], []
+
+        def put_spy(data, on_chunk=None, basis=()):
+            bases.append(tuple(basis))
+            return put(data, on_chunk=on_chunk, basis=basis)
+
+        def digest_spy(chunk):
+            hashed.append(bytes(chunk))
+            return digest_of(chunk)
+
+        monkeypatch.setattr(blocks, "put", put_spy)
+        monkeypatch.setattr(blockstore, "chunk_digest", digest_spy)
+        return server, bases, hashed
+
+    @staticmethod
+    def weights(seed: int) -> dict:
+        rng = np.random.default_rng(seed)  # 1 MiB of float32: 17 chunks of 64 KiB
+        return {"W": rng.standard_normal((512, 512)).astype(np.float32),
+                "b": np.zeros(512, dtype=np.float32)}
+
+    def test_a_dirty_slice_hashes_only_the_chunks_it_covers(self, spied):
+        server, bases, hashed = spied
+        size = server.block_store.chunk_size
+        weights = self.weights(3)
+        server.put("other", self.weights(4))
+        history = []
+        for step in range(4):
+            weights["W"][97 * step, 100:356] += 1.0  # a 1 KiB slice
+            bases.clear()
+            hashed.clear()
+            entry = server.put("k", weights)
+            history.append({name: value.copy() for name, value in weights.items()})
+            if step == 0:
+                assert bases == [()] and len(hashed) == 17
+                continue
+            previous = f"params/k/v{entry.version - 1}"
+            assert bases == [server.store.fs.stat(previous).digests]
+            new, old = server.store.get_blob(entry.path), server.store.get_blob(previous)
+            dirty = [new[i:i + size] for i in range(0, len(new), size)
+                     if new[i:i + size] != old[i:i + size]]
+            assert hashed == dirty and 1 <= len(dirty) <= 2
+        for version, want in enumerate(history, start=1):
+            got = server.get("k", version=version)
+            assert got.keys() == want.keys()
+            for name in want:
+                np.testing.assert_array_equal(got[name], want[name])
+
+    def test_the_first_put_after_delete_compares_against_nothing(self, spied):
+        server, bases, hashed = spied
+        weights = self.weights(5)
+        server.put("k", weights)
+        server.put("k", weights)
+        assert len(hashed) == 17  # the unchanged second version hashed nothing
+        server.delete("k")
+        bases.clear()
+        hashed.clear()
+        assert server.put("k", weights).version == 1
+        assert bases == [()] and len(hashed) == 17
+        np.testing.assert_array_equal(server.get("k", version=1)["W"], weights["W"])
