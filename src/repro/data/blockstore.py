@@ -25,7 +25,11 @@ split into fixed-size chunks addressed by their sha256 digest, so
   reached it are queued in a per-node *trash* set; when the node
   rejoins, trashed and over-replicated chunks are removed from its
   disk and still-referenced survivors are re-admitted to the
-  directory (which can resurrect chunks whose every live copy died).
+  directory (which can resurrect chunks whose every live copy died);
+* **references are read, not counted**: each namespace registers a
+  reader (:meth:`BlockStore.add_reader`) of the digests it holds, and
+  :meth:`BlockStore.collect` drops candidates no reader reaches — at a
+  delete or a failed write or put only, so a put pays nothing for it.
 
 Chaos integration: every datanode operation passes through
 ``data.store.node.<name>.<put|get>`` fault points (plus the aggregate
@@ -49,7 +53,9 @@ dead, lost or of another length just falls back to hashing.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro import chaos, telemetry
 from repro.cluster.container import ContainerRole
@@ -100,12 +106,11 @@ class BlockStore(HostedGroup):
     """Fixed-size chunks, sha256 addressing, R-way replica placement.
 
     The store is the *chunk* layer only: it knows digests, holders and
-    reference counts, never paths (see :class:`repro.data.fs.FileNamespace`
-    for the namenode role). ``replicas`` is clamped to the node count.
-    Reference counts are owned by the namespaces committing manifests:
-    :meth:`put` stores bytes, :meth:`incref`/:meth:`decref` pin and
-    release them, and a chunk's bytes are deleted everywhere when its
-    last reference drops.
+    sizes, never paths (see :class:`repro.data.fs.FileNamespace` for the
+    namenode role). ``replicas`` is clamped to the node count. References
+    are the namespaces': each registers a reader with :meth:`add_reader`,
+    :meth:`put` stores bytes, and :meth:`collect` deletes a chunk's bytes
+    everywhere once no reader reaches it.
     """
 
     _JOB_KIND = JobKind.DATASTORE
@@ -137,8 +142,8 @@ class BlockStore(HostedGroup):
         self._directory: dict[str, list[str]] = {}
         #: digest -> chunk length in bytes.
         self._sizes: dict[str, int] = {}
-        #: digest -> number of committed manifest references.
-        self._refcounts: dict[str, int] = {}
+        #: callables yielding the digest tuples each namespace holds.
+        self._readers: list = []
         #: dead node -> digests to delete from its disk when it rejoins.
         self._trash: dict[str, set[str]] = {}
         #: digests whose every live copy is gone (until rejoin restores them).
@@ -162,11 +167,7 @@ class BlockStore(HostedGroup):
         )
         stored.set_function(lambda: sum(self._sizes.values()), kind="unique")
         stored.set_function(
-            lambda: sum(
-                self._sizes[digest] * self._refcounts.get(digest, 0)
-                for digest in self._directory
-            ),
-            kind="logical",
+            lambda: self._logical_bytes(self._reference_counts()), kind="logical"
         )
 
     # ------------------------------------------------------------------
@@ -236,9 +237,9 @@ class BlockStore(HostedGroup):
         (see the module docstring). ``on_chunk`` — called as
         ``on_chunk(index, digest)`` after each chunk lands — lets chaos
         scenarios kill a node *mid-write* deterministically.
-        Bytes are stored unreferenced until a namespace commits a
-        manifest and calls :meth:`incref`; if the put fails part-way,
-        the chunks it had stored are released again.
+        The caller's reader must reach the digests once this returns (a
+        namespace registers the write as in flight). If the put fails
+        part-way, the chunks it stored are collected again.
         """
         self._refresh_liveness()
         size, length = self.chunk_size, len(data)
@@ -262,7 +263,7 @@ class BlockStore(HostedGroup):
                 if on_chunk is not None:
                     on_chunk(index, digest)
         except BaseException:
-            self.release(stored)
+            self.collect(stored)
             raise
         finally:
             if hits:
@@ -300,7 +301,6 @@ class BlockStore(HostedGroup):
             raise StorageError(f"no live datanode accepted chunk {digest[:12]}…")
         self._directory[digest] = placed
         self._sizes[digest] = len(data)
-        self._refcounts.setdefault(digest, 0)
         self._lost.discard(digest)
         telemetry.get_registry().counter(
             "repro_blockstore_chunk_writes_total", "Distinct chunks written."
@@ -352,9 +352,7 @@ class BlockStore(HostedGroup):
         healed = 0
         for index, digest in enumerate(digests):
             if not self.has_chunk(digest):
-                refs = self._refcounts.get(digest, 0)
                 self._store_chunk(digest, data[index * size : (index + 1) * size])
-                self._refcounts[digest] = refs
                 healed += 1
         return healed
 
@@ -381,39 +379,34 @@ class BlockStore(HostedGroup):
         ).inc(node=node.name, op=op)
 
     # ------------------------------------------------------------------
-    # reference counting (namespace-driven)
+    # references (read off the namespaces)
     # ------------------------------------------------------------------
 
-    def incref(self, digests: list[str]) -> None:
-        """Pin chunks referenced by a newly committed manifest."""
-        for digest in digests:
-            if digest not in self._directory:
-                raise ChunkLostError(f"cannot reference unknown chunk {digest[:12]}…")
-            self._refcounts[digest] = self._refcounts.get(digest, 0) + 1
+    def add_reader(self, references) -> None:
+        """Count the digest tuples ``references()`` yields as holding
+        their chunks (a namespace calls this once where it is built)."""
+        self._readers.append(references)
 
-    def decref(self, digests: list[str]) -> None:
-        """Release manifest references; delete chunks that reach zero.
+    def _references(self):
+        """Every digest tuple the readers yield right now, one per reference."""
+        return chain.from_iterable(references() for references in self._readers)
+
+    def _reference_counts(self) -> Counter:
+        return Counter(chain.from_iterable(self._references()))
+
+    def _logical_bytes(self, counts: Counter) -> int:
+        return sum(self._sizes[digest] * counts[digest] for digest in self._directory)
+
+    def collect(self, candidates) -> None:
+        """Delete those of ``candidates`` that no reader reaches.
 
         Deleting from a *dead* node's disk is impossible, so those
         deletions are queued in the node's trash set and applied when
         it rejoins (the HMDFS trash pass).
         """
-        for digest in digests:
-            if digest not in self._refcounts:
-                continue
-            self._refcounts[digest] -= 1
-            if self._refcounts[digest] <= 0:
-                self._drop(digest)
-
-    def release(self, digests: list[str]) -> None:
-        """Delete those of ``digests`` that no manifest references.
-
-        The clean-up of a write that failed before its commit: the
-        chunks it uploaded would otherwise sit at refcount zero for
-        ever, invisible to every ``delete``.
-        """
-        for digest in digests:
-            if self._refcounts.get(digest) == 0:
+        reached = set().union(*self._references())
+        for digest in dict.fromkeys(candidates):
+            if digest in self._directory and digest not in reached:
                 self._drop(digest)
 
     def _drop(self, digest: str) -> None:
@@ -427,7 +420,6 @@ class BlockStore(HostedGroup):
                 self._trash.setdefault(node.name, set()).add(digest)
         self._directory.pop(digest, None)
         self._sizes.pop(digest, None)
-        self._refcounts.pop(digest, None)
         self._lost.discard(digest)
 
     # ------------------------------------------------------------------
@@ -585,13 +577,14 @@ class BlockStore(HostedGroup):
     def audit(self) -> dict:
         """Replication health: lost, under-replicated chunks, dedup ratio.
 
-        ``logical_bytes`` counts every manifest reference, ``unique_bytes``
-        each stored chunk once, ``replicated_bytes`` every live copy —
-        so ``dedup_ratio = logical / unique`` measures what content
-        addressing saved. ``unreferenced`` lists stored chunks no
-        manifest pins (an uncommitted write in flight — or a leak). The
-        store-kill chaos scenario asserts ``lost`` and
-        ``under_replicated`` are empty after repair.
+        ``logical_bytes`` counts every reference the readers yield (a
+        manifest, or a write in flight), ``unique_bytes`` each stored
+        chunk once, ``replicated_bytes`` every live copy — so
+        ``dedup_ratio = logical / unique`` measures what content
+        addressing saved. ``unreferenced`` lists stored chunks no reader
+        reaches: a leak, empty by construction. The store-kill chaos
+        scenario asserts ``lost`` and ``under_replicated`` are empty
+        after repair.
         """
         self._refresh_liveness()
         needed = self._needed()
@@ -600,14 +593,10 @@ class BlockStore(HostedGroup):
             for digest, holders in self._directory.items()
             if 0 < len(holders) < needed
         )
-        unreferenced = sorted(
-            digest for digest in self._directory if not self._refcounts.get(digest)
-        )
+        counts = self._reference_counts()
+        unreferenced = sorted(digest for digest in self._directory if not counts[digest])
         unique = sum(self._sizes.values())
-        logical = sum(
-            self._sizes[digest] * self._refcounts.get(digest, 0)
-            for digest in self._directory
-        )
+        logical = self._logical_bytes(counts)
         replicated = sum(
             self._sizes[digest] * len(holders)
             for digest, holders in self._directory.items()

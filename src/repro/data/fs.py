@@ -23,6 +23,11 @@ Two semantics the regression tests pin down live here:
 Overwrites never destroy history: every commit appends a new version
 and old manifests stay reachable through
 :meth:`FileNamespace.versions` until the path is deleted.
+
+Chunk references live here too: the namespace registers one reader on
+its store over every retained manifest and every write in flight (from
+``begin_write`` until its commit, or until a failed :meth:`FileNamespace.write`
+drops it), and a delete or a failed write asks the store to collect.
 """
 
 from __future__ import annotations
@@ -67,10 +72,8 @@ class FileNamespace:
     """Versioned ``path -> manifest`` namespace over a :class:`BlockStore`.
 
     Multiple namespaces may share one block store: names are isolated,
-    identical bytes dedup across all of them. Reference counts on
-    chunks are maintained here — commit increfs, delete decrefs — so
-    the store can garbage-collect bytes the moment no manifest anywhere
-    references them.
+    identical bytes dedup across all of them, and a chunk stays stored
+    while any of them references it.
     """
 
     def __init__(self, store: BlockStore, name: str = "fs"):
@@ -78,6 +81,17 @@ class FileNamespace:
         self.name = name
         #: path -> list of manifests, oldest first; last one is current.
         self._manifests: dict[str, list[Manifest]] = {}
+        #: writes between begin_write and commit, by identity.
+        self._pending: dict[int, PendingWrite] = {}
+        store.add_reader(self._references)
+
+    def _references(self):
+        """The digests of every retained manifest and every write in flight."""
+        for history in self._manifests.values():
+            for manifest in history:
+                yield manifest.digests
+        for pending in self._pending.values():
+            yield pending.digests
 
     # ------------------------------------------------------------------
     # writes
@@ -105,14 +119,17 @@ class FileNamespace:
         digests = self.store.put(
             data, on_chunk=on_chunk, basis=history[-1].digests if history else ()
         )
-        return PendingWrite(path=path, data=data, digests=tuple(digests), writer=writer)
+        pending = PendingWrite(path=path, data=data, digests=tuple(digests), writer=writer)
+        self._pending[id(pending)] = pending
+        return pending
 
     def commit(self, pending: PendingWrite) -> Manifest:
         """Phase two: heal any replica lost mid-write, then publish.
 
         The manifest append is the commit point — a single atomic
         mutation, so concurrent writers serialize into last-writer-wins
-        whole manifests rather than interleaved chunk lists.
+        whole manifests rather than interleaved chunk lists. The write
+        stays in flight until then, so a failed commit can be retried.
         """
         healed = self.store.ensure(list(pending.digests), pending.data)
         if healed:
@@ -129,8 +146,8 @@ class FileNamespace:
             digests=pending.digests,
             writer=pending.writer,
         )
-        self.store.incref(list(manifest.digests))
         history.append(manifest)
+        self._pending.pop(id(pending), None)
         telemetry.get_registry().counter(
             "repro_fs_commits_total", "Manifest versions committed."
         ).inc(namespace=self.name)
@@ -141,8 +158,8 @@ class FileNamespace:
     ) -> Manifest:
         """begin_write + commit in one call (the common, uncontended case).
 
-        A commit that fails releases the chunks the upload stored, so a
-        failed write leaves nothing behind.
+        A commit that fails drops the write from flight and collects its
+        chunks, so a failed write leaves nothing no one else references.
         """
         pending = self.begin_write(
             path, data, writer=writer, on_chunk=on_chunk, basis=basis
@@ -150,7 +167,8 @@ class FileNamespace:
         try:
             return self.commit(pending)
         except BaseException:
-            self.store.release(list(pending.digests))
+            self._pending.pop(id(pending), None)
+            self.store.collect(pending.digests)
             raise
 
     # ------------------------------------------------------------------
@@ -207,28 +225,19 @@ class FileNamespace:
     def delete(self, path: str) -> int:
         """Drop every version of ``path``; returns versions removed.
 
-        Dereferences all their chunks — bytes unreferenced by any other
-        manifest are garbage-collected by the store (or trashed for
+        Their chunks that no manifest or write in flight anywhere still
+        references are collected by the store (or trashed for
         currently-dead datanodes).
         """
         history = self._manifests.pop(path, None)
         if not history:
             raise NotFoundError(f"no such path: {path!r}")
-        for manifest in history:
-            self.store.decref(list(manifest.digests))
+        self.store.collect(d for manifest in history for d in manifest.digests)
         return len(history)
 
     def list_paths(self, prefix: str = "") -> list[str]:
         """Paths with at least one version, filtered by prefix, sorted."""
         return sorted(p for p in self._manifests if p.startswith(prefix))
-
-    def logical_bytes(self) -> int:
-        """Bytes addressed by every retained manifest (before dedup)."""
-        return sum(
-            manifest.length
-            for history in self._manifests.values()
-            for manifest in history
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -118,9 +118,9 @@ class TestPutAgainstABasis:
         try:
             store = BlockStore(nodes=3, replicas=2, chunk_size=CHUNK)
             puts, basis = [], ()
+            store.add_reader(lambda: puts)
             for data in versions:
                 digests = store.put(data, basis=basis if with_basis else ())
-                store.incref(digests)
                 puts.append(digests)
                 basis = digests
             return puts, store, registry.snapshot()
@@ -134,7 +134,7 @@ class TestPutAgainstABasis:
         want_puts, want, want_snapshot = self._replay(versions, with_basis=False)
         assert puts == want_puts
         assert store._directory == want._directory
-        assert store._refcounts == want._refcounts
+        assert store.audit() == want.audit()
         assert store._sizes == want._sizes
         assert store.dedup_hits == want.dedup_hits > 0
         assert snapshot == want_snapshot
@@ -517,13 +517,15 @@ class TestReplication:
         assert audit["unreferenced"] == []
         assert all(not node.chunks for node in store.nodes)
         assert not fs.exists("p")
-        # an upload nobody committed is visible, and a failed commit cleans it
+        # an upload nobody has committed yet is in flight: referenced, not a leak
         pending = fs.begin_write("q", data)
-        assert _audit(store)["unreferenced"] == sorted(set(pending.digests))
-        store.release(list(pending.digests))
-        assert _audit(store)["chunks"] == 0
+        audit = _audit(store)
+        assert audit["unreferenced"] == [] and audit["logical_bytes"] == len(data)
+        assert audit["chunks"] == len(set(pending.digests))
+        fs.commit(pending)
         fs.write("p", data)
-        assert fs.read("p") == data and _audit(store)["unreferenced"] == []
+        assert fs.read("p") == data == fs.read("q")
+        assert _audit(store)["unreferenced"] == []
 
     def test_failed_write_keeps_chunks_other_files_reference(self):
         from repro import chaos
@@ -600,6 +602,69 @@ class TestReplication:
         assert not store.node("dn-2").alive
         for path, data in blobs.items():
             assert fs.read(path) == data
+
+
+class TestWritesInFlightHoldTheirChunks:
+    """A write is a reference from ``begin_write`` until its commit: no
+    delete or failed write elsewhere may collect the chunks it holds."""
+
+    def _counters(self):
+        registry = telemetry.get_registry()
+        return (
+            registry.counter("repro_blockstore_chunk_writes_total").value(),
+            registry.counter("repro_fs_commit_heals_total").value(namespace="fs"),
+        )
+
+    def test_a_delete_keeps_what_an_uncommitted_write_uploaded(self):
+        store = BlockStore(nodes=3, replicas=2, chunk_size=CHUNK)
+        fs = FileNamespace(store)
+        data = _random_bytes(random.Random(51), CHUNK)
+        fs.write("k", data)
+        pending = fs.begin_write("a", data)  # a dedup hit on k's chunk
+        fs.delete("k")
+        assert store.has_chunk(pending.digests[0])
+        assert _audit(store)["unreferenced"] == []
+        fs.commit(pending)
+        # nothing was lost, so nothing is re-uploaded or counted as healed
+        assert self._counters() == (1, 0)
+        assert fs.read("a") == data
+
+    def test_a_failed_write_keeps_what_another_writer_holds(self, monkeypatch):
+        store = BlockStore(nodes=3, replicas=2, chunk_size=CHUNK)
+        fs = FileNamespace(store)
+        rng = random.Random(53)
+        shared, mine, theirs = (_random_bytes(rng, CHUNK) for _ in range(3))
+        pending = fs.begin_write("a", shared + theirs)
+
+        def refuse(digests, data):
+            raise StorageError("no live datanode accepted the re-store")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(store, "ensure", refuse)
+            with pytest.raises(StorageError):
+                fs.write("b", shared + mine)  # dedup-hits a's first chunk
+        assert not fs.exists("b")
+        assert store.has_chunk(pending.digests[0])
+        assert not store.has_chunk(chunk_digest(mine))
+        assert _audit(store)["unreferenced"] == []
+        fs.commit(pending)
+        assert self._counters() == (3, 0)
+        assert fs.read("a") == shared + theirs
+
+    def test_a_failed_commit_stays_in_flight_until_retried(self, monkeypatch):
+        store = BlockStore(nodes=3, replicas=2, chunk_size=CHUNK)
+        fs = FileNamespace(store)
+        data = _random_bytes(random.Random(57), 3 * CHUNK)
+        pending = fs.begin_write("p", data)
+        with monkeypatch.context() as patch:
+            patch.setattr(store, "ensure", lambda digests, data: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                fs.commit(pending)
+        fs.write("other", data[:CHUNK])
+        fs.delete("other")
+        assert _audit(store)["chunks"] == 3
+        assert fs.commit(pending).version == 1 and fs.read("p") == data
+        assert self._counters() == (3, 0)
 
 
 class TestDataStoreRebase:

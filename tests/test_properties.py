@@ -15,7 +15,7 @@ from repro.cluster.manager import JobKind, JobState
 from repro.cluster.node import Resources
 from repro.core.serve import FrontendConfig, ServeFrontend, SineArrival
 from repro.core.tune import HyperSpace
-from repro.data import BlockStore, DataStore
+from repro.data import BlockStore, DataStore, FileNamespace, PendingWrite, chunk_digest
 from repro.exceptions import (
     ChunkLostError,
     InjectedFault,
@@ -654,3 +654,173 @@ QuotaMachine.TestCase.settings = settings(
     max_examples=40, stateful_step_count=25, deadline=None
 )
 TestQuotaStateMachine = QuotaMachine.TestCase
+
+
+# ----------------------------------------------------------------------
+# chunk references, read off the namespaces that hold them
+# ----------------------------------------------------------------------
+
+STORE_SPACES = ("one", "two")
+STORE_PATHS = ("p", "q")
+STORE_CHUNK = 16
+# a blob is up to four chunks from a five-letter alphabet: versions and
+# the two namespaces share chunks, and one blob may repeat a chunk
+STORE_BLOBS = st.lists(st.integers(0, 4), max_size=4).map(
+    lambda letters: b"".join(bytes([65 + c]) * STORE_CHUNK for c in letters)
+)
+
+
+def _chunk_digests(data: bytes) -> tuple[str, ...]:
+    return tuple(
+        chunk_digest(data[i:i + STORE_CHUNK]) for i in range(0, len(data), STORE_CHUNK)
+    )
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """Two namespaces over one 3-node, 2-replica block store vs a model.
+
+    Writes, overwrites, deletes and two-phase ``begin_write``/``commit``
+    in both namespaces, some with every datanode write past the first
+    ``fail_after`` raising, beside datanode kills and rejoins. After every
+    step the chunks stored are exactly those the model's committed
+    versions and writes in flight reference, the namespaces hold exactly
+    the model's versions, and — while ``safe`` — every referenced chunk
+    has a live copy and every version reads back. ``safe`` drops when
+    ``replicas`` datanodes are down at once or a write met faults (a
+    chunk may land on fewer nodes than the factor), and returns once
+    every datanode is up and ``repair()`` has run.
+    """
+
+    def __init__(self):
+        super().__init__()
+
+        def breaker(name):
+            return CircuitBreaker(name=name, failure_threshold=10**9)
+
+        self.blocks = BlockStore(
+            nodes=3, replicas=2, chunk_size=STORE_CHUNK, breaker_factory=breaker
+        )
+        self.spaces = {
+            name: FileNamespace(self.blocks, name=name) for name in STORE_SPACES
+        }
+        #: (namespace, path) -> committed blobs, oldest first.
+        self.model: dict[tuple[str, str], list[bytes]] = {}
+        #: (namespace, pending write) for every write in flight.
+        self.in_flight: list[tuple[str, PendingWrite]] = []
+        self.dead: set[str] = set()
+        self.safe = True
+
+    def _faulty(self, fail_after, call):
+        """``call()`` with datanode writes past ``fail_after`` raising; its
+        result, or ``None`` when it failed."""
+        plan = None if fail_after is None else FaultPlan(
+            [FaultRule("data.store.put", FaultKind.EXCEPTION, after=fail_after)], seed=0
+        )
+        previous = chaos.set_plan(plan)
+        try:
+            return call()
+        except (InjectedFault, StorageError):
+            return None
+        finally:
+            chaos.set_plan(previous)
+            if plan is not None and plan.faults_injected():
+                self.safe = False
+
+    # -- writes -------------------------------------------------------------
+
+    @rule(space=st.sampled_from(STORE_SPACES), path=st.sampled_from(STORE_PATHS),
+          data=STORE_BLOBS, fail_after=FAIL_AFTER)
+    def write(self, space, path, data, fail_after):
+        if self._faulty(fail_after, lambda: self.spaces[space].write(path, data)):
+            self.model.setdefault((space, path), []).append(data)
+
+    @rule(space=st.sampled_from(STORE_SPACES), path=st.sampled_from(STORE_PATHS),
+          data=STORE_BLOBS, fail_after=FAIL_AFTER)
+    def begin_write(self, space, path, data, fail_after):
+        pending = self._faulty(
+            fail_after, lambda: self.spaces[space].begin_write(path, data)
+        )
+        if pending is not None:
+            self.in_flight.append((space, pending))
+
+    @precondition(lambda self: self.in_flight)
+    @rule(data=st.data(), fail_after=FAIL_AFTER)
+    def commit(self, data, fail_after):
+        index = data.draw(st.integers(0, len(self.in_flight) - 1))
+        space, pending = self.in_flight[index]
+        # a failed commit leaves the write in flight, to be retried
+        if self._faulty(fail_after, lambda: self.spaces[space].commit(pending)):
+            del self.in_flight[index]  # by position: equal writes are distinct
+            self.model.setdefault((space, pending.path), []).append(pending.data)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def delete(self, data):
+        space, path = data.draw(st.sampled_from(sorted(self.model)))
+        assert self.spaces[space].delete(path) == len(self.model.pop((space, path)))
+
+    # -- failures -----------------------------------------------------------
+
+    @rule(names=st.sets(st.sampled_from(PS_DATANODES), min_size=1))
+    def kill_nodes(self, names):
+        """One datanode, or several at once (a rack: every copy may die)."""
+        for name in sorted(names):
+            self.blocks.kill_node(name)
+        self.dead |= names
+        if len(self.dead) >= self.blocks.replicas:
+            self.safe = False
+
+    @rule(names=st.sets(st.sampled_from(PS_DATANODES), min_size=1))
+    def rejoin_nodes(self, names):
+        for name in sorted(names):
+            self.blocks.rejoin_node(name)
+        self.dead -= names
+
+    @rule()
+    def repair(self):
+        self.blocks.repair()
+        if not self.dead:
+            self.safe = True
+
+    # -- invariants ---------------------------------------------------------
+
+    def _referenced(self) -> list[tuple[str, ...]]:
+        return [_chunk_digests(blob) for blobs in self.model.values() for blob in blobs] + [
+            pending.digests for _, pending in self.in_flight
+        ]
+
+    @invariant()
+    def namespaces_hold_the_model(self):
+        for name, fs in self.spaces.items():
+            paths = sorted(path for space, path in self.model if space == name)
+            assert fs.list_paths() == paths
+            for path in paths:
+                assert [m.digests for m in fs.versions(path)] == [
+                    _chunk_digests(blob) for blob in self.model[name, path]
+                ]
+
+    @invariant()
+    def stored_chunks_are_the_referenced_ones(self):
+        referenced = self._referenced()
+        audit = self.blocks.audit()
+        assert set(self.blocks._directory) == {d for ds in referenced for d in ds}
+        assert audit["unreferenced"] == []
+        assert audit["logical_bytes"] == STORE_CHUNK * sum(map(len, referenced))
+        gauge = telemetry.get_registry().gauge("repro_blockstore_bytes")
+        assert gauge.value(kind="logical") == audit["logical_bytes"]
+
+    @invariant()
+    def referenced_chunks_are_live_while_safe(self):
+        if not self.safe:
+            return
+        for digests in self._referenced():
+            assert all(self.blocks.has_chunk(d) for d in digests)
+        for (space, path), blobs in self.model.items():
+            for version, blob in enumerate(blobs, start=1):
+                assert self.spaces[space].read(path, version) == blob
+
+
+StoreMachine.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=40, deadline=None
+)
+TestStoreStateMachine = StoreMachine.TestCase

@@ -181,11 +181,11 @@ class TestHotPathsTouchNoGauge:
         assert spy.gauges_asked == []
 
     def test_blockstore_put(self, spy):
-        from repro.data import BlockStore
+        from repro.data import BlockStore, FileNamespace
 
-        store = BlockStore(nodes=2, replicas=2, chunk_size=64)
+        fs = FileNamespace(BlockStore(nodes=2, replicas=2, chunk_size=64))
         set_registry(spy)
-        store.incref(store.put(b"x" * 640))  # nine of ten chunks are dedup hits
+        fs.write("p", b"x" * 640)  # nine of ten chunks are dedup hits
         assert spy.counter("repro_blockstore_dedup_hits_total").value() == 9
 
     def test_cache_get_and_ledger_charge(self, spy):

@@ -12,7 +12,9 @@ telemetry record sites in ``src/`` by kind, read off the AST — counter
 ``set_function`` — and the ``_publish*`` methods and their call sites;
 then the quota write sites outside ``repro.tenancy``: calls of
 ``charge``/``release`` on a ``tenants`` or ``ledger`` receiver; then the
-JSON round-trip sites in ``src/``: ``json.loads(json.dumps(...))`` calls.
+chunk reference write sites: ``incref``/``decref``/``release`` on a
+``store`` or ``blocks`` receiver; then the JSON round-trip sites in
+``src/``: ``json.loads(json.dumps(...))`` calls.
 
     python tools/tally.py [--classes]
 
@@ -113,18 +115,32 @@ def telemetry_sites(path: Path) -> Counter:
 
 QUOTA_RECEIVERS = {"tenants", "ledger"}
 QUOTA_WRITES = {"charge", "release"}
+REFERENCE_RECEIVERS = {"store", "blocks"}
+REFERENCE_WRITES = {"incref", "decref", "release"}
 
 
-def quota_writes(path: Path) -> int:
-    """``<...>.tenants.charge(...)``-shaped calls: an owner pushing usage."""
+def write_calls(path: Path, methods: set[str], receivers: set[str]) -> int:
+    """``<...>.<receiver>.<method>(...)``-shaped calls: an owner pushing state."""
     count = 0
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         func = getattr(node, "func", None)
         if isinstance(node, ast.Call) and isinstance(func, ast.Attribute):
             receiver = func.value
             name = getattr(receiver, "attr", getattr(receiver, "id", None))
-            count += func.attr in QUOTA_WRITES and name in QUOTA_RECEIVERS
+            count += func.attr in methods and name in receivers
     return count
+
+
+def quota_writes(path: Path) -> int:
+    """``<...>.tenants.charge(...)``: an owner pushing usage to the ledger."""
+    return write_calls(path, QUOTA_WRITES, QUOTA_RECEIVERS)
+
+
+def reference_writes(path: Path) -> int:
+    """``<...>.store.incref(...)``: a chunk reference pushed to the block
+    store (inside the store itself, ``self.release(...)`` counts too)."""
+    receivers = REFERENCE_RECEIVERS | ({"self"} if path.name == "blockstore.py" else set())
+    return write_calls(path, REFERENCE_WRITES, receivers)
 
 
 def _is_json_call(node, name: str) -> bool:
@@ -195,6 +211,8 @@ def main() -> int:
     print("  " + ", ".join(f"{site} {count}" for site, count in sorted(sites.items())))
     owners = [path for path in sorted(ROOT.rglob("*.py")) if "tenancy" not in path.parts]
     print(f"\nquota write sites in src/ owners: {sum(map(quota_writes, owners))}")
+    refs = sum(map(reference_writes, sorted(ROOT.rglob("*.py"))))
+    print(f"\nchunk reference write sites in src/: {refs}")
     trips = sum(map(json_round_trips, sorted(ROOT.rglob("*.py"))))
     print(f"\nJSON round-trip sites in src/: {trips}")
     return 0
