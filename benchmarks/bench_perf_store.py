@@ -20,11 +20,17 @@ put/get throughput is what the ``ckpt_store`` workload of
    ``ps-0`` *and* datanode ``dn-0`` mid-serve and must finish the reads
    with zero keys lost and a clean audit.
 
-``wall`` has one row, ``put_near_duplicate``: microseconds per
-``BlockStore.put`` of a 1 MiB blob with a 1 KiB edit at 64 KiB chunks,
-against the digest list of the blob it edits (``basis``) and without
-one; best of 5 puts, 3 rounds a side, alternating. Both sides must
-return the same digests (gated; the timings are not).
+``wall`` has two rows, each best of 5 calls, 3 rounds:
+
+* ``put_near_duplicate``: microseconds per ``BlockStore.put`` of a
+  1 MiB blob with a 1 KiB edit at 64 KiB chunks, against the digest
+  list of the blob it edits (``basis``) and without one, alternating.
+  Both sides must return the same digests (gated; the timings are not);
+* ``get_near_duplicate``: microseconds per 1 MiB ``ParameterServer.get``
+  of such an edited version, through 4 shards whose caches hold nothing
+  (every get reads its chunks), and per ``BlockStore.get_chunk`` over
+  that version's chunks. The arrays read back must equal the arrays put
+  (gated).
 
 Run through the shared runner (see ``_perf.py``)::
 
@@ -177,6 +183,43 @@ def put_near_duplicate(seed: int) -> dict:
     return {**rounds, "same_digests": digests[0] == digests[1]}
 
 
+def get_near_duplicate(seed: int) -> dict:
+    """Microseconds per uncached 1 MiB parameter-server get, and per chunk read."""
+    rng = np.random.default_rng(seed)
+    blocks = BlockStore(nodes=3, replicas=2, chunk_size=CHUNK)
+    server = ParameterServer(
+        store=DataStore("ps-backing", block_store=blocks), shards=4, cache_bytes=1
+    )
+    state = {"W": rng.standard_normal(BLOB // 4).astype(np.float32)}
+    server.put("ckpt", state)
+    offset = BLOB // 12
+    state["W"][offset:offset + EDIT // 4] += np.float32(1.0)
+    server.put("ckpt", state)
+    digests = server.store.fs.stat(server.get_entry("ckpt").path).digests
+    got = server.get("ckpt")
+
+    def read_chunks():
+        for digest in digests:
+            blocks.get_chunk(digest)
+
+    rounds: dict[str, list[float]] = {"get_us": [], "chunk_read_us": []}
+    for _ in range(3):
+        for name, call, per in (("get_us", lambda: server.get("ckpt"), 1),
+                                ("chunk_read_us", read_chunks, len(digests))):
+            best = float("inf")
+            for _ in range(5):
+                start = time.perf_counter()
+                call()
+                best = min(best, time.perf_counter() - start)
+            rounds[name].append(1e6 * best / per)
+    return {
+        **rounds,
+        "chunks": len(digests),
+        "same_arrays": got.keys() == state.keys()
+        and all(np.array_equal(got[name], state[name]) for name in state),
+    }
+
+
 def run(smoke: bool, seed: int) -> dict:
     files, file_bytes = (3, 256 * 1024) if smoke else (4, 1024 * 1024)
     keys, gets = (40, 400) if smoke else (200, 4000)
@@ -190,7 +233,10 @@ def run(smoke: bool, seed: int) -> dict:
                 for shards in SHARD_COUNTS
             },
         },
-        "wall": {"put_near_duplicate": put_near_duplicate(seed)},
+        "wall": {
+            "put_near_duplicate": put_near_duplicate(seed),
+            "get_near_duplicate": get_near_duplicate(seed),
+        },
     }
 
 
@@ -223,6 +269,13 @@ def table(payload: dict) -> str:
         f"no basis {min(put['no_basis_us']):.0f}-{max(put['no_basis_us']):.0f} "
         f"({min(put['no_basis_us']) / min(put['basis_us']):.2f}x); "
         f"same digests: {put['same_digests']}"
+    )
+    get = payload["wall"]["get_near_duplicate"]
+    lines.append(
+        f"uncached get of a 1 MiB checkpoint, {get['chunks']} chunks (us, 3 rounds): "
+        f"get {min(get['get_us']):.0f}-{max(get['get_us']):.0f}, "
+        f"per chunk read {min(get['chunk_read_us']):.1f}-{max(get['chunk_read_us']):.1f}; "
+        f"same arrays: {get['same_arrays']}"
     )
     return "\n".join(lines)
 
@@ -257,6 +310,8 @@ def check(payload: dict) -> list[str]:
             )
     if not payload["wall"]["put_near_duplicate"]["same_digests"]:
         failures.append("put_near_duplicate: a basis changed the digests")
+    if not payload["wall"]["get_near_duplicate"]["same_arrays"]:
+        failures.append("get_near_duplicate: the arrays read back differ from those put")
     return failures
 
 

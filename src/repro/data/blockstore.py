@@ -26,6 +26,10 @@ split into fixed-size chunks addressed by their sha256 digest, so
   rejoins, trashed and over-replicated chunks are removed from its
   disk and still-referenced survivors are re-admitted to the
   directory (which can resurrect chunks whose every live copy died);
+* **the read order is kept per holder set**: a read tries a chunk's
+  holders in their rendezvous order, which the store keeps per chunk,
+  as a namenode hands out a block's locations from its block map, from
+  the first read until that chunk's holder list changes;
 * **references are read, not counted**: each namespace registers a
   reader (:meth:`BlockStore.add_reader`) of the digests it holds, and
   :meth:`BlockStore.collect` drops candidates no reader reaches — at a
@@ -36,7 +40,8 @@ Chaos integration: every datanode operation passes through
 ``data.store.put``/``data.store.get`` points), so plans can kill or
 slow a single datanode; injected faults feed the node's
 :class:`~repro.utils.retry.CircuitBreaker` and trigger failover or
-re-placement exactly as real disk errors would.
+re-placement exactly as real disk errors would. Each node's point
+names and request counters are bound once, where the store is built.
 
 **Hashing only what changed.** A put may name a *basis*: the digest
 list of the version it replaces. Chunk *i* whose bytes equal the stored
@@ -56,6 +61,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from repro import chaos, telemetry
 from repro.cluster.container import ContainerRole
@@ -102,6 +108,16 @@ class DataNode(Member):
         return sum(len(chunk) for chunk in self.chunks.values())
 
 
+class _NodeOp(NamedTuple):
+    """One (datanode, op) pair's fault-point names and bound counters."""
+
+    store_point: str
+    node_point: str
+    ok: telemetry.CounterChild
+    error: telemetry.CounterChild
+    failover: telemetry.CounterChild
+
+
 class BlockStore(HostedGroup):
     """Fixed-size chunks, sha256 addressing, R-way replica placement.
 
@@ -140,6 +156,9 @@ class BlockStore(HostedGroup):
         self._by_name = {node.name: node for node in self._nodes}
         #: digest -> live holder names (the namenode's block map).
         self._directory: dict[str, list[str]] = {}
+        #: digest -> its holders in rendezvous read order, kept from the
+        #: first read until the holder list changes.
+        self._read_orders: dict[str, list[DataNode]] = {}
         #: digest -> chunk length in bytes.
         self._sizes: dict[str, int] = {}
         #: callables yielding the digest tuples each namespace holds.
@@ -156,6 +175,36 @@ class BlockStore(HostedGroup):
         self.dedup_hits = 0
         self.trash_reconciled = 0
         registry = telemetry.get_registry()
+        requests = telemetry.Counter(
+            "repro_blockstore_requests_total",
+            "Store->datanode chunk operations, by node, op and outcome.",
+            registry,
+        )
+        failovers = telemetry.Counter(
+            "repro_blockstore_failovers_total",
+            "Chunk operations redirected to another holder, by failed node.",
+            registry,
+        )
+        #: (node name, op) -> its fault points and bound counters.
+        self._node_ops = {
+            (node.name, op): _NodeOp(
+                store_point=f"data.store.{op}",
+                node_point=f"data.store.node.{node.name}.{op}",
+                ok=requests.labels(node=node.name, op=op, outcome="ok"),
+                error=requests.labels(node=node.name, op=op, outcome="error"),
+                failover=failovers.labels(node=node.name, op=op),
+            )
+            for node in self._nodes
+            for op in ("put", "get")
+        }
+        self._dedup_hit_count = telemetry.Counter(
+            "repro_blockstore_dedup_hits_total",
+            "Chunk puts answered by an already-stored identical chunk.",
+            registry,
+        ).labels()
+        self._chunk_writes = telemetry.Counter(
+            "repro_blockstore_chunk_writes_total", "Distinct chunks written.", registry
+        ).labels()
         registry.gauge(
             "repro_blockstore_nodes_live", "Datanodes currently alive."
         ).set_function(lambda: sum(1 for n in self._nodes if n.alive))
@@ -268,10 +317,7 @@ class BlockStore(HostedGroup):
         finally:
             if hits:
                 self.dedup_hits += hits
-                telemetry.get_registry().counter(
-                    "repro_blockstore_dedup_hits_total",
-                    "Chunk puts answered by an already-stored identical chunk.",
-                ).inc(hits)
+                self._dedup_hit_count.inc(hits)
         return digests
 
     def _holds(self, digest: str, data: bytes, start: int, end: int) -> bool:
@@ -300,35 +346,43 @@ class BlockStore(HostedGroup):
         if not placed:
             raise StorageError(f"no live datanode accepted chunk {digest[:12]}…")
         self._directory[digest] = placed
+        self._read_orders.pop(digest, None)
         self._sizes[digest] = len(data)
         self._lost.discard(digest)
-        telemetry.get_registry().counter(
-            "repro_blockstore_chunk_writes_total", "Distinct chunks written."
-        ).inc()
+        self._chunk_writes.inc()
 
     def get_chunk(self, digest: str) -> bytes:
         """Fetch one chunk, failing over through its holders as needed."""
         self._refresh_liveness()
-        holders = self._directory.get(digest)
-        if holders is None:
-            raise ChunkLostError(f"unknown chunk {digest[:12]}…")
 
         def read(node: DataNode) -> bytes:
             self._node_call(node, "get")
             return node.chunks[digest]
 
-        live_holders = [n for n in map(self._by_name.get, holders) if n.alive]
         served = failover(
-            preference_order(digest, live_holders),
+            [node for node in self._read_order(digest) if node.alive],
             read,
             lambda n: self._count_failover(n, "get"),
         )
         if not served:
             raise ChunkLostError(
                 f"chunk {digest[:12]}… has no live replica "
-                f"(holders: {', '.join(holders) or 'none'})"
+                f"(holders: {', '.join(self._directory[digest]) or 'none'})"
             )
         return served[0][1]
+
+    def _read_order(self, digest: str) -> list[DataNode]:
+        """``digest``'s holders in rendezvous order: computed at the first
+        read, kept until the holder list changes."""
+        order = self._read_orders.get(digest)
+        if order is None:
+            holders = self._directory.get(digest)
+            if holders is None:
+                raise ChunkLostError(f"unknown chunk {digest[:12]}…")
+            order = self._read_orders[digest] = preference_order(
+                digest, [self._by_name[name] for name in holders]
+            )
+        return order
 
     def has_chunk(self, digest: str) -> bool:
         """Whether the chunk has at least one live copy."""
@@ -358,25 +412,17 @@ class BlockStore(HostedGroup):
 
     def _node_call(self, node: DataNode, op: str) -> None:
         """One store->datanode operation: fault points plus telemetry."""
+        bound = self._node_ops[node.name, op]
         try:
-            chaos.fire(f"data.store.{op}")
-            chaos.fire(f"data.store.node.{node.name}.{op}")
+            chaos.fire(bound.store_point)
+            chaos.fire(bound.node_point)
         except Exception:
-            telemetry.get_registry().counter(
-                "repro_blockstore_requests_total",
-                "Store->datanode chunk operations, by node, op and outcome.",
-            ).inc(node=node.name, op=op, outcome="error")
+            bound.error.inc()
             raise
-        telemetry.get_registry().counter(
-            "repro_blockstore_requests_total",
-            "Store->datanode chunk operations, by node, op and outcome.",
-        ).inc(node=node.name, op=op, outcome="ok")
+        bound.ok.inc()
 
     def _count_failover(self, node: DataNode, op: str) -> None:
-        telemetry.get_registry().counter(
-            "repro_blockstore_failovers_total",
-            "Chunk operations redirected to another holder, by failed node.",
-        ).inc(node=node.name, op=op)
+        self._node_ops[node.name, op].failover.inc()
 
     # ------------------------------------------------------------------
     # references (read off the namespaces)
@@ -419,6 +465,7 @@ class BlockStore(HostedGroup):
             else:
                 self._trash.setdefault(node.name, set()).add(digest)
         self._directory.pop(digest, None)
+        self._read_orders.pop(digest, None)
         self._sizes.pop(digest, None)
         self._lost.discard(digest)
 
@@ -467,6 +514,7 @@ class BlockStore(HostedGroup):
             if node.name not in holders:
                 continue
             holders.remove(node.name)
+            self._read_orders.pop(digest, None)
             if holders:
                 self._restore_replication(digest)
             else:
@@ -496,6 +544,8 @@ class BlockStore(HostedGroup):
                 "repro_blockstore_rereplications_total",
                 "Chunks re-copied to restore the replication factor.",
             ).inc(node=target.name)
+        if copied:
+            self._read_orders.pop(digest, None)
         return copied
 
     def rejoin_node(self, name: str) -> int:
@@ -548,6 +598,7 @@ class BlockStore(HostedGroup):
                 continue
             if node.name not in holders:
                 holders.append(node.name)
+                self._read_orders.pop(digest, None)
                 if digest in self._lost:
                     self._lost.discard(digest)
                     registry.counter(

@@ -84,6 +84,15 @@ class FileNamespace:
         #: writes between begin_write and commit, by identity.
         self._pending: dict[int, PendingWrite] = {}
         store.add_reader(self._references)
+        registry = telemetry.get_registry()
+        self._heal_count = telemetry.Counter(
+            "repro_fs_commit_heals_total",
+            "Chunks re-stored at commit after losing every replica mid-write.",
+            registry,
+        ).labels(namespace=name)
+        self._commit_count = telemetry.Counter(
+            "repro_fs_commits_total", "Manifest versions committed.", registry
+        ).labels(namespace=name)
 
     def _references(self):
         """The digests of every retained manifest and every write in flight."""
@@ -133,10 +142,7 @@ class FileNamespace:
         """
         healed = self.store.ensure(list(pending.digests), pending.data)
         if healed:
-            telemetry.get_registry().counter(
-                "repro_fs_commit_heals_total",
-                "Chunks re-stored at commit after losing every replica mid-write.",
-            ).inc(namespace=self.name)
+            self._heal_count.inc()
         history = self._manifests.setdefault(pending.path, [])
         manifest = Manifest(
             path=pending.path,
@@ -148,9 +154,7 @@ class FileNamespace:
         )
         history.append(manifest)
         self._pending.pop(id(pending), None)
-        telemetry.get_registry().counter(
-            "repro_fs_commits_total", "Manifest versions committed."
-        ).inc(namespace=self.name)
+        self._commit_count.inc()
         return manifest
 
     def write(
@@ -229,11 +233,23 @@ class FileNamespace:
         references are collected by the store (or trashed for
         currently-dead datanodes).
         """
-        history = self._manifests.pop(path, None)
-        if not history:
-            raise NotFoundError(f"no such path: {path!r}")
-        self.store.collect(d for manifest in history for d in manifest.digests)
-        return len(history)
+        return self.delete_many([path])[0]
+
+    def delete_many(self, paths) -> list[int]:
+        """:meth:`delete` each of ``paths`` with one collection for all.
+
+        Raises :class:`NotFoundError` for the first path with no version,
+        before anything is dropped. Returns the versions removed per path.
+        """
+        paths = list(dict.fromkeys(paths))
+        for path in paths:
+            if not self._manifests.get(path):
+                raise NotFoundError(f"no such path: {path!r}")
+        histories = [self._manifests.pop(path) for path in paths]
+        self.store.collect(
+            d for history in histories for manifest in history for d in manifest.digests
+        )
+        return [len(history) for history in histories]
 
     def list_paths(self, prefix: str = "") -> list[str]:
         """Paths with at least one version, filtered by prefix, sorted."""

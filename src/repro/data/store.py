@@ -260,11 +260,21 @@ class DataStore:
         return self.fs.exists(path)
 
     def delete_blob(self, path: str) -> None:
-        try:
-            self.fs.delete(path)
-        except NotFoundError as exc:
-            raise DatasetNotFoundError(path) from exc
-        self._blob_charges.pop(path, None)
+        self.delete_blobs([path])
+
+    def delete_blobs(self, paths) -> None:
+        """:meth:`delete_blob` each of ``paths``, collecting chunks once.
+
+        Raises :class:`DatasetNotFoundError` for the first missing path,
+        before anything is deleted.
+        """
+        paths = list(paths)
+        for path in paths:
+            if not self.fs.exists(path):
+                raise DatasetNotFoundError(path)
+        self.fs.delete_many(paths)
+        for path in paths:
+            self._blob_charges.pop(path, None)
 
     def list_blobs(self, prefix: str = "") -> list[str]:
         return sorted(self.fs.list_paths(prefix))

@@ -20,7 +20,8 @@ class LRUCache:
 
     When ``name`` is given, the cache counts its hits, misses and
     evictions in the telemetry registry and registers readers for its
-    byte usage and hit ratio, all under a ``cache=<name>`` label.
+    byte usage and hit ratio, all under a ``cache=<name>`` label, bound
+    where the cache is built.
     """
 
     def __init__(self, capacity_bytes: int, size_of: Callable[[Any], int],
@@ -35,8 +36,19 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: a named cache's bound ``cache=<name>`` counters.
+        self._hit_count = self._miss_count = self._eviction_count = None
         if name is not None:
             registry = telemetry.get_registry()
+            self._hit_count = telemetry.Counter(
+                "repro_cache_hits_total", "Named-cache lookup hits.", registry
+            ).labels(cache=name)
+            self._miss_count = telemetry.Counter(
+                "repro_cache_misses_total", "Named-cache lookup misses.", registry
+            ).labels(cache=name)
+            self._eviction_count = telemetry.Counter(
+                "repro_cache_evictions_total", "Named-cache LRU evictions.", registry
+            ).labels(cache=name)
             registry.gauge(
                 "repro_cache_used_bytes", "Bytes held by a named cache."
             ).set_function(lambda: self._used, cache=name)
@@ -59,17 +71,13 @@ class LRUCache:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            if self.name is not None:
-                telemetry.get_registry().counter(
-                    "repro_cache_misses_total", "Named-cache lookup misses."
-                ).inc(cache=self.name)
+            if self._miss_count is not None:
+                self._miss_count.inc()
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        if self.name is not None:
-            telemetry.get_registry().counter(
-                "repro_cache_hits_total", "Named-cache lookup hits."
-            ).inc(cache=self.name)
+        if self._hit_count is not None:
+            self._hit_count.inc()
         return entry[0]
 
     def put(self, key: str, value: Any) -> None:
@@ -87,10 +95,8 @@ class LRUCache:
             self._used -= evicted_size
             self.evictions += 1
             evicted += 1
-        if evicted and self.name is not None:
-            telemetry.get_registry().counter(
-                "repro_cache_evictions_total", "Named-cache LRU evictions."
-            ).inc(evicted, cache=self.name)
+        if evicted and self._eviction_count is not None:
+            self._eviction_count.inc(evicted)
 
     def invalidate(self, key: str) -> None:
         entry = self._entries.pop(key, None)

@@ -23,9 +23,10 @@ There is one server class, in two layers:
 * **a serving tier of N >= 1 shards** — a :class:`Shard` holds nothing
   durable: an LRU cache, a circuit breaker, a liveness flag and (when
   cluster-registered) a hosting container. A ``put`` or ``get`` walks the
-  key's rendezvous preference order to the first live shard whose breaker
-  admits it, passes that shard's ``paramserver.shard.<name>.<push|pull>``
-  fault point and then the index's own ``paramserver.push``/``pull``,
+  key's rendezvous preference order (kept per stored key: the shards
+  never change) to the first live shard whose breaker admits it, passes
+  that shard's ``paramserver.shard.<name>.<push|pull>`` fault point and
+  then the index's own ``paramserver.push``/``pull``,
   writes or reads the value once through the index, and uses that shard's
   cache. An injected fault feeds the breaker and fails over; killing a
   shard drops its cache and moves its keys to the next shard in their
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -121,6 +122,15 @@ class Shard(Member):
     cache: LRUCache
 
 
+class _ShardOp(NamedTuple):
+    """One (shard, op) pair's fault-point name and bound counters."""
+
+    point: str
+    ok: telemetry.CounterChild
+    error: telemetry.CounterChild
+    failover: telemetry.CounterChild
+
+
 class ParameterServer(HostedGroup):
     """Versioned parameter storage served through failover cache shards.
 
@@ -171,7 +181,35 @@ class ParameterServer(HostedGroup):
             for name in (f"ps-{i}" for i in range(shards))
         ]
         self._by_name = {shard.name: shard for shard in self._members}
+        #: key -> every shard in the key's rendezvous order, kept while
+        #: the key is stored (the shards themselves never change).
+        self._orders: dict[str, list[Shard]] = {}
         registry = telemetry.get_registry()
+        requests = registry.counter(
+            "repro_paramserver_shard_requests_total",
+            "Coordinator->shard operations, by shard, op and outcome.",
+        )
+        failovers = registry.counter(
+            "repro_paramserver_failovers_total",
+            "Shard operations redirected to another shard, by failed shard.",
+        )
+        #: (shard name, op) -> its fault point and bound counters.
+        self._shard_ops = {
+            (shard.name, op): _ShardOp(
+                point=f"paramserver.shard.{shard.name}.{op}",
+                ok=requests.labels(shard=shard.name, op=op, outcome="ok"),
+                error=requests.labels(shard=shard.name, op=op, outcome="error"),
+                failover=failovers.labels(shard=shard.name, op=op),
+            )
+            for shard in self._members
+            for op in ("push", "pull")
+        }
+        self._push_count = telemetry.Counter(
+            "repro_paramserver_push_total", "Parameter versions pushed (put).", registry
+        ).labels()
+        self._pull_count = telemetry.Counter(
+            "repro_paramserver_pull_total", "Parameter fetches (get).", registry
+        ).labels()
         registry.gauge(
             "repro_paramserver_shards_live",
             "Parameter-server shards currently alive.",
@@ -322,9 +360,7 @@ class ParameterServer(HostedGroup):
         # its quota holding and what get() will read.
         self._entries.setdefault(key, []).append(entry)
         cache.put(entry.path, state_copy)
-        telemetry.get_registry().counter(
-            "repro_paramserver_push_total", "Parameter versions pushed (put)."
-        ).inc()
+        self._push_count.inc()
         return entry
 
     def get(self, key: str, version: int | None = None) -> dict[str, np.ndarray]:
@@ -341,19 +377,18 @@ class ParameterServer(HostedGroup):
         ``fn``, under the retry policy, counted per shard.
         """
         self._refresh_liveness()
-        registry = telemetry.get_registry()
-        requests = registry.counter(
-            "repro_paramserver_shard_requests_total",
-            "Coordinator->shard operations, by shard, op and outcome.",
-        )
-        failovers = registry.counter(
-            "repro_paramserver_failovers_total",
-            "Shard operations redirected to another shard, by failed shard.",
-        )
+        order = self._orders.get(key)
+        if order is None:
+            order = preference_order(key, self._members)
+            if key in self._entries:
+                self._orders[key] = order
+        shard_ops = self._shard_ops
 
         def attempt(shard: Shard) -> Any:
+            bound = shard_ops[shard.name, op]
+
             def once():
-                chaos.fire(f"paramserver.shard.{shard.name}.{op}")
+                chaos.fire(bound.point)
                 return fn(shard)
 
             try:
@@ -362,15 +397,15 @@ class ParameterServer(HostedGroup):
                 else:
                     result = once()
             except Exception:
-                requests.inc(shard=shard.name, op=op, outcome="error")
+                bound.error.inc()
                 raise
-            requests.inc(shard=shard.name, op=op, outcome="ok")
+            bound.ok.inc()
             return result
 
         served = failover(
-            (s for s in preference_order(key, self._members) if s.alive),
+            (s for s in order if s.alive),
             attempt,
-            lambda shard: failovers.inc(shard=shard.name, op=op),
+            lambda shard: shard_ops[shard.name, op].failover.inc(),
         )
         if not served:
             raise ParameterServerError(
@@ -382,9 +417,7 @@ class ParameterServer(HostedGroup):
         self, cache: LRUCache, key: str, version: int | None = None
     ) -> dict[str, np.ndarray]:
         chaos.fire("paramserver.pull")
-        telemetry.get_registry().counter(
-            "repro_paramserver_pull_total", "Parameter fetches (get)."
-        ).inc()
+        self._pull_count.inc()
         entry = self.get_entry(key, version)
         cached = cache.get(entry.path)
         if cached is not None:
@@ -429,11 +462,13 @@ class ParameterServer(HostedGroup):
         versions = self._entries.pop(key, None)
         if versions is None:
             raise ParameterNotFoundError(key)
-        for entry in versions:
-            for shard in self._members:
-                shard.cache.invalidate(entry.path)
-            if self.store.has_blob(entry.path):
-                self.store.delete_blob(entry.path)
+        self._orders.pop(key, None)
+        paths = [entry.path for entry in versions]
+        for shard in self._members:
+            for path in paths:
+                shard.cache.invalidate(path)
+        # every version at once: the store marks from its readers once
+        self.store.delete_blobs([path for path in paths if self.store.has_blob(path)])
 
     # ------------------------------------------------------------------
     # collaborative-tuning support

@@ -29,6 +29,7 @@ from repro.telemetry.export import render_prometheus, snapshot, to_json
 from repro.telemetry.registry import (
     DEFAULT_BUCKETS,
     Counter,
+    CounterChild,
     Gauge,
     Histogram,
     Metric,
@@ -43,6 +44,7 @@ __all__ = [
     "get_clock",
     "set_clock",
     "Counter",
+    "CounterChild",
     "Gauge",
     "Histogram",
     "Metric",

@@ -11,13 +11,31 @@ records into it:
     registry.gauge("repro_serve_frontend_scale_hint").set(1)
     registry.histogram("repro_serve_batch_size").observe(32)
 
-Counters, histograms and *event* gauges are pushed like that. A gauge
-showing state its owner already holds (queue depth, stored bytes) is
-not: the owner registers a reader once, where it is built —
+Histograms and *event* gauges are pushed like that. A gauge showing
+state its owner already holds (queue depth, stored bytes) is not: the
+owner registers a reader once, where it is built —
 ``gauge.set_function(lambda: len(self.pending))`` — and the series is
 evaluated whenever someone looks. It lives until its owner re-registers
 or the registry is reset, and the registry keeps the reader — hence the
 owner — reachable for that long.
+
+A counter on a hot path is bound the same way, where its owner is built,
+the Prometheus client's ``labels()`` idiom::
+
+    requests = Counter("repro_blockstore_requests_total", "...", registry)
+    self._ok = requests.labels(node="dn-0", op="get", outcome="ok")
+    ...
+    self._ok.inc()  # per event: no registry lookup, no label sort
+
+A bound child creates no series until its first ``inc``. A family the
+owner builds itself, as above, joins its registry at that first record
+(or records into the family already listed under that name from then
+on), so it shows up in snapshots exactly when a per-event
+``registry.counter(...)`` lookup would have created it; a family bound
+from ``registry.counter(...)`` is listed from that lookup. Either way
+the child records into the registry installed when its owner was built:
+install the registry (or reset it) before building owners, as for gauge
+readers.
 
 Recording is a no-op (and no reader is evaluated) while the registry is
 disabled, so instrumented hot paths cost one attribute check when
@@ -37,6 +55,7 @@ from repro.exceptions import TelemetryError
 
 __all__ = [
     "Counter",
+    "CounterChild",
     "Gauge",
     "Histogram",
     "Metric",
@@ -67,6 +86,9 @@ class Metric:
         self.name = name
         self.help = help
         self._registry = registry
+        #: whether the registry lists this family (an owner-built counter
+        #: joins at its first record; see the module docstring).
+        self._joined = False
 
     @property
     def enabled(self) -> bool:
@@ -97,8 +119,13 @@ class Counter(Metric):
             return
         if amount < 0:
             raise TelemetryError(f"counter {self.name!r} cannot decrease ({amount})")
+        family = self if self._joined else self._registry._join(self)
         key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + float(amount)
+        family._values[key] = family._values.get(key, 0.0) + float(amount)
+
+    def labels(self, **fixed) -> "CounterChild":
+        """The series of one label set, to ``inc`` with no lookup per event."""
+        return CounterChild(self, _label_key(fixed))
 
     def value(self, **labels) -> float:
         """Current count for the given label set (0 if never recorded)."""
@@ -111,6 +138,28 @@ class Counter(Metric):
     def snapshot(self) -> dict:
         """``{label-string: count}`` for every recorded label set."""
         return {_label_string(k): self._values[k] for k in sorted(self._values)}
+
+
+class CounterChild:
+    """One label set of a :class:`Counter`, bound once by its owner."""
+
+    __slots__ = ("_counter", "_key")
+
+    def __init__(self, counter: Counter, key: _LabelKey):
+        self._counter = counter
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` (must be >= 0); a no-op while the registry is disabled."""
+        counter = self._counter
+        if not counter._registry.enabled:
+            return
+        if amount < 0:
+            raise TelemetryError(f"counter {counter.name!r} cannot decrease ({amount})")
+        if not counter._joined:
+            counter = self._counter = counter._registry._join(counter)
+        values = counter._values
+        values[self._key] = values.get(self._key, 0.0) + float(amount)
 
 
 class Gauge(Metric):
@@ -287,7 +336,8 @@ class MetricsRegistry:
     One registry instance is installed process-wide (see
     :func:`repro.telemetry.get_registry`); instrumented modules fetch
     metrics from it by name at record time, so swapping the registry in
-    a test re-routes all subsequent recording.
+    a test re-routes all subsequent recording — except into the gauge
+    readers and bound counters of owners built before the swap.
     """
 
     def __init__(self, enabled: bool = True):
@@ -305,14 +355,21 @@ class MetricsRegistry:
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = cls(name, help, self, **kwargs)
-            self._metrics[name] = metric
-            return metric
-        if not isinstance(metric, cls):
+            metric = self._metrics[name] = cls(name, help, self, **kwargs)
+            metric._joined = True
+        elif not isinstance(metric, cls):
             raise TelemetryError(
                 f"metric {name!r} is a {metric.kind}, not a {cls.kind}"
             )
         return metric
+
+    def _join(self, family: Counter) -> Counter:
+        """List an owner-built ``family`` at its first record, or return the
+        family already listed under its name (see the module docstring)."""
+        if self._metrics.setdefault(family.name, family) is family:
+            family._joined = True
+            return family
+        return self._get_or_create(Counter, family.name, family.help)
 
     def counter(self, name: str, help: str = "") -> Counter:
         """Get or create the named :class:`Counter`."""

@@ -588,6 +588,18 @@ class TestReplication:
         assert restored == [data[i * CHUNK:(i + 1) * CHUNK] for i in on_dn0]
         assert b"".join(store.get_chunk(d) for d in digests) == data
 
+    def test_a_chunk_read_while_lost_reads_again_once_restored(self):
+        # the empty read order kept by the failed read is dropped when the
+        # chunk is stored again
+        store = BlockStore(nodes=2, replicas=1, chunk_size=CHUNK)
+        data = bytes(range(CHUNK)) + bytes(reversed(range(CHUNK)))
+        digests = store.put(data)
+        store.kill_node(store._directory[digests[0]][0])
+        with pytest.raises(ChunkLostError):
+            store.get_chunk(digests[0])
+        assert store.ensure(digests, data) >= 1
+        assert store.get_chunk(digests[0]) == data[:CHUNK]
+
     def test_get_unknown_chunk_raises(self):
         store = BlockStore(nodes=1, replicas=1)
         with pytest.raises(ChunkLostError):

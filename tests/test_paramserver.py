@@ -288,6 +288,62 @@ class TestOneShardServer:
         assert not ps.has("k") and ps.audit()["divergent"] == []
 
 
+class TestAKeyDeleteCollectsOnce:
+    """``delete`` drops every version path of a key, then asks the block
+    store to collect once, so each namespace's reader runs once."""
+
+    @staticmethod
+    def _system():
+        """Two 16-version keys and a blob sharing chunks with them."""
+        from repro.data import BlockStore, DataStore
+
+        blocks = BlockStore(nodes=3, replicas=2, chunk_size=1024)
+        server = ParameterServer(store=DataStore("ps", block_store=blocks), shards=2)
+        base = np.random.default_rng(3).standard_normal(4096).astype(np.float32)
+        DataStore("other", block_store=blocks).put_blob(
+            "base", pickle.dumps({"W": base}, pickle.HIGHEST_PROTOCOL)
+        )
+        for key, step_size in (("a", 1.0), ("b", 2.0)):
+            value = {"W": base.copy()}
+            for step in range(16):
+                value["W"][step * 64:(step + 1) * 64] += step_size
+                server.put(key, value)
+        return blocks, server
+
+    def test_each_reader_runs_once_and_the_same_chunks_stay(self):
+        blocks, server = self._system()
+        calls = []
+
+        def counted(reader):
+            return lambda: calls.append(reader) or reader()
+
+        blocks._readers[:] = [counted(reader) for reader in blocks._readers]
+        before = len(blocks._directory)
+        server.delete("a")
+        # one call each: the parameter server's namespace and the other one
+        assert sorted(reader.__self__.name for reader in calls) == ["other", "ps"]
+        assert 0 < len(blocks._directory) < before
+
+        per_path_blocks, per_path = self._system()
+        for version in range(1, 17):
+            per_path.store.delete_blob(per_path.get_entry("a", version).path)
+        assert blocks._directory == per_path_blocks._directory
+        assert [node.chunks for node in blocks.nodes] == [
+            node.chunks for node in per_path_blocks.nodes
+        ]
+        assert blocks.audit() == per_path_blocks.audit()
+        assert not server.has("a") and server.versions("b") == 16
+
+    def test_a_missing_blob_raises_before_anything_is_deleted(self):
+        from repro.exceptions import DatasetNotFoundError
+
+        blocks, server = self._system()
+        paths = [server.get_entry("a", version).path for version in (1, 2)]
+        with pytest.raises(DatasetNotFoundError):
+            server.store.delete_blobs([*paths, "params/a/v99"])
+        assert all(server.store.has_blob(path) for path in paths)
+
+
 class TestPutComparesWithTheLatestVersion:
     """Each version is put against the key's latest one (``params/k/v{n-1}``),
     so the block store hashes only the chunks a training step changed."""

@@ -12,6 +12,7 @@ from repro.chaos import FaultKind, FaultPlan, FaultRule
 from repro.chaos.scenarios import reads_through_each_shard
 from repro.cluster import ClusterManager, Node
 from repro.cluster.manager import JobKind, JobState
+from repro.cluster.membership import preference_order
 from repro.cluster.node import Resources
 from repro.core.serve import FrontendConfig, ServeFrontend, SineArrival
 from repro.core.tune import HyperSpace
@@ -433,6 +434,10 @@ class ServingTierMachine(RuleBasedStateMachine):
         assert self.server.audit()["divergent"] == []
         # nothing is in flight between steps: every stored chunk is pinned
         assert self.blocks.audit()["unreferenced"] == []
+        # a shard order is kept for stored keys only, and is the fresh one
+        for key, order in self.server._orders.items():
+            assert key in self.model
+            assert order == preference_order(key, self.server.shards)
 
     @invariant()
     def reads_match_model(self):
@@ -684,7 +689,8 @@ class StoreMachine(RuleBasedStateMachine):
     ``fail_after`` raising, beside datanode kills and rejoins. After every
     step the chunks stored are exactly those the model's committed
     versions and writes in flight reference, the namespaces hold exactly
-    the model's versions, and — while ``safe`` — every referenced chunk
+    the model's versions, every chunk's kept read order is the one its
+    live holders give, and — while ``safe`` — every referenced chunk
     has a live copy and every version reads back. ``safe`` drops when
     ``replicas`` datanodes are down at once or a write met faults (a
     chunk may land on fewer nodes than the factor), and returns once
@@ -808,6 +814,18 @@ class StoreMachine(RuleBasedStateMachine):
         assert audit["logical_bytes"] == STORE_CHUNK * sum(map(len, referenced))
         gauge = telemetry.get_registry().gauge("repro_blockstore_bytes")
         assert gauge.value(kind="logical") == audit["logical_bytes"]
+
+    @invariant()
+    def read_orders_are_kept_per_holder_set(self):
+        """Each chunk's kept read order is its live holders' rendezvous
+        order, computed fresh; reading it here keeps one for every chunk,
+        so a holder change that forgets to drop it shows at the next step."""
+        blocks = self.blocks
+        assert set(blocks._read_orders) <= set(blocks._directory)
+        for digest, holders in blocks._directory.items():
+            live = [node for node in map(blocks.node, holders) if node.alive]
+            if live:
+                assert blocks._read_order(digest) == preference_order(digest, live)
 
     @invariant()
     def referenced_chunks_are_live_while_safe(self):

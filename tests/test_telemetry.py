@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from repro import telemetry
 from repro.exceptions import TelemetryError
 from repro.telemetry import (
+    Counter,
     ManualClock,
     MetricsRegistry,
     Tracer,
@@ -96,6 +98,55 @@ class TestRegistry:
         assert registry.metrics() == []
 
 
+class TestCounterLabels:
+    def test_a_bound_child_creates_no_series_until_it_records(self):
+        registry = _golden_registry()
+        golden_json, golden_text = to_json(registry), render_prometheus(registry)
+        counter = registry.counter("repro_demo_requests_total")
+        child = counter.labels(route="/c")
+        Counter("repro_demo_bound_total", "Bound by an owner.", registry).labels()
+        assert to_json(registry) == golden_json
+        assert render_prometheus(registry) == golden_text
+        child.inc()
+        assert counter.snapshot() == {"route=/a": 2.0, "route=/b": 1.0, "route=/c": 1.0}
+
+    def test_lands_in_the_same_series_as_inc_with_labels(self):
+        counter = telemetry.get_registry().counter("reqs_total")
+        child = counter.labels(route="/a", method="GET")
+        child.inc()
+        counter.inc(2, method="GET", route="/a")
+        child.inc(0.5)
+        assert counter.value(route="/a", method="GET") == 3.5
+        assert counter.label_keys() == [(("method", "GET"), ("route", "/a"))]
+
+    def test_an_owner_built_family_joins_at_its_first_record(self):
+        registry = telemetry.get_registry()
+        child = Counter("c_total", "C.", registry).labels(node="x")
+        assert registry.get("c_total") is None
+        child.inc()
+        assert registry.counter("c_total").value(node="x") == 1
+        # a second owner's family records into the one already listed
+        Counter("c_total", "C.", registry).labels(node="x").inc()
+        assert registry.counter("c_total").value(node="x") == 2
+
+    def test_is_a_no_op_while_the_registry_is_disabled(self):
+        registry = telemetry.get_registry()
+        child = registry.counter("c_total").labels(route="/a")
+        owned = Counter("d_total", "D.", registry).labels()
+        registry.disable()
+        child.inc()
+        owned.inc()
+        registry.enable()
+        assert registry.counter("c_total").label_keys() == []
+        assert registry.get("d_total") is None
+
+    def test_rejects_a_negative_amount(self):
+        child = telemetry.get_registry().counter("c_total").labels(route="/a")
+        with pytest.raises(TelemetryError):
+            child.inc(-1)
+        assert telemetry.get_registry().counter("c_total").label_keys() == []
+
+
 class TestGaugeSetFunction:
     def test_reads_live_state_when_looked_at(self):
         queue = []
@@ -157,34 +208,67 @@ class TestGaugeSetFunction:
         assert render_prometheus(read) == render_prometheus(pushed)
 
 
-class _GaugeSpy(MetricsRegistry):
-    """A registry that remembers every gauge family it was asked for."""
+def _hot_paths() -> dict:
+    """Code object -> name of every path that may look no counter up."""
+    from repro.data import BlockStore
+    from repro.paramserver import LRUCache, ParameterServer
+
+    paths = (BlockStore.get_chunk, ParameterServer.get, ParameterServer.put,
+             LRUCache.get, LRUCache.put)
+    return {fn.__code__: fn.__qualname__ for fn in paths}
+
+
+class _RegistrySpy(MetricsRegistry):
+    """A registry that, once armed, remembers every gauge family it was
+    asked for, and every counter family asked for inside a hot path."""
 
     def __init__(self):
         super().__init__()
+        self.armed = False
         self.gauges_asked: list[str] = []
+        self.counters_asked: list[tuple[str, str]] = []
+        self._hot = _hot_paths()
+
+    def arm(self):
+        """The owners are built: lookups from here on are per event."""
+        self.armed = True
 
     def gauge(self, name, help=""):
-        self.gauges_asked.append(name)
+        if self.armed:
+            self.gauges_asked.append(name)
         return super().gauge(name, help)
+
+    def counter(self, name, help=""):
+        frame = sys._getframe(1) if self.armed else None
+        while frame is not None:
+            if frame.f_code in self._hot:
+                self.counters_asked.append((name, self._hot[frame.f_code]))
+                break
+            frame = frame.f_back
+        return super().counter(name, help)
 
 
 class TestHotPathsTouchNoGauge:
-    """State gauges are registered where the owner is built; the paths
-    that mutate the state never look a gauge up."""
+    """State gauges are registered, and hot-path counters bound, where the
+    owner is built; the paths that mutate the state never look a gauge
+    up, and a chunk read, a PS put or get, or an LRU lookup looks up no
+    counter either."""
 
     @pytest.fixture
     def spy(self):
-        """Installed by the test once its owners are built."""
-        spy = _GaugeSpy()
+        """Installed before the test builds its owners, armed once they are."""
+        spy = _RegistrySpy()
+        set_registry(spy)
         yield spy
+        assert spy.armed
         assert spy.gauges_asked == []
+        assert spy.counters_asked == []
 
     def test_blockstore_put(self, spy):
         from repro.data import BlockStore, FileNamespace
 
         fs = FileNamespace(BlockStore(nodes=2, replicas=2, chunk_size=64))
-        set_registry(spy)
+        spy.arm()
         fs.write("p", b"x" * 640)  # nine of ten chunks are dedup hits
         assert spy.counter("repro_blockstore_dedup_hits_total").value() == 9
 
@@ -204,11 +288,39 @@ class TestHotPathsTouchNoGauge:
         # the submit's passed check is the pair's first sighting: it
         # registers the usage reader
         manager.submit_job(JobKind.TRAIN, "t", num_workers=1, tenant="acme")
-        set_registry(spy)
+        spy.arm()
         assert cache.get("k") == b"value" and cache.get("absent") is None
         tenants.check("acme", "trials", 3)
         assert tenants.usage("acme", "trials") == 1.0
         assert spy.counter("repro_cache_hits_total").value(cache="spied") == 1
+
+    def test_ps_put_get_and_chunk_reads(self, spy):
+        from repro.data import BlockStore, DataStore
+        from repro.paramserver import ParameterServer
+
+        blocks = BlockStore(nodes=3, replicas=2, chunk_size=256)
+        store = DataStore("ps", block_store=blocks)
+        # each shard's cache holds exactly one 4 KiB state
+        server = ParameterServer(store=store, shards=2, cache_bytes=2 * 4096)
+        state = {"w": np.zeros(1024, dtype=np.float32)}
+        server.put("a", state)
+        spy.arm()
+        state["w"][:8] = 1.0
+        server.put("a", state)  # a near-duplicate: dedup hits; evicts v1
+        assert server.get("a", version=1)["w"][0] == 0.0  # cold: chunk reads
+        assert server.get("a", version=1)["w"][0] == 0.0  # warm: the cache
+        requests = spy.counter("repro_blockstore_requests_total")
+        reads = sum(
+            requests.value(node=node.name, op="get", outcome="ok") for node in blocks.nodes
+        )
+        assert reads == len(store.fs.stat(server.get_entry("a", 1).path).digests)
+        assert spy.counter("repro_blockstore_dedup_hits_total").value() > 0
+        assert spy.counter("repro_paramserver_push_total").value() == 2
+        assert spy.counter("repro_paramserver_pull_total").value() == 2
+        caches = [shard.cache.name for shard in server.shards]
+        for family in ("hits", "misses", "evictions"):
+            counter = spy.counter(f"repro_cache_{family}_total")
+            assert sum(counter.value(cache=name) for name in caches) >= 1, family
 
     def test_frontend_poll_and_complete(self, spy):
         from repro.core.serve import FrontendConfig, ServeFrontend
@@ -216,7 +328,7 @@ class TestHotPathsTouchNoGauge:
         frontend = ServeFrontend(
             FrontendConfig(latency=lambda b: 0.01, tau=0.5, batch_sizes=(2,))
         )
-        set_registry(spy)
+        spy.arm()
         for client in ("a", "b"):
             frontend.offer(client, None, 0.0)
         (plan,) = frontend.poll(0.0)
@@ -231,7 +343,7 @@ class TestHotPathsTouchNoGauge:
 
         system = Rafiki(seed=5)
         infer_id = deploy_untrained(system, tiny_dataset)
-        set_registry(spy)
+        spy.arm()
         system.query(infer_id, tiny_dataset.test_x[:4])
         system.query(infer_id, tiny_dataset.test_x[:4])  # answered by the cache
 

@@ -8,8 +8,10 @@ package exports; then every module-level mutable global in
 to a ``ContextVar`` / ``itertools.count`` at module level; then the CLI's
 verbs and their flags, read off ``repro.cli.build_parser()``; then the
 telemetry record sites in ``src/`` by kind, read off the AST — counter
-``inc``, histogram ``observe``/``observe_many``, gauge ``set`` against
-``set_function`` — and the ``_publish*`` methods and their call sites;
+``inc`` on a family looked up per event (``registry.counter(...).inc(...)``)
+against counter children bound once (``.labels(...)``), histogram
+``observe``/``observe_many``, gauge ``set`` against ``set_function`` —
+and the ``_publish*`` methods and their call sites;
 then the quota write sites outside ``repro.tenancy``: calls of
 ``charge``/``release`` on a ``tenants`` or ``ledger`` receiver; then the
 chunk reference write sites: ``incref``/``decref``/``release`` on a
@@ -78,9 +80,12 @@ RECORD_METHODS = {"inc", "dec", "set", "set_function", "observe", "observe_many"
 
 
 def _metric_kind(node) -> str | None:
-    """``counter``/``gauge``/``histogram`` when ``node`` is ``x.<kind>(...)``."""
+    """``counter``/``gauge``/``histogram`` when ``node`` is ``x.<kind>(...)``,
+    a registry lookup, or ``telemetry.Counter(...)``, an owner-built family."""
     func = getattr(node, "func", None)
     if isinstance(node, ast.Call) and isinstance(func, ast.Attribute):
+        if func.attr == "Counter":
+            return "counter"
         return func.attr if func.attr in METRIC_KINDS else None
     return None
 
@@ -108,7 +113,11 @@ def telemetry_sites(path: Path) -> Counter:
         kind = _metric_kind(receiver) or (
             bound.get(receiver.id) if isinstance(receiver, ast.Name) else None
         )
-        if kind and func.attr in RECORD_METHODS:
+        if kind == "counter" and func.attr == "inc":
+            out["counter.inc (lookup per event)"] += 1
+        elif kind == "counter" and func.attr == "labels":
+            out["counter.labels (bound once)"] += 1
+        elif kind and func.attr in RECORD_METHODS:
             out[f"{kind}.{func.attr}"] += 1
     return out
 
