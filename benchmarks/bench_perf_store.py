@@ -28,15 +28,19 @@ put/get throughput is what the ``ckpt_store`` workload of
   Both sides must return the same digests (gated; the timings are not);
 * ``get_near_duplicate``: microseconds per 1 MiB ``ParameterServer.get``
   of such an edited version, through 4 shards whose caches hold nothing
-  (every get reads its chunks), and per ``BlockStore.get_chunk`` over
-  that version's chunks. The arrays read back must equal the arrays put
-  (gated).
+  (every get reads its chunks), per ``BlockStore.get_chunk`` over that
+  version's chunks, per 1 MiB ``ParameterServer.put`` of a 1 KiB edit
+  (``put_us``), and per cache-hit get of a ``make_state`` checkpoint
+  (``small_hit_get_us``, the tuning path); with the minor page faults
+  (``ru_minflt``) per 1 MiB get and per put. The arrays read back must
+  equal the arrays put (gated).
 
 Run through the shared runner (see ``_perf.py``)::
 
     python benchmarks/bench_perf_store.py [--smoke] [--seed N]
 """
 
+import resource
 import sys
 import time
 
@@ -184,7 +188,8 @@ def put_near_duplicate(seed: int) -> dict:
 
 
 def get_near_duplicate(seed: int) -> dict:
-    """Microseconds per uncached 1 MiB parameter-server get, and per chunk read."""
+    """Microseconds per uncached 1 MiB parameter-server get, per chunk read,
+    per 1 MiB put and per cache-hit get of a small checkpoint."""
     rng = np.random.default_rng(seed)
     blocks = BlockStore(nodes=3, replicas=2, chunk_size=CHUNK)
     server = ParameterServer(
@@ -195,29 +200,55 @@ def get_near_duplicate(seed: int) -> dict:
     offset = BLOB // 12
     state["W"][offset:offset + EDIT // 4] += np.float32(1.0)
     server.put("ckpt", state)
+    expected = {name: value.copy() for name, value in state.items()}
     digests = server.store.fs.stat(server.get_entry("ckpt").path).digests
     got = server.get("ckpt")
+    small = make_state(rng)
+    hot = ParameterServer(store=DataStore("ps-hot", nodes=3, replicas=2), shards=4)
+    hot.put("small", small)
 
     def read_chunks():
         for digest in digests:
             blocks.get_chunk(digest)
 
-    rounds: dict[str, list[float]] = {"get_us": [], "chunk_read_us": []}
+    def put():
+        # a training step: a 1 KiB slice moves, then the whole state is put
+        state["W"][offset:offset + EDIT // 4] += np.float32(1.0)
+        server.put("edited", state)
+
+    calls = {
+        "get_us": (lambda: server.get("ckpt"), 1),
+        "chunk_read_us": (read_chunks, len(digests)),
+        "put_us": (put, 1),
+        "small_hit_get_us": (lambda: hot.get("small"), 1),
+    }
+    rounds: dict[str, list[float]] = {name: [] for name in calls}
+    faults = {name: 0 for name in calls}
     for _ in range(3):
-        for name, call, per in (("get_us", lambda: server.get("ckpt"), 1),
-                                ("chunk_read_us", read_chunks, len(digests))):
+        for name, (call, per) in calls.items():
             best = float("inf")
             for _ in range(5):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.perf_counter()
                 call()
                 best = min(best, time.perf_counter() - start)
+                faults[name] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
             rounds[name].append(1e6 * best / per)
+    calls_each = 3 * 5
     return {
         **rounds,
         "chunks": len(digests),
-        "same_arrays": got.keys() == state.keys()
-        and all(np.array_equal(got[name], state[name]) for name in state),
+        "minflt_per_get": faults["get_us"] / calls_each,
+        "minflt_per_put": faults["put_us"] / calls_each,
+        "same_arrays": _same(got, expected) and _same(server.get("edited"), state)
+        and _same(hot.get("small"), small),
     }
+
+
+def _same(got: dict, put: dict) -> bool:
+    return got.keys() == put.keys() and all(
+        np.array_equal(got[name], put[name]) for name in put
+    )
 
 
 def run(smoke: bool, seed: int) -> dict:
@@ -275,7 +306,11 @@ def table(payload: dict) -> str:
         f"uncached get of a 1 MiB checkpoint, {get['chunks']} chunks (us, 3 rounds): "
         f"get {min(get['get_us']):.0f}-{max(get['get_us']):.0f}, "
         f"per chunk read {min(get['chunk_read_us']):.1f}-{max(get['chunk_read_us']):.1f}; "
-        f"same arrays: {get['same_arrays']}"
+        f"put of a 1 KiB edit {min(get['put_us']):.0f}-{max(get['put_us']):.0f}; "
+        f"cache-hit get of a ~38KB checkpoint "
+        f"{min(get['small_hit_get_us']):.1f}-{max(get['small_hit_get_us']):.1f}; "
+        f"minor faults per get {get['minflt_per_get']:.1f}, "
+        f"per put {get['minflt_per_put']:.1f}; same arrays: {get['same_arrays']}"
     )
     return "\n".join(lines)
 

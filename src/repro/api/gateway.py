@@ -28,6 +28,7 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -562,6 +563,9 @@ def _json_object(body: Any) -> dict:
 
 #: leaf types whose runs :func:`_check_json` takes without a call per leaf.
 _PLAIN_LEAVES = frozenset({float, int, str})
+#: container types whose items :func:`_check_json` may take as rows: one
+#: pass over all their leaves instead of a call per row.
+_ROW_TYPES = frozenset({list, tuple})
 #: an int no wider than this has fewer than 640 digits, the least
 #: ``sys.set_int_max_str_digits`` allows, so it always prints.
 _SHORT_INT_BITS = 2000
@@ -598,14 +602,24 @@ def _check_json(value: Any) -> None:
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     kinds = set(map(type, items))
-    if kinds <= _PLAIN_LEAVES:  # a run of leaves: nothing to walk into
+    if kinds and kinds <= _ROW_TYPES:  # rows: take their leaves in one pass
+        kinds = set(map(type, chain.from_iterable(items)))
+        if kinds <= _PLAIN_LEAVES:
+            if int in kinds:
+                _check_ints(chain.from_iterable(items))
+            return
+    elif kinds <= _PLAIN_LEAVES:  # a run of leaves: nothing to walk into
         if int in kinds:
-            for item in items:
-                if type(item) is int:
-                    _check_int(item)
+            _check_ints(items)
         return
     for item in items:
         _check_json(item)
+
+
+def _check_ints(leaves) -> None:
+    for leaf in leaves:
+        if type(leaf) is int:
+            _check_int(leaf)
 
 
 def _check_int(value: int) -> None:

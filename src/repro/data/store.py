@@ -247,14 +247,27 @@ class DataStore:
 
     def get_blob(self, path: str, version: int | None = None) -> bytes:
         """Fetch a blob (current version by default, or an older one)."""
+        return b"".join(self.read_chunks(path, version))
+
+    def read_chunks(self, path: str, version: int | None = None) -> list[bytes]:
+        """A blob's chunks, in order: the block store's own objects, uncopied.
+
+        The read goes through :meth:`FileNamespace.read_chunks`: one
+        ``get_chunk`` per chunk, the manifest re-checked before each, so a
+        version deleted mid-read raises instead of yielding a truncated
+        list. A missing path or version raises
+        :class:`DatasetNotFoundError`. The chunks count toward
+        ``bytes_read`` as the joined blob would. Chunks are immutable
+        ``bytes``: callers may keep them, never write to them.
+        """
         try:
-            blob = self.fs.read(path, version)
+            chunks = list(self.fs.read_chunks(path, version))
         except DatasetNotFoundError:
             raise
         except NotFoundError as exc:
             raise DatasetNotFoundError(path) from exc
-        self.bytes_read += len(blob)
-        return blob
+        self.bytes_read += sum(map(len, chunks))
+        return chunks
 
     def has_blob(self, path: str) -> bool:
         return self.fs.exists(path)

@@ -4,8 +4,12 @@ Semantics follow Section 6.2:
 
 * parameters are stored under ``(key, version)``; ``put`` appends a new
   version, ``get`` returns the latest unless a version is requested;
-* hot parameters are served from an LRU cache; cold ones are pickled
-  into the data store (the HDFS stand-in) and reloaded on demand;
+* every version is pickled once, at ``put``, into the data store (the
+  HDFS stand-in); hot versions are also kept in an LRU cache *as those
+  pickled bytes* — the blob a put stored, or the chunk list a cold get
+  read — and every get unpickles its own arrays from them, so a get
+  copies each array's bytes once and no caller shares memory with the
+  cache or with another caller;
 * entries carry metadata — model name, dataset, measured performance,
   and a privacy flag. ``find_pretrained`` returns public checkpoints of
   the same model trained on *other* datasets (the training warm-up the
@@ -96,6 +100,11 @@ def _state_size(state: dict[str, np.ndarray]) -> int:
     return int(sum(value.nbytes for value in state.values()))
 
 
+def _cached_size(cached: tuple) -> int:
+    """A cache entry's cost: the ``nbytes`` of the arrays it decodes to."""
+    return cached[1]
+
+
 class _Parts(list):
     """A pickler's output file: a list of the pieces it writes."""
 
@@ -103,16 +112,102 @@ class _Parts(list):
 
 
 def _pickled(state: dict[str, np.ndarray]) -> bytes:
-    """``pickle.dumps(state, HIGHEST_PROTOCOL)``, byte for byte.
+    """``pickle.dumps({name: value.copy()}, HIGHEST_PROTOCOL)``, byte for byte.
+
+    An exact, C-contiguous, writable ``np.ndarray`` pickles to the same
+    bytes as its copy, so it is pickled as it is; anything else (a
+    subclass, a read-only or non-contiguous array, a scalar, an array
+    met twice, which would pickle as a memo reference) is copied first.
 
     ``dumps`` grows one buffer by realloc, which faults in fresh pages
     for every megabyte checkpoint; pickling into a file hands each large
     array over as a view of its own memory, so the one ``join`` is the
     only copy.
     """
+    seen: set[int] = set()
+    stored = {}
+    for name, value in state.items():
+        if (
+            type(value) is np.ndarray
+            and value.flags.c_contiguous
+            and value.flags.writeable
+            and id(value) not in seen
+        ):
+            seen.add(id(value))
+            stored[name] = value
+        else:
+            stored[name] = value.copy()
     parts = _Parts()
-    pickle.Pickler(parts, pickle.HIGHEST_PROTOCOL).dump(state)
+    pickle.Pickler(parts, pickle.HIGHEST_PROTOCOL).dump(stored)
     return b"".join(parts)
+
+
+class _ChunkFile:
+    """A read-only file over a list of ``bytes`` pieces, for ``pickle.Unpickler``.
+
+    The unpickler reads opcodes and frames with ``read`` and fills each
+    large ``bytearray`` it allocates with ``readinto``, which copies
+    straight from the pieces: an array's bytes are copied once.
+    """
+
+    __slots__ = ("_pieces", "_index", "_offset")
+
+    def __init__(self, pieces):
+        self._pieces = pieces
+        self._index = 0  # the piece the position is in
+        self._offset = 0  # the position within it
+
+    def _advance(self, piece: bytes, stop: int) -> None:
+        if stop == len(piece):
+            self._index += 1
+            self._offset = 0
+        else:
+            self._offset = stop
+
+    def readinto(self, buffer) -> int:
+        out = memoryview(buffer).cast("B")
+        filled, size = 0, len(out)
+        pieces = self._pieces
+        while filled < size and self._index < len(pieces):
+            piece, start = pieces[self._index], self._offset
+            stop = min(len(piece), start + size - filled)
+            out[filled:filled + stop - start] = memoryview(piece)[start:stop]
+            filled += stop - start
+            self._advance(piece, stop)
+        return filled
+
+    def read(self, size: int) -> bytes:
+        if self._index < len(self._pieces):
+            piece, start = self._pieces[self._index], self._offset
+            if size <= len(piece) - start:  # within one piece
+                self._advance(piece, start + size)
+                return piece[start:start + size]
+        buffer = bytearray(size)
+        return bytes(memoryview(buffer)[:self.readinto(buffer)])
+
+    def readline(self) -> bytes:
+        line = []
+        while self._index < len(self._pieces):
+            piece, start = self._pieces[self._index], self._offset
+            end = piece.find(b"\n", start)
+            stop = len(piece) if end < 0 else end + 1
+            line.append(piece[start:stop])
+            self._advance(piece, stop)
+            if end >= 0:
+                break
+        return b"".join(line)
+
+
+def _unpickled(pieces) -> dict[str, np.ndarray]:
+    """``pickle.loads(b"".join(pieces))``, without the join.
+
+    One piece is unpickled in place; several are read through a
+    :class:`_ChunkFile`. Either way each array gets a fresh, writable
+    buffer of its own, and its bytes are copied into it once.
+    """
+    if len(pieces) == 1:
+        return pickle.loads(pieces[0])
+    return pickle.Unpickler(_ChunkFile(pieces)).load()
 
 
 @dataclass(kw_only=True)
@@ -175,7 +270,7 @@ class ParameterServer(HostedGroup):
                 name=name,
                 breaker=member_breaker(breaker_factory, "paramserver", name),
                 cache=LRUCache(
-                    per_shard_cache, size_of=_state_size, name=f"paramserver-{name}"
+                    per_shard_cache, size_of=_cached_size, name=f"paramserver-{name}"
                 ),
             )
             for name in (f"ps-{i}" for i in range(shards))
@@ -349,17 +444,17 @@ class ParameterServer(HostedGroup):
         if self.tenants is not None:
             entry.tenant = current_tenant()
             self.tenants.check(entry.tenant, "ps_bytes", entry.nbytes)
-        state_copy = {name: value.copy() for name, value in state.items()}
+        blob = _pickled(state)
         # Versions live at separate paths: compare against the latest one,
         # so only the chunks this version changed are hashed.
         history = self._entries.get(key)
         self.store.put_blob(
-            entry.path, _pickled(state_copy), basis=history[-1].path if history else None
+            entry.path, blob, basis=history[-1].path if history else None
         )
         # Recorded only once the blob landed: that record is the version,
         # its quota holding and what get() will read.
         self._entries.setdefault(key, []).append(entry)
-        cache.put(entry.path, state_copy)
+        cache.put(entry.path, ((blob,), entry.nbytes))
         self._push_count.inc()
         return entry
 
@@ -421,10 +516,11 @@ class ParameterServer(HostedGroup):
         entry = self.get_entry(key, version)
         cached = cache.get(entry.path)
         if cached is not None:
-            return {name: value.copy() for name, value in cached.items()}
-        state = pickle.loads(self.store.get_blob(entry.path))
-        cache.put(entry.path, state)
-        return {name: value.copy() for name, value in state.items()}
+            return _unpickled(cached[0])
+        chunks = self.store.read_chunks(entry.path)
+        state = _unpickled(chunks)
+        cache.put(entry.path, (chunks, entry.nbytes))
+        return state
 
     def get_entry(self, key: str, version: int | None = None) -> ParameterEntry:
         """Metadata of a stored version (latest unless specified)."""

@@ -172,6 +172,63 @@ class TestBlobRegressions:
         assert store.bytes_read >= 8
 
 
+class TestReadChunks:
+    """``read_chunks`` is the one blob read; ``get_blob`` joins what it returns."""
+
+    def test_the_chunks_are_the_block_stores_own_objects(self, monkeypatch):
+        store = DataStore(chunk_size=4)
+        store.put_blob("p", b"AAAABBBBCC")
+        digests = store.fs.stat("p").digests
+        calls = []
+        get_chunk = store.blocks.get_chunk
+        monkeypatch.setattr(store.blocks, "get_chunk",
+                            lambda digest: calls.append(digest) or get_chunk(digest))
+        chunks = store.read_chunks("p")
+        assert chunks == [b"AAAA", b"BBBB", b"CC"]
+        assert calls == list(digests)  # one get_chunk per chunk, in order
+        assert all(chunk is get_chunk(digest) for chunk, digest in zip(chunks, digests))
+
+    def test_missing_path_or_version_raises_dataset_not_found(self):
+        store = DataStore(chunk_size=4)
+        store.put_blob("p", b"AAAABBBB")
+        with pytest.raises(DatasetNotFoundError):
+            store.read_chunks("ghost")
+        with pytest.raises(DatasetNotFoundError):
+            store.read_chunks("p", version=2)
+        assert store.bytes_read == 0
+
+    @pytest.mark.parametrize("version", [None, 1])
+    def test_a_version_deleted_mid_read_raises_dataset_not_found(self, monkeypatch,
+                                                                 version):
+        store = DataStore(chunk_size=4)
+        store.put_blob("p", b"AAAABBBBCCCC")
+        store.put_blob("p", b"XXXXBBBBCCCC")
+        get_chunk = store.blocks.get_chunk
+
+        def deleting(digest):
+            chunk = get_chunk(digest)
+            if store.has_blob("p"):
+                store.delete_blob("p")
+            return chunk
+
+        monkeypatch.setattr(store.blocks, "get_chunk", deleting)
+        with pytest.raises(DatasetNotFoundError):
+            store.read_chunks("p", version)
+        assert store.bytes_read == 0
+
+    def test_bytes_read_counts_as_get_blob_does(self):
+        chunked, joined = DataStore(chunk_size=4), DataStore(chunk_size=4)
+        for store in (chunked, joined):
+            store.put_blob("p", b"AAAABBBBCC")
+            store.put_blob("p", b"AAAABBBBCCDD")
+        assert b"".join(chunked.read_chunks("p", version=1)) == joined.get_blob(
+            "p", version=1) == b"AAAABBBBCC"
+        assert chunked.bytes_read == joined.bytes_read == 10
+        chunked.read_chunks("p")
+        joined.get_blob("p")
+        assert chunked.bytes_read == joined.bytes_read == 22
+
+
 class TestBatchLoader:
     def test_covers_all_examples(self, rng):
         x = np.arange(10).reshape(10, 1).astype(float)

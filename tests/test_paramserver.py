@@ -229,6 +229,36 @@ class TestOneShardServer:
             assert server.store.get_blob(entry.path) == pickle.dumps(
                 stored, pickle.HIGHEST_PROTOCOL)
 
+    def test_values_that_pickle_differently_are_copied_first(self, tmp_path):
+        """A put pickles an exact, C-contiguous, writable array as it is and
+        copies anything else: either way the stored bytes are ``dumps`` of
+        the copies, whatever the value."""
+        rng = np.random.default_rng(1)
+        read_only = rng.standard_normal(70000)
+        read_only.flags.writeable = False
+        mapped = np.memmap(tmp_path / "w.bin", dtype=np.float32, mode="w+", shape=(300,))
+        mapped[:] = np.arange(300)
+        shared = np.arange(5.0)
+        states = [
+            {"read_only": read_only, "plain": np.ones(4)},
+            {"zero_d": np.array(3.5), "scalar": np.float32(2.0), "int": np.int64(7)},
+            {"big_endian": np.arange(20000, dtype=">f4"),
+             "little": np.arange(6, dtype="<i2")},
+            {"memmap": mapped, "view": rng.standard_normal((30, 30))[2:5]},
+            {"twice": shared, "again": shared},  # one object under two names
+        ]
+        server = ParameterServer()
+        for index, value in enumerate(states):
+            entry = server.put(f"k{index}", value)
+            stored = {name: array.copy() for name, array in value.items()}
+            assert server.store.get_blob(entry.path) == pickle.dumps(
+                stored, pickle.HIGHEST_PROTOCOL)
+            got = server.get(f"k{index}")
+            assert got.keys() == value.keys()
+            for name in value:
+                np.testing.assert_array_equal(got[name], value[name])
+                assert np.asarray(got[name]).dtype == np.asarray(value[name]).dtype
+
     def test_audit_is_clean_after_a_costudy_and_after_delete(self):
         from repro.core.tune import (
             CoStudy, HyperConf, RandomSearchAdvisor, StudyMaster, SurrogateTrainer,
@@ -415,3 +445,48 @@ class TestPutComparesWithTheLatestVersion:
         assert server.put("k", weights).version == 1
         assert bases == [()] and len(hashed) == 17
         np.testing.assert_array_equal(server.get("k", version=1)["W"], weights["W"])
+
+
+class TestGetAndPutShareNoMemory:
+    """The cache holds pickled bytes; every get unpickles arrays of its own.
+
+    ``uncached``: no cache, every get reads chunks; ``put``: the put cached
+    the blob it stored; ``read``: a first get read the chunk list and
+    cached it, the following gets hit.
+    """
+
+    @staticmethod
+    def server(shards: int, path: str) -> ParameterServer:
+        from repro.data import DataStore
+
+        return ParameterServer(
+            store=DataStore("ps", nodes=3, replicas=2, chunk_size=256),
+            shards=shards, cache_bytes=1 if path == "uncached" else 1 << 20,
+        )
+
+    @pytest.mark.parametrize("path", ["uncached", "put", "read"])
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_isolation(self, shards, path):
+        server = self.server(shards, path)
+        original = {"W": np.arange(1024, dtype=np.float32).reshape(32, 32),
+                    "b": np.linspace(0.0, 1.0, 300)}
+        expected = {name: value.copy() for name, value in original.items()}
+        server.put("k", original)
+        if path == "read":
+            for shard in server.shards:
+                shard.cache.clear()
+            server.get("k")  # a miss: caches the chunk list it read
+        hits = server.cache_stats()["hits"]
+        for value in original.values():
+            value[...] = -1  # the caller's state moves on after the put
+        first, second = server.get("k"), server.get("k")
+        assert server.cache_stats()["hits"] - hits == (0 if path == "uncached" else 2)
+        for name, want in expected.items():
+            for got in (first, second):
+                np.testing.assert_array_equal(got[name], want)
+                assert got[name].flags.writeable and got[name].flags.c_contiguous
+            assert not np.shares_memory(first[name], second[name])
+            assert not np.shares_memory(first[name], original[name])
+            first[name][...] = 99  # the caller mutates what get returned
+        for name, want in expected.items():
+            np.testing.assert_array_equal(server.get("k")[name], want)

@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) over core data structures."""
 
+import pickle
+import pickletools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +278,124 @@ class TestGatewayBodyCheckProperties:
         assert _raises(lambda: _check_json(value)) == _raises(
             lambda: json.dumps(value)
         )
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_a_bad_leaf_deep_in_numeric_rows(self, data):
+        """Rows of plain numbers are checked a level at a time; one leaf
+        planted at depth 2 or 3 (a refused one, or a bool, which
+        ``json.dumps`` takes) still decides the answer."""
+        import json
+
+        from repro.api.gateway import _check_json
+
+        shape = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=3), label="shape")
+        number = st.one_of(st.floats(), st.integers(-(2**70), 2**70))
+
+        def build(dims):
+            if not dims:
+                return data.draw(number)
+            return [build(dims[1:]) for _ in range(dims[0])]
+
+        def retype(value):  # each row a list or a tuple
+            if not isinstance(value, list):
+                return value
+            items = [retype(item) for item in value]
+            return tuple(items) if data.draw(st.booleans()) else items
+
+        rows = build(shape)
+        holder = rows
+        for size in shape[:-1]:
+            holder = holder[data.draw(st.integers(0, size - 1))]
+        holder[data.draw(st.integers(0, shape[-1] - 1))] = data.draw(st.sampled_from([
+            np.float32(1.5), True, np.bool_(True), 10**700, 10**5000, {1},
+            np.float64(2.5), np.int64(3), None, "s",
+        ]), label="planted")
+        body = {"images": retype(rows)}
+        assert _raises(lambda: _check_json(body)) == _raises(lambda: json.dumps(body))
+
+
+# ----------------------------------------------------------------------
+# the parameter server's unpickle straight from a blob's chunks
+# ----------------------------------------------------------------------
+
+
+def _decoded_states() -> list:
+    rng = np.random.default_rng(0)
+    return [
+        {},
+        {"w": np.arange(5, dtype=np.int16)},
+        # past the pickler's 64 KiB frame target: written outside any frame
+        {"W": rng.standard_normal(20000).astype(np.float32),
+         "b": np.zeros(3), "note": "a\nline", "scalar": np.float32(1.5)},
+        {"F": np.asfortranarray(rng.standard_normal((30, 20))),
+         "big_endian": np.arange(100, dtype=">f4"), "zero_d": np.array(2.0),
+         "nested": [1, (2.5, "x"), {"k": None}]},
+    ]
+
+
+_PICKLES = [
+    pickle.dumps(state, protocol)
+    for state in _decoded_states()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+]
+
+
+#: the width of the length in front of each byte-payload opcode's data
+_LENGTH_BYTES = {"BYTEARRAY8": 8, "BINBYTES8": 8, "BINBYTES": 4, "SHORT_BINBYTES": 1}
+
+
+def _split(blob: bytes, cuts) -> list[bytes]:
+    bounds = [0, *sorted(set(cuts)), len(blob)]
+    return [blob[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
+def _assert_same_state(got: dict, want: dict) -> None:
+    assert list(got) == list(want)
+    for name, value in want.items():
+        assert type(got[name]) is type(value)
+        if isinstance(value, np.ndarray):
+            assert got[name].dtype == value.dtype and got[name].shape == value.shape
+            assert got[name].tobytes() == value.tobytes()
+            assert got[name].flags.writeable == value.flags.writeable
+        else:
+            assert got[name] == value
+
+
+class TestChunkedUnpickle:
+    """Whatever the split of a pickle into chunks, the decode equals
+    ``pickle.loads`` of the joined bytes."""
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(_PICKLES), st.data())
+    def test_any_split(self, blob, data):
+        from repro.paramserver.server import _unpickled
+
+        cuts = data.draw(st.lists(st.integers(1, len(blob) - 1), max_size=30), label="cuts")
+        _assert_same_state(_unpickled(_split(blob, cuts)), pickle.loads(blob))
+
+    @pytest.mark.parametrize("index", range(len(_PICKLES)))
+    def test_one_byte_chunks(self, index):
+        from repro.paramserver.server import _unpickled
+
+        blob = _PICKLES[index]
+        _assert_same_state(_unpickled(_split(blob, range(1, len(blob)))), pickle.loads(blob))
+
+    @pytest.mark.parametrize("index", range(len(_PICKLES)))
+    def test_cuts_inside_opcodes_lengths_and_elements(self, index):
+        from repro.paramserver.server import _unpickled
+
+        blob = _PICKLES[index]
+        cuts = set()
+        for opcode, arg, position in pickletools.genops(blob):
+            # inside the opcode's argument: a length, an int, a string
+            cuts.update(position + step for step in (1, 2, 3, 5))
+            if opcode.name in _LENGTH_BYTES:
+                start = position + 1 + _LENGTH_BYTES[opcode.name]
+                # inside an element (float32, float64 or int16) of the payload
+                cuts.update({start + 1, start + 3, start + len(arg) // 2 + 1})
+        cuts = [cut for cut in cuts if 0 < cut < len(blob)]
+        _assert_same_state(_unpickled(_split(blob, cuts)), pickle.loads(blob))
 
 
 # ----------------------------------------------------------------------
