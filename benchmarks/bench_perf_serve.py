@@ -13,16 +13,23 @@ end should serve everything inside the SLO; past capacity it must
 p99 of what it does serve stays bounded. A closed-loop run (think-time
 clients) rides along as the self-limiting contrast.
 
-The one real measurement is in ``wall``: every offered request is one
+The real measurements are in ``wall``: every offered request is one
 pass through the real admission code, so offers per wall-clock second
 (``admission_decisions_per_wall_s``) says how fast the front end is,
-beside the *modelled* ``capacity_qps``.
+beside the *modelled* ``capacity_qps``. The start-up row times
+``from repro.api import sdk`` in fresh interpreters (median of
+``STARTUP_RUNS``) with their peak RSS, and gates that the import loads
+no scipy module.
 
 Run through the shared runner (see ``_perf.py``)::
 
     python benchmarks/bench_perf_serve.py [--smoke] [--seed N]
 """
 
+import json
+import os
+import statistics
+import subprocess
 import sys
 import time
 
@@ -44,6 +51,29 @@ REPLICAS = 2
 MAX_QUEUE = 1024
 #: load seed of ``--seed 0``, the committed baseline's fingerprints.
 BASE_SEED = 11
+
+#: fresh interpreters timed for the start-up row.
+STARTUP_RUNS = 5
+#: what each of them runs: the SDK import, its time, peak RSS and scipy
+#: modules. Peak RSS is the address space's own high-water mark (VmHWM):
+#: ``ru_maxrss`` also counts the parent it was spawned from, which on
+#: Linux carries over exec.
+STARTUP_PROBE = """
+import json, resource, sys, time
+start = time.perf_counter()
+from repro.api import sdk
+seconds = time.perf_counter() - start
+try:
+    with open("/proc/self/status") as status:
+        kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except OSError:
+    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({
+    "s": seconds,
+    "rss_mb": kb / 1024,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+}))
+"""
 
 #: open-loop sine targets, as multiples of pool capacity. The paper's
 #: sine (Equations 8/9) peaks at 1.1x its target and *averages* ~0.58x
@@ -68,6 +98,24 @@ def run_level(mode: str, duration: float, seed: int, *, target_rate: float = 0.0
     )
     trace = run_load(frontend, pool, load)
     return {"fingerprint": trace.fingerprint(), **trace.summary()}
+
+
+def measure_startup() -> dict:
+    """``from repro.api import sdk`` in ``STARTUP_RUNS`` fresh interpreters."""
+    src = os.path.join(_perf.ROOT, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probes = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": path},
+        ).stdout)
+        for _ in range(STARTUP_RUNS)
+    ]
+    return {
+        "sdk_import_s": statistics.median(p["s"] for p in probes),
+        "sdk_import_rss_mb": statistics.median(p["rss_mb"] for p in probes),
+        "sdk_import_scipy_modules": sorted({m for p in probes for m in p["scipy"]}),
+    }
 
 
 def run(smoke: bool, seed: int) -> dict:
@@ -109,6 +157,7 @@ def run(smoke: bool, seed: int) -> dict:
             "bench_wall_s": wall_s,
             "admission_decisions": offers,
             "admission_decisions_per_wall_s": offers / wall_s,
+            **measure_startup(),
         },
     }
 
@@ -141,6 +190,11 @@ def table(payload: dict) -> str:
         f"{wall['bench_wall_s']:.2f}s = "
         f"{wall['admission_decisions_per_wall_s']:.0f} per wall second"
     )
+    lines.append(
+        f"start-up: from repro.api import sdk in {wall['sdk_import_s']:.3f}s, "
+        f"{wall['sdk_import_rss_mb']:.1f} MB peak RSS (median of {STARTUP_RUNS} "
+        f"fresh interpreters), {len(wall['sdk_import_scipy_modules'])} scipy modules"
+    )
     return "\n".join(lines)
 
 
@@ -148,6 +202,12 @@ def check(payload: dict) -> list[str]:
     """The portable acceptance bars; returns failure messages."""
     levels = payload["simulated"]["levels"]
     failures = []
+    scipy_modules = payload["wall"]["sdk_import_scipy_modules"]
+    if scipy_modules:
+        failures.append(
+            f"from repro.api import sdk loaded {len(scipy_modules)} scipy modules "
+            f"({', '.join(scipy_modules[:3])}, ...); scipy belongs where it is first used"
+        )
     if len(levels) < 3:
         failures.append(f"only {len(levels)} concurrency levels")
     # A sine level's stress is set by its *peak* (1.1x the nominal

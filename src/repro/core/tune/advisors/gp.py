@@ -20,13 +20,14 @@ addition is not associative, so any other order (a plain running sum
 diverges from d = 8 on) would round some kernel entries differently,
 and with them the fit, the posterior and which candidate wins. In this
 order every entry is byte-identical to the broadcast kernel's.
+
+scipy is imported inside the functions that call it, so importing the
+advisors (and with them ``repro.core.system``) loads none of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import ndtr
 
 from repro.exceptions import ConfigurationError
 
@@ -107,6 +108,8 @@ class GaussianProcess:
         self._y_mean = float(y.mean())
         self._y_std = float(y.std()) or 1.0
         y_norm = (y - self._y_mean) / self._y_std
+        from scipy.linalg import cho_factor, cho_solve
+
         self._x = x
         k = _rbf(x, x, self.length_scale, self.signal_var)
         k[np.diag_indices_from(k)] += self.noise_var
@@ -118,6 +121,8 @@ class GaussianProcess:
         """Posterior mean and standard deviation at ``x_new``."""
         if self._x is None or self._alpha is None or self._cho is None:
             raise ConfigurationError("GP is not fitted")
+        from scipy.linalg import cho_solve
+
         x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
         k_star = _rbf(x_new, self._x, self.length_scale, self.signal_var)
         mean = k_star @ self._alpha
@@ -137,6 +142,8 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
     The standard normal cdf and pdf are written as ``scipy.stats.norm``
     computes them underneath, without its argument handling.
     """
+    from scipy.special import ndtr
+
     improvement = mean - best - xi
     z = improvement / std
     return improvement * ndtr(z) + std * (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi))

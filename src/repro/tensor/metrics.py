@@ -80,6 +80,24 @@ def f1_score(predicted: np.ndarray, labels: np.ndarray, positive: int = 1) -> fl
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with each tie group at the mean of its positions.
+
+    The same values as ``scipy.stats.rankdata(values)`` (its default
+    ``"average"`` method): a group spanning positions ``lo+1 .. hi`` gets
+    ``(lo + 1 + hi) / 2``, an exact half, and any NaN makes every rank NaN.
+    """
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     """Area under the ROC curve via the rank-sum (Mann-Whitney) identity."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -89,9 +107,7 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     neg = scores[labels == 0]
     if pos.size == 0 or neg.size == 0:
         raise ConfigurationError("AUC requires both positive and negative examples")
-    from scipy.stats import rankdata
-
-    ranks = rankdata(np.concatenate([pos, neg]))
+    ranks = _average_ranks(np.concatenate([pos, neg]))
     rank_sum_pos = ranks[: pos.size].sum()
     auc = (rank_sum_pos - pos.size * (pos.size + 1) / 2.0) / (pos.size * neg.size)
     return float(auc)

@@ -29,7 +29,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import derive_rng
@@ -91,6 +90,10 @@ class EnsembleAccuracyModel:
         self._cache: dict[tuple[int, ...], float] = {}
 
     def _simulate_votes(self) -> np.ndarray:
+        # ndtri is what scipy.stats.norm.ppf computes underneath, so the
+        # panel is unchanged; importing it here keeps scipy out of start-up.
+        from scipy.special import ndtri
+
         rng = derive_rng(self.seed, "ensemble-panel")
         n, k = self.num_examples, len(self.model_names)
         difficulty = rng.normal(0.0, 1.0, size=n)
@@ -99,7 +102,7 @@ class EnsembleAccuracyModel:
         votes = np.zeros((k, n), dtype=np.int64)
         scale = np.sqrt(1.0 + self.sigma**2)
         for m, acc in enumerate(self.accuracies):
-            skill = scale * norm.ppf(acc)
+            skill = scale * ndtri(acc)
             eps = rng.normal(0.0, self.sigma, size=n)
             correct = (skill - difficulty + eps) > 0.0
             wrong_to_distractor = rng.random(n) < self.distractor_prob

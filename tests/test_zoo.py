@@ -143,6 +143,48 @@ class TestEnsembleAccuracyModel:
         assert a.ensemble_accuracy((0, 1)) == b.ensemble_accuracy((0, 1))
 
 
+def _reference_votes(model: EnsembleAccuracyModel) -> np.ndarray:
+    """The panel as it was drawn with ``scipy.stats.norm.ppf``."""
+    from scipy.stats import norm
+
+    from repro.utils.rng import derive_rng
+
+    rng = derive_rng(model.seed, "ensemble-panel")
+    n, k = model.num_examples, len(model.model_names)
+    difficulty = rng.normal(0.0, 1.0, size=n)
+    distractor = rng.integers(1, model.num_classes, size=n)
+    votes = np.zeros((k, n), dtype=np.int64)
+    scale = np.sqrt(1.0 + model.sigma**2)
+    for m, acc in enumerate(model.accuracies):
+        skill = scale * norm.ppf(acc)
+        eps = rng.normal(0.0, model.sigma, size=n)
+        correct = (skill - difficulty + eps) > 0.0
+        wrong_to_distractor = rng.random(n) < model.distractor_prob
+        random_wrong = rng.integers(1, model.num_classes, size=n)
+        votes[m] = np.where(
+            correct, 0, np.where(wrong_to_distractor, distractor, random_wrong)
+        )
+    return votes
+
+
+class TestFigure6PanelIsByteIdentical:
+    """The panel draws skills with ``scipy.special.ndtri``; it must equal
+    the one ``scipy.stats.norm.ppf`` drew, vote for vote and row for row."""
+
+    MODELS = ("resnet_v2_101", "inception_v3", "inception_v4", "inception_resnet_v2")
+
+    def test_votes_and_table_match_the_norm_ppf_panel(self):
+        panel = EnsembleAccuracyModel(self.MODELS)
+        votes = _reference_votes(panel)
+        assert panel._votes.tobytes() == votes.tobytes()
+        expected = {}
+        for mask in range(1, 2 ** len(self.MODELS)):
+            indices = [i for i in range(len(self.MODELS)) if mask >> i & 1]
+            predictions = majority_vote(votes[indices], panel.accuracies[indices])
+            expected[tuple(self.MODELS[i] for i in indices)] = float(np.mean(predictions == 0))
+        assert panel.accuracy_table() == expected
+
+
 class TestRegistry:
     def test_default_tasks_match_figure2(self):
         registry = default_registry()
