@@ -22,9 +22,10 @@ runs only add IPC overhead and must not be misread as regressions.
 surrogate studies of ``tune_costudy`` spend most of their time in): one
 ``BayesianAdvisor.propose`` over n = 40 and 150 observations of section
 7.1's five knobs, 500 candidates. Its legacy column is the advisor with
-the broadcast (m, n, d) GP kernel and the ``scipy.stats`` EI it had
-before, embedded below; both columns must propose the same candidates
-(gated; the timings are not).
+the GP it had before: the broadcast (m, n, d) kernel, the ``scipy.stats``
+EI and the two-solve (``cho_solve``) posterior variance, embedded below
+(the advisor's own bookkeeping is today's in both columns); both columns
+must propose the same candidates (gated; the timings are not).
 
 Run through the shared runner (see ``_perf.py``)::
 
@@ -40,6 +41,7 @@ import time
 import _perf
 import numpy as np
 from _perf import time_per_call
+from scipy.linalg import cho_solve
 from scipy.stats import norm
 
 from repro import telemetry
@@ -74,8 +76,9 @@ PROPOSE_OBSERVATIONS, PROPOSE_CANDIDATES = (40, 150), 500
 PROPOSE_COMPARED = 5
 
 
-# The GP kernel and EI before the kernel went one coordinate at a time:
-# ``propose``'s legacy column.
+# The GP kernel, EI and posterior before the kernel went one coordinate
+# at a time and the variance took one triangular solve: ``propose``'s
+# legacy column.
 
 
 def legacy_rbf(a, b, length_scale, signal_var):
@@ -89,16 +92,27 @@ def legacy_expected_improvement(mean, std, best, xi=0.01):
     return improvement * norm.cdf(z) + std * norm.pdf(z)
 
 
+def legacy_predict(gp, x_new):
+    x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
+    k_star = legacy_rbf(x_new, gp._x, gp.length_scale, gp.signal_var)
+    mean = k_star @ gp._alpha
+    v = cho_solve(gp._cho, k_star.T)
+    var = np.maximum(gp.signal_var - np.einsum("ij,ji->i", k_star, v), 1e-12)
+    return mean * gp._y_std + gp._y_mean, np.sqrt(var) * gp._y_std
+
+
 @contextlib.contextmanager
 def legacy_advisor():
-    """Run ``BayesianAdvisor`` on the legacy kernel and EI."""
-    shipped = gp_module._rbf, bayesian_module.expected_improvement
+    """Run ``BayesianAdvisor`` on the legacy kernel, EI and posterior."""
+    gp_class = gp_module.GaussianProcess
+    shipped = gp_module._rbf, bayesian_module.expected_improvement, gp_class.predict
     gp_module._rbf = legacy_rbf
     bayesian_module.expected_improvement = legacy_expected_improvement
+    gp_class.predict = legacy_predict
     try:
         yield
     finally:
-        gp_module._rbf, bayesian_module.expected_improvement = shipped
+        gp_module._rbf, bayesian_module.expected_improvement, gp_class.predict = shipped
 
 
 def observed_advisor(observations: int, seed: int) -> BayesianAdvisor:

@@ -14,6 +14,7 @@ observation so concurrent proposals spread out.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.core.tune.advisors.base import TrialAdvisor
 from repro.core.tune.advisors.gp import GaussianProcess, expected_improvement
 from repro.core.tune.hyperspace import HyperSpace
 from repro.core.tune.trial import TrialResult
+from repro.exceptions import ConfigurationError
 
 __all__ = ["BayesianAdvisor"]
 
@@ -48,9 +50,20 @@ class BayesianAdvisor(TrialAdvisor):
         self.noise_var = float(noise_var)
         self.max_proposals = max_proposals
         self.constant_liar = bool(constant_liar)
+        if self.warmup < 0:
+            raise ConfigurationError(f"warmup must be >= 0, got {warmup}")
+        if self.candidates < 1:
+            raise ConfigurationError(f"candidates must be >= 1, got {candidates}")
+        if not self.length_scale > 0:
+            raise ConfigurationError(f"length_scale must be > 0, got {length_scale}")
+        if not self.noise_var >= 0:
+            raise ConfigurationError(f"noise_var must be >= 0, got {noise_var}")
         self._proposed = 0
-        self._observed_x: list[np.ndarray] = []
-        self._observed_y: list[float] = []
+        #: the results with a finite performance, the ones the GP fits: their
+        #: encoded points in the first ``len(self._finite_y)`` rows of a
+        #: matrix that doubles when full, and their performances.
+        self._finite_x = np.empty((8, space.dimensions))
+        self._finite_y: list[float] = []
         #: proposals awaiting results, keyed by their encoded point: the
         #: candidate the liar lies at, and the encoding of the trial it
         #: decodes to, which is what the result will report.
@@ -67,30 +80,33 @@ class BayesianAdvisor(TrialAdvisor):
             if np.max(np.abs(reported - point)) < 1e-6:
                 del self._pending[key]
                 break
-        self._observed_x.append(point)
-        self._observed_y.append(result.performance)
+        # A backend may report NaN or inf: such a result stays in the
+        # history (and counts towards warm-up) but tells the GP nothing.
+        if math.isfinite(result.performance):
+            count = len(self._finite_y)
+            if count == len(self._finite_x):
+                grown = np.empty((2 * count, point.shape[0]))
+                grown[:count] = self._finite_x
+                self._finite_x = grown
+            self._finite_x[count] = point
+            self._finite_y.append(result.performance)
 
     def propose(self, worker: str) -> dict[str, Any] | None:
         if self.max_proposals is not None and self._proposed >= self.max_proposals:
             return None
         self._proposed += 1
-        # A backend may report NaN or inf: such a result stays in the
-        # history but tells the GP nothing, so the fit sees finite ones.
-        finite = [i for i, y in enumerate(self._observed_y) if np.isfinite(y)]
-        if len(self._observed_y) < self.warmup or not finite:
+        ys = self._finite_y
+        if self.num_results < self.warmup or not ys:
             return self.space.sample(self._rng)
-        xs = [self._observed_x[i] for i in finite]
-        ys = [self._observed_y[i] for i in finite]
+        xs = self._finite_x[:len(ys)]
         best = max(ys)
         if self.constant_liar and self._pending:
             # Lie pessimistically about in-flight proposals (the worst
             # observation so far) so the EI surface dips around them.
-            lie = min(ys)
-            for point, _ in self._pending.values():
-                xs.append(point)
-                ys.append(lie)
+            xs = np.vstack([xs, *(point for point, _ in self._pending.values())])
+            ys = ys + [min(ys)] * len(self._pending)
         gp = GaussianProcess(length_scale=self.length_scale, noise_var=self.noise_var)
-        gp.fit(np.vstack(xs), np.array(ys))
+        gp.fit(xs, np.array(ys))
         pool = self._rng.random((self.candidates, self.space.dimensions))
         mean, std = gp.predict(pool)
         ei = expected_improvement(mean, std, best=best)

@@ -121,13 +121,19 @@ class GaussianProcess:
         """Posterior mean and standard deviation at ``x_new``."""
         if self._x is None or self._alpha is None or self._cho is None:
             raise ConfigurationError("GP is not fitted")
-        from scipy.linalg import cho_solve
+        from scipy.linalg import solve_triangular
 
         x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
+        if x_new.shape[1] != self._x.shape[1]:
+            raise ConfigurationError(
+                f"GP was fitted on {self._x.shape[1]} coordinates, "
+                f"got points with {x_new.shape[1]}")
         k_star = _rbf(x_new, self._x, self.length_scale, self.signal_var)
         mean = k_star @ self._alpha
-        v = cho_solve(self._cho, k_star.T)
-        var = self.signal_var - np.einsum("ij,ji->i", k_star, v)
+        # k** - k*^T K^-1 k* = signal_var - |L^-1 k*|^2 (GPML Alg. 2.1): one
+        # triangular solve against the lower factor ``fit`` kept.
+        v = solve_triangular(self._cho[0], k_star.T, lower=True)
+        var = self.signal_var - (v * v).sum(axis=0)
         var = np.maximum(var, 1e-12)
         return (
             mean * self._y_std + self._y_mean,

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from scipy.stats import norm
 
 from repro.core.tune import (
@@ -24,6 +25,18 @@ def broadcast_rbf(a, b, length_scale, signal_var):
     """The (m, n, d) broadcast kernel the per-coordinate one replaced."""
     sq_dist = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
     return signal_var * np.exp(-0.5 * sq_dist / length_scale**2)
+
+
+def two_solve_predict(gp, x_new):
+    """The posterior as ``predict`` computed it before the variance took
+    one triangular solve: ``cho_solve`` (two solves over the candidates)
+    and an ``einsum`` of its result with the cross-kernel."""
+    x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
+    k_star = _rbf(x_new, gp._x, gp.length_scale, gp.signal_var)
+    mean = k_star @ gp._alpha
+    v = cho_solve(gp._cho, k_star.T)
+    var = np.maximum(gp.signal_var - np.einsum("ij,ji->i", k_star, v), 1e-12)
+    return mean * gp._y_std + gp._y_mean, np.sqrt(var) * gp._y_std
 
 
 def scipy_stats_ei(mean, std, best, xi=0.01):
@@ -114,6 +127,15 @@ class TestGaussianProcess:
         with pytest.raises(ConfigurationError):
             GaussianProcess().fit(np.zeros((3, 1)), np.zeros(2))
 
+    @pytest.mark.parametrize("d_new", [1, 2, 4, 9])
+    def test_predict_of_another_dimension_rejected(self, d_new):
+        """Fewer coordinates than the fit saw used to be scored on the
+        first ones; more raised a raw ``IndexError``."""
+        rng = np.random.default_rng(0)
+        gp = GaussianProcess().fit(rng.random((6, 3)), rng.random(6))
+        with pytest.raises(ConfigurationError, match="3"):
+            gp.predict(rng.random((4, d_new)))
+
     def test_expected_improvement_prefers_high_mean(self):
         mean = np.array([0.5, 0.9])
         std = np.array([0.1, 0.1])
@@ -187,6 +209,85 @@ class TestByteIdentity:
         assert digest == "1cc32c1142fef6566d71c122079e4c4cd3513374140844bb1d2feaa63fd1b83a"
 
 
+class TestOneSolvePosterior:
+    """``predict``'s variance takes one triangular solve: the mean and
+    every proposal are unchanged, and the variance rounds differently
+    only at the level of the cancellation both forms share."""
+
+    @pytest.mark.parametrize("d", [1, 5, 17])
+    @pytest.mark.parametrize("n", [1, 8, 40, 151])
+    def test_matches_the_two_solve_posterior(self, n, d):
+        """Mean bytes equal; variance within 1e-14 of the prior variance
+        (worst seen 1.8e-15). Both forms subtract from ``signal_var``, so
+        where the posterior variance is a small fraction of it (d = 1,
+        observed points, little noise) the std's relative difference
+        grows by the inverse of that fraction: up to 1e-10 here."""
+        rng = np.random.default_rng(100 * n + d)
+        for gp in (GaussianProcess(), GaussianProcess(length_scale=0.2, noise_var=5e-3),
+                   GaussianProcess(length_scale=0.5, signal_var=0.4, noise_var=1e-3)):
+            x = rng.random((n, d))
+            gp.fit(x, rng.standard_normal(n) * 3.0 + 1.0)
+            x_new = np.vstack([rng.random((500, d)), x[:3]])
+            mean, std = gp.predict(x_new)
+            want_mean, want_std = two_solve_predict(gp, x_new)
+            assert mean.tobytes() == want_mean.tobytes()
+            var, want_var = ((s / gp._y_std) ** 2 for s in (std, want_std))
+            np.testing.assert_allclose(var, want_var, rtol=0, atol=1e-14 * gp.signal_var)
+
+    def test_advisor_fits_match_the_two_solve_posterior(self, monkeypatch):
+        """On the advisor's own fits (section 7.1's five knobs, two in
+        flight) the std agrees within rtol 1e-13 (worst seen 4.0e-14
+        over 1 410 fits) and the mean byte for byte."""
+        predict = GaussianProcess.predict
+        fits = []
+
+        def checked(gp, x_new):
+            mean, std = predict(gp, x_new)
+            want_mean, want_std = two_solve_predict(gp, x_new)
+            assert mean.tobytes() == want_mean.tobytes()
+            np.testing.assert_allclose(std, want_std, rtol=1e-13, atol=0)
+            fits.append(len(std))
+            return mean, std
+
+        monkeypatch.setattr(GaussianProcess, "predict", checked)
+        space = section71_space()
+        for seed in range(3):
+            advisor = BayesianAdvisor(space, rng=np.random.default_rng(seed))
+            in_flight = [advisor.next("w0")]
+            for _ in range(100):
+                in_flight.append(advisor.next("w1"))
+                done = in_flight.pop(0)
+                advisor.collect(result(done, -float(np.sum((space.encode(done) - 0.6) ** 2))))
+        assert len(fits) == 3 * 92  # 101 proposals a seed, 9 before 8 results
+
+    def test_seeded_stream_with_non_finite_results_is_pinned(self):
+        """Ten seeds of 150 proposals, two in flight, where every few
+        results is NaN or infinite: the hash was taken with the two-solve
+        posterior and the advisor's list-of-points bookkeeping."""
+        space = section71_space()
+        streams = []
+        for seed in range(10):
+            advisor = BayesianAdvisor(space, rng=np.random.default_rng(seed))
+            in_flight = [advisor.next("w0")]
+            proposals = list(in_flight)
+            while len(proposals) < 150:
+                params = advisor.next(f"w{len(proposals) % 2}")
+                proposals.append(params)
+                in_flight.append(params)
+                done = in_flight.pop(0)
+                count = len(proposals)
+                if count % 7 == 0:
+                    performance = float("nan")
+                elif count % 11 == 0:
+                    performance = float("inf") if count % 2 else float("-inf")
+                else:
+                    performance = -float(np.sum((space.encode(done) - 0.6) ** 2))
+                advisor.collect(result(done, performance))
+            streams.append(proposals)
+        digest = hashlib.sha256(repr(streams).encode()).hexdigest()
+        assert digest == "c60025eae52614669001f2575139677fc82094b617b202f0f310788ebc3c6d99"
+
+
 class TestBayesianAdvisor:
     def _run(self, advisor, objective, iterations=30):
         for _ in range(iterations):
@@ -236,6 +337,21 @@ class TestBayesianAdvisor:
         advisor.next("w")
         advisor.next("w")
         assert advisor.next("w") is None
+
+    @pytest.mark.parametrize("bad", [
+        {"candidates": 0}, {"candidates": -3}, {"warmup": -1},
+        {"length_scale": 0.0}, {"length_scale": -0.2}, {"noise_var": -1e-3},
+    ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_unusable_hyper_parameters_rejected(self, bad):
+        """These used to pass warm-up and fail at the first GP proposal."""
+        with pytest.raises(ConfigurationError, match=next(iter(bad))):
+            BayesianAdvisor(space_1d(), **bad)
+
+    def test_edge_hyper_parameters_accepted(self):
+        advisor = BayesianAdvisor(space_1d(), rng=np.random.default_rng(0), warmup=0,
+                                  candidates=1, noise_var=0.0)
+        advisor.collect(result({"x": 0.3}, 0.2))
+        assert 0.0 <= advisor.next("w")["x"] < 1.0
 
 
 class TestConstantLiar:

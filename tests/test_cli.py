@@ -40,11 +40,20 @@ class TestCommands:
         assert "Study with random search" in out
         assert "best accuracy" in out
 
-    def test_tune_costudy_bayesian(self, capsys):
+    def test_tune_costudy_bayesian(self, capsys, monkeypatch):
+        """Enough trials to get past the advisor's 8 warm-up proposals, so
+        the GP is fitted and queried."""
+        from repro.core.tune.advisors.gp import GaussianProcess
+
+        predict = GaussianProcess.predict
+        fits = []
+        monkeypatch.setattr(GaussianProcess, "predict",
+                            lambda gp, x: fits.append(len(gp._x)) or predict(gp, x))
         assert main([
-            "tune", "--trials", "6", "--advisor", "bayesian", "--collaborative",
+            "tune", "--trials", "14", "--advisor", "bayesian", "--collaborative",
         ]) == 0
         assert "CoStudy with bayesian" in capsys.readouterr().out
+        assert fits and min(fits) >= 8
 
     def test_demo(self, capsys):
         assert main(["demo", "--classes", "2", "--trials", "2"]) == 0
