@@ -324,8 +324,8 @@ def _cmd_sql(args) -> int:
         print(f"[{executor}] UDF calls: {result.udf_calls}, "
               f"batches: {result.udf_batches}, cache hits: {result.cache_hits}")
     if len(results) == 2:
-        match = (results["planned"].columns == results["naive"].columns
-                 and results["planned"].rows == results["naive"].rows)
+        planned, naive = results["planned"], results["naive"]
+        match = (planned.columns, repr(planned.rows)) == (naive.columns, repr(naive.rows))
         print(f"planned == naive: {match}")
         return 0 if match else 1
     return 0

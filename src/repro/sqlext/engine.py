@@ -15,12 +15,13 @@ function name resolves against the UDF registry.
 Execution lives in :mod:`repro.sqlext.exec`: :meth:`Database.execute`
 compiles the parsed statement into a logical plan
 (:mod:`repro.sqlext.plan`), optimizes it
-(:mod:`repro.sqlext.optimizer`) and runs it on the vectorized
+(:mod:`repro.sqlext.optimizer`; statement and plan are memoised per SQL
+text) and runs it on the column-at-a-time
 :class:`~repro.sqlext.exec.PlannedExecutor`, whose UDF operator
-dispatches whole batches of surviving rows through the serving batcher
-and prediction cache. The original row-at-a-time interpreter survives
-as :class:`~repro.sqlext.exec.NaiveExecutor` — the differential-test
-oracle — selectable with ``executor="naive"``.
+dispatches the distinct arguments of the surviving rows through the
+serving batcher and prediction cache. The original row-at-a-time
+interpreter survives as :class:`~repro.sqlext.exec.NaiveExecutor` — the
+differential-test oracle — selectable with ``executor="naive"``.
 
 Tokenizer notes: ``-`` is its own operator token (a leading minus on a
 number literal is resolved by the *parser* as unary minus, so ``x>-3``
@@ -32,7 +33,8 @@ position so parse errors can point at the offending character.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable
 
 from repro.exceptions import ConfigurationError, SQLExecutionError, SQLParseError
@@ -42,6 +44,7 @@ from repro.sqlext.udf import UdfRegistry
 __all__ = ["Database", "ResultSet"]
 
 _AGGREGATES = ("count", "sum", "avg", "min", "max")
+_EXECUTORS = ("planned", "naive")
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
@@ -355,8 +358,9 @@ class _Parser:
         return Comparison(left, op, right)
 
 
+@lru_cache(maxsize=256)
 def parse_select(sql: str) -> SelectStatement:
-    """Parse one SELECT statement from SQL text."""
+    """Parse one SELECT statement from SQL text (memoised: it is frozen)."""
     return _Parser(_tokenize_spans(sql)).parse_select()
 
 
@@ -405,13 +409,15 @@ class Database:
     """Tables + UDF registry + query execution.
 
     ``execute`` compiles each SELECT to an optimized logical plan and
-    runs it on the vectorized executor, whose UDF operator dispatches
-    whole batches of surviving rows in hardware batch sizes through
-    the prediction cache (``udf_cache=False`` keeps within-batch dedup
-    but remembers nothing across queries).
+    runs it on the column executor, whose UDF operator dispatches the
+    distinct arguments of the surviving rows in hardware batch sizes
+    through the prediction cache (``udf_cache=False`` keeps within-batch
+    dedup but remembers nothing across queries). Its counters are bound
+    here and in ``create_table``, so a query looks none up.
     """
 
     def __init__(self, udf_cache: bool = True, cache_capacity: int = 1024):
+        from repro import telemetry
         from repro.sqlext.exec import NaiveExecutor, PlannedExecutor, UdfBatchDispatcher
 
         self.tables: dict[str, Table] = {}
@@ -420,9 +426,22 @@ class Database:
         self.dispatcher = UdfBatchDispatcher(
             self.udfs, cache_capacity=cache_capacity if udf_cache else 0
         )
-        self._planned = PlannedExecutor(self, self.dispatcher)
+        self._planned = PlannedExecutor(self.dispatcher)
         self._naive = NaiveExecutor(self)
         self.default_executor = "planned"
+        counter = telemetry.get_registry().counter
+        self._queries, self._udf_calls = (
+            {name: counter(*family).labels(executor=name) for name in _EXECUTORS}
+            for family in (
+                ("repro_sql_queries_total", "SQL queries executed, by executor."),
+                ("repro_sql_udf_calls_total",
+                 "Per-argument UDF invocations made by SQL queries."),
+            )
+        )
+        self._rows_scanned = counter(
+            "repro_sql_rows_scanned_total", "Base-table rows scanned by SQL queries."
+        )
+        self._scanned: dict[str, Any] = {}  # per table, bound in ``create_table``
 
     def create_table(self, name: str, columns: list[Column],
                      primary_key: tuple[str, ...] = ()) -> Table:
@@ -431,6 +450,7 @@ class Database:
             raise SQLExecutionError(f"table {name!r} already exists")
         table = Table(name=name, columns=columns, primary_key=primary_key)
         self.tables[name] = table
+        self._scanned[name] = self._rows_scanned.labels(table=name)
         return table
 
     def insert(self, table_name: str, **values: Any) -> None:
@@ -457,7 +477,7 @@ class Database:
         oracle). ``optimize=False`` runs the planned executor on the
         canonical unoptimized plan.
         """
-        from repro import telemetry
+        from repro.sqlext.optimizer import compile_plan
 
         statement = parse_select(sql)
         table = self._table(statement.table)
@@ -468,7 +488,7 @@ class Database:
         if which == "naive":
             result = self._naive.execute(statement, table)
         elif which == "planned":
-            result = self._planned.execute(statement, table, optimize=optimize)
+            result = self._planned.execute(compile_plan(sql, optimize), table)
         else:
             raise ConfigurationError(
                 f"executor must be 'planned' or 'naive', got {which!r}"
@@ -478,29 +498,18 @@ class Database:
         result.udf_batches = self.dispatcher.batches_dispatched - batches_before
         result.cache_hits = self.dispatcher.cache_hits - hits_before
         self.last_udf_calls = result.udf_calls
-        registry = telemetry.get_registry()
-        registry.counter(
-            "repro_sql_queries_total", "SQL queries executed, by executor."
-        ).inc(executor=which)
-        registry.counter(
-            "repro_sql_rows_scanned_total", "Base-table rows scanned by SQL queries."
-        ).inc(len(table), table=table.name)
+        self._queries[which].inc()
+        self._scanned[table.name].inc(len(table))
         if result.udf_calls:
-            registry.counter(
-                "repro_sql_udf_calls_total",
-                "Per-argument UDF invocations made by SQL queries.",
-            ).inc(result.udf_calls, executor=which)
+            self._udf_calls[which].inc(result.udf_calls)
         return result
 
     def explain(self, sql: str, optimize: bool = True) -> str:
         """The textual logical plan ``execute`` would run for ``sql``."""
-        from repro.sqlext.optimizer import optimize_plan
-        from repro.sqlext.plan import build_plan, explain_plan
+        from repro.sqlext.optimizer import compile_plan
+        from repro.sqlext.plan import explain_plan
 
-        plan = build_plan(parse_select(sql))
-        if optimize:
-            plan = optimize_plan(plan)
-        return explain_plan(plan)
+        return explain_plan(compile_plan(sql, optimize))
 
     def invalidate_udf_cache(self) -> None:
         """Drop every cached UDF result (call after re-deploying models)."""

@@ -1,4 +1,4 @@
-"""Query executors: the naive oracle and the planned/batched pipeline.
+"""Query executors: the naive oracle and the planned column executor.
 
 Two executors share the AST and produce bit-identical results:
 
@@ -6,23 +6,34 @@ Two executors share the AST and produce bit-identical results:
   preserved verbatim. It defines the engine's semantics (lazy column
   resolution, WHERE short-circuiting, group ordering, sort stability)
   and serves as the oracle for the differential test harness.
-* :class:`PlannedExecutor` — runs optimized logical plans. Its
-  :class:`~repro.sqlext.plan.EvalUdf` operator hands each UDF's
-  arguments for *all* surviving rows to a
-  :class:`UdfBatchDispatcher`, which dedupes them, serves repeats from
-  a :class:`~repro.core.serve.pred_cache.PredictionCache`, and chunks
-  the distinct misses into the serving layer's hardware batch sizes
-  — so an analytical scan rides the same batched inference path as
-  online serving. Each chunk dispatch passes the ``sql.udf.dispatch`` chaos
-  point under a seeded :class:`~repro.utils.retry.RetryPolicy`;
-  exhausted retries shed the query with
-  :class:`~repro.exceptions.RequestShedError` (the gateway maps that
-  to HTTP 429), mirroring the serving front end.
+* :class:`PlannedExecutor` — runs optimized logical plans
+  column-at-a-time over the tables' dictionary encoding (distinct
+  values plus an int32 code per row, :mod:`repro.sqlext.table`). Each
+  plan node is one call over a selection vector of row indices: a
+  Filter conjunct runs once per distinct value in the selection and is
+  gathered back as a mask by code; an
+  :class:`~repro.sqlext.plan.EvalUdf` hands the UDF each distinct
+  argument once, in first-seen order, and scatters the results back by
+  code; an Aggregate groups by code tuple, merges the tuples whose
+  values are equal (as the oracle's dict does) and folds each group
+  left to right. Sort and Limit work on the result rows. Plans are
+  built once per SQL text (:func:`~repro.sqlext.optimizer.compile_plan`).
+
+UDF arguments go to a :class:`UdfBatchDispatcher`, which serves repeats
+from a :class:`~repro.core.serve.pred_cache.PredictionCache` and chunks
+the distinct misses into the serving layer's hardware batch sizes — so
+an analytical scan rides the same batched inference path as online
+serving. Each chunk dispatch passes the ``sql.udf.dispatch`` chaos
+point under a seeded :class:`~repro.utils.retry.RetryPolicy`; exhausted
+retries shed the query with :class:`~repro.exceptions.RequestShedError`
+(the gateway maps that to HTTP 429), mirroring the serving front end.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
+
+import numpy as np
 
 from repro import chaos, telemetry
 from repro.core.serve.batching import DEFAULT_BATCH_SIZES
@@ -51,7 +62,6 @@ from repro.sqlext.plan import (
     Project,
     Scan,
     Sort,
-    build_plan,
 )
 from repro.sqlext.table import Table
 from repro.utils.retry import RetryPolicy
@@ -73,7 +83,7 @@ class UdfBatchDispatcher:
     """Batched, cached, fault-tolerant UDF dispatch for the executor.
 
     One per :class:`~repro.sqlext.engine.Database`. ``call_batch``
-    takes every argument an :class:`~repro.sqlext.plan.EvalUdf`
+    takes the distinct arguments an :class:`~repro.sqlext.plan.EvalUdf`
     operator collected and returns aligned results, having made as few
     underlying model calls as possible: duplicate arguments collapse,
     cached results are reused across queries, and the distinct misses
@@ -87,6 +97,20 @@ class UdfBatchDispatcher:
     BATCH_SIZES = DEFAULT_BATCH_SIZES
     #: back-off hint on a shed query: the serving SLO (paper §7.2).
     RETRY_AFTER = 0.56
+    #: the counters each UDF binds at its first call: event -> (family, help)
+    COUNTERS = {
+        "hits": ("repro_sql_cache_hits_total",
+                 "SQL UDF arguments served from the prediction cache."),
+        "misses": ("repro_sql_cache_misses_total",
+                   "SQL UDF arguments that missed the prediction cache."),
+        "batches": ("repro_sql_udf_batches_total", "Batched SQL UDF dispatches, by function."),
+        "batch_rows": ("repro_sql_udf_batch_rows_total",
+                       "Arguments carried by batched SQL UDF dispatches."),
+        "retries": ("repro_sql_udf_retries_total",
+                    "SQL UDF batch dispatches retried after an injected fault."),
+        "sheds": ("repro_sql_udf_sheds_total",
+                  "SQL queries shed after exhausting UDF dispatch retries."),
+    }
 
     def __init__(
         self,
@@ -100,6 +124,7 @@ class UdfBatchDispatcher:
             max_attempts=3, retry_on=(InjectedFault,), seed=0
         )
         self._caches: dict[str, PredictionCache] = {}
+        self._counters: dict[str, dict] = {}  # per UDF, see ``COUNTERS``
         self.batches_dispatched = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -109,11 +134,22 @@ class UdfBatchDispatcher:
         #: chaos tests assert same-seed runs produce identical traces.
         self.trace: list[dict] = []
 
-    def call_batch(self, name: str, args: list[Any]) -> list[Any]:
-        """Evaluate ``name`` over ``args``; results align with ``args``."""
+    def call_batch(self, name: str, args: list[Any], rows: int) -> list[Any]:
+        """Evaluate ``name`` over ``args``; results align with ``args``.
+
+        ``args`` are the distinct arguments of ``rows`` table rows, each
+        once: the hit count still counts every row not sent to the model.
+        """
         if not args:
             return []
         key = name.lower()
+        counters = self._counters.get(key)
+        if counters is None:
+            registry = telemetry.get_registry()
+            counters = self._counters[key] = {
+                event: registry.counter(*family).labels(udf=key)
+                for event, family in self.COUNTERS.items()
+            }
         if self.cache_capacity > 0:
             cache = self._caches.get(key)
             if cache is None:
@@ -122,28 +158,21 @@ class UdfBatchDispatcher:
             # Caching disabled: a throwaway cache still collapses
             # duplicates within this one batch, but remembers nothing.
             cache = PredictionCache(len(args))
-        hits_before, misses_before = cache.hits, cache.misses
+        misses_before = cache.misses
         values = cache.query_batch(
             args,
             predict_batch=lambda misses: (self._dispatch_all(name, misses), True),
             key=_scalar_key,
         )
         if self.cache_capacity > 0:
-            delta_hits = cache.hits - hits_before
             delta_misses = cache.misses - misses_before
+            delta_hits = rows - delta_misses
             self.cache_hits += delta_hits
             self.cache_misses += delta_misses
-            registry = telemetry.get_registry()
             if delta_hits:
-                registry.counter(
-                    "repro_sql_cache_hits_total",
-                    "SQL UDF arguments served from the prediction cache.",
-                ).inc(delta_hits, udf=key)
+                counters["hits"].inc(delta_hits)
             if delta_misses:
-                registry.counter(
-                    "repro_sql_cache_misses_total",
-                    "SQL UDF arguments that missed the prediction cache.",
-                ).inc(delta_misses, udf=key)
+                counters["misses"].inc(delta_misses)
         return values
 
     def invalidate(self) -> None:
@@ -159,9 +188,8 @@ class UdfBatchDispatcher:
             results.extend(self._dispatch_chunk(name, chunk))
         return results
 
-    def _chunks(self, args: list[Any]) -> list[list[Any]]:
+    def _chunks(self, args: list[Any]):
         """Carve ``args`` into hardware batches, largest size first."""
-        chunks: list[list[Any]] = []
         start = 0
         while start < len(args):
             remaining = len(args) - start
@@ -169,12 +197,12 @@ class UdfBatchDispatcher:
                 (size for size in self.BATCH_SIZES if size <= remaining),
                 default=remaining,
             )
-            chunks.append(args[start:start + take])
+            yield args[start:start + take]
             start += take
-        return chunks
 
     def _dispatch_chunk(self, name: str, chunk: list[Any]) -> list[Any]:
         udf = name.lower()
+        counters = self._counters[udf]
 
         def attempt() -> list[Any]:
             latency = chaos.fire(self.FAULT_POINT)
@@ -186,10 +214,7 @@ class UdfBatchDispatcher:
 
         def on_retry(attempt_index: int, error: BaseException) -> None:
             self.retries += 1
-            telemetry.get_registry().counter(
-                "repro_sql_udf_retries_total",
-                "SQL UDF batch dispatches retried after an injected fault.",
-            ).inc(udf=udf)
+            counters["retries"].inc()
             self.trace.append(
                 {
                     "event": "retry",
@@ -205,10 +230,7 @@ class UdfBatchDispatcher:
             )
         except RetryExhaustedError as exc:
             self.sheds += 1
-            telemetry.get_registry().counter(
-                "repro_sql_udf_sheds_total",
-                "SQL queries shed after exhausting UDF dispatch retries.",
-            ).inc(udf=udf)
+            counters["sheds"].inc()
             self.trace.append({"event": "shed", "udf": udf, "rows": len(chunk)})
             raise RequestShedError(
                 reason="dispatch_failed",
@@ -216,202 +238,204 @@ class UdfBatchDispatcher:
                 detail=f"udf {udf!r} batch of {len(chunk)}: {exc.last_error}",
             ) from exc
         self.batches_dispatched += 1
-        registry = telemetry.get_registry()
-        registry.counter(
-            "repro_sql_udf_batches_total",
-            "Batched SQL UDF dispatches, by function.",
-        ).inc(udf=udf)
-        registry.counter(
-            "repro_sql_udf_batch_rows_total",
-            "Arguments carried by batched SQL UDF dispatches.",
-        ).inc(len(chunk), udf=udf)
+        counters["batches"].inc()
+        counters["batch_rows"].inc(len(chunk))
         self.trace.append({"event": "dispatch", "udf": udf, "rows": len(chunk)})
         return results
 
 
-class PlannedExecutor:
-    """Runs logical plans; UDFs dispatch in batches per EvalUdf stage."""
+def _first_seen(vectors: list[tuple[np.ndarray, int]], n: int):
+    """Number the distinct code tuples of ``n`` rows in order of first sight.
 
-    def __init__(self, database, dispatcher: UdfBatchDispatcher):
-        self.database = database
+    ``vectors`` holds a ``(codes, dictionary size)`` pair per column.
+    Returns each tuple's first row and each row's tuple number, found
+    with a table indexed by code (a sort only for a sparse code space).
+    """
+    first, number, count = np.zeros(min(n, 1), np.intp), np.zeros(n, np.intp), min(n, 1)
+    for codes, size in vectors:
+        if size < 2:
+            continue
+        combined, bound = number * size + codes, count * size
+        if bound > 4 * n + 1024:
+            distinct, combined = np.unique(combined, return_inverse=True)
+            bound = len(distinct)
+        first = np.full(bound, n, np.intp)
+        np.minimum.at(first, combined, np.arange(n))
+        present = np.flatnonzero(first < n)
+        present = present[np.argsort(first[present])]
+        first, count = first[present], len(present)
+        renumber = np.empty(bound, np.intp)
+        renumber[present] = np.arange(count)
+        number = renumber[combined]
+    return first, number
+
+
+def _gather(codes: np.ndarray, values: list) -> list:
+    """One value per code."""
+    return list(map(values.__getitem__, codes.tolist()))
+
+
+_FOLDS: dict[str, Callable[[list], Any]] = {
+    "sum": sum, "avg": lambda values: sum(values) / len(values), "min": min, "max": max,
+}
+
+
+def _order_rows(result: ResultSet, keys) -> None:
+    """ORDER BY over result rows; both executors sort with this."""
+    lowered = [c.lower() for c in result.columns]
+    indices = []
+    for name, descending in keys:
+        if name in result.columns:
+            indices.append((result.columns.index(name), descending))
+        elif name.lower() in lowered:
+            indices.append((lowered.index(name.lower()), descending))
+        else:
+            raise SQLExecutionError(
+                f"ORDER BY column {name!r} is not in the select list"
+            )
+    # Stable sorts applied right-to-left give lexicographic order.
+    for index, descending in reversed(indices):
+        result.rows.sort(
+            key=lambda row: (
+                row[index] is None,
+                0 if row[index] is None else row[index],
+            ),
+            reverse=descending,
+        )
+
+
+class PlannedExecutor:
+    """Runs logical plans column-at-a-time over dictionary-encoded columns."""
+
+    def __init__(self, dispatcher: UdfBatchDispatcher):
         self.dispatcher = dispatcher
         self.last_plan: Any = None
 
-    def execute(self, statement: SelectStatement, table: Table,
-                optimize: bool = True) -> ResultSet:
-        """Plan, (optionally) optimize, and run one statement."""
-        from repro.sqlext.optimizer import optimize_plan
-
-        plan = build_plan(statement)
-        if optimize:
-            plan = optimize_plan(plan)
+    def execute(self, plan: Any, table: Table) -> ResultSet:
+        """Run one logical plan over ``table``."""
         self.last_plan = plan
-        return self._run(plan, table)
+        return _Query(table, self.dispatcher).result(plan)
 
-    # ------------------------------------------------------------------
 
-    def _run(self, node: Any, table: Table) -> ResultSet:
-        if isinstance(node, Limit):
-            result = self._run(node.child, table)
-            del result.rows[node.count:]
-            return result
-        if isinstance(node, Sort):
-            result = self._run(node.child, table)
-            self._sort(result, node.keys)
-            return result
-        if isinstance(node, Project):
-            rows = self._rows(node.child, table)
-            columns = [name for name, _ in node.outputs]
-            out = [
-                tuple(self._evaluate(expr, row) for _, expr in node.outputs)
-                for row in rows
-            ]
-            return ResultSet(columns, out)
-        if isinstance(node, Aggregate):
-            return self._aggregate_rows(node, self._rows(node.child, table))
-        raise SQLExecutionError(f"cannot execute plan node {node!r}")
+class _Query:
+    """One query's columns: the table's encoding plus the UDF outputs.
 
-    def _rows(self, node: Any, table: Table) -> list[dict]:
-        if isinstance(node, Scan):
-            return self._scan(node, table)
-        if isinstance(node, Filter):
-            rows = self._rows(node.child, table)
-            return [row for row in rows if self._passes(node.predicates, row)]
-        if isinstance(node, EvalUdf):
-            rows = self._rows(node.child, table)
-            for output, call in node.calls:
-                arguments = [self._evaluate(call.arg, row) for row in rows]
-                results = self.dispatcher.call_batch(call.name, arguments)
-                for row, value in zip(rows, results):
-                    row[output] = value
-            return rows
-        raise SQLExecutionError(f"cannot execute plan node {node!r}")
+    A node takes the selection (the rows still alive, as an index
+    vector) and returns the next. An expression evaluates to a
+    ``(codes, dictionary)`` vector over the selection, and over an empty
+    one to nothing, so no error fires that the oracle would not raise.
+    """
 
-    def _scan(self, node: Scan, table: Table) -> list[dict]:
-        if node.columns is None:
-            return [dict(row) for row in table]
-        # Resolve requested names against the schema the way the
-        # evaluator resolves row keys (exact, then lowercase); names
-        # that resolve to nothing are simply absent from the emitted
-        # rows, so unknown columns still error *lazily* downstream,
-        # exactly like the naive oracle.
-        declared = [column.name for column in table.columns]
-        actuals: list[str] = []
-        for name in node.columns:
-            actual = None
-            if name in declared:
-                actual = name
-            elif name.lower() in declared:
-                actual = name.lower()
-            if actual is not None and actual not in actuals:
-                actuals.append(actual)
-        return [
-            {name: row[name] for name in actuals if name in row}
-            for row in table
-        ]
+    def __init__(self, table: Table, dispatcher: UdfBatchDispatcher):
+        self.table, self.dispatcher = table, dispatcher
+        self.generated: dict[str, tuple[np.ndarray, list]] = {}
 
-    def _sort(self, result: ResultSet, keys) -> None:
-        lowered = [c.lower() for c in result.columns]
-        indices = []
-        for name, descending in keys:
-            if name in result.columns:
-                indices.append((result.columns.index(name), descending))
-            elif name.lower() in lowered:
-                indices.append((lowered.index(name.lower()), descending))
+    def result(self, node: Any) -> ResultSet:
+        if isinstance(node, (Limit, Sort)):
+            result = self.result(node.child)
+            if isinstance(node, Limit):
+                del result.rows[node.count:]
             else:
-                raise SQLExecutionError(
-                    f"ORDER BY column {name!r} is not in the select list"
-                )
-        # Stable sorts applied right-to-left give lexicographic order.
-        for index, descending in reversed(indices):
-            result.rows.sort(
-                key=lambda row: (
-                    row[index] is None,
-                    0 if row[index] is None else row[index],
-                ),
-                reverse=descending,
-            )
+                _order_rows(result, node.keys)
+            return result
+        sel = self.select(node.child)
+        if isinstance(node, Project):
+            columns = [_gather(*self.vector(expr, sel)) for _, expr in node.outputs]
+            return ResultSet([name for name, _ in node.outputs], list(zip(*columns)))
+        if isinstance(node, Aggregate):
+            return self.aggregate(node, sel)
+        raise SQLExecutionError(f"cannot execute plan node {node!r}")
 
-    def _aggregate_rows(self, node: Aggregate, rows: list[dict]) -> ResultSet:
-        key_outputs = [
-            (name, expr) for name, kind, expr in node.outputs if kind == "key"
-        ]
-        groups: dict[tuple, list[dict]] = {}
-        for row in rows:
-            key = tuple(self._evaluate(expr, row) for _, expr in key_outputs)
-            groups.setdefault(key, []).append(row)
-        columns = [name for name, _, _ in node.outputs]
-        out_rows: list[tuple] = []
-        for key, members in groups.items():
-            values: list[Any] = []
-            key_iter = iter(key)
-            for name, kind, expr in node.outputs:
-                if kind == "agg":
-                    values.append(self._fold(expr, members))
-                else:
-                    values.append(next(key_iter))
-            out_rows.append(tuple(values))
-        out_rows.sort(key=lambda r: tuple((v is None, str(v)) for v in r))
-        return ResultSet(columns, out_rows)
+    def select(self, node: Any) -> np.ndarray:
+        """Run a Scan/Filter/EvalUdf chain; returns the surviving rows."""
+        if isinstance(node, Scan):
+            return np.arange(len(self.table))
+        sel = self.select(node.child)
+        if isinstance(node, Filter):
+            for condition in node.predicates:
+                (lc, lv), (rc, rv) = (self.vector(side, sel)
+                                      for side in (condition.left, condition.right))
+                first, pair = _first_seen([(lc, len(lv)), (rc, len(rv))], len(sel))
+                op = _OPS[condition.op]
+                keep = [a is not None and b is not None and bool(op(a, b))
+                        for a, b in zip(_gather(lc[first], lv), _gather(rc[first], rv))]
+                sel = sel[np.array(keep, dtype=bool)[pair]]
+            return sel
+        if isinstance(node, EvalUdf):
+            for output, call in node.calls:
+                codes, values = self.vector(call, sel)
+                full = np.zeros(len(self.table), np.intp)
+                full[sel] = codes
+                self.generated[output] = (full, values)
+            return sel
+        raise SQLExecutionError(f"cannot execute plan node {node!r}")
 
-    def _fold(self, call: FuncCall, rows: list[dict]) -> Any:
-        if call.name == "count" and call.arg == "*":
-            return len(rows)
-        values = [self._evaluate(call.arg, row) for row in rows]
-        values = [v for v in values if v is not None]
-        if call.name == "count":
-            return len(values)
-        if not values:
-            return None
-        if call.name == "sum":
-            return sum(values)
-        if call.name == "avg":
-            return sum(values) / len(values)
-        if call.name == "min":
-            return min(values)
-        if call.name == "max":
-            return max(values)
-        raise SQLExecutionError(f"unknown aggregate {call.name!r}")
-
-    def _evaluate(self, expr: Any, row: dict) -> Any:
+    def vector(self, expr: Any, sel: np.ndarray) -> tuple[np.ndarray, list]:
+        """``expr`` over the selected rows, as ``(codes, dictionary)``."""
+        if not len(sel):
+            return sel, []
         if isinstance(expr, Literal):
-            return expr.value
+            return np.zeros(len(sel), np.intp), [expr.value]
         if isinstance(expr, ColumnRef):
-            if expr.name in row:
-                return row[expr.name]
-            lowered = expr.name.lower()
-            if lowered in row:
-                return row[lowered]
-            raise SQLExecutionError(f"unknown column {expr.name!r}")
+            column = self.generated.get(expr.name) or self.table.encoded(expr.name)
+            if column is None:
+                raise SQLExecutionError(f"unknown column {expr.name!r}")
+            return column[0][sel], column[1]
         if isinstance(expr, FuncCall):
             if expr.name in _AGGREGATES:
-                raise SQLExecutionError(
-                    f"aggregate {expr.name!r} is not allowed here"
-                )
-            # Only reachable on unoptimized plans (extraction hoists
-            # every UDF into EvalUdf): fall back to per-row dispatch.
-            argument = self._evaluate(expr.arg, row)
-            return self.database.udfs.call(expr.name, argument)
+                raise SQLExecutionError(f"aggregate {expr.name!r} is not allowed here")
+            # Each distinct argument once, in first-seen order; the row
+            # count keeps the cache's hit count per row.
+            codes, values = self.vector(expr.arg, sel)
+            first, group = _first_seen([(codes, len(values))], len(sel))
+            return group, self.dispatcher.call_batch(
+                expr.name, _gather(codes[first], values), len(sel))
         raise SQLExecutionError(f"cannot evaluate {expr!r}")
 
-    def _passes(self, conditions, row: dict) -> bool:
-        for condition in conditions:
-            left = self._evaluate(condition.left, row)
-            right = self._evaluate(condition.right, row)
-            if left is None or right is None:
-                return False
-            if not _OPS[condition.op](left, right):
-                return False
-        return True
+    def aggregate(self, node: Aggregate, sel: np.ndarray) -> ResultSet:
+        keys = [self.vector(expr, sel) for _, kind, expr in node.outputs if kind == "key"]
+        first, group = _first_seen([(codes, len(values)) for codes, values in keys],
+                                   len(sel))
+        # Code tuples whose values are equal (1, 1.0 and True; 0.0 and
+        # -0.0) are one group, keyed by the first, as in the oracle's dict.
+        heads = [_gather(codes[first], values) for codes, values in keys]
+        groups: dict[tuple, int] = {}
+        merged = [groups.setdefault(key, len(groups))
+                  for key in (zip(*heads) if keys else [()] * len(first))]
+        group = np.asarray(merged, np.intp)[group] if merged else group
+        order = np.argsort(group, kind="stable")  # by group, then row
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(group)))).tolist()
+        folded: dict[int, list] = {}  # output -> its argument's values in ``order``
+        rows: list[tuple] = []
+        for index, key in enumerate(groups):
+            start, stop = bounds[index], bounds[index + 1]
+            key_values, row = iter(key), []
+            for position, (_, kind, expr) in enumerate(node.outputs):
+                if kind == "key":
+                    row.append(next(key_values))
+                elif expr.name == "count" and expr.arg == "*":
+                    row.append(stop - start)
+                else:
+                    if position not in folded:  # at its first group, as in the oracle
+                        codes, values = self.vector(expr.arg, sel)
+                        folded[position] = _gather(codes[order], values)
+                    present = [v for v in folded[position][start:stop] if v is not None]
+                    if expr.name == "count":
+                        row.append(len(present))
+                    else:
+                        row.append(_FOLDS[expr.name](present) if present else None)
+            rows.append(tuple(row))
+        rows.sort(key=lambda r: tuple((v is None, str(v)) for v in r))
+        return ResultSet([name for name, _, _ in node.outputs], rows)
 
 
 class NaiveExecutor:
     """The original row-at-a-time interpreter — the differential oracle.
 
-    The method bodies are the pre-refactor ``Database`` internals,
-    preserved verbatim: this class *defines* the engine's semantics,
-    and the differential harness asserts the planned executor matches
-    it bit-for-bit.
+    The method bodies are the pre-refactor ``Database`` internals (the
+    ORDER BY sort is shared with the planned executor): this class
+    *defines* the engine's semantics, and the differential harness
+    asserts the planned executor matches it bit-for-bit.
     """
 
     def __init__(self, database):
@@ -447,26 +471,7 @@ class NaiveExecutor:
     def _apply_order_and_limit(self, statement: SelectStatement,
                                result: ResultSet) -> None:
         if statement.order_by:
-            lowered = [c.lower() for c in result.columns]
-            indices = []
-            for name, descending in statement.order_by:
-                if name in result.columns:
-                    indices.append((result.columns.index(name), descending))
-                elif name.lower() in lowered:
-                    indices.append((lowered.index(name.lower()), descending))
-                else:
-                    raise SQLExecutionError(
-                        f"ORDER BY column {name!r} is not in the select list"
-                    )
-            # Stable sorts applied right-to-left give lexicographic order.
-            for index, descending in reversed(indices):
-                result.rows.sort(
-                    key=lambda row: (
-                        row[index] is None,
-                        0 if row[index] is None else row[index],
-                    ),
-                    reverse=descending,
-                )
+            _order_rows(result, statement.order_by)
         if statement.limit is not None:
             del result.rows[statement.limit:]
 

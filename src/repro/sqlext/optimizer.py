@@ -23,26 +23,29 @@
    values.
 
 Passes never validate column existence: like the naive oracle, unknown
-columns surface lazily at evaluation time, row by row.
+columns surface lazily at evaluation time, row by row. A plan depends
+on the SQL text alone, and plans are frozen dataclasses, so
+:func:`compile_plan` memoises the plan per text.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 from typing import Any
 
-from repro.sqlext.engine import ColumnRef, Comparison, FuncCall, _AGGREGATES
+from repro.sqlext.engine import ColumnRef, Comparison, FuncCall, _AGGREGATES, parse_select
 from repro.sqlext.plan import (
     Aggregate,
     EvalUdf,
     Filter,
-    Limit,
     Project,
     Scan,
-    Sort,
+    build_plan,
 )
 
 __all__ = [
+    "compile_plan",
     "optimize_plan",
     "extract_udfs",
     "pushdown_predicates",
@@ -258,3 +261,10 @@ def optimize_plan(plan: Any) -> Any:
     plan = pushdown_predicates(plan)
     plan = prune_columns(plan)
     return plan
+
+
+@lru_cache(maxsize=256)
+def compile_plan(sql: str, optimize: bool = True) -> Any:
+    """The (optionally optimized) plan of one SELECT, built once per text."""
+    plan = build_plan(parse_select(sql))
+    return optimize_plan(plan) if optimize else plan

@@ -71,13 +71,13 @@ class Filter:
 
 @dataclass(frozen=True)
 class EvalUdf:
-    """Materialize UDF results as generated columns on each row.
+    """Materialize UDF results as generated columns.
 
     ``calls`` is an ordered tuple of ``(output_column, FuncCall)``
-    pairs. This is the *batching* operator: the planned executor
-    collects the argument of each call across every surviving row and
-    dispatches them as batches through the serving batcher and
-    prediction cache instead of one model call per row.
+    pairs. This is the *batching* operator: the planned executor hands
+    each call's distinct arguments over the surviving rows to the
+    serving batcher and prediction cache at once, instead of one model
+    call per row.
     """
 
     child: Any

@@ -7,12 +7,12 @@ predicate-pushdown saving is measurable; a repeated path is answered by
 the deployed job's prediction cache, which a redeploy drops.
 
 The planned executor never calls UDFs one row at a time: its EvalUdf
-operator hands the whole argument batch to :meth:`UdfRegistry.call_batch`,
-which prefers a registered *vectorised* implementation
-(``register(name, fn, batch_fn=...)``) and otherwise maps the scalar
-function. Either way the per-function call counter advances by the
-batch length, so "UDF calls" always means model evaluations and the
-planned-vs-naive savings stay comparable.
+operator hands the distinct arguments that miss the cache to
+:meth:`UdfRegistry.call_batch`, which prefers a registered *vectorised*
+implementation (``register(name, fn, batch_fn=...)``) and otherwise maps
+the scalar function. Either way the per-function call counter advances
+by the batch length once the batch returns, so "UDF calls" always means
+model evaluations and the planned-vs-naive savings stay comparable.
 """
 
 from __future__ import annotations
@@ -57,19 +57,21 @@ class UdfRegistry:
         return name.lower() in self._functions
 
     def call(self, name: str, argument: Any) -> Any:
-        """Invoke a UDF on one argument (counts one call)."""
+        """Invoke a UDF on one argument (counts one call once it returns)."""
         key = name.lower()
         if key not in self._functions:
             raise SQLExecutionError(f"unknown function {name!r}")
+        result = self._functions[key](argument)
         self.calls[key] += 1
-        return self._functions[key](argument)
+        return result
 
     def call_batch(self, name: str, arguments: Sequence[Any]) -> list[Any]:
         """Invoke a UDF once per argument, vectorised when possible.
 
         Counts ``len(arguments)`` calls — one model evaluation per
         argument — regardless of how the batch is executed, so call
-        counters compare across executors.
+        counters compare across executors; a batch that raises counts
+        none.
         """
         key = name.lower()
         if key not in self._functions:
@@ -77,7 +79,6 @@ class UdfRegistry:
         arguments = list(arguments)
         if not arguments:
             return []
-        self.calls[key] += len(arguments)
         batch_fn = self._batch_functions.get(key)
         if batch_fn is not None:
             results = list(batch_fn(arguments))
@@ -86,9 +87,11 @@ class UdfRegistry:
                     f"batch UDF {name!r} returned {len(results)} results "
                     f"for {len(arguments)} arguments"
                 )
-            return results
-        fn = self._functions[key]
-        return [fn(argument) for argument in arguments]
+        else:
+            fn = self._functions[key]
+            results = [fn(argument) for argument in arguments]
+        self.calls[key] += len(arguments)
+        return results
 
     @property
     def total_calls(self) -> int:

@@ -17,6 +17,7 @@ comes from the injectable telemetry clock, so traces taken under a
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from repro.telemetry.clock import Clock, get_clock
@@ -62,7 +63,9 @@ class Tracer:
 
     Finished spans accumulate up to ``max_spans`` (oldest dropped
     first, so a long-running process cannot leak memory). Disable the
-    tracer to make :meth:`span` a zero-recording no-op scope.
+    tracer to make :meth:`span` a zero-recording no-op scope. The open
+    span is kept on a context variable, so every asyncio task and thread
+    nests its spans under its own parents.
     """
 
     def __init__(self, clock: Clock | None = None, max_spans: int = 10_000,
@@ -71,7 +74,7 @@ class Tracer:
         self.max_spans = int(max_spans)
         self.enabled = bool(enabled)
         self._spans: list[Span] = []
-        self._stack: list[Span] = []
+        self._current: ContextVar[Span | None] = ContextVar("span", default=None)
         self._next_id = 1
         self.dropped = 0
 
@@ -92,19 +95,20 @@ class Tracer:
             yield Span(name=name, span_id=0, parent_id=None, start=0.0, tags=tags)
             return
         clock = self.clock
+        parent = self._current.get()
         span = Span(
             name=name,
             span_id=self._next_id,
-            parent_id=self._stack[-1].span_id if self._stack else None,
+            parent_id=parent.span_id if parent is not None else None,
             start=clock.now(),
             tags=dict(tags),
         )
         self._next_id += 1
-        self._stack.append(span)
+        token = self._current.set(span)
         try:
             yield span
         finally:
-            self._stack.pop()
+            self._current.reset(token)
             span.end = clock.now()
             self._spans.append(span)
             if len(self._spans) > self.max_spans:

@@ -213,8 +213,10 @@ def _hot_paths() -> dict:
     from repro.data import BlockStore
     from repro.paramserver import LRUCache, ParameterServer
 
+    from repro.sqlext import Database
+
     paths = (BlockStore.get_chunk, ParameterServer.get, ParameterServer.put,
-             LRUCache.get, LRUCache.put)
+             LRUCache.get, LRUCache.put, Database.execute)
     return {fn.__code__: fn.__qualname__ for fn in paths}
 
 
@@ -336,6 +338,25 @@ class TestHotPathsTouchNoGauge:
         assert frontend.served == 2
         assert spy.histogram("repro_serve_batch_size").child_state()[2] == 1
 
+    def test_warm_sql_query(self, spy):
+        from repro.sqlext import Column, Database
+
+        db = Database()
+        db.create_table("t", [Column("x", "integer")])
+        for value in (1, 2, 2, 3):
+            db.insert("t", x=value)
+        db.udfs.register("f", lambda v: v * 10)
+        sql = "SELECT f(x) AS y, count(*) AS n FROM t WHERE x > 1 GROUP BY y"
+        db.execute(sql)  # cold: the first call of ``f`` binds its counters
+        spy.arm()
+        assert db.execute(sql).rows == [(20, 2), (30, 1)]  # warm: all cache hits
+        db.execute(sql, executor="naive")
+        assert spy.counter("repro_sql_cache_hits_total").value(udf="f") == 1 + 3
+        assert spy.counter("repro_sql_udf_batches_total").value(udf="f") == 1
+        assert spy.counter("repro_sql_queries_total").value(executor="planned") == 2
+        assert spy.counter("repro_sql_udf_calls_total").value(executor="naive") == 3
+        assert spy.counter("repro_sql_rows_scanned_total").value(table="t") == 3 * 4
+
     def test_rafiki_query(self, spy, tiny_dataset):
         from serve_helpers import deploy_untrained
 
@@ -453,6 +474,31 @@ class TestTracer:
                 manual_clock.advance(1.0)
         assert [s.name for s in tracer.spans] == ["b", "c"]
         assert tracer.dropped == 1
+
+    def test_interleaved_tasks_keep_their_own_parents(self, manual_clock):
+        import asyncio
+
+        tracer = Tracer(clock=manual_clock)
+
+        async def request(name: str):
+            with tracer.span(f"{name}.outer") as outer:
+                await asyncio.sleep(0)  # the other task opens its spans here
+                with tracer.span(f"{name}.inner") as inner:
+                    await asyncio.sleep(0)
+            with tracer.span(f"{name}.after") as after:
+                pass
+            return outer, inner, after
+
+        async def both():
+            return await asyncio.gather(request("a"), request("b"))
+
+        for outer, inner, after in asyncio.run(both()):
+            assert outer.parent_id is None
+            assert inner.parent_id == outer.span_id
+            assert after.parent_id is None
+        with tracer.span("later") as later:
+            pass
+        assert later.parent_id is None
 
 
 def _golden_registry() -> MetricsRegistry:
