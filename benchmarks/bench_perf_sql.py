@@ -11,9 +11,9 @@ Three executions of the same query:
 1. **naive** — the ``NaiveExecutor`` oracle: one scalar model call per
    row (the pre-plan engine's only mode);
 2. **batched** — the planned executor with the cross-query cache off:
-   the EvalUdf operator collects every argument and dispatches hardware
-   batches, so the MLP runs a few vectorised forward passes instead of
-   one per row;
+   the UDF call, evaluated where the query writes it, collects every
+   argument and dispatches hardware batches, so the MLP runs a few
+   vectorised forward passes instead of one per row;
 3. **cached** — the planned executor with the prediction cache on,
    timing a *repeated* scan: the second run serves every argument from
    the cache.

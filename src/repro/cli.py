@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="both",
                      help="which executor to run (default: both, comparing)")
     sql.add_argument("--explain", action="store_true",
-                     help="print the optimized logical plan before running")
+                     help="print the logical plan before running")
     sql.add_argument("--rows", type=int, default=30,
                      help="rows in the generated foodlog table")
     sql.add_argument("--seed", type=int, default=0)

@@ -4,11 +4,10 @@ Supports the case-study workload: ``CREATE TABLE``-style table
 definitions, ``INSERT``, and ``SELECT`` with ``WHERE``, ``GROUP BY``
 and aggregates, where select expressions may invoke registered
 user-defined functions. Queries compile to a logical plan
-(:mod:`repro.sqlext.plan`), run through optimizer passes
-(:mod:`repro.sqlext.optimizer`: predicate pushdown below UDF
-evaluation, common-UDF-subexpression elimination, projection pruning)
-and execute on a vectorized executor (:mod:`repro.sqlext.exec`) whose
-UDF operator dispatches each batch of surviving rows as one call
+(:mod:`repro.sqlext.plan`, which runs a WHERE clause's UDF-free
+conjuncts before the ones calling a UDF) and execute on a
+column-at-a-time executor (:mod:`repro.sqlext.exec`) where each UDF
+call dispatches the distinct arguments of the rows it sees as one call
 through the serving batcher and prediction cache. A query like
 
     SELECT food_name(image_path) AS name, count(*)

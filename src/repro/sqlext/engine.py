@@ -14,11 +14,10 @@ function name resolves against the UDF registry.
 
 Execution lives in :mod:`repro.sqlext.exec`: :meth:`Database.execute`
 compiles the parsed statement into a logical plan
-(:mod:`repro.sqlext.plan`), optimizes it
-(:mod:`repro.sqlext.optimizer`; statement and plan are memoised per SQL
+(:mod:`repro.sqlext.plan`; statement and plan are memoised per SQL
 text) and runs it on the column-at-a-time
-:class:`~repro.sqlext.exec.PlannedExecutor`, whose UDF operator
-dispatches the distinct arguments of the surviving rows through the
+:class:`~repro.sqlext.exec.PlannedExecutor`, where each UDF call
+dispatches the distinct arguments of the rows it sees through the
 serving batcher and prediction cache. The original row-at-a-time
 interpreter survives as :class:`~repro.sqlext.exec.NaiveExecutor` — the
 differential-test oracle — selectable with ``executor="naive"``.
@@ -408,17 +407,17 @@ _OPS: dict[str, Callable[[Any, Any], bool]] = {
 class Database:
     """Tables + UDF registry + query execution.
 
-    ``execute`` compiles each SELECT to an optimized logical plan and
-    runs it on the column executor, whose UDF operator dispatches the
-    distinct arguments of the surviving rows in hardware batch sizes
-    through the prediction cache (``udf_cache=False`` keeps within-batch
-    dedup but remembers nothing across queries). Its counters are bound
-    here and in ``create_table``, so a query looks none up.
+    ``execute`` compiles each SELECT to a logical plan and runs it on
+    the column executor, where each UDF call dispatches the distinct
+    arguments of the rows it sees in hardware batch sizes through the
+    prediction cache (``udf_cache=False`` keeps within-batch dedup but
+    remembers nothing across calls). Its counters are bound here and in
+    ``create_table``, so a query looks none up.
     """
 
     def __init__(self, udf_cache: bool = True, cache_capacity: int = 1024):
         from repro import telemetry
-        from repro.sqlext.exec import NaiveExecutor, PlannedExecutor, UdfBatchDispatcher
+        from repro.sqlext.exec import NaiveExecutor, UdfBatchDispatcher
 
         self.tables: dict[str, Table] = {}
         self.udfs = UdfRegistry()
@@ -426,9 +425,7 @@ class Database:
         self.dispatcher = UdfBatchDispatcher(
             self.udfs, cache_capacity=cache_capacity if udf_cache else 0
         )
-        self._planned = PlannedExecutor(self.dispatcher)
         self._naive = NaiveExecutor(self)
-        self.default_executor = "planned"
         counter = telemetry.get_registry().counter
         self._queries, self._udf_calls = (
             {name: counter(*family).labels(executor=name) for name in _EXECUTORS}
@@ -467,28 +464,26 @@ class Database:
 
     # ------------------------------------------------------------------
 
-    def execute(self, sql: str, executor: str | None = None,
-                optimize: bool = True) -> ResultSet:
+    def execute(self, sql: str, executor: str | None = None) -> ResultSet:
         """Parse and run one SELECT statement.
 
-        ``executor`` selects ``"planned"`` (the default: logical plan +
-        optimizer + batched UDF dispatch) or ``"naive"`` (the original
-        row-at-a-time interpreter, kept as the differential-test
-        oracle). ``optimize=False`` runs the planned executor on the
-        canonical unoptimized plan.
+        ``executor`` selects ``"planned"`` (the default, also for None:
+        logical plan + batched UDF dispatch) or ``"naive"`` (the original
+        row-at-a-time interpreter, kept as the differential-test oracle).
         """
-        from repro.sqlext.optimizer import compile_plan
+        from repro.sqlext.exec import PlannedExecutor
+        from repro.sqlext.plan import compile_plan
 
         statement = parse_select(sql)
         table = self._table(statement.table)
-        which = executor or self.default_executor
+        which = executor or "planned"
         calls_before = self.udfs.total_calls
         batches_before = self.dispatcher.batches_dispatched
         hits_before = self.dispatcher.cache_hits
         if which == "naive":
             result = self._naive.execute(statement, table)
         elif which == "planned":
-            result = self._planned.execute(compile_plan(sql, optimize), table)
+            result = PlannedExecutor(table, self.dispatcher).execute(compile_plan(sql))
         else:
             raise ConfigurationError(
                 f"executor must be 'planned' or 'naive', got {which!r}"
@@ -504,12 +499,11 @@ class Database:
             self._udf_calls[which].inc(result.udf_calls)
         return result
 
-    def explain(self, sql: str, optimize: bool = True) -> str:
+    def explain(self, sql: str) -> str:
         """The textual logical plan ``execute`` would run for ``sql``."""
-        from repro.sqlext.optimizer import compile_plan
-        from repro.sqlext.plan import explain_plan
+        from repro.sqlext.plan import compile_plan, explain_plan
 
-        return explain_plan(compile_plan(sql, optimize))
+        return explain_plan(compile_plan(sql))
 
     def invalidate_udf_cache(self) -> None:
         """Drop every cached UDF result (call after re-deploying models)."""

@@ -6,18 +6,19 @@ Two executors share the AST and produce bit-identical results:
   preserved verbatim. It defines the engine's semantics (lazy column
   resolution, WHERE short-circuiting, group ordering, sort stability)
   and serves as the oracle for the differential test harness.
-* :class:`PlannedExecutor` — runs optimized logical plans
-  column-at-a-time over the tables' dictionary encoding (distinct
-  values plus an int32 code per row, :mod:`repro.sqlext.table`). Each
-  plan node is one call over a selection vector of row indices: a
-  Filter conjunct runs once per distinct value in the selection and is
-  gathered back as a mask by code; an
-  :class:`~repro.sqlext.plan.EvalUdf` hands the UDF each distinct
-  argument once, in first-seen order, and scatters the results back by
-  code; an Aggregate groups by code tuple, merges the tuples whose
-  values are equal (as the oracle's dict does) and folds each group
-  left to right. Sort and Limit work on the result rows. Plans are
-  built once per SQL text (:func:`~repro.sqlext.optimizer.compile_plan`).
+* :class:`PlannedExecutor` — runs one logical plan column-at-a-time
+  over the table's dictionary encoding (distinct values plus an int32
+  code per row, :mod:`repro.sqlext.table`). Each plan node is one call
+  over a selection vector of row indices: a Filter conjunct runs once
+  per distinct value in the selection, is gathered back as a mask by
+  code and narrows the selection before the next conjunct; a UDF call,
+  wherever the query wrote it, hands the UDF each distinct argument
+  over the current selection once, in first-seen order, and scatters
+  the results back by code; an Aggregate groups by code tuple, merges
+  the tuples whose values are equal (as the oracle's dict does) and
+  folds each group left to right. Sort and Limit work on the result
+  rows. Plans are built once per SQL text
+  (:func:`~repro.sqlext.plan.compile_plan`).
 
 UDF arguments go to a :class:`UdfBatchDispatcher`, which serves repeats
 from a :class:`~repro.core.serve.pred_cache.PredictionCache` and chunks
@@ -54,15 +55,7 @@ from repro.sqlext.engine import (
     ResultSet,
     SelectStatement,
 )
-from repro.sqlext.plan import (
-    Aggregate,
-    EvalUdf,
-    Filter,
-    Limit,
-    Project,
-    Scan,
-    Sort,
-)
+from repro.sqlext.plan import Aggregate, Filter, Limit, Project, Scan, Sort
 from repro.sqlext.table import Table
 from repro.utils.retry import RetryPolicy
 
@@ -83,8 +76,8 @@ class UdfBatchDispatcher:
     """Batched, cached, fault-tolerant UDF dispatch for the executor.
 
     One per :class:`~repro.sqlext.engine.Database`. ``call_batch``
-    takes the distinct arguments an :class:`~repro.sqlext.plan.EvalUdf`
-    operator collected and returns aligned results, having made as few
+    takes the distinct arguments of one UDF call over the selected rows
+    and returns aligned results, having made as few
     underlying model calls as possible: duplicate arguments collapse,
     cached results are reused across queries, and the distinct misses
     are carved into the serving layer's hardware batch sizes, largest
@@ -305,34 +298,23 @@ def _order_rows(result: ResultSet, keys) -> None:
 
 
 class PlannedExecutor:
-    """Runs logical plans column-at-a-time over dictionary-encoded columns."""
-
-    def __init__(self, dispatcher: UdfBatchDispatcher):
-        self.dispatcher = dispatcher
-        self.last_plan: Any = None
-
-    def execute(self, plan: Any, table: Table) -> ResultSet:
-        """Run one logical plan over ``table``."""
-        self.last_plan = plan
-        return _Query(table, self.dispatcher).result(plan)
-
-
-class _Query:
-    """One query's columns: the table's encoding plus the UDF outputs.
+    """Runs one logical plan column-at-a-time over a table's encoding.
 
     A node takes the selection (the rows still alive, as an index
     vector) and returns the next. An expression evaluates to a
     ``(codes, dictionary)`` vector over the selection, and over an empty
     one to nothing, so no error fires that the oracle would not raise.
+    A UDF call dispatches inside the Filter, Project or Aggregate that
+    evaluates it, over that node's selection.
     """
 
     def __init__(self, table: Table, dispatcher: UdfBatchDispatcher):
         self.table, self.dispatcher = table, dispatcher
-        self.generated: dict[str, tuple[np.ndarray, list]] = {}
 
-    def result(self, node: Any) -> ResultSet:
+    def execute(self, node: Any) -> ResultSet:
+        """Run the plan rooted at ``node`` over the table."""
         if isinstance(node, (Limit, Sort)):
-            result = self.result(node.child)
+            result = self.execute(node.child)
             if isinstance(node, Limit):
                 del result.rows[node.count:]
             else:
@@ -347,7 +329,7 @@ class _Query:
         raise SQLExecutionError(f"cannot execute plan node {node!r}")
 
     def select(self, node: Any) -> np.ndarray:
-        """Run a Scan/Filter/EvalUdf chain; returns the surviving rows."""
+        """Run a Filter/Scan chain; returns the surviving rows."""
         if isinstance(node, Scan):
             return np.arange(len(self.table))
         sel = self.select(node.child)
@@ -361,13 +343,6 @@ class _Query:
                         for a, b in zip(_gather(lc[first], lv), _gather(rc[first], rv))]
                 sel = sel[np.array(keep, dtype=bool)[pair]]
             return sel
-        if isinstance(node, EvalUdf):
-            for output, call in node.calls:
-                codes, values = self.vector(call, sel)
-                full = np.zeros(len(self.table), np.intp)
-                full[sel] = codes
-                self.generated[output] = (full, values)
-            return sel
         raise SQLExecutionError(f"cannot execute plan node {node!r}")
 
     def vector(self, expr: Any, sel: np.ndarray) -> tuple[np.ndarray, list]:
@@ -377,7 +352,7 @@ class _Query:
         if isinstance(expr, Literal):
             return np.zeros(len(sel), np.intp), [expr.value]
         if isinstance(expr, ColumnRef):
-            column = self.generated.get(expr.name) or self.table.encoded(expr.name)
+            column = self.table.encoded(expr.name)
             if column is None:
                 raise SQLExecutionError(f"unknown column {expr.name!r}")
             return column[0][sel], column[1]

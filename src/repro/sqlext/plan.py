@@ -12,16 +12,21 @@ deliberately *not* checked here — the naive oracle resolves columns
 lazily per row, so an unknown column in a query over an empty table
 must succeed on both paths.
 
-The optimizer (:mod:`repro.sqlext.optimizer`) rewrites this chain:
-UDF calls move into explicit :class:`EvalUdf` operators, plain
-predicates sink toward the :class:`Scan`, and the scan's column set is
-pruned. :func:`explain_plan` renders any plan as stable indented text —
-the golden-snapshot format used by ``tests/test_sql_plan.py``.
+The plan makes one rewrite: the Filter runs the WHERE clause's
+function-free conjuncts first and the ones calling a function after,
+each group in textual order. The executor narrows the rows after each
+conjunct, so a UDF only sees the rows every plain conjunct kept — the
+Section 8 pushdown saving. UDF calls stay where the query wrote them.
+A plan depends on the SQL text alone and is frozen, so
+:func:`compile_plan` builds it once per text. :func:`explain_plan`
+renders any plan as stable indented text — the golden-snapshot format
+used by ``tests/test_sql_plan.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 from repro.exceptions import SQLExecutionError
@@ -31,18 +36,19 @@ from repro.sqlext.engine import (
     Comparison,
     FuncCall,
     SelectStatement,
+    parse_select,
     render_expr,
 )
 
 __all__ = [
     "Scan",
     "Filter",
-    "EvalUdf",
     "Project",
     "Aggregate",
     "Sort",
     "Limit",
     "build_plan",
+    "compile_plan",
     "explain_plan",
     "is_aggregate_call",
 ]
@@ -53,12 +59,18 @@ def is_aggregate_call(expr: Any) -> bool:
     return isinstance(expr, FuncCall) and expr.name in _AGGREGATES
 
 
+def _calls(expr: Any) -> bool:
+    """True when ``expr`` applies a function anywhere inside it."""
+    if isinstance(expr, Comparison):
+        return _calls(expr.left) or _calls(expr.right)
+    return isinstance(expr, FuncCall)
+
+
 @dataclass(frozen=True)
 class Scan:
-    """Read rows from a base table; ``columns=None`` means all columns."""
+    """Read every row of a base table."""
 
     table: str
-    columns: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -67,21 +79,6 @@ class Filter:
 
     child: Any
     predicates: tuple[Comparison, ...]
-
-
-@dataclass(frozen=True)
-class EvalUdf:
-    """Materialize UDF results as generated columns.
-
-    ``calls`` is an ordered tuple of ``(output_column, FuncCall)``
-    pairs. This is the *batching* operator: the planned executor hands
-    each call's distinct arguments over the surviving rows to the
-    serving batcher and prediction cache at once, instead of one model
-    call per row.
-    """
-
-    child: Any
-    calls: tuple[tuple[str, FuncCall], ...]
 
 
 @dataclass(frozen=True)
@@ -125,10 +122,11 @@ class Limit:
 
 
 def build_plan(statement: SelectStatement) -> Any:
-    """Lower a parsed statement into the canonical unoptimized plan."""
-    plan: Any = Scan(statement.table, None)
+    """Lower a parsed statement into its plan (see the module docs)."""
+    plan: Any = Scan(statement.table)
     if statement.where:
-        plan = Filter(plan, statement.where)
+        # A stable sort: function-free conjuncts first, in textual order.
+        plan = Filter(plan, tuple(sorted(statement.where, key=_calls)))
     has_aggregate = any(is_aggregate_call(item.expr) for item in statement.items)
     if has_aggregate or statement.group_by:
         group_names = set(statement.group_by)
@@ -161,6 +159,12 @@ def build_plan(statement: SelectStatement) -> Any:
     if statement.limit is not None:
         plan = Limit(plan, statement.limit)
     return plan
+
+
+@lru_cache(maxsize=256)
+def compile_plan(sql: str) -> Any:
+    """The plan of one SELECT, built once per SQL text."""
+    return build_plan(parse_select(sql))
 
 
 def explain_plan(plan: Any) -> str:
@@ -205,21 +209,12 @@ def explain_plan(plan: Any) -> str:
                 f"aggs=[{', '.join(aggs)}], group_by=[{group}])"
             )
             child = node.child
-        elif isinstance(node, EvalUdf):
-            calls = ", ".join(
-                f"{name} := {render_expr(call)}" for name, call in node.calls
-            )
-            add(f"EvalUdf({calls})")
-            child = node.child
         elif isinstance(node, Filter):
             preds = " AND ".join(render_expr(p) for p in node.predicates)
             add(f"Filter({preds})")
             child = node.child
         elif isinstance(node, Scan):
-            if node.columns is None:
-                add(f"Scan({node.table})")
-            else:
-                add(f"Scan({node.table}, columns=[{', '.join(node.columns)}])")
+            add(f"Scan({node.table})")
         else:
             add(f"?{node!r}")
         node = child

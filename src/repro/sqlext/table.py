@@ -91,13 +91,18 @@ class Table:
         return [c.name for c in self.columns]
 
     def insert(self, **values: Any) -> None:
-        """Insert one row (missing columns become NULL)."""
+        """Insert one row (missing columns become NULL; a key column refuses it)."""
         unknown = sorted(set(values) - set(self.column_names))
         if unknown:
             raise SQLExecutionError(f"unknown columns for {self.name!r}: {unknown}")
         row = {c.name: c.coerce(values.get(c.name)) for c in self.columns}
         if self.primary_key:
             key = tuple(row[k] for k in self.primary_key)
+            if None in key:
+                raise SQLExecutionError(
+                    f"primary key column {self.primary_key[key.index(None)]!r} "
+                    f"of {self.name!r} is NOT NULL"
+                )
             if key in self._pk_index:
                 raise SQLExecutionError(
                     f"duplicate primary key {key!r} in table {self.name!r}"

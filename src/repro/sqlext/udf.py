@@ -6,8 +6,8 @@ returns the predicted label's name. Every call is counted so the
 predicate-pushdown saving is measurable; a repeated path is answered by
 the deployed job's prediction cache, which a redeploy drops.
 
-The planned executor never calls UDFs one row at a time: its EvalUdf
-operator hands the distinct arguments that miss the cache to
+The planned executor never calls UDFs one row at a time: each UDF call
+in a query hands the distinct arguments that miss the cache to
 :meth:`UdfRegistry.call_batch`, which prefers a registered *vectorised*
 implementation (``register(name, fn, batch_fn=...)``) and otherwise maps
 the scalar function. Either way the per-function call counter advances
@@ -44,17 +44,6 @@ class UdfRegistry:
         if batch_fn is not None:
             self._batch_functions[key] = batch_fn
         self.calls[key] = 0
-
-    def unregister(self, name: str) -> None:
-        """Remove a UDF (no-op when absent)."""
-        key = name.lower()
-        self._functions.pop(key, None)
-        self._batch_functions.pop(key, None)
-        self.calls.pop(key, None)
-
-    def has(self, name: str) -> bool:
-        """Whether a UDF with this (case-insensitive) name exists."""
-        return name.lower() in self._functions
 
     def call(self, name: str, argument: Any) -> Any:
         """Invoke a UDF on one argument (counts one call once it returns)."""

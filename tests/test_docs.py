@@ -22,7 +22,6 @@ PACKAGES = [
     "repro.api",
     "repro.sqlext",
     "repro.sqlext.plan",
-    "repro.sqlext.optimizer",
     "repro.sqlext.exec",
     "repro.telemetry",
     "repro.chaos",

@@ -7,7 +7,7 @@ column) and queries (UDFs returning a mix of ``1``, ``1.0`` and
 and requires the planned executor to match the naive one on ``columns``,
 on ``repr(rows)`` and on the type of any exception raised. A predicate
 that may raise (a type mismatch or an unknown column) only appears in a
-WHERE whose predicates the optimizer does not reorder, so both
+WHERE whose predicates the planner does not reorder, so both
 executors reach it on the same rows; one behind a predicate that
 selects nothing must raise on neither.
 """
@@ -308,10 +308,12 @@ class TestDistinctArguments:
         assert cold.udf_calls == 2 and cold.cache_hits == 3  # repeats in one scan hit too
 
     def test_plan_is_built_once_per_text(self):
-        from repro.sqlext.optimizer import compile_plan
+        from repro.sqlext.plan import compile_plan, explain_plan
 
         db = make_database([{"i": 1}])
-        db.execute("SELECT i FROM t")
-        first = db._planned.last_plan
-        db.execute("SELECT i FROM t")
-        assert db._planned.last_plan is first is compile_plan("SELECT i FROM t", True)
+        first = compile_plan("SELECT i FROM t")
+        hits = compile_plan.cache_info().hits
+        assert db.execute("SELECT i FROM t").rows == [(1,)]
+        assert compile_plan.cache_info().hits == hits + 1  # execute reads the memo
+        assert compile_plan("SELECT i FROM t") is first
+        assert db.explain("SELECT i FROM t") == explain_plan(first)

@@ -1,13 +1,14 @@
-"""Golden-plan snapshots and tokenizer edge cases.
+"""Golden-plan snapshots, where UDF calls run, and tokenizer edge cases.
 
 The textual ``explain()`` format is a stable contract: these tests pin
-exact plans for representative queries, proving the optimizer passes
-fired (predicate pushdown, projection pruning, common-UDF-subexpression
-elimination) — and that pushdown is *skipped* for predicates that read
-a UDF output. The tokenizer section covers the edge cases the random
-query generator surfaced: unary minus vs negative literals, doubled
-single-quote escapes round-tripping through ``explain()``, and parse
-errors that report source positions.
+exact plans for representative queries — a WHERE clause's UDF-free
+conjuncts ahead of the ones calling a UDF, each group in textual
+order, and every UDF call left where the query wrote it. The placement
+tests check what that order buys: a UDF conjunct receives only the
+arguments of the rows the plain conjuncts kept. The tokenizer section
+covers the edge cases the random query generator surfaced: unary minus
+vs negative literals, doubled single-quote escapes round-tripping
+through ``explain()``, and parse errors that report source positions.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def golden(text: str) -> str:
 
 
 class TestGoldenPlans:
-    def test_pushdown_and_pruning_under_aggregate(self, db):
+    def test_plan_under_aggregate(self, db):
         plan = db.explain(
             "SELECT food_name(image_path) AS name, count(*) AS n "
             "FROM foodlog WHERE age > 52 AND location = 'sg' "
@@ -47,44 +48,36 @@ class TestGoldenPlans:
         assert plan == golden("""
             Limit(count=3)
               Sort(n DESC)
-                Aggregate(keys=[__udf0 AS name], aggs=[count(*) AS n], group_by=[name])
-                  EvalUdf(__udf0 := food_name(image_path))
-                    Filter(age > 52 AND location = 'sg')
-                      Scan(foodlog, columns=[age, image_path, location])
+                Aggregate(keys=[food_name(image_path) AS name], aggs=[count(*) AS n], group_by=[name])
+                  Filter(age > 52 AND location = 'sg')
+                    Scan(foodlog)
         """)
 
-    def test_pushdown_skipped_for_predicate_on_udf_output(self, db):
-        # Regression: ``age > 30`` sinks below the UDF stage, but the
-        # predicate reading the UDF's output MUST stay above it — it
-        # reads a column that does not exist before EvalUdf runs.
+    def test_udf_free_conjuncts_run_first(self, db):
         plan = db.explain(
             "SELECT user_id FROM foodlog "
-            "WHERE food_name(image_path) = 'laksa' AND age > 30"
+            "WHERE food_name(image_path) = 'laksa' AND age > 30 "
+            "AND calories(location) > 0 AND location = 'sg'"
         )
         assert plan == golden("""
             Project(user_id)
-              Filter(__udf0 = 'laksa')
-                EvalUdf(__udf0 := food_name(image_path))
-                  Filter(age > 30)
-                    Scan(foodlog, columns=[age, image_path, user_id])
+              Filter(age > 30 AND location = 'sg' AND food_name(image_path) = 'laksa' AND calories(location) > 0)
+                Scan(foodlog)
         """)
 
-    def test_common_udf_subexpression_eliminated(self, db):
-        # ``food_name(image_path)`` appears twice (once nested inside
-        # ``calories``) but is materialized exactly once as __udf0.
+    def test_repeated_udf_calls_stay_where_written(self, db):
         plan = db.explain(
             "SELECT calories(food_name(image_path)) AS kcal, "
             "food_name(image_path) AS name "
             "FROM foodlog WHERE age >= 21 GROUP BY kcal, name"
         )
         assert plan == golden("""
-            Aggregate(keys=[__udf1 AS kcal, __udf0 AS name], aggs=[], group_by=[kcal, name])
-              EvalUdf(__udf0 := food_name(image_path), __udf1 := calories(__udf0))
-                Filter(age >= 21)
-                  Scan(foodlog, columns=[age, image_path])
+            Aggregate(keys=[calories(food_name(image_path)) AS kcal, food_name(image_path) AS name], aggs=[], group_by=[kcal, name])
+              Filter(age >= 21)
+                Scan(foodlog)
         """)
 
-    def test_pruning_without_udfs(self, db):
+    def test_plan_without_udfs(self, db):
         plan = db.explain(
             "SELECT user_id, age FROM foodlog "
             "WHERE location = 'it''s' ORDER BY age DESC LIMIT 5"
@@ -94,29 +87,53 @@ class TestGoldenPlans:
               Sort(age DESC)
                 Project(user_id, age)
                   Filter(location = 'it''s')
-                    Scan(foodlog, columns=[age, location, user_id])
+                    Scan(foodlog)
         """)
 
-    def test_canonical_plan_is_unrewritten(self, db):
-        plan = db.explain(
-            "SELECT user_id FROM foodlog "
-            "WHERE food_name(image_path) = 'laksa' AND age > 30",
-            optimize=False,
-        )
-        assert plan == golden("""
-            Project(user_id)
-              Filter(food_name(image_path) = 'laksa' AND age > 30)
-                Scan(foodlog)
-        """)
-
-    def test_optimized_explain_matches_executed_plan(self, db):
-        from repro.sqlext.plan import explain_plan
+    def test_explain_matches_executed_plan(self, db):
+        from repro.sqlext.plan import compile_plan, explain_plan
 
         sql = ("SELECT food_name(image_path) AS name, count(*) AS n "
                "FROM foodlog WHERE age > 52 GROUP BY name")
-        explained = db.explain(sql)
+        plan = compile_plan(sql)
         db.execute(sql, executor="planned")
-        assert explain_plan(db._planned.last_plan) == explained
+        assert compile_plan(sql) is plan
+        assert db.explain(sql) == explain_plan(plan)
+
+
+class TestUdfPlacement:
+    def test_udf_conjunct_sees_only_the_rows_plain_conjuncts_kept(self):
+        db = Database()
+        db.create_table("t", [Column("a", "int"), Column("s", "str")])
+        for a, s in [(5, "p"), (1, "q"), (7, "r"), (9, "p"), (2, "s"), (4, "t"), (8, "r")]:
+            db.insert("t", a=a, s=s)
+        received: list = []
+
+        def tag_batch(values):
+            received.extend(values)
+            return [f"t:{v}" for v in values]
+
+        db.udfs.register("tag", lambda v: f"t:{v}", batch_fn=tag_batch)
+        sql = "SELECT a FROM t WHERE tag(s) = 't:r' AND a > 3"
+        assert db.execute(sql).rows == [(7,), (8,)]
+        assert received == ["p", "r", "t"]  # distinct s where a > 3, first-seen order
+        assert db.execute(sql, executor="naive").rows == [(7,), (8,)]
+
+    @pytest.mark.parametrize("udf_cache, calls", [(True, 6), (False, 9)])
+    def test_a_repeated_call_is_a_cache_lookup(self, udf_cache, calls):
+        db = Database(udf_cache=udf_cache)
+        db.create_table("foodlog", [Column("user_id", "int"), Column("image_path", "str")])
+        for user_id, path in enumerate(["a", "b", "a", "c"]):
+            db.insert("foodlog", user_id=user_id, image_path=path)
+        db.udfs.register("food_name", lambda path: path.upper())
+        db.udfs.register("calories", lambda food: len(food))
+        sql = ("SELECT calories(food_name(image_path)) AS kcal, food_name(image_path) AS name "
+               "FROM foodlog GROUP BY kcal, name")
+        result = db.execute(sql)
+        # food_name and calories each once per distinct argument; the second
+        # food_name call hits the cache, or pays again with the cache off.
+        assert result.udf_calls == calls
+        assert repr(result.rows) == repr(db.execute(sql, executor="naive").rows)
 
 
 class TestTokenizerEdgeCases:

@@ -45,6 +45,32 @@ class TestTable:
         with pytest.raises(SQLExecutionError, match="primary key"):
             db.insert("foodlog", user_id=1, age=20, location="us", image_path="x")
 
+    def test_primary_key_refuses_null(self, db):
+        table = db.tables["foodlog"]
+        keys, codes = set(table._pk_index), table.encoded("age")[0].tolist()
+        for _ in range(2):  # the second NULL is refused as NULL, not as a duplicate
+            with pytest.raises(SQLExecutionError, match="primary key column 'user_id'.*NOT NULL"):
+                db.insert("foodlog", user_id=None, age=20, location="us", image_path="x")
+        assert len(table) == 5 and table._pk_index == keys  # nothing was touched
+        assert table.encoded("age")[0].tolist() == codes
+
+    def test_composite_primary_key_refuses_null(self):
+        # the key examples/food_logging.py declares
+        database = Database()
+        database.create_table(
+            "foodlog",
+            [Column("user_id", "integer"), Column("age", "integer", not_null=True),
+             Column("time", "text", not_null=True)],
+            primary_key=("user_id", "time"),
+        )
+        database.insert("foodlog", user_id=1, age=30, time="2018-04-01")
+        database.insert("foodlog", user_id=1, age=31, time="2018-04-02")
+        with pytest.raises(SQLExecutionError, match="primary key column 'user_id'.*NOT NULL"):
+            database.insert("foodlog", user_id=None, age=30, time="2018-04-01")
+        with pytest.raises(SQLExecutionError, match="NOT NULL"):
+            database.insert("foodlog", user_id=2, age=30, time=None)
+        assert len(database.tables["foodlog"]) == 2
+
     def test_unknown_column_rejected(self, db):
         with pytest.raises(SQLExecutionError, match="unknown columns"):
             db.insert("foodlog", user_id=9, age=20, location="us", image_path="x",
@@ -228,18 +254,30 @@ class TestTokenizerProperties:
 
 
 class TestNullSemantics:
-    def test_null_fails_comparisons(self, db):
-        db.insert("foodlog", user_id=10, age=30, location="sg", image_path="z")
-        # user_id is nullable; NULL rows never pass a WHERE on that column
-        db.insert("foodlog", user_id=None, age=31, location="sg", image_path="z2")
-        result = db.execute("SELECT image_path FROM foodlog WHERE user_id >= 0")
-        assert ("z2",) not in result.rows
+    """A primary key refuses NULL, so the NULLs sit in a nullable non-key column."""
 
-    def test_aggregates_skip_nulls(self, db):
-        db.insert("foodlog", user_id=None, age=99, location="x", image_path="p")
-        result = db.execute("SELECT count(user_id), count(*) FROM foodlog")
-        non_null, total = result.rows[0]
-        assert total == non_null + 1
+    @pytest.fixture()
+    def meals(self, db):
+        db.create_table("meals", [Column("user_id", "integer"), Column("kcal", "integer")],
+                        primary_key=("user_id",))
+        db.insert("meals", user_id=1, kcal=300)
+        return db
+
+    def test_null_fails_comparisons(self, meals):
+        # kcal is nullable; NULL rows never pass a WHERE on that column
+        meals.insert("meals", user_id=2, kcal=None)
+        for executor in ("planned", "naive"):
+            result = meals.execute("SELECT user_id FROM meals WHERE kcal >= 0",
+                                   executor=executor)
+            assert result.rows == [(1,)]
+
+    def test_aggregates_skip_nulls(self, meals):
+        meals.insert("meals", user_id=2, kcal=None)
+        for executor in ("planned", "naive"):
+            result = meals.execute("SELECT count(kcal), count(*) FROM meals",
+                                   executor=executor)
+            non_null, total = result.rows[0]
+            assert total == non_null + 1
 
 
 class TestOrderByLimit:
