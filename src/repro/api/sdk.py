@@ -23,6 +23,7 @@ different system (e.g. one per test).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Sequence
 
 import numpy as np
@@ -151,16 +152,7 @@ class Train:
         if self.output_shape is not None:
             body["output_shape"] = list(self.output_shape)
         if self.hyper is not None:
-            body["hyper"] = {
-                "max_trials": self.hyper.max_trials,
-                "max_epochs_per_trial": self.hyper.max_epochs_per_trial,
-                "early_stop_patience": self.hyper.early_stop_patience,
-                "early_stop_min_delta": self.hyper.early_stop_min_delta,
-                "delta": self.hyper.delta,
-                "alpha0": self.hyper.alpha0,
-                "alpha_decay": self.hyper.alpha_decay,
-                "alpha_min": self.hyper.alpha_min,
-            }
+            body["hyper"] = dataclasses.asdict(self.hyper)
         return _unwrap(
             default_gateway().handle(
                 "POST", "/train", body, tenant=_effective_tenant(self.tenant)
@@ -168,9 +160,13 @@ class Train:
         )["job_id"]
 
 
-def get_models(job_id: str) -> list[dict[str, Any]]:
+def get_models(job_id: str, tenant: str | None = None) -> list[dict[str, Any]]:
     """Figure 2's ``rafiki.get_models(job_id)``."""
-    return _unwrap(default_gateway().handle("GET", f"/train/{job_id}/models"))["models"]
+    return _unwrap(
+        default_gateway().handle(
+            "GET", f"/train/{job_id}/models", tenant=_effective_tenant(tenant)
+        )
+    )["models"]
 
 
 class Inference:

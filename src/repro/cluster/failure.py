@@ -1,27 +1,24 @@
 """Failure injection for recovery testing.
 
 Schedules node failures (and optional recoveries) either immediately or
-on a :class:`~repro.sim.Simulator` clock, so integration tests can
-verify that tuning and serving jobs survive mid-run crashes.
+after a delay on a :class:`~repro.sim.Simulator` clock, so integration
+tests can verify that tuning and serving jobs survive mid-run crashes.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cluster.manager import ClusterManager
 from repro.sim import Simulator
-from repro.utils.validation import check_non_negative, check_probability
+from repro.utils.validation import check_non_negative
 
 __all__ = ["FailureInjector"]
 
 
 class FailureInjector:
-    """Deterministic or randomised node-failure schedules."""
+    """Deterministic node-failure schedules."""
 
-    def __init__(self, manager: ClusterManager, rng: np.random.Generator | None = None):
+    def __init__(self, manager: ClusterManager):
         self.manager = manager
-        self._rng = rng if rng is not None else np.random.default_rng(0)
         self.injected: list[str] = []
 
     def fail_now(self, node_name: str, recover_after: float | None = None,
@@ -40,34 +37,3 @@ class FailureInjector:
         """Fail ``node_name`` after ``delay`` simulated seconds."""
         check_non_negative("delay", delay)
         sim.schedule(delay, self.fail_now, node_name, recover_after, sim)
-
-    def random_failures(self, sim: Simulator, horizon: float, rate_per_second: float,
-                        mean_downtime: float = 30.0) -> int:
-        """Poisson failure process over alive nodes until ``horizon``.
-
-        Targets are drawn from the nodes alive *at scheduling time*
-        (dead nodes cannot fail again; ``_fail_if_alive`` re-checks at
-        fire time in case the schedule raced a recovery). Scheduling
-        stops early if every node is already dead, and an empty cluster
-        or a zero rate schedules nothing. Returns how many failures
-        were scheduled.
-        """
-        check_non_negative("horizon", horizon)
-        check_probability("rate_per_second (as prob density must be small)", min(rate_per_second, 1.0))
-        scheduled = 0
-        t = float(self._rng.exponential(1.0 / rate_per_second)) if rate_per_second > 0 else horizon + 1
-        while t < horizon:
-            names = sorted(node.name for node in self.manager.alive_nodes())
-            if not names:
-                break
-            node_name = names[int(self._rng.integers(0, len(names)))]
-            downtime = float(self._rng.exponential(mean_downtime))
-            sim.schedule(t, self._fail_if_alive, node_name, downtime, sim)
-            scheduled += 1
-            t += float(self._rng.exponential(1.0 / rate_per_second))
-        return scheduled
-
-    def _fail_if_alive(self, node_name: str, downtime: float, sim: Simulator) -> None:
-        node = self.manager.nodes.get(node_name)
-        if node is not None and node.alive:
-            self.fail_now(node_name, recover_after=downtime, sim=sim)

@@ -182,12 +182,6 @@ class ClusterManager:
     def alive_nodes(self) -> list[Node]:
         return [node for node in self.nodes.values() if node.alive]
 
-    def total_free(self) -> Resources:
-        total = Resources(0, 0, 0)
-        for node in self.alive_nodes():
-            total = total + node.free
-        return total
-
     # ------------------------------------------------------------------
     # job submission
     # ------------------------------------------------------------------

@@ -269,11 +269,6 @@ class ReplicaPool:
         """Take a replica out of rotation (chaos: replica death)."""
         self.alive[index] = False
 
-    def revive(self, index: int, now: float) -> None:
-        """Return a replica to rotation with an empty work queue."""
-        self.alive[index] = True
-        self.busy_until[index] = now
-
     def scale_to(self, n: int, now: float) -> None:
         """Grow (fresh live replicas) or shrink (drop from the tail)."""
         if n < 1:

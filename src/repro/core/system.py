@@ -18,7 +18,7 @@ stateless containers the manager restarts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -177,8 +177,13 @@ class Rafiki:
     # ------------------------------------------------------------------
 
     def import_images(self, source: str | ImageDataset, name: str | None = None):
-        """Figure 2's ``rafiki.import_images``: a folder or a dataset."""
+        """Figure 2's ``rafiki.import_images``: a folder or a dataset.
+
+        ``name``, when given, is the name the dataset is registered under.
+        """
         if isinstance(source, ImageDataset):
+            if name is not None:
+                source = replace(source, name=name)
             return self.store.put_dataset(source)
         return self.store.import_images(source, name=name)
 

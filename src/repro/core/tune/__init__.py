@@ -19,12 +19,6 @@ from repro.core.tune.backends import RealTrainer, TrainerBackend, TrialSession
 from repro.core.tune.config import HyperConf
 from repro.core.tune.early_stopping import EarlyStopper
 from repro.core.tune.hyperspace import CategoricalKnob, HyperSpace, RangeKnob
-from repro.core.tune.persistence import (
-    load_report,
-    report_from_dict,
-    report_to_dict,
-    save_report,
-)
 from repro.core.tune.pool import PoolTrialExecutor, TrialPool, run_study_parallel
 from repro.core.tune.runner import make_workers, run_study
 from repro.core.tune.schedulers import CoStudy, SuccessiveHalving, TrialScheduler
@@ -69,10 +63,6 @@ __all__ = [
     "make_workers",
     "section71_space",
     "demo_space",
-    "report_to_dict",
-    "report_from_dict",
-    "save_report",
-    "load_report",
     "run_study_parallel",
     "PoolTrialExecutor",
     "TrialPool",

@@ -11,14 +11,11 @@ padding, random 32x32 crop, random horizontal flip).
 from repro.data.blockstore import BlockStore, DataNode, chunk_digest
 from repro.data.datasets import ImageDataset, make_image_classification, make_sentiment_dataset
 from repro.data.fs import FileNamespace, Manifest, PendingWrite
-from repro.data.loader import BatchLoader
 from repro.data.preprocess import (
     Compose,
     PadCrop,
     RandomFlip,
-    RandomRotation,
     Standardize,
-    ZCAWhitening,
     standard_cifar_pipeline,
 )
 from repro.data.store import DataStore, DatasetHandle
@@ -35,13 +32,10 @@ __all__ = [
     "ImageDataset",
     "make_image_classification",
     "make_sentiment_dataset",
-    "BatchLoader",
     "Compose",
     "Standardize",
     "PadCrop",
     "RandomFlip",
-    "RandomRotation",
-    "ZCAWhitening",
     "standard_cifar_pipeline",
 ]
 

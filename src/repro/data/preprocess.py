@@ -1,10 +1,9 @@
 """Preprocessing and augmentation operators (Table 1, group 1).
 
 Each operator is a callable ``op(batch, rng) -> batch`` over NCHW
-arrays; :class:`Compose` chains them. Stateful operators
-(:class:`Standardize`, :class:`ZCAWhitening`) are fitted on the training
-split first, matching the paper's "subtract the mean and divide the
-standard deviation ... computed on the training images".
+arrays; :class:`Compose` chains them. :class:`Standardize` is fitted on
+the training split first, matching the paper's "subtract the mean and
+divide the standard deviation ... computed on the training images".
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ __all__ = [
     "Standardize",
     "PadCrop",
     "RandomFlip",
-    "RandomRotation",
-    "ZCAWhitening",
     "standard_cifar_pipeline",
 ]
 
@@ -104,69 +101,6 @@ class RandomFlip:
         out = batch.copy()
         out[flips] = out[flips, :, :, ::-1]
         return out
-
-
-class RandomRotation:
-    """Rotate each image by a uniform angle in ``[0, max_degrees)``.
-
-    Table 1 lists image rotation with domain [0, 30). Implemented with
-    :func:`scipy.ndimage.rotate` (nearest-neighbour padding removed by
-    ``reshape=False``).
-    """
-
-    def __init__(self, max_degrees: float = 30.0):
-        if not 0.0 <= max_degrees < 360.0:
-            raise ConfigurationError(f"max_degrees must be in [0, 360), got {max_degrees}")
-        self.max_degrees = float(max_degrees)
-
-    def __call__(self, batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if self.max_degrees == 0.0:
-            return batch
-        from scipy.ndimage import rotate
-
-        out = np.empty_like(batch)
-        angles = rng.uniform(0.0, self.max_degrees, size=batch.shape[0])
-        for i in range(batch.shape[0]):
-            out[i] = rotate(batch[i], angles[i], axes=(1, 2), reshape=False, order=1)
-        return out
-
-
-class ZCAWhitening:
-    """ZCA whitening fitted on the (flattened) training images.
-
-    Table 1 lists {PCA, ZCA} whitening as a preprocessing knob. For PCA
-    whitening pass ``zca=False`` (the output is then in the rotated PCA
-    basis rather than image space).
-    """
-
-    def __init__(self, eps: float = 1e-2, zca: bool = True):
-        self.eps = float(eps)
-        self.zca = bool(zca)
-        self._transform: np.ndarray | None = None
-        self._mean: np.ndarray | None = None
-
-    def fit(self, train_x: np.ndarray) -> "ZCAWhitening":
-        flat = train_x.reshape(train_x.shape[0], -1)
-        self._mean = flat.mean(axis=0)
-        centred = flat - self._mean
-        cov = centred.T @ centred / flat.shape[0]
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        scale = np.diag(1.0 / np.sqrt(np.maximum(eigvals, 0.0) + self.eps))
-        if self.zca:
-            self._transform = eigvecs @ scale @ eigvecs.T
-        else:
-            self._transform = eigvecs @ scale
-        return self
-
-    def __call__(self, batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if self._transform is None or self._mean is None:
-            raise ConfigurationError("ZCAWhitening must be fitted before use")
-        shape = batch.shape
-        flat = batch.reshape(shape[0], -1) - self._mean
-        whitened = flat @ self._transform
-        if self.zca:
-            return whitened.reshape(shape)
-        return whitened
 
 
 def standard_cifar_pipeline(train_x: np.ndarray, pad: int = 4, flip_p: float = 0.5) -> Compose:

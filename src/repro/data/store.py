@@ -117,9 +117,6 @@ class DataStore:
             raise DatasetNotFoundError(name)
         return self._handles[name]
 
-    def has_dataset(self, name: str) -> bool:
-        return name in self._datasets
-
     def list_datasets(self) -> list[str]:
         return sorted(self._datasets)
 
@@ -195,29 +192,6 @@ class DataStore:
             num_classes=len(label_names),
         )
         return self.put_dataset(dataset, labels=tuple(label_names))
-
-    def export_images(self, name: str, directory: str) -> int:
-        """Write a dataset back to ``directory/<label>/<split>_<i>.npy``.
-
-        The inverse of :meth:`import_images` (splits are merged — the
-        directory format carries labels, not splits). Returns the number
-        of images written.
-        """
-        dataset = self.get_dataset(name)
-        handle = self.get_handle(name)
-        labels = handle.labels or tuple(
-            f"class{i}" for i in range(dataset.num_classes)
-        )
-        os.makedirs(directory, exist_ok=True)
-        written = 0
-        for split, (images, image_labels) in dataset.splits().items():
-            for i in range(images.shape[0]):
-                label = labels[int(image_labels[i])]
-                folder = os.path.join(directory, label)
-                os.makedirs(folder, exist_ok=True)
-                np.save(os.path.join(folder, f"{split}_{i}.npy"), images[i])
-                written += 1
-        return written
 
     # ------------------------------------------------------------------
     # raw blobs

@@ -25,18 +25,6 @@ class HyperSpaceError(ConfigurationError):
     """
 
 
-class TrialError(RafikiError):
-    """A tuning trial failed to run or reported an invalid result."""
-
-
-class StudyStoppedError(RafikiError):
-    """An operation was attempted on a study that has already stopped."""
-
-
-class AdvisorExhaustedError(RafikiError):
-    """The trial advisor has no more trials to propose (e.g. exhausted grid)."""
-
-
 class ParameterServerError(RafikiError):
     """A parameter-server get/put failed."""
 

@@ -570,31 +570,6 @@ class ParameterServer(HostedGroup):
     # collaborative-tuning support
     # ------------------------------------------------------------------
 
-    def put_if_better(
-        self,
-        key: str,
-        state: dict[str, np.ndarray],
-        performance: float,
-        **meta,
-    ) -> bool:
-        """Store ``state`` only if it beats the stored performance.
-
-        Implements the overwrite rule of Section 4.2.2: "If the
-        performance of the new trial is better than the older one, we
-        overwrite the W in the parameter server". A NaN candidate never
-        displaces a real measurement (``NaN <= x`` is False for every
-        ``x``, so without the explicit check a crashed trial's NaN
-        would overwrite a better checkpoint).
-        """
-        if self.has(key):
-            current = self.get_entry(key).performance
-            if np.isnan(performance) and not np.isnan(current):
-                return False
-            if not np.isnan(current) and performance <= current:
-                return False
-        self.put(key, state, performance=performance, **meta)
-        return True
-
     def fetch_shape_pool(self, key: str, version: int | None = None) -> dict[tuple[int, ...], list[np.ndarray]]:
         """Group a checkpoint's arrays by shape for shape-matched init."""
         return shape_pool(self.get(key, version))

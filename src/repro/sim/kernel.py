@@ -60,10 +60,6 @@ class Signal:
     def _add_waiter(self, resume: Callable[[Any], None]) -> None:
         self._waiters.append(resume)
 
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
     def fire(self, value: Any = None) -> int:
         """Wake all waiters, returning how many were woken."""
         waiters, self._waiters = self._waiters, []

@@ -6,7 +6,7 @@ stack. It implements the pieces Rafiki's services actually exercise:
 * layers with explicit forward/backward passes (dense, convolution,
   pooling, batch normalisation, dropout, activations),
 * losses and evaluation metrics,
-* SGD-family optimisers with learning-rate schedules and weight decay
+* SGD and Adam optimisers with learning-rate schedules and weight decay
   (the Table 1 group-3 hyper-parameters),
 * a :class:`~repro.tensor.network.Network` container with *named*
   parameters and shape-matched warm starting, which is what the
@@ -14,13 +14,7 @@ stack. It implements the pieces Rafiki's services actually exercise:
 """
 
 from repro.tensor.dtype import default_dtype, set_default_dtype, using_dtype
-from repro.tensor.initializers import (
-    constant_init,
-    gaussian_init,
-    glorot_uniform_init,
-    he_normal_init,
-    zeros_init,
-)
+from repro.tensor.initializers import gaussian_init, glorot_uniform_init, zeros_init
 from repro.tensor.layers import (
     AvgPool2D,
     BatchNorm,
@@ -35,9 +29,8 @@ from repro.tensor.layers import (
     Tanh,
 )
 from repro.tensor.losses import Loss, MeanSquaredError, SoftmaxCrossEntropy
-from repro.tensor.metrics import accuracy, confusion_matrix, f1_score, top_k_accuracy
+from repro.tensor.metrics import f1_score
 from repro.tensor.network import Network
-from repro.tensor.recurrent import RNN, Embedding
 from repro.tensor.optimizers import (
     SGD,
     Adam,
@@ -45,10 +38,8 @@ from repro.tensor.optimizers import (
     ExponentialDecaySchedule,
     LearningRateSchedule,
     Optimizer,
-    RMSProp,
-    StepDecaySchedule,
 )
-from repro.tensor.training import TrainResult, evaluate, train_epoch
+from repro.tensor.training import evaluate, train_epoch
 
 __all__ = [
     "default_dtype",
@@ -65,8 +56,6 @@ __all__ = [
     "Tanh",
     "Dropout",
     "BatchNorm",
-    "Embedding",
-    "RNN",
     "Loss",
     "SoftmaxCrossEntropy",
     "MeanSquaredError",
@@ -74,21 +63,13 @@ __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "RMSProp",
     "LearningRateSchedule",
     "ConstantSchedule",
-    "StepDecaySchedule",
     "ExponentialDecaySchedule",
     "zeros_init",
-    "constant_init",
     "gaussian_init",
     "glorot_uniform_init",
-    "he_normal_init",
-    "accuracy",
-    "top_k_accuracy",
-    "confusion_matrix",
     "f1_score",
     "train_epoch",
     "evaluate",
-    "TrainResult",
 ]

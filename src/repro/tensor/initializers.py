@@ -15,25 +15,14 @@ from repro.tensor.dtype import default_dtype
 
 __all__ = [
     "zeros_init",
-    "constant_init",
     "gaussian_init",
     "glorot_uniform_init",
-    "he_normal_init",
 ]
 
 
 def zeros_init(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
     """All-zeros (the conventional bias initialiser)."""
     return np.zeros(shape, dtype=default_dtype())
-
-
-def constant_init(value: float):
-    """Return an initialiser filling the array with ``value``."""
-
-    def _init(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
-        return np.full(shape, float(value), dtype=default_dtype())
-
-    return _init
 
 
 def gaussian_init(std: float = 0.01, mean: float = 0.0):
@@ -61,9 +50,3 @@ def glorot_uniform_init(shape: tuple[int, ...], rng: np.random.Generator) -> np.
     fan_in, fan_out = _fan_in_out(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(default_dtype(), copy=False)
-
-
-def he_normal_init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He normal initialisation (suited to ReLU networks)."""
-    fan_in, _ = _fan_in_out(shape)
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(default_dtype(), copy=False)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import pickle
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -214,9 +214,6 @@ class Network:
             lines.append(f"  {layer.name:<24} {type(layer).__name__:<12} params={layer.param_count()}")
         lines.append(f"  total parameters: {self.param_count()}")
         return "\n".join(lines)
-
-    def layer_names(self) -> Iterable[str]:
-        return [layer.name for layer in self.layers]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Network(name={self.name!r}, layers={len(self.layers)})"

@@ -15,11 +15,9 @@ from repro.utils.validation import check_non_negative, check_positive
 __all__ = [
     "LearningRateSchedule",
     "ConstantSchedule",
-    "StepDecaySchedule",
     "ExponentialDecaySchedule",
     "Optimizer",
     "SGD",
-    "RMSProp",
     "Adam",
 ]
 
@@ -39,22 +37,6 @@ class ConstantSchedule(LearningRateSchedule):
 
     def __call__(self, step: int) -> float:
         return self.lr
-
-
-class StepDecaySchedule(LearningRateSchedule):
-    """Multiply the rate by ``factor`` every ``every`` steps.
-
-    This is the classic "drop the SGD learning rate from 0.1 to 0.01"
-    schedule the paper's Section 4.2.2 observation is based on.
-    """
-
-    def __init__(self, lr: float, factor: float = 0.1, every: int = 1000):
-        self.lr = check_positive("lr", lr)
-        self.factor = check_non_negative("factor", factor)
-        self.every = int(check_positive("every", every))
-
-    def __call__(self, step: int) -> float:
-        return self.lr * self.factor ** (step // self.every)
 
 
 class ExponentialDecaySchedule(LearningRateSchedule):
@@ -92,10 +74,6 @@ class Optimizer:
         # Reused scratch buffers for the weight-decayed gradient, keyed
         # by parameter name, so the hot loop allocates nothing per step.
         self._decay_buf: dict[str, np.ndarray] = {}
-
-    @property
-    def current_lr(self) -> float:
-        return self.schedule(self.steps)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         lr = self.schedule(self.steps)
@@ -155,37 +133,6 @@ class SGD(Optimizer):
     def reset_state(self) -> None:
         super().reset_state()
         self._velocity.clear()
-
-
-class RMSProp(Optimizer):
-    """RMSProp with running mean of squared gradients."""
-
-    def __init__(
-        self,
-        lr: float | LearningRateSchedule = 0.001,
-        rho: float = 0.9,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(lr, weight_decay)
-        if not 0.0 < rho < 1.0:
-            raise ConfigurationError(f"rho must be in (0, 1), got {rho}")
-        self.rho = float(rho)
-        self.eps = float(eps)
-        self._sq: dict[str, np.ndarray] = {}
-
-    def _update(self, name: str, param: np.ndarray, grad: np.ndarray, lr: float) -> None:
-        sq = self._sq.get(name)
-        if sq is None:
-            sq = np.zeros_like(param)
-            self._sq[name] = sq
-        sq *= self.rho
-        sq += (1.0 - self.rho) * grad**2
-        param -= lr * grad / (np.sqrt(sq) + self.eps)
-
-    def reset_state(self) -> None:
-        super().reset_state()
-        self._sq.clear()
 
 
 class Adam(Optimizer):

@@ -7,31 +7,13 @@ and evaluation of accuracy/loss over a dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.tensor.losses import Loss
 from repro.tensor.network import Network
 from repro.tensor.optimizers import Optimizer
 
-__all__ = ["TrainResult", "train_epoch", "evaluate"]
-
-
-@dataclass
-class TrainResult:
-    """Per-epoch training statistics."""
-
-    epoch_losses: list[float] = field(default_factory=list)
-    val_accuracies: list[float] = field(default_factory=list)
-
-    @property
-    def best_accuracy(self) -> float:
-        return max(self.val_accuracies) if self.val_accuracies else 0.0
-
-    @property
-    def epochs(self) -> int:
-        return len(self.epoch_losses)
+__all__ = ["train_epoch", "evaluate"]
 
 
 def train_epoch(

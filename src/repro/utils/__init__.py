@@ -1,24 +1,15 @@
 """Shared utilities: RNG streams, validation, retry/backoff policies."""
 
 from repro.utils.retry import CircuitBreaker, RetryPolicy
-from repro.utils.rng import RngStream, derive_rng, spawn_rng
-from repro.utils.validation import (
-    check_in,
-    check_non_negative,
-    check_positive,
-    check_probability,
-    check_type,
-)
+from repro.utils.rng import RngStream, derive_rng
+from repro.utils.validation import check_non_negative, check_positive, check_probability
 
 __all__ = [
     "CircuitBreaker",
     "RetryPolicy",
     "RngStream",
     "derive_rng",
-    "spawn_rng",
-    "check_in",
     "check_non_negative",
     "check_positive",
     "check_probability",
-    "check_type",
 ]

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["RngStream", "derive_rng", "spawn_rng"]
+__all__ = ["RngStream", "derive_rng"]
 
 
 def _seed_from(root_seed: int, name: str) -> int:
@@ -30,11 +30,6 @@ def derive_rng(root_seed: int, name: str) -> np.random.Generator:
     True
     """
     return np.random.default_rng(_seed_from(root_seed, name))
-
-
-def spawn_rng(parent: np.random.Generator) -> np.random.Generator:
-    """Fork an independent child generator from ``parent``."""
-    return np.random.default_rng(parent.integers(0, 2**63 - 1))
 
 
 class RngStream:

@@ -6,16 +6,12 @@ message format so user-facing errors always name the offending argument.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
-
 from repro.exceptions import ConfigurationError
 
 __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
-    "check_in",
-    "check_type",
 ]
 
 
@@ -39,20 +35,3 @@ def check_probability(name: str, value: float) -> float:
         raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
     return value
 
-
-def check_in(name: str, value: Any, allowed: Iterable[Any]) -> Any:
-    """Return ``value`` if it is one of ``allowed``, else raise."""
-    allowed = list(allowed)
-    if value not in allowed:
-        raise ConfigurationError(f"{name} must be one of {allowed!r}, got {value!r}")
-    return value
-
-
-def check_type(name: str, value: Any, types: type | tuple[type, ...]) -> Any:
-    """Return ``value`` if it is an instance of ``types``, else raise."""
-    if not isinstance(value, types):
-        wanted = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-        raise ConfigurationError(
-            f"{name} must be of type {wanted}, got {type(value).__name__}"
-        )
-    return value

@@ -26,8 +26,6 @@ better member (every disagreement is a tie), so
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -162,9 +160,3 @@ class EnsembleAccuracyModel:
         if indices[0] < 0 or indices[-1] >= len(self.model_names):
             raise ConfigurationError(f"model index out of range: {indices}")
         return indices
-
-
-@lru_cache(maxsize=8)
-def default_imagenet_panel(model_names: tuple[str, ...]) -> EnsembleAccuracyModel:
-    """Shared panel for a model list (cached: the panel is expensive)."""
-    return EnsembleAccuracyModel(model_names)

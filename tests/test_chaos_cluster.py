@@ -12,7 +12,7 @@ import pytest
 
 from repro import chaos, telemetry
 from repro.chaos import FaultKind, FaultPlan, FaultRule
-from repro.cluster import ClusterManager, FailureInjector, Node
+from repro.cluster import ClusterManager, Node
 from repro.cluster.manager import JobKind, JobState
 from repro.cluster.node import Resources
 from repro.core.tune import (
@@ -25,7 +25,6 @@ from repro.core.tune import (
 from repro.core.tune.distributed import run_cluster_study
 from repro.core.tune.trial import TrialStatus
 from repro.paramserver import ParameterServer
-from repro.sim import Simulator
 from repro.utils.retry import RetryPolicy
 
 pytestmark = pytest.mark.chaos
@@ -312,53 +311,3 @@ class TestHeartbeatFailureDetection:
         manager.recover_node("n0")
         manager.heartbeat("n1")
         assert manager.detect_failures(timeout=10.0) == []
-
-
-class TestFailureInjectorEdgeCases:
-    def test_empty_cluster_schedules_nothing(self):
-        injector = FailureInjector(ClusterManager())
-        sim = Simulator()
-        assert injector.random_failures(sim, horizon=100.0,
-                                        rate_per_second=0.5) == 0
-        sim.run()
-        assert injector.injected == []
-
-    def test_zero_rate_schedules_nothing(self):
-        injector = FailureInjector(make_cluster())
-        assert injector.random_failures(Simulator(), horizon=100.0,
-                                        rate_per_second=0.0) == 0
-
-    def test_all_dead_cluster_stops_scheduling(self):
-        manager = make_cluster(nodes=2)
-        manager.fail_node("n0")
-        manager.fail_node("n1")
-        injector = FailureInjector(manager)
-        assert injector.random_failures(Simulator(), horizon=1000.0,
-                                        rate_per_second=0.9) == 0
-
-    def test_scheduled_failure_races_a_prior_death(self):
-        manager = make_cluster(nodes=2)
-        sim = Simulator()
-        injector = FailureInjector(manager, rng=np.random.default_rng(0))
-        scheduled = injector.random_failures(sim, horizon=5.0,
-                                             rate_per_second=0.9,
-                                             mean_downtime=1000.0)
-        assert scheduled > 0
-        # every node the schedule targets dies before the sim starts, so
-        # _fail_if_alive finds them dead and injects nothing further
-        manager.fail_node("n0")
-        manager.fail_node("n1")
-        sim.run()
-        assert injector.injected == []
-
-    def test_random_failures_are_seeded(self):
-        def schedule(seed):
-            manager = make_cluster(nodes=3)
-            sim = Simulator()
-            injector = FailureInjector(manager,
-                                       rng=np.random.default_rng(seed))
-            injector.random_failures(sim, horizon=50.0, rate_per_second=0.2)
-            sim.run()
-            return list(injector.injected)
-
-        assert schedule(4) == schedule(4)

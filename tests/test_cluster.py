@@ -212,13 +212,3 @@ class TestFailureInjector:
         assert not manager.nodes["n0"].alive
         sim.run(until=20.0)
         assert manager.nodes["n0"].alive
-
-    def test_random_failures_scheduled(self):
-        manager = cluster(num_nodes=3)
-        sim = Simulator()
-        injector = FailureInjector(manager)
-        count = injector.random_failures(sim, horizon=100.0, rate_per_second=0.1)
-        assert count > 0
-        sim.run_all()
-        # all nodes recovered by the end
-        assert all(node.alive for node in manager.nodes.values())

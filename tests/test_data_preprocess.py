@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import (
-    Compose,
-    PadCrop,
-    RandomFlip,
-    RandomRotation,
-    Standardize,
-    ZCAWhitening,
-    standard_cifar_pipeline,
-)
+from repro.data import Compose, PadCrop, RandomFlip, Standardize, standard_cifar_pipeline
 from repro.exceptions import ConfigurationError
 
 
@@ -79,45 +71,6 @@ class TestRandomFlip:
         out = op(x, rng)
         flipped = (out[..., 1] == 1.0).mean()
         assert 0.45 < flipped < 0.55
-
-
-class TestRandomRotation:
-    def test_preserves_shape(self, rng):
-        op = RandomRotation(30.0)
-        x = rng.normal(size=(3, 2, 8, 8))
-        assert op(x, rng).shape == x.shape
-
-    def test_zero_degrees_identity(self, rng):
-        op = RandomRotation(0.0)
-        x = rng.normal(size=(2, 1, 4, 4))
-        assert op(x, rng) is x
-
-    def test_rejects_bad_domain(self):
-        with pytest.raises(ConfigurationError):
-            RandomRotation(360.0)
-
-
-class TestZCA:
-    def test_whitened_covariance_is_identity(self, rng):
-        x = rng.normal(size=(300, 1, 4, 4))
-        x[:, 0, 0, 0] += x[:, 0, 0, 1]  # inject (non-degenerate) correlation
-        op = ZCAWhitening(eps=1e-6).fit(x)
-        out = op(x, rng).reshape(300, -1)
-        cov = out.T @ out / 300
-        np.testing.assert_allclose(np.diag(cov), 1.0, atol=0.05)
-        off_diag = cov - np.diag(np.diag(cov))
-        assert np.abs(off_diag).max() < 0.05
-
-    def test_pca_mode_changes_basis(self, rng):
-        x = rng.normal(size=(50, 1, 3, 3))
-        zca = ZCAWhitening(zca=True).fit(x)
-        pca = ZCAWhitening(zca=False).fit(x)
-        assert zca(x, rng).shape == x.shape
-        assert pca(x, rng).shape == (50, 9)
-
-    def test_unfitted_raises(self, rng):
-        with pytest.raises(ConfigurationError):
-            ZCAWhitening()(np.zeros((1, 1, 2, 2)), rng)
 
 
 class TestCompose:

@@ -1,12 +1,10 @@
-"""Tests for the data store (HDFS substitute) and batch loader."""
-
-import os
+"""Tests for the data store (HDFS substitute)."""
 
 import numpy as np
 import pytest
 
-from repro.data import BatchLoader, DataStore, make_image_classification
-from repro.exceptions import ConfigurationError, DatasetNotFoundError, StorageError
+from repro.data import DataStore, make_image_classification
+from repro.exceptions import DatasetNotFoundError, StorageError
 
 
 class TestDatasets:
@@ -228,77 +226,3 @@ class TestReadChunks:
         joined.get_blob("p")
         assert chunked.bytes_read == joined.bytes_read == 22
 
-
-class TestBatchLoader:
-    def test_covers_all_examples(self, rng):
-        x = np.arange(10).reshape(10, 1).astype(float)
-        y = np.arange(10)
-        loader = BatchLoader(x, y, batch_size=3, rng=rng)
-        seen = np.concatenate([labels for _, labels in loader])
-        assert sorted(seen) == list(range(10))
-
-    def test_len(self, rng):
-        loader = BatchLoader(np.zeros((10, 1)), np.zeros(10), batch_size=3)
-        assert len(loader) == 4
-        loader = BatchLoader(np.zeros((10, 1)), np.zeros(10), batch_size=3, drop_last=True)
-        assert len(loader) == 3
-
-    def test_drop_last(self, rng):
-        loader = BatchLoader(np.zeros((10, 1)), np.zeros(10), batch_size=3,
-                             drop_last=True, shuffle=False)
-        batches = [b for b, _ in loader]
-        assert all(b.shape[0] == 3 for b in batches)
-        assert len(batches) == 3
-
-    def test_no_shuffle_preserves_order(self):
-        x = np.arange(6).reshape(6, 1).astype(float)
-        loader = BatchLoader(x, np.arange(6), batch_size=2, shuffle=False)
-        first_batch, first_labels = next(iter(loader))
-        np.testing.assert_array_equal(first_labels, [0, 1])
-
-    def test_reshuffles_per_epoch(self):
-        loader = BatchLoader(np.zeros((50, 1)), np.arange(50), batch_size=50,
-                             rng=np.random.default_rng(0))
-        _, first = next(iter(loader))
-        _, second = next(iter(loader))
-        assert not np.array_equal(first, second)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BatchLoader(np.zeros((3, 1)), np.zeros(4), batch_size=2)
-
-
-class TestExportImages:
-    def test_roundtrip_through_filesystem(self, tiny_dataset, tmp_path):
-        store = DataStore()
-        store.put_dataset(tiny_dataset, labels=("noodle", "rice", "salad"))
-        written = store.export_images("tiny", str(tmp_path / "out"))
-        assert written == len(tiny_dataset)
-
-        other = DataStore()
-        handle = other.import_images(str(tmp_path / "out"), val_fraction=0.25)
-        assert handle.labels == ("noodle", "rice", "salad")
-        assert handle.num_examples == len(tiny_dataset)
-        # per-class counts survive the roundtrip
-        reimported = other.get_dataset(handle.name)
-        all_labels = np.concatenate(
-            [reimported.train_y, reimported.val_y, reimported.test_y]
-        )
-        original = np.concatenate(
-            [tiny_dataset.train_y, tiny_dataset.val_y, tiny_dataset.test_y]
-        )
-        np.testing.assert_array_equal(
-            np.bincount(all_labels, minlength=3), np.bincount(original, minlength=3)
-        )
-
-    def test_export_without_label_names_uses_class_ids(self, tiny_dataset, tmp_path):
-        store = DataStore()
-        store.put_dataset(tiny_dataset)
-        store.export_images("tiny", str(tmp_path / "out"))
-        import os
-
-        assert sorted(os.listdir(tmp_path / "out")) == ["class0", "class1", "class2"]
-
-    def test_export_unknown_dataset(self, tmp_path):
-        with pytest.raises(DatasetNotFoundError):
-            DataStore().export_images("ghost", str(tmp_path))

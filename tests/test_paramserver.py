@@ -163,29 +163,6 @@ class TestParameterServer:
             ps.get("hot")
         assert ps.cache_stats()["hits"] == before + 5
 
-    def test_put_if_better(self, ps):
-        assert ps.put_if_better("k", state(1.0), performance=0.5)
-        assert not ps.put_if_better("k", state(2.0), performance=0.4)
-        assert ps.put_if_better("k", state(3.0), performance=0.6)
-        np.testing.assert_allclose(ps.get("k")["layer/W"], 3.0)
-        assert ps.get_entry("k").performance == 0.6
-
-    def test_put_if_better_nan_never_displaces_real(self, ps):
-        """Regression: a crashed trial's NaN used to overwrite the best.
-
-        ``NaN <= x`` is False for every x, so before the explicit guard
-        the overwrite rule treated a NaN candidate as an improvement.
-        """
-        assert ps.put_if_better("k", state(1.0), performance=0.5)
-        assert not ps.put_if_better("k", state(2.0), performance=float("nan"))
-        assert ps.get_entry("k").performance == 0.5
-        np.testing.assert_allclose(ps.get("k")["layer/W"], 1.0)
-        # NaN may still seed an empty key, and a real measurement (even
-        # a poor one) then displaces it.
-        assert ps.put_if_better("j", state(1.0), performance=float("nan"))
-        assert ps.put_if_better("j", state(2.0), performance=0.1)
-        assert ps.get_entry("j").performance == 0.1
-
     def test_fetch_shape_pool(self, ps):
         ps.put("k", {"a": np.zeros((2, 3)), "b": np.ones((2, 3)), "c": np.zeros(5)})
         pool = ps.fetch_shape_pool("k")

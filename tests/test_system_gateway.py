@@ -284,3 +284,27 @@ class TestSDK:
         connect(system)
         with pytest.raises(GatewayError, match="HTTP 404"):
             rafiki.get_models("ghost")
+
+    def test_train_sends_every_hyper_field(self, system, monkeypatch):
+        # Regression: Train.run copied eight hand-listed fields, so an
+        # epoch budget set through the SDK never reached the study.
+        received = {}
+
+        def create_train_job(**kwargs):
+            received.update(kwargs)
+            return "train-1"
+
+        monkeypatch.setattr(system, "create_train_job", create_train_job)
+        connect(system)
+        hyper = HyperConf(max_trials=3, max_total_epochs=7)
+        job = rafiki.Train(name="t", data="food", task="ImageClassification", hyper=hyper)
+        assert job.run() == "train-1"
+        assert received["hyper"] == hyper
+
+    def test_import_images_registers_a_dataset_under_name(self, system, dataset):
+        connect(system)
+        assert rafiki.import_images(dataset, name="meals") == "meals"
+        assert system.store.list_datasets() == ["meals"]
+        stored = system.store.get_dataset("meals")
+        np.testing.assert_array_equal(stored.train_x, dataset.train_x)
+        assert dataset.name == "food"  # the caller's object is not renamed

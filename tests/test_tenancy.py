@@ -785,6 +785,21 @@ class TestSDKTenancy:
         finally:
             sdk.connect(None)
 
+    def test_get_models_carries_the_tenant(self):
+        # Regression: get_models sent no tenant, so a suspended tenant's
+        # call ran as "default" and reached the handler (404, not 403).
+        system = Rafiki(seed=5)
+        system.tenants.register("acme")
+        system.tenants.suspend("acme")
+        sdk.connect(system, tenant="acme")
+        try:
+            with pytest.raises(GatewayError, match="403"):
+                sdk.get_models("nojob")
+            with pytest.raises(GatewayError, match="404"):
+                sdk.get_models("nojob", tenant="default")
+        finally:
+            sdk.connect(None)
+
     def test_set_tenant(self):
         system = Rafiki(seed=5)
         system.tenants.register("acme")

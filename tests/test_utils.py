@@ -6,16 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.utils import (
-    RngStream,
-    check_in,
-    check_non_negative,
-    check_positive,
-    check_probability,
-    check_type,
-    derive_rng,
-    spawn_rng,
-)
+from repro.utils import RngStream, check_non_negative, check_positive, check_probability, derive_rng
 
 
 class TestDeriveRng:
@@ -37,11 +28,6 @@ class TestDeriveRng:
     @given(st.integers(min_value=0, max_value=2**31), st.text(min_size=1, max_size=20))
     def test_deterministic_for_any_seed_and_name(self, seed, name):
         assert derive_rng(seed, name).random() == derive_rng(seed, name).random()
-
-    def test_spawn_rng_independent(self):
-        parent = derive_rng(0, "p")
-        child = spawn_rng(parent)
-        assert child.random() != parent.random()
 
 
 class TestRngStream:
@@ -89,16 +75,3 @@ class TestValidation:
     def test_check_probability_rejects(self):
         with pytest.raises(ConfigurationError):
             check_probability("p", 1.5)
-
-    def test_check_in(self):
-        assert check_in("mode", "a", ["a", "b"]) == "a"
-        with pytest.raises(ConfigurationError, match="mode"):
-            check_in("mode", "c", ["a", "b"])
-
-    def test_check_type(self):
-        assert check_type("n", 3, int) == 3
-        with pytest.raises(ConfigurationError, match="must be of type int"):
-            check_type("n", "3", int)
-
-    def test_check_type_tuple(self):
-        assert check_type("n", 3.0, (int, float)) == 3.0

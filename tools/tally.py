@@ -16,7 +16,11 @@ then the quota write sites outside ``repro.tenancy``: calls of
 ``charge``/``release`` on a ``tenants`` or ``ledger`` receiver; then the
 chunk reference write sites: ``incref``/``decref``/``release`` on a
 ``store`` or ``blocks`` receiver; then the JSON round-trip sites in
-``src/``: ``json.loads(json.dumps(...))`` calls.
+``src/``: ``json.loads(json.dumps(...))`` calls; last, the public names
+in ``src/repro`` (module-level functions and classes, and methods) that
+nothing outside tests calls: no identifier, attribute or import of that
+name in any ``.py`` file under ``src/``, ``benchmarks/``, ``examples/`` or
+``tools/``, the defining module and the package ``__init__`` files aside.
 
     python tools/tally.py [--classes]
 
@@ -36,6 +40,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent / "src"
+CALLER_DIRS = ("src", "benchmarks", "examples", "tools")
 MUTABLE_FACTORIES = {"ContextVar", "count"}
 
 
@@ -170,6 +175,50 @@ def json_round_trips(path: Path) -> int:
     )
 
 
+def public_definitions(path: Path) -> list[str]:
+    """Module-level public functions and classes, and their public methods."""
+    out = {}  # a property and its setter are one name
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            out[node.name] = None
+            if isinstance(node, ast.ClassDef):
+                out.update(
+                    (f"{node.name}.{item.name}", None) for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")
+                )
+    return list(out)
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Identifiers, attributes and imported names appearing in ``path``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def uncalled_public_names() -> list[str]:
+    """``module:name`` of each public definition no caller outside tests names."""
+    files = [
+        path for top in CALLER_DIRS for path in sorted((ROOT.parent / top).rglob("*.py"))
+    ]
+    refs = {path: referenced_names(path) for path in files if path.name != "__init__.py"}
+    out = []
+    for path in sorted(ROOT.rglob("*.py")):
+        for name in public_definitions(path):
+            leaf = name.rsplit(".", 1)[-1]
+            if not any(leaf in names for other, names in refs.items() if other != path):
+                out.append(f"{path.relative_to(ROOT)}:{name}")
+    return out
+
+
 def cli_verbs() -> dict[str, int]:
     """Flag count of each ``repro`` verb (``-h`` not counted)."""
     from repro.cli import build_parser
@@ -224,6 +273,10 @@ def main() -> int:
     print(f"\nchunk reference write sites in src/: {refs}")
     trips = sum(map(json_round_trips, sorted(ROOT.rglob("*.py"))))
     print(f"\nJSON round-trip sites in src/: {trips}")
+    uncalled = uncalled_public_names()
+    print(f"\npublic names with no caller outside tests: {len(uncalled)}")
+    for entry in uncalled:
+        print(f"  {entry}")
     return 0
 
 
