@@ -2,10 +2,9 @@
 
 The SDK mirrors the four-line training script of Figure 2
 (``import_images`` / ``HyperConf`` / ``Train`` / ``Inference`` /
-``query``); under the hood every SDK call is serialised through the
-:class:`~repro.api.gateway.Gateway`, exercising the same JSON
-request/response path a RESTful client (curl, a mobile app, a database
-UDF) would use.
+``query``); under the hood every SDK call goes through the
+:class:`~repro.api.gateway.Gateway`, the same request/response path a
+RESTful client (curl, a mobile app, a database UDF) would use.
 """
 
 from repro.api.gateway import Gateway, Response, make_query_executor

@@ -1,13 +1,13 @@
 """A REST-style gateway over the Rafiki facade.
 
 Routes mirror what the paper's web API exposes (job submission, job
-monitoring, prediction queries). Bodies are JSON objects; image
-payloads travel as nested lists, exactly as a real HTTP gateway would
-receive them. There is no socket — ``handle`` is called directly — so
-the body is not encoded: it is checked to be what ``json.dumps`` would
-accept (400 otherwise) and handed to the handler as it is. Handlers
-neither mutate nor keep it. Answers are still JSON-encoded and decoded,
-so a caller never holds the system's own state.
+monitoring, prediction queries). Bodies are JSON objects; an image is
+nested lists or, as in Figure 2, the caller's array, taken exactly as
+its ``tolist()``. There is no socket — ``handle`` is called directly —
+so nothing is encoded: a body is checked to be what ``json.dumps`` would
+accept (400 otherwise) and handed to the handler, which neither mutates
+nor keeps it; an answer is rebuilt in one walk as the plain values a
+JSON round trip gives, so a caller never holds the system's own state.
 
 ``handle`` and ``handle_async`` share one request pipeline
 (``Gateway._request``): route match, body check (400), tenant resolve
@@ -24,7 +24,7 @@ admission refusal surfaces as HTTP 429 with a ``retry_after`` hint.
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -66,18 +66,6 @@ _NOT_FOUND_ERRORS = (
     ModelNotFoundError,
 )
 
-
-def _json_default(value: Any):
-    """Numpy-aware fallback for ``json.dumps`` over handler results."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON-serialisable")
 
 #: gateway handler latency in seconds (in-process, so sub-millisecond).
 REQUEST_SECONDS_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
@@ -142,6 +130,9 @@ class Gateway:
         self._sql_database: Any = None
         #: job_id -> AsyncServeFrontend for the async query path.
         self._frontends: dict[str, Any] = {}
+        #: (method, route, status, tenant) -> its (count, latency) series,
+        #: bound in ``_registry`` at the first such request.
+        self._registry, self._series = None, {}
 
     def handle(
         self,
@@ -151,7 +142,7 @@ class Gateway:
         tenant: str | None = None,
     ) -> Response:
         """Route one request. The body must be a JSON object (else 400);
-        the handler's answer is JSON-encoded.
+        the handler's answer comes back as plain JSON values.
 
         Every request — matched or not — is counted per route template,
         status and tenant, and its handler latency (read from the
@@ -216,16 +207,22 @@ class Gateway:
             if response is None:
                 raise
         registry = telemetry.get_registry()
-        registry.counter(
-            "repro_gateway_requests_total",
-            "Gateway requests, by route, status and tenant.",
-        ).inc(method=method, route=call.route, status=str(response.status),
-              tenant=call.tenant)
-        registry.histogram(
-            "repro_gateway_request_seconds",
-            "Gateway handler latency per route.",
-            buckets=REQUEST_SECONDS_BUCKETS,
-        ).observe(clock.now() - start + call.injected_latency, route=call.route)
+        if registry is not self._registry:
+            self._registry, self._series = registry, {}
+        key = (method, call.route, response.status, call.tenant)
+        if key not in self._series:
+            requests = registry.counter(
+                "repro_gateway_requests_total", "Gateway requests, by route, status and tenant.")
+            latency = registry.histogram(
+                "repro_gateway_request_seconds", "Gateway handler latency per route.",
+                buckets=REQUEST_SECONDS_BUCKETS)
+            self._series[key] = (
+                requests.labels(method=method, route=call.route, status=str(response.status),
+                                tenant=call.tenant),
+                latency.labels(route=call.route))
+        count, seconds = self._series[key]
+        count.inc()
+        seconds.observe(clock.now() - start + call.injected_latency)
         call.response = response
 
     def _dispatch(self, call: _Call) -> None:
@@ -340,6 +337,8 @@ class Gateway:
                 image = self._query_image(
                     call.payload, call.params["job_id"], batch=False
                 )
+                if image is call.payload["img"]:  # queued beyond this call
+                    image = image.copy()
                 call.result = await frontend.submit(
                     image, client_id=client_id, tenant=call.tenant
                 )
@@ -349,15 +348,15 @@ class Gateway:
 
     @staticmethod
     def _serialise(result: Any) -> Response:
-        """Round-trip a handler result through numpy-aware JSON.
+        """A handler result as the plain values a JSON round trip gives.
 
-        Numpy scalars and arrays in the result serialise cleanly (a 200);
-        anything genuinely unserialisable is a server-side bug and maps
-        to 500 instead of crashing the server loop.
+        Numpy scalars and arrays in the result become Python values (a
+        200); anything ``json.dumps`` refuses is a server-side bug and
+        maps to 500 instead of crashing the server loop.
         """
         try:
-            return Response(200, json.loads(json.dumps(result, default=_json_default)))
-        except (TypeError, ValueError) as exc:
+            return Response(200, _plain(result, set()))
+        except (TypeError, ValueError, RecursionError) as exc:
             return Response(500, {"error": f"handler result not serialisable: {exc}"})
 
     # ------------------------------------------------------------------
@@ -548,12 +547,15 @@ def _json_object(body: Any) -> dict:
     """The body a handler gets: ``body`` itself (``{}`` for none), or 400.
 
     Nothing is encoded or copied. The body is refused where
-    ``json.dumps(body)`` would raise, and when it is not an object.
+    ``json.dumps(body)`` would raise (an ``img`` array: its ``tolist()``),
+    and when it is not an object.
     """
     if body is None:
         return {}
-    try:
-        _check_json(body)
+    image = body.get("img") if isinstance(body, dict) else None
+    try:  # the list of a _numeric array always passes
+        _check_json(body if not isinstance(image, np.ndarray) else {
+            **body, "img": 0 if _numeric(image) else image.tolist()})
     except (TypeError, ValueError, RecursionError) as exc:
         raise GatewayError(f"body is not JSON-serialisable: {exc}") from exc
     if not isinstance(body, dict):
@@ -628,6 +630,66 @@ def _check_int(value: int) -> None:
         int.__repr__(value)
 
 
+#: runs of these leaf types :func:`_plain` copies without a call per leaf.
+_PLAIN_ATOMS = frozenset({bool, int, str, type(None)})
+#: what :func:`_plain` makes of any other leaf, by type.
+_LEAF_TYPES = ((str, str.__str__), (int, int.__int__), (float, float.__float__),
+               (np.integer, int), (np.floating, float), (np.bool_, bool))
+#: how JSON spells these keys, and the floats ``float.__repr__`` prints so.
+_JSON_WORDS = {None: "null", True: "true", False: "false",
+               "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _plain(value: Any, path: set[int]) -> Any:
+    """``json.loads(json.dumps(value))`` in one walk, numpy scalars and
+    arrays taken as Python values: fresh containers, plain leaves, or
+    what ``json.dumps`` raises (``path``, the containers walked into,
+    finds a cycle). Of two keys that print alike the last value wins."""
+    kind = type(value)
+    if kind in _PLAIN_ATOMS:
+        if kind is int:
+            _check_int(value)
+        return value
+    if (kind is list or kind is tuple) and set(map(type, value)) <= _PLAIN_ATOMS:
+        _check_ints(value)
+        return list(value)
+    if kind is not dict:
+        for leaf, plain in _LEAF_TYPES:
+            if isinstance(value, leaf):
+                value = plain(value)
+                if type(value) is int:
+                    _check_int(value)
+                return math.nan if value != value else value
+    if id(value) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(value))
+    if isinstance(value, (list, tuple)):
+        out = [_plain(item, path) for item in value]
+    elif isinstance(value, dict):
+        out = {_plain_key(key): _plain(item, path) for key, item in value.items()}
+    elif isinstance(value, np.ndarray):
+        out = _plain(value.tolist(), path)
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON-serialisable")
+    path.discard(id(value))
+    return out
+
+
+def _plain_key(key: Any) -> str:
+    """The string ``json.dumps`` writes for a dict key, or its ``TypeError``."""
+    if isinstance(key, str):
+        return str.__str__(key)
+    if key is None or key is True or key is False:
+        return _JSON_WORDS[key]
+    for kind in (float, int):
+        if isinstance(key, kind):
+            return _JSON_WORDS.get(kind.__repr__(key), kind.__repr__(key))
+    kind = type(key)  # named as C names it: ``tuple``, ``numpy.int64``
+    name = kind.__name__ if kind.__module__ == "builtins" or kind.__flags__ & 512 else (
+        f"{kind.__module__}.{kind.__name__}")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {name}")
+
+
 def _field(body: dict, name: str, convert: Callable[[Any], Any], default: Any = None) -> Any:
     """``convert(body[name])``, or ``default`` when the field is absent.
 
@@ -638,7 +700,7 @@ def _field(body: dict, name: str, convert: Callable[[Any], Any], default: Any = 
         return default
     try:
         return convert(body[name])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GatewayError(f"field {name!r} is invalid: {exc}") from exc
 
 
@@ -650,16 +712,30 @@ def _parse_image(raw: Any, expected: tuple[int, ...], batch: bool = False) -> np
     wrong-shaped array out of the first convolution; without this guard
     that crashes the server loop (sync path) or poisons a whole batch
     (async path) instead of answering 400 for the one malformed request.
+    An array decodes to the bits of its ``tolist()``: one of
+    :func:`_numeric` dtype is cast through float64, as the list's Python
+    numbers are, where a direct cast could round or quiet a NaN otherwise.
     """
+    if isinstance(raw, np.ndarray):
+        if type(raw) is not np.ndarray or not _numeric(raw) or not raw.size:
+            raw = raw.tolist()
+        elif raw.dtype != np.float64 and (raw.dtype != np.float32 or np.isnan(raw).any()):
+            with np.errstate(all="ignore"):
+                raw = raw.astype(np.float64)
     try:
         array = np.asarray(raw, dtype=default_dtype())
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GatewayError(f"'img' is not a numeric image: {exc}") from exc
     if array.shape != expected and not (batch and array.shape[1:] == expected):
         raise GatewayError(
             f"image shape {array.shape} does not match expected {expected}"
         )
     return array
+
+
+def _numeric(array: np.ndarray) -> bool:
+    """Whether ``array.tolist()`` holds only Python bools, ints and floats."""
+    return array.dtype.kind in "biuf" and array.dtype.itemsize <= 8
 
 
 def make_query_executor(system: Rafiki, job_id: str) -> Callable[..., list]:

@@ -26,8 +26,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.api.gateway import Gateway, Response
 from repro.core.system import Rafiki
 from repro.core.tune import HyperConf
@@ -90,7 +88,7 @@ def import_images(
     """Upload a labelled image folder (or in-memory dataset); returns its name."""
     gateway = default_gateway()
     if isinstance(source, ImageDataset):
-        # In-memory datasets skip the JSON hop (they are not file paths).
+        # In-memory datasets skip the gateway (they are not file paths).
         handle = gateway.system.import_images(source, name=name)
         return handle.name
     body = _unwrap(
@@ -196,12 +194,10 @@ class Inference:
 
 
 def query(job: str, data: dict[str, Any], tenant: str | None = None) -> dict[str, Any]:
-    """Figure 2's ``rafiki.query``: predict for one image."""
+    """Figure 2's ``rafiki.query``: predict for one image, an array (sent as it is) or lists."""
     img = data.get("img")
     if img is None:
         raise GatewayError("query data must contain 'img'")
-    if isinstance(img, np.ndarray):
-        img = img.tolist()
     return _unwrap(
         default_gateway().handle(
             "POST", f"/query/{job}", {"img": img}, tenant=_effective_tenant(tenant)

@@ -119,10 +119,10 @@ def make_batched_inference_udf(
 ) -> Callable[[list[str]], list[Any]]:
     """Vectorised counterpart of :func:`make_inference_udf`.
 
-    Stacks the images behind a batch of paths into one ``/query/<job>``
-    POST — register it as a ``batch_fn`` so the planned executor's
-    batched dispatches cost one gateway round-trip each instead of one
-    per row.
+    Stacks the images behind a batch of paths into one array and posts
+    it to ``/query/<job>`` as it is — register it as a ``batch_fn`` so
+    the planned executor's batched dispatches cost one gateway call
+    each instead of one per row.
     """
 
     def _batch_udf(image_paths: list[str]) -> list[Any]:
@@ -133,7 +133,7 @@ def make_batched_inference_udf(
             images.append(np.asarray(image_store[image_path]))
         response = gateway.handle(
             "POST", f"/query/{inference_job_id}",
-            {"img": np.stack(images).tolist()},
+            {"img": np.stack(images)},
         )
         if not response.ok:
             raise SQLExecutionError(

@@ -32,6 +32,7 @@ from repro.telemetry.registry import (
     CounterChild,
     Gauge,
     Histogram,
+    HistogramChild,
     Metric,
     MetricsRegistry,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "CounterChild",
     "Gauge",
     "Histogram",
+    "HistogramChild",
     "Metric",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",

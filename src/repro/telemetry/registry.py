@@ -27,6 +27,7 @@ the Prometheus client's ``labels()`` idiom::
     ...
     self._ok.inc()  # per event: no registry lookup, no label sort
 
+A histogram's ``labels()`` binds a child to ``observe`` the same way.
 A bound child creates no series until its first ``inc``. A family the
 owner builds itself, as above, joins its registry at that first record
 (or records into the family already listed under that name from then
@@ -58,6 +59,7 @@ __all__ = [
     "CounterChild",
     "Gauge",
     "Histogram",
+    "HistogramChild",
     "Metric",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
@@ -273,22 +275,29 @@ class Histogram(Metric):
         self._bounds_array = np.asarray(bounds, dtype=np.float64)
         self._children: dict[_LabelKey, _HistogramChild] = {}
 
-    def _child(self, labels: dict) -> _HistogramChild:
-        key = _label_key(labels)
+    def _child(self, key: _LabelKey) -> _HistogramChild:
         child = self._children.get(key)
         if child is None:
             child = self._children[key] = _HistogramChild(len(self.buckets))
         return child
 
+    def _record(self, key: _LabelKey, value: float) -> None:
+        value = float(value)
+        child = self._child(key)
+        child.bucket_counts[bisect_left(self.buckets, value)] += 1
+        child.sum += value
+        child.count += 1
+
     def observe(self, value: float, **labels) -> None:
         """Record one observation into the labelled histogram."""
         if not self.enabled:
             return
-        value = float(value)
-        child = self._child(labels)
-        child.bucket_counts[bisect_left(self.buckets, value)] += 1
-        child.sum += value
-        child.count += 1
+        family = self if self._joined else self._registry._join(self)
+        family._record(_label_key(labels), value)
+
+    def labels(self, **fixed) -> "HistogramChild":
+        """The series of one label set, to ``observe`` with no lookup per event."""
+        return HistogramChild(self, _label_key(fixed))
 
     def observe_many(self, values: Iterable[float], **labels) -> None:
         """Record a whole array of observations (vectorised)."""
@@ -298,7 +307,7 @@ class Histogram(Metric):
                            dtype=np.float64).ravel()
         if array.size == 0:
             return
-        child = self._child(labels)
+        child = self._child(_label_key(labels))
         slots = np.searchsorted(self._bounds_array, array, side="left")
         counts = np.bincount(slots, minlength=len(self.buckets) + 1)
         for i, n in enumerate(counts):
@@ -328,6 +337,25 @@ class Histogram(Metric):
                 "count": child.count,
             }
         return out
+
+
+class HistogramChild:
+    """One label set of a :class:`Histogram`, bound once by its owner."""
+
+    __slots__ = ("_histogram", "_key")
+
+    def __init__(self, histogram: Histogram, key: _LabelKey):
+        self._histogram = histogram
+        self._key = key
+
+    def observe(self, value: float) -> None:
+        """Record one observation; a no-op while the registry is disabled."""
+        histogram = self._histogram
+        if not histogram._registry.enabled:
+            return
+        if not histogram._joined:
+            histogram = self._histogram = histogram._registry._join(histogram)
+        histogram._record(self._key, value)
 
 
 class MetricsRegistry:
@@ -363,13 +391,13 @@ class MetricsRegistry:
             )
         return metric
 
-    def _join(self, family: Counter) -> Counter:
+    def _join(self, family: Metric) -> Metric:
         """List an owner-built ``family`` at its first record, or return the
         family already listed under its name (see the module docstring)."""
         if self._metrics.setdefault(family.name, family) is family:
             family._joined = True
             return family
-        return self._get_or_create(Counter, family.name, family.help)
+        return self._get_or_create(type(family), family.name, family.help)
 
     def counter(self, name: str, help: str = "") -> Counter:
         """Get or create the named :class:`Counter`."""

@@ -15,6 +15,7 @@ from repro import telemetry
 from repro.exceptions import TelemetryError
 from repro.telemetry import (
     Counter,
+    Histogram,
     ManualClock,
     MetricsRegistry,
     Tracer,
@@ -147,6 +148,36 @@ class TestCounterLabels:
         assert telemetry.get_registry().counter("c_total").label_keys() == []
 
 
+class TestHistogramLabels:
+    def test_lands_in_the_same_series_as_observe_with_labels(self):
+        histogram = telemetry.get_registry().histogram("h_seconds", buckets=(1.0, 2.0))
+        child = histogram.labels(route="/a", method="GET")
+        child.observe(0.5)
+        histogram.observe(1.5, method="GET", route="/a")
+        child.observe(3)
+        assert histogram.child_state(route="/a", method="GET") == ([1, 1, 1], 5.0, 3)
+        assert histogram.label_keys() == [(("method", "GET"), ("route", "/a"))]
+
+    def test_an_owner_built_family_joins_at_its_first_record(self):
+        registry = telemetry.get_registry()
+        child = Histogram("h_seconds", "H.", registry, buckets=(1.0,)).labels(node="x")
+        assert registry.get("h_seconds") is None
+        child.observe(0.5)
+        Histogram("h_seconds", "H.", registry, buckets=(1.0,)).labels(node="x").observe(2)
+        assert registry.histogram("h_seconds").child_state(node="x") == ([1, 1], 2.5, 2)
+
+    def test_is_a_no_op_while_the_registry_is_disabled(self):
+        registry = telemetry.get_registry()
+        child = registry.histogram("h_seconds").labels(route="/a")
+        owned = Histogram("g_seconds", "G.", registry).labels()
+        registry.disable()
+        child.observe(1)
+        owned.observe(1)
+        registry.enable()
+        assert registry.histogram("h_seconds").label_keys() == []
+        assert registry.get("g_seconds") is None
+
+
 class TestGaugeSetFunction:
     def test_reads_live_state_when_looked_at(self):
         queue = []
@@ -209,20 +240,24 @@ class TestGaugeSetFunction:
 
 
 def _hot_paths() -> dict:
-    """Code object -> name of every path that may look no counter up."""
+    """Code object -> name of every path that may look no counter or
+    histogram up."""
+    from repro.api.gateway import Gateway
     from repro.data import BlockStore
     from repro.paramserver import LRUCache, ParameterServer
 
     from repro.sqlext import Database
 
     paths = (BlockStore.get_chunk, ParameterServer.get, ParameterServer.put,
-             LRUCache.get, LRUCache.put, Database.execute)
+             LRUCache.get, LRUCache.put, Database.execute,
+             Gateway.handle, Gateway.handle_async)
     return {fn.__code__: fn.__qualname__ for fn in paths}
 
 
 class _RegistrySpy(MetricsRegistry):
     """A registry that, once armed, remembers every gauge family it was
-    asked for, and every counter family asked for inside a hot path."""
+    asked for, and every counter or histogram family asked for inside a
+    hot path."""
 
     def __init__(self):
         super().__init__()
@@ -240,14 +275,21 @@ class _RegistrySpy(MetricsRegistry):
             self.gauges_asked.append(name)
         return super().gauge(name, help)
 
-    def counter(self, name, help=""):
-        frame = sys._getframe(1) if self.armed else None
+    def _note_hot(self, name):
+        frame = sys._getframe(2) if self.armed else None
         while frame is not None:
             if frame.f_code in self._hot:
                 self.counters_asked.append((name, self._hot[frame.f_code]))
                 break
             frame = frame.f_back
+
+    def counter(self, name, help=""):
+        self._note_hot(name)
         return super().counter(name, help)
+
+    def histogram(self, name, help="", **kwargs):
+        self._note_hot(name)
+        return super().histogram(name, help, **kwargs)
 
 
 class TestHotPathsTouchNoGauge:
@@ -356,6 +398,42 @@ class TestHotPathsTouchNoGauge:
         assert spy.counter("repro_sql_queries_total").value(executor="planned") == 2
         assert spy.counter("repro_sql_udf_calls_total").value(executor="naive") == 3
         assert spy.counter("repro_sql_rows_scanned_total").value(table="t") == 3 * 4
+
+    def test_warm_gateway_queries(self, spy, tiny_dataset):
+        import asyncio
+
+        from serve_helpers import deploy_untrained
+
+        from repro.api.gateway import Gateway, make_query_executor
+        from repro.core.serve.frontend import AsyncServeFrontend, FrontendConfig
+        from repro.core.system import Rafiki
+
+        system = Rafiki(seed=5)
+        infer_id = deploy_untrained(system, tiny_dataset)
+        gateway = Gateway(system)
+        frontend = AsyncServeFrontend(
+            FrontendConfig(latency=lambda b: 0.001, tau=0.5, batch_sizes=(1,)),
+            make_query_executor(system, infer_id),
+        )
+        path, body = f"/query/{infer_id}", {"img": tiny_dataset.test_x[0]}
+
+        async def twice():
+            async with frontend:
+                for _ in range(2):
+                    assert (await gateway.handle_async("POST", path, body)).ok
+
+        for _ in range(2):  # the first request of each binds its series
+            assert gateway.handle("POST", path, body).ok
+        gateway.attach_frontend(infer_id, frontend)
+        asyncio.run(twice())
+        spy.arm()
+        assert gateway.handle("POST", path, body).ok
+        asyncio.run(twice())
+        requests = spy.counter("repro_gateway_requests_total")
+        assert requests.value(method="POST", route="/query/{job_id}", status="200",
+                              tenant="default") == 2 + 2 + 1 + 2
+        seconds = spy.histogram("repro_gateway_request_seconds")
+        assert seconds.child_state(route="/query/{job_id}")[2] == 7
 
     def test_rafiki_query(self, spy, tiny_dataset):
         from serve_helpers import deploy_untrained
