@@ -6,7 +6,7 @@ dispatch retry, accounting; see docs/SERVING.md) asks a
 :class:`DispatchPolicy` which queued requests to run on which models at
 which batch size. The policies are the paper's: greedy SLO-aware
 batching (Algorithm 3, the default), its single/sync/async multi-model
-baselines, AIMD, and the actor-critic controller that jointly selects
+baselines, and the actor-critic controller that jointly selects
 the batch size and the ensemble subset. :func:`run_load` drives the
 loop on the discrete-event simulator under the sine arrival process of
 the evaluation (the Figure 10/13-16 experiments); the asyncio shell
@@ -18,7 +18,6 @@ from repro.core.serve.actor_critic import ActorCritic
 from repro.core.serve.arrival import SineArrival, solve_sine_coefficients
 from repro.core.serve.batching import DEFAULT_BATCH_SIZES, GreedyBatcher
 from repro.core.serve.controllers import (
-    AIMDController,
     GreedyAsyncController,
     GreedySingleController,
     GreedySyncController,
@@ -45,7 +44,7 @@ from repro.core.serve.metrics import DispatchRecord, ServingMetrics, TimelineRow
 from repro.core.serve.policy import BatchOutcome, Dispatch, DispatchPolicy, DispatchView, Wait
 from repro.core.serve.pred_cache import PredictionCache
 from repro.core.serve.profiler import fit_affine_latency, profile_network
-from repro.core.serve.reward import batch_reward, count_overdue, mean_exceeding_time
+from repro.core.serve.reward import batch_reward, mean_exceeding_time
 from repro.core.serve.state import StateBuilder
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "GreedySingleController",
     "GreedySyncController",
     "GreedyAsyncController",
-    "AIMDController",
     "RLController",
     "ServingMetrics",
     "PredictionCache",
@@ -75,7 +73,6 @@ __all__ = [
     "DispatchRecord",
     "TimelineRow",
     "batch_reward",
-    "count_overdue",
     "mean_exceeding_time",
     "ServeFrontend",
     "AsyncServeFrontend",

@@ -2,16 +2,13 @@
 
 The action space of Section 5.2 has size ``(2^|M| - 1) * |B|`` — every
 non-empty model subset crossed with every candidate batch size (the
-all-zeros selection is excluded). Validity masks restrict sampling to
-subsets of the currently idle models.
+all-zeros selection is excluded).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from repro.exceptions import ConfigurationError
 
@@ -25,14 +22,9 @@ class Action:
     subset: tuple[int, ...]  # indices of selected models
     batch_size: int
 
-    def selection_vector(self, num_models: int) -> np.ndarray:
-        v = np.zeros(num_models, dtype=bool)
-        v[list(self.subset)] = True
-        return v
-
 
 class ActionSpace:
-    """Enumerates and masks the joint (subset, batch) actions."""
+    """Enumerates the joint (subset, batch) actions."""
 
     def __init__(self, num_models: int, batch_sizes: Sequence[int]):
         if num_models < 1:
@@ -43,8 +35,8 @@ class ActionSpace:
         self.num_models = int(num_models)
         self.batch_sizes = sizes
         self.actions: list[Action] = []
-        for mask in range(1, 2**self.num_models):
-            subset = tuple(i for i in range(self.num_models) if mask >> i & 1)
+        for bits in range(1, 2**self.num_models):
+            subset = tuple(i for i in range(self.num_models) if bits >> i & 1)
             for size in sizes:
                 self.actions.append(Action(subset=subset, batch_size=size))
 
@@ -53,15 +45,3 @@ class ActionSpace:
 
     def decode(self, index: int) -> Action:
         return self.actions[index]
-
-    def valid_mask(self, idle_models: Sequence[bool]) -> np.ndarray:
-        """Actions whose whole subset is currently idle."""
-        idle = np.asarray(idle_models, dtype=bool)
-        if idle.shape[0] != self.num_models:
-            raise ConfigurationError(
-                f"idle mask length {idle.shape[0]} != {self.num_models} models"
-            )
-        mask = np.zeros(len(self.actions), dtype=bool)
-        for i, action in enumerate(self.actions):
-            mask[i] = all(idle[m] for m in action.subset)
-        return mask

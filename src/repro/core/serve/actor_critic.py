@@ -14,8 +14,8 @@ advantage-actor-critic update:
   paper handles with alpha-greedy elsewhere);
 * value loss: MSE to the returns.
 
-Invalid actions (subsets containing busy models) are masked out of the
-softmax at both sampling and update time.
+Every action is valid: a subset naming a busy model queues its batch
+behind that model's in-flight work, which the state shows the policy.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class Transition:
     state: np.ndarray
     action: int
     reward: float
-    mask: np.ndarray
 
 
 class ActorCritic:
@@ -74,7 +73,6 @@ class ActorCritic:
         self._buffer: list[Transition] = []
         self._open: dict[int, Transition] = {}
         self._token_counter = 0
-        self._implicit_token: int | None = None
         self.decisions = 0
         self.updates = 0
 
@@ -82,14 +80,12 @@ class ActorCritic:
     # acting
     # ------------------------------------------------------------------
 
-    def masked_probs(self, state: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-        """Action probabilities with invalid actions masked out."""
+    def probs(self, state: np.ndarray) -> np.ndarray:
+        """Action probabilities at ``state``."""
         logits = self.policy.forward(state[None, :])[0]
-        if mask is not None:
-            logits = np.where(mask, logits, -1e9)
         return softmax(logits[None, :])[0]
 
-    def act_keyed(self, state: np.ndarray, mask: np.ndarray | None = None) -> tuple[int, int]:
+    def act(self, state: np.ndarray) -> tuple[int, int]:
         """Sample an action; returns ``(action, token)``.
 
         Several actions may be in flight at once (batches on different
@@ -97,17 +93,10 @@ class ActorCritic:
         each action's reward back to its transition.
         """
         state = np.asarray(state, dtype=np.float64)
-        if mask is None:
-            mask = np.ones(self.num_actions, dtype=bool)
-        if not mask.any():
-            raise ConfigurationError("no valid action available")
-        probs = self.masked_probs(state, mask)
-        action = int(self._rng.choice(self.num_actions, p=probs))
+        action = int(self._rng.choice(self.num_actions, p=self.probs(state)))
         self._token_counter += 1
         token = self._token_counter
-        self._open[token] = Transition(
-            state=state, action=action, reward=0.0, mask=mask.copy()
-        )
+        self._open[token] = Transition(state=state, action=action, reward=0.0)
         self.decisions += 1
         return action, token
 
@@ -120,24 +109,6 @@ class ActorCritic:
         self._buffer.append(transition)
         if len(self._buffer) >= self.horizon:
             self.update()
-
-    def act(self, state: np.ndarray, mask: np.ndarray | None = None) -> int:
-        """Single-pending convenience wrapper around :meth:`act_keyed`.
-
-        An un-rewarded previous action is finalised with zero reward.
-        """
-        if self._implicit_token is not None and self._implicit_token in self._open:
-            self.complete(self._implicit_token, 0.0)
-        action, token = self.act_keyed(state, mask)
-        self._implicit_token = token
-        return action
-
-    def give_reward(self, reward: float) -> None:
-        """Attach the (immediate) reward of the latest :meth:`act` action."""
-        if self._implicit_token is None or self._implicit_token not in self._open:
-            raise ConfigurationError("give_reward called with no pending action")
-        self.complete(self._implicit_token, reward)
-        self._implicit_token = None
 
     # ------------------------------------------------------------------
     # learning
@@ -152,7 +123,6 @@ class ActorCritic:
         states = np.vstack([t.state for t in batch])
         actions = np.array([t.action for t in batch])
         rewards = np.array([t.reward for t in batch])
-        masks = np.vstack([t.mask for t in batch])
 
         # n-step discounted returns bootstrapped with V(last state).
         values = self.value.forward(states).ravel()
@@ -170,9 +140,7 @@ class ActorCritic:
 
         # --- policy update -------------------------------------------
         self.policy.zero_grads()
-        logits = self.policy.forward(states, training=True)
-        masked_logits = np.where(masks, logits, -1e9)
-        probs = softmax(masked_logits)
+        probs = softmax(self.policy.forward(states, training=True))
         onehot = np.zeros_like(probs)
         onehot[np.arange(len(batch)), actions] = 1.0
         grad = (probs - onehot) * advantages[:, None]
@@ -180,7 +148,6 @@ class ActorCritic:
         log_probs = np.log(np.clip(probs, 1e-12, None))
         entropy = -(probs * log_probs).sum(axis=1, keepdims=True)
         grad -= self.entropy_coef * (-probs * (log_probs + entropy))
-        grad = np.where(masks, grad, 0.0)
         self.policy.backward(grad / len(batch))
         self.policy_opt.step(self.policy.params, self.policy.grads)
 

@@ -58,12 +58,6 @@ class SineArrival:
         """The deterministic arrival rate at time ``t`` (requests/s)."""
         return max(self.gamma * math.sin(2.0 * math.pi * t / self.period) + self.intercept, 0.0)
 
-    def peak_rate(self) -> float:
-        return self.gamma + self.intercept
-
-    def trough_rate(self) -> float:
-        return max(self.intercept - self.gamma, 0.0)
-
     def count(self, t: float, span: float) -> int:
         """Number of new requests over ``[t, t + span)``.
 

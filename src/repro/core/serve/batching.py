@@ -66,6 +66,12 @@ class GreedyBatcher(DispatchPolicy):
         #: the AIMD back-off constant delta (default 0.1 tau).
         self.backoff = float(backoff) if backoff is not None else 0.1 * self.tau
         self.models = tuple(models)
+        decisions = telemetry.Counter(
+            "repro_serve_batcher_decisions_total",
+            "Greedy batcher decisions, by action taken.", telemetry.get_registry(),
+        )
+        self._dispatched = decisions.labels(action="dispatch")
+        self._waited = decisions.labels(action="wait")
 
     @property
     def max_batch(self) -> int:
@@ -95,12 +101,10 @@ class GreedyBatcher(DispatchPolicy):
             return Wait()
         queue, now = view.queue, view.now
         batch = self._ready_batch(queue, now)
-        telemetry.get_registry().counter(
-            "repro_serve_batcher_decisions_total",
-            "Greedy batcher decisions, by action taken.",
-        ).inc(action="dispatch" if batch else "wait")
         if batch:
+            self._dispatched.inc()
             return Dispatch(self.models, batch, min(batch, len(queue)))
+        self._waited.inc()
         return Wait(self.next_deadline(queue, now))
 
     def _ready_batch(self, queue, now: float) -> int:

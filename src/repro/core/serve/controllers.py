@@ -1,4 +1,4 @@
-"""Dispatch policies: the greedy baselines, AIMD and the RL scheduler.
+"""Dispatch policies: the greedy baselines and the RL scheduler.
 
 Each is a :class:`~repro.core.serve.policy.DispatchPolicy` the
 :class:`~repro.core.serve.frontend.ServeFrontend` consults while
@@ -14,7 +14,6 @@ asked again when a batch completes.
   synchronously (the first multi-model baseline, Figure 14);
 * :class:`GreedyAsyncController` — one model per batch, no ensemble
   (the second baseline, Figure 15);
-* :class:`AIMDController` — Clipper's adaptive batch size;
 * :class:`RLController` — the actor-critic scheduler jointly choosing
   batch size and model subset against Equation 7 (Section 5.2).
 """
@@ -26,7 +25,7 @@ from typing import Sequence
 from repro import telemetry
 from repro.core.serve.actions import ActionSpace
 from repro.core.serve.actor_critic import ActorCritic
-from repro.core.serve.batching import _EPS, GreedyBatcher
+from repro.core.serve.batching import GreedyBatcher
 from repro.core.serve.ensemble import EnsembleScorer
 from repro.core.serve.policy import BatchOutcome, Dispatch, DispatchPolicy, DispatchView, Wait
 from repro.core.serve.reward import batch_reward
@@ -38,7 +37,6 @@ __all__ = [
     "GreedySingleController",
     "GreedySyncController",
     "GreedyAsyncController",
-    "AIMDController",
     "RLController",
 ]
 
@@ -84,59 +82,6 @@ class GreedyAsyncController(DispatchPolicy):
         if isinstance(decision, Dispatch):
             self._next = (model + 1) % count
         return decision
-
-
-class AIMDController(DispatchPolicy):
-    """Clipper-style additive-increase / multiplicative-decrease batching.
-
-    Section 2.3 credits Clipper with tuning the batch size via AIMD:
-    grow the batch additively while the SLO holds, cut it multiplicatively
-    on a miss. This controller serves a single model with a continuously
-    adapted batch size (not restricted to the candidate list), providing
-    a third baseline between the static greedy batcher and RL.
-    """
-
-    def __init__(
-        self,
-        profile: ModelProfile,
-        tau: float,
-        max_batch: int = 64,
-        increase: int = 2,
-        decrease: float = 0.5,
-        backoff: float | None = None,
-    ):
-        self.profile = profile
-        self.tau = float(tau)
-        self.max_batch = int(max_batch)
-        self.increase = int(increase)
-        self.decrease = float(decrease)
-        self.backoff = float(backoff) if backoff is not None else 0.1 * self.tau
-        self.batch_size = max(1, max_batch // 4)
-
-    def decide(self, view: DispatchView) -> Dispatch | Wait:
-        queue, now = view.queue, view.now
-        if not view.model_idle(0) or not queue:
-            return Wait()
-        latency = self.profile.inference_time(self.batch_size)
-        queue_full = len(queue) >= self.batch_size
-        # _EPS: this must already hold at the ``wake`` instant computed below.
-        deadline = latency + queue.oldest_wait(now) + self.backoff >= self.tau - _EPS
-        if not (queue_full or deadline):
-            wake = queue.oldest_arrival() + self.tau - latency - self.backoff
-            return Wait(until=max(wake, now))
-        telemetry.get_registry().gauge(
-            "repro_serve_aimd_batch_size", "Current AIMD-adapted batch size."
-        ).set(self.batch_size)
-        return Dispatch((0,), self.batch_size, min(self.batch_size, len(queue)))
-
-    def on_complete(self, outcome: BatchOutcome) -> None:
-        """Grow the batch after a clean batch, cut it after an SLO miss."""
-        if not outcome.take:
-            return  # the batch never ran: no signal either way
-        if outcome.overdue:
-            self.batch_size = max(int(self.batch_size * self.decrease), 1)
-        else:
-            self.batch_size = min(self.batch_size + self.increase, self.max_batch)
 
 
 class RLController(DispatchPolicy):
@@ -186,11 +131,7 @@ class RLController(DispatchPolicy):
         self.scorer = scorer
         self.beta = float(beta)
         self.reward_shaping = reward_shaping
-        self.state_builder = StateBuilder(
-            profiles, batch_sizes, tau,
-            queue_window=queue_window,
-            include_model_status=len(profiles) > 1,
-        )
+        self.state_builder = StateBuilder(profiles, batch_sizes, tau, queue_window)
         self.action_space = ActionSpace(len(profiles), batch_sizes)
         self.learner = ActorCritic(
             state_dim=self.state_builder.dim,
@@ -202,6 +143,14 @@ class RLController(DispatchPolicy):
             horizon=horizon,
             seed=seed,
         )
+        actions = telemetry.Counter(
+            "repro_serve_rl_actions_total",
+            "Actor-critic dispatch actions, by ensemble size.", telemetry.get_registry(),
+        )
+        #: ensemble size -> its bound action count.
+        self._actions = {
+            size: actions.labels(models=str(size)) for size in range(1, len(profiles) + 1)
+        }
 
     def decide(self, view: DispatchView) -> Dispatch | Wait:
         count = len(self.profiles)
@@ -212,12 +161,9 @@ class RLController(DispatchPolicy):
             return Wait(until=min(view.busy_until))
         busy_until = view.busy_until if len(view.busy_until) else [0.0] * count
         state = self.state_builder.build(view.queue, view.now, busy_until)
-        action_index, token = self.learner.act_keyed(state, mask=None)
+        action_index, token = self.learner.act(state)
         action = self.action_space.decode(action_index)
-        telemetry.get_registry().counter(
-            "repro_serve_rl_actions_total",
-            "Actor-critic dispatch actions, by ensemble size.",
-        ).inc(models=str(len(action.subset)))
+        self._actions[len(action.subset)].inc()
         take = min(action.batch_size, len(view.queue))
         return Dispatch(action.subset, action.batch_size, take, token)
 

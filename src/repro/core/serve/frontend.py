@@ -26,8 +26,8 @@ flow control, in three layers:
   fast with :class:`~repro.exceptions.RequestShedError` instead of
   queueing without bound — that is the backpressure contract.
 * :class:`ScalingAdvisor` — autoscaling hints derived from the core's
-  *live* queue depth and rolling p95 latency, with watermarks and a
-  cooldown so the hint does not flap.
+  *live* queue depth and rolling p95 latency, with fixed watermarks and
+  a cooldown so the hint does not flap.
 
 Fault points: ``frontend.accept`` fires on every admission attempt and
 ``frontend.dispatch`` on every batch hand-off, so chaos plans can
@@ -71,6 +71,13 @@ __all__ = [
     "ScalingAdvisor",
 ]
 
+#: ScalingAdvisor: scale out above either high watermark (queued
+#: requests, p95 seconds), in below both low ones ...
+_HIGH_DEPTH, _HIGH_P95 = 256, 0.5
+_LOW_DEPTH, _LOW_P95 = 16, 0.2
+#: ... and change the hint at most once per this many seconds.
+_COOLDOWN = 5.0
+
 
 class TokenBucket:
     """A deterministic token bucket (the per-client rate limiter).
@@ -99,29 +106,17 @@ class TokenBucket:
         if self._last is None or now > self._last:
             self._last = now
 
-    def try_take(self, now: float, cost: float = 1.0) -> float:
-        """Take ``cost`` tokens; returns 0.0 on success.
+    def peek(self, now: float) -> float:
+        """0.0 if a token is available at ``now``, else the ``retry_after``
+        hint: seconds until one will have accrued.
 
-        On failure the bucket is left untouched and the return value is
-        the ``retry_after`` hint: seconds until enough tokens will have
-        accrued.
+        Refills but never spends: the admission pipeline tests every
+        predicate first, then takes its token with ``tokens -= 1.0``.
         """
         self._refill(now)
-        if self.tokens + 1e-12 >= cost:
-            self.tokens -= cost
+        if self.tokens + 1e-12 >= 1.0:
             return 0.0
-        return (cost - self.tokens) / self.rate
-
-    def peek(self, now: float, cost: float = 1.0) -> float:
-        """The ``retry_after`` a :meth:`try_take` at ``now`` would return.
-
-        Refills but never spends, so admission pipelines can test every
-        predicate before consuming any token.
-        """
-        self._refill(now)
-        if self.tokens + 1e-12 >= cost:
-            return 0.0
-        return (cost - self.tokens) / self.rate
+        return (1.0 - self.tokens) / self.rate
 
     def available(self, now: float) -> float:
         """Tokens available at ``now`` (after lazy refill)."""
@@ -181,9 +176,11 @@ class FrontendConfig:
     )
 
     def __post_init__(self):
+        if not (0.0 < self.tau < math.inf):
+            raise ConfigurationError(f"tau must be finite and > 0, got {self.tau}")
         if self.max_queue < 1:
             raise ConfigurationError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.deadline_slack <= 0:
+        if not self.deadline_slack > 0:  # inf is fine: no deadline shedding
             raise ConfigurationError(
                 f"deadline_slack must be > 0, got {self.deadline_slack}"
             )
@@ -376,6 +373,32 @@ class ServeFrontend:
         #: burst), not once per request.
         self._counted: dict[str, int] = {}
         registry = telemetry.get_registry()
+        self._requests = telemetry.Counter(
+            "repro_serve_frontend_requests_total",
+            "Front-end admission outcomes, by client verdict and tenant.", registry,
+        )
+        self._shed_count = telemetry.Counter(
+            "repro_serve_frontend_shed_total",
+            "Requests refused by admission control, by reason and tenant.", registry,
+        )
+        self._retries = telemetry.Counter(
+            "repro_serve_frontend_dispatch_retries_total",
+            "Planned batches that failed dispatch and were retried.", registry,
+        ).labels()
+        self._overdue = telemetry.Counter(
+            "repro_serve_frontend_overdue_total",
+            "Served requests that overran the SLO tau.", registry,
+        ).labels()
+        self._batch_sizes = telemetry.Histogram(
+            "repro_serve_batch_size",
+            "Hardware batch size chosen per dispatch.", registry,
+            buckets=BATCH_SIZE_BUCKETS,
+        ).labels()
+        self._latencies = telemetry.Histogram(
+            "repro_serve_frontend_latency_seconds",
+            "Per-request latency from arrival to batch completion.", registry,
+            buckets=LATENCY_BUCKETS,
+        )
         registry.gauge(
             "repro_serve_frontend_queue_depth",
             "Requests admitted and waiting in the front-end queue.",
@@ -389,10 +412,12 @@ class ServeFrontend:
     # admission
     # ------------------------------------------------------------------
 
-    def _drain_time(self, now: float) -> float:
-        """Seconds one full batch takes, spread over the live replicas."""
-        live, _ = self.capacity(now)
-        return self.config.latency(self._max_batch) / max(1, int(live))
+    def _drain_time(self, now: float, batches: int = 1) -> tuple[float, float]:
+        """``(head-of-line delay, seconds)``: the delay the capacity hook
+        reports, and how long ``batches`` full batches take spread over
+        the live replicas."""
+        live, head_delay = self.capacity(now)
+        return head_delay, batches * self.config.latency(self._max_batch) / max(1, int(live))
 
     def estimated_delay(self, now: float) -> float:
         """Predicted queueing delay a request admitted at ``now`` faces.
@@ -402,12 +427,9 @@ class ServeFrontend:
         seconds each, spread across the live replicas, behind whatever
         head-of-line delay the capacity hook reports.
         """
-        live, head_delay = self.capacity(now)
-        live = max(1, int(live))
         batches = math.ceil((len(self.pending) + 1) / self._max_batch)
-        return max(0.0, head_delay) + batches * self.config.latency(
-            self._max_batch
-        ) / live
+        head_delay, drain = self._drain_time(now, batches)
+        return max(0.0, head_delay) + drain
 
     def _tenant_rate(self, tenant: str) -> float | None:
         overrides = self.config.tenant_rate_limits or {}
@@ -496,12 +518,12 @@ class ServeFrontend:
             cap = max(1, int(config.max_queue * config.tenant_max_queue_share))
             if pending.count(tenant) >= cap:
                 raise self._shed(
-                    "tenant_queue_full", self._drain_time(now), now,
+                    "tenant_queue_full", self._drain_time(now)[1], now,
                     client_id=client_id, tenant=tenant,
                 )
         if len(pending) >= config.max_queue:
             raise self._shed(
-                "queue_full", self._drain_time(now), now,
+                "queue_full", self._drain_time(now)[1], now,
                 client_id=client_id, tenant=tenant,
             )
         budget = config.tau * config.deadline_slack
@@ -512,7 +534,7 @@ class ServeFrontend:
                     "deadline", delay - budget, now, client_id=client_id, tenant=tenant
                 )
         for bucket in buckets:
-            bucket.try_take(now)
+            bucket.tokens -= 1.0
         self._seq += 1
         request = FrontendRequest(
             self._seq, client_id, payload, arrival, arrival + config.tau, tenant
@@ -536,15 +558,8 @@ class ServeFrontend:
     ) -> RequestShedError:
         """Account one shed and build the error the caller raises."""
         self._tenant_account(tenant, reason)
-        registry = telemetry.get_registry()
-        registry.counter(
-            "repro_serve_frontend_requests_total",
-            "Front-end admission outcomes, by client verdict and tenant.",
-        ).inc(outcome="shed", tenant=tenant)
-        registry.counter(
-            "repro_serve_frontend_shed_total",
-            "Requests refused by admission control, by reason and tenant.",
-        ).inc(reason=reason, tenant=tenant)
+        self._requests.inc(outcome="shed", tenant=tenant)
+        self._shed_count.inc(reason=reason, tenant=tenant)
         return RequestShedError(reason, max(retry_after, 0.0), detail=detail)
 
     # ------------------------------------------------------------------
@@ -593,10 +608,7 @@ class ServeFrontend:
                 plan.extra_latency = chaos.fire("frontend.dispatch")
             except InjectedFault:
                 self._dispatch_failures += 1
-                telemetry.get_registry().counter(
-                    "repro_serve_frontend_dispatch_retries_total",
-                    "Planned batches that failed dispatch and were retried.",
-                ).inc()
+                self._retries.inc()
                 if self._dispatch_failures >= retry.max_attempts:
                     self.fail(plan, now, "dispatch_failed")
                     self._dispatch_failures = 0
@@ -620,23 +632,13 @@ class ServeFrontend:
         return plans
 
     def _count_telemetry(self, plans: list[DispatchPlan]) -> None:
-        registry = telemetry.get_registry()
         for tenant, outcomes in self.tenant_outcomes.items():
             fresh = outcomes.get("admitted", 0) - self._counted.get(tenant, 0)
             if fresh:
-                registry.counter(
-                    "repro_serve_frontend_requests_total",
-                    "Front-end admission outcomes, by client verdict and tenant.",
-                ).inc(fresh, outcome="admitted", tenant=tenant)
+                self._requests.inc(fresh, outcome="admitted", tenant=tenant)
                 self._counted[tenant] = outcomes["admitted"]
-        if plans:
-            sizes = registry.histogram(
-                "repro_serve_batch_size",
-                "Hardware batch size chosen per dispatch.",
-                buckets=BATCH_SIZE_BUCKETS,
-            )
-            for plan in plans:
-                sizes.observe(plan.batch_size)
+        for plan in plans:
+            self._batch_sizes.observe(plan.batch_size)
 
     def next_wake(self, now: float) -> float | None:
         """Earliest future instant at which ``poll`` could act.
@@ -678,17 +680,9 @@ class ServeFrontend:
         for tenant, count in Counter(r.tenant for r in requests).items():
             self._tenant_account(tenant, "served", count)
         self._latency_sample.add_many(latencies)
-        registry = telemetry.get_registry()
-        registry.histogram(
-            "repro_serve_frontend_latency_seconds",
-            "Per-request latency from arrival to batch completion.",
-            buckets=LATENCY_BUCKETS,
-        ).observe_many(latencies)
+        self._latencies.observe_many(latencies)
         if overdue:
-            registry.counter(
-                "repro_serve_frontend_overdue_total",
-                "Served requests that overran the SLO tau.",
-            ).inc(overdue)
+            self._overdue.inc(overdue)
         if plan.completion is None:
             self.policy.on_complete(outcome)
         return outcome
@@ -752,56 +746,37 @@ class ScalingAdvisor:
 
     Reads the queue depth and the rolling p95 latency of the
     :class:`ServeFrontend` it is handed (the same two numbers the front
-    end's gauges show) and emits a hint: +1 scale out, -1 scale in,
-    0 hold. Watermarks plus a cooldown give hysteresis so
-    a sine-wave load does not thrash the replica count; every emitted
-    hint lands in the ``repro_serve_frontend_scale_hint`` gauge.
+    end's gauges show) and emits a hint: +1 scale out (depth above
+    ``_HIGH_DEPTH`` or p95 above ``_HIGH_P95``), -1 scale in (depth below
+    ``_LOW_DEPTH`` and p95 below ``_LOW_P95``), 0 hold. The watermarks
+    plus a ``_COOLDOWN`` give hysteresis so a sine-wave load does not
+    thrash the replica count; every emitted hint lands in the
+    ``repro_serve_frontend_scale_hint`` gauge.
     """
 
-    def __init__(
-        self,
-        high_depth: float = 256.0,
-        low_depth: float = 16.0,
-        high_p95: float = 0.5,
-        low_p95: float = 0.2,
-        cooldown: float = 5.0,
-    ):
-        if high_depth <= low_depth:
-            raise ConfigurationError(
-                f"high_depth ({high_depth}) must exceed low_depth ({low_depth})"
-            )
-        if high_p95 <= low_p95:
-            raise ConfigurationError(
-                f"high_p95 ({high_p95}) must exceed low_p95 ({low_p95})"
-            )
-        self.high_depth = float(high_depth)
-        self.low_depth = float(low_depth)
-        self.high_p95 = float(high_p95)
-        self.low_p95 = float(low_p95)
-        self.cooldown = float(cooldown)
+    def __init__(self):
         self._last_change: float | None = None
+        self._hint = telemetry.get_registry().gauge(
+            "repro_serve_frontend_scale_hint",
+            "Latest autoscaling hint (+1 out, -1 in, 0 hold).",
+        )
 
     def evaluate(self, frontend: ServeFrontend, now: float) -> int:
         """The current hint for ``frontend``: +1 (scale out), -1 (scale in), or 0."""
         depth = len(frontend.pending)
         p95 = frontend.latency_quantile(0.95)
-        if depth > self.high_depth or p95 > self.high_p95:
+        if depth > _HIGH_DEPTH or p95 > _HIGH_P95:
             hint = 1
-        elif depth < self.low_depth and p95 < self.low_p95:
+        elif depth < _LOW_DEPTH and p95 < _LOW_P95:
             hint = -1
         else:
             hint = 0
         if hint != 0:
-            if self._last_change is not None and (
-                now - self._last_change < self.cooldown
-            ):
+            if self._last_change is not None and now - self._last_change < _COOLDOWN:
                 hint = 0
             else:
                 self._last_change = now
-        telemetry.get_registry().gauge(
-            "repro_serve_frontend_scale_hint",
-            "Latest autoscaling hint (+1 out, -1 in, 0 hold).",
-        ).set(hint)
+        self._hint.set(hint)
         return hint
 
 
@@ -831,6 +806,10 @@ class AsyncServeFrontend:
     ):
         self.core = ServeFrontend(config, capacity=capacity, policy=policy)
         self.executor = executor
+        self._executor_errors = telemetry.Counter(
+            "repro_serve_frontend_executor_errors_total",
+            "Batches whose executor raised; their requests fail.", telemetry.get_registry(),
+        ).labels()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._wake: asyncio.Event | None = None
         self._task: asyncio.Task | None = None
@@ -909,10 +888,7 @@ class AsyncServeFrontend:
             if inspect.isawaitable(results):
                 results = await results
         except Exception as exc:  # executor bug or backend outage
-            telemetry.get_registry().counter(
-                "repro_serve_frontend_executor_errors_total",
-                "Batches whose executor raised; their requests fail.",
-            ).inc()
+            self._executor_errors.inc()
             # Callers get the executor's own exception (it is not a
             # backpressure signal); the ledger still closes.
             for request in plan.requests:

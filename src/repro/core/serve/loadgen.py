@@ -30,7 +30,9 @@ least-loaded live replica — or, when the dispatch policy named a model
 subset, each named model — for ``c(b)`` seconds (the same affine
 latency model the batcher plans with). A :class:`~repro.core.serve.frontend.
 ScalingAdvisor` can be wired in to grow/shrink the pool from the front
-end's queue depth and p95 latency mid-run.
+end's queue depth and p95 latency mid-run: it is consulted every
+``_AUTOSCALE_INTERVAL`` simulated seconds and keeps the pool within
+``_SCALE_BOUNDS`` replicas.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ __all__ = [
     "run_load",
     "run_multi_load",
 ]
+
+#: the autoscaled pool stays within these replica counts ...
+_SCALE_BOUNDS = (1, 8)
+#: ... and its advisor is consulted every this many simulated seconds.
+_AUTOSCALE_INTERVAL = 1.0
 
 
 @dataclass(frozen=True)
@@ -98,8 +105,16 @@ class LoadGenConfig:
             )
         if self.clients < 1:
             raise ConfigurationError(f"clients must be >= 1, got {self.clients}")
-        if self.duration <= 0:
-            raise ConfigurationError(f"duration must be > 0, got {self.duration}")
+        # Each mode's own numbers: NaN or inf would never end the run.
+        used = ("period", "span", "target_rate") if self.mode == "open" else ()
+        for name in ("duration", *used):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+        if self.mode == "closed" and not 0.0 <= self.think_time < math.inf:
+            raise ConfigurationError(
+                f"think_time must be finite and >= 0, got {self.think_time}"
+            )
 
 
 @dataclass(frozen=True)
@@ -416,39 +431,30 @@ class _Driver:
             yield signal
             yield load.think_time
 
-    def autoscale(
-        self,
-        advisor: ScalingAdvisor,
-        bounds: tuple[int, int],
-        interval: float,
-        duration: float,
-    ):
-        low, high = bounds
+    def autoscale(self, advisor: ScalingAdvisor, duration: float):
+        low, high = _SCALE_BOUNDS
         while self.sim.now < duration:
             hint = advisor.evaluate(self.frontend, self.sim.now)
             if hint > 0 and self.pool.size < high:
                 self.pool.scale_to(self.pool.size + 1, self.sim.now)
             elif hint < 0 and self.pool.size > low:
                 self.pool.scale_to(self.pool.size - 1, self.sim.now)
-            yield interval
+            yield _AUTOSCALE_INTERVAL
 
 
 def run_load(
     frontend: ServeFrontend,
     pool: ReplicaPool,
     load: LoadGenConfig,
-    sim: Simulator | None = None,
     autoscaler: ScalingAdvisor | None = None,
-    scale_bounds: tuple[int, int] = (1, 8),
-    autoscale_interval: float = 1.0,
     events: Sequence[tuple[float, Callable[[], None]]] = (),
     trace=None,
 ):
     """Run one load shape against a front end; returns the full trace.
 
     :func:`run_multi_load` of a single load, plus an optional
-    ``autoscaler`` consulted every ``autoscale_interval`` simulated
-    seconds to grow or shrink ``pool`` within ``scale_bounds``.
+    ``autoscaler`` consulted every ``_AUTOSCALE_INTERVAL`` simulated
+    seconds to grow or shrink ``pool`` within ``_SCALE_BOUNDS``.
 
     ``trace`` (here and in :func:`run_multi_load`) is what records the
     run and is returned: by default a per-request :class:`LoadTrace`;
@@ -456,18 +462,13 @@ def run_load(
     per-batch records only (anything with their three ``record_*``
     methods).
     """
-    autoscale = (
-        None if autoscaler is None
-        else (autoscaler, scale_bounds, autoscale_interval)
-    )
-    return _run_loads(frontend, pool, [load], sim, events, autoscale, trace)
+    return _run_loads(frontend, pool, [load], events, autoscaler, trace)
 
 
 def run_multi_load(
     frontend: ServeFrontend,
     pool: ReplicaPool,
     loads: Sequence[LoadGenConfig],
-    sim: Simulator | None = None,
     events: Sequence[tuple[float, Callable[[], None]]] = (),
     trace=None,
 ):
@@ -489,14 +490,14 @@ def run_multi_load(
     completion, so every offered request has exactly one terminal
     trace record.
     """
-    return _run_loads(frontend, pool, loads, sim, events, trace=trace)
+    return _run_loads(frontend, pool, loads, events, trace=trace)
 
 
-def _run_loads(frontend, pool, loads, sim, events, autoscale=None, trace=None):
+def _run_loads(frontend, pool, loads, events, autoscaler=None, trace=None):
     """The one run → pump → drain → shed-leftovers sequence of both entries."""
     if not loads:
         raise ConfigurationError("run_multi_load needs at least one load")
-    sim = sim if sim is not None else Simulator()
+    sim = Simulator()
     duration = max(load.duration for load in loads)
     if trace is None:
         mode = loads[0].mode if len(loads) == 1 else "multi"
@@ -504,8 +505,8 @@ def _run_loads(frontend, pool, loads, sim, events, autoscale=None, trace=None):
     driver = _Driver(frontend, pool, sim, trace)
     for index, load in enumerate(loads):
         _spawn_load(driver, sim, load, stagger=index * 1e-7)
-    if autoscale is not None:
-        sim.spawn(driver.autoscale(*autoscale, duration))
+    if autoscaler is not None:
+        sim.spawn(driver.autoscale(autoscaler, duration))
     for when, thunk in events:
         sim.schedule(when, thunk)
     sim.run(until=duration + 10.0 * frontend.config.tau)

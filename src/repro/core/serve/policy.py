@@ -13,8 +13,8 @@ models, at which batch size — it asks a :class:`DispatchPolicy`:
   how many overran the SLO, their latencies, on which models) — behind
   real models when the batch finishes, behind the simulator's
   deterministic ones when it is dispatched. What to make of them —
-  Equation 7 for the actor-critic, a miss signal for AIMD — is the
-  policy's business.
+  Equation 7 for the actor-critic, nothing for the greedy batcher — is
+  the policy's business.
 
 Implementations: :class:`~repro.core.serve.batching.GreedyBatcher`
 (Algorithm 3, the default) and the controllers of

@@ -16,12 +16,7 @@ import numpy as np
 
 from repro.utils.validation import check_non_negative
 
-__all__ = ["batch_reward", "count_overdue", "mean_exceeding_time"]
-
-
-def count_overdue(latencies: np.ndarray, tau: float) -> int:
-    """``|{s : l(s) > tau}|``."""
-    return int(np.sum(latencies > tau))
+__all__ = ["batch_reward", "mean_exceeding_time"]
 
 
 def batch_reward(accuracy: float, served: int, overdue: int, beta: float,

@@ -11,7 +11,8 @@ The state concatenates:
   finish the requests already dispatched to it.
 
 For the single-model experiment (Section 7.2.1) the model status is
-removed, as in the paper.
+removed, as in the paper. Waits and remaining busy times are clipped at
+``_WAIT_CLIP`` SLOs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from repro.zoo.profiles import ModelProfile
 
 __all__ = ["StateBuilder"]
 
+#: waits and busy times beyond this many SLOs all look the same.
+_WAIT_CLIP = 3.0
+
 
 class StateBuilder:
     """Builds fixed-length state vectors for the RL controller."""
@@ -34,15 +38,13 @@ class StateBuilder:
         batch_sizes: Sequence[int],
         tau: float,
         queue_window: int = 32,
-        include_model_status: bool = True,
-        wait_clip: float = 3.0,
     ):
         self.profiles = list(profiles)
         self.batch_sizes = tuple(batch_sizes)
         self.tau = float(tau)
         self.queue_window = int(queue_window)
-        self.include_model_status = bool(include_model_status)
-        self.wait_clip = float(wait_clip)
+        #: the single-model state (Section 7.2.1) has no model status.
+        self._model_status = len(self.profiles) > 1
         self._latency_table = np.array(
             [
                 [p.inference_time(b) / self.tau for b in self.batch_sizes]
@@ -53,19 +55,19 @@ class StateBuilder:
     @property
     def dim(self) -> int:
         base = self.queue_window + 1
-        if self.include_model_status:
+        if self._model_status:
             base += self._latency_table.size + len(self.profiles)
         return base
 
     def build(self, queue, now: float, busy_until: Sequence[float]) -> np.ndarray:
         """Encode the current serving state as a flat vector."""
         waits = np.clip(queue.waiting_times(now, self.queue_window) / self.tau,
-                        0.0, self.wait_clip)
+                        0.0, _WAIT_CLIP)
         length = np.array([np.log1p(len(queue)) / np.log1p(1000.0)])
         parts = [waits, length]
-        if self.include_model_status:
+        if self._model_status:
             remaining = np.array(
                 [max(until - now, 0.0) / self.tau for until in busy_until]
             )
-            parts.extend([self._latency_table, np.clip(remaining, 0.0, self.wait_clip)])
+            parts.extend([self._latency_table, np.clip(remaining, 0.0, _WAIT_CLIP)])
         return np.concatenate(parts)

@@ -307,9 +307,10 @@ class Histogram(Metric):
                            dtype=np.float64).ravel()
         if array.size == 0:
             return
-        child = self._child(_label_key(labels))
-        slots = np.searchsorted(self._bounds_array, array, side="left")
-        counts = np.bincount(slots, minlength=len(self.buckets) + 1)
+        family = self if self._joined else self._registry._join(self)
+        child = family._child(_label_key(labels))
+        slots = np.searchsorted(family._bounds_array, array, side="left")
+        counts = np.bincount(slots, minlength=len(family.buckets) + 1)
         for i, n in enumerate(counts):
             child.bucket_counts[i] += int(n)
         child.sum += float(array.sum())

@@ -19,7 +19,6 @@ from repro import chaos, telemetry
 from repro.chaos import FaultKind, FaultPlan, FaultRule
 from repro.core.serve import (
     DEFAULT_BATCH_SIZES,
-    AIMDController,
     EnsembleScorer,
     FrontendConfig,
     GreedyAsyncController,
@@ -237,7 +236,6 @@ POLICIES = {
     "greedy-single": (lambda p, s: GreedySingleController(p[0], DEFAULT_BATCH_SIZES, TAU), 1),
     "greedy-sync": (lambda p, s: GreedySyncController(p, DEFAULT_BATCH_SIZES, TAU), 3),
     "greedy-async": (lambda p, s: GreedyAsyncController(p, DEFAULT_BATCH_SIZES, TAU), 3),
-    "aimd": (lambda p, s: AIMDController(p[0], TAU), 1),
     "rl": (lambda p, s: RLController(p, DEFAULT_BATCH_SIZES, TAU, seed=3, scorer=s), 3),
 }
 FAULTS = {

@@ -195,7 +195,7 @@ class TestSineArrivalProperties:
         arrival = SineArrival(target, period)
         for t in np.linspace(0, 2 * period, 50):
             rate = arrival.rate(t)
-            assert 0.0 <= rate <= arrival.peak_rate() + 1e-9
+            assert 0.0 <= rate <= arrival.gamma + arrival.intercept + 1e-9
 
     @given(st.floats(1, 1000), st.integers(0, 1000))
     def test_counts_are_non_negative(self, target, seed):

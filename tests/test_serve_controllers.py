@@ -7,7 +7,6 @@ from serve_helpers import TAU, serve, view_of
 from repro.cluster import CheckpointStore
 from repro.core.serve import (
     DEFAULT_BATCH_SIZES,
-    AIMDController,
     BatchOutcome,
     Dispatch,
     EnsembleScorer,
@@ -120,61 +119,6 @@ class TestServingMasterRecovery:
         replacement.learner.load_state_dict(store.restore("serve-master"))
         state = np.zeros(controller.state_builder.dim)
         np.testing.assert_allclose(
-            controller.learner.masked_probs(state, None),
-            replacement.learner.masked_probs(state, None),
+            controller.learner.probs(state),
+            replacement.learner.probs(state),
         )
-
-
-class TestAIMDController:
-    """Clipper-style adaptive batching (Section 2.3's related work)."""
-
-    def _run(self, target_rate, horizon=120.0, seed=0):
-        controller = AIMDController(PROFILE, TAU, max_batch=64)
-        metrics, _ = serve(controller, [PROFILE], target_rate, horizon, seed=seed,
-                           period=100.0)
-        return controller, metrics
-
-    def test_batch_grows_under_light_load(self):
-        controller, metrics = self._run(target_rate=100.0)
-        # plenty of headroom: additive increase pushes toward the cap
-        assert controller.batch_size > 16
-        assert metrics.overdue_fraction() < 0.05
-
-    def test_batch_bounded_by_cap(self):
-        controller, _ = self._run(target_rate=250.0)
-        assert 1 <= controller.batch_size <= 64
-
-    def test_misses_shrink_the_batch(self):
-        controller = AIMDController(PROFILE, TAU, max_batch=64)
-        controller.batch_size = 32
-        batch = Dispatch((0,), 32, 32)
-        # a batch with no overdue request grows the batch additively
-        controller.on_complete(outcome_of(batch, [0.3] * 32))
-        assert controller.batch_size == 34
-        # one overdue request halves it — however the reward is shaped
-        controller.on_complete(outcome_of(batch, [0.3] * 31 + [0.6], overdue=1))
-        assert controller.batch_size == 17
-        # a batch that never ran says nothing about the SLO
-        controller.on_complete(outcome_of(batch))
-        assert controller.batch_size == 17
-
-    def test_a_miss_in_a_run_halves_the_batch(self):
-        seen = []
-
-        class Watched(AIMDController):
-            def on_complete(self, outcome):
-                before = self.batch_size
-                super().on_complete(outcome)
-                seen.append((before, outcome.overdue, self.batch_size))
-
-        serve(Watched(PROFILE, TAU, max_batch=64), [PROFILE], 330.0, 60.0,
-              period=100.0)
-        misses = [(before, after) for before, overdue, after in seen if overdue]
-        assert misses and len(misses) < len(seen)
-        assert all(after == max(before // 2, 1) for before, after in misses)
-        assert all(after == min(before + 2, 64)
-                   for before, overdue, after in seen if not overdue)
-
-    def test_serves_entire_workload(self):
-        _, metrics = self._run(target_rate=150.0)
-        assert metrics.total_served == metrics.total_arrived

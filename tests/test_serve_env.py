@@ -5,13 +5,15 @@ policy under ``run_load`` (``serve_helpers.serve``): there is no other
 serving environment.
 """
 
+import hashlib
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from serve_helpers import TAU, serve
 
 from repro.core.serve import (
     DEFAULT_BATCH_SIZES,
-    AIMDController,
     EnsembleScorer,
     GreedyAsyncController,
     GreedySingleController,
@@ -19,7 +21,6 @@ from repro.core.serve import (
     RLController,
     ServingMetrics,
     batch_reward,
-    count_overdue,
     mean_exceeding_time,
 )
 from repro.core.serve.metrics import DispatchRecord
@@ -47,9 +48,6 @@ def single_run(controller_kind="greedy", target=200.0, horizon=60.0, seed=0, **c
 
 
 class TestRewardHelpers:
-    def test_count_overdue(self):
-        assert count_overdue(np.array([0.1, 0.6, 0.7]), tau=0.5) == 2
-
     def test_batch_reward_equation7(self):
         assert batch_reward(0.8, served=10, overdue=2, beta=1.0) == pytest.approx(6.4)
         assert batch_reward(0.8, served=10, overdue=2, beta=0.0) == pytest.approx(8.0)
@@ -183,10 +181,15 @@ class TestPinnedShortRuns:
         policy = GreedyAsyncController(PROFILES, DEFAULT_BATCH_SIZES, TAU)
         assert self.pin(policy, PROFILES, 500.0, scorer) == PINS["greedy-async"]
 
-    def test_aimd(self):
-        policy = AIMDController(PROFILES[0], TAU, max_batch=64)
-        # just under the load where one miss starts an AIMD collapse
-        assert self.pin(policy, PROFILES[:1], 240.0) == PINS["aimd"]
+    def test_rl_multi(self, scorer):
+        # Seeded actor-critic over three models: every dispatch it made
+        policy = RLController(PROFILES, DEFAULT_BATCH_SIZES, TAU, seed=0, scorer=scorer)
+        metrics, _ = serve(policy, PROFILES, 150.0, 120.0, seed=0,
+                           accuracy=scorer.accuracy)
+        digest = hashlib.sha256(
+            repr([astuple(d) for d in metrics.dispatches]).encode()
+        ).hexdigest()[:16]
+        assert (metrics.total_served, metrics.total_overdue, digest) == PINS["rl-multi"]
 
 
 #: (served, overdue, mean models per served request) after 200 simulated s;
@@ -195,7 +198,8 @@ PINS = {
     "greedy-single": (35869, 960, 1.0),
     "greedy-sync": (18365, 3896, 3.0),
     "greedy-async": (71738, 7362, 1.0),
-    "aimd": (34434, 2, 1.0),
+    # (served, overdue, digest of every DispatchRecord) after 120 simulated s
+    "rl-multi": (14849, 12540, "90849744aabc35f1"),
 }
 
 

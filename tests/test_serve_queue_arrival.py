@@ -93,8 +93,9 @@ class TestSineCoefficients:
 
     def test_peak_and_trough(self):
         arrival = SineArrival(200.0, period=100.0)
-        assert arrival.peak_rate() == pytest.approx(220.0)
-        assert arrival.trough_rate() >= 0.0
+        # the sine peaks at T/4 and bottoms out at 3T/4
+        assert arrival.rate(25.0) == pytest.approx(220.0)
+        assert arrival.rate(75.0) >= 0.0
 
 
 class TestSineCounts:

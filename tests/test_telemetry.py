@@ -166,6 +166,18 @@ class TestHistogramLabels:
         Histogram("h_seconds", "H.", registry, buckets=(1.0,)).labels(node="x").observe(2)
         assert registry.histogram("h_seconds").child_state(node="x") == ([1, 1], 2.5, 2)
 
+    def test_an_owner_built_family_joins_at_its_first_observe_many(self):
+        registry = telemetry.get_registry()
+        owned = Histogram("h_seconds", "H.", registry, buckets=(1.0,))
+        owned.observe_many([])
+        assert registry.get("h_seconds") is None
+        owned.observe_many([0.5, 2.0], node="x")
+        series = registry.snapshot()["histograms"]["h_seconds"]["series"]
+        assert series == {"node=x": {"buckets": [1, 1], "sum": 2.5, "count": 2}}
+        # a second owner's family records into the one already listed
+        Histogram("h_seconds", "H.", registry, buckets=(1.0,)).observe_many([3.0], node="x")
+        assert registry.histogram("h_seconds").child_state(node="x") == ([1, 2], 5.5, 3)
+
     def test_is_a_no_op_while_the_registry_is_disabled(self):
         registry = telemetry.get_registry()
         child = registry.histogram("h_seconds").labels(route="/a")
@@ -243,6 +255,7 @@ def _hot_paths() -> dict:
     """Code object -> name of every path that may look no counter or
     histogram up."""
     from repro.api.gateway import Gateway
+    from repro.core.serve import GreedyBatcher, RLController, ServeFrontend
     from repro.data import BlockStore
     from repro.paramserver import LRUCache, ParameterServer
 
@@ -250,7 +263,9 @@ def _hot_paths() -> dict:
 
     paths = (BlockStore.get_chunk, ParameterServer.get, ParameterServer.put,
              LRUCache.get, LRUCache.put, Database.execute,
-             Gateway.handle, Gateway.handle_async)
+             Gateway.handle, Gateway.handle_async,
+             ServeFrontend.offer, ServeFrontend.poll, ServeFrontend.complete,
+             GreedyBatcher.decide, RLController.decide)
     return {fn.__code__: fn.__qualname__ for fn in paths}
 
 
@@ -379,6 +394,55 @@ class TestHotPathsTouchNoGauge:
         frontend.complete(plan, 0.02)
         assert frontend.served == 2
         assert spy.histogram("repro_serve_batch_size").child_state()[2] == 1
+
+    def test_warm_greedy_serving_cycle_with_a_shed(self, spy):
+        from repro.core.serve import FrontendConfig, GreedyBatcher, ServeFrontend
+        from repro.exceptions import RequestShedError
+
+        latency = lambda b: 0.01  # noqa: E731
+        frontend = ServeFrontend(
+            FrontendConfig(latency=latency, tau=0.5, batch_sizes=(2,), max_queue=2),
+            policy=GreedyBatcher((2,), latency, tau=0.5, models=(0,)),
+        )
+
+        def cycle(now):
+            for client in ("a", "b"):
+                frontend.offer(client, None, now)
+            with pytest.raises(RequestShedError):
+                frontend.offer("c", None, now)  # queue_full
+            (plan,) = frontend.poll(now)
+            frontend.complete(plan, now + 1.0)  # overran tau
+
+        cycle(0.0)
+        spy.arm()
+        cycle(2.0)
+        assert spy.counter("repro_serve_frontend_shed_total").value(
+            reason="queue_full", tenant="default") == 2
+        assert spy.counter("repro_serve_frontend_requests_total").value(
+            outcome="admitted", tenant="default") == 4
+        assert spy.counter("repro_serve_frontend_overdue_total").value() == 4
+        assert spy.counter("repro_serve_batcher_decisions_total").value(
+            action="dispatch") == 2
+        assert spy.histogram("repro_serve_frontend_latency_seconds").child_state()[2] == 4
+
+    def test_rl_decide_and_complete(self, spy):
+        from repro.core.serve import FrontendConfig, RLController, ServeFrontend
+        from repro.zoo import get_profile
+
+        profile = get_profile("inception_v3")
+        frontend = ServeFrontend(
+            FrontendConfig(latency=profile.inference_time, tau=0.56),
+            policy=RLController([profile], (16, 32), 0.56, seed=0),
+        )
+        spy.arm()
+        for index in range(20):
+            frontend.offer(f"c{index}", None, 0.0)
+        plans = frontend.poll(0.0)
+        for plan in plans:
+            frontend.complete(plan, 0.3)
+        assert frontend.served == 20
+        actions = spy.counter("repro_serve_rl_actions_total")
+        assert actions.value(models="1") == len(plans) == frontend.policy.learner.decisions
 
     def test_warm_sql_query(self, spy):
         from repro.sqlext import Column, Database

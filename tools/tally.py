@@ -18,9 +18,12 @@ chunk reference write sites: ``incref``/``decref``/``release`` on a
 ``store`` or ``blocks`` receiver; then the JSON round-trip sites in
 ``src/``: ``json.loads(json.dumps(...))`` calls; last, the public names
 in ``src/repro`` (module-level functions and classes, and methods) that
-nothing outside tests calls: no identifier, attribute or import of that
-name in any ``.py`` file under ``src/``, ``benchmarks/``, ``examples/`` or
+no other module names: no identifier, attribute or import of that name
+in any ``.py`` file under ``src/``, ``benchmarks/``, ``examples/`` or
 ``tools/``, the defining module and the package ``__init__`` files aside.
+They are printed as two lists: the names their own module does not name
+either, which only tests reach (candidates for deletion), and the names
+only their own module uses, which run (candidates for an underscore).
 
     python tools/tally.py [--classes]
 
@@ -204,19 +207,22 @@ def referenced_names(path: Path) -> set[str]:
     return names
 
 
-def uncalled_public_names() -> list[str]:
-    """``module:name`` of each public definition no caller outside tests names."""
+def uncalled_public_names() -> tuple[list[str], list[str]]:
+    """``module:name`` of each public definition no other module names:
+    those only tests name, and those only their own module names."""
     files = [
         path for top in CALLER_DIRS for path in sorted((ROOT.parent / top).rglob("*.py"))
     ]
     refs = {path: referenced_names(path) for path in files if path.name != "__init__.py"}
-    out = []
+    test_only, module_only = [], []
     for path in sorted(ROOT.rglob("*.py")):
+        own = referenced_names(path)
         for name in public_definitions(path):
             leaf = name.rsplit(".", 1)[-1]
             if not any(leaf in names for other, names in refs.items() if other != path):
-                out.append(f"{path.relative_to(ROOT)}:{name}")
-    return out
+                entry = f"{path.relative_to(ROOT)}:{name}"
+                (module_only if leaf in own else test_only).append(entry)
+    return test_only, module_only
 
 
 def cli_verbs() -> dict[str, int]:
@@ -273,10 +279,14 @@ def main() -> int:
     print(f"\nchunk reference write sites in src/: {refs}")
     trips = sum(map(json_round_trips, sorted(ROOT.rglob("*.py"))))
     print(f"\nJSON round-trip sites in src/: {trips}")
-    uncalled = uncalled_public_names()
-    print(f"\npublic names with no caller outside tests: {len(uncalled)}")
-    for entry in uncalled:
-        print(f"  {entry}")
+    test_only, module_only = uncalled_public_names()
+    print(f"\npublic names no other module names: {len(test_only) + len(module_only)}")
+    print(f"\n  named nowhere outside tests: {len(test_only)}")
+    for entry in test_only:
+        print(f"    {entry}")
+    print(f"\n  named only inside their own module: {len(module_only)}")
+    for entry in module_only:
+        print(f"    {entry}")
     return 0
 
 
