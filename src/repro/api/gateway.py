@@ -122,12 +122,9 @@ class Gateway:
              "/inference/{job_id}"),
             ("POST", re.compile(r"^/query/(?P<job_id>[\w\-./]+)$"), self._post_query,
              "/query/{job_id}"),
-            ("POST", re.compile(r"^/sql$"), self._post_sql, "/sql"),
             ("GET", re.compile(r"^/dashboard$"), self._get_dashboard, "/dashboard"),
         ]
         self.requests_handled = 0
-        #: the Database behind POST /sql (None until attached).
-        self._sql_database: Any = None
         #: job_id -> AsyncServeFrontend for the async query path.
         self._frontends: dict[str, Any] = {}
         #: (method, route, status, tenant) -> its (count, latency) series,
@@ -366,7 +363,8 @@ class Gateway:
     def _post_dataset(self, body: dict) -> dict:
         if "directory" not in body:
             raise GatewayError("POST /datasets requires 'directory'")
-        handle = self.system.import_images(body["directory"], name=body.get("name"))
+        name = None if body.get("name") is None else _field(body, "name", _string)
+        handle = self.system.import_images(_field(body, "directory", _string), name=name)
         return {
             "name": handle.name,
             "num_examples": handle.num_examples,
@@ -486,12 +484,7 @@ class Gateway:
         }
 
     def _redeploy_inference(self, body: dict, job_id: str) -> dict:
-        reloaded = self.system.redeploy_inference_job(job_id)
-        # A memoised UDF answer must not outlive the parameters that
-        # produced it, any more than the job's own prediction cache.
-        if self._sql_database is not None:
-            self._sql_database.invalidate_udf_cache()
-        return reloaded
+        return self.system.redeploy_inference_job(job_id)
 
     def _stop_inference(self, body: dict, job_id: str) -> dict:
         self.system.stop_inference_job(job_id)
@@ -506,36 +499,6 @@ class Gateway:
             raise GatewayError("POST /query requires 'img'")
         expected = self.system.get_inference_job(job_id).image_shape
         return _parse_image(body["img"], expected, batch)
-
-    def attach_sql_database(self, database: Any) -> None:
-        """Serve ``POST /sql`` from this :class:`~repro.sqlext.Database`.
-
-        Queries run on the planned executor by default; a shed from the
-        batched UDF dispatch path surfaces as HTTP 429 with a
-        ``retry_after`` hint, exactly like the serving front end.
-        """
-        self._sql_database = database
-
-    def _post_sql(self, body: dict) -> dict:
-        if self._sql_database is None:
-            raise GatewayError("no SQL database attached to this gateway")
-        if "sql" not in body:
-            raise GatewayError("POST /sql requires 'sql'")
-        sql = body["sql"]
-        if not isinstance(sql, str):
-            raise GatewayError(f"'sql' must be a string, got {type(sql).__name__}")
-        executor = body.get("executor")
-        if body.get("explain"):
-            return {"plan": self._sql_database.explain(sql)}
-        result = self._sql_database.execute(sql, executor=executor)
-        return {
-            "columns": result.columns,
-            "rows": [list(row) for row in result.rows],
-            "executor": result.executor,
-            "udf_calls": result.udf_calls,
-            "udf_batches": result.udf_batches,
-            "cache_hits": result.cache_hits,
-        }
 
     def _get_dashboard(self, body: dict) -> dict:
         from repro.api.monitor import dashboard_data
@@ -702,6 +665,13 @@ def _field(body: dict, name: str, convert: Callable[[Any], Any], default: Any = 
         return convert(body[name])
     except (TypeError, ValueError, OverflowError) as exc:
         raise GatewayError(f"field {name!r} is invalid: {exc}") from exc
+
+
+def _string(value: Any) -> str:
+    """``value`` when it is a string, else a ``TypeError`` for :func:`_field`."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
 
 
 def _parse_image(raw: Any, expected: tuple[int, ...], batch: bool = False) -> np.ndarray:

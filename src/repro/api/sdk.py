@@ -35,7 +35,6 @@ from repro.exceptions import GatewayError
 __all__ = [
     "connect",
     "default_gateway",
-    "set_tenant",
     "import_images",
     "HyperConf",
     "Train",
@@ -58,12 +57,6 @@ def connect(system: Rafiki | None = None, tenant: str | None = None) -> Gateway:
     _gateway = Gateway(system if system is not None else Rafiki())
     _tenant = tenant
     return _gateway
-
-
-def set_tenant(tenant: str | None) -> None:
-    """Set (or clear, with ``None``) the tenant for subsequent SDK calls."""
-    global _tenant
-    _tenant = tenant
 
 
 def _effective_tenant(tenant: str | None) -> str | None:

@@ -40,8 +40,6 @@ Fault-point names currently wired in:
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.chaos.faults import FaultEvent, FaultKind, FaultPlan, FaultRule
 from repro.exceptions import (
     ChaosError,
@@ -68,7 +66,6 @@ __all__ = [
     "set_plan",
     "fire",
     "active",
-    "protected",
 ]
 
 _plan: FaultPlan | None = None
@@ -124,32 +121,3 @@ class active:
     def __exit__(self, *exc_info) -> None:
         """Restore whatever plan was installed before."""
         set_plan(self._previous)
-
-
-def protected(point: str, breaker: CircuitBreaker | None = None) -> Callable:
-    """Decorator wrapping a callable in a fault point (and breaker).
-
-    Mostly a convenience for tests and examples; library call sites
-    inline :func:`fire` instead.
-    """
-
-    def wrap(fn: Callable) -> Callable:
-        def inner(*args, **kwargs):
-            if breaker is not None:
-                breaker.check()
-            try:
-                fire(point)
-                result = fn(*args, **kwargs)
-            except InjectedFault:
-                if breaker is not None:
-                    breaker.record_failure()
-                raise
-            if breaker is not None:
-                breaker.record_success()
-            return result
-
-        inner.__name__ = getattr(fn, "__name__", "protected")
-        inner.__doc__ = fn.__doc__
-        return inner
-
-    return wrap

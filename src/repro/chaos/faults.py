@@ -20,7 +20,7 @@ with the same seed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 
 import numpy as np

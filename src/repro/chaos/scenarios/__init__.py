@@ -22,9 +22,8 @@ import json
 import sys
 
 from repro.chaos.scenarios import default, shard_kill, store_kill, tenants
-from repro.chaos.scenarios._core import TRACE_METRIC_PREFIXES, same_seed_rerun
+from repro.chaos.scenarios._core import same_seed_rerun
 from repro.chaos.scenarios.default import build_default_plan
-from repro.chaos.scenarios.shard_kill import reads_through_each_shard
 
 __all__ = [
     "SCENARIOS",

@@ -19,10 +19,10 @@ __all__ = ["CheckpointStore"]
 class CheckpointStore:
     """Versioned snapshots keyed by owner name."""
 
-    def __init__(self, keep_last: int = 3):
-        if keep_last < 1:
-            raise ClusterError(f"keep_last must be >= 1, got {keep_last}")
-        self.keep_last = int(keep_last)
+    #: snapshots kept per owner; saving past it drops the oldest.
+    keep_last = 3
+
+    def __init__(self):
         self._snapshots: dict[str, list[bytes]] = {}
 
     def save(self, owner: str, state: Any) -> int:
@@ -51,6 +51,3 @@ class CheckpointStore:
 
     def versions(self, owner: str) -> int:
         return len(self._snapshots.get(owner, []))
-
-    def drop(self, owner: str) -> None:
-        self._snapshots.pop(owner, None)

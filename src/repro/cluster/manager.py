@@ -67,7 +67,6 @@ class JobRecord:
     name: str
     containers: list[Container] = field(default_factory=list)
     state: JobState = JobState.PENDING
-    spec: dict = field(default_factory=dict)
     #: owning tenant; quota holdings and fair-share accounting key off this.
     tenant: str = DEFAULT_TENANT
     #: higher runs earlier among jobs of the same tenant in the pending queue.
@@ -193,7 +192,6 @@ class ClusterManager:
         num_workers: int = 1,
         master_request: Resources | None = None,
         worker_request: Resources | None = None,
-        spec: dict | None = None,
         worker_role: ContainerRole = ContainerRole.WORKER,
         spread: bool = False,
         tenant: str = DEFAULT_TENANT,
@@ -236,7 +234,7 @@ class ClusterManager:
         ]
         job = JobRecord(
             job_id=job_id, kind=kind, name=name, containers=containers,
-            spec=dict(spec or {}), tenant=tenant, priority=int(priority),
+            tenant=tenant, priority=int(priority),
             spread=spread,
         )
         self.jobs[job_id] = job

@@ -20,15 +20,9 @@ __all__ = ["EnsembleScorer"]
 class EnsembleScorer:
     """Precomputed subset -> accuracy table over a fixed model list."""
 
-    def __init__(self, model_names: Sequence[str], panel: EnsembleAccuracyModel | None = None):
+    def __init__(self, model_names: Sequence[str]):
         self.model_names = tuple(model_names)
-        if panel is None:
-            panel = EnsembleAccuracyModel(self.model_names)
-        elif panel.model_names != self.model_names:
-            raise ConfigurationError(
-                f"panel models {panel.model_names} != scorer models {self.model_names}"
-            )
-        self.panel = panel
+        panel = EnsembleAccuracyModel(self.model_names)
         self._table: dict[tuple[int, ...], float] = {}
         k = len(self.model_names)
         for mask in range(1, 2**k):

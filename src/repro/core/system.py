@@ -205,7 +205,6 @@ class Rafiki:
         advisor: str = "bayesian",
         collaborative: bool = True,
         backend_factory=None,
-        train_batch_size: int = 32,
         tenant: str = DEFAULT_TENANT,
         priority: int = 0,
     ) -> str:
@@ -255,7 +254,7 @@ class Rafiki:
                     info.model_names.append(entry.name)
                     report = self._run_one_study(
                         job_id, entry, data, hyper, space, num_workers, advisor,
-                        collaborative, backend_factory, train_batch_size,
+                        collaborative, backend_factory,
                     )
                     info.reports[entry.name] = report
                     entry.record_performance(dataset, report.best_performance)
@@ -278,7 +277,6 @@ class Rafiki:
         advisor: str,
         collaborative: bool,
         backend_factory,
-        train_batch_size: int,
     ) -> StudyReport:
         study_name = f"{job_id}/{entry.name}"
         rng = self.rng_stream.get(f"advisor:{study_name}")
@@ -291,7 +289,6 @@ class Rafiki:
             backend = RealTrainer(
                 dataset=data,
                 builder=entry.builder,
-                batch_size=train_batch_size,
                 seed=self.rng_stream.root_seed,
             )
         scheduler = None

@@ -35,6 +35,8 @@ __all__ = ["GaussianProcess", "expected_improvement"]
 
 #: Above this many terms NumPy's pairwise sum splits in halves.
 _PAIRWISE_BLOCK = 128
+#: EI's exploration margin (``xi``): improvement smaller than this counts as none.
+_EI_MARGIN = 0.01
 
 
 def _sq_diff(a: np.ndarray, b: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -141,15 +143,15 @@ class GaussianProcess:
         )
 
 
-def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
-                         xi: float = 0.01) -> np.ndarray:
-    """EI acquisition for maximisation.
+def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.ndarray:
+    """EI acquisition for maximisation, counting only improvement past
+    ``best + _EI_MARGIN``.
 
     The standard normal cdf and pdf are written as ``scipy.stats.norm``
     computes them underneath, without its argument handling.
     """
     from scipy.special import ndtr
 
-    improvement = mean - best - xi
+    improvement = mean - best - _EI_MARGIN
     z = improvement / std
     return improvement * ndtr(z) + std * (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi))

@@ -23,10 +23,6 @@ class GridSearchAdvisor(TrialAdvisor):
         self._grid = space.grid(resolution)
         self._cursor = 0
 
-    @property
-    def grid_size(self) -> int:
-        return len(self._grid)
-
     def propose(self, worker: str) -> dict[str, Any] | None:
         if self._cursor >= len(self._grid):
             return None

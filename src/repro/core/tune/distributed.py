@@ -54,9 +54,7 @@ def run_cluster_study(
     param_server: ParameterServer,
     conf: HyperConf,
     num_workers: int,
-    sim: Simulator | None = None,
     failure_plan: list[tuple[float, str, float | None]] | None = None,
-    max_events: int = 5_000_000,
     trial_retry: RetryPolicy | None = None,
 ) -> StudyReport:
     """Run ``master`` over a cluster job with ``num_workers`` workers.
@@ -66,7 +64,7 @@ def run_cluster_study(
     trial crashed by the ``tune.trial`` fault point. Returns the study
     report (wall time = simulated completion time).
     """
-    sim = sim if sim is not None else Simulator()
+    sim = Simulator()
     master.set_clock(lambda: sim.now)
     study = ClusterStudy(master=master)
     job = manager.submit_job(JobKind.TRAIN, name=master.study_name,
@@ -128,7 +126,7 @@ def run_cluster_study(
                 for delay, node_name, recover_after in failure_plan:
                     injector.schedule_failure(sim, delay, node_name, recover_after)
 
-            sim.run(max_events=max_events)
+            sim.run(max_events=5_000_000)
         finally:
             unregister()
         if manager.jobs[job.job_id].state in (JobState.RUNNING, JobState.DEGRADED):

@@ -87,32 +87,34 @@ class _SurrogateSession:
 
 
 class SurrogateTrainer:
-    """Response-surface backend with warm-start semantics."""
+    """Response-surface backend with warm-start semantics.
 
-    def __init__(
-        self,
-        baseline_acc: float = 0.10,  # random guessing over 10 classes
-        max_acc: float = 0.945,
-        gain: float = 1.0,
-        concavity: float = 0.6,
-        retention: float = 0.95,
-        destroy: float = 0.4,
-        base_tau: float = 8.0,
-        decay_tau: float = 2.5,
-        noise: float = 0.006,
-        seconds_per_epoch: float = 30.0,
-        seed: int = 0,
-    ):
-        self.baseline_acc = float(baseline_acc)
-        self.max_acc = float(max_acc)
-        self.gain = float(gain)
-        self.concavity = float(concavity)
-        self.retention = float(retention)
-        self.destroy = float(destroy)
-        self.base_tau = float(base_tau)
-        self.decay_tau = float(decay_tau)
-        self.noise = float(noise)
-        self.seconds_per_epoch = float(seconds_per_epoch)
+    The calibration values below are the surface's constants; ``seed``
+    alone varies between trainers.
+    """
+
+    #: accuracy before training: random guessing over 10 classes.
+    baseline_acc = 0.10
+    #: the asymptote a textbook trial approaches.
+    max_acc = 0.945
+    #: how much of the gap to ``max_acc`` a perfect trial closes.
+    gain = 1.0
+    #: exponent on quality: below 1, the last points need less perfection.
+    concavity = 0.6
+    #: share of a checkpoint's accuracy a warm start resumes from.
+    retention = 0.95
+    #: how hard bad hyper-parameters pull a good checkpoint down.
+    destroy = 0.4
+    #: epochs-to-saturation at the optimal learning rate.
+    base_tau = 8.0
+    #: epochs-to-saturation of a dropping curve.
+    decay_tau = 2.5
+    #: standard deviation of the per-epoch observation noise.
+    noise = 0.006
+    #: simulated cost of one epoch.
+    seconds_per_epoch = 30.0
+
+    def __init__(self, seed: int = 0):
         self.seed = int(seed)
 
     # ------------------------------------------------------------------

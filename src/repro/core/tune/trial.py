@@ -63,7 +63,3 @@ class TrialResult:
     epochs: int
     history: list[float] = field(default_factory=list)  # per-epoch validation accuracy
     worker: str = ""
-
-    @property
-    def performance_pct(self) -> float:
-        return 100.0 * self.performance

@@ -56,10 +56,10 @@ class ImageDataset:
         return self.train_x.shape[0] + self.val_x.shape[0] + self.test_x.shape[0]
 
 
-def _smooth(noise: np.ndarray, passes: int = 3) -> np.ndarray:
-    """Cheap low-pass filter: repeated 4-neighbour averaging."""
+def _smooth(noise: np.ndarray) -> np.ndarray:
+    """Cheap low-pass filter: three passes of 4-neighbour averaging."""
     out = noise
-    for _ in range(passes):
+    for _ in range(3):
         out = (
             out
             + np.roll(out, 1, axis=-1)
@@ -74,17 +74,16 @@ def _render_examples(
     templates: np.ndarray,
     labels: np.ndarray,
     noise_std: float,
-    max_shift: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Render noisy, randomly shifted copies of each label's template."""
+    """Render noisy copies of each label's template, each rolled by up
+    to two pixels along both image axes."""
     count = labels.shape[0]
     _, channels, height, width = templates.shape
     images = templates[labels].copy()
-    if max_shift > 0:
-        shifts = rng.integers(-max_shift, max_shift + 1, size=(count, 2))
-        for i in range(count):
-            images[i] = np.roll(images[i], tuple(shifts[i]), axis=(1, 2))
+    shifts = rng.integers(-2, 3, size=(count, 2))
+    for i in range(count):
+        images[i] = np.roll(images[i], tuple(shifts[i]), axis=(1, 2))
     images += rng.normal(0.0, noise_std, size=(count, channels, height, width))
     return images
 
@@ -97,7 +96,6 @@ def make_image_classification(
     val_per_class: int = 16,
     test_per_class: int = 16,
     difficulty: float = 0.5,
-    max_shift: int = 2,
     seed: int = 0,
 ) -> ImageDataset:
     """Generate a class-conditional textured image dataset.
@@ -121,7 +119,7 @@ def make_image_classification(
         split_rng = derive_rng(seed, f"dataset:{name}:{tag}")
         labels = np.repeat(np.arange(num_classes), per_class)
         split_rng.shuffle(labels)
-        images = _render_examples(templates, labels, noise_std, max_shift, split_rng)
+        images = _render_examples(templates, labels, noise_std, split_rng)
         return images, labels
 
     train_x, train_y = _split(train_per_class, "train")
@@ -140,7 +138,6 @@ def make_image_classification(
 
 
 def make_sentiment_dataset(
-    name: str = "synthetic-sentiment",
     vocab_size: int = 200,
     train_count: int = 400,
     test_count: int = 100,
@@ -156,7 +153,7 @@ def make_sentiment_dataset(
     """
     if vocab_size < 4:
         raise ConfigurationError(f"vocab_size must be >= 4, got {vocab_size}")
-    rng = derive_rng(seed, f"dataset:{name}")
+    rng = derive_rng(seed, "dataset:synthetic-sentiment")
     polarity = np.concatenate(
         [np.ones(vocab_size // 2), -np.ones(vocab_size - vocab_size // 2)]
     )

@@ -54,7 +54,6 @@ def _render_split(count: int, image_shape, noise: float, rng) -> tuple[np.ndarra
 
 
 def make_object_detection(
-    name: str = "synthetic-boxes",
     image_shape: tuple[int, int, int] = (1, 16, 16),
     train_count: int = 200,
     val_count: int = 50,
@@ -66,6 +65,7 @@ def make_object_detection(
         raise ConfigurationError(f"noise must be >= 0, got {noise}")
     if min(image_shape[1], image_shape[2]) < 8:
         raise ConfigurationError(f"images must be at least 8x8, got {image_shape}")
+    name = "synthetic-boxes"
     train_rng = derive_rng(seed, f"detection:{name}:train")
     val_rng = derive_rng(seed, f"detection:{name}:val")
     train_x, train_boxes = _render_split(train_count, image_shape, noise, train_rng)

@@ -103,11 +103,11 @@ class RandomFlip:
         return out
 
 
-def standard_cifar_pipeline(train_x: np.ndarray, pad: int = 4, flip_p: float = 0.5) -> Compose:
+def standard_cifar_pipeline(train_x: np.ndarray, pad: int = 4) -> Compose:
     """The paper's standard CIFAR-10 preprocessing sequence.
 
     Per-channel standardisation (fitted on ``train_x``), ``pad``-pixel
     zero padding with random crop back to the original size, and a
-    random horizontal flip.
+    random horizontal flip with probability 0.5.
     """
-    return Compose([Standardize().fit(train_x), PadCrop(pad=pad), RandomFlip(p=flip_p)])
+    return Compose([Standardize().fit(train_x), PadCrop(pad=pad), RandomFlip(p=0.5)])

@@ -24,7 +24,7 @@ dedup across them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class DatasetHandle:
     num_classes: int
     image_shape: tuple[int, ...]
     labels: tuple[str, ...] = ()
-    metadata: dict = field(default_factory=dict)
 
 
 class DataStore:
@@ -78,7 +77,6 @@ class DataStore:
                 size for writer, size in self._blob_charges.values() if writer == tenant
             ))
         self._datasets: dict[str, ImageDataset] = {}
-        self._handles: dict[str, DatasetHandle] = {}
         self.blocks = block_store or BlockStore(
             nodes=nodes, replicas=replicas, chunk_size=chunk_size
         )
@@ -100,7 +98,6 @@ class DataStore:
             labels=labels,
         )
         self._datasets[dataset.name] = dataset
-        self._handles[dataset.name] = handle
         self.bytes_written += sum(x.nbytes for x, _ in dataset.splits().values())
         return handle
 
@@ -112,19 +109,8 @@ class DataStore:
         self.bytes_read += sum(x.nbytes for x, _ in dataset.splits().values())
         return dataset
 
-    def get_handle(self, name: str) -> DatasetHandle:
-        if name not in self._handles:
-            raise DatasetNotFoundError(name)
-        return self._handles[name]
-
     def list_datasets(self) -> list[str]:
         return sorted(self._datasets)
-
-    def delete_dataset(self, name: str) -> None:
-        if name not in self._datasets:
-            raise DatasetNotFoundError(name)
-        del self._datasets[name]
-        del self._handles[name]
 
     # ------------------------------------------------------------------
     # directory ingestion
@@ -136,12 +122,14 @@ class DataStore:
         name: str | None = None,
         val_fraction: float = 0.2,
         test_fraction: float = 0.0,
-        seed: int = 0,
     ) -> DatasetHandle:
         """Ingest ``directory/<label>/<file>.npy`` into a dataset.
 
         All images from the same sub-folder share the sub-folder's name
-        as label, mirroring Figure 2. Arrays must share one CHW shape.
+        as label, mirroring Figure 2. Arrays must share one CHW shape with
+        no zero-length axis and hold finite bool, integer or float values;
+        anything else raises :class:`StorageError` before a dataset is
+        registered.
         """
         if not os.path.isdir(directory):
             raise StorageError(f"not a directory: {directory!r}")
@@ -157,9 +145,18 @@ class DataStore:
             for fname in sorted(os.listdir(folder)):
                 if not fname.endswith(".npy"):
                     continue
-                array = np.load(os.path.join(folder, fname))
-                if array.ndim != 3:
-                    raise StorageError(f"{fname!r}: expected a CHW array, got shape {array.shape}")
+                try:
+                    array = np.load(os.path.join(folder, fname))
+                except ValueError as exc:  # an object array, or not an .npy
+                    raise StorageError(f"{fname!r}: {exc}") from exc
+                if array.dtype.kind not in "biuf":
+                    raise StorageError(f"{fname!r}: expected numbers, got dtype {array.dtype}")
+                if array.ndim != 3 or not array.size:
+                    raise StorageError(
+                        f"{fname!r}: expected a non-empty CHW array, got shape {array.shape}"
+                    )
+                if not np.isfinite(array).all():
+                    raise StorageError(f"{fname!r}: holds a NaN or infinite value")
                 images.append(array.astype(np.float64))
                 labels.append(class_id)
         if not images:
@@ -170,7 +167,7 @@ class DataStore:
 
         stacked = np.stack(images)
         label_arr = np.asarray(labels)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         order = rng.permutation(stacked.shape[0])
         stacked, label_arr = stacked[order], label_arr[order]
         n = stacked.shape[0]
@@ -246,11 +243,8 @@ class DataStore:
     def has_blob(self, path: str) -> bool:
         return self.fs.exists(path)
 
-    def delete_blob(self, path: str) -> None:
-        self.delete_blobs([path])
-
     def delete_blobs(self, paths) -> None:
-        """:meth:`delete_blob` each of ``paths``, collecting chunks once.
+        """Delete each of ``paths`` (every version), collecting chunks once.
 
         Raises :class:`DatasetNotFoundError` for the first missing path,
         before anything is deleted.
@@ -262,9 +256,6 @@ class DataStore:
         self.fs.delete_many(paths)
         for path in paths:
             self._blob_charges.pop(path, None)
-
-    def list_blobs(self, prefix: str = "") -> list[str]:
-        return sorted(self.fs.list_paths(prefix))
 
     def versions(self, path: str) -> list[Manifest]:
         """Every retained manifest version of a blob, oldest first.

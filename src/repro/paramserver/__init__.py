@@ -18,7 +18,6 @@ from repro.paramserver.server import (
     ParameterServer,
     Shard,
     ShardedParameterServer,
-    shape_pool,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "LRUCache",
     "ShardedParameterServer",
     "Shard",
-    "shape_pool",
 ]

@@ -10,12 +10,8 @@ Semantics follow Section 6.2:
   read — and every get unpickles its own arrays from them, so a get
   copies each array's bytes once and no caller shares memory with the
   cache or with another caller;
-* entries carry metadata — model name, dataset, measured performance,
-  and a privacy flag. ``find_pretrained`` returns public checkpoints of
-  the same model trained on *other* datasets (the training warm-up the
-  paper cites from TFX);
-* :meth:`fetch_shape_pool` exposes the "shape matched W" lookup used by
-  the collaborative tuning scheme for architecture knobs.
+* entries carry metadata — model name, dataset and measured
+  performance.
 
 There is one server class, in two layers:
 
@@ -40,7 +36,7 @@ There is one server class, in two layers:
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -71,7 +67,6 @@ __all__ = [
     "ParameterEntry",
     "Shard",
     "ShardedParameterServer",
-    "shape_pool",
 ]
 
 
@@ -84,9 +79,7 @@ class ParameterEntry:
     model: str = ""
     dataset: str = ""
     performance: float = float("nan")
-    public: bool = True
     nbytes: int = 0
-    extra: dict = field(default_factory=dict)
     #: tenant whose ``ps_bytes`` quota this version counts against, or
     #: ``None`` when stored by a server with no registry attached.
     tenant: str | None = None
@@ -408,15 +401,11 @@ class ParameterServer(HostedGroup):
         model: str = "",
         dataset: str = "",
         performance: float = float("nan"),
-        public: bool = True,
-        **extra,
     ) -> ParameterEntry:
         """Store a new version of ``key`` through its first healthy shard."""
         return self._serve(
             key, "push",
-            lambda shard: self._put_once(
-                shard.cache, key, state, model, dataset, performance, public, **extra
-            ),
+            lambda shard: self._put_once(shard.cache, key, state, model, dataset, performance),
         )
 
     def _put_once(
@@ -424,11 +413,9 @@ class ParameterServer(HostedGroup):
         cache: LRUCache,
         key: str,
         state: dict[str, np.ndarray],
-        model: str = "",
-        dataset: str = "",
-        performance: float = float("nan"),
-        public: bool = True,
-        **extra,
+        model: str,
+        dataset: str,
+        performance: float,
     ) -> ParameterEntry:
         chaos.fire("paramserver.push")
         entry = ParameterEntry(
@@ -437,9 +424,7 @@ class ParameterServer(HostedGroup):
             model=model,
             dataset=dataset,
             performance=performance,
-            public=public,
             nbytes=_state_size(state),
-            extra=dict(extra),
         )
         if self.tenants is not None:
             entry.tenant = current_tenant()
@@ -567,33 +552,6 @@ class ParameterServer(HostedGroup):
         self.store.delete_blobs([path for path in paths if self.store.has_blob(path)])
 
     # ------------------------------------------------------------------
-    # collaborative-tuning support
-    # ------------------------------------------------------------------
-
-    def fetch_shape_pool(self, key: str, version: int | None = None) -> dict[tuple[int, ...], list[np.ndarray]]:
-        """Group a checkpoint's arrays by shape for shape-matched init."""
-        return shape_pool(self.get(key, version))
-
-    def find_pretrained(self, model: str, exclude_dataset: str = "") -> ParameterEntry | None:
-        """Best *public* checkpoint of ``model`` from another dataset.
-
-        Used for cross-dataset training warm-up: parameters trained for
-        the same model on different data are shared when public.
-        """
-        best: ParameterEntry | None = None
-        for entry in self._all_entries():
-            if not entry.public or entry.model != model:
-                continue
-            if exclude_dataset and entry.dataset == exclude_dataset:
-                continue
-            if best is None or (
-                not np.isnan(entry.performance)
-                and (np.isnan(best.performance) or entry.performance > best.performance)
-            ):
-                best = entry
-        return best
-
-    # ------------------------------------------------------------------
     # auditing
     # ------------------------------------------------------------------
 
@@ -676,11 +634,3 @@ def ShardedParameterServer(
         store=store, shards=shards, cache_bytes=cache_bytes, retry=retry,
         tenants=tenants, breaker_factory=breaker_factory,
     )
-
-
-def shape_pool(state: dict[str, np.ndarray]) -> dict[tuple[int, ...], list[np.ndarray]]:
-    """Group a checkpoint's arrays by shape (the "shape matched W" lookup)."""
-    pool: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for value in state.values():
-        pool.setdefault(value.shape, []).append(value)
-    return pool

@@ -78,7 +78,6 @@ class Simulator:
         self._now = 0.0
         self._heap: list[tuple[float, int, EventHandle, Callable[[], None]]] = []
         self._counter = itertools.count()
-        self._processed = 0
 
     @property
     def now(self) -> float:
@@ -89,11 +88,6 @@ class Simulator:
     def pending(self) -> int:
         """Number of events still queued (including cancelled ones)."""
         return len(self._heap)
-
-    @property
-    def processed(self) -> int:
-        """Number of events executed so far."""
-        return self._processed
 
     # ------------------------------------------------------------------
     # scheduling
@@ -139,7 +133,6 @@ class Simulator:
             if handle.cancelled:
                 continue
             self._now = time
-            self._processed += 1
             thunk()
             return True
         return False
@@ -164,9 +157,9 @@ class Simulator:
             self._now = until
         return self._now
 
-    def run_all(self, max_events: int = 10_000_000) -> float:
-        """Drain the event queue completely (bounded by ``max_events``)."""
-        return self.run(max_events=max_events)
+    def run_all(self) -> float:
+        """Drain the event queue completely (bounded at ten million events)."""
+        return self.run(max_events=10_000_000)
 
     def drain(self, signals: Iterable[Signal]) -> None:
         """Fire ``signals`` so that no process is left blocked forever."""

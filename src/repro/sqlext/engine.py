@@ -385,10 +385,6 @@ class ResultSet:
     cache_hits: int = 0
     executor: str = ""
 
-    def as_dicts(self) -> list[dict[str, Any]]:
-        """Rows as a list of ``{column: value}`` dicts."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     def __len__(self) -> int:
         return len(self.rows)
 

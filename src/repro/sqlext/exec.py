@@ -109,13 +109,10 @@ class UdfBatchDispatcher:
         self,
         registry,
         cache_capacity: int = 1024,
-        retry: RetryPolicy | None = None,
     ):
         self.registry = registry
         self.cache_capacity = int(cache_capacity)
-        self.retry = retry or RetryPolicy(
-            max_attempts=3, retry_on=(InjectedFault,), seed=0
-        )
+        self.retry = RetryPolicy(max_attempts=3, retry_on=(InjectedFault,), seed=0)
         self._caches: dict[str, PredictionCache] = {}
         self._counters: dict[str, dict] = {}  # per UDF, see ``COUNTERS``
         self.batches_dispatched = 0

@@ -33,8 +33,8 @@ class SystemClock(Clock):
 class ManualClock(Clock):
     """A clock that only moves when told to — for deterministic tests."""
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     def now(self) -> float:
         """The manually set current time."""

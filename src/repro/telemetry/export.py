@@ -31,10 +31,9 @@ def snapshot(registry: MetricsRegistry, tracer: Tracer | None = None) -> dict:
     return out
 
 
-def to_json(registry: MetricsRegistry, tracer: Tracer | None = None,
-            indent: int | None = 2) -> str:
-    """:func:`snapshot`, serialised to a JSON string."""
-    return json.dumps(snapshot(registry, tracer), indent=indent, sort_keys=True)
+def to_json(registry: MetricsRegistry, tracer: Tracer | None = None) -> str:
+    """:func:`snapshot`, serialised to an indented JSON string."""
+    return json.dumps(snapshot(registry, tracer), indent=2, sort_keys=True)
 
 
 def _format_value(value: float) -> str:

@@ -25,11 +25,11 @@ def zeros_init(shape: tuple[int, ...], rng: np.random.Generator | None = None) -
     return np.zeros(shape, dtype=default_dtype())
 
 
-def gaussian_init(std: float = 0.01, mean: float = 0.0):
-    """Gaussian initialiser with tunable standard deviation."""
+def gaussian_init(std: float = 0.01):
+    """Zero-mean Gaussian initialiser with tunable standard deviation."""
 
     def _init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(mean, std, size=shape).astype(default_dtype(), copy=False)
+        return rng.normal(0.0, std, size=shape).astype(default_dtype(), copy=False)
 
     return _init
 

@@ -94,7 +94,6 @@ class Dense(Layer):
         units: int,
         name: str | None = None,
         weight_init: Initializer = glorot_uniform_init,
-        bias_init: Initializer = zeros_init,
         use_bias: bool = True,
     ):
         super().__init__(name)
@@ -102,7 +101,6 @@ class Dense(Layer):
             raise ConfigurationError(f"units must be > 0, got {units}")
         self.units = int(units)
         self.weight_init = weight_init
-        self.bias_init = bias_init
         self.use_bias = use_bias
         self._x: np.ndarray | None = None
 
@@ -115,7 +113,7 @@ class Dense(Layer):
         self.params["W"] = self.weight_init((in_features, self.units), rng)
         self.grads["W"] = np.zeros_like(self.params["W"])
         if self.use_bias:
-            self.params["b"] = self.bias_init((self.units,), rng)
+            self.params["b"] = zeros_init((self.units,), rng)
             self.grads["b"] = np.zeros_like(self.params["b"])
         self.built = True
         return (self.units,)
@@ -146,7 +144,6 @@ class Conv2D(Layer):
         pad: int | str = "same",
         name: str | None = None,
         weight_init: Initializer = glorot_uniform_init,
-        bias_init: Initializer = zeros_init,
     ):
         super().__init__(name)
         if filters <= 0 or kernel_size <= 0 or stride <= 0:
@@ -160,7 +157,6 @@ class Conv2D(Layer):
             pad = (kernel_size - 1) // 2
         self.pad = int(pad)
         self.weight_init = weight_init
-        self.bias_init = bias_init
         self._x_shape: tuple[int, int, int, int] | None = None
         self._cols: np.ndarray | None = None
 
@@ -170,7 +166,7 @@ class Conv2D(Layer):
         c, h, w = input_shape
         k = self.kernel_size
         self.params["W"] = self.weight_init((self.filters, c, k, k), rng)
-        self.params["b"] = self.bias_init((self.filters,), rng)
+        self.params["b"] = zeros_init((self.filters,), rng)
         self.grads["W"] = np.zeros_like(self.params["W"])
         self.grads["b"] = np.zeros_like(self.params["b"])
         out_h = conv_output_size(h, k, self.stride, self.pad)
@@ -271,12 +267,13 @@ class MaxPool2D(Layer):
 
 
 class AvgPool2D(Layer):
-    """Average pooling (global when ``pool_size`` equals the feature map)."""
+    """Non-overlapping average pooling (global when ``pool_size`` equals
+    the feature map): the stride is the pool size."""
 
-    def __init__(self, pool_size: int = 2, stride: int | None = None, name: str | None = None):
+    def __init__(self, pool_size: int = 2, name: str | None = None):
         super().__init__(name)
         self.pool_size = int(pool_size)
-        self.stride = int(stride) if stride is not None else self.pool_size
+        self.stride = self.pool_size
         self._x_shape: tuple[int, int, int, int] | None = None
 
     def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
@@ -415,12 +412,14 @@ class Dropout(Layer):
 class BatchNorm(Layer):
     """Batch normalisation over the channel axis (2-D or 4-D inputs)."""
 
-    def __init__(self, momentum: float = 0.9, eps: float = 1e-5, name: str | None = None):
+    #: added to the variance before its square root.
+    eps = 1e-5
+
+    def __init__(self, momentum: float = 0.9, name: str | None = None):
         super().__init__(name)
         if not 0.0 <= momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
-        self.eps = float(eps)
         self._cache: tuple | None = None
         self._ndim = 2
 

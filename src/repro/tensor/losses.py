@@ -14,11 +14,11 @@ from repro.exceptions import ConfigurationError
 __all__ = ["Loss", "SoftmaxCrossEntropy", "MeanSquaredError", "softmax"]
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 class Loss:

@@ -20,24 +20,22 @@ def _check_lengths(a: np.ndarray, b: np.ndarray) -> None:
         raise ConfigurationError("metrics require at least one example")
 
 
-def precision_recall(
-    predicted: np.ndarray, labels: np.ndarray, positive: int = 1
-) -> tuple[float, float]:
-    """Binary precision and recall for the ``positive`` class."""
+def precision_recall(predicted: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Binary precision and recall for the positive class, label 1."""
     predicted = np.asarray(predicted)
     labels = np.asarray(labels)
     _check_lengths(predicted, labels)
-    tp = int(np.sum((predicted == positive) & (labels == positive)))
-    fp = int(np.sum((predicted == positive) & (labels != positive)))
-    fn = int(np.sum((predicted != positive) & (labels == positive)))
+    tp = int(np.sum((predicted == 1) & (labels == 1)))
+    fp = int(np.sum((predicted == 1) & (labels != 1)))
+    fn = int(np.sum((predicted != 1) & (labels == 1)))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     return precision, recall
 
 
-def f1_score(predicted: np.ndarray, labels: np.ndarray, positive: int = 1) -> float:
-    """Binary F1 for the ``positive`` class."""
-    precision, recall = precision_recall(predicted, labels, positive)
+def f1_score(predicted: np.ndarray, labels: np.ndarray) -> float:
+    """Binary F1 for the positive class, label 1."""
+    precision, recall = precision_recall(predicted, labels)
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)

@@ -14,8 +14,6 @@ Two features matter to Rafiki:
 
 from __future__ import annotations
 
-import io
-import pickle
 from typing import Sequence
 
 import numpy as np
@@ -132,18 +130,17 @@ class Network:
         out.update({name: value.copy() for name, value in self.buffers.items()})
         return out
 
-    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load parameters and buffers by exact name; shapes must match."""
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load parameters and buffers by exact name; the names must be
+        the network's own, all of them, and the shapes must match."""
         own = dict(self.params)
         own.update(self.buffers)
         missing = [name for name in own if name not in state]
-        if strict and missing:
+        if missing:
             raise ConfigurationError(f"state dict is missing parameters: {missing}")
         for name, value in state.items():
             if name not in own:
-                if strict:
-                    raise ConfigurationError(f"unexpected parameter {name!r}")
-                continue
+                raise ConfigurationError(f"unexpected parameter {name!r}")
             if own[name].shape != value.shape:
                 raise ConfigurationError(
                     f"shape mismatch for {name!r}: {own[name].shape} vs {value.shape}"
@@ -187,20 +184,6 @@ class Network:
                 own_value[...] = candidates.pop(0)
                 loaded.append(name)
         return loaded
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-
-    def save_bytes(self) -> bytes:
-        """Serialise the parameter state (not the architecture)."""
-        buffer = io.BytesIO()
-        pickle.dump(self.state_dict(), buffer, protocol=pickle.HIGHEST_PROTOCOL)
-        return buffer.getvalue()
-
-    def load_bytes(self, blob: bytes) -> None:
-        state = pickle.loads(blob)
-        self.load_state_dict(state)
 
     # ------------------------------------------------------------------
     # misc

@@ -93,10 +93,6 @@ class Optimizer:
     def _update(self, name: str, param: np.ndarray, grad: np.ndarray, lr: float) -> None:
         raise NotImplementedError
 
-    def reset_state(self) -> None:
-        """Drop per-parameter state (used when re-initialising a trial)."""
-        self._decay_buf.clear()
-
 
 class SGD(Optimizer):
     """Stochastic gradient descent with (optionally Nesterov) momentum."""
@@ -130,29 +126,25 @@ class SGD(Optimizer):
         else:
             param += vel
 
-    def reset_state(self) -> None:
-        super().reset_state()
-        self._velocity.clear()
-
 
 class Adam(Optimizer):
     """Adam with bias correction."""
+
+    #: decay of the second-moment estimate.
+    beta2 = 0.999
+    #: added to the second moment's square root.
+    eps = 1e-8
 
     def __init__(
         self,
         lr: float | LearningRateSchedule = 0.001,
         beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         super().__init__(lr, weight_decay)
-        for label, beta in (("beta1", beta1), ("beta2", beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ConfigurationError(f"{label} must be in [0, 1), got {beta}")
+        if not 0.0 <= beta1 < 1.0:
+            raise ConfigurationError(f"beta1 must be in [0, 1), got {beta1}")
         self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
@@ -169,9 +161,3 @@ class Adam(Optimizer):
         m_hat = m / (1.0 - self.beta1**t)
         v_hat = v / (1.0 - self.beta2**t)
         param -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def reset_state(self) -> None:
-        super().reset_state()
-        self._m.clear()
-        self._v.clear()
-        self._t.clear()

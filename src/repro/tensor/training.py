@@ -54,14 +54,13 @@ def evaluate(
     network: Network,
     inputs: np.ndarray,
     labels: np.ndarray,
-    batch_size: int = 256,
 ) -> float:
-    """Top-1 accuracy of ``network`` over a dataset."""
+    """Top-1 accuracy of ``network`` over a dataset, 256 images at a time."""
     correct = 0
     n = inputs.shape[0]
-    for start in range(0, n, batch_size):
-        batch_x = inputs[start : start + batch_size]
-        batch_y = labels[start : start + batch_size]
+    for start in range(0, n, 256):
+        batch_x = inputs[start : start + 256]
+        batch_y = labels[start : start + 256]
         predicted = network.predict_labels(batch_x)
         correct += int(np.sum(predicted == batch_y))
     return correct / n

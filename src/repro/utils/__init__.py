@@ -2,7 +2,7 @@
 
 from repro.utils.retry import CircuitBreaker, RetryPolicy
 from repro.utils.rng import RngStream, derive_rng
-from repro.utils.validation import check_non_negative, check_positive, check_probability
+from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = [
     "CircuitBreaker",
@@ -11,5 +11,4 @@ __all__ = [
     "derive_rng",
     "check_non_negative",
     "check_positive",
-    "check_probability",
 ]

@@ -11,7 +11,6 @@ from repro.exceptions import ConfigurationError
 __all__ = [
     "check_positive",
     "check_non_negative",
-    "check_probability",
 ]
 
 
@@ -27,11 +26,3 @@ def check_non_negative(name: str, value: float) -> float:
     if value < 0:
         raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
     return value
-
-
-def check_probability(name: str, value: float) -> float:
-    """Return ``value`` if in [0, 1], else raise."""
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
-    return value
-

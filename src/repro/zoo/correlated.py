@@ -63,23 +63,20 @@ def majority_vote(votes: np.ndarray, model_accuracies: np.ndarray) -> np.ndarray
 class EnsembleAccuracyModel:
     """Monte-Carlo ensemble accuracy over the latent-trait panel."""
 
-    def __init__(
-        self,
-        model_names: tuple[str, ...] | list[str],
-        num_examples: int = 40_000,
-        num_classes: int = 1000,
-        sigma: float = 0.25,
-        distractor_prob: float = 0.35,
-        seed: int = 2018,
-    ):
+    #: standard deviation of each model's per-example noise.
+    sigma = 0.25
+    #: chance a wrong vote goes to the example's shared distractor class.
+    distractor_prob = 0.35
+    #: the ImageNet label space the votes fall in.
+    num_classes = 1000
+    #: the panel's seed: every run draws the same examples.
+    seed = 2018
+
+    def __init__(self, model_names: tuple[str, ...] | list[str], num_examples: int = 40_000):
         if len(model_names) == 0:
             raise ConfigurationError("at least one model is required")
         self.model_names = tuple(model_names)
         self.num_examples = int(num_examples)
-        self.num_classes = int(num_classes)
-        self.sigma = float(sigma)
-        self.distractor_prob = float(distractor_prob)
-        self.seed = int(seed)
         self.accuracies = np.array(
             [get_profile(name).top1_accuracy for name in self.model_names]
         )

@@ -49,14 +49,14 @@ class ModelProfile:
         return self.inference_time(50)
 
 
-def _profile(name: str, family: str, acc: float, time_b50: float, memory_mb: float,
-             overhead_frac: float = 0.08) -> ModelProfile:
+def _profile(name: str, family: str, acc: float, time_b50: float,
+             memory_mb: float) -> ModelProfile:
     """Build a profile from the Figure 3 batch-50 time.
 
-    A fixed fraction of the batch-50 time is attributed to per-batch
-    overhead (kernel launch, memcpy), the rest scales per image.
+    A fixed 8% of the batch-50 time is attributed to per-batch overhead
+    (kernel launch, memcpy), the rest scales per image.
     """
-    overhead = overhead_frac * time_b50
+    overhead = 0.08 * time_b50
     per_image = (time_b50 - overhead) / 50.0
     return ModelProfile(name, family, acc, overhead, per_image, memory_mb)
 

@@ -137,24 +137,6 @@ class TestPlanInstallation:
                 chaos.fire("p")
         assert chaos.get_plan() is None
 
-    def test_protected_decorator_feeds_breaker(self):
-        breaker = CircuitBreaker(name="dep", failure_threshold=2)
-        calls = []
-
-        @chaos.protected("dep.call", breaker=breaker)
-        def dependency():
-            calls.append(1)
-            return "ok"
-
-        plan = FaultPlan([FaultRule("dep.call", FaultKind.EXCEPTION, max_faults=2)])
-        with chaos.active(plan):
-            for _ in range(2):
-                with pytest.raises(InjectedFault):
-                    dependency()
-            with pytest.raises(CircuitOpenError):
-                dependency()
-        assert not calls  # the fault fired before the body every time
-
 
 class TestRetryPolicy:
     def test_succeeds_after_transient_failures(self):

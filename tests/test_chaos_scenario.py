@@ -18,13 +18,13 @@ import pytest
 
 from repro.chaos.scenarios import (
     SCENARIOS,
-    TRACE_METRIC_PREFIXES,
     build_default_plan,
     run_chaos_scenario,
     run_shard_kill_scenario,
     run_store_kill_scenario,
     run_tenant_isolation_scenario,
 )
+from repro.chaos.scenarios._core import TRACE_METRIC_PREFIXES
 from repro.cli import main
 
 pytestmark = pytest.mark.chaos

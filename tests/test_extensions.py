@@ -216,36 +216,20 @@ class TestFacadeQueryCache:
         assert len(info.cache) == 0  # stale predictions dropped
         assert info.specs[0].performance == 0.99
 
-    def test_gateway_redeploy_also_drops_the_sql_udf_cache(self, deployed):
-        """POST /sql through the redeploying gateway must not answer from
-        labels the old parameters produced (the second cache on the path)."""
-        from repro.sqlext import Column, Database
-
+    def test_gateway_redeploy_moves_query_answers(self, deployed):
+        """POST /inference/{id}/redeploy drops the answers the old
+        parameters produced: the next POST /query votes with the new ones."""
         system, infer_id, info, dataset = deployed
         gateway = Gateway(system)
-        images = {f"photos/{i}.npy": image for i, image in enumerate(dataset.test_x)}
-        db = Database(udf_cache=True)
-        db.create_table(
-            "log", [Column("id", "integer"), Column("path", "text", not_null=True)],
-            primary_key=("id",),
-        )
-        for row in range(24):
-            db.insert("log", id=row, path=f"photos/{row % len(images)}.npy")
-        batch_udf = make_batched_inference_udf(gateway, infer_id, images)
-        db.udfs.register("label", lambda path: batch_udf([path])[0], batch_fn=batch_udf)
-        gateway.attach_sql_database(db)
 
-        def sql_labels():
-            body = gateway.handle(
-                "POST", "/sql", {"sql": "SELECT id, label(path) FROM log ORDER BY id"}
-            ).body
-            return [label for _id, label in body["rows"]]
+        def gateway_labels():
+            body = {"img": dataset.test_x[:8].tolist()}
+            return gateway.handle("POST", f"/query/{infer_id}", body).body["label"]
 
         def direct_labels():
-            labels = system.query(infer_id, dataset.test_x)["label"]
-            return [labels[row % len(images)] for row in range(24)]
+            return list(system.query(infer_id, dataset.test_x[:8])["label"])
 
-        before = sql_labels()
+        before = gateway_labels()
         assert before == direct_labels()
         # continued training leaves other parameters under the same keys:
         # here, every replica's vote is turned over
@@ -256,7 +240,7 @@ class TestFacadeQueryCache:
                     state[name] = -state[name]
             system.param_server.put(spec.param_key, state, performance=spec.performance)
         assert gateway.handle("POST", f"/inference/{infer_id}/redeploy").status == 200
-        assert sql_labels() == direct_labels() != before
+        assert gateway_labels() == direct_labels() != before
 
     def test_scalar_udf_answers_move_with_a_redeploy(self, deployed):
         """Regression: ``make_inference_udf`` memoised per path in its
@@ -545,18 +529,12 @@ class TestTheBodyIsNotCopied:
         assert spy.encoded == [] and spy.decoded == []  # neither body nor answer
 
     def test_post_routes_neither_mutate_nor_keep_the_body(self, deployed, tmp_path):
-        from repro.sqlext import Column, Database
-
         system, infer_id, info, dataset = deployed
         for label in ("a", "b"):
             (tmp_path / label).mkdir()
             for i in range(2):
                 np.save(tmp_path / label / f"{i}.npy", np.zeros((3, 4, 4)))
-        db = Database()
-        db.create_table("t", [Column("id", "integer")])
-        db.insert("t", id=1)
         gateway = Gateway(system)
-        gateway.attach_sql_database(db)
         models = [
             {"model_name": s.model_name, "param_key": s.param_key,
              "performance": s.performance, "task": s.task, "dataset": s.dataset}
@@ -576,7 +554,6 @@ class TestTheBodyIsNotCopied:
             "/query/{job_id}": (
                 f"/query/{infer_id}", {"img": dataset.test_x[:2].tolist()}
             ),
-            "/sql": ("/sql", {"sql": "SELECT id FROM t"}),
         }
         assert set(requests) == {
             template for method, _, _, template in gateway._routes if method == "POST"

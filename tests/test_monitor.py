@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api.gateway import Gateway
-from repro.api.monitor import dashboard_data, render_dashboard
+from repro.api.monitor import dashboard_data
 from repro.core.system import Rafiki
 from repro.core.tune import HyperConf
 from repro.data import make_image_classification
@@ -60,20 +60,6 @@ class TestDashboardData:
         data = dashboard_data(Rafiki(seed=0))
         assert data["train_jobs"] == []
         assert data["inference_jobs"] == []
-
-
-class TestRendering:
-    def test_render_contains_sections(self, busy_system):
-        system, job_id, infer_id = busy_system
-        text = render_dashboard(system)
-        assert "training jobs" in text
-        assert job_id in text
-        assert infer_id in text
-        assert "parameter server" in text
-
-    def test_render_empty_system(self):
-        text = render_dashboard(Rafiki(seed=0))
-        assert "(none)" in text
 
 
 class TestGatewayRoute:

@@ -109,3 +109,84 @@ class TestStartupImportsNoScipy:
                 if any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in modules):
                     offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
+
+
+def _unused_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of each module-level import ``source`` never uses.
+
+    A name is used when the module loads it anywhere, lists it in
+    ``__all__`` or names it inside a string annotation. Imports under
+    ``if TYPE_CHECKING:`` count like any other; ``__future__`` ones are
+    not names.
+    """
+    import ast
+
+    tree = ast.parse(source)
+    imported = {}  # name -> line
+    blocks = [tree.body]
+    while blocks:
+        for node in blocks.pop():
+            if isinstance(node, ast.If):  # ``if TYPE_CHECKING:`` and kin
+                blocks += [node.body, node.orelse]
+            elif isinstance(node, ast.Try):
+                blocks += [node.body, node.orelse, node.finalbody]
+                blocks += [handler.body for handler in node.handlers]
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)) and "__all__" in {
+            getattr(target, "id", None)
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        }:
+            used.update(elt.value for elt in node.value.elts)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(
+                    name.id for name in ast.walk(ast.parse(node.value, mode="eval"))
+                    if isinstance(name, ast.Name)
+                )
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+class TestNoUnusedImports:
+    def test_every_module_level_import_is_used(self):
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        unused = [
+            f"{path.relative_to(root)}:{line} {name}"
+            for path in sorted(root.rglob("*.py"))
+            for line, name in _unused_imports(path.read_text(encoding="utf-8"))
+        ]
+        assert unused == []
+
+    @pytest.mark.parametrize("source, expected", [
+        ("import os\n", [(1, "os")]),
+        ("import os.path\nos.sep\n", []),
+        ("from a import b as c\nb = 1\n", [(1, "c")]),
+        ("from a import b\n__all__ = ['b']\n", []),
+        ("from a import b, c\n__all__ = ['b']\n__all__ += ['c']\n", []),
+        ("from __future__ import annotations\n", []),
+        ("from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from a import B\n"
+         "def f(x: 'B') -> None: ...\n", []),
+        ("from a import B\ndef f(x: 'list[B]'): ...\n", []),
+    ])
+    def test_finds_what_it_should(self, source, expected):
+        assert _unused_imports(source) == expected

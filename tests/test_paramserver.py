@@ -163,26 +163,6 @@ class TestParameterServer:
             ps.get("hot")
         assert ps.cache_stats()["hits"] == before + 5
 
-    def test_fetch_shape_pool(self, ps):
-        ps.put("k", {"a": np.zeros((2, 3)), "b": np.ones((2, 3)), "c": np.zeros(5)})
-        pool = ps.fetch_shape_pool("k")
-        assert len(pool[(2, 3)]) == 2
-        assert len(pool[(5,)]) == 1
-
-    def test_find_pretrained_prefers_public_other_dataset(self, ps):
-        ps.put("a", state(1.0), model="resnet", dataset="cifar", performance=0.9,
-               public=True)
-        ps.put("b", state(2.0), model="resnet", dataset="imagenet", performance=0.95,
-               public=False)
-        ps.put("c", state(3.0), model="resnet", dataset="food", performance=0.8,
-               public=True)
-        best = ps.find_pretrained("resnet", exclude_dataset="cifar")
-        assert best is not None
-        assert best.dataset == "food"  # the private 0.95 entry is skipped
-
-    def test_find_pretrained_none(self, ps):
-        assert ps.find_pretrained("x") is None
-
 
 class TestOneShardServer:
     """What a default server shares with every multi-shard one."""
@@ -333,7 +313,7 @@ class TestAKeyDeleteCollectsOnce:
 
         per_path_blocks, per_path = self._system()
         for version in range(1, 17):
-            per_path.store.delete_blob(per_path.get_entry("a", version).path)
+            per_path.store.delete_blobs([per_path.get_entry("a", version).path])
         assert blocks._directory == per_path_blocks._directory
         assert [node.chunks for node in blocks.nodes] == [
             node.chunks for node in per_path_blocks.nodes

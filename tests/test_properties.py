@@ -12,7 +12,7 @@ from serve_helpers import queue_of
 
 from repro import chaos, telemetry
 from repro.chaos import FaultKind, FaultPlan, FaultRule
-from repro.chaos.scenarios import reads_through_each_shard
+from repro.chaos.scenarios.shard_kill import reads_through_each_shard
 from repro.cluster import ClusterManager, Node
 from repro.cluster.manager import JobKind, JobState
 from repro.cluster.membership import preference_order
@@ -734,7 +734,7 @@ class QuotaMachine(RuleBasedStateMachine):
         path = data.draw(st.sampled_from(
             sorted(p for p in self.writers if p.startswith("blobs/"))
         ))
-        self.store.delete_blob(path)
+        self.store.delete_blobs([path])
         del self.writers[path]
 
     # -- the invariant ---------------------------------------------------
@@ -761,7 +761,7 @@ class QuotaMachine(RuleBasedStateMachine):
 
     @invariant()
     def holdings_are_read_off_the_owners(self):
-        assert sorted(self.writers) == self.store.list_blobs()
+        assert sorted(self.writers) == self.store.fs.list_paths()
         for tenant in QUOTA_TENANTS:
             quota = self.tenants.resolve(tenant).quota
             for resource in RESOURCES:

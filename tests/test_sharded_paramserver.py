@@ -5,7 +5,7 @@ import pytest
 
 from repro import chaos, telemetry
 from repro.chaos import FaultKind, FaultPlan, FaultRule
-from repro.chaos.scenarios import reads_through_each_shard
+from repro.chaos.scenarios.shard_kill import reads_through_each_shard
 from repro.cluster import ClusterManager, Node
 from repro.cluster.membership import preference_order
 from repro.cluster.node import Resources
@@ -128,18 +128,6 @@ class TestEquivalenceWithSingleServer:
                 assert a[name].tobytes() == b[name].tobytes()
             ea, eb = plain.get_entry(f"k{i}"), sharded.get_entry(f"k{i}")
             assert (ea.version, ea.performance) == (eb.version, eb.performance)
-
-    def test_find_pretrained_matches_single_server(self):
-        plain = ParameterServer()
-        sharded = ShardedParameterServer(shards=3, replicas=2)
-        for ps in (plain, sharded):
-            ps.put("a", state(1.0), model="r", dataset="c1", performance=0.9)
-            ps.put("b", state(2.0), model="r", dataset="c2", performance=0.95,
-                   public=False)
-            ps.put("c", state(3.0), model="r", dataset="c3", performance=0.8)
-        ea = plain.find_pretrained("r", exclude_dataset="c1")
-        eb = sharded.find_pretrained("r", exclude_dataset="c1")
-        assert ea.dataset == eb.dataset == "c3"
 
     def test_keys_and_has_match(self):
         plain = ParameterServer()

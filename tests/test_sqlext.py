@@ -134,10 +134,6 @@ class TestSelect:
         result = db.execute("select COUNT(*) from foodlog where AGE > 40")
         assert result.rows == [(3,)]
 
-    def test_as_dicts(self, db):
-        result = db.execute("SELECT count(*) AS n FROM foodlog")
-        assert result.as_dicts() == [{"n": 5}]
-
 
 class TestParserErrors:
     def test_garbage_rejected(self, db):

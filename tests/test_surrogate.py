@@ -1,5 +1,7 @@
 """Tests for the surrogate response-surface trainer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,8 @@ class TestCurves:
         assert session.best_performance < 0.55
 
     def test_curve_rises_over_epochs(self):
-        trainer = SurrogateTrainer(noise=0.0, seed=0)
+        trainer = SurrogateTrainer(seed=0)
+        trainer.noise = 0.0
         session = trainer.start(Trial(params=GOOD, trial_id=1), None)
         early = session.run_epoch()
         for _ in range(30):
@@ -67,7 +70,8 @@ class TestWarmStart:
         return {SURROGATE_ACC_KEY: np.array([accuracy])}
 
     def test_warm_start_from_good_checkpoint_speeds_up(self):
-        trainer = SurrogateTrainer(noise=0.0, seed=2)
+        trainer = SurrogateTrainer(seed=2)
+        trainer.noise = 0.0
         cold = trainer.start(Trial(params=GOOD, trial_id=1), None)
         warm = trainer.start(Trial(params=GOOD, trial_id=1), self._checkpoint(0.85))
         cold_acc = [cold.run_epoch() for _ in range(5)][-1]
@@ -75,7 +79,8 @@ class TestWarmStart:
         assert warm_acc > cold_acc
 
     def test_warm_start_lifts_final_accuracy(self):
-        trainer = SurrogateTrainer(noise=0.0)
+        trainer = SurrogateTrainer()
+        trainer.noise = 0.0
         mediocre = dict(GOOD, lr=0.2)
         cold_final = trainer.final_accuracy(mediocre, trainer.baseline_acc)
         warm_final = trainer.final_accuracy(mediocre, 0.85)
@@ -84,12 +89,14 @@ class TestWarmStart:
     def test_bad_hyperparams_degrade_good_checkpoint(self):
         """The failure mode alpha-greedy guards against, inverted:
         a good checkpoint is damaged by bad hyper-parameters."""
-        trainer = SurrogateTrainer(noise=0.0)
+        trainer = SurrogateTrainer()
+        trainer.noise = 0.0
         damaged = trainer.final_accuracy(BAD, 0.85)
         assert damaged < 0.85
 
     def test_bad_checkpoint_drags_good_trial_down(self):
-        trainer = SurrogateTrainer(noise=0.0)
+        trainer = SurrogateTrainer()
+        trainer.noise = 0.0
         from_bad = trainer.final_accuracy(GOOD, 0.15)
         from_scratch = trainer.final_accuracy(GOOD, trainer.baseline_acc)
         # starting slightly above baseline barely helps...
@@ -102,5 +109,40 @@ class TestWarmStart:
         assert carried == pytest.approx(session.best_performance, abs=0.05)
 
     def test_epoch_cost_constant(self):
-        trainer = SurrogateTrainer(seconds_per_epoch=12.0)
+        trainer = SurrogateTrainer()
+        trainer.seconds_per_epoch = 12.0
         assert trainer.epoch_cost(Trial(params=GOOD, trial_id=1)) == 12.0
+
+
+class TestSurfacePinned:
+    """The whole response surface on a fixed grid of section 7.1
+    parameters, seeds 0-2, cold and warm: quality, asymptote, time
+    constant and a 20-epoch curve, digested bit for bit."""
+
+    GRID = [
+        {"lr": lr, "momentum": momentum, "weight_decay": wd, "dropout": dropout,
+         "init_std": std}
+        for lr in (1e-4, 0.003, 0.05, 0.6)
+        for momentum, wd in ((0.0, 1e-6), (0.9, 5e-4), (0.99, 1e-2))
+        for dropout, std in ((0.0, 0.001), (0.35, 0.05), (0.7, 0.5))
+    ]
+
+    def _surface(self, seed):
+        trainer = SurrogateTrainer(seed=seed)
+        rows = []
+        for trial_id, params in enumerate(self.GRID, start=1):
+            for checkpoint in (None, {SURROGATE_ACC_KEY: np.array([0.85])}):
+                start = 0.85 if checkpoint else 0.10
+                session = trainer.start(Trial(params=params, trial_id=trial_id), checkpoint)
+                curve = [session.run_epoch() for _ in range(20)]
+                rows.append((
+                    trainer.quality(params), trainer.final_accuracy(params, start),
+                    trainer.time_constant(params), curve,
+                    trainer.epoch_cost(session.trial),
+                ))
+        return rows
+
+    def test_surface_digest(self):
+        surfaces = [self._surface(seed) for seed in (0, 1, 2)]
+        digest = hashlib.sha256(repr(surfaces).encode()).hexdigest()
+        assert digest == "950d08cd8ce18fe0c31850654be192e8800b9160ad6fb847c88d0a0452d91cd9"

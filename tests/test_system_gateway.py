@@ -253,10 +253,52 @@ class TestMalformedBodies:
         for _ in range(100_000):
             deep = [deep]
         gateway = Gateway(system)
-        response = gateway.handle("POST", "/sql", {"sql": deep})
+        response = gateway.handle("POST", "/train", {"name": deep})
         assert response.status == 400
         assert response.body["error"].startswith("body is not JSON-serialisable")
         assert gateway.handle("GET", "/datasets").status == 200
+
+
+class TestDatasetImportRefusals:
+    """Regression: ``POST /datasets`` raised out of ``handle`` on a
+    non-string field or an unreadable ``.npy``, and imported non-finite,
+    complex or empty images with a 200. Each is a 400 now, and nothing is
+    registered."""
+
+    #: case -> (what the one ``a/0.npy`` file holds, body fields)
+    CASES = {
+        "directory-list": (np.zeros((3, 4, 4)), {"directory": ["x"]}),
+        "directory-fd": (np.zeros((3, 4, 4)), {"directory": "fd"}),
+        "name-int": (np.zeros((3, 4, 4)), {"name": 5}),
+        "string-pixels": (np.full((3, 4, 4), "a"), {}),
+        "object-pixels": (np.full((3, 4, 4), None, dtype=object), {}),
+        "nan-pixel": (np.full((3, 4, 4), np.nan), {}),
+        "inf-pixel": (np.full((3, 4, 4), np.inf), {}),
+        "minus-inf-pixel": (np.full((3, 4, 4), -np.inf), {}),
+        "complex-pixels": (np.zeros((3, 4, 4), dtype=complex), {}),
+        "zero-length-axis": (np.zeros((0, 4, 4)), {}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_with_400_and_nothing_registered(self, system, dataset, tmp_path, case):
+        import os
+
+        pixels, fields = self.CASES[case]
+        (tmp_path / "a").mkdir()
+        np.save(tmp_path / "a" / "0.npy", pixels)
+        system.import_images(dataset)
+        gateway = Gateway(system)
+        before = gateway.handle("GET", "/datasets").body
+        body = {"directory": str(tmp_path), **fields}
+        fd = os.open(tmp_path, os.O_RDONLY)  # a directory os.path.isdir accepts
+        try:
+            if body["directory"] == "fd":
+                body["directory"] = fd
+            response = gateway.handle("POST", "/datasets", body)
+        finally:
+            os.close(fd)
+        assert response.status == 400
+        assert gateway.handle("GET", "/datasets").body == before
 
 
 class TestSDK:

@@ -725,7 +725,7 @@ class TestExporters:
 
 class TestDashboardIntegration:
     def test_dashboard_data_round_trips_with_telemetry(self):
-        from repro.api.monitor import dashboard_data, render_dashboard
+        from repro.api.monitor import dashboard_data
         from repro.core.system import Rafiki
 
         system = Rafiki(nodes=2, gpus_per_node=2, seed=0)
@@ -736,9 +736,6 @@ class TestDashboardIntegration:
         flat = data["telemetry"]
         assert flat["counters"]["repro_cluster_heartbeats_total{node=node-a}"] == 1
         assert flat["gauges"]["repro_cluster_nodes_alive"] == 2
-        text = render_dashboard(system)
-        assert "=== telemetry ===" in text
-        assert "repro_cluster_heartbeats_total" in text
 
     def test_gateway_requests_recorded_per_route(self, manual_clock):
         from repro.api.gateway import Gateway

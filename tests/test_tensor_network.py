@@ -73,14 +73,6 @@ class TestParams:
         with pytest.raises(ConfigurationError, match="shape"):
             net.load_state_dict(state)
 
-    def test_save_load_bytes(self, rng):
-        a = make_net(rng, "a")
-        blob = a.save_bytes()
-        b = make_net(rng, "b")
-        b.load_bytes(blob)
-        x = rng.normal(size=(2, 4))
-        np.testing.assert_allclose(a.forward(x), b.forward(x))
-
 
 class TestWarmStart:
     def test_exact_architecture_transfers_everything(self, rng):

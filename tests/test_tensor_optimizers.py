@@ -65,14 +65,6 @@ class TestSGD:
         opt.step(params, {"w": np.array([1.0])})  # lr=0.5
         np.testing.assert_allclose(params["w"], [-0.5])
 
-    def test_reset_state_clears_velocity(self):
-        opt = SGD(lr=0.1, momentum=0.9)
-        params = {"w": np.array([1.0])}
-        opt.step(params, {"w": np.array([1.0])})
-        assert opt._velocity
-        opt.reset_state()
-        assert not opt._velocity
-
     def test_invalid_momentum(self):
         with pytest.raises(ConfigurationError):
             SGD(lr=0.1, momentum=1.0)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.utils import RngStream, check_non_negative, check_positive, check_probability, derive_rng
+from repro.utils import RngStream, check_non_negative, check_positive, derive_rng
 
 
 class TestDeriveRng:
@@ -68,10 +68,3 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             check_non_negative("x", -1)
 
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    def test_check_probability_accepts_unit_interval(self, p):
-        assert check_probability("p", p) == p
-
-    def test_check_probability_rejects(self):
-        with pytest.raises(ConfigurationError):
-            check_probability("p", 1.5)

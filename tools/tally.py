@@ -24,6 +24,12 @@ in any ``.py`` file under ``src/``, ``benchmarks/``, ``examples/`` or
 They are printed as two lists: the names their own module does not name
 either, which only tests reach (candidates for deletion), and the names
 only their own module uses, which run (candidates for an underscore).
+A third list is their knob counterpart: the defaulted parameters of public
+functions and methods (a public class's ``__init__`` under the class name)
+that no call in ``src/``, ``benchmarks/``, ``examples/``, ``tools/`` or
+``tests/`` passes, by keyword or by position (candidates for a constant).
+Calls are matched by name; a ``*``/``**`` splat passes everything, and so
+may any call of a function handed on as a value (outside ``tests/``).
 
     python tools/tally.py [--classes]
 
@@ -225,6 +231,122 @@ def uncalled_public_names() -> tuple[list[str], list[str]]:
     return test_only, module_only
 
 
+KNOB_CALLER_DIRS = CALLER_DIRS + ("tests",)
+
+
+def _defaulted(fn, method: bool) -> list[tuple[str, int | None]]:
+    """``(name, position)`` of each defaulted parameter of ``fn``; a
+    keyword-only one has no position, and a method's ``self`` is skipped."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[1 if method else 0:]
+    first = len(positional) - len(args.defaults)
+    out = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+    out += [
+        (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return out
+
+
+def knob_definitions(path: Path) -> list[tuple[str, set[str], list]]:
+    """``(name, callee names, defaulted parameters)`` of each public
+    function and method; a public class's ``__init__`` is called by the
+    class's name, or as ``super().__init__`` in a class based on it."""
+    out = []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, functions):
+            out.append((node.name, {node.name}, _defaulted(node, False)))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, functions):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                if item.name == "__init__":
+                    callees = {node.name, f"super().__init__ in {node.name}"}
+                    out.append((node.name, callees, _defaulted(item, True)))
+                elif not item.name.startswith("_"):
+                    out.append((f"{node.name}.{item.name}", {item.name},
+                                _defaulted(item, not static)))
+    return [entry for entry in out if entry[2]]
+
+
+def _called_name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def call_sites(path: Path, escapes: bool) -> list[tuple[str, int | None, set | None]]:
+    """``(callee name, positional count, keywords)`` of each call in
+    ``path``, ``None`` where a splat may pass anything. With ``escapes``,
+    a name handed on as a value (an argument, a container item, an
+    assignment's value; annotations aside) counts as a call passing
+    anything: whoever receives it may."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bases = {
+        id(node): [_called_name(base) for base in cls.bases]
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in ast.walk(cls)
+    }
+    annotations = [
+        node.annotation if isinstance(node, (ast.arg, ast.AnnAssign)) else node.returns
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    typing = {id(node) for root in filter(None, annotations) for node in ast.walk(root)}
+    out = []
+    for node in ast.walk(tree):
+        values = []
+        if id(node) in typing:
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            count = None if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            keywords = (None if any(k.arg is None for k in node.keywords)
+                        else {k.arg for k in node.keywords})
+            if (_called_name(func) == "__init__" and isinstance(func.value, ast.Call)
+                    and _called_name(func.value.func) == "super"):
+                out += [(f"super().__init__ in {base}", count, keywords)
+                        for base in bases.get(id(node), [])]
+            elif _called_name(func):
+                out.append((_called_name(func), count, keywords))
+            if _called_name(func) not in ("isinstance", "issubclass"):
+                values = node.args + [k.value for k in node.keywords]
+        elif isinstance(node, (ast.List, ast.Tuple, ast.Set)):
+            values = node.elts
+        elif isinstance(node, ast.Dict):
+            values = node.values
+        elif isinstance(node, ast.Assign):
+            values = [node.value]
+        if escapes:
+            out += [(_called_name(value), None, None) for value in values
+                    if isinstance(value, (ast.Name, ast.Attribute))]
+    return out
+
+
+def unpassed_parameters() -> list[str]:
+    """``module:function(parameter)`` of each defaulted parameter no call
+    passes: the knob counterpart of :func:`uncalled_public_names`."""
+    calls: dict[str, list] = {}
+    for top in KNOB_CALLER_DIRS:
+        for path in sorted((ROOT.parent / top).rglob("*.py")):
+            for name, count, keywords in call_sites(path, escapes=top != "tests"):
+                calls.setdefault(name, []).append((count, keywords))
+    found = []
+    for path in sorted(ROOT.rglob("*.py")):
+        for qualified, callees, params in knob_definitions(path):
+            sites = [site for callee in callees for site in calls.get(callee, [])]
+            for param, position in params:
+                if not any(
+                    count is None or keywords is None or param in keywords
+                    or (position is not None and count > position)
+                    for count, keywords in sites
+                ):
+                    found.append(f"{path.relative_to(ROOT)}:{qualified}({param})")
+    return found
+
+
 def cli_verbs() -> dict[str, int]:
     """Flag count of each ``repro`` verb (``-h`` not counted)."""
     from repro.cli import build_parser
@@ -287,6 +409,10 @@ def main() -> int:
     print(f"\n  named only inside their own module: {len(module_only)}")
     for entry in module_only:
         print(f"    {entry}")
+    knobs = unpassed_parameters()
+    print(f"\ndefaulted parameters no call passes: {len(knobs)}")
+    for entry in knobs:
+        print(f"  {entry}")
     return 0
 
 
