@@ -381,18 +381,18 @@ class Gateway:
                 raise GatewayError(f"POST /train requires {required!r}")
         hyper = self._parse_hyper(body.get("hyper", {}))
         job_id = self.system.create_train_job(
-            name=body["name"],
-            task=body["task"],
-            dataset=body["dataset"],
+            name=_field(body, "name", _string),
+            task=_field(body, "task", _string),
+            dataset=_field(body, "dataset", _string),
             hyper=hyper,
             input_shape=_field(body, "input_shape", tuple),
             output_shape=_field(body, "output_shape", tuple),
-            num_models=_field(body, "num_models", int, 2),
-            num_workers=_field(body, "num_workers", int, 2),
-            advisor=body.get("advisor", "bayesian"),
-            collaborative=bool(body.get("collaborative", True)),
+            num_models=_field(body, "num_models", _integer, 2),
+            num_workers=_field(body, "num_workers", _integer, 2),
+            advisor=_field(body, "advisor", _string, "bayesian"),
+            collaborative=_field(body, "collaborative", _boolean, True),
             tenant=current_tenant(),
-            priority=_field(body, "priority", int, 0),
+            priority=_field(body, "priority", _integer, 0),
         )
         return {"job_id": job_id}
 
@@ -456,21 +456,26 @@ class Gateway:
             isinstance(m, dict) for m in models
         ):
             raise GatewayError("POST /inference requires a non-empty 'models' list of objects")
+        for m in models:
+            for required in ("model_name", "param_key"):
+                if required not in m:
+                    raise GatewayError(f"POST /inference requires {required!r} in every model")
         specs = [
             ModelSpec(
-                model_name=m["model_name"],
-                param_key=m["param_key"],
+                model_name=_field(m, "model_name", _string),
+                param_key=_field(m, "param_key", _string),
                 performance=_field(m, "performance", float, 0.0),
-                task=m.get("task", ""),
-                dataset=m.get("dataset", ""),
+                task=_field(m, "task", _string, ""),
+                dataset=_field(m, "dataset", _string, ""),
             )
             for m in models
         ]
+        dataset = None if body.get("dataset") is None else _field(body, "dataset", _string)
         job_id = self.system.create_inference_job(
             specs,
-            dataset=body.get("dataset"),
+            dataset=dataset,
             tenant=current_tenant(),
-            priority=_field(body, "priority", int, 0),
+            priority=_field(body, "priority", _integer, 0),
         )
         return {"job_id": job_id}
 
@@ -671,6 +676,24 @@ def _string(value: Any) -> str:
     """``value`` when it is a string, else a ``TypeError`` for :func:`_field`."""
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _integer(value: Any) -> int:
+    """``value`` as an int when it is a JSON integer (``2.0`` included),
+    else a ``TypeError`` or ``ValueError`` for :func:`_field`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    number = int(value)  # infinity and NaN refused in int()'s words
+    if number != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return number
+
+
+def _boolean(value: Any) -> bool:
+    """``value`` when it is a JSON boolean, else a ``TypeError`` for :func:`_field`."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a boolean, got {type(value).__name__}")
     return value
 
 

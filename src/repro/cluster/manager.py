@@ -366,7 +366,8 @@ class ClusterManager:
         return allocation
 
     def _dominant_share(self, tenant: str, allocation: dict[str, Resources]) -> float:
-        """Weighted dominant-resource share of ``tenant`` (DRF-style)."""
+        """Dominant-resource share of ``tenant`` (DRF): its largest share
+        of any one resource over the alive nodes."""
         total = Resources(0, 0, 0)
         for node in self.alive_nodes():
             total = total + node.capacity
@@ -376,19 +377,14 @@ class ClusterManager:
             held.gpus / total.gpus if total.gpus else 0.0,
             held.memory_gb / total.memory_gb if total.memory_gb else 0.0,
         ]
-        weight = 1.0
-        if self.tenants is not None:
-            # weight_of never raises: a suspended tenant with queued
-            # jobs must not wedge ranking for everyone else.
-            weight = max(self.tenants.weight_of(tenant), 1e-9)
-        return max(shares) / weight
+        return max(shares)
 
     def _rank_pending(self) -> list[JobRecord]:
         """Pending jobs in max-min fair order.
 
-        The tenant holding the smallest weighted dominant-resource
-        share goes first (max-min fairness over dominant resources);
-        within a tenant, higher ``priority`` then FIFO arrival order.
+        The tenant holding the smallest dominant-resource share goes
+        first (max-min fairness over dominant resources); within a
+        tenant, higher ``priority`` then FIFO arrival order.
         """
         allocation = self._tenant_allocation()
         shares = {

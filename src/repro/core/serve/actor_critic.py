@@ -42,6 +42,10 @@ class Transition:
 class ActorCritic:
     """Online advantage actor-critic over a discrete action space."""
 
+    #: per-update decay of the entropy bonus, and the floor it decays to.
+    entropy_decay = 0.9995
+    entropy_min = 0.001
+
     def __init__(
         self,
         state_dim: int,
@@ -50,8 +54,6 @@ class ActorCritic:
         lr: float = 1e-3,
         gamma: float = 0.9,
         entropy_coef: float = 0.02,
-        entropy_decay: float = 0.9995,
-        entropy_min: float = 0.001,
         horizon: int = 64,
         seed: int = 0,
     ):
@@ -66,8 +68,6 @@ class ActorCritic:
         self.num_actions = int(num_actions)
         self.gamma = float(gamma)
         self.entropy_coef = float(entropy_coef)
-        self.entropy_decay = float(entropy_decay)
-        self.entropy_min = float(entropy_min)
         self.horizon = int(horizon)
         self._rng = rng
         self._buffer: list[Transition] = []

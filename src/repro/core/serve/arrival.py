@@ -39,17 +39,18 @@ def solve_sine_coefficients(target_rate: float) -> tuple[float, float]:
 class SineArrival:
     """Generates noisy sine-modulated request counts."""
 
+    #: standard deviation of the multiplicative noise phi on each span's count.
+    noise_std = 0.1
+
     def __init__(
         self,
         target_rate: float,
         period: float,
-        noise_std: float = 0.1,
         rng: np.random.Generator | None = None,
     ):
         check_positive("period", period)
         self.target_rate = float(target_rate)
         self.period = float(period)
-        self.noise_std = float(noise_std)
         self.gamma, self.intercept = solve_sine_coefficients(target_rate)
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._carry = 0.0  # fractional requests carried between spans

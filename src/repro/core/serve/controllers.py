@@ -52,21 +52,19 @@ class GreedySingleController(GreedyBatcher):
 class GreedySyncController(GreedyBatcher):
     """All models ensemble every batch; batch sized by the slowest model."""
 
-    def __init__(self, profiles: Sequence[ModelProfile], batch_sizes: Sequence[int], tau: float,
-                 backoff: float | None = None):
+    def __init__(self, profiles: Sequence[ModelProfile], batch_sizes: Sequence[int], tau: float):
         def slowest(batch: int) -> float:
             return max(p.inference_time(batch) for p in profiles)
 
-        super().__init__(batch_sizes, slowest, tau, backoff, models=range(len(profiles)))
+        super().__init__(batch_sizes, slowest, tau, models=range(len(profiles)))
 
 
 class GreedyAsyncController(DispatchPolicy):
     """One model per batch (no ensemble), models drained round-robin."""
 
-    def __init__(self, profiles: Sequence[ModelProfile], batch_sizes: Sequence[int], tau: float,
-                 backoff: float | None = None):
+    def __init__(self, profiles: Sequence[ModelProfile], batch_sizes: Sequence[int], tau: float):
         self.batchers = [
-            GreedyBatcher(batch_sizes, p.inference_time, tau, backoff, models=(m,))
+            GreedyBatcher(batch_sizes, p.inference_time, tau, models=(m,))
             for m, p in enumerate(profiles)
         ]
         self._next = 0

@@ -456,6 +456,10 @@ def run_load(
     ``autoscaler`` consulted every ``_AUTOSCALE_INTERVAL`` simulated
     seconds to grow or shrink ``pool`` within ``_SCALE_BOUNDS``.
 
+    ``events`` is a deterministic chaos schedule: ``(time, thunk)``
+    pairs executed at exact simulated instants (e.g.
+    ``(30.0, lambda: pool.kill(1))`` for replica death mid-load).
+
     ``trace`` (here and in :func:`run_multi_load`) is what records the
     run and is returned: by default a per-request :class:`LoadTrace`;
     pass a :class:`~repro.core.serve.metrics.ServingMetrics` for
@@ -469,7 +473,6 @@ def run_multi_load(
     frontend: ServeFrontend,
     pool: ReplicaPool,
     loads: Sequence[LoadGenConfig],
-    events: Sequence[tuple[float, Callable[[], None]]] = (),
     trace=None,
 ):
     """Run several loads (typically one per tenant) against one front end.
@@ -481,16 +484,13 @@ def run_multi_load(
     coroutines are staggered by a sub-span epsilon in list order so
     same-instant submissions stay deterministically ordered.
 
-    ``events`` is a deterministic chaos schedule: ``(time, thunk)``
-    pairs executed at exact simulated instants (e.g.
-    ``(30.0, lambda: pool.kill(1))`` for replica death mid-load).
     After the longest ``load.duration`` the arrival side stops and
     the queue drains for ``10 * tau``; anything still queued then is
     shed as ``shutdown`` and the batches already on the models run to
     completion, so every offered request has exactly one terminal
-    trace record.
+    trace record (in :func:`run_load` too).
     """
-    return _run_loads(frontend, pool, loads, events, trace=trace)
+    return _run_loads(frontend, pool, loads, (), trace=trace)
 
 
 def _run_loads(frontend, pool, loads, events, autoscaler=None, trace=None):

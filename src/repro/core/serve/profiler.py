@@ -49,7 +49,6 @@ def profile_network(
     batch_sizes: Sequence[int] = (1, 8, 16, 32),
     iterations: int = 5,
     accuracy: float = 0.0,
-    family: str = "deployed",
     clock=None,
 ) -> ModelProfile:
     """Measure a network's forward latency and build a model card.
@@ -87,7 +86,7 @@ def profile_network(
     memory_mb = sum(p.nbytes for p in network.params.values()) / 1e6
     return ModelProfile(
         name=name,
-        family=family,
+        family="deployed",
         top1_accuracy=float(accuracy),
         overhead_s=overhead,
         per_image_s=per_image,

@@ -137,18 +137,21 @@ def make_image_classification(
     )
 
 
+#: tokens in every generated sentiment document.
+_DOC_LENGTH = 30
+
+
 def make_sentiment_dataset(
     vocab_size: int = 200,
     train_count: int = 400,
     test_count: int = 100,
-    doc_length: int = 30,
     signal: float = 1.0,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Generate a binary sentiment task as token-count vectors.
 
     Half the vocabulary carries positive polarity and half negative;
-    documents sample tokens biased toward their label's polarity.
+    30-token documents sample tokens biased toward their label's polarity.
     Returns ``(train_x, train_y, test_x, test_y)``.
     """
     if vocab_size < 4:
@@ -163,7 +166,7 @@ def make_sentiment_dataset(
         logits = polarity[None, :] * (2 * labels[:, None] - 1) * signal
         probs = np.exp(logits)
         probs /= probs.sum(axis=1, keepdims=True)
-        counts = np.vstack([rng.multinomial(doc_length, p) for p in probs]).astype(np.float64)
+        counts = np.vstack([rng.multinomial(_DOC_LENGTH, p) for p in probs]).astype(np.float64)
         return counts, labels
 
     train_x, train_y = _sample(train_count)

@@ -58,15 +58,14 @@ class PadCrop:
     """Zero-pad each side then take a random crop of the original size.
 
     The paper pads CIFAR images by 4 pixels to 40x40 and randomly crops
-    a 32x32 patch. At evaluation time use ``deterministic=True`` for a
-    centre crop.
+    a 32x32 patch. It augments training batches only: evaluation reads
+    the images as they are.
     """
 
-    def __init__(self, pad: int = 4, deterministic: bool = False):
+    def __init__(self, pad: int = 4):
         if pad < 0:
             raise ConfigurationError(f"pad must be >= 0, got {pad}")
         self.pad = int(pad)
-        self.deterministic = bool(deterministic)
 
     def __call__(self, batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.pad == 0:
@@ -76,9 +75,6 @@ class PadCrop:
             batch, ((0, 0), (0, 0), (self.pad, self.pad), (self.pad, self.pad)), mode="constant"
         )
         out = np.empty_like(batch)
-        if self.deterministic:
-            out[...] = padded[:, :, self.pad : self.pad + h, self.pad : self.pad + w]
-            return out
         tops = rng.integers(0, 2 * self.pad + 1, size=n)
         lefts = rng.integers(0, 2 * self.pad + 1, size=n)
         for i in range(n):

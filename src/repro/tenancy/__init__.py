@@ -1,4 +1,4 @@
-"""Multi-tenant control plane: identities, quotas, fair-share inputs.
+"""Multi-tenant control plane: identities and quotas.
 
 Rafiki is an analytics *service*: many customers share one cluster
 (PAPER.md §1, §3). This package gives every request an owner. The
@@ -7,9 +7,10 @@ resources (concurrent trials, serving replicas, parameter-server bytes,
 data-store bytes), read by a :class:`UsageLedger` off the owners'
 records; the ambient :func:`current_tenant` context lets deep
 subsystems label telemetry and check quotas without threading a
-``tenant`` argument everywhere. The cluster manager consumes tenant
-weights for max-min fair-share placement, and the serving front end
-layers per-tenant token buckets over its per-client ones.
+``tenant`` argument everywhere. The cluster manager places queued jobs
+in max-min fair order over each tenant's dominant-resource share, and
+the serving front end layers per-tenant token buckets over its
+per-client ones.
 """
 
 from repro.exceptions import QuotaExceededError, TenantAccessError

@@ -64,10 +64,6 @@ class Tenant:
 
     name: str
     quota: TenantQuota = field(default_factory=TenantQuota)
-    #: fair-share weight: a tenant with weight 2 tolerates twice the
-    #: dominant-resource share of a weight-1 tenant before the
-    #: scheduler deprioritises it.
-    weight: float = 1.0
     #: suspended tenants fail :meth:`TenantRegistry.resolve` with a 403.
     active: bool = True
 
@@ -139,17 +135,12 @@ class TenantRegistry:
     # identity
     # ------------------------------------------------------------------
 
-    def register(
-        self,
-        name: str,
-        quota: TenantQuota | None = None,
-        weight: float = 1.0,
-    ) -> Tenant:
-        """Register (or re-register, updating quota/weight; a suspension stays) a tenant."""
+    def register(self, name: str, quota: TenantQuota | None = None) -> Tenant:
+        """Register (or re-register, updating the quota; a suspension stays) a tenant."""
         if not name or not isinstance(name, str):
             raise TenantAccessError(str(name), "tenant name must be a non-empty string")
         previous = self._tenants.get(name)
-        tenant = Tenant(name=name, quota=quota or TenantQuota(), weight=float(weight))
+        tenant = Tenant(name=name, quota=quota or TenantQuota())
         tenant.active = previous is None or previous.active
         self._tenants[name] = tenant
         return tenant
@@ -179,16 +170,6 @@ class TenantRegistry:
     def tenants(self) -> list[Tenant]:
         """All registered tenants, sorted by name."""
         return [self._tenants[name] for name in sorted(self._tenants)]
-
-    def weight_of(self, name: str) -> float:
-        """Fair-share weight of ``name`` (1.0 when unregistered).
-
-        Unlike :meth:`resolve` this never raises: scheduler maths must
-        stay well-defined for suspended tenants whose jobs are still
-        queued, otherwise one suspension would wedge the whole queue.
-        """
-        tenant = self._tenants.get(name)
-        return tenant.weight if tenant is not None else 1.0
 
     # ------------------------------------------------------------------
     # quota enforcement

@@ -94,14 +94,12 @@ class Dense(Layer):
         units: int,
         name: str | None = None,
         weight_init: Initializer = glorot_uniform_init,
-        use_bias: bool = True,
     ):
         super().__init__(name)
         if units <= 0:
             raise ConfigurationError(f"units must be > 0, got {units}")
         self.units = int(units)
         self.weight_init = weight_init
-        self.use_bias = use_bias
         self._x: np.ndarray | None = None
 
     def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
@@ -112,24 +110,19 @@ class Dense(Layer):
         in_features = input_shape[0]
         self.params["W"] = self.weight_init((in_features, self.units), rng)
         self.grads["W"] = np.zeros_like(self.params["W"])
-        if self.use_bias:
-            self.params["b"] = zeros_init((self.units,), rng)
-            self.grads["b"] = np.zeros_like(self.params["b"])
+        self.params["b"] = zeros_init((self.units,), rng)
+        self.grads["b"] = np.zeros_like(self.params["b"])
         self.built = True
         return (self.units,)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._x = x if training else None
-        out = x @ self.params["W"]
-        if self.use_bias:
-            out = out + self.params["b"]
-        return out
+        return x @ self.params["W"] + self.params["b"]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         assert self._x is not None, "backward requires a training-mode forward"
         self.grads["W"] += self._x.T @ grad_out
-        if self.use_bias:
-            self.grads["b"] += grad_out.sum(axis=0)
+        self.grads["b"] += grad_out.sum(axis=0)
         return grad_out @ self.params["W"].T
 
 
@@ -385,12 +378,12 @@ class Dropout(Layer):
     The drop rate is one of the Section 7.1 tuning knobs.
     """
 
-    def __init__(self, rate: float = 0.5, name: str | None = None, seed: int = 0):
+    def __init__(self, rate: float = 0.5, name: str | None = None):
         super().__init__(name)
         if not 0.0 <= rate < 1.0:
             raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = float(rate)
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(0)
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -414,12 +407,11 @@ class BatchNorm(Layer):
 
     #: added to the variance before its square root.
     eps = 1e-5
+    #: weight of the old running statistics in each training batch's update.
+    momentum = 0.9
 
-    def __init__(self, momentum: float = 0.9, name: str | None = None):
+    def __init__(self, name: str | None = None):
         super().__init__(name)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = float(momentum)
         self._cache: tuple | None = None
         self._ndim = 2
 

@@ -95,20 +95,18 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with (optionally Nesterov) momentum."""
+    """Stochastic gradient descent with momentum."""
 
     def __init__(
         self,
         lr: float | LearningRateSchedule = 0.01,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ):
         super().__init__(lr, weight_decay)
         if not 0.0 <= momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
-        self.nesterov = bool(nesterov)
         self._velocity: dict[str, np.ndarray] = {}
 
     def _update(self, name: str, param: np.ndarray, grad: np.ndarray, lr: float) -> None:
@@ -121,30 +119,21 @@ class SGD(Optimizer):
             self._velocity[name] = vel
         vel *= self.momentum
         vel -= lr * grad
-        if self.nesterov:
-            param += self.momentum * vel - lr * grad
-        else:
-            param += vel
+        param += vel
 
 
 class Adam(Optimizer):
     """Adam with bias correction."""
 
+    #: decay of the first-moment estimate.
+    beta1 = 0.9
     #: decay of the second-moment estimate.
     beta2 = 0.999
     #: added to the second moment's square root.
     eps = 1e-8
 
-    def __init__(
-        self,
-        lr: float | LearningRateSchedule = 0.001,
-        beta1: float = 0.9,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(lr, weight_decay)
-        if not 0.0 <= beta1 < 1.0:
-            raise ConfigurationError(f"beta1 must be in [0, 1), got {beta1}")
-        self.beta1 = float(beta1)
+    def __init__(self, lr: float | LearningRateSchedule = 0.001):
+        super().__init__(lr)
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}

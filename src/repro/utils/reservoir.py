@@ -18,13 +18,13 @@ __all__ = ["Reservoir"]
 class Reservoir:
     """A fixed-capacity uniform sample over a stream of floats."""
 
-    def __init__(self, capacity: int = 4096, seed: int = 0):
+    def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._values = np.empty(self.capacity, dtype=np.float64)
         self._count = 0  # stream length seen so far
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(0)
         #: quantiles of the current sample, dropped when it changes: deep
         #: into a stream most batches leave the sample as it was.
         self._quantiles: dict[float, float] = {}

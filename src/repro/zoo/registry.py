@@ -52,6 +52,9 @@ class ModelEntry:
 class TaskRegistry:
     """Models grouped by task, with diverse-set selection."""
 
+    #: how far below the best typical performance a selected model may be.
+    tolerance = 0.1
+
     def __init__(self):
         self._by_task: dict[str, dict[str, ModelEntry]] = {}
 
@@ -75,11 +78,11 @@ class TaskRegistry:
             raise ModelNotFoundError(f"{name!r} (task {task!r})")
         return entries[name]
 
-    def select_diverse(self, task: str, k: int = 2, tolerance: float = 0.1) -> list[ModelEntry]:
+    def select_diverse(self, task: str, k: int = 2) -> list[ModelEntry]:
         """The paper's model-selection strategy.
 
         Sort models by typical performance; keep the top performer and
-        then add models whose performance is within ``tolerance`` of it
+        then add models whose performance is within :attr:`tolerance` of it
         but whose *family* differs from the ones already chosen, up to
         ``k`` models. Falls back to same-family models only when no
         diverse candidate remains.
@@ -94,7 +97,7 @@ class TaskRegistry:
         for entry in ranked[1:]:
             if len(chosen) == k:
                 break
-            if best - entry.typical_performance() > tolerance:
+            if best - entry.typical_performance() > self.tolerance:
                 continue
             if entry.family in families:
                 continue
@@ -103,7 +106,7 @@ class TaskRegistry:
         for entry in ranked[1:]:
             if len(chosen) == k:
                 break
-            if entry not in chosen and best - entry.typical_performance() <= tolerance:
+            if entry not in chosen and best - entry.typical_performance() <= self.tolerance:
                 chosen.append(entry)
         return chosen
 

@@ -67,15 +67,15 @@ class TestImageClassification:
 class TestSentiment:
     def test_shapes(self):
         train_x, train_y, test_x, test_y = make_sentiment_dataset(
-            vocab_size=50, train_count=30, test_count=10, doc_length=20
+            vocab_size=50, train_count=30, test_count=10
         )
         assert train_x.shape == (30, 50)
         assert test_x.shape == (10, 50)
         assert set(np.unique(train_y)) <= {0, 1}
 
     def test_documents_have_fixed_length(self):
-        train_x, *_ = make_sentiment_dataset(doc_length=25, train_count=10)
-        np.testing.assert_allclose(train_x.sum(axis=1), 25)
+        train_x, *_ = make_sentiment_dataset(train_count=10)
+        np.testing.assert_allclose(train_x.sum(axis=1), 30)
 
     def test_polarity_signal_is_learnable(self):
         train_x, train_y, test_x, test_y = make_sentiment_dataset(

@@ -34,11 +34,6 @@ class TestPadCrop:
         x = rng.normal(size=(5, 3, 32, 32))
         assert op(x, rng).shape == x.shape
 
-    def test_deterministic_centre_crop_is_identity(self, rng):
-        op = PadCrop(pad=4, deterministic=True)
-        x = rng.normal(size=(2, 3, 8, 8))
-        np.testing.assert_allclose(op(x, rng), x)
-
     def test_zero_pad_is_identity(self, rng):
         op = PadCrop(pad=0)
         x = rng.normal(size=(2, 3, 8, 8))

@@ -64,7 +64,7 @@ def train_steps(net: Network, optimizer, rng, steps: int = 3) -> None:
     [
         lambda: SGD(lr=0.01, momentum=0.9, weight_decay=1e-4),
         lambda: SGD(lr=0.01),
-        lambda: Adam(lr=0.001, weight_decay=1e-4),
+        lambda: Adam(lr=0.001),
     ],
     ids=["sgd-momentum", "sgd-plain", "adam"],
 )

@@ -32,14 +32,14 @@ class TestReservoirBasics:
         assert set(reservoir.values()) <= set(np.arange(100, dtype=float))
 
     def test_quantiles_of_known_distribution(self):
-        reservoir = Reservoir(capacity=4096, seed=1)
+        reservoir = Reservoir(capacity=4096)
         reservoir.add_many(np.linspace(0.0, 1.0, 100_000))
         assert reservoir.quantile(0.5) == pytest.approx(0.5, abs=0.03)
         assert reservoir.quantile(0.99) == pytest.approx(0.99, abs=0.02)
 
     def test_sample_is_roughly_uniform_over_stream(self):
         """Late elements are as likely to survive as early ones."""
-        reservoir = Reservoir(capacity=500, seed=2)
+        reservoir = Reservoir(capacity=500)
         reservoir.add_many(np.arange(50_000, dtype=float))
         values = reservoir.values()
         # the sample mean tracks the stream mean (~25k)
@@ -72,7 +72,7 @@ class TestReservoirBasics:
 
 
     def test_quantile_follows_every_change_of_the_sample(self):
-        reservoir = Reservoir(capacity=4, seed=3)
+        reservoir = Reservoir(capacity=4)
         reservoir.add_many([1.0, 2.0, 3.0])
         assert reservoir.quantile(1.0) == 3.0
         for step in range(200):  # answers are remembered only while the sample stands

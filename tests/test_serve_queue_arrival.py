@@ -100,22 +100,24 @@ class TestSineCoefficients:
 
 class TestSineCounts:
     def test_mean_count_tracks_rate(self):
-        arrival = SineArrival(100.0, period=500.0, noise_std=0.0,
-                              rng=np.random.default_rng(0))
+        arrival = SineArrival(100.0, period=500.0, rng=np.random.default_rng(0))
+        arrival.noise_std = 0.0
         total = sum(arrival.count(t * 0.1, 0.1) for t in range(5000))  # one cycle
         expected = arrival.intercept * 500.0  # sine integrates to zero
         assert total == pytest.approx(expected, rel=0.02)
 
     def test_carry_preserves_fractions(self):
-        arrival = SineArrival(1.0, period=100.0, noise_std=0.0)
+        arrival = SineArrival(1.0, period=100.0)
+        arrival.noise_std = 0.0
         # rate ~ around 0.6/s; over 100 x 0.1s spans we should not lose
         # the fractional arrivals to rounding
         total = sum(arrival.count(t * 0.1, 0.1) for t in range(1000))
         assert total > 30
 
     def test_noise_changes_realisation_not_mean(self):
-        quiet = SineArrival(100.0, 500.0, noise_std=0.0, rng=np.random.default_rng(1))
-        noisy = SineArrival(100.0, 500.0, noise_std=0.1, rng=np.random.default_rng(1))
+        quiet = SineArrival(100.0, 500.0, rng=np.random.default_rng(1))
+        quiet.noise_std = 0.0
+        noisy = SineArrival(100.0, 500.0, rng=np.random.default_rng(1))
         quiet_total = sum(quiet.count(t * 0.1, 0.1) for t in range(5000))
         noisy_total = sum(noisy.count(t * 0.1, 0.1) for t in range(5000))
         assert noisy_total != quiet_total

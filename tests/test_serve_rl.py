@@ -82,8 +82,8 @@ class TestActorCritic:
             learner.complete(token, 1.0)  # each action is paid once
 
     def test_entropy_coef_anneals(self):
-        learner = ActorCritic(state_dim=2, num_actions=2, entropy_coef=0.1,
-                              entropy_decay=0.5, entropy_min=0.01, horizon=4, seed=0)
+        learner = ActorCritic(state_dim=2, num_actions=2, entropy_coef=0.1, horizon=4, seed=0)
+        learner.entropy_decay, learner.entropy_min = 0.5, 0.01
         for _ in range(16):
             learner.complete(learner.act(np.zeros(2))[1], 0.0)
         assert learner.updates == 4

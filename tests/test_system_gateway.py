@@ -301,6 +301,73 @@ class TestDatasetImportRefusals:
         assert gateway.handle("GET", "/datasets").body == before
 
 
+class TestFieldTypes:
+    """Regression: a list in a string field of ``POST /train`` or ``POST
+    /inference`` raised ``TypeError`` out of ``handle``; a non-string name
+    registered a job; a non-string model field answered 404; the string
+    ``"false"`` ran a collaborative study; and ``2.9``, ``true`` or
+    ``"3"`` passed as a count. Each is a 400 now, and nothing is
+    registered."""
+
+    TRAIN = {"name": "t", "task": "ImageClassification", "dataset": "food",
+             "hyper": {"max_trials": 1, "max_epochs_per_trial": 1},
+             "num_models": 1, "num_workers": 1}
+    #: case -> (path, fields over the valid body, or over its one model, and
+    #: the field the error names)
+    CASES = {
+        "train-name-int": ("/train", {"name": 1}, "'name'"),
+        "train-name-list": ("/train", {"name": ["x"]}, "'name'"),
+        "train-task-list": ("/train", {"task": ["x"]}, "'task'"),
+        "train-dataset-list": ("/train", {"dataset": ["d"]}, "'dataset'"),
+        "train-advisor-list": ("/train", {"advisor": ["random"]}, "'advisor'"),
+        "train-collaborative-string": ("/train", {"collaborative": "false"},
+                                       "'collaborative'"),
+        "train-collaborative-int": ("/train", {"collaborative": 0}, "'collaborative'"),
+        "train-num-models-fraction": ("/train", {"num_models": 2.9}, "'num_models'"),
+        "train-num-workers-bool": ("/train", {"num_workers": True}, "'num_workers'"),
+        "train-priority-string": ("/train", {"priority": "3"}, "'priority'"),
+        "inference-dataset-list": ("/inference", {"dataset": ["d"]}, "'dataset'"),
+        "inference-priority-bool": ("/inference", {"priority": True}, "'priority'"),
+        "model-name-int": ("/inference/model", {"model_name": 1}, "'model_name'"),
+        "model-param-key-list": ("/inference/model", {"param_key": ["k"]}, "'param_key'"),
+        "model-task-int": ("/inference/model", {"task": 1}, "'task'"),
+        "model-dataset-list": ("/inference/model", {"dataset": ["d"]}, "'dataset'"),
+    }
+
+    def bodies(self, system, dataset):
+        from serve_helpers import deploy_untrained
+
+        spec = system.get_inference_job(deploy_untrained(system, dataset)).specs[0]
+        model = {"model_name": spec.model_name, "param_key": spec.param_key,
+                 "task": spec.task, "dataset": spec.dataset}
+        return {"/train": dict(self.TRAIN), "/inference": {"models": [model]}}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_with_400_and_nothing_registered(self, system, dataset, case):
+        bodies = self.bodies(system, dataset)
+        path, fields, named = self.CASES[case]
+        if path == "/inference/model":
+            path = "/inference"
+            body = {"models": [{**bodies[path]["models"][0], **fields}]}
+        else:
+            body = {**bodies[path], **fields}
+        before = (len(system.train_jobs), len(system.inference_jobs),
+                  len(system.cluster.jobs))
+        response = Gateway(system).handle("POST", path, body)
+        assert response.status == 400
+        assert named in response.body["error"]
+        after = (len(system.train_jobs), len(system.inference_jobs),
+                 len(system.cluster.jobs))
+        assert after == before
+
+    def test_the_valid_bodies_are_served(self, system, dataset):
+        bodies = self.bodies(system, dataset)
+        gateway = Gateway(system)
+        train = {**bodies["/train"], "collaborative": False, "num_workers": 1.0}
+        assert gateway.handle("POST", "/train", train).status == 200
+        assert gateway.handle("POST", "/inference", bodies["/inference"]).status == 200
+
+
 class TestSDK:
     def test_figure2_flow(self, system, dataset):
         connect(system)

@@ -115,14 +115,13 @@ class TestTenantRegistry:
 
     def test_reregistering_keeps_a_suspension(self):
         # Regression: register() built a fresh, active Tenant, so changing
-        # a suspended tenant's quota or weight silently reinstated it.
+        # a suspended tenant's quota silently reinstated it.
         registry = TenantRegistry()
         registry.register("acme")
         registry.suspend("acme")
-        registry.register("acme", quota=TenantQuota(trials=4), weight=2.0)
+        registry.register("acme", quota=TenantQuota(trials=4))
         with pytest.raises(TenantAccessError):
             registry.resolve("acme")
-        assert registry.weight_of("acme") == 2.0
         registry.reinstate("acme")
         assert registry.resolve("acme").quota.trials == 4
 
@@ -227,6 +226,54 @@ class TestQuotaScheduling:
         manager.stop_job(acme1.job_id)
         assert globex2.state is JobState.RUNNING
         assert acme3.state is JobState.PENDING
+
+    def test_pending_order_pin(self):
+        # Three tenants hold uneven allocations with different dominant
+        # resources (cpus, gpus, memory). The ranking, each tenant's
+        # share and the order the queue drains in are pinned exactly.
+        manager = ClusterManager(tenants=TenantRegistry())
+        manager.add_node(Node("n0", capacity=Resources(cpus=16, gpus=4, memory_gb=96)))
+        manager.add_node(Node("n1", capacity=Resources(cpus=8, gpus=4, memory_gb=48)))
+        requests = {
+            "acme": Resources(cpus=3, gpus=0, memory_gb=4),
+            "globex": Resources(cpus=1, gpus=1, memory_gb=6),
+            "initech": Resources(cpus=1, gpus=0, memory_gb=20),
+        }
+        held = [
+            manager.submit_job(JobKind.TRAIN, f"{tenant[0]}-held", num_workers=workers,
+                               tenant=tenant, worker_request=requests[tenant])
+            for tenant, workers in (("acme", 3), ("globex", 5), ("initech", 2))
+        ]
+        assert all(job.state is JobState.RUNNING for job in held)
+        for name, workers, priority in [
+            ("a1", 4, 0), ("g1", 4, 1), ("i1", 3, 0), ("a2", 2, 3), ("g2", 3, 0), ("i2", 2, 2),
+        ]:
+            tenant = {"a": "acme", "g": "globex", "i": "initech"}[name[0]]
+            job = manager.submit_job(JobKind.TRAIN, name, num_workers=workers, tenant=tenant,
+                                     worker_request=requests[tenant], priority=priority)
+            assert job.state is JobState.PENDING
+
+        def state():
+            allocation = manager._tenant_allocation()
+            shares = [manager._dominant_share(t, allocation) for t in sorted(requests)]
+            return shares, [job.name for job in manager._rank_pending()]
+
+        def running():
+            return {job.name for job in manager.jobs.values() if job.state is JobState.RUNNING}
+
+        steps = [state()]
+        for job in held:
+            before = running()
+            manager.stop_job(job.job_id)
+            steps.append((sorted(running() - before), *state()))
+        assert steps == [
+            ([0.4166666666666667, 0.625, 0.3055555555555556],
+             ["i2", "i1", "a2", "a1", "g1", "g2"]),
+            (["a2", "i2"], [0.2916666666666667, 0.625, 0.6111111111111112],
+             ["a1", "i1", "g1", "g2"]),
+            (["g1"], [0.2916666666666667, 0.5, 0.6111111111111112], ["a1", "g2", "i1"]),
+            (["g2"], [0.2916666666666667, 0.875, 0.3055555555555556], ["a1", "i1"]),
+        ]
 
     def test_priority_breaks_ties_within_tenant(self):
         manager = self.cluster(num_nodes=1, gpus=2)

@@ -105,11 +105,6 @@ class TestDense:
         check_param_grads(net, x, y, "d1/b", [(0,), (5,)])
         check_input_grads(net, x, y, [(0, 0), (3, 2)])
 
-    def test_no_bias(self, rng):
-        layer = Dense(4, name="d", use_bias=False)
-        Network([layer]).build((3,), rng)
-        assert "b" not in layer.params
-
     def test_rejects_multidim_input(self, rng):
         with pytest.raises(ConfigurationError, match="Flatten"):
             Network([Dense(4, name="d")]).build((3, 4, 4), rng)
@@ -220,7 +215,7 @@ class TestDropout:
         np.testing.assert_allclose(layer.forward(x, training=False), x)
 
     def test_training_scales_kept_units(self):
-        layer = Dropout(0.5, name="do", seed=0)
+        layer = Dropout(0.5, name="do")
         x = np.ones((1, 10_000))
         out = layer.forward(x, training=True)
         kept = out[out > 0]
@@ -228,7 +223,7 @@ class TestDropout:
         assert 0.45 < (out > 0).mean() < 0.55
 
     def test_backward_uses_same_mask(self):
-        layer = Dropout(0.5, name="do", seed=0)
+        layer = Dropout(0.5, name="do")
         x = np.ones((1, 100))
         out = layer.forward(x, training=True)
         grad = layer.backward(np.ones_like(x))
@@ -249,7 +244,8 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-3)
 
     def test_running_stats_used_at_inference(self, rng):
-        layer = BatchNorm(momentum=0.0, name="bn")  # running = last batch
+        layer = BatchNorm(name="bn")
+        layer.momentum = 0.0  # running = last batch
         Network([layer]).build((4,), rng)
         x = rng.normal(5.0, 3.0, size=(128, 4))
         layer.forward(x, training=True)

@@ -1,8 +1,25 @@
 """Training-loop tests: networks actually learn."""
 
+import hashlib
+
 import numpy as np
 
-from repro.tensor import SGD, Network, SoftmaxCrossEntropy, evaluate, train_epoch
+from repro.core.tune import Trial
+from repro.core.tune.backends import RealTrainer
+from repro.tensor import (
+    SGD,
+    BatchNorm,
+    Conv2D,
+    Dense,
+    Dropout,
+    Flatten,
+    MaxPool2D,
+    Network,
+    ReLU,
+    SoftmaxCrossEntropy,
+    evaluate,
+    train_epoch,
+)
 from repro.zoo.builders import build_mlp, build_resnet_mini, build_snoek_convnet
 
 
@@ -69,3 +86,35 @@ class TestTrainEpoch:
         x = rng.normal(size=(10, 4))
         predicted = net.predict_labels(x)
         assert evaluate(net, x, predicted) == 1.0
+
+
+def _bn_dropout_builder(input_shape, num_classes, rng, dropout=0.5):
+    return Network([
+        Conv2D(4, 3, name="pin/conv"),
+        BatchNorm(name="pin/bn"),
+        ReLU(name="pin/relu"),
+        MaxPool2D(2, name="pin/pool"),
+        Flatten(name="pin/flatten"),
+        Dropout(dropout, name="pin/dropout"),
+        Dense(num_classes, name="pin/fc"),
+    ], name="pin").build(input_shape, rng)
+
+
+class TestPinnedRealTraining:
+    """A seeded real-engine trial, digested bit for bit: SGD with momentum,
+    weight decay and an exponential learning-rate decay, over BatchNorm,
+    Dropout and the standard CIFAR pipeline (pad-and-crop plus flip)."""
+
+    def test_trial_digest(self, tiny_dataset):
+        trainer = RealTrainer(tiny_dataset, _bn_dropout_builder, batch_size=16, seed=3)
+        params = {"lr": 0.05, "lr_decay": 0.99, "momentum": 0.9,
+                  "weight_decay": 5e-4, "dropout": 0.3}
+        session = trainer.start(Trial(params=params, trial_id=1), None)
+        accuracies = [session.run_epoch() for _ in range(4)]
+        state = session.state_dict()
+        digest = hashlib.sha256(repr(accuracies).encode())
+        for key in sorted(state):
+            digest.update(key.encode())
+            digest.update(state[key].tobytes())
+        assert digest.hexdigest() == (
+            "d7fbd3bb0b1a4cafde9ee94c905d34bff7f3b5b7daa344aa401a6e80d0ef14cd")

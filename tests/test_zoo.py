@@ -208,7 +208,7 @@ class TestRegistry:
         registry = default_registry()
         registry.get("ImageClassification", "vgg-mini").record_performance("d", 0.9)
         registry.get("ImageClassification", "resnet-mini").record_performance("d", 0.5)
-        chosen = registry.select_diverse("ImageClassification", k=2, tolerance=0.1)
+        chosen = registry.select_diverse("ImageClassification", k=2)
         assert [e.name for e in chosen] == ["vgg-mini"]
 
     def test_record_performance_keeps_best(self):

@@ -24,10 +24,12 @@ in any ``.py`` file under ``src/``, ``benchmarks/``, ``examples/`` or
 They are printed as two lists: the names their own module does not name
 either, which only tests reach (candidates for deletion), and the names
 only their own module uses, which run (candidates for an underscore).
-A third list is their knob counterpart: the defaulted parameters of public
-functions and methods (a public class's ``__init__`` under the class name)
-that no call in ``src/``, ``benchmarks/``, ``examples/``, ``tools/`` or
-``tests/`` passes, by keyword or by position (candidates for a constant).
+A third and a fourth list are their knob counterparts: the defaulted
+parameters of public functions and methods (a public class's ``__init__``
+under the class name) that no call in ``src/``, ``benchmarks/``,
+``examples/``, ``tools/`` or ``tests/`` passes, by keyword or by position
+(candidates for a constant), and those only calls under ``tests/`` pass
+(candidates for a constant a test overrides on the instance).
 Calls are matched by name; a ``*``/``**`` splat passes everything, and so
 may any call of a function handed on as a value (outside ``tests/``).
 
@@ -325,26 +327,37 @@ def call_sites(path: Path, escapes: bool) -> list[tuple[str, int | None, set | N
     return out
 
 
-def unpassed_parameters() -> list[str]:
+def _passes(sites: list, param: str, position: int | None) -> bool:
+    return any(
+        count is None or keywords is None or param in keywords
+        or (position is not None and count > position)
+        for count, keywords in sites
+    )
+
+
+def unpassed_parameters() -> tuple[list[str], list[str]]:
     """``module:function(parameter)`` of each defaulted parameter no call
-    passes: the knob counterpart of :func:`uncalled_public_names`."""
-    calls: dict[str, list] = {}
+    passes, and of each only calls under ``tests/`` pass: the knob
+    counterparts of :func:`uncalled_public_names`."""
+    calls: dict[bool, dict[str, list]] = {False: {}, True: {}}
     for top in KNOB_CALLER_DIRS:
+        in_tests = top == "tests"
         for path in sorted((ROOT.parent / top).rglob("*.py")):
-            for name, count, keywords in call_sites(path, escapes=top != "tests"):
-                calls.setdefault(name, []).append((count, keywords))
-    found = []
+            for name, count, keywords in call_sites(path, escapes=not in_tests):
+                calls[in_tests].setdefault(name, []).append((count, keywords))
+    unpassed, test_only = [], []
     for path in sorted(ROOT.rglob("*.py")):
         for qualified, callees, params in knob_definitions(path):
-            sites = [site for callee in callees for site in calls.get(callee, [])]
+            sites = {
+                in_tests: [site for callee in callees for site in by_name.get(callee, [])]
+                for in_tests, by_name in calls.items()
+            }
             for param, position in params:
-                if not any(
-                    count is None or keywords is None or param in keywords
-                    or (position is not None and count > position)
-                    for count, keywords in sites
-                ):
-                    found.append(f"{path.relative_to(ROOT)}:{qualified}({param})")
-    return found
+                if _passes(sites[False], param, position):
+                    continue
+                entry = f"{path.relative_to(ROOT)}:{qualified}({param})"
+                (test_only if _passes(sites[True], param, position) else unpassed).append(entry)
+    return unpassed, test_only
 
 
 def cli_verbs() -> dict[str, int]:
@@ -409,9 +422,12 @@ def main() -> int:
     print(f"\n  named only inside their own module: {len(module_only)}")
     for entry in module_only:
         print(f"    {entry}")
-    knobs = unpassed_parameters()
-    print(f"\ndefaulted parameters no call passes: {len(knobs)}")
-    for entry in knobs:
+    unpassed, test_only = unpassed_parameters()
+    print(f"\ndefaulted parameters no call passes: {len(unpassed)}")
+    for entry in unpassed:
+        print(f"  {entry}")
+    print(f"\ndefaulted parameters only tests pass: {len(test_only)}")
+    for entry in test_only:
         print(f"  {entry}")
     return 0
 
