@@ -44,7 +44,6 @@ from repro.exceptions import (
     JobNotFoundError,
     ModelNotFoundError,
     ParameterNotFoundError,
-    QueueOverflowError,
     QuotaExceededError,
     RafikiError,
     RequestShedError,
@@ -174,10 +173,10 @@ class Gateway:
         response = None
         try:
             payload = _json_object(body)
+            call = _Call(self._resolve_tenant_name(tenant, payload), payload)
         except GatewayError as exc:
-            payload = None
+            call = _Call(self._resolve_tenant_name(tenant, None), None)
             response = Response(400, {"error": str(exc)})
-        call = _Call(self._resolve_tenant_name(tenant, payload), payload)
         matched = None
         for route_method, pattern, handler, name in self._routes:
             if route_method == method:
@@ -233,12 +232,19 @@ class Gateway:
 
     @staticmethod
     def _resolve_tenant_name(tenant: str | None, payload: Any) -> str:
-        """Explicit argument (header) > body field > default tenant."""
+        """Explicit argument (header) > body field > default tenant.
+
+        A body ``"tenant"`` that is not a string is the client's error,
+        never a tenant name: the lenient registry would register it.
+        """
         if tenant:
             return str(tenant)
-        if isinstance(payload, dict) and payload.get("tenant"):
-            return str(payload["tenant"])
-        return DEFAULT_TENANT
+        named = payload.get("tenant") if isinstance(payload, dict) else None
+        if named is not None and not isinstance(named, str):
+            raise GatewayError(
+                f"field 'tenant' is invalid: expected a string, got {type(named).__name__}"
+            )
+        return named or DEFAULT_TENANT
 
     @staticmethod
     def _error_response(exc: Exception) -> Response | None:
@@ -251,14 +257,14 @@ class Gateway:
             return Response(504, {"error": f"response dropped: {exc}"})
         if isinstance(exc, InjectedFault):
             return Response(503, {"error": f"backend unavailable: {exc}"})
-        if isinstance(exc, (RequestShedError, QueueOverflowError)):
+        if isinstance(exc, RequestShedError):
             # Admission control refused the request: overload, not a
             # client or server bug — 429 plus a retry hint, so
             # well-behaved clients back off instead of hammering.
             return Response(429, {
                 "error": str(exc),
-                "reason": getattr(exc, "reason", "queue_full"),
-                "retry_after": float(getattr(exc, "retry_after", 0.1)),
+                "reason": exc.reason,
+                "retry_after": exc.retry_after,
             })
         if isinstance(exc, ServingError):
             # No live model replica: a server-side outage that ends when
@@ -464,7 +470,7 @@ class Gateway:
             ModelSpec(
                 model_name=_field(m, "model_name", _string),
                 param_key=_field(m, "param_key", _string),
-                performance=_field(m, "performance", float, 0.0),
+                performance=_field(m, "performance", _number, 0.0),
                 task=_field(m, "task", _string, ""),
                 dataset=_field(m, "dataset", _string, ""),
             )
@@ -688,6 +694,14 @@ def _integer(value: Any) -> int:
     if number != value:
         raise ValueError(f"expected an integer, got {value!r}")
     return number
+
+
+def _number(value: Any) -> float:
+    """``value`` as a float when it is a JSON number, else a ``TypeError``
+    for :func:`_field`: a string or a boolean is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
 
 
 def _boolean(value: Any) -> bool:

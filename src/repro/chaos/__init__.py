@@ -43,7 +43,6 @@ from __future__ import annotations
 from repro.chaos.faults import FaultEvent, FaultKind, FaultPlan, FaultRule
 from repro.exceptions import (
     ChaosError,
-    CircuitOpenError,
     DroppedResponse,
     InjectedFault,
     RetryExhaustedError,
@@ -59,7 +58,6 @@ __all__ = [
     "InjectedFault",
     "DroppedResponse",
     "RetryExhaustedError",
-    "CircuitOpenError",
     "RetryPolicy",
     "CircuitBreaker",
     "get_plan",

@@ -77,13 +77,6 @@ class JobRecord:
     pending_reason: str | None = None
 
     @property
-    def master(self) -> Container | None:
-        for container in self.containers:
-            if container.role is ContainerRole.MASTER:
-                return container
-        return None
-
-    @property
     def workers(self) -> list[Container]:
         return [c for c in self.containers if c.role is ContainerRole.WORKER]
 

@@ -82,21 +82,20 @@ _COOLDOWN = 5.0
 class TokenBucket:
     """A deterministic token bucket (the per-client rate limiter).
 
-    ``rate`` tokens accrue per second up to ``burst``; each admitted
-    request costs one token. Refill is computed lazily from the
-    timestamps handed in by the caller, so the bucket is a pure
-    function of its call sequence — no wall clock, no background task.
+    ``rate`` tokens accrue per second up to ``burst``, one second of
+    rate (at least one token); each admitted request costs one token.
+    Refill is computed lazily from the timestamps handed in by the
+    caller, so the bucket is a pure function of its call sequence — no
+    wall clock, no background task.
     """
 
     __slots__ = ("rate", "burst", "tokens", "_last")
 
-    def __init__(self, rate: float, burst: float | None = None):
-        if rate <= 0:
+    def __init__(self, rate: float):
+        if not rate > 0:
             raise ConfigurationError(f"rate must be > 0, got {rate}")
         self.rate = float(rate)
-        self.burst = float(burst) if burst is not None else max(1.0, self.rate)
-        if self.burst < 1.0:
-            raise ConfigurationError(f"burst must be >= 1, got {burst}")
+        self.burst = max(1.0, self.rate)
         self.tokens = self.burst
         self._last: float | None = None
 
@@ -148,18 +147,12 @@ class FrontendConfig:
     #: above 1.0 to trade tail latency for fewer sheds.
     deadline_slack: float = 1.0
     #: per-client token-bucket rate (requests/second); None disables
-    #: rate limiting entirely.
+    #: rate limiting entirely. A bucket's burst is one second of rate.
     rate_limit: float | None = None
-    #: per-client burst allowance (defaults to one second of rate).
-    burst: float | None = None
-    #: per-*tenant* token-bucket rate, layered over the per-client
-    #: buckets: one tenant's aggregate traffic (any number of clients)
-    #: cannot exceed this. None disables the tenant layer.
-    tenant_rate_limit: float | None = None
-    #: per-tenant burst allowance (defaults to one second of rate).
-    tenant_burst: float | None = None
-    #: per-tenant rate overrides (tenant name -> requests/second);
-    #: tenants not listed fall back to ``tenant_rate_limit``.
+    #: per-*tenant* token-bucket rates (tenant name -> requests/second),
+    #: layered over the per-client buckets: a listed tenant's aggregate
+    #: traffic (any number of clients) cannot exceed its rate. Tenants
+    #: not listed have no tenant bucket.
     tenant_rate_limits: dict[str, float] | None = None
     #: cap on the fraction of ``max_queue`` one tenant may occupy
     #: (0 < share <= 1); None disables the cap. With the cap, a
@@ -184,14 +177,15 @@ class FrontendConfig:
             raise ConfigurationError(
                 f"deadline_slack must be > 0, got {self.deadline_slack}"
             )
-        if self.rate_limit is not None and self.rate_limit <= 0:
+        if self.rate_limit is not None and not self.rate_limit > 0:  # NaN too
             raise ConfigurationError(
                 f"rate_limit must be > 0 (or None), got {self.rate_limit}"
             )
-        if self.tenant_rate_limit is not None and self.tenant_rate_limit <= 0:
-            raise ConfigurationError(
-                f"tenant_rate_limit must be > 0 (or None), got {self.tenant_rate_limit}"
-            )
+        for tenant, rate in (self.tenant_rate_limits or {}).items():
+            if not rate > 0:
+                raise ConfigurationError(
+                    f"tenant_rate_limits[{tenant!r}] must be > 0, got {rate}"
+                )
         if self.tenant_max_queue_share is not None and not (
             0.0 < self.tenant_max_queue_share <= 1.0
         ):
@@ -352,11 +346,7 @@ class ServeFrontend:
         self.capacity = capacity if capacity is not None else (lambda now: (1, 0.0))
         self.pending = PendingQueue()
         self._max_batch = max(config.batch_sizes)
-        self._rate_limited = (
-            config.rate_limit is not None
-            or config.tenant_rate_limit is not None
-            or bool(config.tenant_rate_limits)
-        )
+        self._rate_limited = config.rate_limit is not None or bool(config.tenant_rate_limits)
         self._buckets: dict[str, TokenBucket] = {}
         self._bucket_sweep_at = 1024
         self._tenant_buckets: dict[str, TokenBucket] = {}
@@ -431,12 +421,6 @@ class ServeFrontend:
         head_delay, drain = self._drain_time(now, batches)
         return max(0.0, head_delay) + drain
 
-    def _tenant_rate(self, tenant: str) -> float | None:
-        overrides = self.config.tenant_rate_limits or {}
-        if tenant in overrides:
-            return overrides[tenant]
-        return self.config.tenant_rate_limit
-
     def _client_bucket(self, client_id: str, now: float) -> TokenBucket:
         bucket = self._buckets.get(client_id)
         if bucket is None:
@@ -449,21 +433,17 @@ class ServeFrontend:
                     if kept.available(now) < kept.burst
                 }
                 self._bucket_sweep_at = max(1024, 2 * len(self._buckets))
-            bucket = self._buckets[client_id] = TokenBucket(
-                self.config.rate_limit, self.config.burst
-            )
+            bucket = self._buckets[client_id] = TokenBucket(self.config.rate_limit)
         return bucket
 
     def _peek_buckets(self, client_id: str, now: float, tenant: str) -> list[TokenBucket]:
         """The tenant's and the client's bucket, each with a token to spare."""
         buckets = []
-        tenant_rate = self._tenant_rate(tenant)
+        tenant_rate = (self.config.tenant_rate_limits or {}).get(tenant)
         if tenant_rate is not None:
             bucket = self._tenant_buckets.get(tenant)
             if bucket is None:
-                bucket = self._tenant_buckets[tenant] = TokenBucket(
-                    tenant_rate, self.config.tenant_burst
-                )
+                bucket = self._tenant_buckets[tenant] = TokenBucket(tenant_rate)
             wait = bucket.peek(now)
             if wait > 0.0:
                 raise self._shed(

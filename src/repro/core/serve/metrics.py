@@ -142,11 +142,11 @@ class ServingMetrics:
     # time series
     # ------------------------------------------------------------------
 
-    def timeline(self, bucket: float, start: float = 0.0, end: float | None = None) -> list[TimelineRow]:
-        """Bucketed rates and accuracies — the curves of Figures 13-16."""
-        if end is None:
-            times = [t for t, _ in self.arrivals] + [d.time for d in self.dispatches]
-            end = max(times, default=start)
+    def timeline(self, bucket: float, start: float = 0.0) -> list[TimelineRow]:
+        """Bucketed rates and accuracies from ``start`` to the last event —
+        the curves of Figures 13-16."""
+        times = [t for t, _ in self.arrivals] + [d.time for d in self.dispatches]
+        end = max(times, default=start)
         buckets = int(np.ceil((end - start) / bucket)) or 1
         arrived = np.zeros(buckets)
         served = np.zeros(buckets)

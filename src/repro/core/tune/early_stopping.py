@@ -35,10 +35,6 @@ class EarlyStopper:
             self.stale_epochs += 1
         return self.stale_epochs >= self.patience
 
-    def reset(self) -> None:
-        self.best = float("-inf")
-        self.stale_epochs = 0
-
 
 class TrialStopRule:
     """When one trial's epoch loop ends: epoch cap reached or plateau.

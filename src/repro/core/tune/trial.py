@@ -49,10 +49,6 @@ class Trial:
     #: trials from their reports (Algorithm 2) or budgets them exactly.
     local_early_stop: bool = True
 
-    def describe(self) -> str:
-        knobs = ", ".join(f"{k}={v!r}" for k, v in sorted(self.params.items()))
-        return f"trial {self.trial_id} [{self.init_kind.value}] ({knobs})"
-
 
 @dataclass
 class TrialResult:

@@ -54,17 +54,15 @@ def _render_split(count: int, image_shape, noise: float, rng) -> tuple[np.ndarra
 
 
 def make_object_detection(
-    image_shape: tuple[int, int, int] = (1, 16, 16),
     train_count: int = 200,
     val_count: int = 50,
     noise: float = 0.3,
     seed: int = 0,
 ) -> DetectionDataset:
-    """Generate a single-object localisation dataset."""
+    """Generate a single-object localisation dataset of 1x16x16 images."""
     if noise < 0:
         raise ConfigurationError(f"noise must be >= 0, got {noise}")
-    if min(image_shape[1], image_shape[2]) < 8:
-        raise ConfigurationError(f"images must be at least 8x8, got {image_shape}")
+    image_shape = (1, 16, 16)
     name = "synthetic-boxes"
     train_rng = derive_rng(seed, f"detection:{name}:train")
     val_rng = derive_rng(seed, f"detection:{name}:val")

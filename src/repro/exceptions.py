@@ -82,10 +82,6 @@ class ServingError(RafikiError):
     """An inference-service failure."""
 
 
-class QueueOverflowError(ServingError):
-    """The request queue exceeded its configured capacity."""
-
-
 class RequestShedError(ServingError):
     """The serving front end refused a request (admission control).
 
@@ -198,10 +194,6 @@ class RetryExhaustedError(ChaosError):
         self.name = name
         self.attempts = attempts
         self.last_error = last_error
-
-
-class CircuitOpenError(ChaosError):
-    """A call was refused because its circuit breaker is open."""
 
 
 class SQLError(RafikiError):

@@ -189,14 +189,5 @@ class Network:
     # misc
     # ------------------------------------------------------------------
 
-    def summary(self) -> str:
-        """Human-readable architecture table."""
-        self._require_built()
-        lines = [f"Network {self.name!r} (input {self.input_shape})"]
-        for layer in self.layers:
-            lines.append(f"  {layer.name:<24} {type(layer).__name__:<12} params={layer.param_count()}")
-        lines.append(f"  total parameters: {self.param_count()}")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Network(name={self.name!r}, layers={len(self.layers)})"

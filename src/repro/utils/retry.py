@@ -5,20 +5,21 @@ underneath it — parameter-server shards, model replicas, cluster nodes.
 This module centralises the two resilience primitives the rest of the
 library composes:
 
-* :class:`RetryPolicy` — bounded attempts with exponential backoff and
-  *deterministic* jitter (seeded, so a retried run replays the exact
-  same delay schedule), plus an optional per-call timeout measured on
-  the injectable telemetry clock;
+* :class:`RetryPolicy` — bounded attempts with a doubling backoff
+  schedule and *deterministic* jitter (seeded, so a retried run replays
+  the exact same delay schedule);
 * :class:`CircuitBreaker` — the classic closed / open / half-open state
-  machine that stops hammering a failing dependency and probes it again
-  after a recovery window.
+  machine that stops hammering a failing dependency and, after a
+  recovery window on the injectable telemetry clock, lets one probe
+  call through.
 
-Neither primitive ever calls ``time.sleep`` itself: delays are handed
-to an injectable ``sleep`` callable (a no-op by default), so simulated
-and test environments stay instant while real deployments may block.
-Every attempt, exhaustion and circuit transition is recorded in the
-process-wide telemetry registry (``repro_retry_attempts_total``,
-``repro_retry_exhausted_total``, ``repro_circuit_open``).
+Neither primitive ever sleeps: :meth:`RetryPolicy.call` retries at once,
+and a caller that paces its retries (the serving front end's dispatch
+retry) reads the schedule off :meth:`RetryPolicy.delay` on its own
+clock. Every attempt, exhaustion and circuit transition is recorded in
+the process-wide telemetry registry (``repro_retry_attempts_total``,
+``repro_retry_exhausted_total``, ``repro_circuit_transitions_total``,
+``repro_circuit_open``).
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro import telemetry
-from repro.exceptions import (
-    CircuitOpenError,
-    ConfigurationError,
-    RetryExhaustedError,
-)
+from repro.exceptions import ConfigurationError, RetryExhaustedError
 
 __all__ = ["RetryPolicy", "CircuitBreaker"]
 
@@ -43,7 +40,7 @@ class RetryPolicy:
     """Exponential backoff with deterministic jitter and attempt caps.
 
     ``delay(attempt)`` for attempt ``k`` (0-based) is
-    ``min(base_delay * multiplier**k, max_delay)``, scaled by a jitter
+    ``min(base_delay * 2**k, max_delay)``, scaled by a jitter
     factor drawn from a generator seeded with ``(seed, attempt)`` — the
     schedule is therefore a pure function of the policy, never of
     global RNG state, which keeps chaos traces bit-reproducible.
@@ -51,14 +48,10 @@ class RetryPolicy:
 
     max_attempts: int = 3
     base_delay: float = 0.05
-    multiplier: float = 2.0
     max_delay: float = 5.0
     #: jitter fraction in [0, 1): the delay is scaled by a factor drawn
     #: uniformly from [1 - jitter, 1 + jitter).
     jitter: float = 0.1
-    #: per-call timeout in seconds measured on the telemetry clock
-    #: (None disables the check).
-    timeout: float | None = None
     #: exception types that trigger a retry; anything else propagates.
     retry_on: tuple = (Exception,)
     seed: int = 0
@@ -77,36 +70,27 @@ class RetryPolicy:
         """Backoff before retry number ``attempt`` (0-based), jittered."""
         if attempt < 0:
             raise ConfigurationError(f"attempt must be >= 0, got {attempt}")
-        raw = min(self.base_delay * self.multiplier**attempt, self.max_delay)
+        raw = min(self.base_delay * 2.0**attempt, self.max_delay)
         if not self.jitter:
             return raw
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, attempt)))
         return raw * (1.0 - self.jitter + 2.0 * self.jitter * rng.random())
-
-    def delays(self) -> list[float]:
-        """The full backoff schedule (one entry per possible retry)."""
-        return [self.delay(k) for k in range(self.max_attempts - 1)]
 
     def call(
         self,
         fn: Callable[..., Any],
         *args: Any,
         name: str = "",
-        sleep: Callable[[float], None] | None = None,
         on_retry: Callable[[int, BaseException], None] | None = None,
         **kwargs: Any,
     ) -> Any:
         """Run ``fn`` under this policy; return its result.
 
-        ``name`` labels the telemetry counters; ``sleep`` receives each
-        backoff delay (no-op when omitted); ``on_retry(attempt, error)``
-        is notified before every retry. Raises
+        ``name`` labels the telemetry counters; ``on_retry(attempt,
+        error)`` is notified before every retry. Raises
         :class:`RetryExhaustedError` once every attempt failed, and
-        re-raises immediately on exceptions outside ``retry_on``. A
-        call whose duration (on the telemetry clock) exceeds
-        ``timeout`` is treated as a failed attempt even if it returned.
+        re-raises immediately on exceptions outside ``retry_on``.
         """
-        clock = telemetry.get_clock()
         registry = telemetry.get_registry()
         last_error: BaseException | None = None
         for attempt in range(self.max_attempts):
@@ -114,24 +98,12 @@ class RetryPolicy:
                 "repro_retry_attempts_total",
                 "Attempts made under a RetryPolicy, by call name.",
             ).inc(name=name or "(anonymous)")
-            start = clock.now()
             try:
-                result = fn(*args, **kwargs)
+                return fn(*args, **kwargs)
             except self.retry_on as exc:
                 last_error = exc
-            else:
-                elapsed = clock.now() - start
-                if self.timeout is not None and elapsed > self.timeout:
-                    last_error = TimeoutError(
-                        f"{name or 'call'} took {elapsed:.3f}s > timeout {self.timeout:.3f}s"
-                    )
-                else:
-                    return result
-            if attempt + 1 < self.max_attempts:
-                if on_retry is not None:
-                    on_retry(attempt, last_error)
-                if sleep is not None:
-                    sleep(self.delay(attempt))
+            if attempt + 1 < self.max_attempts and on_retry is not None:
+                on_retry(attempt, last_error)
         registry.counter(
             "repro_retry_exhausted_total",
             "Calls that failed on every allowed attempt, by call name.",
@@ -143,31 +115,27 @@ class RetryPolicy:
 class CircuitBreaker:
     """Closed / open / half-open breaker over the telemetry clock.
 
-    ``failure_threshold`` consecutive failures open the circuit; after
-    ``recovery_time`` seconds (on the injectable telemetry clock) the
-    breaker lets ``half_open_probes`` trial calls through, and
-    ``success_threshold`` consecutive successes close it again. While
-    open, :meth:`allow` returns ``False`` (and :meth:`check` raises
-    :class:`CircuitOpenError`), so callers can shed load instead of
-    hammering a failing dependency.
+    ``failure_threshold`` consecutive failures open the circuit. While
+    open, :meth:`allow` returns ``False``, so callers can shed load
+    instead of hammering a failing dependency. After ``recovery_time``
+    seconds (on the injectable telemetry clock) the breaker is half-open
+    and admits one probe call: its success closes the circuit, its
+    failure opens it again.
     """
 
     name: str = ""
     failure_threshold: int = 3
     recovery_time: float = 30.0
-    success_threshold: int = 1
-    half_open_probes: int = 1
 
     state: str = field(default="closed", init=False)
     _failures: int = field(default=0, init=False)
-    _successes: int = field(default=0, init=False)
     _opened_at: float = field(default=0.0, init=False)
-    _probes_in_flight: int = field(default=0, init=False)
+    _probing: bool = field(default=False, init=False)
     opened_count: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if self.failure_threshold < 1 or self.success_threshold < 1:
-            raise ConfigurationError("thresholds must be >= 1")
+        if self.failure_threshold < 1:
+            raise ConfigurationError("failure_threshold must be >= 1")
         if self.recovery_time < 0:
             raise ConfigurationError(
                 f"recovery_time must be >= 0, got {self.recovery_time}"
@@ -181,39 +149,26 @@ class CircuitBreaker:
         """Whether a call may proceed right now (may move open -> half-open)."""
         if self.state == "closed":
             return True
-        now = telemetry.get_clock().now()
         if self.state == "open":
-            if now - self._opened_at < self.recovery_time:
+            if telemetry.get_clock().now() - self._opened_at < self.recovery_time:
                 return False
             self._transition("half_open")
-            self._probes_in_flight = 0
-            self._successes = 0
-        # half-open: admit a bounded number of probe calls.
-        if self._probes_in_flight >= self.half_open_probes:
+        elif self._probing:  # half-open admits one probe call at a time
             return False
-        self._probes_in_flight += 1
+        self._probing = True
         return True
 
-    def check(self) -> None:
-        """Raise :class:`CircuitOpenError` unless a call may proceed."""
-        if not self.allow():
-            raise CircuitOpenError(f"circuit {self.name or '(anonymous)'} is open")
-
     def record_success(self) -> None:
-        """Feed back a successful call (may close a half-open circuit)."""
+        """Feed back a successful call (closes a half-open circuit)."""
         if self.state == "half_open":
-            self._successes += 1
-            self._probes_in_flight = max(0, self._probes_in_flight - 1)
-            if self._successes >= self.success_threshold:
-                self._transition("closed")
-                self._failures = 0
-        else:
-            self._failures = 0
+            self._probing = False
+            self._transition("closed")
+        self._failures = 0
 
     def record_failure(self) -> None:
         """Feed back a failed call (may open the circuit)."""
         if self.state == "half_open":
-            self._probes_in_flight = max(0, self._probes_in_flight - 1)
+            self._probing = False
             self._open()
             return
         self._failures += 1

@@ -58,9 +58,5 @@ class RngStream:
             self._issued[name] = derive_rng(self._root_seed, name)
         return self._issued[name]
 
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a brand-new generator for ``name`` at its initial state."""
-        return derive_rng(self._root_seed, name)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(root_seed={self._root_seed}, issued={sorted(self._issued)})"

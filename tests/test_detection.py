@@ -49,10 +49,6 @@ class TestDataset:
             # centre of the box is bright (the blob adds +2)
             assert image[0, min(cy, 15), min(cx, 15)] > 1.0
 
-    def test_too_small_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_object_detection(image_shape=(1, 4, 4))
-
 
 class TestTrainability:
     def test_regression_head_localises(self, rng):

@@ -232,7 +232,7 @@ class TestMetrics:
         metrics.record_arrivals(0.5, 10)
         metrics.record_arrivals(1.5, 20)
         metrics.record_dispatch(self._record(0.7, served=10, subset=(0, 1)))
-        rows = metrics.timeline(bucket=1.0, start=0.0, end=2.0)
+        rows = metrics.timeline(bucket=1.0, start=0.0)
         assert len(rows) == 2
         assert rows[0].arrival_rate == pytest.approx(10.0)
         assert rows[0].serve_rate == pytest.approx(10.0)
@@ -241,6 +241,6 @@ class TestMetrics:
         assert rows[1].serve_rate == 0.0
 
     def test_empty_timeline(self):
-        rows = ServingMetrics().timeline(bucket=1.0, start=0.0, end=3.0)
-        assert len(rows) == 3
+        rows = ServingMetrics().timeline(bucket=1.0, start=0.0)
+        assert len(rows) == 1
         assert all(r.accuracy == 0.0 for r in rows)

@@ -305,8 +305,9 @@ class TestFieldTypes:
     """Regression: a list in a string field of ``POST /train`` or ``POST
     /inference`` raised ``TypeError`` out of ``handle``; a non-string name
     registered a job; a non-string model field answered 404; the string
-    ``"false"`` ran a collaborative study; and ``2.9``, ``true`` or
-    ``"3"`` passed as a count. Each is a 400 now, and nothing is
+    ``"false"`` ran a collaborative study; ``2.9``, ``true`` or ``"3"``
+    passed as a count; and ``"0.5"`` or ``true`` deployed a model's
+    performance as a number. Each is a 400 now, and nothing is
     registered."""
 
     TRAIN = {"name": "t", "task": "ImageClassification", "dataset": "food",
@@ -332,6 +333,10 @@ class TestFieldTypes:
         "model-param-key-list": ("/inference/model", {"param_key": ["k"]}, "'param_key'"),
         "model-task-int": ("/inference/model", {"task": 1}, "'task'"),
         "model-dataset-list": ("/inference/model", {"dataset": ["d"]}, "'dataset'"),
+        "model-performance-string": ("/inference/model", {"performance": "0.5"},
+                                     "'performance'"),
+        "model-performance-bool": ("/inference/model", {"performance": True},
+                                   "'performance'"),
     }
 
     def bodies(self, system, dataset):
@@ -366,6 +371,35 @@ class TestFieldTypes:
         train = {**bodies["/train"], "collaborative": False, "num_workers": 1.0}
         assert gateway.handle("POST", "/train", train).status == 200
         assert gateway.handle("POST", "/inference", bodies["/inference"]).status == 200
+
+
+class TestTenantField:
+    """Regression: a body's non-string ``"tenant"`` went through ``str()``,
+    so ``7`` or ``["x"]`` answered 200 as a new tenant ``'7'`` or
+    ``"['x']"`` that the lenient registry registered."""
+
+    @pytest.mark.parametrize("tenant", [7, ["x"], True, {"name": "x"}],
+                             ids=["int", "list", "bool", "object"])
+    def test_refused_with_400_counted_and_nothing_registered(self, system, tenant):
+        from repro import telemetry
+        from repro.tenancy import DEFAULT_TENANT
+
+        before = [t.name for t in system.tenants.tenants()]
+        response = Gateway(system).handle("GET", "/datasets", {"tenant": tenant})
+        assert response.status == 400
+        assert "'tenant'" in response.body["error"]
+        assert [t.name for t in system.tenants.tenants()] == before
+        requests = telemetry.get_registry().counter("repro_gateway_requests_total")
+        assert requests.snapshot() == {
+            f"method=GET,route=/datasets,status=400,tenant={DEFAULT_TENANT}": 1.0
+        }
+        seconds = telemetry.get_registry().histogram("repro_gateway_request_seconds")
+        assert seconds.snapshot()["series"]["route=/datasets"]["count"] == 1
+
+    def test_a_string_tenant_is_still_served(self, system):
+        response = Gateway(system).handle("GET", "/datasets", {"tenant": "acme"})
+        assert response.status == 200
+        assert "acme" in [t.name for t in system.tenants.tenants()]
 
 
 class TestSDK:

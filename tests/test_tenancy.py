@@ -735,7 +735,7 @@ class TestFrontendTenantLimits:
     def test_tenant_bucket_spans_clients(self):
         from repro.exceptions import RequestShedError
 
-        frontend = self.make(tenant_rate_limit=2.0, tenant_burst=2.0)
+        frontend = self.make(tenant_rate_limits={"acme": 2.0})
         frontend.offer("c1", None, 0.0, tenant="acme")
         frontend.offer("c2", None, 0.0, tenant="acme")
         with pytest.raises(RequestShedError) as excinfo:
@@ -763,8 +763,7 @@ class TestFrontendTenantLimits:
         from repro.exceptions import RequestShedError
 
         frontend = self.make(
-            max_queue=32, tenant_rate_limit=10.0, tenant_burst=10.0,
-            rate_limit=1.0, burst=1.0,
+            max_queue=32, tenant_rate_limits={"acme": 10.0}, rate_limit=1.0,
         )
         frontend.offer("hot", None, 0.0, tenant="acme")
         for _ in range(8):
@@ -783,7 +782,7 @@ class TestFrontendTenantLimits:
         from repro.exceptions import RequestShedError
 
         frontend = self.make(
-            max_queue=2, tenant_rate_limit=100.0, tenant_burst=100.0,
+            max_queue=2, tenant_rate_limits={"acme": 100.0},
         )
         frontend.offer("c1", None, 0.0, tenant="acme")
         frontend.offer("c2", None, 0.0, tenant="acme")
@@ -794,7 +793,7 @@ class TestFrontendTenantLimits:
         assert frontend._tenant_buckets["acme"].available(0.0) == before
 
     def test_tenant_outcome_accounting(self):
-        frontend = self.make(tenant_rate_limit=1.0, tenant_burst=1.0)
+        frontend = self.make(tenant_rate_limits={"acme": 1.0})
         frontend.offer("c1", None, 0.0, tenant="acme")
         try:
             frontend.offer("c2", None, 0.0, tenant="acme")

@@ -32,6 +32,16 @@ under the class name) that no call in ``src/``, ``benchmarks/``,
 (candidates for a constant a test overrides on the instance).
 Calls are matched by name; a ``*``/``**`` splat passes everything, and so
 may any call of a function handed on as a value (outside ``tests/``).
+A fifth list does the same for the fields of public dataclasses in
+``src/repro``: each defaulted field of the generated ``__init__`` (not
+``init=False``) that no call of its class's own name sets, by keyword or
+by position, and no ``dataclasses.replace`` sets by keyword, and those
+only calls under ``tests/`` set. A subclass's generated ``__init__`` is
+not followed to its base (``Knob``'s hooks, which ``RangeKnob`` and
+``CategoricalKnob`` take, are listed for that reason). State fields are
+left out: a field whose name ``src/`` assigns, or mutates in place
+(``append``, ``[k] = ...``), outside ``__init__``/``__post_init__`` is a
+record or a counter, not a setting.
 
     python tools/tally.py [--classes]
 
@@ -327,6 +337,17 @@ def call_sites(path: Path, escapes: bool) -> list[tuple[str, int | None, set | N
     return out
 
 
+def _call_index() -> dict[bool, dict[str, list]]:
+    """``{in tests: {callee name: [(positional count, keywords)]}}``."""
+    calls: dict[bool, dict[str, list]] = {False: {}, True: {}}
+    for top in KNOB_CALLER_DIRS:
+        in_tests = top == "tests"
+        for path in sorted((ROOT.parent / top).rglob("*.py")):
+            for name, count, keywords in call_sites(path, escapes=not in_tests):
+                calls[in_tests].setdefault(name, []).append((count, keywords))
+    return calls
+
+
 def _passes(sites: list, param: str, position: int | None) -> bool:
     return any(
         count is None or keywords is None or param in keywords
@@ -339,12 +360,7 @@ def unpassed_parameters() -> tuple[list[str], list[str]]:
     """``module:function(parameter)`` of each defaulted parameter no call
     passes, and of each only calls under ``tests/`` pass: the knob
     counterparts of :func:`uncalled_public_names`."""
-    calls: dict[bool, dict[str, list]] = {False: {}, True: {}}
-    for top in KNOB_CALLER_DIRS:
-        in_tests = top == "tests"
-        for path in sorted((ROOT.parent / top).rglob("*.py")):
-            for name, count, keywords in call_sites(path, escapes=not in_tests):
-                calls[in_tests].setdefault(name, []).append((count, keywords))
+    calls = _call_index()
     unpassed, test_only = [], []
     for path in sorted(ROOT.rglob("*.py")):
         for qualified, callees, params in knob_definitions(path):
@@ -358,6 +374,116 @@ def unpassed_parameters() -> tuple[list[str], list[str]]:
                 entry = f"{path.relative_to(ROOT)}:{qualified}({param})"
                 (test_only if _passes(sites[True], param, position) else unpassed).append(entry)
     return unpassed, test_only
+
+
+def _is_dataclass(node: ast.ClassDef) -> tuple[bool, bool]:
+    """``(is a dataclass, kw_only)`` from the class's decorators."""
+    for decorator in node.decorator_list:
+        call = decorator if isinstance(decorator, ast.Call) else None
+        if _called_name(call.func if call else decorator) == "dataclass":
+            kw_only = any(
+                k.arg == "kw_only" and getattr(k.value, "value", False) is True
+                for k in (call.keywords if call else ())
+            )
+            return True, kw_only
+    return False, False
+
+
+def dataclass_fields(path: Path, inherited: dict[str, list]) -> list:
+    """``(class, field, position)`` of each defaulted ``__init__`` field of
+    the public dataclasses in ``path``; a keyword-only field has no
+    position. ``inherited`` maps a dataclass's name to its ``__init__``
+    fields, so a subclass's own fields are placed after its base's."""
+    out = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        is_dataclass, kw_only = _is_dataclass(node)
+        if not is_dataclass:
+            continue
+        fields = [f for base in node.bases for f in inherited.get(_called_name(base), [])]
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                annotation = ast.unparse(item.annotation)
+                if "ClassVar" in annotation:
+                    continue
+                if annotation.endswith("KW_ONLY"):
+                    kw_only = True
+                    continue
+                value = item.value
+                if (isinstance(value, ast.Call) and _called_name(value.func) == "field"
+                        and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                                for k in value.keywords)):
+                    continue
+                position = None if kw_only else len(fields)
+                fields.append(item.target.id)
+                if value is not None and not node.name.startswith("_"):
+                    out.append((node.name, item.target.id, position))
+        inherited[node.name] = fields
+    return out
+
+
+MUTATORS = {
+    "append", "appendleft", "extend", "insert", "add", "update", "setdefault",
+    "pop", "popleft", "popitem", "remove", "discard", "clear",
+}
+
+
+def state_names(path: Path) -> set[str]:
+    """Attribute names ``path`` assigns or mutates in place, outside
+    ``__init__``/``__post_init__``: the record and counter fields."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    construction = {
+        id(node) for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "__post_init__")
+        for node in ast.walk(fn)
+    }
+
+    def attribute(node) -> str | None:
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return node.attr if isinstance(node, ast.Attribute) else None
+
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in construction:
+            continue
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS):
+            targets = [node.func.value]
+        for target in targets:
+            for element in getattr(target, "elts", [target]):
+                names.add(attribute(element))
+    return names - {None}
+
+
+def unset_fields() -> tuple[list[str], list[str]]:
+    """``module:Class.field`` of each defaulted dataclass field no call
+    sets, and of each only calls under ``tests/`` set: the dataclass
+    counterpart of :func:`unpassed_parameters`."""
+    calls = _call_index()
+    state = set().union(*(state_names(path) for path in sorted(ROOT.rglob("*.py"))))
+    inherited: dict[str, list] = {}
+    unset, test_only = [], []
+    for path in sorted(ROOT.rglob("*.py")):
+        for cls, name, position in dataclass_fields(path, inherited):
+            if name in state:
+                continue
+            sets = {
+                in_tests: _passes(by_name.get(cls, []), name, position)
+                or _passes(by_name.get("replace", []), name, None)
+                for in_tests, by_name in calls.items()
+            }
+            if sets[False]:
+                continue
+            entry = f"{path.relative_to(ROOT)}:{cls}.{name}"
+            (test_only if sets[True] else unset).append(entry)
+    return unset, test_only
 
 
 def cli_verbs() -> dict[str, int]:
@@ -427,6 +553,13 @@ def main() -> int:
     for entry in unpassed:
         print(f"  {entry}")
     print(f"\ndefaulted parameters only tests pass: {len(test_only)}")
+    for entry in test_only:
+        print(f"  {entry}")
+    unset, test_only = unset_fields()
+    print(f"\ndataclass fields no call sets: {len(unset)}")
+    for entry in unset:
+        print(f"  {entry}")
+    print(f"\ndataclass fields only tests set: {len(test_only)}")
     for entry in test_only:
         print(f"  {entry}")
     return 0
