@@ -155,6 +155,7 @@ class FaultPlan:
                 latency=latency,
             )
             self.log.append(event)
+            # looked up: a scenario builds its plan before its trace's registry
             telemetry.get_registry().counter(
                 "repro_chaos_faults_injected_total",
                 "Faults injected by the active plan, by point and kind.",

@@ -110,6 +110,19 @@ class ClusterManager:
         #: last heartbeat per node, on the injectable telemetry clock.
         self.last_heartbeat: dict[str, float] = {}
         registry = telemetry.get_registry()
+        self._heartbeats, self._submitted, self._queued, failures, restarts = (
+            telemetry.Counter(name, help, registry) for name, help in (
+                ("repro_cluster_heartbeats_total", "Node liveness heartbeats received."),
+                ("repro_cluster_jobs_submitted_total",
+                 "Jobs submitted to the cluster, by kind and tenant."),
+                ("repro_cluster_jobs_queued_total",
+                 "Jobs queued instead of placed, by tenant and reason."),
+                ("repro_cluster_node_failures_total", "Node failures observed."),
+                ("repro_cluster_recoveries_total",
+                 "Containers restarted after a node failure."),
+            )
+        )
+        self._node_failures, self._restarted = failures.labels(), restarts.labels()
         registry.gauge(
             "repro_cluster_nodes_alive", "Nodes currently alive."
         ).set_function(lambda: len(self.alive_nodes()))
@@ -148,9 +161,7 @@ class ClusterManager:
         if node is None:
             raise ClusterError(f"unknown node {node_name!r}")
         self.last_heartbeat[node_name] = telemetry.get_clock().now()
-        telemetry.get_registry().counter(
-            "repro_cluster_heartbeats_total", "Node liveness heartbeats received."
-        ).inc(node=node_name)
+        self._heartbeats.inc(node=node_name)
         return node.alive
 
     def detect_failures(self, timeout: float) -> list[str]:
@@ -231,10 +242,7 @@ class ClusterManager:
             spread=spread,
         )
         self.jobs[job_id] = job
-        telemetry.get_registry().counter(
-            "repro_cluster_jobs_submitted_total",
-            "Jobs submitted to the cluster, by kind and tenant.",
-        ).inc(kind=kind.value, tenant=tenant)
+        self._submitted.inc(kind=kind.value, tenant=tenant)
         try:
             self._quota_check(job)
         except Exception:
@@ -340,10 +348,7 @@ class ClusterManager:
         job.state = JobState.PENDING
         job.pending_reason = reason
         self._pending_jobs.append(job)
-        telemetry.get_registry().counter(
-            "repro_cluster_jobs_queued_total",
-            "Jobs queued instead of placed, by tenant and reason.",
-        ).inc(tenant=job.tenant, reason=reason)
+        self._queued.inc(tenant=job.tenant, reason=reason)
 
     def _tenant_allocation(self) -> dict[str, Resources]:
         """Resources currently held by each tenant's active jobs."""
@@ -465,9 +470,7 @@ class ClusterManager:
         if node_name not in self.nodes:
             raise ClusterError(f"unknown node {node_name!r}")
         lost_ids = self.nodes[node_name].fail()
-        telemetry.get_registry().counter(
-            "repro_cluster_node_failures_total", "Node failures observed."
-        ).inc()
+        self._node_failures.inc()
         replacements: list[Container] = []
         for container_id in sorted(lost_ids):
             container = self.containers[container_id]
@@ -498,10 +501,7 @@ class ClusterManager:
                 job.containers.append(replacement)
                 self.containers[replacement.container_id] = replacement
                 self.recoveries += 1
-                telemetry.get_registry().counter(
-                    "repro_cluster_recoveries_total",
-                    "Containers restarted after a node failure.",
-                ).inc()
+                self._restarted.inc()
                 for hook in self._recovery_hooks:
                     hook(replacement)
                 return replacement

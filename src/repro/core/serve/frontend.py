@@ -171,7 +171,7 @@ class FrontendConfig:
     def __post_init__(self):
         if not (0.0 < self.tau < math.inf):
             raise ConfigurationError(f"tau must be finite and > 0, got {self.tau}")
-        if self.max_queue < 1:
+        if not self.max_queue >= 1:  # NaN too
             raise ConfigurationError(f"max_queue must be >= 1, got {self.max_queue}")
         if not self.deadline_slack > 0:  # inf is fine: no deadline shedding
             raise ConfigurationError(
@@ -736,9 +736,9 @@ class ScalingAdvisor:
 
     def __init__(self):
         self._last_change: float | None = None
-        self._hint = telemetry.get_registry().gauge(
+        self._hint = telemetry.Gauge(
             "repro_serve_frontend_scale_hint",
-            "Latest autoscaling hint (+1 out, -1 in, 0 hold).",
+            "Latest autoscaling hint (+1 out, -1 in, 0 hold).", telemetry.get_registry(),
         )
 
     def evaluate(self, frontend: ServeFrontend, now: float) -> int:

@@ -79,6 +79,7 @@ def profile_network(
                 samples.append(clock() - start)
             medians.append(float(np.median(samples)))
         span.tag(batch_sizes=list(sizes), iterations=iterations)
+    # looked up per run: a free function has no owner to build the family
     telemetry.get_registry().counter(
         "repro_serve_profile_runs_total", "Deployed-network profiling runs."
     ).inc()

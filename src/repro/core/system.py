@@ -171,6 +171,13 @@ class Rafiki:
         #: ``train-N`` / ``infer-N`` sequence numbers of this system.
         self._train_job_ids = itertools.count(1)
         self._infer_job_ids = itertools.count(1)
+        self._replica_errors, self._redeploys = (
+            telemetry.Counter(name, help, telemetry.get_registry()) for name, help in (
+                ("repro_serve_replica_errors_total",
+                 "Replica execution failures absorbed by the ensemble."),
+                ("repro_serve_redeploys_total", "Inference-job parameter reloads."),
+            )
+        )
 
     # ------------------------------------------------------------------
     # data
@@ -488,10 +495,7 @@ class Rafiki:
                 rows.append(network.predict_labels(batch))
             except InjectedFault:
                 breaker.record_failure()
-                telemetry.get_registry().counter(
-                    "repro_serve_replica_errors_total",
-                    "Replica execution failures absorbed by the ensemble.",
-                ).inc(model=spec.model_name)
+                self._replica_errors.inc(model=spec.model_name)
                 continue
             breaker.record_success()
             voted.append(index)
@@ -551,9 +555,7 @@ class Rafiki:
                  "performance": spec.performance}
             )
         info.cache.invalidate_all()
-        telemetry.get_registry().counter(
-            "repro_serve_redeploys_total", "Inference-job parameter reloads."
-        ).inc(job=job_id)
+        self._redeploys.inc(job=job_id)
         return {"job_id": job_id, "models": reloaded}
 
     def stop_inference_job(self, job_id: str) -> None:

@@ -67,6 +67,10 @@ def run_cluster_study(
     sim = Simulator()
     master.set_clock(lambda: sim.now)
     study = ClusterStudy(master=master)
+    reissued = telemetry.Counter(
+        "repro_tune_trials_reissued_total",
+        "In-flight trials re-issued to replacement workers.", telemetry.get_registry(),
+    ).labels()
     job = manager.submit_job(JobKind.TRAIN, name=master.study_name,
                              num_workers=num_workers, queue=False)
     study.job_id = job.job_id
@@ -99,10 +103,7 @@ def run_cluster_study(
             worker.mailbox.send(
                 Message(MessageType.TRIAL, master.study_name, {"trial": orphaned})
             )
-            telemetry.get_registry().counter(
-                "repro_tune_trials_reissued_total",
-                "In-flight trials re-issued to replacement workers.",
-            ).inc()
+            reissued.inc()
 
         def alive() -> bool:
             # once the container is dead a replacement has been started

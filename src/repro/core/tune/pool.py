@@ -258,7 +258,28 @@ class TrialPool:
         #: by ``id(dataset)``; the strong refs keep those keys unique.
         self._datasets: dict[int, ImageDataset] = {}
         self.worker_restarts = 0
-        registry = self._registry()
+        registry = telemetry.get_registry()
+        self._tasks, self._records, self._trial_errors, restarts, ipc = (
+            telemetry.Counter(name, help, registry) for name, help in (
+                ("repro_tune_pool_tasks_total", "Jobs shipped to the pool, by outcome."),
+                ("repro_tune_pool_records_total", "Records received from workers, by kind."),
+                ("repro_tune_pool_trial_errors_total",
+                 "Worker-side trial failures, by outcome."),
+                ("repro_tune_pool_worker_restarts_total",
+                 "Pool workers found dead and replaced."),
+                ("repro_tune_pool_ipc_bytes_total",
+                 "Pickled bytes moved over the worker pipes (the one transport), "
+                 "by direction."),
+            )
+        )
+        self._restarted = restarts.labels()
+        self._sent, self._received = (
+            ipc.labels(direction=direction) for direction in ("to_worker", "from_worker")
+        )
+        self._task_seconds = telemetry.Histogram(
+            "repro_tune_pool_task_seconds", "Real seconds a worker spent on one trial.",
+            registry, buckets=TASK_SECONDS_BUCKETS,
+        ).labels()
         registry.gauge(
             "repro_tune_pool_workers", "Live processes in the persistent trial pool."
         ).set_function(lambda: len(self._workers))
@@ -344,9 +365,7 @@ class TrialPool:
 
     def _dispatch(self, job: tuple, outcome: str) -> None:
         self._pending.append(job)
-        self._registry().counter(
-            "repro_tune_pool_tasks_total", "Jobs shipped to the pool, by outcome."
-        ).inc(outcome=outcome)
+        self._tasks.inc(outcome=outcome)
         self._feed()
 
     def _feed(self) -> None:
@@ -363,7 +382,7 @@ class TrialPool:
                 _cache_put(worker.holds, fingerprint, None)
                 dataset = self._datasets[spec.dataset_key]
             data = pickle.dumps((*job, dataset))
-            self._count_bytes("to_worker", len(data))
+            self._sent.inc(len(data))
             try:
                 worker.conn.send_bytes(data)
             except OSError:  # died while idle; re-queues the job it now holds
@@ -414,11 +433,9 @@ class TrialPool:
                 self._replace(worker)
 
     def _route(self, worker: _Worker, data: bytes) -> None:
-        self._count_bytes("from_worker", len(data))
+        self._received.inc(len(data))
         kind, *fields = pickle.loads(data)
-        self._registry().counter(
-            "repro_tune_pool_records_total", "Records received from workers, by kind."
-        ).inc(kind=kind)
+        self._records.inc(kind=kind)
         trial_over = kind != "epoch"  # done or error: the worker is idle again
         if trial_over:
             worker.job = None  # before the handler, which may raise
@@ -447,11 +464,7 @@ class TrialPool:
             return
         state.final_state = final_state
         state.job = None
-        self._registry().histogram(
-            "repro_tune_pool_task_seconds",
-            "Real seconds a worker spent on one trial.",
-            buckets=TASK_SECONDS_BUCKETS,
-        ).observe(seconds)
+        self._task_seconds.observe(seconds)
 
     def _on_cancelled(self, generation: int, trial_id: int) -> None:
         pass  # the worker is idle again; :meth:`cancel` did the forgetting
@@ -480,10 +493,7 @@ class TrialPool:
         if state is not None:
             state.crashes += 1
             exhausted = exhausted or state.crashes > self.trial_retries
-        self._registry().counter(
-            "repro_tune_pool_trial_errors_total",
-            "Worker-side trial failures, by outcome.",
-        ).inc(outcome="raised" if exhausted else "resubmitted")
+        self._trial_errors.inc(outcome="raised" if exhausted else "resubmitted")
         if exhausted:
             raise RuntimeError(f"trial {trial_id} failed in worker: {detail}")
         state.generation += 1
@@ -498,10 +508,7 @@ class TrialPool:
         worker.conn.close()
         worker.proc.join(timeout=5.0)
         self.worker_restarts += 1
-        self._registry().counter(
-            "repro_tune_pool_worker_restarts_total",
-            "Pool workers found dead and replaced.",
-        ).inc()
+        self._restarted.inc()
         self._spawn_worker()
         if worker.job is not None:
             trial_id, generation = worker.job
@@ -535,19 +542,6 @@ class TrialPool:
         while self._pending or any(w.job is not None for w in self._workers):
             self._pump()
         self._trials.clear()
-
-    # -- helpers -------------------------------------------------------
-
-    @staticmethod
-    def _registry():
-        return telemetry.get_registry()
-
-    def _count_bytes(self, direction: str, nbytes: int) -> None:
-        self._registry().counter(
-            "repro_tune_pool_ipc_bytes_total",
-            "Pickled bytes moved over the worker pipes (the one transport), "
-            "by direction.",
-        ).inc(nbytes, direction=direction)
 
 
 class _PoolSession:

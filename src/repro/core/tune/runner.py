@@ -88,17 +88,9 @@ def worker_process(
 
 
 def _close_study(master: StudyMaster, sim: Simulator, span) -> StudyReport:
-    """How every driver ends a study: finalize, tag its ``run_study`` span, count it."""
+    """How every study loop ends a study: finalize it, then tag its ``run_study`` span."""
     report = master.finalize(wall_time=sim.now)
     span.tag(trials=len(report.results), simulated_seconds=sim.now)
-    registry = telemetry.get_registry()
-    registry.counter(
-        "repro_tune_studies_completed_total", "Studies driven to completion."
-    ).inc()
-    registry.gauge(
-        "repro_tune_study_wall_seconds",
-        "Simulated wall time of the most recent study.",
-    ).set(report.wall_time)
     return report
 
 

@@ -121,6 +121,17 @@ class CoStudy(TrialScheduler):
         #: patience state per (worker, trial): a replacement worker
         #: re-running a lost trial re-reports its epochs from the first.
         self._stoppers: dict[tuple[str, int], EarlyStopper] = {}
+        registry = telemetry.get_registry()
+        inits = telemetry.Counter(
+            "repro_tune_costudy_inits_total",
+            "CoStudy trial initialisations, by alpha-greedy outcome.", registry,
+        )
+        self._inits = {kind: inits.labels(kind=kind) for kind in ("random", "warm")}
+        self._syncs = telemetry.Counter(
+            "repro_tune_costudy_syncs_total",
+            "kPut checkpoint syncs ordered on best-beating reports "
+            "(Algorithm 2 lines 8-10).", registry,
+        ).labels()
 
     def on_trial_add(self, trial: Trial) -> None:
         trial.local_early_stop = False
@@ -131,16 +142,12 @@ class CoStudy(TrialScheduler):
         use_random = (
             self._rng.random() < alpha or not study.param_server.has(study.best_key)
         )
-        inits = telemetry.get_registry().counter(
-            "repro_tune_costudy_inits_total",
-            "CoStudy trial initialisations, by alpha-greedy outcome.",
-        )
         if use_random:
             self.random_inits += 1
-            inits.inc(kind="random")
+            self._inits["random"].inc()
             return
         self.warm_inits += 1
-        inits.inc(kind="warm")
+        self._inits["warm"].inc()
         trial.init_kind, trial.init_key = InitKind.WARM_START, study.best_key
 
     def on_trial_result(
@@ -148,11 +155,7 @@ class CoStudy(TrialScheduler):
     ) -> tuple[Decision, list[str]]:
         if performance - self.best_p > self.study.conf.delta:
             self.best_p = performance
-            telemetry.get_registry().counter(
-                "repro_tune_costudy_syncs_total",
-                "kPut checkpoint syncs ordered on best-beating reports "
-                "(Algorithm 2 lines 8-10).",
-            ).inc()
+            self._syncs.inc()
             return CONTINUE, [self.study.best_key]
         stopper = self._stoppers.get((worker, trial.trial_id))
         if stopper is None:

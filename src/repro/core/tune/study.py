@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import telemetry
 from repro.cluster.message import Mailbox, Message, MessageType
 from repro.core.tune.advisors.base import TrialAdvisor
 from repro.core.tune.config import HyperConf
@@ -112,6 +113,14 @@ class StudyMaster:
             member.bind(self)
         #: workers told to wait (a rung barrier), re-asked on every finish.
         self._parked: list[str] = []
+        registry = telemetry.get_registry()
+        self._completed = telemetry.Counter(
+            "repro_tune_studies_completed_total", "Studies driven to completion.", registry
+        ).labels()
+        self._wall_seconds = telemetry.Gauge(
+            "repro_tune_study_wall_seconds",
+            "Simulated wall time of the most recent study.", registry,
+        )
 
     # ------------------------------------------------------------------
     # the event loop body
@@ -221,8 +230,10 @@ class StudyMaster:
         self._clock = clock
 
     def finalize(self, wall_time: float) -> StudyReport:
-        """Stamp the wall time and return the report (Algorithm 1 line 20)."""
+        """Stamp the wall time, count the study, return the report (Alg. 1 l. 20)."""
         self.report.wall_time = wall_time
+        self._completed.inc()
+        self._wall_seconds.set(wall_time)
         return self.report
 
     # ------------------------------------------------------------------

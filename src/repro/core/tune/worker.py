@@ -55,6 +55,21 @@ class TuneWorker:
         self._awaiting_trial = False
         self._init_state: dict[str, np.ndarray] | None = None
         self._trial_crashes = 0
+        registry = telemetry.get_registry()
+        self._epochs, self._started, self._crashes, self._completed = (
+            telemetry.Counter(name, help, registry) for name, help in (
+                ("repro_tune_epochs_total", "Training epochs run across all workers."),
+                ("repro_tune_trials_started_total",
+                 "Trials handed to workers, by initialisation kind."),
+                ("repro_tune_trial_crashes_total",
+                 "Trial crashes (injected tune.trial faults), by outcome."),
+                ("repro_tune_trials_completed_total", "Trials finished, by final status."),
+            )
+        )
+        self._epoch_seconds = telemetry.Histogram(
+            "repro_tune_epoch_seconds", "Per-epoch duration in (simulated) seconds.",
+            registry, buckets=EPOCH_SECONDS_BUCKETS,
+        ).labels()
 
     # ------------------------------------------------------------------
     # the worker loop body
@@ -86,15 +101,8 @@ class TuneWorker:
             # bit-for-bit before continuing.
             self._recover_trial(outgoing)
             return outgoing, cost
-        registry = telemetry.get_registry()
-        registry.counter(
-            "repro_tune_epochs_total", "Training epochs run across all workers."
-        ).inc(tenant=current_tenant())
-        registry.histogram(
-            "repro_tune_epoch_seconds",
-            "Per-epoch duration in (simulated) seconds.",
-            buckets=EPOCH_SECONDS_BUCKETS,
-        ).observe(cost)
+        self._epochs.inc(tenant=current_tenant())
+        self._epoch_seconds.observe(cost)
         outgoing.append(
             Message(
                 MessageType.REPORT,
@@ -148,10 +156,7 @@ class TuneWorker:
         self._session = self.backend.start(trial, init_state)
         self._stop_rule = TrialStopRule(trial, self.conf)
         self.trials_run += 1
-        telemetry.get_registry().counter(
-            "repro_tune_trials_started_total",
-            "Trials handed to workers, by initialisation kind.",
-        ).inc(init=trial.init_kind.value)
+        self._started.inc(init=trial.init_kind.value)
 
     def _recover_trial(self, outgoing: list[Message]) -> None:
         """Restart the crashed trial from its checkpoint, or give up.
@@ -163,12 +168,8 @@ class TuneWorker:
         """
         assert self._trial is not None
         self._trial_crashes += 1
-        registry = telemetry.get_registry()
         exhausted = self._trial_crashes >= self.retry.max_attempts
-        registry.counter(
-            "repro_tune_trial_crashes_total",
-            "Trial crashes (injected tune.trial faults), by outcome.",
-        ).inc(outcome="failed" if exhausted else "retried")
+        self._crashes.inc(outcome="failed" if exhausted else "retried")
         if exhausted:
             self._finish(TrialStatus.FAILED, outgoing)
             return
@@ -192,9 +193,7 @@ class TuneWorker:
     def _finish(self, status: TrialStatus, outgoing: list[Message]) -> None:
         assert self._session is not None and self._trial is not None
         self._trial.status = status
-        telemetry.get_registry().counter(
-            "repro_tune_trials_completed_total", "Trials finished, by final status."
-        ).inc(status=status.value)
+        self._completed.inc(status=status.value)
         outgoing.append(
             Message(
                 MessageType.FINISH,

@@ -205,6 +205,22 @@ class BlockStore(HostedGroup):
         self._chunk_writes = telemetry.Counter(
             "repro_blockstore_chunk_writes_total", "Distinct chunks written.", registry
         ).labels()
+        (self._heartbeats, self._deaths, lost, self._recopied, self._reconciled,
+         self._restored) = (
+            telemetry.Counter(name, help, registry) for name, help in (
+                ("repro_blockstore_heartbeats_total", "Datanode heartbeats received."),
+                ("repro_blockstore_node_deaths_total", "Datanode deaths observed."),
+                ("repro_blockstore_chunks_lost_total",
+                 "Chunks whose every live copy died before re-replication."),
+                ("repro_blockstore_rereplications_total",
+                 "Chunks re-copied to restore the replication factor."),
+                ("repro_blockstore_trash_reconciled_total",
+                 "Stale chunks deleted from a rejoining datanode's disk."),
+                ("repro_blockstore_chunks_restored_total",
+                 "Lost chunks resurrected from a rejoining disk."),
+            )
+        )
+        self._chunks_lost = lost.labels()
         registry.gauge(
             "repro_blockstore_nodes_live", "Datanodes currently alive."
         ).set_function(lambda: sum(1 for n in self._nodes if n.alive))
@@ -477,9 +493,7 @@ class BlockStore(HostedGroup):
         """Record a datanode liveness heartbeat; returns whether it is alive."""
         node = self.node(name)
         self.last_heartbeat[name] = telemetry.get_clock().now()
-        telemetry.get_registry().counter(
-            "repro_blockstore_heartbeats_total", "Datanode heartbeats received."
-        ).inc(node=name)
+        self._heartbeats.inc(node=name)
         return node.alive
 
     def detect_failures(self, timeout: float) -> list[str]:
@@ -506,9 +520,7 @@ class BlockStore(HostedGroup):
         node.alive = False
         node.deaths += 1
         self._trash.setdefault(node.name, set())
-        telemetry.get_registry().counter(
-            "repro_blockstore_node_deaths_total", "Datanode deaths observed."
-        ).inc(node=node.name)
+        self._deaths.inc(node=node.name)
         for digest in sorted(self._directory):
             holders = self._directory[digest]
             if node.name not in holders:
@@ -519,10 +531,7 @@ class BlockStore(HostedGroup):
                 self._restore_replication(digest)
             else:
                 self._lost.add(digest)
-                telemetry.get_registry().counter(
-                    "repro_blockstore_chunks_lost_total",
-                    "Chunks whose every live copy died before re-replication.",
-                ).inc()
+                self._chunks_lost.inc()
 
     def _restore_replication(self, digest: str) -> int:
         """Re-copy ``digest`` until it is back at ``replicas`` live copies."""
@@ -540,10 +549,7 @@ class BlockStore(HostedGroup):
             holders.append(target.name)
             copied += 1
             self.rereplications += 1
-            telemetry.get_registry().counter(
-                "repro_blockstore_rereplications_total",
-                "Chunks re-copied to restore the replication factor.",
-            ).inc(node=target.name)
+            self._recopied.inc(node=target.name)
         if copied:
             self._read_orders.pop(digest, None)
         return copied
@@ -580,7 +586,6 @@ class BlockStore(HostedGroup):
     def _reconcile(self, node: DataNode) -> None:
         """Apply the trash pass to a rejoining node's preserved disk."""
         trash = self._trash.pop(node.name, set())
-        registry = telemetry.get_registry()
         for digest in sorted(node.chunks):
             holders = self._directory.get(digest)
             stale = (
@@ -591,20 +596,14 @@ class BlockStore(HostedGroup):
             if stale:
                 del node.chunks[digest]
                 self.trash_reconciled += 1
-                registry.counter(
-                    "repro_blockstore_trash_reconciled_total",
-                    "Stale chunks deleted from a rejoining datanode's disk.",
-                ).inc(node=node.name)
+                self._reconciled.inc(node=node.name)
                 continue
             if node.name not in holders:
                 holders.append(node.name)
                 self._read_orders.pop(digest, None)
                 if digest in self._lost:
                     self._lost.discard(digest)
-                    registry.counter(
-                        "repro_blockstore_chunks_restored_total",
-                        "Lost chunks resurrected from a rejoining disk.",
-                    ).inc(node=node.name)
+                    self._restored.inc(node=node.name)
 
     def repair(self) -> int:
         """Re-replicate every under-replicated chunk; return copies made.

@@ -273,10 +273,11 @@ class ParameterServer(HostedGroup):
         #: the key is stored (the shards themselves never change).
         self._orders: dict[str, list[Shard]] = {}
         registry = telemetry.get_registry()
-        requests = registry.counter(
+        requests = telemetry.Counter(
             "repro_paramserver_shard_requests_total",
-            "Coordinator->shard operations, by shard, op and outcome.",
+            "Coordinator->shard operations, by shard, op and outcome.", registry,
         )
+        # looked up, not built: `repro tune --telemetry` shows it empty
         failovers = registry.counter(
             "repro_paramserver_failovers_total",
             "Shard operations redirected to another shard, by failed shard.",
@@ -292,6 +293,11 @@ class ParameterServer(HostedGroup):
             for shard in self._members
             for op in ("push", "pull")
         }
+        deaths = telemetry.Counter(
+            "repro_paramserver_shard_deaths_total",
+            "Parameter-server shard deaths observed.", registry,
+        )
+        self._shard_deaths = {s.name: deaths.labels(shard=s.name) for s in self._members}
         self._push_count = telemetry.Counter(
             "repro_paramserver_push_total", "Parameter versions pushed (put).", registry
         ).labels()
@@ -378,10 +384,7 @@ class ParameterServer(HostedGroup):
         shard.alive = False
         shard.deaths += 1
         shard.cache.clear()
-        telemetry.get_registry().counter(
-            "repro_paramserver_shard_deaths_total",
-            "Parameter-server shard deaths observed.",
-        ).inc(shard=shard.name)
+        self._shard_deaths[shard.name].inc()
 
     def _member_up(self, shard: Shard, same_host: bool) -> None:
         """A shard holds nothing durable: wherever it restarts, it starts cold."""

@@ -422,17 +422,19 @@ class Database:
             self.udfs, cache_capacity=cache_capacity if udf_cache else 0
         )
         self._naive = NaiveExecutor(self)
-        counter = telemetry.get_registry().counter
+        registry = telemetry.get_registry()
         self._queries, self._udf_calls = (
-            {name: counter(*family).labels(executor=name) for name in _EXECUTORS}
+            {name: telemetry.Counter(*family, registry).labels(executor=name)
+             for name in _EXECUTORS}
             for family in (
                 ("repro_sql_queries_total", "SQL queries executed, by executor."),
                 ("repro_sql_udf_calls_total",
                  "Per-argument UDF invocations made by SQL queries."),
             )
         )
-        self._rows_scanned = counter(
-            "repro_sql_rows_scanned_total", "Base-table rows scanned by SQL queries."
+        self._rows_scanned = telemetry.Counter(
+            "repro_sql_rows_scanned_total", "Base-table rows scanned by SQL queries.",
+            registry,
         )
         self._scanned: dict[str, Any] = {}  # per table, bound in ``create_table``
 

@@ -114,7 +114,9 @@ class UdfBatchDispatcher:
         self.cache_capacity = int(cache_capacity)
         self.retry = RetryPolicy(max_attempts=3, retry_on=(InjectedFault,), seed=0)
         self._caches: dict[str, PredictionCache] = {}
-        self._counters: dict[str, dict] = {}  # per UDF, see ``COUNTERS``
+        metrics = telemetry.get_registry()
+        self._families = {e: telemetry.Counter(*f, metrics) for e, f in self.COUNTERS.items()}
+        self._counters: dict[str, dict] = {}  # per UDF, bound at its first call
         self.batches_dispatched = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -135,10 +137,8 @@ class UdfBatchDispatcher:
         key = name.lower()
         counters = self._counters.get(key)
         if counters is None:
-            registry = telemetry.get_registry()
             counters = self._counters[key] = {
-                event: registry.counter(*family).labels(udf=key)
-                for event, family in self.COUNTERS.items()
+                event: family.labels(udf=key) for event, family in self._families.items()
             }
         if self.cache_capacity > 0:
             cache = self._caches.get(key)

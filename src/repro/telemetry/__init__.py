@@ -7,14 +7,16 @@ tune, serve, the parameter server, the cluster manager and the gateway;
 one :class:`Tracer` records nested timing spans; both read time from
 the injectable clock in :mod:`repro.telemetry.clock`.
 
-Typical use:
+Typical use (an owner builds each family once, where it is built):
 
     from repro import telemetry
 
-    telemetry.get_registry().counter("repro_gateway_requests_total").inc()
+    registry = telemetry.get_registry()
+    requests = telemetry.Counter("repro_demo_requests_total", "Requests.", registry)
+    requests.inc(route="/train")  # per event: no registry lookup
     with telemetry.get_tracer().span("profile_network", model="mlp"):
         ...
-    print(telemetry.render_prometheus(telemetry.get_registry()))
+    print(telemetry.render_prometheus(registry))
 
 Tests install fresh components via :func:`set_registry`,
 :func:`set_tracer` and :func:`~repro.telemetry.clock.set_clock`;

@@ -3,40 +3,35 @@
 Modelled on the Prometheus client-library data model (and on how Tune
 and TensorFlow centralise trial/step metrics): a metric is a named
 *family* plus zero or more label sets, each label set owning its own
-value. Instrumented code asks the registry for a metric by name
-(get-or-create, so call sites need no registration ceremony) and
-records into it:
+value.
 
-    registry.counter("repro_gateway_requests_total").inc(route="/train")
-    registry.gauge("repro_serve_frontend_scale_hint").set(1)
-    registry.histogram("repro_serve_batch_size").observe(32)
-
-Histograms and *event* gauges are pushed like that. A gauge showing
-state its owner already holds (queue depth, stored bytes) is not: the
-owner registers a reader once, where it is built —
-``gauge.set_function(lambda: len(self.pending))`` — and the series is
-evaluated whenever someone looks. It lives until its owner re-registers
-or the registry is reset, and the registry keeps the reader — hence the
-owner — reachable for that long.
-
-A counter on a hot path is bound the same way, where its owner is built,
-the Prometheus client's ``labels()`` idiom::
+There is one way to record: the owner of the events builds each family
+where the owner is built, and per event records into it, or into a
+child bound with ``labels()`` (the Prometheus client's idiom)::
 
     requests = Counter("repro_blockstore_requests_total", "...", registry)
     self._ok = requests.labels(node="dn-0", op="get", outcome="ok")
+    self._deaths = Counter("repro_blockstore_node_deaths_total", "...", registry)
     ...
-    self._ok.inc()  # per event: no registry lookup, no label sort
+    self._ok.inc()                   # labels fixed where the owner is built
+    self._deaths.inc(node=name)      # a label known only at the event
 
-A histogram's ``labels()`` binds a child to ``observe`` the same way.
-A bound child creates no series until its first ``inc``. A family the
-owner builds itself, as above, joins its registry at that first record
-(or records into the family already listed under that name from then
-on), so it shows up in snapshots exactly when a per-event
-``registry.counter(...)`` lookup would have created it; a family bound
-from ``registry.counter(...)`` is listed from that lookup. Either way
-the child records into the registry installed when its owner was built:
-install the registry (or reset it) before building owners, as for gauge
-readers.
+A histogram's child ``observe``s the same way, and an event gauge is a
+``Gauge(...)`` its owner ``set``s. The lookups
+(:meth:`MetricsRegistry.counter` and its siblings) are for readers, and
+for state gauges: an owner registers a reader once, where it is built —
+``registry.gauge(...).set_function(lambda: len(self.pending))`` — and
+the series is evaluated whenever someone looks. The registry holds the
+reader, and so the owner, until the owner re-registers or a reset.
+
+An owner's family joins its registry at its first record, or records
+into the family already listed under its name, so it shows up in
+snapshots exactly when a lookup at that record would have created it.
+It records into the registry installed when its owner was built:
+install the registry before building owners. A reset drops every
+family, and each forgets its join and its values, so a live owner's
+next record lists it again with only what came after; dropped gauge
+readers stay dropped.
 
 Recording is a no-op (and no reader is evaluated) while the registry is
 disabled, so instrumented hot paths cost one attribute check when
@@ -88,9 +83,20 @@ class Metric:
         self.name = name
         self.help = help
         self._registry = registry
-        #: whether the registry lists this family (an owner-built counter
+        #: label key -> the value (a histogram: the buckets) of that set.
+        self._values: dict = {}
+        #: whether the registry lists this family (an owner-built family
         #: joins at its first record; see the module docstring).
         self._joined = False
+
+    def _listed(self) -> "Metric":
+        """This family, listed at its first record, or the one listed under its name."""
+        return self if self._joined else self._registry._join(self)
+
+    def _drop(self) -> None:
+        """Dropped by a registry reset: forget the join and every value."""
+        self._joined = False
+        self._values.clear()
 
     @property
     def enabled(self) -> bool:
@@ -111,19 +117,15 @@ class Counter(Metric):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str, registry: "MetricsRegistry"):
-        super().__init__(name, help, registry)
-        self._values: dict[_LabelKey, float] = {}
-
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Add ``amount`` (must be >= 0) to the labelled counter."""
         if not self.enabled:
             return
         if amount < 0:
             raise TelemetryError(f"counter {self.name!r} cannot decrease ({amount})")
-        family = self if self._joined else self._registry._join(self)
+        values = self._listed()._values
         key = _label_key(labels)
-        family._values[key] = family._values.get(key, 0.0) + float(amount)
+        values[key] = values.get(key, 0.0) + float(amount)
 
     def labels(self, **fixed) -> "CounterChild":
         """The series of one label set, to ``inc`` with no lookup per event."""
@@ -158,8 +160,7 @@ class CounterChild:
             return
         if amount < 0:
             raise TelemetryError(f"counter {counter.name!r} cannot decrease ({amount})")
-        if not counter._joined:
-            counter = self._counter = counter._registry._join(counter)
+        self._counter = counter = counter._listed()
         values = counter._values
         values[self._key] = values.get(self._key, 0.0) + float(amount)
 
@@ -173,16 +174,19 @@ class Gauge(Metric):
 
     def __init__(self, name: str, help: str, registry: "MetricsRegistry"):
         super().__init__(name, help, registry)
-        self._values: dict[_LabelKey, float] = {}
         self._readers: dict[_LabelKey, Callable[[], float]] = {}
+
+    def _drop(self) -> None:
+        super()._drop()
+        self._readers.clear()
 
     def set(self, value: float, **labels) -> None:
         """Set the labelled gauge to ``value``."""
         if not self.enabled:
             return
-        key = _label_key(labels)
-        self._readers.pop(key, None)
-        self._values[key] = float(value)
+        gauge, key = self._listed(), _label_key(labels)
+        gauge._readers.pop(key, None)
+        gauge._values[key] = float(value)
 
     def set_function(self, read: Callable[[], float], **labels) -> None:
         """Make the labelled series evaluate ``read()`` whenever it is looked at.
@@ -202,12 +206,12 @@ class Gauge(Metric):
         """Add ``amount`` to the labelled gauge."""
         if not self.enabled:
             return
-        key = _label_key(labels)
-        if key in self._readers:
+        gauge, key = self._listed(), _label_key(labels)
+        if key in gauge._readers:
             raise TelemetryError(
                 f"gauge {self.name!r}{{{_label_string(key)}}} is function-backed"
             )
-        self._values[key] = self._values.get(key, 0.0) + float(amount)
+        gauge._values[key] = gauge._values.get(key, 0.0) + float(amount)
 
     def dec(self, amount: float = 1.0, **labels) -> None:
         """Subtract ``amount`` from the labelled gauge."""
@@ -273,12 +277,11 @@ class Histogram(Metric):
             )
         self.buckets = bounds
         self._bounds_array = np.asarray(bounds, dtype=np.float64)
-        self._children: dict[_LabelKey, _HistogramChild] = {}
 
     def _child(self, key: _LabelKey) -> _HistogramChild:
-        child = self._children.get(key)
+        child = self._values.get(key)
         if child is None:
-            child = self._children[key] = _HistogramChild(len(self.buckets))
+            child = self._values[key] = _HistogramChild(len(self.buckets))
         return child
 
     def _record(self, key: _LabelKey, value: float) -> None:
@@ -292,8 +295,7 @@ class Histogram(Metric):
         """Record one observation into the labelled histogram."""
         if not self.enabled:
             return
-        family = self if self._joined else self._registry._join(self)
-        family._record(_label_key(labels), value)
+        self._listed()._record(_label_key(labels), value)
 
     def labels(self, **fixed) -> "HistogramChild":
         """The series of one label set, to ``observe`` with no lookup per event."""
@@ -307,7 +309,7 @@ class Histogram(Metric):
                            dtype=np.float64).ravel()
         if array.size == 0:
             return
-        family = self if self._joined else self._registry._join(self)
+        family = self._listed()
         child = family._child(_label_key(labels))
         slots = np.searchsorted(family._bounds_array, array, side="left")
         counts = np.bincount(slots, minlength=len(family.buckets) + 1)
@@ -318,20 +320,20 @@ class Histogram(Metric):
 
     def child_state(self, **labels) -> tuple[list[int], float, int]:
         """``(bucket counts, sum, count)`` for one label set."""
-        child = self._children.get(_label_key(labels))
+        child = self._values.get(_label_key(labels))
         if child is None:
             return [0] * (len(self.buckets) + 1), 0.0, 0
         return list(child.bucket_counts), child.sum, child.count
 
     def label_keys(self) -> list[_LabelKey]:
         """The label sets recorded so far (sorted)."""
-        return sorted(self._children)
+        return sorted(self._values)
 
     def snapshot(self) -> dict:
         """Per-label-set bucket counts, plus the bounds once."""
         out: dict = {"bounds": list(self.buckets), "series": {}}
-        for key in sorted(self._children):
-            child = self._children[key]
+        for key in sorted(self._values):
+            child = self._values[key]
             out["series"][_label_string(key)] = {
                 "buckets": list(child.bucket_counts),
                 "sum": child.sum,
@@ -354,8 +356,7 @@ class HistogramChild:
         histogram = self._histogram
         if not histogram._registry.enabled:
             return
-        if not histogram._joined:
-            histogram = self._histogram = histogram._registry._join(histogram)
+        self._histogram = histogram = histogram._listed()
         histogram._record(self._key, value)
 
 
@@ -363,10 +364,9 @@ class MetricsRegistry:
     """Get-or-create home for every metric family in the process.
 
     One registry instance is installed process-wide (see
-    :func:`repro.telemetry.get_registry`); instrumented modules fetch
-    metrics from it by name at record time, so swapping the registry in
-    a test re-routes all subsequent recording — except into the gauge
-    readers and bound counters of owners built before the swap.
+    :func:`repro.telemetry.get_registry`); each owner builds its families
+    into the registry installed when the owner is built, so a test swaps
+    the registry before building the owners it watches.
     """
 
     def __init__(self, enabled: bool = True):
@@ -427,7 +427,10 @@ class MetricsRegistry:
         return [self._metrics[name] for name in sorted(self._metrics)]
 
     def reset(self) -> None:
-        """Drop every metric family (a fresh start for tests)."""
+        """Drop every metric family (a fresh start for tests); each forgets
+        its join and its values (see the module docstring)."""
+        for metric in self._metrics.values():
+            metric._drop()
         self._metrics.clear()
 
     def snapshot(self) -> dict:

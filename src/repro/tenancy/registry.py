@@ -129,6 +129,10 @@ class TenantRegistry:
         self.strict = bool(strict)
         self.ledger = UsageLedger()
         self._tenants: dict[str, Tenant] = {}
+        self._denials = telemetry.Counter(
+            "repro_tenant_quota_denials_total",
+            "Requests denied by quota, by tenant and resource.", telemetry.get_registry(),
+        )
         self.register(DEFAULT_TENANT)
 
     # ------------------------------------------------------------------
@@ -182,10 +186,7 @@ class TenantRegistry:
         if limit is not None:
             used = self.ledger.usage(name, resource)
             if used + float(amount) > limit:
-                telemetry.get_registry().counter(
-                    "repro_tenant_quota_denials_total",
-                    "Requests denied by quota, by tenant and resource.",
-                ).inc(tenant=name, resource=resource)
+                self._denials.inc(tenant=name, resource=resource)
                 raise QuotaExceededError(name, resource, limit, used, float(amount))
         self.ledger._see(name, resource)
 

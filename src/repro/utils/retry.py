@@ -17,9 +17,10 @@ Neither primitive ever sleeps: :meth:`RetryPolicy.call` retries at once,
 and a caller that paces its retries (the serving front end's dispatch
 retry) reads the schedule off :meth:`RetryPolicy.delay` on its own
 clock. Every attempt, exhaustion and circuit transition is recorded in
-the process-wide telemetry registry (``repro_retry_attempts_total``,
-``repro_retry_exhausted_total``, ``repro_circuit_transitions_total``,
-``repro_circuit_open``).
+families each policy and breaker builds where it is built
+(``repro_retry_attempts_total``, ``repro_retry_exhausted_total``,
+``repro_circuit_transitions_total``, ``repro_circuit_open``). Every range
+check is written ``not x >= bound``, so NaN fails it.
 """
 
 from __future__ import annotations
@@ -57,14 +58,22 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_attempts < 1:
+        if not self.max_attempts >= 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.base_delay < 0 or self.max_delay < 0:
+        if not (self.base_delay >= 0 and self.max_delay >= 0):
             raise ConfigurationError("delays must be non-negative")
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigurationError(f"jitter must be in [0, 1), got {self.jitter}")
+        registry = telemetry.get_registry()
+        for attr, name, help in (  # frozen: the families are set, not fields
+            ("_attempts", "repro_retry_attempts_total",
+             "Attempts made under a RetryPolicy, by call name."),
+            ("_exhausted", "repro_retry_exhausted_total",
+             "Calls that failed on every allowed attempt, by call name."),
+        ):
+            object.__setattr__(self, attr, telemetry.Counter(name, help, registry))
 
     def delay(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (0-based), jittered."""
@@ -91,23 +100,16 @@ class RetryPolicy:
         :class:`RetryExhaustedError` once every attempt failed, and
         re-raises immediately on exceptions outside ``retry_on``.
         """
-        registry = telemetry.get_registry()
         last_error: BaseException | None = None
         for attempt in range(self.max_attempts):
-            registry.counter(
-                "repro_retry_attempts_total",
-                "Attempts made under a RetryPolicy, by call name.",
-            ).inc(name=name or "(anonymous)")
+            self._attempts.inc(name=name or "(anonymous)")
             try:
                 return fn(*args, **kwargs)
             except self.retry_on as exc:
                 last_error = exc
             if attempt + 1 < self.max_attempts and on_retry is not None:
                 on_retry(attempt, last_error)
-        registry.counter(
-            "repro_retry_exhausted_total",
-            "Calls that failed on every allowed attempt, by call name.",
-        ).inc(name=name or "(anonymous)")
+        self._exhausted.inc(name=name or "(anonymous)")
         raise RetryExhaustedError(name, self.max_attempts, last_error)
 
 
@@ -134,12 +136,20 @@ class CircuitBreaker:
     opened_count: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if self.failure_threshold < 1:
+        if not self.failure_threshold >= 1:
             raise ConfigurationError("failure_threshold must be >= 1")
-        if self.recovery_time < 0:
+        if not self.recovery_time >= 0:
             raise ConfigurationError(
                 f"recovery_time must be >= 0, got {self.recovery_time}"
             )
+        registry = telemetry.get_registry()
+        self._transitions = telemetry.Counter(
+            "repro_circuit_transitions_total",
+            "Circuit-breaker state transitions, by breaker and edge.", registry,
+        )
+        self._open_gauge = telemetry.Gauge(
+            "repro_circuit_open", "1 while the named circuit breaker is open.", registry
+        )
 
     # ------------------------------------------------------------------
     # state machine
@@ -182,14 +192,8 @@ class CircuitBreaker:
 
     def _transition(self, state: str) -> None:
         previous, self.state = self.state, state
-        registry = telemetry.get_registry()
-        registry.counter(
-            "repro_circuit_transitions_total",
-            "Circuit-breaker state transitions, by breaker and edge.",
-        ).inc(name=self.name or "(anonymous)", frm=previous, to=state)
-        registry.gauge(
-            "repro_circuit_open", "1 while the named circuit breaker is open."
-        ).set(1.0 if state == "open" else 0.0, name=self.name or "(anonymous)")
+        self._transitions.inc(name=self.name or "(anonymous)", frm=previous, to=state)
+        self._open_gauge.set(1.0 if state == "open" else 0.0, name=self.name or "(anonymous)")
 
     @property
     def closed(self) -> bool:

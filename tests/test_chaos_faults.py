@@ -199,6 +199,13 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError):
             RetryPolicy(base_delay=-1.0)
 
+    @pytest.mark.parametrize("field", ["max_attempts", "base_delay", "max_delay", "jitter"])
+    def test_nan_refused(self, field):
+        """Regression: NaN passed the ``< bound`` checks; a NaN base delay
+        then made ``delay(0)`` NaN, and a NaN cap made ``delay`` uncapped."""
+        with pytest.raises(ConfigurationError):
+            RetryPolicy(**{field: float("nan")})
+
 
 class TestCircuitBreaker:
     def test_opens_after_threshold_and_recovers(self, manual_clock):
@@ -228,6 +235,13 @@ class TestCircuitBreaker:
         manual_clock.advance(1.0)
         assert breaker.allow()
         assert not breaker.allow()  # second concurrent probe rejected
+
+    @pytest.mark.parametrize("field", ["failure_threshold", "recovery_time"])
+    def test_nan_refused(self, field):
+        """Regression: a NaN threshold never opened the breaker, and a NaN
+        recovery time half-opened it at once."""
+        with pytest.raises(ConfigurationError):
+            CircuitBreaker(name="b", **{field: float("nan")})
 
     def test_success_resets_failure_streak(self):
         breaker = CircuitBreaker(name="b", failure_threshold=2)

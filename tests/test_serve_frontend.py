@@ -366,6 +366,13 @@ class TestServingNumbersValidated:
         with pytest.raises(ConfigurationError, match=field):
             config(**overrides)
 
+    @pytest.mark.parametrize("value", [NAN, 0, -1])
+    def test_max_queue_refused(self, value):
+        """Regression: a NaN ``max_queue`` passed the ``< 1`` check and left
+        the accept queue unbounded."""
+        with pytest.raises(ConfigurationError, match="max_queue"):
+            config(max_queue=value)
+
     def test_accepted_edges(self):
         assert config(deadline_slack=INF).deadline_slack == INF  # no deadline shedding
         assert LoadGenConfig(mode="closed", think_time=0.0).think_time == 0.0

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import inspect
 import json
 import pkgutil
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repro import telemetry
 from repro.exceptions import TelemetryError
 from repro.telemetry import (
     Counter,
+    Gauge,
     Histogram,
     ManualClock,
     MetricsRegistry,
@@ -97,6 +100,20 @@ class TestRegistry:
         registry.counter("c_total").inc()
         registry.reset()
         assert registry.metrics() == []
+
+    def test_a_live_owner_lists_only_what_it_records_after_a_reset(self):
+        """Regression: a family dropped by a reset stayed joined, so a live
+        owner went on counting into it unlisted, before and after mixed."""
+        from repro.paramserver import LRUCache
+
+        cache = LRUCache(1024, size_of=len, name="x")
+        cache.put("k", b"value")
+        cache.get("k")
+        telemetry.reset()
+        cache.get("k")
+        cache.get("k")
+        hits = telemetry.get_registry().get("repro_cache_hits_total")
+        assert hits is not None and hits.snapshot() == {"cache=x": 2.0}
 
 
 class TestCounterLabels:
@@ -190,6 +207,39 @@ class TestHistogramLabels:
         assert registry.get("g_seconds") is None
 
 
+class TestOwnerBuiltGauge:
+    def test_joins_at_its_first_set(self):
+        registry = telemetry.get_registry()
+        gauge = Gauge("g", "G.", registry)
+        assert registry.get("g") is None
+        gauge.set(3, name="a")
+        # a second owner's gauge sets into the one already listed
+        Gauge("g", "G.", registry).set(4, name="b")
+        assert registry.gauge("g").snapshot() == {"name=a": 3.0, "name=b": 4.0}
+
+    def test_a_reset_drops_its_values(self):
+        registry = telemetry.get_registry()
+        gauge = Gauge("g", "G.", registry)
+        gauge.set(3, name="a")
+        registry.reset()
+        gauge.set(4, name="b")
+        assert registry.gauge("g").snapshot() == {"name=b": 4.0}
+
+
+def test_src_looks_up_only_the_allowed_families_per_event():
+    """Every family is built by its owner. Two lookups stay: a fault plan
+    is built before its scenario installs the registry the trace reads,
+    and ``profile_network`` is a free function with no owner."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("tally", root / "tools" / "tally.py")
+    tally = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tally)
+    assert tally.lookup_sites() == [
+        "repro/chaos/faults.py:FaultPlan.fire",
+        "repro/core/serve/profiler.py:profile_network",
+    ]
+
+
 class TestGaugeSetFunction:
     def test_reads_live_state_when_looked_at(self):
         queue = []
@@ -251,67 +301,45 @@ class TestGaugeSetFunction:
         assert render_prometheus(read) == render_prometheus(pushed)
 
 
-def _hot_paths() -> dict:
-    """Code object -> name of every path that may look no counter or
-    histogram up."""
-    from repro.api.gateway import Gateway
-    from repro.core.serve import GreedyBatcher, RLController, ServeFrontend
-    from repro.data import BlockStore
-    from repro.paramserver import LRUCache, ParameterServer
-
-    from repro.sqlext import Database
-
-    paths = (BlockStore.get_chunk, ParameterServer.get, ParameterServer.put,
-             LRUCache.get, LRUCache.put, Database.execute,
-             Gateway.handle, Gateway.handle_async,
-             ServeFrontend.offer, ServeFrontend.poll, ServeFrontend.complete,
-             GreedyBatcher.decide, RLController.decide)
-    return {fn.__code__: fn.__qualname__ for fn in paths}
+_PACKAGE = Path(telemetry.__file__).resolve().parent.parent
 
 
 class _RegistrySpy(MetricsRegistry):
-    """A registry that, once armed, remembers every gauge family it was
-    asked for, and every counter or histogram family asked for inside a
-    hot path."""
+    """A registry that, once armed, remembers every counter, histogram or
+    gauge family the package itself looks up. Lookups from tests, made to
+    read values, stay allowed."""
 
     def __init__(self):
         super().__init__()
         self.armed = False
-        self.gauges_asked: list[str] = []
-        self.counters_asked: list[tuple[str, str]] = []
-        self._hot = _hot_paths()
+        self.lookups: list[tuple[str, str]] = []
 
     def arm(self):
         """The owners are built: lookups from here on are per event."""
         self.armed = True
 
-    def gauge(self, name, help=""):
-        if self.armed:
-            self.gauges_asked.append(name)
-        return super().gauge(name, help)
-
-    def _note_hot(self, name):
-        frame = sys._getframe(2) if self.armed else None
-        while frame is not None:
-            if frame.f_code in self._hot:
-                self.counters_asked.append((name, self._hot[frame.f_code]))
-                break
-            frame = frame.f_back
+    def _note(self, name):
+        caller = sys._getframe(2).f_code if self.armed else None
+        if caller is not None and _PACKAGE in Path(caller.co_filename).resolve().parents:
+            self.lookups.append((name, f"{Path(caller.co_filename).name}:{caller.co_name}"))
 
     def counter(self, name, help=""):
-        self._note_hot(name)
+        self._note(name)
         return super().counter(name, help)
 
+    def gauge(self, name, help=""):
+        self._note(name)
+        return super().gauge(name, help)
+
     def histogram(self, name, help="", **kwargs):
-        self._note_hot(name)
+        self._note(name)
         return super().histogram(name, help, **kwargs)
 
 
 class TestHotPathsTouchNoGauge:
-    """State gauges are registered, and hot-path counters bound, where the
-    owner is built; the paths that mutate the state never look a gauge
-    up, and a chunk read, a PS put or get, or an LRU lookup looks up no
-    counter either."""
+    """Every family is built by its owner, and state gauges registered,
+    where the owner is built: once the owners are built, nothing in the
+    package looks a counter, histogram or gauge up, on any path."""
 
     @pytest.fixture
     def spy(self):
@@ -320,8 +348,7 @@ class TestHotPathsTouchNoGauge:
         set_registry(spy)
         yield spy
         assert spy.armed
-        assert spy.gauges_asked == []
-        assert spy.counters_asked == []
+        assert spy.lookups == []
 
     def test_blockstore_put(self, spy):
         from repro.data import BlockStore, FileNamespace
@@ -509,6 +536,126 @@ class TestHotPathsTouchNoGauge:
         spy.arm()
         system.query(infer_id, tiny_dataset.test_x[:4])
         system.query(infer_id, tiny_dataset.test_x[:4])  # answered by the cache
+
+    @staticmethod
+    def _study(scheduler=None, max_trials=1):
+        from repro.core.tune import (
+            HyperConf,
+            RandomSearchAdvisor,
+            StudyMaster,
+            SurrogateTrainer,
+            make_workers,
+            section71_space,
+        )
+        from repro.paramserver import ParameterServer
+
+        conf = HyperConf(max_trials=max_trials, max_epochs_per_trial=3)
+        server = ParameterServer()
+        master = StudyMaster("spied", conf, RandomSearchAdvisor(
+            section71_space(), rng=np.random.default_rng(0)), server, scheduler=scheduler)
+        return master, make_workers(master, SurrogateTrainer(seed=0), server, conf, 1)
+
+    def test_surrogate_worker_epochs_and_finish(self, spy):
+        from repro.core.tune import run_study
+
+        master, workers = self._study()
+        spy.arm()
+        report = run_study(master, workers)
+        epochs = spy.counter("repro_tune_epochs_total").value(tenant="default")
+        assert epochs == report.total_epochs > 0
+        assert sum(spy.counter("repro_tune_trials_completed_total").snapshot().values()) == 1
+        assert spy.histogram("repro_tune_epoch_seconds").child_state()[2] == epochs
+        assert spy.counter("repro_tune_studies_completed_total").value() == 1
+        assert spy.gauge("repro_tune_study_wall_seconds").value() == report.wall_time
+
+    def test_costudy_trial_add(self, spy):
+        from repro.core.tune import CoStudy, run_study
+
+        master, workers = self._study(CoStudy(rng=np.random.default_rng(1)), max_trials=3)
+        spy.arm()
+        run_study(master, workers)
+        inits = spy.counter("repro_tune_costudy_inits_total")
+        assert inits.value(kind="random") + inits.value(kind="warm") == 3
+        assert spy.counter("repro_tune_costudy_syncs_total").value() >= 1
+
+    def test_cluster_heartbeat_submit_and_node_failure(self, spy):
+        from repro.cluster import ClusterManager, Node
+        from repro.cluster.manager import JobKind
+        from repro.cluster.node import Resources
+
+        manager = ClusterManager()
+        for name in ("n0", "n1"):
+            manager.add_node(Node(name, capacity=Resources(cpus=4, gpus=1, memory_gb=16)))
+        spy.arm()
+        manager.heartbeat("n0")
+        job = manager.submit_job(JobKind.TRAIN, "t", num_workers=1)
+        manager.fail_node(job.containers[0].node_name)  # restarted on the other node
+        assert spy.counter("repro_cluster_heartbeats_total").value(node="n0") == 1
+        assert spy.counter("repro_cluster_jobs_submitted_total").value(
+            kind="train", tenant="default") == 1
+        assert spy.counter("repro_cluster_node_failures_total").value() == 1
+        assert spy.counter("repro_cluster_recoveries_total").value() >= 1
+
+    def test_quota_denial(self, spy):
+        from repro.exceptions import QuotaExceededError
+        from repro.tenancy import TenantQuota, TenantRegistry
+
+        tenants = TenantRegistry()
+        tenants.register("acme", quota=TenantQuota(trials=1))
+        spy.arm()
+        with pytest.raises(QuotaExceededError):
+            tenants.check("acme", "trials", 2)
+        denials = spy.counter("repro_tenant_quota_denials_total")
+        assert denials.value(tenant="acme", resource="trials") == 1
+
+    def test_blockstore_heartbeat_kill_and_rejoin(self, spy):
+        from repro.data import BlockStore, FileNamespace
+
+        store = BlockStore(nodes=3, replicas=2, chunk_size=64)
+        fs = FileNamespace(store)
+        fs.write("p", bytes(range(256)))
+        spy.arm()
+        store.heartbeat("dn-0")
+        store.kill_node("dn-0")  # its chunks are re-copied past the factor
+        store.rejoin_node("dn-0")  # ... so its own copies are stale
+        assert spy.counter("repro_blockstore_heartbeats_total").value(node="dn-0") == 1
+        assert spy.counter("repro_blockstore_node_deaths_total").value(node="dn-0") == 1
+        assert sum(spy.counter("repro_blockstore_rereplications_total").snapshot().values())
+        reconciled = spy.counter("repro_blockstore_trash_reconciled_total")
+        assert reconciled.value(node="dn-0") == store.trash_reconciled > 0
+
+    def test_ps_shard_death(self, spy):
+        from repro.paramserver import ParameterServer
+
+        server = ParameterServer(shards=2)
+        spy.arm()
+        server.kill_shard("ps-1")
+        assert spy.counter("repro_paramserver_shard_deaths_total").value(shard="ps-1") == 1
+
+    def test_exhausted_retry(self, spy):
+        from repro.exceptions import RetryExhaustedError
+        from repro.utils.retry import RetryPolicy
+
+        policy = RetryPolicy(max_attempts=2, jitter=0.0)
+        spy.arm()
+        with pytest.raises(RetryExhaustedError):
+            policy.call(lambda: 1 / 0, name="op")
+        assert spy.counter("repro_retry_attempts_total").value(name="op") == 2
+        assert spy.counter("repro_retry_exhausted_total").value(name="op") == 1
+
+    def test_breaker_open_and_close(self, spy, manual_clock):
+        from repro.utils.retry import CircuitBreaker
+
+        breaker = CircuitBreaker(name="b", failure_threshold=1, recovery_time=1.0)
+        spy.arm()
+        breaker.record_failure()
+        assert spy.gauge("repro_circuit_open").value(name="b") == 1.0
+        manual_clock.advance(1.0)
+        assert breaker.allow()
+        breaker.record_success()
+        transitions = spy.counter("repro_circuit_transitions_total")
+        assert transitions.value(name="b", frm="half_open", to="closed") == 1
+        assert spy.gauge("repro_circuit_open").value(name="b") == 0.0
 
 
 class TestHistogramBuckets:

@@ -7,11 +7,13 @@ package exports; then every module-level mutable global in
 ``src/`` — a name some function rebinds through ``global``, or one bound
 to a ``ContextVar`` / ``itertools.count`` at module level; then the CLI's
 verbs and their flags, read off ``repro.cli.build_parser()``; then the
-telemetry record sites in ``src/`` by kind, read off the AST — counter
-``inc`` on a family looked up per event (``registry.counter(...).inc(...)``)
-against counter children bound once (``.labels(...)``), histogram
-``observe``/``observe_many``, gauge ``set`` against ``set_function`` —
-and the ``_publish*`` methods and their call sites;
+telemetry record sites in ``src/`` by kind, read off the AST — a counter
+``inc``, histogram ``observe`` or gauge ``set`` on a family looked up per
+event (``registry.counter(...).inc(...)``, "lookup per event"; the
+functions that do it are listed) against children bound once from a
+lookup or from a family the owner builds (``telemetry.Counter``/
+``Histogram``/``Gauge(...)``; ``.labels(...)``), and gauge ``set_function``
+readers — and the ``_publish*`` methods and their call sites;
 then the quota write sites outside ``repro.tenancy``: calls of
 ``charge``/``release`` on a ``tenants`` or ``ledger`` receiver; then the
 chunk reference write sites: ``incref``/``decref``/``release`` on a
@@ -102,24 +104,35 @@ def mutable_globals(path: Path) -> list[str]:
 
 
 METRIC_KINDS = {"counter", "gauge", "histogram"}
-RECORD_METHODS = {"inc", "dec", "set", "set_function", "observe", "observe_many"}
+RECORD_METHODS = {"inc", "dec", "set", "observe", "observe_many"}
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _metric_kind(node) -> str | None:
-    """``counter``/``gauge``/``histogram`` when ``node`` is ``x.<kind>(...)``,
-    a registry lookup, or ``telemetry.Counter(...)``, an owner-built family."""
+def _metric_kind(node) -> tuple[str, bool] | None:
+    """``(kind, built)`` when ``node`` is ``x.<kind>(...)``, a registry lookup
+    (``built`` false), or ``telemetry.Counter``/``Histogram``/``Gauge(...)``,
+    a family its owner builds."""
     func = getattr(node, "func", None)
     if isinstance(node, ast.Call) and isinstance(func, ast.Attribute):
-        if func.attr == "Counter":
-            return "counter"
-        return func.attr if func.attr in METRIC_KINDS else None
+        if func.attr.lower() in METRIC_KINDS:
+            return func.attr.lower(), func.attr[0].isupper()
     return None
 
 
-def telemetry_sites(path: Path) -> Counter:
-    """Record sites (``gauge.set_function``, ...) and ``_publish*`` defs/calls."""
+def _scoped(node, scope: tuple[str, ...] = ()):
+    """Every node under ``node`` with the def/class names enclosing it."""
+    for child in ast.iter_child_nodes(node):
+        inner = (*scope, child.name) if isinstance(child, SCOPES) else scope
+        yield child, inner
+        yield from _scoped(child, inner)
+
+
+def telemetry_sites(path: Path) -> tuple[Counter, list[str]]:
+    """Record sites by kind (``gauge.set_function``, ...), ``_publish*``
+    defs/calls, and the function of each per-event lookup site."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     out: Counter = Counter()
+    lookups: list[str] = []
     # names a metric family was bound to: ``sizes = registry.histogram(...)``
     bound = {
         target.id: _metric_kind(node.value)
@@ -127,7 +140,7 @@ def telemetry_sites(path: Path) -> Counter:
         for target in node.targets
         if isinstance(target, ast.Name) and _metric_kind(node.value)
     }
-    for node in ast.walk(tree):
+    for node, scope in _scoped(tree):
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_publish"):
             out["_publish* definitions"] += 1
         func = getattr(node, "func", None)
@@ -136,16 +149,27 @@ def telemetry_sites(path: Path) -> Counter:
         if func.attr.startswith("_publish"):
             out["_publish* call sites"] += 1
         receiver = func.value
-        kind = _metric_kind(receiver) or (
+        kind, built = _metric_kind(receiver) or (
             bound.get(receiver.id) if isinstance(receiver, ast.Name) else None
-        )
-        if kind == "counter" and func.attr == "inc":
-            out["counter.inc (lookup per event)"] += 1
-        elif kind == "counter" and func.attr == "labels":
-            out["counter.labels (bound once)"] += 1
+        ) or (None, False)
+        if kind and func.attr == "labels":
+            out[f"{kind}.labels (bound once)"] += 1
+        elif kind and func.attr == "set_function":
+            out["gauge.set_function"] += 1
         elif kind and func.attr in RECORD_METHODS:
-            out[f"{kind}.{func.attr}"] += 1
-    return out
+            out[f"{kind}.{func.attr} ({'owner-built' if built else 'lookup per event'})"] += 1
+            if not built:
+                lookups.append(".".join(scope))
+    return out, lookups
+
+
+def lookup_sites() -> list[str]:
+    """``module:function`` of every per-event lookup record site in ``src/``."""
+    return [
+        f"{path.relative_to(ROOT)}:{function}"
+        for path in sorted(ROOT.rglob("*.py"))
+        for function in telemetry_sites(path)[1]
+    ]
 
 
 QUOTA_RECEIVERS = {"tenants", "ledger"}
@@ -531,9 +555,11 @@ def main() -> int:
     print("  " + ", ".join(f"{verb} {flags}" for verb, flags in verbs.items()))
     sites = Counter({"_publish* definitions": 0, "_publish* call sites": 0})
     for path in sorted(ROOT.rglob("*.py")):
-        sites.update(telemetry_sites(path))
+        sites.update(telemetry_sites(path)[0])
     print("\ntelemetry record sites in src/:")
     print("  " + ", ".join(f"{site} {count}" for site, count in sorted(sites.items())))
+    for site in lookup_sites():
+        print(f"  lookup per event: {site}")
     owners = [path for path in sorted(ROOT.rglob("*.py")) if "tenancy" not in path.parts]
     print(f"\nquota write sites in src/ owners: {sum(map(quota_writes, owners))}")
     refs = sum(map(reference_writes, sorted(ROOT.rglob("*.py"))))
