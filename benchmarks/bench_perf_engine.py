@@ -10,12 +10,20 @@ Times the convolution hot paths twice over identical workloads:
   accumulation (with the flat ``np.bincount`` scatter also measured),
   float32 compute.
 
-``predict16`` is the serving path: ``predict_labels`` on 16 images of
-3x16x16 through snoek8 and resnet-mini, the two models the e2e serve
-workloads deploy. Its legacy column is the NCHW engine the
+``predict16`` and ``predict1`` are the serving path: ``predict_labels``
+on 16 images of 3x16x16 (the async front end's batch) and on one (a
+blocking SDK query) through snoek8 and resnet-mini, the two models the
+e2e serve workloads deploy. Their fast column is ``predict_labels`` as
+shipped: the network's inference workspace where the batch fits it
+(``workspace_limit``, per model), else the layer loop; their legacy
+column is the NCHW engine the
 channel-major layout replaced (``np.pad`` + ``sliding_window_view``
 im2col, im2col + ``argmax`` max pooling, ``np.where`` ReLU), embedded
-below as well; both columns must return the same labels.
+below as well, and ``loop_s`` is the channel-major layer loop the
+workspace replaced. Both columns must return the same labels, and the
+workspace the layer loop's logits byte for byte. Each row also counts
+the minor page faults per call (``ru_minflt`` of this process) of the
+workspace and of the layer loop.
 
 Every number here is ``wall`` (machine-stamped by the runner, never
 gated); the ``simulated`` section names the workload and records that
@@ -23,13 +31,14 @@ the two predict paths agree. Reference points: conv forward+backward
 about 5x the pre-optimisation engine, ``im2col`` about 3x, ``col2im``
 and the auto dispatcher (which routes this large workload to the slab
 path) above 10x, ``col2im_bincount`` about level with legacy,
-``predict16`` about 3x the NCHW engine.
+``predict16`` about 3x the NCHW engine, ``predict1`` about 5x.
 
 Run through the shared runner (see ``_perf.py``)::
 
     python benchmarks/bench_perf_engine.py [--smoke] [--seed N]
 """
 
+import resource
 import sys
 
 import _perf
@@ -50,8 +59,9 @@ from repro.zoo.builders import BUILDERS
 
 #: CIFAR-ish conv workload: batch 32, 8->16 channels, 16x16 images.
 BATCH, CHANNELS, SIZE, FILTERS, KERNEL = 32, 8, 16, 16, 3
-#: The serving workload: one 16-image batch through the deployed pair.
-PREDICT_MODELS, PREDICT_BATCH, PREDICT_IMAGE = ("snoek8", "resnet-mini"), 16, (3, 16, 16)
+#: The serving workload: a batch through the deployed pair, at the async
+#: front end's batch size and at one image.
+PREDICT_MODELS, PREDICT_BATCHES, PREDICT_IMAGE = ("snoek8", "resnet-mini"), (16, 1), (3, 16, 16)
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +108,7 @@ def legacy_col2im(cols, x_shape, kernel_h, kernel_w, stride, pad):
 
 
 # The NCHW forward kernels of the engine before activations stayed
-# channel-major: ``predict16``'s legacy column.
+# channel-major: the predict rows' legacy column.
 
 
 def nchw_im2col(x, kernel_h, kernel_w, stride, pad):
@@ -164,26 +174,64 @@ def legacy_conv_step_seconds(seed: int, repeats: int) -> float:
         layers_module.im2col, layers_module.col2im_auto = shipped
 
 
-def predict16(seed: int, repeats: int) -> tuple[dict, bool]:
-    """Timings of one serve batch through the deployed pair, and whether
-    both engines label it the same."""
+def layer_loop(net, x):
+    """The logits of ``net``'s layers run one by one, as before the
+    inference workspace."""
+    out = np.asarray(x, dtype=default_dtype())
+    for layer in net.layers:
+        out = layer.forward(out)
+    return out
+
+
+def faults_per_call(fn, repeats: int) -> float:
+    """Minor page faults of this process per call, over ``repeats`` calls."""
+    fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(repeats):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / repeats
+
+
+def predict(batch: int, seed: int, repeats: int) -> tuple[dict, dict]:
+    """Timings and page faults of one ``batch``-image serve call through
+    the deployed pair, and its ``simulated`` row: whether the NCHW engine
+    labels it the same, whether the forward returns the layer loop's
+    logits byte for byte, and the largest batch each network's workspace
+    takes (a larger one runs the layer loop)."""
     rng = np.random.default_rng(seed)
     nets = [BUILDERS[name](PREDICT_IMAGE, 10, rng) for name in PREDICT_MODELS]
-    x = rng.standard_normal((PREDICT_BATCH,) + PREDICT_IMAGE).astype(np.float32)
-    same = all(
-        np.array_equal(net.predict_labels(x), nchw_predict_labels(net, x)) for net in nets
-    )
+    x = rng.standard_normal((batch,) + PREDICT_IMAGE).astype(np.float32)
+    row = {
+        "models": list(PREDICT_MODELS), "batch": batch, "image": list(PREDICT_IMAGE),
+        "same_labels": all(
+            np.array_equal(net.predict_labels(x), nchw_predict_labels(net, x)) for net in nets
+        ),
+        "same_logits": all(
+            net.forward(x).tobytes() == layer_loop(net, x).tobytes() for net in nets
+        ),
+        "workspace_limit": [net._workspace.limit for net in nets],
+    }
+
+    def shipped():
+        return [net.predict_labels(x) for net in nets]
+
+    def loop():
+        return [np.argmax(layer_loop(net, x), axis=1) for net in nets]
+
     timings = {
         "legacy_s": time_per_call(lambda: [nchw_predict_labels(net, x) for net in nets], repeats),
-        "fast_s": time_per_call(lambda: [net.predict_labels(x) for net in nets], repeats),
+        "fast_s": time_per_call(shipped, repeats),
+        "loop_s": time_per_call(loop, repeats),
+        "fast_minflt": faults_per_call(shipped, repeats),
+        "loop_minflt": faults_per_call(loop, repeats),
     }
-    return timings, same
+    return timings, row
 
 
 def run(smoke: bool, seed: int) -> dict:
     repeats = 5 if smoke else 30
     rng = np.random.default_rng(seed)
-    predict_timings, predict_same = predict16(seed, repeats)
+    served = {f"predict{batch}": predict(batch, seed, repeats) for batch in PREDICT_BATCHES}
     x32 = rng.standard_normal((BATCH, CHANNELS, SIZE, SIZE)).astype(np.float32)
     cols32 = im2col(x32, KERNEL, KERNEL, 1, 1)
 
@@ -214,8 +262,8 @@ def run(smoke: bool, seed: int) -> dict:
             "legacy_s": legacy_conv_step_seconds(seed, repeats),
             "fast_s": conv_step_seconds(np.float32, seed, repeats),
         },
-        # serving: NCHW engine vs channel-major engine, both float32
-        "predict16": predict_timings,
+        # serving: NCHW engine vs predict_labels as shipped, both float32
+        **{name: timings for name, (timings, _) in served.items()},
     }
     for entry in timings.values():
         entry["speedup"] = entry["legacy_s"] / entry["fast_s"]
@@ -226,10 +274,7 @@ def run(smoke: bool, seed: int) -> dict:
                 "batch": BATCH, "channels": CHANNELS, "image": SIZE,
                 "filters": FILTERS, "kernel": KERNEL, "seed": seed,
             },
-            "predict16": {
-                "models": list(PREDICT_MODELS), "batch": PREDICT_BATCH,
-                "image": list(PREDICT_IMAGE), "same_labels": predict_same,
-            },
+            **{name: row for name, (_, row) in served.items()},
         },
         "wall": {"repeats": repeats, "timings": timings},
     }
@@ -242,17 +287,38 @@ def table(payload: dict) -> str:
             f"{name:<24} {1e3 * entry['legacy_s']:>11.3f} "
             f"{1e3 * entry['fast_s']:>9.3f} {entry['speedup']:>7.1f}x"
         )
+    for batch in PREDICT_BATCHES:
+        name = f"predict{batch}"
+        entry, row = payload["wall"]["timings"][name], payload["simulated"][name]
+        inside = [
+            model for model, limit in zip(row["models"], row["workspace_limit"]) if batch <= limit
+        ]
+        lines.append(
+            f"{name}: layer loop {1e3 * entry['loop_s']:.3f} ms "
+            f"({entry['loop_s'] / entry['fast_s']:.2f}x fast, which runs the workspace for "
+            f"{', '.join(inside) or 'neither model'}); minor faults per call "
+            f"{entry['fast_minflt']:.1f} fast, {entry['loop_minflt']:.1f} loop"
+        )
     return "\n".join(lines)
 
 
 def check(payload: dict) -> list[str]:
-    """The two predict paths must agree; the timings are not gated.
+    """The predict paths must agree; the timings are not gated.
 
     The engine's regression ceilings live in ``tests/test_perf_smoke.py``.
     """
-    if not payload["simulated"]["predict16"]["same_labels"]:
-        return ["predict16: the channel-major and NCHW engines label the batch differently"]
-    return []
+    failures = []
+    for batch in PREDICT_BATCHES:
+        row = payload["simulated"][f"predict{batch}"]
+        if not row["same_labels"]:
+            failures.append(
+                f"predict{batch}: the channel-major and NCHW engines label the batch differently"
+            )
+        if not row["same_logits"]:
+            failures.append(
+                f"predict{batch}: the inference workspace's logits are not the layer loop's bytes"
+            )
+    return failures
 
 
 if __name__ == "__main__":

@@ -104,25 +104,6 @@ class Gateway:
 
     def __init__(self, system: Rafiki):
         self.system = system
-        self._routes: list[tuple[str, re.Pattern, Callable, str]] = [
-            ("POST", re.compile(r"^/datasets$"), self._post_dataset, "/datasets"),
-            ("GET", re.compile(r"^/datasets$"), self._list_datasets, "/datasets"),
-            ("POST", re.compile(r"^/train$"), self._post_train, "/train"),
-            ("GET", re.compile(r"^/train/(?P<job_id>[\w\-./]+)/models$"), self._get_models,
-             "/train/{job_id}/models"),
-            ("GET", re.compile(r"^/train/(?P<job_id>[\w\-./]+)$"), self._get_train,
-             "/train/{job_id}"),
-            ("POST", re.compile(r"^/inference$"), self._post_inference, "/inference"),
-            ("POST", re.compile(r"^/inference/(?P<job_id>[\w\-./]+)/redeploy$"),
-             self._redeploy_inference, "/inference/{job_id}/redeploy"),
-            ("GET", re.compile(r"^/inference/(?P<job_id>[\w\-./]+)$"), self._get_inference,
-             "/inference/{job_id}"),
-            ("DELETE", re.compile(r"^/inference/(?P<job_id>[\w\-./]+)$"), self._stop_inference,
-             "/inference/{job_id}"),
-            ("POST", re.compile(r"^/query/(?P<job_id>[\w\-./]+)$"), self._post_query,
-             "/query/{job_id}"),
-            ("GET", re.compile(r"^/dashboard$"), self._get_dashboard, "/dashboard"),
-        ]
         self.requests_handled = 0
         #: job_id -> AsyncServeFrontend for the async query path.
         self._frontends: dict[str, Any] = {}
@@ -228,7 +209,7 @@ class Gateway:
         # gateway answers instead of crashing the server loop.
         call.injected_latency = chaos.fire("gateway.dispatch")
         with tenant_context(call.tenant):
-            call.result = call.handler(call.payload, **call.params)
+            call.result = call.handler(self, call.payload, **call.params)
 
     @staticmethod
     def _resolve_tenant_name(tenant: str | None, payload: Any) -> str:
@@ -332,7 +313,7 @@ class Gateway:
         """
         with self._request(method, path, body, tenant) as call:
             frontend = None
-            if call.handler == self._post_query:
+            if call.handler is Gateway._post_query:
                 frontend = self._frontends.get(call.params["job_id"])
             if frontend is not None:
                 # Checked before submit: a malformed image must not take
@@ -515,6 +496,30 @@ class Gateway:
         from repro.api.monitor import dashboard_data
 
         return dashboard_data(self.system)
+
+    #: (method, path pattern, handler, route template). The handlers are
+    #: the plain functions, called with the gateway: a table of bound
+    #: methods would make every gateway a reference cycle, freed only
+    #: by the cyclic collector.
+    _routes: tuple[tuple[str, re.Pattern, Callable, str], ...] = (
+        ("POST", re.compile(r"^/datasets$"), _post_dataset, "/datasets"),
+        ("GET", re.compile(r"^/datasets$"), _list_datasets, "/datasets"),
+        ("POST", re.compile(r"^/train$"), _post_train, "/train"),
+        ("GET", re.compile(r"^/train/(?P<job_id>[\w\-./]+)/models$"), _get_models,
+         "/train/{job_id}/models"),
+        ("GET", re.compile(r"^/train/(?P<job_id>[\w\-./]+)$"), _get_train,
+         "/train/{job_id}"),
+        ("POST", re.compile(r"^/inference$"), _post_inference, "/inference"),
+        ("POST", re.compile(r"^/inference/(?P<job_id>[\w\-./]+)/redeploy$"),
+         _redeploy_inference, "/inference/{job_id}/redeploy"),
+        ("GET", re.compile(r"^/inference/(?P<job_id>[\w\-./]+)$"), _get_inference,
+         "/inference/{job_id}"),
+        ("DELETE", re.compile(r"^/inference/(?P<job_id>[\w\-./]+)$"), _stop_inference,
+         "/inference/{job_id}"),
+        ("POST", re.compile(r"^/query/(?P<job_id>[\w\-./]+)$"), _post_query,
+         "/query/{job_id}"),
+        ("GET", re.compile(r"^/dashboard$"), _get_dashboard, "/dashboard"),
+    )
 
 
 def _json_object(body: Any) -> dict:
@@ -766,15 +771,21 @@ def make_query_executor(system: Rafiki, job_id: str) -> Callable[..., list]:
 
     def executor(payloads: list, batch_size: int, models=None) -> list[Any]:
         expected = system.get_inference_job(job_id).image_shape
+        dtype = default_dtype()
         results: list[Any] = [None] * len(payloads)
         arrays: list[np.ndarray] = []
         kept: list[int] = []
         for index, payload in enumerate(payloads):
-            try:
-                arrays.append(_parse_image(payload, expected))
-            except GatewayError as exc:
-                results[index] = exc
-                continue
+            # ``handle_async`` queues the array it decoded; only other
+            # payloads are decoded here.
+            if not (type(payload) is np.ndarray and payload.dtype == dtype
+                    and payload.shape == expected):
+                try:
+                    payload = _parse_image(payload, expected)
+                except GatewayError as exc:
+                    results[index] = exc
+                    continue
+            arrays.append(payload)
             kept.append(index)
         if arrays:
             result = system.query(job_id, np.stack(arrays), models)

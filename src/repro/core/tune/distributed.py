@@ -13,8 +13,6 @@ checkpointed when the study ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro import telemetry
 from repro.cluster import ClusterManager, FailureInjector
 from repro.cluster.container import Container, ContainerRole
@@ -30,21 +28,7 @@ from repro.paramserver import ParameterServer
 from repro.sim import Simulator
 from repro.utils.retry import RetryPolicy
 
-__all__ = ["ClusterStudy", "run_cluster_study"]
-
-
-@dataclass
-class ClusterStudy:
-    """Handles for an in-flight cluster study."""
-
-    master: StudyMaster
-    workers: dict[str, TuneWorker] = field(default_factory=dict)
-    job_id: str = ""
-    workers_started: int = 0
-    #: trial currently assigned to each worker, by container id.
-    in_flight: dict[str, Trial] = field(default_factory=dict)
-    #: trials re-issued to replacement workers after a node failure.
-    trials_reissued: int = 0
+__all__ = ["run_cluster_study"]
 
 
 def run_cluster_study(
@@ -66,20 +50,20 @@ def run_cluster_study(
     """
     sim = Simulator()
     master.set_clock(lambda: sim.now)
-    study = ClusterStudy(master=master)
+    workers: dict[str, TuneWorker] = {}
+    # the trial currently assigned to each worker, by container id
+    in_flight: dict[str, Trial] = {}
     reissued = telemetry.Counter(
         "repro_tune_trials_reissued_total",
         "In-flight trials re-issued to replacement workers.", telemetry.get_registry(),
     ).labels()
     job = manager.submit_job(JobKind.TRAIN, name=master.study_name,
                              num_workers=num_workers, queue=False)
-    study.job_id = job.job_id
 
     def start_worker(container: Container) -> None:
         # The hook hears every job's recoveries on this manager.
         if container.job_id != job.job_id or container.role is not ContainerRole.WORKER:
             return
-        study.workers_started += 1
         worker = TuneWorker(
             name=container.container_id,
             backend=backend,
@@ -87,19 +71,18 @@ def run_cluster_study(
             conf=conf,
             retry=trial_retry,
         )
-        study.workers[worker.name] = worker
+        workers[worker.name] = worker
         # If this container replaces one that died mid-trial, re-issue
         # that trial (from its checkpoint) instead of letting the
         # replacement pull a fresh one — the advisor then sees exactly
         # the trial sequence of a healthy run.
         orphaned = (
-            study.in_flight.pop(container.predecessor, None)
+            in_flight.pop(container.predecessor, None)
             if container.predecessor is not None
             else None
         )
         if orphaned is not None:
-            study.in_flight[worker.name] = orphaned
-            study.trials_reissued += 1
+            in_flight[worker.name] = orphaned
             worker.mailbox.send(
                 Message(MessageType.TRIAL, master.study_name, {"trial": orphaned})
             )
@@ -111,7 +94,7 @@ def run_cluster_study(
             return live is not None and live.running
 
         sim.spawn(
-            worker_process(worker, master, study.workers, study.in_flight, alive)
+            worker_process(worker, master, workers, in_flight, alive)
         )
 
     with telemetry.get_tracer().span(

@@ -191,27 +191,36 @@ class HyperSpace:
     # ------------------------------------------------------------------
 
     def sample_order(self) -> list[str]:
-        """Topological order respecting every knob's ``depends`` list."""
+        """Topological order respecting every knob's ``depends`` list.
+
+        A depth-first walk in declaration order, each knob after its
+        dependencies. It is a loop over an explicit stack: a recursive
+        local function would leave a reference cycle on every call.
+        """
         order: list[str] = []
-        visiting: set[str] = set()
         done: set[str] = set()
-
-        def visit(name: str) -> None:
-            if name in done:
-                return
-            if name in visiting:
-                raise HyperSpaceError(f"dependency cycle involving knob {name!r}")
-            if name not in self.knobs:
-                raise HyperSpaceError(f"unknown knob in depends: {name!r}")
-            visiting.add(name)
-            for dep in self.knobs[name].depends:
-                visit(dep)
-            visiting.discard(name)
-            done.add(name)
-            order.append(name)
-
-        for name in self.knobs:
-            visit(name)
+        for root in self.knobs:
+            if root in done:
+                continue
+            # The knobs being visited, each with its unvisited dependencies.
+            path = [root]
+            pending = [iter(self.knobs[root].depends)]
+            while path:
+                for dep in pending[-1]:
+                    if dep in done:
+                        continue
+                    if dep in path:
+                        raise HyperSpaceError(f"dependency cycle involving knob {dep!r}")
+                    if dep not in self.knobs:
+                        raise HyperSpaceError(f"unknown knob in depends: {dep!r}")
+                    path.append(dep)
+                    pending.append(iter(self.knobs[dep].depends))
+                    break
+                else:
+                    pending.pop()
+                    name = path.pop()
+                    done.add(name)
+                    order.append(name)
         return order
 
     def sample(self, rng: np.random.Generator) -> dict[str, Any]:

@@ -32,6 +32,7 @@ study they serve, of which they read ``conf``, ``advisor``,
 from __future__ import annotations
 
 import enum
+import weakref
 
 import numpy as np
 
@@ -72,8 +73,13 @@ class TrialScheduler:
     """
 
     def bind(self, study) -> None:
-        """Attach to the master this scheduler answers for."""
-        self.study = study
+        """Attach to the master this scheduler answers for.
+
+        The master holds its schedulers, so a scheduler holds it through
+        a weak proxy: a strong reference back would make every study a
+        cycle that only the cyclic collector frees.
+        """
+        self.study = weakref.proxy(study)
 
     def next_trial(self, worker: str) -> Trial | Answer:
         return FRESH

@@ -413,7 +413,7 @@ class Database:
 
     def __init__(self, udf_cache: bool = True, cache_capacity: int = 1024):
         from repro import telemetry
-        from repro.sqlext.exec import NaiveExecutor, UdfBatchDispatcher
+        from repro.sqlext.exec import UdfBatchDispatcher
 
         self.tables: dict[str, Table] = {}
         self.udfs = UdfRegistry()
@@ -421,7 +421,6 @@ class Database:
         self.dispatcher = UdfBatchDispatcher(
             self.udfs, cache_capacity=cache_capacity if udf_cache else 0
         )
-        self._naive = NaiveExecutor(self)
         registry = telemetry.get_registry()
         self._queries, self._udf_calls = (
             {name: telemetry.Counter(*family, registry).labels(executor=name)
@@ -469,7 +468,7 @@ class Database:
         logical plan + batched UDF dispatch) or ``"naive"`` (the original
         row-at-a-time interpreter, kept as the differential-test oracle).
         """
-        from repro.sqlext.exec import PlannedExecutor
+        from repro.sqlext.exec import NaiveExecutor, PlannedExecutor
         from repro.sqlext.plan import compile_plan
 
         statement = parse_select(sql)
@@ -479,7 +478,7 @@ class Database:
         batches_before = self.dispatcher.batches_dispatched
         hits_before = self.dispatcher.cache_hits
         if which == "naive":
-            result = self._naive.execute(statement, table)
+            result = NaiveExecutor(self.udfs).execute(statement, table)
         elif which == "planned":
             result = PlannedExecutor(table, self.dispatcher).execute(compile_plan(sql))
         else:

@@ -410,13 +410,8 @@ class NaiveExecutor:
     asserts the planned executor matches it bit-for-bit.
     """
 
-    def __init__(self, database):
-        self.database = database
-
-    @property
-    def udfs(self):
-        """The owning database's UDF registry."""
-        return self.database.udfs
+    def __init__(self, udfs):
+        self.udfs = udfs
 
     def execute(self, statement: SelectStatement, table: Table) -> ResultSet:
         """Run one parsed statement over ``table``, row at a time."""

@@ -48,6 +48,9 @@ class Layer:
     """Base class for all layers."""
 
     _counter = 0
+    #: attributes a training forward fills for ``backward``; an inference
+    #: forward leaves them None (``backward`` then fails its assertion).
+    saved_for_backward: tuple[str, ...] = ()
 
     def __init__(self, name: str | None = None):
         if name is None:
@@ -89,6 +92,8 @@ class Layer:
 class Dense(Layer):
     """Fully connected layer: ``y = x @ W + b``."""
 
+    saved_for_backward = ("_x",)
+
     def __init__(
         self,
         units: int,
@@ -128,6 +133,8 @@ class Dense(Layer):
 
 class Conv2D(Layer):
     """2-D convolution (NCHW) implemented via im2col."""
+
+    saved_for_backward = ("_cols",)
 
     def __init__(
         self,
@@ -203,6 +210,8 @@ class MaxPool2D(Layer):
     Works on the channel-major (C, H, W, N) view of its input, one
     strided slice per kernel offset, with no im2col.
     """
+
+    saved_for_backward = ("_x", "_out")
 
     def __init__(self, pool_size: int = 2, stride: int | None = None, name: str | None = None):
         super().__init__(name)
@@ -325,6 +334,8 @@ class Flatten(Layer):
 class ReLU(Layer):
     """Rectified linear unit."""
 
+    saved_for_backward = ("_mask",)
+
     def __init__(self, name: str | None = None):
         super().__init__(name)
         self._mask: np.ndarray | None = None
@@ -340,6 +351,8 @@ class ReLU(Layer):
 
 class Sigmoid(Layer):
     """Logistic sigmoid."""
+
+    saved_for_backward = ("_out",)
 
     def __init__(self, name: str | None = None):
         super().__init__(name)
@@ -357,6 +370,8 @@ class Sigmoid(Layer):
 
 class Tanh(Layer):
     """Hyperbolic tangent."""
+
+    saved_for_backward = ("_out",)
 
     def __init__(self, name: str | None = None):
         super().__init__(name)
@@ -377,6 +392,8 @@ class Dropout(Layer):
 
     The drop rate is one of the Section 7.1 tuning knobs.
     """
+
+    saved_for_backward = ("_mask",)
 
     def __init__(self, rate: float = 0.5, name: str | None = None):
         super().__init__(name)
@@ -404,6 +421,8 @@ class Dropout(Layer):
 
 class BatchNorm(Layer):
     """Batch normalisation over the channel axis (2-D or 4-D inputs)."""
+
+    saved_for_backward = ("_cache",)
 
     #: added to the variance before its square root.
     eps = 1e-5

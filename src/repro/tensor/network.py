@@ -10,6 +10,12 @@ Two features matter to Rafiki:
   from a checkpoint into this network — the mechanism the collaborative
   tuning scheme (Section 4.2.2) uses to reuse layer weights across
   trials whose architectures only partially agree.
+
+A training forward runs the layer loop, each layer keeping what its
+backward needs. An inference forward (and so ``predict``,
+``predict_labels`` and ``evaluate``) runs through the network's
+:class:`~repro.tensor.workspace.Workspace`, which gives the layer loop's
+bytes over buffers kept between calls.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from repro.exceptions import ConfigurationError
 from repro.tensor.dtype import default_dtype
 from repro.tensor.layers import Layer
 from repro.tensor.losses import softmax
+from repro.tensor.workspace import Workspace
 
 __all__ = ["Network"]
 
@@ -37,6 +44,8 @@ class Network:
         self.layers: list[Layer] = list(layers)
         self.input_shape: tuple[int, ...] | None = None
         self.output_shape: tuple[int, ...] | None = None
+        #: the inference buffers kept between calls.
+        self._workspace: Workspace | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -64,8 +73,16 @@ class Network:
     # ------------------------------------------------------------------
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        """The layer loop; for inference, the bytes it would return, from
+        the network's workspace where the batch fits in it."""
         self._require_built()
         out = np.asarray(x, dtype=default_dtype())
+        if not training and out.ndim:
+            workspace = self._workspace
+            if workspace is None or not workspace.holds(self.layers, out):
+                workspace = self._workspace = Workspace(self.layers, out.shape[1:], out.dtype)
+            if out.shape[0] <= workspace.limit:
+                return workspace.run(out)
         for layer in self.layers:
             out = layer.forward(out, training=training)
         return out
@@ -188,6 +205,11 @@ class Network:
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        # A copy builds its own workspace: this one's steps read this
+        # network's parameter arrays.
+        return {**self.__dict__, "_workspace": None}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Network(name={self.name!r}, layers={len(self.layers)})"

@@ -1,5 +1,8 @@
 """Tests for the Network container: params, warm start, serialisation."""
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
@@ -182,6 +185,40 @@ def _net(name, rng):
 NETS = ["snoek8", "vgg-mini", "resnet-mini", "squeeze-mini", "mlp", "tanh-sigmoid"]
 
 
+def _retained_bytes(net) -> int:
+    """Bytes of array memory the network reaches outside its parameters,
+    gradients and buffers: a walk of its object graph (stopping at
+    modules, classes and functions' globals), each byte counted once
+    however many views reach it."""
+    try:
+        from numpy.lib.array_utils import byte_bounds
+    except ImportError:  # NumPy < 2
+        byte_bounds = np.byte_bounds
+
+    owned = [byte_bounds(a) for layer in net.layers
+             for group in (layer.params, layer.grads, layer.buffers) for a in group.values()]
+    seen, spans, stack = set(), [], [net]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            low, high = byte_bounds(obj)
+            if not any(lo <= low and high <= hi for lo, hi in owned):
+                spans.append((low, high))
+        elif isinstance(obj, types.FunctionType):
+            stack += [*(obj.__closure__ or ()), *(obj.__defaults__ or ())]
+        else:
+            stack += gc.get_referents(obj)
+    total, end = 0, None
+    for low, high in sorted(spans):
+        start = low if end is None else max(low, end)
+        total += max(high - start, 0)
+        end = high if end is None else max(end, high)
+    return total
+
+
 class TestZeroRowBatch:
     """An empty batch is a valid batch: no rows in, no rows out."""
 
@@ -197,12 +234,14 @@ class TestZeroRowBatch:
 
 class TestEvalKeepsNoBackwardState:
     """A serving forward (``training=False``) keeps no activation, so a
-    deployed replica holds only its parameters between batches, and
+    deployed replica holds its parameters plus at most
+    ``WORKSPACE_BYTES`` of inference workspace between batches, and
     ``backward`` after it fails instead of using a stale cache."""
 
     @pytest.mark.parametrize("name", NETS)
     def test_predict_drops_training_caches(self, rng, name):
         from repro.tensor import SoftmaxCrossEntropy
+        from repro.tensor.workspace import WORKSPACE_BYTES
 
         net = _net(name, rng)
         x = rng.normal(size=(4, 3, 8, 8))
@@ -216,5 +255,6 @@ class TestEvalKeepsNoBackwardState:
             for attr, value in vars(layer).items():
                 if isinstance(value, np.ndarray):
                     assert id(value) in owned, f"{layer.name}.{attr} kept an array"
+        assert 0 < _retained_bytes(net) <= WORKSPACE_BYTES
         with pytest.raises(AssertionError, match="training-mode forward"):
             net.backward(np.ones((4, 5), dtype=np.float32))
