@@ -104,7 +104,6 @@ class Gateway:
 
     def __init__(self, system: Rafiki):
         self.system = system
-        self.requests_handled = 0
         #: job_id -> AsyncServeFrontend for the async query path.
         self._frontends: dict[str, Any] = {}
         #: (method, route, status, tenant) -> its (count, latency) series,
@@ -149,7 +148,6 @@ class Gateway:
         """
         clock = telemetry.get_clock()
         start = clock.now()
-        self.requests_handled += 1
         method = method.upper()
         response = None
         try:

@@ -120,7 +120,7 @@ def run(seed: int = 0, shards: int = 3, replicas: int = 2) -> dict[str, Any]:
             "shards": shards,
             "replicas": replicas,
             "victim": {"shard": victim_shard.name, "node": victim_node,
-                       "deaths": victim_shard.deaths,
+                       "deaths": victim_shard.deaths.count,
                        "datanodes": victim_datanodes},
             "results": {
                 "trials": len(report.results),

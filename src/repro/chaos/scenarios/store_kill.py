@@ -154,9 +154,9 @@ def run(seed: int = 0, datanodes: int = 3, replicas: int = 2) -> dict[str, Any]:
             "replicas": replicas,
             "victims": {
                 "mid_write": {"datanode": victim_write.name, "node": write_host,
-                              "deaths": victim_write.deaths},
+                              "deaths": victim_write.deaths.count},
                 "mid_read": {"datanode": victim_read.name, "node": read_host,
-                             "deaths": victim_read.deaths},
+                             "deaths": victim_read.deaths.count},
             },
             "results": {
                 "versions": len(fs.versions("model/ckpt")),

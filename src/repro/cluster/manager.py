@@ -98,7 +98,6 @@ class ClusterManager:
         if tenants is not None:
             for kind, resource in _QUOTA_RESOURCE.items():
                 tenants.ledger.govern(resource, functools.partial(self._held, kind))
-        self.recoveries = 0
         #: ``job-N`` / ``ctr-N`` sequence numbers, unique within this manager.
         self._job_ids = itertools.count(1)
         self._container_ids = itertools.count(1)
@@ -452,6 +451,11 @@ class ClusterManager:
     # failure recovery
     # ------------------------------------------------------------------
 
+    @property
+    def recoveries(self) -> int:
+        """Containers ever restarted after a node failure."""
+        return self._restarted.count
+
     def on_recovery(self, hook: Callable[[Container], None]) -> Callable[[], None]:
         """Call ``hook`` with every restarted container; returns its unregister call."""
         self._recovery_hooks.append(hook)
@@ -500,7 +504,6 @@ class ClusterManager:
                 job.containers.remove(failed)
                 job.containers.append(replacement)
                 self.containers[replacement.container_id] = replacement
-                self.recoveries += 1
                 self._restarted.inc()
                 for hook in self._recovery_hooks:
                     hook(replacement)

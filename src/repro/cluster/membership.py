@@ -53,13 +53,13 @@ class Member:
 
     name: str
     breaker: CircuitBreaker
+    #: its ``count`` is the member's lifetime deaths (kills + node failures).
+    deaths: telemetry.CounterChild
     alive: bool = True
     #: cluster container currently hosting this member (None standalone).
     container_id: str | None = None
     #: cluster node that container runs on.
     node_name: str | None = None
-    #: lifetime death count (kills + node failures).
-    deaths: int = 0
 
 
 M = TypeVar("M", bound=Member)

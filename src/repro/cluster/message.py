@@ -44,10 +44,8 @@ class Message:
 class Mailbox:
     """A FIFO message queue with per-sender fairness preserved by arrival order."""
 
-    def __init__(self, owner: str):
-        self.owner = owner
+    def __init__(self):
         self._queue: deque[Message] = deque()
-        self.delivered = 0
 
     def send(self, message: Message) -> None:
         self._queue.append(message)
@@ -56,7 +54,6 @@ class Mailbox:
         """Pop the oldest message, or ``None`` when empty."""
         if not self._queue:
             return None
-        self.delivered += 1
         return self._queue.popleft()
 
     def peek(self) -> Message | None:

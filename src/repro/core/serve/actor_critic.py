@@ -72,9 +72,8 @@ class ActorCritic:
         self._rng = rng
         self._buffer: list[Transition] = []
         self._open: dict[int, Transition] = {}
-        self._token_counter = 0
+        #: actions sampled so far; the latest one's number is its token.
         self.decisions = 0
-        self.updates = 0
 
     # ------------------------------------------------------------------
     # acting
@@ -94,10 +93,9 @@ class ActorCritic:
         """
         state = np.asarray(state, dtype=np.float64)
         action = int(self._rng.choice(self.num_actions, p=self.probs(state)))
-        self._token_counter += 1
-        token = self._token_counter
-        self._open[token] = Transition(state=state, action=action, reward=0.0)
         self.decisions += 1
+        token = self.decisions
+        self._open[token] = Transition(state=state, action=action, reward=0.0)
         return action, token
 
     def complete(self, token: int, reward: float) -> None:
@@ -159,7 +157,6 @@ class ActorCritic:
         self.value_opt.step(self.value.params, self.value.grads)
 
         self.entropy_coef = max(self.entropy_coef * self.entropy_decay, self.entropy_min)
-        self.updates += 1
 
     # ------------------------------------------------------------------
     # persistence (master failure recovery checkpoints this state)

@@ -166,10 +166,8 @@ class RealTrainer:
         # The builder's signature never changes; inspect it once here
         # rather than on every start() (it is surprisingly expensive).
         self._builder_params = frozenset(inspect.signature(builder).parameters)
-        self._sessions_started = 0
 
     def start(self, trial: Trial, init_state: dict[str, np.ndarray] | None) -> _RealSession:
-        self._sessions_started += 1
         rng = derive_rng(self.seed, f"trial:{trial.trial_id}")
         kwargs: dict[str, Any] = {
             name: trial.params[name]

@@ -257,7 +257,6 @@ class TrialPool:
         self._trials: dict[int, _TrialState] = {}
         #: by ``id(dataset)``; the strong refs keep those keys unique.
         self._datasets: dict[int, ImageDataset] = {}
-        self.worker_restarts = 0
         registry = telemetry.get_registry()
         self._tasks, self._records, self._trial_errors, restarts, ipc = (
             telemetry.Counter(name, help, registry) for name, help in (
@@ -507,7 +506,6 @@ class TrialPool:
         self._workers.remove(worker)
         worker.conn.close()
         worker.proc.join(timeout=5.0)
-        self.worker_restarts += 1
         self._restarted.inc()
         self._spawn_worker()
         if worker.job is not None:

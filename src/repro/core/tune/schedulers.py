@@ -122,8 +122,6 @@ class CoStudy(TrialScheduler):
     def __init__(self, rng: np.random.Generator | None = None):
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.best_p = 0.0
-        self.random_inits = 0
-        self.warm_inits = 0
         #: patience state per (worker, trial): a replacement worker
         #: re-running a lost trial re-reports its epochs from the first.
         self._stoppers: dict[tuple[str, int], EarlyStopper] = {}
@@ -149,10 +147,8 @@ class CoStudy(TrialScheduler):
             self._rng.random() < alpha or not study.param_server.has(study.best_key)
         )
         if use_random:
-            self.random_inits += 1
             self._inits["random"].inc()
             return
-        self.warm_inits += 1
         self._inits["warm"].inc()
         trial.init_kind, trial.init_key = InitKind.WARM_START, study.best_key
 
@@ -177,14 +173,15 @@ class CoStudy(TrialScheduler):
     def checkpoint_state(self) -> dict:
         return {
             "best_p": self.best_p,
-            "random_inits": self.random_inits,
-            "warm_inits": self.warm_inits,
+            "random_inits": self._inits["random"].count,
+            "warm_inits": self._inits["warm"].count,
         }
 
     def restore_state(self, state: dict) -> None:
+        """Set the init counts (the record) back; the series is left alone."""
         self.best_p = float(state["best_p"])
-        self.random_inits = int(state["random_inits"])
-        self.warm_inits = int(state["warm_inits"])
+        for kind, child in self._inits.items():
+            child.count = int(state[f"{kind}_inits"])
 
 
 class SuccessiveHalving(TrialScheduler):

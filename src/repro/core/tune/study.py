@@ -99,7 +99,7 @@ class StudyMaster:
         self.param_server = param_server
         self.best_key = best_key if best_key is not None else f"{study_name}/best"
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self.mailbox = Mailbox(f"{study_name}/master")
+        self.mailbox = Mailbox()
         self.done = False
         self.num_finished = 0
         self.total_epochs = 0

@@ -45,9 +45,8 @@ class TuneWorker:
         #: how often a crashed trial (an injected ``tune.trial`` fault)
         #: is restarted from its checkpoint before being reported FAILED.
         self.retry = retry if retry is not None else RetryPolicy(max_attempts=3)
-        self.mailbox = Mailbox(name)
+        self.mailbox = Mailbox()
         self.terminated = False
-        self.trials_run = 0
         self._trial: Trial | None = None
         self._session: TrialSession | None = None
         self._last_session: TrialSession | None = None
@@ -56,7 +55,7 @@ class TuneWorker:
         self._init_state: dict[str, np.ndarray] | None = None
         self._trial_crashes = 0
         registry = telemetry.get_registry()
-        self._epochs, self._started, self._crashes, self._completed = (
+        self._epochs, started, self._crashes, self._completed = (
             telemetry.Counter(name, help, registry) for name, help in (
                 ("repro_tune_epochs_total", "Training epochs run across all workers."),
                 ("repro_tune_trials_started_total",
@@ -70,6 +69,7 @@ class TuneWorker:
             "repro_tune_epoch_seconds", "Per-epoch duration in (simulated) seconds.",
             registry, buckets=EPOCH_SECONDS_BUCKETS,
         ).labels()
+        self._started = {kind: started.labels(init=kind.value) for kind in InitKind}
 
     # ------------------------------------------------------------------
     # the worker loop body
@@ -155,8 +155,7 @@ class TuneWorker:
         self._trial_crashes = 0
         self._session = self.backend.start(trial, init_state)
         self._stop_rule = TrialStopRule(trial, self.conf)
-        self.trials_run += 1
-        self._started.inc(init=trial.init_kind.value)
+        self._started[trial.init_kind].inc()
 
     def _recover_trial(self, outgoing: list[Message]) -> None:
         """Restart the crashed trial from its checkpoint, or give up.
@@ -230,4 +229,4 @@ class TuneWorker:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "terminated" if self.terminated else ("busy" if self.busy else "idle")
-        return f"TuneWorker({self.name!r}, {state}, trials={self.trials_run})"
+        return f"TuneWorker({self.name!r}, {state})"

@@ -147,12 +147,27 @@ class BlockStore(HostedGroup):
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
         self.replicas = min(replicas, nodes)
         self.chunk_size = chunk_size
-        self._nodes: list[DataNode] = []
-        self._members = self._nodes  # HostedGroup's name for them
-        for name in (f"dn-{i}" for i in range(nodes)):
-            self._nodes.append(
-                DataNode(name, member_breaker(breaker_factory, "blockstore", name))
+        registry = telemetry.get_registry()
+        (self._heartbeats, deaths, lost, recopied, reconciled, self._restored) = (
+            telemetry.Counter(name, help, registry) for name, help in (
+                ("repro_blockstore_heartbeats_total", "Datanode heartbeats received."),
+                ("repro_blockstore_node_deaths_total", "Datanode deaths observed."),
+                ("repro_blockstore_chunks_lost_total",
+                 "Chunks whose every live copy died before re-replication."),
+                ("repro_blockstore_rereplications_total",
+                 "Chunks re-copied to restore the replication factor."),
+                ("repro_blockstore_trash_reconciled_total",
+                 "Stale chunks deleted from a rejoining datanode's disk."),
+                ("repro_blockstore_chunks_restored_total",
+                 "Lost chunks resurrected from a rejoining disk."),
             )
+        )
+        self._nodes: list[DataNode] = [
+            DataNode(name, member_breaker(breaker_factory, "blockstore", name),
+                     deaths.labels(node=name))
+            for name in (f"dn-{i}" for i in range(nodes))
+        ]
+        self._members = self._nodes  # HostedGroup's name for them
         self._by_name = {node.name: node for node in self._nodes}
         #: digest -> live holder names (the namenode's block map).
         self._directory: dict[str, list[str]] = {}
@@ -171,10 +186,6 @@ class BlockStore(HostedGroup):
         self.last_heartbeat: dict[str, float] = {
             node.name: telemetry.get_clock().now() for node in self._nodes
         }
-        self.rereplications = 0
-        self.dedup_hits = 0
-        self.trash_reconciled = 0
-        registry = telemetry.get_registry()
         requests = telemetry.Counter(
             "repro_blockstore_requests_total",
             "Store->datanode chunk operations, by node, op and outcome.",
@@ -197,7 +208,7 @@ class BlockStore(HostedGroup):
             for node in self._nodes
             for op in ("put", "get")
         }
-        self._dedup_hit_count = telemetry.Counter(
+        self._dedup_hits = telemetry.Counter(
             "repro_blockstore_dedup_hits_total",
             "Chunk puts answered by an already-stored identical chunk.",
             registry,
@@ -205,22 +216,9 @@ class BlockStore(HostedGroup):
         self._chunk_writes = telemetry.Counter(
             "repro_blockstore_chunk_writes_total", "Distinct chunks written.", registry
         ).labels()
-        (self._heartbeats, self._deaths, lost, self._recopied, self._reconciled,
-         self._restored) = (
-            telemetry.Counter(name, help, registry) for name, help in (
-                ("repro_blockstore_heartbeats_total", "Datanode heartbeats received."),
-                ("repro_blockstore_node_deaths_total", "Datanode deaths observed."),
-                ("repro_blockstore_chunks_lost_total",
-                 "Chunks whose every live copy died before re-replication."),
-                ("repro_blockstore_rereplications_total",
-                 "Chunks re-copied to restore the replication factor."),
-                ("repro_blockstore_trash_reconciled_total",
-                 "Stale chunks deleted from a rejoining datanode's disk."),
-                ("repro_blockstore_chunks_restored_total",
-                 "Lost chunks resurrected from a rejoining disk."),
-            )
-        )
         self._chunks_lost = lost.labels()
+        self._recopied = {n.name: recopied.labels(node=n.name) for n in self._nodes}
+        self._reconciled = {n.name: reconciled.labels(node=n.name) for n in self._nodes}
         registry.gauge(
             "repro_blockstore_nodes_live", "Datanodes currently alive."
         ).set_function(lambda: sum(1 for n in self._nodes if n.alive))
@@ -332,8 +330,7 @@ class BlockStore(HostedGroup):
             raise
         finally:
             if hits:
-                self.dedup_hits += hits
-                self._dedup_hit_count.inc(hits)
+                self._dedup_hits.inc(hits)
         return digests
 
     def _holds(self, digest: str, data: bytes, start: int, end: int) -> bool:
@@ -518,9 +515,8 @@ class BlockStore(HostedGroup):
     def _member_down(self, node: DataNode) -> None:
         """Mark a node dead and restore replication from surviving copies."""
         node.alive = False
-        node.deaths += 1
+        node.deaths.inc()
         self._trash.setdefault(node.name, set())
-        self._deaths.inc(node=node.name)
         for digest in sorted(self._directory):
             holders = self._directory[digest]
             if node.name not in holders:
@@ -548,8 +544,7 @@ class BlockStore(HostedGroup):
             target.chunks[digest] = source.chunks[digest]
             holders.append(target.name)
             copied += 1
-            self.rereplications += 1
-            self._recopied.inc(node=target.name)
+            self._recopied[target.name].inc()
         if copied:
             self._read_orders.pop(digest, None)
         return copied
@@ -566,10 +561,10 @@ class BlockStore(HostedGroup):
         node = self.node(name)
         if node.alive:
             return 0
-        before = self.trash_reconciled
+        before = self._reconciled[name].count
         node.alive = True
         self._member_up(node, same_host=True)
-        return self.trash_reconciled - before
+        return self._reconciled[name].count - before
 
     def _member_up(self, node: DataNode, same_host: bool) -> None:
         self.last_heartbeat[node.name] = telemetry.get_clock().now()
@@ -595,8 +590,7 @@ class BlockStore(HostedGroup):
             )
             if stale:
                 del node.chunks[digest]
-                self.trash_reconciled += 1
-                self._reconciled.inc(node=node.name)
+                self._reconciled[node.name].inc()
                 continue
             if node.name not in holders:
                 holders.append(node.name)
@@ -614,15 +608,20 @@ class BlockStore(HostedGroup):
         clears to heal everything immediately.
         """
         self._refresh_liveness()
-        before = self.rereplications
-        for digest in sorted(self._directory):
-            if len(self._directory[digest]) < self._needed():
-                self._restore_replication(digest)
-        return self.rereplications - before
+        return sum(
+            self._restore_replication(digest)
+            for digest in sorted(self._directory)
+            if len(self._directory[digest]) < self._needed()
+        )
 
     # ------------------------------------------------------------------
     # auditing
     # ------------------------------------------------------------------
+
+    @property
+    def trash_reconciled(self) -> int:
+        """Stale chunks ever deleted from a rejoining datanode's disk."""
+        return sum(child.count for child in self._reconciled.values())
 
     def audit(self) -> dict:
         """Replication health: lost, under-replicated chunks, dedup ratio.
@@ -660,8 +659,8 @@ class BlockStore(HostedGroup):
             "logical_bytes": logical,
             "replicated_bytes": replicated,
             "dedup_ratio": round(logical / unique, 4) if unique else 1.0,
-            "dedup_hits": self.dedup_hits,
-            "rereplications": self.rereplications,
+            "dedup_hits": self._dedup_hits.count,
+            "rereplications": sum(child.count for child in self._recopied.values()),
             "trash_reconciled": self.trash_reconciled,
             "trash_pending": {
                 name: len(digests)

@@ -81,7 +81,6 @@ class DataStore:
             nodes=nodes, replicas=replicas, chunk_size=chunk_size
         )
         self.fs = FileNamespace(self.blocks, name=name)
-        self.bytes_written = 0
         self.bytes_read = 0
 
     # ------------------------------------------------------------------
@@ -98,7 +97,6 @@ class DataStore:
             labels=labels,
         )
         self._datasets[dataset.name] = dataset
-        self.bytes_written += sum(x.nbytes for x, _ in dataset.splits().values())
         return handle
 
     def get_dataset(self, name: str) -> ImageDataset:
@@ -214,7 +212,6 @@ class DataStore:
             self.tenants.check(tenant, "store_bytes", len(blob) - headroom)
         self.fs.write(path, bytes(blob), writer=self.name, basis=basis)
         self._blob_charges[path] = (tenant, len(blob))
-        self.bytes_written += len(blob)
 
     def get_blob(self, path: str, version: int | None = None) -> bytes:
         """Fetch a blob (current version by default, or an older one)."""

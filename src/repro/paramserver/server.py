@@ -258,10 +258,16 @@ class ParameterServer(HostedGroup):
         self._entries: dict[str, list[ParameterEntry]] = {}
         self.retry = retry
         per_shard_cache = max(1, cache_bytes // shards)
+        registry = telemetry.get_registry()
+        deaths = telemetry.Counter(
+            "repro_paramserver_shard_deaths_total",
+            "Parameter-server shard deaths observed.", registry,
+        )
         self._members: list[Shard] = [
             Shard(
                 name=name,
                 breaker=member_breaker(breaker_factory, "paramserver", name),
+                deaths=deaths.labels(shard=name),
                 cache=LRUCache(
                     per_shard_cache, size_of=_cached_size, name=f"paramserver-{name}"
                 ),
@@ -272,7 +278,6 @@ class ParameterServer(HostedGroup):
         #: key -> every shard in the key's rendezvous order, kept while
         #: the key is stored (the shards themselves never change).
         self._orders: dict[str, list[Shard]] = {}
-        registry = telemetry.get_registry()
         requests = telemetry.Counter(
             "repro_paramserver_shard_requests_total",
             "Coordinator->shard operations, by shard, op and outcome.", registry,
@@ -293,11 +298,6 @@ class ParameterServer(HostedGroup):
             for shard in self._members
             for op in ("push", "pull")
         }
-        deaths = telemetry.Counter(
-            "repro_paramserver_shard_deaths_total",
-            "Parameter-server shard deaths observed.", registry,
-        )
-        self._shard_deaths = {s.name: deaths.labels(shard=s.name) for s in self._members}
         self._push_count = telemetry.Counter(
             "repro_paramserver_push_total", "Parameter versions pushed (put).", registry
         ).labels()
@@ -332,10 +332,6 @@ class ParameterServer(HostedGroup):
     def replicas(self) -> int:
         """The chunk replication factor (the store's, clamped to its nodes)."""
         return self.block_store.replicas
-
-    @property
-    def rereplications(self) -> int:
-        return self.block_store.rereplications
 
     @property
     def shards(self) -> list[Shard]:
@@ -382,9 +378,8 @@ class ParameterServer(HostedGroup):
 
     def _member_down(self, shard: Shard) -> None:
         shard.alive = False
-        shard.deaths += 1
+        shard.deaths.inc()
         shard.cache.clear()
-        self._shard_deaths[shard.name].inc()
 
     def _member_up(self, shard: Shard, same_host: bool) -> None:
         """A shard holds nothing durable: wherever it restarts, it starts cold."""

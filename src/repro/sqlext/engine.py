@@ -417,7 +417,6 @@ class Database:
 
         self.tables: dict[str, Table] = {}
         self.udfs = UdfRegistry()
-        self.last_udf_calls = 0
         self.dispatcher = UdfBatchDispatcher(
             self.udfs, cache_capacity=cache_capacity if udf_cache else 0
         )
@@ -489,7 +488,6 @@ class Database:
         result.udf_calls = self.udfs.total_calls - calls_before
         result.udf_batches = self.dispatcher.batches_dispatched - batches_before
         result.cache_hits = self.dispatcher.cache_hits - hits_before
-        self.last_udf_calls = result.udf_calls
         self._queries[which].inc()
         self._scanned[table.name].inc(len(table))
         if result.udf_calls:

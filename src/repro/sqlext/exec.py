@@ -117,11 +117,6 @@ class UdfBatchDispatcher:
         metrics = telemetry.get_registry()
         self._families = {e: telemetry.Counter(*f, metrics) for e, f in self.COUNTERS.items()}
         self._counters: dict[str, dict] = {}  # per UDF, bound at its first call
-        self.batches_dispatched = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.retries = 0
-        self.sheds = 0
         #: deterministic event log (dispatch/latency/retry/shed) — the
         #: chaos tests assert same-seed runs produce identical traces.
         self.trace: list[dict] = []
@@ -157,13 +152,23 @@ class UdfBatchDispatcher:
         if self.cache_capacity > 0:
             delta_misses = cache.misses - misses_before
             delta_hits = rows - delta_misses
-            self.cache_hits += delta_hits
-            self.cache_misses += delta_misses
             if delta_hits:
                 counters["hits"].inc(delta_hits)
             if delta_misses:
                 counters["misses"].inc(delta_misses)
         return values
+
+    @property
+    def batches_dispatched(self) -> int:
+        return sum(counters["batches"].count for counters in self._counters.values())
+
+    @property
+    def cache_hits(self) -> int:
+        return sum(counters["hits"].count for counters in self._counters.values())
+
+    @property
+    def cache_misses(self) -> int:
+        return sum(counters["misses"].count for counters in self._counters.values())
 
     def invalidate(self) -> None:
         """Drop every cached result (call after re-deploying models)."""
@@ -203,7 +208,6 @@ class UdfBatchDispatcher:
             return self.registry.call_batch(name, chunk)
 
         def on_retry(attempt_index: int, error: BaseException) -> None:
-            self.retries += 1
             counters["retries"].inc()
             self.trace.append(
                 {
@@ -219,7 +223,6 @@ class UdfBatchDispatcher:
                 attempt, name=self.FAULT_POINT, on_retry=on_retry
             )
         except RetryExhaustedError as exc:
-            self.sheds += 1
             counters["sheds"].inc()
             self.trace.append({"event": "shed", "udf": udf, "rows": len(chunk)})
             raise RequestShedError(
@@ -227,7 +230,6 @@ class UdfBatchDispatcher:
                 retry_after=self.RETRY_AFTER,
                 detail=f"udf {udf!r} batch of {len(chunk)}: {exc.last_error}",
             ) from exc
-        self.batches_dispatched += 1
         counters["batches"].inc()
         counters["batch_rows"].inc(len(chunk))
         self.trace.append({"event": "dispatch", "udf": udf, "rows": len(chunk)})

@@ -11,10 +11,16 @@ child bound with ``labels()`` (the Prometheus client's idiom)::
 
     requests = Counter("repro_blockstore_requests_total", "...", registry)
     self._ok = requests.labels(node="dn-0", op="get", outcome="ok")
-    self._deaths = Counter("repro_blockstore_node_deaths_total", "...", registry)
+    self._heartbeats = Counter("repro_blockstore_heartbeats_total", "...", registry)
     ...
     self._ok.inc()                   # labels fixed where the owner is built
-    self._deaths.inc(node=name)      # a label known only at the event
+    self._heartbeats.inc(node=name)  # a label known only at the event
+
+A bound counter child is its owner's count: ``child.count`` is all it
+ever added, kept while the registry is disabled and through a reset, so
+no owner keeps an integer beside it. The series keeps the semantics
+below, so the two part after a disabled stretch or a reset. No record
+takes NaN or infinity, nor a counter a negative amount.
 
 A histogram's child ``observe``s the same way, and an event gauge is a
 ``Gauge(...)`` its owner ``set``s. The lookups
@@ -43,6 +49,7 @@ the text exposition lives in :mod:`repro.telemetry.export`.
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import inf
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -74,6 +81,12 @@ def _label_string(key: _LabelKey) -> str:
     return ",".join(f"{name}={value}" for name, value in key)
 
 
+def _refused(metric: "Metric", value) -> TelemetryError:
+    """A counter takes finite amounts >= 0, a histogram finite values."""
+    wrong = "cannot decrease" if metric.kind == "counter" and value < 0 else "needs finite values"
+    return TelemetryError(f"{metric.kind} {metric.name!r} {wrong} ({value})")
+
+
 class Metric:
     """Base class: a named family of per-label-set values."""
 
@@ -98,11 +111,6 @@ class Metric:
         self._joined = False
         self._values.clear()
 
-    @property
-    def enabled(self) -> bool:
-        """Whether recording into this metric currently does anything."""
-        return self._registry.enabled
-
     def snapshot(self) -> dict:
         """JSON-serialisable state of every label set of this family."""
         raise NotImplementedError
@@ -117,12 +125,12 @@ class Counter(Metric):
 
     kind = "counter"
 
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        """Add ``amount`` (must be >= 0) to the labelled counter."""
-        if not self.enabled:
+    def inc(self, amount: float = 1, **labels) -> None:
+        """Add ``amount`` (finite, >= 0) to the labelled counter."""
+        if not self._registry.enabled:
             return
-        if amount < 0:
-            raise TelemetryError(f"counter {self.name!r} cannot decrease ({amount})")
+        if not 0 <= amount < inf:
+            raise _refused(self, amount)
         values = self._listed()._values
         key = _label_key(labels)
         values[key] = values.get(key, 0.0) + float(amount)
@@ -145,21 +153,25 @@ class Counter(Metric):
 
 
 class CounterChild:
-    """One label set of a :class:`Counter`, bound once by its owner."""
+    """One label set of a :class:`Counter`, bound once by its owner, and
+    the owner's count: ``count`` is all it ever added, while the registry
+    was disabled too, and no reset clears it (see the module docstring)."""
 
-    __slots__ = ("_counter", "_key")
+    __slots__ = ("_counter", "_key", "count")
 
     def __init__(self, counter: Counter, key: _LabelKey):
         self._counter = counter
         self._key = key
+        self.count = 0
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0); a no-op while the registry is disabled."""
+    def inc(self, amount: float = 1) -> None:
+        """Add ``amount`` (finite, >= 0) to ``count``, and to the series if enabled."""
         counter = self._counter
+        if not 0 <= amount < inf:
+            raise _refused(counter, amount)
+        self.count += amount
         if not counter._registry.enabled:
             return
-        if amount < 0:
-            raise TelemetryError(f"counter {counter.name!r} cannot decrease ({amount})")
         self._counter = counter = counter._listed()
         values = counter._values
         values[self._key] = values.get(self._key, 0.0) + float(amount)
@@ -182,7 +194,7 @@ class Gauge(Metric):
 
     def set(self, value: float, **labels) -> None:
         """Set the labelled gauge to ``value``."""
-        if not self.enabled:
+        if not self._registry.enabled:
             return
         gauge, key = self._listed(), _label_key(labels)
         gauge._readers.pop(key, None)
@@ -204,7 +216,7 @@ class Gauge(Metric):
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Add ``amount`` to the labelled gauge."""
-        if not self.enabled:
+        if not self._registry.enabled:
             return
         gauge, key = self._listed(), _label_key(labels)
         if key in gauge._readers:
@@ -220,13 +232,13 @@ class Gauge(Metric):
     def value(self, **labels) -> float:
         """Current gauge value for the label set (0 if never set)."""
         key = _label_key(labels)
-        if key in self._readers and self.enabled:
+        if key in self._readers and self._registry.enabled:
             return float(self._readers[key]())
         return self._values.get(key, 0.0)
 
     def label_keys(self) -> list[_LabelKey]:
         """The label sets that have a value right now (sorted)."""
-        if not self.enabled:
+        if not self._registry.enabled:
             return sorted(self._values)
         return sorted([*self._values, *self._readers])
 
@@ -292,9 +304,11 @@ class Histogram(Metric):
         child.count += 1
 
     def observe(self, value: float, **labels) -> None:
-        """Record one observation into the labelled histogram."""
-        if not self.enabled:
+        """Record one finite observation into the labelled histogram."""
+        if not self._registry.enabled:
             return
+        if not -inf < value < inf:
+            raise _refused(self, value)
         self._listed()._record(_label_key(labels), value)
 
     def labels(self, **fixed) -> "HistogramChild":
@@ -302,13 +316,15 @@ class Histogram(Metric):
         return HistogramChild(self, _label_key(fixed))
 
     def observe_many(self, values: Iterable[float], **labels) -> None:
-        """Record a whole array of observations (vectorised)."""
-        if not self.enabled:
+        """Record a whole array of finite observations (vectorised)."""
+        if not self._registry.enabled:
             return
         array = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
                            dtype=np.float64).ravel()
         if array.size == 0:
             return
+        if not np.isfinite(array).all():
+            raise _refused(self, array[~np.isfinite(array)][0])
         family = self._listed()
         child = family._child(_label_key(labels))
         slots = np.searchsorted(family._bounds_array, array, side="left")
@@ -352,10 +368,12 @@ class HistogramChild:
         self._key = key
 
     def observe(self, value: float) -> None:
-        """Record one observation; a no-op while the registry is disabled."""
+        """Record one finite observation; a no-op while the registry is disabled."""
         histogram = self._histogram
         if not histogram._registry.enabled:
             return
+        if not -inf < value < inf:
+            raise _refused(histogram, value)
         self._histogram = histogram = histogram._listed()
         histogram._record(self._key, value)
 

@@ -133,7 +133,6 @@ class CircuitBreaker:
     _failures: int = field(default=0, init=False)
     _opened_at: float = field(default=0.0, init=False)
     _probing: bool = field(default=False, init=False)
-    opened_count: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not self.failure_threshold >= 1:
@@ -143,10 +142,15 @@ class CircuitBreaker:
                 f"recovery_time must be >= 0, got {self.recovery_time}"
             )
         registry = telemetry.get_registry()
-        self._transitions = telemetry.Counter(
+        transitions = telemetry.Counter(
             "repro_circuit_transitions_total",
             "Circuit-breaker state transitions, by breaker and edge.", registry,
         )
+        self._edges = {
+            (frm, to): transitions.labels(name=self.name or "(anonymous)", frm=frm, to=to)
+            for frm, to in (("closed", "open"), ("open", "half_open"),
+                            ("half_open", "closed"), ("half_open", "open"))
+        }
         self._open_gauge = telemetry.Gauge(
             "repro_circuit_open", "1 while the named circuit breaker is open.", registry
         )
@@ -187,13 +191,17 @@ class CircuitBreaker:
 
     def _open(self) -> None:
         self._opened_at = telemetry.get_clock().now()
-        self.opened_count += 1
         self._transition("open")
 
     def _transition(self, state: str) -> None:
         previous, self.state = self.state, state
-        self._transitions.inc(name=self.name or "(anonymous)", frm=previous, to=state)
+        self._edges[previous, state].inc()
         self._open_gauge.set(1.0 if state == "open" else 0.0, name=self.name or "(anonymous)")
+
+    @property
+    def opened_count(self) -> int:
+        """How often the circuit has opened, from closed or half-open."""
+        return self._edges["closed", "open"].count + self._edges["half_open", "open"].count
 
     @property
     def closed(self) -> bool:

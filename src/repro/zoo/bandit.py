@@ -56,14 +56,13 @@ class UCBModelSelector:
         self.exploration = float(exploration)
         self.arms = {name: ArmStats(name) for name in names}
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self.total_pulls = 0
 
     def select(self) -> str:
         """The model to train next."""
         untried = [arm for arm in self.arms.values() if arm.pulls == 0]
         if untried:
             return untried[int(self._rng.integers(0, len(untried)))].name
-        log_total = math.log(self.total_pulls)
+        log_total = math.log(sum(arm.pulls for arm in self.arms.values()))
         best_name, best_score = None, -math.inf
         for arm in self.arms.values():
             bonus = self.exploration * math.sqrt(log_total / arm.pulls)
@@ -80,7 +79,6 @@ class UCBModelSelector:
         arm = self.arms[model_name]
         arm.pulls += 1
         arm.rewards.append(float(accuracy))
-        self.total_pulls += 1
 
     def allocation(self) -> dict[str, int]:
         """Trials spent per model so far."""

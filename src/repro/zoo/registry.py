@@ -32,8 +32,6 @@ class ModelEntry:
     task: str
     family: str
     builder: Callable
-    train_cost: float = 1.0  # relative epochs/second cost
-    memory_cost: float = 1.0  # relative memory consumption
     performance: dict[str, float] = field(default_factory=dict)  # dataset -> accuracy
 
     def record_performance(self, dataset: str, accuracy: float) -> None:
@@ -119,23 +117,20 @@ def default_registry() -> TaskRegistry:
     """
     registry = TaskRegistry()
     image_models = [
-        ModelEntry("vgg-mini", "ImageClassification", "vgg", build_vgg_mini, train_cost=1.2),
-        ModelEntry("resnet-mini", "ImageClassification", "resnet", build_resnet_mini,
-                   train_cost=1.5),
-        ModelEntry("squeeze-mini", "ImageClassification", "squeezenet", build_squeeze_mini,
-                   train_cost=0.8, memory_cost=0.3),
-        ModelEntry("snoek8", "ImageClassification", "plain", build_snoek_convnet, train_cost=2.0),
+        ModelEntry("vgg-mini", "ImageClassification", "vgg", build_vgg_mini),
+        ModelEntry("resnet-mini", "ImageClassification", "resnet", build_resnet_mini),
+        ModelEntry("squeeze-mini", "ImageClassification", "squeezenet", build_squeeze_mini),
+        ModelEntry("snoek8", "ImageClassification", "plain", build_snoek_convnet),
     ]
     detection_models = [
-        ModelEntry("yolo-mini", "ObjectDetection", "yolo", build_vgg_mini, train_cost=2.5),
-        ModelEntry("ssd-mini", "ObjectDetection", "ssd", build_resnet_mini, train_cost=2.2),
-        ModelEntry("faster-rcnn-mini", "ObjectDetection", "rcnn", build_snoek_convnet,
-                   train_cost=3.0),
+        ModelEntry("yolo-mini", "ObjectDetection", "yolo", build_vgg_mini),
+        ModelEntry("ssd-mini", "ObjectDetection", "ssd", build_resnet_mini),
+        ModelEntry("faster-rcnn-mini", "ObjectDetection", "rcnn", build_snoek_convnet),
     ]
     sentiment_models = [
-        ModelEntry("fasttext-mini", "SentimentAnalysis", "fasttext", build_mlp, train_cost=0.3),
-        ModelEntry("temporal-cnn-mini", "SentimentAnalysis", "cnn", build_mlp, train_cost=0.8),
-        ModelEntry("char-rnn-mini", "SentimentAnalysis", "rnn", build_mlp, train_cost=1.5),
+        ModelEntry("fasttext-mini", "SentimentAnalysis", "fasttext", build_mlp),
+        ModelEntry("temporal-cnn-mini", "SentimentAnalysis", "cnn", build_mlp),
+        ModelEntry("char-rnn-mini", "SentimentAnalysis", "rnn", build_mlp),
     ]
     for entry in image_models + detection_models + sentiment_models:
         registry.register(entry)

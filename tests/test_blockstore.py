@@ -72,7 +72,7 @@ class TestChunking:
         store = BlockStore(nodes=2, replicas=1, chunk_size=CHUNK)
         store.put(b"A" * CHUNK * 3)
         assert store.audit()["chunks"] == 1
-        assert store.dedup_hits == 2
+        assert store.audit()["dedup_hits"] == 2
 
     def test_constructor_validation(self):
         with pytest.raises(ConfigurationError):
@@ -136,7 +136,7 @@ class TestPutAgainstABasis:
         assert store._directory == want._directory
         assert store.audit() == want.audit()
         assert store._sizes == want._sizes
-        assert store.dedup_hits == want.dedup_hits > 0
+        assert store.audit()["dedup_hits"] == want.audit()["dedup_hits"] > 0
         assert snapshot == want_snapshot
         for data, digests in zip(versions, puts):
             assert b"".join(store.get_chunk(d) for d in digests) == data
@@ -428,7 +428,7 @@ class TestReplication:
         audit = _audit(store)
         assert audit["lost"] == []
         assert audit["under_replicated"] == []
-        assert store.rereplications > 0
+        assert audit["rereplications"] > 0
 
     def test_single_replica_death_loses_chunks_until_rejoin(self):
         store, fs, blobs = self._populated(replicas=1)
@@ -826,7 +826,7 @@ class TestShardedPSOnBlockStore:
         sps.put("k", {"w": rng.standard_normal((32, 32))})
         # One store under every shard: the value is written once (no
         # second copy for dedup to absorb) and the store replicates it.
-        assert sps.block_store.dedup_hits == 0
+        assert sps.block_store.audit()["dedup_hits"] == 0
         audit = sps.block_store.audit()
         assert audit["replicated_bytes"] == 2 * audit["unique_bytes"] > 0
         for shard in sps.shards:

@@ -27,7 +27,7 @@ def cluster(num_nodes=3, gpus=3):
 
 class TestMailbox:
     def test_fifo_order(self):
-        box = Mailbox("m")
+        box = Mailbox()
         box.send(Message(MessageType.REQUEST, "w1"))
         box.send(Message(MessageType.REPORT, "w2"))
         assert box.receive().type is MessageType.REQUEST
@@ -35,7 +35,7 @@ class TestMailbox:
         assert box.receive() is None
 
     def test_peek_does_not_consume(self):
-        box = Mailbox("m")
+        box = Mailbox()
         box.send(Message(MessageType.FINISH, "w"))
         assert box.peek().type is MessageType.FINISH
         assert len(box) == 1

@@ -39,7 +39,7 @@ def ps(request):
 
 
 class TestLRUCache:
-    def _cache(self, capacity=100, name=None):
+    def _cache(self, capacity=100, name="test"):
         return LRUCache(capacity, size_of=lambda v: len(v), name=name)
 
     def test_hit_and_miss(self):

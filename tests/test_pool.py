@@ -307,7 +307,7 @@ class TestDatasetShipping:
             assert not victim.is_alive()
             master, workers = make_study(tiny_dataset)
             second = run_study_parallel(master, workers, pool=pool)
-            assert pool.worker_restarts == 1
+            assert pool._restarted.count == 1
         assert report_fingerprint(first) == sequential
         assert report_fingerprint(second) == sequential
         # each study put the dataset on the pipe once: a live worker
@@ -490,7 +490,7 @@ class TestCrashRecovery:
             victim.join(timeout=10.0)
             assert not victim.is_alive()
             report = run_study_parallel(master, workers, pool=pool)
-            assert pool.worker_restarts == 1
+            assert pool._restarted.count == 1
             survivors = [worker.proc for worker in pool._workers]
         assert report_fingerprint(report) == sequential
         restarts = telemetry.get_registry().counter(
@@ -525,7 +525,7 @@ class TestCrashRecovery:
         monkeypatch.setattr(pool, "await_epoch", kill_after_first_epoch)
         with pool:
             report = run_study_parallel(master, workers, pool=pool)
-            assert pool.worker_restarts == 1
+            assert pool._restarted.count == 1
         assert report_fingerprint(report) == sequential
         errors = telemetry.get_registry().counter(
             "repro_tune_pool_trial_errors_total",

@@ -45,14 +45,14 @@ class TestLRUCacheProperties:
         st.integers(10, 50),
     )
     def test_never_exceeds_capacity(self, operations, capacity):
-        cache = LRUCache(capacity, size_of=lambda v: v)
+        cache = LRUCache(capacity, size_of=lambda v: v, name="prop")
         for key, size in operations:
             cache.put(key, size)
             assert cache.used_bytes <= capacity
 
     @given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=40))
     def test_get_after_put_without_eviction(self, keys):
-        cache = LRUCache(10_000, size_of=lambda v: 1)
+        cache = LRUCache(10_000, size_of=lambda v: 1, name="prop")
         stored = {}
         for i, key in enumerate(keys):
             cache.put(key, i)
@@ -62,7 +62,7 @@ class TestLRUCacheProperties:
 
     @given(st.lists(st.sampled_from("abcdef"), max_size=40))
     def test_hit_plus_miss_equals_gets(self, keys):
-        cache = LRUCache(3, size_of=lambda v: 1)
+        cache = LRUCache(3, size_of=lambda v: 1, name="prop")
         cache.put("a", 1)
         for key in keys:
             cache.get(key)

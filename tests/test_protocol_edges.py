@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.api.gateway import Gateway
 from repro.cluster.message import Message, MessageType
 from repro.core.system import Rafiki
@@ -165,6 +166,7 @@ class TestGatewayMoreRoutes:
 
     def test_requests_handled_counter(self, deployed):
         gateway, _, _ = deployed
-        before = gateway.requests_handled
+        requests = telemetry.get_registry().counter("repro_gateway_requests_total")
+        before = sum(requests.snapshot().values())
         gateway.handle("GET", "/datasets")
-        assert gateway.requests_handled == before + 1
+        assert sum(requests.snapshot().values()) == before + 1

@@ -216,8 +216,9 @@ class TestComposedCoStudyHalving:
         assert all(r.epochs == r.trial.max_epochs for r in report.results)
         # rung 0: CoStudy's alpha-greedy rule picks the initial state
         rung0_inits = [r.trial.init_key for r in by_budget[2]]
-        assert rung0_inits.count("mix/best") == costudy.warm_inits >= 1
-        assert rung0_inits.count(None) == costudy.random_inits >= 1
+        inits = costudy.checkpoint_state()
+        assert rung0_inits.count("mix/best") == inits["warm_inits"] >= 1
+        assert rung0_inits.count(None) == inits["random_inits"] >= 1
         # later rungs: survivors continue from their own checkpoint
         finished_ids = {r.trial.trial_id for r in by_budget[2] + by_budget[4]}
         for result in by_budget[4] + by_budget[8]:

@@ -106,7 +106,7 @@ class TestSingleModelServing:
 
     def test_rl_controller_runs_and_learns(self):
         metrics, _, controller = single_run("rl", target=150.0, horizon=150.0)
-        assert controller.learner.updates > 0
+        assert controller.learner.policy_opt.steps > 0
         assert metrics.total_served > 0
 
 

@@ -86,7 +86,7 @@ class TestActorCritic:
         learner.entropy_decay, learner.entropy_min = 0.5, 0.01
         for _ in range(16):
             learner.complete(learner.act(np.zeros(2))[1], 0.0)
-        assert learner.updates == 4
+        assert learner.policy_opt.steps == 4
         assert learner.entropy_coef < 0.1
 
     def test_state_dict_roundtrip(self):

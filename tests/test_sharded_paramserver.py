@@ -77,7 +77,7 @@ class TestRingAndReplication:
                 assert len(holders) == 2
                 assert len(set(holders)) == 2
         # ... and is written exactly once: nothing for dedup to absorb.
-        assert sps.block_store.dedup_hits == 0
+        assert sps.block_store.audit()["dedup_hits"] == 0
 
     def test_keys_spread_across_shards(self):
         sps = ShardedParameterServer(shards=4, replicas=1)
@@ -227,7 +227,7 @@ class TestShardDeathAndRecovery:
         finally:
             chaos.set_plan(previous)
         assert sps.audit()["under_replicated"]
-        assert sps.repair() >= 1 and sps.rereplications >= 1
+        assert sps.repair() >= 1 and sps.audit()["rereplications"] >= 1
         audit = sps.audit()
         assert not audit["under_replicated"] and not audit["divergent"]
         # the healed copies alone can serve the latest version
@@ -355,9 +355,9 @@ class TestClusterIntegration:
         audit = sps.audit()
         assert audit["keys_lost"] == 0
         assert not audit["under_replicated"] and not audit["divergent"]
-        assert audit["rereplications"] > 0 and datanode.deaths == 1
+        assert audit["rereplications"] > 0 and datanode.deaths.count == 1
         # the replacement container was re-attached through the recovery hook
-        assert victim.alive and victim.deaths == 1
+        assert victim.alive and victim.deaths.count == 1
         assert victim.container_id != old_container
         assert cluster.containers[victim.container_id].predecessor == old_container
         for i in range(12):
@@ -375,7 +375,7 @@ class TestClusterIntegration:
         datanode = next(n for n in blocks.nodes if n.chunks)
         assert datanode.container_id in system.cluster.containers
         system.cluster.fail_node(datanode.node_name)
-        assert datanode.deaths == 1
+        assert datanode.deaths.count == 1
         assert ps.audit()["keys_lost"] == 0
         ps.repair()
         audit = ps.audit()
@@ -410,7 +410,7 @@ class TestClusterIntegration:
         assert victim.alive  # nobody has looked yet
         for i in range(6):
             np.testing.assert_allclose(sps.get(f"k{i}")["layer/W"], float(i))
-        assert not victim.alive and victim.deaths == 1
+        assert not victim.alive and victim.deaths.count == 1
         assert [s.name for s in sps.live_shards()] == ["ps-1", "ps-2"]
 
     def test_detect_failures_notices_dead_shard(self, cluster, manual_clock):

@@ -182,9 +182,9 @@ class TestUdf:
 
     def test_udf_call_counters(self, db):
         db.udfs.register("f", lambda x: x)
-        db.execute("SELECT f(age) FROM foodlog")
+        result = db.execute("SELECT f(age) FROM foodlog")
         assert db.udfs.calls["f"] == 5
-        assert db.last_udf_calls == 5
+        assert result.udf_calls == 5
 
     def test_group_by_udf_alias(self, db):
         db.udfs.register("age_band", lambda age: "young" if age < 40 else "old")

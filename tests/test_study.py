@@ -104,7 +104,8 @@ class TestCoStudy:
             "costudy", max_trials=40, alpha0=0.5, alpha_decay=0.7, alpha_min=0.05
         )
         run_study(master, workers)
-        assert master.schedulers[0].warm_inits > master.schedulers[0].random_inits
+        inits = master.schedulers[0].checkpoint_state()
+        assert inits["warm_inits"] > inits["random_inits"]
 
     def test_checkpoint_ratchets_upward(self):
         master, workers, ps = build_study("costudy", max_trials=30, delta=0.005)
@@ -145,7 +146,8 @@ class TestCoStudy:
         assert fresh_master.num_finished == master.num_finished
         (restored,), (costudy,) = fresh_master.schedulers, master.schedulers
         assert restored.best_p == costudy.best_p
-        assert restored.warm_inits == costudy.warm_inits
+        assert restored.checkpoint_state()["warm_inits"] == \
+            costudy.checkpoint_state()["warm_inits"]
 
     def test_restored_master_continues_trial_numbering(self):
         master, _, _ = build_study(max_trials=10)

@@ -165,6 +165,126 @@ class TestCounterLabels:
         assert telemetry.get_registry().counter("c_total").label_keys() == []
 
 
+class TestTheRecordAndTheSeriesPart:
+    """An owner's count is everything it ever counted, also while the
+    registry was disabled; the registry series holds only what was
+    recorded since the last reset. Each test records while disabled,
+    then enables, resets and records again."""
+
+    def test_lru_cache(self):
+        from repro.paramserver import LRUCache
+
+        registry = telemetry.get_registry()
+        cache = LRUCache(8, size_of=len, name="parted")
+        registry.disable()
+        cache.put("a", b"1234")
+        cache.get("a")
+        cache.get("absent")
+        cache.put("b", b"12345")  # evicts "a"
+        registry.enable()
+        registry.reset()
+        cache.get("b")
+        cache.get("b")
+        counts = (cache.hits, cache.misses, cache.evictions)
+        assert counts == (3, 1, 1) and all(type(n) is int for n in counts)
+        assert cache.hit_rate == 0.75
+        assert registry.snapshot()["counters"] == {
+            "repro_cache_hits_total": {
+                "help": "Named-cache lookup hits.", "values": {"cache=parted": 2.0},
+            },
+        }
+
+    def test_block_store(self):
+        from repro.data import BlockStore
+
+        registry = telemetry.get_registry()
+        store = BlockStore(nodes=3, replicas=2, chunk_size=4)
+        registry.disable()
+        store.put(b"abcdabcd")  # one chunk stored, one dedup hit
+        holder = next(node.name for node in store.nodes if node.chunks)
+        store.kill_node(holder)  # its chunk is re-copied elsewhere
+        store.rejoin_node(holder)  # and the stale copy reconciled away
+        before = store.audit()
+        registry.enable()
+        registry.reset()
+        store.put(b"abcdabcdabcd")  # three dedup hits
+        after = store.audit()
+        for name in ("dedup_hits", "rereplications", "trash_reconciled"):
+            assert type(after[name]) is int
+        assert (before["dedup_hits"], after["dedup_hits"]) == (1, 4)
+        assert after["rereplications"] == before["rereplications"] > 0
+        assert after["trash_reconciled"] == before["trash_reconciled"] > 0
+        counters = registry.snapshot()["counters"]
+        assert counters["repro_blockstore_dedup_hits_total"]["values"] == {"": 3.0}
+        for name in ("node_deaths", "rereplications", "trash_reconciled"):
+            assert f"repro_blockstore_{name}_total" not in counters
+
+    def test_costudy_and_its_checkpoint(self):
+        from repro.core.tune import (
+            CoStudy, CoStudyMaster, HyperConf, RandomSearchAdvisor, SurrogateTrainer,
+            Trial, make_workers, run_study, section71_space,
+        )
+        from repro.paramserver import ParameterServer
+
+        registry = telemetry.get_registry()
+        registry.disable()
+        conf, ps = HyperConf(max_trials=4, max_epochs_per_trial=5), ParameterServer()
+        advisor = RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(0))
+        master = CoStudyMaster("s", conf, advisor, ps, rng=np.random.default_rng(0))
+        run_study(master, make_workers(master, SurrogateTrainer(seed=0), ps, conf, 2))
+        (costudy,) = master.schedulers
+        before = costudy.checkpoint_state()
+        registry.enable()
+        registry.reset()
+        for _ in range(3):
+            costudy.on_trial_add(Trial({}))
+        state = costudy.checkpoint_state()
+        inits = (state["random_inits"], state["warm_inits"])
+        assert all(type(n) is int for n in inits)
+        assert sum(inits) == before["random_inits"] + before["warm_inits"] + 3 > 3
+        series = registry.snapshot()["counters"]["repro_tune_costudy_inits_total"]["values"]
+        assert sum(series.values()) == 3.0
+        restored = CoStudy()
+        restored.restore_state(state)
+        assert restored.checkpoint_state() == state
+        # a restore sets the record, not the series
+        assert registry.snapshot()["counters"]["repro_tune_costudy_inits_total"]["values"] \
+            == series
+
+
+class TestNonFiniteValuesAreRefused:
+    """Regression: a counter took NaN and infinity (``amount < 0`` passes
+    both) and read NaN from then on; a histogram filed NaN in its first
+    bucket through ``observe`` and in ``+Inf`` through ``observe_many``,
+    and both poisoned its sum."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_by_a_counter_and_its_children(self, value):
+        registry = telemetry.get_registry()
+        counter = registry.counter("c_total")
+        child = counter.labels(route="/a")
+        owned = Counter("d_total", "D.", registry).labels()
+        for record in (counter.inc, child.inc, owned.inc):
+            with pytest.raises(TelemetryError):
+                record(value)
+        assert counter.snapshot() == {} and registry.get("d_total") is None
+        assert (child.count, owned.count) == (0, 0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_by_a_histogram_and_its_children(self, value):
+        registry = telemetry.get_registry()
+        histogram = registry.histogram("h", buckets=(1.0, 2.0))
+        owned = Histogram("owned", "O.", registry, buckets=(1.0,))
+        for record in (histogram.observe, histogram.labels(route="/a").observe,
+                       owned.labels().observe, owned.observe):
+            with pytest.raises(TelemetryError):
+                record(value)
+        for many in (histogram.observe_many, owned.observe_many):
+            with pytest.raises(TelemetryError):
+                many(np.array([0.5, value]))
+        assert histogram.snapshot()["series"] == {} and registry.get("owned") is None
+
+
 class TestHistogramLabels:
     def test_lands_in_the_same_series_as_observe_with_labels(self):
         histogram = telemetry.get_registry().histogram("h_seconds", buckets=(1.0, 2.0))
@@ -238,6 +358,23 @@ def test_src_looks_up_only_the_allowed_families_per_event():
         "repro/chaos/faults.py:FaultPlan.fire",
         "repro/core/serve/profiler.py:profile_network",
     ]
+
+
+def test_src_writes_no_state_that_nothing_reads():
+    """Every attribute ``src/`` writes is read outside the tests. Three
+    exception fields stay, nothing or only tests reading them: they are
+    part of an error a caller catches, and its message is built from each."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("tally", root / "tools" / "tally.py")
+    tally = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tally)
+    assert tally.unread_attributes() == (
+        [
+            "repro/exceptions.py:QuotaExceededError.used",
+            "repro/exceptions.py:QuotaExceededError.requested",
+        ],
+        ["repro/exceptions.py:RetryExhaustedError.attempts"],
+    )
 
 
 class TestGaugeSetFunction:

@@ -44,6 +44,11 @@ not followed to its base (``Knob``'s hooks, which ``RangeKnob`` and
 left out: a field whose name ``src/`` assigns, or mutates in place
 (``append``, ``[k] = ...``), outside ``__init__``/``__post_init__`` is a
 record or a counter, not a setting.
+A sixth list is the state nothing reads: each attribute a class in
+``src/`` assigns on ``self`` (``+=`` included) whose name no ``.py`` file
+under ``src/``, ``benchmarks/``, ``examples/`` or ``tools/`` reads, as an
+attribute of anything or as a string constant (``getattr``), split into
+the attributes nothing reads and those only ``tests/`` read.
 
     python tools/tally.py [--classes]
 
@@ -510,6 +515,49 @@ def unset_fields() -> tuple[list[str], list[str]]:
     return unset, test_only
 
 
+def written_attributes(path: Path) -> dict[str, str]:
+    """``attribute -> Class`` of each ``self.<attribute>`` a class in
+    ``path`` assigns."""
+    return {
+        node.attr: cls.name
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "id", None) == "self"
+    }
+
+
+def read_names(path: Path) -> set[str]:
+    """Attribute names ``path`` reads, and its string constants."""
+    return {
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str))
+    }
+
+
+def unread_attributes() -> tuple[list[str], list[str]]:
+    """``module:Class.attribute`` of each attribute ``src/`` writes that no
+    file outside ``tests/`` reads: those nothing reads, and those only
+    ``tests/`` read."""
+    read = {
+        in_tests: set().union(*(
+            read_names(path) for top in (("tests",) if in_tests else CALLER_DIRS)
+            for path in sorted((ROOT.parent / top).rglob("*.py"))
+        ))
+        for in_tests in (False, True)
+    }
+    unread, test_only = [], []
+    for path in sorted(ROOT.rglob("*.py")):
+        for name, cls in written_attributes(path).items():
+            if name not in read[False]:
+                entry = f"{path.relative_to(ROOT)}:{cls}.{name}"
+                (test_only if name in read[True] else unread).append(entry)
+    return unread, test_only
+
+
 def cli_verbs() -> dict[str, int]:
     """Flag count of each ``repro`` verb (``-h`` not counted)."""
     from repro.cli import build_parser
@@ -586,6 +634,13 @@ def main() -> int:
     for entry in unset:
         print(f"  {entry}")
     print(f"\ndataclass fields only tests set: {len(test_only)}")
+    for entry in test_only:
+        print(f"  {entry}")
+    unread, test_only = unread_attributes()
+    print(f"\nattributes src/ writes and nothing reads: {len(unread)}")
+    for entry in unread:
+        print(f"  {entry}")
+    print(f"\nattributes src/ writes and only tests read: {len(test_only)}")
     for entry in test_only:
         print(f"  {entry}")
     return 0
