@@ -11,15 +11,3 @@
   services over the shared substrates (cluster manager, parameter
   server, data store), enabling instant deployment after training.
 """
-
-from __future__ import annotations
-
-__all__ = ["Rafiki"]
-
-
-def __getattr__(name: str):
-    if name == "Rafiki":
-        from repro.core.system import Rafiki
-
-        return Rafiki
-    raise AttributeError(f"module 'repro.core' has no attribute {name!r}")

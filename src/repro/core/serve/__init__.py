@@ -44,7 +44,7 @@ from repro.core.serve.metrics import DispatchRecord, ServingMetrics, TimelineRow
 from repro.core.serve.policy import BatchOutcome, Dispatch, DispatchPolicy, DispatchView, Wait
 from repro.core.serve.pred_cache import PredictionCache
 from repro.core.serve.profiler import fit_affine_latency, profile_network
-from repro.core.serve.reward import batch_reward, mean_exceeding_time
+from repro.core.serve.reward import batch_reward
 from repro.core.serve.state import StateBuilder
 
 __all__ = [
@@ -73,7 +73,6 @@ __all__ = [
     "DispatchRecord",
     "TimelineRow",
     "batch_reward",
-    "mean_exceeding_time",
     "ServeFrontend",
     "AsyncServeFrontend",
     "FrontendConfig",

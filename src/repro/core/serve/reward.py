@@ -7,16 +7,15 @@ For one dispatched batch, the reward is
 where ``a(M[v])`` is the (surrogate, validation-set) accuracy of the
 selected ensemble, ``b`` the number of requests served, and ``beta``
 the accuracy/latency balance. The exceeding-time objective for the
-single-model case (Equation 5) is also provided for evaluation.
+single-model case (Equation 5) is
+:meth:`~repro.core.serve.metrics.ServingMetrics.mean_exceeding_time`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.utils.validation import check_non_negative
 
-__all__ = ["batch_reward", "mean_exceeding_time"]
+__all__ = ["batch_reward"]
 
 
 def batch_reward(accuracy: float, served: int, overdue: int, beta: float,
@@ -25,10 +24,3 @@ def batch_reward(accuracy: float, served: int, overdue: int, beta: float,
     check_non_negative("served", served)
     check_non_negative("overdue", overdue)
     return accuracy * (served - beta * overdue) / normalizer
-
-
-def mean_exceeding_time(latencies: np.ndarray, tau: float) -> float:
-    """Equation 5: mean of ``max(0, l(s) - tau)`` over the requests."""
-    if latencies.size == 0:
-        return 0.0
-    return float(np.mean(np.maximum(latencies - tau, 0.0)))

@@ -195,8 +195,8 @@ class SuccessiveHalving(TrialScheduler):
     still running wait at the barrier; after ``max_rungs`` rungs the
     study is exhausted. Budgets ride on :attr:`Trial.max_epochs` and
     are exact: workers do not early-stop rung trials. Checkpoint keys
-    are ``<checkpoint_prefix>/trial/<id>``; the prefix defaults to the
-    study's name, so studies sharing a parameter server stay apart.
+    are ``<study name>/trial/<id>``, so studies sharing a parameter
+    server stay apart.
     """
 
     def __init__(
@@ -205,7 +205,6 @@ class SuccessiveHalving(TrialScheduler):
         initial_epochs: int = 2,
         eta: int = 2,
         max_rungs: int = 4,
-        checkpoint_prefix: str | None = None,
     ):
         if initial_trials < eta:
             raise ConfigurationError(
@@ -217,7 +216,6 @@ class SuccessiveHalving(TrialScheduler):
         self.initial_epochs = int(initial_epochs)
         self.eta = int(eta)
         self.max_rungs = int(max_rungs)
-        self.checkpoint_prefix = checkpoint_prefix
         self.rung = 0
         #: what the current rung still has to hand out: rung 0 draws
         #: from the advisor, later rungs continue the survivors.
@@ -225,16 +223,11 @@ class SuccessiveHalving(TrialScheduler):
         self._outstanding = 0
         self._rung_results: list[TrialResult] = []
 
-    def bind(self, study) -> None:
-        super().bind(study)
-        if self.checkpoint_prefix is None:
-            self.checkpoint_prefix = study.study_name
-
     def rung_budget(self, rung: int) -> int:
         return self.initial_epochs * self.eta**rung
 
     def checkpoint_key(self, trial_id: int) -> str:
-        return f"{self.checkpoint_prefix}/trial/{trial_id}"
+        return f"{self.study.study_name}/trial/{trial_id}"
 
     def conf(self) -> HyperConf:
         """A HyperConf whose trial budget is the schedule's trial count.

@@ -47,7 +47,6 @@ class Manifest:
 
     path: str
     version: int
-    length: int
     chunk_size: int
     digests: tuple[str, ...]
     writer: str = ""
@@ -147,7 +146,6 @@ class FileNamespace:
         manifest = Manifest(
             path=pending.path,
             version=len(history) + 1,
-            length=len(pending.data),
             chunk_size=self.store.chunk_size,
             digests=pending.digests,
             writer=pending.writer,

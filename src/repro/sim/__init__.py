@@ -6,6 +6,6 @@ a 1,500-second serving trace or an 8-worker tuning study replays in
 milliseconds of real time while preserving the exact queueing dynamics.
 """
 
-from repro.sim.kernel import EventHandle, Signal, Simulator
+from repro.sim.kernel import Signal, Simulator
 
-__all__ = ["Simulator", "Signal", "EventHandle"]
+__all__ = ["Simulator", "Signal"]

@@ -9,39 +9,22 @@ The kernel supports two programming styles:
   seconds) or a :class:`Signal` (block until the signal fires; the value
   passed to :meth:`Signal.fire` becomes the result of the ``yield``).
 
-Events scheduled for the same instant run in scheduling order, which
-keeps runs bit-for-bit reproducible.
+Events scheduled for the same instant run in scheduling order (a
+sequence number breaks time ties), which keeps runs bit-for-bit
+reproducible. A scheduled event always runs: nothing cancels one.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["Simulator", "Signal", "EventHandle"]
+__all__ = ["Simulator", "Signal"]
 
 Process = Generator[Any, Any, None]
-
-
-class EventHandle:
-    """A cancellable reference to a scheduled event."""
-
-    __slots__ = ("time", "_cancelled")
-
-    def __init__(self, time: float):
-        self.time = time
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the event from running (no-op if it already ran)."""
-        self._cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
 
 
 class Signal:
@@ -76,7 +59,7 @@ class Simulator:
 
     def __init__(self):
         self._now = 0.0
-        self._heap: list[tuple[float, int, EventHandle, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
 
     @property
@@ -84,26 +67,19 @@ class Simulator:
         """Current simulated time in seconds."""
         return self._now
 
-    @property
-    def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
-        return len(self._heap)
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
 
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise ConfigurationError(f"delay must be >= 0, got {delay!r}")
-        handle = EventHandle(self._now + delay)
-        heapq.heappush(self._heap, (handle.time, next(self._counter), handle, lambda: fn(*args)))
-        return handle
+        heapq.heappush(self._heap, (self._now + delay, next(self._counter), lambda: fn(*args)))
 
-    def spawn(self, process: Process, delay: float = 0.0) -> EventHandle:
+    def spawn(self, process: Process, delay: float = 0.0) -> None:
         """Start driving a generator process after ``delay`` seconds."""
-        return self.schedule(delay, self._step_process, process, None)
+        self.schedule(delay, self._step_process, process, None)
 
     def _step_process(self, process: Process, send_value: Any) -> None:
         try:
@@ -126,16 +102,10 @@ class Simulator:
     # execution
     # ------------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Run the next event; return ``False`` when the queue is empty."""
-        while self._heap:
-            time, _seq, handle, thunk = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            self._now = time
-            thunk()
-            return True
-        return False
+    def step(self) -> None:
+        """Run the next event (the queue must not be empty)."""
+        self._now, _seq, thunk = heapq.heappop(self._heap)
+        thunk()
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Run events until the horizon, the event budget, or exhaustion.
@@ -151,20 +121,11 @@ class Simulator:
             next_time = self._heap[0][0]
             if until is not None and next_time > until:
                 break
-            if self.step():
-                executed += 1
+            self.step()
+            executed += 1
         if until is not None and until > self._now:
             self._now = until
         return self._now
-
-    def run_all(self) -> float:
-        """Drain the event queue completely (bounded at ten million events)."""
-        return self.run(max_events=10_000_000)
-
-    def drain(self, signals: Iterable[Signal]) -> None:
-        """Fire ``signals`` so that no process is left blocked forever."""
-        for signal in signals:
-            signal.fire(None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self._now:.6f}, pending={len(self._heap)})"

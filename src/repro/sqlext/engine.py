@@ -88,11 +88,6 @@ def _tokenize_spans(sql: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _tokenize(sql: str) -> list[tuple[str, str]]:
-    """Tokenize into ``(kind, value)`` pairs (position-free view)."""
-    return [(kind, value) for kind, value, _ in _tokenize_spans(sql)]
-
-
 # ----------------------------------------------------------------------
 # AST
 # ----------------------------------------------------------------------
@@ -473,7 +468,7 @@ class Database:
         statement = parse_select(sql)
         table = self._table(statement.table)
         which = executor or "planned"
-        calls_before = self.udfs.total_calls
+        calls_before = self.udfs.calls
         batches_before = self.dispatcher.batches_dispatched
         hits_before = self.dispatcher.cache_hits
         if which == "naive":
@@ -485,7 +480,7 @@ class Database:
                 f"executor must be 'planned' or 'naive', got {which!r}"
             )
         result.executor = which
-        result.udf_calls = self.udfs.total_calls - calls_before
+        result.udf_calls = self.udfs.calls - calls_before
         result.udf_batches = self.dispatcher.batches_dispatched - batches_before
         result.cache_hits = self.dispatcher.cache_hits - hits_before
         self._queries[which].inc()

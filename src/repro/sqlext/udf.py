@@ -10,7 +10,7 @@ The planned executor never calls UDFs one row at a time: each UDF call
 in a query hands the distinct arguments that miss the cache to
 :meth:`UdfRegistry.call_batch`, which prefers a registered *vectorised*
 implementation (``register(name, fn, batch_fn=...)``) and otherwise maps
-the scalar function. Either way the per-function call counter advances
+the scalar function. Either way the registry's one call count advances
 by the batch length once the batch returns, so "UDF calls" always means
 model evaluations and the planned-vs-naive savings stay comparable.
 """
@@ -27,12 +27,13 @@ __all__ = ["UdfRegistry", "make_inference_udf", "make_batched_inference_udf"]
 
 
 class UdfRegistry:
-    """Named scalar UDFs with per-function call counters."""
+    """Named scalar UDFs, and one count of the calls they answered."""
 
     def __init__(self):
         self._functions: dict[str, Callable[[Any], Any]] = {}
         self._batch_functions: dict[str, Callable[[list], list]] = {}
-        self.calls: dict[str, int] = {}
+        #: arguments every UDF answered so far (a call that raises counts none)
+        self.calls = 0
 
     def register(self, name: str, fn: Callable[[Any], Any],
                  batch_fn: Callable[[list], list] | None = None) -> None:
@@ -43,7 +44,6 @@ class UdfRegistry:
         self._functions[key] = fn
         if batch_fn is not None:
             self._batch_functions[key] = batch_fn
-        self.calls[key] = 0
 
     def call(self, name: str, argument: Any) -> Any:
         """Invoke a UDF on one argument (counts one call once it returns)."""
@@ -51,7 +51,7 @@ class UdfRegistry:
         if key not in self._functions:
             raise SQLExecutionError(f"unknown function {name!r}")
         result = self._functions[key](argument)
-        self.calls[key] += 1
+        self.calls += 1
         return result
 
     def call_batch(self, name: str, arguments: Sequence[Any]) -> list[Any]:
@@ -59,7 +59,7 @@ class UdfRegistry:
 
         Counts ``len(arguments)`` calls — one model evaluation per
         argument — regardless of how the batch is executed, so call
-        counters compare across executors; a batch that raises counts
+        counts compare across executors; a batch that raises counts
         none.
         """
         key = name.lower()
@@ -79,13 +79,8 @@ class UdfRegistry:
         else:
             fn = self._functions[key]
             results = [fn(argument) for argument in arguments]
-        self.calls[key] += len(arguments)
+        self.calls += len(arguments)
         return results
-
-    @property
-    def total_calls(self) -> int:
-        """Sum of every function's call counter."""
-        return sum(self.calls.values())
 
 
 def make_inference_udf(

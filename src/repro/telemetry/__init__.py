@@ -19,9 +19,8 @@ Typical use (an owner builds each family once, where it is built):
     print(telemetry.render_prometheus(registry))
 
 Tests install fresh components via :func:`set_registry`,
-:func:`set_tracer` and :func:`~repro.telemetry.clock.set_clock`;
-:func:`disable` turns all recording off (instrumented hot paths then
-cost a single attribute check).
+:func:`set_tracer` and :func:`~repro.telemetry.clock.set_clock`.
+Metrics are always recorded; a reader filters what it wants.
 """
 
 from __future__ import annotations
@@ -63,8 +62,6 @@ __all__ = [
     "set_registry",
     "get_tracer",
     "set_tracer",
-    "enable",
-    "disable",
     "reset",
 ]
 
@@ -96,18 +93,6 @@ def set_tracer(tracer: Tracer) -> Tracer:
     previous = _tracer
     _tracer = tracer
     return previous
-
-
-def enable() -> None:
-    """Turn recording on for the default registry and tracer."""
-    _registry.enable()
-    _tracer.enabled = True
-
-
-def disable() -> None:
-    """Turn recording off everywhere (hot paths become near-free)."""
-    _registry.disable()
-    _tracer.enabled = False
 
 
 def reset() -> None:

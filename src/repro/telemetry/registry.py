@@ -17,13 +17,13 @@ child bound with ``labels()`` (the Prometheus client's idiom)::
     self._heartbeats.inc(node=name)  # a label known only at the event
 
 A bound counter child is its owner's count: ``child.count`` is all it
-ever added, kept while the registry is disabled and through a reset, so
-no owner keeps an integer beside it. The series keeps the semantics
-below, so the two part after a disabled stretch or a reset. No record
-takes NaN or infinity, nor a counter a negative amount.
+ever added, kept through a reset, so no owner keeps an integer beside
+it. The series keeps the semantics below, so the two part only at a
+reset. No record takes NaN or infinity, nor a counter a negative amount.
 
-A histogram's child ``observe``s the same way, and an event gauge is a
-``Gauge(...)`` its owner ``set``s. The lookups
+A histogram's child ``observe``s the same way (``observe_many`` records
+a whole array into a label set), and an event gauge is a ``Gauge(...)``
+its owner ``set``s. The lookups
 (:meth:`MetricsRegistry.counter` and its siblings) are for readers, and
 for state gauges: an owner registers a reader once, where it is built —
 ``registry.gauge(...).set_function(lambda: len(self.pending))`` — and
@@ -39,9 +39,8 @@ family, and each forgets its join and its values, so a live owner's
 next record lists it again with only what came after; dropped gauge
 readers stay dropped.
 
-Recording is a no-op (and no reader is evaluated) while the registry is
-disabled, so instrumented hot paths cost one attribute check when
-telemetry is off. Snapshots
+Every record is kept: there is no off switch, and filtering is left to
+whoever reads a snapshot. Snapshots
 (:meth:`MetricsRegistry.snapshot`) are plain JSON-serialisable dicts;
 the text exposition lives in :mod:`repro.telemetry.export`.
 """
@@ -127,8 +126,6 @@ class Counter(Metric):
 
     def inc(self, amount: float = 1, **labels) -> None:
         """Add ``amount`` (finite, >= 0) to the labelled counter."""
-        if not self._registry.enabled:
-            return
         if not 0 <= amount < inf:
             raise _refused(self, amount)
         values = self._listed()._values
@@ -154,8 +151,8 @@ class Counter(Metric):
 
 class CounterChild:
     """One label set of a :class:`Counter`, bound once by its owner, and
-    the owner's count: ``count`` is all it ever added, while the registry
-    was disabled too, and no reset clears it (see the module docstring)."""
+    the owner's count: ``count`` is all it ever added, and no reset
+    clears it (see the module docstring)."""
 
     __slots__ = ("_counter", "_key", "count")
 
@@ -165,13 +162,11 @@ class CounterChild:
         self.count = 0
 
     def inc(self, amount: float = 1) -> None:
-        """Add ``amount`` (finite, >= 0) to ``count``, and to the series if enabled."""
+        """Add ``amount`` (finite, >= 0) to ``count`` and to the series."""
         counter = self._counter
         if not 0 <= amount < inf:
             raise _refused(counter, amount)
         self.count += amount
-        if not counter._registry.enabled:
-            return
         self._counter = counter = counter._listed()
         values = counter._values
         values[self._key] = values.get(self._key, 0.0) + float(amount)
@@ -194,8 +189,6 @@ class Gauge(Metric):
 
     def set(self, value: float, **labels) -> None:
         """Set the labelled gauge to ``value``."""
-        if not self._registry.enabled:
-            return
         gauge, key = self._listed(), _label_key(labels)
         gauge._readers.pop(key, None)
         gauge._values[key] = float(value)
@@ -207,39 +200,21 @@ class Gauge(Metric):
         mutation has to remember to publish. Registering again for the
         same label set replaces the reader, as :meth:`set` overwrites a
         value. The reader (and what it closes over) is held strongly
-        until replaced or the registry is reset. While the registry is
-        disabled nothing is evaluated and the series does not appear.
+        until replaced or the registry is reset.
         """
         key = _label_key(labels)
         self._values.pop(key, None)
         self._readers[key] = read
 
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        """Add ``amount`` to the labelled gauge."""
-        if not self._registry.enabled:
-            return
-        gauge, key = self._listed(), _label_key(labels)
-        if key in gauge._readers:
-            raise TelemetryError(
-                f"gauge {self.name!r}{{{_label_string(key)}}} is function-backed"
-            )
-        gauge._values[key] = gauge._values.get(key, 0.0) + float(amount)
-
-    def dec(self, amount: float = 1.0, **labels) -> None:
-        """Subtract ``amount`` from the labelled gauge."""
-        self.inc(-amount, **labels)
-
     def value(self, **labels) -> float:
         """Current gauge value for the label set (0 if never set)."""
         key = _label_key(labels)
-        if key in self._readers and self._registry.enabled:
+        if key in self._readers:
             return float(self._readers[key]())
         return self._values.get(key, 0.0)
 
     def label_keys(self) -> list[_LabelKey]:
         """The label sets that have a value right now (sorted)."""
-        if not self._registry.enabled:
-            return sorted(self._values)
         return sorted([*self._values, *self._readers])
 
     def snapshot(self) -> dict:
@@ -303,22 +278,12 @@ class Histogram(Metric):
         child.sum += value
         child.count += 1
 
-    def observe(self, value: float, **labels) -> None:
-        """Record one finite observation into the labelled histogram."""
-        if not self._registry.enabled:
-            return
-        if not -inf < value < inf:
-            raise _refused(self, value)
-        self._listed()._record(_label_key(labels), value)
-
     def labels(self, **fixed) -> "HistogramChild":
         """The series of one label set, to ``observe`` with no lookup per event."""
         return HistogramChild(self, _label_key(fixed))
 
     def observe_many(self, values: Iterable[float], **labels) -> None:
         """Record a whole array of finite observations (vectorised)."""
-        if not self._registry.enabled:
-            return
         array = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
                            dtype=np.float64).ravel()
         if array.size == 0:
@@ -368,10 +333,8 @@ class HistogramChild:
         self._key = key
 
     def observe(self, value: float) -> None:
-        """Record one finite observation; a no-op while the registry is disabled."""
+        """Record one finite observation."""
         histogram = self._histogram
-        if not histogram._registry.enabled:
-            return
         if not -inf < value < inf:
             raise _refused(histogram, value)
         self._histogram = histogram = histogram._listed()
@@ -387,17 +350,8 @@ class MetricsRegistry:
     the registry before building the owners it watches.
     """
 
-    def __init__(self, enabled: bool = True):
+    def __init__(self):
         self._metrics: dict[str, Metric] = {}
-        self.enabled = bool(enabled)
-
-    def enable(self) -> None:
-        """Turn recording on."""
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Turn recording off (instrumented paths become no-ops)."""
-        self.enabled = False
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Metric:
         metric = self._metrics.get(name)

@@ -26,7 +26,6 @@ from repro.tensor.layers import (
     MaxPool2D,
     ReLU,
     Sigmoid,
-    Tanh,
 )
 from repro.tensor.losses import Loss, MeanSquaredError, SoftmaxCrossEntropy
 from repro.tensor.metrics import f1_score
@@ -53,7 +52,6 @@ __all__ = [
     "Flatten",
     "ReLU",
     "Sigmoid",
-    "Tanh",
     "Dropout",
     "BatchNorm",
     "Loss",

@@ -36,7 +36,6 @@ __all__ = [
     "Flatten",
     "ReLU",
     "Sigmoid",
-    "Tanh",
     "Dropout",
     "BatchNorm",
 ]
@@ -366,25 +365,6 @@ class Sigmoid(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         assert self._out is not None, "backward requires a training-mode forward"
         return grad_out * self._out * (1.0 - self._out)
-
-
-class Tanh(Layer):
-    """Hyperbolic tangent."""
-
-    saved_for_backward = ("_out",)
-
-    def __init__(self, name: str | None = None):
-        super().__init__(name)
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = np.tanh(x)
-        self._out = out if training else None
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._out is not None, "backward requires a training-mode forward"
-        return grad_out * (1.0 - self._out**2)
 
 
 class Dropout(Layer):

@@ -25,16 +25,16 @@ class ArmStats:
     """Observed trial outcomes for one candidate model."""
 
     name: str
-    pulls: int = 0
     rewards: list[float] = field(default_factory=list)
+
+    @property
+    def pulls(self) -> int:
+        """Trials spent on this model: one reward each."""
+        return len(self.rewards)
 
     @property
     def mean_reward(self) -> float:
         return sum(self.rewards) / len(self.rewards) if self.rewards else 0.0
-
-    @property
-    def best_reward(self) -> float:
-        return max(self.rewards) if self.rewards else 0.0
 
 
 class UCBModelSelector:
@@ -76,17 +76,11 @@ class UCBModelSelector:
         """Record a finished trial's validation accuracy."""
         if model_name not in self.arms:
             raise ConfigurationError(f"unknown model {model_name!r}")
-        arm = self.arms[model_name]
-        arm.pulls += 1
-        arm.rewards.append(float(accuracy))
+        self.arms[model_name].rewards.append(float(accuracy))
 
     def allocation(self) -> dict[str, int]:
         """Trials spent per model so far."""
         return {name: arm.pulls for name, arm in self.arms.items()}
-
-    def best_model(self) -> str:
-        """The model with the best single trial seen so far."""
-        return max(self.arms.values(), key=lambda arm: arm.best_reward).name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(

@@ -354,7 +354,6 @@ class TestNamespace:
         fs = FileNamespace(BlockStore(nodes=1, replicas=1, chunk_size=4))
         manifest = fs.write("p", b"abcdefgh", writer="w0")
         assert manifest.version == 1
-        assert manifest.length == 8
         assert manifest.chunk_size == 4
         assert len(manifest.digests) == 2
         assert manifest.writer == "w0"
@@ -489,7 +488,6 @@ class TestReplication:
 
         manifest = fs.write("p", data, on_chunk=kill_two)
         assert fs.read("p") == data
-        assert manifest.length == len(data)
         audit = _audit(store)
         assert audit["lost"] == []
 

@@ -44,7 +44,6 @@ class TestUCBModelSelector:
             selector.report(model, true_means[model] + rng.normal(0, 0.03))
         allocation = selector.allocation()
         assert allocation["strong"] > 2 * allocation["weak"]
-        assert selector.best_model() == "strong"
 
     def test_under_performers_still_get_some_pulls(self):
         """UCB never fully starves an arm (exploration bonus grows)."""

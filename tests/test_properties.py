@@ -112,7 +112,7 @@ class TestSimulatorProperties:
         fired = []
         for delay in delays:
             sim.schedule(delay, lambda d=delay: fired.append(sim.now))
-        sim.run_all()
+        sim.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
 
@@ -127,7 +127,7 @@ class TestSimulatorProperties:
                 seen.append(sim.now)
 
         sim.spawn(proc())
-        sim.run_all()
+        sim.run()
         np.testing.assert_allclose(seen, np.cumsum(delays))
 
 

@@ -178,7 +178,7 @@ def test_checkpoint_state_merges_the_schedulers_share():
 
 def composed(backend, driver, seed=0, patience=10_000):
     halving = SuccessiveHalving(initial_trials=8, initial_epochs=2, eta=2,
-                                max_rungs=3, checkpoint_prefix="sh")
+                                max_rungs=3)
     conf = dataclasses.replace(
         halving.conf(), alpha0=0.6, alpha_decay=0.6, alpha_min=0.0, delta=0.005,
         early_stop_patience=patience,
@@ -224,11 +224,11 @@ class TestComposedCoStudyHalving:
         for result in by_budget[4] + by_budget[8]:
             assert result.trial.init_kind is InitKind.WARM_START
             prefix, _, parent_id = result.trial.init_key.rpartition("/")
-            assert prefix == "sh/trial" and int(parent_id) in finished_ids
+            assert prefix == "mix/trial" and int(parent_id) in finished_ids
             assert ps.has(result.trial.init_key)
         # CoStudy kept the shared best, halving every trial's own key
         assert ps.has("mix/best")
-        assert all(ps.has(f"sh/trial/{r.trial.trial_id}") for r in report.results)
+        assert all(ps.has(f"mix/trial/{r.trial.trial_id}") for r in report.results)
         assert report.total_epochs == 48
         assert [r.trial.trial_id for r in by_budget[8]] == [13, 14]
 

@@ -7,6 +7,7 @@ serving environment.
 
 import hashlib
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from repro.core.serve import (
     RLController,
     ServingMetrics,
     batch_reward,
-    mean_exceeding_time,
 )
 from repro.core.serve.metrics import DispatchRecord
 from repro.exceptions import ConfigurationError
@@ -53,9 +53,13 @@ class TestRewardHelpers:
         assert batch_reward(0.8, served=10, overdue=2, beta=0.0) == pytest.approx(8.0)
 
     def test_mean_exceeding_time(self):
-        latencies = np.array([0.4, 0.7, 1.0])
-        assert mean_exceeding_time(latencies, tau=0.5) == pytest.approx((0.2 + 0.5) / 3)
-        assert mean_exceeding_time(np.array([]), 0.5) == 0.0
+        """Equation 5 over the served requests, as the figures read it."""
+        metrics = ServingMetrics(tau=0.5)
+        assert metrics.mean_exceeding_time() == 0.0
+        batch = SimpleNamespace(latencies=[0.4, 0.7, 1.0], dispatched=1.0, take=3,
+                                overdue=2, batch_size=16, models=(0,))
+        metrics.record_batch(1.0, None, batch)
+        assert metrics.mean_exceeding_time() == pytest.approx((0.2 + 0.5) / 3)
 
 
 class TestConservation:

@@ -13,7 +13,7 @@ class TestScheduling:
         sim.schedule(2.0, order.append, "b")
         sim.schedule(1.0, order.append, "a")
         sim.schedule(3.0, order.append, "c")
-        sim.run_all()
+        sim.run()
         assert order == ["a", "b", "c"]
         assert sim.now == 3.0
 
@@ -22,21 +22,12 @@ class TestScheduling:
         order = []
         for tag in "abc":
             sim.schedule(1.0, order.append, tag)
-        sim.run_all()
+        sim.run()
         assert order == ["a", "b", "c"]
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ConfigurationError):
             Simulator().schedule(-1.0, lambda: None)
-
-    def test_cancel_prevents_execution(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(1.0, fired.append, 1)
-        handle.cancel()
-        sim.run_all()
-        assert fired == []
-        assert handle.cancelled
 
     def test_run_until_stops_clock(self):
         sim = Simulator()
@@ -71,7 +62,7 @@ class TestScheduling:
                 sim.schedule(1.0, chain, depth - 1)
 
         sim.schedule(0.0, chain, 3)
-        sim.run_all()
+        sim.run()
         assert times == [0.0, 1.0, 2.0, 3.0]
 
 
@@ -88,7 +79,7 @@ class TestProcesses:
             trace.append(sim.now)
 
         sim.spawn(proc())
-        sim.run_all()
+        sim.run()
         assert trace == [0.0, 2.5, 4.0]
 
     def test_process_waits_on_signal(self):
@@ -102,7 +93,7 @@ class TestProcesses:
 
         sim.spawn(waiter())
         sim.schedule(3.0, signal.fire, "payload")
-        sim.run_all()
+        sim.run()
         assert got == [(3.0, "payload")]
 
     def test_signal_wakes_all_waiters(self):
@@ -117,7 +108,7 @@ class TestProcesses:
         for tag in ("a", "b"):
             sim.spawn(waiter(tag))
         sim.schedule(1.0, signal.fire)
-        sim.run_all()
+        sim.run()
         assert sorted(woken) == ["a", "b"]
 
     def test_signal_fire_returns_waiter_count(self):
@@ -136,7 +127,7 @@ class TestProcesses:
 
         sim.spawn(proc())
         with pytest.raises(ConfigurationError, match="delay"):
-            sim.run_all()
+            sim.run()
 
     def test_two_processes_interleave(self):
         sim = Simulator()
@@ -149,7 +140,7 @@ class TestProcesses:
 
         sim.spawn(ticker("fast", 1.0))
         sim.spawn(ticker("slow", 2.0))
-        sim.run_all()
+        sim.run()
         # At the t=2.0 tie, "slow"'s resume event was scheduled first
         # (at t=0) so FIFO tie-breaking runs it before "fast"'s.
         assert trace == [

@@ -279,8 +279,7 @@ class TestUdfCallCounting:
                 db.execute("SELECT boom(i) FROM t", executor=executor)
         with pytest.raises(ValueError):
             db.udfs.call_batch("boom", [1, 2])
-        assert db.udfs.total_calls == 0
-        assert db.udfs.calls["boom"] == 0
+        assert db.udfs.calls == 0
 
 
 class TestDistinctArguments:

@@ -227,9 +227,8 @@ def run_differential(seed: int, queries: int, udf_cache: bool = True) -> dict:
             ("alpha", "beta", "empty")[int(rng.integers(3))]
         ]
         sql = generator.query()
-        calls_before = db.udfs.total_calls
         naive = db.execute(sql, executor="naive")
-        naive_calls = db.udfs.total_calls - calls_before
+        naive_calls = naive.udf_calls
         planned = db.execute(sql, executor="planned")
         assert planned.columns == naive.columns, sql
         assert planned.rows == naive.rows, sql

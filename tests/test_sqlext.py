@@ -183,7 +183,6 @@ class TestUdf:
     def test_udf_call_counters(self, db):
         db.udfs.register("f", lambda x: x)
         result = db.execute("SELECT f(age) FROM foodlog")
-        assert db.udfs.calls["f"] == 5
         assert result.udf_calls == 5
 
     def test_group_by_udf_alias(self, db):
@@ -214,12 +213,12 @@ class TestTokenizerProperties:
     def test_identifier_roundtrip(self, db):
         from hypothesis import given
         from hypothesis import strategies as st
-        from repro.sqlext.engine import _tokenize
+        from repro.sqlext.engine import _tokenize_spans
 
         @given(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,10}", fullmatch=True))
         def check(ident):
-            tokens = _tokenize(f"SELECT {ident} FROM t")
-            assert ("ident", ident) in tokens
+            tokens = _tokenize_spans(f"SELECT {ident} FROM t")
+            assert ("ident", ident) in [(kind, value) for kind, value, _ in tokens]
 
         check()
 
@@ -227,10 +226,11 @@ class TestTokenizerProperties:
         # The minus is its own operator token — the parser applies it
         # as unary minus, so a negative literal can never be confused
         # with a binary minus between two tokens.
-        from repro.sqlext.engine import _tokenize, parse_select
+        from repro.sqlext.engine import _tokenize_spans, parse_select
         from repro.sqlext.engine import Comparison, Literal
 
-        tokens = _tokenize("SELECT a FROM t WHERE x > -3.5")
+        tokens = [(kind, value) for kind, value, _ in
+                  _tokenize_spans("SELECT a FROM t WHERE x > -3.5")]
         assert ("op", "-") in tokens
         assert ("number", "3.5") in tokens
         assert ("number", "-3.5") not in tokens
@@ -240,9 +240,10 @@ class TestTokenizerProperties:
         )
 
     def test_string_with_doubled_quotes(self):
-        from repro.sqlext.engine import _tokenize
+        from repro.sqlext.engine import _tokenize_spans
 
-        tokens = _tokenize("SELECT a FROM t WHERE s = 'it''s'")
+        tokens = [(kind, value) for kind, value, _ in
+                  _tokenize_spans("SELECT a FROM t WHERE s = 'it''s'")]
         assert ("string", "'it''s'") in tokens
 
     def test_semicolon_stripped(self, db):

@@ -67,11 +67,10 @@ class TestRegistry:
         with pytest.raises(TelemetryError):
             counter.inc(-1)
 
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_set_overwrites(self):
         gauge = telemetry.get_registry().gauge("depth")
         gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(2)
+        gauge.set(13)
         assert gauge.value() == 13
 
     def test_get_or_create_returns_same_family(self):
@@ -83,17 +82,6 @@ class TestRegistry:
         registry.counter("thing")
         with pytest.raises(TelemetryError):
             registry.gauge("thing")
-
-    def test_disabled_registry_records_nothing(self):
-        registry = telemetry.get_registry()
-        registry.disable()
-        registry.counter("c_total").inc()
-        registry.gauge("g").set(9)
-        registry.histogram("h", buckets=(1.0,)).observe(0.5)
-        registry.enable()
-        assert registry.counter("c_total").value() == 0
-        assert registry.gauge("g").value() == 0
-        assert registry.histogram("h").child_state() == ([0, 0], 0.0, 0)
 
     def test_reset_drops_all_families(self):
         registry = telemetry.get_registry()
@@ -147,17 +135,6 @@ class TestCounterLabels:
         Counter("c_total", "C.", registry).labels(node="x").inc()
         assert registry.counter("c_total").value(node="x") == 2
 
-    def test_is_a_no_op_while_the_registry_is_disabled(self):
-        registry = telemetry.get_registry()
-        child = registry.counter("c_total").labels(route="/a")
-        owned = Counter("d_total", "D.", registry).labels()
-        registry.disable()
-        child.inc()
-        owned.inc()
-        registry.enable()
-        assert registry.counter("c_total").label_keys() == []
-        assert registry.get("d_total") is None
-
     def test_rejects_a_negative_amount(self):
         child = telemetry.get_registry().counter("c_total").labels(route="/a")
         with pytest.raises(TelemetryError):
@@ -166,22 +143,19 @@ class TestCounterLabels:
 
 
 class TestTheRecordAndTheSeriesPart:
-    """An owner's count is everything it ever counted, also while the
-    registry was disabled; the registry series holds only what was
-    recorded since the last reset. Each test records while disabled,
-    then enables, resets and records again."""
+    """An owner's count is everything it ever counted; the registry
+    series holds only what was recorded since the last reset. Each test
+    records, resets and records again."""
 
     def test_lru_cache(self):
         from repro.paramserver import LRUCache
 
         registry = telemetry.get_registry()
         cache = LRUCache(8, size_of=len, name="parted")
-        registry.disable()
         cache.put("a", b"1234")
         cache.get("a")
         cache.get("absent")
         cache.put("b", b"12345")  # evicts "a"
-        registry.enable()
         registry.reset()
         cache.get("b")
         cache.get("b")
@@ -199,13 +173,11 @@ class TestTheRecordAndTheSeriesPart:
 
         registry = telemetry.get_registry()
         store = BlockStore(nodes=3, replicas=2, chunk_size=4)
-        registry.disable()
         store.put(b"abcdabcd")  # one chunk stored, one dedup hit
         holder = next(node.name for node in store.nodes if node.chunks)
         store.kill_node(holder)  # its chunk is re-copied elsewhere
         store.rejoin_node(holder)  # and the stale copy reconciled away
         before = store.audit()
-        registry.enable()
         registry.reset()
         store.put(b"abcdabcdabcd")  # three dedup hits
         after = store.audit()
@@ -227,14 +199,12 @@ class TestTheRecordAndTheSeriesPart:
         from repro.paramserver import ParameterServer
 
         registry = telemetry.get_registry()
-        registry.disable()
         conf, ps = HyperConf(max_trials=4, max_epochs_per_trial=5), ParameterServer()
         advisor = RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(0))
         master = CoStudyMaster("s", conf, advisor, ps, rng=np.random.default_rng(0))
         run_study(master, make_workers(master, SurrogateTrainer(seed=0), ps, conf, 2))
         (costudy,) = master.schedulers
         before = costudy.checkpoint_state()
-        registry.enable()
         registry.reset()
         for _ in range(3):
             costudy.on_trial_add(Trial({}))
@@ -255,8 +225,8 @@ class TestTheRecordAndTheSeriesPart:
 class TestNonFiniteValuesAreRefused:
     """Regression: a counter took NaN and infinity (``amount < 0`` passes
     both) and read NaN from then on; a histogram filed NaN in its first
-    bucket through ``observe`` and in ``+Inf`` through ``observe_many``,
-    and both poisoned its sum."""
+    bucket through a child's ``observe`` and in ``+Inf`` through
+    ``observe_many``, and both poisoned its sum."""
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_by_a_counter_and_its_children(self, value):
@@ -275,8 +245,8 @@ class TestNonFiniteValuesAreRefused:
         registry = telemetry.get_registry()
         histogram = registry.histogram("h", buckets=(1.0, 2.0))
         owned = Histogram("owned", "O.", registry, buckets=(1.0,))
-        for record in (histogram.observe, histogram.labels(route="/a").observe,
-                       owned.labels().observe, owned.observe):
+        for record in (histogram.labels().observe, histogram.labels(route="/a").observe,
+                       owned.labels().observe):
             with pytest.raises(TelemetryError):
                 record(value)
         for many in (histogram.observe_many, owned.observe_many):
@@ -290,7 +260,7 @@ class TestHistogramLabels:
         histogram = telemetry.get_registry().histogram("h_seconds", buckets=(1.0, 2.0))
         child = histogram.labels(route="/a", method="GET")
         child.observe(0.5)
-        histogram.observe(1.5, method="GET", route="/a")
+        histogram.observe_many([1.5], method="GET", route="/a")
         child.observe(3)
         assert histogram.child_state(route="/a", method="GET") == ([1, 1, 1], 5.0, 3)
         assert histogram.label_keys() == [(("method", "GET"), ("route", "/a"))]
@@ -314,17 +284,6 @@ class TestHistogramLabels:
         # a second owner's family records into the one already listed
         Histogram("h_seconds", "H.", registry, buckets=(1.0,)).observe_many([3.0], node="x")
         assert registry.histogram("h_seconds").child_state(node="x") == ([1, 2], 5.5, 3)
-
-    def test_is_a_no_op_while_the_registry_is_disabled(self):
-        registry = telemetry.get_registry()
-        child = registry.histogram("h_seconds").labels(route="/a")
-        owned = Histogram("g_seconds", "G.", registry).labels()
-        registry.disable()
-        child.observe(1)
-        owned.observe(1)
-        registry.enable()
-        assert registry.histogram("h_seconds").label_keys() == []
-        assert registry.get("g_seconds") is None
 
 
 class TestOwnerBuiltGauge:
@@ -361,9 +320,11 @@ def test_src_looks_up_only_the_allowed_families_per_event():
 
 
 def test_src_writes_no_state_that_nothing_reads():
-    """Every attribute ``src/`` writes is read outside the tests. Three
-    exception fields stay, nothing or only tests reading them: they are
-    part of an error a caller catches, and its message is built from each."""
+    """Every attribute ``src/`` writes (dataclass fields included) is read
+    outside the tests. Three exception fields stay, nothing or only tests
+    reading them: they are part of an error a caller catches, and its
+    message is built from each. ``JobRecord.pending_reason`` stays too: it
+    is why a job is still pending, which the tracer is to report."""
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("tally", root / "tools" / "tally.py")
     tally = importlib.util.module_from_spec(spec)
@@ -373,7 +334,10 @@ def test_src_writes_no_state_that_nothing_reads():
             "repro/exceptions.py:QuotaExceededError.used",
             "repro/exceptions.py:QuotaExceededError.requested",
         ],
-        ["repro/exceptions.py:RetryExhaustedError.attempts"],
+        [
+            "repro/cluster/manager.py:JobRecord.pending_reason",
+            "repro/exceptions.py:RetryExhaustedError.attempts",
+        ],
     )
 
 
@@ -401,8 +365,6 @@ class TestGaugeSetFunction:
         gauge.set(7)
         gauge.set_function(lambda: 8)
         assert gauge.snapshot() == {"": 8.0}
-        with pytest.raises(TelemetryError):
-            gauge.inc()
         gauge.set(9)
         assert gauge.snapshot() == {"": 9.0}
 
@@ -412,20 +374,6 @@ class TestGaugeSetFunction:
         registry.reset()
         assert registry.metrics() == []
         assert registry.gauge("depth").label_keys() == []
-
-    def test_disabled_registry_evaluates_nothing(self):
-        calls = []
-        registry = telemetry.get_registry()
-        gauge = registry.gauge("depth")
-        gauge.set_function(lambda: calls.append(1) or 6)
-        registry.disable()
-        assert gauge.value() == 0
-        assert gauge.label_keys() == []
-        assert snapshot(registry)["gauges"]["depth"]["values"] == {}
-        assert "depth 6" not in render_prometheus(registry)
-        assert calls == []
-        registry.enable()
-        assert gauge.value() == 6
 
     def test_exposition_is_byte_equal_to_the_same_value_set(self):
         pushed, read = MetricsRegistry(), MetricsRegistry()
@@ -804,9 +752,8 @@ class TestHistogramBuckets:
     def test_boundary_value_lands_in_its_bucket(self):
         # Prometheus le-semantics: a bucket with bound b counts values <= b.
         hist = self._hist()
-        hist.observe(0.1)
-        hist.observe(1.0)
-        hist.observe(10.0)
+        for value in (0.1, 1.0, 10.0):
+            hist.labels().observe(value)
         counts, total, count = hist.child_state()
         assert counts == [1, 1, 1, 0]
         assert total == pytest.approx(11.1)
@@ -814,14 +761,14 @@ class TestHistogramBuckets:
 
     def test_above_max_bound_goes_to_inf(self):
         hist = self._hist()
-        hist.observe(10.000001)
-        hist.observe(1e9)
+        hist.labels().observe(10.000001)
+        hist.labels().observe(1e9)
         assert hist.child_state()[0] == [0, 0, 0, 2]
 
     def test_below_min_bound_goes_to_first_bucket(self):
         hist = self._hist()
-        hist.observe(0.0)
-        hist.observe(-5.0)
+        hist.labels().observe(0.0)
+        hist.labels().observe(-5.0)
         assert hist.child_state()[0] == [2, 0, 0, 0]
 
     def test_observe_many_matches_repeated_observe(self):
@@ -830,7 +777,7 @@ class TestHistogramBuckets:
         one = registry.histogram("one", buckets=self.BOUNDS)
         many = registry.histogram("many", buckets=self.BOUNDS)
         for v in values:
-            one.observe(v)
+            one.labels().observe(v)
         many.observe_many(np.asarray(values))
         assert one.child_state() == many.child_state()
 
@@ -935,9 +882,8 @@ def _golden_registry() -> MetricsRegistry:
     registry.gauge("repro_demo_depth", "Demo queue depth.").set(3)
     hist = registry.histogram("repro_demo_seconds", "Demo latency.",
                               buckets=(0.1, 1.0))
-    hist.observe(0.05)
-    hist.observe(0.5)
-    hist.observe(2.0)
+    for value in (0.05, 0.5, 2.0):
+        hist.labels().observe(value)
     return registry
 
 

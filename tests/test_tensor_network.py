@@ -171,18 +171,18 @@ class TestBuffers:
 
 
 def _net(name, rng):
-    from repro.tensor import Sigmoid, Tanh
+    from repro.tensor import Sigmoid
     from repro.zoo.builders import BUILDERS
 
-    if name == "tanh-sigmoid":  # the activations no zoo builder uses
+    if name == "sigmoid":  # the activation no zoo builder uses
         return Network(
-            [Flatten(name="f"), Dense(8, name="d1"), Tanh(name="t"),
+            [Flatten(name="f"), Dense(8, name="d1"), Sigmoid(name="t"),
              Dense(5, name="d2"), Sigmoid(name="s")]
         ).build((3, 8, 8), rng)
     return BUILDERS[name]((3, 8, 8), 5, rng)
 
 
-NETS = ["snoek8", "vgg-mini", "resnet-mini", "squeeze-mini", "mlp", "tanh-sigmoid"]
+NETS = ["snoek8", "vgg-mini", "resnet-mini", "squeeze-mini", "mlp", "sigmoid"]
 
 
 def _retained_bytes(net) -> int:

@@ -45,7 +45,9 @@ left out: a field whose name ``src/`` assigns, or mutates in place
 (``append``, ``[k] = ...``), outside ``__init__``/``__post_init__`` is a
 record or a counter, not a setting.
 A sixth list is the state nothing reads: each attribute a class in
-``src/`` assigns on ``self`` (``+=`` included) whose name no ``.py`` file
+``src/`` assigns on ``self`` (``+=`` included), and each field of a
+dataclass (whoever writes it, its generated ``__init__`` included), whose
+name no ``.py`` file
 under ``src/``, ``benchmarks/``, ``examples/`` or ``tools/`` reads, as an
 attribute of anything or as a string constant (``getattr``), split into
 the attributes nothing reads and those only ``tests/`` read.
@@ -517,15 +519,25 @@ def unset_fields() -> tuple[list[str], list[str]]:
 
 def written_attributes(path: Path) -> dict[str, str]:
     """``attribute -> Class`` of each ``self.<attribute>`` a class in
-    ``path`` assigns."""
-    return {
-        node.attr: cls.name
-        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(cls, ast.ClassDef)
-        for node in ast.walk(cls)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-        and getattr(node.value, "id", None) == "self"
-    }
+    ``path`` assigns, and of each field of a dataclass in ``path`` (its
+    generated ``__init__`` writes them all)."""
+    written = {}
+    for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if _is_dataclass(cls)[0]:
+            written.update(
+                (item.target.id, cls.name) for item in cls.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                and "ClassVar" not in ast.unparse(item.annotation)
+                and not ast.unparse(item.annotation).endswith("KW_ONLY")
+            )
+        written.update(
+            (node.attr, cls.name) for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) == "self"
+        )
+    return written
 
 
 def read_names(path: Path) -> set[str]:
