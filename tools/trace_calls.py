@@ -23,7 +23,8 @@ say) still counts what it reached; its exit status is printed.
 prints each run's status, the never-called defs by qualified name and
 the totals; ``--json`` also writes ``{"defs", "reached", "never"}``
 (qualified names) for diffing two trees. ``--run`` picks runs by name
-(``--list`` prints them). Takes tens of minutes for the whole list.
+(``--list`` prints them). The whole list takes about five minutes at
+``--jobs 2`` on a 2-core machine.
 """
 
 from __future__ import annotations
