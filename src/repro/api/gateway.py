@@ -5,20 +5,23 @@ monitoring, prediction queries). Bodies are JSON objects; an image is
 nested lists or, as in Figure 2, the caller's array, taken exactly as
 its ``tolist()``. There is no socket — ``handle`` is called directly —
 so nothing is encoded: a body is checked to be what ``json.dumps`` would
-accept (400 otherwise) and handed to the handler, which neither mutates
-nor keeps it; an answer is rebuilt in one walk as the plain values a
-JSON round trip gives, so a caller never holds the system's own state.
+accept (400 otherwise), and an answer is rebuilt in one walk as the
+plain values a JSON round trip gives.
+
+Each route declares its body once, as ``(field, converter, default)``
+rows (``Gateway._bodies``), and the router reads the body by them: a
+missing required field or a refused value is a 400 naming the field,
+``null`` is absent where the default is ``None``, other fields are
+ignored. Handlers take the typed values as keywords, never the body.
 
 ``handle`` and ``handle_async`` share one request pipeline
-(``Gateway._request``): route match, body check (400), tenant resolve
-(403), error mapping, response serialisation and the per-route
-telemetry happen there once. The two differ only in how the matched
-handler runs. ``handle`` calls it behind the ``gateway.dispatch`` fault
-point. ``handle_async`` does the same except for a query whose job has
-an attached :class:`~repro.core.serve.frontend.AsyncServeFrontend`:
-that one awaits ``frontend.submit`` — admission control and SLO-aware
-batching, so concurrent callers share hardware batches — and an
-admission refusal surfaces as HTTP 429 with a ``retry_after`` hint.
+(``Gateway._request``): body check (400), route match, tenant check
+(403), body table (400), error mapping, serialisation and per-route
+telemetry; a new tenant is registered only once a handler runs. The
+two differ in one case: ``handle_async`` awaits ``frontend.submit`` for
+a query whose job has an attached
+:class:`~repro.core.serve.frontend.AsyncServeFrontend` (admission
+control and SLO-aware batching; a refusal is a 429 with ``retry_after``).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro import chaos, telemetry
 from repro.core.system import ModelSpec, Rafiki
 from repro.core.tune import HyperConf
 from repro.exceptions import (
+    ConfigurationError,
     DatasetNotFoundError,
     DroppedResponse,
     GatewayError,
@@ -56,8 +60,7 @@ from repro.tensor import default_dtype
 __all__ = ["Gateway", "Response", "make_query_executor"]
 
 #: exception types that mean "the referenced resource does not exist"
-#: and map to 404. Every other KeyError a handler leaks comes from a
-#: malformed request body (a missing field) and maps to 400.
+#: and map to 404.
 _NOT_FOUND_ERRORS = (
     JobNotFoundError,
     DatasetNotFoundError,
@@ -87,16 +90,123 @@ class _Call:
     """One request on its way through :meth:`Gateway._request`."""
 
     tenant: str
-    payload: Any
     #: the matched route; ``handler`` is ``None`` when the request is
     #: already answered (bad body, refused tenant, no such route).
     route: str = "(unmatched)"
     handler: Callable | None = None
     params: dict[str, str] = field(default_factory=dict)
+    #: the body as its route's table read it: the handler's keywords.
+    fields: dict[str, Any] = field(default_factory=dict)
     #: what the handler returned, set by the caller of ``_request``.
     result: Any = None
     injected_latency: float = 0.0
     response: Response | None = None
+
+
+# ----------------------------------------------------------------------
+# body tables
+# ----------------------------------------------------------------------
+
+#: the default of a field the body must carry.
+_REQUIRED = object()
+
+
+def _parse(table: tuple, body: dict, where: str = "") -> dict[str, Any]:
+    """The fields ``table``'s ``(field, converter, default)`` rows declare,
+    read off ``body``, or 400: an absent field takes its default (missing
+    from ``where`` if ``_REQUIRED``), ``null`` is absent where the default
+    is ``None`` and goes to the converter elsewhere, and a value that is
+    the default itself needs no conversion."""
+    fields = {}
+    for name, convert, default in table:
+        value = body.get(name, default)
+        if value is not default:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError, OverflowError, ConfigurationError) as exc:
+                raise GatewayError(f"field {name!r} is invalid: {exc}") from exc
+        elif value is _REQUIRED:
+            raise GatewayError(f"{where} requires {name!r}")
+        fields[name] = value
+    return fields
+
+
+def _string(value: Any) -> str:
+    """``value`` when it is a string, else a ``TypeError``."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _integer(value: Any) -> int:
+    """``value`` as an int when it is a JSON integer (``2.0`` included),
+    else a ``TypeError`` or ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    number = int(value)  # infinity and NaN refused in int()'s words
+    if number != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return number
+
+
+def _number(value: Any) -> float:
+    """``value`` as a float when it is a finite JSON number (not a
+    boolean), else a ``TypeError`` or ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _boolean(value: Any) -> bool:
+    """``value`` when it is a JSON boolean, else a ``TypeError``."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a boolean, got {type(value).__name__}")
+    return value
+
+
+def _shape(value: Any) -> tuple[int, ...]:
+    """A list of integers as a shape tuple, else a ``TypeError`` or ``ValueError``."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list of integers, got {type(value).__name__}")
+    return tuple(map(_integer, value))
+
+
+def _image(value: Any) -> Any:
+    """``value`` unless it is ``null``; the handler decodes it for its job."""
+    if value is None:
+        raise TypeError("expected an image, got null")
+    return value
+
+
+#: one deployed model of ``POST /inference``: the fields of a :class:`ModelSpec`.
+_MODEL_FIELDS = (
+    ("model_name", _string, _REQUIRED),
+    ("param_key", _string, _REQUIRED),
+    ("performance", _number, 0.0),
+    ("task", _string, ""),
+    ("dataset", _string, ""),
+)
+
+
+def _models(value: Any) -> list[ModelSpec]:
+    """A non-empty list of model objects, each read by ``_MODEL_FIELDS``."""
+    if not (isinstance(value, (list, tuple)) and value
+            and all(isinstance(model, dict) for model in value)):
+        raise TypeError("expected a non-empty list of objects")
+    return [ModelSpec(**_parse(_MODEL_FIELDS, model, "every model")) for model in value]
+
+
+#: :class:`HyperConf`'s fields as table rows, typed by their annotations.
+_HYPER_FIELDS = tuple(
+    (f.name, {"int": _integer, "float": _number}[f.type.removesuffix(" | None")], f.default)
+    for f in dataclasses.fields(HyperConf)
+)
+
+#: the tenant a body may name, on any route; a header takes precedence.
+_TENANT_FIELD = (("tenant", _string, None),)
 
 
 class Gateway:
@@ -126,7 +236,8 @@ class Gateway:
         histogram. The tenant comes from the ``tenant`` argument (an
         HTTP gateway would read a header), falling back to a
         ``"tenant"`` body field, then to the default tenant; unknown or
-        suspended tenants get 403 before any handler runs.
+        suspended tenants get 403 before the body is read or any
+        handler runs.
         """
         with self._request(method, path, body, tenant) as call:
             if call.handler is not None:
@@ -139,12 +250,12 @@ class Gateway:
     ) -> Iterator[_Call]:
         """The request pipeline both entry points run a handler inside.
 
-        Before the block: match the route, check the body, resolve the
-        tenant. The block runs ``call.handler`` (if the request is not
-        answered yet) and leaves its return value in ``call.result``.
-        After it: map a raised exception to its status, serialise the
-        result, count the request and time it; ``call.response`` is the
-        answer.
+        Before the block: check the body, match the route, check the
+        tenant, read the body by the route's table. The block runs
+        ``call.handler`` (if the request is not answered yet) and leaves
+        its return value in ``call.result``. After it: map a raised
+        exception to its status, serialise the result, count the request
+        and time it; ``call.response`` is the answer.
         """
         clock = telemetry.get_clock()
         start = clock.now()
@@ -152,9 +263,9 @@ class Gateway:
         response = None
         try:
             payload = _json_object(body)
-            call = _Call(self._resolve_tenant_name(tenant, payload), payload)
+            call = _Call(self._resolve_tenant_name(tenant, payload))
         except GatewayError as exc:
-            call = _Call(self._resolve_tenant_name(tenant, None), None)
+            payload, call = None, _Call(self._resolve_tenant_name(tenant, None))
             response = Response(400, {"error": str(exc)})
         matched = None
         for route_method, pattern, handler, name in self._routes:
@@ -164,15 +275,17 @@ class Gateway:
                     matched = handler
                     call.route, call.params = name, match.groupdict()
                     break
-        if response is None:
-            try:
-                self.system.tenants.resolve(call.tenant)
-            except TenantAccessError as exc:
-                response = self._error_response(exc)
-        if response is None and matched is None:
-            response = Response(404, {"error": f"no route for {method} {path}"})
-        if response is None:
-            call.handler = matched
+        try:
+            if response is None:
+                self.system.tenants.authorise(call.tenant)
+                if matched is None:
+                    response = Response(404, {"error": f"no route for {method} {path}"})
+                else:
+                    call.fields = _parse(
+                        self._bodies.get(matched, ()), payload, f"{method} {call.route}")
+                    call.handler = matched
+        except (TenantAccessError, GatewayError) as exc:
+            response = self._error_response(exc)
         try:
             yield call
             if response is None:
@@ -206,11 +319,12 @@ class Gateway:
         # crashes (503) or whose response is lost (504); either way the
         # gateway answers instead of crashing the server loop.
         call.injected_latency = chaos.fire("gateway.dispatch")
+        self.system.tenants.resolve(call.tenant)  # the request is served: register
         with tenant_context(call.tenant):
-            call.result = call.handler(self, call.payload, **call.params)
+            call.result = call.handler(self, **call.fields, **call.params)
 
     @staticmethod
-    def _resolve_tenant_name(tenant: str | None, payload: Any) -> str:
+    def _resolve_tenant_name(tenant: str | None, payload: dict | None) -> str:
         """Explicit argument (header) > body field > default tenant.
 
         A body ``"tenant"`` that is not a string is the client's error,
@@ -218,12 +332,9 @@ class Gateway:
         """
         if tenant:
             return str(tenant)
-        named = payload.get("tenant") if isinstance(payload, dict) else None
-        if named is not None and not isinstance(named, str):
-            raise GatewayError(
-                f"field 'tenant' is invalid: expected a string, got {type(named).__name__}"
-            )
-        return named or DEFAULT_TENANT
+        if payload:
+            tenant = _parse(_TENANT_FIELD, payload)["tenant"]
+        return tenant or DEFAULT_TENANT
 
     @staticmethod
     def _error_response(exc: Exception) -> Response | None:
@@ -266,11 +377,6 @@ class Gateway:
             return Response(400, {"error": str(exc)})
         if isinstance(exc, _NOT_FOUND_ERRORS):
             return Response(404, {"error": f"not found: {exc}"})
-        if isinstance(exc, KeyError):
-            # A bare KeyError is a handler indexing into the request
-            # body: the client's fault, not a missing resource — 400,
-            # never 404.
-            return Response(400, {"error": f"missing field: {exc}"})
         if isinstance(exc, RafikiError):
             return Response(400, {"error": str(exc)})
         return None
@@ -316,11 +422,10 @@ class Gateway:
             if frontend is not None:
                 # Checked before submit: a malformed image must not take
                 # a queue slot or a rate-limit token.
-                image = self._query_image(
-                    call.payload, call.params["job_id"], batch=False
-                )
-                if image is call.payload["img"]:  # queued beyond this call
+                image = self._query_image(call.fields, call.params["job_id"], batch=False)
+                if image is call.fields["img"]:  # queued beyond this call
                     image = image.copy()
+                self.system.tenants.resolve(call.tenant)  # the request is served: register
                 call.result = await frontend.submit(
                     image, client_id=client_id, tenant=call.tenant
                 )
@@ -342,14 +447,11 @@ class Gateway:
             return Response(500, {"error": f"handler result not serialisable: {exc}"})
 
     # ------------------------------------------------------------------
-    # handlers
+    # handlers: the fields of their route's body table, as keywords
     # ------------------------------------------------------------------
 
-    def _post_dataset(self, body: dict) -> dict:
-        if "directory" not in body:
-            raise GatewayError("POST /datasets requires 'directory'")
-        name = None if body.get("name") is None else _field(body, "name", _string)
-        handle = self.system.import_images(_field(body, "directory", _string), name=name)
+    def _post_dataset(self, directory: str, name: str | None) -> dict:
+        handle = self.system.import_images(directory, name=name)
         return {
             "name": handle.name,
             "num_examples": handle.num_examples,
@@ -357,58 +459,32 @@ class Gateway:
             "image_shape": list(handle.image_shape),
         }
 
-    def _list_datasets(self, body: dict) -> dict:
+    def _list_datasets(self) -> dict:
         return {"datasets": self.system.store.list_datasets()}
 
-    def _post_train(self, body: dict) -> dict:
-        for required in ("name", "task", "dataset"):
-            if required not in body:
-                raise GatewayError(f"POST /train requires {required!r}")
-        hyper = self._parse_hyper(body.get("hyper", {}))
-        job_id = self.system.create_train_job(
-            name=_field(body, "name", _string),
-            task=_field(body, "task", _string),
-            dataset=_field(body, "dataset", _string),
-            hyper=hyper,
-            input_shape=_field(body, "input_shape", tuple),
-            output_shape=_field(body, "output_shape", tuple),
-            num_models=_field(body, "num_models", _integer, 2),
-            num_workers=_field(body, "num_workers", _integer, 2),
-            advisor=_field(body, "advisor", _string, "bayesian"),
-            collaborative=_field(body, "collaborative", _boolean, True),
-            tenant=current_tenant(),
-            priority=_field(body, "priority", _integer, 0),
-        )
-        return {"job_id": job_id}
+    def _post_train(self, **fields) -> dict:
+        return {"job_id": self.system.create_train_job(**fields, tenant=current_tenant())}
 
     @staticmethod
-    def _parse_hyper(hyper_kwargs: Any) -> HyperConf | None:
-        """Validate a request's ``hyper`` object into a :class:`HyperConf`.
+    def _parse_hyper(value: Any) -> HyperConf | None:
+        """A request's ``hyper`` object as a :class:`HyperConf`, ``{}`` as none.
 
-        Malformed bodies (wrong type, unknown fields, bad values) are a
-        *client* error and must answer 400 — a bare
-        ``HyperConf(**kwargs)`` would leak ``TypeError`` out of the
-        gateway and crash the caller instead.
+        Its fields are :class:`HyperConf`'s own, typed by their
+        annotations; an unknown field, or anything but an object, is
+        refused.
         """
-        if not hyper_kwargs:
-            return None
-        if not isinstance(hyper_kwargs, dict):
-            raise GatewayError(
-                f"'hyper' must be an object, got {type(hyper_kwargs).__name__}"
-            )
-        valid = {f.name for f in dataclasses.fields(HyperConf)}
-        unknown = sorted(str(key) for key in hyper_kwargs if key not in valid)
+        if not isinstance(value, dict):
+            raise TypeError(f"must be an object, got {type(value).__name__}")
+        valid = [name for name, _, _ in _HYPER_FIELDS]
+        unknown = sorted(str(key) for key in value if key not in valid)
         if unknown:
-            raise GatewayError(
+            raise ValueError(
                 f"unknown hyper field(s): {', '.join(unknown)}; "
                 f"valid fields: {', '.join(sorted(valid))}"
             )
-        try:
-            return HyperConf(**hyper_kwargs)
-        except (TypeError, ValueError) as exc:
-            raise GatewayError(f"invalid 'hyper' configuration: {exc}") from exc
+        return HyperConf(**_parse(_HYPER_FIELDS, value)) if value else None
 
-    def _get_train(self, body: dict, job_id: str) -> dict:
+    def _get_train(self, job_id: str) -> dict:
         info = self.system.get_train_job(job_id)
         return {
             "job_id": info.job_id,
@@ -420,51 +496,13 @@ class Gateway:
             "best_performance": info.best_performance,
         }
 
-    def _get_models(self, body: dict, job_id: str) -> dict:
-        specs = self.system.get_models(job_id)
-        return {
-            "models": [
-                {
-                    "model_name": s.model_name,
-                    "param_key": s.param_key,
-                    "performance": s.performance,
-                    "task": s.task,
-                    "dataset": s.dataset,
-                }
-                for s in specs
-            ]
-        }
+    def _get_models(self, job_id: str) -> dict:
+        return {"models": [dataclasses.asdict(s) for s in self.system.get_models(job_id)]}
 
-    def _post_inference(self, body: dict) -> dict:
-        models = body.get("models")
-        if not models or not isinstance(models, (list, tuple)) or not all(
-            isinstance(m, dict) for m in models
-        ):
-            raise GatewayError("POST /inference requires a non-empty 'models' list of objects")
-        for m in models:
-            for required in ("model_name", "param_key"):
-                if required not in m:
-                    raise GatewayError(f"POST /inference requires {required!r} in every model")
-        specs = [
-            ModelSpec(
-                model_name=_field(m, "model_name", _string),
-                param_key=_field(m, "param_key", _string),
-                performance=_field(m, "performance", _number, 0.0),
-                task=_field(m, "task", _string, ""),
-                dataset=_field(m, "dataset", _string, ""),
-            )
-            for m in models
-        ]
-        dataset = None if body.get("dataset") is None else _field(body, "dataset", _string)
-        job_id = self.system.create_inference_job(
-            specs,
-            dataset=dataset,
-            tenant=current_tenant(),
-            priority=_field(body, "priority", _integer, 0),
-        )
-        return {"job_id": job_id}
+    def _post_inference(self, **fields) -> dict:
+        return {"job_id": self.system.create_inference_job(**fields, tenant=current_tenant())}
 
-    def _get_inference(self, body: dict, job_id: str) -> dict:
+    def _get_inference(self, job_id: str) -> dict:
         info = self.system.get_inference_job(job_id)
         return {
             "job_id": info.job_id,
@@ -473,24 +511,23 @@ class Gateway:
             "queries_served": info.queries_served,
         }
 
-    def _redeploy_inference(self, body: dict, job_id: str) -> dict:
+    def _redeploy_inference(self, job_id: str) -> dict:
         return self.system.redeploy_inference_job(job_id)
 
-    def _stop_inference(self, body: dict, job_id: str) -> dict:
+    def _stop_inference(self, job_id: str) -> dict:
         self.system.stop_inference_job(job_id)
         return {"job_id": job_id, "status": "stopped"}
 
-    def _post_query(self, body: dict, job_id: str) -> dict:
-        return self.system.query(job_id, self._query_image(body, job_id))
+    def _post_query(self, job_id: str, **fields) -> dict:
+        return self.system.query(job_id, self._query_image(fields, job_id))
 
-    def _query_image(self, body: Any, job_id: str, batch: bool = True) -> np.ndarray:
-        """The image a ``POST /query`` body carries, checked, or 400."""
-        if "img" not in body:
-            raise GatewayError("POST /query requires 'img'")
+    def _query_image(self, fields: dict, job_id: str, batch: bool = True) -> np.ndarray:
+        """The image of a ``POST /query`` body, read by its table, decoded
+        for the job, or 400."""
         expected = self.system.get_inference_job(job_id).image_shape
-        return _parse_image(body["img"], expected, batch)
+        return _parse_image(fields["img"], expected, batch)
 
-    def _get_dashboard(self, body: dict) -> dict:
+    def _get_dashboard(self) -> dict:
         from repro.api.monitor import dashboard_data
 
         return dashboard_data(self.system)
@@ -518,6 +555,24 @@ class Gateway:
          "/query/{job_id}"),
         ("GET", re.compile(r"^/dashboard$"), _get_dashboard, "/dashboard"),
     )
+
+    #: handler -> its body table of ``(field, converter, default)`` rows;
+    #: a route not named here reads nothing from its body.
+    _bodies: dict[Callable, tuple] = {
+        _post_dataset: (("directory", _string, _REQUIRED), ("name", _string, None)),
+        _post_train: (
+            ("name", _string, _REQUIRED), ("task", _string, _REQUIRED),
+            ("dataset", _string, _REQUIRED), ("hyper", _parse_hyper, None),
+            ("input_shape", _shape, None), ("output_shape", _shape, None),
+            ("num_models", _integer, 2), ("num_workers", _integer, 2),
+            ("advisor", _string, "bayesian"), ("collaborative", _boolean, True),
+            ("priority", _integer, 0),
+        ),
+        _post_inference: (
+            ("models", _models, _REQUIRED), ("dataset", _string, None), ("priority", _integer, 0),
+        ),
+        _post_query: (("img", _image, _REQUIRED),),
+    }
 
 
 def _json_object(body: Any) -> dict:
@@ -665,53 +720,6 @@ def _plain_key(key: Any) -> str:
     name = kind.__name__ if kind.__module__ == "builtins" or kind.__flags__ & 512 else (
         f"{kind.__module__}.{kind.__name__}")
     raise TypeError(f"keys must be str, int, float, bool or None, not {name}")
-
-
-def _field(body: dict, name: str, convert: Callable[[Any], Any], default: Any = None) -> Any:
-    """``convert(body[name])``, or ``default`` when the field is absent.
-
-    A value the conversion refuses is the client's error, a 400 naming
-    the field, not a ``TypeError`` or ``ValueError`` out of the handler.
-    """
-    if name not in body:
-        return default
-    try:
-        return convert(body[name])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise GatewayError(f"field {name!r} is invalid: {exc}") from exc
-
-
-def _string(value: Any) -> str:
-    """``value`` when it is a string, else a ``TypeError`` for :func:`_field`."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _integer(value: Any) -> int:
-    """``value`` as an int when it is a JSON integer (``2.0`` included),
-    else a ``TypeError`` or ``ValueError`` for :func:`_field`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected an integer, got {type(value).__name__}")
-    number = int(value)  # infinity and NaN refused in int()'s words
-    if number != value:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return number
-
-
-def _number(value: Any) -> float:
-    """``value`` as a float when it is a JSON number, else a ``TypeError``
-    for :func:`_field`: a string or a boolean is not a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {type(value).__name__}")
-    return float(value)
-
-
-def _boolean(value: Any) -> bool:
-    """``value`` when it is a JSON boolean, else a ``TypeError`` for :func:`_field`."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected a boolean, got {type(value).__name__}")
-    return value
 
 
 def _parse_image(raw: Any, expected: tuple[int, ...], batch: bool = False) -> np.ndarray:

@@ -84,15 +84,9 @@ def import_images(
         # In-memory datasets skip the gateway (they are not file paths).
         handle = gateway.system.import_images(source, name=name)
         return handle.name
-    body = _unwrap(
-        gateway.handle(
-            "POST",
-            "/datasets",
-            {"directory": source, "name": name},
-            tenant=_effective_tenant(tenant),
-        )
-    )
-    return body["name"]
+    body = {"directory": source, "name": name}
+    reply = _unwrap(gateway.handle("POST", "/datasets", body, tenant=_effective_tenant(tenant)))
+    return reply["name"]
 
 
 class Train:
@@ -128,36 +122,22 @@ class Train:
 
     def run(self) -> str:
         """Submit the job; returns the job id used for monitoring."""
-        body: dict[str, Any] = {
-            "name": self.name,
-            "task": self.task,
-            "dataset": self.data,
-            "num_models": self.num_models,
-            "num_workers": self.num_workers,
-            "advisor": self.advisor,
-            "collaborative": self.collaborative,
+        body = {
+            "name": self.name, "task": self.task, "dataset": self.data,
+            "input_shape": self.input_shape, "output_shape": self.output_shape,
+            "hyper": None if self.hyper is None else dataclasses.asdict(self.hyper),
+            "num_models": self.num_models, "num_workers": self.num_workers,
+            "advisor": self.advisor, "collaborative": self.collaborative,
             "priority": self.priority,
         }
-        if self.input_shape is not None:
-            body["input_shape"] = list(self.input_shape)
-        if self.output_shape is not None:
-            body["output_shape"] = list(self.output_shape)
-        if self.hyper is not None:
-            body["hyper"] = dataclasses.asdict(self.hyper)
-        return _unwrap(
-            default_gateway().handle(
-                "POST", "/train", body, tenant=_effective_tenant(self.tenant)
-            )
-        )["job_id"]
+        return _unwrap(default_gateway().handle(
+            "POST", "/train", body, tenant=_effective_tenant(self.tenant)))["job_id"]
 
 
 def get_models(job_id: str, tenant: str | None = None) -> list[dict[str, Any]]:
     """Figure 2's ``rafiki.get_models(job_id)``."""
-    return _unwrap(
-        default_gateway().handle(
-            "GET", f"/train/{job_id}/models", tenant=_effective_tenant(tenant)
-        )
-    )["models"]
+    return _unwrap(default_gateway().handle(
+        "GET", f"/train/{job_id}/models", tenant=_effective_tenant(tenant)))["models"]
 
 
 class Inference:
@@ -176,23 +156,14 @@ class Inference:
         self.priority = priority
 
     def run(self) -> str:
-        body: dict[str, Any] = {"models": self.models, "priority": self.priority}
-        if self.dataset is not None:
-            body["dataset"] = self.dataset
-        return _unwrap(
-            default_gateway().handle(
-                "POST", "/inference", body, tenant=_effective_tenant(self.tenant)
-            )
-        )["job_id"]
+        body = {"models": self.models, "dataset": self.dataset, "priority": self.priority}
+        return _unwrap(default_gateway().handle(
+            "POST", "/inference", body, tenant=_effective_tenant(self.tenant)))["job_id"]
 
 
 def query(job: str, data: dict[str, Any], tenant: str | None = None) -> dict[str, Any]:
-    """Figure 2's ``rafiki.query``: predict for one image, an array (sent as it is) or lists."""
-    img = data.get("img")
-    if img is None:
-        raise GatewayError("query data must contain 'img'")
+    """Figure 2's ``rafiki.query``: ``data`` is the query body, its
+    ``img`` one image or a batch, an array (sent as it is) or lists."""
     return _unwrap(
-        default_gateway().handle(
-            "POST", f"/query/{job}", {"img": img}, tenant=_effective_tenant(tenant)
-        )
+        default_gateway().handle("POST", f"/query/{job}", data, tenant=_effective_tenant(tenant))
     )

@@ -222,9 +222,18 @@ class ClusterManager:
             raise ClusterError(f"num_workers must be >= 0, got {num_workers}")
         if self.tenants is not None:
             self.tenants.resolve(tenant)
-        job_id = f"job-{next(self._job_ids)}"
         master_request = master_request or Resources(cpus=1, gpus=0, memory_gb=4)
         worker_request = worker_request or Resources(cpus=1, gpus=1, memory_gb=8)
+        if not queue and self._outgrows_free(master_request, worker_request, num_workers):
+            # Refused before one container is built: a count in a request
+            # body must not cost memory in proportion to itself. The quota
+            # refusal comes first, as on the full path.
+            self._quota_check(kind, tenant, num_workers)
+            raise PlacementError(
+                f"{num_workers} workers of {worker_request} exceed the free "
+                f"capacity of the alive nodes"
+            )
+        job_id = f"job-{next(self._job_ids)}"
         containers = [
             self._new_container(image=f"rafiki/{kind.value}-master",
                                 role=ContainerRole.MASTER,
@@ -243,7 +252,7 @@ class ClusterManager:
         self.jobs[job_id] = job
         self._submitted.inc(kind=kind.value, tenant=tenant)
         try:
-            self._quota_check(job)
+            self._quota_check(job.kind, job.tenant, len(job.workers))
         except Exception:
             if not queue:
                 del self.jobs[job_id]
@@ -259,15 +268,30 @@ class ClusterManager:
             self._enqueue_pending(job, reason="capacity")
         return job
 
+    def _outgrows_free(self, master: Resources, worker: Resources, num_workers: int) -> bool:
+        """Whether a master and ``num_workers`` workers need more of some
+        resource than the alive nodes have free together, which no
+        placement can beat (the division keeps a huge count exact)."""
+        free = Resources(0, 0, 0)
+        for node in self.alive_nodes():
+            free = free + node.free
+        room = free - master
+        slack = 1e-9 * (len(self.nodes) + 1)
+        return any(
+            need > 0 and num_workers > (have + slack) / need or have < -slack
+            for need, have in ((worker.cpus, room.cpus), (worker.gpus, room.gpus),
+                               (worker.memory_gb, room.memory_gb))
+        )
+
     def _new_container(self, **fields) -> Container:
         return Container(container_id=f"ctr-{next(self._container_ids)}", **fields)
 
-    def _quota_check(self, job: JobRecord) -> None:
-        """Raise if placing ``job`` would take its tenant over quota."""
-        resource = _QUOTA_RESOURCE.get(job.kind)
+    def _quota_check(self, kind: JobKind, tenant: str, workers: int) -> None:
+        """Raise if placing ``workers`` more of ``kind`` would take ``tenant`` over quota."""
+        resource = _QUOTA_RESOURCE.get(kind)
         if self.tenants is None or resource is None:
             return
-        self.tenants.check(job.tenant, resource, len(job.workers))
+        self.tenants.check(tenant, resource, workers)
 
     def _held(self, kind: JobKind, tenant: str) -> int:
         """Workers of ``tenant``'s placed jobs of ``kind`` (its quota holding)."""
@@ -405,7 +429,7 @@ class ClusterManager:
             progressed = False
             for job in self._rank_pending():
                 try:
-                    self._quota_check(job)
+                    self._quota_check(job.kind, job.tenant, len(job.workers))
                     self._activate(job)
                 except (PlacementError, QuotaExceededError, TenantAccessError):
                     continue

@@ -389,8 +389,10 @@ class Rafiki:
                 )
         except Exception:
             # Nothing was deployed: give the containers and the tenant's
-            # ``replicas`` quota back, as create_train_job does.
+            # ``replicas`` quota back, and leave no job behind, as a
+            # refused submission leaves none.
             self.cluster.stop_job(cluster_job.job_id)
+            del self.cluster.jobs[cluster_job.job_id]
             raise
         info.status = "running"
         self.inference_jobs[job_id] = info

@@ -10,6 +10,8 @@ warm starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
+from numbers import Integral, Real
 
 from repro.exceptions import ConfigurationError
 
@@ -38,16 +40,19 @@ class HyperConf:
     max_total_epochs: int | None = None
 
     def __post_init__(self):
-        if self.max_trials < 1:
-            raise ConfigurationError(f"max_trials must be >= 1, got {self.max_trials}")
-        if self.max_epochs_per_trial < 1:
+        for name in ("max_trials", "max_epochs_per_trial", "early_stop_patience"):
+            if not _is_integer(getattr(self, name)) or getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= 1, got {getattr(self, name)!r}"
+                )
+        if self.max_total_epochs is not None and not _is_integer(self.max_total_epochs):
             raise ConfigurationError(
-                f"max_epochs_per_trial must be >= 1, got {self.max_epochs_per_trial}"
+                f"max_total_epochs must be None or an integer, got {self.max_total_epochs!r}"
             )
-        if self.early_stop_patience < 1:
-            raise ConfigurationError(
-                f"early_stop_patience must be >= 1, got {self.early_stop_patience}"
-            )
+        for name in ("early_stop_min_delta", "delta", "alpha0", "alpha_decay", "alpha_min"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not isfinite(value):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if self.delta < 0:
             raise ConfigurationError(f"delta must be >= 0, got {self.delta}")
         if not 0.0 <= self.alpha_min <= self.alpha0 <= 1.0:
@@ -68,3 +73,8 @@ class HyperConf:
     def alpha(self, num_finished: int) -> float:
         """Probability of random initialisation for the next trial."""
         return max(self.alpha_min, self.alpha0 * self.alpha_decay**num_finished)
+
+
+def _is_integer(value) -> bool:
+    """An integer count: a bool is not one, and neither is ``2.0``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)

@@ -160,16 +160,20 @@ class TenantRegistry:
             raise TenantAccessError(name, "unknown tenant")
         tenant.active = True
 
-    def resolve(self, name: str) -> Tenant:
-        """Look up ``name``, enforcing strictness and suspension."""
+    def authorise(self, name: str) -> None:
+        """Raise what :meth:`resolve` would for ``name``, registering nothing."""
         tenant = self._tenants.get(name)
-        if tenant is None:
-            if self.strict:
-                raise TenantAccessError(name, "unknown tenant")
-            tenant = self.register(name)
-        if not tenant.active:
+        if tenant is None and self.strict:
+            raise TenantAccessError(name, "unknown tenant")
+        if tenant is not None and not tenant.active:
             raise TenantAccessError(name, "tenant is suspended")
-        return tenant
+
+    def resolve(self, name: str) -> Tenant:
+        """Look up ``name``, enforcing strictness and suspension; the
+        lenient registry registers a name it does not know."""
+        self.authorise(name)
+        tenant = self._tenants.get(name)
+        return tenant if tenant is not None else self.register(name)
 
     def tenants(self) -> list[Tenant]:
         """All registered tenants, sorted by name."""

@@ -18,7 +18,9 @@ then the quota write sites outside ``repro.tenancy``: calls of
 ``charge``/``release`` on a ``tenants`` or ``ledger`` receiver; then the
 chunk reference write sites: ``incref``/``decref``/``release`` on a
 ``store`` or ``blocks`` receiver; then the JSON round-trip sites in
-``src/``: ``json.loads(json.dumps(...))`` calls; last, the public names
+``src/``: ``json.loads(json.dumps(...))`` calls; then the reads of a raw
+request body in ``repro.api.gateway`` outside the route tables (``body[...]``,
+``body.get(...)``, ``... in body``) by function; last, the public names
 in ``src/repro`` (module-level functions and classes, and methods) that
 no other module names: no identifier, attribute or import of that name
 in any ``.py`` file under ``src/``, ``benchmarks/``, ``examples/`` or
@@ -225,6 +227,39 @@ def json_round_trips(path: Path) -> int:
         and _is_json_call(node.args[0], "dumps")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
     )
+
+
+#: names a request body goes by in the gateway.
+BODY_NAMES = {"body", "payload"}
+#: the functions that read a whole request body: the table reader and
+#: the JSON check before routing.
+BODY_READERS = {"_parse", "_json_object"}
+
+
+def _is_body(node) -> bool:
+    return getattr(node, "id", getattr(node, "attr", None)) in BODY_NAMES
+
+
+def raw_body_reads() -> list[str]:
+    """``module:function`` of each read of a raw request body in the
+    gateway outside the route tables: ``body[...]``, ``body.get(...)`` or
+    ``... in body`` on a name or attribute ``body`` or ``payload``, in any
+    function but the ``BODY_READERS``; one entry per read."""
+    out = []
+    for path in [ROOT / "repro" / "api" / "gateway.py"]:
+        for node, scope in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            read = (
+                (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                 and _is_body(node.value))
+                or (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                    and func.attr == "get" and _is_body(func.value))
+                or (isinstance(node, ast.Compare) and _is_body(node.comparators[-1])
+                    and isinstance(node.ops[-1], (ast.In, ast.NotIn)))
+            )
+            if read and not BODY_READERS & set(scope):
+                out.append(f"{path.relative_to(ROOT)}:{'.'.join(scope)}")
+    return out
 
 
 def public_definitions(path: Path) -> list[str]:
@@ -626,6 +661,10 @@ def main() -> int:
     print(f"\nchunk reference write sites in src/: {refs}")
     trips = sum(map(json_round_trips, sorted(ROOT.rglob("*.py"))))
     print(f"\nJSON round-trip sites in src/: {trips}")
+    reads = raw_body_reads()
+    print(f"\nraw request-body reads outside the route tables: {len(reads)}")
+    for site in sorted(set(reads)):
+        print(f"  {site}: {reads.count(site)}")
     test_only, module_only = uncalled_public_names()
     print(f"\npublic names no other module names: {len(test_only) + len(module_only)}")
     print(f"\n  named nowhere outside tests: {len(test_only)}")
