@@ -314,6 +314,9 @@ class ClusterManager:
             self.containers[container.container_id] = container
         job.state = JobState.RUNNING
         job.pending_reason = None
+        resource = _QUOTA_RESOURCE.get(job.kind)
+        if self.tenants is not None and resource is not None:
+            self.tenants.ledger.admit(job.tenant, resource)
 
     def _plan_placement(self, containers: list[Container], spread: bool = False) -> list[Node]:
         """Choose a node per container, co-locating the job when possible."""

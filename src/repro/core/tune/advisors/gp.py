@@ -6,20 +6,19 @@ likelihood optimised, which is plenty for the low-dimensional knob
 spaces of Section 7.1 and keeps the implementation dependency-free
 beyond ``numpy``/``scipy``.
 
-The kernel builds the (m, n) squared distance one coordinate at a time
-(``np.subtract.outer``, then an in-place square) instead of an
-(m, n, d) broadcast difference summed over its last axis. At the
-advisor's d = 5 that last axis is so short that NumPy's per-inner-loop
-overhead, not arithmetic, was most of ``predict``; d passes over (m, n)
-buffers cost about a quarter as much. The d columns are added in the
-order ``.sum(axis=-1)`` adds them, NumPy's pairwise summation: a running
-sum below 8 terms, eight interleaved accumulators combined as
-``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then the remainder up to
-128, halves (split at a multiple of 8) above that. Floating-point
-addition is not associative, so any other order (a plain running sum
-diverges from d = 8 on) would round some kernel entries differently,
-and with them the fit, the posterior and which candidate wins. In this
-order every entry is byte-identical to the broadcast kernel's.
+The kernel builds the (m, n) squared distance from
+``scipy.spatial.distance.cdist(..., "sqeuclidean")`` calls over column
+groups that add the d columns in the order ``.sum(axis=-1)`` does (NumPy's
+pairwise summation: a running sum below 8 terms, eight interleaved
+accumulators combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then
+the remainder up to 128, halves above that). ``cdist`` adds ``|x-y|^2``
+left to right from 0.0, so every entry is byte-identical to the broadcast
+``((a[:, None] - b[None]) ** 2).sum(-1)``; any other order would round
+some entries, and with them which candidate wins, differently.
+
+``fit`` keeps the inverse Cholesky factor, so ``predict``'s variance is one
+triangular product, in scipy's BLAS: NumPy has an OpenBLAS of its own, and
+the two libraries' spinning threads get in each other's way.
 
 scipy is imported inside the functions that call it, so importing the
 advisors (and with them ``repro.core.system``) loads none of it.
@@ -39,15 +38,11 @@ _PAIRWISE_BLOCK = 128
 _EI_MARGIN = 0.01
 
 
-def _sq_diff(a: np.ndarray, b: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``(a[:, k, None] - b[None, :, k]) ** 2`` as an (m, n) buffer."""
-    out = np.subtract.outer(a[:, k], b[:, k], out=out)
-    return np.square(out, out=out)
-
-
 def _sq_dist(a: np.ndarray, b: np.ndarray, lo: int, count: int) -> np.ndarray:
     """Coordinates ``lo .. lo+count`` of the squared distance, summed in
     NumPy's pairwise order."""
+    from scipy.spatial.distance import cdist
+
     if count > _PAIRWISE_BLOCK:
         half = count // 2
         half -= half % 8
@@ -55,23 +50,14 @@ def _sq_dist(a: np.ndarray, b: np.ndarray, lo: int, count: int) -> np.ndarray:
         total += _sq_dist(a, b, lo + half, count - half)
         return total
     if count < 8:
-        total = _sq_diff(a, b, lo)
-        term = np.empty_like(total)
-        for k in range(lo + 1, lo + count):
-            total += _sq_diff(a, b, k, term)
-        return total
-    r = [_sq_diff(a, b, lo + j) for j in range(8)]
-    term = np.empty_like(r[0])
+        return cdist(a[:, lo:lo + count], b[:, lo:lo + count], "sqeuclidean")
     end = lo + count - count % 8
-    for start in range(lo + 8, end, 8):
-        for j in range(8):
-            r[j] += _sq_diff(a, b, start + j, term)
+    r = [cdist(a[:, lo + j:end:8], b[:, lo + j:end:8], "sqeuclidean") for j in range(8)]
     for left, right in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
         r[left] += r[right]
-    total = r[0]
     for k in range(end, lo + count):
-        total += _sq_diff(a, b, k, term)
-    return total
+        r[0] += cdist(a[:, k:k + 1], b[:, k:k + 1], "sqeuclidean")
+    return r[0]
 
 
 def _rbf(a: np.ndarray, b: np.ndarray, length_scale: float, signal_var: float) -> np.ndarray:
@@ -98,6 +84,7 @@ class GaussianProcess:
         self._y_std = 1.0
         self._cho = None
         self._alpha: np.ndarray | None = None
+        self._l_inv: np.ndarray | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
         """Fit on observations (x in [0,1]^d, y arbitrary scale)."""
@@ -110,31 +97,34 @@ class GaussianProcess:
         self._y_mean = float(y.mean())
         self._y_std = float(y.std()) or 1.0
         y_norm = (y - self._y_mean) / self._y_std
-        from scipy.linalg import cho_factor, cho_solve
+        from scipy.linalg import cho_factor, cho_solve, lapack
 
         self._x = x
         k = _rbf(x, x, self.length_scale, self.signal_var)
         k[np.diag_indices_from(k)] += self.noise_var
         self._cho = cho_factor(k, lower=True)
         self._alpha = cho_solve(self._cho, y_norm)
+        # ``cho_factor`` leaves K above the diagonal and ``dtrtri`` copies
+        # that triangle through, so it inverts a clean lower factor.
+        self._l_inv, _ = lapack.dtrtri(np.tril(self._cho[0]), lower=1)
         return self
 
     def predict(self, x_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation at ``x_new``."""
-        if self._x is None or self._alpha is None or self._cho is None:
+        if self._l_inv is None:
             raise ConfigurationError("GP is not fitted")
-        from scipy.linalg import solve_triangular
-
         x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
         if x_new.shape[1] != self._x.shape[1]:
             raise ConfigurationError(
                 f"GP was fitted on {self._x.shape[1]} coordinates, "
                 f"got points with {x_new.shape[1]}")
+        from scipy.linalg.blas import dtrmm
+
         k_star = _rbf(x_new, self._x, self.length_scale, self.signal_var)
         mean = k_star @ self._alpha
         # k** - k*^T K^-1 k* = signal_var - |L^-1 k*|^2 (GPML Alg. 2.1): one
-        # triangular solve against the lower factor ``fit`` kept.
-        v = solve_triangular(self._cho[0], k_star.T, lower=True)
+        # triangular product with the inverse factor, written over k*.
+        v = dtrmm(1.0, self._l_inv, k_star.T, lower=1, overwrite_b=True)
         var = self.signal_var - (v * v).sum(axis=0)
         var = np.maximum(var, 1e-12)
         return (

@@ -212,6 +212,8 @@ class DataStore:
             self.tenants.check(tenant, "store_bytes", len(blob) - headroom)
         self.fs.write(path, bytes(blob), writer=self.name, basis=basis)
         self._blob_charges[path] = (tenant, len(blob))
+        if self.tenants is not None:
+            self.tenants.ledger.admit(tenant, "store_bytes")
 
     def get_blob(self, path: str, version: int | None = None) -> bytes:
         """Fetch a blob (current version by default, or an older one)."""

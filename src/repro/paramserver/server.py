@@ -437,6 +437,8 @@ class ParameterServer(HostedGroup):
         # Recorded only once the blob landed: that record is the version,
         # its quota holding and what get() will read.
         self._entries.setdefault(key, []).append(entry)
+        if self.tenants is not None:
+            self.tenants.ledger.admit(entry.tenant, "ps_bytes")
         cache.put(entry.path, ((blob,), entry.nbytes))
         self._push_count.inc()
         return entry

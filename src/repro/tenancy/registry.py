@@ -72,11 +72,11 @@ class UsageLedger:
     """Reads each tenant's holdings off the owners' readers; keeps no numbers.
 
     A (tenant, resource) pair shows in :meth:`snapshot` and
-    ``repro_tenant_usage`` from its first passed check."""
+    ``repro_tenant_usage`` from the first time an owner admits it."""
 
     def __init__(self) -> None:
         self._readers: dict[str, list[Callable[[str], float]]] = {r: [] for r in RESOURCES}
-        #: resources each tenant has passed a check for, first-seen order.
+        #: resources admitted for each tenant, first-admitted order.
         self._seen: dict[str, list[str]] = {}
 
     def govern(self, resource: str, holdings: Callable[[str], float]) -> None:
@@ -88,8 +88,9 @@ class UsageLedger:
         """Current holding of ``resource`` by ``tenant``, read off its owners."""
         return float(sum(read(tenant) for read in self._readers.get(resource, ())))
 
-    def _see(self, tenant: str, resource: str) -> None:
-        """A pair's first passed check registers its usage series."""
+    def admit(self, tenant: str, resource: str) -> None:
+        """An owner recorded what a check passed: the pair's first admission
+        registers its usage series."""
         resources = self._seen.setdefault(tenant, [])
         if resource not in resources:
             resources.append(resource)
@@ -192,7 +193,6 @@ class TenantRegistry:
             if used + float(amount) > limit:
                 self._denials.inc(tenant=name, resource=resource)
                 raise QuotaExceededError(name, resource, limit, used, float(amount))
-        self.ledger._see(name, resource)
 
     def usage(self, name: str, resource: str) -> float:
         """Current holding for one tenant/resource pair."""

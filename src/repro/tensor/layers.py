@@ -47,8 +47,8 @@ class Layer:
     """Base class for all layers."""
 
     _counter = 0
-    #: attributes a training forward fills for ``backward``; an inference
-    #: forward leaves them None (``backward`` then fails its assertion).
+    #: what a training forward keeps for ``backward``; an inference forward
+    #: and ``Network.backward`` leave it None (``backward`` then asserts).
     saved_for_backward: tuple[str, ...] = ()
 
     def __init__(self, name: str | None = None):

@@ -12,10 +12,10 @@ Two features matter to Rafiki:
   trials whose architectures only partially agree.
 
 A training forward runs the layer loop, each layer keeping what its
-backward needs. An inference forward (and so ``predict``,
-``predict_labels`` and ``evaluate``) runs through the network's
-:class:`~repro.tensor.workspace.Workspace`, which gives the layer loop's
-bytes over buffers kept between calls.
+backward needs until :meth:`backward` has run it. An inference forward
+(and so ``predict``, ``predict_labels`` and ``evaluate``) runs through
+the network's :class:`~repro.tensor.workspace.Workspace`, which gives
+the layer loop's bytes over buffers kept between calls.
 """
 
 from __future__ import annotations
@@ -91,6 +91,8 @@ class Network:
         grad = grad_out
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
+            for attr in layer.saved_for_backward:
+                setattr(layer, attr, None)
         return grad
 
     def predict(self, x: np.ndarray) -> np.ndarray:

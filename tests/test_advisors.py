@@ -135,6 +135,19 @@ class TestGaussianProcess:
         with pytest.raises(ConfigurationError, match="3"):
             gp.predict(rng.random((4, d_new)))
 
+    @pytest.mark.parametrize("n_first, n_second", [(40, 12), (5, 30), (20, 20)])
+    def test_a_refit_predicts_what_a_fresh_fit_predicts(self, n_first, n_second):
+        """``fit`` keeps the inverse Cholesky factor: a refit on other
+        data (fewer, more or as many points) replaces it, never reads it."""
+        rng = np.random.default_rng(n_first * 100 + n_second)
+        first, second = rng.random((n_first, 5)), rng.random((n_second, 5))
+        y_first, y_second = rng.standard_normal(n_first), rng.standard_normal(n_second)
+        x_new = rng.random((60, 5))
+        refit = GaussianProcess().fit(first, y_first).fit(second, y_second)
+        fresh = GaussianProcess().fit(second, y_second)
+        for got, want in zip(refit.predict(x_new), fresh.predict(x_new)):
+            assert got.tobytes() == want.tobytes()
+
     def test_expected_improvement_prefers_high_mean(self):
         mean = np.array([0.5, 0.9])
         std = np.array([0.1, 0.1])

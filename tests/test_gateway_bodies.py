@@ -56,8 +56,8 @@ def _deployed():
 
 def _state(system) -> str:
     """What a refused request must leave as it was (the ledger's nonzero
-    holdings: a passed quota check shows a pair's zero before the job
-    placement refuses)."""
+    holdings: a deploy that places its replicas and then fails rolls its
+    job back, but the placed job's pair stays, at zero)."""
     return repr((
         {k: (v.status, v.model_names) for k, v in system.train_jobs.items()},
         {k: (v.status, v.queries_served, v.specs) for k, v in system.inference_jobs.items()},
@@ -247,6 +247,21 @@ class TestRefusedRequestsRegisterNoTenant:
     def test_a_suspended_tenant_is_refused_before_the_body_is_read(self):
         system, gateway, job = _deployed()
         assert gateway.handle("POST", "/train", {"tenant": "gone"}).status == 403
+
+
+class TestRefusedJobShowsNoLedgerPair:
+    def test_a_job_refused_for_capacity_adds_no_pair(self):
+        system, gateway, job = _deployed()
+        before = system.tenants.ledger.snapshot()
+        body = {**TRAIN, "num_workers": 1_000, "tenant": "acme"}
+        assert gateway.handle("POST", "/train", body).status == 400
+        assert system.tenants.ledger.snapshot() == before
+        assert "acme" not in before
+
+    def test_a_placed_job_shows_its_pair(self):
+        system = Rafiki(seed=5)
+        system.cluster.submit_job(JobKind.TRAIN, "t", num_workers=1, tenant="acme")
+        assert system.tenants.ledger.snapshot()["acme"] == {"trials": 1.0}
 
 
 class TestRefusedDeployLeavesNoJob:

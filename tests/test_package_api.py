@@ -43,6 +43,16 @@ for info in pkgutil.walk_packages(repro.__path__, "repro."):
 import repro.api.sdk, repro.cli, repro.core.system
 stages = {"import": scipy_loaded()}
 
+from repro.core.tune import BayesianAdvisor, Trial, TrialResult, section71_space
+space = section71_space()
+advisor = BayesianAdvisor(space, rng=np.random.default_rng(0))
+for _ in range(advisor.warmup - 1):
+    params = advisor.next("w")
+    advisor.collect(TrialResult(trial=Trial(params=params), performance=0.5,
+                                epochs=1, worker="w"))
+advisor.next("w")
+stages["warmup"] = scipy_loaded()
+
 from repro.core.tune.advisors.gp import GaussianProcess, expected_improvement
 rng = np.random.default_rng(0)
 gp = GaussianProcess().fit(rng.random((8, 3)), rng.random(8))
@@ -82,6 +92,11 @@ class TestStartupImportsNoScipy:
 
     def test_importing_every_package_loads_no_scipy(self, stages):
         assert stages["import"] == []
+
+    def test_a_study_short_of_its_warmup_loads_no_scipy_spatial(self, stages):
+        """Only a process that fits a GP pays for the kernel's ``cdist``."""
+        assert not any(m.startswith("scipy.spatial") for m in stages["warmup"])
+        assert "scipy.spatial.distance" in stages["gp"]
 
     def test_gp_loads_linalg_and_special_not_stats(self, stages):
         loaded = set(stages["gp"])

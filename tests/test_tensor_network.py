@@ -258,3 +258,27 @@ class TestEvalKeepsNoBackwardState:
         assert 0 < _retained_bytes(net) <= WORKSPACE_BYTES
         with pytest.raises(AssertionError, match="training-mode forward"):
             net.backward(np.ones((4, 5), dtype=np.float32))
+
+
+class TestTrainingStepKeepsNoBackwardState:
+    """``Network.backward`` drops each layer's saved activations once
+    that layer's backward has run, so between training steps a network
+    holds what it held when built: parameters, gradients and buffers."""
+
+    @pytest.mark.parametrize("name", NETS)
+    def test_backward_drops_what_forward_saved(self, rng, name):
+        from repro.tensor import SoftmaxCrossEntropy
+
+        net = _net(name, rng)
+        built = _retained_bytes(net)
+        x = rng.normal(size=(4, 3, 8, 8))
+        loss = SoftmaxCrossEntropy()
+        loss.forward(net.forward(x, training=True), np.arange(4) % 5)
+        saved = [(layer, attr) for layer in net.layers for attr in layer.saved_for_backward]
+        assert any(getattr(layer, attr) is not None for layer, attr in saved)
+        net.backward(loss.backward())
+        assert [(layer.name, attr) for layer, attr in saved
+                if getattr(layer, attr) is not None] == []
+        assert _retained_bytes(net) == built
+        with pytest.raises(AssertionError, match="training-mode forward"):
+            net.backward(np.ones((4, 5), dtype=np.float32))
