@@ -20,18 +20,23 @@ column is the NCHW engine the
 channel-major layout replaced (``np.pad`` + ``sliding_window_view``
 im2col, im2col + ``argmax`` max pooling, ``np.where`` ReLU), embedded
 below as well, and ``loop_s`` is the channel-major layer loop the
-workspace replaced. Both columns must return the same labels, and the
-workspace the layer loop's logits byte for byte. Each row also counts
-the minor page faults per call (``ru_minflt`` of this process) of the
-workspace and of the layer loop.
+workspace replaced. ``folded_s`` is what a deployment serves: the pair
+with batch norm folded into the convolutions (``workspace.fold``), after
+three training forwards have moved the batch-norm statistics off their
+initial values. Both columns must return the same labels, the workspace
+the layer loop's logits byte for byte, and the folded pair the layer
+loop's labels (``fold_same_labels``; ``fold_max_prob_diff`` is the
+largest probability difference). Each row also counts the minor page
+faults per call (``ru_minflt`` of this process) of the workspace and of
+the layer loop.
 
 Every number here is ``wall`` (machine-stamped by the runner, never
 gated); the ``simulated`` section names the workload and records that
-the two predict paths agree. Reference points: conv forward+backward
+the predict paths agree. Reference points: conv forward+backward
 about 5x the pre-optimisation engine, ``im2col`` about 3x, ``col2im``
 and the auto dispatcher (which routes this large workload to the slab
 path) above 10x, ``col2im_bincount`` about level with legacy,
-``predict16`` about 3x the NCHW engine, ``predict1`` about 5x.
+``predict16`` and ``predict1`` about 5x the NCHW engine.
 
 Run through the shared runner (see ``_perf.py``)::
 
@@ -55,6 +60,8 @@ from repro.tensor.im2col import (
     conv_output_size,
     im2col,
 )
+from repro.tensor.losses import softmax
+from repro.tensor.workspace import fold
 from repro.zoo.builders import BUILDERS
 
 #: CIFAR-ish conv workload: batch 32, 8->16 channels, 16x16 images.
@@ -196,11 +203,17 @@ def predict(batch: int, seed: int, repeats: int) -> tuple[dict, dict]:
     """Timings and page faults of one ``batch``-image serve call through
     the deployed pair, and its ``simulated`` row: whether the NCHW engine
     labels it the same, whether the forward returns the layer loop's
-    logits byte for byte, and the largest batch each network's workspace
-    takes (a larger one runs the layer loop)."""
+    logits byte for byte, whether the folded pair labels it as the layer
+    loop does and by how much its probabilities differ, and the largest
+    batch each network's workspace takes (a larger one runs the layer
+    loop)."""
     rng = np.random.default_rng(seed)
     nets = [BUILDERS[name](PREDICT_IMAGE, 10, rng) for name in PREDICT_MODELS]
     x = rng.standard_normal((batch,) + PREDICT_IMAGE).astype(np.float32)
+    for net in nets:
+        for _ in range(3):
+            net.forward(rng.standard_normal((16,) + PREDICT_IMAGE), training=True)
+    folded = [fold(net) for net in nets]
     row = {
         "models": list(PREDICT_MODELS), "batch": batch, "image": list(PREDICT_IMAGE),
         "same_labels": all(
@@ -208,6 +221,14 @@ def predict(batch: int, seed: int, repeats: int) -> tuple[dict, dict]:
         ),
         "same_logits": all(
             net.forward(x).tobytes() == layer_loop(net, x).tobytes() for net in nets
+        ),
+        "fold_same_labels": all(
+            np.array_equal(served.predict_labels(x), np.argmax(layer_loop(net, x), axis=1))
+            for net, served in zip(nets, folded)
+        ),
+        "fold_max_prob_diff": max(
+            float(np.abs(served.predict(x) - softmax(layer_loop(net, x))).max())
+            for net, served in zip(nets, folded)
         ),
         "workspace_limit": [net._workspace.limit for net in nets],
     }
@@ -222,6 +243,7 @@ def predict(batch: int, seed: int, repeats: int) -> tuple[dict, dict]:
         "legacy_s": time_per_call(lambda: [nchw_predict_labels(net, x) for net in nets], repeats),
         "fast_s": time_per_call(shipped, repeats),
         "loop_s": time_per_call(loop, repeats),
+        "folded_s": time_per_call(lambda: [net.predict_labels(x) for net in folded], repeats),
         "fast_minflt": faults_per_call(shipped, repeats),
         "loop_minflt": faults_per_call(loop, repeats),
     }
@@ -296,7 +318,8 @@ def table(payload: dict) -> str:
         lines.append(
             f"{name}: layer loop {1e3 * entry['loop_s']:.3f} ms "
             f"({entry['loop_s'] / entry['fast_s']:.2f}x fast, which runs the workspace for "
-            f"{', '.join(inside) or 'neither model'}); minor faults per call "
+            f"{', '.join(inside) or 'neither model'}); folded {1e3 * entry['folded_s']:.3f} ms "
+            f"(max |dprob| {row['fold_max_prob_diff']:.1e}); minor faults per call "
             f"{entry['fast_minflt']:.1f} fast, {entry['loop_minflt']:.1f} loop"
         )
     return "\n".join(lines)
@@ -317,6 +340,10 @@ def check(payload: dict) -> list[str]:
         if not row["same_logits"]:
             failures.append(
                 f"predict{batch}: the inference workspace's logits are not the layer loop's bytes"
+            )
+        if not row["fold_same_labels"]:
+            failures.append(
+                f"predict{batch}: the folded pair labels the batch differently from the layer loop"
             )
     return failures
 

@@ -51,8 +51,9 @@ from repro.exceptions import (
 from repro.paramserver import ParameterServer
 from repro.tenancy import DEFAULT_TENANT, TenantRegistry, tenant_context
 from repro.tensor import Network, default_dtype
+from repro.tensor.workspace import fold
 from repro.utils.retry import CircuitBreaker
-from repro.utils.rng import RngStream
+from repro.utils.rng import RngStream, derive_rng
 from repro.zoo import TaskRegistry, default_registry, majority_vote
 
 __all__ = ["Rafiki", "TrainJobInfo", "InferenceJobInfo", "ModelSpec"]
@@ -102,7 +103,12 @@ class InferenceJobInfo:
 
     job_id: str
     specs: list[ModelSpec]
+    #: the networks that answer queries: ``trained`` with batch norm
+    #: folded in (``repro.tensor.workspace.fold``).
     networks: list[Network] = field(default_factory=list)
+    #: the trained networks, the record a redeploy warm-starts and folds
+    #: into ``networks`` in place.
+    trained: list[Network] = field(default_factory=list)
     status: str = "pending"
     tenant: str = DEFAULT_TENANT
     queries_served: int = 0
@@ -168,9 +174,8 @@ class Rafiki:
         self.registry: TaskRegistry = default_registry()
         self.train_jobs: dict[str, TrainJobInfo] = {}
         self.inference_jobs: dict[str, InferenceJobInfo] = {}
-        #: ``train-N`` / ``infer-N`` sequence numbers of this system.
+        #: ``train-N`` sequence numbers of this system.
         self._train_job_ids = itertools.count(1)
-        self._infer_job_ids = itertools.count(1)
         self._replica_errors, self._redeploys = (
             telemetry.Counter(name, help, telemetry.get_registry()) for name, help in (
                 ("repro_serve_replica_errors_total",
@@ -349,7 +354,8 @@ class Rafiki:
         tenant: str = DEFAULT_TENANT,
         priority: int = 0,
     ) -> str:
-        """Deploy trained models: fetch parameters and build networks.
+        """Deploy trained models: fetch parameters, build networks and
+        fold their batch norm into the networks that serve.
 
         The parameters are fetched from the parameter server — this is
         the instant train-to-deploy hand-off the unified architecture
@@ -358,43 +364,41 @@ class Rafiki:
         specs = list(models)
         if not specs:
             raise ConfigurationError("at least one model spec is required")
-        job_id = f"infer-{next(self._infer_job_ids)}"
-        info = InferenceJobInfo(job_id=job_id, specs=specs, tenant=tenant)
+        # Everything that can refuse the deploy is read first: a refusal
+        # takes no job id and places no job.
+        data = self.store.get_dataset(dataset or specs[0].dataset)
+        entries = [self.registry.get(spec.task, spec.model_name) for spec in specs]
+        states = [self.param_server.get(spec.param_key) for spec in specs]
+        # Deploys are numbered in the order they succeed.
+        job_id = f"infer-{len(self.inference_jobs) + 1}"
+        trained = []
+        for spec, entry, state in zip(specs, entries, states):
+            rng = derive_rng(self.rng_stream.root_seed, f"deploy:{job_id}:{spec.model_name}")
+            network = entry.builder(data.image_shape, data.num_classes, rng)
+            if not network.warm_start(state):
+                raise ConfigurationError(
+                    f"no shape-matched parameters for {spec.model_name!r} "
+                    f"under {spec.param_key!r}"
+                )
+            trained.append(network)
         cluster_job = self.cluster.submit_job(
             JobKind.INFERENCE, name=job_id, num_workers=len(specs),
             tenant=tenant, priority=priority, queue=False,
         )
-        info.cluster_job_id = cluster_job.job_id
-        try:
-            data = self.store.get_dataset(dataset or specs[0].dataset)
-            info.image_shape = tuple(data.image_shape)
-            for spec in specs:
-                entry = self.registry.get(spec.task, spec.model_name)
-                rng = self.rng_stream.get(f"deploy:{job_id}:{spec.model_name}")
-                network = entry.builder(data.image_shape, data.num_classes, rng)
-                state = self.param_server.get(spec.param_key)
-                loaded = network.warm_start(state)
-                if not loaded:
-                    raise ConfigurationError(
-                        f"no shape-matched parameters for {spec.model_name!r} "
-                        f"under {spec.param_key!r}"
-                    )
-                info.networks.append(network)
-                info.breakers.append(
-                    CircuitBreaker(
-                        name=f"{job_id}/{spec.model_name}",
-                        failure_threshold=3,
-                        recovery_time=30.0,
-                    )
+        info = InferenceJobInfo(
+            job_id=job_id, specs=specs, tenant=tenant,
+            trained=trained, networks=[fold(network) for network in trained],
+            cluster_job_id=cluster_job.job_id, image_shape=tuple(data.image_shape),
+            status="running",
+            breakers=[
+                CircuitBreaker(
+                    name=f"{job_id}/{spec.model_name}",
+                    failure_threshold=3,
+                    recovery_time=30.0,
                 )
-        except Exception:
-            # Nothing was deployed: give the containers and the tenant's
-            # ``replicas`` quota back, and leave no job behind, as a
-            # refused submission leaves none.
-            self.cluster.stop_job(cluster_job.job_id)
-            del self.cluster.jobs[cluster_job.job_id]
-            raise
-        info.status = "running"
+                for spec in specs
+            ],
+        )
         self.inference_jobs[job_id] = info
         telemetry.get_registry().gauge(
             "repro_serve_replicas_live",
@@ -534,23 +538,25 @@ class Rafiki:
 
         Training that continues after deployment leaves better
         checkpoints under the same keys; redeploying picks them up
-        without recreating the job. The prediction cache is invalidated
-        — its memoised results came from the old parameters, and
-        serving them after the swap would silently return stale
-        predictions.
+        without recreating the job: each trained network is warm-started
+        in place and folded into the same serving network again. The
+        prediction cache is invalidated — its memoised results came from
+        the old parameters, and serving them after the swap would
+        silently return stale predictions.
         """
         info = self.get_inference_job(job_id)
         if info.status != "running":
             raise ConfigurationError(f"inference job {job_id!r} is not running")
         reloaded = []
-        for spec, network in zip(info.specs, info.networks):
+        for spec, trained, network in zip(info.specs, info.trained, info.networks):
             entry = self.param_server.get_entry(spec.param_key)
             state = self.param_server.get(spec.param_key)
-            if not network.warm_start(state):
+            if not trained.warm_start(state):
                 raise ConfigurationError(
                     f"no shape-matched parameters for {spec.model_name!r} "
                     f"under {spec.param_key!r}"
                 )
+            fold(trained, network)
             spec.performance = float(entry.performance)
             reloaded.append(
                 {"model_name": spec.model_name, "version": entry.version,

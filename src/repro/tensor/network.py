@@ -15,7 +15,8 @@ A training forward runs the layer loop, each layer keeping what its
 backward needs until :meth:`backward` has run it. An inference forward
 (and so ``predict``, ``predict_labels`` and ``evaluate``) runs through
 the network's :class:`~repro.tensor.workspace.Workspace`, which gives
-the layer loop's bytes over buffers kept between calls.
+the layer loop's bytes over buffers kept between calls, most of them
+borrowed from the thread's one arena.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ class Network:
         self.layers: list[Layer] = list(layers)
         self.input_shape: tuple[int, ...] | None = None
         self.output_shape: tuple[int, ...] | None = None
-        #: the inference buffers kept between calls.
+        #: the inference workspace: the padded inputs kept between calls
+        #: (its steps are kept with each thread's arena).
         self._workspace: Workspace | None = None
 
     # ------------------------------------------------------------------

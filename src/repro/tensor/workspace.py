@@ -1,14 +1,15 @@
 """The inference workspace: a network's ``training=False`` forward over
-buffers it keeps.
+buffers kept between calls.
 
 ``Network.forward(x, training=False)`` runs here, and with it
 ``predict``, ``predict_labels`` and ``evaluate``. A workspace serves one
-sample shape and dtype, and every batch size up to its ``capacity``.
-For each batch size it builds, once, a list of steps over views of its
+sample shape and dtype, and every batch size up to its ``limit``.
+For each batch size it builds, once, a list of steps over views of
 buffers:
 
 * a convolution copies its input into the interior of a padded buffer
-  whose zero border was written once, copies the patches into the
+  (images innermost, laid out for the batch size) whose zero border is
+  written when the batch size changes, copies the patches into the
   im2col columns, and writes the GEMM with ``np.matmul(..., out=)``;
   bias, batch norm and ReLU then run in place on that output;
 * max and global average pooling write into buffers of their own, and so
@@ -20,35 +21,51 @@ buffers:
 **Byte identity.** Each step does the float operations of the layer
 loop, in the same order, on operands laid out as the layer loop lays
 them out: BLAS picks its kernel, and NumPy its summation order, from
-the layout. Every buffer but the padded inputs is a C-ordered prefix of
-a flat arena, as the layer loop's fresh arrays are C-ordered, and views
-are taken with the layer loop's own expressions. The one rewritten
-reduction is the global ``AvgPool2D``: the layer loop's
-``cols.mean(axis=0)`` runs on a view whose reduced axis is contiguous,
-so NumPy sums each window pairwise; the workspace reduces a C-ordered
-``(N*C, H*W)`` copy along axis 1, which sums the same way.
+the layout. Every buffer but the padded inputs is a C-ordered run of a
+flat arena, cache-line aligned, as the layer loop's fresh arrays are
+C-ordered, and views are taken with the layer loop's own expressions.
+The one rewritten reduction is the global ``AvgPool2D``: the layer
+loop's ``cols.mean(axis=0)`` runs on a view whose reduced axis is
+contiguous, so NumPy sums each window pairwise; the workspace reduces a
+C-ordered ``(N*C, H*W)`` copy along axis 1, which sums the same way.
 
-**Memory.** Steps run one after another, so they share arenas: one holds
-the columns of every convolution, and two take turns holding each
-step's output. Only the padded inputs are kept per geometry, so that
-their borders stay zero. A network keeps one workspace of at most
-:data:`WORKSPACE_BYTES`, grown to the largest batch it has run, so
-batch sizes that vary call to call build nothing new. A batch that
-needs more runs the layer loop: built afresh for it and dropped after
-the call, the same steps ran 1.5x slower than the layer loop (snoek8
-and resnet-mini on 64 images), and their buffers, all live at once, peak
-above the layer loop's. No buffer leaves: the answer is a copy.
+**Memory.** Steps run one after another, and two forwards never overlap
+on one thread, so every network run on a thread borrows that thread's
+one arena: a run for the columns of every convolution and two that take
+turns holding each step's output. The steps are kept with the arena too,
+per workspace and batch size, and an arena that has to grow drops every
+plan built over it. The network keeps only its padded inputs, whose
+borders must stay zero, and its batch-norm scratch, sized for the
+largest batch it has run. A batch whose buffers, arena runs and kept
+ones together, would exceed :data:`WORKSPACE_BYTES` runs the layer loop,
+so no thread's arena exceeds it. (Built afresh for one call and dropped
+after it, the same steps ran 1.5x slower than the layer loop on 64
+images of snoek8 and resnet-mini, and their buffers, all live at once,
+peak above the layer loop's.) No buffer leaves: the answer is a copy. A
+forward that starts while another network's runs on the same thread (a
+layer that runs a network) takes the layer loop.
 
 Parameters are read live. The steps hold views of the parameter arrays,
 which every writer (optimisers, ``load_state_dict``, ``warm_start``,
-batch-norm statistics) updates in place; a parameter array replaced in
-its layer's dict makes the network build a new workspace.
+batch-norm statistics, :func:`fold`) updates in place; a parameter
+array replaced in its layer's dict makes the network build a new
+workspace.
+
+**The fold.** :func:`fold` gives the network a deployed model serves
+through: each ``BatchNorm`` directly after a ``Conv2D`` or ``Dense`` is
+folded into that layer's weights and bias, so its steps are gone. The
+trained network stays the record, and training and its evaluation
+never see the folded one: folding reorders float arithmetic, so the
+folded answers match the layer loop's labels, not its bytes.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
+import threading
+import weakref
 from functools import partial
 from typing import Callable
 
@@ -68,14 +85,29 @@ from repro.tensor.layers import (
     ReLU,
 )
 
-__all__ = ["WORKSPACE_BYTES", "Workspace"]
+__all__ = ["WORKSPACE_BYTES", "Workspace", "fold"]
 
-#: Buffer bytes a network keeps between inference calls; a batch whose
-#: buffers would need more runs the layer loop. 512 KiB holds one image
-#: (a blocking query) of every zoo ConvNet at 3x32x32: snoek8 needs
-#: 475 KB. A 16-image batch of snoek8 at 3x16x16 needs 1.9 MB; kept, it
-#: raised the serving workloads' peak RSS by 2-5 %.
-WORKSPACE_BYTES = 512 << 10
+#: Buffer bytes one inference forward may use: a thread's arena plus the
+#: running network's kept buffers. A batch whose buffers would need more
+#: runs the layer loop. 2 MiB holds a 16-image batch (the async front
+#: end's) of every zoo ConvNet at 3x16x16: snoek8 needs 1.93 MB.
+WORKSPACE_BYTES = 2 << 20
+
+#: Each arena run starts on a 64-byte boundary.
+_ALIGN = 64
+
+
+class _Arena(threading.local):
+    """One thread's flat buffer, which the steps of every workspace run on
+    the thread borrow, and those steps by workspace and batch size."""
+
+    def __init__(self):
+        self.buffer = np.empty(0, np.uint8)
+        self.plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self.running = False
+
+
+_arena = _Arena()
 
 
 class _Act:
@@ -96,8 +128,8 @@ def _other(arena: str | None) -> str:
 
 
 class Workspace:
-    """The inference buffers and steps of one network for inputs of
-    ``sample_shape`` and ``dtype``.
+    """The inference steps of one network for inputs of ``sample_shape``
+    and ``dtype``, and the buffers the network keeps for them.
 
     It keeps buffers for the largest batch it has run, and takes no
     batch above ``limit``, the largest whose buffers fit in
@@ -109,17 +141,16 @@ class Workspace:
         self.sample_shape = tuple(sample_shape)
         self.dtype = np.dtype(dtype)
         self.capacity = -1  # no buffers until the first batch
-        self._arenas: dict = {}
-        self._plans: dict[int, tuple[list, np.ndarray | None]] = {}
+        self._kept: dict = {}
+        self._bordered = -1  # the batch size the padded inputs' zeros are laid out for
         self._busy = False
         # Every buffer but the batch-norm scratch grows with the batch,
-        # linearly from two images up (one image may flatten in place).
-        sizes, self._live = self._sizes(2)
-        two = sum(sizes.values()) * self.dtype.itemsize
-        per_image = (sum(self._sizes(4)[0].values()) * self.dtype.itemsize - two) // 2
-        self.limit = (
-            (WORKSPACE_BYTES - two + 2 * per_image) // per_image if per_image else sys.maxsize
-        )
+        # linearly from two images up (one image may flatten in place);
+        # aligning the arena's runs adds at most 3 * _ALIGN bytes.
+        two = self._bytes(2)
+        per_image = (self._bytes(4) - two) // 2
+        budget = WORKSPACE_BYTES - 3 * _ALIGN
+        self.limit = (budget - two + 2 * per_image) // per_image if per_image else sys.maxsize
 
     def holds(self, layers: list[Layer], x: np.ndarray) -> bool:
         """Whether this workspace runs ``x`` through ``layers`` as they are now."""
@@ -130,26 +161,37 @@ class Workspace:
                 return False
         return True
 
-    def _sizes(self, n: int) -> tuple[dict, list]:
-        """The elements each arena needs for an ``n``-image batch, and
-        the parameters the steps read."""
-        sizes: dict = {}
+    def _sizes(self, n: int) -> tuple[dict, dict]:
+        """The elements each kept buffer and each arena run needs for an
+        ``n``-image batch; sets the parameters the steps read."""
+        kept: dict = {}
+        runs: dict = {}
 
         def measure(slot, shape):
+            sizes = runs if isinstance(slot, str) else kept
             sizes[slot] = max(sizes.get(slot, 0), math.prod(shape))
             return np.empty(shape, self.dtype)  # never written
 
-        return sizes, self._build(n, measure)[2]
+        self._live = self._build(n, measure)[2]
+        return kept, runs
+
+    def _bytes(self, n: int) -> int:
+        kept, runs = self._sizes(n)
+        return (sum(kept.values()) + sum(runs.values())) * self.dtype.itemsize
 
     def _grow(self, capacity: int) -> None:
-        sizes, self._live = self._sizes(capacity)
-        self._arenas = {
-            slot: np.zeros((*slot[1:4], capacity), self.dtype) if slot[0] == "pad"
-            else np.empty(size, self.dtype)
-            for slot, size in sizes.items()
-        }
+        kept, _ = self._sizes(capacity)
+        self._kept = {slot: np.empty(size, self.dtype) for slot, size in kept.items()}
         self.capacity = capacity
-        self._plans.clear()
+        self._bordered = -1
+
+    def _border(self, n: int) -> None:
+        """Zero the padded inputs as laid out for ``n`` images; each call
+        then writes only their interiors."""
+        for slot, buffer in self._kept.items():
+            if slot[0] == "pad":
+                buffer[: math.prod(slot[1:4]) * n] = 0
+        self._bordered = n
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """The layer loop's ``training=False`` output for ``x``, as a new array."""
@@ -158,16 +200,21 @@ class Workspace:
                 "a network's inference workspace is already running: one network "
                 "must not run two forwards at once"
             )
-        self._busy = True
+        if _arena.running:
+            for layer in self.layers:
+                x = layer.forward(x, training=False)
+            return x
+        self._busy = _arena.running = True
         try:
             n = x.shape[0]
             if n > self.capacity:
                 self._grow(n)
-            plan = self._plans.get(n)
-            if plan is None:
-                steps, out, _ = self._build(n, self._take)
-                plan = self._plans[n] = (steps, out)
-            steps, out = plan
+            if n != self._bordered:
+                self._border(n)
+            plan = _arena.plans.get(self, {}).get(n)
+            if plan is None or plan[0] != self.capacity:
+                plan = self._plan(n)
+            _, steps, out = plan
             value = x
             for fn, args in steps:
                 if args is None:
@@ -176,23 +223,45 @@ class Workspace:
                     fn(*args)
             if out is not None:
                 return out.copy(order="K")
-            if any(np.may_share_memory(value, arena) for arena in self._arenas.values()):
+            if any(np.may_share_memory(value, buffer)
+                   for buffer in (_arena.buffer, *self._kept.values())):
                 return value.copy(order="K")
             return value
         finally:
-            self._busy = False
+            self._busy = _arena.running = False
+
+    def _plan(self, n: int) -> tuple:
+        """Build, and keep with this thread's arena, the steps for an
+        ``n``-image batch over the kept buffers and the arena."""
+        _, runs = self._sizes(n)
+        offsets, end = {}, 0
+        for slot, size in runs.items():
+            offsets[slot] = end
+            end += -(-size * self.dtype.itemsize // _ALIGN) * _ALIGN
+        if end > _arena.buffer.nbytes:
+            # Every plan on this thread reads the buffer being replaced.
+            _arena.buffer = np.empty(end, np.uint8)
+            _arena.plans.clear()
+        buffer = _arena.buffer
+
+        def take(slot, shape):
+            """``shape`` out of ``slot``: a C-ordered prefix of a kept buffer
+            or of an arena run."""
+            size = math.prod(shape)
+            if slot in offsets:
+                start = offsets[slot]
+                run = buffer[start : start + size * self.dtype.itemsize].view(self.dtype)
+            else:
+                run = self._kept[slot][:size]
+            return run.reshape(shape)
+
+        steps, out, _ = self._build(n, take)
+        plan = _arena.plans.setdefault(self, {})[n] = (self.capacity, steps, out)
+        return plan
 
     # ------------------------------------------------------------------
     # building the steps
     # ------------------------------------------------------------------
-
-    def _take(self, slot, shape) -> np.ndarray:
-        """``shape`` out of ``slot``'s arena: the first ``shape[-1]`` images
-        of a padded buffer, else a C-ordered prefix of a flat arena."""
-        arena = self._arenas[slot]
-        if slot[0] == "pad":
-            return arena[..., : shape[-1]]
-        return arena[: math.prod(shape)].reshape(shape)
 
     def _build(self, n: int, take: Callable) -> tuple[list, np.ndarray | None, list]:
         """The steps for an ``n``-image batch over ``take(slot, shape)``'s
@@ -340,3 +409,55 @@ class Workspace:
         else:
             steps.append((np.copyto, (out.reshape(shape), cur.view)))
         return _Act(out, out, 1, arena)
+
+
+def fold(record, served=None):
+    """The network ``record`` serves as, with each ``BatchNorm`` directly
+    after a ``Conv2D`` or ``Dense`` folded into that layer's weights and
+    bias; given the ``served`` network an earlier call returned, the fold
+    is written into its arrays in place instead.
+
+    The served network shares every other layer, parameters and all, with
+    ``record``; with nothing to fold it is ``record``. The fold is taken
+    in float64 from the record's statistics as they are now:
+    ``W * gamma / sqrt(var + eps)`` and ``(b - mean) * gamma / sqrt(var +
+    eps) + beta`` per output channel.
+    """
+    layers, source = [], record.layers
+    i = 0
+    while i < len(source):
+        layer = source[i]
+        norm = source[i + 1] if i + 1 < len(source) else None
+        if type(layer) not in (Conv2D, Dense) or type(norm) is not BatchNorm:
+            layers.append(layer)
+            i += 1
+            continue
+        if served is None:
+            target = copy.copy(layer)
+            for attr in layer.saved_for_backward:
+                setattr(target, attr, None)
+            target.params = {key: np.empty_like(value) for key, value in layer.params.items()}
+            target.grads = {}
+        else:
+            target = served.layers[len(layers)]
+        scale = norm.params["gamma"].astype(np.float64) / np.sqrt(
+            norm.running_var.astype(np.float64) + norm.eps
+        )
+        # A Conv2D's output channels are its weights' first axis, a Dense's its last.
+        axis = 0 if type(layer) is Conv2D else -1
+        shape = [1] * layer.params["W"].ndim
+        shape[axis] = -1
+        target.params["W"][...] = layer.params["W"] * scale.reshape(shape)
+        target.params["b"][...] = (
+            (layer.params["b"] - norm.running_mean.astype(np.float64)) * scale
+            + norm.params["beta"]
+        )
+        layers.append(target)
+        i += 2
+    if served is not None:
+        return served
+    if len(layers) == len(source):
+        return record
+    served = type(record)(layers, name=record.name)
+    served.input_shape, served.output_shape = record.input_shape, record.output_shape
+    return served

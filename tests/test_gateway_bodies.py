@@ -56,8 +56,8 @@ def _deployed():
 
 def _state(system) -> str:
     """What a refused request must leave as it was (the ledger's nonzero
-    holdings: a deploy that places its replicas and then fails rolls its
-    job back, but the placed job's pair stays, at zero)."""
+    holdings: a training job that places its containers and then fails
+    stops them, but the placed job's pair stays, at zero)."""
     return repr((
         {k: (v.status, v.model_names) for k, v in system.train_jobs.items()},
         {k: (v.status, v.queries_served, v.specs) for k, v in system.inference_jobs.items()},
@@ -273,6 +273,25 @@ class TestRefusedDeployLeavesNoJob:
         response = gateway.handle("POST", "/inference", {"models": [model]})
         assert response.status == 404
         assert _state(system) == before
+
+    def test_a_refused_deploy_takes_no_id(self):
+        system, gateway, job = _deployed()
+        model = {"model_name": "resnet-mini", "param_key": "nokey", "dataset": "food-1",
+                 "task": "ImageClassification"}
+        assert gateway.handle("POST", "/inference", {"models": [model]}).status == 404
+        spec = system.get_inference_job(job).specs[0]
+        assert system.create_inference_job([spec]) == "infer-2"
+        assert sorted(system.cluster.jobs) == ["job-1", "job-2"]
+
+    def test_a_refused_deploy_shows_no_ledger_pair(self):
+        system, gateway, job = _deployed()
+        before = system.tenants.ledger.snapshot()
+        model = {"model_name": "resnet-mini", "param_key": "nokey", "dataset": "food-1",
+                 "task": "ImageClassification"}
+        body = {"models": [model], "tenant": "acme"}
+        assert gateway.handle("POST", "/inference", body).status == 404
+        assert system.tenants.ledger.snapshot() == before
+        assert "acme" not in before
 
 
 # ----------------------------------------------------------------------

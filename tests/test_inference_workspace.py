@@ -16,6 +16,7 @@ import pytest
 
 from repro.tensor import SGD, Layer, Network, SoftmaxCrossEntropy, default_dtype, using_dtype
 from repro.tensor.losses import softmax
+from repro.tensor.workspace import _arena
 from repro.zoo.builders import BUILDERS
 from test_engine_layout import build_strided
 from test_tensor_network import _retained_bytes
@@ -155,8 +156,10 @@ def test_two_forwards_at_once_are_refused():
 
 def test_a_network_too_large_for_one_image_keeps_no_buffer():
     rng = np.random.default_rng(12)
-    net = BUILDERS["snoek8"]((3, 64, 64), CLASSES, rng)
-    x = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
-    before = _retained_bytes(net)
+    # One 3x80x80 image needs 2.9 MB of snoek8 buffers (3x64x64: 1.8 MB).
+    net = BUILDERS["snoek8"]((3, 80, 80), CLASSES, rng)
+    x = rng.standard_normal((1, 3, 80, 80)).astype(np.float32)
+    before, arena = _retained_bytes(net), _arena.buffer
     assert_answers(net, x)
     assert net._workspace.limit == 0 and _retained_bytes(net) == before
+    assert _arena.buffer is arena and net._workspace not in _arena.plans

@@ -234,16 +234,19 @@ class TestZeroRowBatch:
 
 class TestEvalKeepsNoBackwardState:
     """A serving forward (``training=False``) keeps no activation, so a
-    deployed replica holds its parameters plus at most
-    ``WORKSPACE_BYTES`` of inference workspace between batches, and
-    ``backward`` after it fails instead of using a stale cache."""
+    deployed replica holds its parameters plus the padded inputs and
+    batch-norm scratch of its inference workspace between batches; the
+    arena its steps borrow is its thread's, and the two together stay
+    within ``WORKSPACE_BYTES``. ``backward`` after it fails instead of
+    using a stale cache."""
 
     @pytest.mark.parametrize("name", NETS)
     def test_predict_drops_training_caches(self, rng, name):
         from repro.tensor import SoftmaxCrossEntropy
-        from repro.tensor.workspace import WORKSPACE_BYTES
+        from repro.tensor.workspace import WORKSPACE_BYTES, _arena
 
         net = _net(name, rng)
+        built = _retained_bytes(net)
         x = rng.normal(size=(4, 3, 8, 8))
         loss = SoftmaxCrossEntropy()
         loss.forward(net.forward(x, training=True), np.arange(4) % 5)
@@ -255,7 +258,11 @@ class TestEvalKeepsNoBackwardState:
             for attr, value in vars(layer).items():
                 if isinstance(value, np.ndarray):
                     assert id(value) in owned, f"{layer.name}.{attr} kept an array"
-        assert 0 < _retained_bytes(net) <= WORKSPACE_BYTES
+        kept = sum(buffer.nbytes for buffer in net._workspace._kept.values())
+        assert net._workspace in _arena.plans
+        assert _retained_bytes(net) == built + kept
+        assert net._workspace._bytes(len(x)) <= WORKSPACE_BYTES
+        assert _arena.buffer.nbytes <= WORKSPACE_BYTES
         with pytest.raises(AssertionError, match="training-mode forward"):
             net.backward(np.ones((4, 5), dtype=np.float32))
 

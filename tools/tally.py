@@ -102,11 +102,16 @@ def mutable_globals(path: Path) -> list[str]:
         for node in ast.walk(tree) if isinstance(node, ast.Global)
         for name in node.names
     }
+    # A module's own ``threading.local`` subclasses make per-thread globals.
+    factories = MUTABLE_FACTORIES | {
+        node.name for node in tree.body if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "attr", getattr(base, "id", "")) == "local" for base in node.bases)
+    }
     for node in tree.body:
         value = getattr(node, "value", None)
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(value, ast.Call):
             func = value.func
-            if getattr(func, "attr", getattr(func, "id", "")) in MUTABLE_FACTORIES:
+            if getattr(func, "attr", getattr(func, "id", "")) in factories:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names.update(t.id for t in targets if isinstance(t, ast.Name))
     return sorted(names)
