@@ -56,9 +56,23 @@ correct = 0
 for i in range(len(food_photos.test_y)):
     img = food_photos.test_x[i]
     ret = rafiki.query(job=infer_id, data={"img": img})
+    if i == 0:
+        ret_first = ret
     correct += int(ret["label"] == food_photos.test_y[i])
     if i < 3:
         print(f"query {i}: predicted={ret['label']} "
               f"true={int(food_photos.test_y[i])} votes={ret['votes']}")
 total = len(food_photos.test_y)
 print(f"ensemble test accuracy: {correct}/{total} = {correct / total:.2f}")
+
+# ----------------------------------------------------------------------
+# Training that goes on after deployment leaves newer checkpoints under
+# the same parameter-server keys; a redeploy reloads every replica in
+# place and drops the prediction cache. Nothing trained since, so the
+# reloaded ensemble answers as before.
+# ----------------------------------------------------------------------
+reloaded = gateway.handle("POST", f"/inference/{infer_id}/redeploy").body
+print("redeployed " + ", ".join(f"{m['model_name']} v{m['version']}"
+                                for m in reloaded["models"]))
+again = rafiki.query(job=infer_id, data={"img": food_photos.test_x[0]})
+assert again == ret_first, (again, ret_first)

@@ -231,8 +231,8 @@ class Gateway:
         the handler's answer comes back as plain JSON values.
 
         Every request — matched or not — is counted per route template,
-        status and tenant, and its handler latency (read from the
-        injectable telemetry clock) lands in the per-route latency
+        status and tenant, and its latency (the duration of its
+        ``gateway.request`` span) lands in the per-route latency
         histogram. The tenant comes from the ``tenant`` argument (an
         HTTP gateway would read a header), falling back to a
         ``"tenant"`` body field, then to the default tenant; unknown or
@@ -254,46 +254,48 @@ class Gateway:
         tenant, read the body by the route's table. The block runs
         ``call.handler`` (if the request is not answered yet) and leaves
         its return value in ``call.result``. After it: map a raised
-        exception to its status, serialise the result, count the request
-        and time it; ``call.response`` is the answer.
+        exception to its status and serialise the result. All of it is
+        the ``gateway.request`` span, tagged with route, tenant and
+        status; the request is counted, and the span's duration is its
+        latency. ``call.response`` is the answer.
         """
-        clock = telemetry.get_clock()
-        start = clock.now()
         method = method.upper()
-        response = None
-        try:
-            payload = _json_object(body)
-            call = _Call(self._resolve_tenant_name(tenant, payload))
-        except GatewayError as exc:
-            payload, call = None, _Call(self._resolve_tenant_name(tenant, None))
-            response = Response(400, {"error": str(exc)})
-        matched = None
-        for route_method, pattern, handler, name in self._routes:
-            if route_method == method:
-                match = pattern.match(path)
-                if match:
-                    matched = handler
-                    call.route, call.params = name, match.groupdict()
-                    break
-        try:
-            if response is None:
-                self.system.tenants.authorise(call.tenant)
-                if matched is None:
-                    response = Response(404, {"error": f"no route for {method} {path}"})
-                else:
-                    call.fields = _parse(
-                        self._bodies.get(matched, ()), payload, f"{method} {call.route}")
-                    call.handler = matched
-        except (TenantAccessError, GatewayError) as exc:
-            response = self._error_response(exc)
-        try:
-            yield call
-            if response is None:
-                response = self._serialise(call.result)
-        except Exception as exc:
-            response = self._error_response(exc)
-            if response is None:
-                raise
+        with telemetry.get_tracer().span("gateway.request") as span:
+            response = None
+            try:
+                payload = _json_object(body)
+                call = _Call(self._resolve_tenant_name(tenant, payload))
+            except GatewayError as exc:
+                payload, call = None, _Call(self._resolve_tenant_name(tenant, None))
+                response = Response(400, {"error": str(exc)})
+            matched = None
+            for route_method, pattern, handler, name in self._routes:
+                if route_method == method:
+                    match = pattern.match(path)
+                    if match:
+                        matched = handler
+                        call.route, call.params = name, match.groupdict()
+                        break
+            try:
+                if response is None:
+                    self.system.tenants.authorise(call.tenant)
+                    if matched is None:
+                        response = Response(404, {"error": f"no route for {method} {path}"})
+                    else:
+                        call.fields = _parse(
+                            self._bodies.get(matched, ()), payload, f"{method} {call.route}")
+                        call.handler = matched
+            except (TenantAccessError, GatewayError) as exc:
+                response = self._error_response(exc)
+            try:
+                yield call
+                if response is None:
+                    response = self._serialise(call.result)
+            except Exception as exc:
+                response = self._error_response(exc)
+                if response is None:
+                    raise
+            span.tag(route=call.route, tenant=call.tenant, status=response.status)
         registry = telemetry.get_registry()
         if registry is not self._registry:
             self._registry, self._series = registry, {}
@@ -310,7 +312,7 @@ class Gateway:
                 latency.labels(route=call.route))
         count, seconds = self._series[key]
         count.inc()
-        seconds.observe(clock.now() - start + call.injected_latency)
+        seconds.observe(span.duration + call.injected_latency)
         call.response = response
 
     def _dispatch(self, call: _Call) -> None:

@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     tele.add_argument("--format", choices=("json", "prom"), default="json",
                       help="snapshot format: JSON or Prometheus text exposition")
     tele.add_argument("--trace", action="store_true",
-                      help="include recorded tracing spans (JSON format only)")
+                      help="trace the flow and include its spans (JSON format only)")
     tele.add_argument("--seed", type=int, default=0)
 
     chaos_cmd = sub.add_parser(
@@ -339,7 +339,8 @@ def _cmd_telemetry(args) -> int:
     short greedy single-model run), the cluster manager (job placement,
     heartbeats, a failure + recovery) and the gateway (a couple of
     routed requests), so the printed snapshot demonstrates the full
-    metric surface.
+    metric surface. ``--trace`` turns the process tracer on first and
+    prints the flow's spans too.
     """
     from repro import telemetry
     from repro.api.gateway import Gateway
@@ -364,6 +365,8 @@ def _cmd_telemetry(args) -> int:
     )
     from repro.zoo import get_profile
 
+    if args.trace:
+        telemetry.get_tracer().enabled = True
     # tune + paramserver: a small collaborative study on the surrogate,
     # kept in the facade's own parameter server.
     system = Rafiki(nodes=3, gpus_per_node=3, seed=args.seed)

@@ -831,15 +831,26 @@ class AsyncServeFrontend:
         client_id: str = "default",
         tenant: str = DEFAULT_TENANT,
     ) -> Any:
-        """Submit one request; returns the result or raises on shed."""
+        """Submit one request; returns the result or raises on shed.
+
+        The caller's time here is the ``serve.frontend.submit`` wait
+        span, tagged with the admission ``outcome`` and, for a shed
+        request, its ``reason``.
+        """
         if not self._running:
             raise ConfigurationError("frontend is not running (call start())")
-        request = self.core.offer(client_id, payload, self._now(), tenant=tenant)
-        future = self._loop.create_future()
-        request.future = future
-        request.on_shed = _fail_future
-        self._wake.set()
-        return await future
+        with telemetry.get_tracer().span("serve.frontend.submit", wait=True) as span:
+            try:
+                request = self.core.offer(client_id, payload, self._now(), tenant=tenant)
+                span.tag(outcome="admitted")
+                future = self._loop.create_future()
+                request.future = future
+                request.on_shed = _fail_future
+                self._wake.set()
+                return await future
+            except RequestShedError as exc:
+                span.tag(outcome="shed", reason=exc.reason)
+                raise
 
     async def _dispatch_loop(self) -> None:
         while self._running:
@@ -859,34 +870,35 @@ class AsyncServeFrontend:
     async def _execute(self, plan: DispatchPlan) -> None:
         if plan.extra_latency > 0.0:
             await asyncio.sleep(plan.extra_latency)
-        payloads = [request.payload for request in plan.requests]
-        try:
-            # The subset rides along only when the policy chose one, so
-            # plain (payloads, batch_size) executors keep working.
-            chosen = (plan.models,) if plan.models else ()
-            results = self.executor(payloads, plan.batch_size, *chosen)
-            if inspect.isawaitable(results):
-                results = await results
-        except Exception as exc:  # executor bug or backend outage
-            self._executor_errors.inc()
-            # Callers get the executor's own exception (it is not a
-            # backpressure signal); the ledger still closes.
-            for request in plan.requests:
+        with telemetry.get_tracer().span("serve.frontend.batch", size=len(plan.requests)):
+            payloads = [request.payload for request in plan.requests]
+            try:
+                # The subset rides along only when the policy chose one, so
+                # plain (payloads, batch_size) executors keep working.
+                chosen = (plan.models,) if plan.models else ()
+                results = self.executor(payloads, plan.batch_size, *chosen)
+                if inspect.isawaitable(results):
+                    results = await results
+            except Exception as exc:  # executor bug or backend outage
+                self._executor_errors.inc()
+                # Callers get the executor's own exception (it is not a
+                # backpressure signal); the ledger still closes.
+                for request in plan.requests:
+                    if request.future is not None and not request.future.done():
+                        request.future.set_exception(exc)
+                self.core.fail(plan, self._now(), "executor_error")
+                return
+            self.core.complete(plan, self._now())
+            for request, result in zip(plan.requests, results):
                 if request.future is not None and not request.future.done():
-                    request.future.set_exception(exc)
-            self.core.fail(plan, self._now(), "executor_error")
-            return
-        self.core.complete(plan, self._now())
-        for request, result in zip(plan.requests, results):
-            if request.future is not None and not request.future.done():
-                # An Exception *instance* in the results list is a
-                # per-request failure (e.g. one client's malformed
-                # image): only that caller errors, its batch-mates'
-                # results are untouched.
-                if isinstance(result, Exception):
-                    request.future.set_exception(result)
-                else:
-                    request.future.set_result(result)
+                    # An Exception *instance* in the results list is a
+                    # per-request failure (e.g. one client's malformed
+                    # image): only that caller errors, its batch-mates'
+                    # results are untouched.
+                    if isinstance(result, Exception):
+                        request.future.set_exception(result)
+                    else:
+                        request.future.set_result(result)
 
 
 def _fail_future(request: FrontendRequest, error: RequestShedError) -> None:

@@ -422,7 +422,10 @@ class Rafiki:
         job's prediction cache, the distinct rows that miss share one
         ensemble forward pass, and the answers come back in request
         order. Majority voting with best-model tie-break aggregates
-        the deployed networks' predictions (Section 5.2).
+        the deployed networks' predictions (Section 5.2). The query is
+        the ``system.query`` span, tagged with the cache's hits and
+        misses; each replica's forward pass is a ``system.predict`` span
+        under it.
 
         ``models`` restricts the vote to a subset of the deployed
         models (indices into the job's specs — what a serving policy
@@ -433,43 +436,47 @@ class Rafiki:
         info = self.get_inference_job(job_id)
         if info.status != "running":
             raise ConfigurationError(f"inference job {job_id!r} is not running")
-        # One conversion on the way in, to the dtype the replicas compute
-        # in: each would otherwise cast the batch again, and the cache
-        # key is over the bytes they see.
-        batch = np.asarray(data, dtype=default_dtype())
-        single = batch.ndim == len(info.image_shape)
-        if single:
-            batch = batch[None, ...]
-        voted = sorted(models) if models is not None else list(range(len(info.specs)))
+        with telemetry.get_tracer().span("system.query", job=job_id) as span:
+            # One conversion on the way in, to the dtype the replicas compute
+            # in: each would otherwise cast the batch again, and the cache
+            # key is over the bytes they see.
+            batch = np.asarray(data, dtype=default_dtype())
+            single = batch.ndim == len(info.image_shape)
+            if single:
+                batch = batch[None, ...]
+            voted = sorted(models) if models is not None else list(range(len(info.specs)))
+            misses = 0
 
-        def forward(images: list[np.ndarray]):
-            nonlocal voted
-            labels, votes, voted = self._predict(info, np.stack(images), models)
-            # Only what every deployed replica voted on is remembered:
-            # a degraded answer must not outlive the outage.
-            return (
-                list(zip(labels.tolist(), votes.T.tolist())),
-                len(voted) == len(info.specs),
-            )
+            def forward(images: list[np.ndarray]):
+                nonlocal voted, misses
+                misses = len(images)
+                labels, votes, voted = self._predict(info, np.stack(images), models)
+                # Only what every deployed replica voted on is remembered:
+                # a degraded answer must not outlive the outage.
+                return (
+                    list(zip(labels.tolist(), votes.T.tolist())),
+                    len(voted) == len(info.specs),
+                )
 
-        rows = info.cache.query_batch(batch, forward)
-        labels = [label for label, _ in rows]
-        votes = [row_votes for _, row_votes in rows]
-        if len(voted) < len(info.specs):
-            # Cached rows carry every replica's vote. The replicas that
-            # voted on the misses answer the whole batch, so votes[i]
-            # belongs to models[i] on every row.
-            votes = [
-                [row[i] for i in voted] if len(row) > len(voted) else row
-                for row in votes
-            ]
-            labels = _vote(info, np.array(votes).T, voted).tolist()
-        info.queries_served += len(rows)
-        return {
-            "label": labels[0] if single else labels,
-            "votes": votes[0] if single else votes,
-            "models": [info.specs[i].model_name for i in voted],
-        }
+            rows = info.cache.query_batch(batch, forward)
+            span.tag(hits=len(rows) - misses, misses=misses)
+            labels = [label for label, _ in rows]
+            votes = [row_votes for _, row_votes in rows]
+            if len(voted) < len(info.specs):
+                # Cached rows carry every replica's vote. The replicas that
+                # voted on the misses answer the whole batch, so votes[i]
+                # belongs to models[i] on every row.
+                votes = [
+                    [row[i] for i in voted] if len(row) > len(voted) else row
+                    for row in votes
+                ]
+                labels = _vote(info, np.array(votes).T, voted).tolist()
+            info.queries_served += len(rows)
+            return {
+                "label": labels[0] if single else labels,
+                "votes": votes[0] if single else votes,
+                "models": [info.specs[i].model_name for i in voted],
+            }
 
     def _predict(self, info: InferenceJobInfo, batch: np.ndarray, models=None):
         """Ensemble prediction with graceful replica degradation.
@@ -491,14 +498,16 @@ class Rafiki:
             ]
         rows: list[np.ndarray] = []
         voted: list[int] = []
+        tracer = telemetry.get_tracer()
         for index, (spec, network, breaker) in enumerate(
             zip(info.specs, info.networks, info.breakers)
         ):
             if (models is not None and index not in models) or not breaker.allow():
                 continue
             try:
-                chaos.fire(f"serve.model.{spec.model_name}")
-                rows.append(network.predict_labels(batch))
+                with tracer.span("system.predict", model=spec.model_name, images=len(batch)):
+                    chaos.fire(f"serve.model.{spec.model_name}")
+                    rows.append(network.predict_labels(batch))
             except InjectedFault:
                 breaker.record_failure()
                 self._replica_errors.inc(model=spec.model_name)

@@ -149,7 +149,7 @@ def _pool_worker(conn: Connection, inherited: list[Connection]) -> None:
     """
     for end in inherited:
         end.close()
-    clock = telemetry.get_clock()
+    tracer = telemetry.get_tracer()
     trainers: dict[tuple, RealTrainer] = {}
 
     while True:
@@ -163,39 +163,40 @@ def _pool_worker(conn: Connection, inherited: list[Connection]) -> None:
             continue
         spec, trial, init_state, generation, dataset = job
         tag = (generation, trial.trial_id)
-        started = clock.now()
         try:
-            fingerprint = spec.fingerprint
-            if dataset is not None:  # a spec this worker does not hold
-                trainer = RealTrainer(
-                    dataset=dataset,
-                    builder=spec.builder,
-                    batch_size=spec.batch_size,
-                    seconds_per_epoch=spec.seconds_per_epoch,
-                    use_augmentation=spec.use_augmentation,
-                    arch_knobs=spec.arch_knobs,
-                    seed=spec.seed,
-                )
-                _cache_put(trainers, fingerprint, trainer)
-            session = trainers[fingerprint].start(trial, init_state)
-            stop_rule = TrialStopRule(trial, spec.conf)
-            finished = cancelled = False
-            while not (finished or cancelled):
-                chaos.fire("tune.pool.trial")
-                accuracy = session.run_epoch()
-                # the parent may be stopped (and asked to kPut) after
-                # any epoch, so it then needs every epoch's state
-                snapshot = None if trial.local_early_stop else session.state_dict()
-                conn.send(("epoch", *tag, float(accuracy), snapshot))
-                finished = stop_rule.update(accuracy)
-                # mid-trial the pipe carries only cancels (jobs go
-                # to idle workers); one for an earlier trial is stale
-                while not cancelled and conn.poll():
-                    cancelled = conn.recv() == tag
+            with tracer.span("tune.pool.trial", trial_id=trial.trial_id) as span:
+                fingerprint = spec.fingerprint
+                if dataset is not None:  # a spec this worker does not hold
+                    trainer = RealTrainer(
+                        dataset=dataset,
+                        builder=spec.builder,
+                        batch_size=spec.batch_size,
+                        seconds_per_epoch=spec.seconds_per_epoch,
+                        use_augmentation=spec.use_augmentation,
+                        arch_knobs=spec.arch_knobs,
+                        seed=spec.seed,
+                    )
+                    _cache_put(trainers, fingerprint, trainer)
+                session = trainers[fingerprint].start(trial, init_state)
+                stop_rule = TrialStopRule(trial, spec.conf)
+                finished = cancelled = False
+                while not (finished or cancelled):
+                    chaos.fire("tune.pool.trial")
+                    accuracy = session.run_epoch()
+                    # the parent may be stopped (and asked to kPut) after
+                    # any epoch, so it then needs every epoch's state
+                    snapshot = None if trial.local_early_stop else session.state_dict()
+                    conn.send(("epoch", *tag, float(accuracy), snapshot))
+                    finished = stop_rule.update(accuracy)
+                    # mid-trial the pipe carries only cancels (jobs go
+                    # to idle workers); one for an earlier trial is stale
+                    while not cancelled and conn.poll():
+                        cancelled = conn.recv() == tag
+                state = None if cancelled else session.state_dict()
             if cancelled:
                 conn.send(("cancelled", *tag))
                 continue
-            conn.send(("done", *tag, session.state_dict(), clock.now() - started))
+            conn.send(("done", *tag, state, span.duration))
         except Exception as exc:  # surfaced (and maybe retried) in the parent
             conn.send(("error", *tag, repr(exc)))
 

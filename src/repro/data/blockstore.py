@@ -434,6 +434,12 @@ class BlockStore(HostedGroup):
             raise
         bound.ok.inc()
 
+    def served(self, op: str) -> dict[str, int]:
+        """Store->datanode ``op`` (``"put"`` or ``"get"``) calls that passed
+        their fault points so far, by datanode: the difference of two
+        readings names the nodes an operation used."""
+        return {node.name: self._node_ops[node.name, op].ok.count for node in self._nodes}
+
     def _count_failover(self, node: DataNode, op: str) -> None:
         self._node_ops[node.name, op].failover.inc()
 

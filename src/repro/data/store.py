@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import telemetry
 from repro.data.blockstore import DEFAULT_CHUNK_SIZE, BlockStore
 from repro.data.datasets import ImageDataset
 from repro.data.fs import FileNamespace, Manifest
@@ -210,7 +211,11 @@ class DataStore:
             displaced = self._blob_charges.get(path)
             headroom = displaced[1] if displaced and displaced[0] == tenant else 0
             self.tenants.check(tenant, "store_bytes", len(blob) - headroom)
-        self.fs.write(path, bytes(blob), writer=self.name, basis=basis)
+        tracer = telemetry.get_tracer()
+        before = self.blocks.served("put") if tracer.enabled else None
+        with tracer.span("data.store.put_blob") as span:
+            manifest = self.fs.write(path, bytes(blob), writer=self.name, basis=basis)
+        span.tag(chunks=len(manifest.digests), nodes=self._nodes_since(before, "put"))
         self._blob_charges[path] = (tenant, len(blob))
         if self.tenants is not None:
             self.tenants.ledger.admit(tenant, "store_bytes")
@@ -230,14 +235,29 @@ class DataStore:
         ``bytes_read`` as the joined blob would. Chunks are immutable
         ``bytes``: callers may keep them, never write to them.
         """
-        try:
-            chunks = list(self.fs.read_chunks(path, version))
-        except DatasetNotFoundError:
-            raise
-        except NotFoundError as exc:
-            raise DatasetNotFoundError(path) from exc
+        tracer = telemetry.get_tracer()
+        before = self.blocks.served("get") if tracer.enabled else None
+        with tracer.span("data.store.read_chunks") as span:
+            try:
+                chunks = list(self.fs.read_chunks(path, version))
+            except DatasetNotFoundError:
+                raise
+            except NotFoundError as exc:
+                raise DatasetNotFoundError(path) from exc
+        span.tag(chunks=len(chunks), nodes=self._nodes_since(before, "get"))
         self.bytes_read += sum(map(len, chunks))
         return chunks
+
+    def _nodes_since(self, before: dict[str, int] | None, op: str) -> list[str] | None:
+        """The datanodes the block store's ``op`` calls went to since
+        ``before`` (a :meth:`BlockStore.served` reading, taken only while
+        the tracer keeps spans; ``None`` without one).
+
+        A blob read or write is one span, not one per chunk: a checkpoint
+        spans about 17 chunks, and these tags say where they went."""
+        if before is None:
+            return None
+        return [node for node, calls in self.blocks.served(op).items() if calls > before[node]]
 
     def has_blob(self, path: str) -> bool:
         return self.fs.exists(path)

@@ -400,11 +400,16 @@ class ParameterServer(HostedGroup):
         dataset: str = "",
         performance: float = float("nan"),
     ) -> ParameterEntry:
-        """Store a new version of ``key`` through its first healthy shard."""
-        return self._serve(
-            key, "push",
-            lambda shard: self._put_once(shard.cache, key, state, model, dataset, performance),
-        )
+        """Store a new version of ``key`` through its first healthy shard.
+
+        The put is the ``paramserver.put`` span, tagged with the shard
+        that took it and the failover hops before it.
+        """
+        with telemetry.get_tracer().span("paramserver.put", key=key) as span:
+            return self._serve(
+                key, "push", span,
+                lambda shard: self._put_once(shard.cache, key, state, model, dataset, performance),
+            )
 
     def _put_once(
         self,
@@ -445,16 +450,23 @@ class ParameterServer(HostedGroup):
 
     def get(self, key: str, version: int | None = None) -> dict[str, np.ndarray]:
         """Fetch parameters (latest version unless specified), failing
-        over through the key's shards as needed."""
-        return self._serve(
-            key, "pull", lambda shard: self._get_once(shard.cache, key, version)
-        )
+        over through the key's shards as needed.
 
-    def _serve(self, key: str, op: str, fn: Callable[[Shard], Any]) -> Any:
+        The get is the ``paramserver.get`` span, tagged with the shard
+        that served it, the failover hops before it and whether the
+        shard's cache held the blob.
+        """
+        with telemetry.get_tracer().span("paramserver.get", key=key) as span:
+            return self._serve(
+                key, "pull", span, lambda shard: self._get_once(shard.cache, key, version, span)
+            )
+
+    def _serve(self, key: str, op: str, span, fn: Callable[[Shard], Any]) -> Any:
         """Run ``fn`` on the first live, breaker-admitted shard for ``key``.
 
         One server->shard operation is: the shard's fault point, then
-        ``fn``, under the retry policy, counted per shard.
+        ``fn``, under the retry policy, counted per shard. ``span`` is
+        tagged with the shard that served and the hops before it.
         """
         self._refresh_liveness()
         order = self._orders.get(key)
@@ -482,24 +494,29 @@ class ParameterServer(HostedGroup):
             bound.ok.inc()
             return result
 
-        served = failover(
-            (s for s in order if s.alive),
-            attempt,
-            lambda shard: shard_ops[shard.name, op].failover.inc(),
-        )
+        hops = 0
+
+        def hop(shard: Shard) -> None:
+            nonlocal hops
+            hops += 1
+            shard_ops[shard.name, op].failover.inc()
+
+        served = failover((s for s in order if s.alive), attempt, hop)
         if not served:
             raise ParameterServerError(
                 f"no live parameter-server shard can serve {key!r}"
             )
+        span.tag(shard=served[0][0].name, failovers=hops)
         return served[0][1]
 
     def _get_once(
-        self, cache: LRUCache, key: str, version: int | None = None
+        self, cache: LRUCache, key: str, version: int | None, span
     ) -> dict[str, np.ndarray]:
         chaos.fire("paramserver.pull")
         self._pull_count.inc()
         entry = self.get_entry(key, version)
         cached = cache.get(entry.path)
+        span.tag(cache_hit=cached is not None)
         if cached is not None:
             return _unpickled(cached[0])
         chunks = self.store.read_chunks(entry.path)

@@ -4,8 +4,17 @@ The observability substrate every subsystem records into (the live data
 behind the paper's Figure 18 dashboard). One process-wide
 :class:`MetricsRegistry` collects counters, gauges and histograms from
 tune, serve, the parameter server, the cluster manager and the gateway;
-one :class:`Tracer` records nested timing spans; both read time from
-the injectable clock in :mod:`repro.telemetry.clock`.
+one :class:`Tracer` times nested spans; both read time from the
+injectable clock in :mod:`repro.telemetry.clock`.
+
+The tracer is the only thing in the product that measures a duration:
+code that needs one (the gateway's latency histogram, a pool worker's
+trial time) reads it off the span covering the work. The process
+tracer starts disabled: its spans still time themselves, but none is
+linked or kept, so the request path pays two clock reads per span and
+nothing more. ``get_tracer().enabled = True`` turns it on for the whole
+process (``repro telemetry --trace`` does); a ``Tracer()`` you construct
+records from the start.
 
 Typical use (an owner builds each family once, where it is built):
 
@@ -20,7 +29,8 @@ Typical use (an owner builds each family once, where it is built):
 
 Tests install fresh components via :func:`set_registry`,
 :func:`set_tracer` and :func:`~repro.telemetry.clock.set_clock`.
-Metrics are always recorded; a reader filters what it wants.
+Metrics are always recorded; a reader filters what it wants. Spans are
+recorded only while the tracer is enabled.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ __all__ = [
 ]
 
 _registry = MetricsRegistry()
-_tracer = Tracer()
+_tracer = Tracer(enabled=False)
 
 
 def get_registry() -> MetricsRegistry:
@@ -83,7 +93,7 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
 
 
 def get_tracer() -> Tracer:
-    """The process-wide tracer."""
+    """The process-wide tracer (disabled until someone enables it)."""
     return _tracer
 
 

@@ -20,7 +20,10 @@ chunk reference write sites: ``incref``/``decref``/``release`` on a
 ``store`` or ``blocks`` receiver; then the JSON round-trip sites in
 ``src/``: ``json.loads(json.dumps(...))`` calls; then the reads of a raw
 request body in ``repro.api.gateway`` outside the route tables (``body[...]``,
-``body.get(...)``, ``... in body``) by function; last, the public names
+``body.get(...)``, ``... in body``) by function; then the durations
+``src/`` times outside the ``Tracer`` (a clock read minus a name bound to
+one; the two printed reports, ``profile_network`` and the CLI's pool walls,
+are allowed by name); last, the public names
 in ``src/repro`` (module-level functions and classes, and methods) that
 no other module names: no identifier, attribute or import of that name
 in any ``.py`` file under ``src/``, ``benchmarks/``, ``examples/`` or
@@ -264,6 +267,49 @@ def raw_body_reads() -> list[str]:
             )
             if read and not BODY_READERS & set(scope):
                 out.append(f"{path.relative_to(ROOT)}:{'.'.join(scope)}")
+    return out
+
+
+#: calls that read a clock: ``clock.now()``, ``time.perf_counter()``, a
+#: ``clock()`` handed in as a value, ...
+CLOCK_READS = {"now", "perf_counter", "monotonic", "process_time", "clock"}
+#: durations that are reports, not traces: ``profile_network`` measures
+#: ``c(m, b)`` itself, and ``repro tune --pool-reuse`` prints its walls.
+TIMED_REPORTS = {"core/serve/profiler.py:profile_network", "cli.py:_cmd_tune"}
+
+
+def _is_clock_read(node) -> bool:
+    func = getattr(node, "func", None)
+    name = getattr(func, "attr", getattr(func, "id", None))
+    return isinstance(node, ast.Call) and name in CLOCK_READS
+
+
+def hand_timers() -> list[str]:
+    """``module:function`` of each duration ``src/`` times outside
+    ``Tracer``: a clock read minus a local name bound to a clock read in
+    the same function, the ``TIMED_REPORTS`` aside; one entry per
+    difference. A duration the product needs comes off a span instead."""
+    out = []
+    for path in sorted(ROOT.rglob("*.py")):
+        where = str(path.relative_to(ROOT / "repro"))
+        if where == "telemetry/tracer.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            started = {
+                target.id for node in ast.walk(function)
+                if isinstance(node, ast.Assign) and _is_clock_read(node.value)
+                for target in node.targets if isinstance(target, ast.Name)
+            }
+            site = f"{where}:{function.name}"
+            out += [
+                site for node in ast.walk(function)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and _is_clock_read(node.left) and getattr(node.right, "id", None) in started
+                and site not in TIMED_REPORTS
+            ]
     return out
 
 
@@ -670,6 +716,11 @@ def main() -> int:
     print(f"\nraw request-body reads outside the route tables: {len(reads)}")
     for site in sorted(set(reads)):
         print(f"  {site}: {reads.count(site)}")
+    timers = hand_timers()
+    print(f"\ndurations timed outside Tracer in src/: {len(timers)}"
+          f" (reports allowed: {', '.join(sorted(TIMED_REPORTS))})")
+    for site in sorted(set(timers)):
+        print(f"  {site}: {timers.count(site)}")
     test_only, module_only = uncalled_public_names()
     print(f"\npublic names no other module names: {len(test_only) + len(module_only)}")
     print(f"\n  named nowhere outside tests: {len(test_only)}")

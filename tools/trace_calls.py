@@ -94,7 +94,7 @@ RUNS: tuple[Run, ...] = (
     _cli("tune-real-pool", "tune", "--real", "--processes", "2"),
     _cli("tune-real-reuse", "tune", "--real", "--pool-reuse", "--processes", "2"),
     _cli("tune-shards", "tune", "--ps-shards", "3"),
-    _cli("telemetry-json", "telemetry"),
+    _cli("telemetry-json", "telemetry", "--trace"),
     _cli("telemetry-prom", "telemetry", "--format", "prom"),
     _cli("profiles", "profiles"),
     _cli("ensemble", "ensemble"),
