@@ -175,8 +175,11 @@ def _shape(value: Any) -> tuple[int, ...]:
 
 
 def _image(value: Any) -> Any:
-    """``value`` unless it is ``null``; the handler decodes it for its job."""
-    if value is None:
+    """``value`` unless it is ``null`` (an array: unless its ``tolist()``
+    is); the handler decodes it for its job."""
+    if value is None or (
+        isinstance(value, np.ndarray) and not value.ndim and value.tolist() is None
+    ):
         raise TypeError("expected an image, got null")
     return value
 
@@ -791,7 +794,8 @@ def make_query_executor(system: Rafiki, job_id: str) -> Callable[..., list]:
                 try:
                     payload = _parse_image(payload, expected)
                 except GatewayError as exc:
-                    results[index] = exc
+                    # returned, not raised: its traceback would hold this frame
+                    results[index] = exc.with_traceback(None)
                     continue
             arrays.append(payload)
             kept.append(index)

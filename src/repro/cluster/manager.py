@@ -27,6 +27,7 @@ from repro.exceptions import (
     TenantAccessError,
 )
 from repro.tenancy import DEFAULT_TENANT, TenantRegistry
+from repro.utils.owners import WeakReader, live
 
 __all__ = ["ClusterManager", "JobRecord", "JobKind", "JobState"]
 
@@ -97,11 +98,14 @@ class ClusterManager:
         self.tenants = tenants
         if tenants is not None:
             for kind, resource in _QUOTA_RESOURCE.items():
-                tenants.ledger.govern(resource, functools.partial(self._held, kind))
+                tenants.ledger.govern(
+                    resource, self, functools.partial(ClusterManager._held, kind=kind)
+                )
         #: ``job-N`` / ``ctr-N`` sequence numbers, unique within this manager.
         self._job_ids = itertools.count(1)
         self._container_ids = itertools.count(1)
-        self._recovery_hooks: list[Callable[[Container], None]] = []
+        #: each recovery hook's owner, held weakly, with the hook.
+        self._recovery_hooks: list[WeakReader] = []
         #: failed containers waiting for capacity, oldest first.
         self._pending_restarts: list[Container] = []
         #: submitted jobs waiting for quota or capacity, oldest first.
@@ -124,18 +128,18 @@ class ClusterManager:
         self._node_failures, self._restarted = failures.labels(), restarts.labels()
         registry.gauge(
             "repro_cluster_nodes_alive", "Nodes currently alive."
-        ).set_function(lambda: len(self.alive_nodes()))
+        ).set_function(self, lambda manager: len(manager.alive_nodes()))
         registry.gauge(
             "repro_cluster_nodes_total", "Nodes registered with the manager."
-        ).set_function(lambda: len(self.nodes))
+        ).set_function(self, lambda manager: len(manager.nodes))
         registry.gauge(
             "repro_cluster_pending_jobs",
             "Submitted jobs waiting for quota or capacity.",
-        ).set_function(lambda: len(self._pending_jobs))
+        ).set_function(self, lambda manager: len(manager._pending_jobs))
         registry.gauge(
             "repro_cluster_pending_restarts",
             "Failed containers waiting for cluster capacity.",
-        ).set_function(lambda: len(self._pending_restarts))
+        ).set_function(self, lambda manager: len(manager._pending_restarts))
 
     # ------------------------------------------------------------------
     # cluster topology
@@ -293,7 +297,7 @@ class ClusterManager:
             return
         self.tenants.check(tenant, resource, workers)
 
-    def _held(self, kind: JobKind, tenant: str) -> int:
+    def _held(self, tenant: str, kind: JobKind) -> int:
         """Workers of ``tenant``'s placed jobs of ``kind`` (its quota holding)."""
         return sum(
             len(job.workers) for job in self.jobs.values()
@@ -483,10 +487,10 @@ class ClusterManager:
         """Containers ever restarted after a node failure."""
         return self._restarted.count
 
-    def on_recovery(self, hook: Callable[[Container], None]) -> Callable[[], None]:
-        """Call ``hook`` with every restarted container; returns its unregister call."""
-        self._recovery_hooks.append(hook)
-        return lambda: self._recovery_hooks.remove(hook)
+    def on_recovery(self, owner, hook: Callable[[object, Container], None]) -> None:
+        """Call ``hook(owner, container)`` with every restarted container
+        while ``owner`` lives."""
+        self._recovery_hooks.append(WeakReader(owner, hook))
 
     def fail_node(self, node_name: str) -> list[Container]:
         """Fail a node and recover its containers elsewhere.
@@ -532,8 +536,8 @@ class ClusterManager:
                 job.containers.append(replacement)
                 self.containers[replacement.container_id] = replacement
                 self._restarted.inc()
-                for hook in self._recovery_hooks:
-                    hook(replacement)
+                for owner, hook in live(self._recovery_hooks):
+                    hook(owner, replacement)
                 return replacement
         # Insufficient capacity: degrade instead of failing the whole
         # job, and queue the restart for when a node comes back.

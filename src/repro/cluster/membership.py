@@ -107,24 +107,27 @@ def failover(
     """
     done: list[tuple[M, Any]] = []
     last_error: BaseException | None = None
-    for member in members:
-        if len(done) >= want:
-            break
-        if not member.breaker.allow():
-            on_failover(member)
-            continue
-        try:
-            result = attempt(member)
-        except FAILOVER_ERRORS as exc:
-            member.breaker.record_failure()
-            on_failover(member)
-            last_error = exc
-            continue
-        member.breaker.record_success()
-        done.append((member, result))
-    if not done and last_error is not None:
-        raise last_error
-    return done
+    try:
+        for member in members:
+            if len(done) >= want:
+                break
+            if not member.breaker.allow():
+                on_failover(member)
+                continue
+            try:
+                result = attempt(member)
+            except FAILOVER_ERRORS as exc:
+                member.breaker.record_failure()
+                on_failover(member)
+                last_error = exc
+                continue
+            member.breaker.record_success()
+            done.append((member, result))
+        if not done and last_error is not None:
+            raise last_error
+        return done
+    finally:
+        last_error = None  # its traceback holds this frame: no cycle
 
 
 def silent_members(
@@ -195,7 +198,7 @@ class HostedGroup:
         for member, container in zip(self._members, hosts):
             member.container_id = container.container_id
             member.node_name = container.node_name
-        manager.on_recovery(self._on_container_recovered)
+        manager.on_recovery(self, HostedGroup._on_container_recovered)
         return job
 
     def _refresh_liveness(self) -> None:

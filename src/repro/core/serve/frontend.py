@@ -392,11 +392,11 @@ class ServeFrontend:
         registry.gauge(
             "repro_serve_frontend_queue_depth",
             "Requests admitted and waiting in the front-end queue.",
-        ).set_function(lambda: len(self.pending))
+        ).set_function(self, lambda frontend: len(frontend.pending))
         registry.gauge(
             "repro_serve_frontend_latency_p95_seconds",
             "Rolling p95 of front-end request latency.",
-        ).set_function(lambda: self.latency_quantile(0.95))
+        ).set_function(self, lambda frontend: frontend.latency_quantile(0.95))
 
     # ------------------------------------------------------------------
     # admission

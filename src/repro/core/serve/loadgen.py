@@ -338,16 +338,18 @@ class _Driver:
 
     def offer(
         self, clients: Sequence[str], tenant: str = DEFAULT_TENANT
-    ) -> tuple[list[FrontendRequest], RequestShedError | None]:
-        """Offer one same-instant burst, then poll the front end once."""
+    ) -> tuple[list[FrontendRequest], float | None]:
+        """Offer one same-instant burst, then poll the front end once; returns
+        the admitted requests and the last shed's ``retry_after`` hint."""
         now = self.sim.now
         offer, on_shed = self.frontend.offer, self._on_shed
-        admitted, error = [], None
+        # the hint, not the error: the error's traceback would hold this frame
+        admitted, retry_after = [], None
         for client in clients:
             try:
                 request = offer(client, None, now, tenant)
             except RequestShedError as exc:
-                error = exc
+                retry_after = exc.retry_after
                 self.trace.record_shed(now, client, tenant, exc.reason)
                 continue
             request.on_shed = on_shed
@@ -355,7 +357,7 @@ class _Driver:
         if admitted:
             self.trace.record_arrivals(now, len(admitted))
             self.pump()
-        return admitted, error
+        return admitted, retry_after
 
     def _on_shed(self, request: FrontendRequest, error: RequestShedError) -> None:
         self.trace.record_shed(
@@ -422,9 +424,9 @@ class _Driver:
 
     def closed_client(self, name: str, load: LoadGenConfig):
         while self.sim.now < load.duration:
-            admitted, error = self.offer([name], load.tenant)
+            admitted, retry_after = self.offer([name], load.tenant)
             if not admitted:
-                yield max(error.retry_after, load.think_time)
+                yield max(retry_after, load.think_time)
                 continue
             signal = Signal(name)
             admitted[0].future = signal

@@ -403,7 +403,7 @@ class Rafiki:
         telemetry.get_registry().gauge(
             "repro_serve_replicas_live",
             "Replicas currently admitted to the ensemble, by job.",
-        ).set_function(lambda: len(info.live_replicas()), job=job_id)
+        ).set_function(info, lambda job: len(job.live_replicas()), job=job_id)
         return job_id
 
     def get_inference_job(self, job_id: str) -> InferenceJobInfo:

@@ -100,19 +100,18 @@ def run_cluster_study(
     with telemetry.get_tracer().span(
         "run_study", study=master.study_name, workers=num_workers
     ) as span:
-        unregister = manager.on_recovery(start_worker)
-        try:
-            for container in job.workers:
-                start_worker(container)
+        # This frame holds ``start_worker`` until the study returns, and
+        # the manager holds it weakly: the hook lives exactly as long.
+        manager.on_recovery(start_worker, lambda start, container: start(container))
+        for container in job.workers:
+            start_worker(container)
 
-            if failure_plan:
-                injector = FailureInjector(manager)
-                for delay, node_name, recover_after in failure_plan:
-                    injector.schedule_failure(sim, delay, node_name, recover_after)
+        if failure_plan:
+            injector = FailureInjector(manager)
+            for delay, node_name, recover_after in failure_plan:
+                injector.schedule_failure(sim, delay, node_name, recover_after)
 
-            sim.run(max_events=5_000_000)
-        finally:
-            unregister()
+        sim.run(max_events=5_000_000)
         if manager.jobs[job.job_id].state in (JobState.RUNNING, JobState.DEGRADED):
             manager.complete_job(job.job_id)
         manager.checkpoints.save(master.study_name, master.checkpoint_state())

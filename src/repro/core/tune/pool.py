@@ -282,10 +282,10 @@ class TrialPool:
         ).labels()
         registry.gauge(
             "repro_tune_pool_workers", "Live processes in the persistent trial pool."
-        ).set_function(lambda: len(self._workers))
+        ).set_function(self, lambda pool: len(pool._workers))
         registry.gauge(
             "repro_tune_pool_queue_depth", "Jobs waiting for an idle worker."
-        ).set_function(lambda: len(self._pending))
+        ).set_function(self, lambda pool: len(pool._pending))
 
     # -- lifecycle -----------------------------------------------------
 

@@ -34,6 +34,8 @@ split into fixed-size chunks addressed by their sha256 digest, so
   reader (:meth:`BlockStore.add_reader`) of the digests it holds, and
   :meth:`BlockStore.collect` drops candidates no reader reaches — at a
   delete or a failed write or put only, so a put pays nothing for it.
+  The store holds each namespace weakly (:mod:`repro.utils.owners`): a
+  dropped namespace references no chunk.
 
 Chaos integration: every datanode operation passes through
 ``data.store.node.<name>.<put|get>`` fault points (plus the aggregate
@@ -75,6 +77,7 @@ from repro.cluster.membership import (
     silent_members,
 )
 from repro.exceptions import ChunkLostError, ConfigurationError, StorageError
+from repro.utils.owners import WeakReader, live
 
 __all__ = ["BlockStore", "DataNode", "chunk_digest", "DEFAULT_CHUNK_SIZE"]
 
@@ -176,8 +179,9 @@ class BlockStore(HostedGroup):
         self._read_orders: dict[str, list[DataNode]] = {}
         #: digest -> chunk length in bytes.
         self._sizes: dict[str, int] = {}
-        #: callables yielding the digest tuples each namespace holds.
-        self._readers: list = []
+        #: each namespace, held weakly, with its reader of the digest
+        #: tuples it holds.
+        self._readers: list[WeakReader] = []
         #: dead node -> digests to delete from its disk when it rejoins.
         self._trash: dict[str, set[str]] = {}
         #: digests whose every live copy is gone (until rejoin restores them).
@@ -221,16 +225,16 @@ class BlockStore(HostedGroup):
         self._reconciled = {n.name: reconciled.labels(node=n.name) for n in self._nodes}
         registry.gauge(
             "repro_blockstore_nodes_live", "Datanodes currently alive."
-        ).set_function(lambda: sum(1 for n in self._nodes if n.alive))
+        ).set_function(self, lambda store: sum(1 for n in store._nodes if n.alive))
         registry.gauge(
             "repro_blockstore_chunks", "Distinct chunks currently stored."
-        ).set_function(lambda: len(self._directory))
+        ).set_function(self, lambda store: len(store._directory))
         stored = registry.gauge(
             "repro_blockstore_bytes", "Stored bytes, by accounting kind."
         )
-        stored.set_function(lambda: sum(self._sizes.values()), kind="unique")
+        stored.set_function(self, lambda store: sum(store._sizes.values()), kind="unique")
         stored.set_function(
-            lambda: self._logical_bytes(self._reference_counts()), kind="logical"
+            self, lambda store: store._logical_bytes(store._reference_counts()), kind="logical"
         )
 
     # ------------------------------------------------------------------
@@ -447,14 +451,15 @@ class BlockStore(HostedGroup):
     # references (read off the namespaces)
     # ------------------------------------------------------------------
 
-    def add_reader(self, references) -> None:
-        """Count the digest tuples ``references()`` yields as holding
-        their chunks (a namespace calls this once where it is built)."""
-        self._readers.append(references)
+    def add_reader(self, owner, references) -> None:
+        """Count the digest tuples ``references(owner)`` yields as holding
+        their chunks while ``owner`` lives (a namespace calls this once
+        where it is built)."""
+        self._readers.append(WeakReader(owner, references))
 
     def _references(self):
-        """Every digest tuple the readers yield right now, one per reference."""
-        return chain.from_iterable(references() for references in self._readers)
+        """Every digest tuple the live readers yield right now, one per reference."""
+        return chain.from_iterable(read(owner) for owner, read in live(self._readers))
 
     def _reference_counts(self) -> Counter:
         return Counter(chain.from_iterable(self._references()))

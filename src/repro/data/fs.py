@@ -82,7 +82,7 @@ class FileNamespace:
         self._manifests: dict[str, list[Manifest]] = {}
         #: writes between begin_write and commit, by identity.
         self._pending: dict[int, PendingWrite] = {}
-        store.add_reader(self._references)
+        store.add_reader(self, FileNamespace._references)
         registry = telemetry.get_registry()
         self._heal_count = telemetry.Counter(
             "repro_fs_commit_heals_total",

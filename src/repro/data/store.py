@@ -74,8 +74,8 @@ class DataStore:
         #: writer and size of each blob's current version, by path.
         self._blob_charges: dict[str, tuple[str, int]] = {}
         if tenants is not None:
-            tenants.ledger.govern("store_bytes", lambda tenant: sum(
-                size for writer, size in self._blob_charges.values() if writer == tenant
+            tenants.ledger.govern("store_bytes", self, lambda store, tenant: sum(
+                size for writer, size in store._blob_charges.values() if writer == tenant
             ))
         self._datasets: dict[str, ImageDataset] = {}
         self.blocks = block_store or BlockStore(

@@ -42,10 +42,10 @@ class LRUCache:
         )
         registry.gauge(
             "repro_cache_used_bytes", "Bytes held by a named cache."
-        ).set_function(lambda: self._used, cache=name)
+        ).set_function(self, lambda cache: cache._used, cache=name)
         registry.gauge(
             "repro_cache_hit_ratio", "Lifetime hit ratio of a named cache."
-        ).set_function(lambda: self.hit_rate, cache=name)
+        ).set_function(self, lambda cache: cache.hit_rate, cache=name)
 
     @property
     def hits(self) -> int:

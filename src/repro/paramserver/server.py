@@ -307,16 +307,16 @@ class ParameterServer(HostedGroup):
         registry.gauge(
             "repro_paramserver_shards_live",
             "Parameter-server shards currently alive.",
-        ).set_function(lambda: sum(1 for s in self._members if s.alive))
+        ).set_function(self, lambda ps: sum(1 for s in ps._members if s.alive))
         registry.gauge(
             "repro_paramserver_stored_bytes", "Total bytes across stored versions."
-        ).set_function(lambda: sum(entry.nbytes for entry in self._all_entries()))
+        ).set_function(self, lambda ps: sum(entry.nbytes for entry in ps._all_entries()))
         registry.gauge(
             "repro_paramserver_keys", "Distinct parameter keys stored."
-        ).set_function(lambda: len(self._entries))
+        ).set_function(self, lambda ps: len(ps._entries))
         if tenants is not None:
-            tenants.ledger.govern("ps_bytes", lambda tenant: sum(
-                entry.nbytes for entry in self._all_entries() if entry.tenant == tenant
+            tenants.ledger.govern("ps_bytes", self, lambda ps, tenant: sum(
+                entry.nbytes for entry in ps._all_entries() if entry.tenant == tenant
             ))
 
     # ------------------------------------------------------------------

@@ -26,9 +26,10 @@ a whole array into a label set), and an event gauge is a ``Gauge(...)``
 its owner ``set``s. The lookups
 (:meth:`MetricsRegistry.counter` and its siblings) are for readers, and
 for state gauges: an owner registers a reader once, where it is built —
-``registry.gauge(...).set_function(lambda: len(self.pending))`` — and
-the series is evaluated whenever someone looks. The registry holds the
-reader, and so the owner, until the owner re-registers or a reset.
+``registry.gauge(...).set_function(self, lambda s: len(s.pending))`` —
+and the series is evaluated whenever someone looks. The registry holds
+the owner weakly and the reader unbound (:mod:`repro.utils.owners`): it
+keeps nothing alive, and once the owner is gone its series is too.
 
 An owner's family joins its registry at its first record, or records
 into the family already listed under its name, so it shows up in
@@ -47,6 +48,7 @@ the text exposition lives in :mod:`repro.telemetry.export`.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from math import inf
 from typing import Callable, Iterable, Sequence
@@ -54,6 +56,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import TelemetryError
+from repro.utils.owners import WeakReader
 
 __all__ = [
     "Counter",
@@ -94,7 +97,9 @@ class Metric:
     def __init__(self, name: str, help: str, registry: "MetricsRegistry"):
         self.name = name
         self.help = help
-        self._registry = registry
+        #: held weakly: the registry lists the family, not the reverse, so
+        #: a dropped registry is freed with no cycle to wait on.
+        self._registry = weakref.ref(registry)
         #: label key -> the value (a histogram: the buckets) of that set.
         self._values: dict = {}
         #: whether the registry lists this family (an owner-built family
@@ -102,8 +107,10 @@ class Metric:
         self._joined = False
 
     def _listed(self) -> "Metric":
-        """This family, listed at its first record, or the one listed under its name."""
-        return self if self._joined else self._registry._join(self)
+        """This family, listed at its first record, or the one listed under
+        its name (once its registry is gone, this family)."""
+        registry = None if self._joined else self._registry()
+        return self if registry is None else registry._join(self)
 
     def _drop(self) -> None:
         """Dropped by a registry reset: forget the join and every value."""
@@ -181,7 +188,7 @@ class Gauge(Metric):
 
     def __init__(self, name: str, help: str, registry: "MetricsRegistry"):
         super().__init__(name, help, registry)
-        self._readers: dict[_LabelKey, Callable[[], float]] = {}
+        self._readers: dict[_LabelKey, WeakReader] = {}
 
     def _drop(self) -> None:
         super()._drop()
@@ -193,35 +200,44 @@ class Gauge(Metric):
         gauge._readers.pop(key, None)
         gauge._values[key] = float(value)
 
-    def set_function(self, read: Callable[[], float], **labels) -> None:
-        """Make the labelled series evaluate ``read()`` whenever it is looked at.
+    def set_function(self, owner, read: Callable[[object], float], /, **labels) -> None:
+        """Make the labelled series evaluate ``read(owner)`` whenever it is looked at.
 
         The owner of the state registers once, where it is built; no
         mutation has to remember to publish. Registering again for the
         same label set replaces the reader, as :meth:`set` overwrites a
-        value. The reader (and what it closes over) is held strongly
-        until replaced or the registry is reset.
+        value. The owner is held weakly and ``read`` must not hold it
+        (:class:`~repro.utils.owners.WeakReader`): once the owner is
+        gone, so is the series.
         """
         key = _label_key(labels)
         self._values.pop(key, None)
-        self._readers[key] = read
+        self._readers[key] = WeakReader(owner, read)
+
+    def _read(self, key: _LabelKey) -> float | None:
+        """The reader's value for ``key``, or ``None`` without a live reader."""
+        reader = self._readers.get(key)
+        owner = reader.owner() if reader is not None else None
+        return None if owner is None else float(reader.read(owner))
 
     def value(self, **labels) -> float:
         """Current gauge value for the label set (0 if never set)."""
         key = _label_key(labels)
-        if key in self._readers:
-            return float(self._readers[key]())
-        return self._values.get(key, 0.0)
+        read = self._read(key)
+        return self._values.get(key, 0.0) if read is None else read
 
     def label_keys(self) -> list[_LabelKey]:
-        """The label sets that have a value right now (sorted)."""
-        return sorted([*self._values, *self._readers])
+        """The label sets that have a value right now (sorted); the readers
+        of owners that are gone are dropped here."""
+        readers = self._readers
+        for key in [key for key, reader in readers.items() if reader.owner() is None]:
+            del readers[key]
+        return sorted([*self._values, *readers])
 
     def snapshot(self) -> dict:
         """``{label-string: value}`` for every label set of the family."""
-        readers = self._readers
         return {
-            _label_string(k): float(readers[k]()) if k in readers else self._values[k]
+            _label_string(k): self._values[k] if k in self._values else self._read(k)
             for k in self.label_keys()
         }
 

@@ -18,6 +18,8 @@ request can succeed later without any configuration change. Holdings
 are read off the owners' own records (:meth:`UsageLedger.govern`): an
 owner checks before it acts and records the object once the act
 succeeded, so a failed operation holds nothing and rolls nothing back.
+The ledger holds each owner weakly (:mod:`repro.utils.owners`): a
+dropped owner holds nothing.
 Denials raise :class:`~repro.exceptions.QuotaExceededError` (HTTP 429
 at the gateway); unknown or suspended tenants raise
 :class:`~repro.exceptions.TenantAccessError` (HTTP 403).
@@ -31,6 +33,7 @@ from typing import Callable
 from repro import telemetry
 from repro.exceptions import QuotaExceededError, TenantAccessError
 from repro.tenancy.context import DEFAULT_TENANT
+from repro.utils.owners import WeakReader, live
 
 __all__ = ["TenantQuota", "Tenant", "UsageLedger", "TenantRegistry"]
 
@@ -75,18 +78,19 @@ class UsageLedger:
     ``repro_tenant_usage`` from the first time an owner admits it."""
 
     def __init__(self) -> None:
-        self._readers: dict[str, list[Callable[[str], float]]] = {r: [] for r in RESOURCES}
+        self._readers: dict[str, list[WeakReader]] = {r: [] for r in RESOURCES}
         #: resources admitted for each tenant, first-admitted order.
         self._seen: dict[str, list[str]] = {}
 
-    def govern(self, resource: str, holdings: Callable[[str], float]) -> None:
-        """Count ``holdings(tenant)`` toward every tenant's ``resource`` (owners
-        call this once where they are built; it keeps them reachable)."""
-        self._readers[resource].append(holdings)
+    def govern(self, resource: str, owner, holdings: Callable[[object, str], float]) -> None:
+        """Count ``holdings(owner, tenant)`` toward every tenant's ``resource``
+        while ``owner`` lives (owners call this once where they are built)."""
+        self._readers[resource].append(WeakReader(owner, holdings))
 
     def usage(self, tenant: str, resource: str) -> float:
-        """Current holding of ``resource`` by ``tenant``, read off its owners."""
-        return float(sum(read(tenant) for read in self._readers.get(resource, ())))
+        """Current holding of ``resource`` by ``tenant``, read off its live owners."""
+        readers = self._readers.get(resource, [])
+        return float(sum(read(owner, tenant) for owner, read in live(readers)))
 
     def admit(self, tenant: str, resource: str) -> None:
         """An owner recorded what a check passed: the pair's first admission
@@ -98,7 +102,8 @@ class UsageLedger:
                 "repro_tenant_usage",
                 "Governed resource currently held, by tenant and resource.",
             ).set_function(
-                lambda: self.usage(tenant, resource), tenant=tenant, resource=resource
+                self, lambda ledger: ledger.usage(tenant, resource),
+                tenant=tenant, resource=resource,
             )
 
     def snapshot(self) -> dict[str, dict[str, float]]:

@@ -101,16 +101,19 @@ class RetryPolicy:
         re-raises immediately on exceptions outside ``retry_on``.
         """
         last_error: BaseException | None = None
-        for attempt in range(self.max_attempts):
-            self._attempts.inc(name=name or "(anonymous)")
-            try:
-                return fn(*args, **kwargs)
-            except self.retry_on as exc:
-                last_error = exc
-            if attempt + 1 < self.max_attempts and on_retry is not None:
-                on_retry(attempt, last_error)
-        self._exhausted.inc(name=name or "(anonymous)")
-        raise RetryExhaustedError(name, self.max_attempts, last_error)
+        try:
+            for attempt in range(self.max_attempts):
+                self._attempts.inc(name=name or "(anonymous)")
+                try:
+                    return fn(*args, **kwargs)
+                except self.retry_on as exc:
+                    last_error = exc
+                if attempt + 1 < self.max_attempts and on_retry is not None:
+                    on_retry(attempt, last_error)
+            self._exhausted.inc(name=name or "(anonymous)")
+            raise RetryExhaustedError(name, self.max_attempts, last_error)
+        finally:
+            last_error = None  # its traceback holds this frame: no cycle
 
 
 @dataclass

@@ -26,6 +26,10 @@ from repro.exceptions import (
 CHUNK = 256
 
 
+class _Owner(list):
+    """A list that can be held weakly, as every registered owner is."""
+
+
 def _random_bytes(rng: random.Random, length: int) -> bytes:
     return rng.randbytes(length)
 
@@ -117,8 +121,8 @@ class TestPutAgainstABasis:
         previous = telemetry.set_registry(registry)
         try:
             store = BlockStore(nodes=3, replicas=2, chunk_size=CHUNK)
-            puts, basis = [], ()
-            store.add_reader(lambda: puts)
+            puts, basis = _Owner(), ()
+            store.add_reader(puts, list.__iter__)
             for data in versions:
                 digests = store.put(data, basis=basis if with_basis else ())
                 puts.append(digests)

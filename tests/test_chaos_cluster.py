@@ -30,6 +30,10 @@ from repro.utils.retry import RetryPolicy
 pytestmark = pytest.mark.chaos
 
 
+class _Owner(list):
+    """A list that can be held weakly, as every registered owner is."""
+
+
 def make_cluster(nodes=3, gpus=3):
     manager = ClusterManager()
     for i in range(nodes):
@@ -190,7 +194,9 @@ class TestNodeFailureRecovery:
                 manager, master, SurrogateTrainer(seed=0), ps, conf,
                 num_workers=2, failure_plan=[(150.0, "n0", 400.0)],
             )
-            assert len(manager._recovery_hooks) == hooks_before
+            # the study's hook died with it: no live owner is left behind
+            live_hooks = [hook for hook in manager._recovery_hooks if hook.owner() is not None]
+            assert len(live_hooks) == hooks_before
         # per study: two workers, both on n0, both replaced once
         assert len(built) == len(set(built)) == 8
 
@@ -260,8 +266,8 @@ class TestDegradedJobs:
     def test_recovery_hooks_fire_once_per_replacement(self):
         manager = make_cluster(nodes=3)
         job = manager.submit_job(JobKind.TRAIN, name="hooks", num_workers=2)
-        seen = []
-        manager.on_recovery(lambda c: seen.append(c.container_id))
+        seen = _Owner()
+        manager.on_recovery(seen, lambda owner, c: owner.append(c.container_id))
         lost_node = job.containers[0].node_name
         replacements = manager.fail_node(lost_node)
         assert replacements

@@ -12,6 +12,7 @@ test_tenancy).
 """
 
 import copy
+import gc
 import json
 
 import pytest
@@ -160,6 +161,33 @@ class TestScenarioDeterminism:
     def test_trace_is_json_serialisable(self):
         out = scenario()
         assert json.loads(json.dumps(out["trace"])) == out["trace"]
+
+
+class TestScenarioLeavesNoCycles:
+    @every_scenario
+    def test_no_repro_object_is_freed_by_the_collector(self, name):
+        """Run with the collector off, a scenario leaves nothing of
+        ``repro``'s outside :mod:`repro.telemetry` in a reference cycle:
+        what it built is freed by reference counting as it goes."""
+        gc.collect()  # what earlier tests left is not this test's
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            SCENARIOS[name].run(0)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            kept = sorted({
+                f"{type(obj).__module__}.{type(obj).__qualname__}" for obj in gc.garbage
+                if isinstance(type(obj).__module__, str)
+                and type(obj).__module__.startswith("repro")
+                and not type(obj).__module__.startswith("repro.telemetry")
+            })
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert kept == [], f"reference cycles of {kept}"
 
 
 class TestDefaultPlan:

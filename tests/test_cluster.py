@@ -18,6 +18,10 @@ from repro.exceptions import ClusterError, PlacementError
 from repro.sim import Simulator
 
 
+class _Owner(list):
+    """A list that can be held weakly, as every registered owner is."""
+
+
 def cluster(num_nodes=3, gpus=3):
     manager = ClusterManager()
     for i in range(num_nodes):
@@ -158,8 +162,8 @@ class TestFailureRecovery:
 
     def test_recovery_hook_invoked(self):
         manager = cluster(num_nodes=2)
-        restarted = []
-        manager.on_recovery(restarted.append)
+        restarted = _Owner()
+        manager.on_recovery(restarted, list.append)
         job = manager.submit_job(JobKind.TRAIN, "t", num_workers=1)
         manager.fail_node(job.containers[0].node_name)
         assert len(restarted) == 2

@@ -11,6 +11,7 @@ exactly what the JSON round trip returned.
 from __future__ import annotations
 
 import asyncio
+import gc
 import importlib.util
 import json
 import math
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.api.gateway import Gateway, Response, _parse_image, make_query_executor
@@ -157,6 +158,7 @@ class TestArrayBodiesAnswerAsTheirLists:
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(_images())
+    @example(np.array(None, dtype=object))  # a null image, 0-d: 400 as its list is
     def test_sync_async_and_udf(self, served, image):
         system, gateway, infer_id, dataset = served
         listed = image.tolist()
@@ -251,6 +253,29 @@ class TestTheQueuedImageIsTheSystems:
         assert len(executed) == 1
         assert executed[0].tobytes() == original.tobytes()
         assert answer.status == 200 and repr(answer) == repr(expected)
+
+    def test_a_refused_payload_leaves_no_cycle(self, served):
+        """The executor answers a malformed payload with its error, and
+        that error does not hold the frame that keeps it."""
+        system, _, infer_id, dataset = served
+        execute = make_query_executor(system, infer_id)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            results = execute([[[0.0]], dataset.test_x[0]], 2)
+            assert isinstance(results[0], GatewayError) and "label" in results[1]
+            del results
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            kept = sorted({type(obj).__qualname__ for obj in gc.garbage
+                           if type(obj).__module__.startswith("repro")})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert kept == []
 
 
 # ----------------------------------------------------------------------

@@ -281,37 +281,38 @@ class TestAKeyDeleteCollectsOnce:
 
     @staticmethod
     def _system():
-        """Two 16-version keys and a blob sharing chunks with them."""
+        """Two 16-version keys and a blob sharing chunks with them; the
+        blob's store is returned too, since a dropped store holds nothing."""
         from repro.data import BlockStore, DataStore
 
         blocks = BlockStore(nodes=3, replicas=2, chunk_size=1024)
         server = ParameterServer(store=DataStore("ps", block_store=blocks), shards=2)
         base = np.random.default_rng(3).standard_normal(4096).astype(np.float32)
-        DataStore("other", block_store=blocks).put_blob(
-            "base", pickle.dumps({"W": base}, pickle.HIGHEST_PROTOCOL)
-        )
+        other = DataStore("other", block_store=blocks)
+        other.put_blob("base", pickle.dumps({"W": base}, pickle.HIGHEST_PROTOCOL))
         for key, step_size in (("a", 1.0), ("b", 2.0)):
             value = {"W": base.copy()}
             for step in range(16):
                 value["W"][step * 64:(step + 1) * 64] += step_size
                 server.put(key, value)
-        return blocks, server
+        return blocks, server, other
 
     def test_each_reader_runs_once_and_the_same_chunks_stay(self):
-        blocks, server = self._system()
+        blocks, server, _other = self._system()
         calls = []
 
-        def counted(reader):
-            return lambda: calls.append(reader) or reader()
+        def counted(read):
+            return lambda namespace: calls.append(namespace) or read(namespace)
 
-        blocks._readers[:] = [counted(reader) for reader in blocks._readers]
+        for reader in blocks._readers:
+            reader.read = counted(reader.read)
         before = len(blocks._directory)
         server.delete("a")
         # one call each: the parameter server's namespace and the other one
-        assert sorted(reader.__self__.name for reader in calls) == ["other", "ps"]
+        assert sorted(namespace.name for namespace in calls) == ["other", "ps"]
         assert 0 < len(blocks._directory) < before
 
-        per_path_blocks, per_path = self._system()
+        per_path_blocks, per_path, _per_path_other = self._system()
         for version in range(1, 17):
             per_path.store.delete_blobs([per_path.get_entry("a", version).path])
         assert blocks._directory == per_path_blocks._directory
@@ -324,7 +325,7 @@ class TestAKeyDeleteCollectsOnce:
     def test_a_missing_blob_raises_before_anything_is_deleted(self):
         from repro.exceptions import DatasetNotFoundError
 
-        blocks, server = self._system()
+        blocks, server, _other = self._system()
         paths = [server.get_entry("a", version).path for version in (1, 2)]
         with pytest.raises(DatasetNotFoundError):
             server.store.delete_blobs([*paths, "params/a/v99"])

@@ -341,11 +341,15 @@ def test_src_writes_no_state_that_nothing_reads():
     )
 
 
+class _Owner(list):
+    """A list that can be held weakly, as every registered owner is."""
+
+
 class TestGaugeSetFunction:
     def test_reads_live_state_when_looked_at(self):
-        queue = []
+        queue = _Owner()
         gauge = telemetry.get_registry().gauge("depth")
-        gauge.set_function(lambda: len(queue), tenant="a")
+        gauge.set_function(queue, len, tenant="a")
         assert gauge.value(tenant="a") == 0
         queue.extend("xyz")
         assert gauge.value(tenant="a") == 3
@@ -354,33 +358,41 @@ class TestGaugeSetFunction:
         assert isinstance(gauge.snapshot()["tenant=a"], float)
 
     def test_registering_again_replaces_the_reader(self):
-        gauge = telemetry.get_registry().gauge("depth")
-        gauge.set_function(lambda: 1, owner="x")
-        gauge.set_function(lambda: 2, owner="x")
-        gauge.set_function(lambda: 5, owner="y")
+        gauge, owner = telemetry.get_registry().gauge("depth"), _Owner()
+        gauge.set_function(owner, lambda _: 1, owner="x")
+        gauge.set_function(owner, lambda _: 2, owner="x")
+        gauge.set_function(owner, lambda _: 5, owner="y")
         assert gauge.snapshot() == {"owner=x": 2.0, "owner=y": 5.0}
 
     def test_set_and_set_function_overwrite_each_other(self):
-        gauge = telemetry.get_registry().gauge("depth")
+        gauge, owner = telemetry.get_registry().gauge("depth"), _Owner()
         gauge.set(7)
-        gauge.set_function(lambda: 8)
+        gauge.set_function(owner, lambda _: 8)
         assert gauge.snapshot() == {"": 8.0}
         gauge.set(9)
         assert gauge.snapshot() == {"": 9.0}
 
     def test_reset_forgets_readers(self):
-        registry = telemetry.get_registry()
-        registry.gauge("depth").set_function(lambda: 4)
+        registry, owner = telemetry.get_registry(), _Owner()
+        registry.gauge("depth").set_function(owner, lambda _: 4)
         registry.reset()
         assert registry.metrics() == []
         assert registry.gauge("depth").label_keys() == []
 
+    def test_a_reader_that_holds_its_owner_is_refused(self):
+        gauge, owner = telemetry.get_registry().gauge("depth"), _Owner()
+        with pytest.raises(TypeError, match="holds its owner"):
+            gauge.set_function(owner, lambda _: len(owner))
+        with pytest.raises(TypeError, match="holds its owner"):
+            gauge.set_function(owner, owner.__len__)
+        assert gauge.label_keys() == []
+
     def test_exposition_is_byte_equal_to_the_same_value_set(self):
-        pushed, read = MetricsRegistry(), MetricsRegistry()
+        pushed, read, owner = MetricsRegistry(), MetricsRegistry(), _Owner()
         for value, labels in ((3, {}), (2.5, {"kind": "unique"}), (1e18, {"kind": "big"})):
             pushed.gauge("repro_demo_depth", "Demo.").set(value, **labels)
             read.gauge("repro_demo_depth", "Demo.").set_function(
-                lambda value=value: value, **labels
+                owner, lambda _, value=value: value, **labels
             )
         assert to_json(read) == to_json(pushed)
         assert render_prometheus(read) == render_prometheus(pushed)

@@ -23,7 +23,9 @@ request body in ``repro.api.gateway`` outside the route tables (``body[...]``,
 ``body.get(...)``, ``... in body``) by function; then the durations
 ``src/`` times outside the ``Tracer`` (a clock read minus a name bound to
 one; the two printed reports, ``profile_network`` and the CLI's pool walls,
-are allowed by name); last, the public names
+are allowed by name); then the owner registrations held strongly: a
+``set_function``/``govern``/``add_reader``/``on_recovery`` call in ``src/``
+whose reader holds its owner (see ``strong_registrations``); last, the public names
 in ``src/repro`` (module-level functions and classes, and methods) that
 no other module names: no identifier, attribute or import of that name
 in any ``.py`` file under ``src/``, ``benchmarks/``, ``examples/`` or
@@ -310,6 +312,35 @@ def hand_timers() -> list[str]:
                 and _is_clock_read(node.left) and getattr(node.right, "id", None) in started
                 and site not in TIMED_REPORTS
             ]
+    return out
+
+
+#: owner registrations: method -> position of the owner argument; the
+#: reader is the argument after it (``repro.utils.owners``).
+OWNER_REGISTRATIONS = {"set_function": 0, "govern": 1, "add_reader": 0, "on_recovery": 0}
+
+
+def strong_registrations() -> list[str]:
+    """``module:function`` of each owner registration in ``src/`` whose
+    reader holds its owner: a call with no owner argument before the
+    reader (the reader is a closure, partial or bound method over the
+    owner), or a reader that names ``self`` or the owner argument's own
+    name. One entry per call."""
+    out = []
+    for path in sorted(ROOT.rglob("*.py")):
+        where = str(path.relative_to(ROOT / "repro"))
+        for node, scope in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            at = OWNER_REGISTRATIONS.get(getattr(func, "attr", None))
+            if not isinstance(node, ast.Call) or at is None:
+                continue
+            if len(node.args) > at + 1:
+                owner, reader = node.args[at], node.args[at + 1]
+                held = {"self", getattr(owner, "id", "self")}
+                names = {getattr(n, "id", None) for n in ast.walk(reader)}
+                if not held & names:
+                    continue
+            out.append(f"{where}:{'.'.join(scope)}")
     return out
 
 
@@ -721,6 +752,10 @@ def main() -> int:
           f" (reports allowed: {', '.join(sorted(TIMED_REPORTS))})")
     for site in sorted(set(timers)):
         print(f"  {site}: {timers.count(site)}")
+    strong = strong_registrations()
+    print(f"\nowner registrations held strongly in src/: {len(strong)}")
+    for site in sorted(set(strong)):
+        print(f"  {site}: {strong.count(site)}")
     test_only, module_only = uncalled_public_names()
     print(f"\npublic names no other module names: {len(test_only) + len(module_only)}")
     print(f"\n  named nowhere outside tests: {len(test_only)}")
