@@ -83,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default="both",
                      help="which executor to run (default: both, comparing)")
     sql.add_argument("--explain", action="store_true",
-                     help="print the logical plan before running")
+                     help="print the logical plan after the run, each operator with "
+                          "its rows out, time and UDF work (EXPLAIN ANALYZE)")
     sql.add_argument("--rows", type=int, default=30,
                      help="rows in the generated foodlog table")
     sql.add_argument("--seed", type=int, default=0)
@@ -312,8 +313,6 @@ def _cmd_sql(args) -> int:
         "WHERE age > 30 GROUP BY band, food"
     )
     print(sql)
-    if args.explain:
-        print(db.explain(sql))
     executors = ("planned", "naive") if args.executor == "both" else (args.executor,)
     results = {}
     for executor in executors:
@@ -323,6 +322,14 @@ def _cmd_sql(args) -> int:
             print(" ", row)
         print(f"[{executor}] UDF calls: {result.udf_calls}, "
               f"batches: {result.udf_batches}, cache hits: {result.cache_hits}")
+    if args.explain:  # the planned run's node spans, top node first, one per line
+        plan = db.explain(sql).splitlines()
+        for index, span in enumerate(results["planned"].spans if "planned" in results else ()):
+            tags = span.tags
+            plan[index] += (f"  [rows {tags['rows']}, {span.duration * 1e3:.3f} ms, "
+                            f"UDF args {tags['udf_calls']}, dispatches {tags['udf_batches']}, "
+                            f"cache hits {tags['cache_hits']}]")
+        print("\n".join(plan))
     if len(results) == 2:
         planned, naive = results["planned"], results["naive"]
         match = (planned.columns, repr(planned.rows)) == (naive.columns, repr(naive.rows))

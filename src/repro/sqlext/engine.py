@@ -32,10 +32,11 @@ position so parse errors can point at the offending character.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable
 
+from repro import telemetry
 from repro.exceptions import ConfigurationError, SQLExecutionError, SQLParseError
 from repro.sqlext.table import Column, Table
 from repro.sqlext.udf import UdfRegistry
@@ -135,12 +136,7 @@ class SelectItem:
         """The result-column name this item produces."""
         if self.alias:
             return self.alias
-        if isinstance(self.expr, ColumnRef):
-            return self.expr.name
-        if isinstance(self.expr, FuncCall):
-            inner = "*" if self.expr.arg == "*" else _expr_name(self.expr.arg)
-            return f"{self.expr.name}({inner})"
-        return "expr"
+        return "expr" if isinstance(self.expr, Literal) else _expr_name(self.expr)
 
 
 def _expr_name(expr: Any) -> str:
@@ -365,12 +361,13 @@ def parse_select(sql: str) -> SelectStatement:
 
 @dataclass
 class ResultSet:
-    """Query output: column names plus row tuples.
+    """Query output: column names plus row tuples, and this query's account.
 
-    ``udf_calls`` counts per-argument UDF invocations the query made;
-    on the planned executor ``udf_batches`` counts how many batched
-    dispatches those rode in and ``cache_hits`` how many arguments were
-    served from the prediction cache without any dispatch at all.
+    ``udf_calls`` counts the UDF arguments the query had evaluated (not
+    those of a query a UDF ran); on the planned executor ``udf_batches``
+    counts how many batched dispatches those rode in, ``cache_hits`` how
+    many rows the prediction cache served, and ``spans`` holds the plan
+    nodes' spans, top node first, whose tags these three sum.
     """
 
     columns: list[str]
@@ -379,6 +376,7 @@ class ResultSet:
     udf_batches: int = 0
     cache_hits: int = 0
     executor: str = ""
+    spans: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -402,12 +400,13 @@ class Database:
     the column executor, where each UDF call dispatches the distinct
     arguments of the rows it sees in hardware batch sizes through the
     prediction cache (``udf_cache=False`` keeps within-batch dedup but
-    remembers nothing across calls). Its counters are bound here and in
-    ``create_table``, so a query looks none up.
+    remembers nothing across calls). Each query runs in a ``sql.query``
+    span, and its executor counts that query's UDF work alone; the
+    counters are bound here and in ``create_table``, so a query looks
+    none up.
     """
 
     def __init__(self, udf_cache: bool = True, cache_capacity: int = 1024):
-        from repro import telemetry
         from repro.sqlext.exec import UdfBatchDispatcher
 
         self.tables: dict[str, Table] = {}
@@ -465,24 +464,20 @@ class Database:
         from repro.sqlext.exec import NaiveExecutor, PlannedExecutor
         from repro.sqlext.plan import compile_plan
 
-        statement = parse_select(sql)
-        table = self._table(statement.table)
         which = executor or "planned"
-        calls_before = self.udfs.calls
-        batches_before = self.dispatcher.batches_dispatched
-        hits_before = self.dispatcher.cache_hits
-        if which == "naive":
-            result = NaiveExecutor(self.udfs).execute(statement, table)
-        elif which == "planned":
-            result = PlannedExecutor(table, self.dispatcher).execute(compile_plan(sql))
-        else:
-            raise ConfigurationError(
-                f"executor must be 'planned' or 'naive', got {which!r}"
-            )
+        with telemetry.get_tracer().span("sql.query", executor=which) as span:
+            statement = parse_select(sql)
+            table = self._table(statement.table)
+            if which == "naive":
+                result = NaiveExecutor(self.udfs).execute(statement, table)
+            elif which == "planned":
+                result = PlannedExecutor(table, self.dispatcher).execute(compile_plan(sql))
+            else:
+                raise ConfigurationError(
+                    f"executor must be 'planned' or 'naive', got {which!r}"
+                )
+            span.tag(table=table.name, rows=len(result.rows), udf_calls=result.udf_calls)
         result.executor = which
-        result.udf_calls = self.udfs.calls - calls_before
-        result.udf_batches = self.dispatcher.batches_dispatched - batches_before
-        result.cache_hits = self.dispatcher.cache_hits - hits_before
         self._queries[which].inc()
         self._scanned[table.name].inc(len(table))
         if result.udf_calls:

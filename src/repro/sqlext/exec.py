@@ -18,13 +18,16 @@ Two executors share the AST and produce bit-identical results:
   the tuples whose values are equal (as the oracle's dict does) and
   folds each group left to right. Sort and Limit work on the result
   rows. Plans are built once per SQL text
-  (:func:`~repro.sqlext.plan.compile_plan`).
+  (:func:`~repro.sqlext.plan.compile_plan`). Each node runs in a span
+  (``sql.scan``, ``sql.filter``, ...) nested as the plan is and tagged
+  with its rows out and its own expressions' UDF work: the query's
+  counts are their sums, so they describe that query alone.
 
 UDF arguments go to a :class:`UdfBatchDispatcher`, which serves repeats
 from a :class:`~repro.core.serve.pred_cache.PredictionCache` and chunks
 the distinct misses into the serving layer's hardware batch sizes — so
 an analytical scan rides the same batched inference path as online
-serving. Each chunk dispatch passes the ``sql.udf.dispatch`` chaos
+serving. Each chunk dispatch is a ``sql.udf.dispatch`` span and chaos
 point under a seeded :class:`~repro.utils.retry.RetryPolicy`; exhausted
 retries shed the query with :class:`~repro.exceptions.RequestShedError`
 (the gateway maps that to HTTP 429), mirroring the serving front end.
@@ -77,7 +80,8 @@ class UdfBatchDispatcher:
 
     One per :class:`~repro.sqlext.engine.Database`. ``call_batch``
     takes the distinct arguments of one UDF call over the selected rows
-    and returns aligned results, having made as few
+    and returns aligned results, and what that call cost (the dispatcher
+    keeps no per-query count), having made as few
     underlying model calls as possible: duplicate arguments collapse,
     cached results are reused across queries, and the distinct misses
     are carved into the serving layer's hardware batch sizes, largest
@@ -105,11 +109,7 @@ class UdfBatchDispatcher:
                   "SQL queries shed after exhausting UDF dispatch retries."),
     }
 
-    def __init__(
-        self,
-        registry,
-        cache_capacity: int = 1024,
-    ):
+    def __init__(self, registry, cache_capacity: int = 1024):
         self.registry = registry
         self.cache_capacity = int(cache_capacity)
         self.retry = RetryPolicy(max_attempts=3, retry_on=(InjectedFault,), seed=0)
@@ -117,18 +117,16 @@ class UdfBatchDispatcher:
         metrics = telemetry.get_registry()
         self._families = {e: telemetry.Counter(*f, metrics) for e, f in self.COUNTERS.items()}
         self._counters: dict[str, dict] = {}  # per UDF, bound at its first call
-        #: deterministic event log (dispatch/latency/retry/shed) — the
-        #: chaos tests assert same-seed runs produce identical traces.
-        self.trace: list[dict] = []
 
-    def call_batch(self, name: str, args: list[Any], rows: int) -> list[Any]:
-        """Evaluate ``name`` over ``args``; results align with ``args``.
+    def call_batch(self, name: str, args: list[Any], rows: int) -> tuple[list, int, int, int]:
+        """Evaluate ``name`` over ``args``: the results (aligned with
+        ``args``), then the arguments evaluated, batches and cache hits.
 
         ``args`` are the distinct arguments of ``rows`` table rows, each
         once: the hit count still counts every row not sent to the model.
         """
         if not args:
-            return []
+            return [], 0, 0, 0
         key = name.lower()
         counters = self._counters.get(key)
         if counters is None:
@@ -143,24 +141,24 @@ class UdfBatchDispatcher:
             # Caching disabled: a throwaway cache still collapses
             # duplicates within this one batch, but remembers nothing.
             cache = PredictionCache(len(args))
-        misses_before = cache.misses
-        values = cache.query_batch(
-            args,
-            predict_batch=lambda misses: (self._dispatch_all(name, misses), True),
-            key=_scalar_key,
-        )
-        if self.cache_capacity > 0:
-            delta_misses = cache.misses - misses_before
-            delta_hits = rows - delta_misses
-            if delta_hits:
-                counters["hits"].inc(delta_hits)
-            if delta_misses:
-                counters["misses"].inc(delta_misses)
-        return values
+        sizes: list[int] = []  # of the batches dispatched
 
-    @property
-    def batches_dispatched(self) -> int:
-        return sum(counters["batches"].count for counters in self._counters.values())
+        def dispatch(misses: list[Any]) -> tuple[list[Any], bool]:
+            results: list[Any] = []
+            for chunk in self._chunks(misses):
+                results += self._dispatch_chunk(name, chunk)
+                sizes.append(len(chunk))
+            return results, True
+
+        values = cache.query_batch(args, predict_batch=dispatch, key=_scalar_key)
+        calls, hits = sum(sizes), 0
+        if self.cache_capacity > 0:
+            hits = rows - calls
+            if hits:
+                counters["hits"].inc(hits)
+            if calls:
+                counters["misses"].inc(calls)
+        return values, calls, len(sizes), hits
 
     @property
     def cache_hits(self) -> int:
@@ -177,12 +175,6 @@ class UdfBatchDispatcher:
 
     # ------------------------------------------------------------------
 
-    def _dispatch_all(self, name: str, args: list[Any]) -> list[Any]:
-        results: list[Any] = []
-        for chunk in self._chunks(args):
-            results.extend(self._dispatch_chunk(name, chunk))
-        return results
-
     def _chunks(self, args: list[Any]):
         """Carve ``args`` into hardware batches, largest size first."""
         start = 0
@@ -196,43 +188,37 @@ class UdfBatchDispatcher:
             start += take
 
     def _dispatch_chunk(self, name: str, chunk: list[Any]) -> list[Any]:
+        """One chunk in a span tagged with the UDF, rows, injected latency,
+        retries, each failed attempt's error type and outcome."""
         udf = name.lower()
         counters = self._counters[udf]
+        latency, errors = 0.0, []
 
         def attempt() -> list[Any]:
-            latency = chaos.fire(self.FAULT_POINT)
-            if latency:
-                self.trace.append(
-                    {"event": "latency", "udf": udf, "seconds": round(latency, 9)}
-                )
+            nonlocal latency
+            latency += chaos.fire(self.FAULT_POINT)
             return self.registry.call_batch(name, chunk)
 
         def on_retry(attempt_index: int, error: BaseException) -> None:
             counters["retries"].inc()
-            self.trace.append(
-                {
-                    "event": "retry",
-                    "udf": udf,
-                    "attempt": attempt_index,
-                    "error": type(error).__name__,
-                }
-            )
+            errors.append(type(error).__name__)
 
-        try:
-            results = self.retry.call(
-                attempt, name=self.FAULT_POINT, on_retry=on_retry
-            )
-        except RetryExhaustedError as exc:
-            counters["sheds"].inc()
-            self.trace.append({"event": "shed", "udf": udf, "rows": len(chunk)})
-            raise RequestShedError(
-                reason="dispatch_failed",
-                retry_after=self.RETRY_AFTER,
-                detail=f"udf {udf!r} batch of {len(chunk)}: {exc.last_error}",
-            ) from exc
+        with telemetry.get_tracer().span("sql.udf.dispatch", udf=udf, rows=len(chunk)) as span:
+            try:
+                results = self.retry.call(attempt, name=self.FAULT_POINT, on_retry=on_retry)
+            except RetryExhaustedError as exc:
+                counters["sheds"].inc()
+                span.tag(latency=latency, retries=len(errors), outcome="shed",
+                         errors=(*errors, type(exc.last_error).__name__))
+                raise RequestShedError(
+                    reason="dispatch_failed",
+                    retry_after=self.RETRY_AFTER,
+                    detail=f"udf {udf!r} batch of {len(chunk)}: {exc.last_error}",
+                ) from exc
+            span.tag(latency=latency, retries=len(errors), outcome="dispatched",
+                     errors=tuple(errors))
         counters["batches"].inc()
         counters["batch_rows"].inc(len(chunk))
-        self.trace.append({"event": "dispatch", "udf": udf, "rows": len(chunk)})
         return results
 
 
@@ -296,6 +282,13 @@ def _order_rows(result: ResultSet, keys) -> None:
         )
 
 
+#: the span each plan node runs in
+_NODE_SPANS = {Scan: "sql.scan", Filter: "sql.filter", Project: "sql.project",
+              Aggregate: "sql.aggregate", Sort: "sql.sort", Limit: "sql.limit"}
+#: what a node span counts of its own expressions' UDF calls (``ResultSet`` fields)
+_UDF_COUNTS = ("udf_calls", "udf_batches", "cache_hits")
+
+
 class PlannedExecutor:
     """Runs one logical plan column-at-a-time over a table's encoding.
 
@@ -304,45 +297,67 @@ class PlannedExecutor:
     ``(codes, dictionary)`` vector over the selection, and over an empty
     one to nothing, so no error fires that the oracle would not raise.
     A UDF call dispatches inside the Filter, Project or Aggregate that
-    evaluates it, over that node's selection.
+    evaluates it, over that node's selection. ``spans`` holds the node
+    spans, top node first, tagged with their rows out and UDF work even
+    when the tracer keeps no span.
     """
 
     def __init__(self, table: Table, dispatcher: UdfBatchDispatcher):
         self.table, self.dispatcher = table, dispatcher
+        self.tracer = telemetry.get_tracer()
+        self.spans: list = []
+        self._counts: dict = {}  # the tags of the node evaluating expressions
 
-    def execute(self, node: Any) -> ResultSet:
-        """Run the plan rooted at ``node`` over the table."""
-        if isinstance(node, (Limit, Sort)):
-            result = self.execute(node.child)
-            if isinstance(node, Limit):
-                del result.rows[node.count:]
+    def execute(self, plan: Any) -> ResultSet:
+        """Run ``plan`` over the table; the result counts every node's UDF work."""
+        result = self._run(plan)
+        result.spans = self.spans
+        result.udf_calls, result.udf_batches, result.cache_hits = (
+            sum(span.tags[count] for span in self.spans) for count in _UDF_COUNTS)
+        return result
+
+    def _span(self, node: Any):
+        span = self.tracer.span(_NODE_SPANS[type(node)], rows=0, **dict.fromkeys(_UDF_COUNTS, 0))
+        self.spans.append(span)
+        return span
+
+    def _run(self, node: Any) -> ResultSet:
+        with self._span(node) as span:
+            if isinstance(node, (Limit, Sort)):
+                result = self._run(node.child)
+                if isinstance(node, Limit):
+                    del result.rows[node.count:]
+                else:
+                    _order_rows(result, node.keys)
             else:
-                _order_rows(result, node.keys)
-            return result
-        sel = self.select(node.child)
-        if isinstance(node, Project):
-            columns = [_gather(*self.vector(expr, sel)) for _, expr in node.outputs]
-            return ResultSet([name for name, _ in node.outputs], list(zip(*columns)))
-        if isinstance(node, Aggregate):
-            return self.aggregate(node, sel)
-        raise SQLExecutionError(f"cannot execute plan node {node!r}")
+                sel = self.select(node.child)
+                self._counts = span.tags
+                if isinstance(node, Project):
+                    columns = [_gather(*self.vector(expr, sel)) for _, expr in node.outputs]
+                    result = ResultSet([name for name, _ in node.outputs], list(zip(*columns)))
+                else:
+                    result = self.aggregate(node, sel)
+            span.tags["rows"] = len(result.rows)
+        return result
 
     def select(self, node: Any) -> np.ndarray:
         """Run a Filter/Scan chain; returns the surviving rows."""
-        if isinstance(node, Scan):
-            return np.arange(len(self.table))
-        sel = self.select(node.child)
-        if isinstance(node, Filter):
-            for condition in node.predicates:
-                (lc, lv), (rc, rv) = (self.vector(side, sel)
-                                      for side in (condition.left, condition.right))
-                first, pair = _first_seen([(lc, len(lv)), (rc, len(rv))], len(sel))
-                op = _OPS[condition.op]
-                keep = [a is not None and b is not None and bool(op(a, b))
-                        for a, b in zip(_gather(lc[first], lv), _gather(rc[first], rv))]
-                sel = sel[np.array(keep, dtype=bool)[pair]]
-            return sel
-        raise SQLExecutionError(f"cannot execute plan node {node!r}")
+        with self._span(node) as span:
+            if isinstance(node, Scan):
+                sel = np.arange(len(self.table))
+            else:
+                sel = self.select(node.child)
+                self._counts = span.tags
+                for condition in node.predicates:
+                    (lc, lv), (rc, rv) = (self.vector(side, sel)
+                                          for side in (condition.left, condition.right))
+                    first, pair = _first_seen([(lc, len(lv)), (rc, len(rv))], len(sel))
+                    op = _OPS[condition.op]
+                    keep = [a is not None and b is not None and bool(op(a, b))
+                            for a, b in zip(_gather(lc[first], lv), _gather(rc[first], rv))]
+                    sel = sel[np.array(keep, dtype=bool)[pair]]
+            span.tags["rows"] = len(sel)
+        return sel
 
     def vector(self, expr: Any, sel: np.ndarray) -> tuple[np.ndarray, list]:
         """``expr`` over the selected rows, as ``(codes, dictionary)``."""
@@ -362,8 +377,11 @@ class PlannedExecutor:
             # count keeps the cache's hit count per row.
             codes, values = self.vector(expr.arg, sel)
             first, group = _first_seen([(codes, len(values))], len(sel))
-            return group, self.dispatcher.call_batch(
+            results, *counts = self.dispatcher.call_batch(
                 expr.name, _gather(codes[first], values), len(sel))
+            for name, count in zip(_UDF_COUNTS, counts):
+                self._counts[name] += count
+            return group, results
         raise SQLExecutionError(f"cannot evaluate {expr!r}")
 
     def aggregate(self, node: Aggregate, sel: np.ndarray) -> ResultSet:
@@ -414,6 +432,7 @@ class NaiveExecutor:
 
     def __init__(self, udfs):
         self.udfs = udfs
+        self.udf_calls = 0  # the UDF arguments this query had evaluated
 
     def execute(self, statement: SelectStatement, table: Table) -> ResultSet:
         """Run one parsed statement over ``table``, row at a time."""
@@ -435,6 +454,7 @@ class NaiveExecutor:
             ]
             result = ResultSet(columns, rows)
         self._apply_order_and_limit(statement, result)
+        result.udf_calls = self.udf_calls
         return result
 
     def _apply_order_and_limit(self, statement: SelectStatement,
@@ -527,7 +547,9 @@ class NaiveExecutor:
                     f"aggregate {expr.name!r} is not allowed here"
                 )
             argument = self._evaluate(expr.arg, row)
-            return self.udfs.call(expr.name, argument)
+            value = self.udfs.call(expr.name, argument)
+            self.udf_calls += 1
+            return value
         raise SQLExecutionError(f"cannot evaluate {expr!r}")
 
     def _passes(self, conditions: tuple[Comparison, ...], row: dict) -> bool:

@@ -177,23 +177,19 @@ def explain_plan(plan: Any) -> str:
         lines.append("  " * depth + text)
 
     while node is not None:
-        child = None
         if isinstance(node, Limit):
             add(f"Limit(count={node.count})")
-            child = node.child
         elif isinstance(node, Sort):
             keys = ", ".join(
                 f"{name} {'DESC' if descending else 'ASC'}"
                 for name, descending in node.keys
             )
             add(f"Sort({keys})")
-            child = node.child
         elif isinstance(node, Project):
             outputs = ", ".join(
                 _render_output(name, expr) for name, expr in node.outputs
             )
             add(f"Project({outputs})")
-            child = node.child
         elif isinstance(node, Aggregate):
             keys = [
                 _render_output(name, expr)
@@ -208,16 +204,14 @@ def explain_plan(plan: Any) -> str:
                 f"Aggregate(keys=[{', '.join(keys)}], "
                 f"aggs=[{', '.join(aggs)}], group_by=[{group}])"
             )
-            child = node.child
         elif isinstance(node, Filter):
             preds = " AND ".join(render_expr(p) for p in node.predicates)
             add(f"Filter({preds})")
-            child = node.child
         elif isinstance(node, Scan):
             add(f"Scan({node.table})")
         else:
             add(f"?{node!r}")
-        node = child
+        node = getattr(node, "child", None)
         depth += 1
     return "\n".join(lines)
 

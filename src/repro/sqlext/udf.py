@@ -10,9 +10,10 @@ The planned executor never calls UDFs one row at a time: each UDF call
 in a query hands the distinct arguments that miss the cache to
 :meth:`UdfRegistry.call_batch`, which prefers a registered *vectorised*
 implementation (``register(name, fn, batch_fn=...)``) and otherwise maps
-the scalar function. Either way the registry's one call count advances
-by the batch length once the batch returns, so "UDF calls" always means
-model evaluations and the planned-vs-naive savings stay comparable.
+the scalar function. The registry counts nothing: each query's executor
+counts the arguments it had evaluated (a call that raises counts none),
+so "UDF calls" always means that query's model evaluations and the
+planned-vs-naive savings stay comparable.
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ __all__ = ["UdfRegistry", "make_inference_udf", "make_batched_inference_udf"]
 
 
 class UdfRegistry:
-    """Named scalar UDFs, and one count of the calls they answered."""
+    """Named scalar UDFs, each with an optional vectorised form."""
 
     def __init__(self):
         self._functions: dict[str, Callable[[Any], Any]] = {}
         self._batch_functions: dict[str, Callable[[list], list]] = {}
-        #: arguments every UDF answered so far (a call that raises counts none)
-        self.calls = 0
 
     def register(self, name: str, fn: Callable[[Any], Any],
                  batch_fn: Callable[[list], list] | None = None) -> None:
@@ -46,22 +45,14 @@ class UdfRegistry:
             self._batch_functions[key] = batch_fn
 
     def call(self, name: str, argument: Any) -> Any:
-        """Invoke a UDF on one argument (counts one call once it returns)."""
+        """Invoke a UDF on one argument."""
         key = name.lower()
         if key not in self._functions:
             raise SQLExecutionError(f"unknown function {name!r}")
-        result = self._functions[key](argument)
-        self.calls += 1
-        return result
+        return self._functions[key](argument)
 
     def call_batch(self, name: str, arguments: Sequence[Any]) -> list[Any]:
-        """Invoke a UDF once per argument, vectorised when possible.
-
-        Counts ``len(arguments)`` calls — one model evaluation per
-        argument — regardless of how the batch is executed, so call
-        counts compare across executors; a batch that raises counts
-        none.
-        """
+        """Invoke a UDF once per argument, vectorised when possible."""
         key = name.lower()
         if key not in self._functions:
             raise SQLExecutionError(f"unknown function {name!r}")
@@ -69,17 +60,14 @@ class UdfRegistry:
         if not arguments:
             return []
         batch_fn = self._batch_functions.get(key)
-        if batch_fn is not None:
-            results = list(batch_fn(arguments))
-            if len(results) != len(arguments):
-                raise SQLExecutionError(
-                    f"batch UDF {name!r} returned {len(results)} results "
-                    f"for {len(arguments)} arguments"
-                )
-        else:
-            fn = self._functions[key]
-            results = [fn(argument) for argument in arguments]
-        self.calls += len(arguments)
+        if batch_fn is None:
+            return list(map(self._functions[key], arguments))
+        results = list(batch_fn(arguments))
+        if len(results) != len(arguments):
+            raise SQLExecutionError(
+                f"batch UDF {name!r} returned {len(results)} results "
+                f"for {len(arguments)} arguments"
+            )
         return results
 
 

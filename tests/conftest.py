@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data import make_image_classification
 from repro.utils.rng import RngStream
+
+# Tier-1 draws fresh Hypothesis examples on every run (nothing is
+# derandomised) and prints a failure's reproduction blob, so a case one
+# run finds can be replayed with ``@reproduce_failure``.
+settings.register_profile("tier1", print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)

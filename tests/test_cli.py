@@ -65,6 +65,33 @@ class TestCommands:
         assert "GROUP BY" in out
         assert "UDF calls" in out
 
+    def test_sql_explain_analyses_the_run(self, capsys):
+        """Each plan line once, annotated from its node span: the top
+        node's rows are the printed rows, the UDF arguments sum to the
+        query's UDF calls."""
+        import re
+
+        from repro.sqlext.plan import compile_plan, explain_plan
+
+        sql = ("SELECT age_band(age) AS band, count(*) AS n FROM foodlog "
+               "WHERE age > 30 GROUP BY band ORDER BY n DESC LIMIT 5")
+        assert main(["sql", "--executor", "planned", "--explain", "--query", sql]) == 0
+        out = capsys.readouterr().out.splitlines()
+        annotation = re.compile(r"(.*)  \[rows (\d+), \d+\.\d{3} ms, UDF args (\d+), "
+                                r"dispatches (\d+), cache hits (\d+)\]$")
+        analysed = [m.groups() for m in map(annotation.match, out) if m]
+        plan = explain_plan(compile_plan(sql)).splitlines()
+        assert [line for line, *_ in analysed] == plan
+        assert not set(plan) & set(out)  # no line printed bare
+        rows = [line for line in out if line.startswith("  (")]
+        assert int(analysed[0][1]) == len(rows) > 0
+        calls, batches, hits = map(int, re.search(
+            r"\[planned\] UDF calls: (\d+), batches: (\d+), cache hits: (\d+)",
+            "\n".join(out)).groups())
+        assert sum(int(c) for _, _, c, _, _ in analysed) == calls > 0
+        assert sum(int(b) for _, _, _, b, _ in analysed) == batches
+        assert sum(int(h) for *_, h in analysed) == hits
+
     def test_telemetry_snapshot_covers_every_subsystem(self, capsys):
         import json
 

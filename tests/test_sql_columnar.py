@@ -268,18 +268,44 @@ class TestInsertCoercion:
 
 class TestUdfCallCounting:
     def test_a_raising_udf_counts_no_call(self):
-        db = make_database([{"i": 1}])
+        from repro import telemetry
 
-        def boom(value):
-            raise ValueError("boom")
+        db = make_database([{"i": 1}, {"i": 2}])
+
+        def boom(value):  # the naive executor evaluates row 1, then raises
+            if value == 2:
+                raise ValueError("boom")
+            return value
 
         db.udfs.register("boom", boom, batch_fn=lambda values: [boom(v) for v in values])
+        registry = telemetry.get_registry()
         for executor in ("naive", "planned"):
             with pytest.raises(ValueError):
                 db.execute("SELECT boom(i) FROM t", executor=executor)
-        with pytest.raises(ValueError):
-            db.udfs.call_batch("boom", [1, 2])
-        assert db.udfs.calls == 0
+            assert registry.counter("repro_sql_udf_calls_total").value(executor=executor) == 0
+        assert registry.counter("repro_sql_udf_batch_rows_total").value(udf="boom") == 0
+
+    def test_a_query_a_udf_runs_is_not_charged_to_the_query_calling_it(self):
+        """Each query counts its own work, also while another runs inside it."""
+        from repro import telemetry
+
+        def outer(executor: str) -> tuple[int, int, int]:
+            db = Database()
+            db.create_table("t", [Column("i", "integer")])
+            for i in (1, 2, 3):
+                db.insert("t", i=i)
+            db.udfs.register("g", lambda v: v * 10)
+            # each call runs a planned inner query: 2 evaluations cold, 2 hits warm
+            db.udfs.register(
+                "f", lambda v: v + len(db.execute("SELECT g(i) FROM t WHERE i < 3").rows))
+            result = db.execute("SELECT f(i) FROM t", executor=executor)
+            return result.udf_calls, result.udf_batches, result.cache_hits
+
+        assert outer("naive") == (3, 0, 0)
+        assert outer("planned") == (3, 1, 0)
+        calls = telemetry.get_registry().counter("repro_sql_udf_calls_total")
+        assert calls.value(executor="naive") == 3
+        assert calls.value(executor="planned") == 2 + (3 + 2)  # inner, then outer + inner
 
 
 class TestDistinctArguments:

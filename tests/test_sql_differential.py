@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import chaos
+from repro import chaos, telemetry
 from repro.chaos import FaultKind, FaultPlan, FaultRule
 from repro.exceptions import RequestShedError
 from repro.sqlext import Column, Database
@@ -275,7 +275,12 @@ def test_differential_covers_cache_hits():
 
 
 def _chaos_run(seed: int, probability: float, kind: FaultKind):
-    """One seeded chaos run; returns (trace, outcomes, results)."""
+    """One seeded chaos run; returns (trace, outcomes, results), the trace
+    being the ``(name, tags)`` of every ``sql.udf.dispatch`` span: the UDF,
+    its rows, the injected latency, the retries, each failed attempt's
+    error type and the outcome."""
+    tracer = telemetry.Tracer()  # enabled; the autouse fixture restores the old one
+    telemetry.set_tracer(tracer)
     rng = np.random.default_rng(seed)
     db = make_database(rng)
     generator = QueryGenerator(
@@ -298,16 +303,16 @@ def _chaos_run(seed: int, probability: float, kind: FaultKind):
             else:
                 outcomes.append(("ok", len(result.rows)))
                 results.append((result.columns, result.rows))
-    return list(db.dispatcher.trace), outcomes, results
+    trace = [(s.name, s.tags) for s in tracer.spans if s.name == "sql.udf.dispatch"]
+    return trace, outcomes, results
 
 
 @pytest.mark.chaos
 def test_dispatch_fault_retries_then_sheds_deterministically():
     """Heavy drop faults: retries fire, exhaustion sheds with 'dispatch_failed'."""
     trace, outcomes, _ = _chaos_run(7, 0.9, FaultKind.DROP)
-    events = [entry["event"] for entry in trace]
-    assert "retry" in events
-    assert "shed" in events
+    assert any(tags["retries"] for _, tags in trace)
+    assert any(tags["outcome"] == "shed" for _, tags in trace)
     sheds = [o for o in outcomes if o[0] == "shed"]
     assert sheds, "no query was shed under 90% drop faults"
     assert all(reason == "dispatch_failed" for _, reason in sheds)
@@ -326,7 +331,7 @@ def test_dispatch_latency_faults_do_not_change_results():
     """Latency-only faults slow dispatches but never alter rows."""
     trace, outcomes, results = _chaos_run(5, 0.8, FaultKind.LATENCY)
     assert all(outcome[0] == "ok" for outcome in outcomes)
-    assert any(entry["event"] == "latency" for entry in trace)
+    assert any(tags["latency"] > 0 for _, tags in trace)
     rng = np.random.default_rng(5)
     db = make_database(rng)
     generator = QueryGenerator(

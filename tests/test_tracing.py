@@ -2,9 +2,10 @@
 
 A span stamps its start and end whether the tracer is on or off, so the
 gateway's latency histogram and a pool worker's trial time read their
-durations off spans. These tests pin the tree one request leaves, the
-nesting of interleaved asyncio requests, the histogram against the span,
-and what a disabled tracer keeps (nothing).
+durations off spans. These tests pin the tree one request leaves, and
+the one a planned SQL query leaves, the nesting of interleaved asyncio
+requests, the histogram against the span, and what a disabled tracer
+keeps (nothing).
 """
 
 from __future__ import annotations
@@ -174,6 +175,54 @@ class TestInterleavedRequests:
         assert len(statuses_429) == len(shed)
 
 
+@pytest.fixture
+def foodlog(manual_clock):
+    """A table whose UDF ``f`` (``i % 2``) takes 1/8 s per batch under the
+    manual clock, and nothing else takes any time."""
+    from repro.sqlext import Column, Database
+
+    db = Database()
+    db.create_table("t", [Column("i", "integer"), Column("s", "text")])
+    for i, s in ((1, "a"), (2, "b"), (2, "a"), (-1, "b"), (3, "b")):
+        db.insert("t", i=i, s=s)
+    db.udfs.register("f", lambda i: i % 2, batch_fn=_advancing(
+        manual_clock, 0.125, lambda values: [i % 2 for i in values]))
+    return db
+
+
+class TestOneSqlQuery:
+    SQL = "SELECT s, count(*) AS n FROM t WHERE f(i) = 1 AND i > 0 GROUP BY s"
+
+    def test_golden_span_tree(self, foodlog):
+        result = foodlog.execute(self.SQL)
+        assert result.rows == [("a", 1), ("b", 1)]
+        none = {"udf_calls": 0, "udf_batches": 0, "cache_hits": 0}
+        assert _tree(telemetry.get_tracer()) == [
+            ("sql.query", None,
+             {"executor": "planned", "table": "t", "rows": 2, "udf_calls": 3}, 0.125, 0.0),
+            ("sql.aggregate", "sql.query", {"rows": 2, **none}, 0.125, 0.0),
+            # i > 0 first: f sees 4 rows, 3 distinct arguments, 1 repeat
+            ("sql.filter", "sql.aggregate",
+             {"rows": 2, "udf_calls": 3, "udf_batches": 1, "cache_hits": 1}, 0.125, 0.0),
+            ("sql.scan", "sql.filter", {"rows": 5, **none}, 0.0, 0.0),
+            ("sql.udf.dispatch", "sql.filter",
+             {"udf": "f", "rows": 3, "latency": 0.0, "retries": 0, "outcome": "dispatched",
+              "errors": ()}, 0.125, 0.125),
+        ]
+        assert [span.name for span in result.spans] == ["sql.aggregate", "sql.filter", "sql.scan"]
+
+    def test_a_disabled_tracer_keeps_no_sql_span(self, foodlog):
+        tracer = telemetry.get_tracer()
+        tracer.enabled = False
+        spans = foodlog.execute(self.SQL).spans
+        foodlog.execute(self.SQL, executor="naive")
+        assert tracer.spans == [] and tracer.dropped == 0
+        # still timed and counted, unlinked: EXPLAIN ANALYZE reads them
+        assert [(s.name, s.duration, s.tags["rows"], s.tags["udf_calls"]) for s in spans] == [
+            ("sql.aggregate", 0.125, 2, 0), ("sql.filter", 0.125, 2, 3), ("sql.scan", 0.0, 5, 0)]
+        assert all(s.parent is None for s in spans)
+
+
 class TestSpanObject:
     def test_disabled_tracer_keeps_nothing_but_still_times(self, manual_clock):
         tracer = Tracer(enabled=False)
@@ -223,10 +272,7 @@ class TestSpanObject:
         assert out.stdout.strip() == "False"
 
 
-def test_src_times_durations_only_through_the_tracer():
-    """Durations timed outside ``Tracer`` in ``src/``: the two reports
-    (``profile_network``'s ``c(m, b)`` and the CLI's pool walls) are
-    allowed by name; anything else reads its duration off a span."""
+def _tally():
     import importlib.util
     from pathlib import Path
 
@@ -234,4 +280,17 @@ def test_src_times_durations_only_through_the_tracer():
     spec = importlib.util.spec_from_file_location("tally", root / "tools" / "tally.py")
     tally = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tally)
-    assert tally.hand_timers() == []
+    return tally
+
+
+def test_src_times_durations_only_through_the_tracer():
+    """Durations timed outside ``Tracer`` in ``src/``: the two reports
+    (``profile_network``'s ``c(m, b)`` and the CLI's pool walls) are
+    allowed by name; anything else reads its duration off a span."""
+    assert _tally().hand_timers() == []
+
+
+def test_tally_lists_the_sql_span_sites():
+    names = [site.split(" (")[0] for site in _tally().span_sites()["repro.sqlext"]]
+    assert names == ["sql.query", "sql.udf.dispatch",
+                     "sql.scan|sql.filter|sql.project|sql.aggregate|sql.sort|sql.limit"]

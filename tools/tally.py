@@ -23,7 +23,10 @@ request body in ``repro.api.gateway`` outside the route tables (``body[...]``,
 ``body.get(...)``, ``... in body``) by function; then the durations
 ``src/`` times outside the ``Tracer`` (a clock read minus a name bound to
 one; the two printed reports, ``profile_network`` and the CLI's pool walls,
-are allowed by name); then the owner registrations held strongly: a
+are allowed by name); then the product span sites per package: each
+``.span(...)`` call outside ``repro.telemetry``, its name (a literal, or
+the names of the module-level dict it picks one from) and ``file:line``;
+then the owner registrations held strongly: a
 ``set_function``/``govern``/``add_reader``/``on_recovery`` call in ``src/``
 whose reader holds its owner (see ``strong_registrations``); last, the public names
 in ``src/repro`` (module-level functions and classes, and methods) that
@@ -313,6 +316,41 @@ def hand_timers() -> list[str]:
                 and site not in TIMED_REPORTS
             ]
     return out
+
+
+def _span_names(node, constants: dict) -> str:
+    """A span call's name: its literal, or the values of the module-level
+    dict a subscript picks it from, or else its source text."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    table = constants.get(getattr(getattr(node, "value", None), "id", None))
+    if isinstance(node, ast.Subscript) and isinstance(table, ast.Dict):
+        return "|".join(value.value for value in table.values)
+    return ast.unparse(node)
+
+
+def span_sites() -> dict[str, list[str]]:
+    """Per package, ``name (file:line)`` of each product span site: a
+    ``.span(...)`` call in ``src/`` outside ``repro.telemetry``."""
+    out: dict[str, list[str]] = {}
+    for path in sorted(ROOT.rglob("*.py")):
+        where = path.relative_to(ROOT)
+        if where.parts[1] == "telemetry":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        constants = {
+            target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        calls = sorted(
+            (node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "span" and node.args),
+            key=lambda node: node.lineno)
+        for node in calls:
+            out.setdefault(".".join(where.parent.parts), []).append(
+                f"{_span_names(node.args[0], constants)} ({where.relative_to('repro')}"
+                f":{node.lineno})")
+    return dict(sorted(out.items()))
 
 
 #: owner registrations: method -> position of the owner argument; the
@@ -752,6 +790,12 @@ def main() -> int:
           f" (reports allowed: {', '.join(sorted(TIMED_REPORTS))})")
     for site in sorted(set(timers)):
         print(f"  {site}: {timers.count(site)}")
+    spans = span_sites()
+    print(f"\nproduct span sites in src/: {sum(map(len, spans.values()))}")
+    for package, sites in spans.items():
+        print(f"  {package}: {len(sites)}")
+        for site in sites:
+            print(f"    {site}")
     strong = strong_registrations()
     print(f"\nowner registrations held strongly in src/: {len(strong)}")
     for site in sorted(set(strong)):
