@@ -167,6 +167,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    from repro import telemetry
     from repro.core.tune import (
         BayesianAdvisor,
         CoStudy,
@@ -225,8 +226,6 @@ def _cmd_tune(args) -> int:
         return master, workers
 
     if args.pool_reuse:
-        import time
-
         from repro.core.tune import TrialPool
 
         walls = []
@@ -234,9 +233,9 @@ def _cmd_tune(args) -> int:
         with TrialPool(processes=args.processes) as pool:
             for label in ("cold", "warm"):
                 master, workers = build_study()
-                started = time.perf_counter()
-                report = run_study_parallel(master, workers, pool=pool)
-                walls.append((label, time.perf_counter() - started))
+                with telemetry.get_tracer().span("tune.pool.study", pool=label) as study:
+                    report = run_study_parallel(master, workers, pool=pool)
+                walls.append((label, study.duration))
                 fingerprints.append(
                     [(e.index, e.performance, e.epochs, e.time)
                      for e in report.history]
@@ -260,8 +259,6 @@ def _cmd_tune(args) -> int:
     for name, value in sorted(best.trial.params.items()):
         print(f"  {name:<14} {value:.5g}")
     if args.telemetry:
-        from repro import telemetry
-
         print()
         print(telemetry.to_json(telemetry.get_registry()))
     return 0

@@ -47,11 +47,9 @@ class TrialSession(Protocol):
         """Current model parameters (for the parameter server)."""
         ...
 
-    @property
-    def epochs(self) -> int: ...
-
-    @property
-    def best_performance(self) -> float: ...
+    #: epochs run so far, and the best validation accuracy among them.
+    epochs: int
+    best_performance: float
 
 
 class TrainerBackend(Protocol):
@@ -94,12 +92,12 @@ class _RealSession:
             momentum=float(params.get("momentum", 0.9)),
             weight_decay=float(params.get("weight_decay", 1e-4)),
         )
-        self._epochs = 0
-        self._best = 0.0
+        self.epochs = 0
+        self.best_performance = 0.0
         self.diverged = False
 
     def run_epoch(self) -> float:
-        self._epochs += 1
+        self.epochs += 1
         if self.diverged:
             return 0.0
         # Extreme trials (huge learning rates) legitimately diverge;
@@ -120,19 +118,11 @@ class _RealSession:
                 self.diverged = True
                 return 0.0
             acc = evaluate(self.network, self.dataset.val_x, self.dataset.val_y)
-        self._best = max(self._best, acc)
+        self.best_performance = max(self.best_performance, acc)
         return acc
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return self.network.state_dict()
-
-    @property
-    def epochs(self) -> int:
-        return self._epochs
-
-    @property
-    def best_performance(self) -> float:
-        return self._best
 
 
 class RealTrainer:

@@ -20,7 +20,7 @@ from repro.cluster.manager import JobKind, JobState
 from repro.cluster.message import Message, MessageType
 from repro.core.tune.backends import TrainerBackend
 from repro.core.tune.config import HyperConf
-from repro.core.tune.runner import _close_study, worker_process
+from repro.core.tune.runner import _running, worker_process
 from repro.core.tune.study import StudyMaster, StudyReport
 from repro.core.tune.trial import Trial
 from repro.core.tune.worker import TuneWorker
@@ -49,7 +49,6 @@ def run_cluster_study(
     report (wall time = simulated completion time).
     """
     sim = Simulator()
-    master.set_clock(lambda: sim.now)
     workers: dict[str, TuneWorker] = {}
     # the trial currently assigned to each worker, by container id
     in_flight: dict[str, Trial] = {}
@@ -97,9 +96,7 @@ def run_cluster_study(
             worker_process(worker, master, workers, in_flight, alive)
         )
 
-    with telemetry.get_tracer().span(
-        "run_study", study=master.study_name, workers=num_workers
-    ) as span:
+    with _running(master, sim, num_workers):
         # This frame holds ``start_worker`` until the study returns, and
         # the manager holds it weakly: the hook lives exactly as long.
         manager.on_recovery(start_worker, lambda start, container: start(container))
@@ -115,4 +112,4 @@ def run_cluster_study(
         if manager.jobs[job.job_id].state in (JobState.RUNNING, JobState.DEGRADED):
             manager.complete_job(job.job_id)
         manager.checkpoints.save(master.study_name, master.checkpoint_state())
-        return _close_study(master, sim, span)
+    return master.report

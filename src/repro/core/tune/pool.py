@@ -47,7 +47,10 @@ Determinism is inherited from the sessions being pure functions of
 early-stop epochs, same :class:`StudyReport`.
 
 Telemetry (parent-side): pool size, queue depth, task latency,
-worker restarts, and IPC bytes by direction.
+worker restarts, and IPC bytes by direction. A child keeps no span:
+each ``epoch`` record carries its ``tune.pool.epoch`` span's start and
+end home, where the consuming session records it under the worker's
+``tune.epoch`` (skipped replays drop theirs).
 """
 
 from __future__ import annotations
@@ -141,15 +144,17 @@ def _pool_worker(conn: Connection, inherited: list[Connection]) -> None:
     this worker holds no trainer for the spec; records go back on it,
     each tagged with the job's ``generation`` and trial id: ``epoch``
     after every epoch (with a state snapshot when the master stops
-    trials centrally), ``done`` with the final state, ``cancelled`` when
-    the parent sent the tag back (nobody reads that run any more),
-    ``error`` with the exception repr.  ``inherited`` are the parent's
+    trials centrally, then the epoch span's start and end), ``done``
+    with the final state, ``cancelled`` when the parent sent the tag
+    back (nobody reads that run any more), ``error`` with the exception
+    repr.  ``inherited`` are the parent's
     pipe ends copied at fork: while a copy is open, a killed parent
     reads as EOF to nobody.
     """
     for end in inherited:
         end.close()
-    tracer = telemetry.get_tracer()
+    # spans here only time: each epoch's goes home in its record
+    tracer = telemetry.Tracer(enabled=False)
     trainers: dict[tuple, RealTrainer] = {}
 
     while True:
@@ -182,11 +187,12 @@ def _pool_worker(conn: Connection, inherited: list[Connection]) -> None:
                 finished = cancelled = False
                 while not (finished or cancelled):
                     chaos.fire("tune.pool.trial")
-                    accuracy = session.run_epoch()
+                    with tracer.span("tune.pool.epoch") as epoch:
+                        accuracy = session.run_epoch()
                     # the parent may be stopped (and asked to kPut) after
                     # any epoch, so it then needs every epoch's state
                     snapshot = None if trial.local_early_stop else session.state_dict()
-                    conn.send(("epoch", *tag, float(accuracy), snapshot))
+                    conn.send(("epoch", *tag, float(accuracy), snapshot, epoch.start, epoch.end))
                     finished = stop_rule.update(accuracy)
                     # mid-trial the pipe carries only cancels (jobs go
                     # to idle workers); one for an earlier trial is stale
@@ -259,9 +265,11 @@ class TrialPool:
         #: by ``id(dataset)``; the strong refs keep those keys unique.
         self._datasets: dict[int, ImageDataset] = {}
         registry = telemetry.get_registry()
-        self._tasks, self._records, self._trial_errors, restarts, ipc = (
+        submitted, self._records, self._trial_errors, restarts, ipc = (
             telemetry.Counter(name, help, registry) for name, help in (
-                ("repro_tune_pool_tasks_total", "Jobs shipped to the pool, by outcome."),
+                ("repro_tune_pool_tasks_total",
+                 "Trials submitted to the pool (re-issues count in "
+                 "repro_tune_pool_trial_errors_total{outcome=\"resubmitted\"})."),
                 ("repro_tune_pool_records_total", "Records received from workers, by kind."),
                 ("repro_tune_pool_trial_errors_total",
                  "Worker-side trial failures, by outcome."),
@@ -272,7 +280,7 @@ class TrialPool:
                  "by direction."),
             )
         )
-        self._restarted = restarts.labels()
+        self._tasks, self._restarted = submitted.labels(), restarts.labels()
         self._sent, self._received = (
             ipc.labels(direction=direction) for direction in ("to_worker", "from_worker")
         )
@@ -361,11 +369,8 @@ class TrialPool:
         generation = state.generation + 1 if state is not None else 0
         state = self._trials[trial.trial_id] = _TrialState(generation=generation)
         state.job = (spec, trial, init_state or None, state.generation)
-        self._dispatch(state.job, outcome="dispatched")
-
-    def _dispatch(self, job: tuple, outcome: str) -> None:
-        self._pending.append(job)
-        self._tasks.inc(outcome=outcome)
+        self._tasks.inc()
+        self._pending.append(state.job)
         self._feed()
 
     def _feed(self) -> None:
@@ -445,15 +450,15 @@ class TrialPool:
 
     def _on_epoch(
         self, generation: int, trial_id: int,
-        accuracy: float, snapshot: dict[str, np.ndarray] | None,
+        accuracy: float, snapshot: dict[str, np.ndarray] | None, start: float, end: float,
     ) -> None:
         state = self._trials.get(trial_id)
         if state is None or state.generation != generation:
             return  # stale stream
-        if state.skip > 0:  # replayed epoch of a resubmitted trial
+        if state.skip > 0:  # replayed epoch of a resubmitted trial, and its times
             state.skip -= 1
             return
-        state.records.append((accuracy, snapshot))
+        state.records.append((accuracy, snapshot, start, end))
 
     def _on_done(
         self, generation: int, trial_id: int,
@@ -500,7 +505,8 @@ class TrialPool:
         state.records.clear()  # unconsumed buffers will be replayed
         state.skip = state.consumed
         state.job = state.job[:-1] + (state.generation,)
-        self._dispatch(state.job, outcome="resubmitted")
+        self._pending.append(state.job)
+        self._feed()
 
     def _replace(self, worker: _Worker) -> None:
         """Swap a dead worker for a fresh one; re-issue the trial it held."""
@@ -517,7 +523,7 @@ class TrialPool:
 
     # -- executor-facing waits -----------------------------------------
 
-    def await_epoch(self, trial_id: int) -> tuple[float, dict | None]:
+    def await_epoch(self, trial_id: int) -> tuple[float, dict | None, float, float]:
         state = self._trials.setdefault(trial_id, _TrialState())
         while not state.records:
             self._pump()
@@ -549,16 +555,19 @@ class _PoolSession:
     def __init__(self, pool: TrialPool, trial: Trial):
         self._pool = pool
         self._trial_id = trial.trial_id
-        self._epochs = 0
-        self._best = 0.0
+        self.epochs = 0
+        self.best_performance = 0.0
         self._state: dict[str, np.ndarray] | None = None
 
     def run_epoch(self) -> float:
-        accuracy, state = self._pool.await_epoch(self._trial_id)
-        self._epochs += 1
+        """The next epoch's accuracy; its child-side span is recorded
+        under the caller's open span (a worker's ``tune.epoch``)."""
+        accuracy, state, start, end = self._pool.await_epoch(self._trial_id)
+        telemetry.get_tracer().record("tune.pool.epoch", start, end, trial_id=self._trial_id)
+        self.epochs += 1
         if state is not None:
             self._state = state
-        self._best = max(self._best, accuracy)
+        self.best_performance = max(self.best_performance, accuracy)
         return accuracy
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -571,14 +580,6 @@ class _PoolSession:
     def cancel(self) -> None:
         """The worker abandoned this trial; the last snapshot stays readable."""
         self._pool.cancel(self._trial_id)
-
-    @property
-    def epochs(self) -> int:
-        return self._epochs
-
-    @property
-    def best_performance(self) -> float:
-        return self._best
 
 
 class PoolTrialExecutor:
@@ -626,9 +627,6 @@ class PoolTrialExecutor:
             self.pool.drain()
         if self.owns_pool:
             self.pool.shutdown()
-
-    def shutdown(self) -> None:
-        self.pool.shutdown()
 
     # -- TrainerBackend protocol ---------------------------------------
 

@@ -8,6 +8,7 @@ time, which is exactly what the Figure 11 scalability study measures.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable
 
 from repro import telemetry
@@ -87,11 +88,17 @@ def worker_process(
                 return
 
 
-def _close_study(master: StudyMaster, sim: Simulator, span) -> StudyReport:
-    """How every study loop ends a study: finalize it, then tag its ``run_study`` span."""
-    report = master.finalize(wall_time=sim.now)
-    span.tag(trials=len(report.results), simulated_seconds=sim.now)
-    return report
+@contextmanager
+def _running(master: StudyMaster, sim: Simulator, workers: int):
+    """How every driver runs a study: bind the master to ``sim``'s clock,
+    span the run as ``run_study``, then finalize the report and tag the span."""
+    master.set_clock(lambda: sim.now)
+    with telemetry.get_tracer().span(
+        "run_study", study=master.study_name, workers=workers
+    ) as span:
+        yield
+        report = master.finalize(wall_time=sim.now)
+        span.tag(trials=len(report.results), simulated_seconds=sim.now)
 
 
 def run_study(
@@ -106,14 +113,10 @@ def run_study(
     completion time.
     """
     sim = sim if sim is not None else Simulator()
-    master.set_clock(lambda: sim.now)
     by_name = {worker.name: worker for worker in workers}
     in_flight: dict[str, Trial] = {}
-
-    with telemetry.get_tracer().span(
-        "run_study", study=master.study_name, workers=len(workers)
-    ) as span:
+    with _running(master, sim, len(workers)):
         for worker in workers:
             sim.spawn(worker_process(worker, master, by_name, in_flight))
         sim.run(max_events=max_events)
-        return _close_study(master, sim, span)
+    return master.report

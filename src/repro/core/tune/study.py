@@ -13,6 +13,7 @@ scheduler is Algorithm 1; :class:`CoStudy` is Algorithm 2.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -90,7 +91,6 @@ class StudyMaster:
         advisor: TrialAdvisor,
         param_server: ParameterServer,
         best_key: str | None = None,
-        clock=None,
         scheduler: TrialScheduler | Sequence[TrialScheduler] | None = None,
     ):
         self.study_name = study_name
@@ -98,7 +98,7 @@ class StudyMaster:
         self.advisor = advisor
         self.param_server = param_server
         self.best_key = best_key if best_key is not None else f"{study_name}/best"
-        self._clock = clock if clock is not None else (lambda: 0.0)
+        self._clock = lambda: 0.0  # a driver binds its simulator's (set_clock)
         self.mailbox = Mailbox()
         self.done = False
         self.num_finished = 0
@@ -127,18 +127,25 @@ class StudyMaster:
     # ------------------------------------------------------------------
 
     def step(self) -> list[tuple[str, Message]]:
-        """Process all queued messages; return (worker, reply) pairs."""
+        """Process all queued messages; return (worker, reply) pairs.
+
+        One ``tune.master`` span covers the step, tagged with what it
+        answered (kinds with none left out): ``fresh``/``made`` trial ids
+        (from the advisor / a scheduler), ``parked`` and ``shutdown``
+        workers, ``stop`` trial ids and ``put`` ``(trial id, key)`` pairs.
+        """
         replies: list[tuple[str, Message]] = []
-        while True:
-            message = self.mailbox.receive()
-            if message is None:
-                return replies
-            if message.type is MessageType.REQUEST:
-                replies.extend(self._on_request(message))
-            elif message.type is MessageType.REPORT:
-                replies.extend(self._on_report(message))
-            elif message.type is MessageType.FINISH:
-                replies.extend(self._on_finish(message))
+        self._answered = answered = defaultdict(list)
+        with telemetry.get_tracer().span("tune.master") as span:
+            while (message := self.mailbox.receive()) is not None:
+                if message.type is MessageType.REQUEST:
+                    replies.extend(self._on_request(message))
+                elif message.type is MessageType.REPORT:
+                    replies.extend(self._on_report(message))
+                elif message.type is MessageType.FINISH:
+                    replies.extend(self._on_finish(message))
+            span.tag(**answered)
+        return replies
 
     # ------------------------------------------------------------------
     # handlers
@@ -155,17 +162,21 @@ class StudyMaster:
                 if trial is not FRESH:
                     break
         if trial is WAIT:
+            self._answered["parked"].append(worker)
             if worker not in self._parked:
                 self._parked.append(worker)
             return []
+        kind = "made"
         if trial is FRESH:
-            params = self.advisor.next(worker)
+            params, kind = self.advisor.next(worker), "fresh"
             trial = Trial(params=params) if params is not None else EXHAUSTED
         if trial is EXHAUSTED:
             self.done = True
+            self._answered["shutdown"].append(worker)
             return [(worker, Message(MessageType.SHUTDOWN, self.study_name))]
         self._trials_issued += 1
         trial.trial_id = self._trials_issued
+        self._answered[kind].append(trial.trial_id)
         for scheduler in self.schedulers:
             scheduler.on_trial_add(trial)
         return [(worker, Message(MessageType.TRIAL, self.study_name, {"trial": trial}))]
@@ -178,8 +189,9 @@ class StudyMaster:
             decision, more = scheduler.on_trial_result(worker, trial, performance)
             stop = stop or decision is STOP
             keys += more
-        replies = self._puts(worker, keys, performance)
+        replies = self._puts(worker, trial, keys, performance)
         if stop:
+            self._answered["stop"].append(trial.trial_id)
             replies.append((worker, Message(MessageType.STOP, self.study_name)))
         return replies
 
@@ -201,14 +213,15 @@ class StudyMaster:
         parked, self._parked = self._parked, []
         for worker in parked:
             self.mailbox.send(Message(MessageType.REQUEST, worker))
-        return self._puts(message.sender, keys, result.performance)
+        return self._puts(message.sender, result.trial, keys, result.performance)
 
-    def _puts(self, worker: str, keys: list[str], performance: float):
-        return [
-            (worker, Message(MessageType.PUT, self.study_name,
-                             {"key": key, "performance": performance}))
-            for key in dict.fromkeys(keys)  # the union, in first-named order
-        ]
+    def _puts(self, worker: str, trial: Trial, keys: list[str], performance: float):
+        replies = []
+        for key in dict.fromkeys(keys):  # the union, in first-named order
+            self._answered["put"].append((trial.trial_id, key))
+            replies.append((worker, Message(MessageType.PUT, self.study_name,
+                                            {"key": key, "performance": performance})))
+        return replies
 
     def _record(self, result: TrialResult) -> None:
         self.report.results.append(result)
@@ -270,9 +283,7 @@ def CoStudyMaster(
     advisor: TrialAdvisor,
     param_server: ParameterServer,
     best_key: str | None = None,
-    clock=None,
     rng: np.random.Generator | None = None,
 ) -> StudyMaster:
     """Algorithm 2: a :class:`StudyMaster` scheduled by :class:`CoStudy`."""
-    scheduler = CoStudy(rng=rng)
-    return StudyMaster(study_name, conf, advisor, param_server, best_key, clock, scheduler)
+    return StudyMaster(study_name, conf, advisor, param_server, best_key, CoStudy(rng=rng))

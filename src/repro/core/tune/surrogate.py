@@ -61,29 +61,21 @@ class _SurrogateSession:
         self._final = final_acc
         self._tau = tau
         self._rng = rng
-        self._epochs = 0
-        self._best = 0.0
+        self.epochs = 0
+        self.best_performance = 0.0
         self._current = start_acc
 
     def run_epoch(self) -> float:
-        self._epochs += 1
-        mean = self._final + (self._start - self._final) * math.exp(-self._epochs / self._tau)
+        self.epochs += 1
+        mean = self._final + (self._start - self._final) * math.exp(-self.epochs / self._tau)
         observed = mean + self._rng.normal(0.0, self._trainer.noise)
         observed = float(min(max(observed, 0.0), 0.999))
         self._current = observed
-        self._best = max(self._best, observed)
+        self.best_performance = max(self.best_performance, observed)
         return observed
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {SURROGATE_ACC_KEY: np.array([self._current])}
-
-    @property
-    def epochs(self) -> int:
-        return self._epochs
-
-    @property
-    def best_performance(self) -> float:
-        return self._best
 
 
 class SurrogateTrainer:

@@ -8,7 +8,7 @@ dataset is a *study*.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["Trial", "TrialResult", "TrialStatus", "InitKind"]
@@ -57,5 +57,4 @@ class TrialResult:
     trial: Trial
     performance: float
     epochs: int
-    history: list[float] = field(default_factory=list)  # per-epoch validation accuracy
     worker: str = ""

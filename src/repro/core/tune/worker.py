@@ -92,7 +92,8 @@ class TuneWorker:
         cost = self.backend.epoch_cost(self._trial)
         try:
             cost += chaos.fire("tune.trial")
-            accuracy = self._session.run_epoch()
+            with telemetry.get_tracer().span("tune.epoch", trial_id=self._trial.trial_id):
+                accuracy = self._session.run_epoch()
         except InjectedFault:
             # The trial crashed mid-epoch: the epoch's compute is lost
             # (cost is still consumed) and the trial restarts from its

@@ -152,6 +152,26 @@ class Tracer:
         span.parent = span._token = None
         return span
 
+    def record(self, name: str, start: float, end: float, **tags) -> None:
+        """Keep a span timed elsewhere (a pool child's epoch, sent home)
+        as a child of the open span; a disabled tracer keeps nothing.
+
+        ``start`` and ``end`` must come off this tracer's clock; a forked
+        child's ``perf_counter`` is the parent's ``CLOCK_MONOTONIC`` on
+        Linux. The span may start before its parent did (the child runs
+        ahead): the parent's self time then clamps at 0.
+        """
+        if self.enabled:
+            span = self.span(name, **tags)
+            span.parent, span.span_id = self._current.get(), next(self._ids)
+            span.request = next(self._requests) if span.parent is None else span.parent.request
+            span.start, span.end = start, end
+            if span.parent is not None:
+                span.parent.child_s += end - start
+            if len(self._spans) == self._spans.maxlen:
+                self.dropped += 1
+            self._spans.append(span)
+
     @property
     def spans(self) -> list[Span]:
         """Finished spans in completion order."""

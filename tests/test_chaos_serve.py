@@ -399,12 +399,19 @@ class TestParallelExecutorCrashHandling:
         return telemetry.get_registry().counter("repro_tune_pool_trial_errors_total")
 
     def test_crash_resubmits_and_discards_replayed_epochs(self, pool):
+        """Each record carries its child-side span times (here: start =
+        generation, end = generation + accuracy); a replayed epoch the
+        skip drops takes its times with it."""
+        def epoch(generation, accuracy):
+            self.feed(pool, "epoch", generation, 7, accuracy, None,
+                      float(generation), generation + accuracy)
+
         pool.trial_retries = 2
         pool.submit(self.spec, Trial(params={}, trial_id=7), None)
         assert self.dispatched_generation() == 0
         for accuracy in (0.1, 0.2, 0.3):
-            self.feed(pool, "epoch", 0, 7, accuracy, None)
-        delivered = [pool.await_epoch(7)[0] for _ in range(2)]  # one still buffered
+            epoch(0, accuracy)
+        delivered = [pool.await_epoch(7) for _ in range(2)]  # one still buffered
 
         self.feed(pool, "error", 0, 7, "SimulatedCrash()")
         assert self.dispatched_generation() == 1
@@ -414,10 +421,10 @@ class TestParallelExecutorCrashHandling:
         # the deterministic re-run replays the two consumed epochs
         # (discarded) before fresh ones reach the buffer again; what the
         # crashed run still had in the pipe is dropped as stale
-        self.feed(pool, "epoch", 0, 7, 0.99, None)
+        epoch(0, 0.99)
         for accuracy in (0.1, 0.2, 0.3):
-            self.feed(pool, "epoch", 1, 7, accuracy, None)
-        delivered.append(pool.await_epoch(7)[0])
+            epoch(1, accuracy)
+        delivered.append(pool.await_epoch(7))
 
         # a second crash skips everything consumed since submission,
         # not only what was consumed since the first crash
@@ -425,9 +432,10 @@ class TestParallelExecutorCrashHandling:
         assert self.dispatched_generation() == 2
         assert state.skip == 3
         for accuracy in (0.1, 0.2, 0.3, 0.4):
-            self.feed(pool, "epoch", 2, 7, accuracy, None)
-        delivered.append(pool.await_epoch(7)[0])
-        assert delivered == [0.1, 0.2, 0.3, 0.4]
+            epoch(2, accuracy)
+        delivered.append(pool.await_epoch(7))
+        assert delivered == [(0.1, None, 0.0, 0.1), (0.2, None, 0.0, 0.2),
+                             (0.3, None, 1.0, 1.3), (0.4, None, 2.0, 2.4)]
 
     def test_repeated_crashes_exhaust_retries(self, pool):
         pool.submit(self.spec, Trial(params={}, trial_id=3), None)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -54,6 +56,17 @@ class TestCommands:
         ]) == 0
         assert "CoStudy with bayesian" in capsys.readouterr().out
         assert fits and min(fits) >= 8
+
+    def test_tune_real_pool_reuse(self, capsys):
+        """``--pool-reuse`` runs the study twice on one pool and reads
+        each wall off a span covering the study."""
+        assert main(["tune", "--real", "--processes", "2", "--pool-reuse",
+                     "--trials", "4", "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        for label in ("cold", "warm"):
+            assert re.search(rf"^{label} study on reused pool: \d+\.\d{{3}}s wall-clock$",
+                             out, re.MULTILINE)
+        assert "reports bit-identical across pool reuse: True" in out
 
     def test_demo(self, capsys):
         assert main(["demo", "--classes", "2", "--trials", "2"]) == 0

@@ -130,7 +130,7 @@ class TestParallelTrialExecutor:
         )
         executor = PoolTrialExecutor(trainer, conf, processes=1)
         assert executor.epoch_cost(Trial(params={}, trial_id=1)) == 12.5
-        executor.shutdown()  # never started: must be a no-op
+        executor.finish_study()  # never started: must be a no-op
 
     def test_rejects_non_real_trainer(self):
         with pytest.raises(ConfigurationError):

@@ -602,3 +602,44 @@ class TestCrashRecovery:
         with chaos.active(plan):
             with pytest.raises(RuntimeError, match="failed in worker"):
                 run_study_parallel(master, workers, processes=2)
+
+
+# ----------------------------------------------------------------------
+# the study's span tree reaches into the pool
+# ----------------------------------------------------------------------
+
+
+class TestHomedEpochSpans:
+    """Each epoch a pool child ran comes home as one ``tune.pool.epoch``
+    span under the ``tune.epoch`` span of the worker that consumed it."""
+
+    @staticmethod
+    def assert_one_homed_span_per_consumed_epoch(report) -> None:
+        spans = telemetry.get_tracer().spans
+        (root,) = [s for s in spans if s.name == "run_study"]
+        epochs = [s for s in spans if s.name == "tune.epoch"]
+        homed = [s for s in spans if s.name == "tune.pool.epoch"]
+        assert len(epochs) == len(homed) == sum(r.epochs for r in report.results)
+        assert sorted(id(s.parent) for s in homed) == sorted(map(id, epochs))
+        assert all(s.parent is root for s in epochs)
+        assert {s.request for s in epochs + homed} == {root.request}
+        assert all(s.tags["trial_id"] == s.parent.tags["trial_id"] for s in homed)
+        # the child's clock is the parent's: its epochs lie inside the run
+        assert all(root.start <= s.start <= s.end <= s.parent.end for s in homed)
+
+    def test_every_consumed_epoch_is_homed_once(self, tiny_dataset):
+        master, workers = make_study(tiny_dataset)
+        report = run_study_parallel(master, workers, processes=2)
+        self.assert_one_homed_span_per_consumed_epoch(report)
+
+    def test_replayed_epochs_are_not_homed_twice(self, tiny_dataset):
+        plan = FaultPlan(
+            [FaultRule("tune.pool.trial", FaultKind.EXCEPTION, after=1, max_faults=1)],
+            seed=0,
+        )
+        master, workers = make_study(tiny_dataset)
+        with chaos.active(plan):
+            report = run_study_parallel(master, workers, processes=2)
+        errors = telemetry.get_registry().counter("repro_tune_pool_trial_errors_total")
+        assert errors.value(outcome="resubmitted") >= 1
+        self.assert_one_homed_span_per_consumed_epoch(report)

@@ -2,16 +2,18 @@
 
 A span stamps its start and end whether the tracer is on or off, so the
 gateway's latency histogram and a pool worker's trial time read their
-durations off spans. These tests pin the tree one request leaves, and
-the one a planned SQL query leaves, the nesting of interleaved asyncio
-requests, the histogram against the span, and what a disabled tracer
-keeps (nothing).
+durations off spans. These tests pin the tree one request leaves, the
+one a planned SQL query leaves and the one a study leaves (master
+decisions and epochs), the nesting of interleaved asyncio requests, the
+histogram against the span, a span recorded from times taken elsewhere,
+and what a disabled tracer keeps (nothing).
 """
 
 from __future__ import annotations
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro import chaos, telemetry
@@ -19,7 +21,19 @@ from repro.api.gateway import Gateway, make_query_executor
 from repro.chaos import FaultKind, FaultPlan, FaultRule
 from repro.core.serve import AsyncServeFrontend, FrontendConfig
 from repro.core.system import Rafiki
+from repro.core.tune import (
+    CoStudy,
+    HyperConf,
+    RandomSearchAdvisor,
+    StudyMaster,
+    SuccessiveHalving,
+    SurrogateTrainer,
+    make_workers,
+    run_study,
+    section71_space,
+)
 from repro.data import make_image_classification
+from repro.paramserver import ParameterServer
 from repro.telemetry import ManualClock, Tracer
 from serve_helpers import deploy_untrained
 
@@ -223,6 +237,102 @@ class TestOneSqlQuery:
         assert all(s.parent is None for s in spans)
 
 
+def _golden_study(scheduler=None, workers=1, conf=None, **knobs):
+    """A surrogate study named ``golden``; 2 trials unless ``conf`` is given."""
+    conf = conf or HyperConf(max_trials=2, **knobs)
+    server = ParameterServer()
+    advisor = RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(3))
+    master = StudyMaster("golden", conf, advisor, server, scheduler=scheduler)
+    return run_study(master, make_workers(
+        master, SurrogateTrainer(seed=3), server, conf, workers))
+
+
+def _study_tree(tracer: Tracer) -> list[str]:
+    """The tune spans as ``name tag=value ...`` in protocol order, after
+    checking that they all hang off one ``run_study`` root, whose
+    request id every span of the run carries."""
+    spans = tracer.export()
+    (root,) = [s for s in spans if s["parent_id"] is None]
+    assert root["name"] == "run_study"
+    assert {s["request"] for s in spans} == {root["request"]}
+    tune = [s for s in spans if s["name"].startswith("tune.")]
+    assert all(s["parent_id"] == root["span_id"] for s in tune)
+    return [" ".join([s["name"], *(f"{k}={v}" for k, v in s["tags"].items())])
+            for s in tune]
+
+
+def _epochs(trial: int, count: int) -> list[str]:
+    """``count`` epochs of a trial whose reports the master answers with nothing."""
+    return [f"tune.epoch trial_id={trial}", "tune.master"] * count
+
+
+class TestOneStudy:
+    """One worker, so the protocol is one sequence: each ``tune.master``
+    step answers the messages the worker's step before it sent."""
+
+    def test_golden_span_tree(self, manual_clock):
+        report = _golden_study(max_epochs_per_trial=3)
+        assert _study_tree(telemetry.get_tracer()) == [
+            "tune.master fresh=[1]",
+            *_epochs(1, 3)[:-1],
+            # Algorithm 1 line 15: the best trial is kPut on its finish
+            "tune.master put=[(1, 'golden/best')]",
+            "tune.master fresh=[2]",
+            *_epochs(2, 3)[:-1],
+            "tune.master put=[(2, 'golden/best')]",
+            "tune.master shutdown=['worker-0']",
+        ]
+        assert [(e.index, e.epochs) for e in report.history] == [(1, 3), (2, 3)]
+
+    def test_costudy_tags_every_put_and_stop(self, manual_clock):
+        _golden_study(CoStudy(rng=np.random.default_rng(1)),
+                      max_epochs_per_trial=6, early_stop_patience=1, delta=0.01)
+        put = ["tune.master put=[(1, 'golden/best')]", "tune.master put=[(2, 'golden/best')]"]
+        assert _study_tree(telemetry.get_tracer()) == [
+            "tune.master fresh=[1]",
+            # reports that beat the best by delta are kPut (Algorithm 2 l. 8-10) ...
+            "tune.epoch trial_id=1", put[0], "tune.epoch trial_id=1", put[0],
+            *_epochs(1, 2),
+            # ... and a plateau is stopped by the master (line 11)
+            "tune.epoch trial_id=1", "tune.master stop=[1]",
+            "tune.master fresh=[2]",
+            *["tune.epoch trial_id=2", put[1]] * 4,
+            *_epochs(2, 1),
+            "tune.epoch trial_id=2", put[1],
+            "tune.master shutdown=['worker-0']",
+        ]
+
+    def test_halving_tags_made_trials_and_parked_workers(self, manual_clock):
+        scheduler = SuccessiveHalving(initial_trials=2, initial_epochs=1, eta=2, max_rungs=2)
+        _golden_study(scheduler, workers=2, conf=scheduler.conf())
+        masters = [line for line in _study_tree(telemetry.get_tracer())
+                   if line.startswith("tune.master ")]
+        assert masters == [
+            "tune.master fresh=[1]",
+            "tune.master put=[(1, 'golden/trial/1'), (1, 'golden/best')]",
+            "tune.master fresh=[2]",
+            "tune.master put=[(2, 'golden/trial/2'), (2, 'golden/best')]",
+            # the rung-1 survivor continues from its own checkpoint
+            "tune.master made=[3]",
+            "tune.master parked=['worker-1']",
+            "tune.master put=[(3, 'golden/trial/3'), (3, 'golden/best')] "
+            "shutdown=['worker-1']",
+            "tune.master shutdown=['worker-0']",
+        ]
+
+    def test_a_disabled_tracer_keeps_no_tune_span(self, manual_clock):
+        def fingerprint(report):
+            return [(e.index, e.performance, e.epochs, e.time, e.init_kind)
+                    for e in report.history]
+
+        traced = fingerprint(_golden_study(CoStudy(), max_epochs_per_trial=4))
+        tracer = telemetry.get_tracer()
+        tracer.reset()
+        tracer.enabled = False
+        assert fingerprint(_golden_study(CoStudy(), max_epochs_per_trial=4)) == traced
+        assert tracer.spans == [] and tracer.dropped == 0
+
+
 class TestSpanObject:
     def test_disabled_tracer_keeps_nothing_but_still_times(self, manual_clock):
         tracer = Tracer(enabled=False)
@@ -257,6 +367,23 @@ class TestSpanObject:
         assert [s.name for s in tracer.spans] == ["s7", "s8", "s9"]
         assert tracer.dropped == 7
 
+    def test_a_span_timed_elsewhere_is_recorded_under_the_open_span(self, manual_clock):
+        tracer = Tracer()
+        with tracer.span("epoch") as epoch:
+            manual_clock.advance(0.5)
+            # a forked child ran it from before the parent opened to 0.25 in
+            tracer.record("pool.epoch", -0.25, 0.25, trial_id=7)
+        (homed,) = [s for s in tracer.spans if s.name == "pool.epoch"]
+        assert (homed.parent, homed.request, homed.tags) == (epoch, epoch.request, {"trial_id": 7})
+        assert homed.duration == 0.5 and epoch.duration == 0.5
+        assert epoch.self_s == 0.0  # the child's lead clamps the parent's self time
+        tracer.record("alone", 1.0, 2.0)
+        assert tracer.spans[-1].parent is None and tracer.spans[-1].request != epoch.request
+        tracer.enabled = False
+        tracer.reset()
+        tracer.record("pool.epoch", 0.0, 1.0)
+        assert tracer.spans == [] and tracer.dropped == 0
+
     def test_process_tracer_starts_off(self):
         import os
         import subprocess
@@ -284,13 +411,21 @@ def _tally():
 
 
 def test_src_times_durations_only_through_the_tracer():
-    """Durations timed outside ``Tracer`` in ``src/``: the two reports
-    (``profile_network``'s ``c(m, b)`` and the CLI's pool walls) are
-    allowed by name; anything else reads its duration off a span."""
-    assert _tally().hand_timers() == []
+    """Durations timed outside ``Tracer`` in ``src/``: the one report
+    (``profile_network``'s ``c(m, b)``) is allowed by name; anything
+    else, the CLI's pool walls included, reads its duration off a span."""
+    tally = _tally()
+    assert tally.hand_timers() == []
+    assert tally.TIMED_REPORTS == {"core/serve/profiler.py:profile_network"}
 
 
 def test_tally_lists_the_sql_span_sites():
     names = [site.split(" (")[0] for site in _tally().span_sites()["repro.sqlext"]]
     assert names == ["sql.query", "sql.udf.dispatch",
                      "sql.scan|sql.filter|sql.project|sql.aggregate|sql.sort|sql.limit"]
+
+
+def test_tally_lists_the_tune_span_sites():
+    names = [site.split(" (")[0] for site in _tally().span_sites()["repro.core.tune"]]
+    assert names == ["tune.pool.trial", "tune.pool.epoch", "run_study", "tune.master",
+                     "tune.epoch"]

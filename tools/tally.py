@@ -279,8 +279,8 @@ def raw_body_reads() -> list[str]:
 #: ``clock()`` handed in as a value, ...
 CLOCK_READS = {"now", "perf_counter", "monotonic", "process_time", "clock"}
 #: durations that are reports, not traces: ``profile_network`` measures
-#: ``c(m, b)`` itself, and ``repro tune --pool-reuse`` prints its walls.
-TIMED_REPORTS = {"core/serve/profiler.py:profile_network", "cli.py:_cmd_tune"}
+#: ``c(m, b)`` itself.
+TIMED_REPORTS = {"core/serve/profiler.py:profile_network"}
 
 
 def _is_clock_read(node) -> bool:
