@@ -8,6 +8,9 @@ gateway.
 Run:  python examples/quickstart.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 import repro as rafiki
@@ -22,15 +25,23 @@ gateway = connect()
 
 # ----------------------------------------------------------------------
 # train.py (Figure 2) - no real image folder ships offline, so we
-# generate a synthetic "food photo" dataset; rafiki.import_images also
-# accepts a directory of <label>/<image>.npy files.
+# generate a synthetic "food photo" dataset and write its training
+# images as a folder of <label>/<n>.npy files, which rafiki.import_images
+# uploads through POST /datasets. The test images are held back for
+# the queries below.
 # ----------------------------------------------------------------------
 food_photos = make_image_classification(
     name="food", num_classes=4, image_shape=(3, 8, 8),
     train_per_class=30, val_per_class=10, test_per_class=8,
     difficulty=0.3, seed=42,
 )
-data = rafiki.import_images(food_photos)
+with tempfile.TemporaryDirectory() as folder:
+    images = np.concatenate([food_photos.train_x, food_photos.val_x])
+    labels = np.concatenate([food_photos.train_y, food_photos.val_y])
+    for n, (img, label) in enumerate(zip(images, labels)):
+        os.makedirs(os.path.join(folder, str(label)), exist_ok=True)
+        np.save(os.path.join(folder, str(label), f"{n}.npy"), img)
+    data = rafiki.import_images(folder, name="food")
 hyper = rafiki.HyperConf(max_trials=5, max_epochs_per_trial=8)
 job = rafiki.Train(
     name="train", data=data, task="ImageClassification",
@@ -47,7 +58,8 @@ print(f"training job {job_id}: {status['status']}, "
 models = rafiki.get_models(job_id)
 infer_job = rafiki.Inference(models)
 infer_id = infer_job.run()
-print(f"deployed {[m['model_name'] for m in models]} as {infer_id}")
+deployed = gateway.handle("GET", f"/inference/{infer_id}").body
+print(f"deployed {deployed['models']} as {infer_id}: {deployed['status']}")
 
 # ----------------------------------------------------------------------
 # query.py (Figure 2): an application user sends an image.
@@ -76,3 +88,11 @@ print("redeployed " + ", ".join(f"{m['model_name']} v{m['version']}"
                                 for m in reloaded["models"]))
 again = rafiki.query(job=infer_id, data={"img": food_photos.test_x[0]})
 assert again == ret_first, (again, ret_first)
+
+# ----------------------------------------------------------------------
+# Undeploy: DELETE /inference/<id> stops serving and frees the replicas.
+# ----------------------------------------------------------------------
+gateway.handle("DELETE", f"/inference/{infer_id}")
+stopped = gateway.handle("GET", f"/inference/{infer_id}").body
+print(f"{infer_id}: {stopped['status']} after {stopped['queries_served']} queries")
+assert stopped["status"] == "stopped", stopped

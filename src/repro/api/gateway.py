@@ -521,6 +521,7 @@ class Gateway:
 
     def _stop_inference(self, job_id: str) -> dict:
         self.system.stop_inference_job(job_id)
+        self.detach_frontend(job_id)  # else the gateway keeps its front end alive
         return {"job_id": job_id, "status": "stopped"}
 
     def _post_query(self, job_id: str, **fields) -> dict:

@@ -192,9 +192,3 @@ class FaultPlan:
     def kinds_hit(self) -> list[str]:
         """Distinct fault kinds injected at least once (sorted)."""
         return sorted({event.kind.value for event in self.log})
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FaultPlan(rules={len(self.rules)}, seed={self.seed}, "
-            f"injected={len(self.log)})"
-        )

@@ -341,10 +341,11 @@ def _cmd_telemetry(args) -> int:
     The exercise touches tune (a small surrogate CoStudy), the
     parameter server (the study's kPut/warm-start traffic), serve (a
     short greedy single-model run), the cluster manager (job placement,
-    heartbeats, a failure + recovery) and the gateway (a couple of
-    routed requests), so the printed snapshot demonstrates the full
-    metric surface. ``--trace`` turns the process tracer on first and
-    prints the flow's spans too.
+    a node failure it is told of through ``fail_node``, and the
+    recovery; silence detection is not modelled) and the gateway (a
+    couple of routed requests), so the printed snapshot demonstrates
+    the full metric surface. ``--trace`` turns the process tracer on
+    first and prints the flow's spans too.
     """
     from repro import telemetry
     from repro.api.gateway import Gateway
@@ -393,10 +394,8 @@ def _cmd_telemetry(args) -> int:
         LoadGenConfig(target_rate=150.0, duration=30.0, seed=args.seed),
     )
 
-    # cluster + gateway: place jobs, heartbeat, fail/recover a node,
-    # then issue routed requests against the facade.
-    for node_name in list(system.cluster.nodes):
-        system.cluster.heartbeat(node_name)
+    # cluster + gateway: place jobs, fail/recover a node, then issue
+    # routed requests against the facade.
     from repro.cluster.manager import JobKind
 
     system.cluster.submit_job(JobKind.TRAIN, name="tele", num_workers=2)

@@ -9,7 +9,6 @@ recover from small checkpointed state.
 
 from repro.cluster.checkpoint import CheckpointStore
 from repro.cluster.container import Container, ContainerState
-from repro.cluster.failure import FailureInjector
 from repro.cluster.manager import ClusterManager, JobRecord
 from repro.cluster.message import Mailbox, Message, MessageType
 from repro.cluster.node import Node
@@ -24,5 +23,4 @@ __all__ = [
     "Message",
     "MessageType",
     "CheckpointStore",
-    "FailureInjector",
 ]

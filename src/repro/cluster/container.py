@@ -49,9 +49,3 @@ class Container:
     @property
     def running(self) -> bool:
         return self.state is ContainerState.RUNNING
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Container({self.container_id}, {self.role.value}, job={self.job_id!r}, "
-            f"node={self.node_name!r}, {self.state.value})"
-        )

@@ -17,7 +17,6 @@ from typing import Callable
 from repro import telemetry
 from repro.cluster.checkpoint import CheckpointStore
 from repro.cluster.container import Container, ContainerRole, ContainerState
-from repro.cluster.membership import silent_members
 from repro.cluster.node import Node, Resources
 from repro.exceptions import (
     ClusterError,
@@ -110,12 +109,9 @@ class ClusterManager:
         self._pending_restarts: list[Container] = []
         #: submitted jobs waiting for quota or capacity, oldest first.
         self._pending_jobs: list[JobRecord] = []
-        #: last heartbeat per node, on the injectable telemetry clock.
-        self.last_heartbeat: dict[str, float] = {}
         registry = telemetry.get_registry()
-        self._heartbeats, self._submitted, self._queued, failures, restarts = (
+        self._submitted, self._queued, failures, restarts = (
             telemetry.Counter(name, help, registry) for name, help in (
-                ("repro_cluster_heartbeats_total", "Node liveness heartbeats received."),
                 ("repro_cluster_jobs_submitted_total",
                  "Jobs submitted to the cluster, by kind and tenant."),
                 ("repro_cluster_jobs_queued_total",
@@ -149,41 +145,8 @@ class ClusterManager:
         if node.name in self.nodes:
             raise ClusterError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
-        self.last_heartbeat[node.name] = telemetry.get_clock().now()
         self._drain_pending_restarts()
         self._schedule_pending()
-
-    def heartbeat(self, node_name: str) -> bool:
-        """Record a liveness heartbeat from ``node_name``.
-
-        Returns whether the node is currently alive. The dashboard's
-        node table and the ``repro_cluster_heartbeats_total`` counter
-        are fed from here.
-        """
-        node = self.nodes.get(node_name)
-        if node is None:
-            raise ClusterError(f"unknown node {node_name!r}")
-        self.last_heartbeat[node_name] = telemetry.get_clock().now()
-        self._heartbeats.inc(node=node_name)
-        return node.alive
-
-    def detect_failures(self, timeout: float) -> list[str]:
-        """Fail every alive node whose last heartbeat is older than ``timeout``.
-
-        This is the push-based failure detector: nodes heartbeat into
-        the manager, and a silence longer than ``timeout`` seconds (on
-        the injectable telemetry clock) is treated as a node failure —
-        the node's containers are recovered exactly as in
-        :meth:`fail_node`. Returns the names of newly failed nodes.
-        """
-        stale = silent_members(
-            self.last_heartbeat,
-            sorted(name for name, node in self.nodes.items() if node.alive),
-            timeout,
-        )
-        for name in stale:
-            self.fail_node(name)
-        return stale
 
     def alive_nodes(self) -> list[Node]:
         return [node for node in self.nodes.values() if node.alive]
@@ -501,6 +464,9 @@ class ClusterManager:
         not fit anywhere stay queued, their job runs DEGRADED, and the
         restart is retried whenever capacity returns (a node recovers
         or joins, a job stops).
+
+        This is the only way a node dies: a death is an event the
+        manager is told of. Nothing here notices a silent node.
         """
         if node_name not in self.nodes:
             raise ClusterError(f"unknown node {node_name!r}")
@@ -568,13 +534,6 @@ class ClusterManager:
         if node_name not in self.nodes:
             raise ClusterError(f"unknown node {node_name!r}")
         self.nodes[node_name].recover()
-        self.last_heartbeat[node_name] = telemetry.get_clock().now()
         started = self._drain_pending_restarts()
         self._schedule_pending()
         return started
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ClusterManager(nodes={len(self.nodes)}, jobs={len(self.jobs)}, "
-            f"recoveries={self.recoveries})"
-        )

@@ -1,8 +1,8 @@
-"""Group membership: what serving shards, datanodes and the manager share.
+"""Group membership: what serving shards and datanodes share.
 
 A *group* is a fixed set of named members — parameter-server shards,
 block-store datanodes — each with a liveness flag, a circuit breaker
-and, when the group is cluster-registered, a hosting container. Four
+and, when the group is cluster-registered, a hosting container. Three
 mechanisms are the same for every group and live here once:
 
 * :func:`preference_order` — rendezvous (highest-random-weight)
@@ -13,9 +13,11 @@ mechanisms are the same for every group and live here once:
 * :class:`HostedGroup` — run the members as one spread system job
   under a :class:`~repro.cluster.manager.ClusterManager`, notice
   container deaths, and re-attach replacement containers through the
-  manager's recovery hook;
-* :func:`silent_members` — the heartbeat-silence scan behind every
-  ``detect_failures``.
+  manager's recovery hook.
+
+A member dies when its group kills it or when the manager is told its
+node failed (:meth:`~repro.cluster.manager.ClusterManager.fail_node`);
+silence detection is not modelled.
 
 What a death or a rejoin *means* (drop a cache, re-replicate chunks,
 reconcile a disk) stays with the group that owns the members.
@@ -39,7 +41,6 @@ __all__ = [
     "member_breaker",
     "preference_order",
     "failover",
-    "silent_members",
     "FAILOVER_ERRORS",
 ]
 
@@ -130,21 +131,6 @@ def failover(
         last_error = None  # its traceback holds this frame: no cycle
 
 
-def silent_members(
-    last_heartbeat: dict[str, float], alive: Iterable[str], timeout: float
-) -> list[str]:
-    """Names in ``alive`` silent for longer than ``timeout``.
-
-    The push-based failure detector: members heartbeat in, and silence
-    on the injectable telemetry clock is treated as a death. A member
-    that never reported is given the benefit of the doubt.
-    """
-    now = telemetry.get_clock().now()
-    return [
-        name for name in alive if now - last_heartbeat.get(name, now) > timeout
-    ]
-
-
 class HostedGroup:
     """A group whose members can run as containers of one system job.
 
@@ -173,10 +159,9 @@ class HostedGroup:
         """Host the members as one spread system job under ``manager``.
 
         Placement is anti-affine, so members land on distinct nodes.
-        Node failures — injected directly or noticed by the manager's
-        ``detect_failures`` — kill the members they host; the manager's
-        recovery hook hands each replacement container back to
-        :meth:`_on_container_recovered`.
+        A node failure the manager is told of kills the members it
+        hosts; the manager's recovery hook hands each replacement
+        container back to :meth:`_on_container_recovered`.
         """
         if self.manager is not None:
             raise ConfigurationError(

@@ -37,9 +37,6 @@ class Message:
     sender: str
     payload: dict[str, Any] = field(default_factory=dict)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Message({self.type.value}, from={self.sender!r}, payload={self.payload})"
-
 
 class Mailbox:
     """A FIFO message queue with per-sender fairness preserved by arrival order."""
@@ -55,12 +52,6 @@ class Mailbox:
         if not self._queue:
             return None
         return self._queue.popleft()
-
-    def peek(self) -> Message | None:
-        return self._queue[0] if self._queue else None
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
     def __bool__(self) -> bool:
         return bool(self._queue)

@@ -82,7 +82,3 @@ class Node:
     def recover(self) -> None:
         """Bring a failed node back (empty of containers)."""
         self.alive = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self.alive else "DOWN"
-        return f"Node({self.name!r}, {state}, containers={len(self.container_ids)})"

@@ -206,8 +206,7 @@ class FrontendRequest:
     deadline: float
     #: owning tenant, for the tenant-scoped limiter and accounting.
     tenant: str = DEFAULT_TENANT
-    #: terminal state: set exactly once by complete()/shed.
-    completed_at: float | None = None
+    #: why the request was shed after admission (None unless it was).
     shed_reason: str | None = None
     #: optional hook invoked when the request is shed *after* admission
     #: (dispatch failure, shutdown); shells use it to fail futures or
@@ -215,11 +214,6 @@ class FrontendRequest:
     on_shed: Callable[["FrontendRequest", RequestShedError], None] | None = None
     #: the asyncio future the async shell resolves (None elsewhere).
     future: Any = None
-
-    @property
-    def done(self) -> bool:
-        """Whether the request reached a terminal state."""
-        return self.completed_at is not None or self.shed_reason is not None
 
 
 class PendingQueue:
@@ -655,8 +649,6 @@ class ServeFrontend:
         requests = plan.requests
         outcome = self._outcome(plan, now)
         latencies, overdue = outcome.latencies, outcome.overdue
-        for request in requests:
-            request.completed_at = now
         for tenant, count in Counter(r.tenant for r in requests).items():
             self._tenant_account(tenant, "served", count)
         self._latency_sample.add_many(latencies)

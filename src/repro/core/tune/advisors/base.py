@@ -55,10 +55,6 @@ class TrialAdvisor:
         last = self._last_by_worker.get(worker)
         return last is not None and last is self._best
 
-    def best_trial(self) -> TrialResult | None:
-        """``adv.best_trial()`` of Algorithm 1, line 20."""
-        return self._best
-
     @property
     def best_performance(self) -> float:
         return self._best.performance if self._best is not None else 0.0

@@ -14,7 +14,7 @@ checkpointed when the study ends.
 from __future__ import annotations
 
 from repro import telemetry
-from repro.cluster import ClusterManager, FailureInjector
+from repro.cluster import ClusterManager
 from repro.cluster.container import Container, ContainerRole
 from repro.cluster.manager import JobKind, JobState
 from repro.cluster.message import Message, MessageType
@@ -103,13 +103,19 @@ def run_cluster_study(
         for container in job.workers:
             start_worker(container)
 
-        if failure_plan:
-            injector = FailureInjector(manager)
-            for delay, node_name, recover_after in failure_plan:
-                injector.schedule_failure(sim, delay, node_name, recover_after)
+        for delay, node_name, recover_after in failure_plan or ():
+            sim.schedule(delay, _fail_node, manager, sim, node_name, recover_after)
 
         sim.run(max_events=5_000_000)
         if manager.jobs[job.job_id].state in (JobState.RUNNING, JobState.DEGRADED):
             manager.complete_job(job.job_id)
         manager.checkpoints.save(master.study_name, master.checkpoint_state())
     return master.report
+
+
+def _fail_node(manager: ClusterManager, sim: Simulator, node_name: str,
+               recover_after: float | None) -> None:
+    """Fail ``node_name`` now and schedule its recovery ``recover_after`` later."""
+    manager.fail_node(node_name)
+    if recover_after is not None:
+        sim.schedule(recover_after, manager.recover_node, node_name)

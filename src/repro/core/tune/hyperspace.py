@@ -288,6 +288,3 @@ class HyperSpace:
         unknown = sorted(set(values) - set(self.knobs))
         if unknown:
             raise HyperSpaceError(f"trial has unknown knobs: {unknown}")
-
-    def __len__(self) -> int:
-        return len(self.knobs)

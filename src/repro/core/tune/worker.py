@@ -227,7 +227,3 @@ class TuneWorker:
         polling its mailbox instead of terminating.
         """
         return self._awaiting_trial
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "terminated" if self.terminated else ("busy" if self.busy else "idle")
-        return f"TuneWorker({self.name!r}, {state})"

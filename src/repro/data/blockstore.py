@@ -17,9 +17,9 @@ split into fixed-size chunks addressed by their sha256 digest, so
   behind per-node circuit breakers, a dead node's chunks are
   re-replicated from the surviving copies, and ``repair()``/``audit()``
   heal and report replication health (the membership mechanics —
-  preference order, failover loop, cluster hosting, heartbeat scan —
-  are :mod:`repro.cluster.membership`'s, shared with the
-  parameter-server shards);
+  preference order, failover loop, cluster hosting — are
+  :mod:`repro.cluster.membership`'s, shared with the parameter-server
+  shards);
 * **trash reconciliation follows HMDFS**: a datanode death does not
   destroy its disk. While it is down, deletions that would have
   reached it are queued in a per-node *trash* set; when the node
@@ -74,7 +74,6 @@ from repro.cluster.membership import (
     failover,
     member_breaker,
     preference_order,
-    silent_members,
 )
 from repro.exceptions import ChunkLostError, ConfigurationError, StorageError
 from repro.utils.owners import WeakReader, live
@@ -104,11 +103,6 @@ class DataNode(Member):
 
     #: digest -> chunk bytes (the disk).
     chunks: dict[str, bytes] = field(default_factory=dict)
-
-    @property
-    def stored_bytes(self) -> int:
-        """Bytes currently on this node's disk."""
-        return sum(len(chunk) for chunk in self.chunks.values())
 
 
 class _NodeOp(NamedTuple):
@@ -151,9 +145,8 @@ class BlockStore(HostedGroup):
         self.replicas = min(replicas, nodes)
         self.chunk_size = chunk_size
         registry = telemetry.get_registry()
-        (self._heartbeats, deaths, lost, recopied, reconciled, self._restored) = (
+        (deaths, lost, recopied, reconciled, self._restored) = (
             telemetry.Counter(name, help, registry) for name, help in (
-                ("repro_blockstore_heartbeats_total", "Datanode heartbeats received."),
                 ("repro_blockstore_node_deaths_total", "Datanode deaths observed."),
                 ("repro_blockstore_chunks_lost_total",
                  "Chunks whose every live copy died before re-replication."),
@@ -186,10 +179,6 @@ class BlockStore(HostedGroup):
         self._trash: dict[str, set[str]] = {}
         #: digests whose every live copy is gone (until rejoin restores them).
         self._lost: set[str] = set()
-        #: last heartbeat per datanode, on the injectable telemetry clock.
-        self.last_heartbeat: dict[str, float] = {
-            node.name: telemetry.get_clock().now() for node in self._nodes
-        }
         requests = telemetry.Counter(
             "repro_blockstore_requests_total",
             "Store->datanode chunk operations, by node, op and outcome.",
@@ -251,11 +240,6 @@ class BlockStore(HostedGroup):
         if name not in self._by_name:
             raise ConfigurationError(f"unknown datanode {name!r}")
         return self._by_name[name]
-
-    def live_nodes(self) -> list[DataNode]:
-        """Datanodes currently alive (refreshing cluster liveness first)."""
-        self._refresh_liveness()
-        return [node for node in self._nodes if node.alive]
 
     def _targets(self, digest: str) -> list[DataNode]:
         """First ``replicas`` live datanodes in preference order.
@@ -497,26 +481,6 @@ class BlockStore(HostedGroup):
     # liveness, death, rejoin
     # ------------------------------------------------------------------
 
-    def heartbeat(self, name: str) -> bool:
-        """Record a datanode liveness heartbeat; returns whether it is alive."""
-        node = self.node(name)
-        self.last_heartbeat[name] = telemetry.get_clock().now()
-        self._heartbeats.inc(node=name)
-        return node.alive
-
-    def detect_failures(self, timeout: float) -> list[str]:
-        """Kill every alive datanode silent for longer than ``timeout``.
-
-        Silence is treated as a node death, triggering re-replication.
-        Returns newly dead node names.
-        """
-        stale = silent_members(
-            self.last_heartbeat, [n.name for n in self._nodes if n.alive], timeout
-        )
-        for name in stale:
-            self.kill_node(name)
-        return stale
-
     def kill_node(self, name: str) -> None:
         """Kill a datanode (its disk survives for a later rejoin)."""
         node = self.node(name)
@@ -578,7 +542,6 @@ class BlockStore(HostedGroup):
         return self._reconciled[name].count - before
 
     def _member_up(self, node: DataNode, same_host: bool) -> None:
-        self.last_heartbeat[node.name] = telemetry.get_clock().now()
         if same_host:
             # The machine came back: the disk survived — trash pass.
             self._reconcile(node)
@@ -680,10 +643,3 @@ class BlockStore(HostedGroup):
             },
             "live_nodes": [n.name for n in self._nodes if n.alive],
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        live = sum(1 for n in self._nodes if n.alive)
-        return (
-            f"BlockStore(nodes={len(self._nodes)}, live={live}, "
-            f"replicas={self.replicas}, chunks={len(self._directory)})"
-        )

@@ -252,9 +252,3 @@ class FileNamespace:
     def list_paths(self, prefix: str = "") -> list[str]:
         """Paths with at least one version, filtered by prefix, sorted."""
         return sorted(p for p in self._manifests if p.startswith(prefix))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FileNamespace({self.name!r}, paths={len(self._manifests)}, "
-            f"store={self.store!r})"
-        )

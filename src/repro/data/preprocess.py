@@ -32,9 +32,6 @@ class Compose:
             batch = op(batch, rng)
         return batch
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Compose({[type(op).__name__ for op in self.ops]})"
-
 
 class Standardize:
     """Per-channel mean/std normalisation fitted on training data."""

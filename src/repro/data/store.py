@@ -31,7 +31,7 @@ import numpy as np
 from repro import telemetry
 from repro.data.blockstore import DEFAULT_CHUNK_SIZE, BlockStore
 from repro.data.datasets import ImageDataset
-from repro.data.fs import FileNamespace, Manifest
+from repro.data.fs import FileNamespace
 from repro.exceptions import DatasetNotFoundError, NotFoundError, StorageError
 from repro.tenancy import TenantRegistry, current_tenant
 
@@ -276,17 +276,6 @@ class DataStore:
         for path in paths:
             self._blob_charges.pop(path, None)
 
-    def versions(self, path: str) -> list[Manifest]:
-        """Every retained manifest version of a blob, oldest first.
-
-        Overwriting a path no longer destroys the previous contents —
-        pass ``version=`` to :meth:`get_blob` to read one back.
-        """
-        try:
-            return self.fs.versions(path)
-        except NotFoundError as exc:
-            raise DatasetNotFoundError(path) from exc
-
     def audit(self) -> dict:
         """Replication/dedup health of the underlying block store."""
         return self.blocks.audit()
@@ -294,9 +283,3 @@ class DataStore:
     def repair(self) -> int:
         """Re-replicate under-replicated chunks; returns copies made."""
         return self.blocks.repair()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DataStore({self.name!r}, datasets={len(self._datasets)}, "
-            f"blobs={len(self.fs.list_paths())})"
-        )

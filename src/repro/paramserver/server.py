@@ -611,13 +611,6 @@ class ParameterServer(HostedGroup):
             "live_shards": [s.name for s in self._members if s.alive],
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        live = sum(1 for s in self._members if s.alive)
-        return (
-            f"ParameterServer(shards={len(self._members)}, live={live}, "
-            f"replicas={self.replicas}, keys={len(self._entries)})"
-        )
-
 
 def ShardedParameterServer(
     shards: int = 4,

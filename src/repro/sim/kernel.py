@@ -50,9 +50,6 @@ class Signal:
             resume(value)
         return len(waiters)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Signal({self.name!r}, waiters={len(self._waiters)})"
-
 
 class Simulator:
     """Deterministic event loop over a virtual clock."""
@@ -126,6 +123,3 @@ class Simulator:
         if until is not None and until > self._now:
             self._now = until
         return self._now
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Simulator(now={self._now:.6f}, pending={len(self._heap)})"

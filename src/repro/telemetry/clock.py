@@ -48,10 +48,6 @@ class ManualClock(Clock):
         self._now += float(seconds)
         return self._now
 
-    def set(self, now: float) -> None:
-        """Jump the clock to an absolute time."""
-        self._now = float(now)
-
 
 _default_clock: Clock = SystemClock()
 

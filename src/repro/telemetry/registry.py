@@ -11,10 +11,10 @@ child bound with ``labels()`` (the Prometheus client's idiom)::
 
     requests = Counter("repro_blockstore_requests_total", "...", registry)
     self._ok = requests.labels(node="dn-0", op="get", outcome="ok")
-    self._heartbeats = Counter("repro_blockstore_heartbeats_total", "...", registry)
+    self._queued = Counter("repro_cluster_jobs_queued_total", "...", registry)
     ...
-    self._ok.inc()                   # labels fixed where the owner is built
-    self._heartbeats.inc(node=name)  # a label known only at the event
+    self._ok.inc()                          # labels fixed where the owner is built
+    self._queued.inc(tenant=t, reason=why)  # labels known only at the event
 
 A bound counter child is its owner's count: ``child.count`` is all it
 ever added, kept through a reset, so no owner keeps an integer beside

@@ -198,10 +198,3 @@ class TenantRegistry:
             if used + float(amount) > limit:
                 self._denials.inc(tenant=name, resource=resource)
                 raise QuotaExceededError(name, resource, limit, used, float(amount))
-
-    def usage(self, name: str, resource: str) -> float:
-        """Current holding for one tenant/resource pair."""
-        return self.ledger.usage(name, resource)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TenantRegistry(tenants={sorted(self._tenants)}, strict={self.strict})"

@@ -84,9 +84,6 @@ class Layer:
     def param_count(self) -> int:
         return int(sum(p.size for p in self.params.values()))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(name={self.name!r})"
-
 
 class Dense(Layer):
     """Fully connected layer: ``y = x @ W + b``."""

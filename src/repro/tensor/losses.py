@@ -30,9 +30,6 @@ class Loss:
     def backward(self) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        return self.forward(prediction, target)
-
 
 class SoftmaxCrossEntropy(Loss):
     """Softmax + cross-entropy over integer class labels."""

@@ -214,6 +214,3 @@ class Network:
         # A copy builds its own workspace: this one's steps read this
         # network's parameter arrays.
         return {**self.__dict__, "_workspace": None}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Network(name={self.name!r}, layers={len(self.layers)})"

@@ -36,20 +36,8 @@ class Reservoir:
     def stream_length(self) -> int:
         return self._count
 
-    def add(self, value: float) -> None:
-        """Offer one value to the reservoir."""
-        self._count += 1
-        if self._count <= self.capacity:
-            self._values[self._count - 1] = value
-            self._quantiles.clear()
-            return
-        slot = int(self._rng.integers(0, self._count))
-        if slot < self.capacity:
-            self._values[slot] = value
-            self._quantiles.clear()
-
     def add_many(self, values: np.ndarray) -> None:
-        """Offer a batch; equivalent to ``add`` per element, vectorised."""
+        """Offer a batch of values to the reservoir (Algorithm R, vectorised)."""
         values = np.asarray(values, dtype=np.float64).ravel()
         if values.size == 0:
             return

@@ -205,8 +205,3 @@ class CircuitBreaker:
     def opened_count(self) -> int:
         """How often the circuit has opened, from closed or half-open."""
         return self._edges["closed", "open"].count + self._edges["half_open", "open"].count
-
-    @property
-    def closed(self) -> bool:
-        """Whether the breaker is in the closed (healthy) state."""
-        return self.state == "closed"

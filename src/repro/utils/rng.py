@@ -57,6 +57,3 @@ class RngStream:
         if name not in self._issued:
             self._issued[name] = derive_rng(self._root_seed, name)
         return self._issued[name]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngStream(root_seed={self._root_seed}, issued={sorted(self._issued)})"

@@ -81,9 +81,3 @@ class UCBModelSelector:
     def allocation(self) -> dict[str, int]:
         """Trials spent per model so far."""
         return {name: arm.pulls for name, arm in self.arms.items()}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(
-            f"{name}:{arm.pulls}p/{arm.mean_reward:.2f}" for name, arm in self.arms.items()
-        )
-        return f"UCBModelSelector({parts})"

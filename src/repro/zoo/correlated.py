@@ -107,11 +107,6 @@ class EnsembleAccuracyModel:
             )
         return votes
 
-    def marginal_accuracy(self, name: str) -> float:
-        """Simulated single-model accuracy (matches the profile closely)."""
-        idx = self.model_names.index(name)
-        return float(np.mean(self._votes[idx] == self._true))
-
     def ensemble_accuracy(self, selection) -> float:
         """Accuracy of majority voting over the selected model subset.
 

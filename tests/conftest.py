@@ -9,10 +9,14 @@ from hypothesis import settings
 from repro.data import make_image_classification
 from repro.utils.rng import RngStream
 
-# Tier-1 draws fresh Hypothesis examples on every run (nothing is
-# derandomised) and prints a failure's reproduction blob, so a case one
-# run finds can be replayed with ``@reproduce_failure``.
-settings.register_profile("tier1", print_blob=True)
+# Tier-1 draws the same Hypothesis examples on every run (derandomised),
+# so a tier-1 failure is the change's, not the seed's. The ``hunt``
+# profile draws fresh examples, as many per property as tier-1, and
+# prints a failure's reproduction blob for ``@reproduce_failure``; CI
+# runs the Hypothesis modules under it with ``--hypothesis-profile=hunt``,
+# which Hypothesis's pytest plugin loads after this file, over ``tier1``.
+settings.register_profile("tier1", derandomize=True, print_blob=True)
+settings.register_profile("hunt", print_blob=True)
 settings.load_profile("tier1")
 
 

@@ -137,6 +137,7 @@ class TestNodeFailureRecovery:
             failure_plan=[(150.0, "n0", 900.0)]
         )
         assert manager.recoveries > 0
+        assert manager.nodes["n0"].alive  # recovered 900 s after it failed
         assert reissued > 0
         # In-flight trials were re-run from checkpoint by replacement
         # workers, so the advisor saw the healthy trial sequence and the
@@ -276,44 +277,3 @@ class TestDegradedJobs:
         for replacement in replacements:
             assert replacement.predecessor is not None
             assert replacement.restarts == 1
-
-
-class TestHeartbeatFailureDetection:
-    def test_stale_nodes_are_failed(self, manual_clock):
-        manager = make_cluster(nodes=3)
-        job = manager.submit_job(JobKind.TRAIN, name="hb", num_workers=2)
-        manual_clock.advance(20.0)
-        manager.heartbeat("n1")
-        manager.heartbeat("n2")
-        failed = manager.detect_failures(timeout=10.0)
-        assert failed == ["n0"]
-        assert not manager.nodes["n0"].alive
-        # the silent node's containers were restarted elsewhere
-        assert all(c.running for c in job.containers)
-        assert all(c.node_name != "n0" for c in job.containers)
-
-    def test_fresh_heartbeats_keep_nodes_alive(self, manual_clock):
-        manager = make_cluster(nodes=2)
-        manual_clock.advance(5.0)
-        for name in ("n0", "n1"):
-            manager.heartbeat(name)
-        manual_clock.advance(5.0)
-        assert manager.detect_failures(timeout=10.0) == []
-        assert len(manager.alive_nodes()) == 2
-
-    def test_dead_nodes_are_not_failed_twice(self, manual_clock):
-        manager = make_cluster(nodes=2)
-        manager.fail_node("n0")
-        failures_before = counter_total("repro_cluster_node_failures_total")
-        manual_clock.advance(100.0)
-        manager.heartbeat("n1")
-        assert manager.detect_failures(timeout=10.0) == []
-        assert counter_total("repro_cluster_node_failures_total") == failures_before
-
-    def test_recovered_node_heartbeat_resets(self, manual_clock):
-        manager = make_cluster(nodes=2)
-        manager.fail_node("n0")
-        manual_clock.advance(50.0)
-        manager.recover_node("n0")
-        manager.heartbeat("n1")
-        assert manager.detect_failures(timeout=10.0) == []

@@ -218,7 +218,7 @@ class TestCircuitBreaker:
         manual_clock.advance(10.0)
         assert breaker.allow()  # half-open probe admitted
         breaker.record_success()
-        assert breaker.closed
+        assert breaker.state == "closed"
 
     def test_half_open_failure_reopens(self, manual_clock):
         breaker = CircuitBreaker(name="b", failure_threshold=1, recovery_time=5.0)
@@ -248,7 +248,7 @@ class TestCircuitBreaker:
         breaker.record_failure()
         breaker.record_success()
         breaker.record_failure()
-        assert breaker.closed
+        assert breaker.state == "closed"
 
     def test_transitions_recorded_in_telemetry(self, manual_clock):
         breaker = CircuitBreaker(name="dep", failure_threshold=1, recovery_time=1.0)

@@ -5,7 +5,6 @@ import pytest
 from repro.cluster import (
     CheckpointStore,
     ClusterManager,
-    FailureInjector,
     Mailbox,
     Message,
     MessageType,
@@ -15,7 +14,6 @@ from repro.cluster.container import ContainerState
 from repro.cluster.manager import JobKind, JobState
 from repro.cluster.node import Resources
 from repro.exceptions import ClusterError, PlacementError
-from repro.sim import Simulator
 
 
 class _Owner(list):
@@ -37,12 +35,6 @@ class TestMailbox:
         assert box.receive().type is MessageType.REQUEST
         assert box.receive().type is MessageType.REPORT
         assert box.receive() is None
-
-    def test_peek_does_not_consume(self):
-        box = Mailbox()
-        box.send(Message(MessageType.FINISH, "w"))
-        assert box.peek().type is MessageType.FINISH
-        assert len(box) == 1
 
 
 class TestResources:
@@ -204,15 +196,3 @@ class TestCheckpointStore:
     def test_missing_owner_raises(self):
         with pytest.raises(ClusterError):
             CheckpointStore().restore("ghost")
-
-
-class TestFailureInjector:
-    def test_scheduled_failure_and_recovery(self):
-        manager = cluster(num_nodes=2)
-        sim = Simulator()
-        injector = FailureInjector(manager)
-        injector.schedule_failure(sim, delay=5.0, node_name="n0", recover_after=10.0)
-        sim.run(until=6.0)
-        assert not manager.nodes["n0"].alive
-        sim.run(until=20.0)
-        assert manager.nodes["n0"].alive

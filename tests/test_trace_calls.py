@@ -1,4 +1,5 @@
-"""``tools/trace_calls.py``: the call trace sees pool workers and imports."""
+"""``tools/trace_calls.py``: the call trace sees pool workers and imports,
+and its table of reasons names only defs that exist."""
 
 import importlib.util
 from pathlib import Path
@@ -29,3 +30,11 @@ def test_a_pool_study_traces_its_workers_and_its_imports():
     assert "repro.core.tune.pool:TrialPool.submit" in reached
     assert "repro.core.tune.pool:TrialPool.running" in reached  # a property
     assert "repro.api.gateway:Gateway.__init__" not in reached
+
+
+def test_every_reason_names_a_def_that_is_not_abstract():
+    """A deleted or renamed def leaves no stale reason behind (AST only)."""
+    tool = _tool()
+    names = set(tool.definitions().values())
+    assert sorted(set(tool.REASONS) - names) == []
+    assert sorted(set(tool.REASONS) & tool.abstract_defs()) == []

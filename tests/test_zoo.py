@@ -94,15 +94,15 @@ class TestEnsembleAccuracyModel:
 
     def test_marginals_match_profiles(self, panel):
         for name in panel.model_names:
-            simulated = panel.marginal_accuracy(name)
+            simulated = panel.ensemble_accuracy((name,))
             assert simulated == pytest.approx(get_profile(name).top1_accuracy, abs=0.01)
 
     def test_two_model_ensemble_equals_better_member(self, panel):
         """The paper's observation: {resnet_v2_101, inception_v3}
         degenerates to inception_v3 and underperforms the single best."""
         pair = panel.ensemble_accuracy(("resnet_v2_101", "inception_v3"))
-        v3 = panel.marginal_accuracy("inception_v3")
-        best_single = panel.marginal_accuracy("inception_resnet_v2")
+        v3 = panel.ensemble_accuracy(("inception_v3",))
+        best_single = panel.ensemble_accuracy(("inception_resnet_v2",))
         assert pair == pytest.approx(v3, abs=1e-12)
         assert pair < best_single
 
@@ -111,7 +111,7 @@ class TestEnsembleAccuracyModel:
             ("inception_v3", "inception_v4", "inception_resnet_v2")
         )
         four = panel.ensemble_accuracy(panel.model_names)
-        best_single = panel.marginal_accuracy("inception_resnet_v2")
+        best_single = panel.ensemble_accuracy(("inception_resnet_v2",))
         assert three > best_single
         assert four > three
 

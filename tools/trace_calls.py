@@ -20,10 +20,12 @@ say) still counts what it reached; its exit status is printed.
 
     PYTHONPATH=src python tools/trace_calls.py [--run NAME ...] [--jobs N] [--json PATH]
 
-prints each run's status, the never-called defs by qualified name and
-the totals; ``--json`` also writes ``{"defs", "reached", "never"}``
-(qualified names) for diffing two trees. ``--run`` picks runs by name
-(``--list`` prints them). The whole list takes about five minutes at
+prints each run's status, then the never-called defs by qualified name
+in three groups: abstract (a placeholder body), with a reason in
+:data:`REASONS`, and without one (which should be none), and the
+totals; ``--json`` also writes ``{"defs", "reached", "never",
+"unreasoned"}`` (qualified names) for diffing two trees. ``--run``
+picks runs by name (``--list`` prints them). The whole list takes about five minutes at
 ``--jobs 2`` on a 2-core machine.
 """
 
@@ -110,31 +112,198 @@ RUNS: tuple[Run, ...] = (
 )
 
 
+#: why each def that no run in :data:`RUNS` reaches stays, one line per
+#: qualified name. An abstract def (see :func:`_is_abstract`) needs none;
+#: every other never-called def must have one, or go.
+REASONS: dict[str, str] = {
+    # -- what tests read: product state with no other public reader
+    "repro.chaos.faults:FaultPlan.invocations":
+        "tests observe how often a fault point was consulted, faulted or not",
+    "repro.core.serve.frontend:ServeFrontend.admitted":
+        "tests observe the requests a front end admitted",
+    "repro.core.serve.frontend:ServeFrontend.served":
+        "tests observe the requests a front end served",
+    "repro.core.serve.metrics:ServingMetrics.total_arrived":
+        "tests observe the arrivals a serving run recorded (conservation checks)",
+    "repro.core.serve.metrics:ServingMetrics.total_overdue":
+        "tests pin a serving run's overdue requests through it",
+    "repro.core.serve.pred_cache:PredictionCache.__len__":
+        "tests observe how many answers the prediction cache holds",
+    "repro.core.serve.pred_cache:PredictionCache.hit_rate":
+        "tests observe the prediction cache's hit rate",
+    "repro.core.tune.worker:TuneWorker.busy":
+        "tests observe a worker holding a trial session",
+    "repro.data.store:DataStore.audit":
+        "the facade's replication-health read (DESIGN.md §9); tests observe it, runs audit the block store",
+    "repro.paramserver.cache:LRUCache.__contains__":
+        "tests observe which keys a cache holds",
+    "repro.paramserver.cache:LRUCache.__len__":
+        "tests observe how many entries a cache holds",
+    "repro.paramserver.server:ParameterServer.versions":
+        "tests observe how many versions a key has",
+    "repro.sqlext.engine:ResultSet.__len__":
+        "tests count a query's rows through it",
+    "repro.telemetry.tracer:Tracer.spans":
+        "tests observe the finished spans in completion order",
+    "repro.tenancy.registry:TenantRegistry.tenants":
+        "tests observe the registered tenants",
+    "repro.tensor.layers:Layer.param_count":
+        "Network.param_count sums it; tests observe a network's parameter count",
+    "repro.tensor.network:Network.param_count":
+        "tests observe a network's parameter count",
+    "repro.utils.reservoir:Reservoir.stream_length":
+        "tests observe how many values a reservoir was offered",
+    "repro.utils.reservoir:Reservoir.values":
+        "tests observe the reservoir's sample",
+    "repro.zoo.registry:TaskRegistry.tasks":
+        "tests observe the registered tasks (Figure 2's three)",
+    # -- what tests install
+    "repro.telemetry:set_tracer": "tests install a tracer through it",
+    "repro.chaos:active.__init__": "tests install a fault plan for a with block through it",
+    "repro.chaos:active.__enter__": "tests install a fault plan for a with block through it",
+    "repro.chaos:active.__exit__": "tests install a fault plan for a with block through it",
+    # -- recovery and error paths no run triggers
+    "repro.data.blockstore:BlockStore.rejoin_node":
+        "kill_node's standalone partner; the property-test machines drive both, store-kill reaches _member_up",
+    "repro.paramserver.server:ParameterServer.revive_shard":
+        "kill_shard's standalone partner; the property-test machines drive both",
+    "repro.tenancy.registry:TenantRegistry.suspend":
+        "the tenant control plane; ROADMAP item 7's control-plane machine drives it",
+    "repro.tenancy.registry:TenantRegistry.reinstate":
+        "the tenant control plane; ROADMAP item 7's control-plane machine drives it",
+    "repro.core.tune.pool:TrialPool._on_error":
+        "the pool's fault path: a worker process that dies",
+    "repro.core.tune.pool:TrialPool._replace":
+        "the pool's fault path: a worker process that dies",
+    "repro.core.tune.pool:TrialPool._resubmit":
+        "the pool's fault path: a worker process that dies",
+    "repro.core.tune.pool:TrialPool._on_cancelled":
+        "a CoStudy stopping a pooled trial (`tune --collaborative --real --processes 2`)",
+    "repro.core.tune.pool:_PoolSession.cancel":
+        "a CoStudy stopping a pooled trial (`tune --collaborative --real --processes 2`)",
+    "repro.core.serve.frontend:ServeFrontend.fail":
+        "sheds a planned batch whose dispatch failed past its retries; no run fails one",
+    "repro.core.serve.frontend:ServeFrontend.shed_requests":
+        "sheds admitted requests on a failed dispatch or at the async shell's shutdown",
+    "repro.core.serve.frontend:_fail_future":
+        "fails an awaiting client when its admitted request is shed",
+    "repro.core.serve.loadgen:_Driver._on_shed":
+        "wakes a simulated client when its admitted request is shed",
+    "repro.core.serve.loadgen:ReplicaPool.kill":
+        "takes a simulated replica out of rotation (replica death); tests kill one",
+    "repro.core.serve.frontend:TokenBucket.available":
+        "the client-bucket sweep, which starts once 1 024 client ids hold buckets",
+    "repro.paramserver.server:ParameterServer._serve.<locals>.hop":
+        "counts a shard read or write that fails over to the next shard",
+    "repro.sqlext.exec:UdfBatchDispatcher._dispatch_chunk.<locals>.on_retry":
+        "counts a UDF batch call that failed and is retried",
+    "repro.exceptions:RetryExhaustedError.__init__":
+        "raised when a retry policy runs out of attempts",
+    "repro.exceptions:TenantAccessError.__init__":
+        "raised for an unknown or suspended tenant",
+    "repro.telemetry.registry:_refused":
+        "the error for a NaN, infinite or negative record",
+    "repro.api.gateway:_boolean":
+        "converts POST /train's `collaborative` field when it is not the default true",
+    "repro.paramserver.server:_ChunkFile.readline":
+        "pickle.Unpickler needs a file with readline; the pickles it reads never call it",
+    "repro.tensor.network:Network.__getstate__":
+        "copy and pickle of a network leave its workspace behind; tests copy networks",
+    # -- the master restore, ROADMAP item 25
+    "repro.cluster.checkpoint:CheckpointStore.has": "the master restore, ROADMAP item 25",
+    "repro.cluster.checkpoint:CheckpointStore.restore": "the master restore, ROADMAP item 25",
+    "repro.cluster.checkpoint:CheckpointStore.versions": "the master restore, ROADMAP item 25",
+    "repro.core.tune.study:StudyMaster.restore_state": "the master restore, ROADMAP item 25",
+    "repro.core.tune.schedulers:TrialScheduler.restore_state": "the master restore, ROADMAP item 25",
+    "repro.core.tune.schedulers:CoStudy.restore_state": "the master restore, ROADMAP item 25",
+    # -- paper features no run selects
+    "repro.tensor.optimizers:ExponentialDecaySchedule.__init__": "Table 1's `lr_decay` knob",
+    "repro.tensor.optimizers:ExponentialDecaySchedule.__call__": "Table 1's `lr_decay` knob",
+    "repro.core.tune.advisors.grid_search:GridSearchAdvisor.__init__": '`advisor="grid"`',
+    "repro.core.tune.advisors.grid_search:GridSearchAdvisor.propose": '`advisor="grid"`',
+    "repro.core.tune.hyperspace:HyperSpace.grid": 'the grid `advisor="grid"` walks',
+    "repro.core.tune.hyperspace:RangeKnob.grid": 'the grid `advisor="grid"` walks',
+    "repro.core.tune.hyperspace:CategoricalKnob.grid": 'the grid `advisor="grid"` walks',
+    "repro.core.tune.hyperspace:CategoricalKnob.decode":
+        "decodes a categorical knob for the Bayesian advisor; no run tunes one",
+    "repro.zoo.builders:build_vgg_mini":
+        "builds the registry's vgg-mini and yolo-mini entries; no run selects either",
+    "repro.core.serve.profiler:profile_network":
+        "measures a deployed job's latency card; ROADMAP item 6 puts it on the serving path",
+    "repro.core.serve.profiler:fit_affine_latency":
+        "measures a deployed job's latency card; ROADMAP item 6 puts it on the serving path",
+    "repro.core.system:Rafiki.profile_inference_job":
+        "measures a deployed job's latency card; ROADMAP item 6 puts it on the serving path",
+    "repro.core.serve.actor_critic:ActorCritic.state_dict":
+        "saves a trained RL controller; tests reload one",
+    "repro.core.serve.actor_critic:ActorCritic.load_state_dict":
+        "reloads a trained RL controller; tests reload one",
+    "repro.tensor.network:Network.load_state_dict":
+        "loads saved parameters into a network (ActorCritic.load_state_dict, tests)",
+    "repro.core.serve.frontend:AsyncServeFrontend.__aenter__":
+        "`async with` starts the async shell; runs call start() and stop()",
+    "repro.core.serve.frontend:AsyncServeFrontend.__aexit__":
+        "`async with` stops the async shell; runs call start() and stop()",
+    # -- names the frozen end-to-end harness pins, ROADMAP item 9
+    "repro.paramserver.server:ParameterServer.delete":
+        "the frozen harness calls it (wl_ckpt.py:118) once a key reaches 16 versions",
+    "repro.paramserver.cache:LRUCache.invalidate": "ParameterServer.delete's path (item 9)",
+    "repro.data.store:DataStore.delete_blobs": "ParameterServer.delete's path (item 9)",
+    "repro.data.store:DataStore.has_blob": "ParameterServer.delete's path (item 9)",
+    "repro.data.store:DataStore.get_blob": "the frozen harness wraps it (item 9)",
+    "repro.tenancy.registry:UsageLedger.charge": "the frozen harness wraps it (item 9)",
+}
+
+
 # ----------------------------------------------------------------------
 # the defs under src/
 # ----------------------------------------------------------------------
 
 
-def definitions(src: Path = SRC) -> dict[tuple[str, int], str]:
-    """``(path relative to src, first line) -> module:qualname`` of every def."""
-    found: dict[tuple[str, int], str] = {}
+def _defs(src: Path = SRC):
+    """``(path relative to src, first line, module:qualname, node)`` of every def."""
 
-    def walk(node, module: str, rel: str, prefix: str) -> None:
+    def walk(node, module: str, rel: str, prefix: str):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 line = min([child.lineno, *(d.lineno for d in child.decorator_list)])
-                found[(rel, line)] = f"{module}:{prefix}{child.name}"
-                walk(child, module, rel, f"{prefix}{child.name}.<locals>.")
+                yield rel, line, f"{module}:{prefix}{child.name}", child
+                yield from walk(child, module, rel, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
-                walk(child, module, rel, f"{prefix}{child.name}.")
+                yield from walk(child, module, rel, f"{prefix}{child.name}.")
             else:
-                walk(child, module, rel, prefix)
+                yield from walk(child, module, rel, prefix)
 
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src).as_posix()
         module = rel[:-3].replace("/", ".").removesuffix(".__init__")
-        walk(ast.parse(path.read_text()), module, rel, "")
-    return found
+        yield from walk(ast.parse(path.read_text()), module, rel, "")
+
+
+def definitions(src: Path = SRC) -> dict[tuple[str, int], str]:
+    """``(path relative to src, first line) -> module:qualname`` of every def."""
+    return {(rel, line): name for rel, line, name, _ in _defs(src)}
+
+
+def _is_abstract(node) -> bool:
+    """A body of only a docstring, ``...`` and/or ``raise NotImplementedError``."""
+
+    def placeholder(stmt) -> bool:
+        if isinstance(stmt, ast.Expr):
+            return isinstance(stmt.value, ast.Constant) and (
+                isinstance(stmt.value.value, str) or stmt.value.value is Ellipsis)
+        if isinstance(stmt, ast.Raise) and stmt.exc is not None:
+            exc = stmt.exc.func if isinstance(stmt.exc, ast.Call) else stmt.exc
+            return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+        return False
+
+    return all(map(placeholder, node.body))
+
+
+def abstract_defs(src: Path = SRC) -> set[str]:
+    """The qualified names of the defs under ``src`` that are only a
+    placeholder for their subclasses' (see :func:`_is_abstract`)."""
+    return {name for _, _, name, node in _defs(src) if _is_abstract(node)}
 
 
 # ----------------------------------------------------------------------
@@ -318,14 +487,22 @@ def main(argv=None) -> int:
     defs = definitions()
     reached = trace_runs(runs, args.jobs)
     never = sorted(defs[key] for key in set(defs) - reached)
+    abstract = abstract_defs()
+    groups = {"abstract": [n for n in never if n in abstract],
+              "with a reason": [n for n in never if n not in abstract and n in REASONS],
+              "without a reason": [n for n in never if n not in abstract and n not in REASONS]}
     print(f"\nnever called ({len(never)}):")
-    for name in never:
-        print(f"  {name}")
-    print(f"\n{len(defs)} defs under src/, {len(reached)} reached, {len(never)} never called")
+    for group, names in groups.items():
+        print(f"  {group} ({len(names)}):")
+        for name in names:
+            print(f"    {name}" + (f"  -- {REASONS[name]}" if group == "with a reason" else ""))
+    print(f"\n{len(defs)} defs under src/, {len(reached)} reached, {len(never)} never called: "
+          + ", ".join(f"{len(names)} {group}" for group, names in groups.items()))
     if args.json:
         with open(args.json, "w") as handle:
             json.dump({"defs": len(defs), "reached": sorted(defs[k] for k in reached),
-                       "never": never}, handle, indent=1)
+                       "never": never, "unreasoned": groups["without a reason"]},
+                      handle, indent=1)
     return 0
 
 
