@@ -2,12 +2,8 @@
 
 Commands:
 
-* ``profiles`` — print the Figure 3 model cards;
-* ``ensemble`` — print the Figure 6 ensemble-accuracy table;
 * ``tune`` — run a (surrogate) hyper-parameter study and report it
   (``--telemetry`` dumps the metrics snapshot afterwards);
-* ``demo`` — the Figure 2 quickstart: train, deploy and query a small
-  real model through the SDK;
 * ``sql`` — the Section 8 case study in miniature;
 * ``telemetry`` — exercise every subsystem briefly and print the
   unified metrics snapshot (JSON or Prometheus text exposition);
@@ -17,12 +13,16 @@ Commands:
   re-runs it and requires an identical trace);
 * ``serve`` — drive the admission-controlled serving front end under
   open/closed-loop generated load (docs/SERVING.md).
+
+Figure 2's SDK flow is ``examples/quickstart.py``; the Figure 3 model
+cards and the Figure 6 ensemble table are
+``benchmarks/results/fig03_model_profiles.txt`` and ``fig06_ensemble.txt``,
+written by their benches.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -38,12 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("profiles", help="print the Figure 3 model cards")
-
-    ensemble = sub.add_parser("ensemble", help="print the Figure 6 accuracy table")
-    ensemble.add_argument("--examples", type=int, default=20_000,
-                          help="Monte-Carlo panel size")
-
     tune = sub.add_parser("tune", help="run a hyper-parameter study (surrogate)")
     tune.add_argument("--trials", type=int, default=60)
     tune.add_argument("--workers", type=int, default=3)
@@ -53,9 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--seed", type=int, default=0)
     tune.add_argument("--real", action="store_true",
                       help="train real NumPy networks instead of the surrogate")
-    tune.add_argument("--pool-reuse", action="store_true",
-                      help="with --real: run the study twice on one persistent "
-                           "pool and report cold vs warm wall-clock")
     tune.add_argument("--processes", type=int, default=0, metavar="N",
                       help="with --real: run trials on a persistent pool of N "
                            "child processes, one pipe to each "
@@ -70,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "on R datanodes)")
     tune.add_argument("--telemetry", action="store_true",
                       help="print the telemetry snapshot after the study")
-
-    demo = sub.add_parser("demo", help="train, deploy and query a real model")
-    demo.add_argument("--classes", type=int, default=3)
-    demo.add_argument("--trials", type=int, default=3)
-    demo.add_argument("--seed", type=int, default=0)
 
     sql = sub.add_parser("sql", help="run the Section 8 SQL/UDF case study")
     sql.add_argument("--query", default=None,
@@ -142,30 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_profiles(args) -> int:
-    from repro.zoo import list_profiles
-
-    print(f"{'model':<22} {'top-1':>6} {'iter(s)':>8} {'mem(MB)':>8}")
-    for profile in sorted(list_profiles(), key=lambda p: p.iteration_time_b50):
-        print(f"{profile.name:<22} {profile.top1_accuracy:>6.3f} "
-              f"{profile.iteration_time_b50:>8.3f} {profile.memory_mb:>8.0f}")
-    return 0
-
-
-def _cmd_ensemble(args) -> int:
-    from repro.zoo import EnsembleAccuracyModel
-
-    panel = EnsembleAccuracyModel(
-        ("resnet_v2_101", "inception_v3", "inception_v4", "inception_resnet_v2"),
-        num_examples=args.examples,
-    )
-    print(f"{'k':<3} {'accuracy':>9}  models")
-    for names, accuracy in sorted(panel.accuracy_table().items(),
-                                  key=lambda kv: (len(kv[0]), -kv[1])):
-        print(f"{len(names):<3} {accuracy:>9.4f}  {' + '.join(names)}")
-    return 0
-
-
 def _cmd_tune(args) -> int:
     from repro import telemetry
     from repro.core.tune import (
@@ -184,12 +146,10 @@ def _cmd_tune(args) -> int:
     from repro.data import DataStore
     from repro.paramserver import ParameterServer
 
-    if (args.processes or args.pool_reuse) and not args.real:
-        print("--processes/--pool-reuse require --real (the surrogate is "
-              "already instant)", file=sys.stderr)
+    if args.processes and not args.real:
+        print("--processes requires --real (the surrogate is already instant)",
+              file=sys.stderr)
         return 2
-    if args.pool_reuse and not args.processes:
-        args.processes = max(1, os.cpu_count() or 1)
     if args.ps_shards < 1:
         print("--ps-shards must be >= 1", file=sys.stderr)
         return 2
@@ -211,46 +171,21 @@ def _cmd_tune(args) -> int:
     else:
         backend = SurrogateTrainer(seed=args.seed)
 
-    def build_study():
-        param_server = ParameterServer(
-            store=DataStore("ps-backing", nodes=max(3, args.ps_shards),
-                            replicas=args.ps_replicas),
-            shards=args.ps_shards,
-        )
-        advisor = advisor_cls(section71_space(), rng=np.random.default_rng(args.seed))
-        scheduler = None
-        if args.collaborative:
-            scheduler = CoStudy(rng=np.random.default_rng(args.seed + 7))
-        master = StudyMaster("cli", conf, advisor, param_server, scheduler=scheduler)
-        workers = make_workers(master, backend, param_server, conf, args.workers)
-        return master, workers
-
-    if args.pool_reuse:
-        from repro.core.tune import TrialPool
-
-        walls = []
-        fingerprints = []
-        with TrialPool(processes=args.processes) as pool:
-            for label in ("cold", "warm"):
-                master, workers = build_study()
-                with telemetry.get_tracer().span("tune.pool.study", pool=label) as study:
-                    report = run_study_parallel(master, workers, pool=pool)
-                walls.append((label, study.duration))
-                fingerprints.append(
-                    [(e.index, e.performance, e.epochs, e.time)
-                     for e in report.history]
-                )
-        for label, wall in walls:
-            print(f"{label} study on reused pool: {wall:.3f}s wall-clock")
-        identical = fingerprints[0] == fingerprints[1]
-        print(f"reports bit-identical across pool reuse: {identical}")
+    param_server = ParameterServer(
+        store=DataStore("ps-backing", nodes=max(3, args.ps_shards),
+                        replicas=args.ps_replicas),
+        shards=args.ps_shards,
+    )
+    advisor = advisor_cls(section71_space(), rng=np.random.default_rng(args.seed))
+    scheduler = None
+    if args.collaborative:
+        scheduler = CoStudy(rng=np.random.default_rng(args.seed + 7))
+    master = StudyMaster("cli", conf, advisor, param_server, scheduler=scheduler)
+    workers = make_workers(master, backend, param_server, conf, args.workers)
+    if args.processes:
+        report = run_study_parallel(master, workers, processes=args.processes)
     else:
-        master, workers = build_study()
-        if args.processes:
-            report = run_study_parallel(master, workers,
-                                        processes=args.processes)
-        else:
-            report = run_study(master, workers)
+        report = run_study(master, workers)
     best = report.best
     kind = "CoStudy" if args.collaborative else "Study"
     print(f"{kind} with {args.advisor} search: {len(report.results)} trials, "
@@ -261,33 +196,6 @@ def _cmd_tune(args) -> int:
     if args.telemetry:
         print()
         print(telemetry.to_json(telemetry.get_registry()))
-    return 0
-
-
-def _cmd_demo(args) -> int:
-    import repro as rafiki
-    from repro.api.sdk import connect
-    from repro.data import make_image_classification
-
-    connect()
-    photos = make_image_classification(
-        name="demo", num_classes=args.classes, image_shape=(3, 8, 8),
-        train_per_class=24, val_per_class=8, test_per_class=8,
-        difficulty=0.3, seed=args.seed,
-    )
-    data = rafiki.import_images(photos)
-    job_id = rafiki.Train(
-        name="demo", data=data, task="ImageClassification",
-        hyper=rafiki.HyperConf(max_trials=args.trials, max_epochs_per_trial=6),
-    ).run()
-    models = rafiki.get_models(job_id)
-    infer_id = rafiki.Inference(models).run()
-    correct = 0
-    for i in range(len(photos.test_y)):
-        ret = rafiki.query(job=infer_id, data={"img": photos.test_x[i]})
-        correct += int(ret["label"] == photos.test_y[i])
-    print(f"trained {[m['model_name'] for m in models]}; "
-          f"test accuracy {correct}/{len(photos.test_y)}")
     return 0
 
 
@@ -482,10 +390,7 @@ def _cmd_serve(args) -> int:
 
 
 _COMMANDS = {
-    "profiles": _cmd_profiles,
-    "ensemble": _cmd_ensemble,
     "tune": _cmd_tune,
-    "demo": _cmd_demo,
     "sql": _cmd_sql,
     "telemetry": _cmd_telemetry,
     "chaos": _cmd_chaos,

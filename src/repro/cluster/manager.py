@@ -84,15 +84,11 @@ class JobRecord:
 class ClusterManager:
     """Places containers on nodes and recovers from failures."""
 
-    def __init__(
-        self,
-        checkpoint_store: CheckpointStore | None = None,
-        tenants: TenantRegistry | None = None,
-    ):
+    def __init__(self, tenants: TenantRegistry | None = None):
         self.nodes: dict[str, Node] = {}
         self.jobs: dict[str, JobRecord] = {}
         self.containers: dict[str, Container] = {}
-        self.checkpoints = checkpoint_store if checkpoint_store is not None else CheckpointStore()
+        self.checkpoints = CheckpointStore()
         #: quota + fair-share authority; ``None`` disables enforcement.
         self.tenants = tenants
         if tenants is not None:

@@ -325,7 +325,6 @@ class ServeFrontend:
     def __init__(
         self,
         config: FrontendConfig,
-        capacity: Callable[[float], tuple[int, float]] | None = None,
         policy: DispatchPolicy | None = None,
     ):
         self.config = config
@@ -337,7 +336,8 @@ class ServeFrontend:
         #: live backend capacity hook: ``capacity(now) -> (live_replicas,
         #: head_delay_seconds)``; the admission estimate divides queue
         #: drain across live replicas and adds the head-of-line delay.
-        self.capacity = capacity if capacity is not None else (lambda now: (1, 0.0))
+        #: ``run_load`` points it at its ``ReplicaPool``.
+        self.capacity: Callable[[float], tuple[int, float]] = lambda now: (1, 0.0)
         self.pending = PendingQueue()
         self._max_batch = max(config.batch_sizes)
         self._rate_limited = config.rate_limit is not None or bool(config.tenant_rate_limits)
@@ -773,10 +773,9 @@ class AsyncServeFrontend:
         self,
         config: FrontendConfig,
         executor: Callable[..., Any],
-        capacity: Callable[[float], tuple[int, float]] | None = None,
         policy: DispatchPolicy | None = None,
     ):
-        self.core = ServeFrontend(config, capacity=capacity, policy=policy)
+        self.core = ServeFrontend(config, policy=policy)
         self.executor = executor
         self._executor_errors = telemetry.Counter(
             "repro_serve_frontend_executor_errors_total",

@@ -24,7 +24,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro import chaos, telemetry
-from repro.cluster import CheckpointStore, ClusterManager, Node
+from repro.cluster import ClusterManager, Node
 from repro.cluster.manager import JobKind
 from repro.core.serve.pred_cache import PredictionCache
 from repro.core.tune import (
@@ -125,8 +125,6 @@ class InferenceJobInfo:
 
     def live_replicas(self) -> list[int]:
         """Indices of replicas currently admitted to the ensemble."""
-        if not self.breakers:
-            return list(range(len(self.networks)))
         return [i for i, b in enumerate(self.breakers) if b.state != "open"]
 
 
@@ -138,8 +136,6 @@ class Rafiki:
         nodes: int = 3,
         gpus_per_node: int = 3,
         seed: int = 0,
-        ps_shards: int = 1,
-        ps_replicas: int = 2,
         tenants: TenantRegistry | None = None,
     ):
         self.rng_stream = RngStream(seed)
@@ -149,28 +145,14 @@ class Rafiki:
         #: working; pass a strict registry to refuse unknown tenants.
         self.tenants = tenants if tenants is not None else TenantRegistry()
         #: the one replicated store under datasets *and* parameters.
-        self.store = DataStore(
-            "rafiki-hdfs", nodes=max(3, ps_shards), replicas=ps_replicas,
-            tenants=self.tenants,
-        )
-        self.checkpoints = CheckpointStore()
-        self.cluster = ClusterManager(
-            checkpoint_store=self.checkpoints, tenants=self.tenants
-        )
+        self.store = DataStore("rafiki-hdfs", tenants=self.tenants)
+        self.cluster = ClusterManager(tenants=self.tenants)
         for i in range(nodes):
             self.cluster.add_node(
                 Node(name=f"node-{chr(ord('a') + i)}",
                      capacity=_node_capacity(gpus_per_node))
             )
-        self.param_server = ParameterServer(
-            store=self.store, shards=ps_shards, tenants=self.tenants
-        )
-        if ps_shards > 1:
-            # Scaled out, the shards and the datanodes under them run as
-            # cluster containers: a node failure takes a cache and real
-            # bytes with it. The default system registers nothing.
-            self.param_server.register_with_cluster(self.cluster)
-            self.store.blocks.register_with_cluster(self.cluster)
+        self.param_server = ParameterServer(store=self.store, tenants=self.tenants)
         self.registry: TaskRegistry = default_registry()
         self.train_jobs: dict[str, TrainJobInfo] = {}
         self.inference_jobs: dict[str, InferenceJobInfo] = {}
@@ -314,7 +296,7 @@ class Rafiki:
                                name_prefix=f"{study_name}/worker")
         report = run_study(master, workers)
         # Persist the small master state (Section 6.3 failure recovery).
-        self.checkpoints.save(study_name, master.checkpoint_state())
+        self.cluster.checkpoints.save(study_name, master.checkpoint_state())
         return report
 
     def get_train_job(self, job_id: str) -> TrainJobInfo:
@@ -490,12 +472,6 @@ class Rafiki:
         is available. Returns the labels, the vote matrix and the
         indices of the replicas whose votes its rows are.
         """
-        if len(info.breakers) != len(info.networks):
-            # Directly constructed job infos (tests) get breakers lazily.
-            info.breakers = [
-                CircuitBreaker(name=f"{info.job_id}/{spec.model_name}")
-                for spec in info.specs
-            ]
         rows: list[np.ndarray] = []
         voted: list[int] = []
         tracer = telemetry.get_tracer()

@@ -243,8 +243,9 @@ class TrialPool:
     Use as a context manager (or call :meth:`shutdown`).  One pool can
     serve many studies, one after another (records are demultiplexed by
     trial id, which is unique within a study only), via
-    :class:`PoolTrialExecutor` instances bound to it; keeping the pool
-    open across studies is what ``--pool-reuse`` exposes on the CLI.
+    :class:`PoolTrialExecutor` instances bound to it; the
+    ``pool_reuse_cold``/``warm`` rows of ``benchmarks/bench_perf_parallel.py``
+    time one pool kept open across two studies.
     """
 
     #: seconds without any worker record before the pool is declared dead.

@@ -61,7 +61,11 @@ def majority_vote(votes: np.ndarray, model_accuracies: np.ndarray) -> np.ndarray
 
 
 class EnsembleAccuracyModel:
-    """Monte-Carlo ensemble accuracy over the latent-trait panel."""
+    """Monte-Carlo ensemble accuracy over the latent-trait panel.
+
+    ``num_examples`` sizes the panel: the Figure 6 table uses the
+    default, and tests pass a smaller panel to run fast.
+    """
 
     #: standard deviation of each model's per-example noise.
     sigma = 0.25

@@ -81,7 +81,8 @@ class TestAdmission:
     def test_deadline_shed_uses_capacity_hook(self):
         # one live replica, 10s head-of-line delay: no admitted request
         # could possibly meet tau, so admission refuses up front.
-        frontend = ServeFrontend(config(), capacity=lambda now: (1, 10.0))
+        frontend = ServeFrontend(config())
+        frontend.capacity = lambda now: (1, 10.0)
         with pytest.raises(RequestShedError) as err:
             frontend.offer("c", None, 0.0)
         assert err.value.reason == "deadline"
@@ -90,12 +91,12 @@ class TestAdmission:
 
     def test_deadline_slack_widens_admission(self):
         head = 0.6  # just past tau=0.5 with the batch drain added
-        strict = ServeFrontend(config(), capacity=lambda now: (1, head))
+        strict = ServeFrontend(config())
+        strict.capacity = lambda now: (1, head)
         with pytest.raises(RequestShedError):
             strict.offer("c", None, 0.0)
-        loose = ServeFrontend(
-            config(deadline_slack=2.0), capacity=lambda now: (1, head)
-        )
+        loose = ServeFrontend(config(deadline_slack=2.0))
+        loose.capacity = lambda now: (1, head)
         assert loose.offer("c", None, 0.0).seq == 1
 
     def test_rate_limit_is_per_client(self, manual_clock):

@@ -9,6 +9,7 @@ from repro.chaos.scenarios.shard_kill import reads_through_each_shard
 from repro.cluster import ClusterManager, Node
 from repro.cluster.membership import preference_order
 from repro.cluster.node import Resources
+from repro.data import DataStore
 from repro.exceptions import (
     ConfigurationError,
     ChunkLostError,
@@ -363,27 +364,6 @@ class TestClusterIntegration:
         for i in range(12):
             np.testing.assert_allclose(sps.get(f"k{i}")["layer/W"], float(i))
 
-    def test_facade_node_failure_takes_real_bytes_and_loses_nothing(self):
-        """``Rafiki(ps_shards>1)`` hosts its datanodes as well as its shards."""
-        from repro.core.system import Rafiki
-
-        system = Rafiki(ps_shards=3)
-        ps, blocks = system.param_server, system.store.blocks
-        assert ps.block_store is blocks
-        for i in range(12):
-            ps.put(f"k{i}", state(float(i)))
-        datanode = next(n for n in blocks.nodes if n.chunks)
-        assert datanode.container_id in system.cluster.containers
-        system.cluster.fail_node(datanode.node_name)
-        assert datanode.deaths.count == 1
-        assert ps.audit()["keys_lost"] == 0
-        ps.repair()
-        audit = ps.audit()
-        assert audit["keys_lost"] == 0 and not audit["under_replicated"]
-        assert not audit["divergent"] and audit["rereplications"] > 0
-        for i in range(12):
-            np.testing.assert_allclose(ps.get(f"k{i}")["layer/W"], float(i))
-
     def test_default_facade_registers_nothing(self):
         from repro.core.system import Rafiki
 
@@ -460,13 +440,13 @@ class TestQuota:
 
     @pytest.mark.parametrize("plane", ["single", "sharded"])
     def test_over_quota_put_raises_and_delete_releases(self, plane):
-        from repro.core.system import Rafiki
-
         nbytes = sum(v.nbytes for v in state(1.0).values())
         tenants = TenantRegistry()
         tenants.register("acme", quota=TenantQuota(ps_bytes=2 * nbytes))
-        system = Rafiki(ps_shards=1 if plane == "single" else 2, tenants=tenants)
-        ps = system.param_server
+        ps = ParameterServer(
+            store=DataStore("rafiki-hdfs", tenants=tenants),
+            shards=1 if plane == "single" else 2, tenants=tenants,
+        )
         assert isinstance(ps, ParameterServer)
         assert len(ps.shards) == (2 if plane == "sharded" else 1)
         with tenant_context("acme"):

@@ -93,7 +93,7 @@ class TestFacadeTraining:
         )
         info = system.get_train_job(job_id)
         study_name = f"{job_id}/{info.model_names[0]}"
-        assert system.checkpoints.has(study_name)
+        assert system.cluster.checkpoints.has(study_name)
 
 
 class TestFacadeInference:

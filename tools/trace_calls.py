@@ -94,13 +94,9 @@ RUNS: tuple[Run, ...] = (
     _cli("tune", "tune"),
     _cli("tune-collab-bayes", "tune", "--collaborative", "--advisor", "bayesian"),
     _cli("tune-real-pool", "tune", "--real", "--processes", "2"),
-    _cli("tune-real-reuse", "tune", "--real", "--pool-reuse", "--processes", "2"),
     _cli("tune-shards", "tune", "--ps-shards", "3"),
     _cli("telemetry-json", "telemetry", "--trace"),
     _cli("telemetry-prom", "telemetry", "--format", "prom"),
-    _cli("profiles", "profiles"),
-    _cli("ensemble", "ensemble"),
-    _cli("demo", "demo"),
     *(Run(f"example-{e}", "script", f"examples/{e}.py") for e in _EXAMPLES),
     *(Run(f"e2e-{w}-trace{t}", "main", "benchmarks/e2e/run.py",
           ("--workload", w, "--smoke", "--trace", str(t)), (("OUT_DIR", "<tmp>"),))
