@@ -417,7 +417,7 @@ class Gateway:
 
         A query for a job with an attached front end awaits admission +
         batching (and carries ``client_id`` and the resolved tenant into
-        the per-client and per-tenant rate limiters); every other
+        it; the tenant's token bucket rate-limits it); every other
         request runs its handler exactly as :meth:`handle` does.
         """
         with self._request(method, path, body, tenant) as call:

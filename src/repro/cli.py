@@ -10,14 +10,13 @@ Commands:
 * ``chaos`` — run one of the seeded fault-injection scenarios
   (``--scenario default|shard-kill|store-kill|tenants``), print its
   summary and exit non-zero unless its checks pass (``--verify`` also
-  re-runs it and requires an identical trace);
-* ``serve`` — drive the admission-controlled serving front end under
-  open/closed-loop generated load (docs/SERVING.md).
+  re-runs it and requires an identical trace).
 
 Figure 2's SDK flow is ``examples/quickstart.py``; the Figure 3 model
 cards and the Figure 6 ensemble table are
 ``benchmarks/results/fig03_model_profiles.txt`` and ``fig06_ensemble.txt``,
-written by their benches.
+written by their benches; the serving front end under open- and
+closed-loop load is ``benchmarks/bench_perf_serve.py`` (``BENCH_serve.json``).
 """
 
 from __future__ import annotations
@@ -95,35 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="print the full result (trace included) as JSON")
     chaos_cmd.add_argument("--verify", action="store_true",
                            help="run the scenario twice and require identical traces")
-
-    serve_cmd = sub.add_parser(
-        "serve", help="drive the serving path under generated load"
-    )
-    serve_cmd.add_argument("--mode", choices=("open", "closed"), default="open",
-                           help="load shape: sine arrivals vs think-time clients")
-    serve_cmd.add_argument("--rate", type=float, default=None, metavar="QPS",
-                           help="open loop: target arrival rate "
-                                "(default 1.2x single-replica capacity)")
-    serve_cmd.add_argument("--clients", type=int, default=16,
-                           help="client identities (closed loop: one user each)")
-    serve_cmd.add_argument("--think-time", type=float, default=0.02,
-                           help="closed loop: seconds between response and next request")
-    serve_cmd.add_argument("--duration", type=float, default=30.0,
-                           help="seconds of simulated load")
-    serve_cmd.add_argument("--replicas", type=int, default=2)
-    serve_cmd.add_argument("--tau", type=float, default=0.56,
-                           help="the SLO deadline in seconds")
-    serve_cmd.add_argument("--rate-limit", type=float, default=None, metavar="QPS",
-                           help="per-client token-bucket rate (default: off)")
-    serve_cmd.add_argument("--max-queue", type=int, default=1024)
-    serve_cmd.add_argument("--autoscale", action="store_true",
-                           help="let the ScalingAdvisor grow/shrink the replica "
-                                "pool off the live telemetry gauges")
-    serve_cmd.add_argument("--model", default="inception_v3",
-                           help="zoo profile supplying the c(b) latency model")
-    serve_cmd.add_argument("--seed", type=int, default=0)
-    serve_cmd.add_argument("--json", action="store_true",
-                           help="print the summary as JSON")
 
     return parser
 
@@ -327,74 +297,11 @@ def _cmd_chaos(args) -> int:
     return run_scenario(args.scenario, args.seed, args.verify, args.json)
 
 
-def _cmd_serve(args) -> int:
-    """Drive the serving path under generated load and summarise it."""
-    import json
-
-    from repro.zoo import get_profile
-
-    profile = get_profile(args.model)
-    latency = profile.inference_time
-    from repro.core.serve import (
-        FrontendConfig,
-        LoadGenConfig,
-        ReplicaPool,
-        ScalingAdvisor,
-        ServeFrontend,
-        capacity_qps,
-        run_load,
-    )
-
-    rate = args.rate
-    if rate is None:
-        rate = 1.2 * capacity_qps(latency, 64, 1)
-    config = FrontendConfig(
-        latency=latency,
-        tau=args.tau,
-        max_queue=args.max_queue,
-        rate_limit=args.rate_limit,
-    )
-    frontend = ServeFrontend(config)
-    pool = ReplicaPool(latency, replicas=args.replicas)
-    load = LoadGenConfig(
-        mode=args.mode,
-        target_rate=rate,
-        clients=args.clients,
-        think_time=args.think_time,
-        duration=args.duration,
-        seed=args.seed,
-    )
-    advisor = ScalingAdvisor() if args.autoscale else None
-    trace = run_load(frontend, pool, load, autoscaler=advisor)
-    summary = trace.summary()
-    summary["replicas_final"] = pool.size
-    summary["fingerprint"] = trace.fingerprint()
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    print(f"front end under {args.mode}-loop load for {args.duration:.0f}s "
-          f"({args.replicas} replica(s), tau={args.tau}s):")
-    print(f"  offered {summary['offered']} ({summary['offered_qps']:.1f} qps), "
-          f"served {summary['served']} ({summary['sustained_qps']:.1f} qps), "
-          f"shed {summary['shed']} ({100 * summary['shed_rate']:.1f}%)")
-    print(f"  latency p50/p95/p99: {summary['p50_s'] * 1000:.1f} / "
-          f"{summary['p95_s'] * 1000:.1f} / {summary['p99_s'] * 1000:.1f} ms "
-          f"(SLO miss rate {100 * summary['slo_miss_rate']:.2f}%)")
-    if summary["shed_by_reason"]:
-        reasons = ", ".join(f"{k}={v}" for k, v in sorted(summary["shed_by_reason"].items()))
-        print(f"  shed by reason: {reasons}")
-    if args.autoscale:
-        print(f"  replicas after autoscaling: {pool.size}")
-    print(f"  trace fingerprint: {summary['fingerprint'][:16]}…")
-    return 0
-
-
 _COMMANDS = {
     "tune": _cmd_tune,
     "sql": _cmd_sql,
     "telemetry": _cmd_telemetry,
     "chaos": _cmd_chaos,
-    "serve": _cmd_serve,
 }
 
 

@@ -1,8 +1,8 @@
 """The inference service (Section 5).
 
 One serving loop: the admission-controlled front end
-(:class:`ServeFrontend` — queueing, rate limits, backpressure, bounded
-dispatch retry, accounting; see docs/SERVING.md) asks a
+(:class:`ServeFrontend` — queueing, per-tenant rate limits,
+backpressure, bounded dispatch retry, accounting; see docs/SERVING.md) asks a
 :class:`DispatchPolicy` which queued requests to run on which models at
 which batch size. The policies are the paper's: greedy SLO-aware
 batching (Algorithm 3, the default), its single/sync/async multi-model
@@ -28,7 +28,6 @@ from repro.core.serve.frontend import (
     AsyncServeFrontend,
     FrontendConfig,
     FrontendRequest,
-    ScalingAdvisor,
     ServeFrontend,
     TokenBucket,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "FrontendConfig",
     "FrontendRequest",
     "TokenBucket",
-    "ScalingAdvisor",
     "LoadGenConfig",
     "LoadTrace",
     "ReplicaPool",

@@ -4,12 +4,12 @@ The paper's inference service is the subsystem that must face "millions
 of users" (Sections 6-7): many concurrent clients hammering one
 deployed ensemble. This module turns the synchronous gateway→ensemble
 call chain into an event-loop front end with explicit queueing and
-flow control, in three layers:
+flow control, in two layers:
 
 * :class:`ServeFrontend` — the *sans-io core* and the one serving
   loop: a pure, clock-driven state machine that admits or sheds each
-  request (bounded accept queue, deadline-aware load shedding,
-  per-client token-bucket rate limits), asks its
+  request (per-tenant token-bucket rate limits and queue shares, bounded
+  accept queue, deadline-aware load shedding), asks its
   :class:`~repro.core.serve.policy.DispatchPolicy` which of the
   admitted backlog to dispatch on which models (the SLO-aware
   :class:`~repro.core.serve.batching.GreedyBatcher` unless told
@@ -25,9 +25,6 @@ flow control, in three layers:
   ensemble), and resolves the per-request futures. Shed requests fail
   fast with :class:`~repro.exceptions.RequestShedError` instead of
   queueing without bound — that is the backpressure contract.
-* :class:`ScalingAdvisor` — autoscaling hints derived from the core's
-  *live* queue depth and rolling p95 latency, with fixed watermarks and
-  a cooldown so the hint does not flap.
 
 Fault points: ``frontend.accept`` fires on every admission attempt and
 ``frontend.dispatch`` on every batch hand-off, so chaos plans can
@@ -68,19 +65,11 @@ __all__ = [
     "DispatchPlan",
     "ServeFrontend",
     "AsyncServeFrontend",
-    "ScalingAdvisor",
 ]
-
-#: ScalingAdvisor: scale out above either high watermark (queued
-#: requests, p95 seconds), in below both low ones ...
-_HIGH_DEPTH, _HIGH_P95 = 256, 0.5
-_LOW_DEPTH, _LOW_P95 = 16, 0.2
-#: ... and change the hint at most once per this many seconds.
-_COOLDOWN = 5.0
 
 
 class TokenBucket:
-    """A deterministic token bucket (the per-client rate limiter).
+    """A deterministic token bucket (one tenant's rate limiter).
 
     ``rate`` tokens accrue per second up to ``burst``, one second of
     rate (at least one token); each admitted request costs one token.
@@ -117,11 +106,6 @@ class TokenBucket:
             return 0.0
         return (1.0 - self.tokens) / self.rate
 
-    def available(self, now: float) -> float:
-        """Tokens available at ``now`` (after lazy refill)."""
-        self._refill(now)
-        return self.tokens
-
 
 @dataclass(frozen=True)
 class FrontendConfig:
@@ -146,13 +130,10 @@ class FrontendConfig:
     #: ``tau * deadline_slack`` (deadline-aware load shedding); raise
     #: above 1.0 to trade tail latency for fewer sheds.
     deadline_slack: float = 1.0
-    #: per-client token-bucket rate (requests/second); None disables
-    #: rate limiting entirely. A bucket's burst is one second of rate.
-    rate_limit: float | None = None
-    #: per-*tenant* token-bucket rates (tenant name -> requests/second),
-    #: layered over the per-client buckets: a listed tenant's aggregate
-    #: traffic (any number of clients) cannot exceed its rate. Tenants
-    #: not listed have no tenant bucket.
+    #: per-tenant token-bucket rates (tenant name -> requests/second):
+    #: a listed tenant's aggregate traffic (any number of clients)
+    #: cannot exceed its rate; a bucket's burst is one second of rate.
+    #: Tenants not listed have no bucket.
     tenant_rate_limits: dict[str, float] | None = None
     #: cap on the fraction of ``max_queue`` one tenant may occupy
     #: (0 < share <= 1); None disables the cap. With the cap, a
@@ -176,10 +157,6 @@ class FrontendConfig:
         if not self.deadline_slack > 0:  # inf is fine: no deadline shedding
             raise ConfigurationError(
                 f"deadline_slack must be > 0, got {self.deadline_slack}"
-            )
-        if self.rate_limit is not None and not self.rate_limit > 0:  # NaN too
-            raise ConfigurationError(
-                f"rate_limit must be > 0 (or None), got {self.rate_limit}"
             )
         for tenant, rate in (self.tenant_rate_limits or {}).items():
             if not rate > 0:
@@ -318,7 +295,7 @@ class ServeFrontend:
       dispatched right now (call it after every offer or burst of
       offers, and whenever a batch completes);
     * ``next_wake(now)`` — when to poll again if nothing else happens;
-    * ``complete(plan, now)`` / ``fail(plan, now, reason)`` — account a
+    * ``complete(plan, now)`` / ``fail(plan, reason)`` — account a
       finished / abandoned batch and tell the policy.
     """
 
@@ -340,9 +317,7 @@ class ServeFrontend:
         self.capacity: Callable[[float], tuple[int, float]] = lambda now: (1, 0.0)
         self.pending = PendingQueue()
         self._max_batch = max(config.batch_sizes)
-        self._rate_limited = config.rate_limit is not None or bool(config.tenant_rate_limits)
-        self._buckets: dict[str, TokenBucket] = {}
-        self._bucket_sweep_at = 1024
+        self._rate_limited = bool(config.tenant_rate_limits)
         self._tenant_buckets: dict[str, TokenBucket] = {}
         self._seq = 0
         self._dispatch_failures = 0
@@ -415,44 +390,18 @@ class ServeFrontend:
         head_delay, drain = self._drain_time(now, batches)
         return max(0.0, head_delay) + drain
 
-    def _client_bucket(self, client_id: str, now: float) -> TokenBucket:
-        bucket = self._buckets.get(client_id)
+    def _peek_bucket(self, now: float, tenant: str) -> TokenBucket | None:
+        """The tenant's bucket with a token to spare (None: it has none)."""
+        rate = self.config.tenant_rate_limits.get(tenant)
+        if rate is None:
+            return None
+        bucket = self._tenant_buckets.get(tenant)
         if bucket is None:
-            if len(self._buckets) >= self._bucket_sweep_at:
-                # Client ids are outside input. A bucket refilled to its
-                # burst is indistinguishable from a fresh one: drop those,
-                # and sweep again when the map has doubled.
-                self._buckets = {
-                    client: kept for client, kept in self._buckets.items()
-                    if kept.available(now) < kept.burst
-                }
-                self._bucket_sweep_at = max(1024, 2 * len(self._buckets))
-            bucket = self._buckets[client_id] = TokenBucket(self.config.rate_limit)
+            bucket = self._tenant_buckets[tenant] = TokenBucket(rate)
+        wait = bucket.peek(now)
+        if wait > 0.0:
+            raise self._shed("tenant_rate_limit", wait, tenant=tenant)
         return bucket
-
-    def _peek_buckets(self, client_id: str, now: float, tenant: str) -> list[TokenBucket]:
-        """The tenant's and the client's bucket, each with a token to spare."""
-        buckets = []
-        tenant_rate = (self.config.tenant_rate_limits or {}).get(tenant)
-        if tenant_rate is not None:
-            bucket = self._tenant_buckets.get(tenant)
-            if bucket is None:
-                bucket = self._tenant_buckets[tenant] = TokenBucket(tenant_rate)
-            wait = bucket.peek(now)
-            if wait > 0.0:
-                raise self._shed(
-                    "tenant_rate_limit", wait, now, client_id=client_id, tenant=tenant
-                )
-            buckets.append(bucket)
-        if self.config.rate_limit is not None:
-            bucket = self._client_bucket(client_id, now)
-            wait = bucket.peek(now)
-            if wait > 0.0:
-                raise self._shed(
-                    "rate_limit", wait, now, client_id=client_id, tenant=tenant
-                )
-            buckets.append(bucket)
-        return buckets
 
     def offer(
         self,
@@ -467,8 +416,8 @@ class ServeFrontend:
         point (plus the tenant-scoped
         ``frontend.accept.tenant.<tenant>`` point, so chaos plans can
         target one tenant's traffic), the per-tenant token bucket, the
-        per-client token bucket, the tenant queue-share cap, the
-        bounded accept queue, and the deadline-aware shed test. Raises
+        tenant queue-share cap, the bounded accept queue, and the
+        deadline-aware shed test. Raises
         :class:`~repro.exceptions.RequestShedError` on any refusal.
         """
         config = self.config
@@ -479,35 +428,29 @@ class ServeFrontend:
                 arrival += chaos.fire(f"frontend.accept.tenant.{tenant}")
             except InjectedFault as exc:
                 raise self._shed(
-                    "fault", 0.1 * config.tau, now, detail=str(exc), tenant=tenant
+                    "fault", 0.1 * config.tau, detail=str(exc), tenant=tenant
                 ) from exc
-        # Peek both buckets first and only debit them once every other
-        # admission check has passed: a request shed later in the
-        # pipeline must not consume a token, or one throttled client
-        # (or a full queue) would drain its tenant's bucket and shed
-        # well-behaved co-tenant clients as tenant_rate_limit.
-        buckets = self._peek_buckets(client_id, now, tenant) if self._rate_limited else ()
+        # Peek the tenant's bucket first and only debit it once every
+        # other admission check has passed: a request shed later in the
+        # pipeline must not consume a token, or a full queue would drain
+        # its tenant's bucket and go on shedding that tenant as
+        # tenant_rate_limit after the queue has emptied.
+        bucket = self._peek_bucket(now, tenant) if self._rate_limited else None
         pending = self.pending
         if config.tenant_max_queue_share is not None:
             cap = max(1, int(config.max_queue * config.tenant_max_queue_share))
             if pending.count(tenant) >= cap:
                 raise self._shed(
-                    "tenant_queue_full", self._drain_time(now)[1], now,
-                    client_id=client_id, tenant=tenant,
+                    "tenant_queue_full", self._drain_time(now)[1], tenant=tenant
                 )
         if len(pending) >= config.max_queue:
-            raise self._shed(
-                "queue_full", self._drain_time(now)[1], now,
-                client_id=client_id, tenant=tenant,
-            )
+            raise self._shed("queue_full", self._drain_time(now)[1], tenant=tenant)
         budget = config.tau * config.deadline_slack
         if budget != math.inf:
             delay = self.estimated_delay(now)
             if delay > budget:
-                raise self._shed(
-                    "deadline", delay - budget, now, client_id=client_id, tenant=tenant
-                )
-        for bucket in buckets:
+                raise self._shed("deadline", delay - budget, tenant=tenant)
+        if bucket is not None:
             bucket.tokens -= 1.0
         self._seq += 1
         request = FrontendRequest(
@@ -525,8 +468,6 @@ class ServeFrontend:
         self,
         reason: str,
         retry_after: float,
-        now: float,
-        client_id: str = "",
         detail: str = "",
         tenant: str = DEFAULT_TENANT,
     ) -> RequestShedError:
@@ -584,7 +525,7 @@ class ServeFrontend:
                 self._dispatch_failures += 1
                 self._retries.inc()
                 if self._dispatch_failures >= retry.max_attempts:
-                    self.fail(plan, now, "dispatch_failed")
+                    self.fail(plan, "dispatch_failed")
                     self._dispatch_failures = 0
                     self._retry_at = now + retry.base_delay
                 else:
@@ -595,7 +536,7 @@ class ServeFrontend:
             self._dispatch_failures = 0
             if pool is not None:
                 if not plan.models and pool.live() == 0:
-                    self.fail(plan, now, "dispatch_failed")
+                    self.fail(plan, "dispatch_failed")
                     continue
                 plan.completion = pool.assign(
                     now, plan.batch_size, plan.extra_latency, plan.models
@@ -659,14 +600,12 @@ class ServeFrontend:
             self.policy.on_complete(outcome)
         return outcome
 
-    def fail(self, plan: DispatchPlan, now: float, reason: str) -> None:
+    def fail(self, plan: DispatchPlan, reason: str) -> None:
         """Account a planned batch that never ran: shed it, tell the policy."""
-        self.shed_requests(plan.requests, now, reason)
+        self.shed_requests(plan.requests, reason)
         self.policy.on_complete(self._outcome(plan, None))
 
-    def shed_requests(
-        self, requests: Sequence[FrontendRequest], now: float, reason: str
-    ) -> None:
+    def shed_requests(self, requests: Sequence[FrontendRequest], reason: str) -> None:
         """Shed already-admitted requests (dispatch failure, shutdown).
 
         Stamps each request's terminal state, accounts the shed, and
@@ -676,8 +615,7 @@ class ServeFrontend:
         for request in requests:
             request.shed_reason = reason
             error = self._shed(
-                reason, self.config.dispatch_retry.base_delay, now,
-                client_id=request.client_id, tenant=request.tenant,
+                reason, self.config.dispatch_retry.base_delay, tenant=request.tenant
             )
             if request.on_shed is not None:
                 request.on_shed(request, error)
@@ -711,45 +649,6 @@ class ServeFrontend:
     def latency_quantile(self, q: float) -> float:
         """Rolling latency quantile (reservoir-sampled), in seconds."""
         return self._latency_sample.quantile(q) if len(self._latency_sample) else 0.0
-
-
-class ScalingAdvisor:
-    """Autoscaling hints off the front end it advises.
-
-    Reads the queue depth and the rolling p95 latency of the
-    :class:`ServeFrontend` it is handed (the same two numbers the front
-    end's gauges show) and emits a hint: +1 scale out (depth above
-    ``_HIGH_DEPTH`` or p95 above ``_HIGH_P95``), -1 scale in (depth below
-    ``_LOW_DEPTH`` and p95 below ``_LOW_P95``), 0 hold. The watermarks
-    plus a ``_COOLDOWN`` give hysteresis so a sine-wave load does not
-    thrash the replica count; every emitted hint lands in the
-    ``repro_serve_frontend_scale_hint`` gauge.
-    """
-
-    def __init__(self):
-        self._last_change: float | None = None
-        self._hint = telemetry.Gauge(
-            "repro_serve_frontend_scale_hint",
-            "Latest autoscaling hint (+1 out, -1 in, 0 hold).", telemetry.get_registry(),
-        )
-
-    def evaluate(self, frontend: ServeFrontend, now: float) -> int:
-        """The current hint for ``frontend``: +1 (scale out), -1 (scale in), or 0."""
-        depth = len(frontend.pending)
-        p95 = frontend.latency_quantile(0.95)
-        if depth > _HIGH_DEPTH or p95 > _HIGH_P95:
-            hint = 1
-        elif depth < _LOW_DEPTH and p95 < _LOW_P95:
-            hint = -1
-        else:
-            hint = 0
-        if hint != 0:
-            if self._last_change is not None and now - self._last_change < _COOLDOWN:
-                hint = 0
-            else:
-                self._last_change = now
-        self._hint.set(hint)
-        return hint
 
 
 class AsyncServeFrontend:
@@ -807,7 +706,7 @@ class AsyncServeFrontend:
         await self._task
         leftovers = self.core.pending.pop(len(self.core.pending))
         if leftovers:
-            self.core.shed_requests(leftovers, self._now(), "shutdown")
+            self.core.shed_requests(leftovers, "shutdown")
 
     async def __aenter__(self) -> "AsyncServeFrontend":
         await self.start()
@@ -877,7 +776,7 @@ class AsyncServeFrontend:
                 for request in plan.requests:
                     if request.future is not None and not request.future.done():
                         request.future.set_exception(exc)
-                self.core.fail(plan, self._now(), "executor_error")
+                self.core.fail(plan, "executor_error")
                 return
             self.core.complete(plan, self._now())
             for request, result in zip(plan.requests, results):

@@ -28,11 +28,7 @@ Two load shapes, per the serving literature:
 Models are simulated by :class:`ReplicaPool`: a batch occupies the
 least-loaded live replica — or, when the dispatch policy named a model
 subset, each named model — for ``c(b)`` seconds (the same affine
-latency model the batcher plans with). A :class:`~repro.core.serve.frontend.
-ScalingAdvisor` can be wired in to grow/shrink the pool from the front
-end's queue depth and p95 latency mid-run: it is consulted every
-``_AUTOSCALE_INTERVAL`` simulated seconds and keeps the pool within
-``_SCALE_BOUNDS`` replicas.
+latency model the batcher plans with).
 """
 
 from __future__ import annotations
@@ -45,12 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.serve.arrival import SineArrival
-from repro.core.serve.frontend import (
-    DispatchPlan,
-    FrontendRequest,
-    ScalingAdvisor,
-    ServeFrontend,
-)
+from repro.core.serve.frontend import DispatchPlan, FrontendRequest, ServeFrontend
 from repro.core.serve.policy import BatchOutcome
 from repro.exceptions import ConfigurationError, RequestShedError
 from repro.sim import Signal, Simulator
@@ -64,12 +55,6 @@ __all__ = [
     "run_load",
     "run_multi_load",
 ]
-
-#: the autoscaled pool stays within these replica counts ...
-_SCALE_BOUNDS = (1, 8)
-#: ... and its advisor is consulted every this many simulated seconds.
-_AUTOSCALE_INTERVAL = 1.0
-
 
 @dataclass(frozen=True)
 class LoadGenConfig:
@@ -238,11 +223,6 @@ class ReplicaPool:
         self.busy_until = [0.0] * len(self.latencies)
         self.alive = [True] * len(self.latencies)
 
-    @property
-    def size(self) -> int:
-        """Total replicas, live or not."""
-        return len(self.busy_until)
-
     def live(self) -> int:
         """Replicas currently accepting work."""
         return sum(self.alive)
@@ -283,19 +263,6 @@ class ReplicaPool:
     def kill(self, index: int) -> None:
         """Take a replica out of rotation (chaos: replica death)."""
         self.alive[index] = False
-
-    def scale_to(self, n: int, now: float) -> None:
-        """Grow (fresh live replicas) or shrink (drop from the tail)."""
-        if n < 1:
-            raise ConfigurationError(f"cannot scale below 1 replica, got {n}")
-        while len(self.busy_until) < n:
-            self.latencies.append(self.latencies[0])
-            self.busy_until.append(now)
-            self.alive.append(True)
-        while len(self.busy_until) > n:
-            self.latencies.pop()
-            self.busy_until.pop()
-            self.alive.pop()
 
 
 def _spawn_load(
@@ -433,30 +400,17 @@ class _Driver:
             yield signal
             yield load.think_time
 
-    def autoscale(self, advisor: ScalingAdvisor, duration: float):
-        low, high = _SCALE_BOUNDS
-        while self.sim.now < duration:
-            hint = advisor.evaluate(self.frontend, self.sim.now)
-            if hint > 0 and self.pool.size < high:
-                self.pool.scale_to(self.pool.size + 1, self.sim.now)
-            elif hint < 0 and self.pool.size > low:
-                self.pool.scale_to(self.pool.size - 1, self.sim.now)
-            yield _AUTOSCALE_INTERVAL
-
 
 def run_load(
     frontend: ServeFrontend,
     pool: ReplicaPool,
     load: LoadGenConfig,
-    autoscaler: ScalingAdvisor | None = None,
     events: Sequence[tuple[float, Callable[[], None]]] = (),
     trace=None,
 ):
     """Run one load shape against a front end; returns the full trace.
 
-    :func:`run_multi_load` of a single load, plus an optional
-    ``autoscaler`` consulted every ``_AUTOSCALE_INTERVAL`` simulated
-    seconds to grow or shrink ``pool`` within ``_SCALE_BOUNDS``.
+    :func:`run_multi_load` of a single load.
 
     ``events`` is a deterministic chaos schedule: ``(time, thunk)``
     pairs executed at exact simulated instants (e.g.
@@ -468,7 +422,7 @@ def run_load(
     per-batch records only (anything with their three ``record_*``
     methods).
     """
-    return _run_loads(frontend, pool, [load], events, autoscaler, trace)
+    return _run_loads(frontend, pool, [load], events, trace)
 
 
 def run_multi_load(
@@ -495,7 +449,7 @@ def run_multi_load(
     return _run_loads(frontend, pool, loads, (), trace=trace)
 
 
-def _run_loads(frontend, pool, loads, events, autoscaler=None, trace=None):
+def _run_loads(frontend, pool, loads, events, trace=None):
     """The one run → pump → drain → shed-leftovers sequence of both entries."""
     if not loads:
         raise ConfigurationError("run_multi_load needs at least one load")
@@ -507,8 +461,6 @@ def _run_loads(frontend, pool, loads, events, autoscaler=None, trace=None):
     driver = _Driver(frontend, pool, sim, trace)
     for index, load in enumerate(loads):
         _spawn_load(driver, sim, load, stagger=index * 1e-7)
-    if autoscaler is not None:
-        sim.spawn(driver.autoscale(autoscaler, duration))
     for when, thunk in events:
         sim.schedule(when, thunk)
     sim.run(until=duration + 10.0 * frontend.config.tau)
@@ -518,7 +470,7 @@ def _run_loads(frontend, pool, loads, events, autoscaler=None, trace=None):
     sim.run(until=sim.now + 10.0 * frontend.config.tau)
     leftovers = frontend.pending.pop(len(frontend.pending))
     if leftovers:
-        frontend.shed_requests(leftovers, sim.now, "shutdown")
+        frontend.shed_requests(leftovers, "shutdown")
     # Whatever a policy queued on busy models further ahead than the
     # drain window still completes: no batch is left without an outcome.
     sim.run()

@@ -62,11 +62,11 @@ class ServingMetrics:
     tau: float = 0.56
     #: ``a(M[v])`` of a model subset, e.g. ``EnsembleScorer.accuracy``.
     accuracy: Callable[[tuple[int, ...]], float] = lambda models: 0.0
-    arrivals: list[tuple[float, int]] = field(default_factory=list)
-    dispatches: list[DispatchRecord] = field(default_factory=list)
-    dropped: int = 0
+    arrivals: list[tuple[float, int]] = field(default_factory=list, init=False)
+    dispatches: list[DispatchRecord] = field(default_factory=list, init=False)
+    dropped: int = field(default=0, init=False)
     #: uniform sample of per-request latencies for streaming quantiles.
-    latencies: Reservoir = field(default_factory=lambda: Reservoir(capacity=8192))
+    latencies: Reservoir = field(default_factory=lambda: Reservoir(capacity=8192), init=False)
 
     def record_arrivals(self, time: float, count: int) -> None:
         """Record ``count`` requests admitted at ``time``."""

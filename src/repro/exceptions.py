@@ -85,9 +85,9 @@ class ServingError(RafikiError):
 class RequestShedError(ServingError):
     """The serving front end refused a request (admission control).
 
-    Carries the shed ``reason`` (``"rate_limit"``, ``"tenant_rate_limit"``,
-    ``"queue_full"``, ``"tenant_queue_full"``, ``"deadline"``,
-    ``"dispatch_failed"`` or ``"fault"``) and a
+    Carries the shed ``reason`` (``"fault"``, ``"tenant_rate_limit"``,
+    ``"tenant_queue_full"``, ``"queue_full"``, ``"deadline"``,
+    ``"dispatch_failed"`` or ``"shutdown"``) and a
     ``retry_after`` hint in seconds — the earliest time at which a
     retry has a chance of being admitted. Gateways translate this into
     HTTP 429 with the hint in the body.

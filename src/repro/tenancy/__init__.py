@@ -9,8 +9,8 @@ records; the ambient :func:`current_tenant` context lets deep
 subsystems label telemetry and check quotas without threading a
 ``tenant`` argument everywhere. The cluster manager places queued jobs
 in max-min fair order over each tenant's dominant-resource share, and
-the serving front end layers per-tenant token buckets over its
-per-client ones.
+the serving front end rate-limits each tenant with a token bucket and
+caps its share of the accept queue.
 """
 
 from repro.exceptions import QuotaExceededError, TenantAccessError

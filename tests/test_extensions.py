@@ -366,7 +366,7 @@ class TestOneGatewayPipeline:
     """``handle`` and ``handle_async`` answer and count a query alike."""
 
     def _shed(*args, **kwargs):
-        raise RequestShedError("rate_limit", 0.25)
+        raise RequestShedError("tenant_rate_limit", 0.25)
 
     CASES = {
         "200": (lambda image: {"img": image}, None, None),

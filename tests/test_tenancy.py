@@ -755,42 +755,27 @@ class TestFrontendTenantLimits:
         assert excinfo.value.reason == "tenant_queue_full"
         assert frontend.offer("g1", None, 0.0, tenant="globex")
 
-    def test_shed_request_does_not_consume_tenant_token(self):
-        # Regression: the tenant bucket used to be debited before the
-        # per-client and queue checks, so one throttled client drained
-        # its tenant's bucket and co-tenant clients were shed as
-        # tenant_rate_limit despite the admitted rate being in budget.
+    @pytest.mark.parametrize("reason, overrides", [
+        ("queue_full", {"max_queue": 2}),
+        ("tenant_queue_full", {"tenant_max_queue_share": 0.25}),
+        ("deadline", {}),
+    ], ids=["queue_full", "tenant_queue_full", "deadline"])
+    def test_queue_full_shed_does_not_consume_tenant_token(self, reason, overrides):
+        # No token is debited before admission: a request that passes the
+        # tenant bucket and is shed by a later check leaves it untouched.
         from repro.exceptions import RequestShedError
 
-        frontend = self.make(
-            max_queue=32, tenant_rate_limits={"acme": 10.0}, rate_limit=1.0,
-        )
-        frontend.offer("hot", None, 0.0, tenant="acme")
-        for _ in range(8):
-            with pytest.raises(RequestShedError) as excinfo:
-                frontend.offer("hot", None, 0.0, tenant="acme")
-            assert excinfo.value.reason == "rate_limit"
-        # the hot client's sheds left 9 tenant tokens for well-behaved
-        # co-tenant clients
-        for i in range(9):
-            frontend.offer(f"c{i}", None, 0.0, tenant="acme")
-        with pytest.raises(RequestShedError) as excinfo:
-            frontend.offer("c9", None, 0.0, tenant="acme")
-        assert excinfo.value.reason == "tenant_rate_limit"
-
-    def test_queue_full_shed_does_not_consume_tenant_token(self):
-        from repro.exceptions import RequestShedError
-
-        frontend = self.make(
-            max_queue=2, tenant_rate_limits={"acme": 100.0},
-        )
+        frontend = self.make(tenant_rate_limits={"acme": 100.0}, **overrides)
         frontend.offer("c1", None, 0.0, tenant="acme")
         frontend.offer("c2", None, 0.0, tenant="acme")
-        before = frontend._tenant_buckets["acme"].available(0.0)
+        if reason == "deadline":
+            frontend.capacity = lambda now: (1, 10.0)  # nothing can meet tau
+        bucket = frontend._tenant_buckets["acme"]
+        before = bucket.tokens
         with pytest.raises(RequestShedError) as excinfo:
             frontend.offer("c3", None, 0.0, tenant="acme")
-        assert excinfo.value.reason in ("queue_full", "deadline")
-        assert frontend._tenant_buckets["acme"].available(0.0) == before
+        assert excinfo.value.reason == reason
+        assert bucket.tokens == before
 
     def test_tenant_outcome_accounting(self):
         frontend = self.make(tenant_rate_limits={"acme": 1.0})

@@ -2,10 +2,11 @@
 
 Per package under ``src/repro`` (its own modules; sub-packages have
 their own row): source lines, ``len(__all__)``, and the constructor
-parameters of every class (or capitalised constructor function) the
-package exports; then every module-level mutable global in
-``src/`` — a name some function rebinds through ``global``, or one bound
-to a ``ContextVar`` / ``itertools.count`` at module level; then the CLI's
+parameters of every class (or capitalised constructor function) that
+the ``__all__`` of the package or of one of its modules lists, each
+counted once; then every module-level mutable global in ``src/`` — a
+name some function rebinds through ``global``, or one bound to a
+``ContextVar`` / ``itertools.count`` at module level; then the CLI's
 verbs and their flags, read off ``repro.cli.build_parser()``; then the
 telemetry record sites in ``src/`` by kind, read off the AST — a counter
 ``inc``, histogram ``observe`` or gauge ``set`` on a family looked up per
@@ -90,12 +91,24 @@ def lines(package: Path) -> int:
     )
 
 
-def constructors(module) -> dict[str, int]:
-    """Parameter count of each exported class / capitalised constructor."""
-    out = {}
-    for name in getattr(module, "__all__", ()):
-        obj = getattr(module, name)
-        if inspect.isclass(obj) or (inspect.isfunction(obj) and name[0].isupper()):
+def constructors(package: Path) -> dict[str, int]:
+    """Parameter count of each class / capitalised constructor the package
+    exports: from the ``__all__`` of its ``__init__`` and of each of its
+    own modules, each object counted once however many list it."""
+    dotted = ".".join(package.relative_to(ROOT).parts)
+    modules = [dotted] + [
+        f"{dotted}.{path.stem}" for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    out, seen = {}, set()
+    for module in map(importlib.import_module, modules):
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if id(obj) in seen or not (
+                inspect.isclass(obj) or (inspect.isfunction(obj) and name[0].isupper())
+            ):
+                continue
+            seen.add(id(obj))
             try:
                 out[name] = len(inspect.signature(obj).parameters)
             except ValueError:  # an exception class with no __init__ of its own
@@ -743,17 +756,18 @@ def main() -> int:
     sys.path.insert(0, str(ROOT))
     packages = sorted(init.parent for init in ROOT.rglob("__init__.py"))
     print(f"{'package':<26} {'lines':>6} {'__all__':>8} {'classes':>8} {'ctor params':>12}")
-    total, detail = 0, []
+    total, params, detail = 0, 0, []
     for path in packages:
         dotted = ".".join(path.relative_to(ROOT).parts)
         module = importlib.import_module(dotted)
-        ctors = constructors(module)
+        ctors = constructors(path)
         n = lines(path)
         total += n
+        params += sum(ctors.values())
         print(f"{dotted:<26} {n:>6} {len(getattr(module, '__all__', ())):>8} "
               f"{len(ctors):>8} {sum(ctors.values()):>12}")
         detail += [(dotted, name, count) for name, count in sorted(ctors.items())]
-    print(f"{'src/ total':<26} {total:>6}")
+    print(f"{'src/ total':<26} {total:>6} {'':>8} {'':>8} {params:>12}")
     if "--classes" in sys.argv[1:]:
         print()
         for dotted, name, count in detail:

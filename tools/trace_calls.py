@@ -88,9 +88,6 @@ RUNS: tuple[Run, ...] = (
     _cli("sql", "sql", "--executor", "both", "--rows", "200"),
     _cli("sql-explain", "sql", "--executor", "both", "--rows", "200", "--explain",
          "--query", _SQL_QUERY),
-    _cli("serve-open", "serve"),
-    _cli("serve-closed", "serve", "--mode", "closed"),
-    _cli("serve-json", "serve", "--json", "--autoscale", "--rate-limit", "500"),
     _cli("tune", "tune"),
     _cli("tune-collab-bayes", "tune", "--collaborative", "--advisor", "bayesian"),
     _cli("tune-real-pool", "tune", "--real", "--processes", "2"),
@@ -187,8 +184,6 @@ REASONS: dict[str, str] = {
         "wakes a simulated client when its admitted request is shed",
     "repro.core.serve.loadgen:ReplicaPool.kill":
         "takes a simulated replica out of rotation (replica death); tests kill one",
-    "repro.core.serve.frontend:TokenBucket.available":
-        "the client-bucket sweep, which starts once 1 024 client ids hold buckets",
     "repro.paramserver.server:ParameterServer._serve.<locals>.hop":
         "counts a shard read or write that fails over to the next shard",
     "repro.sqlext.exec:UdfBatchDispatcher._dispatch_chunk.<locals>.on_retry":
