@@ -29,10 +29,6 @@ __all__ = [
     "SCENARIOS",
     "run_scenario",
     "build_default_plan",
-    "run_chaos_scenario",
-    "run_shard_kill_scenario",
-    "run_store_kill_scenario",
-    "run_tenant_isolation_scenario",
     "same_seed_rerun",
 ]
 
@@ -43,10 +39,6 @@ SCENARIOS = {
     "store-kill": store_kill,
     "tenants": tenants,
 }
-run_chaos_scenario = default.run
-run_shard_kill_scenario = shard_kill.run
-run_store_kill_scenario = store_kill.run
-run_tenant_isolation_scenario = tenants.run
 
 
 def run_scenario(name: str, seed: int = 0, verify: bool = False, as_json: bool = False) -> int:

@@ -120,7 +120,9 @@ def _push_retry(seed: int) -> RetryPolicy:
 
 
 def _surrogate_study(name: str, seed: int, manager, param_server, failure_plan):
-    """A 16-trial, 3-worker surrogate study on ``manager``; returns its report."""
+    """A 16-trial surrogate study on a 3-worker TRAIN job of ``manager``;
+    returns its report."""
+    from repro.cluster.manager import JobKind
     from repro.core.tune import (
         HyperConf,
         RandomSearchAdvisor,
@@ -137,13 +139,15 @@ def _surrogate_study(name: str, seed: int, manager, param_server, failure_plan):
         RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(seed)),
         param_server,
     )
-    return run_cluster_study(
+    job = manager.submit_job(JobKind.TRAIN, name=name, num_workers=3, queue=False)
+    report = run_cluster_study(
         manager,
+        job,
         master,
         SurrogateTrainer(seed=seed),
         param_server,
         conf,
-        num_workers=3,
         failure_plan=failure_plan,
-        trial_retry=RetryPolicy(max_attempts=3, jitter=0.0, seed=seed),
     )
+    manager.complete_job(job.job_id)
+    return report

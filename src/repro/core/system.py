@@ -5,8 +5,9 @@ One object wires the shared substrates together — the data store
 model zoo — and exposes the two services:
 
 * **training**: ``create_train_job`` selects a diverse model set for
-  the task, runs one (Co)Study per selected model over the cluster, and
-  leaves each model's best parameters in the parameter server;
+  the task, runs one (Co)Study per selected model on the worker
+  containers of the job's cluster job, and leaves each model's best
+  parameters in the parameter server;
 * **inference**: ``create_inference_job`` deploys those parameters
   instantly (the paper's headline benefit of unifying the services) and
   ``query`` serves ensemble predictions.
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro import chaos, telemetry
 from repro.cluster import ClusterManager, Node
-from repro.cluster.manager import JobKind
+from repro.cluster.manager import JobKind, JobRecord
 from repro.core.serve.pred_cache import PredictionCache
 from repro.core.tune import (
     BayesianAdvisor,
@@ -37,10 +38,9 @@ from repro.core.tune import (
     RealTrainer,
     StudyMaster,
     StudyReport,
-    make_workers,
-    run_study,
     section71_space,
 )
+from repro.core.tune.distributed import run_cluster_study
 from repro.data import DataStore, ImageDataset
 from repro.exceptions import (
     ConfigurationError,
@@ -204,6 +204,9 @@ class Rafiki:
     ) -> str:
         """Run model selection + one study per selected model.
 
+        The studies run one after another on the worker containers of
+        one TRAIN cluster job (``run_cluster_study``): a worker whose
+        node fails is restarted elsewhere and re-runs its trial.
         ``backend_factory(model_entry, dataset)`` may override the
         trainer backend (tests use the surrogate); by default each
         study trains real networks with :class:`RealTrainer`.
@@ -247,7 +250,7 @@ class Rafiki:
                 for entry in entries:
                     info.model_names.append(entry.name)
                     report = self._run_one_study(
-                        job_id, entry, data, hyper, space, num_workers, advisor,
+                        job_id, cluster_job, entry, data, hyper, space, advisor,
                         collaborative, backend_factory,
                     )
                     info.reports[entry.name] = report
@@ -263,11 +266,11 @@ class Rafiki:
     def _run_one_study(
         self,
         job_id: str,
+        cluster_job: JobRecord,
         entry,
         data: ImageDataset,
         hyper: HyperConf,
         space: HyperSpace,
-        num_workers: int,
         advisor: str,
         collaborative: bool,
         backend_factory,
@@ -292,12 +295,9 @@ class Rafiki:
             study_name, hyper, advisor_obj, self.param_server,
             best_key=f"{study_name}/best", scheduler=scheduler,
         )
-        workers = make_workers(master, backend, self.param_server, hyper, num_workers,
-                               name_prefix=f"{study_name}/worker")
-        report = run_study(master, workers)
-        # Persist the small master state (Section 6.3 failure recovery).
-        self.cluster.checkpoints.save(study_name, master.checkpoint_state())
-        return report
+        return run_cluster_study(
+            self.cluster, cluster_job, master, backend, self.param_server, hyper
+        )
 
     def get_train_job(self, job_id: str) -> TrainJobInfo:
         """Look up a training job's book-keeping by id."""

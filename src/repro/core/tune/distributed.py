@@ -1,14 +1,16 @@
 """Cluster-integrated distributed tuning.
 
-Runs a study with one tuning worker per cluster worker-container, over
-simulated time. Node failures injected mid-study exercise the paper's
-recovery story: workers are stateless, so the manager restarts their
-containers on surviving nodes. A replacement whose predecessor had a
-trial in flight re-runs *that same trial* from its checkpoint (trial
-sessions are deterministic in the trial, so the re-run reproduces the
-lost epochs exactly and the advisor sees the same trial sequence as a
-healthy run); otherwise it requests a fresh trial. Master state is
-checkpointed when the study ends.
+Runs a study with one tuning worker per worker container of a submitted
+cluster job, over simulated time; the job's owner places it before the
+study and releases it after (``Rafiki.create_train_job`` runs each of a
+train job's studies on that job's containers). Node failures injected
+mid-study exercise the paper's recovery story: workers are stateless,
+so the manager restarts their containers on surviving nodes. A
+replacement whose predecessor had a trial in flight re-runs *that same
+trial* from its checkpoint (trial sessions are deterministic in the
+trial, so the re-run reproduces the lost epochs exactly and the advisor
+sees the same trial sequence as a healthy run); otherwise it requests a
+fresh trial. Master state is checkpointed when the study ends.
 """
 
 from __future__ import annotations
@@ -16,37 +18,35 @@ from __future__ import annotations
 from repro import telemetry
 from repro.cluster import ClusterManager
 from repro.cluster.container import Container, ContainerRole
-from repro.cluster.manager import JobKind, JobState
+from repro.cluster.manager import JobRecord
 from repro.cluster.message import Message, MessageType
 from repro.core.tune.backends import TrainerBackend
 from repro.core.tune.config import HyperConf
-from repro.core.tune.runner import _running, worker_process
+from repro.core.tune.runner import MAX_EVENTS, _running, worker_process
 from repro.core.tune.study import StudyMaster, StudyReport
 from repro.core.tune.trial import Trial
 from repro.core.tune.worker import TuneWorker
 from repro.paramserver import ParameterServer
 from repro.sim import Simulator
-from repro.utils.retry import RetryPolicy
 
 __all__ = ["run_cluster_study"]
 
 
 def run_cluster_study(
     manager: ClusterManager,
+    job: JobRecord,
     master: StudyMaster,
     backend: TrainerBackend,
     param_server: ParameterServer,
     conf: HyperConf,
-    num_workers: int,
     failure_plan: list[tuple[float, str, float | None]] | None = None,
-    trial_retry: RetryPolicy | None = None,
 ) -> StudyReport:
-    """Run ``master`` over a cluster job with ``num_workers`` workers.
+    """Run ``master`` with one worker per worker container of ``job``.
 
-    ``failure_plan`` is a list of ``(delay_s, node_name, recover_after)``
-    failure injections; ``trial_retry`` caps how often workers restart a
-    trial crashed by the ``tune.trial`` fault point. Returns the study
-    report (wall time = simulated completion time).
+    ``job`` is placed on ``manager`` already and outlives the study: the
+    caller releases it. ``failure_plan`` is a list of
+    ``(delay_s, node_name, recover_after)`` failure injections. Returns
+    the study report (wall time = simulated completion time).
     """
     sim = Simulator()
     workers: dict[str, TuneWorker] = {}
@@ -56,8 +56,6 @@ def run_cluster_study(
         "repro_tune_trials_reissued_total",
         "In-flight trials re-issued to replacement workers.", telemetry.get_registry(),
     ).labels()
-    job = manager.submit_job(JobKind.TRAIN, name=master.study_name,
-                             num_workers=num_workers, queue=False)
 
     def start_worker(container: Container) -> None:
         # The hook hears every job's recoveries on this manager.
@@ -68,7 +66,6 @@ def run_cluster_study(
             backend=backend,
             param_server=param_server,
             conf=conf,
-            retry=trial_retry,
         )
         workers[worker.name] = worker
         # If this container replaces one that died mid-trial, re-issue
@@ -96,7 +93,7 @@ def run_cluster_study(
             worker_process(worker, master, workers, in_flight, alive)
         )
 
-    with _running(master, sim, num_workers):
+    with _running(master, sim, len(job.workers)):
         # This frame holds ``start_worker`` until the study returns, and
         # the manager holds it weakly: the hook lives exactly as long.
         manager.on_recovery(start_worker, lambda start, container: start(container))
@@ -106,9 +103,8 @@ def run_cluster_study(
         for delay, node_name, recover_after in failure_plan or ():
             sim.schedule(delay, _fail_node, manager, sim, node_name, recover_after)
 
-        sim.run(max_events=5_000_000)
-        if manager.jobs[job.job_id].state in (JobState.RUNNING, JobState.DEGRADED):
-            manager.complete_job(job.job_id)
+        sim.run(max_events=MAX_EVENTS)
+        # Persist the small master state (Section 6.3 failure recovery).
         manager.checkpoints.save(master.study_name, master.checkpoint_state())
     return master.report
 

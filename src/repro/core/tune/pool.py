@@ -72,10 +72,9 @@ from repro.core.tune.early_stopping import TrialStopRule
 from repro.core.tune.runner import run_study
 from repro.core.tune.study import StudyMaster, StudyReport
 from repro.core.tune.trial import Trial
-from repro.core.tune.worker import TuneWorker
+from repro.core.tune.worker import TRIAL_ATTEMPTS, TuneWorker
 from repro.data.datasets import ImageDataset
 from repro.exceptions import ConfigurationError
-from repro.sim import Simulator
 
 __all__ = ["TrialPool", "PoolTrialExecutor", "run_study_parallel"]
 
@@ -251,14 +250,13 @@ class TrialPool:
     #: seconds without any worker record before the pool is declared dead.
     RESULT_TIMEOUT = 600.0
 
-    def __init__(self, processes: int | None = None, trial_retries: int = 2):
+    def __init__(self, processes: int | None = None):
         self.processes = int(processes) if processes else (os.cpu_count() or 1)
         if self.processes < 1:
             raise ConfigurationError(f"processes must be >= 1, got {processes}")
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         )
-        self.trial_retries = int(trial_retries)
         self._workers: list[_Worker] = []
         #: jobs no worker was idle for yet, oldest first.
         self._pending: deque[tuple] = deque()
@@ -498,7 +496,7 @@ class TrialPool:
         exhausted = state is None or state.job is None
         if state is not None:
             state.crashes += 1
-            exhausted = exhausted or state.crashes > self.trial_retries
+            exhausted = exhausted or state.crashes >= TRIAL_ATTEMPTS
         self._trial_errors.inc(outcome="raised" if exhausted else "resubmitted")
         if exhausted:
             raise RuntimeError(f"trial {trial_id} failed in worker: {detail}")
@@ -659,8 +657,6 @@ def run_study_parallel(
     master: StudyMaster,
     workers: list[TuneWorker],
     processes: int | None = None,
-    sim: Simulator | None = None,
-    max_events: int = 5_000_000,
     pool: TrialPool | None = None,
 ) -> StudyReport:
     """:func:`run_study`, with real epoch work spread over processes.
@@ -684,7 +680,7 @@ def run_study_parallel(
     if processes is None:
         processes = max(1, min(len(workers), os.cpu_count() or 1))
     if pool is None and processes == 1:
-        return run_study(master, workers, sim=sim, max_events=max_events)
+        return run_study(master, workers)
     base_backends = [worker.backend for worker in workers]
     executor = PoolTrialExecutor(
         base_backends[0], conf=workers[0].conf, pool=pool, processes=processes
@@ -693,7 +689,7 @@ def run_study_parallel(
         worker.backend = executor
     try:
         with executor:
-            return run_study(master, workers, sim=sim, max_events=max_events)
+            return run_study(master, workers)
     finally:
         for worker, backend in zip(workers, base_backends):
             worker.backend = backend

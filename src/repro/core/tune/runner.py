@@ -23,6 +23,10 @@ from repro.sim import Simulator
 
 __all__ = ["run_study", "make_workers", "worker_process"]
 
+#: event cap of every driver's simulator: a study whose workers never
+#: all shut down (a parked worker polls forever) ends instead of hanging.
+MAX_EVENTS = 5_000_000
+
 
 def make_workers(
     master: StudyMaster,
@@ -101,22 +105,17 @@ def _running(master: StudyMaster, sim: Simulator, workers: int):
         span.tag(trials=len(report.results), simulated_seconds=sim.now)
 
 
-def run_study(
-    master: StudyMaster,
-    workers: list[TuneWorker],
-    sim: Simulator | None = None,
-    max_events: int = 5_000_000,
-) -> StudyReport:
+def run_study(master: StudyMaster, workers: list[TuneWorker]) -> StudyReport:
     """Run master + workers until every worker has shut down.
 
     Returns the study report with ``wall_time`` set to the simulated
     completion time.
     """
-    sim = sim if sim is not None else Simulator()
+    sim = Simulator()
     by_name = {worker.name: worker for worker in workers}
     in_flight: dict[str, Trial] = {}
     with _running(master, sim, len(workers)):
         for worker in workers:
             sim.spawn(worker_process(worker, master, by_name, in_flight))
-        sim.run(max_events=max_events)
+        sim.run(max_events=MAX_EVENTS)
     return master.report

@@ -19,9 +19,13 @@ from repro.core.tune.trial import InitKind, Trial, TrialStatus
 from repro.exceptions import InjectedFault
 from repro.paramserver import ParameterServer
 from repro.tenancy import current_tenant
-from repro.utils.retry import RetryPolicy
 
 __all__ = ["TuneWorker"]
+
+#: runs a crashing trial gets (a ``tune.trial`` fault in a worker; a
+#: fault or a dead process in a ``TrialPool`` child) before it is given
+#: up: a worker then finishes it FAILED, and the pool raises.
+TRIAL_ATTEMPTS = 3
 
 #: simulated seconds per training epoch — spans minutes to hours.
 EPOCH_SECONDS_BUCKETS = (0.1, 1.0, 10.0, 60.0, 300.0, 900.0, 1800.0, 3600.0, 10800.0)
@@ -36,15 +40,11 @@ class TuneWorker:
         backend: TrainerBackend,
         param_server: ParameterServer,
         conf: HyperConf,
-        retry: RetryPolicy | None = None,
     ):
         self.name = name
         self.backend = backend
         self.param_server = param_server
         self.conf = conf
-        #: how often a crashed trial (an injected ``tune.trial`` fault)
-        #: is restarted from its checkpoint before being reported FAILED.
-        self.retry = retry if retry is not None else RetryPolicy(max_attempts=3)
         self.mailbox = Mailbox()
         self.terminated = False
         self._trial: Trial | None = None
@@ -161,14 +161,14 @@ class TuneWorker:
     def _recover_trial(self, outgoing: list[Message]) -> None:
         """Restart the crashed trial from its checkpoint, or give up.
 
-        Restarts are capped by ``self.retry.max_attempts``; past the cap
+        A trial runs at most ``TRIAL_ATTEMPTS`` times; past the cap
         the trial is finished as FAILED (performance from whatever
         epochs completed before the first crash, typically 0.0 for an
         immediate crash) so the master can move the study along.
         """
         assert self._trial is not None
         self._trial_crashes += 1
-        exhausted = self._trial_crashes >= self.retry.max_attempts
+        exhausted = self._trial_crashes >= TRIAL_ATTEMPTS
         self._crashes.inc(outcome="failed" if exhausted else "retried")
         if exhausted:
             self._finish(TrialStatus.FAILED, outgoing)

@@ -7,14 +7,18 @@ epochs bit-for-bit, and the study converges to the same best trial a
 fault-free run finds.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro import chaos, telemetry
 from repro.chaos import FaultKind, FaultPlan, FaultRule
 from repro.cluster import ClusterManager, Node
+from repro.cluster.container import ContainerRole
 from repro.cluster.manager import JobKind, JobState
 from repro.cluster.node import Resources
+from repro.core.system import Rafiki
 from repro.core.tune import (
     HyperConf,
     RandomSearchAdvisor,
@@ -22,10 +26,11 @@ from repro.core.tune import (
     SurrogateTrainer,
     section71_space,
 )
+from repro.core.tune import worker as worker_module
 from repro.core.tune.distributed import run_cluster_study
 from repro.core.tune.trial import TrialStatus
+from repro.data import make_image_classification
 from repro.paramserver import ParameterServer
-from repro.utils.retry import RetryPolicy
 
 pytestmark = pytest.mark.chaos
 
@@ -47,8 +52,17 @@ def counter_total(name):
     return sum(telemetry.get_registry().counter(name).snapshot().values())
 
 
-def run_study(plan=None, failure_plan=None, seed=0, max_trials=12,
-              trial_attempts=3):
+def cluster_study(manager, master, ps, conf, num_workers, failure_plan=None, seed=0):
+    """``master``'s study on a TRAIN job of ``num_workers`` placed for it."""
+    job = manager.submit_job(JobKind.TRAIN, name=master.study_name,
+                             num_workers=num_workers, queue=False)
+    report = run_cluster_study(manager, job, master, SurrogateTrainer(seed=seed), ps,
+                               conf, failure_plan=failure_plan)
+    manager.complete_job(job.job_id)
+    return report
+
+
+def run_study(plan=None, failure_plan=None, seed=0, max_trials=12):
     """One cluster study under an optional fault plan / failure plan."""
     telemetry.set_registry(telemetry.MetricsRegistry())
     chaos.set_plan(plan)
@@ -61,12 +75,8 @@ def run_study(plan=None, failure_plan=None, seed=0, max_trials=12,
             RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(seed)),
             ps,
         )
-        report = run_cluster_study(
-            manager, master, SurrogateTrainer(seed=seed), ps, conf,
-            num_workers=3, failure_plan=failure_plan,
-            trial_retry=RetryPolicy(max_attempts=trial_attempts, jitter=0.0,
-                                    seed=seed),
-        )
+        report = cluster_study(manager, master, ps, conf, 3,
+                               failure_plan=failure_plan, seed=seed)
         crashes = counter_total("repro_tune_trial_crashes_total")
         reissued = counter_total("repro_tune_trials_reissued_total")
         return manager, report, crashes, reissued
@@ -99,14 +109,14 @@ class TestTrialCrashRecovery:
         assert result_map(healthy).items() <= result_map(crashed).items()
         assert crashed.best_performance >= healthy.best_performance
 
-    def test_exhausted_retries_fail_the_trial_not_the_study(self):
+    def test_exhausted_retries_fail_the_trial_not_the_study(self, monkeypatch):
+        monkeypatch.setattr(worker_module, "TRIAL_ATTEMPTS", 2)
         plan = FaultPlan([FaultRule("tune.trial", FaultKind.EXCEPTION)], seed=0)
-        _, report, crashes, _ = run_study(plan=plan, max_trials=4,
-                                          trial_attempts=2)
+        _, report, crashes, _ = run_study(plan=plan, max_trials=4)
         statuses = {r.trial.status for r in report.results}
         assert statuses == {TrialStatus.FAILED}
         assert report.best_performance == 0.0
-        # every issued trial crashed exactly max_attempts times: one
+        # every issued trial crashed exactly TRIAL_ATTEMPTS (2) times: one
         # retry, then failed (concurrency can let the master issue a few
         # more than max_trials before it observes enough finishes)
         finished = len(report.results)
@@ -191,10 +201,8 @@ class TestNodeFailureRecovery:
                 RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(0)),
                 ps,
             )
-            run_cluster_study(
-                manager, master, SurrogateTrainer(seed=0), ps, conf,
-                num_workers=2, failure_plan=[(150.0, "n0", 400.0)],
-            )
+            cluster_study(manager, master, ps, conf, 2,
+                          failure_plan=[(150.0, "n0", 400.0)])
             # the study's hook died with it: no live owner is left behind
             live_hooks = [hook for hook in manager._recovery_hooks if hook.owner() is not None]
             assert len(live_hooks) == hooks_before
@@ -213,10 +221,8 @@ class TestNodeFailureRecovery:
             RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(0)),
             ps,
         )
-        report = run_cluster_study(
-            manager, master, SurrogateTrainer(seed=0), ps, conf,
-            num_workers=2, failure_plan=[(150.0, "n0", 400.0)],
-        )
+        report = cluster_study(manager, master, ps, conf, 2,
+                               failure_plan=[(150.0, "n0", 400.0)])
         assert manager.recoveries > 0
         registry = telemetry.get_registry()
         assert registry.counter("repro_tune_studies_completed_total").value() == 1
@@ -224,6 +230,75 @@ class TestNodeFailureRecovery:
         (span,) = [s for s in telemetry.get_tracer().export() if s["name"] == "run_study"]
         assert span["tags"]["study"] == "counted" and span["tags"]["workers"] == 2
         assert span["tags"]["trials"] == len(report.results)
+
+
+class _NodeKillingTrainer(SurrogateTrainer):
+    """A surrogate whose sessions fail the node of the train job's first
+    worker container during the job's ``fail_at``-th epoch."""
+
+    def __init__(self, system, epochs, fail_at):
+        super().__init__(seed=0)
+        self.system, self.epochs, self.fail_at = system, epochs, fail_at
+
+    def start(self, trial, init_state):
+        session = super().start(trial, init_state)
+        run_epoch = session.run_epoch
+
+        def epoch():
+            if next(self.epochs) == self.fail_at:
+                (info,) = self.system.train_jobs.values()
+                job = self.system.cluster.get_job(info.cluster_job_id)
+                self.system.cluster.fail_node(job.workers[0].node_name)
+            return run_epoch()
+
+        session.run_epoch = epoch
+        return session
+
+
+class TestTrainJobRecovery:
+    def test_train_job_studies_run_on_its_containers_and_survive_a_node_failure(self):
+        """``create_train_job`` trains on its own cluster job's worker
+        containers: a node that dies mid-study has its workers restarted
+        and their trials re-issued, as in a bare cluster study."""
+        def train(fail_at=None):
+            telemetry.set_registry(telemetry.MetricsRegistry())
+            system = Rafiki(seed=0)
+            system.import_images(make_image_classification(
+                name="food", num_classes=3, image_shape=(3, 8, 8),
+                train_per_class=4, val_per_class=2, test_per_class=2, seed=0,
+            ))
+            epochs = itertools.count(1)
+            job_id = system.create_train_job(
+                "t", "ImageClassification", "food",
+                hyper=HyperConf(max_trials=6, max_epochs_per_trial=8),
+                backend_factory=lambda entry, data: _NodeKillingTrainer(
+                    system, epochs, fail_at),
+            )
+            info = system.get_train_job(job_id)
+            results = {
+                study: {r.trial.trial_id: (r.performance, r.epochs)
+                        for r in report.results}
+                for study, report in info.reports.items()
+            }
+            return system, info, results
+
+        system, info, healthy = train()
+        containers = {c.container_id
+                      for c in system.cluster.get_job(info.cluster_job_id).workers}
+        assert len(containers) == 2
+        workers = {r.worker for report in info.reports.values() for r in report.results}
+        assert workers == containers
+        assert counter_total("repro_tune_trials_reissued_total") == 0
+
+        system, info, faulted = train(fail_at=5)
+        assert system.cluster.recoveries > 0
+        assert counter_total("repro_tune_trials_reissued_total") >= 1
+        ever = {c.container_id for c in system.cluster.containers.values()
+                if c.job_id == info.cluster_job_id and c.role is ContainerRole.WORKER}
+        assert {r.worker for report in info.reports.values()
+                for r in report.results} <= ever
+        for study, results in healthy.items():
+            assert results.items() <= faulted[study].items()
 
 
 class TestDegradedJobs:

@@ -17,14 +17,7 @@ import json
 
 import pytest
 
-from repro.chaos.scenarios import (
-    SCENARIOS,
-    build_default_plan,
-    run_chaos_scenario,
-    run_shard_kill_scenario,
-    run_store_kill_scenario,
-    run_tenant_isolation_scenario,
-)
+from repro.chaos.scenarios import SCENARIOS, build_default_plan
 from repro.chaos.scenarios._core import TRACE_METRIC_PREFIXES
 from repro.cli import main
 
@@ -142,10 +135,7 @@ class TestScenarioDeterminism:
         )
         from repro.paramserver import ParameterServer
 
-        # the importable names are the registry's run functions
-        scenarios = [run_chaos_scenario, run_shard_kill_scenario,
-                     run_store_kill_scenario, run_tenant_isolation_scenario]
-        assert scenarios == [SCENARIOS[name].run for name in SCENARIOS]
+        scenarios = [spec.run for spec in SCENARIOS.values()]
         before = [run(seed=0)["trace"] for run in scenarios]
         conf, ps = HyperConf(max_trials=5), ParameterServer()
         master = StudyMaster("unrelated", conf,

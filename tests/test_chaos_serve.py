@@ -33,6 +33,7 @@ from repro.core.serve import (
 )
 from repro.core.system import InferenceJobInfo, ModelSpec, Rafiki
 from repro.core.tune import HyperConf, PoolTrialExecutor, RealTrainer, Trial, TrialPool
+from repro.core.tune import pool as pool_module
 from repro.core.tune.pool import _Worker
 from repro.exceptions import (
     DroppedResponse,
@@ -373,8 +374,9 @@ class TestParallelExecutorCrashHandling:
     """The pool's record demultiplexer, hand-fed: no child processes."""
 
     @pytest.fixture
-    def pool(self, tiny_dataset):
-        pool = TrialPool(processes=1, trial_retries=1)
+    def pool(self, tiny_dataset, monkeypatch):
+        monkeypatch.setattr(pool_module, "TRIAL_ATTEMPTS", 2)
+        pool = TrialPool(processes=1)
         self.spec = PoolTrialExecutor(
             RealTrainer(tiny_dataset, build_mlp), HyperConf(), pool=pool
         )._build_spec()
@@ -398,7 +400,7 @@ class TestParallelExecutorCrashHandling:
     def error_counter(self):
         return telemetry.get_registry().counter("repro_tune_pool_trial_errors_total")
 
-    def test_crash_resubmits_and_discards_replayed_epochs(self, pool):
+    def test_crash_resubmits_and_discards_replayed_epochs(self, pool, monkeypatch):
         """Each record carries its child-side span times (here: start =
         generation, end = generation + accuracy); a replayed epoch the
         skip drops takes its times with it."""
@@ -406,7 +408,7 @@ class TestParallelExecutorCrashHandling:
             self.feed(pool, "epoch", generation, 7, accuracy, None,
                       float(generation), generation + accuracy)
 
-        pool.trial_retries = 2
+        monkeypatch.setattr(pool_module, "TRIAL_ATTEMPTS", 3)
         pool.submit(self.spec, Trial(params={}, trial_id=7), None)
         assert self.dispatched_generation() == 0
         for accuracy in (0.1, 0.2, 0.3):

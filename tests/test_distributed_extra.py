@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterManager, Node
+from repro.cluster.manager import JobKind
 from repro.cluster.node import Resources
 from repro.core.tune import (
     HyperConf,
@@ -32,10 +33,13 @@ def run(num_workers, manager=None, failure_plan=None, max_trials=24, seed=0):
         "dx", conf, RandomSearchAdvisor(section71_space(),
                                         rng=np.random.default_rng(seed)), ps
     )
+    job = manager.submit_job(JobKind.TRAIN, name="dx", num_workers=num_workers,
+                             queue=False)
     report = run_cluster_study(
-        manager, master, SurrogateTrainer(seed=seed), ps, conf,
-        num_workers=num_workers, failure_plan=failure_plan,
+        manager, job, master, SurrogateTrainer(seed=seed), ps, conf,
+        failure_plan=failure_plan,
     )
+    manager.complete_job(job.job_id)
     return manager, report
 
 

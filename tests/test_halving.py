@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterManager, Node
+from repro.cluster.manager import JobKind
 from repro.cluster.node import Resources
 from repro.core.tune import (
     RandomSearchAdvisor,
@@ -35,7 +36,10 @@ def run_halving(initial_trials=8, initial_epochs=2, eta=2, max_rungs=3,
     if on_cluster:
         manager = ClusterManager()
         manager.add_node(Node("n0", capacity=Resources(cpus=8, gpus=8, memory_gb=64)))
-        report = run_cluster_study(manager, master, backend, ps, conf, num_workers)
+        job = manager.submit_job(JobKind.TRAIN, name=name, num_workers=num_workers,
+                                 queue=False)
+        report = run_cluster_study(manager, job, master, backend, ps, conf)
+        manager.complete_job(job.job_id)
     else:
         workers = make_workers(master, backend, ps, conf, num_workers)
         report = run_study(master, workers)

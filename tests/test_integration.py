@@ -11,6 +11,7 @@ import pytest
 import repro as rafiki
 from repro.api.sdk import connect
 from repro.cluster import ClusterManager, Node
+from repro.cluster.manager import JobKind
 from repro.cluster.node import Resources
 from repro.core.system import Rafiki
 from repro.core.tune import (
@@ -41,10 +42,13 @@ class TestClusterStudy:
         conf = HyperConf(max_trials=max_trials, max_epochs_per_trial=20)
         advisor = RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(seed))
         master = StudyMaster("cs", conf, advisor, ps)
+        job = manager.submit_job(JobKind.TRAIN, name="cs", num_workers=num_workers,
+                                 queue=False)
         report = run_cluster_study(
-            manager, master, SurrogateTrainer(seed=seed), ps, conf,
-            num_workers=num_workers, failure_plan=failure_plan,
+            manager, job, master, SurrogateTrainer(seed=seed), ps, conf,
+            failure_plan=failure_plan,
         )
+        manager.complete_job(job.job_id)
         return manager, report
 
     def test_completes_on_cluster(self):
@@ -73,8 +77,9 @@ class TestClusterStudy:
         conf = HyperConf(max_trials=10, max_epochs_per_trial=20)
         advisor = RandomSearchAdvisor(section71_space(), rng=np.random.default_rng(1))
         master = CoStudyMaster("co", conf, advisor, ps, rng=np.random.default_rng(2))
-        run_cluster_study(manager, master, SurrogateTrainer(seed=1), ps, conf,
-                          num_workers=2)
+        job = manager.submit_job(JobKind.TRAIN, name="co", num_workers=2, queue=False)
+        run_cluster_study(manager, job, master, SurrogateTrainer(seed=1), ps, conf)
+        manager.complete_job(job.job_id)
         assert manager.checkpoints.has("co")
         restored = manager.checkpoints.restore("co")
         assert restored["num_finished"] == master.num_finished

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterManager, Node
+from repro.cluster.manager import JobKind
 from repro.cluster.message import Message, MessageType
 from repro.cluster.node import Resources
 from repro.core.tune import (
@@ -190,7 +191,9 @@ def composed(backend, driver, seed=0, patience=10_000):
     if driver == "cluster":
         manager = ClusterManager()
         manager.add_node(Node("n0", capacity=Resources(cpus=8, gpus=8, memory_gb=64)))
-        report = run_cluster_study(manager, master, backend, ps, conf, 3)
+        job = manager.submit_job(JobKind.TRAIN, name="mix", num_workers=3, queue=False)
+        report = run_cluster_study(manager, job, master, backend, ps, conf)
+        manager.complete_job(job.job_id)
     else:
         workers = make_workers(master, backend, ps, conf, 3)
         run = run_study_parallel if driver == "parallel" else run_study

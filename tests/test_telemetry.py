@@ -675,7 +675,7 @@ class TestHotPathsTouchNoGauge:
         assert inits.value(kind="random") + inits.value(kind="warm") == 3
         assert spy.counter("repro_tune_costudy_syncs_total").value() >= 1
 
-    def test_cluster_heartbeat_submit_and_node_failure(self, spy):
+    def test_cluster_submit_and_node_failure(self, spy):
         from repro.cluster import ClusterManager, Node
         from repro.cluster.manager import JobKind
         from repro.cluster.node import Resources
@@ -703,7 +703,7 @@ class TestHotPathsTouchNoGauge:
         denials = spy.counter("repro_tenant_quota_denials_total")
         assert denials.value(tenant="acme", resource="trials") == 1
 
-    def test_blockstore_heartbeat_kill_and_rejoin(self, spy):
+    def test_blockstore_kill_and_rejoin(self, spy):
         from repro.data import BlockStore, FileNamespace
 
         store = BlockStore(nodes=3, replicas=2, chunk_size=64)

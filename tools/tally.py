@@ -628,20 +628,30 @@ MUTATORS = {
 }
 
 
-def state_names(path: Path) -> set[str]:
-    """Attribute names ``path`` assigns or mutates in place, outside
-    ``__init__``/``__post_init__``: the record and counter fields."""
+def state_names(path: Path) -> set[tuple[str | None, str]]:
+    """``(class, attribute)`` of each attribute ``path`` assigns or
+    mutates in place, outside ``__init__``/``__post_init__``: the record
+    and counter fields. ``class`` is the class whose method writes
+    ``self.<attribute>``, and ``None`` for any other receiver."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     construction = {
         id(node) for fn in ast.walk(tree)
         if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "__post_init__")
         for node in ast.walk(fn)
     }
+    # ast.walk is breadth-first, so a nested class overwrites its outer one
+    owner = {
+        id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in ast.walk(cls)
+    }
 
-    def attribute(node) -> str | None:
+    def attribute(node) -> tuple[str | None, str] | None:
         while isinstance(node, ast.Subscript):
             node = node.value
-        return node.attr if isinstance(node, ast.Attribute) else None
+        if not isinstance(node, ast.Attribute):
+            return None
+        on_self = getattr(node.value, "id", None) == "self"
+        return (owner.get(id(node)) if on_self else None), node.attr
 
     names = set()
     for node in ast.walk(tree):
@@ -664,14 +674,23 @@ def state_names(path: Path) -> set[str]:
 def unset_fields() -> tuple[list[str], list[str]]:
     """``module:Class.field`` of each defaulted dataclass field no call
     sets, and of each only calls under ``tests/`` set: the dataclass
-    counterpart of :func:`unpassed_parameters`."""
+    counterpart of :func:`unpassed_parameters`.
+
+    A field some code mutates is a record, not a knob: one ``Class``'s
+    own methods mutate as ``self.<field>``, or one mutated through
+    another receiver when no other class mutates ``self.<field>``."""
     calls = _call_index()
-    state = set().union(*(state_names(path) for path in sorted(ROOT.rglob("*.py"))))
+    paths = sorted(ROOT.rglob("*.py"))
+    writers: dict[str, set[str | None]] = {}
+    for path in paths:
+        for cls, name in state_names(path):
+            writers.setdefault(name, set()).add(cls)
     inherited: dict[str, list] = {}
     unset, test_only = [], []
-    for path in sorted(ROOT.rglob("*.py")):
+    for path in paths:
         for cls, name, position in dataclass_fields(path, inherited):
-            if name in state:
+            classes = writers.get(name, set())
+            if cls in classes or classes == {None}:
                 continue
             sets = {
                 in_tests: _passes(by_name.get(cls, []), name, position)
